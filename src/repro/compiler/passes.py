@@ -150,7 +150,9 @@ def select_formats_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph
     return graph
 
 
-def _kernel_for(op: str, fmt: str, scheme) -> str:
+def kernel_for(op: str, fmt: str, scheme) -> str:
+    """The kernel a weight op lowers to; ``"blas_matmul"`` is no registry
+    op (the engine binds exactly this name at lowering)."""
     if fmt in ("csr", "bspc"):
         return f"{fmt}_spmm_int8" if scheme == "int8" else f"{fmt}_spmm"
     if scheme == "int8" and op == OP_LINEAR:
@@ -164,7 +166,7 @@ def select_kernels_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph
     """Name the kernel each weight op lowers to (format + slot scheme)."""
     for _, _, slot in graph.slots():
         scheme = slot.scheme or resolve_slot_scheme(graph.scheme, slot.op)
-        slot.kernel = _kernel_for(slot.op, slot.format or "dense", scheme)
+        slot.kernel = kernel_for(slot.op, slot.format or "dense", scheme)
     return graph
 
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -73,13 +72,12 @@ from repro.compiler.ir import (
     WeightSlot,
     resolve_slot_scheme,
 )
-from repro.compiler.passes import run_passes, slot_grid
+from repro.compiler.passes import kernel_for, run_passes, slot_grid
 from repro.compiler.pipeline import build_layer_graph, rnn_graph_from_weights
 from repro.errors import ConfigError, ShapeError
-from repro.kernels._math import sigmoid as _sigmoid
+from repro.kernels._math import sigmoid_ as _sigmoid_
 from repro.kernels.quantized import int8_bspc_plan, int8_codes, int8_csr_plan
 from repro.nn.quantize import quantize_fp16
-from repro.sparse.blocks import BlockGrid
 from repro.sparse.bspc import BSPCMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -173,106 +171,128 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Weight packings
+# Weight packing
 # ---------------------------------------------------------------------------
-class _DenseWeight:
-    """A weight kept dense; the scheme decides storage and compute dtype."""
-
-    def __init__(self, weight: np.ndarray, scheme: Optional[str]) -> None:
-        self.scheme = scheme
-        self.shape = weight.shape
-        if scheme is None:
-            # Kept exactly as the module stores it; projections use the
-            # same ``x @ weight.T`` expression as the fused kernels, so
-            # packing-only plans are bit-exact with the eager path.
-            self.weight = weight.copy()
-        elif scheme == "fp16":
-            self.storage, self.weight_t = _fp16_pack(weight)
-        else:  # int8
-            self.codes, self.scale, self.codes_f = _int8_pack(weight)
-
-    def project(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
-        """``x2d (N, K) → (N, M)`` in the scheme's compute dtype."""
-        if self.scheme is None:
-            out = ws.take(key, (x2d.shape[0], self.shape[0]))
-            return np.matmul(x2d, self.weight.T, out=out)
-        if self.scheme == "fp16":
-            out = ws.take(key, (x2d.shape[0], self.shape[0]), np.float32)
-            return np.matmul(x2d, self.weight_t, out=out)
-        return kernels.linear_int8_rowwise(self.codes_f, self.scale, x2d)
-
-    def nbytes(self) -> int:
-        count = int(np.prod(self.shape))
-        return count * {None: 8, "fp16": 2, "int8": 1}[self.scheme]
+_VALUE_BYTES = {None: 8, "fp16": 2, "int8": 1}
 
 
-class _SparseWeight:
-    """A weight packed as CSR/BSPC with its kernel plans built eagerly."""
+class _PackedWeight:
+    """One weight slot packed for execution, its kernel bound at lowering.
+
+    ``apply(x2d, ws, key)`` maps ``(N, K)`` activations to the ``(N, M)``
+    product with the weight's transpose.  What runs was decided by the
+    pass pipeline (format, scheme) and is fixed here, once, rather than
+    re-derived per call:
+
+    * dense float / fp16 weights, and int8 *recurrent* weights
+      (dequantized once — the per-step ``(B, H)`` GEMMs are too small for
+      an integer pipeline to beat float BLAS), are one BLAS ``matmul``
+      into a workspace buffer.  A float projection multiplies by the
+      ``weight.T`` view and a float recurrence by a contiguous transpose,
+      exactly the operands the fused kernels use (bit-exact);
+    * dense int8 projections run the registry's ``linear_int8_rowwise``;
+    * CSR/BSPC weights run the registry's ``*_spmm`` / ``*_spmm_int8``
+      on the transpose *view* of the row-major activations, and hand back
+      the transpose view of the kernel's result (see the activation
+      layout contract in ``docs/kernels.md``).
+
+    ``state_dtype`` marks a recurrent slot and names the dtype of the
+    state it multiplies.  :meth:`bind` resolves the registry kernel and
+    leaves it inspectable as ``kernel``.
+    """
 
     def __init__(
-        self,
-        weight: np.ndarray,
-        fmt: str,
-        scheme: Optional[str],
-        grid: Optional[BlockGrid] = None,
-        prebuilt: Optional[BSPCMatrix] = None,
-        tile: Optional[TileConfig] = None,
+        self, slot: WeightSlot, scheme: Optional[str], state_dtype=None
     ) -> None:
+        weight = slot.array
         self.scheme = scheme
         self.shape = weight.shape
-        if scheme == "fp16":
-            # fp16 sparse: values rounded through half precision, float
-            # sparse kernels do the compute (they are float64-only).
-            weight = quantize_fp16(weight)
-            prebuilt = None  # built from unrounded values; cannot reuse
-        if fmt == "bspc":
-            self.matrix = (
-                prebuilt
-                if prebuilt is not None
-                else BSPCMatrix.from_dense(weight, grid)
+        self.matrix = None
+        #: The registry op the kernel-selection pass names for this slot.
+        self.op = kernel_for(slot.op, slot.format or "dense", scheme)
+        self.out_dtype = np.dtype(
+            state_dtype or (np.float32 if scheme == "fp16" else np.float64)
+        )
+        if slot.format not in (None, "dense"):
+            self.matrix = _pack_sparse(slot, weight, scheme)
+        elif self.op == "linear_int8_rowwise":
+            self.codes, self.scale, self.codes_f = _int8_pack(weight)
+        elif scheme is None:
+            self.weight_t = (
+                weight.copy().T
+                if state_dtype is None
+                else np.ascontiguousarray(weight.T)
             )
-            if tile is not None and tile.row_block:
-                # The tuner's host tile knob: install the row-blocked
-                # float plan first so the int8 plan derives from it.
-                kernels.pack_bspc_plan(self.matrix, tile.row_block)
-            plan_builder = int8_bspc_plan if scheme == "int8" else kernels.bspc_plan
+        elif scheme == "fp16":
+            self.storage, self.weight_t = _fp16_pack(weight)
         else:
-            self.matrix = CSRMatrix.from_dense(weight)
-            plan_builder = int8_csr_plan if scheme == "int8" else kernels.csr_plan
-        plan_builder(self.matrix)  # build the cached execution plan now
+            self.codes, self.scale = int8_codes(weight)
+            self.weight_t = np.ascontiguousarray(
+                (self.codes.astype(np.float64) * self.scale).T
+            )
 
-    def project(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
-        xt = np.ascontiguousarray(x2d.T)
-        if self.scheme == "int8":
-            out = kernels.spmm_int8(self.matrix, xt).T
-        else:
-            out = kernels.spmm(self.matrix, xt).T
-        if self.scheme == "fp16":
-            return out.astype(np.float32)
-        return out
+    def bind(self, backend: Optional[str]) -> None:
+        """Resolve ``apply`` under ``backend`` (``None``: the registry's
+        per-op default routing), so running a step does no dispatch."""
+        if self.op == "blas_matmul":
+            self.kernel, self.apply = np.matmul, self._matmul
+            return
+        kernel = self.kernel = kernels.registry.get(self.op, backend)
+        if self.matrix is None:
+            codes_f, scale = self.codes_f, self.scale
+            self.apply = lambda x2d, ws, key: kernel(codes_f, scale, x2d)
+            return
+        # The kernel gets the matrix, not a frozen plan: its cached plan
+        # follows the matrix's invalidation rules.
+        matrix, dtype = self.matrix, self.out_dtype
+        if dtype == np.float64:
+            self.apply = lambda x2d, ws, key: kernel(matrix, x2d.T).T
+        else:  # the sparse kernels are float64-only
+            self.apply = lambda x2d, ws, key: kernel(
+                matrix, x2d.astype(np.float64).T
+            ).T.astype(dtype)
+
+    def _matmul(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
+        out = ws.take(key, (x2d.shape[0], self.shape[0]), self.out_dtype)
+        return np.matmul(x2d, self.weight_t, out=out)
 
     def nbytes(self) -> int:
-        value_bytes = {None: 8, "fp16": 2, "int8": 1}[self.scheme]
-        return self.matrix.nbytes(value_bytes=value_bytes, index_bytes=4)
+        value_bytes = _VALUE_BYTES[self.scheme]
+        if self.matrix is not None:
+            return self.matrix.nbytes(value_bytes=value_bytes, index_bytes=4)
+        return int(np.prod(self.shape)) * value_bytes
 
 
-def _pack_weight(slot, scheme):
-    """Pack one input-side weight slot as its pass-decided format.
+def _pack_sparse(slot: WeightSlot, weight: np.ndarray, scheme: Optional[str]):
+    """Pack a slot as its pass-decided CSR/BSPC format, with the kernel
+    plan its scheme executes built eagerly.
 
     All format *decisions* happen in the compiler's format-selection pass
     (:func:`repro.compiler.passes.select_formats_pass`); this function
     only executes them.
     """
-    if slot.format in (None, "dense"):
-        return _DenseWeight(slot.array, scheme)
-    return _SparseWeight(
-        slot.array,
-        slot.format,
-        scheme,
-        grid=slot_grid(slot),
-        prebuilt=slot.prebuilt,
-        tile=slot.tile,
-    )
+    prebuilt = slot.prebuilt
+    if scheme == "fp16":
+        # fp16 sparse: values rounded through half precision, float
+        # sparse kernels do the compute (they are float64-only).
+        weight = quantize_fp16(weight)
+        prebuilt = None  # built from unrounded values; cannot reuse
+    if slot.format == "bspc":
+        matrix = (
+            prebuilt
+            if prebuilt is not None
+            else BSPCMatrix.from_dense(weight, slot_grid(slot))
+        )
+        if slot.tile is not None and slot.tile.row_block:
+            # The tuner's host tile knob: install the row-blocked
+            # float plan first so the int8 plan derives from it.
+            kernels.pack_bspc_plan(matrix, slot.tile.row_block)
+        plan_builder = int8_bspc_plan if scheme == "int8" else kernels.bspc_plan
+    else:
+        matrix = CSRMatrix.from_dense(weight)
+        plan_builder = int8_csr_plan if scheme == "int8" else kernels.csr_plan
+    plan_builder(matrix)  # build the cached execution plan now
+    return matrix
 
 
 def _round_bias(bias: np.ndarray, scheme: Optional[str], dtype) -> np.ndarray:
@@ -288,19 +308,14 @@ def _round_bias(bias: np.ndarray, scheme: Optional[str], dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Layer plans
 # ---------------------------------------------------------------------------
-class GRULayerPlan:
-    """One GRU layer frozen for batched inference.
+class _RecurrentLayerPlan:
+    """What GRU and LSTM layer plans share: the two packed weight slots,
+    their per-slot schemes, and the layer's compute dtype."""
 
-    ``forward`` replays the numpy ``gru_sequence`` kernel's math; for the
-    packing-only scheme it is op-for-op identical (bit-exact), with the
-    recurrent ``w_hh.T`` contiguation hoisted from per-call to compile
-    time.
-    """
+    bias_count = 0  # stored bias values per hidden unit
 
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
         ih_slot, hh_slot = node.weights["ih"], node.weights["hh"]
-        bias_ih = node.params["bias_ih"]
-        bias_hh = node.params["bias_hh"]
         self.scheme = scheme
         ih_scheme = _slot_scheme(ih_slot, scheme)
         hh_scheme = _slot_scheme(hh_slot, scheme)
@@ -316,8 +331,31 @@ class GRULayerPlan:
             if ih_scheme == "fp16" and hh_scheme == "fp16"
             else np.float64
         )
-        self.input_proj = _pack_weight(ih_slot, ih_scheme)
-        self.recurrent = _pack_recurrent(hh_slot, hh_scheme)
+        self.input_proj = _PackedWeight(ih_slot, ih_scheme)
+        self.recurrent = _PackedWeight(hh_slot, hh_scheme, state_dtype=self.dtype)
+
+    def nbytes(self) -> int:
+        quantized = any(s is not None for s in self.slot_schemes)
+        bias_bytes = self.bias_count * self.hidden_size * (2 if quantized else 8)
+        return self.input_proj.nbytes() + self.recurrent.nbytes() + bias_bytes
+
+
+class GRULayerPlan(_RecurrentLayerPlan):
+    """One GRU layer frozen for batched inference.
+
+    ``forward`` replays the numpy ``gru_sequence`` kernel's math — the
+    same ops in the same order, run into preallocated workspace buffers —
+    so for the packing-only scheme it is bit-exact, with the recurrent
+    ``w_hh.T`` contiguation hoisted from per-call to compile time.
+    """
+
+    bias_count = 2 * 3
+
+    def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
+        super().__init__(node, scheme)
+        ih_scheme, hh_scheme = self.slot_schemes
+        bias_ih = node.params["bias_ih"]
+        bias_hh = node.params["bias_hh"]
         h = self.hidden_size
         self.fold_bias = not (ih_scheme is None and hh_scheme is None)
         if not self.fold_bias:
@@ -347,7 +385,7 @@ class GRULayerPlan:
         seq_len, batch, _ = x.shape
         h = self.hidden_size
         flat = x.reshape(seq_len * batch, self.input_size)
-        gates_x = self.input_proj.project(flat, ws, f"gx{index}")
+        gates_x = self.input_proj.apply(flat, ws, f"gx{index}")
         if not self.fold_bias:
             gates_x = gates_x + self.bias_ih
         else:
@@ -358,49 +396,34 @@ class GRULayerPlan:
         gx_zr = gates_x[:, :, : 2 * h]
         gx_h = gates_x[:, :, 2 * h :]
         out = ws.take(f"out{index}", (seq_len, batch, h), self.dtype)
+        zr = ws.take("zr", (batch, 2 * h), self.dtype)
+        z = zr[:, :h]
+        r = zr[:, h:]
+        h_tilde = ws.take("h_tilde", (batch, h), self.dtype)
+        keep = ws.take("keep", (batch, h), self.dtype)
         hidden = self.zero_state(batch)[0] if state is None else state[0]
-        gh_key = f"gh{index}"
+        apply, gh_key = self.recurrent.apply, f"gh{index}"
         for t in range(seq_len):
-            gh = self.recurrent.step(hidden, ws, gh_key)
-            zr = _sigmoid(gx_zr[t] + gh[:, : 2 * h])
-            z = zr[:, :h]
-            r = zr[:, h:]
-            h_tilde = np.tanh(gx_h[t] + r * (gh[:, 2 * h :] + self.bias_hh_h))
-            hidden = (1.0 - z) * hidden + z * h_tilde
-            out[t] = hidden
-        if seq_len == 0:
-            hidden = hidden.copy()  # never alias the caller's carry state
-        return out, (hidden,)
-
-    def nbytes(self) -> int:
-        quantized = any(s is not None for s in self.slot_schemes)
-        bias_bytes = 2 * 3 * self.hidden_size * (2 if quantized else 8)
-        return self.input_proj.nbytes() + self.recurrent.nbytes() + bias_bytes
+            gh = apply(hidden, ws, gh_key)
+            _sigmoid_(np.add(gx_zr[t], gh[:, : 2 * h], out=zr))
+            np.add(gh[:, 2 * h :], self.bias_hh_h, out=h_tilde)
+            np.multiply(r, h_tilde, out=h_tilde)
+            np.tanh(np.add(gx_h[t], h_tilde, out=h_tilde), out=h_tilde)
+            np.multiply(np.subtract(1.0, z, out=keep), hidden, out=keep)
+            hidden = np.add(keep, np.multiply(z, h_tilde, out=h_tilde), out=out[t])
+        # never alias the caller's carry state or a work buffer
+        return out, (hidden.copy(),)
 
 
-class LSTMLayerPlan:
+class LSTMLayerPlan(_RecurrentLayerPlan):
     """One LSTM layer frozen for batched inference (gate order i,f,g,o)."""
 
+    bias_count = 4
+
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
-        ih_slot, hh_slot = node.weights["ih"], node.weights["hh"]
+        super().__init__(node, scheme)
+        ih_scheme, hh_scheme = self.slot_schemes
         bias = node.params["bias"]
-        self.scheme = scheme
-        ih_scheme = _slot_scheme(ih_slot, scheme)
-        hh_scheme = _slot_scheme(hh_slot, scheme)
-        self.slot_schemes = (ih_scheme, hh_scheme)
-        self.slot_config = (
-            (ih_scheme or "float", ih_slot.format or "dense"),
-            (hh_scheme or "float", hh_slot.format or "dense"),
-        )
-        self.hidden_size = hh_slot.shape[1]
-        self.input_size = ih_slot.shape[1]
-        self.dtype = (
-            np.float32
-            if ih_scheme == "fp16" and hh_scheme == "fp16"
-            else np.float64
-        )
-        self.input_proj = _pack_weight(ih_slot, ih_scheme)
-        self.recurrent = _pack_recurrent(hh_slot, hh_scheme)
         # The single LSTM bias adds into the input-side gates; it follows
         # the ih slot's value grid (exact copy when both slots are float).
         self.bias = (
@@ -423,136 +446,56 @@ class LSTMLayerPlan:
         seq_len, batch, _ = x.shape
         h = self.hidden_size
         flat = x.reshape(seq_len * batch, self.input_size)
-        gates_x = self.input_proj.project(flat, ws, f"gx{index}")
+        gates_x = self.input_proj.apply(flat, ws, f"gx{index}")
         gates_x = (gates_x + self.bias).reshape(seq_len, batch, 4 * h)
         out = ws.take(f"out{index}", (seq_len, batch, h), self.dtype)
+        gates = ws.take("gates", (batch, 4 * h), self.dtype)
+        input_forget = gates[:, : 2 * h]
+        i = gates[:, :h]
+        f = gates[:, h : 2 * h]
+        g = gates[:, 2 * h : 3 * h]
+        o = gates[:, 3 * h :]
+        carry = ws.take("cell", (batch, h), self.dtype)
+        tanh_cell = ws.take("tanh_cell", (batch, h), self.dtype)
         hidden, cell = self.zero_state(batch) if state is None else state
-        gh_key = f"gh{index}"
+        apply, gh_key = self.recurrent.apply, f"gh{index}"
         for t in range(seq_len):
-            gates = gates_x[t] + self.recurrent.step(hidden, ws, gh_key)
-            input_forget = _sigmoid(gates[:, : 2 * h])
-            i = input_forget[:, :h]
-            f = input_forget[:, h:]
-            g = np.tanh(gates[:, 2 * h : 3 * h])
-            o = _sigmoid(gates[:, 3 * h :])
-            cell = f * cell + i * g
-            hidden = o * np.tanh(cell)
-            out[t] = hidden
-        if seq_len == 0:
-            hidden, cell = hidden.copy(), cell.copy()
-        return out, (hidden, cell)
-
-    def nbytes(self) -> int:
-        quantized = any(s is not None for s in self.slot_schemes)
-        bias_bytes = 4 * self.hidden_size * (2 if quantized else 8)
-        return self.input_proj.nbytes() + self.recurrent.nbytes() + bias_bytes
-
-
-class _DenseRecurrent:
-    """Recurrent weight as a pre-transposed contiguous matrix.
-
-    For ``scheme=None`` this is exactly the ``np.ascontiguousarray(w_hh.T)``
-    the fused kernel builds per call, hoisted to compile time (bit-exact).
-    Int8 recurrent weights are dequantized once — the per-step ``(B, H)``
-    GEMMs are too small for integer pipelines to beat float BLAS.
-    """
-
-    def __init__(self, weight_hh: np.ndarray, scheme: Optional[str]) -> None:
-        self.scheme = scheme
-        self.shape = weight_hh.shape
-        if scheme is None:
-            self.weight_t = np.ascontiguousarray(weight_hh.T)
-        elif scheme == "fp16":
-            self.storage, self.weight_t = _fp16_pack(weight_hh)
-        else:
-            self.codes, self.scale = int8_codes(weight_hh)
-            self.weight_t = np.ascontiguousarray(
-                (self.codes.astype(np.float64) * self.scale).T
+            np.add(gates_x[t], apply(hidden, ws, gh_key), out=gates)
+            _sigmoid_(input_forget)
+            np.tanh(g, out=g)
+            _sigmoid_(o)
+            cell = np.add(
+                np.multiply(f, cell, out=carry), np.multiply(i, g, out=g), out=carry
             )
-
-    def step(self, state: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
-        out = ws.take(key, (state.shape[0], self.shape[0]), state.dtype)
-        return np.matmul(state, self.weight_t, out=out)
-
-    def nbytes(self) -> int:
-        count = int(np.prod(self.shape))
-        return count * {None: 8, "fp16": 2, "int8": 1}[self.scheme]
-
-
-class _SparseRecurrent:
-    """Recurrent weight packed sparse; each step is one spmm call."""
-
-    def __init__(self, packed: _SparseWeight) -> None:
-        self.packed = packed
-
-    def step(self, state: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
-        return self.packed.project(
-            state.astype(np.float64, copy=False), ws, key
-        ).astype(state.dtype, copy=False)
-
-    def nbytes(self) -> int:
-        return self.packed.nbytes()
-
-
-def _pack_recurrent(slot, scheme):
-    """Pack a recurrent weight slot as its pass-decided format."""
-    if slot.format in (None, "dense"):
-        return _DenseRecurrent(slot.array, scheme)
-    return _SparseRecurrent(
-        _SparseWeight(
-            slot.array,
-            slot.format,
-            scheme,
-            grid=slot_grid(slot),
-            prebuilt=slot.prebuilt,
-            tile=slot.tile,
-        )
-    )
+            hidden = np.multiply(o, np.tanh(cell, out=tanh_cell), out=out[t])
+        return out, (hidden.copy(), cell.copy())
 
 
 class OutputPlan:
     """The final linear projection over phone classes."""
 
     def __init__(
-        self, weight: np.ndarray, bias: Optional[np.ndarray], scheme: Optional[str]
+        self, slot: WeightSlot, bias: Optional[np.ndarray], scheme: Optional[str]
     ) -> None:
         self.scheme = scheme
-        self.num_classes = weight.shape[0]
-        if scheme is None:
-            self.weight = weight.copy()
-        elif scheme == "fp16":
-            self.storage, self.weight_t = _fp16_pack(weight)
-        else:
-            self.codes, self.scale, self.codes_f = _int8_pack(weight)
+        self.num_classes = slot.shape[0]
+        self.weight = _PackedWeight(slot, scheme)
         dtype = np.float32 if scheme == "fp16" else np.float64
         self.bias = None if bias is None else _round_bias(bias, scheme, dtype)
 
-    def project(self, hidden: np.ndarray) -> np.ndarray:
+    def project(self, hidden: np.ndarray, ws: _Workspace) -> np.ndarray:
         """Hidden states ``(T, B, H)`` → logits ``(T, B, C)`` (fresh array)."""
         seq_len, batch, h = hidden.shape
-        flat = hidden.reshape(seq_len * batch, h)
-        if self.scheme is None:
-            logits = flat @ self.weight.T
-        elif self.scheme == "fp16":
-            logits = flat @ self.weight_t
-        else:
-            logits = kernels.linear_int8_rowwise(
-                self.codes_f, self.scale, flat.astype(np.float64, copy=False)
-            )
-        if self.bias is not None:
-            logits = logits + self.bias
+        logits = self.weight.apply(hidden.reshape(seq_len * batch, h), ws, "logits")
+        # the sum (or the copy) is what keeps the work buffer private
+        logits = logits.copy() if self.bias is None else logits + self.bias
         return logits.reshape(seq_len, batch, self.num_classes)
 
     def nbytes(self) -> int:
-        value_bytes = {None: 8, "fp16": 2, "int8": 1}[self.scheme]
-        weight_count = self.num_classes * (
-            self.weight.shape[1] if self.scheme is None
-            else (self.storage.shape[1] if self.scheme == "fp16" else self.codes.shape[1])
-        )
         bias_bytes = 0 if self.bias is None else self.num_classes * (
             2 if self.scheme else 8
         )
-        return weight_count * value_bytes + bias_bytes
+        return self.weight.nbytes() + bias_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +582,22 @@ class ModelPlan:
         self.input_dim = layers[0].input_size
         self.hidden_size = layers[0].hidden_size
         self._workspace = _Workspace()
+        self._weights = [
+            weight for layer in layers for weight in (layer.input_proj, layer.recurrent)
+        ]
+        if output is not None:
+            self._weights.append(output.weight)
+        self._warned_missing_backend = False
+        self._bind_kernels(rebind=True)
 
-    def _backend_scope(self):
-        """Kernel-registry scope for this plan's tuned backend choice.
+    def _bind_kernels(self, rebind: bool = False) -> None:
+        """Bind every weight's kernel for the backend in force: this
+        plan's tuned ``backend``, else an explicitly chosen registry
+        backend (``use_backend`` / ``set_default_backend`` /
+        ``REPRO_KERNEL_BACKEND``), else the registry's per-op routing.
+
+        Runs at lowering; every later entry re-resolves only if that
+        choice has changed since (a handful of dictionary lookups).
 
         A plan tuned on another host may name a backend this process
         could not register (an artifact tuned for ``"compiled"`` loaded
@@ -650,21 +606,24 @@ class ModelPlan:
         that is a performance regression, not a correctness problem:
         warn once and run on the session default instead of crashing.
         """
-        if not self.backend:
-            return nullcontext()
-        if self.backend not in kernels.backends():
-            if not getattr(self, "_warned_missing_backend", False):
+        backend = self.backend or None
+        if backend is not None and backend not in kernels.backends():
+            if not self._warned_missing_backend:
                 self._warned_missing_backend = True
                 warnings.warn(
-                    f"plan was tuned for kernel backend {self.backend!r}, "
+                    f"plan was tuned for kernel backend {backend!r}, "
                     f"which is not available in this process "
                     f"(have: {', '.join(kernels.backends())}); "
                     "falling back to the default backend",
                     RuntimeWarning,
                     stacklevel=3,
                 )
-            return nullcontext()
-        return kernels.use_backend(self.backend)
+            backend = None
+        backend = backend or kernels.registry.chosen_backend
+        if rebind or backend != self._bound_backend:
+            for weight in self._weights:
+                weight.bind(backend)
+            self._bound_backend = backend
 
     def forward_batch(
         self, features: np.ndarray, lengths: Optional[np.ndarray] = None
@@ -695,9 +654,9 @@ class ModelPlan:
                 lengths.min() < 0 or lengths.max() > features.shape[0]
             ):
                 raise ShapeError("lengths must lie in [0, T]")
-        with self._backend_scope():
-            x, _ = self._run_layers(features, None)
-            return self._project_out(x)
+        self._bind_kernels()
+        x, _ = self._run_layers(features, None)
+        return self._project_out(x)
 
     def _run_layers(
         self,
@@ -716,7 +675,7 @@ class ModelPlan:
 
     def _project_out(self, x: np.ndarray) -> np.ndarray:
         if self.output is not None:
-            x = self.output.project(x)
+            x = self.output.project(x, self._workspace)
         if x.dtype != np.float64:
             x = x.astype(np.float64)
         elif self.output is None:
@@ -836,9 +795,9 @@ class ModelPlan:
                 f"carry state holds batch {state.batch_size}, "
                 f"chunk has batch {batch}"
             )
-        with self._backend_scope():
-            x, new_states = self._run_layers(features, state.layer_states)
-            return self._project_out(x), PlanState(new_states)
+        self._bind_kernels()
+        x, new_states = self._run_layers(features, state.layer_states)
+        return self._project_out(x), PlanState(new_states)
 
     def forward_utterance(self, features: np.ndarray) -> np.ndarray:
         """Single utterance ``(T, D)`` → logits ``(T, C)``."""
@@ -901,7 +860,7 @@ def lower_graph(
         elif node.kind == "output":
             out_slot = node.weights["w"]
             output = OutputPlan(
-                out_slot.array,
+                out_slot,
                 node.params.get("bias"),
                 _slot_scheme(out_slot, graph.scheme),
             )

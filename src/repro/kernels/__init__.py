@@ -15,6 +15,10 @@ Backend selection::
     with kernels.use_backend("reference"): ...   # lexical
     kernels.spmv(matrix, x, backend="numpy")     # per call
 
+With none of these (and no ``REPRO_KERNEL_BACKEND``), each op dispatches
+to the backend recorded as winning it: the compiled C kernels for the
+sparse int8 ops where a compiler exists, numpy + BLAS for the rest.
+
 See ``docs/kernels.md`` for the plan/registry design and how to add a
 backend.
 """

@@ -1,11 +1,10 @@
 """Compiled C backend: generated kernels built with the system compiler.
 
-This is the paper's deployment story applied to the host: the hot loops
-(CSR/BSPC spmv/spmm in float and int8, the dense int8 projections, and
-the fused GRU/LSTM sequence forward) are emitted as specialized C,
-compiled once with ``cc -O3 -march=native -shared -fPIC``, and bound via
-``ctypes`` with zero-copy views of the very same packed plan arrays the
-numpy backend executes (:mod:`repro.kernels.plans` /
+This is the paper's deployment story applied to the host: the sparse hot
+loops (CSR/BSPC spmv/spmm in float and int8) are emitted as specialized
+C, compiled once with ``cc -O3 -march=native -shared -fPIC``, and bound
+via ``ctypes`` with zero-copy views of the very same packed plan arrays
+the numpy backend executes (:mod:`repro.kernels.plans` /
 :mod:`repro.kernels.quantized`).  No third-party toolchain is needed —
 just a C compiler — so the backend registers itself only when one is
 actually present.
@@ -29,27 +28,28 @@ keeps running on the numpy backend.
 Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
 
 * int8 kernels are **bitwise identical** to the reference/numpy
-  backends.  CSR/linear activations quantize through the *same*
+  backends.  CSR activations quantize through the *same*
   :func:`~repro.kernels.quantized.int8_codes` /
   :func:`~repro.kernels.quantized.int8_codes_axis` helpers; the BSPC
   kernels quantize in C with an operation-for-operation replica of those
   helpers (comparison max, one divide, round-half-even ``rint``, clip),
   so codes and scales match numpy bit for bit for finite activations.
-  Products accumulate exactly — integer arithmetic on the CSR paths,
-  float FMA over integer values bounded the same way the numpy backend
-  bounds its ``codes_f`` GEMM dtype on the BSPC paths — and the final
-  dequant replicates each numpy kernel's float multiply *order*
-  operation for operation (one fused ``scale * xs`` multiply for the
-  per-call-scale ops, two sequential multiplies for the
-  per-column/per-row ops).
+  Products accumulate exactly — integer arithmetic on the CSR and
+  narrow-batch BSPC paths, float FMA over integer values bounded the
+  same way the numpy backend bounds its ``codes_f`` GEMM dtype on the
+  16-lane BSPC paths — and the final dequant replicates each numpy
+  kernel's float multiply *order* operation for operation (one fused
+  ``scale * xs`` multiply for the per-call-scale ops, two sequential
+  multiplies for the per-column ops).
 * float kernels match to reduction-order tolerance (blocked C FMA sums
   vs. numpy's pairwise/BLAS reductions).
 
-The fused BPTT ops (``gru_sequence_grad`` / ``lstm_sequence_grad``)
-stay on the numpy implementations — training wants whole-sequence BLAS
-GEMMs, not scalar loops — but they are registered under ``"compiled"``
-too so the full suite (and any plan pinned to this backend) dispatches
-every op without falling through the registry.
+Every op here wins on some recorded shape.  The ops where C never beat
+numpy + BLAS — the dense int8 projections, the fused GRU/LSTM sequence
+forwards, the BPTT ``*_grad`` ops — are registered under ``"compiled"``
+as aliases of the numpy implementations, so the full suite (and any plan
+pinned to this backend) dispatches every op without falling through the
+registry.
 """
 
 from __future__ import annotations
@@ -60,13 +60,16 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
+import weakref
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CompileBackendError
+from repro.errors import CompileBackendError, ShapeError
 from repro.kernels import numpy_backend as _np_backend
+from repro.kernels import quantized as _quantized
 from repro.kernels.plans import bspc_plan, csr_plan
 from repro.kernels.quantized import (
     F32_EXACT_INNER,
@@ -110,13 +113,15 @@ _C_COMMON = r"""
 
 #define API __attribute__((visibility("default")))
 #define ACC_CHUNK 8192
+/* Below this activation scale the reciprocal sequence can overflow (or
+ * its residual go denormal) and stop matching a true divide; quantize
+ * with the divide there instead. */
+#define MARKSTEIN_MIN 1e-250
 
 typedef int64_t i64;
 typedef int32_t i32;
 typedef int8_t  i8;
 typedef uint8_t u8;
-
-static double sigmoid(double v) { return 1.0 / (1.0 + exp(-v)); }
 
 /* ------------------------------------------------------------------ CSR */
 
@@ -147,9 +152,11 @@ API void repro_csr_spmm(
     }
 }
 
+/* Dequantizes as (acc * first) * second: spmv passes (scale * xs, 1.0)
+ * — multiplying by 1.0 is exact — and a one-column spmm (scale, xs). */
 API void repro_csr_spmv_i8(
     i64 rows, const i8 *codes, const i64 *cols, const i64 *row_ptr,
-    const i8 *xq, double scale_times_xs, double *out)
+    const i8 *xq, double first, double second, double *out)
 {
     for (i64 r = 0; r < rows; r++) {
         i64 acc = 0;
@@ -164,7 +171,7 @@ API void repro_csr_spmv_i8(
             acc += acc32;
             p += chunk;
         }
-        out[r] = (double)acc * scale_times_xs;
+        out[r] = ((double)acc * first) * second;
     }
 }
 
@@ -194,140 +201,6 @@ API void repro_csr_spmm_i8(
         double *orow = out + r * batch;
         for (i64 j = 0; j < batch; j++)
             orow[j] = ((double)acc[j] * scale) * xs[j];
-    }
-}
-
-/* -------------------------------------------- dense int8 projections */
-
-API void repro_linear_i8(
-    i64 n, i64 m, i64 k, const i8 *xq, const i8 *w,
-    double scale_times_xs, double *out)
-{
-    for (i64 i = 0; i < n; i++) {
-        const i8 *xrow = xq + i * k;
-        for (i64 j = 0; j < m; j++) {
-            const i8 *wrow = w + j * k;
-            i64 a = 0;
-            i64 p = 0;
-            while (p < k) {
-                i64 chunk = k - p;
-                if (chunk > ACC_CHUNK) chunk = ACC_CHUNK;
-                i32 a32 = 0;
-                for (i64 q = 0; q < chunk; q++)
-                    a32 += (i32)xrow[p + q] * (i32)wrow[p + q];
-                a += a32;
-                p += chunk;
-            }
-            out[i * m + j] = (double)a * scale_times_xs;
-        }
-    }
-}
-
-API void repro_linear_i8_rowwise(
-    i64 n, i64 m, i64 k, const i8 *xq, const i8 *w, double scale,
-    const double *xs, double *out)
-{
-    for (i64 i = 0; i < n; i++) {
-        const i8 *xrow = xq + i * k;
-        const double si = xs[i];
-        for (i64 j = 0; j < m; j++) {
-            const i8 *wrow = w + j * k;
-            i64 a = 0;
-            i64 p = 0;
-            while (p < k) {
-                i64 chunk = k - p;
-                if (chunk > ACC_CHUNK) chunk = ACC_CHUNK;
-                i32 a32 = 0;
-                for (i64 q = 0; q < chunk; q++)
-                    a32 += (i32)xrow[p + q] * (i32)wrow[p + q];
-                a += a32;
-                p += chunk;
-            }
-            out[i * m + j] = ((double)a * scale) * si;
-        }
-    }
-}
-
-/* ------------------------------------------- fused recurrent forward */
-/* The input-side projection (one whole-sequence GEMM) is hoisted in the
- * Python wrapper — identically to the numpy backend, so chunk splits
- * see the same values — and only the sequential recurrence runs here.
- * Every sample's step is computed independently of the rest of the
- * batch (fixed reduction order over the hidden dim), which keeps the
- * streaming scheduler's cross-session batch fusion chunk-exact. */
-
-API void repro_gru_sequence(
-    i64 T, i64 B, i64 H, const double *gates_x, const double *w_hh_t,
-    const double *b_hh_h, double *h, double *out, double *gh)
-{
-    const i64 G = 3 * H;
-    for (i64 t = 0; t < T; t++) {
-        memset(gh, 0, (size_t)(B * G) * sizeof(double));
-        for (i64 b = 0; b < B; b++) {
-            double *ghb = gh + b * G;
-            const double *hb = h + b * H;
-            for (i64 i = 0; i < H; i++) {
-                const double a = hb[i];
-                const double *wr = w_hh_t + i * G;
-                for (i64 g = 0; g < G; g++)
-                    ghb[g] += a * wr[g];
-            }
-        }
-        const double *gx = gates_x + t * B * G;
-        double *ot = out + t * B * H;
-        for (i64 b = 0; b < B; b++) {
-            const double *gxb = gx + b * G;
-            const double *ghb = gh + b * G;
-            double *hb = h + b * H;
-            for (i64 j = 0; j < H; j++) {
-                const double z = sigmoid(gxb[j] + ghb[j]);
-                const double r = sigmoid(gxb[H + j] + ghb[H + j]);
-                const double ht =
-                    tanh(gxb[2 * H + j] + r * (ghb[2 * H + j] + b_hh_h[j]));
-                const double hn = (1.0 - z) * hb[j] + z * ht;
-                hb[j] = hn;
-                ot[b * H + j] = hn;
-            }
-        }
-    }
-}
-
-API void repro_lstm_sequence(
-    i64 T, i64 B, i64 H, const double *gates_x, const double *w_hh_t,
-    double *h, double *c, double *out, double *gh)
-{
-    const i64 G = 4 * H;
-    for (i64 t = 0; t < T; t++) {
-        memset(gh, 0, (size_t)(B * G) * sizeof(double));
-        for (i64 b = 0; b < B; b++) {
-            double *ghb = gh + b * G;
-            const double *hb = h + b * H;
-            for (i64 i = 0; i < H; i++) {
-                const double a = hb[i];
-                const double *wr = w_hh_t + i * G;
-                for (i64 g = 0; g < G; g++)
-                    ghb[g] += a * wr[g];
-            }
-        }
-        const double *gx = gates_x + t * B * G;
-        double *ot = out + t * B * H;
-        for (i64 b = 0; b < B; b++) {
-            const double *gxb = gx + b * G;
-            const double *ghb = gh + b * G;
-            double *hb = h + b * H;
-            double *cb = c + b * H;
-            for (i64 j = 0; j < H; j++) {
-                const double ig = sigmoid(gxb[j] + ghb[j]);
-                const double fg = sigmoid(gxb[H + j] + ghb[H + j]);
-                const double gg = tanh(gxb[2 * H + j] + ghb[2 * H + j]);
-                const double og = sigmoid(gxb[3 * H + j] + ghb[3 * H + j]);
-                const double cn = fg * cb[j] + ig * gg;
-                const double hn = og * tanh(cn);
-                cb[j] = cn;
-                hb[j] = hn;
-                ot[b * H + j] = hn;
-            }
-        }
     }
 }
 """
@@ -381,7 +254,9 @@ static void bspc_packq_$S(
     i64 mc, i64 nb, i64 ldx, i64 jb, const i64 *gc, const u8 *pc,
     const double *x, const double *xs, $T *restrict xp)
 {
-    if (!pc && nb == $W) {  /* full-width fast path */
+    int fast = !pc && nb == $W;  /* full-width fast path */
+    for (int j = 0; fast && j < $W; j++) fast = xs[jb + j] > MARKSTEIN_MIN;
+    if (fast) {
         const double *sr = xs + jb;
         double rc[$W];
         for (int j = 0; j < $W; j++) rc[j] = 1.0 / sr[j];
@@ -427,13 +302,14 @@ static void bspc_packqv_$S(
     i64 mc, const i64 *gc, const u8 *pc, const double *x, double xscale,
     $T *restrict xp)
 {
+    const int fast = xscale > MARKSTEIN_MIN;
     double rc = 1.0 / xscale;  /* Markstein sequence, as in bspc_packq */
     for (i64 k = 0; k < mc; k++) {
         if (pc && pc[k]) { xp[k] = 0; continue; }
         double xv = x[gc[k]];
         double q0 = xv * rc;
         double e = __builtin_fma(-xscale, q0, xv);
-        double v = rint(__builtin_fma(e, rc, q0));
+        double v = rint(fast ? __builtin_fma(e, rc, q0) : xv / xscale);
         if (v > 127.0) v = 127.0;
         if (v < -127.0) v = -127.0;
         xp[k] = ($T)v;
@@ -559,6 +435,9 @@ static void bspc_dotcol_$S(
     }
 }
 
+/* No wrapper calls this entry any more (bspc_spmv_int8 runs on the
+ * integer repro_bspc_i8_nb); it stays because the accumulator-stamp
+ * selection tests look its three stamps up by name. */
 API void repro_bspc_spmv_i8_$S(
     i64 strips, i64 mr, i64 mc, i64 rows, i64 n, const $T *codes,
     const i64 *gcols, const u8 *padc, const i64 *srows, const double *x,
@@ -616,6 +495,114 @@ API void repro_bspc_spmm_i8_$S(
         const $A *arow = acc + r * batch;
         for (i64 j = 0; j < batch; j++)
             orow[j] = ((double)arow[j] * scale) * xs[j];
+    }
+}
+"""
+
+# Narrow-batch integer BSPC kernel: the batches the streaming engine
+# actually issues (one user, or a handful of co-batched sessions) leave
+# most of a 16-lane float tile idle, so below 16 columns the product runs
+# on the int8 panel codes themselves — a quarter of `codes_f`'s weight
+# traffic.  Activations arrive batch-major (one contiguous row per
+# column of the product), are quantized once per column with the very
+# ops of int8_codes_axis (comparison max, one divide, rint, clip), and
+# each strip's gathered codes are widened to int16 so the 4-row x
+# 4-column register block compiles to widening multiply-adds.  Dot
+# products accumulate in int32 over chunks of at most ACC_CHUNK products
+# and flush into the float64 output, which holds exact integers (far
+# below 2^53) until the final two-multiply dequant — the same bits as the
+# reference backend's int64 path.
+_C_BSPC_NARROW = r"""
+typedef int16_t i16;
+
+static double bspc_quant_i8(i64 n, const double *x, i8 *xq)
+{
+    double peak = 0.0;
+    for (i64 i = 0; i < n; i++) {
+        const double a = fabs(x[i]);
+        peak = peak > a ? peak : a;
+    }
+    const double s = peak > 0.0 ? peak / 127.0 : 1.0;
+    for (i64 i = 0; i < n; i++) {
+        double v = rint(x[i] / s);
+        v = v > 127.0 ? 127.0 : v;
+        v = v < -127.0 ? -127.0 : v;
+        xq[i] = (i8)(v != v ? 0.0 : v);  /* (i8)NaN is undefined */
+    }
+    return s;
+}
+
+/* R rows x NB columns of one strip; R and NB are literals at every call
+ * site, so the accumulators are registers and the k loop vectorizes. */
+static inline __attribute__((always_inline)) void bspc_nb_block(
+    const int R, const int NB, i64 kc, i64 mc, const i8 *c, const i16 *xg,
+    const i64 *sr, i64 rows, double *out)
+{
+    i32 a[4][4] = {{0}};
+    for (i64 k = 0; k < kc; k++)
+        for (int r = 0; r < R; r++) {
+            const i32 cv = c[r * mc + k];
+            for (int j = 0; j < NB; j++)
+                a[r][j] += cv * (i32)xg[j * mc + k];
+        }
+    for (int r = 0; r < R; r++)
+        if (sr[r] < rows)  /* padded panel rows have no output row */
+            for (int j = 0; j < NB; j++)
+                out[j * rows + sr[r]] += (double)a[r][j];
+}
+
+#define BSPC_NB_ROWS(R) \
+    switch (nb) { \
+    case 1: bspc_nb_block(R, 1, kc, mc, c, xg + k0, sr + i, rows, out); break; \
+    case 2: bspc_nb_block(R, 2, kc, mc, c, xg + k0, sr + i, rows, out); break; \
+    case 3: bspc_nb_block(R, 3, kc, mc, c, xg + k0, sr + i, rows, out); break; \
+    default: bspc_nb_block(R, 4, kc, mc, c, xg + k0, sr + i, rows, out); \
+    }
+
+/* One strip against min(nb, 4) columns of the batch. */
+static void bspc_nb_strip(
+    i64 nb, i64 mr, i64 mc, const i8 *codes, const i16 *xg, const i64 *sr,
+    i64 rows, double *out)
+{
+    for (i64 k0 = 0; k0 < mc; k0 += ACC_CHUNK) {
+        const i64 kc = mc - k0 < ACC_CHUNK ? mc - k0 : ACC_CHUNK;
+        const i8 *c = codes + k0;
+        i64 i = 0;
+        for (; i + 4 <= mr; i += 4, c += 4 * mc) { BSPC_NB_ROWS(4) }
+        for (; i < mr; i++, c += mc) { BSPC_NB_ROWS(1) }
+    }
+}
+
+/* x is (batch, n) and out (batch, rows), both row-major: the transposes
+ * of the (n, batch) operand and (rows, batch) result of spmm_int8 — or,
+ * with `spmv` set, the operand and result vectors of spmv_int8, which
+ * dequantizes with one fused `scale * xs` multiply.  xg is scratch for
+ * batch * mc int16 gathered codes followed by batch * n int8 codes of
+ * the whole activation. */
+API void repro_bspc_i8_nb(
+    i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 batch, i64 spmv,
+    const i8 *codes, const i64 *gcols, const i64 *srows, const double *x,
+    double scale, i16 *xg, double *out)
+{
+    double xs[16];
+    i8 *xq = (i8 *)(xg + batch * mc);
+    for (i64 j = 0; j < batch; j++)
+        xs[j] = bspc_quant_i8(n, x + j * n, xq + j * n);
+    memset(out, 0, (size_t)(batch * rows) * sizeof(double));
+    for (i64 s = 0; s < strips; s++) {
+        const i64 *gc = gcols + s * mc;
+        for (i64 j = 0; j < batch; j++)
+            for (i64 k = 0; k < mc; k++)
+                xg[j * mc + k] = xq[j * n + gc[k]];
+        for (i64 jb = 0; jb < batch; jb += 4)
+            bspc_nb_strip(batch - jb, mr, mc, codes + s * mr * mc,
+                          xg + jb * mc, srows + s * mr, rows, out + jb * rows);
+    }
+    for (i64 j = 0; j < batch; j++) {
+        const double fused = scale * xs[j];
+        for (i64 r = 0; r < rows; r++)
+            out[j * rows + r] = spmv ? out[j * rows + r] * fused
+                                     : (out[j * rows + r] * scale) * xs[j];
     }
 }
 """
@@ -680,6 +667,7 @@ _C_SOURCE = (
     + _stamp(_C_BSPC_TEMPLATE, "f32", "float", 16, acc="float")
     + _stamp(_C_BSPC_TEMPLATE, "f32w", "float", 16, acc="double")
     + _stamp(_C_BSPC_TEMPLATE, "f64", "double", 16, acc="double")
+    + _C_BSPC_NARROW
     + _C_BSPC_FLOAT
 )
 
@@ -801,7 +789,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     signatures = {
         "repro_csr_spmv": (i64, ptr, ptr, ptr, ptr, ptr),
         "repro_csr_spmm": (i64, i64, ptr, ptr, ptr, ptr, ptr),
-        "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, ptr),
+        "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, dbl, ptr),
         "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
         "repro_bspc_spmv": (
             i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
@@ -809,10 +797,9 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_bspc_spmm": (
             i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ),
-        "repro_linear_i8": (i64, i64, i64, ptr, ptr, dbl, ptr),
-        "repro_linear_i8_rowwise": (i64, i64, i64, ptr, ptr, dbl, ptr, ptr),
-        "repro_gru_sequence": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr),
-        "repro_lstm_sequence": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr),
+        "repro_bspc_i8_nb": (
+            i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, dbl, ptr, ptr,
+        ),
     }
     for suffix in ("f32", "f32w", "f64"):
         signatures[f"repro_bspc_spmv_i8_{suffix}"] = (
@@ -903,28 +890,50 @@ def _i8(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int8)
 
 
-#: Reused per-process scratch buffers, grown on demand.  Fresh `np.empty`
-#: calls above numpy's mmap threshold page-fault on every touch, which
-#: costs more than the kernels themselves at bench sizes.  Same
-#: single-thread discipline as the numpy backend's per-plan scratch
-#: arrays (`Int8CSRPlan.gather_scratch` etc.).
-_SCRATCH: dict = {}
+#: Reused scratch buffers, grown on demand.  Fresh `np.empty` calls above
+#: numpy's mmap threshold page-fault on every touch, which costs more
+#: than the kernels themselves at bench sizes.  Per thread — ctypes calls
+#: release the GIL, so two threads can be inside a kernel at once — and
+#: keyed by (name, dtype), so plans on different stamps do not evict each
+#: other's buffers.
+_SCRATCH = threading.local()
 
 
-def _scratch(key: str, size: int, dtype=np.float64) -> np.ndarray:
-    arr = _SCRATCH.get(key)
-    if arr is None or arr.size < size or arr.dtype != dtype:
-        arr = np.empty(size, dtype=dtype)
-        _SCRATCH[key] = arr
-    return arr
+def _scratch(name: str, size: int, dtype=np.float64) -> int:
+    """Address of this thread's ``(name, dtype)`` buffer of >= ``size`` items."""
+    buffers = _SCRATCH.__dict__
+    key = (name, np.dtype(dtype))
+    held = buffers.get(key)
+    if held is None or held[0].size < size:
+        array = np.empty(size, dtype=dtype)
+        held = buffers[key] = (array, _p(array))
+    return held[1]
 
 
 #: j-block width of the packed activation tile — must match the `$W`
 #: the C templates were stamped with.  16 lanes keeps the 4-row
 #: microkernel's accumulators in registers for both dtypes (gcc fully
 #: unrolls narrower inner loops into scalar code instead of
-#: SLP-vectorizing them).
-_TILE_LANES = {np.dtype(np.float32): 16, np.dtype(np.float64): 16}
+#: SLP-vectorizing them).  Batches narrower than one tile run on the
+#: integer `repro_bspc_i8_nb` kernel instead.
+_TILE_LANES = 16
+
+#: id(int8 plan) → addresses of its codes / gather / scatter arrays.
+#: `ndarray.ctypes.data` costs over a microsecond a time — more than
+#: quantizing a B=1 activation — so the narrow-batch wrapper looks the
+#: plan-constant ones up once; an entry is dropped when its plan dies.
+_PLAN_ADDRESSES: dict = {}
+
+
+def _plan_addresses(plan) -> Tuple[int, int, int]:
+    held = _PLAN_ADDRESSES.get(id(plan))
+    if held is None:
+        base = plan.base
+        held = _PLAN_ADDRESSES[id(plan)] = (
+            _p(plan.codes), _p(base.gather_cols), _p(base.scatter_rows)
+        )
+        weakref.finalize(plan, _PLAN_ADDRESSES.pop, id(plan), None)
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +964,15 @@ def csr_spmm(matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_operand(cols: int, n: int) -> None:
+    """The C loops index the operand by stored column unchecked, and
+    default routing sends every caller's int8 operands here."""
+    if n != cols:
+        raise ShapeError(f"operand has {n} rows, matrix has {cols} columns")
+
+
 def csr_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
+    _check_operand(matrix.shape[1], x.shape[0])
     plan = int8_csr_plan(matrix)
     out = np.zeros(matrix.shape[0])
     if plan.nonempty_rows.size:
@@ -964,12 +981,13 @@ def csr_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
         _library().repro_csr_spmv_i8(
             matrix.shape[0],
             _p(plan.codes), _p(matrix.col_indices), _p(matrix.row_ptr),
-            _p(xq), plan.scale * xs, _p(out),
+            _p(xq), plan.scale * xs, 1.0, _p(out),
         )
     return out
 
 
 def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
+    _check_operand(matrix.shape[1], x.shape[0])
     plan = int8_csr_plan(matrix)
     batch = x.shape[1]
     out = np.zeros((matrix.shape[0], batch))
@@ -977,6 +995,13 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
         xq, xs = int8_codes_axis(x, axis=0)
         xq = _i8(xq)
         xs = np.ascontiguousarray(xs.reshape(-1), dtype=np.float64)
+        if batch == 1:  # the register-accumulator loop, not a 1-wide tile
+            _library().repro_csr_spmv_i8(
+                matrix.shape[0],
+                _p(plan.codes), _p(matrix.col_indices), _p(matrix.row_ptr),
+                _p(xq), plan.scale, xs[0], _p(out),
+            )
+            return out
         acc = np.empty(batch, dtype=np.int64)
         acc32 = np.empty(batch, dtype=np.int32)
         _library().repro_csr_spmm_i8(
@@ -998,11 +1023,10 @@ def bspc_spmv(matrix, x: np.ndarray) -> np.ndarray:
     if plan.panels.size:
         x = _f64(x)
         strips, mr, mc = plan.panels.shape
-        xp = _scratch("bspc_xp_f64", mc)
         _library().repro_bspc_spmv(
             strips, mr, mc, rows,
             _p(plan.panels), _p(plan.gather_cols), _pad_ptr(plan),
-            _p(plan.scatter_rows), _p(x), _p(xp), _p(out),
+            _p(plan.scatter_rows), _p(x), _scratch("bspc_xp", mc), _p(out),
         )
     return out[:rows]
 
@@ -1015,11 +1039,11 @@ def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
     if plan.panels.size and batch:
         x = _f64(x)
         strips, mr, mc = plan.panels.shape
-        xp = _scratch("bspc_xp_f64", mc * 16)
         _library().repro_bspc_spmm(
             strips, mr, mc, rows, batch,
             _p(plan.panels), _p(plan.gather_cols), _pad_ptr(plan),
-            _p(plan.scatter_rows), _p(x), _p(xp), _p(out),
+            _p(plan.scatter_rows), _p(x),
+            _scratch("bspc_xp", mc * _TILE_LANES), _p(out),
         )
     return out[:rows]
 
@@ -1039,148 +1063,66 @@ def _int8_bspc_fn(lib, op: str, ft: np.dtype, strips: int, mc: int):
     return getattr(lib, f"repro_bspc_{op}_i8_f32w"), np.float64
 
 
-def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
-    plan = int8_bspc_plan(matrix)
+def _bspc_int8_narrow(plan, x: np.ndarray, spmv: bool) -> np.ndarray:
+    """``x (B, n)`` row-major, ``B < 16`` → fresh row-major ``(B, rows)``."""
     base = plan.base
-    rows = base.shape[0]
-    if not base.panels.size:
-        return np.zeros(rows)
-    lib = _library()
-    ft = plan.codes_f.dtype
-    x = _f64(x)
     strips, mr, mc = base.panels.shape
-    fn, at = _int8_bspc_fn(lib, "spmv", ft, strips, mc)
-    xp = _scratch("bspc_xp", mc * _TILE_LANES[ft], ft)
-    acc = _scratch("bspc_acc", rows + 1, at)
-    out = np.empty(rows)  # the dequant pass writes every row
-    fn(
-        strips, mr, mc, rows, x.size,
-        _p(plan.codes_f), _p(base.gather_cols), None,
-        _p(base.scatter_rows), _p(x), plan.scale,
-        _p(xp), _p(acc), _p(out),
+    batch, n = x.shape
+    rows = base.shape[0]
+    _check_operand(base.shape[1], n)
+    codes, gather_cols, scatter_rows = _plan_addresses(plan)
+    out = np.empty((batch, rows))
+    _library().repro_bspc_i8_nb(
+        strips, mr, mc, rows, n, batch, spmv, codes, gather_cols, scatter_rows,
+        _p(x), plan.scale,
+        # int16 gathered codes, then the int8 codes of all of x
+        _scratch("bspc_nb", batch * mc + (batch * n + 1) // 2, np.int16),
+        _p(out),
     )
     return out
+
+
+def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
+    plan = int8_bspc_plan(matrix)
+    if not plan.base.panels.size:
+        return np.zeros(plan.base.shape[0])
+    return _bspc_int8_narrow(plan, _f64(x).reshape(1, -1), True)[0]
 
 
 def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
+    """``(n, B)`` activations in either memory order.  Narrow batches
+    run batch-major, so an F-ordered ``x`` (the transpose view of a
+    row-major ``(B, n)`` state) is read in place, and the result is the
+    transpose view of a fresh row-major ``(B, rows)`` array."""
     plan = int8_bspc_plan(matrix)
     base = plan.base
     rows = base.shape[0]
-    batch = x.shape[1]
+    n, batch = x.shape
     if not base.panels.size or not batch:
         return np.zeros((rows, batch))
-    lib = _library()
+    if batch < _TILE_LANES:
+        return _bspc_int8_narrow(plan, _f64(x.T), False).T
+    _check_operand(base.shape[1], n)
+    strips, mr, mc = base.panels.shape
     ft = plan.codes_f.dtype
     x = _f64(x)
-    xs = _scratch("bspc_xs", batch)
-    strips, mr, mc = base.panels.shape
-    fn, at = _int8_bspc_fn(lib, "spmm", ft, strips, mc)
-    xp = _scratch("bspc_xp", mc * _TILE_LANES[ft], ft)
-    acc = _scratch("bspc_acc", (rows + 1) * batch, at)
+    fn, at = _int8_bspc_fn(_library(), "spmm", ft, strips, mc)
     out = np.empty((rows, batch))  # the dequant pass writes every element
     fn(
-        strips, mr, mc, rows, x.shape[0], batch,
+        strips, mr, mc, rows, n, batch,
         _p(plan.codes_f), _p(base.gather_cols), None,
-        _p(base.scatter_rows), _p(x), plan.scale, _p(xs),
-        _p(xp), _p(acc), _p(out),
+        _p(base.scatter_rows), _p(x), plan.scale, _scratch("bspc_xs", batch),
+        _scratch("bspc_xp", mc * _TILE_LANES, ft),
+        _scratch("bspc_acc", (rows + 1) * batch, at), _p(out),
     )
     return out
 
 
-def linear_int8(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
-    codes = _i8(codes)  # engine plans may hand over the float32 pre-cast copy
-    xq, xs = int8_codes(x)
-    xq = _i8(xq)
-    n, k = xq.shape
-    m = codes.shape[0]
-    out = np.empty((n, m))
-    if n and m:
-        _library().repro_linear_i8(
-            n, m, k, _p(xq), _p(codes), scale * xs, _p(out)
-        )
-    return out
-
-
-def linear_int8_rowwise(
-    codes: np.ndarray, scale: float, x: np.ndarray
-) -> np.ndarray:
-    codes = _i8(codes)
-    xq, xs = int8_codes_axis(x, axis=1)
-    xq = _i8(xq)
-    xs = np.ascontiguousarray(xs.reshape(-1), dtype=np.float64)
-    n, k = xq.shape
-    m = codes.shape[0]
-    out = np.empty((n, m))
-    if n and m:
-        _library().repro_linear_i8_rowwise(
-            n, m, k, _p(xq), _p(codes), scale, _p(xs), _p(out)
-        )
-    return out
-
-
-def gru_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    b_ih: np.ndarray,
-    b_hh: np.ndarray,
-    h0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    seq_len, batch, _ = x.shape
-    hidden = h0.shape[1]
-    # Hoisted input projection + bias folding: identical numpy expressions
-    # to the numpy backend, so both backends feed the recurrence the same
-    # gate pre-activations bit for bit.
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + b_ih).reshape(
-        seq_len, batch, 3 * hidden
-    )
-    gates_x[:, :, : 2 * hidden] += b_hh[: 2 * hidden]
-    gates_x = _f64(gates_x)
-    b_hh_h = _f64(b_hh[2 * hidden :])
-    w_hh_t = _f64(np.asarray(w_hh, dtype=np.float64).T)
-    h = _f64(h0).copy()
-    out = np.empty((seq_len, batch, hidden))
-    if seq_len and batch:
-        gh = np.empty((batch, 3 * hidden))
-        _library().repro_gru_sequence(
-            seq_len, batch, hidden,
-            _p(gates_x), _p(w_hh_t), _p(b_hh_h), _p(h), _p(out), _p(gh),
-        )
-    return out, h
-
-
-def lstm_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    seq_len, batch, _ = x.shape
-    hidden = h0.shape[1]
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + bias).reshape(
-        seq_len, batch, 4 * hidden
-    )
-    gates_x = _f64(gates_x)
-    w_hh_t = _f64(np.asarray(w_hh, dtype=np.float64).T)
-    h = _f64(h0).copy()
-    c = _f64(c0).copy()
-    out = np.empty((seq_len, batch, hidden))
-    if seq_len and batch:
-        gh = np.empty((batch, 4 * hidden))
-        _library().repro_lstm_sequence(
-            seq_len, batch, hidden,
-            _p(gates_x), _p(w_hh_t), _p(h), _p(c), _p(out), _p(gh),
-        )
-    return out, h, c
-
-
-#: op name → compiled implementation.  The BPTT grad ops alias the numpy
-#: implementations (see the module docstring) so every registered op
-#: dispatches under this backend.
+#: op name → compiled implementation.  Ops that never beat numpy + BLAS
+#: on a recorded shape — the dense int8 projections, the fused sequence
+#: forwards and the BPTT grad ops — alias the numpy implementations (see
+#: the module docstring) so every registered op dispatches under this
+#: backend.
 _KERNELS = {
     "csr_spmv": csr_spmv,
     "csr_spmm": csr_spmm,
@@ -1190,13 +1132,20 @@ _KERNELS = {
     "bspc_spmm": bspc_spmm,
     "bspc_spmv_int8": bspc_spmv_int8,
     "bspc_spmm_int8": bspc_spmm_int8,
-    "linear_int8": linear_int8,
-    "linear_int8_rowwise": linear_int8_rowwise,
-    "gru_sequence": gru_sequence,
-    "lstm_sequence": lstm_sequence,
+    "linear_int8": _quantized.linear_int8,
+    "linear_int8_rowwise": _quantized.linear_int8_rowwise,
+    "gru_sequence": _np_backend.gru_sequence,
+    "lstm_sequence": _np_backend.lstm_sequence,
     "gru_sequence_grad": _np_backend.gru_sequence_grad,
     "lstm_sequence_grad": _np_backend.lstm_sequence_grad,
 }
+
+#: The ops this backend serves when no backend was chosen explicitly:
+#: the ones where it beats numpy on every recorded shape *and* is bitwise
+#: identical to it, so default routing never changes a result bit.  The
+#: float CSR kernels also win, but only to reduction-order tolerance.
+_DEFAULT_FOR = ("csr_spmv_int8", "csr_spmm_int8", "bspc_spmv_int8", "bspc_spmm_int8")
+
 
 def register_compiled_backend(
     target: Optional[KernelRegistry] = None,
@@ -1215,4 +1164,6 @@ def register_compiled_backend(
         return False
     for op, fn in _KERNELS.items():
         target.register(op, BACKEND, fn, override=True)
+    for op in _DEFAULT_FOR:
+        target.route(op, BACKEND)
     return True

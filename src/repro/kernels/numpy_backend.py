@@ -81,7 +81,7 @@ def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
     rows = plan.shape[0]
     batch = x.shape[1]
     out = np.zeros((rows + 1, batch))
-    if plan.panels.size:
+    if plan.panels.size and batch:
         gathered = x[plan.gather_cols]
         if plan.pad_cols is not None:
             gathered[plan.pad_cols] = 0.0  # keep non-finite x[0] out of pads

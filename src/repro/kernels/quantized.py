@@ -259,7 +259,7 @@ def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     rows = base.shape[0]
     batch = x.shape[1]
     out = np.zeros((rows + 1, batch))
-    if base.panels.size:
+    if base.panels.size and batch:
         xq, xs = int8_codes_axis(x, axis=0)
         gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
         partial = np.matmul(plan.codes_f, gathered)

@@ -2,17 +2,21 @@
 
 The registry is the single dispatch seam between *what* the library wants
 to compute (``spmv``, ``spmm``, ``gru_sequence``, …) and *how* it is
-computed.  Two backends ship today:
+computed.  Three backends ship today:
 
 * ``"reference"`` — the original straight-line Python loops.  Slow, but
   obviously correct; the equivalence suite treats them as ground truth.
-* ``"numpy"`` — vectorized plan-then-execute implementations (the
-  default).
+* ``"numpy"`` — vectorized plan-then-execute implementations.
+* ``"compiled"`` — generated C (:mod:`repro.kernels.compiled`), present
+  only on hosts with a working C compiler.
 
-Future backends (multiprocessing, numba, quantized int8, …) register the
-same op names and become selectable globally (:func:`set_default_backend`),
-lexically (:func:`use_backend`), or per call (the ``backend=`` argument
-accepted by every dispatching entry point in :mod:`repro.kernels`).
+A backend can be chosen explicitly — globally
+(:func:`set_default_backend`, ``REPRO_KERNEL_BACKEND``), lexically
+(:func:`use_backend`), or per call (the ``backend=`` argument accepted by
+every dispatching entry point in :mod:`repro.kernels`) — and then serves
+every op.  When none was chosen, dispatch is **per op**: each op goes to
+the backend recorded as winning it (:meth:`KernelRegistry.route`) if that
+backend registered it, and to ``"numpy"`` otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +32,10 @@ class KernelRegistry:
 
     def __init__(self, default_backend: str = "numpy") -> None:
         self._impls: Dict[str, Dict[str, Callable]] = {}
-        self._default = default_backend
+        self._fallback = default_backend
+        #: The explicitly chosen backend; ``None`` means per-op routing.
+        self._chosen: Optional[str] = None
+        self._routes: Dict[str, str] = {}
 
     # -- registration -----------------------------------------------------
     def register(
@@ -54,13 +61,24 @@ class KernelRegistry:
 
         return _register(fn) if fn is not None else _register
 
+    def route(self, op: str, backend: str) -> None:
+        """Record ``backend`` as the one that wins ``op`` on measured
+        shapes: where no backend was chosen explicitly, ``op`` dispatches
+        there — provided that backend registered it on this host."""
+        self._routes[op] = backend
+
     # -- lookup -----------------------------------------------------------
     def get(self, op: str, backend: Optional[str] = None) -> Callable:
-        """Resolve ``op`` for ``backend`` (default: the global backend)."""
-        backend = backend or self._default
+        """Resolve ``op`` for ``backend``, else the explicitly chosen
+        backend, else the op's routed backend, else the fallback."""
         table = self._impls.get(op)
         if table is None:
             raise KernelError(f"unknown kernel op {op!r}; known: {self.ops()}")
+        backend = backend or self._chosen
+        if backend is None:
+            backend = self._routes.get(op)
+            if backend not in table:
+                backend = self._fallback
         fn = table.get(backend)
         if fn is None:
             raise KernelError(
@@ -84,42 +102,52 @@ class KernelRegistry:
 
     # -- backend selection ------------------------------------------------
     @property
-    def default_backend(self) -> str:
-        return self._default
+    def chosen_backend(self) -> Optional[str]:
+        """The explicitly chosen backend, ``None`` under per-op routing."""
+        return self._chosen
 
-    def set_default_backend(self, backend: str) -> None:
-        """Make ``backend`` the global default for all dispatches."""
-        if backend not in self.backends():
+    @property
+    def default_backend(self) -> str:
+        """The backend unrouted ops dispatch to."""
+        return self._chosen or self._fallback
+
+    def set_default_backend(self, backend: Optional[str]) -> None:
+        """Make ``backend`` the explicit choice for all dispatches;
+        ``None`` withdraws any choice (back to per-op routing)."""
+        if backend is not None and backend not in self.backends():
             raise KernelError(
                 f"unknown backend {backend!r}; available: {self.backends()}"
             )
-        self._default = backend
+        self._chosen = backend
 
     @contextmanager
-    def use_backend(self, backend: str) -> Iterator[None]:
-        """Temporarily switch the default backend (context manager)."""
-        previous = self._default
+    def use_backend(self, backend: Optional[str]) -> Iterator[None]:
+        """Temporarily choose ``backend`` for every op — or, with
+        ``None``, no backend: per-op routing (context manager)."""
+        previous = self._chosen
         self.set_default_backend(backend)
         try:
             yield
         finally:
-            self._default = previous
+            self._chosen = previous
 
 
 #: The process-wide registry every ``repro.kernels`` entry point consults.
 registry = KernelRegistry()
 
 
-def set_default_backend(backend: str) -> None:
+def set_default_backend(backend: Optional[str]) -> None:
     """Select the process-wide default backend (module-level convenience)."""
     registry.set_default_backend(backend)
 
 
 def get_default_backend() -> str:
-    """Name of the current process-wide default backend."""
+    """Name of the current process-wide default backend (the explicit
+    choice, or ``"numpy"`` — with per-op routing on top — when none)."""
     return registry.default_backend
 
 
-def use_backend(backend: str):
-    """Context manager temporarily switching the default backend."""
+def use_backend(backend: Optional[str]):
+    """Context manager temporarily switching the default backend
+    (``None``: no explicit backend, per-op routing)."""
     return registry.use_backend(backend)
