@@ -75,6 +75,7 @@ from repro.compiler.ir import (
 from repro.compiler.passes import kernel_for, run_passes, slot_grid
 from repro.compiler.pipeline import build_layer_graph, rnn_graph_from_weights
 from repro.errors import ConfigError, ShapeError
+from repro.kernels import compiled as _compiled
 from repro.kernels._math import sigmoid_ as _sigmoid_
 from repro.kernels.quantized import int8_bspc_plan, int8_codes, int8_csr_plan
 from repro.nn.quantize import quantize_fp16
@@ -334,6 +335,10 @@ class _RecurrentLayerPlan:
         self.input_proj = _PackedWeight(ih_slot, ih_scheme)
         self.recurrent = _PackedWeight(hh_slot, hh_scheme, state_dtype=self.dtype)
 
+    def bind(self, backend: Optional[str]) -> None:
+        self.input_proj.bind(backend)
+        self.recurrent.bind(backend)
+
     def nbytes(self) -> int:
         quantized = any(s is not None for s in self.slot_schemes)
         bias_bytes = self.bias_count * self.hidden_size * (2 if quantized else 8)
@@ -372,6 +377,23 @@ class GRULayerPlan(_RecurrentLayerPlan):
             self.bias_folded = folded.astype(self.dtype)
             self.bias_hh_h = rounded_hh[2 * h :].astype(self.dtype)
 
+    def bind(self, backend: Optional[str]) -> None:
+        """Bind both weights, then the recurrence: where the registry put
+        the compiled BSPC int8 kernel in the recurrent slot of a float64
+        layer, ``step`` is the fused compiled layer-step (taken per call
+        while ``B < 16``, the narrow kernel's range); anywhere else it is
+        ``None`` and :meth:`forward` runs its generic loop."""
+        super().bind(backend)
+        narrow = _compiled.bspc_spmm_int8
+        fused = self.recurrent.kernel is narrow and self.dtype == np.float64
+        self.step = _compiled.gru_int8_sequence if fused else None
+        #: its batch-major input projection, where that slot got the kernel too
+        self.project = (
+            _compiled.bspc_linear_int8
+            if fused and self.input_proj.kernel is narrow
+            else None
+        )
+
     def zero_state(self, batch: int) -> Tuple[np.ndarray, ...]:
         return (np.zeros((batch, self.hidden_size), dtype=self.dtype),)
 
@@ -385,6 +407,8 @@ class GRULayerPlan(_RecurrentLayerPlan):
         seq_len, batch, _ = x.shape
         h = self.hidden_size
         flat = x.reshape(seq_len * batch, self.input_size)
+        if self.step is not None and seq_len and 0 < batch < 16:
+            return self._forward_fused(flat, ws, index, state, seq_len, batch)
         gates_x = self.input_proj.apply(flat, ws, f"gx{index}")
         if not self.fold_bias:
             gates_x = gates_x + self.bias_ih
@@ -413,6 +437,31 @@ class GRULayerPlan(_RecurrentLayerPlan):
             hidden = np.add(keep, np.multiply(z, h_tilde, out=h_tilde), out=out[t])
         # never alias the caller's carry state or a work buffer
         return out, (hidden.copy(),)
+
+    def _forward_fused(self, flat, ws, index, state, seq_len, batch):
+        """The same recurrence on the compiled layer-step: row-major
+        ``gates_x`` with the folded bias already in it, one contiguous
+        float64 carry, plan-owned buffers (see ``docs/kernels.md``)."""
+        h = self.hidden_size
+        gates_x = ws.take(f"gates{index}", (seq_len * batch, 3 * h))
+        if self.project is not None:
+            self.project(self.input_proj.matrix, flat, self.bias_folded, gates_x)
+        else:
+            projected = self.input_proj.apply(flat, ws, f"gx{index}")
+            np.add(projected, self.bias_folded, out=gates_x)
+        hidden = self.zero_state(batch)[0] if state is None else state[0]
+        out = ws.take(f"out{index}", (seq_len, batch, h))
+        self.step(
+            self.recurrent.matrix,
+            gates_x.reshape(seq_len, batch, 3 * h),
+            np.ascontiguousarray(hidden, dtype=np.float64),
+            self.bias_hh_h,
+            out,
+            ws.take("zr", (batch, 2 * h)),
+            ws.take("h_tilde", (batch, h)),
+            ws.take("gh", (batch, 3 * h)),
+        )
+        return out, (out[-1].copy(),)
 
 
 class LSTMLayerPlan(_RecurrentLayerPlan):
@@ -621,8 +670,10 @@ class ModelPlan:
             backend = None
         backend = backend or kernels.registry.chosen_backend
         if rebind or backend != self._bound_backend:
-            for weight in self._weights:
-                weight.bind(backend)
+            for layer in self.layers:
+                layer.bind(backend)
+            if self.output is not None:
+                self.output.weight.bind(backend)
             self._bound_backend = backend
 
     def forward_batch(
@@ -795,6 +846,13 @@ class ModelPlan:
                 f"carry state holds batch {state.batch_size}, "
                 f"chunk has batch {batch}"
             )
+        for index, layer in enumerate(self.layers):
+            for component in state.layer_states[index]:
+                if component.shape != (batch, layer.hidden_size):
+                    raise ShapeError(
+                        f"layer {index} state component has shape "
+                        f"{component.shape}, expected ({batch}, {layer.hidden_size})"
+                    )
         self._bind_kernels()
         x, new_states = self._run_layers(features, state.layer_states)
         return self._project_out(x), PlanState(new_states)

@@ -43,6 +43,12 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   multiplies for the per-column ops).
 * float kernels match to reduction-order tolerance (blocked C FMA sums
   vs. numpy's pairwise/BLAS reductions).
+* the fused GRU int8 layer-step (:func:`gru_int8_sequence`, bound by the
+  engine at lowering — it is not a registry op) is **bitwise identical**
+  to the engine's generic per-timestep loop: the recurrent product is the
+  narrow-batch BSPC kernel itself, every elementwise statement is one
+  IEEE operation in that loop's order, compiled with floating-point
+  contraction off, and ``exp``/``tanh`` stay numpy calls.
 
 Every op here wins on some recorded shape.  The ops where C never beat
 numpy + BLAS — the dense int8 projections, the fused GRU/LSTM sequence
@@ -589,6 +595,7 @@ API void repro_bspc_i8_nb(
     for (i64 j = 0; j < batch; j++)
         xs[j] = bspc_quant_i8(n, x + j * n, xq + j * n);
     memset(out, 0, (size_t)(batch * rows) * sizeof(double));
+    if (!strips) return;  /* fully pruned: exact zeros, even for Inf scales */
     for (i64 s = 0; s < strips; s++) {
         const i64 *gc = gcols + s * mc;
         for (i64 j = 0; j < batch; j++)
@@ -644,6 +651,80 @@ API void repro_bspc_spmm(
 """
 
 
+# Everything below this guard is compiled without floating-point
+# contraction: each statement of the fused layer-step must round exactly
+# like the numpy ufunc it replaces, and an `a + b * c` contracted into one
+# FMA rounds once instead of twice.  gcc ignores the STDC pragma and clang
+# the GCC one, so both are given; the section comes last in the source so
+# the float BSPC/CSR kernels above keep their FMAs.
+_C_NO_CONTRACT = r"""
+#pragma STDC FP_CONTRACT OFF
+#pragma GCC optimize("fp-contract=off")
+"""
+
+# Fused GRU int8 layer-step and the batch-major int8 projection, both over
+# repro_bspc_i8_nb.  All operands are row-major float64: x (N, n), gx
+# (B, 3H), zr (B, 2H), state/cand/hid (B, H), gh (B, 3H).  `exp` and `tanh`
+# stay numpy calls between the two step entries (numpy's are SIMD routines
+# whose last ulp libm does not reproduce); every other elementwise op of
+# GRULayerPlan.forward is one IEEE operation here, in the same order.
+_C_GRU_STEP = _C_NO_CONTRACT + r"""
+/* out = x @ W.T + bias, N walked in blocks the narrow kernel takes. */
+API void repro_bspc_i8_rows(
+    i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 count, const i8 *codes,
+    const i64 *gcols, const i64 *srows, const double *x, double scale,
+    const double *bias, i16 *xg, double *out)
+{
+    for (i64 at = 0; at < count; at += 8)
+        repro_bspc_i8_nb(strips, mr, mc, rows, n, count - at < 8 ? count - at : 8,
+                         0, codes, gcols, srows, x + at * n, scale, xg,
+                         out + at * rows);
+    for (i64 j = 0; j < count; j++)
+        for (i64 r = 0; r < rows; r++)
+            out[j * rows + r] += bias[r];
+}
+
+/* With `prev`: finish the step before, hid = (1 - z) * prev + z * cand.
+ * With `gx`: gh = hid @ W_hh.T, then zr = -(gx_zr + gh_zr) (ready for
+ * exp) and cand = gh_h + bias_h. */
+API void repro_gru_i8_step(
+    i64 strips, i64 mr, i64 mc, i64 h, i64 batch, const i8 *codes,
+    const i64 *gcols, const i64 *srows, double scale, const double *bias_h,
+    const double *prev, double *hid, const double *gx, double *zr,
+    double *cand, double *gh, i16 *xg)
+{
+    if (prev)
+        for (i64 b = 0; b < batch; b++)
+            for (i64 i = 0; i < h; i++) {
+                const double z = zr[b * 2 * h + i];
+                const double keep = (1.0 - z) * prev[b * h + i];
+                hid[b * h + i] = keep + z * cand[b * h + i];
+            }
+    if (!gx) return;
+    repro_bspc_i8_nb(strips, mr, mc, 3 * h, h, batch, 0, codes, gcols, srows,
+                     hid, scale, xg, gh);
+    for (i64 b = 0; b < batch; b++) {
+        for (i64 i = 0; i < 2 * h; i++)
+            zr[b * 2 * h + i] = -(gx[b * 3 * h + i] + gh[b * 3 * h + i]);
+        for (i64 i = 0; i < h; i++)
+            cand[b * h + i] = gh[b * 3 * h + 2 * h + i] + bias_h[i];
+    }
+}
+
+/* After exp: zr = 1 / (zr + 1), cand = gx_h + r * cand (ready for tanh). */
+API void repro_gru_i8_gate(
+    i64 h, i64 batch, const double *gx, double *zr, double *cand)
+{
+    for (i64 i = 0; i < batch * 2 * h; i++)
+        zr[i] = 1.0 / (zr[i] + 1.0);
+    for (i64 b = 0; b < batch; b++)
+        for (i64 i = 0; i < h; i++)
+            cand[b * h + i] = gx[b * 3 * h + 2 * h + i]
+                              + zr[b * 2 * h + h + i] * cand[b * h + i];
+}
+"""
+
+
 def _stamp(
     template: str, suffix: str, ctype: str, width: int, acc: str = "double"
 ) -> str:
@@ -669,6 +750,7 @@ _C_SOURCE = (
     + _stamp(_C_BSPC_TEMPLATE, "f64", "double", 16, acc="double")
     + _C_BSPC_NARROW
     + _C_BSPC_FLOAT
+    + _C_GRU_STEP
 )
 
 
@@ -800,6 +882,14 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_bspc_i8_nb": (
             i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, dbl, ptr, ptr,
         ),
+        "repro_bspc_i8_rows": (
+            i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr,
+        ),
+        "repro_gru_i8_step": (
+            i64, i64, i64, i64, i64, ptr, ptr, ptr, dbl, ptr, ptr, ptr, ptr, ptr,
+            ptr, ptr, ptr,
+        ),
+        "repro_gru_i8_gate": (i64, i64, ptr, ptr, ptr),
     }
     for suffix in ("f32", "f32w", "f64"):
         signatures[f"repro_bspc_spmv_i8_{suffix}"] = (
@@ -1063,21 +1153,25 @@ def _int8_bspc_fn(lib, op: str, ft: np.dtype, strips: int, mc: int):
     return getattr(lib, f"repro_bspc_{op}_i8_f32w"), np.float64
 
 
+def _narrow_call(plan, n: int, batch: int) -> tuple:
+    """What every ``repro_bspc_i8_nb``-based entry passes for an int8 plan
+    resolved for this call: panel sizes, the plan-constant addresses, and
+    scratch for ``batch`` rows of an ``n``-wide operand (int16 gathered
+    codes, then the int8 codes of the whole operand)."""
+    strips, mr, mc = plan.base.panels.shape
+    _check_operand(plan.base.shape[1], n)
+    xg = _scratch("bspc_nb", batch * mc + (batch * n + 1) // 2, np.int16)
+    return (strips, mr, mc), _plan_addresses(plan), xg
+
+
 def _bspc_int8_narrow(plan, x: np.ndarray, spmv: bool) -> np.ndarray:
     """``x (B, n)`` row-major, ``B < 16`` → fresh row-major ``(B, rows)``."""
-    base = plan.base
-    strips, mr, mc = base.panels.shape
     batch, n = x.shape
-    rows = base.shape[0]
-    _check_operand(base.shape[1], n)
-    codes, gather_cols, scatter_rows = _plan_addresses(plan)
+    rows = plan.base.shape[0]
+    sizes, addresses, xg = _narrow_call(plan, n, batch)
     out = np.empty((batch, rows))
     _library().repro_bspc_i8_nb(
-        strips, mr, mc, rows, n, batch, spmv, codes, gather_cols, scatter_rows,
-        _p(x), plan.scale,
-        # int16 gathered codes, then the int8 codes of all of x
-        _scratch("bspc_nb", batch * mc + (batch * n + 1) // 2, np.int16),
-        _p(out),
+        *sizes, rows, n, batch, spmv, *addresses, _p(x), plan.scale, xg, _p(out)
     )
     return out
 
@@ -1116,6 +1210,81 @@ def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
         _scratch("bspc_acc", (rows + 1) * batch, at), _p(out),
     )
     return out
+
+
+def _check_buffers(*arrays: np.ndarray) -> None:
+    """C reads and writes these through raw pointers."""
+    for array in arrays:
+        if array.dtype != np.float64 or not array.flags.c_contiguous:
+            raise ShapeError(
+                f"need C-contiguous float64, got {array.dtype} {array.strides}"
+            )
+
+
+def bspc_linear_int8(
+    matrix, x: np.ndarray, bias: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Batch-major int8 projection: row-major ``x (N, n)`` → ``x @ W.T +
+    bias`` written into the C-contiguous float64 ``out (N, rows)``, each
+    row quantized on its own exactly as a column of ``bspc_spmm_int8``."""
+    plan = int8_bspc_plan(matrix)
+    count, n = x.shape
+    rows = plan.base.shape[0]
+    if out.shape != (count, rows) or bias.shape != (rows,):
+        raise ShapeError(f"projection of {x.shape} into {out.shape} + {bias.shape}")
+    _check_buffers(bias, out)
+    sizes, addresses, xg = _narrow_call(plan, n, min(count, 8))
+    x = _f64(x)  # held until the call returns
+    _library().repro_bspc_i8_rows(
+        *sizes, rows, n, count, *addresses, _p(x), plan.scale, _p(bias), xg, _p(out)
+    )
+    return out
+
+
+def gru_int8_sequence(
+    matrix,
+    gates_x: np.ndarray,
+    hidden: np.ndarray,
+    bias_h: np.ndarray,
+    out: np.ndarray,
+    zr: np.ndarray,
+    cand: np.ndarray,
+    gh: np.ndarray,
+) -> None:
+    """The fused GRU int8 layer-steps of one chunk, ``B < 16``.
+
+    ``gates_x (T, B, 3H)`` holds the input projection with its folded
+    bias, ``hidden (B, H)`` the carry in; hidden states land in ``out
+    (T, B, H)`` (``out[-1]`` is the carry out).  ``zr (B, 2H)``, ``cand
+    (B, H)`` and ``gh (B, 3H)`` are work buffers.  Every array is
+    C-contiguous float64 and the caller's for the whole call.  The int8
+    plan is resolved here, once per chunk, so invalidating the matrix's
+    plan between chunks is observed.
+    """
+    plan = int8_bspc_plan(matrix)
+    seq_len, batch, h = out.shape
+    shapes = [a.shape for a in (gates_x, hidden, bias_h, zr, cand, gh)]
+    if batch >= _TILE_LANES or plan.base.shape[0] != 3 * h or shapes != [
+        (seq_len, batch, 3 * h), (batch, h), (h,), (batch, 2 * h), (batch, h),
+        (batch, 3 * h),
+    ]:
+        raise ShapeError(f"GRU step of {plan.base.shape} into {out.shape}: {shapes}")
+    _check_buffers(gates_x, hidden, bias_h, out, zr, cand, gh)
+    sizes, addresses, xg = _narrow_call(plan, h, batch)
+    lib = _library()
+    step, gate = lib.repro_gru_i8_step, lib.repro_gru_i8_gate
+    zr_p, cand_p = _p(zr), _p(cand)
+    head = (*sizes, h, batch, *addresses, plan.scale, _p(bias_h))
+    tail = (zr_p, cand_p, _p(gh), xg)
+    prev, hid, at, gx = None, _p(hidden), _p(out), _p(gates_x)
+    h_bytes = 8 * batch * h  # one timestep of `out`; `gates_x` has three
+    for _ in range(seq_len):
+        step(*head, prev, hid, gx, *tail)
+        np.exp(zr, out=zr)
+        gate(h, batch, gx, zr_p, cand_p)
+        np.tanh(cand, out=cand)
+        prev, hid, at, gx = hid, at, at + h_bytes, gx + 3 * h_bytes
+    step(*head, prev, hid, None, *tail)  # finish the last step into out[-1]
 
 
 #: op name → compiled implementation.  Ops that never beat numpy + BLAS

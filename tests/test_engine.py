@@ -243,6 +243,52 @@ class TestPlanCacheInvalidation:
         )
 
 
+    @pytest.mark.parametrize("how", ["invalidate_plan", "reassign_strips"])
+    def test_bspc_int8_plans_rebuilt_under_default_routing(self, rng, how):
+        # Default routing runs the compiled kernels — on hosts with a
+        # compiler, the fused layer-step and the batch-major projection,
+        # which hand the int8 plan's arrays to C by address.  A stale
+        # address would still find the old codes; (-2)x negates every
+        # code (and doubles the scale exactly), so reuse cannot pass.
+        import gc
+
+        model, plan, config = self.sparse_plan("bspc", scheme="int8")
+        x = rng.standard_normal((2, 6, 2, 8))
+        with kernels.use_backend(None):
+            _, state = plan.run_chunk(x[0])
+            baseline, _ = plan.run_chunk(x[1], state)
+            slots = {
+                "gru.cell0.weight_hh": plan.layers[0].recurrent.matrix,
+                "gru.cell1.weight_ih": plan.layers[1].input_proj.matrix,
+            }
+            for matrix in slots.values():
+                stale = matrix._int8_kernel_plan
+                for strip in matrix.strips:
+                    for block in strip.blocks:
+                        block.panel *= -2.0
+                if how == "invalidate_plan":
+                    matrix.invalidate_plan()
+                else:
+                    matrix.strips = list(matrix.strips)  # reassignment → auto-drop
+                assert not hasattr(matrix, "_int8_kernel_plan")
+                del stale
+            gc.collect()  # the old plans' arrays are gone
+            _, state = plan.run_chunk(x[0])
+            after, after_state = plan.run_chunk(x[1], state)
+            for matrix in slots.values():
+                assert hasattr(matrix, "_int8_kernel_plan")  # rebuilt
+            assert np.abs(after - baseline).max() > 0.0
+            for name, param in model.named_parameters():
+                if name in slots:
+                    param.data[...] *= -2.0
+            fresh = engine.compile_model(model, scheme="int8", config=config)
+            _, state = fresh.run_chunk(x[0])
+            want, want_state = fresh.run_chunk(x[1], state)
+        np.testing.assert_array_equal(after, want)
+        for got, expected in zip(after_state.layer_states, want_state.layer_states):
+            np.testing.assert_array_equal(got[0], expected[0])
+
+
 class TestQuantizedPlans:
     def test_fp16_close_to_simulated_eager(self, rng):
         model = laptop_model()

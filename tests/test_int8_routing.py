@@ -55,7 +55,9 @@ def full_matrix(weight, strips=1):
     return BSPCMatrix.from_dense(weight, grid_for(weight, strips, 1))
 
 
-def bsp_int8_plan(cell_type="gru", hidden=24, seed=0):
+def bsp_int8_plan(cell_type="gru", hidden=24, seed=0, sparse_format="bspc"):
+    """``sparse_format="auto"`` leaves the unpruned layer-0 input weight
+    dense (the bench workloads' shape); ``"bspc"`` packs all four slots."""
     config = AcousticModelConfig(
         input_dim=8, hidden_size=hidden, num_layers=2, cell_type=cell_type
     )
@@ -70,7 +72,7 @@ def bsp_int8_plan(cell_type="gru", hidden=24, seed=0):
         model,
         scheme="int8",
         config=engine.EngineConfig(
-            sparse_format="bspc", num_row_strips=4, num_col_blocks=4
+            sparse_format=sparse_format, num_row_strips=4, num_col_blocks=4
         ),
     )
 
@@ -181,31 +183,62 @@ class TestBoundPlan:
     def test_compiler_hidden_host_is_bit_identical_and_silent(self, tmp_path):
         # The same plan lowered in a process that cannot build the C
         # kernels: numpy serves every op, no warning, same logits.
-        script = (
-            "import sys, numpy as np\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "from test_int8_routing import bsp_int8_plan, probe_features\n"
-            "from repro import kernels\n"
-            "assert kernels.backends() == ('numpy', 'reference'), kernels.backends()\n"
+        done = run_without_a_compiler(
+            tmp_path,
             "logits = bsp_int8_plan().forward_batch(probe_features())\n"
-            "sys.stdout.buffer.write(logits.tobytes())\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL_BACKEND"}
-        env["REPRO_CC"] = "/nonexistent"
-        env["REPRO_COMPILED_CACHE"] = str(tmp_path / "cold")
-        src = Path(engine.__file__).resolve().parents[2]
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script, str(Path(__file__).parent)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+            "sys.stdout.buffer.write(logits.tobytes())\n",
         )
         assert done.returncode == 0, done.stderr.decode()
         assert not done.stderr, done.stderr.decode()
         with kernels.use_backend(None):
             expected = bsp_int8_plan().forward_batch(probe_features())
         assert done.stdout == expected.tobytes()
+
+    def test_compiler_hidden_host_streams_the_same_logits_and_states(self, tmp_path):
+        # ... and chunk by chunk at a fused batch width: the generic loop
+        # there, the compiled layer-step here, the same bits.
+        done = run_without_a_compiler(
+            tmp_path, "sys.stdout.buffer.write(streamed_bytes(bsp_int8_plan()))\n"
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert not done.stderr, done.stderr.decode()
+        with kernels.use_backend(None):
+            plan = bsp_int8_plan()
+            if compiled.available():
+                assert plan.layers[0].step is compiled.gru_int8_sequence
+            assert done.stdout == streamed_bytes(plan)
+
+
+def run_without_a_compiler(tmp_path, body):
+    """Run ``body`` where no C kernel can be built, warnings as errors."""
+    script = (
+        "import sys, numpy as np\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_int8_routing import bsp_int8_plan, probe_features, streamed_bytes\n"
+        "from repro import kernels\n"
+        "assert kernels.backends() == ('numpy', 'reference'), kernels.backends()\n"
+    ) + body
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL_BACKEND"}
+    env["REPRO_CC"] = "/nonexistent"
+    env["REPRO_COMPILED_CACHE"] = str(tmp_path / "cold")
+    src = Path(engine.__file__).resolve().parents[2]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, str(Path(__file__).parent)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+    )
+
+
+def streamed_bytes(plan):
+    """Logits and carry state of the probe frames fed in three chunks."""
+    state, parts = None, []
+    for chunk in np.array_split(probe_features(), [1, 5]):
+        logits, state = plan.run_chunk(chunk, state)
+        parts.append(logits)
+    parts += [component for layer in state.layer_states for component in layer]
+    return b"".join(part.tobytes() for part in parts)
 
 
 def probe_features():
@@ -240,6 +273,25 @@ def traffic(draw):
     return sessions, frames, chunks, groupings, draw(st.integers(0, 2**16))
 
 
+def run_traffic(plan, route, utterances, chunks, groupings):
+    """Stream ``utterances`` under ``route``: chunk ``k`` co-batches the
+    sessions of each of ``groupings[k]``'s groups into one ``run_chunk``.
+    Returns every session's logits, chunk by chunk, and final carry state."""
+    states = plan.init_state(len(utterances)).split()
+    pieces = [[] for _ in utterances]
+    with kernels.use_backend(route):
+        for (start, stop), groups in zip(chunks, groupings):
+            for group in groups:
+                chunk = utterances[group, start:stop].transpose(1, 0, 2)
+                logits, carry = plan.run_chunk(
+                    chunk, engine.PlanState.stack([states[s] for s in group])
+                )
+                for column, (session, state) in enumerate(zip(group, carry.split())):
+                    states[session] = state
+                    pieces[session].append(logits[:, column])
+    return pieces, states
+
+
 @pytest.fixture(scope="module")
 def property_plans():
     return {cell: bsp_int8_plan(cell) for cell in ("gru", "lstm")}
@@ -257,20 +309,280 @@ def test_any_split_and_cobatching_equals_reference_offline(
     utterances = new_rng(seed).standard_normal((sessions, frames, 8))
     with kernels.use_backend("reference"):
         offline = [plan.forward_utterance(u) for u in utterances]
-    states = plan.init_state(sessions).split()
-    pieces = [[] for _ in range(sessions)]
-    with kernels.use_backend(route):
-        for (start, stop), groups in zip(chunks, groupings):
-            for group in groups:
-                chunk = utterances[group, start:stop].transpose(1, 0, 2)
-                logits, carry = plan.run_chunk(
-                    chunk, engine.PlanState.stack([states[s] for s in group])
-                )
-                for column, (session, state) in enumerate(zip(group, carry.split())):
-                    states[session] = state
-                    pieces[session].append(logits[:, column])
+    pieces, _ = run_traffic(plan, route, utterances, chunks, groupings)
     for session in range(sessions):
         np.testing.assert_array_equal(np.concatenate(pieces[session]), offline[session])
+
+
+# ---------------------------------------------------------------------------
+# The fused compiled GRU layer-step (bound at lowering, taken while B < 16)
+# ---------------------------------------------------------------------------
+def reference_run(plan, utterances):
+    """Per session: whole-utterance reference logits and carry state."""
+    with kernels.use_backend("reference"):
+        return [plan.run_chunk(u[:, None, :]) for u in utterances]
+
+
+def assert_states_equal(got, want):
+    for got_layer, want_layer in zip(got.layer_states, want.layer_states):
+        for a, b in zip(got_layer, want_layer):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_lowering_binds_the_fused_step_only_where_it_applies(rng):
+    fused = compiled.gru_int8_sequence if compiled.available() else None
+    rows = compiled.bspc_linear_int8 if compiled.available() else None
+    features = rng.standard_normal((3, 2, 8))
+    with kernels.use_backend(None):
+        plan, auto = bsp_int8_plan(), bsp_int8_plan(sparse_format="auto")
+        assert [layer.step for layer in plan.layers] == [fused, fused]
+        assert [layer.project for layer in plan.layers] == [rows, rows]
+        # a dense layer-0 projection feeds a fused recurrence
+        assert auto.layers[0].input_proj.op == "linear_int8_rowwise"
+        assert [layer.step for layer in auto.layers] == [fused, fused]
+        assert [layer.project for layer in auto.layers] == [None, rows]
+        for backend in ("numpy", "reference"):  # explicit choices keep the loop
+            with kernels.use_backend(backend):
+                plan.run_chunk(features)
+                assert [layer.step for layer in plan.layers] == [None, None]
+        plan.run_chunk(features)
+        assert [layer.step for layer in plan.layers] == [fused, fused]
+        # float and CSR recurrences never bind it
+        for scheme, fmt in ((None, "bspc"), ("mixed", "bspc"), ("int8", "csr")):
+            other = engine.compile_model(
+                GRUAcousticModel(
+                    AcousticModelConfig(input_dim=8, hidden_size=24), rng=0
+                ).eval(),
+                scheme=scheme,
+                config=engine.EngineConfig(sparse_format=fmt),
+            )
+            assert [layer.step for layer in other.layers] == [None] * len(other.layers)
+
+
+@st.composite
+def boundary_traffic(draw):
+    """17 sessions whose per-chunk co-batch sizes sit on both sides of the
+    fused step's ``B < 16`` bound and of the projection's 8-row blocks
+    (``T * B`` of 7/8/9, 15/16/17, ...), in chunks that favour ``T = 1``."""
+    sessions = 17
+    frames = draw(st.integers(1, 9))
+    chunks, at = [], 0
+    while at < frames:
+        length = min(frames - at, draw(st.sampled_from([1, 1, 2, 3, 9])))
+        chunks.append((at, at + length))
+        at += length
+    groupings = []
+    for _ in chunks:
+        order = draw(st.permutations(range(sessions)))
+        groups, at = [], 0
+        while at < sessions:
+            size = draw(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17]))
+            groups.append(list(order[at : at + size]))
+            at += size
+        groupings.append(groups)
+    return sessions, frames, chunks, groupings, draw(st.integers(0, 2**16))
+
+
+@pytest.fixture(scope="module")
+def fused_plans():
+    with kernels.use_backend(None):
+        return {fmt: bsp_int8_plan(sparse_format=fmt) for fmt in ("bspc", "auto")}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("sparse_format", ["bspc", "auto"])
+@settings(max_examples=12, deadline=None)
+@given(case=boundary_traffic())
+def test_fused_and_generic_steps_mix_bitwise_inside_an_utterance(
+    fused_plans, route, sparse_format, case
+):
+    sessions, frames, chunks, groupings, seed = case
+    plan = fused_plans[sparse_format]
+    utterances = new_rng(seed).standard_normal((sessions, frames, 8))
+    pieces, states = run_traffic(plan, route, utterances, chunks, groupings)
+    for session, (logits, state) in enumerate(reference_run(plan, utterances)):
+        np.testing.assert_array_equal(np.concatenate(pieces[session]), logits[:, 0])
+        assert_states_equal(states[session], state)
+
+
+class TestFusedStepOperands:
+    """The fused step hands raw pointers to C: whatever state arrives is
+    validated and normalized once per chunk, before the first call."""
+
+    @pytest.fixture()
+    def plan(self):
+        with kernels.use_backend(None):
+            return bsp_int8_plan()
+
+    def run(self, plan, features, state=None):
+        with kernels.use_backend(None):
+            return plan.run_chunk(features, state)
+
+    def carried(self, plan, rng, batch=3):
+        """A chunk, and a nonzero carry state to run it from."""
+        features = rng.standard_normal((4, batch, 8))
+        _, state = self.run(plan, rng.standard_normal((2, batch, 8)))
+        return features, state
+
+    def test_wrong_hidden_width_is_a_shape_error(self, plan, rng):
+        from repro.errors import ShapeError
+
+        features, state = self.carried(plan, rng)
+        for width in (23, 25, 48):
+            bad = engine.PlanState([(np.zeros((3, width)),), state.layer_states[1]])
+            with pytest.raises(ShapeError):
+                self.run(plan, features, bad)
+        flat = engine.PlanState([(np.zeros(3 * 24),), state.layer_states[1]])
+        with pytest.raises(ShapeError):
+            self.run(plan, features, flat)
+
+    def test_float32_and_strided_states_are_copied_not_misread(self, plan, rng):
+        features, state = self.carried(plan, rng)
+        rounded = engine.PlanState(
+            [tuple(c.astype(np.float32) for c in layer) for layer in state.layer_states]
+        )
+        widened = plan.adapt_state(rounded)  # the same values as float64
+        want_logits, want_state = self.run(plan, features, widened)
+        got_logits, got_state = self.run(plan, features, rounded)
+        np.testing.assert_array_equal(got_logits, want_logits)
+        assert_states_equal(got_state, want_state)
+
+        want_logits, want_state = self.run(plan, features, state)
+        # every other column is the state; the ones between would be misread
+        wide = [
+            np.repeat(layer[0], 2, axis=1) * np.tile([1.0, -7.0], 24)
+            for layer in state.layer_states
+        ]
+        strided = engine.PlanState([(w[:, ::2],) for w in wide])
+        assert not strided.layer_states[0][0].flags.c_contiguous
+        fortran = engine.PlanState(
+            [(np.asfortranarray(layer[0]),) for layer in state.layer_states]
+        )
+        for view in (strided, fortran):
+            got_logits, got_state = self.run(plan, features, view)
+            np.testing.assert_array_equal(got_logits, want_logits)
+            assert_states_equal(got_state, want_state)
+
+    def test_empty_chunks_and_batches_pass_the_state_through(self, plan, rng):
+        _, state = self.carried(plan, rng)
+        kept = [layer[0].copy() for layer in state.layer_states]
+        logits, after = self.run(plan, np.zeros((0, 3, 8)), state)
+        assert logits.shape == (0, 3, plan.output.num_classes)
+        for layer, want in zip(after.layer_states, kept):
+            np.testing.assert_array_equal(layer[0], want)
+        logits, after = self.run(plan, np.zeros((5, 0, 8)))
+        assert logits.shape == (5, 0, plan.output.num_classes)
+        assert [layer[0].shape for layer in after.layer_states] == [(0, 24), (0, 24)]
+
+    @requires_compiler
+    def test_entry_points_reject_mis_shaped_operands(self):
+        from repro.errors import ShapeError
+
+        matrix = bsp_matrix(shape=(72, 24))  # a (3H, H) recurrence, H = 24
+        ok = dict(
+            gates_x=np.zeros((2, 3, 72)), hidden=np.zeros((3, 24)), bias_h=np.zeros(24),
+            out=np.zeros((2, 3, 24)), zr=np.zeros((3, 48)), cand=np.zeros((3, 24)),
+            gh=np.zeros((3, 72)),
+        )
+        compiled.gru_int8_sequence(matrix, **ok)
+        for name, shape in (
+            ("hidden", (3, 23)), ("gates_x", (2, 3, 71)), ("zr", (3, 24)),
+            ("gh", (2, 72)), ("bias_h", (72,)), ("cand", (4, 24)),
+        ):
+            with pytest.raises(ShapeError):
+                compiled.gru_int8_sequence(matrix, **{**ok, name: np.zeros(shape)})
+        with pytest.raises(ShapeError):  # the tile kernel's batches, not this one's
+            compiled.gru_int8_sequence(
+                matrix, np.zeros((1, 16, 72)), np.zeros((16, 24)), np.zeros(24),
+                np.zeros((1, 16, 24)), np.zeros((16, 48)), np.zeros((16, 24)),
+                np.zeros((16, 72)),
+            )
+        with pytest.raises(ShapeError):  # (3H, H) only
+            compiled.gru_int8_sequence(bsp_matrix(), **ok)
+        for name, array in (  # right shape, wrong memory
+            ("hidden", np.zeros((3, 24), dtype=np.float32)),
+            ("out", np.zeros((2, 3, 48))[:, :, ::2]),
+            ("gates_x", np.asfortranarray(np.zeros((2, 3, 72)))),
+        ):
+            with pytest.raises(ShapeError):
+                compiled.gru_int8_sequence(matrix, **{**ok, name: array})
+        for x, bias, out in (
+            (np.zeros((5, 23)), np.zeros(72), np.zeros((5, 72))),
+            (np.zeros((5, 24)), np.zeros(71), np.zeros((5, 72))),
+            (np.zeros((5, 24)), np.zeros(72), np.zeros((4, 72))),
+            (np.zeros((5, 24)), np.zeros(72), np.zeros((5, 72), dtype=np.float32)),
+            (np.zeros((5, 24)), np.zeros(72), np.zeros((72, 5)).T),
+        ):
+            with pytest.raises(ShapeError):
+                compiled.bspc_linear_int8(matrix, x, bias, out)
+
+
+@requires_compiler
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 17, 40])
+def test_batch_major_projection_equals_spmm_plus_bias(count):
+    # rows on both sides of the 8-row blocks; strided input rows are copied
+    matrix = bsp_matrix()
+    x = new_rng(count).standard_normal((count, 2 * 64))[:, ::2]
+    x[0] *= 1e-3  # scales differ per row
+    bias = new_rng(1).standard_normal(48)
+    want = kernels.spmm_int8(matrix, x.T, backend="reference").T + bias
+    out = np.full((count, 48), np.nan)
+    assert compiled.bspc_linear_int8(matrix, x, bias, out) is out
+    np.testing.assert_array_equal(out, want)
+
+
+def host_contracts_fma():
+    """Whether ``-march=native`` lets this host's compiler emit FMAs."""
+    import platform
+
+    if platform.machine().lower() in ("aarch64", "arm64"):
+        return True
+    try:
+        return " fma " in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+
+
+@requires_compiler
+def test_contracting_the_gate_math_changes_bits(tmp_path, monkeypatch):
+    # Mutation check of the contraction guard: the same C source built
+    # with the guard removed lets the compiler fuse `a + b * c` in the gate
+    # math into one FMA, which rounds once instead of twice.  The carry
+    # state is compared as well as the logits: it diverges a chunk before
+    # a logit does.
+    if not host_contracts_fma():
+        pytest.skip("no FMA on this host: contraction cannot change a bit")
+    assert compiled._C_NO_CONTRACT in compiled._C_SOURCE
+    chunks = new_rng(3).standard_normal((4, 6, 5, 8))
+
+    def stream():
+        with kernels.use_backend(None):
+            plan, state, logits = bsp_int8_plan(), None, []
+            assert plan.layers[0].step is compiled.gru_int8_sequence
+            for chunk in chunks:
+                out, state = plan.run_chunk(chunk, state)
+                logits.append(out)
+        return np.concatenate(logits), state
+
+    with kernels.use_backend("reference"):
+        plan, want_state, want = bsp_int8_plan(), None, []
+        for chunk in chunks:
+            out, want_state = plan.run_chunk(chunk, want_state)
+            want.append(out)
+    guarded_logits, guarded_state = stream()
+    np.testing.assert_array_equal(guarded_logits, np.concatenate(want))
+    assert_states_equal(guarded_state, want_state)
+
+    monkeypatch.setattr(
+        compiled, "_C_SOURCE", compiled._C_SOURCE.replace(compiled._C_NO_CONTRACT, "")
+    )
+    monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path))
+    mutant_logits, mutant_state = stream()
+    assert any(
+        not np.array_equal(a[0], b[0])
+        for a, b in zip(mutant_state.layer_states, want_state.layer_states)
+    )
+    assert not np.array_equal(mutant_logits, guarded_logits)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +761,33 @@ class TestNumericEdges:
                         np.testing.assert_array_equal(a[[0, 2, 3]], b[[0, 2, 3]])
 
 
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("sparse_format", ["bspc", "auto"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 5e-324, 1e-310, 1e-300])
+    def test_a_bad_frame_leaves_frames_and_states_around_it_bit_unchanged(
+        self, route, sparse_format, bad
+    ):
+        # B = 3 is the fused step wherever it is bound; T * B = 15 crosses
+        # the projection's 8-row blocks with the bad frame in the second.
+        plan = bsp_int8_plan(sparse_format=sparse_format)
+        features = new_rng(6).standard_normal((5, 3, 8))
+        dirty = features.copy()
+        dirty[3, 1] = bad
+        with kernels.use_backend(route), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            clean, clean_state = plan.run_chunk(features)
+            out, state = plan.run_chunk(dirty)
+            np.testing.assert_array_equal(out[:, [0, 2]], clean[:, [0, 2]])
+            np.testing.assert_array_equal(out[:3, 1], clean[:3, 1])  # the frames before
+            for got, want in zip(state.layer_states, clean_state.layer_states):
+                np.testing.assert_array_equal(got[0][[0, 2]], want[0][[0, 2]])
+            if np.isfinite(bad):  # a silent frame is an ordinary frame
+                with kernels.use_backend("reference"):
+                    want, want_state = plan.run_chunk(dirty)
+                np.testing.assert_array_equal(out, want)
+                assert_states_equal(state, want_state)
+
+
 # ---------------------------------------------------------------------------
 # The compiled backend's scratch buffers
 # ---------------------------------------------------------------------------
@@ -529,6 +868,52 @@ class TestScratch:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures and sorted(finished) == list(range(count))
+
+    def test_threads_running_different_plans_concurrently(self):
+        # The fused step's buffers are each plan's own (or the thread's):
+        # more threads than cores, every one streaming its own plan.
+        count = 2 * (os.cpu_count() or 2)
+        with kernels.use_backend(None):
+            plans = [bsp_int8_plan(hidden=16 + 8 * (i % 3), seed=i) for i in range(count)]
+        assert all(p.layers[0].step is compiled.gru_int8_sequence for p in plans)
+        inputs = [new_rng(seed).standard_normal((2, 7, 3, 8)) for seed in range(count)]
+        wanted = []
+        with kernels.use_backend("reference"):
+            for plan, (first, second) in zip(plans, inputs):
+                logits, state = plan.run_chunk(first)
+                wanted.append((logits, *plan.run_chunk(second, state)))
+        finished, failures = [], []
+        start = threading.Barrier(count)
+
+        def run(index):
+            plan, (first, second) = plans[index], inputs[index]
+            want_first, want_second, want_state = wanted[index]
+            start.wait(timeout=60)
+            for _ in range(40):
+                logits, state = plan.run_chunk(first)
+                again, state = plan.run_chunk(second, state)
+                same = np.array_equal(logits, want_first) and np.array_equal(again, want_second)
+                for got, want in zip(state.layer_states, want_state.layer_states):
+                    same = same and np.array_equal(got[0], want[0])
+                if not same:
+                    failures.append(index)
+                    return
+            finished.append(index)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # the backend choice is process-wide: made once, out here
+            with kernels.use_backend(None):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
