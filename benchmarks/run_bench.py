@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -173,6 +174,24 @@ def bench_sparse(repeats: int) -> List[Dict]:
         ("csr_spmm_int8", f"{size}x{size}x16",
          lambda b: (lambda: kernels.spmm_int8(csr, batch, backend=b))),
     ]
+    # The dense int8 layers of a lowered plan (layer-0 projection, output
+    # layer) at the serving chunk sizes.  "compiled" implements the op only
+    # in a library built with the rows-in-lanes kernel; anywhere else it
+    # aliases numpy, and its row would time numpy against itself.
+    if compiled_backend.lanes():
+        for out_dim, in_dim in ((1536, 40), (40, 512)):
+            codes, scale = kernels.int8_codes(
+                new_rng(3).standard_normal((out_dim, in_dim))
+            )
+            codes_f = codes.astype(np.float32)  # what a lowered plan keeps
+            for count in (25, 200):
+                frames = new_rng(4).standard_normal((count, in_dim))
+                int8_cases.append((
+                    "linear_int8_rowwise", f"{out_dim}x{in_dim} N={count}",
+                    lambda b, w=codes_f, s=scale, f=frames: (
+                        lambda: kernels.linear_int8_rowwise(w, s, f, backend=b)
+                    ),
+                ))
     for op, label, make in int8_cases:
         medians = {
             b: median_seconds(make(b), repeats) for b in INT8_SPARSE_BACKENDS
@@ -1055,6 +1074,10 @@ def _meta(repeats: int) -> Dict:
         "forward_repeats": max(3, repeats // 3),
         "default_backend": kernels.get_default_backend(),
         "compiled_backend": compiled_backend.available(),
+        "compiled_lanes": compiled_backend.lanes(),
+        # small GEMMs stall for milliseconds when BLAS wakes a second
+        # thread on a busy 2-core host; a record says how it was pinned
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 

@@ -191,7 +191,9 @@ class _PackedWeight:
       into a workspace buffer.  A float projection multiplies by the
       ``weight.T`` view and a float recurrence by a contiguous transpose,
       exactly the operands the fused kernels use (bit-exact);
-    * dense int8 projections run the registry's ``linear_int8_rowwise``;
+    * dense int8 projections run the registry's ``linear_int8_rowwise``
+      — where that is the compiled kernel, on a one-strip panel packed
+      here once (``panel``) and straight into a workspace buffer;
     * CSR/BSPC weights run the registry's ``*_spmm`` / ``*_spmm_int8``
       on the transpose *view* of the row-major activations, and hand back
       the transpose view of the kernel's result (see the activation
@@ -208,7 +210,7 @@ class _PackedWeight:
         weight = slot.array
         self.scheme = scheme
         self.shape = weight.shape
-        self.matrix = None
+        self.matrix = self.panel = None
         #: The registry op the kernel-selection pass names for this slot.
         self.op = kernel_for(slot.op, slot.format or "dense", scheme)
         self.out_dtype = np.dtype(
@@ -239,6 +241,14 @@ class _PackedWeight:
             self.kernel, self.apply = np.matmul, self._matmul
             return
         kernel = self.kernel = kernels.registry.get(self.op, backend)
+        if kernel is _compiled.linear_int8_rowwise:
+            if self.panel is None:
+                self.panel = _compiled.dense_int8_panel(self.codes, self.scale)
+            panel = self.panel
+            self.apply = lambda x2d, ws, key: _compiled.panel_linear_int8(
+                panel, x2d, None, ws.take(key, (len(x2d), panel.shape[0]))
+            )
+            return
         if self.matrix is None:
             codes_f, scale = self.codes_f, self.scale
             self.apply = lambda x2d, ws, key: kernel(codes_f, scale, x2d)
@@ -387,12 +397,15 @@ class GRULayerPlan(_RecurrentLayerPlan):
         narrow = _compiled.bspc_spmm_int8
         fused = self.recurrent.kernel is narrow and self.dtype == np.float64
         self.step = _compiled.gru_int8_sequence if fused else None
-        #: its batch-major input projection, where that slot got the kernel too
-        self.project = (
-            _compiled.bspc_linear_int8
-            if fused and self.input_proj.kernel is narrow
-            else None
-        )
+        #: its batch-major input projection and the weight operand that
+        #: takes, where that slot got a compiled kernel too
+        self.project = self.project_on = None
+        if fused and self.input_proj.kernel is narrow:
+            self.project = _compiled.bspc_linear_int8
+            self.project_on = self.input_proj.matrix
+        elif fused and self.input_proj.kernel is _compiled.linear_int8_rowwise:
+            self.project = _compiled.panel_linear_int8
+            self.project_on = self.input_proj.panel
 
     def zero_state(self, batch: int) -> Tuple[np.ndarray, ...]:
         return (np.zeros((batch, self.hidden_size), dtype=self.dtype),)
@@ -445,7 +458,7 @@ class GRULayerPlan(_RecurrentLayerPlan):
         h = self.hidden_size
         gates_x = ws.take(f"gates{index}", (seq_len * batch, 3 * h))
         if self.project is not None:
-            self.project(self.input_proj.matrix, flat, self.bias_folded, gates_x)
+            self.project(self.project_on, flat, self.bias_folded, gates_x)
         else:
             projected = self.input_proj.apply(flat, ws, f"gx{index}")
             np.add(projected, self.bias_folded, out=gates_x)

@@ -17,7 +17,8 @@ Backend selection::
 
 With none of these (and no ``REPRO_KERNEL_BACKEND``), each op dispatches
 to the backend recorded as winning it: the compiled C kernels for the
-sparse int8 ops where a compiler exists, numpy + BLAS for the rest.
+sparse int8 ops where a compiler exists (and for ``linear_int8_rowwise``
+where it builds their rows-in-lanes kernel), numpy + BLAS for the rest.
 
 See ``docs/kernels.md`` for the plan/registry design and how to add a
 backend.

@@ -31,9 +31,9 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   backends.  CSR activations quantize through the *same*
   :func:`~repro.kernels.quantized.int8_codes` /
   :func:`~repro.kernels.quantized.int8_codes_axis` helpers; the BSPC
-  kernels quantize in C with an operation-for-operation replica of those
-  helpers (comparison max, one divide, round-half-even ``rint``, clip),
-  so codes and scales match numpy bit for bit for finite activations.
+  kernels quantize in C to the codes and scales of those helpers
+  (comparison max, one correctly rounded quotient, round-half-even,
+  clip), matching numpy bit for bit for finite activations.
   Products accumulate exactly — integer arithmetic on the CSR and
   narrow-batch BSPC paths, float FMA over integer values bounded the
   same way the numpy backend bounds its ``codes_f`` GEMM dtype on the
@@ -51,11 +51,14 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   contraction off, and ``exp``/``tanh`` stay numpy calls.
 
 Every op here wins on some recorded shape.  The ops where C never beat
-numpy + BLAS — the dense int8 projections, the fused GRU/LSTM sequence
-forwards, the BPTT ``*_grad`` ops — are registered under ``"compiled"``
-as aliases of the numpy implementations, so the full suite (and any plan
-pinned to this backend) dispatches every op without falling through the
-registry.
+numpy + BLAS — the per-call-scale dense int8 projection, the fused
+GRU/LSTM sequence forwards, the BPTT ``*_grad`` ops — are registered
+under ``"compiled"`` as aliases of the numpy implementations, so the full
+suite (and any plan pinned to this backend) dispatches every op without
+falling through the registry.  The per-row-scale dense projection
+``linear_int8_rowwise`` is a one-strip panel of the narrow BSPC kernel
+where the library was built with that kernel's rows-in-lanes microkernel
+(:func:`lanes`), and such an alias anywhere else.
 """
 
 from __future__ import annotations
@@ -93,6 +96,13 @@ BACKEND = "compiled"
 #: text) changes in a way the source hash cannot see.
 _ABI_VERSION = 1
 
+#: Most int8 products one int32 accumulator takes (127 * 127 * 8192 < 2^31).
+ACC_CHUNK = 8192
+
+#: Row padding of a packed rows-in-lanes panel: the tallest vector any
+#: build of the kernel keeps (AVX-512BW: 16 rows), so one pack serves all.
+LANES_PAD = 16
+
 # ---------------------------------------------------------------------------
 # Generated C source
 # ---------------------------------------------------------------------------
@@ -118,11 +128,12 @@ _C_COMMON = r"""
 #include <string.h>
 
 #define API __attribute__((visibility("default")))
-#define ACC_CHUNK 8192
-/* Below this activation scale the reciprocal sequence can overflow (or
- * its residual go denormal) and stop matching a true divide; quantize
- * with the divide there instead. */
+#define ACC_CHUNK $ACC_CHUNK
+/* Outside these activation scales the reciprocal sequence can overflow
+ * (or its reciprocal or residual go denormal) and stop matching a true
+ * divide; quantize with the divide there instead. */
 #define MARKSTEIN_MIN 1e-250
+#define MARKSTEIN_MAX 1e250
 
 typedef int64_t i64;
 typedef int32_t i32;
@@ -510,26 +521,90 @@ API void repro_bspc_spmm_i8_$S(
 # most of a 16-lane float tile idle, so below 16 columns the product runs
 # on the int8 panel codes themselves — a quarter of `codes_f`'s weight
 # traffic.  Activations arrive batch-major (one contiguous row per
-# column of the product), are quantized once per column with the very
-# ops of int8_codes_axis (comparison max, one divide, rint, clip), and
-# each strip's gathered codes are widened to int16 so the 4-row x
-# 4-column register block compiles to widening multiply-adds.  Dot
-# products accumulate in int32 over chunks of at most ACC_CHUNK products
-# and flush into the float64 output, which holds exact integers (far
-# below 2^53) until the final two-multiply dequant — the same bits as the
-# reference backend's int64 path.
+# column of the product), are quantized once per column to the codes and
+# scale of int8_codes_axis, and each strip's gathered codes are widened to
+# int16.  Two microkernels follow, both exact integer arithmetic (no order
+# of accumulation can move a bit; see docs/kernels.md):
+#   * rows in lanes (AVX-512BW / AVX2 builds, two or more columns, plans
+#     that scatter to each row at most once, mc <= ACC_CHUNK): the packed
+#     codes put 16 (8) panel rows x 2 kept columns in a register, a
+#     multiply-add against the broadcast activation pair yields those
+#     rows' int32 sums, and a column of the product is one accumulator —
+#     no horizontal reduction.  Sums land in a compact int32 buffer that
+#     one pass scatters and dequantizes;
+#   * the 4-row x 4-column register block, everywhere else: int32 sums
+#     over chunks of at most ACC_CHUNK products, flushed into the float64
+#     output, which holds exact integers (far below 2^53) until the
+#     dequant.
+# Either way the dequant is the reference backend's `(acc * scale) * xs`.
 _C_BSPC_NARROW = r"""
 typedef int16_t i16;
 
-static double bspc_quant_i8(i64 n, const double *x, i8 *xq)
+/* The rows-in-lanes kernel is written once over LV: LANES int32 sums in a
+ * register, fed by loads of LANES x 2 int8 codes. */
+#if defined(__AVX512BW__)
+#include <immintrin.h>
+#define LANES 16
+#define LV(op) _mm512_##op
+#define LANES_LOAD(p) _mm256_loadu_si256((const __m256i *)(p))
+typedef __m512i lanes_t;
+#elif defined(__AVX2__)
+#include <immintrin.h>
+#define LANES 8
+#define LV(op) _mm256_##op
+#define LANES_LOAD(p) _mm_loadu_si128((const __m128i *)(p))
+typedef __m256i lanes_t;
+#else
+#define LANES 0
+#endif
+#define LANES_PAD $LANES_PAD  /* a multiple of every LANES */
+
+/* Rows per register of the rows-in-lanes kernel; 0: not in this build. */
+API i64 repro_i8_lanes(void) { return LANES; }
+
+/* Codes and scale of int8_codes_axis for one row.  The peak is a
+ * comparison maximum over eight running lanes (any order gives a finite
+ * row the same one).  The codes are clip(rint(x / s)) by the true divide
+ * or — where the scale keeps every intermediate clear of over- and
+ * underflow — the same integers by a sequence that vectorizes:
+ * Markstein's reciprocal steps round to the very quotient a divide gives,
+ * and adding 1.5 * 2^52 rounds that to an integer as rint does (once, to
+ * a grid of ones, ties to even: the constant is even), leaving it in
+ * two's complement in the low bits of the sum.  There |x| <= 127 s, so
+ * only a row with a NaN in it (whose peak can miss an element) is clipped. */
+static double bspc_quant_i8(i64 n, const double *restrict x, i8 *restrict xq)
 {
-    double peak = 0.0;
-    for (i64 i = 0; i < n; i++) {
+    double m[8] = {0.0};
+    i64 i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int l = 0; l < 8; l++) {
+            const double a = fabs(x[i + l]);
+            m[l] = m[l] > a ? m[l] : a;
+        }
+    for (; i < n; i++) {
         const double a = fabs(x[i]);
-        peak = peak > a ? peak : a;
+        m[0] = m[0] > a ? m[0] : a;
     }
+    double peak = 0.0;
+    for (int l = 0; l < 8; l++) peak = peak > m[l] ? peak : m[l];
     const double s = peak > 0.0 ? peak / 127.0 : 1.0;
-    for (i64 i = 0; i < n; i++) {
+#ifdef __FMA__
+    if (s > MARKSTEIN_MIN && s < MARKSTEIN_MAX) {
+        const double rc = 1.0 / s;
+        for (i = 0; i < n; i++) {
+            const double q0 = x[i] * rc;
+            const double e = __builtin_fma(-s, q0, x[i]);
+            const double sum = __builtin_fma(e, rc, q0) + 0x1.8p52;
+            i64 bits;
+            memcpy(&bits, &sum, sizeof bits);
+            i32 code = (i32)bits;
+            code = code > 127 ? 127 : code;
+            xq[i] = (i8)(code < -127 ? -127 : code);
+        }
+        return s;
+    }
+#endif
+    for (i = 0; i < n; i++) {
         double v = rint(x[i] / s);
         v = v > 127.0 ? 127.0 : v;
         v = v < -127.0 ? -127.0 : v;
@@ -537,6 +612,43 @@ static double bspc_quant_i8(i64 n, const double *x, i8 *xq)
     }
     return s;
 }
+
+#if LANES
+/* NB columns of one packed strip: acc[j * lda + row] = that row's dot
+ * product with column j.  NB is a literal at every call site, so the
+ * accumulators are NB registers. */
+static inline __attribute__((always_inline)) void bspc_lanes_block(
+    const int NB, i64 kp, i64 mrp, const i8 *panel, const i16 *xg, i64 lda,
+    i32 *acc)
+{
+    for (i64 g = 0; g < mrp; g += LANES) {
+        lanes_t a[8];
+        for (int j = 0; j < NB; j++) a[j] = LV(set1_epi32)(0);
+        for (i64 p = 0; p < kp; p++) {
+            const lanes_t w = LV(cvtepi8_epi16)(LANES_LOAD(panel + (p * mrp + g) * 2));
+            for (int j = 0; j < NB; j++) {
+                i32 pair;  /* codes 2p and 2p + 1 of column j */
+                memcpy(&pair, xg + (j * kp + p) * 2, sizeof pair);
+                a[j] = LV(add_epi32)(a[j], LV(madd_epi16)(w, LV(set1_epi32)(pair)));
+            }
+        }
+        for (int j = 0; j < NB; j++) memcpy(acc + j * lda + g, &a[j], sizeof a[j]);
+    }
+}
+
+#define BSPC_LANES(NB) \
+    case NB: bspc_lanes_block(NB, kp, mrp, panel, xg, lda, acc); break;
+
+/* One packed strip against min(nb, 8) columns of the batch. */
+static void bspc_lanes_strip(
+    i64 nb, i64 kp, i64 mrp, const i8 *panel, const i16 *xg, i64 lda, i32 *acc)
+{
+    switch (nb < 8 ? nb : 8) {
+    BSPC_LANES(1) BSPC_LANES(2) BSPC_LANES(3) BSPC_LANES(4)
+    BSPC_LANES(5) BSPC_LANES(6) BSPC_LANES(7) BSPC_LANES(8)
+    }
+}
+#endif
 
 /* R rows x NB columns of one strip; R and NB are literals at every call
  * site, so the accumulators are registers and the k loop vectorizes. */
@@ -582,34 +694,65 @@ static void bspc_nb_strip(
 /* x is (batch, n) and out (batch, rows), both row-major: the transposes
  * of the (n, batch) operand and (rows, batch) result of spmm_int8 — or,
  * with `spmv` set, the operand and result vectors of spmv_int8, which
- * dequantizes with one fused `scale * xs` multiply.  xg is scratch for
- * batch * mc int16 gathered codes followed by batch * n int8 codes of
- * the whole activation. */
+ * dequantizes with one fused `scale * xs` multiply.  `lanes`/`lrows` are
+ * the packed codes and row-padded scatter rows of the rows-in-lanes
+ * kernel: null `lanes` where the caller found it does not apply, null
+ * `lrows` for the one strip whose panel row i is output row i.  `work` is
+ * scratch: with `lanes`, batch int32 accumulator rows of the padded panel
+ * height; then batch rows of mc (rounded up to even) int16 gathered
+ * codes; then the batch * n int8 codes of the whole activation. */
 API void repro_bspc_i8_nb(
     i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 batch, i64 spmv,
-    const i8 *codes, const i64 *gcols, const i64 *srows, const double *x,
-    double scale, i16 *xg, double *out)
+    const i8 *codes, const i64 *gcols, const i64 *srows, const i8 *lanes,
+    const i64 *lrows, const double *x, double scale, i32 *work, double *out)
 {
     double xs[16];
-    i8 *xq = (i8 *)(xg + batch * mc);
+    const i64 kp = (mc + 1) / 2;
+    const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
+    const i64 tall = strips * mrp;
+    const int wide = LANES && lanes && batch > 1;
+    const i64 ld = wide ? 2 * kp : mc;
+    i16 *xg = (i16 *)(work + (lanes ? batch * tall : 0));
+    i8 *xq = (i8 *)(xg + batch * 2 * kp);
     for (i64 j = 0; j < batch; j++)
         xs[j] = bspc_quant_i8(n, x + j * n, xq + j * n);
-    memset(out, 0, (size_t)(batch * rows) * sizeof(double));
+    if (!wide || lrows)  /* accumulated into, or not every row written */
+        memset(out, 0, (size_t)(batch * rows) * sizeof(double));
     if (!strips) return;  /* fully pruned: exact zeros, even for Inf scales */
     for (i64 s = 0; s < strips; s++) {
         const i64 *gc = gcols + s * mc;
-        for (i64 j = 0; j < batch; j++)
+        for (i64 j = 0; j < batch; j++) {
             for (i64 k = 0; k < mc; k++)
-                xg[j * mc + k] = xq[j * n + gc[k]];
+                xg[j * ld + k] = xq[j * n + gc[k]];
+            if (ld > mc) xg[j * ld + mc] = 0;  /* the odd pair's other half */
+        }
+#if LANES
+        if (wide) {
+            for (i64 jb = 0; jb < batch; jb += 8)
+                bspc_lanes_strip(batch - jb, kp, mrp, lanes + s * mrp * 2 * kp,
+                                 xg + jb * ld, tall, work + jb * tall + s * mrp);
+            continue;
+        }
+#endif
         for (i64 jb = 0; jb < batch; jb += 4)
             bspc_nb_strip(batch - jb, mr, mc, codes + s * mr * mc,
                           xg + jb * mc, srows + s * mr, rows, out + jb * rows);
     }
     for (i64 j = 0; j < batch; j++) {
         const double fused = scale * xs[j];
-        for (i64 r = 0; r < rows; r++)
-            out[j * rows + r] = spmv ? out[j * rows + r] * fused
-                                     : (out[j * rows + r] * scale) * xs[j];
+        const i32 *a = work + j * tall;  /* the lanes kernel's sums */
+        double *o = out + j * rows;
+        if (wide && lrows) {  /* each output row has one panel row, or none */
+            for (i64 i = 0; i < tall; i++)
+                if (lrows[i] < rows)
+                    o[lrows[i]] = spmv ? (double)a[i] * fused
+                                       : ((double)a[i] * scale) * xs[j];
+            continue;
+        }
+        for (i64 r = 0; r < rows; r++) {
+            const double v = wide ? (double)a[r] : o[r];
+            o[r] = spmv ? v * fused : (v * scale) * xs[j];
+        }
     }
 }
 """
@@ -669,19 +812,22 @@ _C_NO_CONTRACT = r"""
 # whose last ulp libm does not reproduce); every other elementwise op of
 # GRULayerPlan.forward is one IEEE operation here, in the same order.
 _C_GRU_STEP = _C_NO_CONTRACT + r"""
-/* out = x @ W.T + bias, N walked in blocks the narrow kernel takes. */
+/* out = x @ W.T (+ bias, if any), N walked in blocks the narrow kernel
+ * takes. */
 API void repro_bspc_i8_rows(
     i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 count, const i8 *codes,
-    const i64 *gcols, const i64 *srows, const double *x, double scale,
-    const double *bias, i16 *xg, double *out)
+    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *lrows,
+    const double *x, double scale, const double *bias, i32 *work, double *out)
 {
-    for (i64 at = 0; at < count; at += 8)
-        repro_bspc_i8_nb(strips, mr, mc, rows, n, count - at < 8 ? count - at : 8,
-                         0, codes, gcols, srows, x + at * n, scale, xg,
-                         out + at * rows);
-    for (i64 j = 0; j < count; j++)
-        for (i64 r = 0; r < rows; r++)
-            out[j * rows + r] += bias[r];
+    for (i64 at = 0; at < count; at += 8) {
+        const i64 nb = count - at < 8 ? count - at : 8;
+        repro_bspc_i8_nb(strips, mr, mc, rows, n, nb, 0, codes, gcols, srows,
+                         lanes, lrows, x + at * n, scale, work, out + at * rows);
+        if (bias)  /* while the block is in cache */
+            for (i64 j = at; j < at + nb; j++)
+                for (i64 r = 0; r < rows; r++)
+                    out[j * rows + r] += bias[r];
+    }
 }
 
 /* With `prev`: finish the step before, hid = (1 - z) * prev + z * cand.
@@ -689,9 +835,9 @@ API void repro_bspc_i8_rows(
  * exp) and cand = gh_h + bias_h. */
 API void repro_gru_i8_step(
     i64 strips, i64 mr, i64 mc, i64 h, i64 batch, const i8 *codes,
-    const i64 *gcols, const i64 *srows, double scale, const double *bias_h,
-    const double *prev, double *hid, const double *gx, double *zr,
-    double *cand, double *gh, i16 *xg)
+    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *lrows,
+    double scale, const double *bias_h, const double *prev, double *hid,
+    const double *gx, double *zr, double *cand, double *gh, i32 *work)
 {
     if (prev)
         for (i64 b = 0; b < batch; b++)
@@ -702,7 +848,7 @@ API void repro_gru_i8_step(
             }
     if (!gx) return;
     repro_bspc_i8_nb(strips, mr, mc, 3 * h, h, batch, 0, codes, gcols, srows,
-                     hid, scale, xg, gh);
+                     lanes, lrows, hid, scale, work, gh);
     for (i64 b = 0; b < batch; b++) {
         for (i64 i = 0; i < 2 * h; i++)
             zr[b * 2 * h + i] = -(gx[b * 3 * h + i] + gh[b * 3 * h + i]);
@@ -744,11 +890,11 @@ def _stamp(
 # The f32w stamp keeps float codes but a double accumulator for plans
 # whose per-strip extent fits the bound while the row total does not.
 _C_SOURCE = (
-    _C_COMMON
+    _C_COMMON.replace("$ACC_CHUNK", str(ACC_CHUNK))
     + _stamp(_C_BSPC_TEMPLATE, "f32", "float", 16, acc="float")
     + _stamp(_C_BSPC_TEMPLATE, "f32w", "float", 16, acc="double")
     + _stamp(_C_BSPC_TEMPLATE, "f64", "double", 16, acc="double")
-    + _C_BSPC_NARROW
+    + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD))
     + _C_BSPC_FLOAT
     + _C_GRU_STEP
 )
@@ -879,15 +1025,18 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_bspc_spmm": (
             i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ),
+        "repro_i8_lanes": (),
         "repro_bspc_i8_nb": (
-            i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, dbl, ptr, ptr,
+            i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl,
+            ptr, ptr,
         ),
         "repro_bspc_i8_rows": (
-            i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr,
+            i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl, ptr,
+            ptr, ptr,
         ),
         "repro_gru_i8_step": (
-            i64, i64, i64, i64, i64, ptr, ptr, ptr, dbl, ptr, ptr, ptr, ptr, ptr,
-            ptr, ptr, ptr,
+            i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr,
+            ptr, ptr, ptr, ptr, ptr,
         ),
         "repro_gru_i8_gate": (i64, i64, ptr, ptr, ptr),
     }
@@ -905,6 +1054,7 @@ def _declare(lib: ctypes.CDLL) -> None:
             fn = getattr(lib, name)
             fn.restype = None
             fn.argtypes = argtypes
+        lib.repro_i8_lanes.restype = i64
     except AttributeError as exc:
         raise CompileBackendError(
             f"compiled kernel library is missing symbol: {exc}"
@@ -951,6 +1101,13 @@ def available() -> bool:
     except CompileBackendError:
         return False
     return True
+
+
+def lanes() -> int:
+    """Rows per register of the rows-in-lanes int8 kernel in the loaded
+    library: 16 (AVX-512BW), 8 (AVX2), or 0 where the build has none (or
+    there is no library).  A fact of the build, not a setting."""
+    return _library().repro_i8_lanes() if available() else 0
 
 
 def load_error() -> Optional[CompileBackendError]:
@@ -1008,22 +1165,70 @@ def _scratch(name: str, size: int, dtype=np.float64) -> int:
 #: integer `repro_bspc_i8_nb` kernel instead.
 _TILE_LANES = 16
 
-#: id(int8 plan) → addresses of its codes / gather / scatter arrays.
-#: `ndarray.ctypes.data` costs over a microsecond a time — more than
-#: quantizing a B=1 activation — so the narrow-batch wrapper looks the
-#: plan-constant ones up once; an entry is dropped when its plan dies.
-_PLAN_ADDRESSES: dict = {}
+class _Panel:
+    """One int8 weight as ``repro_bspc_i8_nb`` reads it: sizes, scale, and
+    the addresses of its codes, gather columns and scatter rows, looked up
+    once (`ndarray.ctypes.data` costs over a microsecond a time — more
+    than quantizing a B=1 activation).  Where the library has the
+    rows-in-lanes kernel and the weight suits it, the codes are packed a
+    second time as that kernel reads them, ``[strip][k-pair][row][2]`` with
+    rows zero-padded to :data:`LANES_PAD`, next to scatter rows padded alike
+    with the no-output-row sentinel — none for one strip holding every
+    output row in order (a dense weight), which needs no scatter.  ``acc``
+    is the int32 sums that kernel keeps per column of the product (0: not
+    packed).  The panel holds every array its addresses point into."""
+
+    def __init__(
+        self, shape, codes, gather_cols, scatter_rows, scale, scatter_unique=True
+    ) -> None:
+        strips, mr, mc = self.sizes = codes.shape
+        self.shape, self.scale, self.acc = shape, scale, 0
+        packed = rows = None
+        if lanes() and scatter_unique and 0 < mc <= ACC_CHUNK and strips:
+            tall = -(-mr // LANES_PAD) * LANES_PAD
+            padded = np.zeros((strips, tall, mc + mc % 2), dtype=np.int8)
+            padded[:, :mr, :mc] = codes
+            # two bytes of a row move together: a transpose of int16s
+            packed = np.ascontiguousarray(padded.view(np.int16).transpose(0, 2, 1))
+            self.acc = strips * tall
+            if strips > 1 or mr != shape[0] or (scatter_rows != np.arange(mr)).any():
+                rows = np.full((strips, tall), shape[0], dtype=np.int64)
+                rows[:, :mr] = scatter_rows
+        self._held = (codes, gather_cols, scatter_rows, packed, rows)
+        self.addresses = tuple(None if a is None else _p(a) for a in self._held)
 
 
-def _plan_addresses(plan) -> Tuple[int, int, int]:
-    held = _PLAN_ADDRESSES.get(id(plan))
+#: id(int8 plan) → its :class:`_Panel`, dropped when the plan dies (an
+#: invalidated matrix gets a fresh plan object, and with it a fresh panel).
+_PANELS: dict = {}
+
+
+def _plan_panel(plan) -> _Panel:
+    held = _PANELS.get(id(plan))
     if held is None:
         base = plan.base
-        held = _PLAN_ADDRESSES[id(plan)] = (
-            _p(plan.codes), _p(base.gather_cols), _p(base.scatter_rows)
+        fresh = _Panel(
+            base.shape, plan.codes, base.gather_cols, base.scatter_rows,
+            plan.scale, base.scatter_unique,
         )
-        weakref.finalize(plan, _PLAN_ADDRESSES.pop, id(plan), None)
+        # the first of two racing threads wins: a replaced panel would free
+        # the packed arrays its thread is about to hand to C
+        held = _PANELS.setdefault(id(plan), fresh)
+        if held is fresh:
+            weakref.finalize(plan, _PANELS.pop, id(plan), None)
     return held
+
+
+def dense_int8_panel(codes: np.ndarray, scale: float) -> _Panel:
+    """A dense ``(M, K)`` int8 weight (int8 codes, or a float copy of the
+    same integers) as the one-strip panel it is: every row and column
+    kept, identity gather and scatter.  The codes are copied — the panel
+    is frozen here — and owned by whoever holds the result."""
+    if np.ndim(codes) != 2:
+        raise ShapeError(f"dense int8 codes must be (M, K), got {np.shape(codes)}")
+    codes = np.array(codes, dtype=np.int8, order="C")[None]
+    rows, cols = (np.arange(n, dtype=np.int64)[None] for n in codes.shape[1:])
+    return _Panel(codes.shape[1:], codes, cols, rows, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,25 +1358,28 @@ def _int8_bspc_fn(lib, op: str, ft: np.dtype, strips: int, mc: int):
     return getattr(lib, f"repro_bspc_{op}_i8_f32w"), np.float64
 
 
-def _narrow_call(plan, n: int, batch: int) -> tuple:
-    """What every ``repro_bspc_i8_nb``-based entry passes for an int8 plan
-    resolved for this call: panel sizes, the plan-constant addresses, and
-    scratch for ``batch`` rows of an ``n``-wide operand (int16 gathered
-    codes, then the int8 codes of the whole operand)."""
-    strips, mr, mc = plan.base.panels.shape
-    _check_operand(plan.base.shape[1], n)
-    xg = _scratch("bspc_nb", batch * mc + (batch * n + 1) // 2, np.int16)
-    return (strips, mr, mc), _plan_addresses(plan), xg
+def _narrow_call(panel: _Panel, n: int, batch: int) -> tuple:
+    """What every ``repro_bspc_i8_nb``-based entry passes for a panel
+    resolved for this call: its sizes and addresses, and this thread's
+    scratch for ``batch`` rows of an ``n``-wide operand (in int32 units:
+    the lanes accumulators, the int16 gathered codes, the int8 codes of
+    the whole operand)."""
+    _check_operand(panel.shape[1], n)
+    mc = panel.sizes[2]
+    work = _scratch(
+        "bspc_nb", batch * (panel.acc + (mc + 1) // 2) + (batch * n + 3) // 4, np.int32
+    )
+    return panel.sizes, panel.addresses, work
 
 
 def _bspc_int8_narrow(plan, x: np.ndarray, spmv: bool) -> np.ndarray:
     """``x (B, n)`` row-major, ``B < 16`` → fresh row-major ``(B, rows)``."""
     batch, n = x.shape
     rows = plan.base.shape[0]
-    sizes, addresses, xg = _narrow_call(plan, n, batch)
+    sizes, addresses, work = _narrow_call(_plan_panel(plan), n, batch)
     out = np.empty((batch, rows))
     _library().repro_bspc_i8_nb(
-        *sizes, rows, n, batch, spmv, *addresses, _p(x), plan.scale, xg, _p(out)
+        *sizes, rows, n, batch, spmv, *addresses, _p(x), plan.scale, work, _p(out)
     )
     return out
 
@@ -1221,24 +1429,48 @@ def _check_buffers(*arrays: np.ndarray) -> None:
             )
 
 
-def bspc_linear_int8(
-    matrix, x: np.ndarray, bias: np.ndarray, out: np.ndarray
+def panel_linear_int8(
+    panel: _Panel, x: np.ndarray, bias: Optional[np.ndarray], out: np.ndarray
 ) -> np.ndarray:
-    """Batch-major int8 projection: row-major ``x (N, n)`` → ``x @ W.T +
-    bias`` written into the C-contiguous float64 ``out (N, rows)``, each
-    row quantized on its own exactly as a column of ``bspc_spmm_int8``."""
-    plan = int8_bspc_plan(matrix)
+    """Batch-major int8 projection: row-major ``x (N, n)`` → ``x @ W.T``
+    (``+ bias``, unless ``None``) written into the C-contiguous float64
+    ``out (N, rows)``, each row quantized on its own exactly as a column
+    of ``bspc_spmm_int8`` / a row of ``linear_int8_rowwise``.  ``panel``
+    is a :func:`dense_int8_panel` (BSPC weights: :func:`bspc_linear_int8`)."""
+    rows = panel.shape[0]
+    given = () if bias is None else (bias,)
+    if x.ndim != 2 or out.shape != (len(x), rows) or any(
+        b.shape != (rows,) for b in given
+    ):
+        shapes = [a.shape for a in (x, out, *given)]
+        raise ShapeError(f"projection onto {rows} rows of {shapes}")
+    _check_buffers(out, *given)
     count, n = x.shape
-    rows = plan.base.shape[0]
-    if out.shape != (count, rows) or bias.shape != (rows,):
-        raise ShapeError(f"projection of {x.shape} into {out.shape} + {bias.shape}")
-    _check_buffers(bias, out)
-    sizes, addresses, xg = _narrow_call(plan, n, min(count, 8))
+    sizes, addresses, work = _narrow_call(panel, n, min(count, 8))
     x = _f64(x)  # held until the call returns
     _library().repro_bspc_i8_rows(
-        *sizes, rows, n, count, *addresses, _p(x), plan.scale, _p(bias), xg, _p(out)
+        *sizes, rows, n, count, *addresses, _p(x), panel.scale,
+        None if bias is None else _p(bias), work, _p(out),
     )
     return out
+
+
+def bspc_linear_int8(
+    matrix, x: np.ndarray, bias: Optional[np.ndarray], out: np.ndarray
+) -> np.ndarray:
+    """:func:`panel_linear_int8` for a BSPC weight, whose int8 plan is
+    resolved here, once per call, so invalidating it is observed."""
+    return panel_linear_int8(_plan_panel(int8_bspc_plan(matrix)), x, bias, out)
+
+
+def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
+    """The registry op: a fresh ``(N, M)`` array, the panel packed per
+    call (so an edit of ``codes`` between calls is seen).  Callers that
+    keep the weight pack it once and call :func:`panel_linear_int8`."""
+    panel = dense_int8_panel(codes, scale)
+    x = np.asarray(x)
+    out = np.empty((x.shape[0] if x.ndim == 2 else 0, panel.shape[0]))
+    return panel_linear_int8(panel, x, None, out)
 
 
 def gru_int8_sequence(
@@ -1270,12 +1502,12 @@ def gru_int8_sequence(
     ]:
         raise ShapeError(f"GRU step of {plan.base.shape} into {out.shape}: {shapes}")
     _check_buffers(gates_x, hidden, bias_h, out, zr, cand, gh)
-    sizes, addresses, xg = _narrow_call(plan, h, batch)
+    sizes, addresses, work = _narrow_call(_plan_panel(plan), h, batch)
     lib = _library()
     step, gate = lib.repro_gru_i8_step, lib.repro_gru_i8_gate
     zr_p, cand_p = _p(zr), _p(cand)
     head = (*sizes, h, batch, *addresses, plan.scale, _p(bias_h))
-    tail = (zr_p, cand_p, _p(gh), xg)
+    tail = (zr_p, cand_p, _p(gh), work)
     prev, hid, at, gx = None, _p(hidden), _p(out), _p(gates_x)
     h_bytes = 8 * batch * h  # one timestep of `out`; `gates_x` has three
     for _ in range(seq_len):
@@ -1288,10 +1520,10 @@ def gru_int8_sequence(
 
 
 #: op name → compiled implementation.  Ops that never beat numpy + BLAS
-#: on a recorded shape — the dense int8 projections, the fused sequence
-#: forwards and the BPTT grad ops — alias the numpy implementations (see
-#: the module docstring) so every registered op dispatches under this
-#: backend.
+#: on a recorded shape — the per-call-scale dense int8 projection, the
+#: fused sequence forwards and the BPTT grad ops — alias the numpy
+#: implementations (see the module docstring) so every registered op
+#: dispatches under this backend.
 _KERNELS = {
     "csr_spmv": csr_spmv,
     "csr_spmm": csr_spmm,
@@ -1335,4 +1567,7 @@ def register_compiled_backend(
         target.register(op, BACKEND, fn, override=True)
     for op in _DEFAULT_FOR:
         target.route(op, BACKEND)
+    if lanes():  # only that kernel wins the dense projection; else the alias
+        target.register("linear_int8_rowwise", BACKEND, linear_int8_rowwise, override=True)
+        target.route("linear_int8_rowwise", BACKEND)
     return True

@@ -243,17 +243,20 @@ class TestPlanCacheInvalidation:
         )
 
 
+    @pytest.mark.parametrize("batch", [2, 8, 1])
     @pytest.mark.parametrize("how", ["invalidate_plan", "reassign_strips"])
-    def test_bspc_int8_plans_rebuilt_under_default_routing(self, rng, how):
+    def test_bspc_int8_plans_rebuilt_under_default_routing(self, rng, how, batch):
         # Default routing runs the compiled kernels — on hosts with a
         # compiler, the fused layer-step and the batch-major projection,
-        # which hand the int8 plan's arrays to C by address.  A stale
-        # address would still find the old codes; (-2)x negates every
-        # code (and doubles the scale exactly), so reuse cannot pass.
+        # which hand the int8 plan's arrays to C by address (two or more
+        # sessions: the rows-in-lanes kernel and its second, packed copy
+        # of the codes; one: the register block and the plain codes).  A
+        # stale address would still find the old codes; (-2)x negates
+        # every code (and doubles the scale exactly), so reuse cannot pass.
         import gc
 
         model, plan, config = self.sparse_plan("bspc", scheme="int8")
-        x = rng.standard_normal((2, 6, 2, 8))
+        x = rng.standard_normal((2, 6, batch, 8))
         with kernels.use_backend(None):
             _, state = plan.run_chunk(x[0])
             baseline, _ = plan.run_chunk(x[1], state)

@@ -40,6 +40,17 @@ ROUTES = (None,) + tuple(kernels.backends())
 SPARSE_INT8_OPS = ("csr_spmv_int8", "csr_spmm_int8", "bspc_spmv_int8", "bspc_spmm_int8")
 
 
+def has_lanes():
+    """Whether the loaded C library was built with the rows-in-lanes
+    kernel (x86 with AVX2 or AVX-512BW) — the build fact that puts the
+    dense int8 projection on compiled C as well."""
+    return bool(compiled.lanes())
+
+
+def dense_int8_winner():
+    return compiled.linear_int8_rowwise if has_lanes() else quantized.linear_int8_rowwise
+
+
 def bsp_matrix(seed=0, shape=(48, 64), strips=4, blocks=4):
     w = new_rng(seed).standard_normal(shape)
     masks = bsp_project_masks(
@@ -126,10 +137,12 @@ class TestRouting:
             for op in SPARSE_INT8_OPS:
                 winner = "compiled" if compiled.available() else "numpy"
                 assert kernels.registry.get(op) is kernels.registry.get(op, winner)
-            # ... and nothing else: dense int8, float sparse and the fused
-            # sequences stay on numpy + BLAS.
+            # ... the per-row-scale dense int8 projection where the C
+            # library has the rows-in-lanes kernel, and nothing else: float
+            # sparse and the fused sequences stay on numpy + BLAS.
+            assert kernels.registry.get("linear_int8_rowwise") is dense_int8_winner()
             for op in kernels.registry.ops():
-                if op not in SPARSE_INT8_OPS:
+                if op not in SPARSE_INT8_OPS + ("linear_int8_rowwise",):
                     assert kernels.registry.get(op) is kernels.registry.get(op, "numpy")
             assert kernels.get_default_backend() == "numpy"
 
@@ -138,9 +151,11 @@ class TestRouting:
         # the numpy implementations.
         if not compiled.available():
             pytest.skip("no working C compiler on this host")
-        for op in ("linear_int8", "linear_int8_rowwise", "gru_sequence",
+        for op in ("linear_int8", "gru_sequence",
                    "lstm_sequence", "gru_sequence_grad", "lstm_sequence_grad"):
             assert kernels.registry.get(op, "compiled") is kernels.registry.get(op, "numpy")
+        # ... and so does the one it wins only with the rows-in-lanes kernel
+        assert kernels.registry.get("linear_int8_rowwise", "compiled") is dense_int8_winner()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +171,7 @@ class TestBoundPlan:
             for weight in sparse:
                 assert weight.op == "bspc_spmm_int8"
                 assert weight.kernel is kernels.registry.get(weight.op, winner)
-            assert plan.output.weight.kernel is quantized.linear_int8_rowwise
+            assert plan.output.weight.kernel is dense_int8_winner()
 
     def test_explicit_backend_rebinds_and_routing_returns(self, rng):
         features = rng.standard_normal((6, 3, 8))
@@ -340,7 +355,8 @@ def test_lowering_binds_the_fused_step_only_where_it_applies(rng):
         # a dense layer-0 projection feeds a fused recurrence
         assert auto.layers[0].input_proj.op == "linear_int8_rowwise"
         assert [layer.step for layer in auto.layers] == [fused, fused]
-        assert [layer.project for layer in auto.layers] == [None, rows]
+        dense_rows = compiled.panel_linear_int8 if has_lanes() else None
+        assert [layer.project for layer in auto.layers] == [dense_rows, rows]
         for backend in ("numpy", "reference"):  # explicit choices keep the loop
             with kernels.use_backend(backend):
                 plan.run_chunk(features)
@@ -873,6 +889,39 @@ class TestScratch:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures and sorted(finished) == list(range(count))
 
+    def test_threads_meeting_on_a_fresh_matrix_share_one_panel(self):
+        # First use packs the lanes panel; threads racing there must all
+        # end up on the one panel that stays cached — a replaced one would
+        # free the arrays its thread is about to hand to C.
+        count = 2 * (os.cpu_count() or 2)
+        x = new_rng(0).standard_normal((128, 3))
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(10):
+                matrix = bsp_matrix(round_, (96, 128))
+                want = kernels.spmm_int8(matrix, x, backend="reference")
+                kernels.int8_bspc_plan(matrix)
+                start = threading.Barrier(count)
+
+                def run():
+                    start.wait(timeout=60)
+                    for _ in range(5):
+                        got = kernels.spmm_int8(matrix, x, backend="compiled")
+                        if not np.array_equal(got, want):
+                            failures.append(round_)
+
+                threads = [threading.Thread(target=run) for _ in range(count)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
     def test_threads_running_different_plans_concurrently(self):
         # The fused step's buffers are each plan's own (or the thread's):
         # more threads than cores, every one streaming its own plan.
@@ -918,3 +967,286 @@ class TestScratch:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures and sorted(finished) == list(range(count))
+
+
+# ---------------------------------------------------------------------------
+# The rows-in-lanes panel kernel: BSPC at B >= 2, dense int8 as one strip
+# ---------------------------------------------------------------------------
+requires_lanes = pytest.mark.skipif(
+    not has_lanes(), reason="C library built without the rows-in-lanes kernel"
+)
+
+
+def takes_lanes(matrix):
+    """Whether the compiled backend packed ``matrix`` for the lanes kernel."""
+    return compiled._plan_panel(int8_bspc_plan(matrix)).acc > 0
+
+
+def shared_row_matrix():
+    """Two strips that both scatter into row 2: ``scatter_unique`` is False."""
+    from repro.sparse.bspc import BSPCBlock, BSPCStrip
+
+    rng = new_rng(8)
+    strips = [
+        BSPCStrip(rows, [BSPCBlock(np.arange(0, 9, 2), rng.standard_normal((len(rows), 5)))])
+        for rows in ([0, 1, 2], [2, 3])
+    ]
+    matrix = BSPCMatrix(BlockGrid(4, 9, 2, 1), strips)
+    assert not int8_bspc_plan(matrix).base.scatter_unique
+    return matrix
+
+
+class TestLanesKernel:
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 40, 1536])
+    @pytest.mark.parametrize("cols", [1, 7, 40])
+    def test_dense_products_equal_reference(self, route, rows, cols):
+        # row padding on both sides of the vector heights, an odd inner
+        # extent (a half-empty last pair), operand rows around the 8-row
+        # blocks; float32 copies of the codes are the same weight
+        codes, scale = kernels.int8_codes(new_rng(rows).standard_normal((rows, cols)))
+        for count in (1, 7, 8, 9, 17, 200):
+            x = new_rng(count).standard_normal((count, cols))
+            x[0] *= 1e-3  # scales differ per row
+            want = kernels.linear_int8_rowwise(codes, scale, x, backend="reference")
+            with kernels.use_backend(route):
+                for weight in (codes, codes.astype(np.float32)):
+                    got = kernels.linear_int8_rowwise(weight, scale, x)
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_dense_numeric_edges_equal_reference(self, route):
+        codes, scale = kernels.int8_codes(new_rng(0).standard_normal((19, 33)))
+        x = new_rng(1).standard_normal((11, 33))
+        x[1] = 0.0
+        x[2] *= 1e-300
+        x[3] *= 1e-310  # denormal: below the reciprocal quantizer's range
+        x[4] *= 1e300  # ... and above it
+        x[5] = 4e-322
+        x[6, 1:] = 0.0  # one nonzero
+        with kernels.use_backend(route):
+            for weight, by in ((codes, scale), (np.zeros((19, 33), dtype=np.int8), 1.0)):
+                np.testing.assert_array_equal(
+                    kernels.linear_int8_rowwise(weight, by, x),
+                    kernels.linear_int8_rowwise(weight, by, x, backend="reference"),
+                )
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_quantizer_codes_equal_reference_across_forty_decades(self, route):
+        # Against an identity weight the product is codes * xs: any code
+        # that differs from int8_codes_axis's shows.  Magnitudes span
+        # 1e-20..1e20; the crafted rows put every quotient on a tie
+        # (scale exactly 1, 2**-40, 2**40), where rint rounds half to even.
+        size = 33
+        rng = new_rng(9)
+        x = rng.standard_normal((2000, size)) * 10.0 ** rng.uniform(-20, 20, (2000, 1))
+        ties = np.arange(size) - 16.5
+        ties[0] = 127.0
+        x[:3] = ties * np.array([[1.0], [2.0**-40], [2.0**40]])
+        eye = np.eye(size, dtype=np.int8)
+        want = kernels.linear_int8_rowwise(eye, 1.0, x, backend="reference")
+        assert np.array_equal(want[0, 1:5], [-16.0, -14.0, -14.0, -12.0])
+        with kernels.use_backend(route):
+            np.testing.assert_array_equal(kernels.linear_int8_rowwise(eye, 1.0, x), want)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("batch", [2, 3, 4, 5, 6, 7, 8, 9, 15])
+    def test_bspc_plans_on_and_off_the_lanes_kernel(self, route, batch):
+        tuned = bsp_matrix()
+        kernels.pack_bspc_plan(tuned, 5)  # many short strips, rows padded 5 -> 16
+        wide = full_matrix(np.ones((5, compiled.ACC_CHUNK + 1)))  # one int32 would wrap
+        cases = [(bsp_matrix(), True), (tuned, True), (shared_row_matrix(), False), (wide, False)]
+        for matrix, lanes in cases:
+            if compiled.available():
+                assert takes_lanes(matrix) == (lanes and has_lanes())
+            x = new_rng(batch).standard_normal((matrix.grid.cols, batch))
+            if matrix is wide:
+                x = np.sign(x)  # every product at its extreme
+            want = kernels.spmm_int8(matrix, x, backend="reference")
+            with kernels.use_backend(route):
+                np.testing.assert_array_equal(kernels.spmm_int8(matrix, x), want)
+
+    @requires_compiler
+    def test_public_op_is_fresh_unfrozen_and_checked(self):
+        from repro.errors import ShapeError
+
+        codes, scale = kernels.int8_codes(new_rng(0).standard_normal((17, 9)))
+        x = new_rng(1).standard_normal((5, 9))
+        first = compiled.linear_int8_rowwise(codes, scale, x)
+        again = compiled.linear_int8_rowwise(codes, scale, x)
+        assert first is not again and not np.shares_memory(first, again)
+        codes[3] = -codes[3]  # packed per call: an edit in place is seen
+        flipped = compiled.linear_int8_rowwise(codes, scale, x)
+        np.testing.assert_array_equal(flipped[:, 3], -first[:, 3])
+        np.testing.assert_array_equal(np.delete(flipped, 3, 1), np.delete(first, 3, 1))
+        for bad in (np.zeros((5, 8)), np.zeros((5, 10)), np.zeros(9), np.zeros((1, 5, 9))):
+            with pytest.raises(ShapeError):
+                compiled.linear_int8_rowwise(codes, scale, bad)
+        with pytest.raises(ShapeError):
+            compiled.linear_int8_rowwise(codes[0], scale, x)
+
+    @requires_compiler
+    def test_bound_form_checks_its_buffers_and_freezes_the_weight(self):
+        from repro.errors import ShapeError
+
+        codes, scale = kernels.int8_codes(new_rng(0).standard_normal((17, 9)))
+        panel = compiled.dense_int8_panel(codes, scale)
+        x, bias = new_rng(1).standard_normal((5, 9)), new_rng(2).standard_normal(17)
+        want = kernels.linear_int8_rowwise(codes, scale, x, backend="reference")
+        out = np.full((5, 17), np.nan)
+        assert compiled.panel_linear_int8(panel, x, bias, out) is out
+        np.testing.assert_array_equal(out, want + bias)
+        codes[...] = 0  # the panel copied them at bind
+        np.testing.assert_array_equal(compiled.panel_linear_int8(panel, x, None, out), want)
+        for bad_bias, bad_out in (
+            (bias, np.zeros((4, 17))), (bias, np.zeros((5, 17), dtype=np.float32)),
+            (bias, np.zeros((17, 5)).T), (bias, np.zeros((5, 34))[:, ::2]),
+            (bias[:16], out), (bias.astype(np.float32), out), (np.zeros(34)[::2], out),
+        ):
+            with pytest.raises(ShapeError):
+                compiled.panel_linear_int8(panel, x, bad_bias, bad_out)
+        for bad_x in (np.zeros((5, 8)), np.zeros(9)):
+            with pytest.raises(ShapeError):
+                compiled.panel_linear_int8(panel, bad_x, bias, out)
+
+    def test_a_plan_freezes_its_dense_weights_at_lowering(self, rng):
+        # dense slots have no invalidation API: like the dequantized
+        # ``weight_t`` of an int8 recurrence, what was bound is what runs
+        features = rng.standard_normal((4, 2, 8))
+        with kernels.use_backend(None):
+            plan = bsp_int8_plan(sparse_format="auto")
+            want = plan.forward_batch(features)
+            for weight in (plan.layers[0].input_proj, plan.output.weight):
+                weight.codes[...] = 0
+            np.testing.assert_array_equal(plan.forward_batch(features), want)
+
+    def test_compiler_hidden_host_binds_numpy_in_the_dense_slots(self, tmp_path):
+        done = run_without_a_compiler(
+            tmp_path,
+            "from repro.kernels import quantized\n"
+            "plan = bsp_int8_plan(sparse_format='auto')\n"
+            "assert plan.output.weight.kernel is quantized.linear_int8_rowwise\n"
+            "assert plan.layers[0].input_proj.kernel is quantized.linear_int8_rowwise\n"
+            "assert [layer.project for layer in plan.layers] == [None, None]\n"
+            "sys.stdout.buffer.write(streamed_bytes(plan))\n",
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert not done.stderr, done.stderr.decode()
+        with kernels.use_backend(None):
+            plan = bsp_int8_plan(sparse_format="auto")
+            assert plan.output.weight.kernel is dense_int8_winner()
+            assert done.stdout == streamed_bytes(plan)
+
+
+# ---------------------------------------------------------------------------
+# Second builds of the C library: mutants, and the paths this host skips
+# ---------------------------------------------------------------------------
+def load_second_build(tmp_path, monkeypatch, edit=None, flags=None):
+    """Put another build of the kernel library in the process's place:
+    ``edit`` rewrites the C source, ``flags`` stand in for -march=native."""
+    if edit is not None:
+        mutant = edit(compiled._C_SOURCE)
+        assert mutant != compiled._C_SOURCE
+        monkeypatch.setattr(compiled, "_C_SOURCE", mutant)
+    if flags is not None:
+        compile_ = compiled._compile
+
+        def swapped(cc, src, out, given):
+            keep = tuple(flag for flag in given if flag != "-march=native")
+            compile_(cc, src, out, tuple(flags) + keep)
+
+        monkeypatch.setattr(compiled, "_compile", swapped)
+    monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path))
+
+
+def streamed_auto_plan():
+    """Logits and states of a freshly lowered plan with a dense layer 0."""
+    with kernels.use_backend(None):
+        plan = bsp_int8_plan(sparse_format="auto")
+        assert plan.layers[0].step is compiled.gru_int8_sequence
+        return streamed_bytes(plan)
+
+
+@requires_lanes
+def test_dropping_the_quantizers_divide_guard_changes_codes(tmp_path, monkeypatch):
+    # below MARKSTEIN_MIN the reciprocal overflows; only the guard keeps
+    # the reciprocal sequence away from such a row
+    if not host_contracts_fma():
+        pytest.skip("no FMA on this host: the reciprocal sequence is compiled out")
+    matrix = bsp_matrix()
+    x = new_rng(2).uniform(-1.0, 1.0, (64, 4))
+    x[:, 1] *= 1e-310
+    want = kernels.spmm_int8(matrix, x, backend="reference")
+    assert want[:, 1].any()
+    np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    guard = "#define MARKSTEIN_MIN 1e-250"
+    assert guard in compiled._C_SOURCE
+    load_second_build(
+        tmp_path, monkeypatch, lambda c: c.replace(guard, "#define MARKSTEIN_MIN 0.0")
+    )
+    got = kernels.spmm_int8(matrix, x, backend="compiled")
+    assert not np.array_equal(got[:, 1], want[:, 1])
+    np.testing.assert_array_equal(got[:, [0, 2, 3]], want[:, [0, 2, 3]])
+
+
+@requires_lanes
+def test_swapping_the_pair_interleave_changes_the_product(tmp_path, monkeypatch):
+    # the pack puts codes 2p and 2p + 1 of a row side by side, against
+    # the activation pair in the same order
+    pair = "LV(set1_epi32)(pair)"
+    assert compiled._C_SOURCE.count(pair) == 1
+    matrix = bsp_matrix()
+    x = new_rng(5).standard_normal((64, 3))
+    codes, scale = kernels.int8_codes(new_rng(6).standard_normal((20, 9)))
+    rows = new_rng(7).standard_normal((4, 9))
+    want = kernels.spmm_int8(matrix, x, backend="reference")
+    want_dense = kernels.linear_int8_rowwise(codes, scale, rows, backend="reference")
+    load_second_build(
+        tmp_path,
+        monkeypatch,
+        lambda c: c.replace(
+            pair, "LV(set1_epi32)((i32)((uint32_t)pair << 16 | (uint32_t)pair >> 16))"
+        ),
+    )
+    assert not np.array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    assert not np.array_equal(compiled.linear_int8_rowwise(codes, scale, rows), want_dense)
+    # one column takes the register block, which reads the plain codes
+    np.testing.assert_array_equal(
+        kernels.spmm_int8(matrix, x[:, :1], backend="compiled"), want[:, :1]
+    )
+
+
+@requires_compiler
+def test_a_plain_o3_build_streams_the_same_bytes(tmp_path, monkeypatch):
+    # No -march=native: the lanes kernel and the reciprocal quantizer are
+    # compiled out, every product runs the portable register block — the
+    # path an AVX host's own build never takes.
+    native = streamed_auto_plan()
+    load_second_build(tmp_path, monkeypatch, flags=())
+    assert compiled.lanes() == 0
+    assert streamed_auto_plan() == native
+    # registering from such a build leaves the dense op on numpy
+    target = KernelRegistry()
+    target.register("linear_int8_rowwise", "numpy", quantized.linear_int8_rowwise)
+    assert compiled.register_compiled_backend(target)
+    assert target.get("linear_int8_rowwise") is quantized.linear_int8_rowwise
+    assert target.get("linear_int8_rowwise", "compiled") is quantized.linear_int8_rowwise
+    assert target.get("bspc_spmm_int8", "compiled") is compiled.bspc_spmm_int8
+
+
+@requires_lanes
+def test_the_eight_row_build_streams_the_same_bytes(tmp_path, monkeypatch):
+    # the same microkernel source at the AVX2 width, on a host whose own
+    # build keeps sixteen rows
+    if compiled.lanes() != 16:
+        pytest.skip("this host's own build is the eight-row one")
+    native = streamed_auto_plan()
+    load_second_build(tmp_path, monkeypatch, flags=("-mavx2", "-mfma"))
+    assert compiled.lanes() == 8
+    assert streamed_auto_plan() == native
+    for batch in (2, 8, 9):
+        x = new_rng(batch).standard_normal((64, batch))
+        np.testing.assert_array_equal(
+            kernels.spmm_int8(bsp_matrix(), x, backend="compiled"),
+            kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+        )
