@@ -390,12 +390,17 @@ class GRULayerPlan(_RecurrentLayerPlan):
     def bind(self, backend: Optional[str]) -> None:
         """Bind both weights, then the recurrence: where the registry put
         the compiled BSPC int8 kernel in the recurrent slot of a float64
-        layer, ``step`` is the fused compiled layer-step (taken per call
-        while ``B < 16``, the narrow kernel's range); anywhere else it is
+        layer and the library took numpy's ``exp``/``tanh`` loops over,
+        ``step`` is the fused compiled layer-chunk (taken per call while
+        ``B < 16``, the narrow kernel's range); anywhere else it is
         ``None`` and :meth:`forward` runs its generic loop."""
         super().bind(backend)
         narrow = _compiled.bspc_spmm_int8
-        fused = self.recurrent.kernel is narrow and self.dtype == np.float64
+        fused = (
+            self.recurrent.kernel is narrow
+            and self.dtype == np.float64
+            and _compiled.numpy_loops() is not None
+        )
         self.step = _compiled.gru_int8_sequence if fused else None
         #: its batch-major input projection and the weight operand that
         #: takes, where that slot got a compiled kernel too
@@ -452,7 +457,7 @@ class GRULayerPlan(_RecurrentLayerPlan):
         return out, (hidden.copy(),)
 
     def _forward_fused(self, flat, ws, index, state, seq_len, batch):
-        """The same recurrence on the compiled layer-step: row-major
+        """The same recurrence on the compiled layer-chunk: row-major
         ``gates_x`` with the folded bias already in it, one contiguous
         float64 carry, plan-owned buffers (see ``docs/kernels.md``)."""
         h = self.hidden_size

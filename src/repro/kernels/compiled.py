@@ -1,9 +1,9 @@
 """Compiled C backend: generated kernels built with the system compiler.
 
 This is the paper's deployment story applied to the host: the sparse hot
-loops (CSR/BSPC spmv/spmm in float and int8) are emitted as specialized
-C, compiled once with ``cc -O3 -march=native -shared -fPIC``, and bound
-via ``ctypes`` with zero-copy views of the very same packed plan arrays
+loops (CSR spmv/spmm in float and int8, BSPC in int8) are emitted as
+specialized C, compiled once with ``cc -O3 -march=native -shared -fPIC``,
+and bound via ``ctypes`` with zero-copy views of the very same packed plan arrays
 the numpy backend executes (:mod:`repro.kernels.plans` /
 :mod:`repro.kernels.quantized`).  No third-party toolchain is needed —
 just a C compiler — so the backend registers itself only when one is
@@ -43,16 +43,19 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   multiplies for the per-column ops).
 * float kernels match to reduction-order tolerance (blocked C FMA sums
   vs. numpy's pairwise/BLAS reductions).
-* the fused GRU int8 layer-step (:func:`gru_int8_sequence`, bound by the
+* the fused GRU int8 layer-chunk (:func:`gru_int8_sequence`, bound by the
   engine at lowering — it is not a registry op) is **bitwise identical**
   to the engine's generic per-timestep loop: the recurrent product is the
   narrow-batch BSPC kernel itself, every elementwise statement is one
   IEEE operation in that loop's order, compiled with floating-point
-  contraction off, and ``exp``/``tanh`` stay numpy calls.
+  contraction off, and ``exp``/``tanh`` are numpy's own float64 inner
+  loops, called through the pointers its ufuncs publish
+  (:func:`_numpy_loop`).
 
 Every op here wins on some recorded shape.  The ops where C never beat
-numpy + BLAS — the per-call-scale dense int8 projection, the fused
-GRU/LSTM sequence forwards, the BPTT ``*_grad`` ops — are registered
+numpy + BLAS — the float BSPC products, the per-call-scale dense int8
+projection, the fused GRU/LSTM sequence forwards, the BPTT ``*_grad``
+ops — are registered
 under ``"compiled"`` as aliases of the numpy implementations, so the full
 suite (and any plan pinned to this backend) dispatches every op without
 falling through the registry.  The per-row-scale dense projection
@@ -68,6 +71,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import threading
 import weakref
@@ -79,7 +83,6 @@ import numpy as np
 from repro.errors import CompileBackendError, ShapeError
 from repro.kernels import numpy_backend as _np_backend
 from repro.kernels import quantized as _quantized
-from repro.kernels.plans import bspc_plan, csr_plan
 from repro.kernels.quantized import (
     F32_EXACT_INNER,
     int8_bspc_plan,
@@ -314,61 +317,6 @@ static void bspc_packq_$S(
     }
 }
 
-/* Vector variant for spmv: one lane, one shared activation scale. */
-static void bspc_packqv_$S(
-    i64 mc, const i64 *gc, const u8 *pc, const double *x, double xscale,
-    $T *restrict xp)
-{
-    const int fast = xscale > MARKSTEIN_MIN;
-    double rc = 1.0 / xscale;  /* Markstein sequence, as in bspc_packq */
-    for (i64 k = 0; k < mc; k++) {
-        if (pc && pc[k]) { xp[k] = 0; continue; }
-        double xv = x[gc[k]];
-        double q0 = xv * rc;
-        double e = __builtin_fma(-xscale, q0, xv);
-        double v = rint(fast ? __builtin_fma(e, rc, q0) : xv / xscale);
-        if (v > 127.0) v = 127.0;
-        if (v < -127.0) v = -127.0;
-        xp[k] = ($T)v;
-    }
-}
-
-/* Pack one strip's gathered activation columns (lanes jb..jb+nb of the
- * (n, ldx) activation matrix) into the contiguous (mc, 16) tile. */
-static void bspc_pack_$S(
-    i64 mc, i64 nb, i64 ldx, i64 jb, const i64 *gc, const u8 *pc,
-    const $T *xq, $T *restrict xp)
-{
-    if (!pc && nb == $W) {  /* full-width fast path: straight copies */
-        for (i64 k = 0; k < mc; k++) {
-            const $T *xr = xq + gc[k] * ldx + jb;
-            $T *restrict pr = xp + k * $W;
-            for (int j = 0; j < $W; j++)
-                pr[j] = xr[j];
-        }
-        return;
-    }
-    for (i64 k = 0; k < mc; k++) {
-        $T *restrict pr = xp + k * $W;
-        if (pc && pc[k]) {
-            for (int j = 0; j < $W; j++) pr[j] = 0;
-            continue;
-        }
-        const $T *xr = xq + gc[k] * ldx + jb;
-        int j = 0;
-        for (; j < nb; j++) pr[j] = xr[j];
-        for (; j < $W; j++) pr[j] = 0;
-    }
-}
-
-/* Vector variant of the pack for spmv (one lane). */
-static void bspc_packv_$S(
-    i64 mc, const i64 *gc, const u8 *pc, const $T *xq, $T *restrict xp)
-{
-    for (i64 k = 0; k < mc; k++)
-        xp[k] = (pc && pc[k]) ? 0 : xq[gc[k]];
-}
-
 /* 4-row x 16-lane FMA microkernel over one strip's packed tile; the
  * accumulators live in registers for the whole inner-product loop.
  *
@@ -428,55 +376,6 @@ static void bspc_tile_$S(
             for (i64 j = 0; j < nb; j++) r[j] += ($A)a[j];
         }
     }
-}
-
-/* Per-row dot products over the packed strip vector: eight independent
- * lanes so the reduction vectorizes without reassociating float math
- * (per-lane int8 partials stay below 2^24 for the f32 stamp). */
-static void bspc_dotcol_$S(
-    i64 mr, i64 mc, const $T *codes, const i64 *srows,
-    const $T *restrict xp, $A *acc)
-{
-    for (i64 i = 0; i < mr; i++) {
-        const $T *cr = codes + i * mc;
-        $T a[8] = {0};
-        i64 k = 0;
-        for (; k + 8 <= mc; k += 8)
-            for (int j = 0; j < 8; j++)
-                a[j] += cr[k + j] * xp[k + j];
-        for (; k < mc; k++)
-            a[0] += cr[k] * xp[k];
-        double s = 0.0;
-        for (int j = 0; j < 8; j++) s += (double)a[j];
-        acc[srows[i]] += ($A)s;
-    }
-}
-
-/* No wrapper calls this entry any more (bspc_spmv_int8 runs on the
- * integer repro_bspc_i8_nb); it stays because the accumulator-stamp
- * selection tests look its three stamps up by name. */
-API void repro_bspc_spmv_i8_$S(
-    i64 strips, i64 mr, i64 mc, i64 rows, i64 n, const $T *codes,
-    const i64 *gcols, const u8 *padc, const i64 *srows, const double *x,
-    double scale, $T *xp, $A *acc, double *out)
-{
-    /* Whole-vector activation scale: bitwise replica of int8_codes
-     * (comparison max for the peak, one divide). */
-    double peak = 0.0;
-    for (i64 i = 0; i < n; i++) {
-        const double a = fabs(x[i]);
-        peak = peak > a ? peak : a;
-    }
-    const double xscale = peak > 0.0 ? peak / 127.0 : 1.0;
-    memset(acc, 0, (size_t)(rows + 1) * sizeof($A));
-    for (i64 s = 0; s < strips; s++) {
-        bspc_packqv_$S(mc, gcols + s * mc, padc ? padc + s * mc : 0,
-                       x, xscale, xp);
-        bspc_dotcol_$S(mr, mc, codes + s * mr * mc, srows + s * mr, xp, acc);
-    }
-    const double dq = scale * xscale;
-    for (i64 r = 0; r < rows; r++)
-        out[r] = (double)acc[r] * dq;
 }
 
 API void repro_bspc_spmm_i8_$S(
@@ -757,61 +656,26 @@ API void repro_bspc_i8_nb(
 }
 """
 
-# Float BSPC kernels: the f64 pack/tile cores above over the raw panel
-# weights (no quantization, no dequant) — padded columns zero in the pack
-# exactly like the numpy backend zeroes the gathered activations, and the
-# sink row (index `rows`) absorbs padded-row scatter for the caller to
-# drop.  The output buffer doubles as the accumulator.
-_C_BSPC_FLOAT = r"""
-API void repro_bspc_spmv(
-    i64 strips, i64 mr, i64 mc, i64 rows, const double *panels,
-    const i64 *gcols, const u8 *padc, const i64 *srows, const double *x,
-    double *xp, double *out)
-{
-    memset(out, 0, (size_t)(rows + 1) * sizeof(double));
-    for (i64 s = 0; s < strips; s++) {
-        bspc_packv_f64(mc, gcols + s * mc, padc ? padc + s * mc : 0, x, xp);
-        bspc_dotcol_f64(mr, mc, panels + s * mr * mc, srows + s * mr, xp, out);
-    }
-}
-
-API void repro_bspc_spmm(
-    i64 strips, i64 mr, i64 mc, i64 rows, i64 batch, const double *panels,
-    const i64 *gcols, const u8 *padc, const i64 *srows, const double *x,
-    double *xp, double *out)
-{
-    memset(out, 0, (size_t)((rows + 1) * batch) * sizeof(double));
-    for (i64 jb = 0; jb < batch; jb += 16) {
-        const i64 nb = batch - jb < 16 ? batch - jb : 16;
-        for (i64 s = 0; s < strips; s++) {
-            bspc_pack_f64(mc, nb, batch, jb, gcols + s * mc,
-                          padc ? padc + s * mc : 0, x, xp);
-            bspc_tile_f64(mr, mc, nb, batch, jb, panels + s * mr * mc,
-                          srows + s * mr, xp, out);
-        }
-    }
-}
-"""
-
 
 # Everything below this guard is compiled without floating-point
-# contraction: each statement of the fused layer-step must round exactly
+# contraction: each statement of the fused layer-chunk must round exactly
 # like the numpy ufunc it replaces, and an `a + b * c` contracted into one
 # FMA rounds once instead of twice.  gcc ignores the STDC pragma and clang
 # the GCC one, so both are given; the section comes last in the source so
-# the float BSPC/CSR kernels above keep their FMAs.
+# the tile and CSR kernels above keep their FMAs.
 _C_NO_CONTRACT = r"""
 #pragma STDC FP_CONTRACT OFF
 #pragma GCC optimize("fp-contract=off")
 """
 
-# Fused GRU int8 layer-step and the batch-major int8 projection, both over
+# Fused GRU int8 layer-chunk and the batch-major int8 projection, both over
 # repro_bspc_i8_nb.  All operands are row-major float64: x (N, n), gx
-# (B, 3H), zr (B, 2H), state/cand/hid (B, H), gh (B, 3H).  `exp` and `tanh`
-# stay numpy calls between the two step entries (numpy's are SIMD routines
-# whose last ulp libm does not reproduce); every other elementwise op of
-# GRULayerPlan.forward is one IEEE operation here, in the same order.
-_C_GRU_STEP = _C_NO_CONTRACT + r"""
+# (T, B, 3H), hid (B, H), out (T, B, H), gh (B, 3H); zr and cand hold one
+# batch row (2H, H).  `exp` and `tanh` are numpy's own float64 inner loops
+# (SIMD routines whose last ulp libm does not reproduce), handed over as
+# the pointers `_numpy_loop` reads off the ufuncs; every other elementwise
+# op of GRULayerPlan.forward is one IEEE operation here, in the same order.
+_C_GRU_CHUNK = _C_NO_CONTRACT + r"""
 /* out = x @ W.T (+ bias, if any), N walked in blocks the narrow kernel
  * takes. */
 API void repro_bspc_i8_rows(
@@ -830,43 +694,50 @@ API void repro_bspc_i8_rows(
     }
 }
 
-/* With `prev`: finish the step before, hid = (1 - z) * prev + z * cand.
- * With `gx`: gh = hid @ W_hh.T, then zr = -(gx_zr + gh_zr) (ready for
- * exp) and cand = gh_h + bias_h. */
-API void repro_gru_i8_step(
-    i64 strips, i64 mr, i64 mc, i64 h, i64 batch, const i8 *codes,
-    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *lrows,
-    double scale, const double *bias_h, const double *prev, double *hid,
-    const double *gx, double *zr, double *cand, double *gh, i32 *work)
+/* A numpy unary inner loop (PyUFuncGenericFunction; npy_intp is intptr_t). */
+typedef void (*loop_fn)(char **, const intptr_t *, const intptr_t *, void *);
+
+/* x = f(x) over n contiguous float64, f the ufunc the loop belongs to. */
+API void repro_loop_f64(loop_fn loop, void *data, i64 n, double *x)
 {
-    if (prev)
-        for (i64 b = 0; b < batch; b++)
-            for (i64 i = 0; i < h; i++) {
-                const double z = zr[b * 2 * h + i];
-                const double keep = (1.0 - z) * prev[b * h + i];
-                hid[b * h + i] = keep + z * cand[b * h + i];
-            }
-    if (!gx) return;
-    repro_bspc_i8_nb(strips, mr, mc, 3 * h, h, batch, 0, codes, gcols, srows,
-                     lanes, lrows, hid, scale, work, gh);
-    for (i64 b = 0; b < batch; b++) {
-        for (i64 i = 0; i < 2 * h; i++)
-            zr[b * 2 * h + i] = -(gx[b * 3 * h + i] + gh[b * 3 * h + i]);
-        for (i64 i = 0; i < h; i++)
-            cand[b * h + i] = gh[b * 3 * h + 2 * h + i] + bias_h[i];
-    }
+    char *args[2] = {(char *)x, (char *)x};
+    const intptr_t count = n, steps[2] = {sizeof(double), sizeof(double)};
+    loop(args, &count, steps, data);
 }
 
-/* After exp: zr = 1 / (zr + 1), cand = gx_h + r * cand (ready for tanh). */
-API void repro_gru_i8_gate(
-    i64 h, i64 batch, const double *gx, double *zr, double *cand)
+/* The T steps of one chunk.  Per step gh = hid @ W_hh.T, then one sweep
+ * per batch row while it is in L1: zr = sigmoid(gx_zr + gh_zr) as
+ * 1 / (exp(-(..)) + 1), cand = tanh(gx_h + r * (gh_h + bias_h)) and
+ * out[t] = (1 - z) * hid + z * cand, the next step's hid. */
+API void repro_gru_i8_chunk(
+    i64 strips, i64 mr, i64 mc, i64 h, i64 batch, i64 steps, const i8 *codes,
+    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *lrows,
+    double scale, const double *bias_h, const double *hid, const double *gx,
+    double *out, double *zr, double *cand, double *gh, i32 *work,
+    loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
 {
-    for (i64 i = 0; i < batch * 2 * h; i++)
-        zr[i] = 1.0 / (zr[i] + 1.0);
-    for (i64 b = 0; b < batch; b++)
-        for (i64 i = 0; i < h; i++)
-            cand[b * h + i] = gx[b * 3 * h + 2 * h + i]
-                              + zr[b * 2 * h + h + i] * cand[b * h + i];
+    for (i64 t = 0; t < steps; t++) {
+        repro_bspc_i8_nb(strips, mr, mc, 3 * h, h, batch, 0, codes, gcols, srows,
+                         lanes, lrows, hid, scale, work, gh);
+        for (i64 b = 0; b < batch; b++) {
+            const double *gxb = gx + b * 3 * h, *ghb = gh + b * 3 * h;
+            const double *prev = hid + b * h;
+            double *next = out + b * h;
+            for (i64 i = 0; i < 2 * h; i++)
+                zr[i] = -(gxb[i] + ghb[i]);
+            repro_loop_f64(exp_loop, exp_data, 2 * h, zr);
+            for (i64 i = 0; i < 2 * h; i++)
+                zr[i] = 1.0 / (zr[i] + 1.0);
+            for (i64 i = 0; i < h; i++)
+                cand[i] = gxb[2 * h + i] + zr[h + i] * (ghb[2 * h + i] + bias_h[i]);
+            repro_loop_f64(tanh_loop, tanh_data, h, cand);
+            for (i64 i = 0; i < h; i++)
+                next[i] = (1.0 - zr[i]) * prev[i] + zr[i] * cand[i];
+        }
+        hid = out;
+        out += batch * h;
+        gx += batch * 3 * h;
+    }
 }
 """
 
@@ -895,8 +766,7 @@ _C_SOURCE = (
     + _stamp(_C_BSPC_TEMPLATE, "f32w", "float", 16, acc="double")
     + _stamp(_C_BSPC_TEMPLATE, "f64", "double", 16, acc="double")
     + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD))
-    + _C_BSPC_FLOAT
-    + _C_GRU_STEP
+    + _C_GRU_CHUNK
 )
 
 
@@ -1006,6 +876,8 @@ def _load_and_probe(so_path: Path) -> ctypes.CDLL:
             f"could not load compiled kernels from {so_path}: {exc}"
         ) from exc
     _sanity_probe(lib)
+    # kept on the handle: whoever swaps the library swaps its probe with it
+    lib.numpy_loops = _probe_loops(lib)
     return lib
 
 
@@ -1019,12 +891,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_csr_spmm": (i64, i64, ptr, ptr, ptr, ptr, ptr),
         "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, dbl, ptr),
         "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
-        "repro_bspc_spmv": (
-            i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ),
-        "repro_bspc_spmm": (
-            i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ),
         "repro_i8_lanes": (),
         "repro_bspc_i8_nb": (
             i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl,
@@ -1034,17 +900,13 @@ def _declare(lib: ctypes.CDLL) -> None:
             i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl, ptr,
             ptr, ptr,
         ),
-        "repro_gru_i8_step": (
-            i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr,
-            ptr, ptr, ptr, ptr, ptr,
+        "repro_loop_f64": (ptr, ptr, i64, ptr),
+        "repro_gru_i8_chunk": (
+            i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr,
+            ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ),
-        "repro_gru_i8_gate": (i64, i64, ptr, ptr, ptr),
     }
     for suffix in ("f32", "f32w", "f64"):
-        signatures[f"repro_bspc_spmv_i8_{suffix}"] = (
-            i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl,
-            ptr, ptr, ptr,
-        )
         signatures[f"repro_bspc_spmm_i8_{suffix}"] = (
             i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl,
             ptr, ptr, ptr, ptr,
@@ -1079,6 +941,77 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
         )
 
 
+class _UFuncHead(ctypes.Structure):
+    """The public head of ``PyUFuncObject`` (``numpy/ufuncobject.h``; the
+    same fields in the same order in every numpy 1.x and 2.x)."""
+
+    _fields_ = [
+        ("ob_base", ctypes.c_byte * object.__basicsize__),
+        ("nin", ctypes.c_int),
+        ("nout", ctypes.c_int),
+        ("nargs", ctypes.c_int),
+        ("identity", ctypes.c_int),
+        ("functions", ctypes.POINTER(ctypes.c_void_p)),
+        ("data", ctypes.POINTER(ctypes.c_void_p)),
+        ("ntypes", ctypes.c_int),
+        ("reserved1", ctypes.c_int),
+        ("name", ctypes.c_void_p),
+        ("types", ctypes.c_void_p),
+    ]
+
+
+def _numpy_loop(ufunc) -> Optional[Tuple[int, Optional[int]]]:
+    """``(function, data)`` addresses of the float64 inner loop numpy runs
+    for a unary ``ufunc``: the first ``d->d`` row of the loop table in its
+    ``PyUFuncObject`` head, the row numpy's own resolver takes.  ``None``
+    where that cannot be established — nothing is read through a pointer
+    before the head, read as a struct at ``id(ufunc)``, repeats what Python
+    says of the ufunc (its counts, then every type number of the table)."""
+    if sys.implementation.name != "cpython" or type(ufunc) is not np.ufunc:
+        return None  # id() is the object's address on CPython only
+    signatures = ufunc.types
+    if "d->d" not in signatures or np.ufunc.__basicsize__ < ctypes.sizeof(_UFuncHead):
+        return None
+    head = _UFuncHead.from_address(id(ufunc))
+    counts = (head.nin, head.nout, head.nargs, head.ntypes)
+    if counts != (ufunc.nin, ufunc.nout, ufunc.nargs, len(signatures)):
+        return None
+    if not (head.types and head.functions and head.data):
+        return None
+    numbers = bytes(np.dtype(c).num for sig in signatures for c in sig.replace("->", ""))
+    if ctypes.string_at(head.types, len(numbers)) != numbers:
+        return None
+    row = signatures.index("d->d")
+    function = head.functions[row]
+    return (function, head.data[row]) if function else None
+
+
+def _probe_loops(lib: ctypes.CDLL) -> Optional[tuple]:
+    """numpy's ``exp`` and ``tanh`` loops as ``repro_gru_i8_chunk`` takes
+    them, ``(exp, exp data, tanh, tanh data)`` — or ``None``, and the
+    engine keeps its generic loop, unless both resolved and, called through
+    ``lib`` in place, gave the bytes of the ufunc itself: over every binade
+    of exp's finite range and past it, zeros, infinities, NaN and
+    subnormals, at lengths on both sides of a vector."""
+    spread = np.ldexp(np.linspace(1.0, 2.0, 1085, endpoint=False), np.arange(-1074, 11))
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 709.78, -745.13]
+    values = np.concatenate([edges, spread, -spread])
+    loops: tuple = ()
+    for ufunc in (np.exp, np.tanh):
+        loop = _numpy_loop(ufunc)
+        if loop is None:
+            return None
+        for n in (1, 7, 8, 9, 1025, values.size):
+            got = values[:n].copy()
+            lib.repro_loop_f64(*loop, n, _p(got))
+            with np.errstate(all="ignore"):
+                want = ufunc(values[:n])
+            if got.tobytes() != want.tobytes():
+                return None
+        loops += loop
+    return loops
+
+
 def _library() -> ctypes.CDLL:
     """The per-process library handle; builds on first use, errors once."""
     global _LIB, _LOAD_ERROR
@@ -1108,6 +1041,12 @@ def lanes() -> int:
     library: 16 (AVX-512BW), 8 (AVX2), or 0 where the build has none (or
     there is no library).  A fact of the build, not a setting."""
     return _library().repro_i8_lanes() if available() else 0
+
+
+def numpy_loops() -> Optional[tuple]:
+    """What :func:`_probe_loops` found when the library was loaded; ``None``
+    also where there is no library."""
+    return _library().numpy_loops if available() else None
 
 
 def load_error() -> Optional[CompileBackendError]:
@@ -1307,44 +1246,9 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pad_ptr(plan) -> Optional[int]:
-    return plan.pad_cols.ctypes.data if plan.pad_cols is not None else None
-
-
-def bspc_spmv(matrix, x: np.ndarray) -> np.ndarray:
-    plan = bspc_plan(matrix)
-    rows = plan.shape[0]
-    out = np.zeros(rows + 1)
-    if plan.panels.size:
-        x = _f64(x)
-        strips, mr, mc = plan.panels.shape
-        _library().repro_bspc_spmv(
-            strips, mr, mc, rows,
-            _p(plan.panels), _p(plan.gather_cols), _pad_ptr(plan),
-            _p(plan.scatter_rows), _p(x), _scratch("bspc_xp", mc), _p(out),
-        )
-    return out[:rows]
-
-
-def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
-    plan = bspc_plan(matrix)
-    rows = plan.shape[0]
-    batch = x.shape[1]
-    out = np.zeros((rows + 1, batch))
-    if plan.panels.size and batch:
-        x = _f64(x)
-        strips, mr, mc = plan.panels.shape
-        _library().repro_bspc_spmm(
-            strips, mr, mc, rows, batch,
-            _p(plan.panels), _p(plan.gather_cols), _pad_ptr(plan),
-            _p(plan.scatter_rows), _p(x),
-            _scratch("bspc_xp", mc * _TILE_LANES), _p(out),
-        )
-    return out[:rows]
-
-
-def _int8_bspc_fn(lib, op: str, ft: np.dtype, strips: int, mc: int):
-    """Pick the kernel stamp and accumulator dtype for an int8 BSPC plan.
+def _int8_bspc_fn(lib, ft: np.dtype, strips: int, mc: int):
+    """Pick the tile-kernel stamp and accumulator dtype for an int8 BSPC
+    plan.
 
     The narrow float32 accumulator is exact only while the whole-row
     reduction (bounded by ``strips * mc`` gathered columns) keeps integer
@@ -1352,10 +1256,10 @@ def _int8_bspc_fn(lib, op: str, ft: np.dtype, strips: int, mc: int):
     f64-accumulator ``f32w`` stamp instead.
     """
     if ft != np.float32:
-        return getattr(lib, f"repro_bspc_{op}_i8_f64"), np.float64
+        return lib.repro_bspc_spmm_i8_f64, np.float64
     if strips * mc <= F32_EXACT_INNER:
-        return getattr(lib, f"repro_bspc_{op}_i8_f32"), np.float32
-    return getattr(lib, f"repro_bspc_{op}_i8_f32w"), np.float64
+        return lib.repro_bspc_spmm_i8_f32, np.float32
+    return lib.repro_bspc_spmm_i8_f32w, np.float64
 
 
 def _narrow_call(panel: _Panel, n: int, batch: int) -> tuple:
@@ -1408,7 +1312,7 @@ def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     strips, mr, mc = base.panels.shape
     ft = plan.codes_f.dtype
     x = _f64(x)
-    fn, at = _int8_bspc_fn(_library(), "spmm", ft, strips, mc)
+    fn, at = _int8_bspc_fn(_library(), ft, strips, mc)
     out = np.empty((rows, batch))  # the dequant pass writes every element
     fn(
         strips, mr, mc, rows, n, batch,
@@ -1483,7 +1387,7 @@ def gru_int8_sequence(
     cand: np.ndarray,
     gh: np.ndarray,
 ) -> None:
-    """The fused GRU int8 layer-steps of one chunk, ``B < 16``.
+    """The fused GRU int8 layer-steps of one chunk, ``B < 16``: one C call.
 
     ``gates_x (T, B, 3H)`` holds the input projection with its folded
     bias, ``hidden (B, H)`` the carry in; hidden states land in ``out
@@ -1502,35 +1406,28 @@ def gru_int8_sequence(
     ]:
         raise ShapeError(f"GRU step of {plan.base.shape} into {out.shape}: {shapes}")
     _check_buffers(gates_x, hidden, bias_h, out, zr, cand, gh)
-    sizes, addresses, work = _narrow_call(_plan_panel(plan), h, batch)
     lib = _library()
-    step, gate = lib.repro_gru_i8_step, lib.repro_gru_i8_gate
-    zr_p, cand_p = _p(zr), _p(cand)
-    head = (*sizes, h, batch, *addresses, plan.scale, _p(bias_h))
-    tail = (zr_p, cand_p, _p(gh), work)
-    prev, hid, at, gx = None, _p(hidden), _p(out), _p(gates_x)
-    h_bytes = 8 * batch * h  # one timestep of `out`; `gates_x` has three
-    for _ in range(seq_len):
-        step(*head, prev, hid, gx, *tail)
-        np.exp(zr, out=zr)
-        gate(h, batch, gx, zr_p, cand_p)
-        np.tanh(cand, out=cand)
-        prev, hid, at, gx = hid, at, at + h_bytes, gx + 3 * h_bytes
-    step(*head, prev, hid, None, *tail)  # finish the last step into out[-1]
+    if lib.numpy_loops is None:  # the engine never binds this entry then
+        raise CompileBackendError("numpy's exp/tanh inner loops did not resolve")
+    sizes, addresses, work = _narrow_call(_plan_panel(plan), h, batch)
+    lib.repro_gru_i8_chunk(
+        *sizes, h, batch, seq_len, *addresses, plan.scale, _p(bias_h), _p(hidden),
+        _p(gates_x), _p(out), _p(zr), _p(cand), _p(gh), work, *lib.numpy_loops,
+    )
 
 
 #: op name → compiled implementation.  Ops that never beat numpy + BLAS
-#: on a recorded shape — the per-call-scale dense int8 projection, the
-#: fused sequence forwards and the BPTT grad ops — alias the numpy
-#: implementations (see the module docstring) so every registered op
-#: dispatches under this backend.
+#: on a recorded shape — the float BSPC products, the per-call-scale
+#: dense int8 projection, the fused sequence forwards and the BPTT grad
+#: ops — alias the numpy implementations (see the module docstring) so
+#: every registered op dispatches under this backend.
 _KERNELS = {
     "csr_spmv": csr_spmv,
     "csr_spmm": csr_spmm,
     "csr_spmv_int8": csr_spmv_int8,
     "csr_spmm_int8": csr_spmm_int8,
-    "bspc_spmv": bspc_spmv,
-    "bspc_spmm": bspc_spmm,
+    "bspc_spmv": _np_backend.bspc_spmv,
+    "bspc_spmm": _np_backend.bspc_spmm,
     "bspc_spmv_int8": bspc_spmv_int8,
     "bspc_spmm_int8": bspc_spmm_int8,
     "linear_int8": _quantized.linear_int8,

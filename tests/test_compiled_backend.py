@@ -11,6 +11,10 @@ backend-name validation (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``
 """
 
 import ctypes
+import os
+import re
+import subprocess
+import types
 
 import numpy as np
 import pytest
@@ -81,6 +85,37 @@ class TestBuildCache:
         (tmp_path / f"repro_kernels_{key}.so").write_bytes(b"not an ELF")
         with pytest.raises(CompileBackendError):
             compiled._library()
+
+
+@requires_compiler
+def test_generated_source_has_no_orphans():
+    # A static helper left without a caller fails here, not lingers; the
+    # compiler cannot see an exported entry nothing binds, so those are
+    # matched against the ctypes signature table, both ways.
+    def check(*flags):
+        return subprocess.run(
+            [compiled.compiler_command(), "-O0", *flags, "-Werror=unused-function",
+             "-c", "-o", os.devnull, "-x", "c", "-"],
+            input=compiled._C_SOURCE.encode(), stderr=subprocess.PIPE, timeout=120,
+        )
+
+    done = check("-march=native")
+    if done.returncode and b"unused-function" not in done.stderr:
+        done = check()  # no -march=native here: the build falls back alike
+    assert done.returncode == 0, done.stderr.decode()
+
+    class Declared:
+        def __init__(self):
+            self.names = set()
+
+        def __getattr__(self, name):
+            self.names.add(name)
+            return types.SimpleNamespace()
+
+    lib = Declared()
+    compiled._declare(lib)
+    exported = re.findall(r"^API [^(]*?(\w+)\(", compiled._C_SOURCE, re.M)
+    assert sorted(exported) == sorted(lib.names)
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +232,54 @@ class TestAccumulatorStamps:
     with the wide-accumulator ``f32w`` stamp — and stay bitwise equal to
     the reference backend either way."""
 
-    def test_stamp_selection(self):
+    def test_stamp_selection(self, monkeypatch):
+        # Which path a shape takes, and that it is exact there: batches of
+        # 16 and more run the tile kernel on the accumulator the whole-row
+        # extent allows, narrower ones and spmv the integer narrow kernel.
         from repro.kernels.quantized import F32_EXACT_INNER
+        from repro.sparse.blocks import grid_for
+        from repro.sparse.bspc import BSPCMatrix
+        from repro.utils.rng import new_rng
 
-        lib = compiled._library()
-        fn, acc = compiled._int8_bspc_fn(lib, "spmm", np.dtype(np.float64), 8, 64)
-        assert fn.__name__ == "repro_bspc_spmm_i8_f64" and acc == np.float64
-        fn, acc = compiled._int8_bspc_fn(
-            lib, "spmm", np.dtype(np.float32), 8, F32_EXACT_INNER // 8
-        )
-        assert fn.__name__ == "repro_bspc_spmm_i8_f32" and acc == np.float32
-        fn, acc = compiled._int8_bspc_fn(
-            lib, "spmv", np.dtype(np.float32), 8, F32_EXACT_INNER // 8 + 1
-        )
-        assert fn.__name__ == "repro_bspc_spmv_i8_f32w" and acc == np.float64
+        picked, narrow = [], []
+        pick, run_narrow = compiled._int8_bspc_fn, compiled._bspc_int8_narrow
+
+        def spy_pick(lib, ft, strips, mc):
+            fn, at = pick(lib, ft, strips, mc)
+            picked.append((np.dtype(ft), strips * mc, np.dtype(at)))
+            return fn, at
+
+        def spy_narrow(plan, x, spmv):
+            narrow.append((len(x), spmv))
+            return run_narrow(plan, x, spmv)
+
+        monkeypatch.setattr(compiled, "_int8_bspc_fn", spy_pick)
+        monkeypatch.setattr(compiled, "_bspc_int8_narrow", spy_narrow)
+        for cols, strips, codes, acc in (
+            (341, 3, np.float32, np.float32),  # F32_EXACT_INNER - 1
+            (512, 2, np.float32, np.float32),  # the bound itself
+            (205, 5, np.float32, np.float64),  # one past it: f32w
+            (1025, 1, np.float64, np.float64),  # a strip alone past it
+        ):
+            assert (acc == np.float32) == (strips * cols <= F32_EXACT_INNER)
+            rng = new_rng(cols)
+            weight = rng.standard_normal((2 * strips, cols))
+            weight[0] = np.abs(weight).max()  # a row of 127s: the largest sums
+            m = BSPCMatrix.from_dense(weight, grid_for(weight, strips, 1))
+            x = rng.standard_normal((cols, 17))
+            x[:, 0] = 1.0  # every code 127
+            del picked[:], narrow[:]
+            for batch in (16, 17, 15, 1):
+                np.testing.assert_array_equal(
+                    kernels.spmm_int8(m, x[:, :batch], backend="compiled"),
+                    kernels.spmm_int8(m, x[:, :batch], backend="reference"),
+                )
+            np.testing.assert_array_equal(
+                kernels.spmv_int8(m, x[:, 0], backend="compiled"),
+                kernels.spmv_int8(m, x[:, 0], backend="reference"),
+            )
+            assert picked == [(np.dtype(codes), strips * cols, np.dtype(acc))] * 2
+            assert narrow == [(15, False), (1, False), (1, True)]
 
     def test_f32w_path_bitwise_vs_reference(self):
         # A structured 2048^2 BSP-pruned matrix keeps per-strip panels

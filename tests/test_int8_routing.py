@@ -602,6 +602,103 @@ def test_contracting_the_gate_math_changes_bits(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# numpy's exp/tanh inner loops, handed to the compiled layer-chunk
+# ---------------------------------------------------------------------------
+class TestNumpyLoopHandOff:
+    def test_resolver_finds_the_float64_loops_and_refuses_the_rest(self, monkeypatch):
+        if sys.implementation.name == "cpython":
+            for ufunc in (np.exp, np.tanh):
+                function, data = compiled._numpy_loop(ufunc)
+                assert isinstance(function, int) and function
+                assert data is None or isinstance(data, int)
+
+        class NoRead:
+            """Stands in for the struct: a refusal must come before any read."""
+
+            def from_address(self, address):
+                raise AssertionError("dereferenced an object it should have refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled, "_UFuncHead", NoRead())
+            assert "d->d" not in np.invert.types
+            for refused in (np.invert, len, np.mean, "exp", None):
+                assert compiled._numpy_loop(refused) is None
+            patch.setattr(sys.implementation, "name", "not-cpython")
+            assert compiled._numpy_loop(np.exp) is None
+
+    @requires_compiler
+    def test_unresolved_loops_leave_the_generic_loop_and_the_same_bytes(self, monkeypatch):
+        with kernels.use_backend(None):
+            bound = bsp_int8_plan(sparse_format="auto")
+            if compiled.numpy_loops() is not None:
+                assert bound.layers[0].step is compiled.gru_int8_sequence
+            want = streamed_bytes(bound)
+            monkeypatch.setattr(compiled, "_numpy_loop", lambda ufunc: None)
+            monkeypatch.setattr(compiled, "_LIB", None)  # load and probe again
+            plan = bsp_int8_plan(sparse_format="auto")
+            assert compiled.numpy_loops() is None
+            assert [layer.step for layer in plan.layers] == [None, None]
+            assert [layer.project for layer in plan.layers] == [None, None]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert streamed_bytes(plan) == want
+
+    @pytest.fixture()
+    def bound_plan(self):
+        if compiled.numpy_loops() is None:
+            pytest.skip("numpy's loops did not resolve: nothing binds the chunk entry")
+        with kernels.use_backend(None):
+            plan = bsp_int8_plan()
+        assert plan.layers[0].step is compiled.gru_int8_sequence
+        return plan
+
+    def test_no_python_level_exp_or_tanh_is_left_on_the_fused_path(
+        self, bound_plan, monkeypatch
+    ):
+        with kernels.use_backend(None):
+            want = streamed_bytes(bound_plan)
+
+            def poisoned(*args, **kwargs):
+                raise AssertionError("a numpy transcendental ran on the fused path")
+
+            monkeypatch.setattr(np, "exp", poisoned)
+            monkeypatch.setattr(np, "tanh", poisoned)
+            assert streamed_bytes(bound_plan) == want
+
+    def test_exp_overflow_is_the_reference_bytes_and_silent(self, bound_plan):
+        # gate pre-activations near -800: exp(800) overflows.  numpy's ufunc
+        # warns there; the chunk entry calls the bare loop, and the flag it
+        # leaves behind must not surface in the next numpy call.
+        features = 4000.0 * probe_features()
+        with kernels.use_backend("reference"):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                bound_plan.run_chunk(features)
+            with np.errstate(over="ignore"):
+                want, want_state = bound_plan.run_chunk(features)
+        with kernels.use_backend(None), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, state = bound_plan.run_chunk(features)
+            with np.errstate(all="raise"):
+                assert np.exp(np.array([1.0]))[0] == np.e
+        assert got.tobytes() == want.tobytes()
+        assert_states_equal(state, want_state)
+
+    @pytest.mark.parametrize("frames", [1, 2, 25])
+    def test_chunk_entry_equals_the_generic_loop(self, bound_plan, frames):
+        for batch in (1, 2, 7, 8, 15):
+            rng = new_rng(16 * frames + batch)
+            warm, features = rng.standard_normal((2, frames, batch, 8))
+            with kernels.use_backend("numpy"):  # an explicit choice: the loop
+                _, carry = bound_plan.run_chunk(warm)
+                assert bound_plan.layers[0].step is None
+                want, want_state = bound_plan.run_chunk(features, carry)
+            with kernels.use_backend(None):
+                got, state = bound_plan.run_chunk(features, carry)
+            np.testing.assert_array_equal(got, want)
+            assert_states_equal(state, want_state)
+
+
+# ---------------------------------------------------------------------------
 # Activation layout: C order and batch-major (F order) are the same bits
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("route", ROUTES)
