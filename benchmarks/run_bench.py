@@ -171,8 +171,9 @@ def bench_sparse(repeats: int) -> List[Dict]:
 
     # Int8 sparse cases, compiled vs numpy (reference int8 is orders of
     # magnitude off and would only stretch the run).  The bspc_spmm row
-    # is the acceptance-tracked one: the fused quantize-into-pack C
-    # kernel against the numpy int8 path at the paper-scale grid.
+    # is the acceptance-tracked one: the compiled int8 panel kernel (16
+    # columns: two blocks of eight) against the numpy int8 path at the
+    # paper-scale grid.
     int8_cases = [
         ("bspc_spmv_int8", f"{size}x{size} grid={strips}x{blocks}",
          lambda b: (lambda: kernels.spmv_int8(bspc, x, backend=b))),
@@ -1082,6 +1083,7 @@ def _meta(repeats: int) -> Dict:
         "default_backend": kernels.get_default_backend(),
         "compiled_backend": compiled_backend.available(),
         "compiled_lanes": compiled_backend.lanes(),
+        "compiled_kgroup": compiled_backend.kgroup(),
         # small GEMMs stall for milliseconds when BLAS wakes a second
         # thread on a busy 2-core host; a record says how it was pinned
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),

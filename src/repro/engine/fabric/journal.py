@@ -67,7 +67,9 @@ class SessionJournal:
         entry = self._entry(sid)
         if entry.finished:
             raise StreamError(f"session {sid} already finished")
-        entry.chunks.append(features)
+        # a copy: a replay must see what was accepted, whatever the caller
+        # has done to its buffer since
+        entry.chunks.append(np.array(features))
         entry.frames += len(features)
 
     def mark_finished(self, sid: int) -> None:

@@ -367,7 +367,9 @@ class StreamScheduler:
     def feed(self, sid: int, features: np.ndarray) -> None:
         """Queue a ``(t, D)`` chunk for ``sid``; may run ready batches."""
         entry = self._entry(sid)
-        features = np.asarray(features, dtype=np.float64)
+        # a copy: the chunk waits in the queue, and the caller may refill
+        # its buffer before the batch runs
+        features = np.array(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.plan.input_dim:
             raise ShapeError(
                 f"expected (t, {self.plan.input_dim}) features, "

@@ -11,8 +11,9 @@ actually present.
 
 Build artifacts are cached twice: an in-process handle (one ``CDLL`` per
 process) and an on-disk ``.so`` keyed by a SHA-256 content hash of the C
-source, the compiler, and the flags, so rebuilding only happens when the
-generated code changes.  Environment hooks:
+source, the compiler, the flags and — for a ``-march=native`` build — the
+CPU's feature flags, so rebuilding only happens when the generated code
+changes or the cache moved to another kind of host.  Environment hooks:
 
 * ``REPRO_CC`` — compiler executable (default: ``cc``, then ``gcc``);
 * ``REPRO_COMPILED_CACHE`` — cache directory for the built ``.so``
@@ -34,10 +35,8 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   kernels quantize in C to the codes and scales of those helpers
   (comparison max, one correctly rounded quotient, round-half-even,
   clip), matching numpy bit for bit for finite activations.
-  Products accumulate exactly — integer arithmetic on the CSR and
-  narrow-batch BSPC paths, float FMA over integer values bounded the
-  same way the numpy backend bounds its ``codes_f`` GEMM dtype on the
-  16-lane BSPC paths — and the final dequant replicates each numpy
+  Products accumulate exactly — integer arithmetic throughout, int32
+  sums that cannot wrap — and the final dequant replicates each numpy
   kernel's float multiply *order* operation for operation (one fused
   ``scale * xs`` multiply for the per-call-scale ops, two sequential
   multiplies for the per-column ops).
@@ -69,6 +68,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -84,7 +84,6 @@ from repro.errors import CompileBackendError, ShapeError
 from repro.kernels import numpy_backend as _np_backend
 from repro.kernels import quantized as _quantized
 from repro.kernels.quantized import (
-    F32_EXACT_INNER,
     int8_bspc_plan,
     int8_codes,
     int8_codes_axis,
@@ -117,11 +116,9 @@ LANES_PAD = 16
 #     are bitwise identical across backends) and accumulate in exact
 #     integer arithmetic: int32 inner chunks of at most ACC_CHUNK
 #     products (|sum| <= 127*127*8192 < 2^31) flushed into int64;
-#   * BSPC kernels are stamped per accumulator type (see the templates
-#     below) from the same strip-panel structure the numpy backend
-#     executes: pack one strip's gathered activation columns into an
-#     L1-resident 16-lane tile, then run a 4-row register-blocked FMA
-#     microkernel over contiguous memory;
+#   * the BSPC kernel walks the same strip-panel structure the numpy
+#     backend executes: gather one strip's activation codes, then run an
+#     integer microkernel over the strip's contiguous int8 codes;
 #   * per-sample results never depend on which other rows/columns share
 #     the call — the property the streaming engine's chunk-exactness
 #     rests on.
@@ -225,211 +222,23 @@ API void repro_csr_spmm_i8(
 }
 """
 
-# Per-type BSPC template, stamped once with ($S, $T) = ("f32", "float")
-# and once with ("f64", "double") — mirroring how the numpy backend picks
-# the GEMM dtype for `codes_f` (float32 while a strip's inner extent keeps
-# int8 partial sums below 2^24, float64 beyond).  Because every operand is
-# an integer of magnitude <= 127 and per-lane partials respect the same
-# bound, the float FMA arithmetic below *is* exact integer arithmetic —
-# identical bits to the reference backend's int64 path, regardless of
-# reduction order.
-#
-# Quantization replicates int8_codes / int8_codes_axis operation for
-# operation (comparison max for the peak over the *full* activation
-# matrix, one divide, round-half-even rint, clip to ±127) so codes and
-# scales match numpy bit for bit for the finite activations the engine
-# produces — but it happens *inside* the pack: only the gathered rows
-# are ever quantized, straight into the L1 tile, skipping the
-# intermediate quantized copy of the whole activation matrix.
-#
-# Kernel structure: for each strip, gather-quantize the strip's
-# activation columns into a 16-lane L1-resident tile (zeroing padded
-# columns and unused lanes), then run a 4-row register-blocked FMA
-# microkernel over the contiguous tile; partial sums land in a float
-# accumulator (float32 when the whole-row reduction fits the 2^24
-# integer-exactness bound, float64 otherwise — both produce the same
-# exact integers) with a sink row one past the real output for padded
-# rows, and the final dequant pass replays numpy's multiply order.  The scatter target pointers are
-# deliberately *not* restrict-qualified: several padded panel rows may
-# scatter into the same sink slot.
-_C_BSPC_TEMPLATE = r"""
-/* GNU vector types for the tile microkernel: v16/a16 are the
- * full-width code and accumulator vectors the FMA loop keeps in
- * registers; u16/w16 are their element-aligned flavours for memory
- * access (numpy buffers guarantee only element alignment). */
-typedef $T v16_$S __attribute__((vector_size($W * sizeof($T))));
-typedef $T u16_$S __attribute__((vector_size($W * sizeof($T)),
-                                 aligned(sizeof($T))));
-typedef $A a16_$S __attribute__((vector_size($W * sizeof($A))));
-typedef $A w16_$S __attribute__((vector_size($W * sizeof($A)),
-                                 aligned(sizeof($A))));
-
-/* Fused quantize-and-pack: gather one strip's activation rows (lanes
- * jb..jb+nb of the (n, ldx) float64 activation matrix) straight into the
- * contiguous (mc, 16) code tile, quantizing on the fly with the
- * per-column scales.  Skipping the intermediate quantized copy of the
- * whole activation matrix is worth ~25% end to end: the gathered rows
- * are the only ones the GEMM ever reads. */
-static void bspc_packq_$S(
-    i64 mc, i64 nb, i64 ldx, i64 jb, const i64 *gc, const u8 *pc,
-    const double *x, const double *xs, $T *restrict xp)
-{
-    int fast = !pc && nb == $W;  /* full-width fast path */
-    for (int j = 0; fast && j < $W; j++) fast = xs[jb + j] > MARKSTEIN_MIN;
-    if (fast) {
-        const double *sr = xs + jb;
-        double rc[$W];
-        for (int j = 0; j < $W; j++) rc[j] = 1.0 / sr[j];
-        for (i64 k = 0; k < mc; k++) {
-            const double *xr = x + gc[k] * ldx + jb;
-            $T *restrict pr = xp + k * $W;
-            for (int j = 0; j < $W; j++) {
-                /* Correctly rounded x/s via Markstein's reciprocal
-                 * sequence (one mul, two fmas): bitwise-identical to a
-                 * hardware divide away from over/underflow, at several
-                 * times the throughput.  The quantized codes must match
-                 * the numpy path's rint(x / s) bit for bit. */
-                double q0 = xr[j] * rc[j];
-                double e = __builtin_fma(-sr[j], q0, xr[j]);
-                double v = rint(__builtin_fma(e, rc[j], q0));
-                if (v > 127.0) v = 127.0;
-                if (v < -127.0) v = -127.0;
-                pr[j] = ($T)v;
-            }
-        }
-        return;
-    }
-    for (i64 k = 0; k < mc; k++) {
-        $T *restrict pr = xp + k * $W;
-        if (pc && pc[k]) {
-            for (int j = 0; j < $W; j++) pr[j] = 0;
-            continue;
-        }
-        const double *xr = x + gc[k] * ldx + jb;
-        i64 j = 0;
-        for (; j < nb; j++) {
-            double v = rint(xr[j] / xs[jb + j]);
-            if (v > 127.0) v = 127.0;
-            if (v < -127.0) v = -127.0;
-            pr[j] = ($T)v;
-        }
-        for (; j < $W; j++) pr[j] = 0;
-    }
-}
-
-/* 4-row x 16-lane FMA microkernel over one strip's packed tile; the
- * accumulators live in registers for the whole inner-product loop.
- *
- * The accumulators are GNU vector-extension types rather than plain
- * arrays: letting the auto-vectorizer carve the 16-lane arrays up on
- * its own leaves >2x on the table here (it splits each accumulator
- * across half-width registers and schedules the broadcast loads
- * poorly), while the explicit vector ops pin one full-width register
- * per row.  `u16` is the element-aligned flavour for loads/stores —
- * the packed tile and accumulator come from numpy allocations with no
- * vector-width alignment guarantee.  All int8 stamps stay exact
- * integer arithmetic (products <= 127^2, sums < 2^24), so the
- * contracted FMAs are bit-identical to separate multiply/add. */
-static void bspc_tile_$S(
-    i64 mr, i64 mc, i64 nb, i64 lda, i64 jb, const $T *codes,
-    const i64 *srows, const $T *restrict xp, $A *acc)
-{
-    i64 i = 0;
-    for (; i + 3 < mr; i += 4) {
-        const $T *c0 = codes + i * mc;
-        const $T *c1 = c0 + mc;
-        const $T *c2 = c1 + mc;
-        const $T *c3 = c2 + mc;
-        v16_$S a0 = {0}, a1 = {0}, a2 = {0}, a3 = {0};
-        for (i64 k = 0; k < mc; k++) {
-            const v16_$S v = *(const u16_$S *)(xp + k * $W);
-            a0 += c0[k] * v;
-            a1 += c1[k] * v;
-            a2 += c2[k] * v;
-            a3 += c3[k] * v;
-        }
-        $A *r0 = acc + srows[i] * lda + jb;
-        $A *r1 = acc + srows[i + 1] * lda + jb;
-        $A *r2 = acc + srows[i + 2] * lda + jb;
-        $A *r3 = acc + srows[i + 3] * lda + jb;
-        if (nb == $W) {  /* full-width fast path: vector read-modify-write */
-            *(w16_$S *)r0 += __builtin_convertvector(a0, a16_$S);
-            *(w16_$S *)r1 += __builtin_convertvector(a1, a16_$S);
-            *(w16_$S *)r2 += __builtin_convertvector(a2, a16_$S);
-            *(w16_$S *)r3 += __builtin_convertvector(a3, a16_$S);
-        } else {
-            for (i64 j = 0; j < nb; j++) r0[j] += ($A)a0[j];
-            for (i64 j = 0; j < nb; j++) r1[j] += ($A)a1[j];
-            for (i64 j = 0; j < nb; j++) r2[j] += ($A)a2[j];
-            for (i64 j = 0; j < nb; j++) r3[j] += ($A)a3[j];
-        }
-    }
-    for (; i < mr; i++) {
-        const $T *cr = codes + i * mc;
-        v16_$S a = {0};
-        for (i64 k = 0; k < mc; k++)
-            a += cr[k] * *(const u16_$S *)(xp + k * $W);
-        $A *r = acc + srows[i] * lda + jb;
-        if (nb == $W) {
-            *(w16_$S *)r += __builtin_convertvector(a, a16_$S);
-        } else {
-            for (i64 j = 0; j < nb; j++) r[j] += ($A)a[j];
-        }
-    }
-}
-
-API void repro_bspc_spmm_i8_$S(
-    i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 batch,
-    const $T *codes, const i64 *gcols, const u8 *padc, const i64 *srows,
-    const double *x, double scale, double *xs, $T *xp, $A *acc,
-    double *out)
-{
-    /* Per-column activation scales over the full (n, batch) matrix:
-     * bitwise replica of int8_codes_axis. */
-    for (i64 j = 0; j < batch; j++) xs[j] = 0.0;
-    for (i64 i = 0; i < n; i++) {
-        const double *xr = x + i * batch;
-        for (i64 j = 0; j < batch; j++) {
-            const double a = fabs(xr[j]);
-            xs[j] = xs[j] > a ? xs[j] : a;
-        }
-    }
-    for (i64 j = 0; j < batch; j++)
-        xs[j] = xs[j] > 0.0 ? xs[j] / 127.0 : 1.0;
-    memset(acc, 0, (size_t)((rows + 1) * batch) * sizeof($A));
-    for (i64 jb = 0; jb < batch; jb += $W) {
-        const i64 nb = batch - jb < $W ? batch - jb : $W;
-        for (i64 s = 0; s < strips; s++) {
-            bspc_packq_$S(mc, nb, batch, jb, gcols + s * mc,
-                          padc ? padc + s * mc : 0, x, xs, xp);
-            bspc_tile_$S(mr, mc, nb, batch, jb, codes + s * mr * mc,
-                         srows + s * mr, xp, acc);
-        }
-    }
-    for (i64 r = 0; r < rows; r++) {
-        double *orow = out + r * batch;
-        const $A *arow = acc + r * batch;
-        for (i64 j = 0; j < batch; j++)
-            orow[j] = ((double)arow[j] * scale) * xs[j];
-    }
-}
-"""
-
-# Narrow-batch integer BSPC kernel: the batches the streaming engine
-# actually issues (one user, or a handful of co-batched sessions) leave
-# most of a 16-lane float tile idle, so below 16 columns the product runs
-# on the int8 panel codes themselves — a quarter of `codes_f`'s weight
-# traffic.  Activations arrive batch-major (one contiguous row per
-# column of the product), are quantized once per column to the codes and
-# scale of int8_codes_axis, and each strip's gathered codes are widened to
-# int16.  Two microkernels follow, both exact integer arithmetic (no order
-# of accumulation can move a bit; see docs/kernels.md):
-#   * rows in lanes (AVX-512BW / AVX2 builds, two or more columns, plans
-#     that scatter to each row at most once, mc <= ACC_CHUNK): the packed
-#     codes put 16 (8) panel rows x 2 kept columns in a register, a
-#     multiply-add against the broadcast activation pair yields those
-#     rows' int32 sums, and a column of the product is one accumulator —
-#     no horizontal reduction.  Sums land in a compact int32 buffer that
+# The int8 BSPC kernel, every batch width: activations arrive batch-major
+# (one contiguous row per column of the product) and are quantized once
+# per column to the codes and scale of int8_codes_axis; the product runs
+# on the int8 panel codes themselves, strip by strip over the strip's
+# gathered activation codes.  Two microkernels, both exact integer
+# arithmetic (no order of accumulation can move a bit; see
+# docs/kernels.md):
+#   * rows in lanes (AVX-512 / AVX2 builds, plans that scatter to each
+#     row at most once, mc <= ACC_CHUNK): the packed codes put 16 (8)
+#     panel rows x KGROUP kept columns in a register, one multiply-add
+#     against the broadcast activation group yields those rows' int32
+#     sums, and a column of the product is one accumulator — no
+#     horizontal reduction.  KGROUP is 4 where the build has AVX-512 VNNI
+#     (`vpdpbusd`: unsigned x signed bytes, so activations are gathered as
+#     code + 128 and each accumulator starts at -128 * its row's code sum,
+#     packed in front of the strip's codes) and 2 elsewhere (codes widened
+#     to int16 for `pmaddwd`).  Sums land in a compact int32 buffer that
 #     one pass scatters and dequantizes;
 #   * the 4-row x 4-column register block, everywhere else: int32 sums
 #     over chunks of at most ACC_CHUNK products, flushed into the float64
@@ -439,27 +248,84 @@ API void repro_bspc_spmm_i8_$S(
 _C_BSPC_NARROW = r"""
 typedef int16_t i16;
 
-/* The rows-in-lanes kernel is written once over LV: LANES int32 sums in a
- * register, fed by loads of LANES x 2 int8 codes. */
+/* The rows-in-lanes kernel is written once over these: LANES int32 sums in
+ * a register, each fed KGROUP codes of its row per step.  LANES_W loads
+ * LANES x KGROUP packed codes as the multiply reads them, LANES_MAC adds
+ * their products with a broadcast group of activation codes, stored as
+ * gath_t after adding GATH_BIAS, and LANES_INIT is what a sum starts from:
+ * LANES_HEAD bytes per panel row in front of each strip's codes. */
 #if defined(__AVX512BW__)
 #include <immintrin.h>
 #define LANES 16
 #define LV(op) _mm512_##op
-#define LANES_LOAD(p) _mm256_loadu_si256((const __m256i *)(p))
+#define LANES_HALF(p) _mm256_loadu_si256((const __m256i *)(p))
 typedef __m512i lanes_t;
 #elif defined(__AVX2__)
 #include <immintrin.h>
 #define LANES 8
 #define LV(op) _mm256_##op
-#define LANES_LOAD(p) _mm_loadu_si128((const __m128i *)(p))
+#define LANES_HALF(p) _mm_loadu_si128((const __m128i *)(p))
 typedef __m256i lanes_t;
 #else
 #define LANES 0
 #endif
+#if LANES == 16 && defined(__AVX512VNNI__)
+#define KGROUP 4
+#define GATH_BIAS 128  /* vpdpbusd takes its first factor unsigned */
+#define LANES_HEAD 4   /* -128 * the row's code sum, an int32 */
+typedef u8 gath_t;
+#define LANES_INIT(p) _mm512_loadu_si512(p)
+#define LANES_W(p) _mm512_loadu_si512(p)
+#define LANES_MAC(a, w, x) _mm512_dpbusd_epi32(a, x, w)
+#else
+#define KGROUP 2
+#define GATH_BIAS 0
+#define LANES_HEAD 0
+typedef i16 gath_t;
+#define LANES_INIT(p) LV(set1_epi32)(0)
+#define LANES_W(p) LV(cvtepi8_epi16)(LANES_HALF(p))
+#define LANES_MAC(a, w, x) LV(add_epi32)(a, LV(madd_epi16)(w, x))
+#endif
 #define LANES_PAD $LANES_PAD  /* a multiple of every LANES */
 
-/* Rows per register of the rows-in-lanes kernel; 0: not in this build. */
+/* Rows per register of the rows-in-lanes kernel, and kept columns per
+ * multiply-add; 0: not in this build. */
 API i64 repro_i8_lanes(void) { return LANES; }
+API i64 repro_i8_kgroup(void) { return LANES ? KGROUP : 0; }
+
+/* How many bytes the int8 codes (strips, mr, mc) take packed for the
+ * rows-in-lanes kernel — 0: not in this build, or a strip longer than one
+ * int32 sum takes — and, given somewhere to put them, the pack: per strip,
+ * rows zero-padded to LANES_PAD, LANES_HEAD bytes a row (-GATH_BIAS * its
+ * code sum, which cancels the activations' bias), then the codes as
+ * [k-group][row][KGROUP], the last group zero-padded. */
+API i64 repro_i8_pack(i64 strips, i64 mr, i64 mc, const i8 *codes, i8 *pack)
+{
+    const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
+    const i64 kp = (mc + KGROUP - 1) / KGROUP;
+    const i64 each = LANES && mc <= ACC_CHUNK ? (LANES_HEAD + kp * KGROUP) * mrp : 0;
+    if (!pack) return strips * each;
+    memset(pack, 0, (size_t)(strips * each));
+    for (i64 s = 0; s < strips; s++, pack += each, codes += mr * mc) {
+        i8 *to = pack + LANES_HEAD * mrp;
+        for (i64 i = 0; i < mr; i++) {
+            i32 start = 0;
+            for (i64 k = 0; k < mc; k++) start -= GATH_BIAS * codes[i * mc + k];
+            memcpy(pack + i * LANES_HEAD, &start, LANES_HEAD);
+        }
+        /* LANES_PAD rows at a time, so that whole cache lines are written */
+        for (i64 at = 0; at < mr; at += LANES_PAD) {
+            const i64 stop = at + LANES_PAD < mr ? at + LANES_PAD : mr;
+            i64 k = 0;
+            for (; k + KGROUP <= mc; k += KGROUP)
+                for (i64 i = at; i < stop; i++)
+                    memcpy(to + k * mrp + i * KGROUP, codes + i * mc + k, KGROUP);
+            for (i64 i = at; i < stop && k < mc; i++)  /* a short last group */
+                memcpy(to + k * mrp + i * KGROUP, codes + i * mc + k, (size_t)(mc - k));
+        }
+    }
+    return strips * each;
+}
 
 /* Codes and scale of int8_codes_axis for one row.  The peak is a
  * comparison maximum over eight running lanes (any order gives a finite
@@ -513,38 +379,55 @@ static double bspc_quant_i8(i64 n, const double *restrict x, i8 *restrict xq)
 }
 
 #if LANES
-/* NB columns of one packed strip: acc[j * lda + row] = that row's dot
- * product with column j.  NB is a literal at every call site, so the
- * accumulators are NB registers. */
+/* NB columns by RG row groups of one packed strip: acc[j * lda + row] =
+ * that row's dot product with column j.  NB and RG are literals at every
+ * call site, so the sums are NB * RG registers.  Where RG does not divide
+ * the strip's groups the last block steps back over rows already summed
+ * (and stores the same sums again) rather than run short. */
 static inline __attribute__((always_inline)) void bspc_lanes_block(
-    const int NB, i64 kp, i64 mrp, const i8 *panel, const i16 *xg, i64 lda,
-    i32 *acc)
+    const int NB, const int RG, i64 kp, i64 mrp, const i8 *pack,
+    const gath_t *xg, i64 lda, i32 *acc)
 {
-    for (i64 g = 0; g < mrp; g += LANES) {
+    const i8 *codes = pack + LANES_HEAD * mrp;
+    for (i64 g = 0; g < mrp; g += RG * LANES) {
+        if (g > mrp - RG * LANES) g = mrp - RG * LANES;
         lanes_t a[8];
-        for (int j = 0; j < NB; j++) a[j] = LV(set1_epi32)(0);
-        for (i64 p = 0; p < kp; p++) {
-            const lanes_t w = LV(cvtepi8_epi16)(LANES_LOAD(panel + (p * mrp + g) * 2));
-            for (int j = 0; j < NB; j++) {
-                i32 pair;  /* codes 2p and 2p + 1 of column j */
-                memcpy(&pair, xg + (j * kp + p) * 2, sizeof pair);
-                a[j] = LV(add_epi32)(a[j], LV(madd_epi16)(w, LV(set1_epi32)(pair)));
+        for (int r = 0; r < RG; r++)
+            for (int j = 0; j < NB; j++)
+                a[r * NB + j] = LANES_INIT(pack + (g + r * LANES) * LANES_HEAD);
+        for (i64 p = 0; p < kp; p++)
+            for (int r = 0; r < RG; r++) {
+                const lanes_t w = LANES_W(codes + (p * mrp + g + r * LANES) * KGROUP);
+                for (int j = 0; j < NB; j++) {
+                    i32 x;  /* codes KGROUP * p and on of column j */
+                    memcpy(&x, xg + (j * kp + p) * KGROUP, sizeof x);
+                    a[r * NB + j] = LANES_MAC(a[r * NB + j], w, LV(set1_epi32)(x));
+                }
             }
-        }
-        for (int j = 0; j < NB; j++) memcpy(acc + j * lda + g, &a[j], sizeof a[j]);
+        for (int r = 0; r < RG; r++)
+            for (int j = 0; j < NB; j++)
+                memcpy(acc + j * lda + g + r * LANES, &a[r * NB + j], sizeof a[0]);
     }
 }
 
-#define BSPC_LANES(NB) \
-    case NB: bspc_lanes_block(NB, kp, mrp, panel, xg, lda, acc); break;
+/* One sum per column waits out the multiply-add's latency, so the narrow
+ * blocks take RG row groups at once — four sums or more in flight —
+ * where the strip has that many. */
+#define BSPC_LANES(NB, RG) \
+    case NB: \
+        if (RG > 1 && mrp >= RG * LANES) \
+            bspc_lanes_block(NB, RG, kp, mrp, pack, xg, lda, acc); \
+        else \
+            bspc_lanes_block(NB, 1, kp, mrp, pack, xg, lda, acc); \
+        break;
 
 /* One packed strip against min(nb, 8) columns of the batch. */
 static void bspc_lanes_strip(
-    i64 nb, i64 kp, i64 mrp, const i8 *panel, const i16 *xg, i64 lda, i32 *acc)
+    i64 nb, i64 kp, i64 mrp, const i8 *pack, const gath_t *xg, i64 lda, i32 *acc)
 {
     switch (nb < 8 ? nb : 8) {
-    BSPC_LANES(1) BSPC_LANES(2) BSPC_LANES(3) BSPC_LANES(4)
-    BSPC_LANES(5) BSPC_LANES(6) BSPC_LANES(7) BSPC_LANES(8)
+    BSPC_LANES(1, 4) BSPC_LANES(2, 2) BSPC_LANES(3, 2) BSPC_LANES(4, 1)
+    BSPC_LANES(5, 1) BSPC_LANES(6, 1) BSPC_LANES(7, 1) BSPC_LANES(8, 1)
     }
 }
 #endif
@@ -593,26 +476,25 @@ static void bspc_nb_strip(
 /* x is (batch, n) and out (batch, rows), both row-major: the transposes
  * of the (n, batch) operand and (rows, batch) result of spmm_int8 — or,
  * with `spmv` set, the operand and result vectors of spmv_int8, which
- * dequantizes with one fused `scale * xs` multiply.  `lanes`/`lrows` are
- * the packed codes and row-padded scatter rows of the rows-in-lanes
- * kernel: null `lanes` where the caller found it does not apply, null
- * `lrows` for the one strip whose panel row i is output row i.  `work` is
- * scratch: with `lanes`, batch int32 accumulator rows of the padded panel
- * height; then batch rows of mc (rounded up to even) int16 gathered
- * codes; then the batch * n int8 codes of the whole activation. */
+ * dequantizes with one fused `scale * xs` multiply; batch <= 16.
+ * `lanes`/`lrows` are the packed strips (each its sums' LANES_HEAD, then
+ * its codes) and row-padded scatter rows of the rows-in-lanes kernel: null
+ * `lanes` where the caller found it does not apply, null `lrows` for the
+ * one strip whose panel row i is output row i.  `work` is scratch: with
+ * `lanes`, batch int32 accumulator rows of the padded panel height; then
+ * batch rows of gathered codes (room for mc, rounded up to even, int16);
+ * then the batch * n int8 codes of the whole activation. */
 API void repro_bspc_i8_nb(
     i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 batch, i64 spmv,
     const i8 *codes, const i64 *gcols, const i64 *srows, const i8 *lanes,
     const i64 *lrows, const double *x, double scale, i32 *work, double *out)
 {
     double xs[16];
-    const i64 kp = (mc + 1) / 2;
     const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
     const i64 tall = strips * mrp;
-    const int wide = LANES && lanes && batch > 1;
-    const i64 ld = wide ? 2 * kp : mc;
+    const int wide = LANES && lanes;
     i16 *xg = (i16 *)(work + (lanes ? batch * tall : 0));
-    i8 *xq = (i8 *)(xg + batch * 2 * kp);
+    i8 *xq = (i8 *)(xg + batch * (mc + mc % 2));
     for (i64 j = 0; j < batch; j++)
         xs[j] = bspc_quant_i8(n, x + j * n, xq + j * n);
     if (!wide || lrows)  /* accumulated into, or not every row written */
@@ -620,19 +502,25 @@ API void repro_bspc_i8_nb(
     if (!strips) return;  /* fully pruned: exact zeros, even for Inf scales */
     for (i64 s = 0; s < strips; s++) {
         const i64 *gc = gcols + s * mc;
-        for (i64 j = 0; j < batch; j++) {
-            for (i64 k = 0; k < mc; k++)
-                xg[j * ld + k] = xq[j * n + gc[k]];
-            if (ld > mc) xg[j * ld + mc] = 0;  /* the odd pair's other half */
-        }
 #if LANES
         if (wide) {
+            const i64 kp = (mc + KGROUP - 1) / KGROUP, ld = kp * KGROUP;
+            gath_t *xl = (gath_t *)xg;
+            for (i64 j = 0; j < batch; j++) {
+                for (i64 k = 0; k < mc; k++)
+                    xl[j * ld + k] = (gath_t)(xq[j * n + gc[k]] + GATH_BIAS);
+                for (i64 k = mc; k < ld; k++) xl[j * ld + k] = 0;  /* meets zero codes */
+            }
             for (i64 jb = 0; jb < batch; jb += 8)
-                bspc_lanes_strip(batch - jb, kp, mrp, lanes + s * mrp * 2 * kp,
-                                 xg + jb * ld, tall, work + jb * tall + s * mrp);
+                bspc_lanes_strip(batch - jb, kp, mrp,
+                                 lanes + s * (LANES_HEAD + ld) * mrp,
+                                 xl + jb * ld, tall, work + jb * tall + s * mrp);
             continue;
         }
 #endif
+        for (i64 j = 0; j < batch; j++)
+            for (i64 k = 0; k < mc; k++)
+                xg[j * mc + k] = xq[j * n + gc[k]];
         for (i64 jb = 0; jb < batch; jb += 4)
             bspc_nb_strip(batch - jb, mr, mc, codes + s * mr * mc,
                           xg + jb * mc, srows + s * mr, rows, out + jb * rows);
@@ -662,7 +550,7 @@ API void repro_bspc_i8_nb(
 # like the numpy ufunc it replaces, and an `a + b * c` contracted into one
 # FMA rounds once instead of twice.  gcc ignores the STDC pragma and clang
 # the GCC one, so both are given; the section comes last in the source so
-# the tile and CSR kernels above keep their FMAs.
+# the float CSR kernels and the quantizer above keep their FMAs.
 _C_NO_CONTRACT = r"""
 #pragma STDC FP_CONTRACT OFF
 #pragma GCC optimize("fp-contract=off")
@@ -742,29 +630,8 @@ API void repro_gru_i8_chunk(
 """
 
 
-def _stamp(
-    template: str, suffix: str, ctype: str, width: int, acc: str = "double"
-) -> str:
-    return (
-        template.replace("$T", ctype)
-        .replace("$A", acc)
-        .replace("$S", suffix)
-        .replace("$W", str(width))
-    )
-
-
-# Three stamps of the BSPC int8 template, keyed by (code dtype, acc
-# dtype).  The narrow-accumulator f32 stamp halves the accumulator's
-# memset/writeback traffic; it is exact (and therefore bit-identical to
-# the f64-acc stamps) only while the *whole-row* reduction stays under
-# 2^24, which the wrapper checks via strips * mc <= F32_EXACT_INNER.
-# The f32w stamp keeps float codes but a double accumulator for plans
-# whose per-strip extent fits the bound while the row total does not.
 _C_SOURCE = (
     _C_COMMON.replace("$ACC_CHUNK", str(ACC_CHUNK))
-    + _stamp(_C_BSPC_TEMPLATE, "f32", "float", 16, acc="float")
-    + _stamp(_C_BSPC_TEMPLATE, "f32w", "float", 16, acc="double")
-    + _stamp(_C_BSPC_TEMPLATE, "f64", "double", 16, acc="double")
     + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD))
     + _C_GRU_CHUNK
 )
@@ -803,9 +670,26 @@ def cache_dir() -> Path:
         return Path(tempfile.gettempdir()) / f"repro-compiled-{os.getuid()}"
 
 
+def _host_isa() -> str:
+    """What ``-march=native`` resolves against on this host: the first
+    CPU's feature-flag line of ``/proc/cpuinfo`` (read up to that line
+    only), the machine type where there is no such file."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith(("flags", "Features")):
+                    return line
+    except OSError:
+        pass
+    return platform.machine()
+
+
 def _source_key(cc: str, flags: Tuple[str, ...]) -> str:
+    """A ``-march=native`` build also keys on the CPU it was made for: run
+    from a cache another host filled, its instructions may not exist here."""
+    isa = _host_isa() if "-march=native" in flags else ""
     digest = hashlib.sha256()
-    digest.update(f"abi={_ABI_VERSION};cc={cc};flags={' '.join(flags)};".encode())
+    digest.update(f"abi={_ABI_VERSION};cc={cc};flags={' '.join(flags)};{isa}".encode())
     digest.update(_C_SOURCE.encode())
     return digest.hexdigest()[:16]
 
@@ -892,6 +776,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, dbl, ptr),
         "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
         "repro_i8_lanes": (),
+        "repro_i8_kgroup": (),
+        "repro_i8_pack": (i64, i64, i64, ptr, ptr),
         "repro_bspc_i8_nb": (
             i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl,
             ptr, ptr,
@@ -906,17 +792,13 @@ def _declare(lib: ctypes.CDLL) -> None:
             ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ),
     }
-    for suffix in ("f32", "f32w", "f64"):
-        signatures[f"repro_bspc_spmm_i8_{suffix}"] = (
-            i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl,
-            ptr, ptr, ptr, ptr,
-        )
     try:
         for name, argtypes in signatures.items():
             fn = getattr(lib, name)
             fn.restype = None
             fn.argtypes = argtypes
-        lib.repro_i8_lanes.restype = i64
+        for query in (lib.repro_i8_lanes, lib.repro_i8_kgroup, lib.repro_i8_pack):
+            query.restype = i64
     except AttributeError as exc:
         raise CompileBackendError(
             f"compiled kernel library is missing symbol: {exc}"
@@ -924,21 +806,42 @@ def _declare(lib: ctypes.CDLL) -> None:
 
 
 def _sanity_probe(lib: ctypes.CDLL) -> None:
-    """One tiny csr_spmv through the library; a stale or miscompiled
-    ``.so`` fails here instead of corrupting results downstream."""
+    """One tiny csr_spmv and one small int8 panel product (packed for this
+    library, at one and two columns) through the library; a stale or
+    miscompiled ``.so`` fails here instead of corrupting results
+    downstream."""
+
+    def check(got: np.ndarray, want: np.ndarray) -> None:
+        if not np.array_equal(got, want):
+            wrong = np.flatnonzero(got.ravel() != want.ravel())[:4]
+            raise CompileBackendError(
+                f"compiled kernel sanity probe produced {got.ravel()[wrong].tolist()} "
+                f"at {wrong.tolist()} of {got.shape}, expected "
+                f"{want.ravel()[wrong].tolist()}; refusing to register the backend"
+            )
+
     values = np.array([2.0, 3.0, 4.0])
     cols = np.array([0, 2, 1], dtype=np.int64)
     row_ptr = np.array([0, 2, 3], dtype=np.int64)
     x = np.array([1.0, 10.0, 100.0])
     out = np.zeros(2)
-    lib.repro_csr_spmv(
-        2, _p(values), _p(cols), _p(row_ptr), _p(x), _p(out)
-    )
-    if not np.array_equal(out, [302.0, 40.0]):
-        raise CompileBackendError(
-            f"compiled kernel sanity probe produced {out.tolist()}, "
-            "expected [302.0, 40.0]; refusing to register the backend"
+    lib.repro_csr_spmv(2, _p(values), _p(cols), _p(row_ptr), _p(x), _p(out))
+    check(out, np.array([302.0, 40.0]))
+    # 70 x 7: row groups that four does not divide, a short last k-group;
+    # each activation row peaks at 127, so its scale is 1 and its codes itself
+    rows, n = 70, 7
+    codes = (np.arange(rows * n).reshape(rows, n) * 37 % 255 - 127).astype(np.int8)
+    x = np.arange(2.0 * n).reshape(2, n) * 53 % 255 - 127
+    x[:, 0] = 127.0
+    gather, scatter = (np.arange(size, dtype=np.int64)[None] for size in (n, rows))
+    panel = _Panel(codes.shape, codes[None], gather, scatter, 1.0, lib=lib)
+    for batch in (1, 2):
+        sizes, addresses, work = _narrow_call(panel, n, batch)
+        out = np.empty((batch, rows))
+        lib.repro_bspc_i8_nb(
+            *sizes, rows, n, batch, 0, *addresses, _p(x), 1.0, work, _p(out)
         )
+        check(out, x[:batch] @ codes.T.astype(np.float64))
 
 
 class _UFuncHead(ctypes.Structure):
@@ -1043,6 +946,13 @@ def lanes() -> int:
     return _library().repro_i8_lanes() if available() else 0
 
 
+def kgroup() -> int:
+    """Kept columns per multiply-add of that kernel, which is how many
+    codes of a row its packed panel keeps side by side: 4 (AVX-512 VNNI),
+    2 (any other build with :func:`lanes`), or 0 where that is 0."""
+    return _library().repro_i8_kgroup() if available() else 0
+
+
 def numpy_loops() -> Optional[tuple]:
     """What :func:`_probe_loops` found when the library was loaded; ``None``
     also where there is no library."""
@@ -1076,59 +986,59 @@ def _i8(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int8)
 
 
-#: Reused scratch buffers, grown on demand.  Fresh `np.empty` calls above
-#: numpy's mmap threshold page-fault on every touch, which costs more
-#: than the kernels themselves at bench sizes.  Per thread — ctypes calls
-#: release the GIL, so two threads can be inside a kernel at once — and
-#: keyed by (name, dtype), so plans on different stamps do not evict each
-#: other's buffers.
+def _aligned(size: int) -> np.ndarray:
+    """``size`` uninitialised bytes that start on a cache line.  numpy
+    aligns to 16 bytes, and from there every 64-byte vector load of the
+    rows-in-lanes kernel straddles two lines, at twice the cost."""
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -_p(raw) % 64
+    return raw[start : start + size]
+
+
+#: One reused work buffer per thread (ctypes calls release the GIL, so two
+#: threads can be inside a kernel at once), grown on demand.  Fresh
+#: `np.empty` calls above numpy's mmap threshold page-fault on every
+#: touch, which costs more than the kernels themselves at bench sizes.
 _SCRATCH = threading.local()
 
 
-def _scratch(name: str, size: int, dtype=np.float64) -> int:
-    """Address of this thread's ``(name, dtype)`` buffer of >= ``size`` items."""
-    buffers = _SCRATCH.__dict__
-    key = (name, np.dtype(dtype))
-    held = buffers.get(key)
-    if held is None or held[0].size < size:
-        array = np.empty(size, dtype=dtype)
-        held = buffers[key] = (array, _p(array))
+def _scratch(size: int) -> int:
+    """Address of this thread's work buffer of >= ``size`` int32."""
+    held = getattr(_SCRATCH, "work", None)
+    if held is None or held[0].size < 4 * size:
+        array = _aligned(4 * size)
+        held = _SCRATCH.work = (array, _p(array))
     return held[1]
 
-
-#: j-block width of the packed activation tile — must match the `$W`
-#: the C templates were stamped with.  16 lanes keeps the 4-row
-#: microkernel's accumulators in registers for both dtypes (gcc fully
-#: unrolls narrower inner loops into scalar code instead of
-#: SLP-vectorizing them).  Batches narrower than one tile run on the
-#: integer `repro_bspc_i8_nb` kernel instead.
-_TILE_LANES = 16
 
 class _Panel:
     """One int8 weight as ``repro_bspc_i8_nb`` reads it: sizes, scale, and
     the addresses of its codes, gather columns and scatter rows, looked up
     once (`ndarray.ctypes.data` costs over a microsecond a time — more
-    than quantizing a B=1 activation).  Where the library has the
-    rows-in-lanes kernel and the weight suits it, the codes are packed a
-    second time as that kernel reads them, ``[strip][k-pair][row][2]`` with
-    rows zero-padded to :data:`LANES_PAD`, next to scatter rows padded alike
-    with the no-output-row sentinel — none for one strip holding every
-    output row in order (a dense weight), which needs no scatter.  ``acc``
-    is the int32 sums that kernel keeps per column of the product (0: not
-    packed).  The panel holds every array its addresses point into."""
+    than quantizing a B=1 activation).  Where the library (``lib``: the
+    loaded one) has the rows-in-lanes kernel and the weight suits it, the
+    codes are packed a second time as that kernel reads them — by the
+    library, ``repro_i8_pack``: the layout is its own — next to scatter
+    rows padded to :data:`LANES_PAD` alike with the no-output-row
+    sentinel: none for one strip holding every output row in order (a
+    dense weight), which needs no scatter.  ``acc`` is the int32 sums that
+    kernel keeps per column of the product (0: not packed).  The panel
+    holds every array its addresses point into."""
 
     def __init__(
-        self, shape, codes, gather_cols, scatter_rows, scale, scatter_unique=True
+        self, shape, codes, gather_cols, scatter_rows, scale, scatter_unique=True,
+        lib: Optional[ctypes.CDLL] = None,
     ) -> None:
+        codes = _i8(codes)  # C reads them by address, twice over
         strips, mr, mc = self.sizes = codes.shape
         self.shape, self.scale, self.acc = shape, scale, 0
+        lib = _library() if lib is None else lib
         packed = rows = None
-        if lanes() and scatter_unique and 0 < mc <= ACC_CHUNK and strips:
+        size = lib.repro_i8_pack(strips, mr, mc, None, None)
+        if size and scatter_unique:
+            packed = _aligned(size)
+            lib.repro_i8_pack(strips, mr, mc, _p(codes), _p(packed))
             tall = -(-mr // LANES_PAD) * LANES_PAD
-            padded = np.zeros((strips, tall, mc + mc % 2), dtype=np.int8)
-            padded[:, :mr, :mc] = codes
-            # two bytes of a row move together: a transpose of int16s
-            packed = np.ascontiguousarray(padded.view(np.int16).transpose(0, 2, 1))
             self.acc = strips * tall
             if strips > 1 or mr != shape[0] or (scatter_rows != np.arange(mr)).any():
                 rows = np.full((strips, tall), shape[0], dtype=np.int64)
@@ -1246,82 +1156,54 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int8_bspc_fn(lib, ft: np.dtype, strips: int, mc: int):
-    """Pick the tile-kernel stamp and accumulator dtype for an int8 BSPC
-    plan.
-
-    The narrow float32 accumulator is exact only while the whole-row
-    reduction (bounded by ``strips * mc`` gathered columns) keeps integer
-    partial sums below 2^24; past that, float codes pair with the wide
-    f64-accumulator ``f32w`` stamp instead.
-    """
-    if ft != np.float32:
-        return lib.repro_bspc_spmm_i8_f64, np.float64
-    if strips * mc <= F32_EXACT_INNER:
-        return lib.repro_bspc_spmm_i8_f32, np.float32
-    return lib.repro_bspc_spmm_i8_f32w, np.float64
-
-
 def _narrow_call(panel: _Panel, n: int, batch: int) -> tuple:
     """What every ``repro_bspc_i8_nb``-based entry passes for a panel
     resolved for this call: its sizes and addresses, and this thread's
     scratch for ``batch`` rows of an ``n``-wide operand (in int32 units:
-    the lanes accumulators, the int16 gathered codes, the int8 codes of
-    the whole operand)."""
+    the lanes accumulators, the gathered codes — int16 at their widest —
+    and the int8 codes of the whole operand)."""
     _check_operand(panel.shape[1], n)
     mc = panel.sizes[2]
-    work = _scratch(
-        "bspc_nb", batch * (panel.acc + (mc + 1) // 2) + (batch * n + 3) // 4, np.int32
-    )
+    work = _scratch(batch * (panel.acc + (mc + 1) // 2) + (batch * n + 3) // 4)
     return panel.sizes, panel.addresses, work
-
-
-def _bspc_int8_narrow(plan, x: np.ndarray, spmv: bool) -> np.ndarray:
-    """``x (B, n)`` row-major, ``B < 16`` → fresh row-major ``(B, rows)``."""
-    batch, n = x.shape
-    rows = plan.base.shape[0]
-    sizes, addresses, work = _narrow_call(_plan_panel(plan), n, batch)
-    out = np.empty((batch, rows))
-    _library().repro_bspc_i8_nb(
-        *sizes, rows, n, batch, spmv, *addresses, _p(x), plan.scale, work, _p(out)
-    )
-    return out
 
 
 def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
     plan = int8_bspc_plan(matrix)
+    rows = plan.base.shape[0]
     if not plan.base.panels.size:
-        return np.zeros(plan.base.shape[0])
-    return _bspc_int8_narrow(plan, _f64(x).reshape(1, -1), True)[0]
+        return np.zeros(rows)
+    x = _f64(x).reshape(-1)
+    sizes, addresses, work = _narrow_call(_plan_panel(plan), len(x), 1)
+    out = np.empty(rows)
+    _library().repro_bspc_i8_nb(
+        *sizes, rows, len(x), 1, True, *addresses, _p(x), plan.scale, work, _p(out)
+    )
+    return out
+
+
+def _panel_rows(panel: _Panel, x: np.ndarray, bias: Optional[int], out: np.ndarray):
+    """``repro_bspc_i8_rows`` on operands already checked: C-contiguous
+    float64 ``x (N, n)`` and ``out (N, rows)``, ``bias`` an address."""
+    count, n = x.shape
+    sizes, addresses, work = _narrow_call(panel, n, min(count, 8))
+    _library().repro_bspc_i8_rows(
+        *sizes, panel.shape[0], n, count, *addresses, _p(x), panel.scale, bias, work,
+        _p(out),
+    )
+    return out
 
 
 def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
-    """``(n, B)`` activations in either memory order.  Narrow batches
-    run batch-major, so an F-ordered ``x`` (the transpose view of a
-    row-major ``(B, n)`` state) is read in place, and the result is the
-    transpose view of a fresh row-major ``(B, rows)`` array."""
+    """``(n, B)`` activations in either memory order.  The product runs
+    batch-major, so an F-ordered ``x`` (the transpose view of a row-major
+    ``(B, n)`` state) is read in place, and the result is the transpose
+    view of a fresh row-major ``(B, rows)`` array."""
     plan = int8_bspc_plan(matrix)
-    base = plan.base
-    rows = base.shape[0]
-    n, batch = x.shape
-    if not base.panels.size or not batch:
+    rows, batch = plan.base.shape[0], x.shape[1]
+    if not plan.base.panels.size or not batch:
         return np.zeros((rows, batch))
-    if batch < _TILE_LANES:
-        return _bspc_int8_narrow(plan, _f64(x.T), False).T
-    _check_operand(base.shape[1], n)
-    strips, mr, mc = base.panels.shape
-    ft = plan.codes_f.dtype
-    x = _f64(x)
-    fn, at = _int8_bspc_fn(_library(), ft, strips, mc)
-    out = np.empty((rows, batch))  # the dequant pass writes every element
-    fn(
-        strips, mr, mc, rows, n, batch,
-        _p(plan.codes_f), _p(base.gather_cols), None,
-        _p(base.scatter_rows), _p(x), plan.scale, _scratch("bspc_xs", batch),
-        _scratch("bspc_xp", mc * _TILE_LANES, ft),
-        _scratch("bspc_acc", (rows + 1) * batch, at), _p(out),
-    )
-    return out
+    return _panel_rows(_plan_panel(plan), _f64(x.T), None, np.empty((batch, rows))).T
 
 
 def _check_buffers(*arrays: np.ndarray) -> None:
@@ -1349,14 +1231,7 @@ def panel_linear_int8(
         shapes = [a.shape for a in (x, out, *given)]
         raise ShapeError(f"projection onto {rows} rows of {shapes}")
     _check_buffers(out, *given)
-    count, n = x.shape
-    sizes, addresses, work = _narrow_call(panel, n, min(count, 8))
-    x = _f64(x)  # held until the call returns
-    _library().repro_bspc_i8_rows(
-        *sizes, rows, n, count, *addresses, _p(x), panel.scale,
-        None if bias is None else _p(bias), work, _p(out),
-    )
-    return out
+    return _panel_rows(panel, _f64(x), None if bias is None else _p(bias), out)
 
 
 def bspc_linear_int8(
@@ -1400,7 +1275,7 @@ def gru_int8_sequence(
     plan = int8_bspc_plan(matrix)
     seq_len, batch, h = out.shape
     shapes = [a.shape for a in (gates_x, hidden, bias_h, zr, cand, gh)]
-    if batch >= _TILE_LANES or plan.base.shape[0] != 3 * h or shapes != [
+    if batch >= 16 or plan.base.shape[0] != 3 * h or shapes != [
         (seq_len, batch, 3 * h), (batch, h), (h,), (batch, 2 * h), (batch, h),
         (batch, 3 * h),
     ]:

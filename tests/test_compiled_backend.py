@@ -69,6 +69,22 @@ class TestBuildCache:
         assert key != compiled._source_key("clang", ("-O3",))
         assert key != compiled._source_key("cc", ("-O2",))
 
+    def test_native_cache_key_covers_the_cpu_and_the_plain_key_does_not(
+        self, monkeypatch
+    ):
+        # a -march=native .so from a cache another host filled may hold
+        # instructions this one lacks; the portable build runs anywhere
+        native, plain = ("-march=native", "-O3"), ("-O3",)
+        assert compiled._host_isa().strip()
+        keys = []
+        for isa in ("flags\t: fpu avx2 avx512bw avx512_vnni\n", "flags\t: fpu avx2 avx512bw\n"):
+            monkeypatch.setattr(compiled, "_host_isa", lambda isa=isa: isa)
+            keys.append(
+                (compiled._source_key("cc", native), compiled._source_key("cc", plain))
+            )
+        (native_a, plain_a), (native_b, plain_b) = keys
+        assert native_a != native_b and plain_a == plain_b
+
     def test_library_handle_is_process_cached(self, fresh_state):
         assert compiled._library() is compiled._library()
 
@@ -222,53 +238,43 @@ class TestBackendValidation:
 
 
 # ---------------------------------------------------------------------------
-# int8 accumulator-stamp dispatch (f32 / f32w / f64)
+# int8 BSPC microkernel dispatch (one kernel family, every batch width)
 # ---------------------------------------------------------------------------
 @requires_compiler
 class TestAccumulatorStamps:
-    """The narrow-f32-accumulator scheme must only engage when the
-    whole-row reduction provably fits the 2^24 integer-exactness bound
-    (``strips * mc <= F32_EXACT_INNER``); past it, float codes must pair
-    with the wide-accumulator ``f32w`` stamp — and stay bitwise equal to
-    the reference backend either way."""
+    """The float tile stamps are gone: every batch width runs the narrow
+    integer kernel, whose int32 sums must stay exact — the rows-in-lanes
+    microkernel while a strip's extent fits one accumulator
+    (``mc <= ACC_CHUNK``), the chunk-flushing register block past it — and
+    bitwise equal to the reference backend either way."""
 
     def test_stamp_selection(self, monkeypatch):
-        # Which path a shape takes, and that it is exact there: batches of
-        # 16 and more run the tile kernel on the accumulator the whole-row
-        # extent allows, narrower ones and spmv the integer narrow kernel.
-        from repro.kernels.quantized import F32_EXACT_INNER
+        # Which path a shape takes, and that it is exact there: 16 columns
+        # and more walk the same kernel in blocks of eight (the work
+        # buffer is sized for eight: anything wider would overrun it), on
+        # the packed lanes panel wherever the build has that microkernel.
         from repro.sparse.blocks import grid_for
         from repro.sparse.bspc import BSPCMatrix
         from repro.utils.rng import new_rng
 
-        picked, narrow = [], []
-        pick, run_narrow = compiled._int8_bspc_fn, compiled._bspc_int8_narrow
+        calls = []
+        narrow_call = compiled._narrow_call
 
-        def spy_pick(lib, ft, strips, mc):
-            fn, at = pick(lib, ft, strips, mc)
-            picked.append((np.dtype(ft), strips * mc, np.dtype(at)))
-            return fn, at
+        def spy(panel, n, batch):
+            calls.append((batch, panel.acc > 0))
+            return narrow_call(panel, n, batch)
 
-        def spy_narrow(plan, x, spmv):
-            narrow.append((len(x), spmv))
-            return run_narrow(plan, x, spmv)
-
-        monkeypatch.setattr(compiled, "_int8_bspc_fn", spy_pick)
-        monkeypatch.setattr(compiled, "_bspc_int8_narrow", spy_narrow)
-        for cols, strips, codes, acc in (
-            (341, 3, np.float32, np.float32),  # F32_EXACT_INNER - 1
-            (512, 2, np.float32, np.float32),  # the bound itself
-            (205, 5, np.float32, np.float64),  # one past it: f32w
-            (1025, 1, np.float64, np.float64),  # a strip alone past it
-        ):
-            assert (acc == np.float32) == (strips * cols <= F32_EXACT_INNER)
+        monkeypatch.setattr(compiled, "_narrow_call", spy)
+        chunk = compiled.ACC_CHUNK
+        for cols, strips in ((341, 3), (512, 2), (1025, 1), (chunk, 1), (chunk + 1, 1)):
+            lanes = bool(compiled.lanes()) and cols <= chunk
             rng = new_rng(cols)
             weight = rng.standard_normal((2 * strips, cols))
             weight[0] = np.abs(weight).max()  # a row of 127s: the largest sums
             m = BSPCMatrix.from_dense(weight, grid_for(weight, strips, 1))
             x = rng.standard_normal((cols, 17))
             x[:, 0] = 1.0  # every code 127
-            del picked[:], narrow[:]
+            del calls[:]
             for batch in (16, 17, 15, 1):
                 np.testing.assert_array_equal(
                     kernels.spmm_int8(m, x[:, :batch], backend="compiled"),
@@ -278,46 +284,7 @@ class TestAccumulatorStamps:
                 kernels.spmv_int8(m, x[:, 0], backend="compiled"),
                 kernels.spmv_int8(m, x[:, 0], backend="reference"),
             )
-            assert picked == [(np.dtype(codes), strips * cols, np.dtype(acc))] * 2
-            assert narrow == [(15, False), (1, False), (1, True)]
-
-    def test_f32w_path_bitwise_vs_reference(self):
-        # A structured 2048^2 BSP-pruned matrix keeps per-strip panels
-        # narrow (float32 codes) while strips * mc = 2048 exceeds the
-        # narrow-accumulator bound, forcing the f32w stamp.
-        from repro.kernels.quantized import F32_EXACT_INNER, int8_bspc_plan
-        from repro.pruning.bsp import BSPConfig, bsp_project_masks
-        from repro.sparse.blocks import grid_for
-        from repro.sparse.bspc import BSPCMatrix
-        from repro.utils.rng import new_rng
-
-        size, strips, blocks = 2048, 8, 8
-        weight = new_rng(0).standard_normal((size, size))
-        masks = bsp_project_masks(
-            {"w": weight},
-            BSPConfig(col_rate=8, row_rate=2, num_row_strips=strips,
-                      num_col_blocks=blocks),
-        )
-        pruned = masks["w"].apply_to_array(weight)
-        m = BSPCMatrix.from_dense(pruned, grid_for(pruned, strips, blocks))
-
-        plan = int8_bspc_plan(m)
-        n_strips, _, mc = plan.base.panels.shape
-        assert plan.codes_f.dtype == np.float32
-        assert n_strips * mc > F32_EXACT_INNER  # really the f32w stamp
-
-        rng = new_rng(3)
-        x = rng.standard_normal(size)
-        expected = kernels.spmv_int8(m, x, backend="reference")
-        np.testing.assert_array_equal(
-            kernels.spmv_int8(m, x, backend="compiled"), expected
-        )
-        for batch in (7, 16):  # partial- and full-lane writeback
-            xb = rng.standard_normal((size, batch))
-            expected = kernels.spmm_int8(m, xb, backend="reference")
-            np.testing.assert_array_equal(
-                kernels.spmm_int8(m, xb, backend="compiled"), expected
-            )
+            assert calls == [(8, lanes)] * 3 + [(1, lanes)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,27 @@ class TestCrashRecovery:
         assert fleet.crashes_detected >= 1
         assert fleet.sessions_rehomed >= 1
 
+    def test_rehome_replays_what_was_fed_not_the_reused_buffer(self):
+        """A client refilling one audio buffer between feeds: the worker
+        dies on the third chunk, after the buffer that carried the first
+        two was overwritten, and the replay must still see their audio."""
+        plan = small_plan()
+        utterance = make_utterances(1, base_frames=30)[0]
+        config = fabric_config(
+            faults=FaultConfig(crash_after_chunks=2, target_worker=0)
+        )
+        buffer = np.empty((10, 8))
+        with ServingFabric.from_plan(plan, config) as fabric:
+            sid = open_on_worker(fabric, 0)
+            for start in range(0, 30, 10):
+                buffer[...] = utterance[start : start + 10]
+                fabric.feed(sid, buffer)
+            buffer[...] = 0.0
+            phones = fabric.finish(sid)
+            fleet = fabric.stats()
+        assert phones == offline_phones(plan, [utterance])[0]
+        assert fleet.sessions_rehomed >= 1
+
     def test_recovery_is_deterministic(self):
         """Same seed, same fault plan → identical fleet counters and
         identical phones across two independent runs."""
@@ -917,7 +938,10 @@ class TestFleetStatsEdges:
         journal.open(8, version="v1")
         journal.mark_swap(8, "v2")
         journal.record(8, a)
-        assert journal.segments(8) == [("v2", (a,))]
+        ((version, chunks),) = journal.segments(8)
+        assert version == "v2" and len(chunks) == 1
+        np.testing.assert_array_equal(chunks[0], a)  # a copy of it
+        assert not np.shares_memory(chunks[0], a)
         # Consecutive marks with no chunks between collapse.
         journal.mark_swap(8, "v3")
         journal.mark_swap(8, "v4")

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import engine, kernels
+from repro.errors import CompileBackendError
 from repro.kernels import compiled, quantized
 from repro.kernels.quantized import F32_EXACT_INNER, int8_bspc_plan
 from repro.kernels.registry import KernelRegistry
@@ -781,7 +782,7 @@ def assert_int8_products_equal_reference(matrix, x):
                     np.testing.assert_array_equal(kernels.spmv_int8(matrix, column), want)
 
 
-BATCHES = (1, 5, 16, 19)  # one row, a register block and a tail, a tile, a tile and a tail
+BATCHES = (1, 5, 16, 19)  # one column, a block's worth, two blocks of eight, two and a tail
 
 
 class TestNumericEdges:
@@ -906,40 +907,36 @@ class TestNumericEdges:
 # ---------------------------------------------------------------------------
 @requires_compiler
 class TestScratch:
-    def test_buffers_are_keyed_by_name_and_dtype(self):
-        a = compiled._scratch("t_keyed", 64, np.float32)
-        b = compiled._scratch("t_keyed", 64, np.float64)
-        assert a != b
-        # alternating dtypes (or shrinking sizes) must not reallocate
-        assert compiled._scratch("t_keyed", 64, np.float32) == a
-        assert compiled._scratch("t_keyed", 8, np.float64) == b
-        assert compiled._scratch("t_keyed", 128, np.float64) != b  # grown
+    def test_the_buffer_grows_on_demand_and_starts_on_a_cache_line(self):
+        held = compiled._scratch(64)
+        assert held % 64 == 0
+        assert compiled._scratch(8) == held  # a smaller request reuses it
+        size = compiled._SCRATCH.work[0].size  # bytes: more than as many int32
+        grown = compiled._scratch(size)
+        assert grown % 64 == 0 and compiled._SCRATCH.work[0].size >= 4 * size
+        assert compiled._scratch(64) == grown
 
     def test_buffers_are_per_thread(self):
-        mine = compiled._scratch("t_thread", 16)
+        mine = compiled._scratch(16)
         theirs = []
-        worker = threading.Thread(
-            target=lambda: theirs.append(compiled._scratch("t_thread", 16))
-        )
+        worker = threading.Thread(target=lambda: theirs.append(compiled._scratch(16)))
         worker.start()
         worker.join()
         assert theirs and theirs[0] != mine
 
-    def test_interleaved_plans_on_different_stamps(self):
-        # float32 codes (f32 stamp) and float64 codes (f64 stamp) share
-        # scratch names; interleaving them must neither thrash the
-        # buffers nor mix their contents.
+    def test_interleaved_plans_share_the_buffer_without_thrash(self):
+        # a lanes panel and a strip too long for it (the register block)
+        # take turns on one work buffer; once it fits the larger, neither
+        # reallocates it nor finds the other's contents in its result
         narrow = bsp_matrix()
-        wide = full_matrix(new_rng(1).standard_normal((6, F32_EXACT_INNER + 8)))
-        assert int8_bspc_plan(narrow).codes_f.dtype == np.float32
-        assert int8_bspc_plan(wide).codes_f.dtype == np.float64
+        wide = full_matrix(new_rng(1).standard_normal((6, compiled.ACC_CHUNK + 8)))
         xn = new_rng(2).standard_normal((64, 16))
-        xw = new_rng(3).standard_normal((F32_EXACT_INNER + 8, 16))
+        xw = new_rng(3).standard_normal((compiled.ACC_CHUNK + 8, 16))
         want_n = kernels.spmm_int8(narrow, xn, backend="reference")
         want_w = kernels.spmm_int8(wide, xw, backend="reference")
         kernels.spmm_int8(narrow, xn, backend="compiled")
         kernels.spmm_int8(wide, xw, backend="compiled")
-        held = {key: value[1] for key, value in compiled._SCRATCH.__dict__.items()}
+        held = compiled._SCRATCH.work[1]
         for _ in range(3):
             np.testing.assert_array_equal(
                 kernels.spmm_int8(narrow, xn, backend="compiled"), want_n
@@ -947,8 +944,7 @@ class TestScratch:
             np.testing.assert_array_equal(
                 kernels.spmm_int8(wide, xw, backend="compiled"), want_w
             )
-        after = {key: value[1] for key, value in compiled._SCRATCH.__dict__.items()}
-        assert after == held
+        assert compiled._SCRATCH.work[1] == held
 
     @pytest.mark.parametrize("batch", [3, 16])
     def test_threads_running_spmm_int8_concurrently(self, batch):
@@ -1147,7 +1143,7 @@ class TestLanesKernel:
             np.testing.assert_array_equal(kernels.linear_int8_rowwise(eye, 1.0, x), want)
 
     @pytest.mark.parametrize("route", ROUTES)
-    @pytest.mark.parametrize("batch", [2, 3, 4, 5, 6, 7, 8, 9, 15])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33])
     def test_bspc_plans_on_and_off_the_lanes_kernel(self, route, batch):
         tuned = bsp_matrix()
         kernels.pack_bspc_plan(tuned, 5)  # many short strips, rows padded 5 -> 16
@@ -1162,6 +1158,49 @@ class TestLanesKernel:
             want = kernels.spmm_int8(matrix, x, backend="reference")
             with kernels.use_backend(route):
                 np.testing.assert_array_equal(kernels.spmm_int8(matrix, x), want)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33])
+    def test_extreme_sums_on_both_sides_of_the_accumulator_bound(self, batch):
+        # Every product +-127 * 127 — whole rows and columns of one sign
+        # among them — over a strip as long as one int32 sum takes (the
+        # lanes kernel: with activations offset by 128 its sums reach
+        # 255 * 127 * 8192 next to a start of 128 * 127 * 8192, still
+        # under 2^31) and one column longer (the chunk-flushing block).
+        for cols, lanes in ((compiled.ACC_CHUNK, True), (compiled.ACC_CHUNK + 1, False)):
+            rng = new_rng(cols)
+            weight = np.sign(rng.standard_normal((5, cols)))
+            weight[0], weight[1], weight[2, ::2] = 1.0, -1.0, 1.0
+            matrix = full_matrix(weight)
+            if compiled.available():
+                assert takes_lanes(matrix) == (lanes and has_lanes())
+            x = np.sign(rng.standard_normal((cols, batch)))
+            x[:, 0] = 1.0
+            x[:, -1] = -1.0
+            want = kernels.spmm_int8(matrix, x, backend="reference")
+            assert abs(want).max() == cols  # 127 * 127 * cols, dequantized
+            for route in ROUTES:
+                with kernels.use_backend(route):
+                    for operand in (x, np.asfortranarray(x)):
+                        np.testing.assert_array_equal(kernels.spmm_int8(matrix, operand), want)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("cols", [5, 6, 7, 8])
+    def test_rows_and_columns_around_every_group_boundary(self, route, cols):
+        # a short last k-group (mc % 4 in 1, 2, 3 and none), strips on both
+        # sides of each multiple of a register's rows — up to the four
+        # registers a one-column block takes at once, and past them
+        weights = new_rng(cols).standard_normal((2 * 81, cols))
+        for rows in [r + d for r in (16, 32, 48, 64, 80) for d in (-1, 0, 1)]:
+            matrix = full_matrix(weights[: 2 * rows], strips=2)  # mr = rows
+            for batch in (1, 2, 3, 4, 8, 9):
+                x = new_rng(rows + batch).standard_normal((cols, batch))
+                want = kernels.spmm_int8(matrix, x, backend="reference")
+                with kernels.use_backend(route):
+                    np.testing.assert_array_equal(kernels.spmm_int8(matrix, x), want)
+                    np.testing.assert_array_equal(
+                        kernels.spmv_int8(matrix, x[:, 0]),
+                        kernels.spmv_int8(matrix, x[:, 0], backend="reference"),
+                    )
 
     @requires_compiler
     def test_public_op_is_fresh_unfrozen_and_checked(self):
@@ -1238,9 +1277,10 @@ class TestLanesKernel:
 # ---------------------------------------------------------------------------
 # Second builds of the C library: mutants, and the paths this host skips
 # ---------------------------------------------------------------------------
-def load_second_build(tmp_path, monkeypatch, edit=None, flags=None):
+def load_second_build(tmp_path, monkeypatch, edit=None, flags=None, probe=True):
     """Put another build of the kernel library in the process's place:
-    ``edit`` rewrites the C source, ``flags`` stand in for -march=native."""
+    ``edit`` rewrites the C source, ``flags`` stand in for -march=native;
+    without ``probe`` a library whose products are wrong loads all the same."""
     if edit is not None:
         mutant = edit(compiled._C_SOURCE)
         assert mutant != compiled._C_SOURCE
@@ -1253,7 +1293,17 @@ def load_second_build(tmp_path, monkeypatch, edit=None, flags=None):
             compile_(cc, src, out, tuple(flags) + keep)
 
         monkeypatch.setattr(compiled, "_compile", swapped)
+    if not probe:
+        monkeypatch.setattr(compiled, "_sanity_probe", lambda lib: None)
     monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path))
+
+
+def load_wrong_build(tmp_path, monkeypatch, edit):
+    """A mutant whose int8 products are wrong: refused at load, then —
+    the same cached ``.so`` — loaded past the probe to show how wrong."""
+    with pytest.raises(CompileBackendError, match="sanity probe"):
+        load_second_build(tmp_path, monkeypatch, edit)
+    load_second_build(tmp_path, monkeypatch, probe=False)
 
 
 def streamed_auto_plan():
@@ -1287,30 +1337,78 @@ def test_dropping_the_quantizers_divide_guard_changes_codes(tmp_path, monkeypatc
 
 
 @requires_lanes
-def test_swapping_the_pair_interleave_changes_the_product(tmp_path, monkeypatch):
-    # the pack puts codes 2p and 2p + 1 of a row side by side, against
-    # the activation pair in the same order
-    pair = "LV(set1_epi32)(pair)"
-    assert compiled._C_SOURCE.count(pair) == 1
+def test_swapping_the_group_interleave_changes_the_product(tmp_path, monkeypatch):
+    # the pack puts a row's codes of one k-group side by side, against the
+    # activation group in the same order
+    group = "LV(set1_epi32)(x)"
+    assert compiled._C_SOURCE.count(group) == 1
     matrix = bsp_matrix()
     x = new_rng(5).standard_normal((64, 3))
     codes, scale = kernels.int8_codes(new_rng(6).standard_normal((20, 9)))
     rows = new_rng(7).standard_normal((4, 9))
     want = kernels.spmm_int8(matrix, x, backend="reference")
     want_dense = kernels.linear_int8_rowwise(codes, scale, rows, backend="reference")
-    load_second_build(
+    load_wrong_build(
         tmp_path,
         monkeypatch,
         lambda c: c.replace(
-            pair, "LV(set1_epi32)((i32)((uint32_t)pair << 16 | (uint32_t)pair >> 16))"
+            group, "LV(set1_epi32)((i32)((uint32_t)x << 16 | (uint32_t)x >> 16))"
         ),
     )
-    assert not np.array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    for batch in (1, 3):
+        got = kernels.spmm_int8(matrix, x[:, :batch], backend="compiled")
+        assert not np.array_equal(got, want[:, :batch])
     assert not np.array_equal(compiled.linear_int8_rowwise(codes, scale, rows), want_dense)
-    # one column takes the register block, which reads the plain codes
+    # rows that two strips share take the register block, which reads the
+    # plain codes
+    shared = shared_row_matrix()
     np.testing.assert_array_equal(
-        kernels.spmm_int8(matrix, x[:, :1], backend="compiled"), want[:, :1]
+        kernels.spmm_int8(shared, x[:9], backend="compiled"),
+        kernels.spmm_int8(shared, x[:9], backend="reference"),
     )
+
+
+requires_vnni = pytest.mark.skipif(
+    compiled.kgroup() != 4, reason="C library built without AVX-512 VNNI"
+)
+
+
+@requires_vnni
+def test_dropping_the_offset_initialiser_changes_the_product(tmp_path, monkeypatch):
+    # vpdpbusd multiplies activation codes offset by 128; only starting each
+    # sum at -128 * its row's code sum gives the reference's integers back
+    start = "#define LANES_INIT(p) _mm512_loadu_si512(p)"
+    assert compiled._C_SOURCE.count(start) == 1
+    matrix = bsp_matrix()
+    x = new_rng(5).standard_normal((64, 8))
+    want = kernels.spmm_int8(matrix, x, backend="reference")
+    np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    load_wrong_build(
+        tmp_path,
+        monkeypatch,
+        lambda c: c.replace(start, "#define LANES_INIT(p) _mm512_setzero_si512()"),
+    )
+    for batch in (1, 8):
+        got = kernels.spmm_int8(matrix, x[:, :batch], backend="compiled")
+        assert not np.array_equal(got, want[:, :batch])
+    got = kernels.spmv_int8(matrix, x[:, 0], backend="compiled")
+    assert not np.array_equal(got, kernels.spmv_int8(matrix, x[:, 0], backend="reference"))
+
+
+@requires_vnni
+def test_the_build_without_vnni_streams_the_same_bytes(tmp_path, monkeypatch):
+    # the pair / pmaddwd form of the same microkernel, which this host's
+    # own build leaves out
+    native = streamed_auto_plan()
+    load_second_build(tmp_path, monkeypatch, flags=("-march=native", "-mno-avx512vnni"))
+    assert (compiled.lanes(), compiled.kgroup()) == (16, 2)
+    assert streamed_auto_plan() == native
+    for batch in (1, 2, 8, 9, 16):
+        x = new_rng(batch).standard_normal((64, batch))
+        np.testing.assert_array_equal(
+            kernels.spmm_int8(bsp_matrix(), x, backend="compiled"),
+            kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+        )
 
 
 @requires_compiler
@@ -1320,7 +1418,7 @@ def test_a_plain_o3_build_streams_the_same_bytes(tmp_path, monkeypatch):
     # path an AVX host's own build never takes.
     native = streamed_auto_plan()
     load_second_build(tmp_path, monkeypatch, flags=())
-    assert compiled.lanes() == 0
+    assert (compiled.lanes(), compiled.kgroup()) == (0, 0)
     assert streamed_auto_plan() == native
     # registering from such a build leaves the dense op on numpy
     target = KernelRegistry()
@@ -1339,9 +1437,9 @@ def test_the_eight_row_build_streams_the_same_bytes(tmp_path, monkeypatch):
         pytest.skip("this host's own build is the eight-row one")
     native = streamed_auto_plan()
     load_second_build(tmp_path, monkeypatch, flags=("-mavx2", "-mfma"))
-    assert compiled.lanes() == 8
+    assert (compiled.lanes(), compiled.kgroup()) == (8, 2)
     assert streamed_auto_plan() == native
-    for batch in (2, 8, 9):
+    for batch in (1, 2, 8, 9):
         x = new_rng(batch).standard_normal((64, batch))
         np.testing.assert_array_equal(
             kernels.spmm_int8(bsp_matrix(), x, backend="compiled"),

@@ -507,6 +507,31 @@ class TestStreamScheduler:
             replayed.feed(rid, chunk)
         assert replayed.finish(rid) == phones
 
+    def test_a_reused_feed_buffer_streams_the_offline_transcript(self, rng):
+        # A client refilling one audio buffer between feeds: chunks wait
+        # in the queue (nothing runs before finish here), so a queued
+        # alias of the buffer would decode its last contents four times.
+        from repro.engine.fabric import SessionJournal
+
+        plan, _ = self.make()
+        journal = SessionJournal()
+        scheduler = engine.StreamScheduler(
+            plan,
+            engine.StreamConfig(max_batch_size=4, max_wait_frames=1000, min_duration=2),
+            journal=journal,
+        )
+        utterance = rng.standard_normal((40, 8))
+        offline = decode_utterance(plan.forward_utterance(utterance), min_duration=2)
+        buffer = np.empty((10, 8))
+        sid = scheduler.open()
+        for start in range(0, 40, 10):
+            buffer[...] = utterance[start : start + 10]
+            scheduler.feed(sid, buffer)
+        buffer[...] = 0.0
+        assert scheduler.pending() == 4
+        assert scheduler.finish(sid) == offline
+        np.testing.assert_array_equal(np.concatenate(journal.chunks(sid)), utterance)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             engine.StreamConfig(max_batch_size=0)
