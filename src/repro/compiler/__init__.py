@@ -50,7 +50,6 @@ from repro.compiler.pipeline import (
     CompiledModel,
     build_layer_graph,
     compile_for_simulation,
-    compile_model,
     compile_weights,
     graph_from_named_weights,
     kernel_plan_from_graph,
@@ -83,7 +82,6 @@ __all__ = [
     "kernel_plan_from_graph",
     "compile_weights",
     "compile_for_simulation",
-    "compile_model",  # deprecated alias of compile_for_simulation
     "CompiledModel",
     # passes
     "run_passes",

@@ -17,7 +17,6 @@ This is the user-facing entry of the compiler-assisted framework
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -290,23 +289,3 @@ def compile_for_simulation(
     return CompiledModel(
         plan=compile_weights(named_weights, options, timesteps), options=options
     )
-
-
-def compile_model(
-    named_weights: Dict[str, np.ndarray],
-    options: Optional[CompileOptions] = None,
-    timesteps: int = FRAMES_PER_INFERENCE,
-) -> CompiledModel:
-    """Deprecated alias for :func:`compile_for_simulation`.
-
-    The name collided with :func:`repro.engine.compile_model` (the
-    executable lowering); the analytic entry point is now unambiguous.
-    """
-    warnings.warn(
-        "repro.compiler.pipeline.compile_model is deprecated; use "
-        "compile_for_simulation (analytic) or repro.engine.compile_model "
-        "(executable)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return compile_for_simulation(named_weights, options, timesteps)

@@ -14,7 +14,7 @@ from repro.engine.fabric.fabric import (
     ServingFabric,
     WorkerStats,
 )
-from repro.engine.fabric.faults import CRASH_EXIT_CODE, FaultConfig, FaultInjector
+from repro.utils.faults import CRASH_EXIT_CODE, FaultConfig, FaultInjector
 from repro.engine.fabric.journal import SessionJournal
 from repro.engine.fabric.router import HashRing
 from repro.engine.fabric.supervisor import Supervisor

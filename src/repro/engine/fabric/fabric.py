@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.engine.fabric.canary import CanaryConfig, CanaryReport, CanaryState
-from repro.engine.fabric.faults import FaultConfig
+from repro.utils.faults import FaultConfig
 from repro.engine.fabric.journal import SessionJournal
 from repro.engine.fabric.router import HashRing
 from repro.engine.fabric.supervisor import Supervisor

@@ -18,7 +18,7 @@ and is the only code that spawns or kills worker processes.  Its policy:
   each worker has a restart budget (``max_restarts``); past it the
   worker is marked permanently dead and the hash ring routes its slice
   to the survivors.  Fault injection arms only in the incarnations its
-  :meth:`~repro.engine.fabric.faults.FaultConfig.applies_to` selects, so
+  :meth:`~repro.utils.faults.FaultConfig.applies_to` selects, so
   a restarted worker is clean unless the fault plan says otherwise.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from repro.engine.fabric.faults import FaultConfig
+from repro.utils.faults import FaultConfig
 from repro.engine.fabric.worker import WorkerFailure, WorkerHandle
 from repro.engine.streaming import StreamConfig
 

@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.fabric.faults import FaultConfig, FaultInjector
+from repro.utils.faults import FaultConfig, FaultInjector
 from repro.engine.streaming import StreamConfig, StreamScheduler
 from repro.errors import FabricError
 

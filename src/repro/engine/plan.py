@@ -26,17 +26,17 @@ Numerics by scheme:
   with the eval-mode ``model.forward`` fused-kernel path: the plan
   replays the same numpy ops in the same order.
 * ``scheme="fp16"`` — weights and biases are rounded through IEEE half
-  precision and stored as float16 arrays; compute runs in float32 (half
-  the memory traffic of the float64 path, and what "16-bit storage,
-  wider accumulate" mobile kernels do).
-* ``scheme="int8"`` — input-side projections run through the registry's
-  ``linear_int8_rowwise`` / ``*_spmm_int8`` kernels (integer
-  accumulation, one activation scale *per frame*, one dequant); the
-  small per-timestep recurrent GEMMs use dequantized int8 weights in
-  float64, where an integer pipeline cannot pay for its per-step
-  quantization overhead.  Per-frame activation scales plus order-exact
-  integer accumulation make int8 plans **bitwise chunk-exact**: a frame's
-  logits do not depend on which other frames shared the call.
+  precision; compute runs in float32 (half the memory traffic of the
+  float64 path: "16-bit storage, wider accumulate").
+* ``scheme="int8"`` — projections and sparse recurrences run through the
+  registry's ``linear_int8_rowwise`` / ``*_spmm_int8`` kernels (integer
+  accumulation, one activation scale *per frame*, one dequant); a dense
+  per-timestep recurrent GEMM uses dequantized int8 weights in float64,
+  too small to pay for a per-step quantization.  Per-frame scales plus
+  order-exact integer accumulation make int8 plans **bitwise
+  chunk-exact**: a frame's logits do not depend on which other frames
+  shared the call.  An int8 GRU plan whose every slot bound a compiled
+  kernel is lowered once more, to ``ModelPlan.program``: one C call a chunk.
 * ``scheme="mixed"`` — the scheme is decided *per slot* by the pass
   pipeline: int8 input/output projections (batched, chunk-exact) with
   full-precision float recurrences (where per-step quantization error
@@ -68,7 +68,6 @@ from repro.compiler.ir import (
     GraphNode,
     GraphOptions,
     LayerGraph,
-    TileConfig,
     WeightSlot,
     resolve_slot_scheme,
 )
@@ -95,18 +94,6 @@ def _slot_scheme(slot: WeightSlot, graph_scheme: Optional[str]) -> Optional[str]
     """
     resolved = slot.scheme or resolve_slot_scheme(graph_scheme, slot.op)
     return None if resolved == "float" else resolved
-
-
-def _fp16_pack(weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """fp16 storage array + contiguous float32 transpose for compute."""
-    storage = np.clip(weight, -65504.0, 65504.0).astype(np.float16)
-    return storage, np.ascontiguousarray(storage.astype(np.float32).T)
-
-
-def _int8_pack(weight: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
-    """int8 codes + scale + the pre-cast float32 copy ``linear_int8`` wants."""
-    codes, scale = int8_codes(weight)
-    return codes, scale, codes.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -219,7 +206,8 @@ class _PackedWeight:
         if slot.format not in (None, "dense"):
             self.matrix = _pack_sparse(slot, weight, scheme)
         elif self.op == "linear_int8_rowwise":
-            self.codes, self.scale, self.codes_f = _int8_pack(weight)
+            self.codes, self.scale = int8_codes(weight)
+            self.codes_f = self.codes.astype(np.float32)  # what the numpy kernel takes
         elif scheme is None:
             self.weight_t = (
                 weight.copy().T
@@ -227,7 +215,8 @@ class _PackedWeight:
                 else np.ascontiguousarray(weight.T)
             )
         elif scheme == "fp16":
-            self.storage, self.weight_t = _fp16_pack(weight)
+            storage = np.clip(weight, -65504.0, 65504.0).astype(np.float16)
+            self.weight_t = np.ascontiguousarray(storage.astype(np.float32).T)
         else:
             self.codes, self.scale = int8_codes(weight)
             self.weight_t = np.ascontiguousarray(
@@ -395,7 +384,7 @@ class GRULayerPlan(_RecurrentLayerPlan):
         ``B < 16``, the narrow kernel's range); anywhere else it is
         ``None`` and :meth:`forward` runs its generic loop."""
         super().bind(backend)
-        narrow = _compiled.bspc_spmm_int8
+        narrow, proj = _compiled.bspc_spmm_int8, self.input_proj
         fused = (
             self.recurrent.kernel is narrow
             and self.dtype == np.float64
@@ -405,12 +394,10 @@ class GRULayerPlan(_RecurrentLayerPlan):
         #: its batch-major input projection and the weight operand that
         #: takes, where that slot got a compiled kernel too
         self.project = self.project_on = None
-        if fused and self.input_proj.kernel is narrow:
-            self.project = _compiled.bspc_linear_int8
-            self.project_on = self.input_proj.matrix
-        elif fused and self.input_proj.kernel is _compiled.linear_int8_rowwise:
-            self.project = _compiled.panel_linear_int8
-            self.project_on = self.input_proj.panel
+        if fused and proj.kernel is narrow:
+            self.project, self.project_on = _compiled.bspc_linear_int8, proj.matrix
+        elif fused and proj.kernel is _compiled.linear_int8_rowwise:
+            self.project, self.project_on = _compiled.panel_linear_int8, proj.panel
 
     def zero_state(self, batch: int) -> Tuple[np.ndarray, ...]:
         return (np.zeros((batch, self.hidden_size), dtype=self.dtype),)
@@ -664,7 +651,8 @@ class ModelPlan:
         ``REPRO_KERNEL_BACKEND``), else the registry's per-op routing.
 
         Runs at lowering; every later entry re-resolves only if that
-        choice has changed since (a handful of dictionary lookups).
+        choice has changed since (a handful of dictionary lookups), and
+        lowers :attr:`program` again from what it bound.
 
         A plan tuned on another host may name a backend this process
         could not register (an artifact tuned for ``"compiled"`` loaded
@@ -693,6 +681,62 @@ class ModelPlan:
             if self.output is not None:
                 self.output.weight.bind(backend)
             self._bound_backend = backend
+            self.program = self._lower_program()
+
+    def _lower_program(self) -> Optional[_compiled.PlanProgram]:
+        """The whole plan as one compiled call per chunk (``docs/engine.md``):
+        ``None`` unless every layer bound the fused recurrence behind a
+        compiled projection and the output, if any, the compiled dense kernel."""
+        ops = []
+        for layer in self.layers:
+            if getattr(layer, "project", None) is None:  # set only under a fused step
+                return None
+            ops.append((_compiled.PLAN_PROJECT, layer.project_on, layer.bias_folded))
+            ops.append((_compiled.PLAN_GRU, layer.recurrent.matrix, layer.bias_hh_h))
+        if self.output is not None:
+            weight = self.output.weight
+            if weight.kernel is not _compiled.linear_int8_rowwise:
+                return None
+            ops.append((_compiled.PLAN_OUTPUT, weight.panel, self.output.bias))
+        try:
+            return _compiled.PlanProgram(ops)
+        except ShapeError:  # a weight re-packed to another shape: the layers say so
+            return None
+
+    def _run(
+        self, features: np.ndarray, layer_states: Optional[List[Tuple[np.ndarray, ...]]]
+    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, ...]]]:
+        """Logits and carries of one checked ``(T, B, D)`` chunk: one call into
+        the program where the chunk is in its range, else layer by layer."""
+        self._bind_kernels()
+        seq_len, batch, _ = features.shape
+        if self.program is not None and seq_len and 0 < batch < 16:
+            if self.program.stale():  # a weight's int8 plan was invalidated
+                self.program = self._lower_program()
+            if self.program is not None:
+                return self.program.run(features, layer_states)
+        x = features.astype(np.float32) if self.scheme == "fp16" else features
+        new_states: List[Tuple[np.ndarray, ...]] = []
+        for index, layer in enumerate(self.layers):
+            carry = None if layer_states is None else layer_states[index]
+            x, carry = layer.forward(x, self._workspace, index, carry)
+            new_states.append(carry)
+        if self.output is not None:
+            x = self.output.project(x, self._workspace)
+        if x.dtype != np.float64:
+            x = x.astype(np.float64)
+        elif self.output is None:
+            x = x.copy()  # never hand out an internal work buffer
+        return x, new_states
+
+    def _checked(self, features: np.ndarray, entry: str) -> np.ndarray:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 3 or features.shape[-1] != self.input_dim:
+            raise ShapeError(
+                f"{entry} expects (T, B, {self.input_dim}) features, "
+                f"got {features.shape}"
+            )
+        return features
 
     def forward_batch(
         self, features: np.ndarray, lengths: Optional[np.ndarray] = None
@@ -703,16 +747,7 @@ class ModelPlan:
         always computed — callers slice per-utterance frames out (the
         serving layer and :func:`repro.speech.decoder.decode_batch` do).
         """
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 3:
-            raise ShapeError(
-                f"forward_batch expects (T, B, D) features, got {features.shape}"
-            )
-        if features.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"plan compiled for input dim {self.input_dim}, "
-                f"got {features.shape}"
-            )
+        features = self._checked(features, "forward_batch")
         if lengths is not None:
             lengths = np.asarray(lengths, dtype=np.int64)
             if lengths.shape != (features.shape[1],):
@@ -723,33 +758,7 @@ class ModelPlan:
                 lengths.min() < 0 or lengths.max() > features.shape[0]
             ):
                 raise ShapeError("lengths must lie in [0, T]")
-        self._bind_kernels()
-        x, _ = self._run_layers(features, None)
-        return self._project_out(x)
-
-    def _run_layers(
-        self,
-        features: np.ndarray,
-        layer_states: Optional[List[Tuple[np.ndarray, ...]]],
-    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, ...]]]:
-        x = features
-        if self.scheme == "fp16":
-            x = x.astype(np.float32)
-        new_states: List[Tuple[np.ndarray, ...]] = []
-        for index, layer in enumerate(self.layers):
-            carry = None if layer_states is None else layer_states[index]
-            x, carry = layer.forward(x, self._workspace, index, carry)
-            new_states.append(carry)
-        return x, new_states
-
-    def _project_out(self, x: np.ndarray) -> np.ndarray:
-        if self.output is not None:
-            x = self.output.project(x, self._workspace)
-        if x.dtype != np.float64:
-            x = x.astype(np.float64)
-        elif self.output is None:
-            x = x.copy()  # never hand out an internal work buffer
-        return x
+        return self._run(features, None)[0]
 
     def init_state(self, batch: int) -> PlanState:
         """The all-zero carry state for ``batch`` concurrent streams."""
@@ -846,16 +855,7 @@ class ModelPlan:
         never aliases plan work buffers, and zero-length chunks are legal
         (logits ``(0, B, C)``, state passed through).
         """
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 3:
-            raise ShapeError(
-                f"run_chunk expects (T, B, D) features, got {features.shape}"
-            )
-        if features.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"plan compiled for input dim {self.input_dim}, "
-                f"got {features.shape}"
-            )
+        features = self._checked(features, "run_chunk")
         batch = features.shape[1]
         if state is None:
             state = self.init_state(batch)
@@ -871,9 +871,8 @@ class ModelPlan:
                         f"layer {index} state component has shape "
                         f"{component.shape}, expected ({batch}, {layer.hidden_size})"
                     )
-        self._bind_kernels()
-        x, new_states = self._run_layers(features, state.layer_states)
-        return self._project_out(x), PlanState(new_states)
+        logits, new_states = self._run(features, state.layer_states)
+        return logits, PlanState(new_states)
 
     def forward_utterance(self, features: np.ndarray) -> np.ndarray:
         """Single utterance ``(T, D)`` → logits ``(T, C)``."""

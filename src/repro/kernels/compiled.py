@@ -1,7 +1,7 @@
 """Compiled C backend: generated kernels built with the system compiler.
 
 This is the paper's deployment story applied to the host: the sparse hot
-loops (CSR spmv/spmm in float and int8, BSPC in int8) are emitted as
+loops (int8 CSR and BSPC spmv/spmm) are emitted as
 specialized C, compiled once with ``cc -O3 -march=native -shared -fPIC``,
 and bound via ``ctypes`` with zero-copy views of the very same packed plan arrays
 the numpy backend executes (:mod:`repro.kernels.plans` /
@@ -40,8 +40,6 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   kernel's float multiply *order* operation for operation (one fused
   ``scale * xs`` multiply for the per-call-scale ops, two sequential
   multiplies for the per-column ops).
-* float kernels match to reduction-order tolerance (blocked C FMA sums
-  vs. numpy's pairwise/BLAS reductions).
 * the fused GRU int8 layer-chunk (:func:`gru_int8_sequence`, bound by the
   engine at lowering — it is not a registry op) is **bitwise identical**
   to the engine's generic per-timestep loop: the recurrent product is the
@@ -49,12 +47,15 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   IEEE operation in that loop's order, compiled with floating-point
   contraction off, and ``exp``/``tanh`` are numpy's own float64 inner
   loops, called through the pointers its ufuncs publish
-  (:func:`_numpy_loop`).
+  (:func:`_numpy_loop`).  A whole plan of such layers lowered to one call
+  per chunk (:class:`PlanProgram`) *calls* that entry and the batch-major
+  projection layer by layer, so it is the same bytes again.
 
 Every op here wins on some recorded shape.  The ops where C never beat
 numpy + BLAS — the float BSPC products, the per-call-scale dense int8
 projection, the fused GRU/LSTM sequence forwards, the BPTT ``*_grad``
-ops — are registered
+ops — and the float CSR products, whose C loops won only to
+reduction-order tolerance, which no default route may take, are registered
 under ``"compiled"`` as aliases of the numpy implementations, so the full
 suite (and any plan pinned to this backend) dispatches every op without
 falling through the registry.  The per-row-scale dense projection
@@ -141,33 +142,6 @@ typedef int8_t  i8;
 typedef uint8_t u8;
 
 /* ------------------------------------------------------------------ CSR */
-
-API void repro_csr_spmv(
-    i64 rows, const double *values, const i64 *cols, const i64 *row_ptr,
-    const double *x, double *out)
-{
-    for (i64 r = 0; r < rows; r++) {
-        double acc = 0.0;
-        for (i64 p = row_ptr[r]; p < row_ptr[r + 1]; p++)
-            acc += values[p] * x[cols[p]];
-        out[r] = acc;
-    }
-}
-
-API void repro_csr_spmm(
-    i64 rows, i64 batch, const double *values, const i64 *cols,
-    const i64 *row_ptr, const double *x, double *out)
-{
-    for (i64 r = 0; r < rows; r++) {
-        double *orow = out + r * batch;
-        for (i64 p = row_ptr[r]; p < row_ptr[r + 1]; p++) {
-            const double v = values[p];
-            const double *xr = x + cols[p] * batch;
-            for (i64 j = 0; j < batch; j++)
-                orow[j] += v * xr[j];
-        }
-    }
-}
 
 /* Dequantizes as (acc * first) * second: spmv passes (scale * xs, 1.0)
  * — multiplying by 1.0 is exact — and a one-column spmm (scale, xs). */
@@ -550,13 +524,14 @@ API void repro_bspc_i8_nb(
 # like the numpy ufunc it replaces, and an `a + b * c` contracted into one
 # FMA rounds once instead of twice.  gcc ignores the STDC pragma and clang
 # the GCC one, so both are given; the section comes last in the source so
-# the float CSR kernels and the quantizer above keep their FMAs.
+# the quantizer above keeps its FMAs.
 _C_NO_CONTRACT = r"""
 #pragma STDC FP_CONTRACT OFF
 #pragma GCC optimize("fp-contract=off")
 """
 
-# Fused GRU int8 layer-chunk and the batch-major int8 projection, both over
+# Fused GRU int8 layer-chunk, the batch-major int8 projection, and the
+# whole-plan chunk that calls the two op by op, all over
 # repro_bspc_i8_nb.  All operands are row-major float64: x (N, n), gx
 # (T, B, 3H), hid (B, H), out (T, B, H), gh (B, 3H); zr and cand hold one
 # batch row (2H, H).  `exp` and `tanh` are numpy's own float64 inner loops
@@ -626,6 +601,69 @@ API void repro_gru_i8_chunk(
         out += batch * h;
         gx += batch * 3 * h;
     }
+}
+
+/* One op of a lowered int8 GRU plan: a panel as repro_bspc_i8_nb reads it
+ * (`rows` output rows of an `n`-wide operand) and what the op adds to the
+ * product — PLAN_PROJECT: x @ W.T + bias into the gates of the PLAN_GRU
+ * after it, whose bias is the candidate gate's; PLAN_OUTPUT: the last
+ * layer's hidden states @ W.T (+ bias, if any) into the logits. */
+enum { PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT };
+typedef struct {
+    i64 kind, strips, mr, mc, rows, n;
+    const i8 *codes;
+    const i64 *gcols, *srows;
+    const i8 *lanes;
+    const i64 *lrows;
+    double scale;
+    const double *bias;
+} plan_op;
+
+/* One chunk of a whole plan: x (T, B, ops[0].n) through the ops in order
+ * into logits (T, B, the last op's width).  `carry` holds, GRU by GRU, the
+ * (B, H) states in and then the (B, H) arrays the states out are copied to.
+ * `arena` is laid out here, from T, B and the widest H alone: T * B gate
+ * rows of 3H, two runs of T * B hidden rows (a layer reads the one and
+ * writes the other), then zr, cand and gh of repro_gru_i8_chunk; `work` is
+ * sized for the neediest op.  0 < B < 16, T > 0. */
+API void repro_plan_i8_chunk(
+    const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
+    double *const *carry, double *logits, double *arena, i32 *work,
+    loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
+{
+    const i64 frames = steps * batch;
+    i64 h = 0, grus = 0, width = 0;
+    for (i64 i = 0; i < count; i++)
+        if (ops[i].kind == PLAN_GRU) {
+            grus++;
+            h = ops[i].n > h ? ops[i].n : h;
+        }
+    double *gates = arena, *out = gates + frames * 3 * h, *spare = out + frames * h;
+    double *zr = spare + frames * h, *cand = zr + 2 * h, *gh = cand + h;
+    for (const plan_op *op = ops; op < ops + count; op++) {
+        if (op->kind != PLAN_GRU) {
+            double *to = op->kind == PLAN_OUTPUT ? logits : gates;
+            repro_bspc_i8_rows(op->strips, op->mr, op->mc, op->rows, op->n, frames,
+                               op->codes, op->gcols, op->srows, op->lanes, op->lrows,
+                               x, op->scale, op->bias, work, to);
+            x = to;
+            continue;
+        }
+        width = op->n;
+        repro_gru_i8_chunk(op->strips, op->mr, op->mc, width, batch, steps, op->codes,
+                           op->gcols, op->srows, op->lanes, op->lrows, op->scale,
+                           op->bias, carry[0], gates, out, zr, cand, gh, work,
+                           exp_loop, exp_data, tanh_loop, tanh_data);
+        memcpy(carry[grus], out + (frames - batch) * width,
+               (size_t)(batch * width) * sizeof(double));
+        carry++;
+        double *const states = out;  /* the next op's operand */
+        out = spare;
+        spare = states;
+        x = states;
+    }
+    if (x != logits)  /* no output op: the last layer's states are the result */
+        memcpy(logits, x, (size_t)(frames * width) * sizeof(double));
 }
 """
 
@@ -771,8 +809,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     ptr = ctypes.c_void_p
     dbl = ctypes.c_double
     signatures = {
-        "repro_csr_spmv": (i64, ptr, ptr, ptr, ptr, ptr),
-        "repro_csr_spmm": (i64, i64, ptr, ptr, ptr, ptr, ptr),
         "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, dbl, ptr),
         "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
         "repro_i8_lanes": (),
@@ -791,6 +827,9 @@ def _declare(lib: ctypes.CDLL) -> None:
             i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr,
             ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ),
+        "repro_plan_i8_chunk": (
+            ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        ),
     }
     try:
         for name, argtypes in signatures.items():
@@ -806,10 +845,9 @@ def _declare(lib: ctypes.CDLL) -> None:
 
 
 def _sanity_probe(lib: ctypes.CDLL) -> None:
-    """One tiny csr_spmv and one small int8 panel product (packed for this
-    library, at one and two columns) through the library; a stale or
-    miscompiled ``.so`` fails here instead of corrupting results
-    downstream."""
+    """One small int8 panel product (packed for this library, at one and
+    two columns) through the library; a stale or miscompiled ``.so`` fails
+    here instead of corrupting results downstream."""
 
     def check(got: np.ndarray, want: np.ndarray) -> None:
         if not np.array_equal(got, want):
@@ -820,13 +858,6 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
                 f"{want.ravel()[wrong].tolist()}; refusing to register the backend"
             )
 
-    values = np.array([2.0, 3.0, 4.0])
-    cols = np.array([0, 2, 1], dtype=np.int64)
-    row_ptr = np.array([0, 2, 3], dtype=np.int64)
-    x = np.array([1.0, 10.0, 100.0])
-    out = np.zeros(2)
-    lib.repro_csr_spmv(2, _p(values), _p(cols), _p(row_ptr), _p(x), _p(out))
-    check(out, np.array([302.0, 40.0]))
     # 70 x 7: row groups that four does not divide, a short last k-group;
     # each activation row peaks at 127, so its scale is 1 and its codes itself
     rows, n = 70, 7
@@ -1083,31 +1114,6 @@ def dense_int8_panel(codes: np.ndarray, scale: float) -> _Panel:
 # ---------------------------------------------------------------------------
 # Kernel wrappers (registered under the "compiled" backend)
 # ---------------------------------------------------------------------------
-def csr_spmv(matrix, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(matrix.shape[0])
-    if matrix.values.size:
-        x = _f64(x)
-        _library().repro_csr_spmv(
-            matrix.shape[0],
-            _p(matrix.values), _p(matrix.col_indices), _p(matrix.row_ptr),
-            _p(x), _p(out),
-        )
-    return out
-
-
-def csr_spmm(matrix, x: np.ndarray) -> np.ndarray:
-    batch = x.shape[1]
-    out = np.zeros((matrix.shape[0], batch))
-    if matrix.values.size and batch:
-        x = _f64(x)
-        _library().repro_csr_spmm(
-            matrix.shape[0], batch,
-            _p(matrix.values), _p(matrix.col_indices), _p(matrix.row_ptr),
-            _p(x), _p(out),
-        )
-    return out
-
-
 def _check_operand(cols: int, n: int) -> None:
     """The C loops index the operand by stored column unchecked, and
     default routing sends every caller's int8 operands here."""
@@ -1291,14 +1297,118 @@ def gru_int8_sequence(
     )
 
 
+PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT = range(3)
+
+
+class _PlanOp(ctypes.Structure):
+    """``plan_op`` of the C source, field for field."""
+
+    _fields_ = (
+        [(name, ctypes.c_longlong) for name in ("kind", "strips", "mr", "mc", "rows", "n")]
+        + [(name, ctypes.c_void_p) for name in ("codes", "gcols", "srows", "lanes", "lrows")]
+        + [("scale", ctypes.c_double), ("bias", ctypes.c_void_p)]
+    )
+
+
+class PlanProgram:
+    """An all-int8 GRU plan as ``repro_plan_i8_chunk`` runs it: one C call
+    per chunk.
+
+    ``ops`` lists ``(kind, weight, bias)`` in execution order — per layer
+    a ``PLAN_PROJECT`` (folded bias) and a ``PLAN_GRU`` (candidate-gate
+    bias), then at most one ``PLAN_OUTPUT`` (bias or ``None``) — ``weight``
+    a BSPC matrix or a :func:`dense_int8_panel`, biases C-contiguous
+    float64.  The descriptor is one :class:`_PlanOp` per op, independent of
+    the chunk's shape; the program holds every array it points into and
+    the int8 plan each BSPC weight had, so :meth:`stale` sees a plan
+    invalidated since.  A chain of widths that does not fit is a
+    :class:`ShapeError` here: the C side checks nothing.
+    """
+
+    def __init__(self, ops) -> None:
+        self._lib = _library()
+        if self._lib.numpy_loops is None:  # the engine lowers no program then
+            raise CompileBackendError("numpy's exp/tanh inner loops did not resolve")
+        self._plans, self._held, records = [], [], []
+        self.hidden = []  # H of each GRU, in order
+        width = per_row = per_state = 0
+        for kind, weight, bias in ops:
+            panel = weight
+            if not isinstance(weight, _Panel):
+                plan = int8_bspc_plan(weight)
+                self._plans.append((weight, plan))
+                panel = _plan_panel(plan)
+            rows, n = panel.shape
+            given = () if bias is None else (bias,)
+            _check_buffers(*given)
+            if kind == PLAN_GRU:
+                fits = rows == width == 3 * n and bias.shape == (n,)
+                self.hidden.append(n)
+            else:
+                fits = width in (0, n) and all(b.shape == (rows,) for b in given)
+            if not fits:
+                raise ShapeError(f"op {len(records)} is {panel.shape} after {width} wide rows")
+            width = n if kind == PLAN_GRU else rows
+            # int32 of scratch per operand row, the terms of `_narrow_call`:
+            # lane sums, gathered codes, the operand's own codes
+            work = panel.acc + (panel.sizes[2] + 1) // 2 + (n + 3) // 4
+            if kind == PLAN_GRU:
+                per_state = max(per_state, work)
+            else:
+                per_row = max(per_row, work)
+            records.append(
+                _PlanOp(kind, *panel.sizes, rows, n, *panel.addresses, panel.scale,
+                        None if bias is None else _p(bias))
+            )
+            self._held.append((panel, bias))
+        self._ops = (_PlanOp * len(records))(*records)
+        self._work = (per_row, per_state)
+        self._widest = max(self.hidden)  # the H the arena is laid out for, as in C
+        self.width = width  # of a row of logits
+        self.arena = np.empty(0)
+        self._arena_at = 0
+
+    def stale(self) -> bool:
+        """Whether a BSPC weight's cached int8 plan is no longer the one
+        this program was lowered from."""
+        return any(int8_bspc_plan(matrix) is not plan for matrix, plan in self._plans)
+
+    def run(self, x: np.ndarray, carry) -> Tuple[np.ndarray, list]:
+        """``x (T, B, D)`` and per-layer ``(hidden,)`` carries (``None``:
+        zeros) → fresh logits and fresh ``(hidden,)`` carries; ``T > 0``,
+        ``0 < B < 16``.  Shapes are the caller's to have checked."""
+        seq_len, batch, _ = x.shape
+        frames, h = seq_len * batch, self._widest
+        x = _f64(x)
+        states = [
+            np.zeros((batch, width)) if carry is None else _f64(carry[i][0])
+            for i, width in enumerate(self.hidden)
+        ]
+        fresh = [np.empty((batch, width)) for width in self.hidden]
+        logits = np.empty((seq_len, batch, self.width))
+        need = frames * 5 * h + (3 * batch + 3) * h
+        if self.arena.size < need:
+            self.arena = np.empty(need)
+            self._arena_at = _p(self.arena)
+        per_row, per_state = self._work
+        lib = self._lib
+        lib.repro_plan_i8_chunk(
+            self._ops, len(self._ops), seq_len, batch, _p(x),
+            (ctypes.c_void_p * (2 * len(fresh)))(*map(_p, states + fresh)), _p(logits),
+            self._arena_at, _scratch(max(min(frames, 8) * per_row, batch * per_state)),
+            *lib.numpy_loops,
+        )
+        return logits, [(state,) for state in fresh]
+
+
 #: op name → compiled implementation.  Ops that never beat numpy + BLAS
-#: on a recorded shape — the float BSPC products, the per-call-scale
+#: bit for bit — the float sparse products, the per-call-scale
 #: dense int8 projection, the fused sequence forwards and the BPTT grad
 #: ops — alias the numpy implementations (see the module docstring) so
 #: every registered op dispatches under this backend.
 _KERNELS = {
-    "csr_spmv": csr_spmv,
-    "csr_spmm": csr_spmm,
+    "csr_spmv": _np_backend.csr_spmv,
+    "csr_spmm": _np_backend.csr_spmm,
     "csr_spmv_int8": csr_spmv_int8,
     "csr_spmm_int8": csr_spmm_int8,
     "bspc_spmv": _np_backend.bspc_spmv,
@@ -1315,8 +1425,7 @@ _KERNELS = {
 
 #: The ops this backend serves when no backend was chosen explicitly:
 #: the ones where it beats numpy on every recorded shape *and* is bitwise
-#: identical to it, so default routing never changes a result bit.  The
-#: float CSR kernels also win, but only to reduction-order tolerance.
+#: identical to it, so default routing never changes a result bit.
 _DEFAULT_FOR = ("csr_spmv_int8", "csr_spmm_int8", "bspc_spmv_int8", "bspc_spmm_int8")
 
 

@@ -25,10 +25,8 @@ Faults are scoped to one worker index (``target_worker``) and, by
 default, to the worker's *first* incarnation — a crash-faulted worker
 restarts clean, so recovery can be asserted.  ``repeat=True`` keeps the
 fault across restarts, which is how restart-budget/permanent-death
-paths are driven.
-
-Historically this lived in :mod:`repro.engine.fabric.faults`; that
-module remains as a re-export alias so fabric callers are unchanged.
+paths are driven.  The serving fabric re-exports these names from
+:mod:`repro.engine.fabric`.
 """
 
 from __future__ import annotations

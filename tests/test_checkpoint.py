@@ -125,7 +125,7 @@ class TestStats:
 
 class TestFaultsAlias:
     def test_fabric_module_reexports_shared_faults(self):
-        from repro.engine.fabric import faults as fabric_faults
+        from repro.engine import fabric as fabric_faults
         from repro.utils import faults as shared
 
         assert fabric_faults.FaultConfig is shared.FaultConfig

@@ -344,15 +344,3 @@ class TestGraphSerialization:
         meta["version"] = 99
         with pytest.raises(CompilationError):
             graph_from_arrays(meta, arrays)
-
-
-class TestDeprecatedAlias:
-    def test_pipeline_compile_model_warns_and_delegates(self, rng):
-        from repro.compiler.pipeline import compile_for_simulation, compile_model
-
-        weights = {"w": rng.standard_normal((16, 16))}
-        with pytest.warns(DeprecationWarning):
-            aliased = compile_model(weights, timesteps=10)
-        direct = compile_for_simulation(weights, timesteps=10)
-        assert aliased.plan.total_nnz == direct.plan.total_nnz
-        assert aliased.compression_rate == direct.compression_rate

@@ -1,0 +1,283 @@
+"""The lowered int8 GRU program: one C call per ``run_chunk``.
+
+``ModelPlan.program`` is the plan's ops as one flat descriptor that
+``repro_plan_i8_chunk`` walks by *calling* the per-layer C entries, so
+everything here is an exactness test again: the per-layer path (the same
+plan with its program taken away) and the ``reference`` backend are ground
+truth for logits and carry states, byte for byte.
+"""
+
+import re
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import engine, kernels
+from repro.errors import ShapeError
+from repro.kernels import compiled
+from repro.pruning.bsp import BSPConfig, bsp_project_masks
+from repro.sparse.blocks import BlockGrid
+from repro.sparse.bspc import BSPCBlock, BSPCStrip
+from repro.speech.model import AcousticModelConfig, GRUAcousticModel
+from repro.utils.rng import new_rng
+from test_int8_routing import bsp_int8_plan
+
+#: a build with the lanes kernel and numpy's loops: every slot of the three
+#: plans below binds a compiled kernel
+requires_program = pytest.mark.skipif(
+    not (compiled.lanes() and compiled.numpy_loops()),
+    reason="no C library with the rows-in-lanes kernel and numpy's exp/tanh loops",
+)
+
+
+def bare_rnn_plan():
+    """Two BSP-pruned GRU layers and no output layer: logits are states."""
+    rng = new_rng(5)
+    weights = {
+        f"gru.cell{i}.weight_{side}": rng.standard_normal((72, 24 if i or side == "hh" else 8))
+        for i in range(2) for side in ("ih", "hh")
+    }
+    masks = bsp_project_masks(
+        weights, BSPConfig(col_rate=4, row_rate=2, num_row_strips=4, num_col_blocks=4)
+    )
+    pruned = {name: masks[name].apply_to_array(w) for name, w in weights.items()}
+    config = engine.EngineConfig(sparse_format="bspc", num_row_strips=4, num_col_blocks=4)
+    return engine.compile_rnn(pruned, scheme="int8", config=config)
+
+
+@pytest.fixture(scope="module")
+def plans():
+    with kernels.use_backend(None):
+        return {
+            "bspc": bsp_int8_plan(),
+            "auto": bsp_int8_plan(sparse_format="auto"),
+            "bare": bare_rnn_plan(),
+        }
+
+
+def stream(plan, chunks, state, lowered=True):
+    """Per-chunk logits and the final carry, as bytes.  ``lowered=False``
+    takes the program away for the run (of a plan already bound to the
+    backend in force): the per-layer path."""
+    program, parts = plan.program, []
+    for chunk in chunks:
+        if not lowered:
+            plan.program = None
+        logits, state = plan.run_chunk(chunk, state)
+        parts.append(logits)
+    if not lowered:
+        plan.program = program
+    parts += [c for layer in state.layer_states for c in layer]
+    return [part.tobytes() for part in parts]
+
+
+@st.composite
+def traffic(draw):
+    batch = draw(st.integers(1, 15))
+    frames = draw(st.integers(1, 12))
+    cuts = draw(st.lists(st.integers(0, frames), max_size=3))  # repeats: empty chunks
+    return (
+        draw(st.sampled_from(["bspc", "auto", "bare"])), batch, frames, sorted(cuts),
+        draw(st.booleans()), draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=40, deadline=2000)
+@given(case=traffic())
+def test_any_split_equals_the_per_layer_path_and_reference(plans, case):
+    kind, batch, frames, cuts, carried, seed = case
+    plan, rng = plans[kind], new_rng(seed)
+    chunks = np.split(rng.standard_normal((frames, batch, 8)), cuts)
+    state = None
+    if carried:
+        state = engine.PlanState(
+            [(rng.standard_normal((batch, 24)),) for _ in plan.layers]
+        )
+    with kernels.use_backend(None):
+        got = stream(plan, chunks, state)
+        if compiled.lanes() and compiled.numpy_loops():
+            assert plan.program is not None  # re-bound, so lowered again
+        assert got == stream(plan, chunks, state, lowered=False)
+    with kernels.use_backend("reference"):
+        assert got == stream(plan, chunks, state)
+        assert plan.program is None  # an explicit choice re-binds, and drops it
+
+
+@pytest.fixture()
+def c_calls(monkeypatch):
+    """Every call into the C library, by entry name, while the test runs."""
+    lib, seen = compiled._library(), []
+    for name in re.findall(r"^API [^(]*?(\w+)\(", compiled._C_SOURCE, re.M):
+        entry = getattr(lib, name)
+        monkeypatch.setattr(
+            lib, name, lambda *args, _e=entry, _n=name: (seen.append(_n), _e(*args))[1]
+        )
+    return seen
+
+
+@requires_program
+class TestOneCall:
+    def test_an_eligible_chunk_is_exactly_one_call_into_the_library(self, plans, c_calls):
+        with kernels.use_backend(None):
+            for plan in plans.values():
+                for batch, state in ((1, None), (8, None), (15, plan.init_state(15))):
+                    del c_calls[:]
+                    plan.run_chunk(np.ones((4, batch, 8)), state)
+                    assert c_calls == ["repro_plan_i8_chunk"]
+                del c_calls[:]
+                plan.forward_batch(np.ones((3, 2, 8)))
+                assert c_calls == ["repro_plan_i8_chunk"]
+
+    def test_wide_and_empty_chunks_bypass_the_program(self, plans, c_calls, rng):
+        plan = plans["auto"]
+        with kernels.use_backend(None):
+            wide = rng.standard_normal((3, 16, 8))
+            logits, state = plan.run_chunk(wide)
+            assert "repro_plan_i8_chunk" not in c_calls and len(c_calls) > 1
+            # ... to the bytes its first fifteen streams get through the program
+            narrow, narrow_state = plan.run_chunk(wide[:, :15])
+            assert logits[:, :15].tobytes() == narrow.tobytes()
+            for a, b in zip(state.layer_states, narrow_state.layer_states):
+                assert a[0][:15].tobytes() == b[0].tobytes()
+            del c_calls[:]
+            logits, after = plan.run_chunk(np.zeros((0, 15, 8)), narrow_state)
+            assert "repro_plan_i8_chunk" not in c_calls
+            assert logits.shape == (0, 15, plan.output.num_classes)
+            for a, b in zip(after.layer_states, narrow_state.layer_states):
+                assert a[0].tobytes() == b[0].tobytes()
+
+    def test_results_never_alias_the_arena_or_each_other(self, plans, rng):
+        plan = plans["bare"]  # its logits are copied out of the arena itself
+        with kernels.use_backend(None):
+            x = rng.standard_normal((5, 3, 8))
+            logits, state = plan.run_chunk(x)
+            kept = [logits.copy()] + [layer[0].copy() for layer in state.layer_states]
+            assert plan.program.arena.size
+            plan.program.arena[:] = np.nan
+            again, again_state = plan.run_chunk(x)  # ... and running again
+            results = [logits] + [layer[0] for layer in state.layer_states]
+            for got, want in zip(results, kept):
+                assert got.tobytes() == want.tobytes()
+            assert again.tobytes() == logits.tobytes() and again is not logits
+            for a, b in zip(again_state.layer_states, state.layer_states):
+                assert not np.shares_memory(a[0], b[0])
+            assert not any(np.shares_memory(r, plan.program.arena) for r in results)
+
+    def test_scratch_is_sized_for_the_neediest_op_not_the_last(self, plans, rng):
+        # the output op (40 rows of 24 columns) needs the least scratch of
+        # the five; a thread that has only ever run this plan must still
+        # have room for its widest projection and recurrence
+        plan, x = plans["bspc"], rng.standard_normal((9, 15, 8))
+        with kernels.use_backend(None):
+            want, got = plan.run_chunk(x)[0].tobytes(), []
+            worker = threading.Thread(  # a fresh thread: a fresh, empty scratch
+                target=lambda: got.append(plan.run_chunk(x)[0].tobytes())
+            )
+            worker.start()
+            worker.join()
+        assert got == [want]
+
+        def needs(weight, n, at_once):  # what _narrow_call asks for
+            panel = compiled._plan_panel(kernels.int8_bspc_plan(weight.matrix))
+            return at_once * (panel.acc + (panel.sizes[2] + 1) // 2) + (at_once * n + 3) // 4
+
+        per_row, per_state = plan.program._work
+        asked = max(8 * per_row, 15 * per_state)
+        for layer in plan.layers:
+            assert asked >= needs(layer.input_proj, layer.input_size, 8)
+            assert asked >= needs(layer.recurrent, 24, 15)
+
+
+def other_plans():
+    model = GRUAcousticModel(AcousticModelConfig(input_dim=8, hidden_size=24), rng=0).eval()
+    yield "lstm", bsp_int8_plan("lstm")
+    for scheme in (None, "fp16", "mixed"):
+        config = engine.EngineConfig(sparse_format="bspc")
+        yield str(scheme), engine.compile_model(model, scheme=scheme, config=config)
+    yield "csr", engine.compile_model(
+        model, scheme="int8", config=engine.EngineConfig(sparse_format="csr")
+    )
+
+
+def test_plans_without_a_descriptor_keep_the_per_layer_path(rng):
+    x = rng.standard_normal((4, 3, 8))
+    with kernels.use_backend(None):
+        for name, plan in other_plans():
+            assert plan.program is None, name
+            first, state = plan.run_chunk(x[:1])
+            rest, _ = plan.run_chunk(x[1:], state)
+            whole = plan.forward_batch(x)
+            if name in ("lstm", "csr"):  # int8: chunk-exact to the byte
+                assert np.concatenate([first, rest]).tobytes() == whole.tobytes()
+            else:
+                np.testing.assert_allclose(np.concatenate([first, rest]), whole, rtol=1e-5)
+
+
+@requires_program
+class TestStaleness:
+    """The descriptor holds addresses into a weight's int8 plan: a plan
+    invalidated between chunks is re-lowered, as the per-layer entries
+    re-resolve it per call."""
+
+    @pytest.fixture()
+    def plan(self):
+        with kernels.use_backend(None):
+            return bsp_int8_plan()
+
+    def check(self, plan, x, state):
+        with kernels.use_backend("reference"):
+            want = stream(plan, [x], state)
+        with kernels.use_backend(None):
+            assert stream(plan, [x], state) == want
+        return want
+
+    def test_invalidate_plan_between_chunks_is_observed(self, plan, rng):
+        x = rng.standard_normal((3, 2, 8))
+        with kernels.use_backend(None):
+            _, state = plan.run_chunk(x)
+            lowered = plan.program
+            before = stream(plan, [x], state)
+            assert plan.program is lowered  # nothing changed: nothing rebuilt
+            matrix = plan.layers[1].recurrent.matrix
+            matrix.strips[0].blocks[0].panel *= -0.5  # in place: unseen until ...
+            assert stream(plan, [x], state) == before
+            matrix.invalidate_plan()
+            assert stream(plan, [x], state) != before
+            assert plan.program is not None and plan.program is not lowered
+            self.check(plan, x, state)
+
+    def test_strips_reassignment_between_chunks_is_observed(self, plan, rng):
+        x = rng.standard_normal((3, 2, 8))
+        with kernels.use_backend(None):
+            _, state = plan.run_chunk(x)
+            before = self.check(plan, x, state)
+            matrix = plan.layers[0].input_proj.matrix
+            matrix.strips = [
+                BSPCStrip(s.kept_rows, [BSPCBlock(b.kept_cols, 0.25 * b.panel) for b in s.blocks])
+                for s in matrix.strips
+            ]
+            assert self.check(plan, x, state) != before
+
+    def test_a_weight_repacked_to_another_shape_leaves_no_program(self, plan, rng):
+        x = rng.standard_normal((3, 2, 8))
+        matrix = plan.layers[1].input_proj.matrix
+        matrix.grid = BlockGrid(72, 32, 4, 4)  # eight columns nothing reads
+        with kernels.use_backend(None):
+            with pytest.raises(ShapeError):
+                plan.run_chunk(x)
+            assert plan.program is None
+
+    def test_rebinding_to_another_backend_drops_the_descriptor(self, plan, rng):
+        x = rng.standard_normal((3, 2, 8))
+        with kernels.use_backend(None):
+            lowered, want = plan.program, stream(plan, [x], None)
+        for backend in ("numpy", "reference"):
+            with kernels.use_backend(backend):
+                assert stream(plan, [x], None) == want
+                assert plan.program is None
+        with kernels.use_backend(None):
+            assert stream(plan, [x], None) == want
+            assert plan.program is not None and plan.program is not lowered
