@@ -35,8 +35,9 @@ Numerics by scheme:
   too small to pay for a per-step quantization.  Per-frame scales plus
   order-exact integer accumulation make int8 plans **bitwise
   chunk-exact**: a frame's logits do not depend on which other frames
-  shared the call.  An int8 GRU plan whose every slot bound a compiled
-  kernel is lowered once more, to ``ModelPlan.program``: one C call a chunk.
+  shared the call.  An int8 GRU plan whose sparse slots bound the compiled
+  BSPC kernel is lowered once more, to ``ModelPlan.program``: one C call a
+  chunk, in place of the generic per-layer loop.
 * ``scheme="mixed"`` — the scheme is decided *per slot* by the pass
   pipeline: int8 input/output projections (batched, chunk-exact) with
   full-precision float recurrences (where per-step quantization error
@@ -231,9 +232,7 @@ class _PackedWeight:
             return
         kernel = self.kernel = kernels.registry.get(self.op, backend)
         if kernel is _compiled.linear_int8_rowwise:
-            if self.panel is None:
-                self.panel = _compiled.dense_int8_panel(self.codes, self.scale)
-            panel = self.panel
+            panel = self.dense_panel()
             self.apply = lambda x2d, ws, key: _compiled.panel_linear_int8(
                 panel, x2d, None, ws.take(key, (len(x2d), panel.shape[0]))
             )
@@ -251,6 +250,12 @@ class _PackedWeight:
             self.apply = lambda x2d, ws, key: kernel(
                 matrix, x2d.astype(np.float64).T
             ).T.astype(dtype)
+
+    def dense_panel(self):
+        """This dense int8 slot as the compiled kernels read it, packed once."""
+        if self.panel is None:
+            self.panel = _compiled.dense_int8_panel(self.codes, self.scale)
+        return self.panel
 
     def _matmul(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
         out = ws.take(key, (x2d.shape[0], self.shape[0]), self.out_dtype)
@@ -376,29 +381,6 @@ class GRULayerPlan(_RecurrentLayerPlan):
             self.bias_folded = folded.astype(self.dtype)
             self.bias_hh_h = rounded_hh[2 * h :].astype(self.dtype)
 
-    def bind(self, backend: Optional[str]) -> None:
-        """Bind both weights, then the recurrence: where the registry put
-        the compiled BSPC int8 kernel in the recurrent slot of a float64
-        layer and the library took numpy's ``exp``/``tanh`` loops over,
-        ``step`` is the fused compiled layer-chunk (taken per call while
-        ``B < 16``, the narrow kernel's range); anywhere else it is
-        ``None`` and :meth:`forward` runs its generic loop."""
-        super().bind(backend)
-        narrow, proj = _compiled.bspc_spmm_int8, self.input_proj
-        fused = (
-            self.recurrent.kernel is narrow
-            and self.dtype == np.float64
-            and _compiled.numpy_loops() is not None
-        )
-        self.step = _compiled.gru_int8_sequence if fused else None
-        #: its batch-major input projection and the weight operand that
-        #: takes, where that slot got a compiled kernel too
-        self.project = self.project_on = None
-        if fused and proj.kernel is narrow:
-            self.project, self.project_on = _compiled.bspc_linear_int8, proj.matrix
-        elif fused and proj.kernel is _compiled.linear_int8_rowwise:
-            self.project, self.project_on = _compiled.panel_linear_int8, proj.panel
-
     def zero_state(self, batch: int) -> Tuple[np.ndarray, ...]:
         return (np.zeros((batch, self.hidden_size), dtype=self.dtype),)
 
@@ -412,8 +394,6 @@ class GRULayerPlan(_RecurrentLayerPlan):
         seq_len, batch, _ = x.shape
         h = self.hidden_size
         flat = x.reshape(seq_len * batch, self.input_size)
-        if self.step is not None and seq_len and 0 < batch < 16:
-            return self._forward_fused(flat, ws, index, state, seq_len, batch)
         gates_x = self.input_proj.apply(flat, ws, f"gx{index}")
         if not self.fold_bias:
             gates_x = gates_x + self.bias_ih
@@ -442,31 +422,6 @@ class GRULayerPlan(_RecurrentLayerPlan):
             hidden = np.add(keep, np.multiply(z, h_tilde, out=h_tilde), out=out[t])
         # never alias the caller's carry state or a work buffer
         return out, (hidden.copy(),)
-
-    def _forward_fused(self, flat, ws, index, state, seq_len, batch):
-        """The same recurrence on the compiled layer-chunk: row-major
-        ``gates_x`` with the folded bias already in it, one contiguous
-        float64 carry, plan-owned buffers (see ``docs/kernels.md``)."""
-        h = self.hidden_size
-        gates_x = ws.take(f"gates{index}", (seq_len * batch, 3 * h))
-        if self.project is not None:
-            self.project(self.project_on, flat, self.bias_folded, gates_x)
-        else:
-            projected = self.input_proj.apply(flat, ws, f"gx{index}")
-            np.add(projected, self.bias_folded, out=gates_x)
-        hidden = self.zero_state(batch)[0] if state is None else state[0]
-        out = ws.take(f"out{index}", (seq_len, batch, h))
-        self.step(
-            self.recurrent.matrix,
-            gates_x.reshape(seq_len, batch, 3 * h),
-            np.ascontiguousarray(hidden, dtype=np.float64),
-            self.bias_hh_h,
-            out,
-            ws.take("zr", (batch, 2 * h)),
-            ws.take("h_tilde", (batch, h)),
-            ws.take("gh", (batch, 3 * h)),
-        )
-        return out, (out[-1].copy(),)
 
 
 class LSTMLayerPlan(_RecurrentLayerPlan):
@@ -684,22 +639,32 @@ class ModelPlan:
             self.program = self._lower_program()
 
     def _lower_program(self) -> Optional[_compiled.PlanProgram]:
-        """The whole plan as one compiled call per chunk (``docs/engine.md``):
-        ``None`` unless every layer bound the fused recurrence behind a
-        compiled projection and the output, if any, the compiled dense kernel."""
-        ops = []
+        """The whole plan as one compiled call per chunk (``docs/engine.md``),
+        read off the bound kernels: GRU layers whose recurrences run the
+        compiled BSPC int8 kernel, every projection and the output on that
+        kernel too or a dense ``linear_int8_rowwise`` slot, a library that
+        took numpy's ``exp``/``tanh`` loops over.  ``None`` for any other
+        plan, and the generic loop runs it."""
+        narrow, slots = _compiled.bspc_spmm_int8, []
         for layer in self.layers:
-            if getattr(layer, "project", None) is None:  # set only under a fused step
+            if not isinstance(layer, GRULayerPlan) or layer.recurrent.kernel is not narrow:
                 return None
-            ops.append((_compiled.PLAN_PROJECT, layer.project_on, layer.bias_folded))
-            ops.append((_compiled.PLAN_GRU, layer.recurrent.matrix, layer.bias_hh_h))
+            slots.append((_compiled.PLAN_PROJECT, layer.input_proj, layer.bias_folded))
+            slots.append((_compiled.PLAN_GRU, layer.recurrent, layer.bias_hh_h))
         if self.output is not None:
-            weight = self.output.weight
-            if weight.kernel is not _compiled.linear_int8_rowwise:
-                return None
-            ops.append((_compiled.PLAN_OUTPUT, weight.panel, self.output.bias))
+            slots.append((_compiled.PLAN_OUTPUT, self.output.weight, self.output.bias))
+        if _compiled.numpy_loops() is None or any(
+            weight.kernel is not narrow and weight.op != "linear_int8_rowwise"
+            for _, weight, _ in slots
+        ):
+            return None
         try:
-            return _compiled.PlanProgram(ops)
+            return _compiled.PlanProgram(
+                [
+                    (kind, w.dense_panel() if w.matrix is None else w.matrix, bias)
+                    for kind, w, bias in slots
+                ]
+            )
         except ShapeError:  # a weight re-packed to another shape: the layers say so
             return None
 
@@ -707,10 +672,10 @@ class ModelPlan:
         self, features: np.ndarray, layer_states: Optional[List[Tuple[np.ndarray, ...]]]
     ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, ...]]]:
         """Logits and carries of one checked ``(T, B, D)`` chunk: one call into
-        the program where the chunk is in its range, else layer by layer."""
+        the program where the plan lowered to one, else layer by layer."""
         self._bind_kernels()
         seq_len, batch, _ = features.shape
-        if self.program is not None and seq_len and 0 < batch < 16:
+        if self.program is not None and seq_len and batch:
             if self.program.stale():  # a weight's int8 plan was invalidated
                 self.program = self._lower_program()
             if self.program is not None:

@@ -40,28 +40,26 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   kernel's float multiply *order* operation for operation (one fused
   ``scale * xs`` multiply for the per-call-scale ops, two sequential
   multiplies for the per-column ops).
-* the fused GRU int8 layer-chunk (:func:`gru_int8_sequence`, bound by the
-  engine at lowering — it is not a registry op) is **bitwise identical**
-  to the engine's generic per-timestep loop: the recurrent product is the
-  narrow-batch BSPC kernel itself, every elementwise statement is one
-  IEEE operation in that loop's order, compiled with floating-point
-  contraction off, and ``exp``/``tanh`` are numpy's own float64 inner
-  loops, called through the pointers its ufuncs publish
-  (:func:`_numpy_loop`).  A whole plan of such layers lowered to one call
-  per chunk (:class:`PlanProgram`) *calls* that entry and the batch-major
-  projection layer by layer, so it is the same bytes again.
+* the fused GRU int8 layer-chunk (``repro_gru_i8_chunk``: no registry op,
+  reached only through a lowered :class:`PlanProgram`) is **bitwise
+  identical** to the engine's generic per-timestep loop: the recurrent
+  product is the batch-major projection itself, every elementwise
+  statement is one IEEE operation in that loop's order, compiled with
+  floating-point contraction off, and ``exp``/``tanh`` are numpy's own
+  float64 inner loops, called through the pointers its ufuncs publish
+  (:func:`_numpy_loop`).  A whole plan lowered to one call per chunk
+  *calls* that entry and the projection op by op, so it is the same bytes
+  again.
 
-Every op here wins on some recorded shape.  The ops where C never beat
-numpy + BLAS — the float BSPC products, the per-call-scale dense int8
-projection, the fused GRU/LSTM sequence forwards, the BPTT ``*_grad``
-ops — and the float CSR products, whose C loops won only to
-reduction-order tolerance, which no default route may take, are registered
-under ``"compiled"`` as aliases of the numpy implementations, so the full
-suite (and any plan pinned to this backend) dispatches every op without
-falling through the registry.  The per-row-scale dense projection
-``linear_int8_rowwise`` is a one-strip panel of the narrow BSPC kernel
-where the library was built with that kernel's rows-in-lanes microkernel
-(:func:`lanes`), and such an alias anywhere else.
+Every op registered here wins on some recorded shape.  The ops where C
+never beat numpy + BLAS — the float sparse products, the per-call-scale
+dense int8 projection, the fused GRU/LSTM sequence forwards, the BPTT
+``*_grad`` ops — are not registered at all: the registry serves an op its
+chosen backend lacks from numpy (:meth:`KernelRegistry.get`), so a plan
+pinned to ``"compiled"`` still dispatches every op.  The per-row-scale
+dense projection ``linear_int8_rowwise`` is a one-strip panel of the
+narrow BSPC kernel, registered where the library was built with that
+kernel's rows-in-lanes microkernel (:func:`lanes`).
 """
 
 from __future__ import annotations
@@ -82,8 +80,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import CompileBackendError, ShapeError
-from repro.kernels import numpy_backend as _np_backend
-from repro.kernels import quantized as _quantized
 from repro.kernels.quantized import (
     int8_bspc_plan,
     int8_codes,
@@ -450,7 +446,7 @@ static void bspc_nb_strip(
 /* x is (batch, n) and out (batch, rows), both row-major: the transposes
  * of the (n, batch) operand and (rows, batch) result of spmm_int8 — or,
  * with `spmv` set, the operand and result vectors of spmv_int8, which
- * dequantizes with one fused `scale * xs` multiply; batch <= 16.
+ * dequantizes with one fused `scale * xs` multiply; batch <= 8 (`xs`).
  * `lanes`/`lrows` are the packed strips (each its sums' LANES_HEAD, then
  * its codes) and row-padded scatter rows of the rows-in-lanes kernel: null
  * `lanes` where the caller found it does not apply, null `lrows` for the
@@ -463,7 +459,7 @@ API void repro_bspc_i8_nb(
     const i8 *codes, const i64 *gcols, const i64 *srows, const i8 *lanes,
     const i64 *lrows, const double *x, double scale, i32 *work, double *out)
 {
-    double xs[16];
+    double xs[8];
     const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
     const i64 tall = strips * mrp;
     const int wide = LANES && lanes;
@@ -580,8 +576,8 @@ API void repro_gru_i8_chunk(
     loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
 {
     for (i64 t = 0; t < steps; t++) {
-        repro_bspc_i8_nb(strips, mr, mc, 3 * h, h, batch, 0, codes, gcols, srows,
-                         lanes, lrows, hid, scale, work, gh);
+        repro_bspc_i8_rows(strips, mr, mc, 3 * h, h, batch, codes, gcols, srows,
+                           lanes, lrows, hid, scale, NULL, work, gh);
         for (i64 b = 0; b < batch; b++) {
             const double *gxb = gx + b * 3 * h, *ghb = gh + b * 3 * h;
             const double *prev = hid + b * h;
@@ -625,7 +621,7 @@ typedef struct {
  * `arena` is laid out here, from T, B and the widest H alone: T * B gate
  * rows of 3H, two runs of T * B hidden rows (a layer reads the one and
  * writes the other), then zr, cand and gh of repro_gru_i8_chunk; `work` is
- * sized for the neediest op.  0 < B < 16, T > 0. */
+ * sized for the neediest op at min(T * B, 8) rows.  B > 0, T > 0. */
 API void repro_plan_i8_chunk(
     const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
     double *const *carry, double *logits, double *arena, i32 *work,
@@ -1167,8 +1163,11 @@ def _narrow_call(panel: _Panel, n: int, batch: int) -> tuple:
     resolved for this call: its sizes and addresses, and this thread's
     scratch for ``batch`` rows of an ``n``-wide operand (in int32 units:
     the lanes accumulators, the gathered codes — int16 at their widest —
-    and the int8 codes of the whole operand)."""
+    and the int8 codes of the whole operand).  The kernel keeps eight
+    column scales: wider operands go through ``repro_bspc_i8_rows``."""
     _check_operand(panel.shape[1], n)
+    if batch > 8:
+        raise ShapeError(f"the narrow kernel takes at most 8 columns, got {batch}")
     mc = panel.sizes[2]
     work = _scratch(batch * (panel.acc + (mc + 1) // 2) + (batch * n + 3) // 4)
     return panel.sizes, panel.addresses, work
@@ -1228,7 +1227,8 @@ def panel_linear_int8(
     (``+ bias``, unless ``None``) written into the C-contiguous float64
     ``out (N, rows)``, each row quantized on its own exactly as a column
     of ``bspc_spmm_int8`` / a row of ``linear_int8_rowwise``.  ``panel``
-    is a :func:`dense_int8_panel` (BSPC weights: :func:`bspc_linear_int8`)."""
+    is a :func:`dense_int8_panel`: what a dense compiled slot's ``apply``
+    is on the engine's generic loop."""
     rows = panel.shape[0]
     given = () if bias is None else (bias,)
     if x.ndim != 2 or out.shape != (len(x), rows) or any(
@@ -1240,14 +1240,6 @@ def panel_linear_int8(
     return _panel_rows(panel, _f64(x), None if bias is None else _p(bias), out)
 
 
-def bspc_linear_int8(
-    matrix, x: np.ndarray, bias: Optional[np.ndarray], out: np.ndarray
-) -> np.ndarray:
-    """:func:`panel_linear_int8` for a BSPC weight, whose int8 plan is
-    resolved here, once per call, so invalidating it is observed."""
-    return panel_linear_int8(_plan_panel(int8_bspc_plan(matrix)), x, bias, out)
-
-
 def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
     """The registry op: a fresh ``(N, M)`` array, the panel packed per
     call (so an edit of ``codes`` between calls is seen).  Callers that
@@ -1256,45 +1248,6 @@ def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.nd
     x = np.asarray(x)
     out = np.empty((x.shape[0] if x.ndim == 2 else 0, panel.shape[0]))
     return panel_linear_int8(panel, x, None, out)
-
-
-def gru_int8_sequence(
-    matrix,
-    gates_x: np.ndarray,
-    hidden: np.ndarray,
-    bias_h: np.ndarray,
-    out: np.ndarray,
-    zr: np.ndarray,
-    cand: np.ndarray,
-    gh: np.ndarray,
-) -> None:
-    """The fused GRU int8 layer-steps of one chunk, ``B < 16``: one C call.
-
-    ``gates_x (T, B, 3H)`` holds the input projection with its folded
-    bias, ``hidden (B, H)`` the carry in; hidden states land in ``out
-    (T, B, H)`` (``out[-1]`` is the carry out).  ``zr (B, 2H)``, ``cand
-    (B, H)`` and ``gh (B, 3H)`` are work buffers.  Every array is
-    C-contiguous float64 and the caller's for the whole call.  The int8
-    plan is resolved here, once per chunk, so invalidating the matrix's
-    plan between chunks is observed.
-    """
-    plan = int8_bspc_plan(matrix)
-    seq_len, batch, h = out.shape
-    shapes = [a.shape for a in (gates_x, hidden, bias_h, zr, cand, gh)]
-    if batch >= 16 or plan.base.shape[0] != 3 * h or shapes != [
-        (seq_len, batch, 3 * h), (batch, h), (h,), (batch, 2 * h), (batch, h),
-        (batch, 3 * h),
-    ]:
-        raise ShapeError(f"GRU step of {plan.base.shape} into {out.shape}: {shapes}")
-    _check_buffers(gates_x, hidden, bias_h, out, zr, cand, gh)
-    lib = _library()
-    if lib.numpy_loops is None:  # the engine never binds this entry then
-        raise CompileBackendError("numpy's exp/tanh inner loops did not resolve")
-    sizes, addresses, work = _narrow_call(_plan_panel(plan), h, batch)
-    lib.repro_gru_i8_chunk(
-        *sizes, h, batch, seq_len, *addresses, plan.scale, _p(bias_h), _p(hidden),
-        _p(gates_x), _p(out), _p(zr), _p(cand), _p(gh), work, *lib.numpy_loops,
-    )
 
 
 PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT = range(3)
@@ -1331,7 +1284,7 @@ class PlanProgram:
             raise CompileBackendError("numpy's exp/tanh inner loops did not resolve")
         self._plans, self._held, records = [], [], []
         self.hidden = []  # H of each GRU, in order
-        width = per_row = per_state = 0
+        width = self._work = 0
         for kind, weight, bias in ops:
             panel = weight
             if not isinstance(weight, _Panel):
@@ -1352,17 +1305,13 @@ class PlanProgram:
             # int32 of scratch per operand row, the terms of `_narrow_call`:
             # lane sums, gathered codes, the operand's own codes
             work = panel.acc + (panel.sizes[2] + 1) // 2 + (n + 3) // 4
-            if kind == PLAN_GRU:
-                per_state = max(per_state, work)
-            else:
-                per_row = max(per_row, work)
+            self._work = max(self._work, work)
             records.append(
                 _PlanOp(kind, *panel.sizes, rows, n, *panel.addresses, panel.scale,
                         None if bias is None else _p(bias))
             )
             self._held.append((panel, bias))
         self._ops = (_PlanOp * len(records))(*records)
-        self._work = (per_row, per_state)
         self._widest = max(self.hidden)  # the H the arena is laid out for, as in C
         self.width = width  # of a row of logits
         self.arena = np.empty(0)
@@ -1376,7 +1325,7 @@ class PlanProgram:
     def run(self, x: np.ndarray, carry) -> Tuple[np.ndarray, list]:
         """``x (T, B, D)`` and per-layer ``(hidden,)`` carries (``None``:
         zeros) → fresh logits and fresh ``(hidden,)`` carries; ``T > 0``,
-        ``0 < B < 16``.  Shapes are the caller's to have checked."""
+        ``B > 0``.  Shapes are the caller's to have checked."""
         seq_len, batch, _ = x.shape
         frames, h = seq_len * batch, self._widest
         x = _f64(x)
@@ -1390,49 +1339,33 @@ class PlanProgram:
         if self.arena.size < need:
             self.arena = np.empty(need)
             self._arena_at = _p(self.arena)
-        per_row, per_state = self._work
         lib = self._lib
         lib.repro_plan_i8_chunk(
             self._ops, len(self._ops), seq_len, batch, _p(x),
             (ctypes.c_void_p * (2 * len(fresh)))(*map(_p, states + fresh)), _p(logits),
-            self._arena_at, _scratch(max(min(frames, 8) * per_row, batch * per_state)),
+            self._arena_at,
+            _scratch(min(frames, 8) * self._work),  # a product's block is <= 8 rows
             *lib.numpy_loops,
         )
         return logits, [(state,) for state in fresh]
 
 
-#: op name → compiled implementation.  Ops that never beat numpy + BLAS
-#: bit for bit — the float sparse products, the per-call-scale
-#: dense int8 projection, the fused sequence forwards and the BPTT grad
-#: ops — alias the numpy implementations (see the module docstring) so
-#: every registered op dispatches under this backend.
+#: op name → compiled implementation: the ops where C beats numpy on every
+#: recorded shape *and* is bitwise identical to it, so each is also where
+#: default routing sends its op.  Any other op asked of this backend is
+#: numpy's (:meth:`KernelRegistry.get`).
 _KERNELS = {
-    "csr_spmv": _np_backend.csr_spmv,
-    "csr_spmm": _np_backend.csr_spmm,
     "csr_spmv_int8": csr_spmv_int8,
     "csr_spmm_int8": csr_spmm_int8,
-    "bspc_spmv": _np_backend.bspc_spmv,
-    "bspc_spmm": _np_backend.bspc_spmm,
     "bspc_spmv_int8": bspc_spmv_int8,
     "bspc_spmm_int8": bspc_spmm_int8,
-    "linear_int8": _quantized.linear_int8,
-    "linear_int8_rowwise": _quantized.linear_int8_rowwise,
-    "gru_sequence": _np_backend.gru_sequence,
-    "lstm_sequence": _np_backend.lstm_sequence,
-    "gru_sequence_grad": _np_backend.gru_sequence_grad,
-    "lstm_sequence_grad": _np_backend.lstm_sequence_grad,
 }
-
-#: The ops this backend serves when no backend was chosen explicitly:
-#: the ones where it beats numpy on every recorded shape *and* is bitwise
-#: identical to it, so default routing never changes a result bit.
-_DEFAULT_FOR = ("csr_spmv_int8", "csr_spmm_int8", "bspc_spmv_int8", "bspc_spmm_int8")
 
 
 def register_compiled_backend(
     target: Optional[KernelRegistry] = None,
 ) -> bool:
-    """Probe the build and register every op under ``"compiled"``.
+    """Probe the build, then register and route every op it wins.
 
     Returns ``True`` when the backend registered, ``False`` (after
     recording the :class:`CompileBackendError` once — see
@@ -1444,11 +1377,10 @@ def register_compiled_backend(
         _library()
     except CompileBackendError:
         return False
-    for op, fn in _KERNELS.items():
+    won = dict(_KERNELS)
+    if lanes():  # only that kernel wins the dense projection
+        won["linear_int8_rowwise"] = linear_int8_rowwise
+    for op, fn in won.items():
         target.register(op, BACKEND, fn, override=True)
-    for op in _DEFAULT_FOR:
         target.route(op, BACKEND)
-    if lanes():  # only that kernel wins the dense projection; else the alias
-        target.register("linear_int8_rowwise", BACKEND, linear_int8_rowwise, override=True)
-        target.route("linear_int8_rowwise", BACKEND)
     return True

@@ -14,9 +14,10 @@ A backend can be chosen explicitly — globally
 (:func:`set_default_backend`, ``REPRO_KERNEL_BACKEND``), lexically
 (:func:`use_backend`), or per call (the ``backend=`` argument accepted by
 every dispatching entry point in :mod:`repro.kernels`) — and then serves
-every op.  When none was chosen, dispatch is **per op**: each op goes to
-the backend recorded as winning it (:meth:`KernelRegistry.route`) if that
-backend registered it, and to ``"numpy"`` otherwise.
+every op it registered.  When none was chosen, dispatch is **per op**:
+each op goes to the backend recorded as winning it
+(:meth:`KernelRegistry.route`).  Either way an op its backend did not
+register goes to ``"numpy"``.
 """
 
 from __future__ import annotations
@@ -70,16 +71,21 @@ class KernelRegistry:
     # -- lookup -----------------------------------------------------------
     def get(self, op: str, backend: Optional[str] = None) -> Callable:
         """Resolve ``op`` for ``backend``, else the explicitly chosen
-        backend, else the op's routed backend, else the fallback."""
+        backend, else the op's routed backend — and, where that backend
+        exists but did not register ``op``, for the fallback: a backend
+        registers the ops it implements, not a second name for numpy's."""
         table = self._impls.get(op)
         if table is None:
             raise KernelError(f"unknown kernel op {op!r}; known: {self.ops()}")
         backend = backend or self._chosen
         if backend is None:
             backend = self._routes.get(op)
-            if backend not in table:
-                backend = self._fallback
-        fn = table.get(backend)
+        elif backend not in table and backend not in self.backends():
+            raise KernelError(
+                f"unknown backend {backend!r} for kernel {op!r}; "
+                f"available: {self.backends()}"
+            )
+        fn = table.get(backend) or table.get(self._fallback)
         if fn is None:
             raise KernelError(
                 f"kernel {op!r} has no {backend!r} backend; "

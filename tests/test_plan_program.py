@@ -1,10 +1,10 @@
 """The lowered int8 GRU program: one C call per ``run_chunk``.
 
 ``ModelPlan.program`` is the plan's ops as one flat descriptor that
-``repro_plan_i8_chunk`` walks by *calling* the per-layer C entries, so
-everything here is an exactness test again: the per-layer path (the same
-plan with its program taken away) and the ``reference`` backend are ground
-truth for logits and carry states, byte for byte.
+``repro_plan_i8_chunk`` walks by *calling* the projection and layer-chunk
+C entries, so everything here is an exactness test again: the generic loop
+(the same plan with its program taken away) and the ``reference`` backend
+are ground truth for logits and carry states, byte for byte.
 """
 
 import re
@@ -23,13 +23,11 @@ from repro.sparse.blocks import BlockGrid
 from repro.sparse.bspc import BSPCBlock, BSPCStrip
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
-from test_int8_routing import bsp_int8_plan
+from test_int8_routing import bsp_int8_plan, bsp_matrix, load_second_build, streamed_bytes
 
-#: a build with the lanes kernel and numpy's loops: every slot of the three
-#: plans below binds a compiled kernel
+#: a C library that took numpy's loops over: the three plans below lower
 requires_program = pytest.mark.skipif(
-    not (compiled.lanes() and compiled.numpy_loops()),
-    reason="no C library with the rows-in-lanes kernel and numpy's exp/tanh loops",
+    not compiled.numpy_loops(), reason="no C library with numpy's exp/tanh loops"
 )
 
 
@@ -61,7 +59,7 @@ def plans():
 def stream(plan, chunks, state, lowered=True):
     """Per-chunk logits and the final carry, as bytes.  ``lowered=False``
     takes the program away for the run (of a plan already bound to the
-    backend in force): the per-layer path."""
+    backend in force): the generic loop."""
     program, parts = plan.program, []
     for chunk in chunks:
         if not lowered:
@@ -76,7 +74,7 @@ def stream(plan, chunks, state, lowered=True):
 
 @st.composite
 def traffic(draw):
-    batch = draw(st.integers(1, 15))
+    batch = draw(st.integers(1, 40))
     frames = draw(st.integers(1, 12))
     cuts = draw(st.lists(st.integers(0, frames), max_size=3))  # repeats: empty chunks
     return (
@@ -87,7 +85,7 @@ def traffic(draw):
 
 @settings(max_examples=40, deadline=2000)
 @given(case=traffic())
-def test_any_split_equals_the_per_layer_path_and_reference(plans, case):
+def test_any_split_equals_the_generic_loop_and_reference(plans, case):
     kind, batch, frames, cuts, carried, seed = case
     plan, rng = plans[kind], new_rng(seed)
     chunks = np.split(rng.standard_normal((frames, batch, 8)), cuts)
@@ -98,7 +96,7 @@ def test_any_split_equals_the_per_layer_path_and_reference(plans, case):
         )
     with kernels.use_backend(None):
         got = stream(plan, chunks, state)
-        if compiled.lanes() and compiled.numpy_loops():
+        if compiled.numpy_loops():
             assert plan.program is not None  # re-bound, so lowered again
         assert got == stream(plan, chunks, state, lowered=False)
     with kernels.use_backend("reference"):
@@ -120,34 +118,38 @@ def c_calls(monkeypatch):
 
 @requires_program
 class TestOneCall:
-    def test_an_eligible_chunk_is_exactly_one_call_into_the_library(self, plans, c_calls):
+    def test_a_non_empty_chunk_is_exactly_one_call_and_an_empty_one_none(self, plans, c_calls):
         with kernels.use_backend(None):
             for plan in plans.values():
-                for batch, state in ((1, None), (8, None), (15, plan.init_state(15))):
+                for batch in (1, 8, 15, 16, 17, 40):
+                    state = plan.init_state(batch) if batch % 2 else None
                     del c_calls[:]
-                    plan.run_chunk(np.ones((4, batch, 8)), state)
+                    _, state = plan.run_chunk(np.ones((4, batch, 8)), state)
                     assert c_calls == ["repro_plan_i8_chunk"]
-                del c_calls[:]
-                plan.forward_batch(np.ones((3, 2, 8)))
-                assert c_calls == ["repro_plan_i8_chunk"]
+                    del c_calls[:]
+                    plan.forward_batch(np.ones((3, batch, 8)))
+                    assert c_calls == ["repro_plan_i8_chunk"]
+                del c_calls[:]  # T = 0, B = 0: the state passes through
+                logits, after = plan.run_chunk(np.zeros((0, 40, 8)), state)
+                assert logits.shape[:2] == (0, 40)
+                for a, b in zip(after.layer_states, state.layer_states):
+                    assert a[0].tobytes() == b[0].tobytes()
+                logits, after = plan.run_chunk(np.zeros((5, 0, 8)))
+                assert logits.shape[:2] == (5, 0)
+                assert [layer[0].shape for layer in after.layer_states] == [(0, 24), (0, 24)]
+                assert "repro_plan_i8_chunk" not in c_calls
 
-    def test_wide_and_empty_chunks_bypass_the_program(self, plans, c_calls, rng):
-        plan = plans["auto"]
+    def test_the_arena_grows_with_the_chunk_and_its_address_is_taken_again(self, plans, rng):
+        plan = plans["bare"]
+        x = rng.standard_normal((6, 40, 8))
         with kernels.use_backend(None):
-            wide = rng.standard_normal((3, 16, 8))
-            logits, state = plan.run_chunk(wide)
-            assert "repro_plan_i8_chunk" not in c_calls and len(c_calls) > 1
-            # ... to the bytes its first fifteen streams get through the program
-            narrow, narrow_state = plan.run_chunk(wide[:, :15])
-            assert logits[:, :15].tobytes() == narrow.tobytes()
-            for a, b in zip(state.layer_states, narrow_state.layer_states):
-                assert a[0][:15].tobytes() == b[0].tobytes()
-            del c_calls[:]
-            logits, after = plan.run_chunk(np.zeros((0, 15, 8)), narrow_state)
-            assert "repro_plan_i8_chunk" not in c_calls
-            assert logits.shape == (0, 15, plan.output.num_classes)
-            for a, b in zip(after.layer_states, narrow_state.layer_states):
-                assert a[0].tobytes() == b[0].tobytes()
+            plan.run_chunk(x[:, :2])
+            small = plan.program.arena
+            got = stream(plan, [x], None)
+            assert plan.program.arena.size > small.size
+            assert plan.program._arena_at == plan.program.arena.ctypes.data
+            assert got == stream(plan, [x], None, lowered=False)
+            assert stream(plan, [x[:, :2]], None) == stream(plan, [x[:, :2]], None, lowered=False)
 
     def test_results_never_alias_the_arena_or_each_other(self, plans, rng):
         plan = plans["bare"]  # its logits are copied out of the arena itself
@@ -177,18 +179,44 @@ class TestOneCall:
                 target=lambda: got.append(plan.run_chunk(x)[0].tobytes())
             )
             worker.start()
-            worker.join()
+            worker.join(timeout=60)
         assert got == [want]
 
-        def needs(weight, n, at_once):  # what _narrow_call asks for
-            panel = compiled._plan_panel(kernels.int8_bspc_plan(weight.matrix))
-            return at_once * (panel.acc + (panel.sizes[2] + 1) // 2) + (at_once * n + 3) // 4
+        for layer in plan.layers:  # what _narrow_call asks for at its widest, 8 rows
+            for weight, n in ((layer.input_proj, layer.input_size), (layer.recurrent, 24)):
+                panel = compiled._plan_panel(kernels.int8_bspc_plan(weight.matrix))
+                needs = 8 * (panel.acc + (panel.sizes[2] + 1) // 2) + (8 * n + 3) // 4
+                assert 8 * plan.program._work >= needs
 
-        per_row, per_state = plan.program._work
-        asked = max(8 * per_row, 15 * per_state)
-        for layer in plan.layers:
-            assert asked >= needs(layer.input_proj, layer.input_size, 8)
-            assert asked >= needs(layer.recurrent, 24, 15)
+
+@requires_program
+def test_the_narrow_kernel_refuses_more_columns_than_it_keeps_scales_for():
+    # repro_bspc_i8_nb holds eight column scales on its stack; wider
+    # operands are the 8-row blocks of repro_bspc_i8_rows
+    panel = compiled._plan_panel(kernels.int8_bspc_plan(bsp_matrix()))
+    compiled._narrow_call(panel, 64, 8)
+    for batch in (9, 16):
+        with pytest.raises(ShapeError):
+            compiled._narrow_call(panel, 64, batch)
+
+
+@requires_program
+def test_a_plain_o3_build_lowers_a_program_too(tmp_path, monkeypatch):
+    # no rows-in-lanes kernel: the registry leaves the dense op on numpy,
+    # and the program runs those slots on panels it packs for itself
+    with kernels.use_backend(None):
+        native = streamed_bytes(bsp_int8_plan(sparse_format="auto"))
+        load_second_build(tmp_path, monkeypatch, flags=())
+        if compiled.lanes():
+            pytest.skip("REPRO_CC names a vector ISA of its own: no plain build here")
+        numpy_dense = kernels.registry.get("linear_int8_rowwise", "numpy")
+        # as that build's own registration routes it
+        monkeypatch.setitem(kernels.registry._routes, "linear_int8_rowwise", "numpy")
+        plan = bsp_int8_plan(sparse_format="auto")
+        assert plan.output.weight.kernel is numpy_dense
+        assert plan.layers[0].input_proj.kernel is numpy_dense
+        assert plan.program is not None
+        assert streamed_bytes(plan) == native
 
 
 def other_plans():
@@ -202,7 +230,7 @@ def other_plans():
     )
 
 
-def test_plans_without_a_descriptor_keep_the_per_layer_path(rng):
+def test_plans_without_a_descriptor_run_the_generic_loop(rng):
     x = rng.standard_normal((4, 3, 8))
     with kernels.use_backend(None):
         for name, plan in other_plans():
@@ -219,7 +247,7 @@ def test_plans_without_a_descriptor_keep_the_per_layer_path(rng):
 @requires_program
 class TestStaleness:
     """The descriptor holds addresses into a weight's int8 plan: a plan
-    invalidated between chunks is re-lowered, as the per-layer entries
+    invalidated between chunks is re-lowered, as the registry kernels
     re-resolve it per call."""
 
     @pytest.fixture()
