@@ -1,8 +1,9 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the paper's tables as assertions — not a timing
+system (``bench/run.py`` is).  Every table/figure/ablation has one
+``bench_*`` module asserting its paper-scale claim and printing measured
+vs. paper; the ``paper-tables`` CI job runs them with timing off::
 
-Every table/figure of the paper has one ``bench_*`` module.  Benchmarks
-print their reproduction table (measured vs. paper) to stdout — run with
-``pytest benchmarks/ --benchmark-only -s`` to see the tables inline.
+    PYTHONPATH=src python -m pytest -q benchmarks/ --benchmark-disable   # -s shows the tables
 """
 
 from __future__ import annotations

@@ -163,12 +163,7 @@ class StreamBenchResult:
 
 
 def build_stream_workload(config: StreamBenchConfig):
-    """The benchmark workload: ``(plan, features, serving_config)``.
-
-    Shared by :func:`run_stream_bench` and the ``benchmarks/run_bench.py``
-    serving suite, so the recorded ``BENCH_serving.json`` rows measure
-    exactly the workload the ``stream-bench`` CLI reports on.
-    """
+    """The ``stream-bench`` workload: ``(plan, features, serving_config)``."""
     dataset = make_dataset(config.num_sessions, STREAM_SYNTH, seed=config.seed)
     features = [example.features for example in dataset.examples]
     plan = _build_plan(config, config.seed)

@@ -136,23 +136,6 @@ def project_block_columns(
     return PruningMask(np.repeat(col_mask, strip_sizes, axis=0))
 
 
-def _project_block_columns_loop(
-    weight: np.ndarray, grid: BlockGrid, rate: float
-) -> PruningMask:
-    """Seed per-region loop implementation of
-    :func:`project_block_columns`, retained as ground truth for the
-    equivalence tests and the benchmark baseline."""
-    weight = grid.validate_matrix(check_2d(weight, "weight"))
-    mask = np.zeros(weight.shape, dtype=bool)
-    for region in grid.regions():
-        rs, cs = region.slice()
-        segment = weight[rs, cs]
-        norms = np.linalg.norm(segment, axis=0)
-        keep_local = _top_indices(norms, _keep_count(segment.shape[1], rate))
-        mask[rs, region.col_start + keep_local] = True
-    return PruningMask(mask)
-
-
 def project_bank_balanced(
     weight: np.ndarray, bank_size: int, rate: float
 ) -> PruningMask:
@@ -185,23 +168,3 @@ def project_bank_balanced(
         )
     return PruningMask(mask)
 
-
-def _project_bank_balanced_loop(
-    weight: np.ndarray, bank_size: int, rate: float
-) -> PruningMask:
-    """Seed per-bank/per-row loop implementation of
-    :func:`project_bank_balanced`, retained as the tie-breaking ground
-    truth for the equivalence tests and the benchmark baseline."""
-    weight = check_2d(weight, "weight")
-    rows, cols = weight.shape
-    if bank_size < 1 or bank_size > cols:
-        raise ConfigError(f"bank_size must be in [1, {cols}], got {bank_size}")
-    mask = np.zeros(weight.shape, dtype=bool)
-    for start in range(0, cols, bank_size):
-        stop = min(start + bank_size, cols)
-        bank = np.abs(weight[:, start:stop])
-        keep = _keep_count(stop - start, rate)
-        for r in range(rows):
-            idx = _top_indices(bank[r], keep)
-            mask[r, start + idx] = True
-    return PruningMask(mask)

@@ -155,8 +155,9 @@ class TestFigure4Harness:
 
 
 class TestTable1Harness:
-    """Uses a deliberately tiny configuration — minutes-scale correctness
-    is covered by the benchmark; here we verify mechanics."""
+    """Uses a deliberately tiny configuration — paper-scale correctness is
+    covered by ``benchmarks/bench_table1_*.py`` (the ``paper-tables`` CI
+    job); here we verify mechanics."""
 
     TINY = Table1Config(
         hidden_size=24,

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,3 +132,25 @@ class TestCLI:
         assert main(["table2", "--csv", str(out)]) == 0
         assert out.exists()
         assert "Table II" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["stream-bench", "--sessions", "2", "--repeats", "1", "--chaos"], {},
+             "chaos requires workers >= 1"),
+            (["serve-bench", "--repeats", "0"], {}, "repeats must be >= 1, got 0"),
+            (["tune", "--hidden-size", "16"], {"REPRO_HOST_CALIBRATION": "/nonexistent"},
+             "REPRO_HOST_CALIBRATION: calibration file not found: /nonexistent"),
+        ],
+    )
+    def test_typed_error_is_one_line_and_exit_2(self, argv, env, message):
+        # ``main`` keeps raising (library callers); ``python -m repro`` prints ``error: ...``, exits 2
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], env={**os.environ, **env, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines()[-1] == f"error: {message}"
+        assert "Traceback" not in done.stderr

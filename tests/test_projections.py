@@ -194,3 +194,61 @@ def test_property_block_projection_never_over_prunes(rows, cols, rate, seed):
         kept = mask.keep[rs, cs].any(axis=0).sum()
         expected = max(1, int(np.ceil(region.shape[1] / rate)))
         assert kept == expected
+
+
+# The seed's per-region / per-bank loops: the oracle the vectorised
+# projections (one batched top-k per block width) must reproduce mask for
+# mask, the lower index winning every tie.
+def _top_indices(scores, rate):
+    keep = max(1, int(np.ceil(len(scores) / rate)))
+    return np.lexsort((np.arange(len(scores)), -scores))[:keep]
+
+
+def _project_block_columns_loop(weight, grid, rate):
+    mask = np.zeros(weight.shape, dtype=bool)
+    for region in grid.regions():
+        rs, cs = region.slice()
+        norms = np.linalg.norm(weight[rs, cs], axis=0)
+        mask[rs, region.col_start + _top_indices(norms, rate)] = True
+    return mask
+
+
+def _project_bank_balanced_loop(weight, bank_size, rate):
+    mask = np.zeros(weight.shape, dtype=bool)
+    for start in range(0, weight.shape[1], bank_size):
+        for r, scores in enumerate(np.abs(weight[:, start : start + bank_size])):
+            mask[r, start + _top_indices(scores, rate)] = True
+    return mask
+
+
+def _weights(rows, cols, tied, seed):
+    rng = np.random.default_rng(seed)
+    if tied:  # a few small integers: magnitudes and column norms tie exactly, and often
+        return rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
+    return rng.standard_normal((rows, cols))
+
+
+_CASE = dict(rate=st.floats(1.0, 8.0), tied=st.booleans(), seed=st.integers(0, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 16), split=st.data(), **_CASE)
+def test_property_block_columns_equals_region_loop(rows, cols, split, rate, tied, seed):
+    grid = BlockGrid(
+        rows, cols, split.draw(st.integers(1, rows)), split.draw(st.integers(1, cols))
+    )
+    w = _weights(rows, cols, tied, seed)
+    np.testing.assert_array_equal(
+        project_block_columns(w, grid, rate).keep, _project_block_columns_loop(w, grid, rate)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 24), bank=st.integers(1, 24), **_CASE)
+def test_property_bank_balanced_equals_bank_loop(rows, cols, bank, rate, tied, seed):
+    w = _weights(rows, cols, tied, seed)
+    bank_size = min(bank, cols)  # full banks and a ragged tail both occur
+    np.testing.assert_array_equal(
+        project_bank_balanced(w, bank_size, rate).keep,
+        _project_bank_balanced_loop(w, bank_size, rate),
+    )
