@@ -2,9 +2,10 @@
 
 Public surface: :class:`ServingFabric` (the client-facing facade) and
 its config/stat types, the canary-rollout types, plus the building
-blocks — session journal, consistent-hash router, supervisor, worker
-transport — and the deterministic fault-injection layer that the
-robustness tests and ``stream-bench --chaos`` drive.
+blocks — session journal, consistent-hash router, worker transport —
+and the deterministic fault-injection layer that the robustness tests
+and ``stream-bench --chaos`` drive.  Worker lifecycle (spawn, restart
+with backoff, give up) is the shared :class:`repro.utils.supervise.Pool`.
 """
 
 from repro.engine.fabric.canary import CanaryConfig, CanaryReport
@@ -17,7 +18,6 @@ from repro.engine.fabric.fabric import (
 from repro.utils.faults import CRASH_EXIT_CODE, FaultConfig, FaultInjector
 from repro.engine.fabric.journal import SessionJournal
 from repro.engine.fabric.router import HashRing
-from repro.engine.fabric.supervisor import Supervisor
 from repro.engine.fabric.worker import WorkerFailure, WorkerHandle
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "SessionJournal",
     "HashRing",
-    "Supervisor",
     "WorkerFailure",
     "WorkerHandle",
 ]

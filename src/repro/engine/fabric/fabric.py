@@ -37,7 +37,6 @@ byte-identical recovery instead of "it usually works".
 
 from __future__ import annotations
 
-import multiprocessing
 import re
 import tempfile
 import time
@@ -51,10 +50,10 @@ from repro.engine.fabric.canary import CanaryConfig, CanaryReport, CanaryState
 from repro.utils.faults import FaultConfig
 from repro.engine.fabric.journal import SessionJournal
 from repro.engine.fabric.router import HashRing
-from repro.engine.fabric.supervisor import Supervisor
-from repro.engine.fabric.worker import WorkerFailure
+from repro.engine.fabric.worker import WorkerHandle, worker_main
 from repro.engine.streaming import StreamConfig
 from repro.utils.stats import percentile
+from repro.utils.supervise import Pool, WorkerFailure
 from repro.errors import (
     ConfigError,
     FabricError,
@@ -98,7 +97,6 @@ class FabricConfig:
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     ring_replicas: int = 64
-    start_method: Optional[str] = None
     faults: Optional[FaultConfig] = None
 
     def __post_init__(self) -> None:
@@ -252,23 +250,15 @@ class ServingFabric:
         from repro.engine.artifact import load_plan
 
         self._plan = load_plan(artifact_path)
-        method = config.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else None
-            )
-        ctx = multiprocessing.get_context(method)
-        self._supervisor = Supervisor(
-            ctx,
+        self._supervisor = Pool(
             config.num_workers,
-            self._artifact_path,
-            config.stream,
-            config.faults,
-            config.max_restarts,
-            config.backoff_base_s,
-            config.backoff_cap_s,
+            worker_main,
+            (self._artifact_path, config.stream),
+            faults=config.faults,
+            max_restarts=config.max_restarts,
+            backoff_base_s=config.backoff_base_s,
+            backoff_cap_s=config.backoff_cap_s,
+            child=WorkerHandle,
         )
         self._ring = HashRing(range(config.num_workers), config.ring_replicas)
         self._journal = SessionJournal()
@@ -343,7 +333,7 @@ class ServingFabric:
         if self._closed:
             return
         self._closed = True
-        self._supervisor.shutdown()
+        self._supervisor.close()
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None
@@ -357,8 +347,8 @@ class ServingFabric:
             raise StreamError(f"session {sid} already finished")
         return session
 
-    def _handle(self, session: _Session):
-        return self._supervisor.handles[session.worker]
+    def _handle(self, session: _Session) -> WorkerHandle:
+        return self._supervisor.children[session.worker]
 
     def _live_sessions_on(self, worker: int) -> int:
         return sum(
@@ -524,18 +514,22 @@ class ServingFabric:
         otherwise only caught at the next RPC.
         """
         failed: List[int] = []
-        for index in list(self._supervisor.handles):
+        for index, handle in enumerate(self._supervisor.children):
             if index in self._supervisor.dead:
                 continue
             try:
-                self._supervisor.ping(index, self.config.heartbeat_timeout_s)
+                handle.request("ping", self.config.heartbeat_timeout_s)
             except WorkerFailure as failure:
                 failed.append(index)
                 self._recover(failure)
         return failed
 
     def _alive_or_raise(self) -> List[int]:
-        alive = self._supervisor.alive_indices()
+        alive = [
+            index
+            for index, handle in enumerate(self._supervisor.children)
+            if index not in self._supervisor.dead and handle.alive()
+        ]
         if not alive:
             raise FabricError("no live workers left in the fabric")
         return alive
@@ -561,7 +555,7 @@ class ServingFabric:
                     f"(last failure: {queue[-1]})"
                 )
             current = queue.pop()
-            handle = self._supervisor.handle_failure(current)
+            handle = self._supervisor.restart(current)
             orphans = [
                 sid
                 for sid, session in sorted(self._sessions.items())
@@ -603,7 +597,7 @@ class ServingFabric:
         silent divergence would mean the exactness contract broke.
         """
         session = self._sessions[sid]
-        handle = self._supervisor.handles[session.worker]
+        handle = self._handle(session)
         handle.check_alive()
         phones = list(
             handle.request(
@@ -684,7 +678,7 @@ class ServingFabric:
             )
         # Commit the new version first: restarts during the swap come up
         # serving it, and new opens route to it.
-        self._supervisor.set_artifact(path)
+        self._supervisor.args = (path, self.config.stream)
         self._plan = candidate
         self._version = path
         self.plan_swaps += 1
@@ -714,7 +708,7 @@ class ServingFabric:
                 if index in self._supervisor.dead:
                     continue
                 try:
-                    self._supervisor.handles[index].request(
+                    self._supervisor.children[index].request(
                         "swap", self.config.rpc_timeout_s, path
                     )
                 except WorkerFailure as failure:
@@ -891,11 +885,11 @@ class ServingFabric:
         recovery as a side effect, like any other touchpoint).
         """
         workers: List[WorkerStats] = []
-        for index, handle in sorted(self._supervisor.handles.items()):
+        for index, handle in enumerate(self._supervisor.children):
             row = WorkerStats(
                 index=index,
                 alive=index not in self._supervisor.dead and handle.alive(),
-                incarnation=max(handle.incarnation, 0),
+                incarnation=handle.incarnation,
                 restarts=self._supervisor.restarts[index],
             )
             if row.alive:

@@ -31,34 +31,24 @@ tuples.  The protocol is deliberately asymmetric:
   live scheduler and return the full phone stream for the fabric's
   delivered-prefix check.
 
-The parent-side endpoint is :class:`WorkerHandle`; any transport problem
-(dead process, broken pipe, RPC timeout) surfaces as
-:class:`WorkerFailure` carrying the worker index and a crash-vs-stall
-classification, which the supervisor turns into restart + re-home.
+The parent-side endpoint is :class:`WorkerHandle`, one per worker
+incarnation: a :class:`~repro.utils.supervise.Child` (spawn, kill,
+liveness, deadline-bounded receive) plus the fabric protocol over its
+pipe.  Any transport problem (dead process, broken pipe, RPC timeout)
+surfaces as :class:`~repro.utils.supervise.WorkerFailure` carrying the
+worker index and a crash-vs-stall classification, which the fabric turns
+into restart + re-home.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.utils.faults import FaultConfig, FaultInjector
+from repro.utils.supervise import Child, WorkerFailure
 from repro.engine.streaming import StreamConfig, StreamScheduler
 from repro.errors import FabricError
-
-
-@dataclass
-class WorkerFailure(Exception):
-    """A worker stopped serving: crashed (process dead) or stalled
-    (alive but unresponsive past the heartbeat timeout)."""
-
-    index: int
-    reason: str  # "crash" | "stall"
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"worker {self.index} {self.reason}: {self.detail}"
 
 
 def _stats_snapshot(
@@ -110,10 +100,10 @@ def _stats_snapshot(
 
 def worker_main(
     conn,
+    worker_index: int,
+    fault_config: Optional[FaultConfig],
     artifact_path: str,
     stream_config: StreamConfig,
-    fault_config: Optional[FaultConfig],
-    worker_index: int,
 ) -> None:
     """Entry point of a worker process: serve until ``close`` or EOF."""
     # Import here: the child must not pay for (or depend on) anything the
@@ -132,7 +122,7 @@ def worker_main(
     primary = str(artifact_path)
     try:
         plan_for(primary)
-    except Exception as exc:  # surfaced by the supervisor as a crash
+    except Exception as exc:  # surfaced to the fabric as a crash
         try:
             conn.send(("fatal", f"load_plan({artifact_path!r}) failed: {exc}"))
         finally:
@@ -260,21 +250,18 @@ def worker_main(
     conn.close()
 
 
-class WorkerHandle:
-    """Parent-side endpoint of one worker process (transport only).
+class WorkerHandle(Child):
+    """Parent-side endpoint of one worker incarnation.
 
-    Lifecycle (spawn/restart) belongs to the supervisor; this class owns
-    the pipe, the request-id counter, the backpressure accounting
-    (in-flight chunks/frames between ``feed`` and its cumulative ack),
-    and failure classification.
+    Lifecycle comes from :class:`~repro.utils.supervise.Child`; this
+    class adds the fabric protocol: the request-id counter, the
+    backpressure accounting (in-flight chunks/frames between ``feed``
+    and its cumulative ack), and the worker's ``error``/``fatal``
+    reports.
     """
 
-    def __init__(self, index: int, ctx) -> None:
-        self.index = index
-        self.incarnation = -1  # bumped to 0 by the first spawn()
-        self._ctx = ctx
-        self.process = None
-        self.conn = None
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self._next_seq = 0
         self._next_rid = 0
         #: feed seq -> frames, not yet acknowledged (insertion-ordered,
@@ -284,51 +271,8 @@ class WorkerHandle:
         self._errors: List[str] = []
         self._fatal: Optional[str] = None
 
-    # -- lifecycle (driven by the supervisor) -----------------------------
-    def spawn(
-        self,
-        artifact_path: str,
-        stream_config: StreamConfig,
-        fault_config: Optional[FaultConfig],
-    ) -> None:
-        self.incarnation += 1
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        self.process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                child_conn,
-                str(artifact_path),
-                stream_config,
-                fault_config,
-                self.index,
-            ),
-            name=f"repro-fabric-worker-{self.index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self._next_seq = 0
-        self._pending.clear()
-        self._replies.clear()
-        self._errors.clear()
-        self._fatal = None
-
-    def kill(self) -> None:
-        """Hard-stop the process (used on stalls) and drop the pipe."""
-        if self.process is not None and self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
-
     def alive(self) -> bool:
-        return (
-            self.process is not None
-            and self.process.is_alive()
-            and self._fatal is None
-        )
+        return self._fatal is None and self.process.is_alive()
 
     # -- backpressure accounting ------------------------------------------
     @property
@@ -340,12 +284,6 @@ class WorkerHandle:
         return sum(self._pending.values())
 
     # -- transport ---------------------------------------------------------
-    def _failure(self, reason: str, detail: str) -> WorkerFailure:
-        return WorkerFailure(self.index, reason, detail)
-
-    def _classify_send_error(self, exc: Exception) -> WorkerFailure:
-        return self._failure("crash", f"pipe send failed: {exc}")
-
     def _dispatch(self, message) -> None:
         kind = message[0]
         if kind == "ack":
@@ -362,8 +300,6 @@ class WorkerHandle:
 
     def drain(self) -> None:
         """Consume every message already in the pipe (non-blocking)."""
-        if self.conn is None:
-            return
         try:
             while self.conn.poll(0):
                 self._dispatch(self.conn.recv())
@@ -374,10 +310,12 @@ class WorkerHandle:
         """Raise :class:`WorkerFailure` if the process is gone."""
         self.drain()
         if self._fatal is not None:
-            raise self._failure("crash", self._fatal)
-        if self.process is not None and not self.process.is_alive():
-            raise self._failure(
-                "crash", f"process exited with code {self.process.exitcode}"
+            raise WorkerFailure(self.index, "crash", self._fatal)
+        if not self.process.is_alive():
+            raise WorkerFailure(
+                self.index,
+                "crash",
+                f"process exited with code {self.process.exitcode}",
             )
 
     def send(self, message) -> None:
@@ -385,8 +323,8 @@ class WorkerHandle:
         self.check_alive()
         try:
             self.conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise self._classify_send_error(exc)
+        except OSError as exc:
+            raise WorkerFailure(self.index, "crash", f"pipe send failed: {exc}")
 
     def feed(self, sid: int, features) -> int:
         """Send one chunk; returns its seq after recording it in-flight."""
@@ -415,18 +353,8 @@ class WorkerHandle:
         self.send((kind, *args, rid))
         deadline = time.monotonic() + timeout
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.check_alive()  # prefer the crash classification
-                raise self._failure(
-                    "stall", f"no {kind} reply within {timeout:.2f}s"
-                )
-            try:
-                if self.conn.poll(min(remaining, 0.05)):
-                    self._dispatch(self.conn.recv())
-            except (EOFError, OSError):
-                self.check_alive()
-                raise self._failure("crash", "pipe closed mid-request")
+            if self._fatal is not None:
+                raise WorkerFailure(self.index, "crash", self._fatal)
             if self._errors:
                 # The worker survived but a request raised inside it
                 # (a protocol/validation bug, not a process fault): the
@@ -437,32 +365,7 @@ class WorkerHandle:
                 )
             if rid in self._replies:
                 return self._replies.pop(rid)
-            if self.process is not None and not self.process.is_alive():
-                # Drain whatever made it out before the death.
-                self.drain()
-                if rid in self._replies:
-                    return self._replies.pop(rid)
-                raise self._failure(
-                    "crash",
-                    f"process exited with code {self.process.exitcode} "
-                    f"before replying to {kind}",
-                )
-
-    def close(self) -> None:
-        """Graceful shutdown: ask the loop to exit, then join/kill."""
-        if self.conn is not None:
-            try:
-                self.conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                pass
-        if self.process is not None:
-            self.process.join(timeout=2.0)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=5.0)
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
+            self._dispatch(self.recv(deadline, f"{kind} reply"))
 
 
 __all__ = ["WorkerHandle", "WorkerFailure", "worker_main"]

@@ -191,7 +191,6 @@ def _run_sweep_cmd(args) -> None:
         hidden_size=args.hidden_size,
         num_train=args.utterances,
         num_test=max(2, args.utterances // 2),
-        train_workers=args.train_workers,
         cell_timeout_s=args.cell_timeout,
     )
     result = run_sweep_bench(config)
@@ -404,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psw.add_argument("--workers", type=int, default=2,
                      help="concurrent forked cell processes")
-    psw.add_argument("--train-workers", type=int, default=1,
-                     help="data-parallel gradient workers inside each cell")
     psw.add_argument("--chaos", action="store_true",
                      help="crash every cell's first attempt at a seeded "
                      "mid-training step")

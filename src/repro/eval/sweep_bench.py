@@ -57,7 +57,6 @@ class SweepBenchConfig:
     num_train: int = 8
     num_test: int = 4
     dense_epochs: int = 1
-    train_workers: int = 1
     cell_timeout_s: float = 600.0
 
 
@@ -156,7 +155,6 @@ def run_sweep_bench(config: SweepBenchConfig) -> SweepBenchResult:
         num_train=config.num_train,
         num_test=config.num_test,
         dense_epochs=config.dense_epochs,
-        train_workers=config.train_workers,
         cell_timeout_s=config.cell_timeout_s,
     )
 

@@ -9,7 +9,8 @@ cell's durable state lives in its directory under the sweep state dir::
         plan.npz         the compiled artifact (save_plan format)
         result.json      written atomically on success — its presence
                          with valid content *is* cell completion
-        error.json       best-effort diagnostics for a typed failure
+        error.json       best-effort diagnostics (exception type and
+                         message) for a failed attempt
 
 Restartability falls out of :func:`repro.training.run_checkpointed`: a
 re-spawned attempt finds the previous attempt's checkpoint and resumes
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro.engine.plan import compile_model
 from repro.engine.artifact import save_plan
-from repro.errors import ReproError
 from repro.pruning.bsp import BSPPruner
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.synth import SynthConfig, make_corpus
@@ -37,7 +38,6 @@ from repro.training.checkpoint import (
     load_training_checkpoint,
     run_checkpointed,
 )
-from repro.training.distributed import DistConfig, DistributedTrainer
 from repro.utils.atomic_write import atomic_write_json, content_checksum
 from repro.utils.faults import FaultConfig, FaultInjector
 from repro.utils.rng import derive_seed
@@ -96,16 +96,7 @@ def run_cell(config, cell, cell_index: int, fault: Optional[FaultConfig] = None)
         batch_size=config.batch_size,
         seed=derive_seed(config.seed, cell_index),
     )
-    if config.train_workers > 1:
-        trainer = DistributedTrainer(
-            model,
-            train_set,
-            test_set,
-            trainer_config,
-            DistConfig(num_workers=config.train_workers),
-        )
-    else:
-        trainer = Trainer(model, train_set, test_set, trainer_config)
+    trainer = Trainer(model, train_set, test_set, trainer_config)
     pruner = BSPPruner(
         model.prunable_parameters(),
         cell.bsp_config(
@@ -116,24 +107,20 @@ def run_cell(config, cell, cell_index: int, fault: Optional[FaultConfig] = None)
             step2_retrain_epochs=config.retrain_epochs,
         ),
     )
-    try:
-        epochs_run = run_checkpointed(
-            trainer,
-            pruner,
-            CheckpointConfig(
-                path=directory / CHECKPOINT_FILE,
-                every_steps=config.checkpoint_every_steps,
-            ),
-            max_epochs=config.total_cell_epochs + 2,
-            extra={"cell": cell.to_dict(), "cell_index": cell_index},
-            on_step=lambda _global_step: injector.on_step(),
-        )
-        evaluation = trainer.evaluate()
-        plan = compile_model(model, scheme=cell.scheme)
-        save_plan(directory / PLAN_FILE, plan)
-    finally:
-        if isinstance(trainer, DistributedTrainer):
-            trainer.close()
+    epochs_run = run_checkpointed(
+        trainer,
+        pruner,
+        CheckpointConfig(
+            path=directory / CHECKPOINT_FILE,
+            every_steps=config.checkpoint_every_steps,
+        ),
+        max_epochs=config.total_cell_epochs + 2,
+        extra={"cell": cell.to_dict(), "cell_index": cell_index},
+        on_step=lambda _global_step: injector.on_step(),
+    )
+    evaluation = trainer.evaluate()
+    plan = compile_model(model, scheme=cell.scheme)
+    save_plan(directory / PLAN_FILE, plan)
     masks = pruner.masks
     result = {
         "cell": cell.to_dict(),
@@ -148,18 +135,21 @@ def run_cell(config, cell, cell_index: int, fault: Optional[FaultConfig] = None)
         "params_kept": int(masks.total_nnz()) if masks else 0,
         "weights_sha256": content_checksum({}, model.state_dict()),
         "trainer_seed": trainer_config.seed,
-        "train_workers": int(config.train_workers),
     }
     atomic_write_json(directory / RESULT_FILE, result)
     return result
 
 
-def cell_process_main(config, cell, cell_index: int, fault) -> None:
-    """Child-process entry: run the cell, exit 0/1, record typed errors."""
+def cell_process_main(conn, cell_index: int, fault, config, cell) -> None:
+    """Child-process entry: run the cell, exit 0, or record the exception
+    in ``error.json`` and exit 1.  The attempt reports through its exit
+    code and files, not the pipe."""
+    conn.close()
     directory = cell_dir(config.state_dir, cell.name)
     try:
         run_cell(config, cell, cell_index, fault)
-    except ReproError as exc:
+    except Exception as exc:
+        traceback.print_exc()
         try:
             directory.mkdir(parents=True, exist_ok=True)
             atomic_write_json(

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +61,7 @@ from repro.training.checkpoint import CheckpointConfig, run_checkpointed
 from repro.utils.atomic_write import atomic_write_json, content_checksum
 from repro.utils.faults import CRASH_EXIT_CODE, FaultConfig
 from repro.utils.rng import derive_seed
+from repro.utils.supervise import Child
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class SweepConfig:
     retrain_epochs: int = 1
     rho: float = 1e-2
     checkpoint_every_steps: int = 1
-    train_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -101,10 +100,6 @@ class SweepConfig:
         if self.cell_timeout_s <= 0:
             raise ConfigError(
                 f"cell_timeout_s must be positive, got {self.cell_timeout_s}"
-            )
-        if self.train_workers < 1:
-            raise ConfigError(
-                f"train_workers must be >= 1, got {self.train_workers}"
             )
         if min(self.dense_epochs, self.admm_epochs, self.retrain_epochs) < 1:
             raise ConfigError("epoch counts must be >= 1")
@@ -274,41 +269,18 @@ def _classify_exit(exitcode: Optional[int], directory: Path) -> str:
                 info = json.load(handle)
             return f"{info.get('error', 'error')}: {info.get('message', '')}"
         except (OSError, ValueError):
-            return "typed error (no diagnostics written)"
+            return "exit code 1 (no diagnostics written)"
     return f"crash (exit code {exitcode})"
-
-
-class _RunningCell:
-    """One in-flight forked cell attempt."""
-
-    def __init__(self, outcome: CellOutcome, process, started: float) -> None:
-        self.outcome = outcome
-        self.process = process
-        self.started = started
 
 
 def _run_cells(
     config: SweepConfig, outcomes: List[CellOutcome], chaos: bool
 ) -> None:
-    ctx = multiprocessing.get_context("fork")
     pending = [o for o in outcomes if o.status == "pending"]
-    running: List[_RunningCell] = []
+    # (outcome, its attempt, the attempt's deadline)
+    running: List[Tuple[CellOutcome, Child, float]] = []
 
-    def _spawn(outcome: CellOutcome) -> None:
-        fault = None
-        if chaos and outcome.attempts == 0:
-            fault = chaos_fault_for(config, outcome.index)
-        outcome.attempts += 1
-        process = ctx.Process(
-            target=cell_process_main,
-            args=(config, outcome.cell, outcome.index, fault),
-            daemon=True,
-        )
-        process.start()
-        running.append(_RunningCell(outcome, process, time.monotonic()))
-
-    def _finish(run: _RunningCell, failure: Optional[str]) -> None:
-        outcome = run.outcome
+    def _finish(outcome: CellOutcome, failure: Optional[str]) -> None:
         directory = cell_dir(config.state_dir, outcome.cell.name)
         if failure is None:
             result = load_cell_result(directory)
@@ -329,29 +301,46 @@ def _run_cells(
         else:
             pending.append(outcome)
 
-    while pending or running:
-        while pending and len(running) < config.workers:
-            _spawn(pending.pop(0))
-        time.sleep(0.02)
-        still_running: List[_RunningCell] = []
-        for run in running:
-            if run.process.is_alive():
-                if time.monotonic() - run.started > config.cell_timeout_s:
-                    run.process.kill()
-                    run.process.join()
-                    _finish(
-                        run,
-                        f"straggler killed after {config.cell_timeout_s:g}s",
-                    )
+    try:
+        while pending or running:
+            while pending and len(running) < config.workers:
+                outcome = pending.pop(0)
+                # The chaos plan arms only the first attempt (incarnation 0).
+                child = Child(
+                    outcome.index,
+                    outcome.attempts,
+                    cell_process_main,
+                    (config, outcome.cell),
+                    chaos_fault_for(config, outcome.index) if chaos else None,
+                )
+                outcome.attempts += 1
+                running.append(
+                    (outcome, child, time.monotonic() + config.cell_timeout_s)
+                )
+            time.sleep(0.02)
+            still_running = []
+            for outcome, child, deadline in running:
+                if child.alive() and time.monotonic() <= deadline:
+                    still_running.append((outcome, child, deadline))
+                    continue
+                straggler = child.alive()
+                child.kill()  # a straggler's stop; else reaps the exited attempt
+                if straggler:
+                    failure = f"straggler killed after {config.cell_timeout_s:g}s"
+                elif child.exitcode == 0:
+                    failure = None
                 else:
-                    still_running.append(run)
-                continue
-            run.process.join()
-            exitcode = run.process.exitcode
-            directory = cell_dir(config.state_dir, run.outcome.cell.name)
-            failure = None if exitcode == 0 else _classify_exit(exitcode, directory)
-            _finish(run, failure)
-        running = still_running
+                    failure = _classify_exit(
+                        child.exitcode,
+                        cell_dir(config.state_dir, outcome.cell.name),
+                    )
+                _finish(outcome, failure)
+            running = still_running
+    finally:
+        # An exception out of the loop (an interrupt included) must not
+        # leave attempts writing into state_dir after run_sweep raised.
+        for _, child, _ in running:
+            child.kill()
 
 
 def _publish_outcomes(

@@ -10,7 +10,8 @@ Two pieces sit on top of the single-process
   being killed at any instant.
 * :mod:`repro.training.distributed` — :class:`DistributedTrainer`
   shards each batch across forked gradient workers with chunked
-  all-reduce over pipes and fabric-style crash/stall supervision.
+  all-reduce over pipes and crash/stall supervision by the shared
+  :class:`~repro.utils.supervise.Pool`.
 
 Quickstart::
 

@@ -18,15 +18,17 @@ whose per-batch forward/backward fans out over forked gradient workers:
   order.  A run is therefore bit-identical run-to-run at a fixed worker
   count (shard-local padding means results *across* worker counts agree
   only to float tolerance, which is documented, not hidden).
-* **Supervision mirrors the serving fabric.**  Failures are detected
-  synchronously (RPC deadline as stall detector, dead process / broken
-  pipe as crash detector) and restarts use the fabric's capped
-  exponential backoff and per-worker restart budget.  Because workers
-  are stateless, re-admission at the current step is literal: the
-  replacement worker is simply re-sent the in-flight step request —
+* **Supervision is the shared pool's.**  The workers are a
+  :class:`~repro.utils.supervise.Pool`, as in the serving fabric:
+  failures are detected synchronously (RPC deadline as stall detector,
+  dead process / broken pipe as crash detector) and restarts use its
+  capped exponential backoff and per-worker restart budget.  Because
+  workers are stateless, re-admission at the current step is literal:
+  the replacement worker is simply re-sent the in-flight step request —
   weights and shard — and the step completes with the other workers'
   already-received gradients untouched.  Past the budget the trainer
-  raises a typed :class:`~repro.errors.TrainingError`.
+  raises a typed :class:`~repro.errors.TrainingError`, on that step and
+  on every later one.
 * **Seeded per-worker RNG streams** (``spawn_rngs(seed, W)``) give each
   worker an independent deterministic stream for worker-local
   stochastic work (fault-injection jitter today, augmentation hooks
@@ -41,9 +43,8 @@ the RPC deadline must fire.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,6 +57,7 @@ from repro.speech.model import GRUAcousticModel
 from repro.speech.trainer import Trainer, TrainerConfig
 from repro.utils.faults import FaultConfig, FaultInjector
 from repro.utils.rng import new_rng, spawn_rngs
+from repro.utils.supervise import Child, Pool, RestartEvent, WorkerFailure
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class DistConfig:
     max_restarts: int = 2
     backoff_base_s: float = 0.01
     backoff_cap_s: float = 1.0
-    start_method: Optional[str] = None  # fork where available
     faults: Optional[FaultConfig] = None
 
     def __post_init__(self) -> None:
@@ -84,16 +85,6 @@ class DistConfig:
             raise ConfigError("rpc_timeout_s must be > 0")
         if self.max_restarts < 0:
             raise ConfigError(f"max_restarts must be >= 0, got {self.max_restarts}")
-
-
-@dataclass
-class RestartEvent:
-    """One supervision action, recorded for tests and observability."""
-
-    worker: int
-    reason: str  # "crash" | "stall"
-    step_id: int
-    backoff_s: float
 
 
 def _flatten(arrays: List[np.ndarray]) -> np.ndarray:
@@ -122,13 +113,12 @@ def _shard_backward(model: GRUAcousticModel, batch) -> float:
 
 def _gradient_worker_main(
     conn,
+    worker_index: int,
+    fault_config: Optional[FaultConfig],
     model: GRUAcousticModel,
     train_set: Dataset,
-    worker_index: int,
     num_workers: int,
-    incarnation: int,
     chunk_elems: int,
-    fault_config: Optional[FaultConfig],
     seed: int,
 ) -> None:
     """Stateless gradient server: recv weights+shard, send gradients."""
@@ -148,7 +138,7 @@ def _gradient_worker_main(
             except (EOFError, OSError):
                 return
             kind = message[0]
-            if kind == "exit":
+            if kind == "close":
                 return
             if kind != "step":
                 continue
@@ -184,67 +174,6 @@ def _gradient_worker_main(
         return
 
 
-class _GradientWorker:
-    """Parent-side handle: one pipe + process per gradient worker."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.incarnation = -1
-        self.conn = None
-        self.process = None
-
-    def spawn(self, ctx, model, train_set, config: DistConfig, seed: int) -> None:
-        self.incarnation += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        fault = None
-        if config.faults is not None and config.faults.applies_to(
-            self.index, self.incarnation
-        ):
-            fault = config.faults
-        self.process = ctx.Process(
-            target=_gradient_worker_main,
-            args=(
-                child_conn,
-                model,
-                train_set,
-                self.index,
-                config.num_workers,
-                self.incarnation,
-                config.chunk_elems,
-                fault,
-                seed,
-            ),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    def kill(self) -> None:
-        if self.process is not None and self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
-            self.conn = None
-
-    def close(self) -> None:
-        if self.conn is not None:
-            try:
-                self.conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
-        if self.process is not None:
-            self.process.join(timeout=5.0)
-        self.kill()
-
-
 class DistributedTrainer(Trainer):
     """Drop-in trainer that shards each batch across gradient workers.
 
@@ -265,114 +194,84 @@ class DistributedTrainer(Trainer):
     ) -> None:
         super().__init__(model, train_set, test_set, config)
         self.dist = dist
-        method = dist.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else multiprocessing.get_start_method()
-            )
-        self._ctx = multiprocessing.get_context(method)
         self._params = list(model.parameters())
         self._sizes = [p.data.size for p in self._params]
         self._total = int(sum(self._sizes))
         self._bounds = _chunk_bounds(self._total, dist.chunk_elems)
         self._step_id = 0
-        self.restarts: Dict[int, int] = {w: 0 for w in range(dist.num_workers)}
-        self.restart_log: List[RestartEvent] = []
-        self.backoff_history: List[float] = []
-        self._workers = [_GradientWorker(w) for w in range(dist.num_workers)]
-        for worker in self._workers:
-            worker.spawn(self._ctx, model, train_set, dist, config.seed)
-
-    # -- supervision -------------------------------------------------------
-    def _backoff_for(self, restart_number: int) -> float:
-        if self.dist.backoff_base_s <= 0:
-            return 0.0
-        return min(
-            self.dist.backoff_base_s * (2.0 ** (restart_number - 1)),
-            self.dist.backoff_cap_s,
+        self._pool = Pool(
+            dist.num_workers,
+            _gradient_worker_main,
+            (model, train_set, dist.num_workers, dist.chunk_elems, config.seed),
+            faults=dist.faults,
+            max_restarts=dist.max_restarts,
+            backoff_base_s=dist.backoff_base_s,
+            backoff_cap_s=dist.backoff_cap_s,
         )
 
-    def _handle_failure(self, worker: _GradientWorker, reason: str) -> None:
-        """Kill + backoff + respawn, or raise past the restart budget."""
-        worker.kill()
-        if self.restarts[worker.index] >= self.dist.max_restarts:
+    # -- supervision: read through to the pool -----------------------------
+    @property
+    def restarts(self) -> Dict[int, int]:
+        return self._pool.restarts
+
+    @property
+    def restart_log(self) -> List[RestartEvent]:
+        return self._pool.restart_log
+
+    @property
+    def backoff_history(self) -> List[float]:
+        return self._pool.backoff_history
+
+    def _restart(self, failure: WorkerFailure) -> None:
+        """Respawn a failed worker, or raise past its restart budget."""
+        if self._pool.restart(failure) is None:
             raise TrainingError(
-                f"gradient worker {worker.index} exceeded its restart "
-                f"budget ({self.dist.max_restarts}) after a {reason}"
+                f"gradient worker {failure.index} exceeded its restart "
+                f"budget ({self.dist.max_restarts}) after a {failure.reason}"
             )
-        self.restarts[worker.index] += 1
-        backoff = self._backoff_for(self.restarts[worker.index])
-        self.restart_log.append(
-            RestartEvent(
-                worker=worker.index,
-                reason=reason,
-                step_id=self._step_id,
-                backoff_s=backoff,
-            )
-        )
-        self.backoff_history.append(backoff)
-        if backoff > 0:
-            time.sleep(backoff)
-        worker.spawn(self._ctx, self.model, self.train_set, self.dist, self.config.seed)
 
     # -- the distributed step ---------------------------------------------
-    def _send_step(self, worker: _GradientWorker, shard: np.ndarray, flat: np.ndarray) -> None:
-        worker.conn.send(("step", self._step_id, shard))
-        for index, (start, stop) in enumerate(self._bounds):
-            worker.conn.send(("wchunk", self._step_id, index, flat[start:stop]))
-
     def _dispatch(self, w: int, shard: np.ndarray, flat: np.ndarray) -> None:
         """Send the step request, restarting the worker if the send fails
         (the pipe breaks when the target died before the dispatch)."""
         while True:
+            conn = self._pool.children[w].conn
             try:
-                self._send_step(self._workers[w], shard, flat)
+                conn.send(("step", self._step_id, shard))
+                for index, (start, stop) in enumerate(self._bounds):
+                    conn.send(("wchunk", self._step_id, index, flat[start:stop]))
                 return
-            except (BrokenPipeError, OSError):
-                self._handle_failure(self._workers[w], "crash")
+            except OSError as exc:
+                self._restart(WorkerFailure(w, "crash", f"pipe send failed: {exc}"))
 
     def _collect(
-        self, worker: _GradientWorker, deadline: float
+        self, worker: Child, deadline: float
     ) -> Tuple[np.ndarray, float, int]:
-        """Gather one worker's gradient chunks + loss; classify failures."""
+        """Gather one worker's gradient chunks + loss; a torn stream is a
+        crash, and :meth:`Child.recv` classifies the rest."""
         grads = np.empty(self._total, dtype=np.float64)
         received = 0
-        loss = None
-        frames = 0
-        while loss is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                reason = "crash" if not worker.alive() else "stall"
-                raise _StepFailure(reason)
-            try:
-                if not worker.conn.poll(min(remaining, 0.05)):
-                    if not worker.alive() and not worker.conn.poll(0):
-                        raise _StepFailure("crash")
-                    continue
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                raise _StepFailure("crash") from None
-            kind = message[0]
-            if kind == "gchunk":
-                _, step_id, index, chunk = message
-                if step_id != self._step_id:
-                    continue  # stale chunk from a pre-restart attempt
-                start, stop = self._bounds[index]
-                grads[start:stop] = chunk
+        while True:
+            message = worker.recv(deadline, f"step {self._step_id} gradients")
+            if message[1] != self._step_id:
+                continue  # stale message from a pre-restart attempt
+            if message[0] == "gchunk":
+                start, stop = self._bounds[message[2]]
+                grads[start:stop] = message[3]
                 received += 1
-            elif kind == "done":
-                _, step_id, loss_value, frame_count = message
-                if step_id != self._step_id:
-                    continue
+            elif message[0] == "done":
                 if received != len(self._bounds):
-                    raise _StepFailure("crash")  # torn gradient stream
-                loss = float(loss_value)
-                frames = int(frame_count)
-        return grads, loss, frames
+                    raise WorkerFailure(
+                        worker.index, "crash", "torn gradient stream"
+                    )
+                return grads, float(message[2]), int(message[3])
 
     def _backward_on_batch(self, indices: np.ndarray) -> float:
+        if self._pool.dead:
+            raise TrainingError(
+                f"gradient worker(s) {sorted(self._pool.dead)} exceeded "
+                f"their restart budget ({self.dist.max_restarts})"
+            )
         self._step_id += 1
         num_workers = self.dist.num_workers
         shards = [indices[w::num_workers] for w in range(num_workers)]
@@ -389,11 +288,11 @@ class DistributedTrainer(Trainer):
             deadline = time.monotonic() + self.dist.rpc_timeout_s
             while w not in results:
                 try:
-                    results[w] = self._collect(self._workers[w], deadline)
-                except _StepFailure as failure:
+                    results[w] = self._collect(self._pool.children[w], deadline)
+                except WorkerFailure as failure:
                     # Restart and re-admit at the current step: the
                     # replacement gets the same weights + shard resent.
-                    self._handle_failure(self._workers[w], failure.reason)
+                    self._restart(failure)
                     self._dispatch(w, shards[w], flat)
                     deadline = time.monotonic() + self.dist.rpc_timeout_s
         # Deterministic reduction: fixed worker order, frame-weighted.
@@ -419,22 +318,13 @@ class DistributedTrainer(Trainer):
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        for worker in self._workers:
-            worker.close()
+        self._pool.close()
 
     def __enter__(self) -> "DistributedTrainer":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class _StepFailure(Exception):
-    """Internal: one worker failed during one step (reason crash|stall)."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 __all__ = ["DistConfig", "DistributedTrainer", "RestartEvent"]

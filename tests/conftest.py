@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.nn.tensor import Tensor
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail any test that leaves a live child process behind (and stop
+    the leaked processes so the next test starts clean)."""
+    yield
+    leaked = multiprocessing.active_children()
+    for process in leaked:
+        process.kill()
+        process.join(5.0)
+    if leaked:
+        pytest.fail(f"test left live child processes: {leaked}")
 
 
 @pytest.fixture
