@@ -51,6 +51,7 @@ from repro.utils.faults import FaultConfig
 from repro.engine.fabric.journal import SessionJournal
 from repro.engine.fabric.router import HashRing
 from repro.engine.fabric.worker import WorkerHandle, worker_main
+from repro.engine.plan import check_features
 from repro.engine.streaming import StreamConfig
 from repro.utils.stats import percentile
 from repro.utils.supervise import Pool, WorkerFailure
@@ -58,7 +59,6 @@ from repro.errors import (
     ConfigError,
     FabricError,
     OverloadError,
-    ShapeError,
     StreamError,
     SwapError,
 )
@@ -400,12 +400,7 @@ class ServingFabric:
         clients that must not lose audio.
         """
         session = self._session(sid)
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self._plan.input_dim:
-            raise ShapeError(
-                f"expected (t, {self._plan.input_dim}) features, "
-                f"got {features.shape}"
-            )
+        features = check_features(features, "t", self._plan.input_dim, "feed")
         if len(features) == 0:
             return
         deadline = time.monotonic() + self.config.rpc_timeout_s

@@ -356,6 +356,12 @@ class GRULayerPlan(_RecurrentLayerPlan):
     same ops in the same order, run into preallocated workspace buffers —
     so for the packing-only scheme it is bit-exact, with the recurrent
     ``w_hh.T`` contiguation hoisted from per-call to compile time.
+
+    ``gate_dtype`` is what the gate math runs in: float32 where the
+    recurrent slot is int8, else the layer's ``dtype``.  Float32 gates of a
+    float64 layer start from each pre-activation sum rounded once
+    (``gx_zr + gh_zr``, ``gh_h + bias_h``, ``gx_h``), and the new state is
+    widened back: states stay float64 and hold float32 values.
     """
 
     bias_count = 2 * 3
@@ -363,6 +369,7 @@ class GRULayerPlan(_RecurrentLayerPlan):
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
         super().__init__(node, scheme)
         ih_scheme, hh_scheme = self.slot_schemes
+        self.gate_dtype = np.dtype(np.float32 if hh_scheme == "int8" else self.dtype)
         bias_ih = node.params["bias_ih"]
         bias_hh = node.params["bias_hh"]
         h = self.hidden_size
@@ -402,15 +409,19 @@ class GRULayerPlan(_RecurrentLayerPlan):
         gates_x = gates_x.reshape(seq_len, batch, 3 * h)
         if not self.fold_bias:
             gates_x[:, :, : 2 * h] += self.bias_hh_zr
+        gate = self.gate_dtype
         gx_zr = gates_x[:, :, : 2 * h]
-        gx_h = gates_x[:, :, 2 * h :]
+        gx_h = gates_x[:, :, 2 * h :].astype(gate, copy=False)
         out = ws.take(f"out{index}", (seq_len, batch, h), self.dtype)
-        zr = ws.take("zr", (batch, 2 * h), self.dtype)
+        zr = ws.take("zr", (batch, 2 * h), gate)
         z = zr[:, :h]
         r = zr[:, h:]
-        h_tilde = ws.take("h_tilde", (batch, h), self.dtype)
-        keep = ws.take("keep", (batch, h), self.dtype)
+        h_tilde = ws.take("h_tilde", (batch, h), gate)
+        keep = ws.take("keep", (batch, h), gate)
+        # float32 gates blend into their own buffer, widened into out[t]
+        narrow = None if gate == self.dtype else ws.take("blend", (batch, h), gate)
         hidden = self.zero_state(batch)[0] if state is None else state[0]
+        blended = hidden.astype(gate, copy=False)
         apply, gh_key = self.recurrent.apply, f"gh{index}"
         for t in range(seq_len):
             gh = apply(hidden, ws, gh_key)
@@ -418,8 +429,14 @@ class GRULayerPlan(_RecurrentLayerPlan):
             np.add(gh[:, 2 * h :], self.bias_hh_h, out=h_tilde)
             np.multiply(r, h_tilde, out=h_tilde)
             np.tanh(np.add(gx_h[t], h_tilde, out=h_tilde), out=h_tilde)
-            np.multiply(np.subtract(1.0, z, out=keep), hidden, out=keep)
-            hidden = np.add(keep, np.multiply(z, h_tilde, out=h_tilde), out=out[t])
+            np.multiply(np.subtract(1.0, z, out=keep), blended, out=keep)
+            blended = np.add(
+                keep, np.multiply(z, h_tilde, out=h_tilde),
+                out=out[t] if narrow is None else narrow,
+            )
+            if narrow is not None:
+                out[t] = blended
+            hidden = out[t]
         # never alias the caller's carry state or a work buffer
         return out, (hidden.copy(),)
 
@@ -695,13 +712,7 @@ class ModelPlan:
         return x, new_states
 
     def _checked(self, features: np.ndarray, entry: str) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 3 or features.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"{entry} expects (T, B, {self.input_dim}) features, "
-                f"got {features.shape}"
-            )
-        return features
+        return check_features(features, "T, B", self.input_dim, entry)
 
     def forward_batch(
         self, features: np.ndarray, lengths: Optional[np.ndarray] = None
@@ -854,6 +865,22 @@ class ModelPlan:
         if self.output is not None:
             total += self.output.nbytes()
         return total
+
+
+def check_features(features, axes: str, width: int, entry: str) -> np.ndarray:
+    """``features`` as float64: the axes ``axes`` names, the last ``width``
+    wide, every value finite.  Anything else is a :class:`ShapeError`
+    naming ``entry`` — a NaN or Inf frame would quantize differently on
+    each kernel backend, so no backend gets one."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != axes.count(",") + 2 or features.shape[-1] != width:
+        raise ShapeError(
+            f"{entry} expects ({axes}, {width}) features, got {features.shape}"
+        )
+    if not np.isfinite(features).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(features))[0])
+        raise ShapeError(f"{entry} got a non-finite feature at {where}")
+    return features
 
 
 def _validate_scheme(scheme: Optional[str]) -> None:

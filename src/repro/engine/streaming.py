@@ -46,8 +46,8 @@ LATENCY_WINDOW = 16384
 
 import numpy as np
 
-from repro.errors import ConfigError, ShapeError, StreamError, SwapError
-from repro.engine.plan import ModelPlan, PlanState
+from repro.errors import ConfigError, StreamError, SwapError
+from repro.engine.plan import ModelPlan, PlanState, check_features
 from repro.speech.decoder import IncrementalDecoder
 from repro.speech.features import StreamingFrontend
 from repro.utils.stats import percentile as stats_percentile
@@ -171,12 +171,7 @@ class StreamingSession:
     def feed(self, features: np.ndarray) -> List[int]:
         """Feed a ``(t, D)`` feature chunk; returns newly committed phones."""
         self._check_open()
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.plan.input_dim:
-            raise ShapeError(
-                f"expected (t, {self.plan.input_dim}) features, "
-                f"got {features.shape}"
-            )
+        features = check_features(features, "t", self.plan.input_dim, "feed")
         if len(features) == 0:
             return []
         logits, self._state = self.plan.run_chunk(
@@ -368,13 +363,11 @@ class StreamScheduler:
         """Queue a ``(t, D)`` chunk for ``sid``; may run ready batches."""
         entry = self._entry(sid)
         # a copy: the chunk waits in the queue, and the caller may refill
-        # its buffer before the batch runs
-        features = np.array(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.plan.input_dim:
-            raise ShapeError(
-                f"expected (t, {self.plan.input_dim}) features, "
-                f"got {features.shape}"
-            )
+        # its buffer before the batch runs.  Checked before the journal
+        # sees it: a rejected chunk is neither queued nor recorded.
+        features = check_features(
+            np.array(features, dtype=np.float64), "t", self.plan.input_dim, "feed"
+        )
         if len(features) == 0:
             return
         if self.journal is not None:

@@ -43,13 +43,15 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
 * the fused GRU int8 layer-chunk (``repro_gru_i8_chunk``: no registry op,
   reached only through a lowered :class:`PlanProgram`) is **bitwise
   identical** to the engine's generic per-timestep loop: the recurrent
-  product is the batch-major projection itself, every elementwise
-  statement is one IEEE operation in that loop's order, compiled with
-  floating-point contraction off, and ``exp``/``tanh`` are numpy's own
-  float64 inner loops, called through the pointers its ufuncs publish
-  (:func:`_numpy_loop`).  A whole plan lowered to one call per chunk
-  *calls* that entry and the projection op by op, so it is the same bytes
-  again.
+  product is the batch-major projection itself, and its gates are
+  float32, as the generic loop's are for an int8 recurrence on every
+  backend — each float64 pre-activation sum rounded once, every
+  elementwise statement one IEEE float32 operation in that loop's order,
+  compiled with floating-point contraction off, ``exp``/``tanh`` numpy's
+  own float32 inner loops, called through the pointers its ufuncs publish
+  (:func:`_numpy_loop`), and the new state widened back to float64.  A
+  whole plan lowered to one call per chunk *calls* that entry and the
+  projection op by op, so it is the same bytes again.
 
 Every op registered here wins on some recorded shape.  The ops where C
 never beat numpy + BLAS — the float sparse products, the per-call-scale
@@ -136,6 +138,48 @@ typedef int64_t i64;
 typedef int32_t i32;
 typedef int8_t  i8;
 typedef uint8_t u8;
+
+/* Phase tick counters: TIC(v) ... TOC(v, PH_x) adds the ticks between the
+ * two to counter PH_x.  They exist only in a -DREPRO_PHASES build
+ * (build_library(phases=True)); everywhere else both compile to nothing.
+ * Cumulative, process-wide, not atomic; repro_phase_ticks reads and
+ * clears them.  Ticks are the time-stamp counter on x86, ns elsewhere. */
+enum { PH_QUANTIZE, PH_GATHER, PH_MAC, PH_SCATTER, PH_BIAS, PH_GATES, PH_CHUNK, PH_COUNT };
+#ifdef REPRO_PHASES
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#define REPRO_TICKS() __rdtsc()
+#else
+#include <time.h>
+static uint64_t repro_ns(void)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return (uint64_t)now.tv_sec * 1000000000u + (uint64_t)now.tv_nsec;
+}
+#define REPRO_TICKS() repro_ns()
+#endif
+static uint64_t repro_phases[PH_COUNT];
+#define TIC(v) const uint64_t v = REPRO_TICKS()
+#define TOC(v, phase) (repro_phases[phase] += REPRO_TICKS() - (v))
+#else
+#define TIC(v)
+#define TOC(v, phase)
+#endif
+
+/* Copies the counters into out[PH_COUNT] and clears them; returns how
+ * many there are: 0 in a build without them. */
+API i64 repro_phase_ticks(uint64_t *out)
+{
+#ifdef REPRO_PHASES
+    memcpy(out, repro_phases, sizeof repro_phases);
+    memset(repro_phases, 0, sizeof repro_phases);
+    return PH_COUNT;
+#else
+    (void)out;
+    return 0;
+#endif
+}
 
 /* ------------------------------------------------------------------ CSR */
 
@@ -465,13 +509,18 @@ API void repro_bspc_i8_nb(
     const int wide = LANES && lanes;
     i16 *xg = (i16 *)(work + (lanes ? batch * tall : 0));
     i8 *xq = (i8 *)(xg + batch * (mc + mc % 2));
+    TIC(quantize);
     for (i64 j = 0; j < batch; j++)
         xs[j] = bspc_quant_i8(n, x + j * n, xq + j * n);
+    TOC(quantize, PH_QUANTIZE);
+    TIC(zero);
     if (!wide || lrows)  /* accumulated into, or not every row written */
         memset(out, 0, (size_t)(batch * rows) * sizeof(double));
+    TOC(zero, PH_SCATTER);
     if (!strips) return;  /* fully pruned: exact zeros, even for Inf scales */
     for (i64 s = 0; s < strips; s++) {
         const i64 *gc = gcols + s * mc;
+        TIC(gather);
 #if LANES
         if (wide) {
             const i64 kp = (mc + KGROUP - 1) / KGROUP, ld = kp * KGROUP;
@@ -481,20 +530,27 @@ API void repro_bspc_i8_nb(
                     xl[j * ld + k] = (gath_t)(xq[j * n + gc[k]] + GATH_BIAS);
                 for (i64 k = mc; k < ld; k++) xl[j * ld + k] = 0;  /* meets zero codes */
             }
+            TOC(gather, PH_GATHER);
+            TIC(mac);
             for (i64 jb = 0; jb < batch; jb += 8)
                 bspc_lanes_strip(batch - jb, kp, mrp,
                                  lanes + s * (LANES_HEAD + ld) * mrp,
                                  xl + jb * ld, tall, work + jb * tall + s * mrp);
+            TOC(mac, PH_MAC);
             continue;
         }
 #endif
         for (i64 j = 0; j < batch; j++)
             for (i64 k = 0; k < mc; k++)
                 xg[j * mc + k] = xq[j * n + gc[k]];
+        TOC(gather, PH_GATHER);
+        TIC(mac);
         for (i64 jb = 0; jb < batch; jb += 4)
             bspc_nb_strip(batch - jb, mr, mc, codes + s * mr * mc,
                           xg + jb * mc, srows + s * mr, rows, out + jb * rows);
+        TOC(mac, PH_MAC);
     }
+    TIC(scatter);
     for (i64 j = 0; j < batch; j++) {
         const double fused = scale * xs[j];
         const i32 *a = work + j * tall;  /* the lanes kernel's sums */
@@ -511,6 +567,7 @@ API void repro_bspc_i8_nb(
             o[r] = spmv ? v * fused : (v * scale) * xs[j];
         }
     }
+    TOC(scatter, PH_SCATTER);
 }
 """
 
@@ -528,12 +585,15 @@ _C_NO_CONTRACT = r"""
 
 # Fused GRU int8 layer-chunk, the batch-major int8 projection, and the
 # whole-plan chunk that calls the two op by op, all over
-# repro_bspc_i8_nb.  All operands are row-major float64: x (N, n), gx
-# (T, B, 3H), hid (B, H), out (T, B, H), gh (B, 3H); zr and cand hold one
-# batch row (2H, H).  `exp` and `tanh` are numpy's own float64 inner loops
-# (SIMD routines whose last ulp libm does not reproduce), handed over as
-# the pointers `_numpy_loop` reads off the ufuncs; every other elementwise
-# op of GRULayerPlan.forward is one IEEE operation here, in the same order.
+# repro_bspc_i8_nb.  The operands are row-major float64: x (N, n), gx
+# (T, B, 3H), hid (B, H), out (T, B, H), gh (B, 3H).  The gates are
+# float32: each float64 pre-activation sum is rounded to float32 once, the
+# gate math runs in zr and cand (one batch row, 2H and H float32), and the
+# new state is widened back into out.  `exp` and `tanh` are numpy's own
+# float32 inner loops (SIMD routines whose last ulp libm does not
+# reproduce), handed over as the pointers `_numpy_loop` reads off the
+# ufuncs; every other elementwise op of GRULayerPlan.forward is one IEEE
+# operation here, in the same order.
 _C_GRU_CHUNK = _C_NO_CONTRACT + r"""
 /* out = x @ W.T (+ bias, if any), N walked in blocks the narrow kernel
  * takes. */
@@ -546,53 +606,59 @@ API void repro_bspc_i8_rows(
         const i64 nb = count - at < 8 ? count - at : 8;
         repro_bspc_i8_nb(strips, mr, mc, rows, n, nb, 0, codes, gcols, srows,
                          lanes, lrows, x + at * n, scale, work, out + at * rows);
+        TIC(added);
         if (bias)  /* while the block is in cache */
             for (i64 j = at; j < at + nb; j++)
                 for (i64 r = 0; r < rows; r++)
                     out[j * rows + r] += bias[r];
+        TOC(added, PH_BIAS);
     }
 }
 
 /* A numpy unary inner loop (PyUFuncGenericFunction; npy_intp is intptr_t). */
 typedef void (*loop_fn)(char **, const intptr_t *, const intptr_t *, void *);
 
-/* x = f(x) over n contiguous float64, f the ufunc the loop belongs to. */
-API void repro_loop_f64(loop_fn loop, void *data, i64 n, double *x)
+/* x = f(x) over n contiguous float32, f the ufunc the loop belongs to. */
+API void repro_loop_f32(loop_fn loop, void *data, i64 n, float *x)
 {
     char *args[2] = {(char *)x, (char *)x};
-    const intptr_t count = n, steps[2] = {sizeof(double), sizeof(double)};
+    const intptr_t count = n, steps[2] = {sizeof(float), sizeof(float)};
     loop(args, &count, steps, data);
 }
 
 /* The T steps of one chunk.  Per step gh = hid @ W_hh.T, then one sweep
- * per batch row while it is in L1: zr = sigmoid(gx_zr + gh_zr) as
- * 1 / (exp(-(..)) + 1), cand = tanh(gx_h + r * (gh_h + bias_h)) and
+ * per batch row while it is in L1, in float32 from the rounded sums on:
+ * zr = sigmoid(gx_zr + gh_zr) as 1 / (exp(-(..)) + 1),
+ * cand = tanh(gx_h + r * (gh_h + bias_h)) and
  * out[t] = (1 - z) * hid + z * cand, the next step's hid. */
 API void repro_gru_i8_chunk(
     i64 strips, i64 mr, i64 mc, i64 h, i64 batch, i64 steps, const i8 *codes,
     const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *lrows,
     double scale, const double *bias_h, const double *hid, const double *gx,
-    double *out, double *zr, double *cand, double *gh, i32 *work,
+    double *out, float *zr, float *cand, double *gh, i32 *work,
     loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
 {
     for (i64 t = 0; t < steps; t++) {
         repro_bspc_i8_rows(strips, mr, mc, 3 * h, h, batch, codes, gcols, srows,
                            lanes, lrows, hid, scale, NULL, work, gh);
+        TIC(gates);
         for (i64 b = 0; b < batch; b++) {
             const double *gxb = gx + b * 3 * h, *ghb = gh + b * 3 * h;
             const double *prev = hid + b * h;
             double *next = out + b * h;
             for (i64 i = 0; i < 2 * h; i++)
-                zr[i] = -(gxb[i] + ghb[i]);
-            repro_loop_f64(exp_loop, exp_data, 2 * h, zr);
+                zr[i] = -(float)(gxb[i] + ghb[i]);
+            repro_loop_f32(exp_loop, exp_data, 2 * h, zr);
             for (i64 i = 0; i < 2 * h; i++)
-                zr[i] = 1.0 / (zr[i] + 1.0);
+                zr[i] = 1.0f / (zr[i] + 1.0f);
             for (i64 i = 0; i < h; i++)
-                cand[i] = gxb[2 * h + i] + zr[h + i] * (ghb[2 * h + i] + bias_h[i]);
-            repro_loop_f64(tanh_loop, tanh_data, h, cand);
+                cand[i] = (float)gxb[2 * h + i]
+                          + zr[h + i] * (float)(ghb[2 * h + i] + bias_h[i]);
+            repro_loop_f32(tanh_loop, tanh_data, h, cand);
             for (i64 i = 0; i < h; i++)
-                next[i] = (1.0 - zr[i]) * prev[i] + zr[i] * cand[i];
+                next[i] = (1.0f - zr[i]) * (float)prev[i] + zr[i] * cand[i];
         }
+        TOC(gates, PH_GATES);
         hid = out;
         out += batch * h;
         gx += batch * 3 * h;
@@ -620,13 +686,15 @@ typedef struct {
  * (B, H) states in and then the (B, H) arrays the states out are copied to.
  * `arena` is laid out here, from T, B and the widest H alone: T * B gate
  * rows of 3H, two runs of T * B hidden rows (a layer reads the one and
- * writes the other), then zr, cand and gh of repro_gru_i8_chunk; `work` is
- * sized for the neediest op at min(T * B, 8) rows.  B > 0, T > 0. */
+ * writes the other), then gh (B rows of 3H) and the float32 zr and cand of
+ * repro_gru_i8_chunk; `work` is sized for the neediest op at min(T * B, 8)
+ * rows.  B > 0, T > 0. */
 API void repro_plan_i8_chunk(
     const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
     double *const *carry, double *logits, double *arena, i32 *work,
     loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
 {
+    TIC(chunk);
     const i64 frames = steps * batch;
     i64 h = 0, grus = 0, width = 0;
     for (i64 i = 0; i < count; i++)
@@ -635,7 +703,8 @@ API void repro_plan_i8_chunk(
             h = ops[i].n > h ? ops[i].n : h;
         }
     double *gates = arena, *out = gates + frames * 3 * h, *spare = out + frames * h;
-    double *zr = spare + frames * h, *cand = zr + 2 * h, *gh = cand + h;
+    double *gh = spare + frames * h;
+    float *zr = (float *)(gh + batch * 3 * h), *cand = zr + 2 * h;
     for (const plan_op *op = ops; op < ops + count; op++) {
         if (op->kind != PLAN_GRU) {
             double *to = op->kind == PLAN_OUTPUT ? logits : gates;
@@ -660,6 +729,7 @@ API void repro_plan_i8_chunk(
     }
     if (x != logits)  /* no output op: the last layer's states are the result */
         memcpy(logits, x, (size_t)(frames * width) * sizeof(double));
+    TOC(chunk, PH_CHUNK);
 }
 """
 
@@ -747,18 +817,21 @@ def _compile(cc: str, src_path: Path, out_path: Path, flags: Tuple[str, ...]) ->
 
 
 def build_library(
-    cc: Optional[str] = None, cache: Optional[Path] = None
+    cc: Optional[str] = None, cache: Optional[Path] = None, phases: bool = False
 ) -> ctypes.CDLL:
     """Build (or reuse) the kernel ``.so`` and return the loaded library.
 
     The output lives in the cache directory under a content-hash name, so
     an unchanged source + compiler + flags combination never recompiles —
-    across processes as well as within one.  Raises
-    :class:`CompileBackendError` on any failure.
+    across processes as well as within one.  ``phases`` builds the phase
+    tick counters in (``-DREPRO_PHASES``, a cache key of its own; see
+    :func:`phase_ticks`); the library a process loads by itself has none.
+    Raises :class:`CompileBackendError` on any failure.
     """
     cc = cc or compiler_command()
     cache = Path(cache) if cache is not None else cache_dir()
     base_flags = ("-O3", "-shared", "-fPIC", "-fvisibility=hidden")
+    base_flags += ("-DREPRO_PHASES",) if phases else ()
     for flags in (("-march=native",) + base_flags, base_flags):
         key = _source_key(cc, flags)
         so_path = cache / f"repro_kernels_{key}.so"
@@ -810,6 +883,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_i8_lanes": (),
         "repro_i8_kgroup": (),
         "repro_i8_pack": (i64, i64, i64, ptr, ptr),
+        "repro_phase_ticks": (ptr,),
         "repro_bspc_i8_nb": (
             i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl,
             ptr, ptr,
@@ -818,7 +892,7 @@ def _declare(lib: ctypes.CDLL) -> None:
             i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl, ptr,
             ptr, ptr,
         ),
-        "repro_loop_f64": (ptr, ptr, i64, ptr),
+        "repro_loop_f32": (ptr, ptr, i64, ptr),
         "repro_gru_i8_chunk": (
             i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr,
             ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
@@ -832,7 +906,10 @@ def _declare(lib: ctypes.CDLL) -> None:
             fn = getattr(lib, name)
             fn.restype = None
             fn.argtypes = argtypes
-        for query in (lib.repro_i8_lanes, lib.repro_i8_kgroup, lib.repro_i8_pack):
+        for query in (
+            lib.repro_i8_lanes, lib.repro_i8_kgroup, lib.repro_i8_pack,
+            lib.repro_phase_ticks,
+        ):
             query.restype = i64
     except AttributeError as exc:
         raise CompileBackendError(
@@ -891,8 +968,8 @@ class _UFuncHead(ctypes.Structure):
 
 
 def _numpy_loop(ufunc) -> Optional[Tuple[int, Optional[int]]]:
-    """``(function, data)`` addresses of the float64 inner loop numpy runs
-    for a unary ``ufunc``: the first ``d->d`` row of the loop table in its
+    """``(function, data)`` addresses of the float32 inner loop numpy runs
+    for a unary ``ufunc``: the first ``f->f`` row of the loop table in its
     ``PyUFuncObject`` head, the row numpy's own resolver takes.  ``None``
     where that cannot be established — nothing is read through a pointer
     before the head, read as a struct at ``id(ufunc)``, repeats what Python
@@ -900,7 +977,7 @@ def _numpy_loop(ufunc) -> Optional[Tuple[int, Optional[int]]]:
     if sys.implementation.name != "cpython" or type(ufunc) is not np.ufunc:
         return None  # id() is the object's address on CPython only
     signatures = ufunc.types
-    if "d->d" not in signatures or np.ufunc.__basicsize__ < ctypes.sizeof(_UFuncHead):
+    if "f->f" not in signatures or np.ufunc.__basicsize__ < ctypes.sizeof(_UFuncHead):
         return None
     head = _UFuncHead.from_address(id(ufunc))
     counts = (head.nin, head.nout, head.nargs, head.ntypes)
@@ -911,33 +988,41 @@ def _numpy_loop(ufunc) -> Optional[Tuple[int, Optional[int]]]:
     numbers = bytes(np.dtype(c).num for sig in signatures for c in sig.replace("->", ""))
     if ctypes.string_at(head.types, len(numbers)) != numbers:
         return None
-    row = signatures.index("d->d")
+    row = signatures.index("f->f")
     function = head.functions[row]
     return (function, head.data[row]) if function else None
 
 
 def _probe_loops(lib: ctypes.CDLL) -> Optional[tuple]:
-    """numpy's ``exp`` and ``tanh`` loops as ``repro_gru_i8_chunk`` takes
-    them, ``(exp, exp data, tanh, tanh data)`` — or ``None``, and the
+    """numpy's float32 ``exp`` and ``tanh`` loops as ``repro_gru_i8_chunk``
+    takes them, ``(exp, exp data, tanh, tanh data)`` — or ``None``, and the
     engine keeps its generic loop, unless both resolved and, called through
-    ``lib`` in place, gave the bytes of the ufunc itself: over every binade
-    of exp's finite range and past it, zeros, infinities, NaN and
-    subnormals, at lengths on both sides of a vector."""
-    spread = np.ldexp(np.linspace(1.0, 2.0, 1085, endpoint=False), np.arange(-1074, 11))
-    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 709.78, -745.13]
-    values = np.concatenate([edges, spread, -spread])
+    ``lib`` in place on the head and on the tail of the values, gave the
+    bytes the ufunc gives for all of them at once: over every float32 binade
+    (four mantissas each, both signs), zeros, infinities, NaN, the smallest
+    subnormals and exp's overflow and underflow edges, at lengths on both
+    sides of a 16-lane vector.  So a gate row run on its own is the same
+    bytes as the rows of the generic loop's one call."""
+    binades = np.arange(-149, 128)
+    spread = np.ldexp(
+        np.linspace(1.0, 2.0, 4 * binades.size, endpoint=False), np.repeat(binades, 4)
+    )
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 2.0**-149, -(2.0**-149), 88.72, -103.97]
+    with np.errstate(all="ignore"):
+        values = np.concatenate([edges, spread, -spread]).astype(np.float32)
     loops: tuple = ()
     for ufunc in (np.exp, np.tanh):
         loop = _numpy_loop(ufunc)
         if loop is None:
             return None
-        for n in (1, 7, 8, 9, 1025, values.size):
-            got = values[:n].copy()
-            lib.repro_loop_f64(*loop, n, _p(got))
-            with np.errstate(all="ignore"):
-                want = ufunc(values[:n])
-            if got.tobytes() != want.tobytes():
-                return None
+        with np.errstate(all="ignore"):
+            want = ufunc(values)
+        for n in (1, 15, 16, 17, 1025, values.size):
+            for part in (slice(None, n), slice(values.size - n, None)):
+                got = values[part].copy()
+                lib.repro_loop_f32(*loop, n, _p(got))
+                if got.tobytes() != want[part].tobytes():
+                    return None
         loops += loop
     return loops
 
@@ -984,6 +1069,24 @@ def numpy_loops() -> Optional[tuple]:
     """What :func:`_probe_loops` found when the library was loaded; ``None``
     also where there is no library."""
     return _library().numpy_loops if available() else None
+
+
+#: The phase counters of a ``build_library(phases=True)`` library, in the
+#: order C keeps them: the int8 product's activation quantize, code gather,
+#: integer MAC and output zeroing + dequant / scatter, the projections' bias
+#: add, the GRU gate sweep, and the whole ``repro_plan_i8_chunk`` call.
+PHASES = ("quantize", "gather", "mac", "scatter", "bias", "gates", "chunk")
+
+
+def phase_ticks() -> Optional[dict]:
+    """Ticks (the time-stamp counter on x86, ns elsewhere) each of
+    :data:`PHASES` took in the loaded library since the last read, which
+    clears them; ``None`` for a build without counters.  The first six
+    nest inside ``chunk`` without overlapping."""
+    ticks = (ctypes.c_uint64 * len(PHASES))()
+    if not _library().repro_phase_ticks(ticks):
+        return None
+    return dict(zip(PHASES, ticks))
 
 
 def load_error() -> Optional[CompileBackendError]:
@@ -1335,7 +1438,7 @@ class PlanProgram:
         ]
         fresh = [np.empty((batch, width)) for width in self.hidden]
         logits = np.empty((seq_len, batch, self.width))
-        need = frames * 5 * h + (3 * batch + 3) * h
+        need = frames * 5 * h + (3 * batch + 2) * h  # zr and cand: 3H float32
         if self.arena.size < need:
             self.arena = np.empty(need)
             self._arena_at = _p(self.arena)

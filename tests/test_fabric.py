@@ -133,7 +133,9 @@ class TestFabricBasics:
             sid = fabric.open()
             with pytest.raises(ShapeError, match="features"):
                 fabric.feed(sid, np.zeros((4, 5)))
-            fabric.finish(sid)
+            with pytest.raises(ShapeError, match="non-finite"):
+                fabric.feed(sid, np.full((4, 8), np.inf))  # never journaled
+            assert fabric.finish(sid) == []
 
     def test_empty_chunk_is_a_noop(self):
         plan = small_plan()

@@ -9,6 +9,7 @@ backend is ground truth and every route, activation layout, batch width,
 chunk split and numeric edge must reproduce its int8 results bit for bit.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -595,12 +596,15 @@ def test_contracting_the_gate_math_changes_bits(tmp_path, monkeypatch):
 # numpy's exp/tanh inner loops, handed to the compiled layer-chunk
 # ---------------------------------------------------------------------------
 class TestNumpyLoopHandOff:
-    def test_resolver_finds_the_float64_loops_and_refuses_the_rest(self, monkeypatch):
+    def test_resolver_finds_the_float32_loops_and_refuses_the_rest(self, monkeypatch):
         if sys.implementation.name == "cpython":
             for ufunc in (np.exp, np.tanh):
                 function, data = compiled._numpy_loop(ufunc)
                 assert isinstance(function, int) and function
                 assert data is None or isinstance(data, int)
+                head = compiled._UFuncHead.from_address(id(ufunc))
+                row = ufunc.types.index("f->f")  # the first f->f row, no other
+                assert (function, data) == (head.functions[row], head.data[row])
 
         class NoRead:
             """Stands in for the struct: a refusal must come before any read."""
@@ -610,7 +614,7 @@ class TestNumpyLoopHandOff:
 
         with monkeypatch.context() as patch:
             patch.setattr(compiled, "_UFuncHead", NoRead())
-            assert "d->d" not in np.invert.types
+            assert "f->f" not in np.invert.types
             for refused in (np.invert, len, np.mean, "exp", None):
                 assert compiled._numpy_loop(refused) is None
             patch.setattr(sys.implementation, "name", "not-cpython")
@@ -630,6 +634,50 @@ class TestNumpyLoopHandOff:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert streamed_bytes(plan) == want
+
+    @requires_compiler
+    def test_the_probe_runs_float32_values_of_every_kind_at_every_length(self):
+        lib, seen = compiled._library(), []
+
+        class Spy:
+            """The library, recording what each loop call is handed."""
+
+            def repro_loop_f32(self, function, data, n, address):
+                values = np.ctypeslib.as_array((ctypes.c_float * n).from_address(address))
+                seen.append(values.copy())
+                lib.repro_loop_f32(function, data, n, address)
+
+        if compiled._numpy_loop(np.exp) is None:
+            pytest.skip("numpy's loops do not resolve here: nothing to probe")
+        assert compiled._probe_loops(Spy()) == compiled.numpy_loops()
+        values = max(seen, key=len)
+        assert {len(v) for v in seen} == {1, 15, 16, 17, 1025, len(values)}
+        assert len(seen) == 2 * 2 * 6  # two loops, head and tail, six lengths
+        finite = values[np.isfinite(values) & (values != 0)]
+        exponents = np.frexp(np.abs(finite[np.abs(finite) >= 2.0**-126]))[1] - 1
+        assert set(exponents) == set(range(-126, 128))  # every normal binade
+        subnormal = finite[np.abs(finite) < 2.0**-126]
+        assert (np.abs(subnormal) == np.float32(2.0**-149)).any() and len(subnormal) > 8
+        assert (finite > 0).any() and (finite < 0).any()
+        zeros = values[values == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert np.isposinf(values).any() and np.isneginf(values).any()
+        assert np.isnan(values).any()
+
+    @requires_compiler
+    def test_a_loop_that_differs_leaves_the_generic_loop_and_the_same_bytes(
+        self, monkeypatch
+    ):
+        with kernels.use_backend(None):
+            want = streamed_bytes(bsp_int8_plan())
+            resolve = compiled._numpy_loop
+            # tanh handed exp's loop: it resolves, and the probe refuses it
+            monkeypatch.setattr(compiled, "_numpy_loop", lambda ufunc: resolve(np.exp))
+            monkeypatch.setattr(compiled, "_LIB", None)  # load and probe again
+            plan = bsp_int8_plan()
+            assert compiled.numpy_loops() is None
+            assert plan.program is None
+            assert streamed_bytes(plan) == want
 
     @pytest.fixture()
     def bound_plan(self):
@@ -854,6 +902,10 @@ class TestNumericEdges:
             for bad in (np.nan, np.inf, 0.0, 1e-310):
                 dirty = features.copy()
                 dirty[2, 1] = bad
+                if not np.isfinite(bad):  # refused before any kernel runs
+                    with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 1, 0\)"):
+                        plan.run_chunk(dirty)
+                    continue
                 out, state = plan.run_chunk(dirty)
                 np.testing.assert_array_equal(out[:, [0, 2, 3]], clean[:, [0, 2, 3]])
                 for got, want in zip(state.layer_states, clean_state.layer_states):
@@ -876,16 +928,19 @@ class TestNumericEdges:
         with kernels.use_backend(route), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             clean, clean_state = plan.run_chunk(features)
+            if not np.isfinite(bad):  # no backend gets to quantize it
+                with pytest.raises(ShapeError, match="non-finite"):
+                    plan.run_chunk(dirty)
+                return
             out, state = plan.run_chunk(dirty)
             np.testing.assert_array_equal(out[:, [0, 2]], clean[:, [0, 2]])
             np.testing.assert_array_equal(out[:3, 1], clean[:3, 1])  # the frames before
             for got, want in zip(state.layer_states, clean_state.layer_states):
                 np.testing.assert_array_equal(got[0][[0, 2]], want[0][[0, 2]])
-            if np.isfinite(bad):  # a silent frame is an ordinary frame
-                with kernels.use_backend("reference"):
-                    want, want_state = plan.run_chunk(dirty)
-                np.testing.assert_array_equal(out, want)
-                assert_states_equal(state, want_state)
+            with kernels.use_backend("reference"):  # a silent frame is an ordinary frame
+                want, want_state = plan.run_chunk(dirty)
+            np.testing.assert_array_equal(out, want)
+            assert_states_equal(state, want_state)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,49 @@ def test_any_split_equals_the_generic_loop_and_reference(plans, case):
         assert plan.program is None  # an explicit choice re-binds, and drops it
 
 
+def float32_valued(array):
+    return array.dtype == np.float64 and np.array_equal(
+        array.astype(np.float32).astype(np.float64), array
+    )
+
+
+@pytest.mark.parametrize("backend", [None, "numpy", "reference"])
+def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
+    # the gates of an int8 recurrence run in float32; the states they
+    # blend are widened back into float64 arrays
+    x = rng.standard_normal((3, 5, 8))
+    carry = engine.PlanState([(rng.standard_normal((5, 24)),) for _ in range(2)])
+    for plan in plans.values():
+        with kernels.use_backend(backend):
+            assert all(layer.gate_dtype == np.float32 for layer in plan.layers)
+            logits, state = plan.run_chunk(x, carry)
+        for layer in state.layer_states:
+            assert float32_valued(layer[0])
+    assert float32_valued(logits)  # the bare plan's logits are its states
+    assert not float32_valued(carry.layer_states[0][0])  # ... and its input was not
+    float_plan = dict(other_plans())["None"]
+    assert float_plan.layers[0].gate_dtype == np.float64
+    assert not float32_valued(float_plan.run_chunk(x)[1].layer_states[0][0])
+
+
+@requires_program
+def test_phase_counters_are_each_positive_and_nest_inside_the_chunk(tmp_path, monkeypatch):
+    assert compiled.phase_ticks() is None  # the library a process loads has none
+    phases = compiled.build_library(cache=tmp_path, phases=True)
+    monkeypatch.setattr(compiled, "_LIB", phases)
+    with kernels.use_backend(None):
+        plan = bsp_int8_plan()
+        assert plan.program is not None
+        compiled.phase_ticks()  # read: cleared
+        plan.run_chunk(np.ones((4, 3, 8)))
+        ticks = compiled.phase_ticks()
+    assert set(ticks) == set(compiled.PHASES)
+    chunk = ticks.pop("chunk")
+    assert all(count > 0 for count in ticks.values()), ticks
+    assert sum(ticks.values()) <= chunk
+    assert not any(compiled.phase_ticks().values())
+
+
 @pytest.fixture()
 def c_calls(monkeypatch):
     """Every call into the C library, by entry name, while the test runs."""

@@ -583,6 +583,65 @@ class TestStreamScheduler:
 
 
 # ---------------------------------------------------------------------------
+# Non-finite features: refused at every way in
+# ---------------------------------------------------------------------------
+class TestNonFiniteFeatures:
+    """A NaN or Inf feature would quantize to different int8 codes on each
+    kernel backend, so it is a typed error at every entry — plan, session,
+    scheduler — before anything runs, queues or is journaled."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_plan_and_session_entries_refuse_it(self, backend, bad):
+        plan = engine.compile_model(tiny_model(), scheme="int8")
+        features = np.zeros((4, 2, 8))
+        features[2, 1, 3] = bad
+        session = engine.StreamingSession(plan)
+        with kernels.use_backend(backend):
+            for call in (plan.run_chunk, plan.forward_batch):
+                with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 1, 3\)"):
+                    call(features)
+            with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 3\)"):
+                session.feed(features[:, 1])
+            assert session.frames_fed == 0
+            session.feed(features[:, 0])  # the session goes on
+            assert session.frames_fed == 4
+
+    def test_one_bad_chunk_is_not_journaled_and_leaves_the_batch_alone(self, rng):
+        from repro.engine.fabric import SessionJournal
+
+        plan = engine.compile_model(tiny_model(), scheme="int8")
+        utterances = rng.standard_normal((8, 30, 8))
+        config = engine.StreamConfig(max_batch_size=8, max_wait_frames=1000, min_duration=2)
+
+        def serve(poisoned):
+            journal = SessionJournal()
+            scheduler = engine.StreamScheduler(plan, config, journal=journal)
+            sids = [scheduler.open() for _ in utterances]
+            for start in range(0, 30, 10):
+                for sid, utterance in zip(sids, utterances):
+                    chunk = utterance[start : start + 10]
+                    if poisoned and sid == 3 and start == 10:
+                        bad = chunk.copy()
+                        bad[4, 0] = np.nan
+                        with pytest.raises(ShapeError, match="non-finite"):
+                            scheduler.feed(sid, bad)
+                        assert journal.frames(sid) == 10
+                        assert scheduler.pending() == 3  # its seven batch-mates
+                    scheduler.feed(sid, chunk)
+            assert scheduler.stats.batches == 3  # full batches of eight
+            return [scheduler.finish(sid) for sid in sids], journal
+
+        clean, clean_journal = serve(False)
+        got, journal = serve(True)
+        assert got == clean
+        for sid in range(len(utterances)):
+            np.testing.assert_array_equal(
+                np.concatenate(journal.chunks(sid)), utterances[sid]
+            )
+
+
+# ---------------------------------------------------------------------------
 # Hot-swap: carrying live session state across a plan swap
 # ---------------------------------------------------------------------------
 class TestHotSwap:
