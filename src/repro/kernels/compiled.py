@@ -104,6 +104,9 @@ ACC_CHUNK = 8192
 #: build of the kernel keeps (AVX-512BW: 16 rows), so one pack serves all.
 LANES_PAD = 16
 
+#: Output rows per window of that kernel's epilogue: one 16-bit mask each.
+WINDOW = 16
+
 # ---------------------------------------------------------------------------
 # Generated C source
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ typedef uint8_t u8;
  * (build_library(phases=True)); everywhere else both compile to nothing.
  * Cumulative, process-wide, not atomic; repro_phase_ticks reads and
  * clears them.  Ticks are the time-stamp counter on x86, ns elsewhere. */
-enum { PH_QUANTIZE, PH_GATHER, PH_MAC, PH_SCATTER, PH_BIAS, PH_GATES, PH_CHUNK, PH_COUNT };
+enum { PH_QUANTIZE, PH_GATHER, PH_MAC, PH_EPILOGUE, PH_GATES, PH_CHUNK, PH_COUNT };
 #ifdef REPRO_PHASES
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -243,22 +246,25 @@ API void repro_csr_spmm_i8(
 # gathered activation codes.  Two microkernels, both exact integer
 # arithmetic (no order of accumulation can move a bit; see
 # docs/kernels.md):
-#   * rows in lanes (AVX-512 / AVX2 builds, plans that scatter to each
-#     row at most once, mc <= ACC_CHUNK): the packed codes put 16 (8)
-#     panel rows x KGROUP kept columns in a register, one multiply-add
-#     against the broadcast activation group yields those rows' int32
-#     sums, and a column of the product is one accumulator — no
-#     horizontal reduction.  KGROUP is 4 where the build has AVX-512 VNNI
-#     (`vpdpbusd`: unsigned x signed bytes, so activations are gathered as
-#     code + 128 and each accumulator starts at -128 * its row's code sum,
-#     packed in front of the strip's codes) and 2 elsewhere (codes widened
-#     to int16 for `pmaddwd`).  Sums land in a compact int32 buffer that
-#     one pass scatters and dequantizes;
+#   * rows in lanes (AVX-512 / AVX2 builds, mc <= ACC_CHUNK): the packed
+#     codes put 16 (8) panel rows x KGROUP kept columns in a register, one
+#     multiply-add against the broadcast activation group yields those
+#     rows' int32 sums, and a column of the product is one accumulator —
+#     no horizontal reduction.  KGROUP is 4 where the build has AVX-512
+#     VNNI (`vpdpbusd`: unsigned x signed bytes, so activations are
+#     gathered as code + 128 and each accumulator starts at -128 * its
+#     row's code sum, packed in front of the strip's codes) and 2
+#     elsewhere (codes widened to int16 for `pmaddwd`).  Each strip's sums
+#     land right after the kept rows of the strips before it, so a
+#     column's sums are its kept rows' in output-row order (a BSPCMatrix's
+#     strips are row ranges in order, their kept rows increasing), and the
+#     epilogue expands them into their rows 16 at a time;
 #   * the 4-row x 4-column register block, everywhere else: int32 sums
 #     over chunks of at most ACC_CHUNK products, flushed into the float64
 #     output, which holds exact integers (far below 2^53) until the
 #     dequant.
-# Either way the dequant is the reference backend's `(acc * scale) * xs`.
+# Either way the epilogue is the reference backend's `(acc * scale) * xs`,
+# then `+ bias` where the op has one, on every output row.
 _C_BSPC_NARROW = r"""
 typedef int16_t i16;
 
@@ -301,6 +307,12 @@ typedef i16 gath_t;
 #define LANES_MAC(a, w, x) LV(add_epi32)(a, LV(madd_epi16)(w, x))
 #endif
 #define LANES_PAD $LANES_PAD  /* a multiple of every LANES */
+#define WINDOW $WINDOW  /* output rows per epilogue window: one 16-bit mask */
+
+/* Compiled with the code that follows the contraction guard, at the end. */
+static void bspc_epilogue(
+    i64 rows, i64 batch, i64 spmv, const i64 *windows, const i32 *sums, i64 lda,
+    double scale, const double *xs, const double *bias, double *out);
 
 /* Rows per register of the rows-in-lanes kernel, and kept columns per
  * multiply-add; 0: not in this build. */
@@ -491,33 +503,36 @@ static void bspc_nb_strip(
  * of the (n, batch) operand and (rows, batch) result of spmm_int8 — or,
  * with `spmv` set, the operand and result vectors of spmv_int8, which
  * dequantizes with one fused `scale * xs` multiply; batch <= 8 (`xs`).
- * `lanes`/`lrows` are the packed strips (each its sums' LANES_HEAD, then
- * its codes) and row-padded scatter rows of the rows-in-lanes kernel: null
- * `lanes` where the caller found it does not apply, null `lrows` for the
- * one strip whose panel row i is output row i.  `work` is scratch: with
- * `lanes`, batch int32 accumulator rows of the padded panel height; then
- * batch rows of gathered codes (room for mc, rounded up to even, int16);
- * then the batch * n int8 codes of the whole activation. */
+ * `bias` (null: none) is added to every row of every column.  `lanes` is
+ * the packed strips of the rows-in-lanes kernel (each its sums'
+ * LANES_HEAD, then its codes), null where the caller found it does not
+ * apply, and `layout` where its sums go: per strip the offset of its
+ * first sum in a column's (the kept rows of the strips before it), then
+ * the epilogue's windows (see bspc_epilogue).  `work` is scratch: with
+ * `lanes`, batch columns of int32 sums (the last strip's offset + its
+ * padded height each); then batch rows of gathered codes (room for mc,
+ * rounded up to even, int16); then the batch * n int8 codes of the whole
+ * activation. */
 API void repro_bspc_i8_nb(
     i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 batch, i64 spmv,
     const i8 *codes, const i64 *gcols, const i64 *srows, const i8 *lanes,
-    const i64 *lrows, const double *x, double scale, i32 *work, double *out)
+    const i64 *layout, const double *x, double scale, const double *bias,
+    i32 *work, double *out)
 {
     double xs[8];
     const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
-    const i64 tall = strips * mrp;
     const int wide = LANES && lanes;
-    i16 *xg = (i16 *)(work + (lanes ? batch * tall : 0));
+    const i64 lda = wide ? layout[strips - 1] + mrp : 0;  /* sums a column */
+    i16 *xg = (i16 *)(work + batch * lda);
     i8 *xq = (i8 *)(xg + batch * (mc + mc % 2));
     TIC(quantize);
     for (i64 j = 0; j < batch; j++)
         xs[j] = bspc_quant_i8(n, x + j * n, xq + j * n);
     TOC(quantize, PH_QUANTIZE);
     TIC(zero);
-    if (!wide || lrows)  /* accumulated into, or not every row written */
+    if (!wide)  /* the register block accumulates into the output */
         memset(out, 0, (size_t)(batch * rows) * sizeof(double));
-    TOC(zero, PH_SCATTER);
-    if (!strips) return;  /* fully pruned: exact zeros, even for Inf scales */
+    TOC(zero, PH_EPILOGUE);
     for (i64 s = 0; s < strips; s++) {
         const i64 *gc = gcols + s * mc;
         TIC(gather);
@@ -532,10 +547,11 @@ API void repro_bspc_i8_nb(
             }
             TOC(gather, PH_GATHER);
             TIC(mac);
+            /* from the strip before's first padding lane on */
             for (i64 jb = 0; jb < batch; jb += 8)
                 bspc_lanes_strip(batch - jb, kp, mrp,
                                  lanes + s * (LANES_HEAD + ld) * mrp,
-                                 xl + jb * ld, tall, work + jb * tall + s * mrp);
+                                 xl + jb * ld, lda, work + jb * lda + layout[s]);
             TOC(mac, PH_MAC);
             continue;
         }
@@ -550,24 +566,10 @@ API void repro_bspc_i8_nb(
                           xg + jb * mc, srows + s * mr, rows, out + jb * rows);
         TOC(mac, PH_MAC);
     }
-    TIC(scatter);
-    for (i64 j = 0; j < batch; j++) {
-        const double fused = scale * xs[j];
-        const i32 *a = work + j * tall;  /* the lanes kernel's sums */
-        double *o = out + j * rows;
-        if (wide && lrows) {  /* each output row has one panel row, or none */
-            for (i64 i = 0; i < tall; i++)
-                if (lrows[i] < rows)
-                    o[lrows[i]] = spmv ? (double)a[i] * fused
-                                       : ((double)a[i] * scale) * xs[j];
-            continue;
-        }
-        for (i64 r = 0; r < rows; r++) {
-            const double v = wide ? (double)a[r] : o[r];
-            o[r] = spmv ? v * fused : (v * scale) * xs[j];
-        }
-    }
-    TOC(scatter, PH_SCATTER);
+    TIC(epilogue);
+    bspc_epilogue(rows, batch, spmv, wide ? layout + strips : NULL, work, lda, scale,
+                  xs, bias, out);
+    TOC(epilogue, PH_EPILOGUE);
 }
 """
 
@@ -595,24 +597,92 @@ _C_NO_CONTRACT = r"""
 # ufuncs; every other elementwise op of GRULayerPlan.forward is one IEEE
 # operation here, in the same order.
 _C_GRU_CHUNK = _C_NO_CONTRACT + r"""
+/* repro_bspc_i8_nb's output, every row of each column written once, in
+ * order: the dequant (spmv: v * (scale * xs); else (v * scale) * xs), then
+ * `+ bias` where there is one — three roundings, as `kernel(...) + bias`.
+ * `windows` null: the register block's float sums, already in `out`, in
+ * place.  Otherwise `sums` holds each column's (`lda` apart) lanes-kernel
+ * sums of the kept rows, in output-row order, and windows[w] = at << 16 |
+ * keep covers output rows WINDOW * w on: bit i of `keep` says whether the
+ * window's row i is kept, `at` where the first kept one's sum sits.  Those
+ * sums are expanded into their lanes and the pruned rows get 0 — so
+ * (0 * scale) * xs, +0.0 for a finite scale, as the reference's zeros
+ * dequantize. */
+#if LANES == 8
+/* AVX2 has no expand: a masked load of the kept sums, zeros after, then
+ * vpermd by these indices — per 8-row mask, a kept row takes the loaded
+ * lane that counts the kept rows below it, a pruned one lane 7, which the
+ * masked load left zero (fewer than eight were kept). */
+static const u8 expand8[256][8] = {$EXPAND8};
+#endif
+static void bspc_epilogue(
+    i64 rows, i64 batch, i64 spmv, const i64 *windows, const i32 *sums, i64 lda,
+    double scale, const double *xs, const double *bias, double *out)
+{
+    for (i64 j = 0; j < batch; j++) {
+        const double fused = scale * xs[j];
+        double *o = out + j * rows;
+        if (!windows) {
+            for (i64 r = 0; r < rows; r++) {
+                const double v = spmv ? o[r] * fused : (o[r] * scale) * xs[j];
+                o[r] = bias ? v + bias[r] : v;
+            }
+            continue;
+        }
+#if LANES
+        for (i64 r = 0; r < rows; r += WINDOW) {
+            const i64 w = windows[r / WINDOW], n = rows - r < WINDOW ? rows - r : WINDOW;
+            const i32 *at = sums + j * lda + (w >> 16);
+#if LANES == 16
+            const __m512i v = _mm512_maskz_expandloadu_epi32((__mmask16)w, at);
+            __m512d half[2] = {
+                _mm512_cvtepi32_pd(_mm512_castsi512_si256(v)),
+                _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(v, 1)),
+            };
+            const unsigned tail = n == WINDOW ? 0xffff : (1u << n) - 1;
+            for (int h = 0; h < 2; h++) {
+                const __mmask8 part = (__mmask8)(tail >> 8 * h);
+                half[h] = spmv ? _mm512_mul_pd(half[h], _mm512_set1_pd(fused))
+                               : _mm512_mul_pd(_mm512_mul_pd(half[h], _mm512_set1_pd(scale)),
+                                               _mm512_set1_pd(xs[j]));
+                if (bias)
+                    half[h] = _mm512_add_pd(half[h], _mm512_maskz_loadu_pd(part, bias + r + 8 * h));
+                _mm512_mask_storeu_pd(o + r + 8 * h, part, half[h]);
+            }
+#else
+            i32 v[WINDOW];
+            for (int h = 0; h < 2; h++) {
+                const unsigned keep = w >> 8 * h & 0xff;
+                const int count = __builtin_popcount(keep);
+                const __m256i some = _mm256_cmpgt_epi32(
+                    _mm256_set1_epi32(count), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+                const __m256i to = _mm256_cvtepu8_epi32(
+                    _mm_loadl_epi64((const __m128i *)expand8[keep]));
+                _mm256_storeu_si256((__m256i *)(v + 8 * h), _mm256_permutevar8x32_epi32(
+                    _mm256_maskload_epi32(at, some), to));
+                at += count;
+            }
+            for (i64 i = 0; i < n; i++) {
+                const double d = spmv ? (double)v[i] * fused : ((double)v[i] * scale) * xs[j];
+                o[r + i] = bias ? d + bias[r + i] : d;
+            }
+#endif
+        }
+#endif
+    }
+}
+
 /* out = x @ W.T (+ bias, if any), N walked in blocks the narrow kernel
  * takes. */
 API void repro_bspc_i8_rows(
     i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 count, const i8 *codes,
-    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *lrows,
+    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *layout,
     const double *x, double scale, const double *bias, i32 *work, double *out)
 {
-    for (i64 at = 0; at < count; at += 8) {
-        const i64 nb = count - at < 8 ? count - at : 8;
-        repro_bspc_i8_nb(strips, mr, mc, rows, n, nb, 0, codes, gcols, srows,
-                         lanes, lrows, x + at * n, scale, work, out + at * rows);
-        TIC(added);
-        if (bias)  /* while the block is in cache */
-            for (i64 j = at; j < at + nb; j++)
-                for (i64 r = 0; r < rows; r++)
-                    out[j * rows + r] += bias[r];
-        TOC(added, PH_BIAS);
-    }
+    for (i64 at = 0; at < count; at += 8)
+        repro_bspc_i8_nb(strips, mr, mc, rows, n, count - at < 8 ? count - at : 8, 0,
+                         codes, gcols, srows, lanes, layout, x + at * n, scale, bias,
+                         work, out + at * rows);
 }
 
 /* A numpy unary inner loop (PyUFuncGenericFunction; npy_intp is intptr_t). */
@@ -633,14 +703,14 @@ API void repro_loop_f32(loop_fn loop, void *data, i64 n, float *x)
  * out[t] = (1 - z) * hid + z * cand, the next step's hid. */
 API void repro_gru_i8_chunk(
     i64 strips, i64 mr, i64 mc, i64 h, i64 batch, i64 steps, const i8 *codes,
-    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *lrows,
+    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *layout,
     double scale, const double *bias_h, const double *hid, const double *gx,
     double *out, float *zr, float *cand, double *gh, i32 *work,
     loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
 {
     for (i64 t = 0; t < steps; t++) {
         repro_bspc_i8_rows(strips, mr, mc, 3 * h, h, batch, codes, gcols, srows,
-                           lanes, lrows, hid, scale, NULL, work, gh);
+                           lanes, layout, hid, scale, NULL, work, gh);
         TIC(gates);
         for (i64 b = 0; b < batch; b++) {
             const double *gxb = gx + b * 3 * h, *ghb = gh + b * 3 * h;
@@ -676,7 +746,7 @@ typedef struct {
     const i8 *codes;
     const i64 *gcols, *srows;
     const i8 *lanes;
-    const i64 *lrows;
+    const i64 *layout;
     double scale;
     const double *bias;
 } plan_op;
@@ -709,14 +779,14 @@ API void repro_plan_i8_chunk(
         if (op->kind != PLAN_GRU) {
             double *to = op->kind == PLAN_OUTPUT ? logits : gates;
             repro_bspc_i8_rows(op->strips, op->mr, op->mc, op->rows, op->n, frames,
-                               op->codes, op->gcols, op->srows, op->lanes, op->lrows,
+                               op->codes, op->gcols, op->srows, op->lanes, op->layout,
                                x, op->scale, op->bias, work, to);
             x = to;
             continue;
         }
         width = op->n;
         repro_gru_i8_chunk(op->strips, op->mr, op->mc, width, batch, steps, op->codes,
-                           op->gcols, op->srows, op->lanes, op->lrows, op->scale,
+                           op->gcols, op->srows, op->lanes, op->layout, op->scale,
                            op->bias, carry[0], gates, out, zr, cand, gh, work,
                            exp_loop, exp_data, tanh_loop, tanh_data);
         memcpy(carry[grus], out + (frames - batch) * width,
@@ -734,10 +804,23 @@ API void repro_plan_i8_chunk(
 """
 
 
+def _expand8() -> str:
+    """``expand8`` of the C source: per 8-bit keep mask, the lane a masked
+    load left each kept row's sum in (how many kept rows are below it),
+    7 for a pruned row."""
+    def lanes(keep: int) -> str:
+        return ",".join(
+            str(bin(keep & ((1 << i) - 1)).count("1") if keep >> i & 1 else 7)
+            for i in range(8)
+        )
+
+    return ",".join("{%s}" % lanes(keep) for keep in range(256))
+
+
 _C_SOURCE = (
     _C_COMMON.replace("$ACC_CHUNK", str(ACC_CHUNK))
-    + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD))
-    + _C_GRU_CHUNK
+    + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD)).replace("$WINDOW", str(WINDOW))
+    + _C_GRU_CHUNK.replace("$EXPAND8", _expand8())
 )
 
 
@@ -886,7 +969,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_phase_ticks": (ptr,),
         "repro_bspc_i8_nb": (
             i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl,
-            ptr, ptr,
+            ptr, ptr, ptr,
         ),
         "repro_bspc_i8_rows": (
             i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl, ptr,
@@ -943,7 +1026,7 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
         sizes, addresses, work = _narrow_call(panel, n, batch)
         out = np.empty((batch, rows))
         lib.repro_bspc_i8_nb(
-            *sizes, rows, n, batch, 0, *addresses, _p(x), 1.0, work, _p(out)
+            *sizes, rows, n, batch, 0, *addresses, _p(x), 1.0, None, work, _p(out)
         )
         check(out, x[:batch] @ codes.T.astype(np.float64))
 
@@ -1073,15 +1156,16 @@ def numpy_loops() -> Optional[tuple]:
 
 #: The phase counters of a ``build_library(phases=True)`` library, in the
 #: order C keeps them: the int8 product's activation quantize, code gather,
-#: integer MAC and output zeroing + dequant / scatter, the projections' bias
-#: add, the GRU gate sweep, and the whole ``repro_plan_i8_chunk`` call.
-PHASES = ("quantize", "gather", "mac", "scatter", "bias", "gates", "chunk")
+#: integer MAC and output epilogue (dequant + bias; the register block's
+#: zeroing too), the GRU gate sweep, and the whole ``repro_plan_i8_chunk``
+#: call.
+PHASES = ("quantize", "gather", "mac", "epilogue", "gates", "chunk")
 
 
 def phase_ticks() -> Optional[dict]:
     """Ticks (the time-stamp counter on x86, ns elsewhere) each of
     :data:`PHASES` took in the loaded library since the last read, which
-    clears them; ``None`` for a build without counters.  The first six
+    clears them; ``None`` for a build without counters.  The first five
     nest inside ``chunk`` without overlapping."""
     ticks = (ctypes.c_uint64 * len(PHASES))()
     if not _library().repro_phase_ticks(ticks):
@@ -1148,32 +1232,42 @@ class _Panel:
     than quantizing a B=1 activation).  Where the library (``lib``: the
     loaded one) has the rows-in-lanes kernel and the weight suits it, the
     codes are packed a second time as that kernel reads them — by the
-    library, ``repro_i8_pack``: the layout is its own — next to scatter
-    rows padded to :data:`LANES_PAD` alike with the no-output-row
-    sentinel: none for one strip holding every output row in order (a
-    dense weight), which needs no scatter.  ``acc`` is the int32 sums that
+    library, ``repro_i8_pack``: the layout is its own — next to where its
+    sums go: each strip's first sum comes right after the kept rows of the
+    strips before it, and per :data:`WINDOW` output rows one
+    ``offset << 16 | mask`` says which of them are kept and where the
+    first kept one's sum sits.  The scatter rows' kept entries (those
+    below ``shape[0]``) must increase strip after strip — what a
+    ``BSPCMatrix`` guarantees, and a dense weight's identity — so that
+    compact order is output-row order.  ``acc`` is the int32 sums that
     kernel keeps per column of the product (0: not packed).  The panel
     holds every array its addresses point into."""
 
     def __init__(
-        self, shape, codes, gather_cols, scatter_rows, scale, scatter_unique=True,
+        self, shape, codes, gather_cols, scatter_rows, scale,
         lib: Optional[ctypes.CDLL] = None,
     ) -> None:
         codes = _i8(codes)  # C reads them by address, twice over
         strips, mr, mc = self.sizes = codes.shape
         self.shape, self.scale, self.acc = shape, scale, 0
         lib = _library() if lib is None else lib
-        packed = rows = None
+        packed = layout = None
         size = lib.repro_i8_pack(strips, mr, mc, None, None)
-        if size and scatter_unique:
+        if size:
             packed = _aligned(size)
             lib.repro_i8_pack(strips, mr, mc, _p(codes), _p(packed))
-            tall = -(-mr // LANES_PAD) * LANES_PAD
-            self.acc = strips * tall
-            if strips > 1 or mr != shape[0] or (scatter_rows != np.arange(mr)).any():
-                rows = np.full((strips, tall), shape[0], dtype=np.int64)
-                rows[:, :mr] = scatter_rows
-        self._held = (codes, gather_cols, scatter_rows, packed, rows)
+            rows = shape[0]
+            kept = scatter_rows < rows
+            counts = kept.sum(axis=1)
+            starts = np.cumsum(counts) - counts
+            real = scatter_rows[kept]  # strip by strip: compact order
+            bits = np.zeros(-(-rows // WINDOW) * WINDOW, dtype=np.int64)
+            bits[real] = 1
+            masks = bits.reshape(-1, WINDOW) @ (1 << np.arange(WINDOW))
+            offsets = np.searchsorted(real, np.arange(0, rows, WINDOW))
+            layout = np.concatenate([starts, offsets << 16 | masks]).astype(np.int64)
+            self.acc = int(starts[-1]) + -(-mr // LANES_PAD) * LANES_PAD
+        self._held = (codes, gather_cols, scatter_rows, packed, layout)
         self.addresses = tuple(None if a is None else _p(a) for a in self._held)
 
 
@@ -1187,8 +1281,7 @@ def _plan_panel(plan) -> _Panel:
     if held is None:
         base = plan.base
         fresh = _Panel(
-            base.shape, plan.codes, base.gather_cols, base.scatter_rows,
-            plan.scale, base.scatter_unique,
+            base.shape, plan.codes, base.gather_cols, base.scatter_rows, plan.scale
         )
         # the first of two racing threads wins: a replaced panel would free
         # the packed arrays its thread is about to hand to C
@@ -1285,7 +1378,8 @@ def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
     sizes, addresses, work = _narrow_call(_plan_panel(plan), len(x), 1)
     out = np.empty(rows)
     _library().repro_bspc_i8_nb(
-        *sizes, rows, len(x), 1, True, *addresses, _p(x), plan.scale, work, _p(out)
+        *sizes, rows, len(x), 1, True, *addresses, _p(x), plan.scale, None, work,
+        _p(out),
     )
     return out
 
@@ -1361,7 +1455,7 @@ class _PlanOp(ctypes.Structure):
 
     _fields_ = (
         [(name, ctypes.c_longlong) for name in ("kind", "strips", "mr", "mc", "rows", "n")]
-        + [(name, ctypes.c_void_p) for name in ("codes", "gcols", "srows", "lanes", "lrows")]
+        + [(name, ctypes.c_void_p) for name in ("codes", "gcols", "srows", "lanes", "layout")]
         + [("scale", ctypes.c_double), ("bias", ctypes.c_void_p)]
     )
 

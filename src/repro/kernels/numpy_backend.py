@@ -67,10 +67,7 @@ def bspc_spmv(matrix, x: np.ndarray) -> np.ndarray:
         if plan.pad_cols is not None:
             gathered[plan.pad_cols] = 0.0  # keep non-finite x[0] out of pads
         partial = np.matmul(plan.panels, gathered[:, :, None])[:, :, 0]
-        if plan.scatter_unique:
-            out[plan.flat_rows] += partial.reshape(-1)
-        else:
-            np.add.at(out, plan.flat_rows, partial.reshape(-1))
+        out[plan.flat_rows] += partial.reshape(-1)
     return out[:rows]
 
 
@@ -86,10 +83,7 @@ def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
         if plan.pad_cols is not None:
             gathered[plan.pad_cols] = 0.0  # keep non-finite x[0] out of pads
         partial = np.matmul(plan.panels, gathered)
-        if plan.scatter_unique:
-            out[plan.flat_rows] += partial.reshape(-1, batch)
-        else:
-            np.add.at(out, plan.flat_rows, partial.reshape(-1, batch))
+        out[plan.flat_rows] += partial.reshape(-1, batch)
     return out[:rows]
 
 

@@ -94,10 +94,10 @@ class BSPCPlan:
     * padded *rows* scatter into a sink slot one past the real output
       (``scatter_rows == rows``) that is dropped before returning.
 
-    ``scatter_unique`` records whether every real output row appears at
-    most once in ``scatter_rows`` (always true for strips produced by
-    ``BSPCMatrix.from_dense``); when true the scatter is a plain fancy
-    ``+=``, otherwise the kernel falls back to ``np.add.at``.
+    The real scatter rows strictly increase strip after strip — a
+    ``BSPCMatrix``'s strips are row ranges in order with increasing kept
+    rows, and row-blocking keeps that order — so each output row is
+    written at most once and the scatter is a plain fancy ``+=``.
     """
 
     shape: Tuple[int, int]
@@ -105,7 +105,6 @@ class BSPCPlan:
     gather_cols: np.ndarray  # (strips, max_cols) int64 indices into x
     pad_cols: Optional[np.ndarray]  # (strips, max_cols) bool; None if no padding
     scatter_rows: np.ndarray  # (strips, max_rows) int64; padding == shape[0]
-    scatter_unique: bool
 
     @property
     def flat_rows(self) -> np.ndarray:
@@ -140,7 +139,6 @@ def _finalize_bspc_plan(packed: list, shape: Tuple[int, int]) -> BSPCPlan:
             gather_cols=empty_i,
             pad_cols=None,
             scatter_rows=empty_i,
-            scatter_unique=True,
         )
 
     num = len(packed)
@@ -156,15 +154,12 @@ def _finalize_bspc_plan(packed: list, shape: Tuple[int, int]) -> BSPCPlan:
         pad_cols[i, : cols.size] = False
         scatter_rows[i, : kept.size] = kept
 
-    real = scatter_rows[scatter_rows < rows]
-    unique = bool(real.size == 0 or np.bincount(real, minlength=rows).max() <= 1)
     return BSPCPlan(
         shape=shape,
         panels=panels,
         gather_cols=gather_cols,
         pad_cols=pad_cols if pad_cols.any() else None,
         scatter_rows=scatter_rows,
-        scatter_unique=unique,
     )
 
 

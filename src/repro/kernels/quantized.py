@@ -241,10 +241,7 @@ def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
         xq, xs = int8_codes(x)
         gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
         partial = np.matmul(plan.codes_f, gathered[:, :, None])[:, :, 0]
-        if base.scatter_unique:
-            out[base.flat_rows] += partial.reshape(-1)
-        else:
-            np.add.at(out, base.flat_rows, partial.reshape(-1))
+        out[base.flat_rows] += partial.reshape(-1)
         out *= plan.scale * xs
     return out[:rows]
 
@@ -263,10 +260,7 @@ def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
         xq, xs = int8_codes_axis(x, axis=0)
         gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
         partial = np.matmul(plan.codes_f, gathered)
-        if base.scatter_unique:
-            out[base.flat_rows] += partial.reshape(-1, batch)
-        else:
-            np.add.at(out, base.flat_rows, partial.reshape(-1, batch))
+        out[base.flat_rows] += partial.reshape(-1, batch)
         out *= plan.scale
         out *= xs
     return out[:rows]

@@ -63,7 +63,10 @@ class BSPCMatrix(PlanCacheMixin):
     """A matrix stored in the BSPC format.
 
     Build with :meth:`from_dense`; the constructor validates structural
-    consistency (panel shapes vs. kept rows/cols).  Compute dispatches
+    consistency: panel shapes vs. kept rows/cols, and each strip's kept
+    rows strictly increasing inside that strip's grid rows — so kept rows
+    taken strip after strip are in output-row order, each row once, which
+    the kernels' scatters rely on.  Compute dispatches
     through :mod:`repro.kernels`; reassigning a structural field drops
     the cached execution plan (see :class:`PlanCacheMixin`).
     """
@@ -82,7 +85,17 @@ class BSPCMatrix(PlanCacheMixin):
             raise SparsityError(
                 f"expected {self.grid.num_row_strips} strips, got {len(self.strips)}"
             )
-        for strip in self.strips:
+        for index, (strip, (start, stop)) in enumerate(
+            zip(self.strips, self.grid.row_bounds())
+        ):
+            rows = strip.kept_rows
+            if rows.ndim != 1 or rows.size and (
+                rows[0] < start or rows[-1] >= stop or (np.diff(rows) <= 0).any()
+            ):
+                raise SparsityError(
+                    f"strip {index} kept_rows must strictly increase inside rows "
+                    f"[{start}, {stop}), got {rows.tolist()}"
+                )
             if len(strip.blocks) != self.grid.num_col_blocks:
                 raise SparsityError(
                     f"every strip needs {self.grid.num_col_blocks} blocks, "

@@ -142,9 +142,29 @@ class TestValidation:
 
     def test_wrong_block_count_rejected(self):
         grid = BlockGrid(4, 4, 2, 2)
-        strip = BSPCStrip(kept_rows=np.array([0]), blocks=[])
-        with pytest.raises(SparsityError):
-            BSPCMatrix(grid=grid, strips=[strip, strip])
+        strips = [BSPCStrip(kept_rows=np.array([r]), blocks=[]) for r in (0, 2)]
+        with pytest.raises(SparsityError, match="blocks"):
+            BSPCMatrix(grid=grid, strips=strips)
+
+    @pytest.mark.parametrize(
+        "kept",
+        [
+            ([0, 1, 2], [2, 3]),  # row 2 in both strips; strip 0 is rows 0-1
+            ([0, 1], [1, 3]),
+            ([1, 0], [2, 3]),
+            ([0, 0], [3]),
+            ([-1], [3]),
+            ([[0, 1]], [3]),
+        ],
+    )
+    def test_kept_rows_must_strictly_increase_inside_their_strip(self, kept):
+        # the kernels write each kept row once, strip after strip, in order
+        strips = [
+            BSPCStrip(np.array(rows), [BSPCBlock(np.arange(4), np.ones((len(rows), 4)))])
+            for rows in kept
+        ]
+        with pytest.raises(SparsityError, match="strictly increase"):
+            BSPCMatrix(grid=BlockGrid(4, 4, 2, 1), strips=strips)
 
     def test_panel_row_mismatch_rejected(self):
         grid = BlockGrid(4, 4, 1, 1)

@@ -864,6 +864,26 @@ class TestNumericEdges:
         for batch in (1, 3, 16):
             assert_int8_products_equal_reference(matrix, np.ones((cols, batch)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_an_inf_column_is_the_reference_bytes_in_pruned_rows_too(self, bad):
+        # An Inf scale dequantizes every row to NaN or Inf — the pruned
+        # rows' zeros too, (0 * scale) * inf — on every route, to the byte
+        matrix = bsp_matrix()
+        for batch in (1, 2, 8, 17):
+            x = new_rng(batch).standard_normal((64, batch))
+            position = min(2, batch - 1)
+            x[3, position] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = kernels.spmm_int8(matrix, x, backend="reference")
+                want_column = kernels.spmv_int8(matrix, x[:, position], backend="reference")
+                assert np.isnan(want[:, position]).all()
+                for route in ROUTES:
+                    with kernels.use_backend(route):
+                        assert kernels.spmm_int8(matrix, x).tobytes() == want.tobytes()
+                        got = kernels.spmv_int8(matrix, x[:, position])
+                        assert got.tobytes() == want_column.tobytes()
+
     def test_empty_and_one_by_one(self):
         one = full_matrix(np.array([[2.0]]))
         assert_int8_products_equal_reference(one, np.array([[-3.0, 0.0, 0.5]]))
@@ -1116,18 +1136,59 @@ def takes_lanes(matrix):
     return compiled._plan_panel(int8_bspc_plan(matrix)).acc > 0
 
 
-def shared_row_matrix():
-    """Two strips that both scatter into row 2: ``scatter_unique`` is False."""
-    from repro.sparse.bspc import BSPCBlock, BSPCStrip
+def wide_matrix():
+    """One strip longer than one int32 sum takes: the register block's."""
+    return full_matrix(np.ones((5, compiled.ACC_CHUNK + 1)))
 
-    rng = new_rng(8)
-    strips = [
-        BSPCStrip(rows, [BSPCBlock(np.arange(0, 9, 2), rng.standard_normal((len(rows), 5)))])
-        for rows in ([0, 1, 2], [2, 3])
-    ]
-    matrix = BSPCMatrix(BlockGrid(4, 9, 2, 1), strips)
-    assert not int8_bspc_plan(matrix).base.scatter_unique
-    return matrix
+
+@st.composite
+def bspc_layouts(draw):
+    """A BSPC weight of any layout the epilogue's windows must cover: rows
+    off the 16-row windows, strip bounds anywhere, whole strips and blocks
+    pruned, row-blocked plans; ``(matrix, batch, biased, seed)``."""
+    rows, cols = draw(st.integers(1, 70)), draw(st.integers(1, 24))
+    grid = BlockGrid(
+        rows, cols, draw(st.integers(1, min(rows, 6))), draw(st.integers(1, min(cols, 3)))
+    )
+    row_density, col_density, strip_density = (
+        draw(st.sampled_from([0.2, 0.6, 1.0])) for _ in range(3)
+    )
+    seed = draw(st.integers(0, 2**16))
+    rng = new_rng(seed)
+    weight = rng.standard_normal((rows, cols))
+    weight[rng.uniform(size=rows) >= row_density] = 0.0
+    for r0, r1 in grid.row_bounds():
+        if rng.uniform() >= strip_density:
+            weight[r0:r1] = 0.0
+        for c0, c1 in grid.col_bounds():
+            weight[r0:r1, c0:c1][:, rng.uniform(size=c1 - c0) >= col_density] = 0.0
+    matrix = BSPCMatrix.from_dense(weight, grid)
+    rows_per_block = draw(st.sampled_from([0, 1, 3, 5, 16, 17]))
+    if rows_per_block:
+        kernels.pack_bspc_plan(matrix, rows_per_block)
+    return matrix, draw(st.integers(1, 17)), draw(st.booleans()), seed
+
+
+@requires_compiler
+@settings(max_examples=30, deadline=2000)
+@given(case=bspc_layouts())
+def test_random_bspc_layouts_are_the_reference_bytes(case):
+    matrix, batch, biased, seed = case
+    rows, cols = matrix.grid.shape
+    rng = new_rng(seed + 1)
+    x = rng.standard_normal((cols, batch))
+    x[:, 0] *= 1e-3  # scales differ per column
+    want = kernels.spmm_int8(matrix, x, backend="reference")
+    assert kernels.spmm_int8(matrix, x, backend="compiled").tobytes() == want.tobytes()
+    assert (
+        kernels.spmv_int8(matrix, x[:, 0], backend="compiled").tobytes()
+        == kernels.spmv_int8(matrix, x[:, 0], backend="reference").tobytes()
+    )
+    bias = rng.standard_normal(rows) if biased else None
+    out = np.empty((batch, rows))
+    panel = compiled._plan_panel(int8_bspc_plan(matrix))
+    compiled.panel_linear_int8(panel, np.ascontiguousarray(x.T), bias, out)
+    assert out.tobytes() == (want.T if bias is None else want.T + bias).tobytes()
 
 
 class TestLanesKernel:
@@ -1188,8 +1249,8 @@ class TestLanesKernel:
     def test_bspc_plans_on_and_off_the_lanes_kernel(self, route, batch):
         tuned = bsp_matrix()
         kernels.pack_bspc_plan(tuned, 5)  # many short strips, rows padded 5 -> 16
-        wide = full_matrix(np.ones((5, compiled.ACC_CHUNK + 1)))  # one int32 would wrap
-        cases = [(bsp_matrix(), True), (tuned, True), (shared_row_matrix(), False), (wide, False)]
+        wide = wide_matrix()  # one int32 would wrap
+        cases = [(bsp_matrix(), True), (tuned, True), (wide, False)]
         for matrix, lanes in cases:
             if compiled.available():
                 assert takes_lanes(matrix) == (lanes and has_lanes())
@@ -1398,12 +1459,13 @@ def test_swapping_the_group_interleave_changes_the_product(tmp_path, monkeypatch
         got = kernels.spmm_int8(matrix, x[:, :batch], backend="compiled")
         assert not np.array_equal(got, want[:, :batch])
     assert not np.array_equal(compiled.linear_int8_rowwise(codes, scale, rows), want_dense)
-    # rows that two strips share take the register block, which reads the
+    # a strip past one int32 sum takes the register block, which reads the
     # plain codes
-    shared = shared_row_matrix()
+    wide = wide_matrix()
+    signs = np.sign(new_rng(8).standard_normal((compiled.ACC_CHUNK + 1, 3)))
     np.testing.assert_array_equal(
-        kernels.spmm_int8(shared, x[:9], backend="compiled"),
-        kernels.spmm_int8(shared, x[:9], backend="reference"),
+        kernels.spmm_int8(wide, signs, backend="compiled"),
+        kernels.spmm_int8(wide, signs, backend="reference"),
     )
 
 

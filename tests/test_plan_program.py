@@ -132,6 +132,8 @@ def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
 @requires_program
 def test_phase_counters_are_each_positive_and_nest_inside_the_chunk(tmp_path, monkeypatch):
     assert compiled.phase_ticks() is None  # the library a process loads has none
+    # dequant and bias are one pass over the output rows
+    assert compiled.PHASES == ("quantize", "gather", "mac", "epilogue", "gates", "chunk")
     phases = compiled.build_library(cache=tmp_path, phases=True)
     monkeypatch.setattr(compiled, "_LIB", phases)
     with kernels.use_backend(None):
