@@ -43,15 +43,17 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
 * the fused GRU int8 layer-chunk (``repro_gru_i8_chunk``: no registry op,
   reached only through a lowered :class:`PlanProgram`) is **bitwise
   identical** to the engine's generic per-timestep loop: the recurrent
-  product is the batch-major projection itself, and its gates are
-  float32, as the generic loop's are for an int8 recurrence on every
-  backend — each float64 pre-activation sum rounded once, every
+  product is the batch-major projection itself, on the codes and scales
+  the quantizer gives each state where the gate sweep makes it, and its
+  gates are float32, as the generic loop's are for an int8 recurrence on
+  every backend — each float64 pre-activation sum rounded once, every
   elementwise statement one IEEE float32 operation in that loop's order,
   compiled with floating-point contraction off, ``exp``/``tanh`` numpy's
   own float32 inner loops, called through the pointers its ufuncs publish
   (:func:`_numpy_loop`), and the new state widened back to float64.  A
   whole plan lowered to one call per chunk *calls* that entry and the
-  projection op by op, so it is the same bytes again.
+  projection op by op, a tile of steps at a time, every row on its own,
+  so it is the same bytes again.
 
 Every op registered here wins on some recorded shape.  The ops where C
 never beat numpy + BLAS — the float sparse products, the per-call-scale
@@ -240,8 +242,9 @@ API void repro_csr_spmm_i8(
 """
 
 # The int8 BSPC kernel, every batch width: activations arrive batch-major
-# (one contiguous row per column of the product) and are quantized once
-# per column to the codes and scale of int8_codes_axis; the product runs
+# (one contiguous row per column of the product), already quantized by
+# the kernel's caller — once per column, to the codes and scale of
+# int8_codes_axis (bspc_quant_i8); the product runs
 # on the int8 panel codes themselves, strip by strip over the strip's
 # gathered activation codes.  Two microkernels, both exact integer
 # arithmetic (no order of accumulation can move a bit; see
@@ -308,6 +311,25 @@ typedef i16 gath_t;
 #endif
 #define LANES_PAD $LANES_PAD  /* a multiple of every LANES */
 #define WINDOW $WINDOW  /* output rows per epilogue window: one 16-bit mask */
+
+/* One int8 weight as the product reads it: `rows` output rows of an
+ * `n`-wide operand, the panel's sizes, its codes, gather columns and
+ * scatter rows, the rows-in-lanes kernel's packed codes and the layout of
+ * its sums (null where it does not apply: see repro_bspc_i8_nb), the
+ * weight scale.  As an op of a lowered plan also what the op is and adds
+ * to the product — PLAN_PROJECT: x @ W.T + bias into the gates of the
+ * PLAN_GRU after it, whose bias is the candidate gate's; PLAN_OUTPUT: the
+ * last layer's hidden states @ W.T (+ bias, if any) into the logits. */
+enum { PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT };
+typedef struct {
+    i64 kind, strips, mr, mc, rows, n;
+    const i8 *codes;
+    const i64 *gcols, *srows;
+    const i8 *lanes;
+    const i64 *layout;
+    double scale;
+    const double *bias;
+} plan_op;
 
 /* Compiled with the code that follows the contraction guard, at the end. */
 static void bspc_epilogue(
@@ -499,36 +521,36 @@ static void bspc_nb_strip(
     }
 }
 
-/* x is (batch, n) and out (batch, rows), both row-major: the transposes
- * of the (n, batch) operand and (rows, batch) result of spmm_int8 — or,
- * with `spmv` set, the operand and result vectors of spmv_int8, which
- * dequantizes with one fused `scale * xs` multiply; batch <= 8 (`xs`).
- * `bias` (null: none) is added to every row of every column.  `lanes` is
+/* int32 sums a column of the product keeps: with the rows-in-lanes kernel
+ * the last strip's offset + its padded height, else none. */
+static i64 bspc_lda(const plan_op *p)
+{
+    const i64 mrp = (p->mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
+    return LANES && p->lanes ? p->layout[p->strips - 1] + mrp : 0;
+}
+
+/* The product of `batch` <= 8 operand rows, already quantized: codes xq
+ * (batch, n), row-major, and their scales xs — the transposes of the
+ * (n, batch) operand of spmm_int8 — into out (batch, rows), the transpose
+ * of its result; with `spmv` set, the operand and result vectors of
+ * spmv_int8, which dequantizes with one fused `scale * xs` multiply.
+ * `bias` (null: none) is added to every row of every column.  p->lanes is
  * the packed strips of the rows-in-lanes kernel (each its sums'
  * LANES_HEAD, then its codes), null where the caller found it does not
- * apply, and `layout` where its sums go: per strip the offset of its
+ * apply, and p->layout where its sums go: per strip the offset of its
  * first sum in a column's (the kept rows of the strips before it), then
- * the epilogue's windows (see bspc_epilogue).  `work` is scratch: with
- * `lanes`, batch columns of int32 sums (the last strip's offset + its
- * padded height each); then batch rows of gathered codes (room for mc,
- * rounded up to even, int16); then the batch * n int8 codes of the whole
- * activation. */
-API void repro_bspc_i8_nb(
-    i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 batch, i64 spmv,
-    const i8 *codes, const i64 *gcols, const i64 *srows, const i8 *lanes,
-    const i64 *layout, const double *x, double scale, const double *bias,
-    i32 *work, double *out)
+ * the epilogue's windows (see bspc_epilogue).  `work` is scratch: batch
+ * columns of bspc_lda sums, then batch rows of gathered codes (room for
+ * mc, rounded up to even, int16). */
+static void repro_bspc_i8_nb(
+    const plan_op *p, i64 batch, i64 spmv, const i8 *xq, const double *xs,
+    const double *bias, i32 *work, double *out)
 {
-    double xs[8];
-    const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
-    const int wide = LANES && lanes;
-    const i64 lda = wide ? layout[strips - 1] + mrp : 0;  /* sums a column */
+    const i64 strips = p->strips, mr = p->mr, mc = p->mc, rows = p->rows, n = p->n;
+    const int wide = LANES && p->lanes;
+    const i64 lda = bspc_lda(p);
+    const i64 *gcols = p->gcols, *layout = p->layout;
     i16 *xg = (i16 *)(work + batch * lda);
-    i8 *xq = (i8 *)(xg + batch * (mc + mc % 2));
-    TIC(quantize);
-    for (i64 j = 0; j < batch; j++)
-        xs[j] = bspc_quant_i8(n, x + j * n, xq + j * n);
-    TOC(quantize, PH_QUANTIZE);
     TIC(zero);
     if (!wide)  /* the register block accumulates into the output */
         memset(out, 0, (size_t)(batch * rows) * sizeof(double));
@@ -539,6 +561,7 @@ API void repro_bspc_i8_nb(
 #if LANES
         if (wide) {
             const i64 kp = (mc + KGROUP - 1) / KGROUP, ld = kp * KGROUP;
+            const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
             gath_t *xl = (gath_t *)xg;
             for (i64 j = 0; j < batch; j++) {
                 for (i64 k = 0; k < mc; k++)
@@ -550,7 +573,7 @@ API void repro_bspc_i8_nb(
             /* from the strip before's first padding lane on */
             for (i64 jb = 0; jb < batch; jb += 8)
                 bspc_lanes_strip(batch - jb, kp, mrp,
-                                 lanes + s * (LANES_HEAD + ld) * mrp,
+                                 p->lanes + s * (LANES_HEAD + ld) * mrp,
                                  xl + jb * ld, lda, work + jb * lda + layout[s]);
             TOC(mac, PH_MAC);
             continue;
@@ -562,12 +585,12 @@ API void repro_bspc_i8_nb(
         TOC(gather, PH_GATHER);
         TIC(mac);
         for (i64 jb = 0; jb < batch; jb += 4)
-            bspc_nb_strip(batch - jb, mr, mc, codes + s * mr * mc,
-                          xg + jb * mc, srows + s * mr, rows, out + jb * rows);
+            bspc_nb_strip(batch - jb, mr, mc, p->codes + s * mr * mc,
+                          xg + jb * mc, p->srows + s * mr, rows, out + jb * rows);
         TOC(mac, PH_MAC);
     }
     TIC(epilogue);
-    bspc_epilogue(rows, batch, spmv, wide ? layout + strips : NULL, work, lda, scale,
+    bspc_epilogue(rows, batch, spmv, wide ? layout + strips : NULL, work, lda, p->scale,
                   xs, bias, out);
     TOC(epilogue, PH_EPILOGUE);
 }
@@ -672,17 +695,37 @@ static void bspc_epilogue(
     }
 }
 
-/* out = x @ W.T (+ bias, if any), N walked in blocks the narrow kernel
- * takes. */
-API void repro_bspc_i8_rows(
-    i64 strips, i64 mr, i64 mc, i64 rows, i64 n, i64 count, const i8 *codes,
-    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *layout,
-    const double *x, double scale, const double *bias, i32 *work, double *out)
+/* out (count, p->rows) = the product of `count` operand rows quantized
+ * already (codes xq, p->n apart, and scales xs), walked in the blocks of
+ * eight the product takes. */
+static void bspc_i8_coded(
+    const plan_op *p, i64 count, const i8 *xq, const double *xs, const double *bias,
+    i32 *work, double *out)
 {
     for (i64 at = 0; at < count; at += 8)
-        repro_bspc_i8_nb(strips, mr, mc, rows, n, count - at < 8 ? count - at : 8, 0,
-                         codes, gcols, srows, lanes, layout, x + at * n, scale, bias,
-                         work, out + at * rows);
+        repro_bspc_i8_nb(p, count - at < 8 ? count - at : 8, 0, xq + at * p->n, xs + at,
+                         bias, work, out + at * p->rows);
+}
+
+/* out = x @ W.T (+ bias, if any) for `count` float64 operand rows, each
+ * quantized on its own, eight at a time, then their product; `spmv`: the
+ * product of spmv_int8 (count 1).  `work` is the product's for min(count,
+ * 8) rows, then room for as many rows of p->n codes. */
+API void repro_bspc_i8_rows(
+    const plan_op *p, i64 count, i64 spmv, const double *x, const double *bias,
+    i32 *work, double *out)
+{
+    double xs[8];
+    const i64 n = p->n;
+    i8 *xq = (i8 *)(work + (count < 8 ? count : 8) * (bspc_lda(p) + (p->mc + 1) / 2));
+    for (i64 at = 0; at < count; at += 8) {
+        const i64 block = count - at < 8 ? count - at : 8;
+        TIC(quantize);
+        for (i64 j = 0; j < block; j++)
+            xs[j] = bspc_quant_i8(n, x + (at + j) * n, xq + j * n);
+        TOC(quantize, PH_QUANTIZE);
+        repro_bspc_i8_nb(p, block, spmv, xq, xs, bias, work, out + at * p->rows);
+    }
 }
 
 /* A numpy unary inner loop (PyUFuncGenericFunction; npy_intp is intptr_t). */
@@ -696,26 +739,51 @@ API void repro_loop_f32(loop_fn loop, void *data, i64 n, float *x)
     loop(args, &count, steps, data);
 }
 
-/* The T steps of one chunk.  Per step gh = hid @ W_hh.T, then one sweep
- * per batch row while it is in L1, in float32 from the rounded sums on:
- * zr = sigmoid(gx_zr + gh_zr) as 1 / (exp(-(..)) + 1),
- * cand = tanh(gx_h + r * (gh_h + bias_h)) and
- * out[t] = (1 - z) * hid + z * cand, the next step's hid. */
-API void repro_gru_i8_chunk(
-    i64 strips, i64 mr, i64 mc, i64 h, i64 batch, i64 steps, const i8 *codes,
-    const i64 *gcols, const i64 *srows, const i8 *lanes, const i64 *layout,
-    double scale, const double *bias_h, const double *hid, const double *gx,
-    double *out, float *zr, float *cand, double *gh, i32 *work,
+/* Rows of a GRU layer's hidden states in the arena of repro_plan_i8_chunk:
+ * float64 states and their int8 codes, H apart, and the codes' scales. */
+typedef struct {
+    double *state, *scale;
+    i8 *code;
+} tile_rows;
+
+/* Doubles of arena a GRU layer of width h takes at `rows` rows a tile: two
+ * halves — tiles alternate between them, so the one a tile writes is not
+ * the one the tile before it wrote — each `rows` states, their scales and
+ * their codes. */
+static i64 tile_layer(i64 rows, i64 h)
+{
+    return 2 * (rows * h + rows + (rows * h + 7) / 8);
+}
+
+/* Half `which` of the layer whose arena starts at `at`. */
+static tile_rows tile_half(double *at, i64 rows, i64 h, i64 which)
+{
+    double *state = at + which * tile_layer(rows, h) / 2;
+    return (tile_rows){state, state + rows * h, (i8 *)(state + rows * h + rows)};
+}
+
+/* `steps` steps of one GRU layer, starting from the states `before` (B
+ * rows), gx the steps' gate rows.  Per step gh = (the states before it, as
+ * their codes) @ W_hh.T, then one sweep per batch row while it is in L1, in
+ * float32 from the rounded sums on: zr = sigmoid(gx_zr + gh_zr) as
+ * 1 / (exp(-(..)) + 1), cand = tanh(gx_h + r * (gh_h + bias_h)) and the
+ * new state (1 - z) * prev + z * cand, widened into `now` and quantized
+ * there and then, while it is hot, to the codes and scale that both the
+ * next step's product and the next op read.  `now` advances a step. */
+static void repro_gru_i8_chunk(
+    const plan_op *op, i64 batch, i64 steps, tile_rows before, const double *gx,
+    tile_rows now, float *zr, float *cand, double *gh, i32 *work,
     loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
 {
+    const i64 h = op->n;
+    const double *bias_h = op->bias;
     for (i64 t = 0; t < steps; t++) {
-        repro_bspc_i8_rows(strips, mr, mc, 3 * h, h, batch, codes, gcols, srows,
-                           lanes, layout, hid, scale, NULL, work, gh);
-        TIC(gates);
+        bspc_i8_coded(op, batch, before.code, before.scale, NULL, work, gh);
         for (i64 b = 0; b < batch; b++) {
             const double *gxb = gx + b * 3 * h, *ghb = gh + b * 3 * h;
-            const double *prev = hid + b * h;
-            double *next = out + b * h;
+            const double *prev = before.state + b * h;
+            double *next = now.state + b * h;
+            TIC(gates);
             for (i64 i = 0; i < 2 * h; i++)
                 zr[i] = -(float)(gxb[i] + ghb[i]);
             repro_loop_f32(exp_loop, exp_data, 2 * h, zr);
@@ -727,78 +795,100 @@ API void repro_gru_i8_chunk(
             repro_loop_f32(tanh_loop, tanh_data, h, cand);
             for (i64 i = 0; i < h; i++)
                 next[i] = (1.0f - zr[i]) * (float)prev[i] + zr[i] * cand[i];
+            TOC(gates, PH_GATES);
+            TIC(quantize);
+            now.scale[b] = bspc_quant_i8(h, next, now.code + b * h);
+            TOC(quantize, PH_QUANTIZE);
         }
-        TOC(gates, PH_GATES);
-        hid = out;
-        out += batch * h;
+        before = now;
+        now.state += batch * h;
+        now.scale += batch;
+        now.code += batch * h;
         gx += batch * 3 * h;
     }
 }
 
-/* One op of a lowered int8 GRU plan: a panel as repro_bspc_i8_nb reads it
- * (`rows` output rows of an `n`-wide operand) and what the op adds to the
- * product — PLAN_PROJECT: x @ W.T + bias into the gates of the PLAN_GRU
- * after it, whose bias is the candidate gate's; PLAN_OUTPUT: the last
- * layer's hidden states @ W.T (+ bias, if any) into the logits. */
-enum { PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT };
-typedef struct {
-    i64 kind, strips, mr, mc, rows, n;
-    const i8 *codes;
-    const i64 *gcols, *srows;
-    const i8 *lanes;
-    const i64 *layout;
-    double scale;
-    const double *bias;
-} plan_op;
-
-/* One chunk of a whole plan: x (T, B, ops[0].n) through the ops in order
- * into logits (T, B, the last op's width).  `carry` holds, GRU by GRU, the
- * (B, H) states in and then the (B, H) arrays the states out are copied to.
- * `arena` is laid out here, from T, B and the widest H alone: T * B gate
- * rows of 3H, two runs of T * B hidden rows (a layer reads the one and
- * writes the other), then gh (B rows of 3H) and the float32 zr and cand of
- * repro_gru_i8_chunk; `work` is sized for the neediest op at min(T * B, 8)
- * rows.  B > 0, T > 0. */
+/* One chunk of a whole plan: x (T, B, ops[0].n) through the ops — per
+ * layer a PLAN_PROJECT and a PLAN_GRU, then at most one PLAN_OUTPUT — into
+ * logits (T, B, the last op's width).  The chunk is walked in tiles of
+ * ceil(8 / B) steps, the fewest whole steps that fill the product's 8-row
+ * block, and a tile runs every op before the next tile starts, so its gate
+ * rows, states and gh stay in cache.  A tile's frames of x are quantized
+ * once, for the first projection; every hidden state once, in the gate
+ * sweep that makes it (repro_gru_i8_chunk), for the layer's next step and
+ * the next op; each carry in once, for tile 0.  `carry` holds, GRU by GRU,
+ * the (B, H) states in and then the (B, H) arrays the states out are
+ * copied to.  `arena` is laid out here from B and the widths alone, for
+ * tiles of `rows` = ceil(8 / B) * B rows: the tile's gate rows (3H of the
+ * widest H), gh (B rows), the float32 zr and cand (3H), the codes and
+ * scales of the tile's x, then per GRU the tile_layer of its own H.
+ * `work` is the neediest op's product scratch at 8 rows.  B > 0, T > 0. */
 API void repro_plan_i8_chunk(
     const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
     double *const *carry, double *logits, double *arena, i32 *work,
     loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
 {
     TIC(chunk);
-    const i64 frames = steps * batch;
-    i64 h = 0, grus = 0, width = 0;
+    const i64 tile = (8 + batch - 1) / batch, rows = tile * batch, d = ops[0].n;
+    const i64 last = rows - batch;  /* the first row of a whole tile's last step */
+    i64 h = 0, grus = 0;
     for (i64 i = 0; i < count; i++)
         if (ops[i].kind == PLAN_GRU) {
             grus++;
             h = ops[i].n > h ? ops[i].n : h;
         }
-    double *gates = arena, *out = gates + frames * 3 * h, *spare = out + frames * h;
-    double *gh = spare + frames * h;
+    double *gates = arena, *gh = gates + rows * 3 * h;
     float *zr = (float *)(gh + batch * 3 * h), *cand = zr + 2 * h;
-    for (const plan_op *op = ops; op < ops + count; op++) {
-        if (op->kind != PLAN_GRU) {
-            double *to = op->kind == PLAN_OUTPUT ? logits : gates;
-            repro_bspc_i8_rows(op->strips, op->mr, op->mc, op->rows, op->n, frames,
-                               op->codes, op->gcols, op->srows, op->lanes, op->layout,
-                               x, op->scale, op->bias, work, to);
-            x = to;
-            continue;
-        }
-        width = op->n;
-        repro_gru_i8_chunk(op->strips, op->mr, op->mc, width, batch, steps, op->codes,
-                           op->gcols, op->srows, op->lanes, op->layout, op->scale,
-                           op->bias, carry[0], gates, out, zr, cand, gh, work,
-                           exp_loop, exp_data, tanh_loop, tanh_data);
-        memcpy(carry[grus], out + (frames - batch) * width,
-               (size_t)(batch * width) * sizeof(double));
-        carry++;
-        double *const states = out;  /* the next op's operand */
-        out = spare;
-        spare = states;
-        x = states;
+    double *xs = gh + batch * 3 * h + 2 * h, *layers = xs + rows + (rows * d + 7) / 8;
+    i8 *xq = (i8 *)(xs + rows);
+    /* each carry in, where tile 0 reads the step before it */
+    double *layer = layers;
+    for (i64 i = 0, g = 0; i < count; i++) {
+        if (ops[i].kind != PLAN_GRU) continue;
+        const i64 hg = ops[i].n;
+        const tile_rows in = tile_half(layer, rows, hg, 1);
+        double *state = in.state + last * hg;
+        memcpy(state, carry[g++], (size_t)(batch * hg) * sizeof(double));
+        TIC(quantize);
+        for (i64 b = 0; b < batch; b++)
+            in.scale[last + b] = bspc_quant_i8(hg, state + b * hg, in.code + (last + b) * hg);
+        TOC(quantize, PH_QUANTIZE);
+        layer += tile_layer(rows, hg);
     }
-    if (x != logits)  /* no output op: the last layer's states are the result */
-        memcpy(logits, x, (size_t)(frames * width) * sizeof(double));
+    for (i64 t0 = 0, k = 0; t0 < steps; t0 += tile, k++) {
+        const i64 span = steps - t0 < tile ? steps - t0 : tile, frames = span * batch;
+        const i8 *q = xq;  /* the next op's operand: x's codes, then a layer's */
+        const double *s = xs;
+        TIC(quantize);
+        for (i64 r = 0; r < frames; r++)
+            xs[r] = bspc_quant_i8(d, x + (t0 * batch + r) * d, xq + r * d);
+        TOC(quantize, PH_QUANTIZE);
+        layer = layers;
+        for (i64 i = 0, g = 0; i < count; i++) {
+            const plan_op *op = ops + i;
+            if (op->kind != PLAN_GRU) {
+                bspc_i8_coded(op, frames, q, s, op->bias, work,
+                              op->kind == PLAN_OUTPUT ? logits + t0 * batch * op->rows : gates);
+                continue;
+            }
+            const i64 hg = op->n;
+            const tile_rows was = tile_half(layer, rows, hg, (k + 1) % 2);
+            const tile_rows now = tile_half(layer, rows, hg, k % 2);
+            /* the step before the tile: the last of the tile before, or the carry */
+            const tile_rows before = {was.state + last * hg, was.scale + last, was.code + last * hg};
+            repro_gru_i8_chunk(op, batch, span, before, gates, now, zr, cand, gh, work,
+                               exp_loop, exp_data, tanh_loop, tanh_data);
+            q = now.code;
+            s = now.scale;
+            if (t0 + span == steps)
+                memcpy(carry[grus + g], now.state + (frames - batch) * hg,
+                       (size_t)(batch * hg) * sizeof(double));
+            if (i == count - 1)  /* no output op: the last layer's states are the logits */
+                memcpy(logits + t0 * batch * hg, now.state, (size_t)(frames * hg) * sizeof(double));
+            layer += tile_layer(rows, hg);
+            g++;
+        }
+    }
     TOC(chunk, PH_CHUNK);
 }
 """
@@ -967,19 +1057,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_i8_kgroup": (),
         "repro_i8_pack": (i64, i64, i64, ptr, ptr),
         "repro_phase_ticks": (ptr,),
-        "repro_bspc_i8_nb": (
-            i64, i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl,
-            ptr, ptr, ptr,
-        ),
-        "repro_bspc_i8_rows": (
-            i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl, ptr,
-            ptr, ptr,
-        ),
+        "repro_bspc_i8_rows": (ptr, i64, i64, ptr, ptr, ptr, ptr),
         "repro_loop_f32": (ptr, ptr, i64, ptr),
-        "repro_gru_i8_chunk": (
-            i64, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr,
-            ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ),
         "repro_plan_i8_chunk": (
             ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ),
@@ -1023,10 +1102,9 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
     gather, scatter = (np.arange(size, dtype=np.int64)[None] for size in (n, rows))
     panel = _Panel(codes.shape, codes[None], gather, scatter, 1.0, lib=lib)
     for batch in (1, 2):
-        sizes, addresses, work = _narrow_call(panel, n, batch)
         out = np.empty((batch, rows))
-        lib.repro_bspc_i8_nb(
-            *sizes, rows, n, batch, 0, *addresses, _p(x), 1.0, None, work, _p(out)
+        lib.repro_bspc_i8_rows(
+            panel.at, batch, 0, _p(x), None, _narrow_call(panel, n, batch), _p(out)
         )
         check(out, x[:batch] @ codes.T.astype(np.float64))
 
@@ -1155,7 +1233,8 @@ def numpy_loops() -> Optional[tuple]:
 
 
 #: The phase counters of a ``build_library(phases=True)`` library, in the
-#: order C keeps them: the int8 product's activation quantize, code gather,
+#: order C keeps them: the quantize of every int8 product's operand (the
+#: hidden states' too, in the gate sweep that makes them), code gather,
 #: integer MAC and output epilogue (dequant + bias; the register block's
 #: zeroing too), the GRU gate sweep, and the whole ``repro_plan_i8_chunk``
 #: call.
@@ -1225,11 +1304,25 @@ def _scratch(size: int) -> int:
     return held[1]
 
 
+PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT = range(3)
+
+
+class _PlanOp(ctypes.Structure):
+    """``plan_op`` of the C source, field for field."""
+
+    _fields_ = (
+        [(name, ctypes.c_longlong) for name in ("kind", "strips", "mr", "mc", "rows", "n")]
+        + [(name, ctypes.c_void_p) for name in ("codes", "gcols", "srows", "lanes", "layout")]
+        + [("scale", ctypes.c_double), ("bias", ctypes.c_void_p)]
+    )
+
+
 class _Panel:
-    """One int8 weight as ``repro_bspc_i8_nb`` reads it: sizes, scale, and
-    the addresses of its codes, gather columns and scatter rows, looked up
-    once (`ndarray.ctypes.data` costs over a microsecond a time — more
-    than quantizing a B=1 activation).  Where the library (``lib``: the
+    """One int8 weight as the C product reads it: ``op``, a ``plan_op``
+    record of its sizes, scale and the addresses of its codes, gather
+    columns and scatter rows, built once (`ndarray.ctypes.data` costs over
+    a microsecond a time — more than quantizing a B=1 activation), and
+    ``at``, the record's own address.  Where the library (``lib``: the
     loaded one) has the rows-in-lanes kernel and the weight suits it, the
     codes are packed a second time as that kernel reads them — by the
     library, ``repro_i8_pack``: the layout is its own — next to where its
@@ -1268,7 +1361,9 @@ class _Panel:
             layout = np.concatenate([starts, offsets << 16 | masks]).astype(np.int64)
             self.acc = int(starts[-1]) + -(-mr // LANES_PAD) * LANES_PAD
         self._held = (codes, gather_cols, scatter_rows, packed, layout)
-        self.addresses = tuple(None if a is None else _p(a) for a in self._held)
+        addresses = (None if a is None else _p(a) for a in self._held)
+        self.op = _PlanOp(PLAN_PROJECT, strips, mr, mc, *shape, *addresses, scale, None)
+        self.at = ctypes.addressof(self.op)
 
 
 #: id(int8 plan) → its :class:`_Panel`, dropped when the plan dies (an
@@ -1354,19 +1449,28 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _narrow_call(panel: _Panel, n: int, batch: int) -> tuple:
-    """What every ``repro_bspc_i8_nb``-based entry passes for a panel
-    resolved for this call: its sizes and addresses, and this thread's
-    scratch for ``batch`` rows of an ``n``-wide operand (in int32 units:
-    the lanes accumulators, the gathered codes — int16 at their widest —
-    and the int8 codes of the whole operand).  The kernel keeps eight
-    column scales: wider operands go through ``repro_bspc_i8_rows``."""
+def _narrow_call(panel: _Panel, n: int, batch: int) -> int:
+    """This thread's scratch for ``repro_bspc_i8_rows`` on ``batch`` rows of
+    an ``n``-wide operand (in int32 units: the lanes accumulators, the
+    gathered codes — int16 at their widest — and the operand's int8
+    codes).  The entry quantizes eight rows at a time, keeping their scales
+    on its stack: ``batch`` is a block's, ``min(rows, 8)``."""
     _check_operand(panel.shape[1], n)
     if batch > 8:
         raise ShapeError(f"the narrow kernel takes at most 8 columns, got {batch}")
     mc = panel.sizes[2]
-    work = _scratch(batch * (panel.acc + (mc + 1) // 2) + (batch * n + 3) // 4)
-    return panel.sizes, panel.addresses, work
+    return _scratch(batch * (panel.acc + (mc + 1) // 2) + (batch * n + 3) // 4)
+
+
+def _panel_rows(
+    panel: _Panel, x: np.ndarray, bias: Optional[int], out: np.ndarray, spmv: bool = False
+) -> np.ndarray:
+    """``repro_bspc_i8_rows`` on operands already checked: C-contiguous
+    float64 ``x (N, n)`` and ``out (N, rows)``, ``bias`` an address."""
+    count, n = x.shape
+    work = _narrow_call(panel, n, min(count, 8))
+    _library().repro_bspc_i8_rows(panel.at, count, spmv, _p(x), bias, work, _p(out))
+    return out
 
 
 def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
@@ -1374,26 +1478,8 @@ def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
     rows = plan.base.shape[0]
     if not plan.base.panels.size:
         return np.zeros(rows)
-    x = _f64(x).reshape(-1)
-    sizes, addresses, work = _narrow_call(_plan_panel(plan), len(x), 1)
-    out = np.empty(rows)
-    _library().repro_bspc_i8_nb(
-        *sizes, rows, len(x), 1, True, *addresses, _p(x), plan.scale, None, work,
-        _p(out),
-    )
-    return out
-
-
-def _panel_rows(panel: _Panel, x: np.ndarray, bias: Optional[int], out: np.ndarray):
-    """``repro_bspc_i8_rows`` on operands already checked: C-contiguous
-    float64 ``x (N, n)`` and ``out (N, rows)``, ``bias`` an address."""
-    count, n = x.shape
-    sizes, addresses, work = _narrow_call(panel, n, min(count, 8))
-    _library().repro_bspc_i8_rows(
-        *sizes, panel.shape[0], n, count, *addresses, _p(x), panel.scale, bias, work,
-        _p(out),
-    )
-    return out
+    x = _f64(x).reshape(1, -1)
+    return _panel_rows(_plan_panel(plan), x, None, np.empty((1, rows)), spmv=True)[0]
 
 
 def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
@@ -1447,19 +1533,6 @@ def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.nd
     return panel_linear_int8(panel, x, None, out)
 
 
-PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT = range(3)
-
-
-class _PlanOp(ctypes.Structure):
-    """``plan_op`` of the C source, field for field."""
-
-    _fields_ = (
-        [(name, ctypes.c_longlong) for name in ("kind", "strips", "mr", "mc", "rows", "n")]
-        + [(name, ctypes.c_void_p) for name in ("codes", "gcols", "srows", "lanes", "layout")]
-        + [("scale", ctypes.c_double), ("bias", ctypes.c_void_p)]
-    )
-
-
 class PlanProgram:
     """An all-int8 GRU plan as ``repro_plan_i8_chunk`` runs it: one C call
     per chunk.
@@ -1471,14 +1544,20 @@ class PlanProgram:
     float64.  The descriptor is one :class:`_PlanOp` per op, independent of
     the chunk's shape; the program holds every array it points into and
     the int8 plan each BSPC weight had, so :meth:`stale` sees a plan
-    invalidated since.  A chain of widths that does not fit is a
-    :class:`ShapeError` here: the C side checks nothing.
+    invalidated since.  Ops in another order, or a chain of widths that
+    does not fit, is a :class:`ShapeError` here: the C side checks nothing.
     """
 
     def __init__(self, ops) -> None:
         self._lib = _library()
         if self._lib.numpy_loops is None:  # the engine lowers no program then
             raise CompileBackendError("numpy's exp/tanh inner loops did not resolve")
+        kinds = [kind for kind, _, _ in ops]
+        layers = len(kinds) // 2
+        if not layers or kinds != [PLAN_PROJECT, PLAN_GRU] * layers + [PLAN_OUTPUT] * (
+            len(kinds) % 2
+        ):
+            raise ShapeError(f"ops must be (project, gru) per layer, then an output: {kinds}")
         self._plans, self._held, records = [], [], []
         self.hidden = []  # H of each GRU, in order
         width = self._work = 0
@@ -1499,20 +1578,29 @@ class PlanProgram:
             if not fits:
                 raise ShapeError(f"op {len(records)} is {panel.shape} after {width} wide rows")
             width = n if kind == PLAN_GRU else rows
-            # int32 of scratch per operand row, the terms of `_narrow_call`:
-            # lane sums, gathered codes, the operand's own codes
-            work = panel.acc + (panel.sizes[2] + 1) // 2 + (n + 3) // 4
-            self._work = max(self._work, work)
-            records.append(
-                _PlanOp(kind, *panel.sizes, rows, n, *panel.addresses, panel.scale,
-                        None if bias is None else _p(bias))
-            )
+            # int32 of scratch per operand row, the product's: lane sums,
+            # gathered codes (the operand's codes are in the arena)
+            self._work = max(self._work, panel.acc + (panel.sizes[2] + 1) // 2)
+            record = _PlanOp.from_buffer_copy(panel.op)
+            record.kind, record.bias = kind, None if bias is None else _p(bias)
+            records.append(record)
             self._held.append((panel, bias))
         self._ops = (_PlanOp * len(records))(*records)
-        self._widest = max(self.hidden)  # the H the arena is laid out for, as in C
+        self._input = records[0].n  # D, the width of a frame of x
         self.width = width  # of a row of logits
         self.arena = np.empty(0)
         self._arena_at = 0
+
+    def arena_size(self, batch: int) -> int:
+        """Doubles of arena ``repro_plan_i8_chunk`` lays out for a chunk of
+        ``batch`` rows a step, as the C does: tiles of ``ceil(8 / B) * B``
+        rows, their gate rows (3H of the widest H), ``gh`` (B rows), the
+        float32 ``zr`` and ``cand`` (3H), the codes and scales of a tile of
+        ``x``; then per GRU two halves of a tile's states, scales and codes
+        (``tile_layer``).  Not a function of ``T``."""
+        rows, h = -(-8 // batch) * batch, max(self.hidden)
+        need = rows * 3 * h + batch * 3 * h + 2 * h + rows + (rows * self._input + 7) // 8
+        return need + sum(2 * (rows * g + rows + (rows * g + 7) // 8) for g in self.hidden)
 
     def stale(self) -> bool:
         """Whether a BSPC weight's cached int8 plan is no longer the one
@@ -1522,9 +1610,13 @@ class PlanProgram:
     def run(self, x: np.ndarray, carry) -> Tuple[np.ndarray, list]:
         """``x (T, B, D)`` and per-layer ``(hidden,)`` carries (``None``:
         zeros) → fresh logits and fresh ``(hidden,)`` carries; ``T > 0``,
-        ``B > 0``.  Shapes are the caller's to have checked."""
+        ``B > 0``.  Shapes are the caller's to have checked.  The chunk runs
+        in tiles of ``ceil(8 / B)`` steps, every op of a tile before the
+        next, and each hidden state is quantized once, where it is made;
+        the arena (:meth:`arena_size`) grows only with ``B``, never with
+        ``T``, and its address is taken again when it does.  Nothing
+        returned aliases it."""
         seq_len, batch, _ = x.shape
-        frames, h = seq_len * batch, self._widest
         x = _f64(x)
         states = [
             np.zeros((batch, width)) if carry is None else _f64(carry[i][0])
@@ -1532,7 +1624,7 @@ class PlanProgram:
         ]
         fresh = [np.empty((batch, width)) for width in self.hidden]
         logits = np.empty((seq_len, batch, self.width))
-        need = frames * 5 * h + (3 * batch + 2) * h  # zr and cand: 3H float32
+        need = self.arena_size(batch)
         if self.arena.size < need:
             self.arena = np.empty(need)
             self._arena_at = _p(self.arena)
@@ -1541,7 +1633,7 @@ class PlanProgram:
             self._ops, len(self._ops), seq_len, batch, _p(x),
             (ctypes.c_void_p * (2 * len(fresh)))(*map(_p, states + fresh)), _p(logits),
             self._arena_at,
-            _scratch(min(frames, 8) * self._work),  # a product's block is <= 8 rows
+            _scratch(8 * self._work),  # a product's block is <= 8 rows
             *lib.numpy_loops,
         )
         return logits, [(state,) for state in fresh]

@@ -255,12 +255,16 @@ def run_without_a_compiler(tmp_path, body):
 
 
 def streamed_bytes(plan):
-    """Logits and carry state of the probe frames fed in three chunks."""
+    """Logits and carry state of the probe frames fed in three chunks, then
+    of one session's twenty frames in one chunk (three tiles of a program
+    at B = 1)."""
     state, parts = None, []
     for chunk in np.array_split(probe_features(), [1, 5]):
         logits, state = plan.run_chunk(chunk, state)
         parts.append(logits)
     parts += [component for layer in state.layer_states for component in layer]
+    logits, state = plan.run_chunk(new_rng(12).standard_normal((20, 1, 8)))
+    parts += [logits] + [component for layer in state.layer_states for component in layer]
     return b"".join(part.tobytes() for part in parts)
 
 

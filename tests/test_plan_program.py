@@ -31,12 +31,13 @@ requires_program = pytest.mark.skipif(
 )
 
 
-def bare_rnn_plan():
-    """Two BSP-pruned GRU layers and no output layer: logits are states."""
-    rng = new_rng(5)
+def bare_rnn_plan(hidden=(24, 24)):
+    """BSP-pruned GRU layers of these widths and no output layer: logits
+    are states."""
+    rng, widths = new_rng(5), (8, *hidden)
     weights = {
-        f"gru.cell{i}.weight_{side}": rng.standard_normal((72, 24 if i or side == "hh" else 8))
-        for i in range(2) for side in ("ih", "hh")
+        f"gru.cell{i}.weight_{side}": rng.standard_normal((3 * h, h if side == "hh" else widths[i]))
+        for i, h in enumerate(hidden) for side in ("ih", "hh")
     }
     masks = bsp_project_masks(
         weights, BSPConfig(col_rate=4, row_rate=2, num_row_strips=4, num_col_blocks=4)
@@ -46,14 +47,21 @@ def bare_rnn_plan():
     return engine.compile_rnn(pruned, scheme="int8", config=config)
 
 
-@pytest.fixture(scope="module")
-def plans():
+def make_plans():
+    """The plans the properties below run, by name, lowered under routing."""
     with kernels.use_backend(None):
         return {
             "bspc": bsp_int8_plan(),
             "auto": bsp_int8_plan(sparse_format="auto"),
             "bare": bare_rnn_plan(),
+            # layers of unequal widths: each layer's buffers at its own H
+            "narrowing": bare_rnn_plan((24, 16)),
         }
+
+
+@pytest.fixture(scope="module")
+def plans():
+    return make_plans()
 
 
 def stream(plan, chunks, state, lowered=True):
@@ -74,12 +82,14 @@ def stream(plan, chunks, state, lowered=True):
 
 @st.composite
 def traffic(draw):
-    batch = draw(st.integers(1, 40))
-    frames = draw(st.integers(1, 12))
+    # tiles are ceil(8 / B) steps: B = 1 crosses two tile boundaries at 20
+    # frames, and 3, 5, 6, 7 leave a short 8-row block in every tile
+    batch = draw(st.one_of(st.sampled_from([1, 3, 5, 6, 7]), st.integers(1, 40)))
+    frames = draw(st.integers(1, 20))
     cuts = draw(st.lists(st.integers(0, frames), max_size=3))  # repeats: empty chunks
     return (
-        draw(st.sampled_from(["bspc", "auto", "bare"])), batch, frames, sorted(cuts),
-        draw(st.booleans()), draw(st.integers(0, 2**16)),
+        draw(st.sampled_from(["bspc", "auto", "bare", "narrowing"])), batch, frames,
+        sorted(cuts), draw(st.booleans()), draw(st.integers(0, 2**16)),
     )
 
 
@@ -92,7 +102,7 @@ def test_any_split_equals_the_generic_loop_and_reference(plans, case):
     state = None
     if carried:
         state = engine.PlanState(
-            [(rng.standard_normal((batch, 24)),) for _ in plan.layers]
+            [(rng.standard_normal((batch, layer.hidden_size)),) for layer in plan.layers]
         )
     with kernels.use_backend(None):
         got = stream(plan, chunks, state)
@@ -115,8 +125,10 @@ def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
     # the gates of an int8 recurrence run in float32; the states they
     # blend are widened back into float64 arrays
     x = rng.standard_normal((3, 5, 8))
-    carry = engine.PlanState([(rng.standard_normal((5, 24)),) for _ in range(2)])
     for plan in plans.values():
+        carry = engine.PlanState(
+            [(rng.standard_normal((5, layer.hidden_size)),) for layer in plan.layers]
+        )
         with kernels.use_backend(backend):
             assert all(layer.gate_dtype == np.float32 for layer in plan.layers)
             logits, state = plan.run_chunk(x, carry)
@@ -181,20 +193,27 @@ class TestOneCall:
                     assert a[0].tobytes() == b[0].tobytes()
                 logits, after = plan.run_chunk(np.zeros((5, 0, 8)))
                 assert logits.shape[:2] == (5, 0)
-                assert [layer[0].shape for layer in after.layer_states] == [(0, 24), (0, 24)]
+                widths = [(0, layer.hidden_size) for layer in plan.layers]
+                assert [layer[0].shape for layer in after.layer_states] == widths
                 assert "repro_plan_i8_chunk" not in c_calls
 
-    def test_the_arena_grows_with_the_chunk_and_its_address_is_taken_again(self, plans, rng):
-        plan = plans["bare"]
-        x = rng.standard_normal((6, 40, 8))
+    def test_the_arena_is_sized_by_the_batch_not_the_chunk(self, rng):
+        # tiles of ceil(8 / B) steps: what a chunk needs does not grow with T
         with kernels.use_backend(None):
-            plan.run_chunk(x[:, :2])
-            small = plan.program.arena
+            plan = bare_rnn_plan()  # a fresh program: nothing held yet
+            x = rng.standard_normal((2000, 3, 8))
+            plan.run_chunk(x[:1])
+            made = plan.program.arena
+            assert made.size == plan.program.arena_size(3)
             got = stream(plan, [x], None)
-            assert plan.program.arena.size > small.size
-            assert plan.program._arena_at == plan.program.arena.ctypes.data
+            assert plan.program.arena is made
             assert got == stream(plan, [x], None, lowered=False)
-            assert stream(plan, [x[:, :2]], None) == stream(plan, [x[:, :2]], None, lowered=False)
+            wide = rng.standard_normal((6, 40, 8))
+            got = stream(plan, [wide], None)
+            assert plan.program.arena.size > made.size
+            assert plan.program._arena_at == plan.program.arena.ctypes.data
+            assert got == stream(plan, [wide], None, lowered=False)
+            assert stream(plan, [x[:9]], None) == stream(plan, [x[:9]], None, lowered=False)
 
     def test_results_never_alias_the_arena_or_each_other(self, plans, rng):
         plan = plans["bare"]  # its logits are copied out of the arena itself
@@ -227,17 +246,18 @@ class TestOneCall:
             worker.join(timeout=60)
         assert got == [want]
 
-        for layer in plan.layers:  # what _narrow_call asks for at its widest, 8 rows
-            for weight, n in ((layer.input_proj, layer.input_size), (layer.recurrent, 24)):
+        # what the product takes at 8 rows: lane sums and gathered codes (the
+        # operand's codes are quantized into the arena, not the scratch)
+        for layer in plan.layers:
+            for weight in (layer.input_proj, layer.recurrent):
                 panel = compiled._plan_panel(kernels.int8_bspc_plan(weight.matrix))
-                needs = 8 * (panel.acc + (panel.sizes[2] + 1) // 2) + (8 * n + 3) // 4
-                assert 8 * plan.program._work >= needs
+                assert plan.program._work >= panel.acc + (panel.sizes[2] + 1) // 2
 
 
 @requires_program
 def test_the_narrow_kernel_refuses_more_columns_than_it_keeps_scales_for():
-    # repro_bspc_i8_nb holds eight column scales on its stack; wider
-    # operands are the 8-row blocks of repro_bspc_i8_rows
+    # repro_bspc_i8_rows quantizes eight rows at a time, holding their
+    # scales on its stack, into scratch sized for one such block
     panel = compiled._plan_panel(kernels.int8_bspc_plan(bsp_matrix()))
     compiled._narrow_call(panel, 64, 8)
     for batch in (9, 16):
