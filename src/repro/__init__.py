@@ -12,8 +12,9 @@ Layered public API:
   pass pipeline (reorder / load elimination / format + kernel selection)
   with simulated *and* measured auto-tuning,
 * :mod:`repro.engine` — the compiler's executable backend: compiled
-  model plans (packed, optionally quantized weights), length-bucketed
-  micro-batched serving, and save/load of tuned plan artifacts,
+  model plans (packed, optionally quantized weights), one streaming
+  serving path (whole utterances are single chunks), and save/load of
+  tuned plan artifacts,
 * :mod:`repro.hw` — calibrated Adreno 640 / Kryo 485 simulator + energy,
 * :mod:`repro.speech` — synthetic TIMIT-like corpus, GRU acoustic model,
   PER evaluation,

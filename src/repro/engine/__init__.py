@@ -5,17 +5,17 @@ walks a trained module tree once into the shared layer-graph IR
 (:mod:`repro.compiler.ir`), runs the compiler's pass pipeline, and
 :func:`lower_graph` freezes the decided graph into a :class:`ModelPlan`
 (packed — optionally sparse and/or quantized — weights plus preallocated
-work buffers); :mod:`repro.engine.serving` drives padded micro-batches
-from an utterance stream through that plan.  Tuned plans serialize with
-:func:`save_plan` and reload bit-identically with :func:`load_plan`.
+work buffers); :class:`StreamScheduler` serves any number of concurrent
+sessions through that plan, a whole utterance being one chunk.  Tuned
+plans serialize with :func:`save_plan` and reload bit-identically with
+:func:`load_plan`.
 
 Quickstart::
 
     from repro import engine
 
     plan = engine.compile_model(model, scheme="int8")
-    logits = plan.forward_batch(features, lengths)      # (T, B, C)
-    hyps, stats = engine.serve_stream(plan, utterance_features)
+    logits = plan.forward_batch(features)               # (T, B, C)
 
     # online, chunk at a time, state carried between chunks:
     session = engine.StreamingSession(plan, min_duration=2)
@@ -65,12 +65,6 @@ from repro.engine.plan import (
     compile_rnn,
     lower_graph,
 )
-from repro.engine.serving import (
-    MicroBatcher,
-    ServingConfig,
-    ServingStats,
-    serve_stream,
-)
 from repro.engine.streaming import (
     StreamConfig,
     StreamScheduler,
@@ -92,10 +86,6 @@ __all__ = [
     "load_plan",
     "PlanRegistry",
     "RegistryEntry",
-    "MicroBatcher",
-    "ServingConfig",
-    "ServingStats",
-    "serve_stream",
     "StreamConfig",
     "StreamScheduler",
     "StreamStats",

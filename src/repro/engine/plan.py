@@ -714,27 +714,14 @@ class ModelPlan:
     def _checked(self, features: np.ndarray, entry: str) -> np.ndarray:
         return check_features(features, "T, B", self.input_dim, entry)
 
-    def forward_batch(
-        self, features: np.ndarray, lengths: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Padded features ``(T, B, D)`` → logits ``(T, B, C)``.
+    def forward_batch(self, features: np.ndarray) -> np.ndarray:
+        """Features ``(T, B, D)`` → logits ``(T, B, C)``, from zero state.
 
-        ``lengths`` is validated when given but the full padded batch is
-        always computed — callers slice per-utterance frames out (the
-        serving layer and :func:`repro.speech.decoder.decode_batch` do).
+        Every row runs all ``T`` frames; a caller with ragged utterances
+        slices each one's frames out (as
+        :func:`repro.speech.decoder.decode_batch` does).
         """
-        features = self._checked(features, "forward_batch")
-        if lengths is not None:
-            lengths = np.asarray(lengths, dtype=np.int64)
-            if lengths.shape != (features.shape[1],):
-                raise ShapeError(
-                    f"lengths must be ({features.shape[1]},), got {lengths.shape}"
-                )
-            if lengths.size and (
-                lengths.min() < 0 or lengths.max() > features.shape[0]
-            ):
-                raise ShapeError("lengths must lie in [0, T]")
-        return self._run(features, None)[0]
+        return self._run(self._checked(features, "forward_batch"), None)[0]
 
     def init_state(self, batch: int) -> PlanState:
         """The all-zero carry state for ``batch`` concurrent streams."""

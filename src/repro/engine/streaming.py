@@ -1,9 +1,9 @@
 """Stateful streaming inference: sessions, deadline batching, latency.
 
-The paper's accelerator exists for *real-time* speech, but the offline
-serving path (:mod:`repro.engine.serving`) only decodes complete
-utterances.  This module adds the low-latency online path on top of the
-same compiled :class:`~repro.engine.plan.ModelPlan`:
+The paper's accelerator exists for *real-time* speech, and this module
+is the one way a compiled :class:`~repro.engine.plan.ModelPlan` is
+served: audio is decoded as it arrives, and a complete utterance is just
+a stream of one chunk.
 
 * :class:`StreamingSession` — one client stream.  Feed feature chunks
   (or raw audio through a :class:`~repro.speech.features.StreamingFrontend`)
@@ -21,9 +21,7 @@ same compiled :class:`~repro.engine.plan.ModelPlan`:
   ``max_wait_frames`` frames of other traffic, the deadline that bounds
   tail latency under light load.
 * :class:`StreamStats` — what the scheduler did: batch sizes, per-chunk
-  wall-clock latency percentiles (p50/p95), and frames of deadline wait,
-  alongside the batch-economics counters ``ServingStats`` tracks for the
-  offline path.
+  wall-clock latency percentiles (p50/p95), and frames of deadline wait.
 
 Plans compiled through the unified pipeline carry their layer graph and
 any tuned kernel-backend choice with them, so a session driven by an

@@ -6,7 +6,6 @@ results::
     python -m repro table1 --fast --json out/table1.json
     python -m repro table2 --csv out/table2.csv --engine
     python -m repro figure4
-    python -m repro serve-bench --utterances 64
     python -m repro stream-bench --sessions 8 --chunk-frames 25
     python -m repro sweep --workers 2 --chaos --resume --expect-exact
     python -m repro all --out results/
@@ -64,35 +63,6 @@ def _run_figure4(args) -> None:
     figure = figure4_from_table2(run_table2(Table2Config(), engine=args.engine))
     print(render_figure4(figure))
     _export(figure, args)
-
-
-def _run_serve_bench(args) -> None:
-    from repro.eval.serve_bench import (
-        ServeBenchConfig,
-        render_serve_bench,
-        run_serve_bench,
-    )
-
-    schemes = (
-        (None, "fp16", "int8")
-        if args.scheme == "all"
-        else (None if args.scheme == "none" else args.scheme,)
-    )
-    config = ServeBenchConfig(
-        num_utterances=args.utterances,
-        hidden_size=args.hidden_size,
-        max_batch_size=args.max_batch,
-        bucket_width=args.bucket_width,
-        repeats=args.repeats,
-        seed=args.seed,
-        schemes=schemes,
-    )
-    result = run_serve_bench(config)
-    print(render_serve_bench(result))
-    if args.json:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(result.to_rows(), indent=2))
-        print(f"wrote {args.json}")
 
 
 def _run_stream_bench(args) -> None:
@@ -345,24 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p4)
     p4.set_defaults(func=_run_figure4)
 
-    ps = sub.add_parser(
-        "serve-bench",
-        help="eager per-utterance vs compiled batched engine serving",
-    )
-    ps.add_argument("--utterances", type=int, default=64)
-    ps.add_argument("--hidden-size", type=int, default=64)
-    ps.add_argument("--max-batch", type=int, default=16)
-    ps.add_argument("--bucket-width", type=int, default=25)
-    ps.add_argument("--repeats", type=int, default=3)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--scheme", choices=["all", "none", "fp16", "int8"],
-                    default="all", help="engine quantization scheme(s) to run")
-    ps.add_argument("--json", type=Path, help="write rows as JSON")
-    ps.set_defaults(func=_run_serve_bench)
-
     pst = sub.add_parser(
         "stream-bench",
-        help="chunked stateful streaming sessions vs offline batched serving",
+        help="chunked streaming sessions vs whole utterances, one scheduler",
     )
     pst.add_argument("--sessions", type=int, default=8,
                      help="concurrent streaming sessions")
@@ -465,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--out", type=Path, default=Path("results"))
     pa.add_argument("--fast", action="store_true")
     pa.set_defaults(func=_run_all)
-    for sub_parser in (p1, p2, p4, ps, pst, psw, pt, pa):
+    for sub_parser in (p1, p2, p4, pst, psw, pt, pa):
         _add_kernel_backend_arg(sub_parser, top_level=False)
     return parser
 

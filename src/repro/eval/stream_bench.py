@@ -1,19 +1,20 @@
-"""Streaming-serving benchmark: chunked stateful sessions vs offline.
+"""Streaming-serving benchmark: chunked sessions vs whole utterances.
 
-The offline serving path (:func:`repro.engine.serve_stream`) decodes
-complete utterances through length-bucketed micro-batches — maximum
-throughput, but a client hears nothing until its whole utterance has
-been captured *and* decoded.  The streaming path trades some throughput
-for bounded latency: concurrent sessions feed fixed-size chunks into a
-:class:`~repro.engine.streaming.StreamScheduler`, which fuses equal-length
-chunks across sessions under a ``max_wait_frames`` deadline.
+Every row serves the same synthetic utterance stream through the one
+serving path, a :class:`~repro.engine.streaming.StreamScheduler` (or a
+fabric of them).  The *offline* row feeds each utterance as a single
+chunk — maximum throughput, but a client hears nothing until its whole
+utterance has been captured *and* decoded.  The *streaming* row trades
+some throughput for bounded latency: concurrent sessions feed fixed-size
+chunks, which the scheduler fuses across sessions by equal length under
+a ``max_wait_frames`` deadline.
 
-This harness runs the same synthetic utterance stream down both paths
-and reports what chunking costs and buys: wall clock and sessions/sec,
-the per-chunk p50/p95 submit→decode latency, the scheduler's mean fused
-batch size, and the fraction of sessions whose streamed hypothesis
-matches the offline decode exactly (the chunk-exactness guarantee says
-all of them).
+The harness reports what chunking costs and buys: wall clock and
+sessions/sec, the per-chunk p50/p95 submit→decode latency, the
+scheduler's mean fused batch size, and each row's ``decode_match`` — the
+fraction of sessions whose hypothesis equals the reference, every
+utterance decoded alone with ``decode_utterance(plan.forward_utterance(u))``
+outside any scheduler (the chunk-exactness guarantee says all of them).
 
 With ``workers >= 1`` the harness adds a third path: the same stream
 served through a multi-process :class:`~repro.engine.fabric.ServingFabric`
@@ -39,17 +40,13 @@ pre-/post-swap versions either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional
 
-from repro.engine import (
-    ServingConfig,
-    StreamConfig,
-    StreamScheduler,
-    compile_model,
-    serve_stream,
-)
+from repro.engine import StreamConfig, StreamScheduler, compile_model
 from repro.errors import ConfigError
 from repro.eval.report import fmt, format_table
+from repro.speech.decoder import decode_utterance
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.synth import SynthConfig, make_dataset
 from repro.utils.timing import timed_median
@@ -109,8 +106,8 @@ class StreamBenchRow:
     path: str
     wall_s: float
     sessions_per_s: float
-    speedup: float  # vs the offline batched baseline (< 1 = chunking cost)
-    decode_match: float  # fraction of sessions matching the offline decode
+    speedup: float  # vs the whole-utterance row (< 1 = chunking cost)
+    decode_match: float  # fraction of sessions matching the reference decode
     p50_latency_ms: Optional[float] = None
     p95_latency_ms: Optional[float] = None
     mean_batch_size: Optional[float] = None
@@ -163,12 +160,10 @@ class StreamBenchResult:
 
 
 def build_stream_workload(config: StreamBenchConfig):
-    """The ``stream-bench`` workload: ``(plan, features, serving_config)``."""
+    """The ``stream-bench`` workload: ``(plan, features)``."""
     dataset = make_dataset(config.num_sessions, STREAM_SYNTH, seed=config.seed)
     features = [example.features for example in dataset.examples]
-    plan = _build_plan(config, config.seed)
-    serving = ServingConfig(min_duration=config.min_duration)
-    return plan, features, serving
+    return _build_plan(config, config.seed), features
 
 
 def _build_plan(config: StreamBenchConfig, seed: int):
@@ -184,62 +179,62 @@ def _build_plan(config: StreamBenchConfig, seed: int):
     return compile_model(model, scheme=config.scheme)
 
 
-def _stream_pass(plan, features, config: StreamBenchConfig):
-    """One full streamed workload: round-robin chunks, then finish."""
-    scheduler = StreamScheduler(
-        plan,
-        StreamConfig(
-            max_batch_size=config.max_batch_size,
-            max_wait_frames=config.max_wait_frames,
-            min_duration=config.min_duration,
-        ),
+def _stream_config(config: StreamBenchConfig) -> StreamConfig:
+    return StreamConfig(
+        max_batch_size=config.max_batch_size,
+        max_wait_frames=config.max_wait_frames,
+        min_duration=config.min_duration,
     )
-    sids = [scheduler.open() for _ in features]
-    hypotheses = {sid: [] for sid in sids}
+
+
+def _fabric_config(config: StreamBenchConfig, faults):
+    from repro.engine.fabric import FabricConfig
+
+    return FabricConfig(
+        num_workers=config.workers,
+        stream=_stream_config(config),
+        backoff_base_s=0.01,
+        rpc_timeout_s=60.0,
+        faults=faults,
+    )
+
+
+def _round_robin(server, sids, features, chunk_frames, **feed_kwargs):
+    """Feed each session its utterance ``chunk_frames`` at a time, one
+    chunk per session per round, then finish them all; returns the
+    hypotheses in ``sids`` order."""
     longest = max(len(utterance) for utterance in features)
-    for start in range(0, longest, config.chunk_frames):
+    for start in range(0, longest, chunk_frames):
         for sid, utterance in zip(sids, features):
-            chunk = utterance[start : start + config.chunk_frames]
+            chunk = utterance[start : start + chunk_frames]
             if len(chunk):
-                scheduler.feed(sid, chunk)
-    for sid in sids:
-        hypotheses[sid].extend(scheduler.finish(sid))
-    return [hypotheses[sid] for sid in sids], scheduler.stats
+                server.feed(sid, chunk, **feed_kwargs)
+    return [server.finish(sid) for sid in sids]
+
+
+def _stream_pass(plan, features, config: StreamBenchConfig, chunk_frames: int):
+    """One full workload through one scheduler."""
+    scheduler = StreamScheduler(plan, _stream_config(config))
+    sids = [scheduler.open() for _ in features]
+    return _round_robin(scheduler, sids, features, chunk_frames), scheduler.stats
 
 
 def _fabric_pass(artifact_path, features, config: StreamBenchConfig):
     """One full workload through the multi-process serving fabric."""
-    from repro.engine.fabric import FabricConfig, FaultConfig, ServingFabric
+    from repro.engine.fabric import FaultConfig, ServingFabric
 
     faults = None
     if config.chaos:
         # Deterministic kill of worker 0 mid-stream; recovery replays
         # its journaled sessions on the restarted worker.
         faults = FaultConfig(crash_after_chunks=3, target_worker=0)
-    fabric_config = FabricConfig(
-        num_workers=config.workers,
-        stream=StreamConfig(
-            max_batch_size=config.max_batch_size,
-            max_wait_frames=config.max_wait_frames,
-            min_duration=config.min_duration,
-        ),
-        backoff_base_s=0.01,
-        rpc_timeout_s=60.0,
-        faults=faults,
-    )
-    with ServingFabric(artifact_path, fabric_config) as fabric:
+    with ServingFabric(artifact_path, _fabric_config(config, faults)) as fabric:
         sids = [fabric.open() for _ in features]
-        hypotheses = {sid: [] for sid in sids}
-        longest = max(len(utterance) for utterance in features)
-        for start in range(0, longest, config.chunk_frames):
-            for sid, utterance in zip(sids, features):
-                chunk = utterance[start : start + config.chunk_frames]
-                if len(chunk):
-                    fabric.feed(sid, chunk, block=True)
-        for sid in sids:
-            hypotheses[sid].extend(fabric.finish(sid))
+        hypotheses = _round_robin(
+            fabric, sids, features, config.chunk_frames, block=True
+        )
         fleet = fabric.stats()
-    return [hypotheses[sid] for sid in sids], fleet
+    return hypotheses, fleet
 
 
 def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
@@ -256,12 +251,7 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
     import time
     from pathlib import Path
 
-    from repro.engine.fabric import (
-        CanaryConfig,
-        FabricConfig,
-        FaultConfig,
-        ServingFabric,
-    )
+    from repro.engine.fabric import CanaryConfig, FaultConfig, ServingFabric
     from repro.engine.registry import PlanRegistry
 
     incumbent = _build_plan(config, config.seed)
@@ -278,17 +268,6 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
             if divergent
             else FaultConfig(crash_on_swap=True, target_worker=0)
         )
-    fabric_config = FabricConfig(
-        num_workers=config.workers,
-        stream=StreamConfig(
-            max_batch_size=config.max_batch_size,
-            max_wait_frames=config.max_wait_frames,
-            min_duration=config.min_duration,
-        ),
-        backoff_base_s=0.01,
-        rpc_timeout_s=60.0,
-        faults=faults,
-    )
     with tempfile.TemporaryDirectory(prefix="repro-canary-bench-") as tmp:
         registry = PlanRegistry(Path(tmp) / "registry")
         v1 = registry.publish("stream-bench", incumbent)
@@ -296,7 +275,7 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
         incumbent_path = str(registry.resolve("stream-bench", "v1").artifact_path)
         start = time.perf_counter()
         with ServingFabric.from_registry(
-            registry, "stream-bench", "v1", fabric_config
+            registry, "stream-bench", "v1", _fabric_config(config, faults)
         ) as fabric:
             fabric.start_canary(
                 "v2",
@@ -311,17 +290,9 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
             )
             sids = [fabric.open() for _ in features]
             opened_on = {sid: fabric.session_version(sid) for sid in sids}
-            hypotheses = {sid: [] for sid in sids}
-            longest = max(len(utterance) for utterance in features)
-            for chunk_start in range(0, longest, config.chunk_frames):
-                for sid, utterance in zip(sids, features):
-                    chunk = utterance[
-                        chunk_start : chunk_start + config.chunk_frames
-                    ]
-                    if len(chunk):
-                        fabric.feed(sid, chunk, block=True)
-            for sid in sids:
-                hypotheses[sid].extend(fabric.finish(sid))
+            hypotheses = _round_robin(
+                fabric, sids, features, config.chunk_frames, block=True
+            )
             if fabric.canary_report().decision is None:
                 fabric.decide_canary(force=True)
             report = fabric.canary_report()
@@ -332,45 +303,75 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
         for index, sid in enumerate(sids)
         if opened_on[sid] == incumbent_path
     ]
-    return [hypotheses[sid] for sid in sids], incumbent_sids, fleet, report, wall
+    return hypotheses, incumbent_sids, fleet, report, wall
+
+
+def _decode_match(hypotheses, reference, indices=None) -> float:
+    """Fraction of ``indices`` (default: all) whose hypothesis is the
+    reference decode."""
+    if indices is None:
+        indices = range(len(reference))
+    scored = [hypotheses[index] == reference[index] for index in indices]
+    return sum(scored) / len(scored) if scored else 0.0
+
+
+def _fleet_row(path, wall, match, fleet, config, offline_time, **extra):
+    """A fabric or canary row: wall clock plus the fleet's counters."""
+    return StreamBenchRow(
+        path=path,
+        wall_s=wall,
+        sessions_per_s=config.num_sessions / wall,
+        speedup=offline_time / wall,
+        decode_match=match,
+        p50_latency_ms=fleet.p50_latency_s * 1e3,
+        p95_latency_ms=fleet.p95_latency_s * 1e3,
+        mean_batch_size=fleet.mean_batch_size,
+        restarts=fleet.restarts,
+        sessions_rehomed=fleet.sessions_rehomed,
+        chunks_shed=fleet.chunks_shed,
+        sessions_shed=fleet.sessions_shed,
+        crashes_detected=fleet.crashes_detected,
+        stalls_detected=fleet.stalls_detected,
+        plan_swaps=fleet.plan_swaps,
+        **extra,
+    )
 
 
 def run_stream_bench(
     config: StreamBenchConfig = StreamBenchConfig(),
 ) -> StreamBenchResult:
-    """Measure offline-batched vs streamed serving on one workload."""
-    plan, features, serving = build_stream_workload(config)
-    offline_time, (offline_hyps, _) = timed_median(
-        lambda: serve_stream(plan, features, serving), config.repeats
-    )
-    rows = [
-        StreamBenchRow(
-            path="offline batched",
-            wall_s=offline_time,
-            sessions_per_s=config.num_sessions / offline_time,
-            speedup=1.0,
-            decode_match=1.0,
-        )
+    """Measure whole-utterance vs chunked serving on one workload."""
+    plan, features = build_stream_workload(config)
+    # The independent reference every row is scored against: each
+    # utterance decoded alone, outside any scheduler, untimed.
+    reference = [
+        decode_utterance(plan.forward_utterance(utterance), config.min_duration)
+        for utterance in features
     ]
-    stream_time, (stream_hyps, stats) = timed_median(
-        lambda: _stream_pass(plan, features, config), config.repeats
-    )
-    match = sum(
-        streamed == offline
-        for streamed, offline in zip(stream_hyps, offline_hyps)
-    ) / len(features)
-    rows.append(
-        StreamBenchRow(
-            path=f"streaming chunk={config.chunk_frames}",
-            wall_s=stream_time,
-            sessions_per_s=config.num_sessions / stream_time,
-            speedup=offline_time / stream_time,
-            decode_match=float(match),
-            p50_latency_ms=stats.p50_latency_s * 1e3,
-            p95_latency_ms=stats.p95_latency_s * 1e3,
-            mean_batch_size=stats.mean_batch_size,
+    rows: List[StreamBenchRow] = []
+    longest = max(len(utterance) for utterance in features)
+    for path, chunk_frames in (
+        ("offline whole-utterance", longest),
+        (f"streaming chunk={config.chunk_frames}", config.chunk_frames),
+    ):
+        wall, (hyps, stats) = timed_median(
+            partial(_stream_pass, plan, features, config, chunk_frames),
+            config.repeats,
         )
-    )
+        rows.append(
+            StreamBenchRow(
+                path=path,
+                wall_s=wall,
+                sessions_per_s=config.num_sessions / wall,
+                speedup=(rows[0].wall_s if rows else wall) / wall,
+                decode_match=_decode_match(hyps, reference),
+                p50_latency_ms=stats.p50_latency_s * 1e3,
+                p95_latency_ms=stats.p95_latency_s * 1e3,
+                mean_batch_size=stats.mean_batch_size,
+            )
+        )
+    offline_time = rows[0].wall_s
+    suffix = " +chaos" if config.chaos else ""
     if config.workers >= 1:
         import tempfile
         from pathlib import Path
@@ -384,30 +385,14 @@ def run_stream_bench(
                 lambda: _fabric_pass(artifact, features, config),
                 config.repeats,
             )
-        fabric_match = sum(
-            fabric == offline
-            for fabric, offline in zip(fabric_hyps, offline_hyps)
-        ) / len(features)
-        label = f"fabric workers={config.workers}"
-        if config.chaos:
-            label += " +chaos"
         rows.append(
-            StreamBenchRow(
-                path=label,
-                wall_s=fabric_time,
-                sessions_per_s=config.num_sessions / fabric_time,
-                speedup=offline_time / fabric_time,
-                decode_match=float(fabric_match),
-                p50_latency_ms=fleet.p50_latency_s * 1e3,
-                p95_latency_ms=fleet.p95_latency_s * 1e3,
-                mean_batch_size=fleet.mean_batch_size,
-                restarts=fleet.restarts,
-                sessions_rehomed=fleet.sessions_rehomed,
-                chunks_shed=fleet.chunks_shed,
-                sessions_shed=fleet.sessions_shed,
-                crashes_detected=fleet.crashes_detected,
-                stalls_detected=fleet.stalls_detected,
-                plan_swaps=fleet.plan_swaps,
+            _fleet_row(
+                f"fabric workers={config.workers}{suffix}",
+                fabric_time,
+                _decode_match(fabric_hyps, reference),
+                fleet,
+                config,
+                offline_time,
             )
         )
     if config.canary:
@@ -418,41 +403,17 @@ def run_stream_bench(
             hyps, incumbent_sids, fleet, report, wall = _canary_pass(
                 features, config, divergent
             )
-            if divergent:
-                scored = [
-                    (hyps[index], offline_hyps[index])
-                    for index in incumbent_sids
-                ]
-            else:
-                scored = list(zip(hyps, offline_hyps))
-            match = (
-                sum(h == o for h, o in scored) / len(scored)
-                if scored
-                else 0.0
-            )
-            label = (
-                f"canary {'divergent' if divergent else 'clean'} "
-                f"workers={config.workers}"
-            )
-            if config.chaos:
-                label += " +chaos"
             rows.append(
-                StreamBenchRow(
-                    path=label,
-                    wall_s=wall,
-                    sessions_per_s=config.num_sessions / wall,
-                    speedup=offline_time / wall,
-                    decode_match=float(match),
-                    p50_latency_ms=fleet.p50_latency_s * 1e3,
-                    p95_latency_ms=fleet.p95_latency_s * 1e3,
-                    mean_batch_size=fleet.mean_batch_size,
-                    restarts=fleet.restarts,
-                    sessions_rehomed=fleet.sessions_rehomed,
-                    chunks_shed=fleet.chunks_shed,
-                    sessions_shed=fleet.sessions_shed,
-                    crashes_detected=fleet.crashes_detected,
-                    stalls_detected=fleet.stalls_detected,
-                    plan_swaps=fleet.plan_swaps,
+                _fleet_row(
+                    f"canary {'divergent' if divergent else 'clean'} "
+                    f"workers={config.workers}{suffix}",
+                    wall,
+                    _decode_match(
+                        hyps, reference, incumbent_sids if divergent else None
+                    ),
+                    fleet,
+                    config,
+                    offline_time,
                     canary_decision=report.decision,
                     canary_agreement=report.agreement,
                 )
@@ -461,7 +422,7 @@ def run_stream_bench(
         rows=rows,
         num_sessions=config.num_sessions,
         total_frames=sum(len(utterance) for utterance in features),
-        total_chunks=stats.chunks,
+        total_chunks=stats.chunks,  # of the streaming pass, the last above
     )
 
 

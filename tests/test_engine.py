@@ -6,10 +6,6 @@ Covers the three contracts the subsystem makes:
   (and therefore decode to identical phone sequences),
 * quantized plans track the simulated-quantization eager path within
   scheme-appropriate tolerance (including PER on a trained model),
-* the serving micro-batcher handles ragged streams — length-1 and
-  mixed-length utterances — reproduces per-utterance decoding, and
-  rejects malformed submissions (0-frame, wrong rank/feature dim) at
-  submit time,
 * stale CSR/BSPC kernel plans are rebuilt, never silently reused, after
   packed weights are mutated.
 """
@@ -367,130 +363,3 @@ class TestForwardValidation:
         plan = engine.compile_model(laptop_model())
         with pytest.raises(ShapeError):
             plan.forward_batch(np.zeros((4, 2, 9)))
-
-    def test_rejects_bad_lengths(self):
-        plan = engine.compile_model(laptop_model())
-        x = np.zeros((4, 2, 8))
-        with pytest.raises(ShapeError):
-            plan.forward_batch(x, lengths=np.array([1, 2, 3]))
-        with pytest.raises(ShapeError):
-            plan.forward_batch(x, lengths=np.array([5, 1]))
-
-
-class TestServing:
-    def make_plan(self):
-        return engine.compile_model(laptop_model())
-
-    def eager_decode(self, plan, utterance):
-        if len(utterance) == 0:
-            return []
-        return decode_utterance(plan.forward_utterance(utterance))
-
-    def test_ragged_stream_matches_per_utterance(self, rng):
-        plan = self.make_plan()
-        lengths = [1, 1, 7, 30, 30, 30, 2, 55, 16]
-        utterances = [rng.standard_normal((t, 8)) for t in lengths]
-        hypotheses, stats = engine.serve_stream(plan, utterances)
-        assert hypotheses == [self.eager_decode(plan, u) for u in utterances]
-        assert stats.utterances == len(lengths)
-        assert stats.batched_utterances == len(lengths)
-        assert stats.real_frames == sum(lengths)
-        assert stats.batch_frames >= stats.real_frames
-
-    def test_submit_rejects_empty_utterance_at_submit_time(self):
-        batcher = engine.MicroBatcher(self.make_plan())
-        with pytest.raises(ShapeError):
-            batcher.submit(np.zeros((0, 8)))
-        # Nothing was queued and no id was burned by the rejection.
-        assert batcher.pending() == 0
-        assert batcher.stats.utterances == 0
-
-    def test_submit_rejects_wrong_rank_and_dim_at_submit_time(self, rng):
-        batcher = engine.MicroBatcher(self.make_plan())
-        with pytest.raises(ShapeError):
-            batcher.submit(np.zeros(8))  # rank 1
-        with pytest.raises(ShapeError):
-            batcher.submit(np.zeros((4, 2, 8)))  # rank 3
-        with pytest.raises(ShapeError):
-            batcher.submit(np.zeros((4, 9)))  # wrong feature dim
-        # A bad submission must not poison the batch for good utterances.
-        good = rng.standard_normal((6, 8))
-        uid = batcher.submit(good)
-        batcher.flush()
-        assert batcher.result(uid) == self.eager_decode(batcher.plan, good)
-
-    def test_full_bucket_runs_eagerly(self, rng):
-        plan = self.make_plan()
-        config = engine.ServingConfig(max_batch_size=3, bucket_width=10)
-        batcher = engine.MicroBatcher(plan, config)
-        ids = [batcher.submit(rng.standard_normal((8, 8))) for _ in range(3)]
-        assert batcher.pending() == 0  # flushed the moment it filled
-        assert all(isinstance(batcher.result(uid), list) for uid in ids)
-        straggler = rng.standard_normal((9, 8))
-        extra = batcher.submit(straggler)
-        assert batcher.pending() == 1
-        with pytest.raises(KeyError):
-            batcher.result(extra)
-        batcher.flush()
-        assert batcher.result(extra) == self.eager_decode(plan, straggler)
-
-    def test_bucketing_separates_lengths(self, rng):
-        plan = self.make_plan()
-        config = engine.ServingConfig(max_batch_size=8, bucket_width=10)
-        batcher = engine.MicroBatcher(plan, config)
-        batcher.submit(rng.standard_normal((5, 8)))
-        batcher.submit(rng.standard_normal((25, 8)))
-        assert len(batcher._pending) == 2
-        batcher.flush()
-        assert batcher.stats.batches == 2
-
-    def test_rejects_wrong_feature_dim(self):
-        batcher = engine.MicroBatcher(self.make_plan())
-        with pytest.raises(ShapeError):
-            batcher.submit(np.zeros((4, 9)))
-
-    def test_serve_stream_propagates_submit_validation(self, rng):
-        plan = self.make_plan()
-        with pytest.raises(ShapeError):
-            engine.serve_stream(
-                plan, [rng.standard_normal((5, 8)), np.zeros((0, 8))]
-            )
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            engine.ServingConfig(max_batch_size=0)
-        with pytest.raises(ConfigError):
-            engine.ServingConfig(bucket_width=0)
-
-    def test_stats_padding_overhead(self, rng):
-        plan = self.make_plan()
-        config = engine.ServingConfig(max_batch_size=2, bucket_width=100)
-        _, stats = engine.serve_stream(
-            plan, [rng.standard_normal((10, 8)), rng.standard_normal((20, 8))], config
-        )
-        assert stats.batches == 1
-        assert stats.batch_frames == 40 and stats.real_frames == 30
-        assert stats.padding_overhead == pytest.approx(0.25)
-        assert stats.mean_batch_size == 2.0
-
-
-class TestServeBenchHarness:
-    def test_runs_and_packing_row_matches_eager(self):
-        from repro.eval.serve_bench import (
-            ServeBenchConfig,
-            render_serve_bench,
-            run_serve_bench,
-        )
-
-        result = run_serve_bench(
-            ServeBenchConfig(
-                num_utterances=6, hidden_size=16, repeats=1, schemes=(None,)
-            )
-        )
-        assert len(result.rows) == 2
-        packed = result.rows[1]
-        assert packed.decode_match == 1.0
-        assert packed.weight_bytes is not None
-        rendered = render_serve_bench(result)
-        assert "eager per-utterance" in rendered and "engine[packed]" in rendered
-        assert len(result.to_rows()) == 2

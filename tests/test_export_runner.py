@@ -138,7 +138,7 @@ class TestCLI:
         [
             (["stream-bench", "--sessions", "2", "--repeats", "1", "--chaos"], {},
              "chaos requires workers >= 1"),
-            (["serve-bench", "--repeats", "0"], {}, "repeats must be >= 1, got 0"),
+            (["stream-bench", "--repeats", "0"], {}, "repeats must be >= 1, got 0"),
             (["tune", "--hidden-size", "16"], {"REPRO_HOST_CALIBRATION": "/nonexistent"},
              "REPRO_HOST_CALIBRATION: calibration file not found: /nonexistent"),
         ],

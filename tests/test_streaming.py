@@ -17,6 +17,8 @@ API, and the deadline-batching stream scheduler.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import engine, kernels
 from repro.errors import ConfigError, ShapeError, StreamError
@@ -552,13 +554,125 @@ class TestStreamScheduler:
         )
         assert len(result.rows) == 2
         offline, streamed = result.rows
+        # both measured against per-utterance decodes outside the scheduler
         assert offline.decode_match == 1.0
         assert streamed.decode_match == 1.0  # the chunk-exactness guarantee
         assert streamed.p50_latency_ms is not None
         assert streamed.p50_latency_ms <= streamed.p95_latency_ms
         rendered = render_stream_bench(result)
-        assert "offline batched" in rendered and "streaming chunk=" in rendered
+        assert "offline whole-utterance" in rendered and "streaming chunk=" in rendered
         assert len(result.to_rows()) == 2
+
+    def test_stream_bench_int8_rows_match_reference(self):
+        from repro.eval.stream_bench import StreamBenchConfig, run_stream_bench
+
+        result = run_stream_bench(
+            StreamBenchConfig(num_sessions=4, hidden_size=16, repeats=1, scheme="int8")
+        )
+        assert [row.decode_match for row in result.rows] == [1.0, 1.0]
+        assert result.rows[0].path == "offline whole-utterance"
+
+    def test_stream_bench_decode_match_is_scored_against_the_reference(
+        self, monkeypatch
+    ):
+        # The rows are measured, not asserted: a reference no row can
+        # reproduce drives every row's decode_match to zero.
+        import repro.eval.stream_bench as stream_bench
+
+        real = stream_bench.decode_utterance
+        monkeypatch.setattr(
+            stream_bench,
+            "decode_utterance",
+            lambda logits, min_duration: real(logits, min_duration) + [-1],
+        )
+        result = stream_bench.run_stream_bench(
+            stream_bench.StreamBenchConfig(num_sessions=3, hidden_size=16, repeats=1)
+        )
+        assert [row.decode_match for row in result.rows] == [0.0, 0.0]
+
+    def test_ragged_whole_utterances_match_per_utterance(self, rng):
+        plan, scheduler = self.make(max_batch_size=8, max_wait_frames=10_000)
+        lengths = [1, 1, 7, 30, 30, 30, 2, 55, 16]
+        utterances = [rng.standard_normal((t, 8)) for t in lengths]
+        sids = [scheduler.open() for _ in utterances]
+        for sid, utterance in zip(sids, utterances):
+            scheduler.feed(sid, utterance)
+        got = [scheduler.finish(sid) for sid in sids]
+        assert got == [
+            decode_utterance(plan.forward_utterance(u), min_duration=2)
+            for u in utterances
+        ]
+        stats = scheduler.stats
+        assert stats.sessions_finished == stats.chunks == len(lengths)
+        assert stats.frames == sum(lengths)
+        assert stats.batched_chunks == len(lengths)
+
+    def test_equal_length_whole_utterances_fuse(self, rng):
+        _, scheduler = self.make(max_batch_size=3, max_wait_frames=10_000)
+        sids = [scheduler.open() for _ in range(4)]
+        for sid, frames in zip(sids, (20, 10, 20, 20)):
+            scheduler.feed(sid, rng.standard_normal((frames, 8)))
+        # The three 20-frame utterances filled a batch and ran together.
+        assert scheduler.stats.batches == 1
+        assert scheduler.stats.batched_chunks == 3
+        assert scheduler.pending() == 1
+        for sid in sids:
+            scheduler.finish(sid)
+        assert scheduler.stats.batches == 2
+        assert scheduler.stats.mean_batch_size == 2.0
+
+    def test_whole_utterances_under_a_zero_deadline_decode_offline(self, rng):
+        # Every utterance forced to run the moment it arrives.
+        plan, scheduler = self.make(max_batch_size=8, max_wait_frames=0)
+        utterances = [rng.standard_normal((t, 8)) for t in (12, 12, 3, 40)]
+        sids = [scheduler.open() for _ in utterances]
+        for sid, utterance in zip(sids, utterances):
+            scheduler.feed(sid, utterance)
+            assert scheduler.pending() == 0
+        got = [scheduler.finish(sid) for sid in sids]
+        assert got == [
+            decode_utterance(plan.forward_utterance(u), min_duration=2)
+            for u in utterances
+        ]
+
+    def test_lstm_whole_utterances_match_per_utterance(self, rng):
+        # The cell state rides along with the hidden state in a fused batch.
+        plan = engine.compile_model(tiny_model("lstm"))
+        scheduler = engine.StreamScheduler(
+            plan, engine.StreamConfig(max_batch_size=4, max_wait_frames=1000)
+        )
+        utterances = [rng.standard_normal((t, 8)) for t in (25, 25, 1, 25)]
+        sids = [scheduler.open() for _ in utterances]
+        for sid, utterance in zip(sids, utterances):
+            scheduler.feed(sid, utterance)
+        got = [scheduler.finish(sid) for sid in sids]
+        min_duration = scheduler.config.min_duration
+        assert got == [
+            decode_utterance(plan.forward_utterance(u), min_duration)
+            for u in utterances
+        ]
+
+    def test_empty_whole_utterance_decodes_to_nothing(self):
+        _, scheduler = self.make()
+        sid = scheduler.open()
+        scheduler.feed(sid, np.zeros((0, 8)))
+        assert scheduler.pending() == 0
+        assert scheduler.finish(sid) == []
+        assert scheduler.stats.chunks == scheduler.stats.frames == 0
+
+    def test_rejected_feed_leaves_queued_utterances_alone(self, rng):
+        plan, scheduler = self.make(max_batch_size=4, max_wait_frames=10_000)
+        good = rng.standard_normal((6, 8))
+        first, second = scheduler.open(), scheduler.open()
+        scheduler.feed(first, good)
+        for bad in (np.zeros(8), np.zeros((4, 2, 8)), np.zeros((4, 9))):
+            with pytest.raises(ShapeError):
+                scheduler.feed(second, bad)
+            assert scheduler.pending() == 1
+        assert scheduler.stats.chunks == 1
+        scheduler.feed(second, good)
+        expected = decode_utterance(plan.forward_utterance(good), min_duration=2)
+        assert scheduler.finish(first) == scheduler.finish(second) == expected
 
     def test_int8_scheduler_bitwise_matches_solo_session(self, rng_factory):
         # Batched scheduling must not perturb a session's hypothesis:
@@ -580,6 +694,56 @@ class TestStreamScheduler:
                 scheduler.feed(sid, utterance[start : start + 6])
         got = [scheduler.finish(sid) for sid in sids]
         assert got == solo
+
+
+# ---------------------------------------------------------------------------
+# Whole utterances through the scheduler: the offline decode, per utterance
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def scheme_plans():
+    return {
+        scheme: engine.compile_model(tiny_model(), scheme=scheme)
+        for scheme in engine.plan.SCHEMES
+    }
+
+
+@st.composite
+def ragged_traffic(draw):
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=12))
+    return (
+        lengths, draw(st.integers(1, 8)),
+        draw(st.sampled_from([1, 2])), draw(st.integers(0, 2**16)),
+    )
+
+
+@pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
+@settings(max_examples=3, deadline=2000)
+@given(case=ragged_traffic())
+def test_whole_utterances_through_the_scheduler_decode_offline(
+    scheme_plans, scheme, case
+):
+    # Each utterance fed as one chunk, nothing forced by the deadline:
+    # equal lengths fuse, every hypothesis is the per-utterance decode.
+    # One property per scheme, so every scheme is exercised on every run.
+    lengths, max_batch_size, min_duration, seed = case
+    plan, rng = scheme_plans[scheme], np.random.default_rng(seed)
+    utterances = [rng.standard_normal((t, 8)) for t in lengths]
+    scheduler = engine.StreamScheduler(
+        plan,
+        engine.StreamConfig(
+            max_batch_size=max_batch_size,
+            max_wait_frames=sum(lengths),
+            min_duration=min_duration,
+        ),
+    )
+    sids = [scheduler.open() for _ in utterances]
+    for sid, utterance in zip(sids, utterances):
+        scheduler.feed(sid, utterance)
+    got = [scheduler.finish(sid) for sid in sids]
+    expected = [
+        decode_utterance(plan.forward_utterance(u), min_duration) for u in utterances
+    ]
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
