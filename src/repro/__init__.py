@@ -19,8 +19,7 @@ Layered public API:
 * :mod:`repro.speech` — synthetic TIMIT-like corpus, GRU acoustic model,
   PER evaluation,
 * :mod:`repro.training` — atomic checksummed checkpoints with bit-exact
-  resume and a data-parallel :class:`~repro.training.DistributedTrainer`
-  with fabric-style crash/stall supervision,
+  resume,
 * :mod:`repro.sweep` — fault-tolerant prune→retrain sweeps over the
   sparsity × scheme × block grid, published into the plan registry,
 * :mod:`repro.eval` — harnesses for Table I, Table II, and Figure 4.
@@ -77,7 +76,6 @@ from repro.errors import (
     SparsityError,
     StreamError,
     SweepError,
-    TrainingError,
 )
 
 __all__ = [
@@ -107,7 +105,6 @@ __all__ = [
     "OverloadError",
     "ArtifactError",
     "FabricError",
-    "TrainingError",
     "CheckpointError",
     "SweepError",
 ]

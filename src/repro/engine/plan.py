@@ -76,7 +76,7 @@ from repro.compiler.passes import kernel_for, run_passes, slot_grid
 from repro.compiler.pipeline import build_layer_graph, rnn_graph_from_weights
 from repro.errors import ConfigError, ShapeError
 from repro.kernels import compiled as _compiled
-from repro.kernels._math import sigmoid_ as _sigmoid_
+from repro.kernels import _math
 from repro.kernels.quantized import int8_bspc_plan, int8_codes, int8_csr_plan
 from repro.nn.quantize import quantize_fp16
 from repro.sparse.bspc import BSPCMatrix
@@ -361,7 +361,9 @@ class GRULayerPlan(_RecurrentLayerPlan):
     recurrent slot is int8, else the layer's ``dtype``.  Float32 gates of a
     float64 layer start from each pre-activation sum rounded once
     (``gx_zr + gh_zr``, ``gh_h + bias_h``, ``gx_h``), and the new state is
-    widened back: states stay float64 and hold float32 values.
+    widened back: states stay float64 and hold float32 values.  Float32
+    gates take their sigmoid and tanh from :func:`~repro.kernels._math.exp32`,
+    the rule the compiled program's gate sweep runs too.
     """
 
     bias_count = 2 * 3
@@ -423,12 +425,15 @@ class GRULayerPlan(_RecurrentLayerPlan):
         hidden = self.zero_state(batch)[0] if state is None else state[0]
         blended = hidden.astype(gate, copy=False)
         apply, gh_key = self.recurrent.apply, f"gh{index}"
+        sigmoid_, tanh_ = _math.sigmoid_, _math.tanh_
+        if gate == np.float32:
+            sigmoid_, tanh_ = _math.sigmoid32_, _math.tanh32_
         for t in range(seq_len):
             gh = apply(hidden, ws, gh_key)
-            _sigmoid_(np.add(gx_zr[t], gh[:, : 2 * h], out=zr))
+            sigmoid_(np.add(gx_zr[t], gh[:, : 2 * h], out=zr))
             np.add(gh[:, 2 * h :], self.bias_hh_h, out=h_tilde)
             np.multiply(r, h_tilde, out=h_tilde)
-            np.tanh(np.add(gx_h[t], h_tilde, out=h_tilde), out=h_tilde)
+            tanh_(np.add(gx_h[t], h_tilde, out=h_tilde))
             np.multiply(np.subtract(1.0, z, out=keep), blended, out=keep)
             blended = np.add(
                 keep, np.multiply(z, h_tilde, out=h_tilde),
@@ -487,9 +492,9 @@ class LSTMLayerPlan(_RecurrentLayerPlan):
         apply, gh_key = self.recurrent.apply, f"gh{index}"
         for t in range(seq_len):
             np.add(gates_x[t], apply(hidden, ws, gh_key), out=gates)
-            _sigmoid_(input_forget)
+            _math.sigmoid_(input_forget)
             np.tanh(g, out=g)
-            _sigmoid_(o)
+            _math.sigmoid_(o)
             cell = np.add(
                 np.multiply(f, cell, out=carry), np.multiply(i, g, out=g), out=carry
             )
@@ -659,9 +664,8 @@ class ModelPlan:
         """The whole plan as one compiled call per chunk (``docs/engine.md``),
         read off the bound kernels: GRU layers whose recurrences run the
         compiled BSPC int8 kernel, every projection and the output on that
-        kernel too or a dense ``linear_int8_rowwise`` slot, a library that
-        took numpy's ``exp``/``tanh`` loops over.  ``None`` for any other
-        plan, and the generic loop runs it."""
+        kernel too or a dense ``linear_int8_rowwise`` slot.  ``None`` for
+        any other plan, and the generic loop runs it."""
         narrow, slots = _compiled.bspc_spmm_int8, []
         for layer in self.layers:
             if not isinstance(layer, GRULayerPlan) or layer.recurrent.kernel is not narrow:
@@ -670,7 +674,7 @@ class ModelPlan:
             slots.append((_compiled.PLAN_GRU, layer.recurrent, layer.bias_hh_h))
         if self.output is not None:
             slots.append((_compiled.PLAN_OUTPUT, self.output.weight, self.output.bias))
-        if _compiled.numpy_loops() is None or any(
+        if any(
             weight.kernel is not narrow and weight.op != "linear_int8_rowwise"
             for _, weight, _ in slots
         ):

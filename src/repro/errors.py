@@ -89,12 +89,6 @@ class FabricError(ReproError, RuntimeError):
     """The multi-process serving fabric lost a worker it could not recover."""
 
 
-class TrainingError(ReproError, RuntimeError):
-    """The distributed trainer lost a gradient worker it could not recover
-    (restart budget exhausted, or a worker died outside any recoverable
-    protocol state)."""
-
-
 class CheckpointError(ArtifactError):
     """A training checkpoint is missing, truncated, corrupted, or does not
     match the model/optimizer it is being restored into.  Subclasses

@@ -12,7 +12,6 @@ from repro.hw.executor import (
 )
 from repro.hw.memory import LayerTraffic, layer_traffic, plan_traffic, total_bytes
 from repro.hw.profiles import ADRENO_640, ESE_FPGA, KRYO_485
-from repro.hw.roofline import LayerRoofline, RooflineReport, render_roofline, roofline
 
 __all__ = [
     "DeviceSpec",
@@ -32,8 +31,4 @@ __all__ = [
     "total_bytes",
     "EnergyReport",
     "energy_report",
-    "roofline",
-    "render_roofline",
-    "RooflineReport",
-    "LayerRoofline",
 ]

@@ -48,9 +48,9 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   gates are float32, as the generic loop's are for an int8 recurrence on
   every backend — each float64 pre-activation sum rounded once, every
   elementwise statement one IEEE float32 operation in that loop's order,
-  compiled with floating-point contraction off, ``exp``/``tanh`` numpy's
-  own float32 inner loops, called through the pointers its ufuncs publish
-  (:func:`_numpy_loop`), and the new state widened back to float64.  A
+  compiled with floating-point contraction off, ``exp`` (and the sigmoid
+  and tanh built on it) :func:`repro.kernels._math.exp32`'s sequence with
+  its constants, and the new state widened back to float64.  A
   whole plan lowered to one call per chunk *calls* that entry and the
   projection op by op, a tile of steps at a time, every row on its own,
   so it is the same bytes again.
@@ -74,7 +74,6 @@ import os
 import platform
 import shutil
 import subprocess
-import sys
 import tempfile
 import threading
 import weakref
@@ -84,6 +83,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import CompileBackendError, ShapeError
+from repro.kernels import _math
 from repro.kernels.quantized import (
     int8_bspc_plan,
     int8_codes,
@@ -599,8 +599,8 @@ static void repro_bspc_i8_nb(
 
 # Everything below this guard is compiled without floating-point
 # contraction: each statement of the fused layer-chunk must round exactly
-# like the numpy ufunc it replaces, and an `a + b * c` contracted into one
-# FMA rounds once instead of twice.  gcc ignores the STDC pragma and clang
+# like the numpy ufunc of the generic loop, and an `a + b * c` contracted
+# into one FMA rounds once instead of twice.  gcc ignores the STDC pragma and clang
 # the GCC one, so both are given; the section comes last in the source so
 # the quantizer above keeps its FMAs.
 _C_NO_CONTRACT = r"""
@@ -613,12 +613,12 @@ _C_NO_CONTRACT = r"""
 # repro_bspc_i8_nb.  The operands are row-major float64: x (N, n), gx
 # (T, B, 3H), hid (B, H), out (T, B, H), gh (B, 3H).  The gates are
 # float32: each float64 pre-activation sum is rounded to float32 once, the
-# gate math runs in zr and cand (one batch row, 2H and H float32), and the
-# new state is widened back into out.  `exp` and `tanh` are numpy's own
-# float32 inner loops (SIMD routines whose last ulp libm does not
-# reproduce), handed over as the pointers `_numpy_loop` reads off the
-# ufuncs; every other elementwise op of GRULayerPlan.forward is one IEEE
-# operation here, in the same order.
+# gate math runs sixteen units at a time in registers, one sweep per batch
+# row, and the new state is widened back into out.  `exp`, and the sigmoid
+# and tanh built on it, are kernels/_math.py's exp32 with its constants:
+# every elementwise op of GRULayerPlan.forward's float32 gates is one IEEE
+# operation here, in the same order, and nothing is called out of the
+# library.
 _C_GRU_CHUNK = _C_NO_CONTRACT + r"""
 /* repro_bspc_i8_nb's output, every row of each column written once, in
  * order: the dequant (spmv: v * (scale * xs); else (v * scale) * xs), then
@@ -728,15 +728,97 @@ API void repro_bspc_i8_rows(
     }
 }
 
-/* A numpy unary inner loop (PyUFuncGenericFunction; npy_intp is intptr_t). */
-typedef void (*loop_fn)(char **, const intptr_t *, const intptr_t *, void *);
+/* The float32 gate math of kernels/_math.py, sixteen units at a time, in
+ * GNU vector types: one statement is one IEEE operation on every lane, on
+ * every build (one AVX-512 register, or pieces of narrower ones).  The
+ * constants are _math.py's own, written in as hex literals.  The `u` types
+ * read and write their element type's memory at any alignment; F32 is
+ * astype(np.float32) of sixteen doubles, SUM32 of their sums with sixteen
+ * more. */
+$EXP_DEFINES
+typedef float f32x16 __attribute__((vector_size(64)));
+typedef float f32x16u __attribute__((vector_size(64), aligned(4), may_alias));
+typedef double f64x16u __attribute__((vector_size(128), aligned(8), may_alias));
+typedef int32_t i32x16 __attribute__((vector_size(64)));
+typedef uint32_t u32x16 __attribute__((vector_size(64)));
+#define F32X16(c) ((f32x16){c, c, c, c, c, c, c, c, c, c, c, c, c, c, c, c})
+#define F32(p) __builtin_convertvector(*(const f64x16u *)(p), f32x16)
+#define SUM32(a, b) __builtin_convertvector(*(const f64x16u *)(a) + *(const f64x16u *)(b), f32x16)
 
-/* x = f(x) over n contiguous float32, f the ufunc the loop belongs to. */
-API void repro_loop_f32(loop_fn loop, void *data, i64 n, float *x)
+/* x clamped to [EXP_LO, EXP_HI] as np.minimum(np.maximum(x, lo), hi), by
+ * compare and select: a NaN compares false both times and stays. */
+static inline f32x16 clamp16(f32x16 x)
 {
-    char *args[2] = {(char *)x, (char *)x};
-    const intptr_t count = n, steps[2] = {sizeof(float), sizeof(float)};
-    loop(args, &count, steps, data);
+    i32x16 m = x < EXP_LO;
+    x = (f32x16)((m & (i32x16)F32X16(EXP_LO)) | (~m & (i32x16)x));
+    m = x > EXP_HI;
+    return (f32x16)((m & (i32x16)F32X16(EXP_HI)) | (~m & (i32x16)x));
+}
+
+/* exp32: clamp, k = round(x log2 e) by the 1.5 * 2^23 sum, r = x - k ln 2
+ * (Cody–Waite), the polynomial, times 2^k made from the sum's low bits. */
+static inline f32x16 exp16(f32x16 x)
+{
+    x = clamp16(x);
+    const f32x16 s = x * LOG2E + ROUND;
+    const f32x16 k = s - ROUND;
+    const f32x16 r = (x - k * LN2_HI) - k * LN2_LO;
+    const f32x16 q = (((P6 * r + P5) * r + P4) * r + P3) * r + P2;
+    const f32x16 p = (q * (r * r) + r) + 1.0f;
+    return p * (f32x16)(((u32x16)s << 23) + 0x3F800000u);
+}
+
+/* GRULayerPlan.forward's float32 gate statements, in its order, for n units
+ * of a batch row (n a multiple of 16, at most GATE_BLOCK): gx and gh the
+ * units' gate sums, the z gate's, with r's and the candidate's `h` and 2h
+ * further on; the candidate's recurrent bias and the states before; the new
+ * states widened into next.  Each float64 sum is rounded once, sigmoid is
+ * 1 / (exp(-v) + 1), tanh 2 / (exp(-2 v) + 1) - 1, the blend (1 - z) *
+ * prev + z * cand.  Two passes — the z and r sigmoids, then the candidate
+ * and the blend — make short independent chains the core overlaps; one
+ * pass of all three exponentials waits on its own latency. */
+#define GATE_BLOCK 64
+
+static void gru_gates(
+    i64 n, i64 h, const double *gx, const double *gh, const double *bias_h,
+    const double *prev, double *next)
+{
+    float z[GATE_BLOCK], r[GATE_BLOCK];
+    for (i64 i = 0; i < n; i += 16) {
+        *(f32x16u *)(z + i) = 1.0f / (exp16(-SUM32(gx + i, gh + i)) + 1.0f);
+        *(f32x16u *)(r + i) = 1.0f / (exp16(-SUM32(gx + h + i, gh + h + i)) + 1.0f);
+    }
+    for (i64 i = 0; i < n; i += 16) {
+        const f32x16 zs = *(const f32x16u *)(z + i);
+        const f32x16 cand =
+            F32(gx + 2 * h + i) + *(const f32x16u *)(r + i) * SUM32(gh + 2 * h + i, bias_h + i);
+        const f32x16 t = 2.0f / (exp16(cand * -2.0f) + 1.0f) - 1.0f;
+        *(f64x16u *)(next + i) = __builtin_convertvector((1.0f - zs) * F32(prev + i) + zs * t,
+                                                         f64x16u);
+    }
+}
+
+/* One batch row's gate sweep: gx and gh its 3H gate sums (z, r,
+ * candidate), the states before and after.  The last h % 16 units run
+ * through zero-padded copies of theirs, h = 16 apart. */
+static void gru_row(
+    i64 h, const double *gx, const double *gh, const double *bias_h, const double *prev,
+    double *next)
+{
+    const i64 whole = h / 16 * 16, n = h - whole;
+    for (i64 at = 0; at < whole; at += GATE_BLOCK)
+        gru_gates(whole - at < GATE_BLOCK ? whole - at : GATE_BLOCK, h, gx + at, gh + at,
+                  bias_h + at, prev + at, next + at);
+    if (!n) return;
+    double x[48] = {0.0}, y[48] = {0.0}, b[16] = {0.0}, p[16] = {0.0}, out[16];
+    for (int g = 0; g < 3; g++) {
+        memcpy(x + 16 * g, gx + g * h + whole, (size_t)n * sizeof(double));
+        memcpy(y + 16 * g, gh + g * h + whole, (size_t)n * sizeof(double));
+    }
+    memcpy(b, bias_h + whole, (size_t)n * sizeof(double));
+    memcpy(p, prev + whole, (size_t)n * sizeof(double));
+    gru_gates(16, 16, x, y, b, p, out);
+    memcpy(next + whole, out, (size_t)n * sizeof(double));
 }
 
 /* Rows of a GRU layer's hidden states in the arena of repro_plan_i8_chunk:
@@ -764,37 +846,21 @@ static tile_rows tile_half(double *at, i64 rows, i64 h, i64 which)
 
 /* `steps` steps of one GRU layer, starting from the states `before` (B
  * rows), gx the steps' gate rows.  Per step gh = (the states before it, as
- * their codes) @ W_hh.T, then one sweep per batch row while it is in L1, in
- * float32 from the rounded sums on: zr = sigmoid(gx_zr + gh_zr) as
- * 1 / (exp(-(..)) + 1), cand = tanh(gx_h + r * (gh_h + bias_h)) and the
- * new state (1 - z) * prev + z * cand, widened into `now` and quantized
- * there and then, while it is hot, to the codes and scale that both the
- * next step's product and the next op read.  `now` advances a step. */
+ * their codes) @ W_hh.T, then one gate sweep per batch row while it is in
+ * L1 (gru_row), its new states widened into `now` and quantized there and
+ * then, while they are hot, to the codes and scale that both the next
+ * step's product and the next op read.  `now` advances a step. */
 static void repro_gru_i8_chunk(
     const plan_op *op, i64 batch, i64 steps, tile_rows before, const double *gx,
-    tile_rows now, float *zr, float *cand, double *gh, i32 *work,
-    loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
+    tile_rows now, double *gh, i32 *work)
 {
     const i64 h = op->n;
-    const double *bias_h = op->bias;
     for (i64 t = 0; t < steps; t++) {
         bspc_i8_coded(op, batch, before.code, before.scale, NULL, work, gh);
         for (i64 b = 0; b < batch; b++) {
-            const double *gxb = gx + b * 3 * h, *ghb = gh + b * 3 * h;
-            const double *prev = before.state + b * h;
             double *next = now.state + b * h;
             TIC(gates);
-            for (i64 i = 0; i < 2 * h; i++)
-                zr[i] = -(float)(gxb[i] + ghb[i]);
-            repro_loop_f32(exp_loop, exp_data, 2 * h, zr);
-            for (i64 i = 0; i < 2 * h; i++)
-                zr[i] = 1.0f / (zr[i] + 1.0f);
-            for (i64 i = 0; i < h; i++)
-                cand[i] = (float)gxb[2 * h + i]
-                          + zr[h + i] * (float)(ghb[2 * h + i] + bias_h[i]);
-            repro_loop_f32(tanh_loop, tanh_data, h, cand);
-            for (i64 i = 0; i < h; i++)
-                next[i] = (1.0f - zr[i]) * (float)prev[i] + zr[i] * cand[i];
+            gru_row(h, gx + b * 3 * h, gh + b * 3 * h, op->bias, before.state + b * h, next);
             TOC(gates, PH_GATES);
             TIC(quantize);
             now.scale[b] = bspc_quant_i8(h, next, now.code + b * h);
@@ -820,13 +886,12 @@ static void repro_gru_i8_chunk(
  * the (B, H) states in and then the (B, H) arrays the states out are
  * copied to.  `arena` is laid out here from B and the widths alone, for
  * tiles of `rows` = ceil(8 / B) * B rows: the tile's gate rows (3H of the
- * widest H), gh (B rows), the float32 zr and cand (3H), the codes and
- * scales of the tile's x, then per GRU the tile_layer of its own H.
- * `work` is the neediest op's product scratch at 8 rows.  B > 0, T > 0. */
+ * widest H), gh (B rows), the codes and scales of the tile's x, then per
+ * GRU the tile_layer of its own H.  `work` is the neediest op's product
+ * scratch at 8 rows.  B > 0, T > 0. */
 API void repro_plan_i8_chunk(
     const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
-    double *const *carry, double *logits, double *arena, i32 *work,
-    loop_fn exp_loop, void *exp_data, loop_fn tanh_loop, void *tanh_data)
+    double *const *carry, double *logits, double *arena, i32 *work)
 {
     TIC(chunk);
     const i64 tile = (8 + batch - 1) / batch, rows = tile * batch, d = ops[0].n;
@@ -838,8 +903,7 @@ API void repro_plan_i8_chunk(
             h = ops[i].n > h ? ops[i].n : h;
         }
     double *gates = arena, *gh = gates + rows * 3 * h;
-    float *zr = (float *)(gh + batch * 3 * h), *cand = zr + 2 * h;
-    double *xs = gh + batch * 3 * h + 2 * h, *layers = xs + rows + (rows * d + 7) / 8;
+    double *xs = gh + batch * 3 * h, *layers = xs + rows + (rows * d + 7) / 8;
     i8 *xq = (i8 *)(xs + rows);
     /* each carry in, where tile 0 reads the step before it */
     double *layer = layers;
@@ -876,8 +940,7 @@ API void repro_plan_i8_chunk(
             const tile_rows now = tile_half(layer, rows, hg, k % 2);
             /* the step before the tile: the last of the tile before, or the carry */
             const tile_rows before = {was.state + last * hg, was.scale + last, was.code + last * hg};
-            repro_gru_i8_chunk(op, batch, span, before, gates, now, zr, cand, gh, work,
-                               exp_loop, exp_data, tanh_loop, tanh_data);
+            repro_gru_i8_chunk(op, batch, span, before, gates, now, gh, work);
             q = now.code;
             s = now.scale;
             if (t0 + span == steps)
@@ -907,10 +970,17 @@ def _expand8() -> str:
     return ",".join("{%s}" % lanes(keep) for keep in range(256))
 
 
+def _exp_defines() -> str:
+    """The constants of :func:`repro.kernels._math.exp32` as C defines of
+    the very same float32 values (hex literals: no decimal rounding)."""
+    names = ("EXP_LO", "EXP_HI", "LOG2E", "ROUND", "LN2_HI", "LN2_LO", "P2", "P3", "P4", "P5", "P6")
+    return "\n".join(f"#define {name} {float(getattr(_math, name)).hex()}f" for name in names)
+
+
 _C_SOURCE = (
     _C_COMMON.replace("$ACC_CHUNK", str(ACC_CHUNK))
     + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD)).replace("$WINDOW", str(WINDOW))
-    + _C_GRU_CHUNK.replace("$EXPAND8", _expand8())
+    + _C_GRU_CHUNK.replace("$EXPAND8", _expand8()).replace("$EXP_DEFINES", _exp_defines())
 )
 
 
@@ -1040,8 +1110,6 @@ def _load_and_probe(so_path: Path) -> ctypes.CDLL:
             f"could not load compiled kernels from {so_path}: {exc}"
         ) from exc
     _sanity_probe(lib)
-    # kept on the handle: whoever swaps the library swaps its probe with it
-    lib.numpy_loops = _probe_loops(lib)
     return lib
 
 
@@ -1058,10 +1126,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_i8_pack": (i64, i64, i64, ptr, ptr),
         "repro_phase_ticks": (ptr,),
         "repro_bspc_i8_rows": (ptr, i64, i64, ptr, ptr, ptr, ptr),
-        "repro_loop_f32": (ptr, ptr, i64, ptr),
-        "repro_plan_i8_chunk": (
-            ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ),
+        "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr),
     }
     try:
         for name, argtypes in signatures.items():
@@ -1109,85 +1174,6 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
         check(out, x[:batch] @ codes.T.astype(np.float64))
 
 
-class _UFuncHead(ctypes.Structure):
-    """The public head of ``PyUFuncObject`` (``numpy/ufuncobject.h``; the
-    same fields in the same order in every numpy 1.x and 2.x)."""
-
-    _fields_ = [
-        ("ob_base", ctypes.c_byte * object.__basicsize__),
-        ("nin", ctypes.c_int),
-        ("nout", ctypes.c_int),
-        ("nargs", ctypes.c_int),
-        ("identity", ctypes.c_int),
-        ("functions", ctypes.POINTER(ctypes.c_void_p)),
-        ("data", ctypes.POINTER(ctypes.c_void_p)),
-        ("ntypes", ctypes.c_int),
-        ("reserved1", ctypes.c_int),
-        ("name", ctypes.c_void_p),
-        ("types", ctypes.c_void_p),
-    ]
-
-
-def _numpy_loop(ufunc) -> Optional[Tuple[int, Optional[int]]]:
-    """``(function, data)`` addresses of the float32 inner loop numpy runs
-    for a unary ``ufunc``: the first ``f->f`` row of the loop table in its
-    ``PyUFuncObject`` head, the row numpy's own resolver takes.  ``None``
-    where that cannot be established — nothing is read through a pointer
-    before the head, read as a struct at ``id(ufunc)``, repeats what Python
-    says of the ufunc (its counts, then every type number of the table)."""
-    if sys.implementation.name != "cpython" or type(ufunc) is not np.ufunc:
-        return None  # id() is the object's address on CPython only
-    signatures = ufunc.types
-    if "f->f" not in signatures or np.ufunc.__basicsize__ < ctypes.sizeof(_UFuncHead):
-        return None
-    head = _UFuncHead.from_address(id(ufunc))
-    counts = (head.nin, head.nout, head.nargs, head.ntypes)
-    if counts != (ufunc.nin, ufunc.nout, ufunc.nargs, len(signatures)):
-        return None
-    if not (head.types and head.functions and head.data):
-        return None
-    numbers = bytes(np.dtype(c).num for sig in signatures for c in sig.replace("->", ""))
-    if ctypes.string_at(head.types, len(numbers)) != numbers:
-        return None
-    row = signatures.index("f->f")
-    function = head.functions[row]
-    return (function, head.data[row]) if function else None
-
-
-def _probe_loops(lib: ctypes.CDLL) -> Optional[tuple]:
-    """numpy's float32 ``exp`` and ``tanh`` loops as ``repro_gru_i8_chunk``
-    takes them, ``(exp, exp data, tanh, tanh data)`` — or ``None``, and the
-    engine keeps its generic loop, unless both resolved and, called through
-    ``lib`` in place on the head and on the tail of the values, gave the
-    bytes the ufunc gives for all of them at once: over every float32 binade
-    (four mantissas each, both signs), zeros, infinities, NaN, the smallest
-    subnormals and exp's overflow and underflow edges, at lengths on both
-    sides of a 16-lane vector.  So a gate row run on its own is the same
-    bytes as the rows of the generic loop's one call."""
-    binades = np.arange(-149, 128)
-    spread = np.ldexp(
-        np.linspace(1.0, 2.0, 4 * binades.size, endpoint=False), np.repeat(binades, 4)
-    )
-    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 2.0**-149, -(2.0**-149), 88.72, -103.97]
-    with np.errstate(all="ignore"):
-        values = np.concatenate([edges, spread, -spread]).astype(np.float32)
-    loops: tuple = ()
-    for ufunc in (np.exp, np.tanh):
-        loop = _numpy_loop(ufunc)
-        if loop is None:
-            return None
-        with np.errstate(all="ignore"):
-            want = ufunc(values)
-        for n in (1, 15, 16, 17, 1025, values.size):
-            for part in (slice(None, n), slice(values.size - n, None)):
-                got = values[part].copy()
-                lib.repro_loop_f32(*loop, n, _p(got))
-                if got.tobytes() != want[part].tobytes():
-                    return None
-        loops += loop
-    return loops
-
-
 def _library() -> ctypes.CDLL:
     """The per-process library handle; builds on first use, errors once."""
     global _LIB, _LOAD_ERROR
@@ -1224,12 +1210,6 @@ def kgroup() -> int:
     codes of a row its packed panel keeps side by side: 4 (AVX-512 VNNI),
     2 (any other build with :func:`lanes`), or 0 where that is 0."""
     return _library().repro_i8_kgroup() if available() else 0
-
-
-def numpy_loops() -> Optional[tuple]:
-    """What :func:`_probe_loops` found when the library was loaded; ``None``
-    also where there is no library."""
-    return _library().numpy_loops if available() else None
 
 
 #: The phase counters of a ``build_library(phases=True)`` library, in the
@@ -1550,8 +1530,6 @@ class PlanProgram:
 
     def __init__(self, ops) -> None:
         self._lib = _library()
-        if self._lib.numpy_loops is None:  # the engine lowers no program then
-            raise CompileBackendError("numpy's exp/tanh inner loops did not resolve")
         kinds = [kind for kind, _, _ in ops]
         layers = len(kinds) // 2
         if not layers or kinds != [PLAN_PROJECT, PLAN_GRU] * layers + [PLAN_OUTPUT] * (
@@ -1595,11 +1573,11 @@ class PlanProgram:
         """Doubles of arena ``repro_plan_i8_chunk`` lays out for a chunk of
         ``batch`` rows a step, as the C does: tiles of ``ceil(8 / B) * B``
         rows, their gate rows (3H of the widest H), ``gh`` (B rows), the
-        float32 ``zr`` and ``cand`` (3H), the codes and scales of a tile of
-        ``x``; then per GRU two halves of a tile's states, scales and codes
-        (``tile_layer``).  Not a function of ``T``."""
+        codes and scales of a tile of ``x``; then per GRU two halves of a
+        tile's states, scales and codes (``tile_layer``).  Not a function of
+        ``T``."""
         rows, h = -(-8 // batch) * batch, max(self.hidden)
-        need = rows * 3 * h + batch * 3 * h + 2 * h + rows + (rows * self._input + 7) // 8
+        need = rows * 3 * h + batch * 3 * h + rows + (rows * self._input + 7) // 8
         return need + sum(2 * (rows * g + rows + (rows * g + 7) // 8) for g in self.hidden)
 
     def stale(self) -> bool:
@@ -1628,13 +1606,11 @@ class PlanProgram:
         if self.arena.size < need:
             self.arena = np.empty(need)
             self._arena_at = _p(self.arena)
-        lib = self._lib
-        lib.repro_plan_i8_chunk(
+        self._lib.repro_plan_i8_chunk(
             self._ops, len(self._ops), seq_len, batch, _p(x),
             (ctypes.c_void_p * (2 * len(fresh)))(*map(_p, states + fresh)), _p(logits),
             self._arena_at,
             _scratch(8 * self._work),  # a product's block is <= 8 rows
-            *lib.numpy_loops,
         )
         return logits, [(state,) for state in fresh]
 

@@ -122,7 +122,7 @@ class Trainer:
 
         A pure function of ``(config.seed, epoch)`` — the same seeded
         shuffle :class:`~repro.nn.data.DataLoader` would apply — so any
-        process (a resumed trainer, a distributed gradient worker) can
+        process (a resumed trainer, a sweep cell) can
         reconstruct exactly which utterances the Nth step of epoch E
         trains on.
         """
@@ -135,12 +135,7 @@ class Trainer:
         return (n + self.config.batch_size - 1) // self.config.batch_size
 
     def _backward_on_batch(self, indices: np.ndarray) -> float:
-        """Forward/backward one minibatch; leaves gradients on the model.
-
-        The distributed trainer overrides this seam to shard ``indices``
-        across gradient workers; everything around it (pruning hooks,
-        clipping, the optimizer step) stays parent-side and identical.
-        """
+        """Forward/backward one minibatch; leaves gradients on the model."""
         batch = collate([self.train_set[int(i)] for i in indices])
         loss = self._batch_loss(batch)
         loss.backward()

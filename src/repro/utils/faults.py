@@ -2,8 +2,8 @@
 
 Robustness claims that are only exercised by real crashes are not
 testable claims.  :class:`FaultConfig` is a *seeded, deterministic*
-fault plan handed to a worker process — a serving-fabric worker, a
-distributed-training gradient worker, or a sweep cell — and
+fault plan handed to a worker process — a serving-fabric worker or a
+sweep cell — and
 :class:`FaultInjector` interprets it inside that worker.  Faults
 modeled:
 
@@ -51,8 +51,8 @@ class FaultConfig:
 
     ``crash_after_chunks=k`` / ``stall_after_chunks=k`` fire just before
     the worker processes its ``k+1``-th unit of work — a streamed chunk
-    in the serving fabric, a training step in the distributed trainer
-    (the in-flight unit is lost with the crash).  ``None`` disables that
+    in the serving fabric, a training step in a sweep cell (the in-flight
+    unit is lost with the crash).  ``None`` disables that
     fault.
     """
 

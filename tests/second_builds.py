@@ -1,0 +1,316 @@
+"""Second builds of the C kernel library: mutants, and the paths this
+host's own build skips.
+
+Every test here builds and loads another ``.so`` (1-2 s each), so the file
+is named outside pytest's ``test_*.py`` pattern and the tier-1 run
+(``python -m pytest -x -q``) does not collect it.  Name it to run it::
+
+    PYTHONPATH=src python -m pytest -q tests/second_builds.py
+
+The ``compiled-backend-smoke`` CI job does, next to its own per-ISA
+rebuilds, so every exactness claim made here stays pinned in CI.
+"""
+
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import kernels
+from repro.errors import CompileBackendError
+from repro.kernels import compiled, quantized
+from repro.kernels.registry import KernelRegistry
+from repro.utils.rng import new_rng
+from test_int8_routing import (
+    GOLDEN,
+    assert_states_equal,
+    bsp_int8_plan,
+    bsp_matrix,
+    golden_digest,
+    golden_plan,
+    requires_compiler,
+    streamed_bytes,
+    wide_matrix,
+)
+
+requires_lanes = pytest.mark.skipif(
+    not compiled.lanes(), reason="C library built without the rows-in-lanes kernel"
+)
+requires_vnni = pytest.mark.skipif(
+    compiled.kgroup() != 4, reason="C library built without AVX-512 VNNI"
+)
+
+
+def host_contracts_fma():
+    """Whether ``-march=native`` lets this host's compiler emit FMAs."""
+    if platform.machine().lower() in ("aarch64", "arm64"):
+        return True
+    try:
+        return " fma " in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+
+
+def load_second_build(tmp_path, monkeypatch, edit=None, flags=None, probe=True):
+    """Put another build of the kernel library in the process's place:
+    ``edit`` rewrites the C source, ``flags`` stand in for -march=native;
+    without ``probe`` a library whose products are wrong loads all the same."""
+    if edit is not None:
+        mutant = edit(compiled._C_SOURCE)
+        assert mutant != compiled._C_SOURCE
+        monkeypatch.setattr(compiled, "_C_SOURCE", mutant)
+    if flags is not None:
+        compile_ = compiled._compile
+
+        def swapped(cc, src, out, given):
+            keep = tuple(flag for flag in given if flag != "-march=native")
+            compile_(cc, src, out, tuple(flags) + keep)
+
+        monkeypatch.setattr(compiled, "_compile", swapped)
+    if not probe:
+        monkeypatch.setattr(compiled, "_sanity_probe", lambda lib: None)
+    monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path))
+
+
+def load_wrong_build(tmp_path, monkeypatch, edit):
+    """A mutant whose int8 products are wrong: refused at load, then —
+    the same cached ``.so`` — loaded past the probe to show how wrong."""
+    with pytest.raises(CompileBackendError, match="sanity probe"):
+        load_second_build(tmp_path, monkeypatch, edit)
+    load_second_build(tmp_path, monkeypatch, probe=False)
+
+
+def streamed_auto_plan():
+    """Logits and states of a freshly lowered plan with a dense layer 0."""
+    with kernels.use_backend(None):
+        plan = bsp_int8_plan(sparse_format="auto")
+        assert plan.program is not None
+        return streamed_bytes(plan)
+
+
+def lowered_golden():
+    """The golden digest through a freshly lowered program."""
+    with kernels.use_backend(None):
+        plan = golden_plan()
+        assert plan.program is not None
+        return golden_digest(plan)
+
+
+# ---------------------------------------------------------------------------
+# Mutants: each guard in the C source, dropped, changes bits
+# ---------------------------------------------------------------------------
+@requires_compiler
+def test_contracting_the_gate_math_changes_bits(tmp_path, monkeypatch):
+    # Mutation check of the contraction guard: the same C source built
+    # with the guard removed lets the compiler fuse `a + b * c` in the gate
+    # math into one FMA, which rounds once instead of twice.  The carry
+    # state is compared as well as the logits: it diverges a chunk before
+    # a logit does.
+    if not host_contracts_fma():
+        pytest.skip("no FMA on this host: contraction cannot change a bit")
+    assert compiled._C_NO_CONTRACT in compiled._C_SOURCE
+    chunks = new_rng(3).standard_normal((4, 6, 5, 8))
+
+    def stream():
+        with kernels.use_backend(None):
+            plan, state, logits = bsp_int8_plan(), None, []
+            assert plan.program is not None
+            for chunk in chunks:
+                out, state = plan.run_chunk(chunk, state)
+                logits.append(out)
+        return np.concatenate(logits), state
+
+    with kernels.use_backend("reference"):
+        plan, want_state, want = bsp_int8_plan(), None, []
+        for chunk in chunks:
+            out, want_state = plan.run_chunk(chunk, want_state)
+            want.append(out)
+    guarded_logits, guarded_state = stream()
+    np.testing.assert_array_equal(guarded_logits, np.concatenate(want))
+    assert_states_equal(guarded_state, want_state)
+
+    load_second_build(tmp_path, monkeypatch, lambda c: c.replace(compiled._C_NO_CONTRACT, ""))
+    mutant_logits, mutant_state = stream()
+    assert any(
+        not np.array_equal(a[0], b[0])
+        for a, b in zip(mutant_state.layer_states, want_state.layer_states)
+    )
+    assert not np.array_equal(mutant_logits, guarded_logits)
+
+
+@requires_lanes
+def test_dropping_the_quantizers_divide_guard_changes_codes(tmp_path, monkeypatch):
+    # below MARKSTEIN_MIN the reciprocal overflows; only the guard keeps
+    # the reciprocal sequence away from such a row
+    if not host_contracts_fma():
+        pytest.skip("no FMA on this host: the reciprocal sequence is compiled out")
+    matrix = bsp_matrix()
+    x = new_rng(2).uniform(-1.0, 1.0, (64, 4))
+    x[:, 1] *= 1e-310
+    want = kernels.spmm_int8(matrix, x, backend="reference")
+    assert want[:, 1].any()
+    np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    guard = "#define MARKSTEIN_MIN 1e-250"
+    assert guard in compiled._C_SOURCE
+    load_second_build(
+        tmp_path, monkeypatch, lambda c: c.replace(guard, "#define MARKSTEIN_MIN 0.0")
+    )
+    got = kernels.spmm_int8(matrix, x, backend="compiled")
+    assert not np.array_equal(got[:, 1], want[:, 1])
+    np.testing.assert_array_equal(got[:, [0, 2, 3]], want[:, [0, 2, 3]])
+
+
+@requires_lanes
+def test_swapping_the_group_interleave_changes_the_product(tmp_path, monkeypatch):
+    # the pack puts a row's codes of one k-group side by side, against the
+    # activation group in the same order
+    group = "LV(set1_epi32)(x)"
+    assert compiled._C_SOURCE.count(group) == 1
+    matrix = bsp_matrix()
+    x = new_rng(5).standard_normal((64, 3))
+    codes, scale = kernels.int8_codes(new_rng(6).standard_normal((20, 9)))
+    rows = new_rng(7).standard_normal((4, 9))
+    want = kernels.spmm_int8(matrix, x, backend="reference")
+    want_dense = kernels.linear_int8_rowwise(codes, scale, rows, backend="reference")
+    load_wrong_build(
+        tmp_path,
+        monkeypatch,
+        lambda c: c.replace(
+            group, "LV(set1_epi32)((i32)((uint32_t)x << 16 | (uint32_t)x >> 16))"
+        ),
+    )
+    for batch in (1, 3):
+        got = kernels.spmm_int8(matrix, x[:, :batch], backend="compiled")
+        assert not np.array_equal(got, want[:, :batch])
+    assert not np.array_equal(compiled.linear_int8_rowwise(codes, scale, rows), want_dense)
+    # a strip past one int32 sum takes the register block, which reads the
+    # plain codes
+    wide = wide_matrix()
+    signs = np.sign(new_rng(8).standard_normal((compiled.ACC_CHUNK + 1, 3)))
+    np.testing.assert_array_equal(
+        kernels.spmm_int8(wide, signs, backend="compiled"),
+        kernels.spmm_int8(wide, signs, backend="reference"),
+    )
+
+
+@requires_vnni
+def test_dropping_the_offset_initialiser_changes_the_product(tmp_path, monkeypatch):
+    # vpdpbusd multiplies activation codes offset by 128; only starting each
+    # sum at -128 * its row's code sum gives the reference's integers back
+    start = "#define LANES_INIT(p) _mm512_loadu_si512(p)"
+    assert compiled._C_SOURCE.count(start) == 1
+    matrix = bsp_matrix()
+    x = new_rng(5).standard_normal((64, 8))
+    want = kernels.spmm_int8(matrix, x, backend="reference")
+    np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    load_wrong_build(
+        tmp_path,
+        monkeypatch,
+        lambda c: c.replace(start, "#define LANES_INIT(p) _mm512_setzero_si512()"),
+    )
+    for batch in (1, 8):
+        got = kernels.spmm_int8(matrix, x[:, :batch], backend="compiled")
+        assert not np.array_equal(got, want[:, :batch])
+    got = kernels.spmv_int8(matrix, x[:, 0], backend="compiled")
+    assert not np.array_equal(got, kernels.spmv_int8(matrix, x[:, 0], backend="reference"))
+
+
+# ---------------------------------------------------------------------------
+# The builds this host's own skips: the same bytes, the golden digest
+# ---------------------------------------------------------------------------
+@requires_vnni
+def test_the_build_without_vnni_streams_the_same_bytes(tmp_path, monkeypatch):
+    # the pair / pmaddwd form of the same microkernel, which this host's
+    # own build leaves out
+    native = streamed_auto_plan()
+    load_second_build(tmp_path, monkeypatch, flags=("-march=native", "-mno-avx512vnni"))
+    assert (compiled.lanes(), compiled.kgroup()) == (16, 2)
+    assert streamed_auto_plan() == native
+    assert lowered_golden() == GOLDEN
+    for batch in (1, 2, 8, 9, 16):
+        x = new_rng(batch).standard_normal((64, batch))
+        np.testing.assert_array_equal(
+            kernels.spmm_int8(bsp_matrix(), x, backend="compiled"),
+            kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+        )
+
+
+@requires_compiler
+def test_a_plain_o3_build_streams_the_same_bytes(tmp_path, monkeypatch):
+    # No -march=native: the lanes kernel and the reciprocal quantizer are
+    # compiled out, every product runs the portable register block and the
+    # gate sweep's vectors are split into whatever the baseline ISA has —
+    # the paths an AVX host's own build never takes.
+    native = streamed_auto_plan()
+    load_second_build(tmp_path, monkeypatch, flags=())
+    assert (compiled.lanes(), compiled.kgroup()) == (0, 0)
+    assert streamed_auto_plan() == native
+    assert lowered_golden() == GOLDEN
+    # registering from such a build leaves the dense op on numpy
+    target = KernelRegistry()
+    target.register("linear_int8_rowwise", "numpy", quantized.linear_int8_rowwise)
+    assert compiled.register_compiled_backend(target)
+    assert target.get("linear_int8_rowwise") is quantized.linear_int8_rowwise
+    assert target.get("linear_int8_rowwise", "compiled") is quantized.linear_int8_rowwise
+    assert target.get("bspc_spmm_int8", "compiled") is compiled.bspc_spmm_int8
+
+
+@requires_compiler
+def test_a_plain_o3_build_lowers_a_program_too(tmp_path, monkeypatch):
+    # no rows-in-lanes kernel: the registry leaves the dense op on numpy,
+    # and the program runs those slots on panels it packs for itself
+    with kernels.use_backend(None):
+        native = streamed_bytes(bsp_int8_plan(sparse_format="auto"))
+        load_second_build(tmp_path, monkeypatch, flags=())
+        if compiled.lanes():
+            pytest.skip("REPRO_CC names a vector ISA of its own: no plain build here")
+        numpy_dense = kernels.registry.get("linear_int8_rowwise", "numpy")
+        # as that build's own registration routes it
+        monkeypatch.setitem(kernels.registry._routes, "linear_int8_rowwise", "numpy")
+        plan = bsp_int8_plan(sparse_format="auto")
+        assert plan.output.weight.kernel is numpy_dense
+        assert plan.layers[0].input_proj.kernel is numpy_dense
+        assert plan.program is not None
+        assert streamed_bytes(plan) == native
+
+
+@requires_lanes
+def test_the_eight_row_build_streams_the_same_bytes(tmp_path, monkeypatch):
+    # the same microkernel source at the AVX2 width, on a host whose own
+    # build keeps sixteen rows
+    if compiled.lanes() != 16:
+        pytest.skip("this host's own build is the eight-row one")
+    native = streamed_auto_plan()
+    load_second_build(tmp_path, monkeypatch, flags=("-mavx2", "-mfma"))
+    assert (compiled.lanes(), compiled.kgroup()) == (8, 2)
+    assert streamed_auto_plan() == native
+    assert lowered_golden() == GOLDEN
+    for batch in (1, 2, 8, 9):
+        x = new_rng(batch).standard_normal((64, batch))
+        np.testing.assert_array_equal(
+            kernels.spmm_int8(bsp_matrix(), x, backend="compiled"),
+            kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+        )
+
+
+# ---------------------------------------------------------------------------
+# The phase-counter build
+# ---------------------------------------------------------------------------
+@requires_compiler
+def test_phase_counters_are_each_positive_and_nest_inside_the_chunk(tmp_path, monkeypatch):
+    assert compiled.phase_ticks() is None  # the library a process loads has none
+    # dequant and bias are one pass over the output rows
+    assert compiled.PHASES == ("quantize", "gather", "mac", "epilogue", "gates", "chunk")
+    monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path, phases=True))
+    with kernels.use_backend(None):
+        plan = bsp_int8_plan()
+        assert plan.program is not None
+        compiled.phase_ticks()  # read: cleared
+        plan.run_chunk(np.ones((4, 3, 8)))
+        ticks = compiled.phase_ticks()
+    assert set(ticks) == set(compiled.PHASES)
+    chunk = ticks.pop("chunk")
+    assert all(count > 0 for count in ticks.values()), ticks
+    assert sum(ticks.values()) <= chunk
+    assert not any(compiled.phase_ticks().values())

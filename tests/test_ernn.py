@@ -1,13 +1,9 @@
-"""Tests for the E-RNN baseline and the roofline report."""
+"""Tests for the E-RNN baseline."""
 
 import numpy as np
 import pytest
 
-from repro.compiler.codegen import CompileOptions
-from repro.compiler.pipeline import compile_weights
 from repro.errors import ConfigError
-from repro.hw.profiles import ADRENO_640, KRYO_485
-from repro.hw.roofline import render_roofline, roofline
 from repro.nn.module import Parameter
 from repro.pruning.block_circulant import project_block_circulant
 from repro.pruning.ernn import ERNNCompressor, ERNNConfig
@@ -92,62 +88,3 @@ class TestERNN:
         pruner.on_batch_backward()
         expected = params["w"].data - pruner._z["w"]
         np.testing.assert_allclose(params["w"].grad, expected)
-
-
-class TestRoofline:
-    def plans(self, rng):
-        dense = {"w": rng.standard_normal((1024, 1024))}
-        tiny = {"w": np.zeros((1024, 1024))}
-        tiny["w"][0, 0] = 1.0
-        return (
-            compile_weights(dense, CompileOptions(), timesteps=30),
-            compile_weights(tiny, CompileOptions(), timesteps=30),
-        )
-
-    def test_dense_is_compute_or_memory_bound(self, rng):
-        dense_plan, _ = self.plans(rng)
-        report = roofline(dense_plan, ADRENO_640)
-        assert report.dominant_bound() in ("compute", "memory")
-
-    def test_extreme_compression_is_overhead_bound(self, rng):
-        _, tiny_plan = self.plans(rng)
-        report = roofline(tiny_plan, ADRENO_640)
-        assert report.dominant_bound() == "overhead"
-
-    def test_layer_fields_consistent(self, rng):
-        dense_plan, _ = self.plans(rng)
-        report = roofline(dense_plan, KRYO_485)
-        layer = report.layers[0]
-        assert layer.busy_us == pytest.approx(
-            max(layer.compute_us, layer.memory_us) + layer.overhead_us
-        )
-        assert layer.arithmetic_intensity > 0
-
-    def test_counts_sum_to_layers(self, rng):
-        dense_plan, _ = self.plans(rng)
-        report = roofline(dense_plan, ADRENO_640)
-        assert sum(report.counts().values()) == len(report.layers)
-
-    def test_render(self, rng):
-        dense_plan, _ = self.plans(rng)
-        text = render_roofline(roofline(dense_plan, ADRENO_640))
-        assert "dominant bound" in text
-        assert "flop/B" in text
-
-    def test_intensity_falls_with_sparsity(self, rng):
-        """Sparser layers do less work per byte of (index-laden) traffic —
-        the memory-bound drift the paper describes."""
-        from repro.pruning.bsp import BSPConfig, bsp_project_masks
-
-        w = rng.standard_normal((1024, 1024))
-        masks = bsp_project_masks(
-            {"w": w},
-            BSPConfig(col_rate=16, row_rate=4, num_row_strips=8, num_col_blocks=8),
-        )
-        dense_plan = compile_weights({"w": w}, CompileOptions(), timesteps=30)
-        sparse_plan = compile_weights(
-            {"w": masks["w"].apply_to_array(w)}, CompileOptions(), timesteps=30
-        )
-        dense_ai = roofline(dense_plan, ADRENO_640).layers[0].arithmetic_intensity
-        sparse_ai = roofline(sparse_plan, ADRENO_640).layers[0].arithmetic_intensity
-        assert sparse_ai < dense_ai

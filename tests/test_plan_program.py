@@ -23,12 +23,7 @@ from repro.sparse.blocks import BlockGrid
 from repro.sparse.bspc import BSPCBlock, BSPCStrip
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
-from test_int8_routing import bsp_int8_plan, bsp_matrix, load_second_build, streamed_bytes
-
-#: a C library that took numpy's loops over: the three plans below lower
-requires_program = pytest.mark.skipif(
-    not compiled.numpy_loops(), reason="no C library with numpy's exp/tanh loops"
-)
+from test_int8_routing import bsp_int8_plan, bsp_matrix, requires_compiler
 
 
 def bare_rnn_plan(hidden=(24, 24)):
@@ -106,7 +101,7 @@ def test_any_split_equals_the_generic_loop_and_reference(plans, case):
         )
     with kernels.use_backend(None):
         got = stream(plan, chunks, state)
-        if compiled.numpy_loops():
+        if compiled.available():
             assert plan.program is not None  # re-bound, so lowered again
         assert got == stream(plan, chunks, state, lowered=False)
     with kernels.use_backend("reference"):
@@ -141,26 +136,6 @@ def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
     assert not float32_valued(float_plan.run_chunk(x)[1].layer_states[0][0])
 
 
-@requires_program
-def test_phase_counters_are_each_positive_and_nest_inside_the_chunk(tmp_path, monkeypatch):
-    assert compiled.phase_ticks() is None  # the library a process loads has none
-    # dequant and bias are one pass over the output rows
-    assert compiled.PHASES == ("quantize", "gather", "mac", "epilogue", "gates", "chunk")
-    phases = compiled.build_library(cache=tmp_path, phases=True)
-    monkeypatch.setattr(compiled, "_LIB", phases)
-    with kernels.use_backend(None):
-        plan = bsp_int8_plan()
-        assert plan.program is not None
-        compiled.phase_ticks()  # read: cleared
-        plan.run_chunk(np.ones((4, 3, 8)))
-        ticks = compiled.phase_ticks()
-    assert set(ticks) == set(compiled.PHASES)
-    chunk = ticks.pop("chunk")
-    assert all(count > 0 for count in ticks.values()), ticks
-    assert sum(ticks.values()) <= chunk
-    assert not any(compiled.phase_ticks().values())
-
-
 @pytest.fixture()
 def c_calls(monkeypatch):
     """Every call into the C library, by entry name, while the test runs."""
@@ -173,7 +148,7 @@ def c_calls(monkeypatch):
     return seen
 
 
-@requires_program
+@requires_compiler
 class TestOneCall:
     def test_a_non_empty_chunk_is_exactly_one_call_and_an_empty_one_none(self, plans, c_calls):
         with kernels.use_backend(None):
@@ -254,7 +229,7 @@ class TestOneCall:
                 assert plan.program._work >= panel.acc + (panel.sizes[2] + 1) // 2
 
 
-@requires_program
+@requires_compiler
 def test_the_narrow_kernel_refuses_more_columns_than_it_keeps_scales_for():
     # repro_bspc_i8_rows quantizes eight rows at a time, holding their
     # scales on its stack, into scratch sized for one such block
@@ -263,25 +238,6 @@ def test_the_narrow_kernel_refuses_more_columns_than_it_keeps_scales_for():
     for batch in (9, 16):
         with pytest.raises(ShapeError):
             compiled._narrow_call(panel, 64, batch)
-
-
-@requires_program
-def test_a_plain_o3_build_lowers_a_program_too(tmp_path, monkeypatch):
-    # no rows-in-lanes kernel: the registry leaves the dense op on numpy,
-    # and the program runs those slots on panels it packs for itself
-    with kernels.use_backend(None):
-        native = streamed_bytes(bsp_int8_plan(sparse_format="auto"))
-        load_second_build(tmp_path, monkeypatch, flags=())
-        if compiled.lanes():
-            pytest.skip("REPRO_CC names a vector ISA of its own: no plain build here")
-        numpy_dense = kernels.registry.get("linear_int8_rowwise", "numpy")
-        # as that build's own registration routes it
-        monkeypatch.setitem(kernels.registry._routes, "linear_int8_rowwise", "numpy")
-        plan = bsp_int8_plan(sparse_format="auto")
-        assert plan.output.weight.kernel is numpy_dense
-        assert plan.layers[0].input_proj.kernel is numpy_dense
-        assert plan.program is not None
-        assert streamed_bytes(plan) == native
 
 
 def other_plans():
@@ -309,7 +265,7 @@ def test_plans_without_a_descriptor_run_the_generic_loop(rng):
                 np.testing.assert_allclose(np.concatenate([first, rest]), whole, rtol=1e-5)
 
 
-@requires_program
+@requires_compiler
 class TestStaleness:
     """The descriptor holds addresses into a weight's int8 plan: a plan
     invalidated between chunks is re-lowered, as the registry kernels

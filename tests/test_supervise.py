@@ -1,6 +1,6 @@
-"""Tests for repro.utils.supervise and the lifecycle corners of its three
-users: a sweep interrupted mid-flight, a trainer past its restart
-budget, and a cell that dies of an untyped exception."""
+"""Tests for repro.utils.supervise and the lifecycle corners of its
+users: a sweep interrupted mid-flight and a cell that dies of an untyped
+exception."""
 
 import multiprocessing
 import time
@@ -8,13 +8,8 @@ import types
 
 import pytest
 
-from repro.errors import TrainingError
-from repro.speech.model import AcousticModelConfig, GRUAcousticModel
-from repro.speech.synth import SynthConfig, make_corpus
-from repro.speech.trainer import TrainerConfig
 from repro.sweep import SweepConfig, run_sweep
 from repro.sweep import orchestrator
-from repro.training import DistConfig, DistributedTrainer
 from repro.utils.faults import FaultConfig
 from repro.utils.supervise import Child, Pool, WorkerFailure
 
@@ -129,21 +124,3 @@ class TestSweepLifecycle:
         (outcome,) = result.outcomes
         assert outcome.status == "failed"
         assert "RuntimeError: boom" in outcome.error
-
-
-class TestTrainerLifecycle:
-    def test_every_step_past_the_restart_budget_raises_typed(self):
-        train_set, test_set = make_corpus(6, 2, SynthConfig(), seed=0)
-        model = GRUAcousticModel(AcousticModelConfig(hidden_size=12), rng=0)
-        dist = DistConfig(
-            num_workers=2,
-            max_restarts=0,
-            faults=FaultConfig(crash_after_chunks=0, target_worker=1),
-        )
-        with DistributedTrainer(
-            model, train_set, test_set, TrainerConfig(batch_size=3, seed=0), dist
-        ) as trainer:
-            with pytest.raises(TrainingError):
-                trainer.train_epoch()
-            with pytest.raises(TrainingError):
-                trainer.train_epoch()
