@@ -12,11 +12,8 @@ and a measured tier (:func:`tune_plan`, which times the real engine).
 from repro.compiler.autotune import (
     MeasuredCandidate,
     PlanTuningResult,
-    TileRankingComparison,
     TuningCandidate,
     TuningResult,
-    compare_tile_rankings,
-    default_tile_candidates,
     default_tile_space,
     find_best_block_size,
     tune_execution_config,
@@ -103,11 +100,8 @@ __all__ = [
     "TuningCandidate",
     "TuningResult",
     "tune_plan",
-    "default_tile_candidates",
     "MeasuredCandidate",
     "PlanTuningResult",
-    "compare_tile_rankings",
-    "TileRankingComparison",
     # visualization
     "render_pattern",
     "describe_plan",

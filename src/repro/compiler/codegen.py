@@ -99,14 +99,14 @@ def layer_plan_from_slot(slot: WeightSlot) -> LayerPlan:
         kept_rows = int(np.any(mask, axis=1).sum())
         unique_cols = int(np.any(mask, axis=0).sum())
     else:
-        bspc = BSPCMatrix.from_dense(
-            weight,
-            slot_grid(slot),
-            row_permutation=slot.row_permutation if slot.reordered else None,
-        )
+        bspc = BSPCMatrix.from_dense(weight, slot_grid(slot))
         stored_values = bspc.stored_values
         weight_bytes = stored_values * value_bytes
         metadata_bytes = bspc.nbytes(value_bytes, index_bytes) - weight_bytes
+        if slot.reordered:
+            # The mobile kernel ships the reorder permutation with the
+            # matrix: one index per row.
+            metadata_bytes += rows * index_bytes
         kept_rows = len(bspc.kept_row_indices())
         unique_cols = len(bspc.unique_col_indices())
 

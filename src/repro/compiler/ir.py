@@ -37,18 +37,11 @@ class TileConfig:
     balance.  ``unroll`` — inner-loop unroll factor (models instruction
     overhead amortization).  ``use_fp16`` — 16-bit values (the paper's GPU
     kernels) halve memory traffic.
-
-    ``row_block`` is the one knob with a *host-side* execution effect: when
-    positive, BSPC packing splits each row strip into sub-panels of at most
-    ``row_block`` rows (:func:`repro.kernels.plans.pack_bspc_plan`), the
-    measured counterpart of the simulator's ``rows_per_thread``.  ``0``
-    keeps whole strips (the default, and the historical behaviour).
     """
 
     rows_per_thread: int = 4
     unroll: int = 4
     use_fp16: bool = True
-    row_block: int = 0
 
     def __post_init__(self) -> None:
         if self.rows_per_thread < 1:
@@ -57,8 +50,6 @@ class TileConfig:
             )
         if self.unroll < 1:
             raise CompilationError(f"unroll must be >= 1, got {self.unroll}")
-        if self.row_block < 0:
-            raise CompilationError(f"row_block must be >= 0, got {self.row_block}")
 
     @property
     def value_bytes(self) -> int:
@@ -406,17 +397,17 @@ def _tile_to_dict(tile: TileConfig) -> Dict:
         "rows_per_thread": tile.rows_per_thread,
         "unroll": tile.unroll,
         "use_fp16": tile.use_fp16,
-        "row_block": tile.row_block,
     }
 
 
 def _tile_from_dict(data: Dict) -> TileConfig:
-    # row_block postdates the first artifacts; absent means unblocked.
+    # Older artifacts' tile dicts may carry a row-blocking key; it only
+    # split BSPC strips into shorter panels over the same columns, so it
+    # is ignored.
     return TileConfig(
         rows_per_thread=int(data["rows_per_thread"]),
         unroll=int(data["unroll"]),
         use_fp16=bool(data["use_fp16"]),
-        row_block=int(data.get("row_block", 0)),
     )
 
 

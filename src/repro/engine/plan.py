@@ -288,10 +288,6 @@ def _pack_sparse(slot: WeightSlot, weight: np.ndarray, scheme: Optional[str]):
             if prebuilt is not None
             else BSPCMatrix.from_dense(weight, slot_grid(slot))
         )
-        if slot.tile is not None and slot.tile.row_block:
-            # The tuner's host tile knob: install the row-blocked
-            # float plan first so the int8 plan derives from it.
-            kernels.pack_bspc_plan(matrix, slot.tile.row_block)
         plan_builder = int8_bspc_plan if scheme == "int8" else kernels.bspc_plan
     else:
         matrix = CSRMatrix.from_dense(weight)

@@ -212,11 +212,6 @@ def _run_tune(args) -> None:
     )
     if args.mixed and "mixed" not in schemes:
         schemes = schemes + ("mixed",)
-    tiles = (
-        ()
-        if not args.tiles
-        else tuple(int(rb) for rb in args.tiles.split(","))
-    )
     config = TuneConfig(
         hidden_size=args.hidden_size,
         num_layers=args.layers,
@@ -228,7 +223,6 @@ def _run_tune(args) -> None:
         schemes=schemes,
         backends=(None,) if args.backends is None
         else tuple(args.backends.split(",")),
-        tiles=tiles,
         repeats=args.repeats,
         seed=args.seed,
     )
@@ -402,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--mixed", action="store_true",
                     help="add the per-slot 'mixed' scheme (int8 "
                     "projections, float recurrences) to the search")
-    pt.add_argument("--tiles", default=None,
-                    help="comma list of BSPC panel row-block sizes to "
-                    "search (e.g. 4,8,16); off by default")
     pt.add_argument("--backends", default=None,
                     help="comma list of kernel backends to search "
                     "(default: registry default only)")

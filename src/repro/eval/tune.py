@@ -15,11 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compiler.autotune import (
-    PlanTuningResult,
-    default_tile_candidates,
-    tune_plan,
-)
+from repro.compiler.autotune import PlanTuningResult, tune_plan
 from repro.eval.report import format_table
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
@@ -40,7 +36,6 @@ class TuneConfig:
     row_rate: float = 2.0
     schemes: Tuple[Optional[str], ...] = (None,)
     backends: Tuple[Optional[str], ...] = (None,)
-    tiles: Tuple[int, ...] = ()  # BSPC row_block candidates; () skips stage 4
     repeats: int = 3
     seed: int = 0
 
@@ -89,7 +84,6 @@ class TuneOutcome:
                     "scheme": cand.scheme or "none",
                     "backend": cand.backend or "default",
                     "formats": cand.describe_formats(),
-                    "row_block": cand.row_block,
                     "measured_ms": cand.measured_s * 1e3,
                     "vs_default": self.result.baseline_s / cand.measured_s,
                     "best": cand is self.result.best,
@@ -105,7 +99,6 @@ def run_tune(config: TuneConfig) -> TuneOutcome:
         sample,
         schemes=config.schemes,
         backends=config.backends,
-        tiles=default_tile_candidates(config.tiles) if config.tiles else None,
         repeats=config.repeats,
     )
     return TuneOutcome(config=config, result=result)
@@ -129,14 +122,13 @@ def render_tune(outcome: TuneOutcome) -> str:
             row["scheme"],
             row["backend"],
             row["formats"],
-            str(row["row_block"]) if row["row_block"] else "-",
             f"{row['measured_ms']:.2f}",
             f"{row['vs_default']:.2f}x",
         )
         for row in outcome.to_rows()
     ]
     table = format_table(
-        ["candidate", "scheme", "backend", "formats", "rb", "ms", "vs default"],
+        ["candidate", "scheme", "backend", "formats", "ms", "vs default"],
         rows,
     )
     footer = (

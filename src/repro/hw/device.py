@@ -48,12 +48,6 @@ class DeviceSpec:
         (dense rows, BSPC panels) load sequentially at cost 1; CSR's
         random gathers cause divergence and pointer chasing — the
         inefficiency Section III-A attributes to ESE's irregular pruning.
-    tile_dispatch_us:
-        Fixed cost of issuing one row-tile's worth of work, charged per
-        tile per timestep.  Zero on the paper's mobile profiles (a GPU
-        wavefront launch is free once the kernel is running); host
-        calibration fits it to capture the per-panel dispatch overhead
-        that makes large row blocks win on a CPU host engine.
     """
 
     name: str
@@ -64,7 +58,6 @@ class DeviceSpec:
     power_watts: float
     parallel_fill: float = 64.0
     gather_cost: float = 4.0
-    tile_dispatch_us: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_threads < 1:
@@ -75,7 +68,6 @@ class DeviceSpec:
             "kernel_overhead_us",
             "power_watts",
             "parallel_fill",
-            "tile_dispatch_us",
         ):
             if getattr(self, field_name) < 0:
                 raise ConfigError(f"{field_name} must be >= 0")

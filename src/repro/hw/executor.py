@@ -111,20 +111,6 @@ def thread_balance(layer: LayerPlan, num_threads: int) -> float:
     return float(threads.mean() / peak) if threads.mean() > 0 else 1.0
 
 
-def tile_chunks(layer: LayerPlan) -> int:
-    """Row-tile dispatches one step of this layer issues.
-
-    Rows are walked in ``rows_per_thread`` chunks, group by group (tiles
-    never mix groups), exactly as :func:`thread_balance` assigns them;
-    layers with no reorder groups dispatch their kept rows as one run of
-    chunks.
-    """
-    tile_rows = max(1, layer.tile.rows_per_thread)
-    if layer.groups:
-        return sum(-(-group.num_rows // tile_rows) for group in layer.groups)
-    return -(-max(layer.kept_rows, 1) // tile_rows)
-
-
 def simulate_layer(layer: LayerPlan, device: DeviceSpec, timesteps: int) -> LayerTiming:
     """Cost one layer across ``timesteps`` recurrence steps."""
     if timesteps < 1:
@@ -139,9 +125,7 @@ def simulate_layer(layer: LayerPlan, device: DeviceSpec, timesteps: int) -> Laye
     compute_us = ops_per_step * timesteps / throughput if throughput else 0.0
     traffic = layer_traffic(layer, timesteps)
     memory_us = traffic.total_bytes / device.mem_bandwidth_bytes_per_us
-    overhead_us = (
-        device.kernel_overhead_us + device.tile_dispatch_us * tile_chunks(layer)
-    ) * timesteps
+    overhead_us = device.kernel_overhead_us * timesteps
     return LayerTiming(
         name=layer.name,
         compute_us=compute_us,

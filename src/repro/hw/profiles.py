@@ -1,5 +1,4 @@
-"""Calibrated device profiles for the paper's experimental platforms,
-plus the host-calibration store.
+"""Calibrated device profiles for the paper's experimental platforms.
 
 Calibration procedure (documented in EXPERIMENTS.md):
 
@@ -18,13 +17,6 @@ Calibration procedure (documented in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
-from pathlib import Path
-from typing import Optional
-
-from repro.errors import ConfigError
 from repro.hw.device import DeviceSpec, ReferenceAccelerator
 
 #: Qualcomm Adreno 640 mobile GPU (Snapdragon 855), 16-bit float kernels.
@@ -58,110 +50,3 @@ ESE_FPGA = ReferenceAccelerator(
     power_watts=41.0,
 )
 
-
-# ---------------------------------------------------------------------------
-# Host calibration store
-# ---------------------------------------------------------------------------
-# The paper's profiles above price *mobile* hardware; the executable
-# engine runs on whatever machine hosts this process.  A host-calibrated
-# DeviceSpec (fitted by ``repro.compiler.autotune.calibrate_cost_model``
-# from measured traces) can be installed here so the tuner's analytic
-# pre-filter and tile refinement price candidates for the machine that
-# will actually run them.  Resolution order everywhere a device is
-# optional: explicit argument > host calibration > ADRENO_640.
-
-_CALIBRATION_VERSION = 1
-
-_HOST_DEVICE: Optional[DeviceSpec] = None
-_HOST_ENV_PROBED = False  # has REPRO_HOST_CALIBRATION been checked yet?
-
-
-def spec_to_dict(spec: DeviceSpec) -> dict:
-    """JSON-ready mapping of every :class:`DeviceSpec` field."""
-    return dataclasses.asdict(spec)
-
-
-def spec_from_dict(payload: dict) -> DeviceSpec:
-    """Inverse of :func:`spec_to_dict`; rejects unknown/missing fields."""
-    fields = {f.name for f in dataclasses.fields(DeviceSpec)}
-    extra = set(payload) - fields
-    if extra:
-        raise ConfigError(
-            f"unknown DeviceSpec fields in calibration: {sorted(extra)}"
-        )
-    missing = fields - set(payload)
-    if missing:
-        raise ConfigError(
-            f"calibration is missing DeviceSpec fields: {sorted(missing)}"
-        )
-    return DeviceSpec(**payload)
-
-
-def save_calibration(spec: DeviceSpec, path) -> Path:
-    """Persist a calibrated device spec as JSON at ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"version": _CALIBRATION_VERSION, "device": spec_to_dict(spec)}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_calibration(path) -> DeviceSpec:
-    """Load a calibration written by :func:`save_calibration`."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"calibration file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"calibration file {path} is not valid JSON: {exc}")
-    if not isinstance(payload, dict) or "device" not in payload:
-        raise ConfigError(
-            f"calibration file {path} has no 'device' entry"
-        )
-    version = payload.get("version")
-    if version != _CALIBRATION_VERSION:
-        raise ConfigError(
-            f"calibration file {path} has version {version!r}; "
-            f"this build reads version {_CALIBRATION_VERSION}"
-        )
-    return spec_from_dict(payload["device"])
-
-
-def set_host_device(spec: Optional[DeviceSpec]) -> None:
-    """Install ``spec`` as this process's host calibration (None clears)."""
-    global _HOST_DEVICE, _HOST_ENV_PROBED
-    if spec is not None and not isinstance(spec, DeviceSpec):
-        raise ConfigError(
-            f"host device must be a DeviceSpec, got {type(spec).__name__}"
-        )
-    _HOST_DEVICE = spec
-    # An explicit set (or clear) overrides whatever the env may hold.
-    _HOST_ENV_PROBED = True
-
-
-def clear_host_device() -> None:
-    """Drop the host calibration and re-arm the env-file probe."""
-    global _HOST_DEVICE, _HOST_ENV_PROBED
-    _HOST_DEVICE = None
-    _HOST_ENV_PROBED = False
-
-
-def host_device() -> Optional[DeviceSpec]:
-    """The host-calibrated device, if one is installed.
-
-    Checks the ``REPRO_HOST_CALIBRATION`` environment variable (a path to
-    a :func:`save_calibration` JSON file) once, lazily, unless
-    :func:`set_host_device` was called first.  Returns None when no
-    calibration exists — callers fall back to a paper profile.
-    """
-    global _HOST_DEVICE, _HOST_ENV_PROBED
-    if not _HOST_ENV_PROBED:
-        _HOST_ENV_PROBED = True
-        env_path = os.environ.get("REPRO_HOST_CALIBRATION")
-        if env_path:
-            try:
-                _HOST_DEVICE = load_calibration(env_path)
-            except ConfigError as exc:
-                raise ConfigError(f"REPRO_HOST_CALIBRATION: {exc}")
-    return _HOST_DEVICE

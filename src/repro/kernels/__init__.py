@@ -39,7 +39,6 @@ from repro.kernels.plans import (
     CSRPlan,
     bspc_plan,
     csr_plan,
-    pack_bspc_plan,
 )
 from repro.kernels.quantized import (
     Int8BSPCPlan,
@@ -70,7 +69,6 @@ __all__ = [
     "BSPCPlan",
     "csr_plan",
     "bspc_plan",
-    "pack_bspc_plan",
     "Int8CSRPlan",
     "Int8BSPCPlan",
     "int8_csr_plan",

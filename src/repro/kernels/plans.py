@@ -96,8 +96,8 @@ class BSPCPlan:
 
     The real scatter rows strictly increase strip after strip — a
     ``BSPCMatrix``'s strips are row ranges in order with increasing kept
-    rows, and row-blocking keeps that order — so each output row is
-    written at most once and the scatter is a plain fancy ``+=``.
+    rows — so each output row is written at most once and the scatter is
+    a plain fancy ``+=``.
     """
 
     shape: Tuple[int, int]
@@ -111,9 +111,11 @@ class BSPCPlan:
         return self.scatter_rows.reshape(-1)
 
 
-def _collect_strips(matrix) -> list:
-    """Gather ``(kept_rows, cols, panel)`` per surviving strip."""
-    packed = []
+def build_bspc_plan(matrix) -> BSPCPlan:
+    """Pack a :class:`BSPCMatrix`'s panels into a :class:`BSPCPlan`,
+    one whole strip per panel."""
+    shape = matrix.grid.shape
+    packed = []  # (kept_rows, cols, panel) per surviving strip
     for strip in matrix.strips:
         if not strip.kept_rows.size:
             continue
@@ -125,12 +127,6 @@ def _collect_strips(matrix) -> list:
             [b.panel for b in strip.blocks if b.kept_cols.size], axis=1
         )
         packed.append((strip.kept_rows, cols, panel))
-    return packed
-
-
-def _finalize_bspc_plan(packed: list, shape: Tuple[int, int]) -> BSPCPlan:
-    """Pad packed panels to a common shape and build the plan arrays."""
-    rows = shape[0]
     if not packed:
         empty_i = np.zeros((0, 0), dtype=np.int64)
         return BSPCPlan(
@@ -147,7 +143,7 @@ def _finalize_bspc_plan(packed: list, shape: Tuple[int, int]) -> BSPCPlan:
     panels = np.zeros((num, max_rows, max_cols))
     gather_cols = np.zeros((num, max_cols), dtype=np.int64)
     pad_cols = np.ones((num, max_cols), dtype=bool)
-    scatter_rows = np.full((num, max_rows), rows, dtype=np.int64)
+    scatter_rows = np.full((num, max_rows), shape[0], dtype=np.int64)
     for i, (kept, cols, panel) in enumerate(packed):
         panels[i, : kept.size, : cols.size] = panel
         gather_cols[i, : cols.size] = cols
@@ -161,48 +157,6 @@ def _finalize_bspc_plan(packed: list, shape: Tuple[int, int]) -> BSPCPlan:
         pad_cols=pad_cols if pad_cols.any() else None,
         scatter_rows=scatter_rows,
     )
-
-
-def build_bspc_plan(matrix) -> BSPCPlan:
-    """Pack a :class:`BSPCMatrix`'s panels into a :class:`BSPCPlan`."""
-    return _finalize_bspc_plan(_collect_strips(matrix), matrix.grid.shape)
-
-
-def pack_bspc_plan(matrix, rows_per_block: int) -> BSPCPlan:
-    """Pack ``matrix`` with strips split into row-blocked sub-panels.
-
-    The real host knob behind :class:`~repro.compiler.ir.TileConfig`'s
-    ``row_block``: each surviving strip's kept rows are split into
-    sub-panels of at most ``rows_per_block`` rows (each keeping the full
-    strip column set), trading batched-GEMM operand shape against padding
-    waste — the measured counterpart of the simulator's
-    ``rows_per_thread`` tile axis.
-
-    Row splitting never changes *which* columns a row reduces over, so
-    every real output row is the same dot product as in the unblocked
-    plan: bitwise identical for the int8 kernels (integer accumulation
-    over the same operand sequence, and the per-strip scale is a max over
-    the same values plus zero padding), and within reduction-order
-    tolerance for float.
-
-    The plan is installed into the matrix's float-plan cache (dropping
-    any cached int8 plan so it re-derives from the blocked base) and
-    returned.  ``rows_per_block == 0`` restores whole-strip packing.
-    """
-    if rows_per_block < 0:
-        raise ValueError(f"rows_per_block must be >= 0, got {rows_per_block}")
-    packed = _collect_strips(matrix)
-    if rows_per_block:
-        blocked = []
-        for kept, cols, panel in packed:
-            for start in range(0, kept.size, rows_per_block):
-                stop = start + rows_per_block
-                blocked.append((kept[start:stop], cols, panel[start:stop]))
-        packed = blocked
-    plan = _finalize_bspc_plan(packed, matrix.grid.shape)
-    matrix.__dict__.pop(INT8_PLAN_ATTR, None)
-    setattr(matrix, PLAN_ATTR, plan)
-    return plan
 
 
 # ---------------------------------------------------------------------------

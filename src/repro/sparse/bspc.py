@@ -6,9 +6,7 @@ of one column index per nonzero (CSR), BSPC stores
 
 * per row strip: the list of surviving (unpruned) global row indices,
 * per block within the strip: the list of surviving global column indices,
-* per block: a dense value panel of shape ``(kept_rows, kept_cols)``,
-* optionally, the row permutation produced by the compiler's matrix-reorder
-  pass, so the kernel can match input features to reordered rows.
+* per block: a dense value panel of shape ``(kept_rows, kept_cols)``.
 
 Index storage is therefore proportional to ``kept_rows + kept_cols`` per
 block instead of ``nnz`` — the memory-footprint reduction the paper credits
@@ -18,7 +16,7 @@ for alleviating the memory-bound regime of RNN inference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -73,12 +71,11 @@ class BSPCMatrix(PlanCacheMixin):
 
     grid: BlockGrid
     strips: List[BSPCStrip]
-    row_permutation: Optional[np.ndarray] = None
 
     #: Registry op prefix used by :func:`repro.kernels.spmv`/``spmm``.
     kernel_prefix = "bspc"
 
-    _STRUCTURAL_FIELDS = frozenset({"grid", "strips", "row_permutation"})
+    _STRUCTURAL_FIELDS = frozenset({"grid", "strips"})
 
     def __post_init__(self) -> None:
         if len(self.strips) != self.grid.num_row_strips:
@@ -107,29 +104,10 @@ class BSPCMatrix(PlanCacheMixin):
                         f"panel rows {block.panel.shape[0]} != kept rows "
                         f"{len(strip.kept_rows)}"
                     )
-        if self.row_permutation is not None:
-            perm = np.asarray(self.row_permutation, dtype=np.int64)
-            # O(n) permutation check: right length, in range, no repeats.
-            if (
-                perm.shape != (self.grid.rows,)
-                or perm.size
-                and (
-                    perm.min() < 0
-                    or perm.max() >= self.grid.rows
-                    or np.bincount(perm, minlength=self.grid.rows).max() > 1
-                )
-            ):
-                raise SparsityError("row_permutation must be a permutation of rows")
-            self.row_permutation = perm
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def from_dense(
-        cls,
-        dense: np.ndarray,
-        grid: BlockGrid,
-        row_permutation: Optional[np.ndarray] = None,
-    ) -> "BSPCMatrix":
+    def from_dense(cls, dense: np.ndarray, grid: BlockGrid) -> "BSPCMatrix":
         """Encode a (pruned) dense matrix.
 
         Surviving rows are those with any nonzero in the strip; surviving
@@ -153,7 +131,7 @@ class BSPCMatrix(PlanCacheMixin):
                 panel = region[:, local_cols]
                 blocks.append(BSPCBlock(kept_cols=kept_cols, panel=panel))
             strips.append(BSPCStrip(kept_rows=kept_rows, blocks=blocks))
-        return cls(grid=grid, strips=strips, row_permutation=row_permutation)
+        return cls(grid=grid, strips=strips)
 
     # -- conversion ------------------------------------------------------
     def to_dense(self) -> np.ndarray:
@@ -234,14 +212,11 @@ class BSPCMatrix(PlanCacheMixin):
         values: ``stored_values * value_bytes``;
         metadata: per-strip kept-row indices + per-block kept-column indices
         + a fixed 8-byte header per block (panel dims) — all the kernel
-        needs; no per-nonzero index is ever stored.  The reorder permutation,
-        when present, costs one index per matrix row.
+        needs; no per-nonzero index is ever stored.
         """
         total = self.stored_values * value_bytes
         for strip in self.strips:
             total += len(strip.kept_rows) * index_bytes
             for block in strip.blocks:
                 total += len(block.kept_cols) * index_bytes + 8
-        if self.row_permutation is not None:
-            total += len(self.row_permutation) * index_bytes
         return total

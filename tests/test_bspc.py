@@ -121,13 +121,6 @@ class TestStorageModel:
         csr_bytes = CSRMatrix.from_dense(pruned).nbytes()
         assert bspc_bytes < csr_bytes
 
-    def test_permutation_adds_bytes(self, rng):
-        pruned, grid = bsp_pruned_matrix(rng)
-        plain = BSPCMatrix.from_dense(pruned, grid)
-        perm = np.random.default_rng(0).permutation(pruned.shape[0])
-        with_perm = BSPCMatrix.from_dense(pruned, grid, row_permutation=perm)
-        assert with_perm.nbytes() == plain.nbytes() + pruned.shape[0] * 2
-
     def test_value_bytes_scaling(self, rng):
         pruned, grid = bsp_pruned_matrix(rng)
         bspc = BSPCMatrix.from_dense(pruned, grid)
@@ -178,13 +171,6 @@ class TestValidation:
     def test_panel_col_mismatch_rejected(self):
         with pytest.raises(SparsityError):
             BSPCBlock(kept_cols=np.array([0, 1]), panel=np.zeros((2, 1)))
-
-    def test_bad_permutation_rejected(self, rng):
-        pruned, grid = bsp_pruned_matrix(rng)
-        with pytest.raises(SparsityError):
-            BSPCMatrix.from_dense(
-                pruned, grid, row_permutation=np.zeros(pruned.shape[0], dtype=int)
-            )
 
 
 @settings(max_examples=25, deadline=None)

@@ -90,6 +90,12 @@ class TestLowerMatrix:
         assert len(without.groups) == 1
         assert len(with_reorder.groups) >= 1
 
+    def test_reorder_permutation_costs_one_index_per_row(self, rng):
+        w = pruned_weight(rng)
+        with_reorder = lower_matrix("layer", w, CompileOptions(enable_reorder=True))
+        without = lower_matrix("layer", w, CompileOptions(enable_reorder=False))
+        assert with_reorder.metadata_bytes == without.metadata_bytes + 24 * 2
+
     def test_permutation_always_full(self, rng):
         w = pruned_weight(rng)
         plan = lower_matrix("layer", w)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.eval.export import load_json, result_rows, to_csv, to_json
 from repro.eval.figure4 import Figure4Point, Figure4Result
 from repro.eval.runner import build_parser, main
@@ -139,8 +140,9 @@ class TestCLI:
             (["stream-bench", "--sessions", "2", "--repeats", "1", "--chaos"], {},
              "chaos requires workers >= 1"),
             (["stream-bench", "--repeats", "0"], {}, "repeats must be >= 1, got 0"),
-            (["tune", "--hidden-size", "16"], {"REPRO_HOST_CALIBRATION": "/nonexistent"},
-             "REPRO_HOST_CALIBRATION: calibration file not found: /nonexistent"),
+            (["tune", "--hidden-size", "16", "--backends", "nope"], {},
+             "tune_plan backends names unknown kernel backend 'nope'; "
+             f"available: {', '.join(kernels.backends())}"),
         ],
     )
     def test_typed_error_is_one_line_and_exit_2(self, argv, env, message):

@@ -1139,11 +1139,12 @@ def wide_matrix():
 @st.composite
 def bspc_layouts(draw):
     """A BSPC weight of any layout the epilogue's windows must cover: rows
-    off the 16-row windows, strip bounds anywhere, whole strips and blocks
-    pruned, row-blocked plans; ``(matrix, batch, biased, seed)``."""
+    off the 16-row windows, strip bounds anywhere, strips of 1, 3, 5 rows
+    and longer, whole strips and blocks pruned;
+    ``(matrix, batch, biased, seed)``."""
     rows, cols = draw(st.integers(1, 70)), draw(st.integers(1, 24))
     grid = BlockGrid(
-        rows, cols, draw(st.integers(1, min(rows, 6))), draw(st.integers(1, min(cols, 3)))
+        rows, cols, draw(st.integers(1, min(rows, 24))), draw(st.integers(1, min(cols, 3)))
     )
     row_density, col_density, strip_density = (
         draw(st.sampled_from([0.2, 0.6, 1.0])) for _ in range(3)
@@ -1158,9 +1159,6 @@ def bspc_layouts(draw):
         for c0, c1 in grid.col_bounds():
             weight[r0:r1, c0:c1][:, rng.uniform(size=c1 - c0) >= col_density] = 0.0
     matrix = BSPCMatrix.from_dense(weight, grid)
-    rows_per_block = draw(st.sampled_from([0, 1, 3, 5, 16, 17]))
-    if rows_per_block:
-        kernels.pack_bspc_plan(matrix, rows_per_block)
     return matrix, draw(st.integers(1, 17)), draw(st.booleans()), seed
 
 
@@ -1242,8 +1240,9 @@ class TestLanesKernel:
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33])
     def test_bspc_plans_on_and_off_the_lanes_kernel(self, route, batch):
-        tuned = bsp_matrix()
-        kernels.pack_bspc_plan(tuned, 5)  # many short strips, rows padded 5 -> 16
+        pruned = bsp_matrix().to_dense()
+        # many short strips (4 or 5 rows), rows padded to 16
+        tuned = BSPCMatrix.from_dense(pruned, grid_for(pruned, 10, 4))
         wide = wide_matrix()  # one int32 would wrap
         cases = [(bsp_matrix(), True), (tuned, True), (wide, False)]
         for matrix, lanes in cases:
@@ -1255,6 +1254,26 @@ class TestLanesKernel:
             want = kernels.spmm_int8(matrix, x, backend="reference")
             with kernels.use_backend(route):
                 np.testing.assert_array_equal(kernels.spmm_int8(matrix, x), want)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("strip_rows", [1, 2, 3, 5, 7])
+    def test_short_whole_strips_are_the_reference_bytes(self, route, strip_rows):
+        # one panel per strip, each a few rows padded to a 16-row window
+        pruned = bsp_matrix().to_dense()  # 48 x 64
+        matrix = BSPCMatrix.from_dense(pruned, grid_for(pruned, 48 // strip_rows, 4))
+        assert max(r1 - r0 for r0, r1 in matrix.grid.row_bounds()) <= strip_rows + 1
+        if compiled.available():
+            assert takes_lanes(matrix) == has_lanes()
+        for batch in (1, 2, 3, 8, 9, 17):
+            x = new_rng(strip_rows + batch).standard_normal((64, batch))
+            x[:, 0] *= 1e-3  # scales differ per column
+            want = kernels.spmm_int8(matrix, x, backend="reference")
+            with kernels.use_backend(route):
+                np.testing.assert_array_equal(kernels.spmm_int8(matrix, x), want)
+                np.testing.assert_array_equal(
+                    kernels.spmv_int8(matrix, x[:, 0]),
+                    kernels.spmv_int8(matrix, x[:, 0], backend="reference"),
+                )
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33])
     def test_extreme_sums_on_both_sides_of_the_accumulator_bound(self, batch):

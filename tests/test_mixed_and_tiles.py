@@ -1,31 +1,25 @@
-"""Per-slot scheme mixing and the BSPC panel row-blocking tile knob.
-
-The tentpole contracts of the joint autotuning loop:
+"""Per-slot scheme mixing, tile serialization and the joint autotune.
 
 * ``scheme`` is a per-slot IR attribute — ``"mixed"`` quantizes the
   input/output projections to int8 and keeps the recurrences in float,
   decided slot-by-slot by the pass pipeline and carried through
-  ``graph_to_arrays`` → ``graph_from_arrays`` bit-exactly;
-* ``TileConfig.row_block`` is a *real* host knob — ``pack_bspc_plan``
-  re-packs BSPC strips into row panels and the blocked plan is
-  **bitwise identical** for int8 (tolerance-equal for float) under
-  every kernel backend;
-* ``tune_plan`` searches scheme × format × tile jointly and is never
-  slower than the default configuration.
+  ``graph_to_arrays`` → ``graph_from_arrays`` bit-exactly, tiles
+  included (and tile dicts of older artifacts still load);
+* BSPC plans pack one panel per whole strip, however short the strips
+  are, and tile annotations never change what a lowered plan computes;
+* ``tune_plan`` searches scheme × format jointly and is never slower
+  than the default configuration; its simulator pre-filter prices on
+  ``ADRENO_640`` unless given a device.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import engine, kernels
-from repro.compiler.autotune import (
-    compare_tile_rankings,
-    default_tile_candidates,
-    tune_execution_config,
-    tune_plan,
-)
+from repro.compiler.autotune import tune_execution_config, tune_plan
 from repro.compiler.codegen import CompileOptions
 from repro.compiler.ir import (
     OP_LINEAR,
@@ -36,8 +30,8 @@ from repro.compiler.ir import (
 )
 from repro.compiler.passes import run_passes
 from repro.compiler.pipeline import build_layer_graph
-from repro.errors import CompilationError, ConfigError
-from repro.hw.profiles import ADRENO_640
+from repro.errors import CompilationError
+from repro.hw.profiles import ADRENO_640, KRYO_485
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import grid_for
 from repro.sparse.bspc import BSPCMatrix
@@ -61,14 +55,35 @@ def small_model(seed=0, pruned=True):
     return model
 
 
-def bsp_matrix(rng, shape=(32, 48)):
+#: Strip heights of the packing tests: one row, two, a few, the whole
+#: 16-row window — short strips are where panels pad most.
+STRIP_ROWS = [1, 2, 4, 16]
+
+
+def bsp_matrix(rng, strip_rows, shape=(32, 48)):
+    """A BSP-pruned weight (4 strips x 3 blocks), stored on a grid of
+    ``strip_rows``-row strips."""
     w = rng.standard_normal(shape)
     masks = bsp_project_masks(
         {"w": w},
         BSPConfig(col_rate=4, row_rate=2, num_row_strips=4, num_col_blocks=3),
     )
     pruned = masks["w"].apply_to_array(w)
-    return BSPCMatrix.from_dense(pruned, grid_for(pruned, 4, 3))
+    return BSPCMatrix.from_dense(pruned, grid_for(pruned, shape[0] // strip_rows, 3))
+
+
+def with_legacy_panel_rows(meta, rows):
+    """Give every tile dict of a graph header the row-block key older
+    artifacts carry (BSPC strips split into ``rows``-row panels over the
+    same columns); returns ``meta``."""
+    tiles = [meta["options"]["tile"]] + [
+        slot_meta["tile"]
+        for node in meta["nodes"]
+        for slot_meta in node["weights"].values()
+    ]
+    for tile_meta in tiles:
+        tile_meta["row_block"] = rows
+    return meta
 
 
 class TestResolveSlotScheme:
@@ -130,21 +145,28 @@ class TestPerSlotScheme:
             chunks.append(logits)
         np.testing.assert_array_equal(np.concatenate(chunks, axis=0), offline)
 
-    def test_slot_scheme_and_tile_survive_serialization(self, rng):
+    @pytest.mark.parametrize("scheme", ["mixed", "int8"])
+    @pytest.mark.parametrize("legacy_panel_rows", [None, 4])
+    def test_slot_scheme_and_tile_survive_serialization(
+        self, scheme, legacy_panel_rows, rng
+    ):
         graph = build_layer_graph(
             small_model(),
-            scheme="mixed",
+            scheme=scheme,
             options=engine.EngineConfig(sparse_format="bspc").graph_options(),
         )
-        tile = TileConfig(rows_per_thread=4, row_block=4)
+        tile = TileConfig(rows_per_thread=8, unroll=2)
         for _, _, slot in graph.slots():
             slot.tile = tile
         run_passes(graph)
-        arrays, meta = graph_to_arrays(graph)
-        restored = graph_from_arrays(arrays, meta)
+        meta, arrays = graph_to_arrays(graph)
+        if legacy_panel_rows is not None:
+            # Older artifacts load as whole-strip plans with the same logits.
+            with_legacy_panel_rows(meta, legacy_panel_rows)
+        restored = graph_from_arrays(meta, arrays)
         for (_, _, a), (_, _, b) in zip(graph.slots(), restored.slots()):
             assert b.scheme == a.scheme
-            assert b.tile.row_block == a.tile.row_block
+            assert b.tile == a.tile
         x = rng.standard_normal((7, 2, 8))
         np.testing.assert_array_equal(
             engine.lower_graph(restored).forward_batch(x),
@@ -168,131 +190,143 @@ class TestPerSlotScheme:
         )
 
 
-class TestPackBspcPlan:
+class TestLegacyTileDicts:
+    """Every row-block value older ``tune`` runs could save (the measured
+    sweep's 4-64, and 128, which never split a 96-row strip) loads as the
+    tile it was saved with, and is not written back."""
+
+    @pytest.fixture(scope="class")
+    def saved(self):
+        graph = build_layer_graph(
+            small_model(),
+            scheme="int8",
+            options=engine.EngineConfig(sparse_format="bspc").graph_options(),
+        )
+        for _, _, slot in graph.slots():
+            slot.tile = TileConfig(rows_per_thread=2, unroll=8, use_fp16=False)
+        run_passes(graph)
+        return graph, graph_to_arrays(graph)
+
+    @pytest.mark.parametrize("rows", [4, 8, 16, 32, 48, 64, 128])
+    def test_old_tile_dict_loads_as_its_tile(self, saved, rows):
+        graph, (meta, arrays) = saved
+        legacy = with_legacy_panel_rows(copy.deepcopy(meta), rows)
+        restored = graph_from_arrays(legacy, arrays)
+        assert restored.options.tile == graph.options.tile
+        assert "bspc" in restored.formats().values()
+        for (_, _, a), (_, _, b) in zip(graph.slots(), restored.slots()):
+            assert b.tile == a.tile
+            assert b.format == a.format
+        # written back, the header is the whole-strip one
+        assert graph_to_arrays(restored)[0] == meta
+
+
+class TestWholeStripPacking:
+    """A BSPC plan is one panel per surviving strip; its products equal
+    the dense weight's on every backend, whatever the strip height."""
+
+    @pytest.mark.parametrize("strip_rows", STRIP_ROWS)
+    def test_one_panel_per_surviving_strip(self, strip_rows, rng_factory):
+        matrix = bsp_matrix(rng_factory(strip_rows), strip_rows)
+        rows = matrix.grid.shape[0]
+        kept = [
+            strip for strip in matrix.strips
+            if strip.kept_rows.size and any(b.kept_cols.size for b in strip.blocks)
+        ]
+        assert 0 < len(kept) <= rows // strip_rows
+        plan = kernels.bspc_plan(matrix)
+        assert plan.panels.shape[0] == len(kept)
+        assert plan.panels.shape[1] == max(s.kept_rows.size for s in kept) <= strip_rows
+        for scatter, strip in zip(plan.scatter_rows, kept):
+            n = strip.kept_rows.size
+            np.testing.assert_array_equal(scatter[:n], strip.kept_rows)
+            assert (scatter[n:] == rows).all()  # padding lands in the sink
+
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("row_block", [1, 2, 4, 16])
-    def test_blocked_float_spmm_matches_unblocked(self, backend, row_block,
-                                                  rng_factory):
-        matrix = bsp_matrix(rng_factory(row_block))
-        x = rng_factory(100 + row_block).standard_normal((48, 3))
-        expected = kernels.spmm(matrix, x, backend=backend)
-        kernels.pack_bspc_plan(matrix, row_block)
+    @pytest.mark.parametrize("strip_rows", STRIP_ROWS)
+    def test_float_products_match_dense(self, backend, strip_rows, rng_factory):
+        matrix = bsp_matrix(rng_factory(strip_rows), strip_rows)
+        dense = matrix.to_dense()
+        x = rng_factory(100 + strip_rows).standard_normal((48, 3))
         np.testing.assert_allclose(
-            kernels.spmm(matrix, x, backend=backend), expected,
+            kernels.spmm(matrix, x, backend=backend), dense @ x,
+            rtol=1e-12, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            kernels.spmv(matrix, x[:, 0], backend=backend), dense @ x[:, 0],
             rtol=1e-12, atol=1e-12,
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("row_block", [1, 2, 4, 16])
-    def test_blocked_int8_spmm_is_bitwise_exact(self, backend, row_block,
-                                                rng_factory):
-        matrix = bsp_matrix(rng_factory(row_block))
-        x = rng_factory(200 + row_block).standard_normal((48, 3))
-        expected = kernels.spmm_int8(matrix, x, backend=backend)
-        kernels.pack_bspc_plan(matrix, row_block)
+    @pytest.mark.parametrize("strip_rows", STRIP_ROWS)
+    def test_int8_products_are_the_reference_bytes(self, backend, strip_rows,
+                                                   rng_factory):
+        matrix = bsp_matrix(rng_factory(strip_rows), strip_rows)
+        x = rng_factory(200 + strip_rows).standard_normal((48, 3))
+        x[:, 0] *= 1e-3  # scales differ per column
+        want = kernels.spmm_int8(matrix, x, backend="reference")
+        np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend=backend), want)
         np.testing.assert_array_equal(
-            kernels.spmm_int8(matrix, x, backend=backend), expected
+            kernels.spmv_int8(matrix, x[:, 1], backend=backend),
+            kernels.spmv_int8(matrix, x[:, 1], backend="reference"),
         )
-
-    def test_zero_restores_whole_strip_packing(self, rng):
-        matrix = bsp_matrix(rng)
-        base = kernels.bspc_plan(matrix)
-        blocked = kernels.pack_bspc_plan(matrix, 1)
-        assert blocked.panels.shape[0] > base.panels.shape[0]
-        restored = kernels.pack_bspc_plan(matrix, 0)
-        assert restored.panels.shape == base.panels.shape
-
-    def test_negative_row_block_rejected(self, rng):
-        with pytest.raises(ValueError):
-            kernels.pack_bspc_plan(bsp_matrix(rng), -1)
+        # ... and the reference is the float product up to int8 rounding
+        exact = matrix.to_dense() @ x
+        assert np.linalg.norm(want - exact) <= 0.05 * np.linalg.norm(exact)
 
 
-class TestTileKnobEndToEnd:
+class TestTileAnnotationsLeaveExecutionAlone:
+    """Tiles price the simulator; the executed plan packs whole strips
+    whatever tile a slot carries."""
+
     @pytest.mark.parametrize("scheme", [None, "int8", "mixed"])
-    def test_row_blocked_plan_matches_unblocked(self, scheme, rng):
+    def test_tiled_plan_matches_the_default_plan(self, scheme, rng):
         model = small_model()
         config = engine.EngineConfig(sparse_format="bspc")
         expected = engine.compile_model(model, scheme=scheme, config=config)
-        graph = build_layer_graph(
-            model, scheme=scheme, options=config.graph_options()
-        )
+        graph = build_layer_graph(model, scheme=scheme, options=config.graph_options())
         for _, _, slot in graph.slots():
-            slot.tile = TileConfig(rows_per_thread=4, row_block=4)
+            slot.tile = TileConfig(rows_per_thread=1, unroll=1, use_fp16=False)
         run_passes(graph)
-        blocked = engine.lower_graph(graph, config)
+        tiled = engine.lower_graph(graph, config)
         x = rng.standard_normal((8, 2, 8))
-        if scheme in ("int8", "mixed"):
-            # Quantized paths see the exact same integer dot products.
-            np.testing.assert_array_equal(
-                blocked.forward_batch(x), expected.forward_batch(x)
-            )
-        else:
-            np.testing.assert_allclose(
-                blocked.forward_batch(x), expected.forward_batch(x),
-                rtol=1e-10, atol=1e-12,
-            )
+        np.testing.assert_array_equal(tiled.forward_batch(x), expected.forward_batch(x))
 
 
-class TestJointTuneWithTiles:
+class TestJointTune:
     def sample(self, seed=1):
         return np.random.default_rng(seed).standard_normal((10, 2, 8))
 
-    def test_tile_stage_explores_row_blocks(self):
+    def test_joint_scheme_format_search_never_slower(self):
         result = tune_plan(
-            small_model(), self.sample(), formats=("bspc",),
-            tiles=default_tile_candidates((2, 4)), repeats=1,
-        )
-        assert result.speedup >= 1.0
-        tile_rows = [c for c in result.trace if c.label.startswith("tile-rb")]
-        assert {c.row_block for c in tile_rows} == {2, 4}
-        # Non-tile candidates stay on whole-strip packing.
-        assert all(
-            c.row_block == 0 for c in result.trace
-            if not c.label.startswith("tile-rb")
-        )
-
-    def test_tile_stage_skipped_without_bspc(self):
-        result = tune_plan(
-            small_model(pruned=False), self.sample(), formats=("dense",),
-            tiles=default_tile_candidates((2, 4)), repeats=1,
-        )
-        assert all(not c.label.startswith("tile-rb") for c in result.trace)
-
-    def test_joint_scheme_format_tile_search_never_slower(self):
-        result = tune_plan(
-            small_model(), self.sample(), schemes=(None, "mixed"),
-            tiles=default_tile_candidates((4,)), repeats=1,
+            small_model(), self.sample(), schemes=(None, "mixed"), repeats=1,
         )
         assert result.speedup >= 1.0
         assert any(c.scheme == "mixed" for c in result.trace)
-        # A configuration is never measured twice, tiles included.
+        # A configuration is never measured twice.
         seen = set()
         for c in result.trace:
-            key = (c.scheme, c.backend, tuple(sorted(c.formats.items())),
-                   c.row_block)
+            key = (c.scheme, c.backend, tuple(sorted(c.formats.items())))
             assert key not in seen, f"duplicate measurement: {c.label}"
             seen.add(key)
 
-    def test_tile_winner_round_trips(self, tmp_path, monkeypatch):
-        # Force the tile candidate to win so the serialized artifact
-        # carries a row-blocked plan, then prove bit-exact redeployment.
+    @pytest.mark.parametrize("device", [None, ADRENO_640, KRYO_485])
+    def test_prefilter_prices_on_the_given_device(self, device, monkeypatch):
         import repro.compiler.autotune as autotune
 
-        times = iter([10.0, 5.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
-        monkeypatch.setattr(
-            autotune, "_median_seconds", lambda fn, repeats: next(times, 1.0)
+        priced = []
+        simulate = autotune._simulated_slot_us
+
+        def spy(slot, fmt, on):
+            priced.append(on)
+            return simulate(slot, fmt, on)
+
+        monkeypatch.setattr(autotune, "_simulated_slot_us", spy)
+        kwargs = {} if device is None else {"device": device}
+        tune_plan(
+            small_model(), self.sample(), formats=("dense", "bspc"), repeats=1, **kwargs
         )
-        sample = self.sample()
-        result = tune_plan(
-            small_model(), sample, formats=("bspc",),
-            tiles=default_tile_candidates((4,)), repeats=1, prefilter_top=1,
-        )
-        assert result.best.row_block == 4
-        engine.save_plan(tmp_path / "tuned.npz", result.plan)
-        reloaded = engine.load_plan(tmp_path / "tuned.npz")
-        np.testing.assert_array_equal(
-            reloaded.forward_batch(sample), result.plan.forward_batch(sample)
-        )
+        assert priced and all(on is (device or ADRENO_640) for on in priced)
 
 
 class TestTuneExecutionConfigReplace:
@@ -328,7 +362,7 @@ class TestTuneExecutionConfigReplace:
         import repro.compiler.autotune as autotune
 
         monkeypatch.setattr(autotune, "compile_for_simulation", fake_compile)
-        tile = TileConfig(rows_per_thread=8, row_block=8)
+        tile = TileConfig(rows_per_thread=8)
         tune_execution_config(
             {"w": rng.standard_normal((8, 8))}, ADRENO_640,
             base_options=base, tile_space=[tile],
@@ -338,31 +372,3 @@ class TestTuneExecutionConfigReplace:
         assert captured[0].format_name == "csr"
         assert captured[0].enable_reorder is False
         assert captured[0].num_col_blocks == 3
-
-
-class TestCompareTileRankings:
-    def test_comparison_is_well_formed(self):
-        model = small_model()
-        sample = np.random.default_rng(2).standard_normal((6, 1, 8))
-        comparison = compare_tile_rankings(
-            model, sample, row_blocks=(2, 8), repeats=1
-        )
-        assert comparison.row_blocks == (2, 8)
-        assert set(comparison.simulated_us) == {2, 8}
-        assert set(comparison.measured_s) == {2, 8}
-        assert comparison.sim_pick in (2, 8)
-        assert comparison.measured_pick in (2, 8)
-        assert 0.0 <= comparison.pairwise_agreement <= 1.0
-        assert 0.0 < comparison.sim_pick_efficiency <= 1.0
-        assert all(v > 0 for v in comparison.simulated_us.values())
-        assert all(v > 0 for v in comparison.measured_s.values())
-
-    def test_validation(self):
-        model = small_model()
-        sample = np.random.default_rng(2).standard_normal((6, 1, 8))
-        with pytest.raises(ConfigError):
-            compare_tile_rankings(model, sample, row_blocks=(4,))
-        with pytest.raises(ConfigError):
-            compare_tile_rankings(model, sample, row_blocks=(0, 4))
-        with pytest.raises(ConfigError):
-            compare_tile_rankings(model, sample[0], row_blocks=(2, 4))
