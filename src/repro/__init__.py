@@ -5,7 +5,7 @@ Layered public API:
 
 * :mod:`repro.nn` — numpy autograd + GRU training substrate,
 * :mod:`repro.pruning` — BSP (ADMM block pruning) and every baseline,
-* :mod:`repro.sparse` — CSR/CSC/BSPC storage formats,
+* :mod:`repro.sparse` — CSR/BSPC storage formats,
 * :mod:`repro.kernels` — vectorized execution backends behind a pluggable
   registry (the compute seam for sparse ops and fused RNN sequences),
 * :mod:`repro.compiler` — the unified compiler: one layer-graph IR and

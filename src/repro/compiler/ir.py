@@ -4,8 +4,8 @@ Two levels live here:
 
 * The **layer graph** (:class:`LayerGraph` of :class:`GraphNode` /
   :class:`WeightSlot`) — the single IR every consumer lowers from.  Typed
-  ops: ``linear`` input/output projections, ``gru_cell``/``lstm_cell``
-  recurrent layers, ``recurrent_matvec`` hidden-state matrices, and
+  ops: ``linear`` input/output projections, ``gru_cell`` recurrent
+  layers, ``recurrent_matvec`` hidden-state matrices, and
   ``quantize`` boundaries; per-weight attributes carry the sparse format,
   quantization scheme, tile/grid configuration, and the annotations the
   pass pipeline (:mod:`repro.compiler.passes`) fills in.  The analytic
@@ -186,7 +186,7 @@ WEIGHT_OPS = (OP_LINEAR, OP_RECURRENT_MATVEC)
 #: Node-level ops.  ``linear`` is a bare projection (the analytic
 #: frontend's generic GEMV layer); ``output`` is the phone-class
 #: projection; quantize boundaries are :class:`QuantBoundary` entries.
-NODE_KINDS = ("gru_cell", "lstm_cell", "linear", "output")
+NODE_KINDS = ("gru_cell", "linear", "output")
 
 GRAPH_FORMATS = ("dense", "csr", "bspc")
 #: Graph-level scheme *requests*.  ``"mixed"`` is the canonical per-layer
@@ -355,7 +355,6 @@ class LayerGraph:
     nodes: List[GraphNode]
     scheme: Optional[str] = None
     backend: Optional[str] = None  # kernel-registry backend, None = default
-    cell_type: Optional[str] = None  # "gru" | "lstm" | None (generic)
     options: GraphOptions = field(default_factory=GraphOptions)
     boundaries: List[QuantBoundary] = field(default_factory=list)
 
@@ -448,7 +447,6 @@ def graph_to_arrays(graph: LayerGraph) -> Tuple[Dict, Dict[str, np.ndarray]]:
         "version": 1,
         "scheme": graph.scheme,
         "backend": graph.backend,
-        "cell_type": graph.cell_type,
         "options": {
             "sparse_format": graph.options.sparse_format,
             "sparsity_threshold": graph.options.sparsity_threshold,
@@ -510,7 +508,6 @@ def graph_from_arrays(meta: Dict, arrays) -> LayerGraph:
         nodes=nodes,
         scheme=meta["scheme"],
         backend=meta["backend"],
-        cell_type=meta["cell_type"],
         options=GraphOptions(**options_meta),
         boundaries=[
             QuantBoundary(slot=b["slot"], policy=b["policy"])

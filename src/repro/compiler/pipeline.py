@@ -75,9 +75,8 @@ def graph_from_named_weights(
     return LayerGraph(nodes=nodes, options=options.graph_options())
 
 
-def _cell_node(
+def _gru_node(
     index: int,
-    kind: str,
     weight_ih: np.ndarray,
     weight_hh: np.ndarray,
     params: Dict[str, np.ndarray],
@@ -87,7 +86,7 @@ def _cell_node(
     name = f"cell{index}"
     return GraphNode(
         name=name,
-        kind=kind,
+        kind="gru_cell",
         weights={
             "ih": WeightSlot(
                 name=f"{name}.weight_ih",
@@ -115,45 +114,31 @@ def build_layer_graph(
     backend: Optional[str] = None,
 ) -> LayerGraph:
     """The module-tree frontend: walk a
-    :class:`~repro.speech.model.GRUAcousticModel` (or bare ``GRU`` /
-    ``LSTM`` stack) once and snapshot it into a layer graph.
+    :class:`~repro.speech.model.GRUAcousticModel` (or a bare ``GRU``
+    stack) once and snapshot it into a layer graph.
 
     Every array is copied, so later training or pruning of ``model``
     cannot silently change what a lowering of this graph computes.
     """
-    from repro.nn.rnn import GRU, LSTM  # deferred: keep compiler import-light
+    from repro.nn.rnn import GRU  # deferred: keep compiler import-light
 
     options = options or GraphOptions()
-    rnn = model if isinstance(model, (GRU, LSTM)) else getattr(model, "gru", None)
-    if not isinstance(rnn, (GRU, LSTM)):
+    rnn = model if isinstance(model, GRU) else getattr(model, "gru", None)
+    if not isinstance(rnn, GRU):
         raise ConfigError(
             f"cannot compile {type(model).__name__}: expected a "
-            "GRUAcousticModel or a GRU/LSTM module"
+            "GRUAcousticModel or a GRU module"
         )
-    nodes = []
-    for index, cell in enumerate(rnn.cells):
-        if isinstance(rnn, GRU):
-            nodes.append(
-                _cell_node(
-                    index,
-                    "gru_cell",
-                    cell.weight_ih.data,
-                    cell.weight_hh.data,
-                    {"bias_ih": cell.bias_ih.data, "bias_hh": cell.bias_hh.data},
-                    options,
-                )
-            )
-        else:
-            nodes.append(
-                _cell_node(
-                    index,
-                    "lstm_cell",
-                    cell.weight_ih.data,
-                    cell.weight_hh.data,
-                    {"bias": cell.bias.data},
-                    options,
-                )
-            )
+    nodes = [
+        _gru_node(
+            index,
+            cell.weight_ih.data,
+            cell.weight_hh.data,
+            {"bias_ih": cell.bias_ih.data, "bias_hh": cell.bias_hh.data},
+            options,
+        )
+        for index, cell in enumerate(rnn.cells)
+    ]
     linear = getattr(model, "output", None)
     if linear is not None:
         params = {} if linear.bias is None else {
@@ -178,13 +163,7 @@ def build_layer_graph(
                 params=params,
             )
         )
-    return LayerGraph(
-        nodes=nodes,
-        scheme=scheme,
-        backend=backend,
-        cell_type="gru" if isinstance(rnn, GRU) else "lstm",
-        options=options,
-    )
+    return LayerGraph(nodes=nodes, scheme=scheme, backend=backend, options=options)
 
 
 def rnn_graph_from_weights(
@@ -210,19 +189,15 @@ def rnn_graph_from_weights(
         w_hh = np.array(weights[f"gru.cell{index}.weight_hh"], dtype=np.float64)
         zeros = np.zeros(w_ih.shape[0])
         nodes.append(
-            _cell_node(
+            _gru_node(
                 index,
-                "gru_cell",
                 w_ih,
                 w_hh,
                 {"bias_ih": zeros, "bias_hh": zeros.copy()},
                 options,
             )
         )
-    return LayerGraph(
-        nodes=nodes, scheme=scheme, backend=backend, cell_type="gru",
-        options=options,
-    )
+    return LayerGraph(nodes=nodes, scheme=scheme, backend=backend, options=options)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ from repro.engine.registry import PlanRegistry, RegistryEntry
 from repro.engine.plan import (
     EngineConfig,
     GRULayerPlan,
-    LSTMLayerPlan,
     ModelPlan,
     OutputPlan,
     PlanState,
@@ -77,7 +76,6 @@ __all__ = [
     "ModelPlan",
     "PlanState",
     "GRULayerPlan",
-    "LSTMLayerPlan",
     "OutputPlan",
     "compile_model",
     "compile_rnn",

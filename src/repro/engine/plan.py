@@ -50,9 +50,9 @@ graph-level scheme is only the *request* the pass pipeline resolves, and
 lowering reads the slot decisions (falling back to the graph scheme for
 artifacts that predate per-slot schemes).
 
-Streaming: :meth:`ModelPlan.run_chunk` threads explicit hidden (and
-cell) state through the same layer code, so a session can feed a chunk
-at a time — see :mod:`repro.engine.streaming` and ``docs/serving.md``.
+Streaming: :meth:`ModelPlan.run_chunk` threads explicit hidden state
+through the same layer code, so a session can feed a chunk at a time —
+see :mod:`repro.engine.streaming` and ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -309,11 +309,22 @@ def _round_bias(bias: np.ndarray, scheme: Optional[str], dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Layer plans
 # ---------------------------------------------------------------------------
-class _RecurrentLayerPlan:
-    """What GRU and LSTM layer plans share: the two packed weight slots,
-    their per-slot schemes, and the layer's compute dtype."""
+class GRULayerPlan:
+    """One GRU layer frozen for batched inference.
 
-    bias_count = 0  # stored bias values per hidden unit
+    ``forward`` replays the numpy ``gru_sequence`` kernel's math — the
+    same ops in the same order, run into preallocated workspace buffers —
+    so for the packing-only scheme it is bit-exact, with the recurrent
+    ``w_hh.T`` contiguation hoisted from per-call to compile time.
+
+    ``gate_dtype`` is what the gate math runs in: float32 where the
+    recurrent slot is int8, else the layer's ``dtype``.  Float32 gates of a
+    float64 layer start from each pre-activation sum rounded once
+    (``gx_zr + gh_zr``, ``gh_h + bias_h``, ``gx_h``), and the new state is
+    widened back: states stay float64 and hold float32 values.  Float32
+    gates take their sigmoid and tanh from :func:`~repro.kernels._math.exp32`,
+    the rule the compiled program's gate sweep runs too.
+    """
 
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
         ih_slot, hh_slot = node.weights["ih"], node.weights["hh"]
@@ -334,39 +345,6 @@ class _RecurrentLayerPlan:
         )
         self.input_proj = _PackedWeight(ih_slot, ih_scheme)
         self.recurrent = _PackedWeight(hh_slot, hh_scheme, state_dtype=self.dtype)
-
-    def bind(self, backend: Optional[str]) -> None:
-        self.input_proj.bind(backend)
-        self.recurrent.bind(backend)
-
-    def nbytes(self) -> int:
-        quantized = any(s is not None for s in self.slot_schemes)
-        bias_bytes = self.bias_count * self.hidden_size * (2 if quantized else 8)
-        return self.input_proj.nbytes() + self.recurrent.nbytes() + bias_bytes
-
-
-class GRULayerPlan(_RecurrentLayerPlan):
-    """One GRU layer frozen for batched inference.
-
-    ``forward`` replays the numpy ``gru_sequence`` kernel's math — the
-    same ops in the same order, run into preallocated workspace buffers —
-    so for the packing-only scheme it is bit-exact, with the recurrent
-    ``w_hh.T`` contiguation hoisted from per-call to compile time.
-
-    ``gate_dtype`` is what the gate math runs in: float32 where the
-    recurrent slot is int8, else the layer's ``dtype``.  Float32 gates of a
-    float64 layer start from each pre-activation sum rounded once
-    (``gx_zr + gh_zr``, ``gh_h + bias_h``, ``gx_h``), and the new state is
-    widened back: states stay float64 and hold float32 values.  Float32
-    gates take their sigmoid and tanh from :func:`~repro.kernels._math.exp32`,
-    the rule the compiled program's gate sweep runs too.
-    """
-
-    bias_count = 2 * 3
-
-    def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
-        super().__init__(node, scheme)
-        ih_scheme, hh_scheme = self.slot_schemes
         self.gate_dtype = np.dtype(np.float32 if hh_scheme == "int8" else self.dtype)
         bias_ih = node.params["bias_ih"]
         bias_hh = node.params["bias_hh"]
@@ -386,16 +364,25 @@ class GRULayerPlan(_RecurrentLayerPlan):
             self.bias_folded = folded.astype(self.dtype)
             self.bias_hh_h = rounded_hh[2 * h :].astype(self.dtype)
 
-    def zero_state(self, batch: int) -> Tuple[np.ndarray, ...]:
-        return (np.zeros((batch, self.hidden_size), dtype=self.dtype),)
+    def bind(self, backend: Optional[str]) -> None:
+        self.input_proj.bind(backend)
+        self.recurrent.bind(backend)
+
+    def nbytes(self) -> int:
+        quantized = any(s is not None for s in self.slot_schemes)
+        bias_bytes = 2 * 3 * self.hidden_size * (2 if quantized else 8)  # b_ih, b_hh
+        return self.input_proj.nbytes() + self.recurrent.nbytes() + bias_bytes
+
+    def zero_state(self, batch: int) -> np.ndarray:
+        return np.zeros((batch, self.hidden_size), dtype=self.dtype)
 
     def forward(
         self,
         x: np.ndarray,
         ws: _Workspace,
         index: int,
-        state: Optional[Tuple[np.ndarray, ...]] = None,
-    ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        state: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
         seq_len, batch, _ = x.shape
         h = self.hidden_size
         flat = x.reshape(seq_len * batch, self.input_size)
@@ -418,7 +405,7 @@ class GRULayerPlan(_RecurrentLayerPlan):
         keep = ws.take("keep", (batch, h), gate)
         # float32 gates blend into their own buffer, widened into out[t]
         narrow = None if gate == self.dtype else ws.take("blend", (batch, h), gate)
-        hidden = self.zero_state(batch)[0] if state is None else state[0]
+        hidden = self.zero_state(batch) if state is None else state
         blended = hidden.astype(gate, copy=False)
         apply, gh_key = self.recurrent.apply, f"gh{index}"
         sigmoid_, tanh_ = _math.sigmoid_, _math.tanh_
@@ -439,63 +426,7 @@ class GRULayerPlan(_RecurrentLayerPlan):
                 out[t] = blended
             hidden = out[t]
         # never alias the caller's carry state or a work buffer
-        return out, (hidden.copy(),)
-
-
-class LSTMLayerPlan(_RecurrentLayerPlan):
-    """One LSTM layer frozen for batched inference (gate order i,f,g,o)."""
-
-    bias_count = 4
-
-    def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
-        super().__init__(node, scheme)
-        ih_scheme, hh_scheme = self.slot_schemes
-        bias = node.params["bias"]
-        # The single LSTM bias adds into the input-side gates; it follows
-        # the ih slot's value grid (exact copy when both slots are float).
-        self.bias = (
-            bias.copy()
-            if ih_scheme is None and hh_scheme is None
-            else _round_bias(bias, ih_scheme, self.dtype)
-        )
-
-    def zero_state(self, batch: int) -> Tuple[np.ndarray, ...]:
-        zeros = np.zeros((batch, self.hidden_size), dtype=self.dtype)
-        return (zeros, zeros.copy())
-
-    def forward(
-        self,
-        x: np.ndarray,
-        ws: _Workspace,
-        index: int,
-        state: Optional[Tuple[np.ndarray, ...]] = None,
-    ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        seq_len, batch, _ = x.shape
-        h = self.hidden_size
-        flat = x.reshape(seq_len * batch, self.input_size)
-        gates_x = self.input_proj.apply(flat, ws, f"gx{index}")
-        gates_x = (gates_x + self.bias).reshape(seq_len, batch, 4 * h)
-        out = ws.take(f"out{index}", (seq_len, batch, h), self.dtype)
-        gates = ws.take("gates", (batch, 4 * h), self.dtype)
-        input_forget = gates[:, : 2 * h]
-        i = gates[:, :h]
-        f = gates[:, h : 2 * h]
-        g = gates[:, 2 * h : 3 * h]
-        o = gates[:, 3 * h :]
-        carry = ws.take("cell", (batch, h), self.dtype)
-        tanh_cell = ws.take("tanh_cell", (batch, h), self.dtype)
-        hidden, cell = self.zero_state(batch) if state is None else state
-        apply, gh_key = self.recurrent.apply, f"gh{index}"
-        for t in range(seq_len):
-            np.add(gates_x[t], apply(hidden, ws, gh_key), out=gates)
-            _math.sigmoid_(input_forget)
-            np.tanh(g, out=g)
-            _math.sigmoid_(o)
-            cell = np.add(
-                np.multiply(f, cell, out=carry), np.multiply(i, g, out=g), out=carry
-            )
-            hidden = np.multiply(o, np.tanh(cell, out=tanh_cell), out=out[t])
-        return out, (hidden.copy(), cell.copy())
+        return out, hidden.copy()
 
 
 class OutputPlan:
@@ -531,48 +462,37 @@ class OutputPlan:
 class PlanState:
     """The recurrent carry of a :class:`ModelPlan` between chunks.
 
-    One tuple of ``(B, H)`` arrays per layer — ``(h,)`` for GRU layers,
-    ``(h, c)`` for LSTM layers.  States are value objects: the plan never
-    mutates a state it was handed, and the state it returns never aliases
-    its internal work buffers, so a state can be held across arbitrary
-    other plan calls.  ``stack``/``split`` convert between per-session
+    One ``(B, H)`` hidden-state array per layer.  States are value
+    objects: the plan never mutates a state it was handed, and the state
+    it returns never aliases its internal work buffers, so a state can be
+    held across arbitrary other plan calls.  ``stack``/``split`` convert between per-session
     states and one batched state — how the stream scheduler fuses
     concurrent sessions into a single ``run_chunk`` call.
     """
 
-    def __init__(self, layer_states: List[Tuple[np.ndarray, ...]]) -> None:
+    def __init__(self, layer_states: List[np.ndarray]) -> None:
         self.layer_states = layer_states
 
     @property
     def batch_size(self) -> int:
-        return int(self.layer_states[0][0].shape[0])
+        return int(self.layer_states[0].shape[0])
 
     @staticmethod
     def stack(states: List["PlanState"]) -> "PlanState":
         """Concatenate per-session states along the batch axis."""
         if not states:
             raise ShapeError("cannot stack an empty list of states")
-        num_layers = len(states[0].layer_states)
-        stacked = []
-        for layer in range(num_layers):
-            parts = [s.layer_states[layer] for s in states]
-            stacked.append(
-                tuple(
-                    np.concatenate([p[i] for p in parts], axis=0)
-                    for i in range(len(parts[0]))
-                )
-            )
-        return PlanState(stacked)
+        return PlanState(
+            [
+                np.concatenate(parts, axis=0)
+                for parts in zip(*(s.layer_states for s in states))
+            ]
+        )
 
     def split(self) -> List["PlanState"]:
         """One single-row state per batch entry (copies, no aliasing)."""
         return [
-            PlanState(
-                [
-                    tuple(component[b : b + 1].copy() for component in layer)
-                    for layer in self.layer_states
-                ]
-            )
+            PlanState([layer[b : b + 1].copy() for layer in self.layer_states])
             for b in range(self.batch_size)
         ]
 
@@ -591,10 +511,9 @@ class ModelPlan:
 
     def __init__(
         self,
-        layers: List,
+        layers: List[GRULayerPlan],
         output: Optional[OutputPlan],
         scheme: Optional[str],
-        cell_type: str,
         config: EngineConfig,
         backend: Optional[str] = None,
         graph: Optional[LayerGraph] = None,
@@ -602,7 +521,6 @@ class ModelPlan:
         self.layers = layers
         self.output = output
         self.scheme = scheme
-        self.cell_type = cell_type
         self.config = config
         self.backend = backend
         self.graph = graph
@@ -664,7 +582,7 @@ class ModelPlan:
         any other plan, and the generic loop runs it."""
         narrow, slots = _compiled.bspc_spmm_int8, []
         for layer in self.layers:
-            if not isinstance(layer, GRULayerPlan) or layer.recurrent.kernel is not narrow:
+            if layer.recurrent.kernel is not narrow:
                 return None
             slots.append((_compiled.PLAN_PROJECT, layer.input_proj, layer.bias_folded))
             slots.append((_compiled.PLAN_GRU, layer.recurrent, layer.bias_hh_h))
@@ -686,8 +604,8 @@ class ModelPlan:
             return None
 
     def _run(
-        self, features: np.ndarray, layer_states: Optional[List[Tuple[np.ndarray, ...]]]
-    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, ...]]]:
+        self, features: np.ndarray, layer_states: Optional[List[np.ndarray]]
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Logits and carries of one checked ``(T, B, D)`` chunk: one call into
         the program where the plan lowered to one, else layer by layer."""
         self._bind_kernels()
@@ -698,7 +616,7 @@ class ModelPlan:
             if self.program is not None:
                 return self.program.run(features, layer_states)
         x = features.astype(np.float32) if self.scheme == "fp16" else features
-        new_states: List[Tuple[np.ndarray, ...]] = []
+        new_states: List[np.ndarray] = []
         for index, layer in enumerate(self.layers):
             carry = None if layer_states is None else layer_states[index]
             x, carry = layer.forward(x, self._workspace, index, carry)
@@ -733,9 +651,9 @@ class ModelPlan:
         """The compatibility fingerprint that governs hot-swap safety.
 
         Two plans with equal signatures accept each other's
-        :class:`PlanState` *numerically*: per-layer shapes and component
-        counts match, **and** every weight slot was lowered under the
-        same (scheme, format) decision.  With per-layer scheme mixing a
+        :class:`PlanState` *numerically*: per-layer shapes match, **and**
+        every weight slot was lowered under the same (scheme, format)
+        decision.  With per-layer scheme mixing a
         shape-only fingerprint is not enough — a mixed-scheme candidate
         would accept an incumbent's state whose trajectory was produced
         on a different quantization grid, silently degrading every
@@ -747,12 +665,7 @@ class ModelPlan:
         with a typed ``SwapError``.
         """
         layers = tuple(
-            (
-                layer.input_size,
-                layer.hidden_size,
-                len(layer.zero_state(0)),
-                getattr(layer, "slot_config", None),
-            )
+            (layer.input_size, layer.hidden_size, layer.slot_config)
             for layer in self.layers
         )
         classes = (
@@ -760,43 +673,41 @@ class ModelPlan:
             if self.output is None
             else (self.output.num_classes, self.output.scheme or "float")
         )
-        return (self.cell_type, layers, classes)
+        return (layers, classes)
 
     def adapt_state(self, state: PlanState) -> PlanState:
         """Re-home a carry state produced by a same-architecture plan.
 
-        Returns a fresh :class:`PlanState` whose components are cast to
+        Returns a fresh :class:`PlanState` whose arrays are cast to
         *this* plan's per-layer compute dtypes (a scheme change moves
         states between float64 and float32); raises :class:`ShapeError`
-        when the state's layer count, component count, or hidden sizes
-        do not match this plan's architecture.
+        when the state's layer count or hidden sizes do not match this
+        plan's architecture.
         """
+        self._check_state(state)
+        return PlanState(
+            [
+                np.array(hidden, dtype=layer.dtype)
+                for layer, hidden in zip(self.layers, state.layer_states)
+            ]
+        )
+
+    def _check_state(self, state: PlanState, batch: Optional[int] = None) -> None:
+        """A :class:`ShapeError` unless ``state`` holds one ``(B, H)`` array
+        per layer, with ``B == batch`` where ``batch`` is given."""
         if len(state.layer_states) != len(self.layers):
             raise ShapeError(
                 f"state has {len(state.layer_states)} layer states, "
                 f"plan has {len(self.layers)} layers"
             )
-        adapted: List[Tuple[np.ndarray, ...]] = []
-        for index, (layer, components) in enumerate(
-            zip(self.layers, state.layer_states)
-        ):
-            template = layer.zero_state(0)
-            if len(components) != len(template):
+        for index, (layer, hidden) in enumerate(zip(self.layers, state.layer_states)):
+            shape = np.shape(hidden)
+            rows = shape[:1] if batch is None else (batch,)
+            if shape != rows + (layer.hidden_size,):
                 raise ShapeError(
-                    f"layer {index} state has {len(components)} components, "
-                    f"expected {len(template)}"
+                    f"layer {index} state has shape {shape}, expected "
+                    f"({'B' if batch is None else batch}, {layer.hidden_size})"
                 )
-            row = []
-            for component, blank in zip(components, template):
-                component = np.asarray(component)
-                if component.ndim != 2 or component.shape[1] != layer.hidden_size:
-                    raise ShapeError(
-                        f"layer {index} state component has shape "
-                        f"{component.shape}, expected (B, {layer.hidden_size})"
-                    )
-                row.append(component.astype(blank.dtype, copy=True))
-            adapted.append(tuple(row))
-        return PlanState(adapted)
 
     def run_chunk(
         self, features: np.ndarray, state: Optional[PlanState] = None
@@ -822,18 +733,7 @@ class ModelPlan:
         batch = features.shape[1]
         if state is None:
             state = self.init_state(batch)
-        elif state.batch_size != batch:
-            raise ShapeError(
-                f"carry state holds batch {state.batch_size}, "
-                f"chunk has batch {batch}"
-            )
-        for index, layer in enumerate(self.layers):
-            for component in state.layer_states[index]:
-                if component.shape != (batch, layer.hidden_size):
-                    raise ShapeError(
-                        f"layer {index} state component has shape "
-                        f"{component.shape}, expected ({batch}, {layer.hidden_size})"
-                    )
+        self._check_state(state, batch)
         logits, new_states = self._run(features, state.layer_states)
         return logits, PlanState(new_states)
 
@@ -904,13 +804,11 @@ def lower_graph(
     _validate_scheme(graph.scheme)
     if graph.undecided():
         run_passes(graph)
-    layers: List = []
+    layers: List[GRULayerPlan] = []
     output = None
     for node in graph.nodes:
         if node.kind == "gru_cell":
             layers.append(GRULayerPlan(node, graph.scheme))
-        elif node.kind == "lstm_cell":
-            layers.append(LSTMLayerPlan(node, graph.scheme))
         elif node.kind == "output":
             out_slot = node.weights["w"]
             output = OutputPlan(
@@ -924,12 +822,10 @@ def lower_graph(
             )
     if not layers:
         raise ConfigError("graph has no recurrent layers to lower")
-    cell_type = graph.cell_type or "gru"
     return ModelPlan(
         layers,
         output,
         graph.scheme,
-        cell_type,
         config or _config_from_graph(graph),
         backend=graph.backend,
         graph=graph,
@@ -942,7 +838,7 @@ def compile_model(
     config: EngineConfig = EngineConfig(),
 ) -> ModelPlan:
     """Compile a :class:`~repro.speech.model.GRUAcousticModel` (or a bare
-    ``GRU``/``LSTM`` stack) into a :class:`ModelPlan`.
+    ``GRU`` stack) into a :class:`ModelPlan`.
 
     The module tree is walked exactly once into the shared layer-graph IR
     (:func:`repro.compiler.pipeline.build_layer_graph`), the compiler's

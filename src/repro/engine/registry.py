@@ -171,7 +171,6 @@ class PlanRegistry:
             "version": version,
             "created_unix": time.time(),
             "scheme": plan.scheme,
-            "cell_type": plan.cell_type,
             "backend": plan.backend,
             "input_dim": int(plan.input_dim),
             "hidden_size": int(plan.hidden_size),
@@ -374,8 +373,8 @@ class PlanRegistry:
 
 
 def _jsonable_signature(plan: ModelPlan) -> List:
-    cell_type, layers, classes = plan.signature()
-    return [cell_type, [list(layer) for layer in layers], classes]
+    layers, classes = plan.signature()
+    return [[list(layer) for layer in layers], classes]
 
 
 def _write_json(path: Path, payload: Dict) -> None:

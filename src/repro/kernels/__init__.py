@@ -4,8 +4,8 @@ Hot numerical paths of the library dispatch through this package:
 
 * :func:`spmv` / :func:`spmm` — sparse matrix × vector/matrix for any
   matrix exposing a ``kernel_prefix`` (``CSRMatrix``, ``BSPCMatrix``),
-* :func:`gru_sequence` / :func:`lstm_sequence` — fused full-sequence
-  recurrent layers used by ``GRU.forward``/``LSTM.forward`` in eval mode.
+* :func:`gru_sequence` — the fused full-sequence recurrent layer used by
+  ``GRU.forward`` in eval mode.
 
 Backend selection::
 
@@ -82,9 +82,7 @@ __all__ = [
     "linear_int8",
     "linear_int8_rowwise",
     "gru_sequence",
-    "lstm_sequence",
     "gru_sequence_grad",
-    "lstm_sequence_grad",
 ]
 
 
@@ -157,19 +155,6 @@ def gru_sequence(
     return registry.get("gru_sequence", backend)(x, w_ih, w_hh, b_ih, b_hh, h0)
 
 
-def lstm_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-    backend: Optional[str] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One LSTM layer over a ``(T, B, D)`` sequence → ``(outputs, h_T, c_T)``."""
-    return registry.get("lstm_sequence", backend)(x, w_ih, w_hh, bias, h0, c0)
-
-
 def gru_sequence_grad(
     x: np.ndarray,
     w_ih: np.ndarray,
@@ -188,23 +173,6 @@ def gru_sequence_grad(
     stash-and-batch BPTT used by ``GRU.forward`` in training mode.
     """
     return registry.get("gru_sequence_grad", backend)(x, w_ih, w_hh, b_ih, b_hh, h0)
-
-
-def lstm_sequence_grad(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-    backend: Optional[str] = None,
-):
-    """Trainable LSTM layer: full-sequence forward plus a BPTT closure.
-
-    Returns ``(outputs, h_T, c_T, backward)`` where ``backward(grad_out)``
-    yields ``(dx, dw_ih, dw_hh, dbias, dh0, dc0)``.
-    """
-    return registry.get("lstm_sequence_grad", backend)(x, w_ih, w_hh, bias, h0, c0)
 
 
 def resolve_backend(name: str, source: str = "backend") -> str:

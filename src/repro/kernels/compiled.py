@@ -57,7 +57,7 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
 
 Every op registered here wins on some recorded shape.  The ops where C
 never beat numpy + BLAS — the float sparse products, the per-call-scale
-dense int8 projection, the fused GRU/LSTM sequence forwards, the BPTT
+dense int8 projection, the fused GRU sequence forward, the BPTT
 ``*_grad`` ops — are not registered at all: the registry serves an op its
 chosen backend lacks from numpy (:meth:`KernelRegistry.get`), so a plan
 pinned to ``"compiled"`` still dispatches every op.  The per-row-scale
@@ -1586,8 +1586,8 @@ class PlanProgram:
         return any(int8_bspc_plan(matrix) is not plan for matrix, plan in self._plans)
 
     def run(self, x: np.ndarray, carry) -> Tuple[np.ndarray, list]:
-        """``x (T, B, D)`` and per-layer ``(hidden,)`` carries (``None``:
-        zeros) → fresh logits and fresh ``(hidden,)`` carries; ``T > 0``,
+        """``x (T, B, D)`` and per-layer ``(B, H)`` carries (``None``:
+        zeros) → fresh logits and a list of fresh carries; ``T > 0``,
         ``B > 0``.  Shapes are the caller's to have checked.  The chunk runs
         in tiles of ``ceil(8 / B)`` steps, every op of a tile before the
         next, and each hidden state is quantized once, where it is made;
@@ -1597,7 +1597,7 @@ class PlanProgram:
         seq_len, batch, _ = x.shape
         x = _f64(x)
         states = [
-            np.zeros((batch, width)) if carry is None else _f64(carry[i][0])
+            np.zeros((batch, width)) if carry is None else _f64(carry[i])
             for i, width in enumerate(self.hidden)
         ]
         fresh = [np.empty((batch, width)) for width in self.hidden]
@@ -1612,7 +1612,7 @@ class PlanProgram:
             self._arena_at,
             _scratch(8 * self._work),  # a product's block is <= 8 rows
         )
-        return logits, [(state,) for state in fresh]
+        return logits, fresh
 
 
 #: op name → compiled implementation: the ops where C beats numpy on every

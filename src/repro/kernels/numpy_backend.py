@@ -15,7 +15,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.kernels._math import sigmoid as _sigmoid
-from repro.kernels._math import sigmoid_ as _sigmoid_
 from repro.kernels.plans import bspc_plan, csr_plan
 from repro.kernels.registry import registry
 
@@ -299,147 +298,3 @@ def gru_sequence_grad(
 
     return out, hs[seq_len], backward
 
-
-@registry.register("lstm_sequence_grad", "numpy")
-def lstm_sequence_grad(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-):
-    """Fused trainable LSTM layer; same strategy as
-    :func:`gru_sequence_grad` (input projection and weight gradients as
-    whole-sequence GEMMs, gate activations stashed, only the recurrent
-    accumulation sequential).
-
-    Returns ``(outputs, h_T, c_T, backward)``; ``backward(grad_out)``
-    yields ``(dx, dw_ih, dw_hh, dbias, dh0, dc0)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    seq_len, batch, _ = x.shape
-    hidden = h0.shape[1]
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + bias).reshape(
-        seq_len, batch, 4 * hidden
-    )
-    w_hh_t = np.ascontiguousarray(w_hh.T)
-    hs = np.empty((seq_len + 1, batch, hidden))
-    cs = np.empty((seq_len + 1, batch, hidden))
-    hs[0] = h0
-    cs[0] = c0
-    gate_all = np.empty((seq_len, batch, 4 * hidden))  # post-activation i,f,g,o
-    tanh_c_all = np.empty((seq_len, batch, hidden))
-    gemm = np.empty((batch, 4 * hidden))
-    for t in range(seq_len):
-        gates = gate_all[t]
-        np.dot(hs[t], w_hh_t, out=gemm)
-        np.add(gates_x[t], gemm, out=gates)
-        _sigmoid_(gates[:, : 2 * hidden])
-        np.tanh(gates[:, 2 * hidden : 3 * hidden], out=gates[:, 2 * hidden : 3 * hidden])
-        _sigmoid_(gates[:, 3 * hidden :])
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        g = gates[:, 2 * hidden : 3 * hidden]
-        o = gates[:, 3 * hidden :]
-        c_next = cs[t + 1]
-        np.multiply(f, cs[t], out=c_next)
-        tanh_c = tanh_c_all[t]
-        np.multiply(i, g, out=tanh_c)  # scratch use before the tanh fills it
-        c_next += tanh_c
-        np.tanh(c_next, out=tanh_c)
-        np.multiply(o, tanh_c, out=hs[t + 1])
-
-    def backward(grad_out: np.ndarray, need_dx: bool = True):
-        """Single-use BPTT closure (it consumes the stashed activations);
-        ``need_dx=False`` skips the input-gradient GEMM."""
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        gates4 = gate_all.reshape(seq_len, batch, 4, hidden)
-        i = gates4[:, :, 0]
-        f = gates4[:, :, 1]
-        g = gates4[:, :, 2]
-        o = gates4[:, :, 3]
-        # Factored coefficients, batched over the sequence:
-        #   dc_t = carry_c + dh_t · c_dc[t]
-        #   da_{i,f,g}[t] = dc_t · coeff[t, :, :3],  da_o[t] = dh_t · coeff[t, :, 3]
-        # As in the GRU kernel, each coeff[t] is consumed exactly once,
-        # so the loop's broadcast multiplies run in place and coeff ends
-        # up holding the gate gradients themselves.
-        c_dc = np.empty((seq_len, batch, hidden))
-        np.multiply(tanh_c_all, tanh_c_all, out=c_dc)
-        np.subtract(1.0, c_dc, out=c_dc)
-        c_dc *= o  # o (1 - tanh(c)²)
-        coeff = np.empty((seq_len, batch, 4, hidden))
-        c_i = coeff[:, :, 0]
-        c_f = coeff[:, :, 1]
-        c_g = coeff[:, :, 2]
-        c_o = coeff[:, :, 3]
-        np.subtract(1.0, i, out=c_i)
-        c_i *= i
-        c_i *= g  # g · i(1-i)
-        np.subtract(1.0, f, out=c_f)
-        c_f *= f
-        c_f *= cs[:-1]  # c_prev · f(1-f)
-        np.multiply(g, g, out=c_g)
-        np.subtract(1.0, c_g, out=c_g)
-        c_g *= i  # i (1-g²)
-        np.subtract(1.0, o, out=c_o)
-        c_o *= o
-        c_o *= tanh_c_all  # tanh(c) · o(1-o)
-        coeff_2d = coeff.reshape(seq_len, batch, 4 * hidden)
-        carry_h = np.zeros((batch, hidden))
-        carry_c = np.zeros((batch, hidden))
-        dh = np.empty((batch, hidden))
-        dc = np.empty((batch, hidden))
-        dc3 = dc.reshape(batch, 1, hidden)
-        gemm_b = np.empty((batch, hidden))
-        for t in range(seq_len - 1, -1, -1):
-            np.add(grad_out[t], carry_h, out=dh)
-            coeff_t = coeff[t]
-            np.multiply(dh, c_dc[t], out=dc)
-            dc += carry_c
-            np.multiply(dc, f[t], out=carry_c)
-            coeff_t[:, :3] *= dc3
-            coeff_t[:, 3] *= dh
-            np.dot(coeff_2d[t], w_hh, out=gemm_b)
-            carry_h, gemm_b = gemm_b, carry_h
-        dg_flat = coeff.reshape(seq_len * batch, 4 * hidden)
-        dw_ih = dg_flat.T @ x.reshape(seq_len * batch, -1)
-        dw_hh = dg_flat.T @ hs[:-1].reshape(seq_len * batch, hidden)
-        dbias = dg_flat.sum(axis=0)
-        dx = (dg_flat @ w_ih).reshape(x.shape) if need_dx else None
-        return dx, dw_ih, dw_hh, dbias, carry_h, carry_c
-
-    return hs[1:], hs[seq_len], cs[seq_len], backward
-
-
-@registry.register("lstm_sequence", "numpy")
-def lstm_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused LSTM layer: input projection + bias hoisted out of the loop."""
-    seq_len, batch, _ = x.shape
-    hidden = h0.shape[1]
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + bias).reshape(
-        seq_len, batch, 4 * hidden
-    )
-    w_hh_t = np.ascontiguousarray(w_hh.T)
-    out = np.empty((seq_len, batch, hidden))
-    h, c = h0, c0
-    for t in range(seq_len):
-        gates = gates_x[t] + h @ w_hh_t
-        # input/forget gates are adjacent in the layout: one shared sigmoid.
-        input_forget = _sigmoid(gates[:, : 2 * hidden])
-        i = input_forget[:, :hidden]
-        f = input_forget[:, hidden:]
-        g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-        o = _sigmoid(gates[:, 3 * hidden :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        out[t] = h
-    return out, h, c

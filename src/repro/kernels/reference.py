@@ -158,80 +158,3 @@ def gru_sequence_grad(
         )
 
     return out.data, out.data[-1], backward
-
-
-@registry.register("lstm_sequence_grad", "reference")
-def lstm_sequence_grad(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-):
-    """Trainable LSTM layer backed by the autograd tape (ground truth).
-
-    Returns ``(outputs, h_T, c_T, backward)`` where
-    ``backward(grad_out)`` yields ``(dx, dw_ih, dw_hh, dbias, dh0, dc0)``.
-    """
-    from repro.nn.tensor import Tensor, stack
-
-    hidden = h0.shape[1]
-    xt = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-    wih = Tensor(np.asarray(w_ih, dtype=np.float64), requires_grad=True)
-    whh = Tensor(np.asarray(w_hh, dtype=np.float64), requires_grad=True)
-    bt = Tensor(np.asarray(bias, dtype=np.float64), requires_grad=True)
-    h0t = Tensor(np.asarray(h0, dtype=np.float64), requires_grad=True)
-    c0t = Tensor(np.asarray(c0, dtype=np.float64), requires_grad=True)
-    h, c = h0t, c0t
-    outputs = []
-    for t in range(x.shape[0]):
-        gates = xt[t].matmul(wih.T) + h.matmul(whh.T) + bt
-        i = gates[:, :hidden].sigmoid()
-        f = gates[:, hidden : 2 * hidden].sigmoid()
-        g = gates[:, 2 * hidden : 3 * hidden].tanh()
-        o = gates[:, 3 * hidden :].sigmoid()
-        c = f * c + i * g
-        h = o * c.tanh()
-        outputs.append(h)
-    out = stack(outputs, axis=0)
-    leaves = (xt, wih, whh, bt, h0t, c0t)
-
-    def backward(grad_out: np.ndarray, need_dx: bool = True):
-        out.backward(np.asarray(grad_out, dtype=np.float64))
-        return tuple(
-            leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            for leaf in leaves
-        )
-
-    return out.data, out.data[-1], c.data, backward
-
-
-@registry.register("lstm_sequence", "reference")
-def lstm_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One LSTM layer over a ``(T, B, D)`` sequence, timestep by timestep.
-
-    Gate order ``[input, forget, cell, output]`` as in ``LSTMCell``.
-    Returns the hidden sequence and the final ``(h, c)`` state.
-    """
-    seq_len = x.shape[0]
-    hidden = h0.shape[1]
-    h, c = h0, c0
-    outputs = []
-    for t in range(seq_len):
-        gates = x[t] @ w_ih.T + h @ w_hh.T + bias
-        i = _sigmoid(gates[:, :hidden])
-        f = _sigmoid(gates[:, hidden : 2 * hidden])
-        g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-        o = _sigmoid(gates[:, 3 * hidden :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        outputs.append(h)
-    return np.stack(outputs, axis=0), h, c

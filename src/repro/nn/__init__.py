@@ -6,7 +6,7 @@ so an equivalent (much smaller) framework is provided here.
 """
 
 from repro.nn import functional, init
-from repro.nn.fused import fused_gru_layer, fused_lstm_layer
+from repro.nn.fused import fused_gru_layer
 from repro.nn.data import Batch, DataLoader, Dataset, SequenceExample, collate, train_test_split
 from repro.nn.linear import Linear
 from repro.nn.quantize import (
@@ -20,7 +20,7 @@ from repro.nn.quantize import (
 from repro.nn.serialization import load_checkpoint, save_checkpoint
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.rnn import GRU, LSTM, GRUCell, LSTMCell
+from repro.nn.rnn import GRU, GRUCell
 from repro.nn.tensor import Tensor, as_tensor, concatenate, ones, stack, zeros
 
 __all__ = [
@@ -35,14 +35,11 @@ __all__ = [
     "Linear",
     "GRUCell",
     "GRU",
-    "LSTMCell",
-    "LSTM",
     "SGD",
     "Adam",
     "Optimizer",
     "functional",
     "fused_gru_layer",
-    "fused_lstm_layer",
     "init",
     "Dataset",
     "DataLoader",

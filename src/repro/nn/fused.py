@@ -1,14 +1,13 @@
 """Custom autograd nodes for the fused training fast path.
 
-Training-mode ``GRU.forward``/``LSTM.forward`` route each layer through
-these helpers instead of unrolling per-timestep ``Tensor`` ops.  A helper
-calls the ``gru_sequence_grad``/``lstm_sequence_grad`` kernel (dispatched
-through :mod:`repro.kernels`, so the backend decides *how* the BPTT runs),
-then records a **single** tape node whose backward is the kernel's fused
-BPTT closure.  The tape therefore sees one op per layer instead of
-``O(T)`` ops per layer, while gradients still accumulate into exactly the
-same leaf tensors (input, weights, biases, initial state) the unrolled
-path would touch.
+Training-mode ``GRU.forward`` routes each layer through these helpers
+instead of unrolling per-timestep ``Tensor`` ops.  A helper calls the
+``gru_sequence_grad`` kernel (dispatched through :mod:`repro.kernels`, so
+the backend decides *how* the BPTT runs), then records a **single** tape
+node whose backward is the kernel's fused BPTT closure.  The tape
+therefore sees one op per layer instead of ``O(T)`` ops per layer, while
+gradients still accumulate into exactly the same leaf tensors (input,
+weights, biases, initial state) the unrolled path would touch.
 """
 
 from __future__ import annotations
@@ -50,28 +49,3 @@ def fused_gru_layer(
 
     return x._make_child(out_data, parents, backward)
 
-
-def fused_lstm_layer(
-    x: Tensor,
-    w_ih: Tensor,
-    w_hh: Tensor,
-    bias: Tensor,
-    h0: Tensor,
-    c0: Tensor,
-    backend: Optional[str] = None,
-) -> Tensor:
-    """One LSTM layer over ``(T, B, D)`` as a single autograd node."""
-    from repro import kernels
-
-    out_data, _, _, kernel_backward = kernels.lstm_sequence_grad(
-        x.data, w_ih.data, w_hh.data, bias.data, h0.data, c0.data, backend=backend
-    )
-    parents = (x, w_ih, w_hh, bias, h0, c0)
-
-    def backward(grad: np.ndarray) -> None:
-        grads = kernel_backward(grad, need_dx=x.requires_grad)
-        for parent, d in zip(parents, grads):
-            if parent.requires_grad:
-                parent._accumulate(d)
-
-    return x._make_child(out_data, parents, backward)

@@ -46,7 +46,7 @@ def _use_fused_grad() -> bool:
 
     The per-timestep tape is retained as ground truth under the
     ``reference`` kernel backend; every other backend routes each layer
-    through one ``gru_sequence_grad``/``lstm_sequence_grad`` kernel call
+    through one ``gru_sequence_grad`` kernel call
     recorded as a single autograd node (see :mod:`repro.nn.fused`).
     """
     from repro import kernels
@@ -91,49 +91,6 @@ class GRUCell(Module):
     def init_hidden(self, batch_size: int) -> Tensor:
         """Return an all-zero initial hidden state of shape (B, H)."""
         return Tensor(np.zeros((batch_size, self.hidden_size)))
-
-
-class LSTMCell(Module):
-    """Long short-term memory cell, used by the C-LSTM baseline experiments.
-
-    Gate order inside the stacked weights is ``[input, forget, cell, output]``.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
-        super().__init__()
-        rng = new_rng(rng)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        h = hidden_size
-        w_ih = np.concatenate(
-            [init.xavier_uniform((h, input_size), rng) for _ in range(4)], axis=0
-        )
-        w_hh = np.concatenate([init.orthogonal((h, h), rng) for _ in range(4)], axis=0)
-        self.weight_ih = Parameter(w_ih, name="weight_ih")
-        self.weight_hh = Parameter(w_hh, name="weight_hh")
-        bias = init.zeros(4 * h)
-        bias[h : 2 * h] = 1.0  # forget-gate bias of 1 stabilizes early training
-        self.bias = Parameter(bias, name="bias")
-
-    def forward(
-        self, x: Tensor, state: Tuple[Tensor, Tensor]
-    ) -> Tuple[Tensor, Tensor]:
-        """Advance one timestep; returns ``(h_t, c_t)``."""
-        h_prev, c_prev = state
-        hsize = self.hidden_size
-        gates = x.matmul(self.weight_ih.T) + h_prev.matmul(self.weight_hh.T) + self.bias
-        i = gates[:, :hsize].sigmoid()
-        f = gates[:, hsize : 2 * hsize].sigmoid()
-        g = gates[:, 2 * hsize : 3 * hsize].tanh()
-        o = gates[:, 3 * hsize :].sigmoid()
-        c = f * c_prev + i * g
-        h = o * c.tanh()
-        return h, c
-
-    def init_hidden(self, batch_size: int) -> Tuple[Tensor, Tensor]:
-        """Return all-zero ``(h, c)`` initial state."""
-        zeros = np.zeros((batch_size, self.hidden_size))
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
 
 
 class GRU(Module):
@@ -233,81 +190,3 @@ class GRU(Module):
             outputs.append(layer_input)
         return stack(outputs, axis=0), hiddens
 
-
-class LSTM(Module):
-    """Multi-layer unidirectional LSTM over a full sequence (time-major)."""
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        num_layers: int = 1,
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {num_layers}")
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        rngs = spawn_rngs(new_rng(rng), num_layers)
-        for layer_index in range(num_layers):
-            in_size = input_size if layer_index == 0 else hidden_size
-            cell = LSTMCell(in_size, hidden_size, rng=rngs[layer_index])
-            setattr(self, f"cell{layer_index}", cell)
-
-    @property
-    def cells(self) -> List[LSTMCell]:
-        return [getattr(self, f"cell{i}") for i in range(self.num_layers)]
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Run the full sequence; returns last-layer hidden states (T, B, H).
-
-        Eval mode runs each layer as one fused
-        :func:`repro.kernels.lstm_sequence` call (no gradient tape);
-        training mode on vectorized backends records one fused-BPTT node
-        per layer, falling back to the per-timestep tape under the
-        ``reference`` backend.
-        """
-        if x.ndim != 3:
-            raise ShapeError(f"LSTM expects (T, B, D) input, got {x.shape}")
-        if x.shape[-1] != self.input_size:
-            raise ShapeError(
-                f"LSTM expected input size {self.input_size}, got {x.shape}"
-            )
-        seq_len, batch, _ = x.shape
-        if _use_fused_kernels(self, x):
-            from repro import kernels
-
-            layer_input = x.data
-            zeros = np.zeros((batch, self.hidden_size))
-            for cell in self.cells:
-                layer_input, _, _ = kernels.lstm_sequence(
-                    layer_input,
-                    cell.weight_ih.data,
-                    cell.weight_hh.data,
-                    cell.bias.data,
-                    zeros,
-                    zeros,
-                )
-            return Tensor(layer_input)
-        if _use_fused_grad():
-            from repro.nn.fused import fused_lstm_layer
-
-            layer_out = x
-            for cell in self.cells:
-                h0, c0 = cell.init_hidden(batch)
-                layer_out = fused_lstm_layer(
-                    layer_out, cell.weight_ih, cell.weight_hh, cell.bias, h0, c0
-                )
-            return layer_out
-        states = [cell.init_hidden(batch) for cell in self.cells]
-        outputs: List[Tensor] = []
-        for t in range(seq_len):
-            layer_input = x[t]
-            for layer_index, cell in enumerate(self.cells):
-                h, c = cell(layer_input, states[layer_index])
-                states[layer_index] = (h, c)
-                layer_input = h
-            outputs.append(layer_input)
-        return stack(outputs, axis=0)

@@ -2,7 +2,7 @@
 
 This module provides the :class:`Tensor` class used by the whole training
 stack (``repro.nn``).  It supports the operations needed to express and train
-GRU/LSTM acoustic models with ADMM-regularized losses:
+GRU acoustic models with ADMM-regularized losses:
 
 * elementwise arithmetic with full numpy broadcasting,
 * matrix multiplication,

@@ -1,8 +1,7 @@
-"""Sparse-matrix storage formats: CSR/CSC baselines and the paper's BSPC."""
+"""Sparse-matrix storage formats: the CSR baseline and the paper's BSPC."""
 
 from repro.sparse.blocks import BlockGrid, BlockRegion, grid_for
 from repro.sparse.bspc import BSPCBlock, BSPCMatrix, BSPCStrip
-from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -10,7 +9,6 @@ __all__ = [
     "BlockRegion",
     "grid_for",
     "CSRMatrix",
-    "CSCMatrix",
     "BSPCMatrix",
     "BSPCStrip",
     "BSPCBlock",

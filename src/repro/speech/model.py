@@ -25,25 +25,12 @@ from repro.utils.rng import RngLike, new_rng, spawn_rngs
 
 @dataclass(frozen=True)
 class AcousticModelConfig:
-    """Architecture settings; defaults are the fast laptop-scale model.
-
-    ``cell_type`` selects the recurrent cell: ``"gru"`` (the paper's
-    model) or ``"lstm"`` (the architecture the C-LSTM and ESE baselines
-    were originally built on, provided so those comparisons can be run on
-    their native cell).
-    """
+    """Architecture settings; defaults are the fast laptop-scale model."""
 
     input_dim: int = 40
     hidden_size: int = 64
     num_layers: int = 2
     num_classes: int = NUM_CLASSES
-    cell_type: str = "gru"
-
-    def __post_init__(self) -> None:
-        if self.cell_type not in ("gru", "lstm"):
-            raise ValueError(
-                f"cell_type must be 'gru' or 'lstm', got {self.cell_type!r}"
-            )
 
     def paper_scale(self) -> "AcousticModelConfig":
         """The full-size configuration (~9.6M GRU weights) of the paper."""
@@ -52,16 +39,11 @@ class AcousticModelConfig:
             hidden_size=1024,
             num_layers=2,
             num_classes=self.num_classes,
-            cell_type=self.cell_type,
         )
 
 
 class GRUAcousticModel(Module):
-    """Stacked recurrent network + linear softmax projection over phones.
-
-    Named for the paper's GRU default; an LSTM backbone is selected via
-    ``AcousticModelConfig(cell_type="lstm")`` and exposes the same API.
-    """
+    """Stacked GRU + linear softmax projection over phones."""
 
     def __init__(
         self, config: AcousticModelConfig = AcousticModelConfig(), rng: RngLike = None
@@ -69,24 +51,14 @@ class GRUAcousticModel(Module):
         super().__init__()
         rng_gru, rng_out = spawn_rngs(new_rng(rng), 2)
         self.config = config
-        if config.cell_type == "gru":
-            self.gru = GRU(
-                config.input_dim, config.hidden_size, config.num_layers, rng=rng_gru
-            )
-        else:
-            from repro.nn.rnn import LSTM
-
-            self.gru = LSTM(
-                config.input_dim, config.hidden_size, config.num_layers, rng=rng_gru
-            )
+        self.gru = GRU(
+            config.input_dim, config.hidden_size, config.num_layers, rng=rng_gru
+        )
         self.output = Linear(config.hidden_size, config.num_classes, rng=rng_out)
 
     def forward(self, features: Tensor) -> Tensor:
         """Features ``(T, B, D)`` → logits ``(T, B, C)``."""
-        if self.config.cell_type == "gru":
-            hidden, _ = self.gru(features)
-        else:
-            hidden = self.gru(features)
+        hidden, _ = self.gru(features)
         t, b, h = hidden.shape
         flat = hidden.reshape(t * b, h)
         logits = self.output(flat)

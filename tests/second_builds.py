@@ -133,7 +133,7 @@ def test_contracting_the_gate_math_changes_bits(tmp_path, monkeypatch):
     load_second_build(tmp_path, monkeypatch, lambda c: c.replace(compiled._C_NO_CONTRACT, ""))
     mutant_logits, mutant_state = stream()
     assert any(
-        not np.array_equal(a[0], b[0])
+        not np.array_equal(a, b)
         for a, b in zip(mutant_state.layer_states, want_state.layer_states)
     )
     assert not np.array_equal(mutant_logits, guarded_logits)

@@ -6,33 +6,51 @@ and the reloaded plan carries streaming state (``run_chunk``) exactly
 like the original — including the int8 bitwise chunk-exactness.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import engine
+from repro.compiler.ir import graph_from_arrays, graph_to_arrays
+from repro.engine.plan import SPARSE_FORMATS
 from repro.errors import ArtifactError, ConfigError
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
+from repro.utils.atomic_write import content_checksum
+from repro.utils.rng import new_rng
 
 SCHEMES = (None, "fp16", "int8", "mixed")
 FORMATS = (None, "csr", "bspc")
 
 
-def laptop_model(cell_type="gru", seed=0):
-    config = AcousticModelConfig(
-        input_dim=8, hidden_size=24, num_layers=2, cell_type=cell_type
-    )
+def laptop_model(seed=0):
+    config = AcousticModelConfig(input_dim=8, hidden_size=24, num_layers=2)
     return GRUAcousticModel(config, rng=seed).eval()
 
 
-def prune_model(model):
-    masks = bsp_project_masks(
-        model.prunable_weights(),
-        BSPConfig(col_rate=4, row_rate=2, num_row_strips=4, num_col_blocks=4),
+def bsp_masks(weights):
+    return bsp_project_masks(
+        weights, BSPConfig(col_rate=4, row_rate=2, num_row_strips=4, num_col_blocks=4)
     )
+
+
+def prune_model(model):
+    masks = bsp_masks(model.prunable_weights())
     for name, param in model.prunable_parameters().items():
         param.data[...] = masks[name].apply_to_array(param.data)
     return model
+
+
+def write_artifact(path, meta, arrays):
+    """An artifact of this graph header and these arrays, checksummed as
+    ``save_plan`` checksums one."""
+    header = {"graph": meta, "__checksum__": content_checksum(meta, arrays)}
+    payload = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, **arrays, **{"meta.json": payload})
+    return path
 
 
 class TestRoundTrip:
@@ -58,15 +76,6 @@ class TestRoundTrip:
         # The reloaded plan advertises the same compilation decisions.
         assert reloaded.scheme == plan.scheme
         assert reloaded.graph.formats() == plan.graph.formats()
-
-    def test_lstm_round_trip(self, tmp_path, rng):
-        plan = engine.compile_model(laptop_model(cell_type="lstm"))
-        x = rng.standard_normal((9, 2, 8))
-        engine.save_plan(tmp_path / "lstm.npz", plan)
-        reloaded = engine.load_plan(tmp_path / "lstm.npz")
-        np.testing.assert_array_equal(
-            reloaded.forward_batch(x), plan.forward_batch(x)
-        )
 
     def test_compile_rnn_round_trip(self, tmp_path, rng):
         model = prune_model(laptop_model())
@@ -97,6 +106,116 @@ class TestRoundTrip:
         assert reloaded.backend == "reference"
 
 
+@st.composite
+def plan_cases(draw):
+    """1-2 GRU layers 8-24 wide, any scheme and sparse format, BSP-pruned
+    or not, with the output layer (one width) or without it (each layer
+    its own width), and a weight seed."""
+    layers = draw(st.integers(1, 2))
+    widths = draw(st.lists(st.sampled_from([8, 16, 24]), min_size=layers, max_size=layers))
+    return (
+        widths,
+        draw(st.sampled_from(SCHEMES)),
+        draw(st.sampled_from(SPARSE_FORMATS)),
+        draw(st.booleans()),  # the output layer: compile_model, else compile_rnn
+        draw(st.booleans()),  # BSP-pruned
+        draw(st.integers(0, 2**16)),
+    )
+
+
+def compile_case(widths, scheme, sparse_format, output, pruned, seed):
+    config = engine.EngineConfig(
+        sparse_format=sparse_format, num_row_strips=4, num_col_blocks=4
+    )
+    if output:
+        model = GRUAcousticModel(
+            AcousticModelConfig(input_dim=8, hidden_size=widths[0], num_layers=len(widths)),
+            rng=seed,
+        ).eval()
+        if pruned:
+            prune_model(model)
+        return engine.compile_model(model, scheme=scheme, config=config)
+    rng, inputs = new_rng(seed), (8, *widths)
+    weights = {
+        f"gru.cell{i}.weight_{side}": rng.standard_normal(
+            (3 * h, h if side == "hh" else inputs[i])
+        )
+        for i, h in enumerate(widths)
+        for side in ("ih", "hh")
+    }
+    if pruned:
+        masks = bsp_masks(weights)
+        weights = {name: masks[name].apply_to_array(w) for name, w in weights.items()}
+    return engine.compile_rnn(weights, scheme=scheme, config=config)
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip")
+
+
+@settings(max_examples=30, deadline=2000)
+@given(case=plan_cases())
+def test_any_plan_round_trips_through_its_arrays_and_its_artifact(property_dir, case):
+    plan = compile_case(*case)
+    path = engine.save_plan(property_dir / "plan.npz", plan)
+    x = new_rng(3).standard_normal((6, 2, 8))
+    want = plan.forward_batch(x).tobytes()
+    for copy in (
+        engine.lower_graph(graph_from_arrays(*graph_to_arrays(plan.graph))),
+        engine.load_plan(path),
+    ):
+        assert copy.signature() == plan.signature()
+        assert copy.nbytes() == plan.nbytes()
+        assert copy.forward_batch(x).tobytes() == want
+
+
+class TestLegacyArtifacts:
+    """Headers written before the GRU became the only cell: each carries
+    a ``"cell_type"`` key, and the key is not read."""
+
+    @staticmethod
+    def with_legacy_cell_type(meta, cell_type="gru"):
+        """Give a graph header the cell-type key older artifacts carry;
+        returns ``meta``."""
+        meta["cell_type"] = cell_type
+        return meta
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_cell_type_key_loads_to_the_same_bytes(self, scheme, fmt, tmp_path, rng):
+        config = engine.EngineConfig(sparse_format=fmt, num_row_strips=4, num_col_blocks=4)
+        plan = engine.compile_model(prune_model(laptop_model()), scheme=scheme, config=config)
+        current = engine.save_plan(tmp_path / "current.npz", plan)
+        meta, arrays = graph_to_arrays(plan.graph)
+        legacy = write_artifact(
+            tmp_path / "legacy.npz", self.with_legacy_cell_type(meta), arrays
+        )
+        x = rng.standard_normal((9, 3, 8))
+        old, new = engine.load_plan(legacy), engine.load_plan(current)
+        assert old.signature() == new.signature()
+        assert old.forward_batch(x).tobytes() == new.forward_batch(x).tobytes()
+
+    def test_an_lstm_artifact_is_a_typed_error(self, tmp_path):
+        # an LSTM layer's arrays: 4H-tall weights (gates i, f, g, o), one bias
+        meta, arrays = graph_to_arrays(engine.compile_model(laptop_model()).graph)
+        rng = new_rng(0)
+        for i, node in enumerate(meta["nodes"]):
+            if node["kind"] != "gru_cell":
+                continue
+            node["kind"], node["params"] = "lstm_cell", ["bias"]
+            for key in ("ih", "hh"):
+                width = arrays[f"n{i}.w.{key}"].shape[1]
+                arrays[f"n{i}.w.{key}"] = rng.standard_normal((4 * 24, width))
+            del arrays[f"n{i}.p.bias_ih"], arrays[f"n{i}.p.bias_hh"]
+            arrays[f"n{i}.p.bias"] = np.zeros(4 * 24)
+        path = write_artifact(
+            tmp_path / "lstm.npz", self.with_legacy_cell_type(meta, "lstm"), arrays
+        )
+        with pytest.raises(ArtifactError, match="'lstm_cell'"):
+            engine.load_plan(path)
+
+
 class TestStreamingStateCarry:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_run_chunk_carry_matches_original(self, scheme, tmp_path, rng_factory):
@@ -115,8 +234,7 @@ class TestStreamingStateCarry:
             logits_b, state_b = reloaded.run_chunk(chunk, state_b)
             np.testing.assert_array_equal(logits_b, logits_a)
         for layer_a, layer_b in zip(state_a.layer_states, state_b.layer_states):
-            for comp_a, comp_b in zip(layer_a, layer_b):
-                np.testing.assert_array_equal(comp_b, comp_a)
+            np.testing.assert_array_equal(layer_b, layer_a)
 
     def test_chunked_reload_equals_offline_original(self, tmp_path, rng):
         # Cross guarantee: reloaded streaming == original offline batch.

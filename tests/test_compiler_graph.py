@@ -33,10 +33,8 @@ from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 
 
-def laptop_model(cell_type="gru", hidden=24, seed=0):
-    config = AcousticModelConfig(
-        input_dim=8, hidden_size=hidden, num_layers=2, cell_type=cell_type
-    )
+def laptop_model(hidden=24, seed=0):
+    config = AcousticModelConfig(input_dim=8, hidden_size=hidden, num_layers=2)
     return GRUAcousticModel(config, rng=seed).eval()
 
 
@@ -71,17 +69,11 @@ class TestFrontend:
         graph = build_layer_graph(laptop_model())
         kinds = [node.kind for node in graph.nodes]
         assert kinds == ["gru_cell", "gru_cell", "output"]
-        assert graph.cell_type == "gru"
         cell0 = graph.nodes[0]
         assert set(cell0.weights) == {"ih", "hh"}
         assert set(cell0.params) == {"bias_ih", "bias_hh"}
         assert cell0.weights["ih"].op == "linear"
         assert cell0.weights["hh"].op == "recurrent_matvec"
-
-    def test_lstm_graph_structure(self):
-        graph = build_layer_graph(laptop_model(cell_type="lstm"))
-        assert [n.kind for n in graph.nodes] == ["lstm_cell", "lstm_cell", "output"]
-        assert set(graph.nodes[0].params) == {"bias"}
 
     def test_output_slot_pinned_dense(self):
         graph = build_layer_graph(
@@ -331,7 +323,6 @@ class TestGraphSerialization:
         restored = graph_from_arrays(meta, arrays)
         assert restored.scheme == "int8"
         assert restored.backend == "numpy"
-        assert restored.cell_type == "gru"
         assert restored.formats() == graph.formats()
         assert not restored.undecided()
         for (_, _, a), (_, _, b) in zip(graph.slots(), restored.slots()):

@@ -36,9 +36,7 @@ STREAM = StreamConfig(max_batch_size=4, max_wait_frames=8, min_duration=2)
 
 
 def small_plan(scheme=None, seed=0):
-    config = AcousticModelConfig(
-        input_dim=8, hidden_size=16, num_layers=2, cell_type="gru"
-    )
+    config = AcousticModelConfig(input_dim=8, hidden_size=16, num_layers=2)
     model = GRUAcousticModel(config, rng=seed).eval()
     return compile_model(model, scheme=scheme)
 
@@ -587,9 +585,7 @@ class TestFleetHotSwap:
 
     def test_architecture_mismatch_rejected_fleet_intact(self, tmp_path):
         plan = small_plan()
-        wrong_config = AcousticModelConfig(
-            input_dim=8, hidden_size=32, num_layers=2, cell_type="gru"
-        )
+        wrong_config = AcousticModelConfig(input_dim=8, hidden_size=32, num_layers=2)
         wrong = compile_model(GRUAcousticModel(wrong_config, rng=0).eval())
         candidate = save_artifact(tmp_path, wrong, "wrong.npz")
         utterances = make_utterances(2)
@@ -858,9 +854,7 @@ class TestCanaryRollout:
     def test_canary_arch_mismatch_rejected(self, tmp_path):
         from repro.errors import SwapError
 
-        wrong_config = AcousticModelConfig(
-            input_dim=8, hidden_size=32, num_layers=2, cell_type="gru"
-        )
+        wrong_config = AcousticModelConfig(input_dim=8, hidden_size=32, num_layers=2)
         wrong = compile_model(GRUAcousticModel(wrong_config, rng=0).eval())
         registry = make_registry(tmp_path, small_plan(), wrong)
         fabric = ServingFabric.from_registry(

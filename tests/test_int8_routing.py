@@ -68,13 +68,11 @@ def full_matrix(weight, strips=1):
     return BSPCMatrix.from_dense(weight, grid_for(weight, strips, 1))
 
 
-def bsp_int8_plan(cell_type="gru", hidden=24, seed=0, sparse_format="bspc", col_rate=4):
+def bsp_int8_plan(hidden=24, seed=0, sparse_format="bspc", col_rate=4):
     """``sparse_format="auto"`` leaves the unpruned layer-0 input weight
     dense (the bench workloads' shape); ``"bspc"`` packs all four slots.
     Pruned ``col_rate`` x 2."""
-    config = AcousticModelConfig(
-        input_dim=8, hidden_size=hidden, num_layers=2, cell_type=cell_type
-    )
+    config = AcousticModelConfig(input_dim=8, hidden_size=hidden, num_layers=2)
     model = GRUAcousticModel(config, rng=seed).eval()
     masks = bsp_project_masks(
         model.prunable_weights(),
@@ -263,9 +261,9 @@ def streamed_bytes(plan):
     for chunk in np.array_split(probe_features(), [1, 5]):
         logits, state = plan.run_chunk(chunk, state)
         parts.append(logits)
-    parts += [component for layer in state.layer_states for component in layer]
+    parts += state.layer_states
     logits, state = plan.run_chunk(new_rng(12).standard_normal((20, 1, 8)))
-    parts += [logits] + [component for layer in state.layer_states for component in layer]
+    parts += [logits] + state.layer_states
     return b"".join(part.tobytes() for part in parts)
 
 
@@ -301,18 +299,33 @@ def traffic(draw):
     return sessions, frames, chunks, groupings, draw(st.integers(0, 2**16))
 
 
-def run_traffic(plan, route, utterances, chunks, groupings):
+def run_chunk(plan, chunk, state=None, lowered=True):
+    """``plan.run_chunk``.  ``lowered=False`` withholds the plan's program
+    from the call, once the plan is bound to the backend in force (binding
+    lowers it again): the generic loop over the bound kernels."""
+    if lowered:
+        return plan.run_chunk(chunk, state)
+    plan.run_chunk(chunk[:0], state)
+    program, plan.program = plan.program, None
+    try:
+        return plan.run_chunk(chunk, state)
+    finally:
+        plan.program = program
+
+
+def run_traffic(plan, route, utterances, chunks, groupings, lowered=True):
     """Stream ``utterances`` under ``route``: chunk ``k`` co-batches the
-    sessions of each of ``groupings[k]``'s groups into one ``run_chunk``.
-    Returns every session's logits, chunk by chunk, and final carry state."""
+    sessions of each of ``groupings[k]``'s groups into one ``run_chunk``
+    (:func:`run_chunk` with ``lowered``).  Returns every session's logits,
+    chunk by chunk, and final carry state."""
     states = plan.init_state(len(utterances)).split()
     pieces = [[] for _ in utterances]
     with kernels.use_backend(route):
         for (start, stop), groups in zip(chunks, groupings):
             for group in groups:
                 chunk = utterances[group, start:stop].transpose(1, 0, 2)
-                logits, carry = plan.run_chunk(
-                    chunk, engine.PlanState.stack([states[s] for s in group])
+                logits, carry = run_chunk(
+                    plan, chunk, engine.PlanState.stack([states[s] for s in group]), lowered
                 )
                 for column, (session, state) in enumerate(zip(group, carry.split())):
                     states[session] = state
@@ -321,23 +334,32 @@ def run_traffic(plan, route, utterances, chunks, groupings):
 
 
 @pytest.fixture(scope="module")
-def property_plans():
-    return {cell: bsp_int8_plan(cell) for cell in ("gru", "lstm")}
+def property_plan():
+    return bsp_int8_plan()
+
+
+#: How a test runs the GRU BSP int8 plan: ``"gru"`` as it lowered (its
+#: program, where one applies), ``"loop"`` with its program withheld, so
+#: co-batched sessions run the generic loop over the kernels the route
+#: bound — the compiled ones on the default and ``compiled`` routes.
+PATHS = ["gru", "loop"]
 
 
 @pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("cell_type", ["gru", "lstm"])
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=12, deadline=None)
 @given(case=traffic())
 def test_any_split_and_cobatching_equals_reference_offline(
-    property_plans, route, cell_type, case
+    property_plan, route, path, case
 ):
     sessions, frames, chunks, groupings, seed = case
-    plan = property_plans[cell_type]
+    plan = property_plan
     utterances = new_rng(seed).standard_normal((sessions, frames, 8))
     with kernels.use_backend("reference"):
         offline = [plan.forward_utterance(u) for u in utterances]
-    pieces, _ = run_traffic(plan, route, utterances, chunks, groupings)
+    pieces, _ = run_traffic(plan, route, utterances, chunks, groupings, path == "gru")
+    if route == "compiled":
+        assert plan.layers[0].recurrent.kernel is compiled.bspc_spmm_int8
     for session in range(sessions):
         np.testing.assert_array_equal(np.concatenate(pieces[session]), offline[session])
 
@@ -352,9 +374,8 @@ def reference_run(plan, utterances):
 
 
 def assert_states_equal(got, want):
-    for got_layer, want_layer in zip(got.layer_states, want.layer_states):
-        for a, b in zip(got_layer, want_layer):
-            np.testing.assert_array_equal(a, b)
+    for a, b in zip(got.layer_states, want.layer_states):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_lowering_leaves_a_program_only_where_it_applies(rng):
@@ -373,7 +394,7 @@ def test_lowering_leaves_a_program_only_where_it_applies(rng):
                 assert plan.program is None
         plan.run_chunk(features)
         assert (plan.program is not None) == lowers
-    # float, fp16, mixed, CSR and LSTM plans: test_plan_program.py
+    # float, fp16, mixed and CSR plans: test_plan_program.py
 
 
 @st.composite
@@ -445,18 +466,16 @@ class TestFusedStepOperands:
     def test_wrong_hidden_width_is_a_shape_error(self, plan, rng):
         features, state = self.carried(plan, rng)
         for width in (23, 25, 48):
-            bad = engine.PlanState([(np.zeros((3, width)),), state.layer_states[1]])
+            bad = engine.PlanState([np.zeros((3, width)), state.layer_states[1]])
             with pytest.raises(ShapeError):
                 self.run(plan, features, bad)
-        flat = engine.PlanState([(np.zeros(3 * 24),), state.layer_states[1]])
+        flat = engine.PlanState([np.zeros(3 * 24), state.layer_states[1]])
         with pytest.raises(ShapeError):
             self.run(plan, features, flat)
 
     def test_float32_and_strided_states_are_copied_not_misread(self, plan, rng):
         features, state = self.carried(plan, rng)
-        rounded = engine.PlanState(
-            [tuple(c.astype(np.float32) for c in layer) for layer in state.layer_states]
-        )
+        rounded = engine.PlanState([layer.astype(np.float32) for layer in state.layer_states])
         widened = plan.adapt_state(rounded)  # the same values as float64
         want_logits, want_state = self.run(plan, features, widened)
         got_logits, got_state = self.run(plan, features, rounded)
@@ -466,14 +485,12 @@ class TestFusedStepOperands:
         want_logits, want_state = self.run(plan, features, state)
         # every other column is the state; the ones between would be misread
         wide = [
-            np.repeat(layer[0], 2, axis=1) * np.tile([1.0, -7.0], 24)
+            np.repeat(layer, 2, axis=1) * np.tile([1.0, -7.0], 24)
             for layer in state.layer_states
         ]
-        strided = engine.PlanState([(w[:, ::2],) for w in wide])
-        assert not strided.layer_states[0][0].flags.c_contiguous
-        fortran = engine.PlanState(
-            [(np.asfortranarray(layer[0]),) for layer in state.layer_states]
-        )
+        strided = engine.PlanState([w[:, ::2] for w in wide])
+        assert not strided.layer_states[0].flags.c_contiguous
+        fortran = engine.PlanState([np.asfortranarray(layer) for layer in state.layer_states])
         for view in (strided, fortran):
             got_logits, got_state = self.run(plan, features, view)
             np.testing.assert_array_equal(got_logits, want_logits)
@@ -481,14 +498,14 @@ class TestFusedStepOperands:
 
     def test_empty_chunks_and_batches_pass_the_state_through(self, plan, rng):
         _, state = self.carried(plan, rng)
-        kept = [layer[0].copy() for layer in state.layer_states]
+        kept = [layer.copy() for layer in state.layer_states]
         logits, after = self.run(plan, np.zeros((0, 3, 8)), state)
         assert logits.shape == (0, 3, plan.output.num_classes)
         for layer, want in zip(after.layer_states, kept):
-            np.testing.assert_array_equal(layer[0], want)
+            np.testing.assert_array_equal(layer, want)
         logits, after = self.run(plan, np.zeros((5, 0, 8)))
         assert logits.shape == (5, 0, plan.output.num_classes)
-        assert [layer[0].shape for layer in after.layer_states] == [(0, 24), (0, 24)]
+        assert [layer.shape for layer in after.layer_states] == [(0, 24), (0, 24)]
 
     @requires_compiler
     def test_a_program_rejects_mis_shaped_operands(self, rng):
@@ -511,7 +528,7 @@ class TestFusedStepOperands:
         with kernels.use_backend("reference"):
             want, state = plan.run_chunk(x)
         assert logits.tobytes() == want.tobytes()
-        assert carry[0].tobytes() == state.layer_states[0][0].tobytes()
+        assert carry.tobytes() == state.layer_states[0].tobytes()
         for ops in (
             [project, (recur[0], recur[1], np.zeros(72))],  # the candidate gate's bias: (H,)
             [(project[0], project[1], np.zeros(71)), recur],
@@ -559,20 +576,15 @@ def golden_digest(plan, lowered=True):
     """sha256 of the logits and carries of seeded traffic at B = 1, 3, 8,
     17, each fed as a 7-frame and a 13-frame chunk — tiles of ceil(8 / B)
     steps, so at B = 1 and 3 both chunks cross tile bounds.  ``lowered =
-    False``: through the generic loop (the plan bound as it is)."""
-    digest, program = hashlib.sha256(), plan.program
-    if not lowered:
-        plan.program = None
-    try:
-        for batch in (1, 3, 8, 17):
-            features, state = new_rng(100 + batch).standard_normal((20, batch, 8)), None
-            for chunk in (features[:7], features[7:]):
-                logits, state = plan.run_chunk(chunk, state)
-                digest.update(logits.tobytes())
-            for layer in state.layer_states:
-                digest.update(layer[0].tobytes())
-    finally:
-        plan.program = program
+    False``: through the generic loop (:func:`run_chunk`)."""
+    digest = hashlib.sha256()
+    for batch in (1, 3, 8, 17):
+        features, state = new_rng(100 + batch).standard_normal((20, batch, 8)), None
+        for chunk in (features[:7], features[7:]):
+            logits, state = run_chunk(plan, chunk, state, lowered)
+            digest.update(logits.tobytes())
+        for layer in state.layer_states:
+            digest.update(layer.tobytes())
     return digest.hexdigest()
 
 
@@ -695,7 +707,7 @@ class TestGateMath:
                     for chunk in np.split(features, cuts):
                         out, state = plan.run_chunk(chunk, state)
                         logits.append(out)
-                carries = b"".join(layer[0].tobytes() for layer in state.layer_states)
+                carries = b"".join(layer.tobytes() for layer in state.layer_states)
                 runs.add(np.concatenate(logits).tobytes() + carries)
         assert len(runs) == 1
 
@@ -713,7 +725,7 @@ class TestGateMath:
                 got, state = plan.run_chunk(features)
         assert got.tobytes() == want.tobytes()
         assert_states_equal(state, want_state)
-        assert np.isin(np.abs(state.layer_states[0][0]), [0.0, 1.0]).any()
+        assert np.isin(np.abs(state.layer_states[0]), [0.0, 1.0]).any()
 
     @requires_compiler
     @pytest.mark.parametrize("frames", [1, 2, 25])
@@ -912,25 +924,24 @@ class TestNumericEdges:
                 np.testing.assert_array_equal(out[:, others], clean[:, others])
 
     @pytest.mark.parametrize("route", ROUTES)
-    @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
-    def test_a_bad_session_leaves_cobatched_sessions_bit_unchanged(self, route, cell_type):
-        plan = bsp_int8_plan(cell_type)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_bad_session_leaves_cobatched_sessions_bit_unchanged(self, route, path):
+        plan, lowered = bsp_int8_plan(), path == "gru"
         features = new_rng(5).standard_normal((6, 4, 8))
         with kernels.use_backend(route), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            clean, clean_state = plan.run_chunk(features)
+            clean, clean_state = run_chunk(plan, features, lowered=lowered)
             for bad in (np.nan, np.inf, 0.0, 1e-310):
                 dirty = features.copy()
                 dirty[2, 1] = bad
                 if not np.isfinite(bad):  # refused before any kernel runs
                     with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 1, 0\)"):
-                        plan.run_chunk(dirty)
+                        run_chunk(plan, dirty, lowered=lowered)
                     continue
-                out, state = plan.run_chunk(dirty)
+                out, state = run_chunk(plan, dirty, lowered=lowered)
                 np.testing.assert_array_equal(out[:, [0, 2, 3]], clean[:, [0, 2, 3]])
                 for got, want in zip(state.layer_states, clean_state.layer_states):
-                    for a, b in zip(got, want):
-                        np.testing.assert_array_equal(a[[0, 2, 3]], b[[0, 2, 3]])
+                    np.testing.assert_array_equal(got[[0, 2, 3]], want[[0, 2, 3]])
 
 
     @pytest.mark.parametrize("route", ROUTES)
@@ -956,7 +967,7 @@ class TestNumericEdges:
             np.testing.assert_array_equal(out[:, [0, 2]], clean[:, [0, 2]])
             np.testing.assert_array_equal(out[:3, 1], clean[:3, 1])  # the frames before
             for got, want in zip(state.layer_states, clean_state.layer_states):
-                np.testing.assert_array_equal(got[0][[0, 2]], want[0][[0, 2]])
+                np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
             with kernels.use_backend("reference"):  # a silent frame is an ordinary frame
                 want, want_state = plan.run_chunk(dirty)
             np.testing.assert_array_equal(out, want)
@@ -1101,7 +1112,7 @@ class TestScratch:
                 again, state = plan.run_chunk(second, state)
                 same = np.array_equal(logits, want_first) and np.array_equal(again, want_second)
                 for got, want in zip(state.layer_states, want_state.layer_states):
-                    same = same and np.array_equal(got[0], want[0])
+                    same = same and np.array_equal(got, want)
                 if not same:
                     failures.append(index)
                     return

@@ -193,23 +193,6 @@ class TestRecurrentEquivalence:
             np.testing.assert_allclose(out, ref_out, atol=1e-10)
             np.testing.assert_allclose(h_final, ref_h, atol=1e-10)
 
-    def test_lstm_sequence(self, backend):
-        rng = new_rng(12)
-        for t, b, d, h in self.SHAPES:
-            x = rng.standard_normal((t, b, d))
-            w_ih, w_hh = self._weights(rng, 4, d, h)
-            bias = rng.standard_normal(4 * h)
-            h0, c0 = np.zeros((b, h)), np.zeros((b, h))
-            ref_out, ref_h, ref_c = kernels.lstm_sequence(
-                x, w_ih, w_hh, bias, h0, c0, backend="reference"
-            )
-            out, h_final, c_final = kernels.lstm_sequence(
-                x, w_ih, w_hh, bias, h0, c0, backend=backend
-            )
-            np.testing.assert_allclose(out, ref_out, atol=1e-10)
-            np.testing.assert_allclose(h_final, ref_h, atol=1e-10)
-            np.testing.assert_allclose(c_final, ref_c, atol=1e-10)
-
     def test_non_contiguous_sequence(self, backend):
         rng = new_rng(13)
         t, b, d, h = 6, 2, 4, 5
@@ -226,7 +209,7 @@ class TestRecurrentEquivalence:
 
 
 class TestModuleFastPath:
-    """GRU/LSTM modules must produce tape-path results in eval mode."""
+    """GRU modules must produce tape-path results in eval mode."""
 
     def test_gru_eval_matches_train(self, rng):
         from repro.nn.rnn import GRU
@@ -240,16 +223,6 @@ class TestModuleFastPath:
         np.testing.assert_allclose(out_eval.data, out_train.data, atol=1e-10)
         for a, b in zip(finals_train, finals_eval):
             np.testing.assert_allclose(b.data, a.data, atol=1e-10)
-
-    def test_lstm_eval_matches_train(self, rng):
-        from repro.nn.rnn import LSTM
-        from repro.nn.tensor import Tensor
-
-        lstm = LSTM(6, 9, num_layers=2, rng=0)
-        x = Tensor(rng.standard_normal((8, 3, 6)))
-        out_train = lstm(x)
-        out_eval = lstm.eval()(x)
-        np.testing.assert_allclose(out_eval.data, out_train.data, atol=1e-10)
 
     def test_grad_requiring_input_uses_tape_in_eval(self, rng):
         from repro.nn.rnn import GRU

@@ -23,7 +23,7 @@ from repro.sparse.blocks import BlockGrid
 from repro.sparse.bspc import BSPCBlock, BSPCStrip
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
-from test_int8_routing import bsp_int8_plan, bsp_matrix, requires_compiler
+from test_int8_routing import bsp_int8_plan, bsp_matrix, requires_compiler, run_chunk
 
 
 def bare_rnn_plan(hidden=(24, 24)):
@@ -61,17 +61,13 @@ def plans():
 
 def stream(plan, chunks, state, lowered=True):
     """Per-chunk logits and the final carry, as bytes.  ``lowered=False``
-    takes the program away for the run (of a plan already bound to the
-    backend in force): the generic loop."""
-    program, parts = plan.program, []
+    withholds the program from every chunk (:func:`run_chunk`): the
+    generic loop."""
+    parts = []
     for chunk in chunks:
-        if not lowered:
-            plan.program = None
-        logits, state = plan.run_chunk(chunk, state)
+        logits, state = run_chunk(plan, chunk, state, lowered)
         parts.append(logits)
-    if not lowered:
-        plan.program = program
-    parts += [c for layer in state.layer_states for c in layer]
+    parts += state.layer_states
     return [part.tobytes() for part in parts]
 
 
@@ -97,7 +93,7 @@ def test_any_split_equals_the_generic_loop_and_reference(plans, case):
     state = None
     if carried:
         state = engine.PlanState(
-            [(rng.standard_normal((batch, layer.hidden_size)),) for layer in plan.layers]
+            [rng.standard_normal((batch, layer.hidden_size)) for layer in plan.layers]
         )
     with kernels.use_backend(None):
         got = stream(plan, chunks, state)
@@ -122,18 +118,18 @@ def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
     x = rng.standard_normal((3, 5, 8))
     for plan in plans.values():
         carry = engine.PlanState(
-            [(rng.standard_normal((5, layer.hidden_size)),) for layer in plan.layers]
+            [rng.standard_normal((5, layer.hidden_size)) for layer in plan.layers]
         )
         with kernels.use_backend(backend):
             assert all(layer.gate_dtype == np.float32 for layer in plan.layers)
             logits, state = plan.run_chunk(x, carry)
         for layer in state.layer_states:
-            assert float32_valued(layer[0])
+            assert float32_valued(layer)
     assert float32_valued(logits)  # the bare plan's logits are its states
-    assert not float32_valued(carry.layer_states[0][0])  # ... and its input was not
+    assert not float32_valued(carry.layer_states[0])  # ... and its input was not
     float_plan = dict(other_plans())["None"]
     assert float_plan.layers[0].gate_dtype == np.float64
-    assert not float32_valued(float_plan.run_chunk(x)[1].layer_states[0][0])
+    assert not float32_valued(float_plan.run_chunk(x)[1].layer_states[0])
 
 
 @pytest.fixture()
@@ -165,11 +161,11 @@ class TestOneCall:
                 logits, after = plan.run_chunk(np.zeros((0, 40, 8)), state)
                 assert logits.shape[:2] == (0, 40)
                 for a, b in zip(after.layer_states, state.layer_states):
-                    assert a[0].tobytes() == b[0].tobytes()
+                    assert a.tobytes() == b.tobytes()
                 logits, after = plan.run_chunk(np.zeros((5, 0, 8)))
                 assert logits.shape[:2] == (5, 0)
                 widths = [(0, layer.hidden_size) for layer in plan.layers]
-                assert [layer[0].shape for layer in after.layer_states] == widths
+                assert [layer.shape for layer in after.layer_states] == widths
                 assert "repro_plan_i8_chunk" not in c_calls
 
     def test_the_arena_is_sized_by_the_batch_not_the_chunk(self, rng):
@@ -195,16 +191,16 @@ class TestOneCall:
         with kernels.use_backend(None):
             x = rng.standard_normal((5, 3, 8))
             logits, state = plan.run_chunk(x)
-            kept = [logits.copy()] + [layer[0].copy() for layer in state.layer_states]
+            kept = [logits.copy()] + [layer.copy() for layer in state.layer_states]
             assert plan.program.arena.size
             plan.program.arena[:] = np.nan
             again, again_state = plan.run_chunk(x)  # ... and running again
-            results = [logits] + [layer[0] for layer in state.layer_states]
+            results = [logits] + state.layer_states
             for got, want in zip(results, kept):
                 assert got.tobytes() == want.tobytes()
             assert again.tobytes() == logits.tobytes() and again is not logits
             for a, b in zip(again_state.layer_states, state.layer_states):
-                assert not np.shares_memory(a[0], b[0])
+                assert not np.shares_memory(a, b)
             assert not any(np.shares_memory(r, plan.program.arena) for r in results)
 
     def test_scratch_is_sized_for_the_neediest_op_not_the_last(self, plans, rng):
@@ -242,7 +238,6 @@ def test_the_narrow_kernel_refuses_more_columns_than_it_keeps_scales_for():
 
 def other_plans():
     model = GRUAcousticModel(AcousticModelConfig(input_dim=8, hidden_size=24), rng=0).eval()
-    yield "lstm", bsp_int8_plan("lstm")
     for scheme in (None, "fp16", "mixed"):
         config = engine.EngineConfig(sparse_format="bspc")
         yield str(scheme), engine.compile_model(model, scheme=scheme, config=config)
@@ -259,7 +254,7 @@ def test_plans_without_a_descriptor_run_the_generic_loop(rng):
             first, state = plan.run_chunk(x[:1])
             rest, _ = plan.run_chunk(x[1:], state)
             whole = plan.forward_batch(x)
-            if name in ("lstm", "csr"):  # int8: chunk-exact to the byte
+            if name == "csr":  # int8: chunk-exact to the byte
                 assert np.concatenate([first, rest]).tobytes() == whole.tobytes()
             else:
                 np.testing.assert_allclose(np.concatenate([first, rest]), whole, rtol=1e-5)

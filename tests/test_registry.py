@@ -27,9 +27,7 @@ from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 
 
 def small_plan(scheme=None, seed=0, hidden=16):
-    config = AcousticModelConfig(
-        input_dim=8, hidden_size=hidden, num_layers=2, cell_type="gru"
-    )
+    config = AcousticModelConfig(input_dim=8, hidden_size=hidden, num_layers=2)
     model = GRUAcousticModel(config, rng=seed).eval()
     return engine.compile_model(model, scheme=scheme)
 
@@ -77,11 +75,10 @@ class TestPublishResolve:
         entry = registry.publish("am", small_plan(scheme="fp16"))
         meta = registry.resolve("am").meta
         assert meta["scheme"] == "fp16"
-        assert meta["cell_type"] == "gru"
         assert meta["hidden_size"] == 16
         assert meta["num_layers"] == 2
         assert meta["nbytes"] > 0
-        assert meta["signature"][0] == "gru"
+        assert [layer[:2] for layer in meta["signature"][0]] == [[8, 16], [16, 16]]
         assert meta["status"] == "published"
         assert meta["history"] == []
         assert entry.status == "published"
@@ -89,9 +86,7 @@ class TestPublishResolve:
     def test_tune_summary_rides_in_metadata(self, registry):
         from repro.compiler.autotune import tune_plan
 
-        config = AcousticModelConfig(
-            input_dim=8, hidden_size=16, num_layers=2, cell_type="gru"
-        )
+        config = AcousticModelConfig(input_dim=8, hidden_size=16, num_layers=2)
         model = GRUAcousticModel(config, rng=0).eval()
         result = tune_plan(
             model, np.zeros((20, 2, 8)), repeats=1, schemes=(None,)

@@ -1,10 +1,10 @@
-"""Tests for GRU/LSTM cells and sequence wrappers (repro.nn.rnn)."""
+"""Tests for the GRU cell and sequence wrapper (repro.nn.rnn)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.rnn import GRU, LSTM, GRUCell, LSTMCell
+from repro.nn.rnn import GRU, GRUCell
 from repro.nn.tensor import Tensor
 
 
@@ -131,39 +131,3 @@ class TestGRUSequence:
             gru.cells[0].weight_hh.data, gru.cells[1].weight_hh.data
         )
 
-
-class TestLSTM:
-    def test_cell_output_shapes(self, rng):
-        cell = LSTMCell(5, 9, rng=0)
-        h, c = cell(Tensor(rng.standard_normal((3, 5))), cell.init_hidden(3))
-        assert h.shape == (3, 9)
-        assert c.shape == (3, 9)
-
-    def test_forget_gate_bias_initialized_to_one(self):
-        cell = LSTMCell(5, 9, rng=0)
-        np.testing.assert_array_equal(cell.bias.data[9:18], np.ones(9))
-
-    def test_sequence_shape(self, rng):
-        lstm = LSTM(5, 9, num_layers=2, rng=0)
-        out = lstm(Tensor(rng.standard_normal((6, 3, 5))))
-        assert out.shape == (6, 3, 9)
-
-    def test_rejects_2d_input(self, rng):
-        lstm = LSTM(5, 9, rng=0)
-        with pytest.raises(ShapeError):
-            lstm(Tensor(rng.standard_normal((6, 5))))
-
-    def test_rejects_zero_layers(self):
-        with pytest.raises(ValueError):
-            LSTM(4, 6, num_layers=0)
-
-    def test_gradients_flow(self, rng):
-        lstm = LSTM(4, 6, rng=0)
-        out = lstm(Tensor(rng.standard_normal((5, 2, 4))))
-        out.sum().backward()
-        assert lstm.cells[0].weight_ih.grad is not None
-
-    def test_hidden_bounded(self, rng):
-        lstm = LSTM(4, 6, rng=0)
-        out = lstm(Tensor(rng.standard_normal((30, 2, 4))))
-        assert np.all(np.abs(out.data) <= 1.0)  # |h| = |o * tanh(c)| <= 1

@@ -1,4 +1,4 @@
-"""Tests for CSR/CSC storage (repro.sparse.csr / csc)."""
+"""Tests for CSR storage (repro.sparse.csr)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import SparsityError
-from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
 
@@ -102,46 +101,6 @@ class TestCSR:
                 col_indices=np.array([5]),
                 row_ptr=np.array([0, 1, 1]),
             )
-
-
-class TestCSC:
-    def test_round_trip(self, rng):
-        dense = sparse_matrix(rng)
-        np.testing.assert_array_equal(CSCMatrix.from_dense(dense).to_dense(), dense)
-
-    def test_spmv_matches_dense(self, rng):
-        dense = sparse_matrix(rng)
-        x = rng.standard_normal(8)
-        np.testing.assert_allclose(CSCMatrix.from_dense(dense).spmv(x), dense @ x)
-
-    def test_nnz(self, rng):
-        dense = sparse_matrix(rng)
-        assert CSCMatrix.from_dense(dense).nnz == np.count_nonzero(dense)
-
-    def test_spmv_rejects_wrong_length(self, rng):
-        csc = CSCMatrix.from_dense(sparse_matrix(rng))
-        with pytest.raises(SparsityError):
-            csc.spmv(np.zeros(9))
-
-    def test_empty(self):
-        csc = CSCMatrix.from_dense(np.zeros((3, 4)))
-        assert csc.nnz == 0
-
-    def test_validation_bad_col_ptr(self):
-        with pytest.raises(SparsityError):
-            CSCMatrix(
-                shape=(2, 2),
-                values=np.ones(1),
-                row_indices=np.zeros(1, dtype=int),
-                col_ptr=np.array([0, 1]),
-            )
-
-    def test_csr_csc_agree(self, rng):
-        dense = sparse_matrix(rng)
-        x = rng.standard_normal(8)
-        np.testing.assert_allclose(
-            CSRMatrix.from_dense(dense).spmv(x), CSCMatrix.from_dense(dense).spmv(x)
-        )
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,10 @@
 The central contract — the *chunk-exactness sweep* — is that a streaming
 session fed an utterance in arbitrary chunk splits produces byte-identical
 phone sequences to the offline ``decode_utterance`` path, across kernel
-backends (``reference``/``numpy``) and quantization schemes
-(``None``/``fp16``/``int8``), for GRU and LSTM (cell-state) plans.  Logits
-are asserted too, as far as each scheme permits: **bit-exact** for int8
-(per-frame activation scales + order-exact integer accumulation) and to
-BLAS-reduction-order tolerance for float64/fp16.
+backends and quantization schemes (``None``/``fp16``/``int8``/``mixed``).
+Logits are asserted too, as far as each scheme permits: **bit-exact** for
+int8 (per-frame activation scales + order-exact integer accumulation) and
+to BLAS-reduction-order tolerance for float64/fp16.
 
 Around the sweep: the streaming feature frontend's bit-exactness with the
 offline featurizer, the incremental decoder's equivalence with
@@ -37,12 +36,13 @@ from repro.speech.phones import SILENCE_ID
 BACKENDS = tuple(kernels.backends())
 SCHEMES = (None, "fp16", "int8", "mixed")
 CHUNK_SIZES = (1, 7, 25, None)  # None = the whole utterance in one chunk
+# Carry widths: 24 is not a multiple of 16, so the int8 gate sweep's
+# padded tail runs as well as its whole 16-wide rows.
+HIDDEN_SIZES = (16, 24)
 
 
-def tiny_model(cell_type="gru", input_dim=8, hidden=16, seed=0):
-    config = AcousticModelConfig(
-        input_dim=input_dim, hidden_size=hidden, num_layers=2, cell_type=cell_type
-    )
+def tiny_model(input_dim=8, hidden=16, seed=0):
+    config = AcousticModelConfig(input_dim=input_dim, hidden_size=hidden, num_layers=2)
     return GRUAcousticModel(config, rng=seed).eval()
 
 
@@ -56,9 +56,9 @@ def chunk_starts(total, size):
 class TestChunkExactnessSweep:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
-    def test_streaming_equals_offline(self, backend, scheme, cell_type, rng_factory):
-        plan = engine.compile_model(tiny_model(cell_type), scheme=scheme)
+    @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+    def test_streaming_equals_offline(self, backend, scheme, hidden, rng_factory):
+        plan = engine.compile_model(tiny_model(hidden=hidden), scheme=scheme)
         with kernels.use_backend(backend):
             for utt_index in range(2):
                 rng = rng_factory(1000 * utt_index + 17)
@@ -77,7 +77,7 @@ class TestChunkExactnessSweep:
                         pieces.append(logits[:, 0])
                     phones += session.finish()
                     # Labels: byte-identical with the offline decode.
-                    assert phones == offline, (backend, scheme, cell_type, size)
+                    assert phones == offline, (backend, scheme, hidden, size)
                     assert session.phones == offline
                     # Logits: as exact as the scheme permits.
                     chunked = np.concatenate(pieces)
@@ -142,16 +142,17 @@ class TestRunChunkAPI:
         _, state = plan.run_chunk(rng.standard_normal((5, 2, 8)))
         logits, state2 = plan.run_chunk(np.zeros((0, 2, 8)), state)
         assert logits.shape == (0, 2, plan.output.num_classes)
-        for before, after in zip(state.layer_states, state2.layer_states):
-            for a, b in zip(before, after):
-                np.testing.assert_array_equal(a, b)
-                assert a is not b  # pass-through still never aliases
+        for a, b in zip(state.layer_states, state2.layer_states):
+            np.testing.assert_array_equal(a, b)
+            assert a is not b  # pass-through still never aliases
 
     def test_state_batch_mismatch_rejected(self, rng):
         plan = self.make_plan()
         _, state = plan.run_chunk(rng.standard_normal((5, 2, 8)))
         with pytest.raises(ShapeError):
             plan.run_chunk(rng.standard_normal((5, 3, 8)), state)
+        with pytest.raises(ShapeError):  # one layer short
+            plan.run_chunk(rng.standard_normal((5, 2, 8)), engine.PlanState(state.layer_states[:1]))
 
     def test_rejects_wrong_rank_and_dim(self):
         plan = self.make_plan()
@@ -166,22 +167,6 @@ class TestRunChunkAPI:
         logits, _ = plan.run_chunk(x)
         np.testing.assert_array_equal(logits, plan.forward_batch(x))
 
-    def test_lstm_cell_state_is_carried(self, rng):
-        # Two components per layer, and chunked equals offline — the cell
-        # state must actually flow between chunks for this to hold.
-        plan = engine.compile_model(tiny_model("lstm"))
-        state = plan.init_state(1)
-        assert all(len(layer) == 2 for layer in state.layer_states)
-        utterance = rng.standard_normal((23, 8))
-        offline = plan.forward_utterance(utterance)
-        pieces, carry = [], None
-        for start in chunk_starts(23, 6):
-            logits, carry = plan.run_chunk(
-                utterance[start : start + 6][:, None, :], carry
-            )
-            pieces.append(logits[:, 0])
-        np.testing.assert_allclose(np.concatenate(pieces), offline, atol=1e-9)
-
     def test_plan_state_stack_split_roundtrip(self, rng):
         plan = self.make_plan()
         _, s1 = plan.run_chunk(rng.standard_normal((4, 1, 8)))
@@ -190,9 +175,8 @@ class TestRunChunkAPI:
         assert stacked.batch_size == 2
         parts = stacked.split()
         for original, part in zip((s1, s2), parts):
-            for layer_a, layer_b in zip(original.layer_states, part.layer_states):
-                for a, b in zip(layer_a, layer_b):
-                    np.testing.assert_array_equal(a, b)
+            for a, b in zip(original.layer_states, part.layer_states):
+                np.testing.assert_array_equal(a, b)
 
     def test_batched_sessions_independent_of_cobatching(self, rng):
         # Row b of a batched run_chunk carries session b's stream as if
@@ -216,6 +200,86 @@ class TestRunChunkAPI:
             np.testing.assert_array_equal(
                 batched[:, b].argmax(axis=1), expected.argmax(axis=1)
             )
+
+
+class TestOneArrayCarry:
+    """A layer's carry is one ``(B, H)`` array in the layer's dtype, for
+    every scheme and weight format; ``stack``/``split`` and
+    ``adapt_state`` move those arrays and reject any other shape."""
+
+    @staticmethod
+    def make_plan(scheme=None, fmt=None):
+        config = engine.EngineConfig(
+            sparse_format=fmt, num_row_strips=4, num_col_blocks=4
+        )
+        return engine.compile_model(tiny_model(), scheme=scheme, config=config)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("fmt", [None, "csr", "bspc"])
+    def test_every_carry_is_one_array_per_layer(self, scheme, fmt, rng):
+        plan = self.make_plan(scheme, fmt)
+        zero = plan.init_state(3)
+        _, carry = plan.run_chunk(rng.standard_normal((6, 3, 8)), zero)
+        for state in (zero, carry):
+            assert state.batch_size == 3
+            assert len(state.layer_states) == len(plan.layers)
+            for layer, hidden in zip(plan.layers, state.layer_states):
+                assert type(hidden) is np.ndarray
+                assert hidden.shape == (3, layer.hidden_size)
+                assert hidden.dtype == layer.dtype
+        assert not any(np.any(hidden) for hidden in zero.layer_states)
+        for hidden in carry.layer_states:
+            assert np.any(hidden) and np.abs(hidden).max() <= 1.0
+
+    @pytest.mark.parametrize("batches", [(1,), (1, 2), (3, 1, 2)])
+    def test_stack_then_split_moves_rows_unchanged(self, batches, rng):
+        plan = self.make_plan("int8")
+        states = [
+            plan.run_chunk(rng.standard_normal((4, b, 8)))[1] for b in batches
+        ]
+        stacked = engine.PlanState.stack(states)
+        assert stacked.batch_size == sum(batches)
+        rows = [row for state in states for row in state.split()]
+        parts = stacked.split()
+        assert len(parts) == len(rows) == sum(batches)
+        for part, row in zip(parts, rows):
+            for layer, a, b in zip(plan.layers, part.layer_states, row.layer_states):
+                assert a.shape == (1, layer.hidden_size) and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        parts[0].layer_states[0][...] = 7.0  # split copies
+        assert not np.any(stacked.layer_states[0] == 7.0)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(lambda layers: layers[:1], id="layer-short"),
+            pytest.param(lambda layers: layers + layers[:1], id="layer-extra"),
+            pytest.param(lambda layers: [layers[0], layers[1][:, :8]], id="narrow"),
+            pytest.param(lambda layers: [(h,) for h in layers], id="tuple-carry"),
+            pytest.param(lambda layers: [h[0] for h in layers], id="no-batch-axis"),
+        ],
+    )
+    def test_a_misshapen_carry_is_a_shape_error(self, mangle, rng):
+        plan = self.make_plan()
+        _, state = plan.run_chunk(rng.standard_normal((3, 2, 8)))
+        bad = engine.PlanState(mangle(list(state.layer_states)))
+        with pytest.raises(ShapeError):
+            plan.adapt_state(bad)
+        with pytest.raises(ShapeError):
+            plan.run_chunk(rng.standard_normal((3, 2, 8)), bad)
+
+    @pytest.mark.parametrize(
+        "source, target", [(None, "fp16"), ("fp16", None), ("fp16", "int8")]
+    )
+    def test_adapt_state_recasts_each_layer_to_its_dtype(self, source, target, rng):
+        incumbent, candidate = self.make_plan(source), self.make_plan(target)
+        _, state = incumbent.run_chunk(rng.standard_normal((3, 2, 8)))
+        adapted = candidate.adapt_state(state)
+        for layer, before, after in zip(
+            candidate.layers, state.layer_states, adapted.layer_states
+        ):
+            assert after.dtype == layer.dtype and after is not before
+            np.testing.assert_array_equal(after, before.astype(layer.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -635,23 +699,6 @@ class TestStreamScheduler:
             for u in utterances
         ]
 
-    def test_lstm_whole_utterances_match_per_utterance(self, rng):
-        # The cell state rides along with the hidden state in a fused batch.
-        plan = engine.compile_model(tiny_model("lstm"))
-        scheduler = engine.StreamScheduler(
-            plan, engine.StreamConfig(max_batch_size=4, max_wait_frames=1000)
-        )
-        utterances = [rng.standard_normal((t, 8)) for t in (25, 25, 1, 25)]
-        sids = [scheduler.open() for _ in utterances]
-        for sid, utterance in zip(sids, utterances):
-            scheduler.feed(sid, utterance)
-        got = [scheduler.finish(sid) for sid in sids]
-        min_duration = scheduler.config.min_duration
-        assert got == [
-            decode_utterance(plan.forward_utterance(u), min_duration)
-            for u in utterances
-        ]
-
     def test_empty_whole_utterance_decodes_to_nothing(self):
         _, scheduler = self.make()
         sid = scheduler.open()
@@ -812,15 +859,15 @@ class TestHotSwap:
     """`StreamScheduler.swap_plan` contract: a same-architecture swap
     carries every live session's recurrent state across the new plan and
     — when the candidate has identical weights — decodes byte-identical
-    to never having swapped, for every scheme and cell type.  A
+    to never having swapped, for every scheme.  A
     mismatched architecture raises a typed
     :class:`~repro.errors.SwapError` *before* any session is touched."""
 
-    def compile_pair(self, scheme, cell_type, seed=0):
+    def compile_pair(self, scheme, seed=0, hidden=16):
         """Two independently compiled plans of the same weights."""
         return (
-            engine.compile_model(tiny_model(cell_type, seed=seed), scheme=scheme),
-            engine.compile_model(tiny_model(cell_type, seed=seed), scheme=scheme),
+            engine.compile_model(tiny_model(hidden=hidden, seed=seed), scheme=scheme),
+            engine.compile_model(tiny_model(hidden=hidden, seed=seed), scheme=scheme),
         )
 
     def run_split(self, incumbent, candidate, utterances, swap_at):
@@ -841,11 +888,9 @@ class TestHotSwap:
         return [scheduler.finish(sid) for sid in sids], scheduler
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
-    def test_mid_utterance_swap_decodes_identically(
-        self, scheme, cell_type, rng_factory
-    ):
-        incumbent, candidate = self.compile_pair(scheme, cell_type)
+    @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+    def test_mid_utterance_swap_decodes_identically(self, scheme, hidden, rng_factory):
+        incumbent, candidate = self.compile_pair(scheme, hidden=hidden)
         rng = rng_factory(99)
         utterances = [rng.standard_normal((44, 8)) for _ in range(3)]
         uninterrupted = [
@@ -855,7 +900,7 @@ class TestHotSwap:
         swapped, scheduler = self.run_split(
             incumbent, candidate, utterances, swap_at=20
         )
-        assert swapped == uninterrupted, (scheme, cell_type)
+        assert swapped == uninterrupted, (scheme, hidden)
         assert scheduler.stats.plan_swaps == 1
 
     def test_architecture_mismatch_raises_and_preserves_sessions(
@@ -988,12 +1033,14 @@ class TestHotSwap:
     def test_plan_signature_and_adapt_state(self):
         from repro.errors import ShapeError
 
-        gru = engine.compile_model(tiny_model("gru"))
-        lstm = engine.compile_model(tiny_model("lstm"))
-        assert gru.signature() != lstm.signature()
-        assert gru.signature() == engine.compile_model(tiny_model("gru")).signature()
-        state = gru.init_state(2)
+        plan = engine.compile_model(tiny_model())
+        wider = engine.compile_model(tiny_model(hidden=24))
+        assert plan.signature() != wider.signature()
+        assert plan.signature() == engine.compile_model(tiny_model()).signature()
+        state = plan.init_state(2)
         with pytest.raises(ShapeError):
-            lstm.adapt_state(state)  # GRU state lacks the cell component
-        adapted = gru.adapt_state(state)
+            wider.adapt_state(state)  # 16-wide states, 24-wide layers
+        with pytest.raises(ShapeError):
+            plan.adapt_state(engine.PlanState(state.layer_states[:1]))  # one layer short
+        adapted = plan.adapt_state(state)
         assert len(adapted.layer_states) == len(state.layer_states)

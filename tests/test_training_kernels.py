@@ -1,9 +1,8 @@
 """Gradient-equivalence suite for the fused training fast path.
 
-The autograd tape (the ``reference`` backend of ``gru_sequence_grad`` /
-``lstm_sequence_grad``, and the per-timestep cell path of
-``GRU.forward``/``LSTM.forward`` under ``use_backend("reference")``) is
-ground truth; the fused numpy BPTT kernels must reproduce its gradients to
+The autograd tape (the ``reference`` backend of ``gru_sequence_grad``,
+and the per-timestep cell path of ``GRU.forward`` under
+``use_backend("reference")``) is ground truth; the fused numpy BPTT kernels must reproduce its gradients to
 tighter than 1e-6 across ragged lengths, single-frame utterances, and
 pruned (masked) weights — and a short training run must produce the same
 loss curve on both backends.
@@ -14,8 +13,8 @@ import pytest
 
 from repro import kernels
 from repro.nn import functional as F
-from repro.nn.fused import fused_gru_layer, fused_lstm_layer
-from repro.nn.rnn import GRU, LSTM
+from repro.nn.fused import fused_gru_layer
+from repro.nn.rnn import GRU
 from repro.nn.tensor import Tensor
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.synth import SynthConfig, make_corpus
@@ -25,7 +24,6 @@ from repro.utils.rng import new_rng
 TOL = dict(rtol=1e-6, atol=1e-6)
 
 GRU_GRAD_NAMES = ("dx", "dw_ih", "dw_hh", "db_ih", "db_hh", "dh0")
-LSTM_GRAD_NAMES = ("dx", "dw_ih", "dw_hh", "dbias", "dh0", "dc0")
 
 # (T, B, D, H) shapes: single-frame single-utterance, small ragged-ish,
 # and a wider case.
@@ -43,19 +41,6 @@ def gru_inputs(rng, seq_len, batch, in_dim, hidden, prune=0.0):
     b_ih = rng.standard_normal(3 * hidden)
     b_hh = rng.standard_normal(3 * hidden)
     return x, w_ih, w_hh, b_ih, b_hh, h0
-
-
-def lstm_inputs(rng, seq_len, batch, in_dim, hidden, prune=0.0):
-    x = rng.standard_normal((seq_len, batch, in_dim))
-    h0 = rng.standard_normal((batch, hidden))
-    c0 = rng.standard_normal((batch, hidden))
-    w_ih = rng.standard_normal((4 * hidden, in_dim))
-    w_hh = rng.standard_normal((4 * hidden, hidden)) * 0.3
-    if prune:
-        w_ih = w_ih * (rng.random(w_ih.shape) >= prune)
-        w_hh = w_hh * (rng.random(w_hh.shape) >= prune)
-    bias = rng.standard_normal(4 * hidden)
-    return x, w_ih, w_hh, bias, h0, c0
 
 
 class TestGRUSequenceGrad:
@@ -95,37 +80,6 @@ class TestGRUSequenceGrad:
             np.testing.assert_allclose(g_np, g_ref, err_msg=name, **TOL)
 
 
-class TestLSTMSequenceGrad:
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_forward_and_grads_match_tape(self, shape):
-        rng = new_rng(100 + shape[0])
-        seq_len, batch, _, hidden = shape
-        args = lstm_inputs(rng, *shape)
-        grad_out = rng.standard_normal((seq_len, batch, hidden))
-        out_ref, h_ref, c_ref, bwd_ref = kernels.lstm_sequence_grad(
-            *args, backend="reference"
-        )
-        out_np, h_np, c_np, bwd_np = kernels.lstm_sequence_grad(*args, backend="numpy")
-        np.testing.assert_allclose(out_np, out_ref, **TOL)
-        np.testing.assert_allclose(h_np, h_ref, **TOL)
-        np.testing.assert_allclose(c_np, c_ref, **TOL)
-        for name, g_ref, g_np in zip(
-            LSTM_GRAD_NAMES, bwd_ref(grad_out), bwd_np(grad_out)
-        ):
-            np.testing.assert_allclose(g_np, g_ref, err_msg=name, **TOL)
-
-    def test_grads_match_with_pruned_weights(self):
-        rng = new_rng(12)
-        args = lstm_inputs(rng, 9, 3, 6, 8, prune=0.8)
-        grad_out = rng.standard_normal((9, 3, 8))
-        _, _, _, bwd_ref = kernels.lstm_sequence_grad(*args, backend="reference")
-        _, _, _, bwd_np = kernels.lstm_sequence_grad(*args, backend="numpy")
-        for name, g_ref, g_np in zip(
-            LSTM_GRAD_NAMES, bwd_ref(grad_out), bwd_np(grad_out)
-        ):
-            np.testing.assert_allclose(g_np, g_ref, err_msg=name, **TOL)
-
-
 def masked_sequence_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray):
     """The trainer's masked cross-entropy over a padded (T, B, C) batch."""
     t, b, c = logits.shape
@@ -149,12 +103,9 @@ def ragged_batch(rng, seq_len, batch, in_dim, num_classes):
 class TestModuleGradEquivalence:
     """End-to-end: model grads under the fused path == tape path."""
 
-    @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
-    def test_model_grads_match_across_ragged_batch(self, cell_type):
+    def test_model_grads_match_across_ragged_batch(self):
         rng = new_rng(3)
-        config = AcousticModelConfig(
-            input_dim=5, hidden_size=8, num_layers=2, cell_type=cell_type
-        )
+        config = AcousticModelConfig(input_dim=5, hidden_size=8, num_layers=2)
         features, labels, mask = ragged_batch(rng, 12, 4, 5, config.num_classes)
 
         grads = {}
@@ -215,16 +166,6 @@ class TestModuleGradEquivalence:
         assert x.grad is not None and x.grad.shape == x.shape
         assert h0.grad is not None and h0.grad.shape == h0.shape
 
-        lstm = LSTM(3, 4, num_layers=1, rng=0)
-        lcell = lstm.cells[0]
-        x2 = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True)
-        zeros_h = Tensor(np.zeros((2, 4)))
-        zeros_c = Tensor(np.zeros((2, 4)))
-        out2 = fused_lstm_layer(
-            x2, lcell.weight_ih, lcell.weight_hh, lcell.bias, zeros_h, zeros_c
-        )
-        out2.sum().backward()
-        assert x2.grad is not None and x2.grad.shape == x2.shape
 
 
 class TestLossCurveParity:

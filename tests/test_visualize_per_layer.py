@@ -159,50 +159,3 @@ class TestPerLayerBSP:
         for name, param in params.items():
             assert np.all(param.data[~pruner.masks[name].keep] == 0.0)
 
-
-class TestLSTMModelOption:
-    def test_lstm_forward_shapes(self, rng):
-        from repro.nn.tensor import Tensor
-        from repro.speech.model import AcousticModelConfig, GRUAcousticModel
-        from repro.speech.phones import NUM_CLASSES
-
-        model = GRUAcousticModel(
-            AcousticModelConfig(hidden_size=16, cell_type="lstm"), rng=0
-        )
-        logits = model(Tensor(rng.standard_normal((5, 2, 40))))
-        assert logits.shape == (5, 2, NUM_CLASSES)
-
-    def test_lstm_prunable_parameters(self):
-        from repro.speech.model import AcousticModelConfig, GRUAcousticModel
-
-        model = GRUAcousticModel(
-            AcousticModelConfig(hidden_size=16, cell_type="lstm"), rng=0
-        )
-        names = set(model.prunable_parameters())
-        assert "gru.cell0.weight_hh" in names
-        assert "gru.cell0.weight_ih" not in names
-        # LSTM weights are 4H tall.
-        assert model.prunable_parameters()["gru.cell0.weight_hh"].data.shape == (64, 16)
-
-    def test_lstm_trains(self):
-        from repro.speech.model import AcousticModelConfig, GRUAcousticModel
-        from repro.speech.synth import SynthConfig, make_corpus
-        from repro.speech.trainer import Trainer, TrainerConfig
-
-        train, test = make_corpus(
-            6, 3, SynthConfig(noise_level=0.4, min_phones=3, max_phones=4), seed=0
-        )
-        model = GRUAcousticModel(
-            AcousticModelConfig(hidden_size=16, cell_type="lstm"), rng=0
-        )
-        trainer = Trainer(model, train, test, TrainerConfig(batch_size=4, seed=0))
-        first = trainer.train_epoch()
-        for _ in range(3):
-            last = trainer.train_epoch()
-        assert last < first
-
-    def test_bad_cell_type_rejected(self):
-        from repro.speech.model import AcousticModelConfig
-
-        with pytest.raises(ValueError):
-            AcousticModelConfig(cell_type="rnn")
