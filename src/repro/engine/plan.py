@@ -30,9 +30,13 @@ Numerics by scheme:
   float64 path: "16-bit storage, wider accumulate").
 * ``scheme="int8"`` — projections and sparse recurrences run through the
   registry's ``linear_int8_rowwise`` / ``*_spmm_int8`` kernels (integer
-  accumulation, one activation scale *per frame*, one dequant); a dense
-  per-timestep recurrent GEMM uses dequantized int8 weights in float64,
-  too small to pay for a per-step quantization.  Per-frame scales plus
+  accumulation, one activation scale *per frame*, one dequant, to float32:
+  :func:`~repro.kernels.quantized.dequantize`); a dense per-timestep
+  recurrent GEMM uses dequantized int8 weights in float64, too small to pay
+  for a per-step quantization, rounded to float32.  Everything from the
+  int32 sums to the next quantize is float32 — gate rows, biases, gates,
+  the carried states — and the logits are widened to float64 once, at the
+  end.  Per-frame scales plus
   order-exact integer accumulation make int8 plans **bitwise
   chunk-exact**: a frame's logits do not depend on which other frames
   shared the call.  An int8 GRU plan whose sparse slots bound the compiled
@@ -41,9 +45,10 @@ Numerics by scheme:
 * ``scheme="mixed"`` — the scheme is decided *per slot* by the pass
   pipeline: int8 input/output projections (batched, chunk-exact) with
   full-precision float recurrences (where per-step quantization error
-  would compound).  Every slot executes exactly as it would under its
-  own uniform scheme, so mixed plans inherit the int8 slots' bitwise
-  chunk-exactness while keeping float recurrent dynamics.
+  would compound), which widen the float32 projection once.  Every slot
+  executes exactly as it would under its own uniform scheme, so mixed
+  plans inherit the int8 slots' bitwise chunk-exactness while keeping
+  float recurrent dynamics.
 
 Schemes are carried per :class:`~repro.compiler.ir.WeightSlot`; the
 graph-level scheme is only the *request* the pass pipeline resolves, and
@@ -175,10 +180,11 @@ class _PackedWeight:
 
     * dense float / fp16 weights, and int8 *recurrent* weights
       (dequantized once — the per-step ``(B, H)`` GEMMs are too small for
-      an integer pipeline to beat float BLAS), are one BLAS ``matmul``
-      into a workspace buffer.  A float projection multiplies by the
-      ``weight.T`` view and a float recurrence by a contiguous transpose,
-      exactly the operands the fused kernels use (bit-exact);
+      an integer pipeline to beat float BLAS — and multiplied in float64),
+      are one BLAS ``matmul`` into a workspace buffer of ``out_dtype``.  A
+      float projection multiplies by the ``weight.T`` view and a float
+      recurrence by a contiguous transpose, exactly the operands the fused
+      kernels use (bit-exact);
     * dense int8 projections run the registry's ``linear_int8_rowwise``
       — where that is the compiled kernel, on a one-strip panel packed
       here once (``panel``) and straight into a workspace buffer;
@@ -187,7 +193,8 @@ class _PackedWeight:
       the transpose view of the kernel's result (see the activation
       layout contract in ``docs/kernels.md``).
 
-    ``state_dtype`` marks a recurrent slot and names the dtype of the
+    Every int8 kernel returns float32, as an int8 slot's ``out_dtype``
+    is.  ``state_dtype`` marks a recurrent slot and names the dtype of the
     state it multiplies.  :meth:`bind` resolves the registry kernel and
     leaves it inspectable as ``kernel``.
     """
@@ -202,7 +209,7 @@ class _PackedWeight:
         #: The registry op the kernel-selection pass names for this slot.
         self.op = kernel_for(slot.op, slot.format or "dense", scheme)
         self.out_dtype = np.dtype(
-            state_dtype or (np.float32 if scheme == "fp16" else np.float64)
+            state_dtype or (np.float64 if scheme is None else np.float32)
         )
         if slot.format not in (None, "dense"):
             self.matrix = _pack_sparse(slot, weight, scheme)
@@ -234,7 +241,7 @@ class _PackedWeight:
         if kernel is _compiled.linear_int8_rowwise:
             panel = self.dense_panel()
             self.apply = lambda x2d, ws, key: _compiled.panel_linear_int8(
-                panel, x2d, None, ws.take(key, (len(x2d), panel.shape[0]))
+                panel, x2d, None, ws.take(key, (len(x2d), panel.shape[0]), np.float32)
             )
             return
         if self.matrix is None:
@@ -244,9 +251,9 @@ class _PackedWeight:
         # The kernel gets the matrix, not a frozen plan: its cached plan
         # follows the matrix's invalidation rules.
         matrix, dtype = self.matrix, self.out_dtype
-        if dtype == np.float64:
+        if self.scheme == "int8" or dtype == np.float64:  # the kernel's own dtype
             self.apply = lambda x2d, ws, key: kernel(matrix, x2d.T).T
-        else:  # the sparse kernels are float64-only
+        else:  # the float sparse kernels are float64-only
             self.apply = lambda x2d, ws, key: kernel(
                 matrix, x2d.astype(np.float64).T
             ).T.astype(dtype)
@@ -317,13 +324,11 @@ class GRULayerPlan:
     so for the packing-only scheme it is bit-exact, with the recurrent
     ``w_hh.T`` contiguation hoisted from per-call to compile time.
 
-    ``gate_dtype`` is what the gate math runs in: float32 where the
-    recurrent slot is int8, else the layer's ``dtype``.  Float32 gates of a
-    float64 layer start from each pre-activation sum rounded once
-    (``gx_zr + gh_zr``, ``gh_h + bias_h``, ``gx_h``), and the new state is
-    widened back: states stay float64 and hold float32 values.  Float32
-    gates take their sigmoid and tanh from :func:`~repro.kernels._math.exp32`,
-    the rule the compiled program's gate sweep runs too.
+    ``dtype`` is what the layer computes and carries in, gates included:
+    float32 where the recurrent slot is int8 (its products dequantize to
+    float32) or both slots are fp16, else float64.  Float32 gates take
+    their sigmoid and tanh from :func:`~repro.kernels._math.exp32`, the
+    rule the compiled program's gate sweep runs too.
     """
 
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
@@ -338,14 +343,13 @@ class GRULayerPlan:
         )
         self.hidden_size = hh_slot.shape[1]
         self.input_size = ih_slot.shape[1]
-        self.dtype = (
+        self.dtype = np.dtype(
             np.float32
-            if ih_scheme == "fp16" and hh_scheme == "fp16"
+            if hh_scheme == "int8" or ih_scheme == hh_scheme == "fp16"
             else np.float64
         )
         self.input_proj = _PackedWeight(ih_slot, ih_scheme)
         self.recurrent = _PackedWeight(hh_slot, hh_scheme, state_dtype=self.dtype)
-        self.gate_dtype = np.dtype(np.float32 if hh_scheme == "int8" else self.dtype)
         bias_ih = node.params["bias_ih"]
         bias_hh = node.params["bias_hh"]
         h = self.hidden_size
@@ -387,6 +391,7 @@ class GRULayerPlan:
         h = self.hidden_size
         flat = x.reshape(seq_len * batch, self.input_size)
         gates_x = self.input_proj.apply(flat, ws, f"gx{index}")
+        # a mixed layer's float64 bias widens its int8 projection's sums
         if not self.fold_bias:
             gates_x = gates_x + self.bias_ih
         else:
@@ -394,22 +399,19 @@ class GRULayerPlan:
         gates_x = gates_x.reshape(seq_len, batch, 3 * h)
         if not self.fold_bias:
             gates_x[:, :, : 2 * h] += self.bias_hh_zr
-        gate = self.gate_dtype
         gx_zr = gates_x[:, :, : 2 * h]
-        gx_h = gates_x[:, :, 2 * h :].astype(gate, copy=False)
-        out = ws.take(f"out{index}", (seq_len, batch, h), self.dtype)
-        zr = ws.take("zr", (batch, 2 * h), gate)
+        gx_h = gates_x[:, :, 2 * h :]
+        dtype = self.dtype
+        out = ws.take(f"out{index}", (seq_len, batch, h), dtype)
+        zr = ws.take("zr", (batch, 2 * h), dtype)
         z = zr[:, :h]
         r = zr[:, h:]
-        h_tilde = ws.take("h_tilde", (batch, h), gate)
-        keep = ws.take("keep", (batch, h), gate)
-        # float32 gates blend into their own buffer, widened into out[t]
-        narrow = None if gate == self.dtype else ws.take("blend", (batch, h), gate)
+        h_tilde = ws.take("h_tilde", (batch, h), dtype)
+        keep = ws.take("keep", (batch, h), dtype)
         hidden = self.zero_state(batch) if state is None else state
-        blended = hidden.astype(gate, copy=False)
         apply, gh_key = self.recurrent.apply, f"gh{index}"
         sigmoid_, tanh_ = _math.sigmoid_, _math.tanh_
-        if gate == np.float32:
+        if dtype == np.float32:
             sigmoid_, tanh_ = _math.sigmoid32_, _math.tanh32_
         for t in range(seq_len):
             gh = apply(hidden, ws, gh_key)
@@ -417,14 +419,8 @@ class GRULayerPlan:
             np.add(gh[:, 2 * h :], self.bias_hh_h, out=h_tilde)
             np.multiply(r, h_tilde, out=h_tilde)
             tanh_(np.add(gx_h[t], h_tilde, out=h_tilde))
-            np.multiply(np.subtract(1.0, z, out=keep), blended, out=keep)
-            blended = np.add(
-                keep, np.multiply(z, h_tilde, out=h_tilde),
-                out=out[t] if narrow is None else narrow,
-            )
-            if narrow is not None:
-                out[t] = blended
-            hidden = out[t]
+            np.multiply(np.subtract(1.0, z, out=keep), hidden, out=keep)
+            hidden = np.add(keep, np.multiply(z, h_tilde, out=h_tilde), out=out[t])
         # never alias the caller's carry state or a work buffer
         return out, hidden.copy()
 
@@ -438,11 +434,13 @@ class OutputPlan:
         self.scheme = scheme
         self.num_classes = slot.shape[0]
         self.weight = _PackedWeight(slot, scheme)
-        dtype = np.float32 if scheme == "fp16" else np.float64
-        self.bias = None if bias is None else _round_bias(bias, scheme, dtype)
+        self.bias = (
+            None if bias is None else _round_bias(bias, scheme, self.weight.out_dtype)
+        )
 
     def project(self, hidden: np.ndarray, ws: _Workspace) -> np.ndarray:
-        """Hidden states ``(T, B, H)`` → logits ``(T, B, C)`` (fresh array)."""
+        """Hidden states ``(T, B, H)`` → logits ``(T, B, C)`` (fresh array,
+        in the weight's ``out_dtype``: float32 for a quantized scheme)."""
         seq_len, batch, h = hidden.shape
         logits = self.weight.apply(hidden.reshape(seq_len * batch, h), ws, "logits")
         # the sum (or the copy) is what keeps the work buffer private
@@ -607,7 +605,8 @@ class ModelPlan:
         self, features: np.ndarray, layer_states: Optional[List[np.ndarray]]
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Logits and carries of one checked ``(T, B, D)`` chunk: one call into
-        the program where the plan lowered to one, else layer by layer."""
+        the program where the plan lowered to one, else layer by layer.
+        Either way float32 logits are widened to float64 once, at the end."""
         self._bind_kernels()
         seq_len, batch, _ = features.shape
         if self.program is not None and seq_len and batch:
@@ -680,17 +679,22 @@ class ModelPlan:
 
         Returns a fresh :class:`PlanState` whose arrays are cast to
         *this* plan's per-layer compute dtypes (a scheme change moves
-        states between float64 and float32); raises :class:`ShapeError`
+        states between float64 and float32: widening is exact, narrowing
+        rounds to nearest, numpy's ``astype``); raises :class:`ShapeError`
         when the state's layer count or hidden sizes do not match this
-        plan's architecture.
+        plan's architecture.  :meth:`run_chunk` casts a carry by the same
+        rule.
         """
         self._check_state(state)
-        return PlanState(
-            [
-                np.array(hidden, dtype=layer.dtype)
-                for layer, hidden in zip(self.layers, state.layer_states)
-            ]
-        )
+        return PlanState([hidden.copy() for hidden in self._carries(state)])
+
+    def _carries(self, state: PlanState) -> List[np.ndarray]:
+        """``state``'s layer arrays in this plan's layer dtypes (copies only
+        where a cast is needed)."""
+        return [
+            np.asarray(hidden, dtype=layer.dtype)
+            for layer, hidden in zip(self.layers, state.layer_states)
+        ]
 
     def _check_state(self, state: PlanState, batch: Optional[int] = None) -> None:
         """A :class:`ShapeError` unless ``state`` holds one ``(B, H)`` array
@@ -725,16 +729,19 @@ class ModelPlan:
         ``docs/serving.md``.
 
         ``state=None`` starts a fresh stream (all-zero state, identical
-        to :meth:`forward_batch` on the same frames).  The returned carry
-        never aliases plan work buffers, and zero-length chunks are legal
-        (logits ``(0, B, C)``, state passed through).
+        to :meth:`forward_batch` on the same frames).  A carry in another
+        dtype — a float64 state handed to an int8 plan — is cast to each
+        layer's dtype by :meth:`adapt_state`'s rule first, so it runs as
+        ``adapt_state(state)`` would.  The returned carry never aliases plan
+        work buffers, and zero-length chunks are legal (logits ``(0, B,
+        C)``, state passed through, in the layers' dtypes).
         """
         features = self._checked(features, "run_chunk")
         batch = features.shape[1]
         if state is None:
             state = self.init_state(batch)
         self._check_state(state, batch)
-        logits, new_states = self._run(features, state.layer_states)
+        logits, new_states = self._run(features, self._carries(state))
         return logits, PlanState(new_states)
 
     def forward_utterance(self, features: np.ndarray) -> np.ndarray:

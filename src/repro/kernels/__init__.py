@@ -114,7 +114,8 @@ def spmm(matrix, x: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
 
 def spmv_int8(matrix, x: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
     """Int8 sparse matrix × dense vector (weights and activations
-    quantized, integer accumulation, one dequant at the end)."""
+    quantized, integer accumulation, one dequant at the end: float32, by
+    :func:`~repro.kernels.quantized.dequantize` on every backend)."""
     return registry.get(_matrix_op(matrix, "spmv_int8"), backend)(matrix, x)
 
 

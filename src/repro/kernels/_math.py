@@ -5,8 +5,9 @@ every execution path — the packed engine's bit-exactness contract with
 the fused kernels depends on them computing gate values the same way.
 
 Float64 gates use numpy's ``exp`` / ``tanh``.  Float32 gates — every GRU
-layer whose ``gate_dtype`` is float32 — use :func:`exp32` and the two
-functions built on it, which the compiled program's gate sweep
+layer whose ``dtype`` is float32, the int8 and fp16 ones — use
+:func:`exp32` and the two functions built on it, which the compiled
+program's gate sweep
 (``gru_row`` in :mod:`repro.kernels.compiled`) runs statement for
 statement with these very constants, so the two agree to the bit on every
 host: each step is one IEEE float32 operation, with no FMA, no libm call

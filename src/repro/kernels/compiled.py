@@ -36,24 +36,28 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   (comparison max, one correctly rounded quotient, round-half-even,
   clip), matching numpy bit for bit for finite activations.
   Products accumulate exactly — integer arithmetic throughout, int32
-  sums that cannot wrap — and the final dequant replicates each numpy
-  kernel's float multiply *order* operation for operation (one fused
-  ``scale * xs`` multiply for the per-call-scale ops, two sequential
-  multiplies for the per-column ops).
+  sums that cannot wrap — and the one dequant is
+  :func:`~repro.kernels.quantized.dequantize`'s, in float32: each sum
+  converted round-to-nearest (``cvtdq2ps``, 16 lanes a window), times the
+  float32 of ``scale * xs``, then ``+ bias`` in float32 where the op has
+  one.
 * the fused GRU int8 layer-chunk (``repro_gru_i8_chunk``: no registry op,
   reached only through a lowered :class:`PlanProgram`) is **bitwise
   identical** to the engine's generic per-timestep loop: the recurrent
   product is the batch-major projection itself, on the codes and scales
-  the quantizer gives each state where the gate sweep makes it, and its
-  gates are float32, as the generic loop's are for an int8 recurrence on
-  every backend — each float64 pre-activation sum rounded once, every
-  elementwise statement one IEEE float32 operation in that loop's order,
-  compiled with floating-point contraction off, ``exp`` (and the sigmoid
-  and tanh built on it) :func:`repro.kernels._math.exp32`'s sequence with
-  its constants, and the new state widened back to float64.  A
-  whole plan lowered to one call per chunk *calls* that entry and the
-  projection op by op, a tile of steps at a time, every row on its own,
-  so it is the same bytes again.
+  the quantizer gives each state where the gate sweep makes it, and
+  everything from its int32 sums to the next quantize is float32, as in
+  the generic loop for an int8 GRU layer on every backend — the gate rows,
+  biases and carried states float32 arrays, every elementwise statement
+  one IEEE float32 operation in that loop's order, compiled with
+  floating-point contraction off, ``exp`` (and the sigmoid and tanh built
+  on it) :func:`repro.kernels._math.exp32`'s sequence with its constants.
+  The quantizer reads the float32 states widened to double, which is
+  exact, so their codes and scales are those of the same values as
+  doubles.  A whole plan lowered to one call per chunk *calls* that entry
+  and the projection op by op, a tile of steps at a time, every row on its
+  own, so it is the same bytes again; its logits are float32, widened to
+  float64 once, in :meth:`PlanProgram.run`.
 
 Every op registered here wins on some recorded shape.  The ops where C
 never beat numpy + BLAS — the float sparse products, the per-call-scale
@@ -188,12 +192,14 @@ API i64 repro_phase_ticks(uint64_t *out)
 
 /* ------------------------------------------------------------------ CSR */
 
-/* Dequantizes as (acc * first) * second: spmv passes (scale * xs, 1.0)
- * — multiplying by 1.0 is exact — and a one-column spmm (scale, xs). */
+/* Every int8 product dequantizes its integer sums the one way
+ * quantized.dequantize does: (float)acc * (float)(scale * xs), the sum
+ * converted to float32 round-to-nearest (above 2^24 that rounds). */
 API void repro_csr_spmv_i8(
     i64 rows, const i8 *codes, const i64 *cols, const i64 *row_ptr,
-    const i8 *xq, double first, double second, double *out)
+    const i8 *xq, double fused, float *out)
 {
+    const float f = (float)fused;
     for (i64 r = 0; r < rows; r++) {
         i64 acc = 0;
         i64 p = row_ptr[r];
@@ -207,14 +213,14 @@ API void repro_csr_spmv_i8(
             acc += acc32;
             p += chunk;
         }
-        out[r] = ((double)acc * first) * second;
+        out[r] = (float)acc * f;
     }
 }
 
 API void repro_csr_spmm_i8(
     i64 rows, i64 batch, const i8 *codes, const i64 *cols,
     const i64 *row_ptr, const i8 *xq, const double *xs, double scale,
-    double *out, i64 *acc, i32 *acc32)
+    float *out, i64 *acc, i32 *acc32)
 {
     for (i64 r = 0; r < rows; r++) {
         memset(acc, 0, (size_t)batch * sizeof(i64));
@@ -234,9 +240,9 @@ API void repro_csr_spmm_i8(
                 acc[j] += acc32[j];
             p += chunk;
         }
-        double *orow = out + r * batch;
+        float *orow = out + r * batch;
         for (i64 j = 0; j < batch; j++)
-            orow[j] = ((double)acc[j] * scale) * xs[j];
+            orow[j] = (float)acc[j] * (float)(scale * xs[j]);
     }
 }
 """
@@ -263,11 +269,12 @@ API void repro_csr_spmm_i8(
 #     strips are row ranges in order, their kept rows increasing), and the
 #     epilogue expands them into their rows 16 at a time;
 #   * the 4-row x 4-column register block, everywhere else: int32 sums
-#     over chunks of at most ACC_CHUNK products, flushed into the float64
-#     output, which holds exact integers (far below 2^53) until the
-#     dequant.
-# Either way the epilogue is the reference backend's `(acc * scale) * xs`,
-# then `+ bias` where the op has one, on every output row.
+#     over chunks of at most ACC_CHUNK products, flushed into a float64
+#     column of scratch, which holds exact integers (far below 2^53) until
+#     the dequant.
+# Either way the epilogue is quantized.dequantize's float32 `(float)acc *
+# (float)(scale * xs)`, then `+ bias` where the op has one, on every output
+# row.
 _C_BSPC_NARROW = r"""
 typedef int16_t i16;
 
@@ -317,9 +324,10 @@ typedef i16 gath_t;
  * scatter rows, the rows-in-lanes kernel's packed codes and the layout of
  * its sums (null where it does not apply: see repro_bspc_i8_nb), the
  * weight scale.  As an op of a lowered plan also what the op is and adds
- * to the product — PLAN_PROJECT: x @ W.T + bias into the gates of the
- * PLAN_GRU after it, whose bias is the candidate gate's; PLAN_OUTPUT: the
- * last layer's hidden states @ W.T (+ bias, if any) into the logits. */
+ * to the product (a float32 bias) — PLAN_PROJECT: x @ W.T + bias into the
+ * gates of the PLAN_GRU after it, whose bias is the candidate gate's;
+ * PLAN_OUTPUT: the last layer's hidden states @ W.T (+ bias, if any) into
+ * the logits. */
 enum { PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT };
 typedef struct {
     i64 kind, strips, mr, mc, rows, n;
@@ -328,13 +336,13 @@ typedef struct {
     const i8 *lanes;
     const i64 *layout;
     double scale;
-    const double *bias;
+    const float *bias;
 } plan_op;
 
 /* Compiled with the code that follows the contraction guard, at the end. */
 static void bspc_epilogue(
-    i64 rows, i64 batch, i64 spmv, const i64 *windows, const i32 *sums, i64 lda,
-    double scale, const double *xs, const double *bias, double *out);
+    i64 rows, i64 batch, const i64 *windows, const i32 *sums, i64 lda,
+    double scale, const double *xs, const float *bias, float *out);
 
 /* Rows per register of the rows-in-lanes kernel, and kept columns per
  * multiply-add; 0: not in this build. */
@@ -384,18 +392,37 @@ API i64 repro_i8_pack(i64 strips, i64 mr, i64 mc, const i8 *codes, i8 *pack)
  * and adding 1.5 * 2^52 rounds that to an integer as rint does (once, to
  * a grid of ones, ties to even: the constant is even), leaving it in
  * two's complement in the low bits of the sum.  There |x| <= 127 s, so
- * only a row with a NaN in it (whose peak can miss an element) is clipped. */
-static double bspc_quant_i8(i64 n, const double *restrict x, i8 *restrict xq)
+ * only a row with a NaN in it (whose peak can miss an element) is clipped.
+ * A float32 row (f32 set: a GRU layer's states) is read widened to double,
+ * which is exact: its codes and scale are those of the same values held as
+ * doubles.  f32 is a literal at both call sites below. */
+#define QUANT_X(i) (f32 ? (double)((const float *)x)[i] : ((const double *)x)[i])
+
+/* The code of v at scale s by the reciprocal sequence (rc = 1 / s). */
+static inline i8 quant_code(double v, double s, double rc)
+{
+    const double q0 = v * rc;
+    const double e = __builtin_fma(-s, q0, v);
+    const double sum = __builtin_fma(e, rc, q0) + 0x1.8p52;
+    i64 bits;
+    memcpy(&bits, &sum, sizeof bits);
+    i32 code = (i32)bits;
+    code = code > 127 ? 127 : code;
+    return (i8)(code < -127 ? -127 : code);
+}
+
+static inline __attribute__((always_inline)) double quant_row(
+    i64 n, const void *restrict x, const int f32, i8 *restrict xq)
 {
     double m[8] = {0.0};
     i64 i = 0;
     for (; i + 8 <= n; i += 8)
         for (int l = 0; l < 8; l++) {
-            const double a = fabs(x[i + l]);
+            const double a = fabs(QUANT_X(i + l));
             m[l] = m[l] > a ? m[l] : a;
         }
     for (; i < n; i++) {
-        const double a = fabs(x[i]);
+        const double a = fabs(QUANT_X(i));
         m[0] = m[0] > a ? m[0] : a;
     }
     double peak = 0.0;
@@ -404,26 +431,67 @@ static double bspc_quant_i8(i64 n, const double *restrict x, i8 *restrict xq)
 #ifdef __FMA__
     if (s > MARKSTEIN_MIN && s < MARKSTEIN_MAX) {
         const double rc = 1.0 / s;
-        for (i = 0; i < n; i++) {
-            const double q0 = x[i] * rc;
-            const double e = __builtin_fma(-s, q0, x[i]);
-            const double sum = __builtin_fma(e, rc, q0) + 0x1.8p52;
-            i64 bits;
-            memcpy(&bits, &sum, sizeof bits);
-            i32 code = (i32)bits;
-            code = code > 127 ? 127 : code;
-            xq[i] = (i8)(code < -127 ? -127 : code);
-        }
+        for (i = 0; i < n; i++) xq[i] = quant_code(QUANT_X(i), s, rc);
         return s;
     }
 #endif
     for (i = 0; i < n; i++) {
-        double v = rint(x[i] / s);
+        double v = rint(QUANT_X(i) / s);
         v = v > 127.0 ? 127.0 : v;
         v = v < -127.0 ? -127.0 : v;
         xq[i] = (i8)(v != v ? 0.0 : v);  /* (i8)NaN is undefined */
     }
     return s;
+}
+
+static double bspc_quant_i8(i64 n, const double *restrict x, i8 *restrict xq)
+{
+    return quant_row(n, x, 0, xq);
+}
+
+/* A float32 row.  AVX-512 builds take sixteen of its elements a step —
+ * the peak in float32 (a comparison maximum: the same one), each code by
+ * the reciprocal sequence in two halves of eight doubles, its int32 the low
+ * half of the sum's bits, as quant_code takes it — and those elements'
+ * codes are quant_code's. */
+static double bspc_quant_f32(i64 n, const float *restrict x, i8 *restrict xq)
+{
+#if LANES == 16 && defined(__FMA__)
+    __m512 m = _mm512_setzero_ps();
+    i64 i = 0;
+    for (; i + 16 <= n; i += 16)
+        m = _mm512_max_ps(m, _mm512_abs_ps(_mm512_loadu_ps(x + i)));
+    float peak = _mm512_reduce_max_ps(m);
+    for (; i < n; i++) {
+        const float a = fabsf(x[i]);
+        peak = peak > a ? peak : a;
+    }
+    const double s = peak > 0.0f ? (double)peak / 127.0 : 1.0;
+    if (s > MARKSTEIN_MIN && s < MARKSTEIN_MAX) {
+        const double rc = 1.0 / s;
+        const __m512d vrc = _mm512_set1_pd(rc), ns = _mm512_set1_pd(-s);
+        const __m512d round = _mm512_set1_pd(0x1.8p52);
+        for (i = 0; i + 16 <= n; i += 16) {
+            const __m512 v = _mm512_loadu_ps(x + i);
+            __m256i half[2];
+            for (int h = 0; h < 2; h++) {
+                const __m512d d = _mm512_cvtps_pd(_mm256_castpd_ps(
+                    _mm512_extractf64x4_pd(_mm512_castps_pd(v), h)));
+                const __m512d q0 = _mm512_mul_pd(d, vrc);
+                const __m512d e = _mm512_fmadd_pd(ns, q0, d);
+                const __m512d sum = _mm512_add_pd(_mm512_fmadd_pd(e, vrc, q0), round);
+                half[h] = _mm512_cvtepi64_epi32(_mm512_castpd_si512(sum));
+            }
+            __m512i code = _mm512_inserti64x4(_mm512_castsi256_si512(half[0]), half[1], 1);
+            code = _mm512_max_epi32(_mm512_min_epi32(code, _mm512_set1_epi32(127)),
+                                    _mm512_set1_epi32(-127));
+            _mm_storeu_si128((__m128i *)(xq + i), _mm512_cvtepi32_epi8(code));
+        }
+        for (; i < n; i++) xq[i] = quant_code(x[i], s, rc);
+        return s;
+    }
+#endif
+    return quant_row(n, x, 1, xq);
 }
 
 #if LANES
@@ -521,20 +589,20 @@ static void bspc_nb_strip(
     }
 }
 
-/* int32 sums a column of the product keeps: with the rows-in-lanes kernel
- * the last strip's offset + its padded height, else none. */
+/* int32 of scratch a column of the product keeps its sums in: with the
+ * rows-in-lanes kernel the last strip's offset + its padded height, else a
+ * double per output row, which the register block accumulates into. */
 static i64 bspc_lda(const plan_op *p)
 {
     const i64 mrp = (p->mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
-    return LANES && p->lanes ? p->layout[p->strips - 1] + mrp : 0;
+    return LANES && p->lanes ? p->layout[p->strips - 1] + mrp : 2 * p->rows;
 }
 
 /* The product of `batch` <= 8 operand rows, already quantized: codes xq
  * (batch, n), row-major, and their scales xs — the transposes of the
- * (n, batch) operand of spmm_int8 — into out (batch, rows), the transpose
- * of its result; with `spmv` set, the operand and result vectors of
- * spmv_int8, which dequantizes with one fused `scale * xs` multiply.
- * `bias` (null: none) is added to every row of every column.  p->lanes is
+ * (n, batch) operand of spmm_int8 — into the float32 out (batch, rows),
+ * the transpose of its result.  `bias` (null: none) is added to every row
+ * of every column.  p->lanes is
  * the packed strips of the rows-in-lanes kernel (each its sums'
  * LANES_HEAD, then its codes), null where the caller found it does not
  * apply, and p->layout where its sums go: per strip the offset of its
@@ -543,8 +611,8 @@ static i64 bspc_lda(const plan_op *p)
  * columns of bspc_lda sums, then batch rows of gathered codes (room for
  * mc, rounded up to even, int16). */
 static void repro_bspc_i8_nb(
-    const plan_op *p, i64 batch, i64 spmv, const i8 *xq, const double *xs,
-    const double *bias, i32 *work, double *out)
+    const plan_op *p, i64 batch, const i8 *xq, const double *xs,
+    const float *bias, i32 *work, float *out)
 {
     const i64 strips = p->strips, mr = p->mr, mc = p->mc, rows = p->rows, n = p->n;
     const int wide = LANES && p->lanes;
@@ -552,8 +620,8 @@ static void repro_bspc_i8_nb(
     const i64 *gcols = p->gcols, *layout = p->layout;
     i16 *xg = (i16 *)(work + batch * lda);
     TIC(zero);
-    if (!wide)  /* the register block accumulates into the output */
-        memset(out, 0, (size_t)(batch * rows) * sizeof(double));
+    if (!wide)  /* the register block accumulates into its doubles */
+        memset(work, 0, (size_t)(batch * rows) * sizeof(double));
     TOC(zero, PH_EPILOGUE);
     for (i64 s = 0; s < strips; s++) {
         const i64 *gc = gcols + s * mc;
@@ -586,12 +654,12 @@ static void repro_bspc_i8_nb(
         TIC(mac);
         for (i64 jb = 0; jb < batch; jb += 4)
             bspc_nb_strip(batch - jb, mr, mc, p->codes + s * mr * mc,
-                          xg + jb * mc, p->srows + s * mr, rows, out + jb * rows);
+                          xg + jb * mc, p->srows + s * mr, rows, (double *)work + jb * rows);
         TOC(mac, PH_MAC);
     }
     TIC(epilogue);
-    bspc_epilogue(rows, batch, spmv, wide ? layout + strips : NULL, work, lda, p->scale,
-                  xs, bias, out);
+    bspc_epilogue(rows, batch, wide ? layout + strips : NULL, work, lda, p->scale, xs, bias,
+                  out);
     TOC(epilogue, PH_EPILOGUE);
 }
 """
@@ -610,27 +678,28 @@ _C_NO_CONTRACT = r"""
 
 # Fused GRU int8 layer-chunk, the batch-major int8 projection, and the
 # whole-plan chunk that calls the two op by op, all over
-# repro_bspc_i8_nb.  The operands are row-major float64: x (N, n), gx
-# (T, B, 3H), hid (B, H), out (T, B, H), gh (B, 3H).  The gates are
-# float32: each float64 pre-activation sum is rounded to float32 once, the
-# gate math runs sixteen units at a time in registers, one sweep per batch
-# row, and the new state is widened back into out.  `exp`, and the sigmoid
-# and tanh built on it, are kernels/_math.py's exp32 with its constants:
-# every elementwise op of GRULayerPlan.forward's float32 gates is one IEEE
-# operation here, in the same order, and nothing is called out of the
-# library.
+# repro_bspc_i8_nb.  Every value between an int32 sum and the next
+# quantize is float32: the frames x (N, n) are float64, and the gate rows
+# gx (T, B, 3H), gh (B, 3H), the states (B, H) and the biases float32, all
+# row-major.  The epilogue dequantizes each sum to float32 and adds the
+# float32 bias; the gate math runs sixteen units at a time in registers,
+# one sweep per batch row, and stores the new float32 state.  `exp`, and
+# the sigmoid and tanh built on it, are kernels/_math.py's exp32 with its
+# constants: every elementwise op of GRULayerPlan.forward's float32 gates
+# is one IEEE operation here, in the same order, and nothing is called out
+# of the library.
 _C_GRU_CHUNK = _C_NO_CONTRACT + r"""
 /* repro_bspc_i8_nb's output, every row of each column written once, in
- * order: the dequant (spmv: v * (scale * xs); else (v * scale) * xs), then
- * `+ bias` where there is one — three roundings, as `kernel(...) + bias`.
- * `windows` null: the register block's float sums, already in `out`, in
- * place.  Otherwise `sums` holds each column's (`lda` apart) lanes-kernel
- * sums of the kept rows, in output-row order, and windows[w] = at << 16 |
- * keep covers output rows WINDOW * w on: bit i of `keep` says whether the
+ * order: quantized.dequantize's (float)v * (float)(scale * xs), then
+ * `+ bias` where there is one — two float32 roundings after the
+ * conversion, as `kernel(...) + bias`.  `windows` null: the register
+ * block's sums, a double per row (`lda` int32 apart), exact integers.
+ * Otherwise `sums` holds each column's (`lda` apart) lanes-kernel sums of
+ * the kept rows, in output-row order, and windows[w] = at << 16 | keep
+ * covers output rows WINDOW * w on: bit i of `keep` says whether the
  * window's row i is kept, `at` where the first kept one's sum sits.  Those
- * sums are expanded into their lanes and the pruned rows get 0 — so
- * (0 * scale) * xs, +0.0 for a finite scale, as the reference's zeros
- * dequantize. */
+ * sums are expanded into their lanes and the pruned rows get 0 — so 0 *
+ * the scale, +0.0, as the reference's zeros dequantize. */
 #if LANES == 8
 /* AVX2 has no expand: a masked load of the kept sums, zeros after, then
  * vpermd by these indices — per 8-row mask, a kept row takes the loaded
@@ -639,15 +708,17 @@ _C_GRU_CHUNK = _C_NO_CONTRACT + r"""
 static const u8 expand8[256][8] = {$EXPAND8};
 #endif
 static void bspc_epilogue(
-    i64 rows, i64 batch, i64 spmv, const i64 *windows, const i32 *sums, i64 lda,
-    double scale, const double *xs, const double *bias, double *out)
+    i64 rows, i64 batch, const i64 *windows, const i32 *sums, i64 lda,
+    double scale, const double *xs, const float *bias, float *out)
 {
     for (i64 j = 0; j < batch; j++) {
-        const double fused = scale * xs[j];
-        double *o = out + j * rows;
+        const float fused = (float)(scale * xs[j]);
+        const i32 *col = sums + j * lda;
+        float *o = out + j * rows;
         if (!windows) {
+            const double *acc = (const double *)col;
             for (i64 r = 0; r < rows; r++) {
-                const double v = spmv ? o[r] * fused : (o[r] * scale) * xs[j];
+                const float v = (float)acc[r] * fused;
                 o[r] = bias ? v + bias[r] : v;
             }
             continue;
@@ -655,23 +726,16 @@ static void bspc_epilogue(
 #if LANES
         for (i64 r = 0; r < rows; r += WINDOW) {
             const i64 w = windows[r / WINDOW], n = rows - r < WINDOW ? rows - r : WINDOW;
-            const i32 *at = sums + j * lda + (w >> 16);
+            const i32 *at = col + (w >> 16);
 #if LANES == 16
-            const __m512i v = _mm512_maskz_expandloadu_epi32((__mmask16)w, at);
-            __m512d half[2] = {
-                _mm512_cvtepi32_pd(_mm512_castsi512_si256(v)),
-                _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(v, 1)),
-            };
-            const unsigned tail = n == WINDOW ? 0xffff : (1u << n) - 1;
-            for (int h = 0; h < 2; h++) {
-                const __mmask8 part = (__mmask8)(tail >> 8 * h);
-                half[h] = spmv ? _mm512_mul_pd(half[h], _mm512_set1_pd(fused))
-                               : _mm512_mul_pd(_mm512_mul_pd(half[h], _mm512_set1_pd(scale)),
-                                               _mm512_set1_pd(xs[j]));
-                if (bias)
-                    half[h] = _mm512_add_pd(half[h], _mm512_maskz_loadu_pd(part, bias + r + 8 * h));
-                _mm512_mask_storeu_pd(o + r + 8 * h, part, half[h]);
-            }
+            /* one conversion of the window's sixteen sums, round to nearest */
+            const __mmask16 tail = (__mmask16)(n == WINDOW ? 0xffff : (1u << n) - 1);
+            __m512 v = _mm512_mul_ps(
+                _mm512_cvtepi32_ps(_mm512_maskz_expandloadu_epi32((__mmask16)w, at)),
+                _mm512_set1_ps(fused));
+            if (bias)
+                v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(tail, bias + r));
+            _mm512_mask_storeu_ps(o + r, tail, v);
 #else
             i32 v[WINDOW];
             for (int h = 0; h < 2; h++) {
@@ -686,8 +750,8 @@ static void bspc_epilogue(
                 at += count;
             }
             for (i64 i = 0; i < n; i++) {
-                const double d = spmv ? (double)v[i] * fused : ((double)v[i] * scale) * xs[j];
-                o[r + i] = bias ? d + bias[r + i] : d;
+                const float f = (float)v[i] * fused;
+                o[r + i] = bias ? f + bias[r + i] : f;
             }
 #endif
         }
@@ -699,21 +763,20 @@ static void bspc_epilogue(
  * already (codes xq, p->n apart, and scales xs), walked in the blocks of
  * eight the product takes. */
 static void bspc_i8_coded(
-    const plan_op *p, i64 count, const i8 *xq, const double *xs, const double *bias,
-    i32 *work, double *out)
+    const plan_op *p, i64 count, const i8 *xq, const double *xs, const float *bias,
+    i32 *work, float *out)
 {
     for (i64 at = 0; at < count; at += 8)
-        repro_bspc_i8_nb(p, count - at < 8 ? count - at : 8, 0, xq + at * p->n, xs + at,
-                         bias, work, out + at * p->rows);
+        repro_bspc_i8_nb(p, count - at < 8 ? count - at : 8, xq + at * p->n, xs + at, bias,
+                         work, out + at * p->rows);
 }
 
 /* out = x @ W.T (+ bias, if any) for `count` float64 operand rows, each
- * quantized on its own, eight at a time, then their product; `spmv`: the
- * product of spmv_int8 (count 1).  `work` is the product's for min(count,
- * 8) rows, then room for as many rows of p->n codes. */
+ * quantized on its own, eight at a time, then their product: spmv_int8
+ * and spmm_int8 alike (a vector is one row).  `work` is the product's for
+ * min(count, 8) rows, then room for as many rows of p->n codes. */
 API void repro_bspc_i8_rows(
-    const plan_op *p, i64 count, i64 spmv, const double *x, const double *bias,
-    i32 *work, double *out)
+    const plan_op *p, i64 count, const double *x, const float *bias, i32 *work, float *out)
 {
     double xs[8];
     const i64 n = p->n;
@@ -724,26 +787,22 @@ API void repro_bspc_i8_rows(
         for (i64 j = 0; j < block; j++)
             xs[j] = bspc_quant_i8(n, x + (at + j) * n, xq + j * n);
         TOC(quantize, PH_QUANTIZE);
-        repro_bspc_i8_nb(p, block, spmv, xq, xs, bias, work, out + at * p->rows);
+        repro_bspc_i8_nb(p, block, xq, xs, bias, work, out + at * p->rows);
     }
 }
 
 /* The float32 gate math of kernels/_math.py, sixteen units at a time, in
  * GNU vector types: one statement is one IEEE operation on every lane, on
  * every build (one AVX-512 register, or pieces of narrower ones).  The
- * constants are _math.py's own, written in as hex literals.  The `u` types
- * read and write their element type's memory at any alignment; F32 is
- * astype(np.float32) of sixteen doubles, SUM32 of their sums with sixteen
- * more. */
+ * constants are _math.py's own, written in as hex literals.  f32x16u reads
+ * and writes float32 memory at any alignment, through F32. */
 $EXP_DEFINES
 typedef float f32x16 __attribute__((vector_size(64)));
 typedef float f32x16u __attribute__((vector_size(64), aligned(4), may_alias));
-typedef double f64x16u __attribute__((vector_size(128), aligned(8), may_alias));
 typedef int32_t i32x16 __attribute__((vector_size(64)));
 typedef uint32_t u32x16 __attribute__((vector_size(64)));
 #define F32X16(c) ((f32x16){c, c, c, c, c, c, c, c, c, c, c, c, c, c, c, c})
-#define F32(p) __builtin_convertvector(*(const f64x16u *)(p), f32x16)
-#define SUM32(a, b) __builtin_convertvector(*(const f64x16u *)(a) + *(const f64x16u *)(b), f32x16)
+#define F32(p) (*(f32x16u *)(p))
 
 /* x clamped to [EXP_LO, EXP_HI] as np.minimum(np.maximum(x, lo), hi), by
  * compare and select: a NaN compares false both times and stays. */
@@ -772,29 +831,27 @@ static inline f32x16 exp16(f32x16 x)
  * of a batch row (n a multiple of 16, at most GATE_BLOCK): gx and gh the
  * units' gate sums, the z gate's, with r's and the candidate's `h` and 2h
  * further on; the candidate's recurrent bias and the states before; the new
- * states widened into next.  Each float64 sum is rounded once, sigmoid is
- * 1 / (exp(-v) + 1), tanh 2 / (exp(-2 v) + 1) - 1, the blend (1 - z) *
- * prev + z * cand.  Two passes — the z and r sigmoids, then the candidate
- * and the blend — make short independent chains the core overlaps; one
- * pass of all three exponentials waits on its own latency. */
+ * states into next.  Sigmoid is 1 / (exp(-v) + 1), tanh 2 / (exp(-2 v) + 1)
+ * - 1, the blend (1 - z) * prev + z * cand.  Two passes — the z and r
+ * sigmoids, then the candidate and the blend — make short independent
+ * chains the core overlaps; one pass of all three exponentials waits on its
+ * own latency. */
 #define GATE_BLOCK 64
 
 static void gru_gates(
-    i64 n, i64 h, const double *gx, const double *gh, const double *bias_h,
-    const double *prev, double *next)
+    i64 n, i64 h, const float *gx, const float *gh, const float *bias_h, const float *prev,
+    float *next)
 {
     float z[GATE_BLOCK], r[GATE_BLOCK];
     for (i64 i = 0; i < n; i += 16) {
-        *(f32x16u *)(z + i) = 1.0f / (exp16(-SUM32(gx + i, gh + i)) + 1.0f);
-        *(f32x16u *)(r + i) = 1.0f / (exp16(-SUM32(gx + h + i, gh + h + i)) + 1.0f);
+        F32(z + i) = 1.0f / (exp16(-(F32(gx + i) + F32(gh + i))) + 1.0f);
+        F32(r + i) = 1.0f / (exp16(-(F32(gx + h + i) + F32(gh + h + i))) + 1.0f);
     }
     for (i64 i = 0; i < n; i += 16) {
-        const f32x16 zs = *(const f32x16u *)(z + i);
-        const f32x16 cand =
-            F32(gx + 2 * h + i) + *(const f32x16u *)(r + i) * SUM32(gh + 2 * h + i, bias_h + i);
+        const f32x16 zs = F32(z + i);
+        const f32x16 cand = F32(gx + 2 * h + i) + F32(r + i) * (F32(gh + 2 * h + i) + F32(bias_h + i));
         const f32x16 t = 2.0f / (exp16(cand * -2.0f) + 1.0f) - 1.0f;
-        *(f64x16u *)(next + i) = __builtin_convertvector((1.0f - zs) * F32(prev + i) + zs * t,
-                                                         f64x16u);
+        F32(next + i) = (1.0f - zs) * F32(prev + i) + zs * t;
     }
 }
 
@@ -802,68 +859,53 @@ static void gru_gates(
  * candidate), the states before and after.  The last h % 16 units run
  * through zero-padded copies of theirs, h = 16 apart. */
 static void gru_row(
-    i64 h, const double *gx, const double *gh, const double *bias_h, const double *prev,
-    double *next)
+    i64 h, const float *gx, const float *gh, const float *bias_h, const float *prev,
+    float *next)
 {
     const i64 whole = h / 16 * 16, n = h - whole;
     for (i64 at = 0; at < whole; at += GATE_BLOCK)
         gru_gates(whole - at < GATE_BLOCK ? whole - at : GATE_BLOCK, h, gx + at, gh + at,
                   bias_h + at, prev + at, next + at);
     if (!n) return;
-    double x[48] = {0.0}, y[48] = {0.0}, b[16] = {0.0}, p[16] = {0.0}, out[16];
+    float x[48] = {0.0f}, y[48] = {0.0f}, b[16] = {0.0f}, p[16] = {0.0f}, out[16];
     for (int g = 0; g < 3; g++) {
-        memcpy(x + 16 * g, gx + g * h + whole, (size_t)n * sizeof(double));
-        memcpy(y + 16 * g, gh + g * h + whole, (size_t)n * sizeof(double));
+        memcpy(x + 16 * g, gx + g * h + whole, (size_t)n * sizeof(float));
+        memcpy(y + 16 * g, gh + g * h + whole, (size_t)n * sizeof(float));
     }
-    memcpy(b, bias_h + whole, (size_t)n * sizeof(double));
-    memcpy(p, prev + whole, (size_t)n * sizeof(double));
+    memcpy(b, bias_h + whole, (size_t)n * sizeof(float));
+    memcpy(p, prev + whole, (size_t)n * sizeof(float));
     gru_gates(16, 16, x, y, b, p, out);
-    memcpy(next + whole, out, (size_t)n * sizeof(double));
+    memcpy(next + whole, out, (size_t)n * sizeof(float));
 }
 
 /* Rows of a GRU layer's hidden states in the arena of repro_plan_i8_chunk:
- * float64 states and their int8 codes, H apart, and the codes' scales. */
+ * float32 states and their int8 codes, H apart, and the codes' scales. */
 typedef struct {
-    double *state, *scale;
+    float *state;
+    double *scale;
     i8 *code;
 } tile_rows;
-
-/* Doubles of arena a GRU layer of width h takes at `rows` rows a tile: two
- * halves — tiles alternate between them, so the one a tile writes is not
- * the one the tile before it wrote — each `rows` states, their scales and
- * their codes. */
-static i64 tile_layer(i64 rows, i64 h)
-{
-    return 2 * (rows * h + rows + (rows * h + 7) / 8);
-}
-
-/* Half `which` of the layer whose arena starts at `at`. */
-static tile_rows tile_half(double *at, i64 rows, i64 h, i64 which)
-{
-    double *state = at + which * tile_layer(rows, h) / 2;
-    return (tile_rows){state, state + rows * h, (i8 *)(state + rows * h + rows)};
-}
 
 /* `steps` steps of one GRU layer, starting from the states `before` (B
  * rows), gx the steps' gate rows.  Per step gh = (the states before it, as
  * their codes) @ W_hh.T, then one gate sweep per batch row while it is in
- * L1 (gru_row), its new states widened into `now` and quantized there and
+ * L1 (gru_row), its new states stored in `now` and quantized there and
  * then, while they are hot, to the codes and scale that both the next
  * step's product and the next op read.  `now` advances a step. */
 static void repro_gru_i8_chunk(
-    const plan_op *op, i64 batch, i64 steps, tile_rows before, const double *gx,
-    tile_rows now, double *gh, i32 *work)
+    const plan_op *op, i64 batch, i64 steps, tile_rows before, const float *gx,
+    tile_rows now, float *gh, i32 *work)
 {
     const i64 h = op->n;
     for (i64 t = 0; t < steps; t++) {
         bspc_i8_coded(op, batch, before.code, before.scale, NULL, work, gh);
         for (i64 b = 0; b < batch; b++) {
-            double *next = now.state + b * h;
+            float *next = now.state + b * h;
             TIC(gates);
             gru_row(h, gx + b * 3 * h, gh + b * 3 * h, op->bias, before.state + b * h, next);
             TOC(gates, PH_GATES);
             TIC(quantize);
-            now.scale[b] = bspc_quant_i8(h, next, now.code + b * h);
+            now.scale[b] = bspc_quant_f32(h, next, now.code + b * h);
             TOC(quantize, PH_QUANTIZE);
         }
         before = now;
@@ -874,81 +916,127 @@ static void repro_gru_i8_chunk(
     }
 }
 
+/* Where the pieces of an arena go: `size` bytes from the next cache line
+ * at or after *end on; *end moves past them. */
+static i64 carve(i64 *end, i64 size)
+{
+    const i64 at = (*end + 63) / 64 * 64;
+    *end = at + size;
+    return at;
+}
+
+/* The arena of repro_plan_i8_chunk at `batch` rows a step, laid out from B
+ * and the widths alone (not T), for tiles of `rows` = ceil(8 / B) * B rows:
+ * the tile's float32 gate rows (3H of the widest H), gh (B rows), the
+ * scales and codes of a tile of x, then per GRU two halves — tiles
+ * alternate between them, so the one a tile writes is not the one the tile
+ * before it wrote — each `rows` scales, states and codes.  Every piece
+ * starts on a cache line; the arena ends where the last one does.  Returns
+ * its bytes; given the arena `base`, also where the tile's pieces are (io:
+ * gates, gh, x's scales, x's codes) and each GRU's two halves, in order. */
+typedef struct {
+    float *gates, *gh;
+    double *xs;
+    i8 *xq;
+} tile_io;
+
+static i64 arena_layout(
+    const plan_op *ops, i64 count, i64 batch, char *base, tile_io *io, tile_rows *halves)
+{
+    const i64 rows = (8 + batch - 1) / batch * batch, d = ops[0].n;
+    i64 h = 0, end = 0;
+    for (i64 i = 0; i < count; i++)
+        if (ops[i].kind == PLAN_GRU && ops[i].n > h) h = ops[i].n;
+    const i64 gates = carve(&end, rows * 3 * h * (i64)sizeof(float));
+    const i64 gh = carve(&end, batch * 3 * h * (i64)sizeof(float));
+    const i64 xs = carve(&end, rows * (i64)sizeof(double)), xq = carve(&end, rows * d);
+    if (base)
+        *io = (tile_io){(float *)(base + gates), (float *)(base + gh), (double *)(base + xs),
+                        (i8 *)(base + xq)};
+    for (i64 i = 0; i < count; i++) {
+        if (ops[i].kind != PLAN_GRU) continue;
+        for (int k = 0; k < 2; k++) {
+            const i64 scale = carve(&end, rows * (i64)sizeof(double));
+            const i64 state = carve(&end, rows * ops[i].n * (i64)sizeof(float));
+            const i64 code = carve(&end, rows * ops[i].n);
+            if (base)
+                *halves++ = (tile_rows){(float *)(base + state), (double *)(base + scale),
+                                        (i8 *)(base + code)};
+        }
+    }
+    return end;
+}
+
+/* Bytes of arena repro_plan_i8_chunk takes for `batch` rows a step. */
+API i64 repro_plan_i8_arena(const plan_op *ops, i64 count, i64 batch)
+{
+    return arena_layout(ops, count, batch, NULL, NULL, NULL);
+}
+
 /* One chunk of a whole plan: x (T, B, ops[0].n) through the ops — per
  * layer a PLAN_PROJECT and a PLAN_GRU, then at most one PLAN_OUTPUT — into
- * logits (T, B, the last op's width).  The chunk is walked in tiles of
- * ceil(8 / B) steps, the fewest whole steps that fill the product's 8-row
- * block, and a tile runs every op before the next tile starts, so its gate
- * rows, states and gh stay in cache.  A tile's frames of x are quantized
- * once, for the first projection; every hidden state once, in the gate
- * sweep that makes it (repro_gru_i8_chunk), for the layer's next step and
- * the next op; each carry in once, for tile 0.  `carry` holds, GRU by GRU,
- * the (B, H) states in and then the (B, H) arrays the states out are
- * copied to.  `arena` is laid out here from B and the widths alone, for
- * tiles of `rows` = ceil(8 / B) * B rows: the tile's gate rows (3H of the
- * widest H), gh (B rows), the codes and scales of the tile's x, then per
- * GRU the tile_layer of its own H.  `work` is the neediest op's product
- * scratch at 8 rows.  B > 0, T > 0. */
+ * the float32 logits (T, B, the last op's width).  The chunk is walked in
+ * tiles of ceil(8 / B) steps, the fewest whole steps that fill the
+ * product's 8-row block, and a tile runs every op before the next tile
+ * starts, so its gate rows, states and gh stay in cache.  A tile's frames
+ * of x are quantized once, for the first projection; every hidden state
+ * once, in the gate sweep that makes it (repro_gru_i8_chunk), for the
+ * layer's next step and the next op; each carry in once, for tile 0.
+ * `carry` holds, GRU by GRU, the float32 (B, H) states in and then the
+ * (B, H) arrays the states out are copied to.  `arena` is
+ * repro_plan_i8_arena(ops, count, B) bytes (arena_layout), `work` the
+ * neediest op's product scratch at 8 rows.  B > 0, T > 0. */
 API void repro_plan_i8_chunk(
     const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
-    double *const *carry, double *logits, double *arena, i32 *work)
+    float *const *carry, float *logits, char *arena, i32 *work)
 {
     TIC(chunk);
     const i64 tile = (8 + batch - 1) / batch, rows = tile * batch, d = ops[0].n;
     const i64 last = rows - batch;  /* the first row of a whole tile's last step */
-    i64 h = 0, grus = 0;
-    for (i64 i = 0; i < count; i++)
-        if (ops[i].kind == PLAN_GRU) {
-            grus++;
-            h = ops[i].n > h ? ops[i].n : h;
-        }
-    double *gates = arena, *gh = gates + rows * 3 * h;
-    double *xs = gh + batch * 3 * h, *layers = xs + rows + (rows * d + 7) / 8;
-    i8 *xq = (i8 *)(xs + rows);
+    i64 grus = 0;
+    for (i64 i = 0; i < count; i++) grus += ops[i].kind == PLAN_GRU;
+    tile_io io;
+    tile_rows halves[2 * grus];
+    arena_layout(ops, count, batch, arena, &io, halves);
     /* each carry in, where tile 0 reads the step before it */
-    double *layer = layers;
     for (i64 i = 0, g = 0; i < count; i++) {
         if (ops[i].kind != PLAN_GRU) continue;
         const i64 hg = ops[i].n;
-        const tile_rows in = tile_half(layer, rows, hg, 1);
-        double *state = in.state + last * hg;
-        memcpy(state, carry[g++], (size_t)(batch * hg) * sizeof(double));
+        const tile_rows in = halves[2 * g + 1];
+        float *state = in.state + last * hg;
+        memcpy(state, carry[g++], (size_t)(batch * hg) * sizeof(float));
         TIC(quantize);
         for (i64 b = 0; b < batch; b++)
-            in.scale[last + b] = bspc_quant_i8(hg, state + b * hg, in.code + (last + b) * hg);
+            in.scale[last + b] = bspc_quant_f32(hg, state + b * hg, in.code + (last + b) * hg);
         TOC(quantize, PH_QUANTIZE);
-        layer += tile_layer(rows, hg);
     }
     for (i64 t0 = 0, k = 0; t0 < steps; t0 += tile, k++) {
         const i64 span = steps - t0 < tile ? steps - t0 : tile, frames = span * batch;
-        const i8 *q = xq;  /* the next op's operand: x's codes, then a layer's */
-        const double *s = xs;
+        const i8 *q = io.xq;  /* the next op's operand: x's codes, then a layer's */
+        const double *s = io.xs;
         TIC(quantize);
         for (i64 r = 0; r < frames; r++)
-            xs[r] = bspc_quant_i8(d, x + (t0 * batch + r) * d, xq + r * d);
+            io.xs[r] = bspc_quant_i8(d, x + (t0 * batch + r) * d, io.xq + r * d);
         TOC(quantize, PH_QUANTIZE);
-        layer = layers;
         for (i64 i = 0, g = 0; i < count; i++) {
             const plan_op *op = ops + i;
             if (op->kind != PLAN_GRU) {
                 bspc_i8_coded(op, frames, q, s, op->bias, work,
-                              op->kind == PLAN_OUTPUT ? logits + t0 * batch * op->rows : gates);
+                              op->kind == PLAN_OUTPUT ? logits + t0 * batch * op->rows : io.gates);
                 continue;
             }
             const i64 hg = op->n;
-            const tile_rows was = tile_half(layer, rows, hg, (k + 1) % 2);
-            const tile_rows now = tile_half(layer, rows, hg, k % 2);
+            const tile_rows was = halves[2 * g + (k + 1) % 2], now = halves[2 * g + k % 2];
             /* the step before the tile: the last of the tile before, or the carry */
             const tile_rows before = {was.state + last * hg, was.scale + last, was.code + last * hg};
-            repro_gru_i8_chunk(op, batch, span, before, gates, now, gh, work);
+            repro_gru_i8_chunk(op, batch, span, before, io.gates, now, io.gh, work);
             q = now.code;
             s = now.scale;
             if (t0 + span == steps)
                 memcpy(carry[grus + g], now.state + (frames - batch) * hg,
-                       (size_t)(batch * hg) * sizeof(double));
+                       (size_t)(batch * hg) * sizeof(float));
             if (i == count - 1)  /* no output op: the last layer's states are the logits */
-                memcpy(logits + t0 * batch * hg, now.state, (size_t)(frames * hg) * sizeof(double));
-            layer += tile_layer(rows, hg);
+                memcpy(logits + t0 * batch * hg, now.state, (size_t)(frames * hg) * sizeof(float));
             g++;
         }
     }
@@ -1119,13 +1207,14 @@ def _declare(lib: ctypes.CDLL) -> None:
     ptr = ctypes.c_void_p
     dbl = ctypes.c_double
     signatures = {
-        "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, dbl, ptr),
+        "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, ptr),
         "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
         "repro_i8_lanes": (),
         "repro_i8_kgroup": (),
         "repro_i8_pack": (i64, i64, i64, ptr, ptr),
         "repro_phase_ticks": (ptr,),
-        "repro_bspc_i8_rows": (ptr, i64, i64, ptr, ptr, ptr, ptr),
+        "repro_bspc_i8_rows": (ptr, i64, ptr, ptr, ptr, ptr),
+        "repro_plan_i8_arena": (ptr, i64, i64),
         "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr),
     }
     try:
@@ -1135,7 +1224,7 @@ def _declare(lib: ctypes.CDLL) -> None:
             fn.argtypes = argtypes
         for query in (
             lib.repro_i8_lanes, lib.repro_i8_kgroup, lib.repro_i8_pack,
-            lib.repro_phase_ticks,
+            lib.repro_phase_ticks, lib.repro_plan_i8_arena,
         ):
             query.restype = i64
     except AttributeError as exc:
@@ -1167,11 +1256,9 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
     gather, scatter = (np.arange(size, dtype=np.int64)[None] for size in (n, rows))
     panel = _Panel(codes.shape, codes[None], gather, scatter, 1.0, lib=lib)
     for batch in (1, 2):
-        out = np.empty((batch, rows))
-        lib.repro_bspc_i8_rows(
-            panel.at, batch, 0, _p(x), None, _narrow_call(panel, n, batch), _p(out)
-        )
-        check(out, x[:batch] @ codes.T.astype(np.float64))
+        out = np.empty((batch, rows), dtype=np.float32)
+        lib.repro_bspc_i8_rows(panel.at, batch, _p(x), None, _narrow_call(panel, n, batch), _p(out))
+        check(out, (x[:batch] @ codes.T.astype(np.float64)).astype(np.float32))
 
 
 def _library() -> ctypes.CDLL:
@@ -1255,6 +1342,10 @@ def _f64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.float64)
 
 
+def _f32(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=np.float32)
+
+
 def _i8(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int8)
 
@@ -1313,8 +1404,10 @@ class _Panel:
     below ``shape[0]``) must increase strip after strip — what a
     ``BSPCMatrix`` guarantees, and a dense weight's identity — so that
     compact order is output-row order.  ``acc`` is the int32 sums that
-    kernel keeps per column of the product (0: not packed).  The panel
-    holds every array its addresses point into."""
+    kernel keeps per column of the product (0: not packed), ``lda`` the
+    int32 of scratch a column takes (``bspc_lda`` of the C): those sums,
+    or a double per output row, which the register block accumulates
+    into.  The panel holds every array its addresses point into."""
 
     def __init__(
         self, shape, codes, gather_cols, scatter_rows, scale,
@@ -1340,6 +1433,7 @@ class _Panel:
             offsets = np.searchsorted(real, np.arange(0, rows, WINDOW))
             layout = np.concatenate([starts, offsets << 16 | masks]).astype(np.int64)
             self.acc = int(starts[-1]) + -(-mr // LANES_PAD) * LANES_PAD
+        self.lda = self.acc or 2 * shape[0]
         self._held = (codes, gather_cols, scatter_rows, packed, layout)
         addresses = (None if a is None else _p(a) for a in self._held)
         self.op = _PlanOp(PLAN_PROJECT, strips, mr, mc, *shape, *addresses, scale, None)
@@ -1391,14 +1485,14 @@ def _check_operand(cols: int, n: int) -> None:
 def csr_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
     _check_operand(matrix.shape[1], x.shape[0])
     plan = int8_csr_plan(matrix)
-    out = np.zeros(matrix.shape[0])
+    out = np.zeros(matrix.shape[0], dtype=np.float32)
     if plan.nonempty_rows.size:
         xq, xs = int8_codes(x)
         xq = _i8(xq)
         _library().repro_csr_spmv_i8(
             matrix.shape[0],
             _p(plan.codes), _p(matrix.col_indices), _p(matrix.row_ptr),
-            _p(xq), plan.scale * xs, 1.0, _p(out),
+            _p(xq), plan.scale * xs, _p(out),
         )
     return out
 
@@ -1407,7 +1501,7 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     _check_operand(matrix.shape[1], x.shape[0])
     plan = int8_csr_plan(matrix)
     batch = x.shape[1]
-    out = np.zeros((matrix.shape[0], batch))
+    out = np.zeros((matrix.shape[0], batch), dtype=np.float32)
     if plan.nonempty_rows.size and batch:
         xq, xs = int8_codes_axis(x, axis=0)
         xq = _i8(xq)
@@ -1416,7 +1510,7 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
             _library().repro_csr_spmv_i8(
                 matrix.shape[0],
                 _p(plan.codes), _p(matrix.col_indices), _p(matrix.row_ptr),
-                _p(xq), plan.scale, xs[0], _p(out),
+                _p(xq), plan.scale * xs[0], _p(out),
             )
             return out
         acc = np.empty(batch, dtype=np.int64)
@@ -1431,7 +1525,7 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
 
 def _narrow_call(panel: _Panel, n: int, batch: int) -> int:
     """This thread's scratch for ``repro_bspc_i8_rows`` on ``batch`` rows of
-    an ``n``-wide operand (in int32 units: the lanes accumulators, the
+    an ``n``-wide operand (in int32 units: the product's sums, the
     gathered codes — int16 at their widest — and the operand's int8
     codes).  The entry quantizes eight rows at a time, keeping their scales
     on its stack: ``batch`` is a block's, ``min(rows, 8)``."""
@@ -1439,27 +1533,32 @@ def _narrow_call(panel: _Panel, n: int, batch: int) -> int:
     if batch > 8:
         raise ShapeError(f"the narrow kernel takes at most 8 columns, got {batch}")
     mc = panel.sizes[2]
-    return _scratch(batch * (panel.acc + (mc + 1) // 2) + (batch * n + 3) // 4)
+    return _scratch(batch * (panel.lda + (mc + 1) // 2) + (batch * n + 3) // 4)
 
 
 def _panel_rows(
-    panel: _Panel, x: np.ndarray, bias: Optional[int], out: np.ndarray, spmv: bool = False
+    panel: _Panel, x: np.ndarray, bias: Optional[int], out: np.ndarray
 ) -> np.ndarray:
     """``repro_bspc_i8_rows`` on operands already checked: C-contiguous
-    float64 ``x (N, n)`` and ``out (N, rows)``, ``bias`` an address."""
+    float64 ``x (N, n)`` and float32 ``out (N, rows)``, ``bias`` the
+    address of a float32 row."""
     count, n = x.shape
     work = _narrow_call(panel, n, min(count, 8))
-    _library().repro_bspc_i8_rows(panel.at, count, spmv, _p(x), bias, work, _p(out))
+    _library().repro_bspc_i8_rows(panel.at, count, _p(x), bias, work, _p(out))
     return out
+
+
+def _rows_out(count: int, rows: int) -> np.ndarray:
+    return np.empty((count, rows), dtype=np.float32)
 
 
 def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
     plan = int8_bspc_plan(matrix)
     rows = plan.base.shape[0]
     if not plan.base.panels.size:
-        return np.zeros(rows)
+        return np.zeros(rows, dtype=np.float32)
     x = _f64(x).reshape(1, -1)
-    return _panel_rows(_plan_panel(plan), x, None, np.empty((1, rows)), spmv=True)[0]
+    return _panel_rows(_plan_panel(plan), x, None, _rows_out(1, rows))[0]
 
 
 def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
@@ -1470,16 +1569,16 @@ def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     plan = int8_bspc_plan(matrix)
     rows, batch = plan.base.shape[0], x.shape[1]
     if not plan.base.panels.size or not batch:
-        return np.zeros((rows, batch))
-    return _panel_rows(_plan_panel(plan), _f64(x.T), None, np.empty((batch, rows))).T
+        return np.zeros((rows, batch), dtype=np.float32)
+    return _panel_rows(_plan_panel(plan), _f64(x.T), None, _rows_out(batch, rows)).T
 
 
 def _check_buffers(*arrays: np.ndarray) -> None:
     """C reads and writes these through raw pointers."""
     for array in arrays:
-        if array.dtype != np.float64 or not array.flags.c_contiguous:
+        if array.dtype != np.float32 or not array.flags.c_contiguous:
             raise ShapeError(
-                f"need C-contiguous float64, got {array.dtype} {array.strides}"
+                f"need C-contiguous float32, got {array.dtype} {array.strides}"
             )
 
 
@@ -1487,8 +1586,8 @@ def panel_linear_int8(
     panel: _Panel, x: np.ndarray, bias: Optional[np.ndarray], out: np.ndarray
 ) -> np.ndarray:
     """Batch-major int8 projection: row-major ``x (N, n)`` → ``x @ W.T``
-    (``+ bias``, unless ``None``) written into the C-contiguous float64
-    ``out (N, rows)``, each row quantized on its own exactly as a column
+    (``+ bias``, unless ``None``; float32) written into the C-contiguous
+    float32 ``out (N, rows)``, each row quantized on its own exactly as a column
     of ``bspc_spmm_int8`` / a row of ``linear_int8_rowwise``.  ``panel``
     is a :func:`dense_int8_panel`: what a dense compiled slot's ``apply``
     is on the engine's generic loop."""
@@ -1509,7 +1608,7 @@ def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.nd
     keep the weight pack it once and call :func:`panel_linear_int8`."""
     panel = dense_int8_panel(codes, scale)
     x = np.asarray(x)
-    out = np.empty((x.shape[0] if x.ndim == 2 else 0, panel.shape[0]))
+    out = _rows_out(x.shape[0] if x.ndim == 2 else 0, panel.shape[0])
     return panel_linear_int8(panel, x, None, out)
 
 
@@ -1521,7 +1620,7 @@ class PlanProgram:
     a ``PLAN_PROJECT`` (folded bias) and a ``PLAN_GRU`` (candidate-gate
     bias), then at most one ``PLAN_OUTPUT`` (bias or ``None``) — ``weight``
     a BSPC matrix or a :func:`dense_int8_panel`, biases C-contiguous
-    float64.  The descriptor is one :class:`_PlanOp` per op, independent of
+    float32.  The descriptor is one :class:`_PlanOp` per op, independent of
     the chunk's shape; the program holds every array it points into and
     the int8 plan each BSPC weight had, so :meth:`stale` sees a plan
     invalidated since.  Ops in another order, or a chain of widths that
@@ -1556,29 +1655,28 @@ class PlanProgram:
             if not fits:
                 raise ShapeError(f"op {len(records)} is {panel.shape} after {width} wide rows")
             width = n if kind == PLAN_GRU else rows
-            # int32 of scratch per operand row, the product's: lane sums,
+            # int32 of scratch per operand row, the product's: its sums,
             # gathered codes (the operand's codes are in the arena)
-            self._work = max(self._work, panel.acc + (panel.sizes[2] + 1) // 2)
+            self._work = max(self._work, panel.lda + (panel.sizes[2] + 1) // 2)
             record = _PlanOp.from_buffer_copy(panel.op)
             record.kind, record.bias = kind, None if bias is None else _p(bias)
             records.append(record)
             self._held.append((panel, bias))
         self._ops = (_PlanOp * len(records))(*records)
-        self._input = records[0].n  # D, the width of a frame of x
         self.width = width  # of a row of logits
-        self.arena = np.empty(0)
+        self.arena = np.empty(0, dtype=np.uint8)
         self._arena_at = 0
+        self._arena_sizes: dict = {}
 
     def arena_size(self, batch: int) -> int:
-        """Doubles of arena ``repro_plan_i8_chunk`` lays out for a chunk of
-        ``batch`` rows a step, as the C does: tiles of ``ceil(8 / B) * B``
-        rows, their gate rows (3H of the widest H), ``gh`` (B rows), the
-        codes and scales of a tile of ``x``; then per GRU two halves of a
-        tile's states, scales and codes (``tile_layer``).  Not a function of
-        ``T``."""
-        rows, h = -(-8 // batch) * batch, max(self.hidden)
-        need = rows * 3 * h + batch * 3 * h + rows + (rows * self._input + 7) // 8
-        return need + sum(2 * (rows * g + rows + (rows * g + 7) // 8) for g in self.hidden)
+        """Bytes of arena ``repro_plan_i8_chunk`` takes for a chunk of
+        ``batch`` rows a step — the C lays it out, and says how much
+        (``repro_plan_i8_arena``).  Not a function of ``T``."""
+        size = self._arena_sizes.get(batch)
+        if size is None:
+            size = self._lib.repro_plan_i8_arena(self._ops, len(self._ops), batch)
+            self._arena_sizes[batch] = size
+        return size
 
     def stale(self) -> bool:
         """Whether a BSPC weight's cached int8 plan is no longer the one
@@ -1586,8 +1684,9 @@ class PlanProgram:
         return any(int8_bspc_plan(matrix) is not plan for matrix, plan in self._plans)
 
     def run(self, x: np.ndarray, carry) -> Tuple[np.ndarray, list]:
-        """``x (T, B, D)`` and per-layer ``(B, H)`` carries (``None``:
-        zeros) → fresh logits and a list of fresh carries; ``T > 0``,
+        """``x (T, B, D)`` and per-layer float32 ``(B, H)`` carries
+        (``None``: zeros) → fresh logits (the C's float32, widened to
+        float64 once, here) and a list of fresh float32 carries; ``T > 0``,
         ``B > 0``.  Shapes are the caller's to have checked.  The chunk runs
         in tiles of ``ceil(8 / B)`` steps, every op of a tile before the
         next, and each hidden state is quantized once, where it is made;
@@ -1597,14 +1696,14 @@ class PlanProgram:
         seq_len, batch, _ = x.shape
         x = _f64(x)
         states = [
-            np.zeros((batch, width)) if carry is None else _f64(carry[i])
+            np.zeros((batch, width), dtype=np.float32) if carry is None else _f32(carry[i])
             for i, width in enumerate(self.hidden)
         ]
-        fresh = [np.empty((batch, width)) for width in self.hidden]
-        logits = np.empty((seq_len, batch, self.width))
+        fresh = [np.empty((batch, width), dtype=np.float32) for width in self.hidden]
+        logits = np.empty((seq_len, batch, self.width), dtype=np.float32)
         need = self.arena_size(batch)
         if self.arena.size < need:
-            self.arena = np.empty(need)
+            self.arena = _aligned(need)
             self._arena_at = _p(self.arena)
         self._lib.repro_plan_i8_chunk(
             self._ops, len(self._ops), seq_len, batch, _p(x),
@@ -1612,7 +1711,7 @@ class PlanProgram:
             self._arena_at,
             _scratch(8 * self._work),  # a product's block is <= 8 rows
         )
-        return logits, fresh
+        return logits.astype(np.float64), fresh
 
 
 #: op name → compiled implementation: the ops where C beats numpy on every

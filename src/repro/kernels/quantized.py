@@ -8,7 +8,9 @@ per row (one scale per frame) for the batched ``spmm`` /
 ``linear_int8_rowwise`` paths, which makes each frame's result
 independent of the rest of the batch (the streaming engine's
 chunk-exactness rests on this) — and every kernel accumulates products
-in integer arithmetic, dequantizing exactly once, at the very end.  That
+in integer arithmetic, dequantizing exactly once, at the very end, to
+float32 (:func:`dequantize`, the one rule of every int8 product on every
+backend, the compiled C included).  That
 turns the float64 gather/multiply/reduce pipelines of the numpy backend
 into 1-byte gathers and 4-byte accumulations, so int8 is measurably
 faster than float on the memory-bound sparse ops, not just smaller.
@@ -63,6 +65,20 @@ def int8_codes_axis(array: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarra
     scales = np.where(peak > 0.0, peak / 127.0, 1.0)
     codes = np.clip(np.round(array / scales), -127, 127).astype(np.int8)
     return codes, scales
+
+
+def dequantize(acc: np.ndarray, scale: float, xs) -> np.ndarray:
+    """Integer sums → float32: ``float32(acc) * float32(scale * xs)``.
+
+    ``acc`` holds exact integers (any integer dtype, or a float one holding
+    integers); each is converted to float32 rounding to nearest — above
+    ``2**24`` that rounds, the same on every route (``cvtdq2ps`` in the C).
+    ``scale * xs`` — the weight scale times the activation scale(s),
+    broadcast against ``acc`` — is multiplied in float64 and rounded to
+    float32 once, so one float32 multiply per sum follows.
+    """
+    fused = (scale * np.asarray(xs, dtype=np.float64)).astype(np.float32)
+    return np.asarray(acc).astype(np.float32) * fused
 
 
 def int8_codes(array: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -178,22 +194,22 @@ def csr_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
     path's, which is where the speedup comes from — the gather reads a
     1-byte table, the product vector is int16 into a reused scratch
     buffer, and ``reduceat`` accumulates in int32.  One dequant at the
-    end maps the exact integer result back to float.
+    end maps the exact integer result back to float32.
     """
     plan = int8_csr_plan(matrix)
-    out = np.zeros(matrix.shape[0])
-    if plan.nonempty_rows.size:
-        xq, xs = int8_codes(x)
-        np.take(xq, matrix.col_indices, out=plan.gather_scratch)
-        np.multiply(
-            plan.codes, plan.gather_scratch,
-            out=plan.product_scratch, dtype=np.int16,
-        )
-        out[plan.nonempty_rows] = np.add.reduceat(
-            plan.product_scratch, plan.segment_starts, dtype=np.int32
-        )
-        out *= plan.scale * xs
-    return out
+    acc = np.zeros(matrix.shape[0], dtype=np.int32)
+    if not plan.nonempty_rows.size:
+        return acc.astype(np.float32)
+    xq, xs = int8_codes(x)
+    np.take(xq, matrix.col_indices, out=plan.gather_scratch)
+    np.multiply(
+        plan.codes, plan.gather_scratch,
+        out=plan.product_scratch, dtype=np.int16,
+    )
+    acc[plan.nonempty_rows] = np.add.reduceat(
+        plan.product_scratch, plan.segment_starts, dtype=np.int32
+    )
+    return dequantize(acc, plan.scale, xs)
 
 
 @registry.register("csr_spmm_int8", "numpy")
@@ -205,21 +221,20 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     the call — the chunk-invariance the streaming engine relies on — and
     is at least as accurate as one scale across the whole batch."""
     plan = int8_csr_plan(matrix)
-    out = np.zeros((matrix.shape[0], x.shape[1]))
-    if plan.nonempty_rows.size:
-        xq, xs = int8_codes_axis(x, axis=0)
-        for j in range(x.shape[1]):
-            np.take(xq[:, j], matrix.col_indices, out=plan.gather_scratch)
-            np.multiply(
-                plan.codes, plan.gather_scratch,
-                out=plan.product_scratch, dtype=np.int16,
-            )
-            out[plan.nonempty_rows, j] = np.add.reduceat(
-                plan.product_scratch, plan.segment_starts, dtype=np.int32
-            )
-        out *= plan.scale
-        out *= xs
-    return out
+    acc = np.zeros((matrix.shape[0], x.shape[1]), dtype=np.int32)
+    if not plan.nonempty_rows.size:
+        return acc.astype(np.float32)
+    xq, xs = int8_codes_axis(x, axis=0)
+    for j in range(x.shape[1]):
+        np.take(xq[:, j], matrix.col_indices, out=plan.gather_scratch)
+        np.multiply(
+            plan.codes, plan.gather_scratch,
+            out=plan.product_scratch, dtype=np.int16,
+        )
+        acc[plan.nonempty_rows, j] = np.add.reduceat(
+            plan.product_scratch, plan.segment_starts, dtype=np.int32
+        )
+    return dequantize(acc, plan.scale, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +251,14 @@ def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
     plan = int8_bspc_plan(matrix)
     base = plan.base
     rows = base.shape[0]
-    out = np.zeros(rows + 1)
-    if base.panels.size:
-        xq, xs = int8_codes(x)
-        gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
-        partial = np.matmul(plan.codes_f, gathered[:, :, None])[:, :, 0]
-        out[base.flat_rows] += partial.reshape(-1)
-        out *= plan.scale * xs
-    return out[:rows]
+    if not base.panels.size:
+        return np.zeros(rows, dtype=np.float32)
+    acc = np.zeros(rows + 1)  # exact integers
+    xq, xs = int8_codes(x)
+    gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
+    partial = np.matmul(plan.codes_f, gathered[:, :, None])[:, :, 0]
+    acc[base.flat_rows] += partial.reshape(-1)
+    return dequantize(acc[:rows], plan.scale, xs)
 
 
 @registry.register("bspc_spmm_int8", "numpy")
@@ -255,15 +270,14 @@ def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     base = plan.base
     rows = base.shape[0]
     batch = x.shape[1]
-    out = np.zeros((rows + 1, batch))
-    if base.panels.size and batch:
-        xq, xs = int8_codes_axis(x, axis=0)
-        gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
-        partial = np.matmul(plan.codes_f, gathered)
-        out[base.flat_rows] += partial.reshape(-1, batch)
-        out *= plan.scale
-        out *= xs
-    return out[:rows]
+    if not base.panels.size or not batch:
+        return np.zeros((rows, batch), dtype=np.float32)
+    acc = np.zeros((rows + 1, batch))  # exact integers
+    xq, xs = int8_codes_axis(x, axis=0)
+    gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
+    partial = np.matmul(plan.codes_f, gathered)
+    acc[base.flat_rows] += partial.reshape(-1, batch)
+    return dequantize(acc[:rows], plan.scale, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +292,12 @@ def linear_int8(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
     pre-cast once so repeated calls skip the conversion).  Activations
     are quantized per call; the GEMM runs in float32 (exact for inner
     chunks of :data:`F32_EXACT_INNER`, partial sums combined in float64)
-    and the single dequant maps the integer result back to float.
+    and the single dequant maps the integer result back to float32.
     """
     codes = np.asarray(codes)
     weights = codes if codes.dtype == np.float32 else codes.astype(np.float32)
     xq, xs = int8_codes(x)
-    xqf = xq.astype(np.float32)
-    k = weights.shape[1]
-    if k <= F32_EXACT_INNER:
-        acc = (xqf @ weights.T).astype(np.float64)
-    else:
-        acc = np.zeros((xqf.shape[0], weights.shape[0]))
-        for start in range(0, k, F32_EXACT_INNER):
-            chunk = slice(start, start + F32_EXACT_INNER)
-            acc += xqf[:, chunk] @ weights[:, chunk].T
-    return acc * (scale * xs)
+    return dequantize(_int_gemm(xq.astype(np.float32), weights), scale, xs)
 
 
 def _int_gemm(xqf: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -327,10 +332,7 @@ def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.nd
     codes = np.asarray(codes)
     weights = codes if codes.dtype == np.float32 else codes.astype(np.float32)
     xq, xs = int8_codes_axis(x, axis=1)
-    acc = _int_gemm(xq.astype(np.float32), weights)
-    acc *= scale
-    acc *= xs
-    return acc
+    return dequantize(_int_gemm(xq.astype(np.float32), weights), scale, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +349,7 @@ def csr_spmv_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
         acc[r] = codes[start:stop].astype(np.int64) @ xq[
             matrix.col_indices[start:stop]
         ].astype(np.int64)
-    return acc.astype(np.float64) * (scale * xs)
+    return dequantize(acc, scale, xs)
 
 
 @registry.register("csr_spmm_int8", "reference")
@@ -361,12 +363,7 @@ def csr_spmm_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
         acc[r] = codes[start:stop].astype(np.int64) @ xq[
             matrix.col_indices[start:stop], :
         ].astype(np.int64)
-    # Same two-step dequant as the numpy backend (float rounding must
-    # agree bit-for-bit between backends).
-    out = acc.astype(np.float64)
-    out *= scale
-    out *= xs
-    return out
+    return dequantize(acc, scale, xs)
 
 
 def _bspc_panel_scale(matrix) -> float:
@@ -396,7 +393,7 @@ def bspc_spmv_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
                     np.int64
                 )
         acc[strip.kept_rows] += strip_acc
-    return acc.astype(np.float64) * (scale * xs)
+    return dequantize(acc, scale, xs)
 
 
 @registry.register("bspc_spmm_int8", "reference")
@@ -417,10 +414,7 @@ def bspc_spmm_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
                     block.kept_cols, :
                 ].astype(np.int64)
         acc[strip.kept_rows] += strip_acc
-    out = acc.astype(np.float64)
-    out *= scale
-    out *= xs
-    return out
+    return dequantize(acc, scale, xs)
 
 
 @registry.register("linear_int8", "reference")
@@ -428,8 +422,7 @@ def linear_int8_ref(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarra
     """One int64 matmul over the full codes — slow, exact ground truth."""
     codes64 = np.asarray(codes).astype(np.int64)
     xq, xs = int8_codes(x)
-    acc = xq.astype(np.int64) @ codes64.T
-    return acc.astype(np.float64) * (scale * xs)
+    return dequantize(xq.astype(np.int64) @ codes64.T, scale, xs)
 
 
 @registry.register("linear_int8_rowwise", "reference")
@@ -439,7 +432,4 @@ def linear_int8_rowwise_ref(
     """Int64 matmul with per-row activation scales — exact ground truth."""
     codes64 = np.asarray(codes).astype(np.int64)
     xq, xs = int8_codes_axis(x, axis=1)
-    acc = (xq.astype(np.int64) @ codes64.T).astype(np.float64)
-    acc *= scale
-    acc *= xs
-    return acc
+    return dequantize(xq.astype(np.int64) @ codes64.T, scale, xs)

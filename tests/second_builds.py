@@ -21,6 +21,7 @@ from repro import kernels
 from repro.errors import CompileBackendError
 from repro.kernels import compiled, quantized
 from repro.kernels.registry import KernelRegistry
+from repro.sparse.bspc import BSPCMatrix
 from repro.utils.rng import new_rng
 from test_int8_routing import (
     GOLDEN,
@@ -145,10 +146,15 @@ def test_dropping_the_quantizers_divide_guard_changes_codes(tmp_path, monkeypatc
     # the reciprocal sequence away from such a row
     if not host_contracts_fma():
         pytest.skip("no FMA on this host: the reciprocal sequence is compiled out")
+    # the product is float32: a weight scale near 1e288 keeps the denormal
+    # column's products (and, at activations near 1e-280, the others')
+    # inside its range, so every code shows
     matrix = bsp_matrix()
-    x = new_rng(2).uniform(-1.0, 1.0, (64, 4))
-    x[:, 1] *= 1e-310
+    matrix = BSPCMatrix.from_dense(1e290 * matrix.to_dense(), matrix.grid)
+    x = new_rng(2).uniform(-1.0, 1.0, (64, 4)) * 1e-280
+    x[:, 1] *= 1e-30
     want = kernels.spmm_int8(matrix, x, backend="reference")
+    assert np.isfinite(want).all() and np.abs(want[want != 0]).min() > 1e-30
     assert want[:, 1].any()
     np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
     guard = "#define MARKSTEIN_MIN 1e-250"

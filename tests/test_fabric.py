@@ -31,6 +31,9 @@ from repro.speech.decoder import decode_utterance
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 
 SCHEMES = (None, "fp16", "int8")
+#: The swap-crash and canary suites run on the float plan and on int8, the
+#: paper's path, whose carries are float32.
+RECOVERY_SCHEMES = (None, "int8")
 
 STREAM = StreamConfig(max_batch_size=4, max_wait_frames=8, min_duration=2)
 
@@ -604,12 +607,13 @@ class TestFleetHotSwap:
             assert fabric.stats().plan_swaps == 0
         assert outs == offline_phones(plan, utterances)
 
-    def test_crash_on_swap_recovers_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    def test_crash_on_swap_recovers_byte_identical(self, scheme, tmp_path):
         # The deployment-time crash: worker 0 dies on receipt of the
         # swap command.  Recovery replays its sessions and the swap is
         # re-issued — the client-visible stream must be unchanged.
-        plan = small_plan()
-        candidate = save_artifact(tmp_path, small_plan(), "v2.npz")
+        plan = small_plan(scheme)
+        candidate = save_artifact(tmp_path, small_plan(scheme), "v2.npz")
         utterances = make_utterances(4)
         config = fabric_config(
             faults=FaultConfig(crash_on_swap=True, target_worker=0)
@@ -631,16 +635,17 @@ class TestFleetHotSwap:
         assert fleet.restarts >= 1
         assert fleet.sessions_rehomed >= 1
 
+    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
     def test_crash_on_swap_divergent_candidate_replays_per_segment(
-        self, tmp_path
+        self, scheme, tmp_path
     ):
         # Divergent candidate weights make per-version replay
         # observable: chunks fed before the swap must replay under the
         # old plan, chunks after under the new one — even for sessions
         # whose worker crashed mid-swap and were reconstructed entirely
         # from the journal.
-        plan = small_plan()
-        candidate_plan = small_plan(seed=1)
+        plan = small_plan(scheme)
+        candidate_plan = small_plan(scheme, seed=1)
         candidate = save_artifact(tmp_path, candidate_plan, "v2.npz")
         utterances = make_utterances(4)
         config = fabric_config(
@@ -736,9 +741,10 @@ class TestCanaryRollout:
             for sid in sids:
                 fabric.finish(sid)
 
-    def test_divergent_candidate_rolls_back(self, tmp_path):
-        incumbent = small_plan()
-        registry = make_registry(tmp_path, incumbent, small_plan(seed=1))
+    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    def test_divergent_candidate_rolls_back(self, scheme, tmp_path):
+        incumbent = small_plan(scheme)
+        registry = make_registry(tmp_path, incumbent, small_plan(scheme, seed=1))
         utterances = make_utterances(8)
         incumbent_path = str(registry.resolve("am", "v1").artifact_path)
         fabric = ServingFabric.from_registry(
@@ -769,9 +775,10 @@ class TestCanaryRollout:
         history = registry.resolve("am", "v2").meta["history"]
         assert history[-1]["decision"] == "rollback"
 
-    def test_clean_candidate_promotes_and_swaps(self, tmp_path):
-        incumbent = small_plan()
-        registry = make_registry(tmp_path, incumbent, small_plan())
+    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    def test_clean_candidate_promotes_and_swaps(self, scheme, tmp_path):
+        incumbent = small_plan(scheme)
+        registry = make_registry(tmp_path, incumbent, small_plan(scheme))
         utterances = make_utterances(8)
         candidate_path = str(registry.resolve("am", "v2").artifact_path)
         fabric = ServingFabric.from_registry(
@@ -794,9 +801,10 @@ class TestCanaryRollout:
         assert registry.resolve("am", "v2").status == "serving"
         assert registry.resolve("am", "v1").status == "superseded"
 
-    def test_crash_during_canary_recovers_and_rolls_back(self, tmp_path):
-        incumbent = small_plan()
-        registry = make_registry(tmp_path, incumbent, small_plan(seed=1))
+    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    def test_crash_during_canary_recovers_and_rolls_back(self, scheme, tmp_path):
+        incumbent = small_plan(scheme)
+        registry = make_registry(tmp_path, incumbent, small_plan(scheme, seed=1))
         utterances = make_utterances(6)
         incumbent_path = str(registry.resolve("am", "v1").artifact_path)
         fabric = ServingFabric.from_registry(

@@ -30,6 +30,7 @@ from repro.kernels.registry import KernelRegistry
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import BlockGrid, grid_for
 from repro.sparse.bspc import BSPCMatrix
+from repro.sparse.csr import CSRMatrix
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
 
@@ -529,14 +530,15 @@ class TestFusedStepOperands:
             want, state = plan.run_chunk(x)
         assert logits.tobytes() == want.tobytes()
         assert carry.tobytes() == state.layer_states[0].tobytes()
+        f32 = np.float32
         for ops in (
-            [project, (recur[0], recur[1], np.zeros(72))],  # the candidate gate's bias: (H,)
-            [(project[0], project[1], np.zeros(71)), recur],
+            [project, (recur[0], recur[1], np.zeros(72, f32))],  # the candidate gate's bias: (H,)
+            [(project[0], project[1], np.zeros(71, f32)), recur],
             [project, (recur[0], bsp_matrix(), recur[2])],  # (3H, H) only
-            [(project[0], bsp_matrix(), np.zeros(48)), recur],  # 48 wide gates, H = 24
+            [(project[0], bsp_matrix(), np.zeros(48, f32)), recur],  # 48 wide gates, H = 24
             [project, recur, project],  # D = 8 after H = 24
-            [project, (recur[0], recur[1], np.zeros(24, dtype=np.float32))],
-            [(project[0], project[1], np.zeros(144)[::2]), recur],  # right shape, wrong memory
+            [project, (recur[0], recur[1], np.zeros(24))],  # float64
+            [(project[0], project[1], np.zeros(144, f32)[::2]), recur],  # right shape, wrong memory
         ):
             with pytest.raises(ShapeError):
                 compiled.PlanProgram(ops)
@@ -549,9 +551,9 @@ def test_batch_major_projection_equals_spmm_plus_bias(count):
     matrix = bsp_matrix()
     x = new_rng(count).standard_normal((count, 2 * 64))[:, ::2]
     x[0] *= 1e-3  # scales differ per row
-    bias = new_rng(1).standard_normal(48)
+    bias = new_rng(1).standard_normal(48).astype(np.float32)
     want = kernels.spmm_int8(matrix, x.T, backend="reference").T + bias
-    out = np.full((count, 48), np.nan)
+    out = np.full((count, 48), np.nan, dtype=np.float32)
     panel = compiled._plan_panel(int8_bspc_plan(matrix))
     assert compiled.panel_linear_int8(panel, x, bias, out) is out
     np.testing.assert_array_equal(out, want)
@@ -563,7 +565,7 @@ def test_batch_major_projection_equals_spmm_plus_bias(count):
 #: sha256 of :func:`golden_digest` on :func:`golden_plan`: the same on every
 #: route — the program, the generic loop on every backend, every build of
 #: the C library and no compiler at all.
-GOLDEN = "b3881e18f54fc35be93bf5b295a4c1aca5b8552cdadaaf600e3d1c1cbb95671b"
+GOLDEN = "fa1f6c76de2d4693099ee798b4349a3b262a168bce516aab3470698775e67ee3"
 
 
 def golden_plan():
@@ -1188,11 +1190,87 @@ def test_random_bspc_layouts_are_the_reference_bytes(case):
         kernels.spmv_int8(matrix, x[:, 0], backend="compiled").tobytes()
         == kernels.spmv_int8(matrix, x[:, 0], backend="reference").tobytes()
     )
-    bias = rng.standard_normal(rows) if biased else None
-    out = np.empty((batch, rows))
+    bias = rng.standard_normal(rows).astype(np.float32) if biased else None
+    out = np.empty((batch, rows), dtype=np.float32)
     panel = compiled._plan_panel(int8_bspc_plan(matrix))
     compiled.panel_linear_int8(panel, np.ascontiguousarray(x.T), bias, out)
     assert out.tobytes() == (want.T if bias is None else want.T + bias).tobytes()
+
+
+class TestSumsPastFloat32:
+    """Above 2**24 an int32 sum is not a float32: every route converts it
+    the same way, rounding to nearest, ties to even (``cvtdq2ps`` =
+    ``astype(np.float32)``), never by truncation."""
+
+    #: Kept columns of code 127 per row: 127 * 127 * 1041 > 2**24.
+    KEPT = 1041
+
+    @classmethod
+    def rows(cls):
+        """(8, KEPT + 8) integer weights, peak 127 (weight scale 1): KEPT
+        columns of 127, then row r's code r in one more column — sums
+        127 * (127 * KEPT + r) on both residues mod 4 of a float32 tie."""
+        weight = np.zeros((8, cls.KEPT + 8))
+        weight[:, : cls.KEPT] = 127.0
+        weight[np.arange(8), cls.KEPT + np.arange(8)] = np.arange(8)
+        return weight
+
+    @staticmethod
+    def nearest(total):
+        """``total`` rounded to float32 by hand: to the nearest multiple
+        of the spacing at its magnitude, ties to even (Python's round)."""
+        spacing = 2 ** max(int(total).bit_length() - 24, 0)
+        return float(round(total / spacing) * spacing)
+
+    def expected(self):
+        sums = [127 * int(row.sum()) for row in self.rows()]
+        assert min(sums) > 2**24 and {s % 4 for s in sums} >= {1, 3}
+        want = np.array([self.nearest(s) for s in sums], dtype=np.float32)
+        truncated = np.array([s - s % 2 for s in sums], dtype=np.float32)
+        assert (want != truncated).any()  # a truncating route shows
+        return want
+
+    def test_the_sparse_ops_round_to_nearest(self):
+        # a constant operand of 127s: codes 127, activation scale 1
+        weight, want = self.rows(), self.expected()
+        x = np.full((weight.shape[1], 3), 127.0)
+        for matrix in (full_matrix(weight), CSRMatrix.from_dense(weight)):
+            for backend in kernels.backends():
+                got = kernels.spmm_int8(matrix, x, backend=backend)
+                assert got.dtype == np.float32
+                assert got.T.tobytes() == np.tile(want, (3, 1)).tobytes(), backend
+                vector = kernels.spmv_int8(matrix, x[:, 0], backend=backend)
+                assert vector.tobytes() == want.tobytes(), backend
+
+    def test_the_program_and_every_generic_loop_round_to_nearest(self):
+        # One saturated GRU layer: every state is exactly 1.0, so the
+        # output layer's operand is constant (codes 127, scale 1 / 127) and
+        # its rows sum past 2**24.
+        hidden = self.KEPT + 8
+        config = AcousticModelConfig(input_dim=8, hidden_size=hidden, num_layers=1, num_classes=8)
+        model = GRUAcousticModel(config, rng=0).eval()
+        params = dict(model.named_parameters())
+        params["gru.cell0.weight_ih"].data[...] = new_rng(1).uniform(0.5, 1.0, (3 * hidden, 8))
+        recurrent = params["gru.cell0.weight_hh"].data
+        recurrent[...] = 0.0
+        recurrent[:8, :8] = 0.5
+        params["output.weight"].data[...] = self.rows()
+        for name, param in params.items():
+            if "bias" in name:
+                param.data[...] = 0.0
+        config = engine.EngineConfig(sparse_format="bspc")
+        with kernels.use_backend(None):
+            plan = engine.compile_model(model, scheme="int8", config=config)
+            assert plan.program is not None or not compiled.available()
+        x = np.full((3, 2, 8), 3.0)
+        want = quantized.dequantize(self.expected(), 1.0, 1.0 / 127)
+        want = np.broadcast_to(want.astype(np.float64), (3, 2, 8)).tobytes()
+        for route in ROUTES:
+            with kernels.use_backend(route):
+                for lowered in (True, False):
+                    logits, state = run_chunk(plan, x, None, lowered)
+                    assert (state.layer_states[0] == 1.0).all()
+                    assert logits.tobytes() == want, (route, lowered)
 
 
 class TestLanesKernel:
@@ -1352,17 +1430,19 @@ class TestLanesKernel:
     
         codes, scale = kernels.int8_codes(new_rng(0).standard_normal((17, 9)))
         panel = compiled.dense_int8_panel(codes, scale)
-        x, bias = new_rng(1).standard_normal((5, 9)), new_rng(2).standard_normal(17)
+        x = new_rng(1).standard_normal((5, 9))
+        bias = new_rng(2).standard_normal(17).astype(np.float32)
         want = kernels.linear_int8_rowwise(codes, scale, x, backend="reference")
-        out = np.full((5, 17), np.nan)
+        out = np.full((5, 17), np.nan, dtype=np.float32)
         assert compiled.panel_linear_int8(panel, x, bias, out) is out
         np.testing.assert_array_equal(out, want + bias)
         codes[...] = 0  # the panel copied them at bind
         np.testing.assert_array_equal(compiled.panel_linear_int8(panel, x, None, out), want)
         for bad_bias, bad_out in (
-            (bias, np.zeros((4, 17))), (bias, np.zeros((5, 17), dtype=np.float32)),
-            (bias, np.zeros((17, 5)).T), (bias, np.zeros((5, 34))[:, ::2]),
-            (bias[:16], out), (bias.astype(np.float32), out), (np.zeros(34)[::2], out),
+            (bias, np.zeros((4, 17), np.float32)), (bias, np.zeros((5, 17))),
+            (bias, np.zeros((17, 5), np.float32).T), (bias, np.zeros((5, 34), np.float32)[:, ::2]),
+            (bias[:16], out), (bias.astype(np.float64), out),
+            (np.zeros(34, np.float32)[::2], out),
         ):
             with pytest.raises(ShapeError):
                 compiled.panel_linear_int8(panel, x, bad_bias, bad_out)

@@ -113,22 +113,28 @@ def float32_valued(array):
 
 @pytest.mark.parametrize("backend", [None, "numpy", "reference"])
 def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
-    # the gates of an int8 recurrence run in float32; the states they
-    # blend are widened back into float64 arrays
+    # an int8 GRU layer computes and carries float32: init_state and
+    # run_chunk's carries are float32 (B, H) arrays, and the logits are the
+    # float32 sums widened once
     x = rng.standard_normal((3, 5, 8))
     for plan in plans.values():
+        assert all(layer.dtype == np.float32 for layer in plan.layers)
+        assert all(
+            layer.dtype == np.float32 and layer.shape == (5, h.hidden_size)
+            for layer, h in zip(plan.init_state(5).layer_states, plan.layers)
+        )
         carry = engine.PlanState(
             [rng.standard_normal((5, layer.hidden_size)) for layer in plan.layers]
         )
         with kernels.use_backend(backend):
-            assert all(layer.gate_dtype == np.float32 for layer in plan.layers)
             logits, state = plan.run_chunk(x, carry)
-        for layer in state.layer_states:
-            assert float32_valued(layer)
+        for layer, h in zip(state.layer_states, plan.layers):
+            assert layer.dtype == np.float32 and layer.shape == (5, h.hidden_size)
+        assert float32_valued(logits)
     assert float32_valued(logits)  # the bare plan's logits are its states
     assert not float32_valued(carry.layer_states[0])  # ... and its input was not
     float_plan = dict(other_plans())["None"]
-    assert float_plan.layers[0].gate_dtype == np.float64
+    assert float_plan.layers[0].dtype == np.float64
     assert not float32_valued(float_plan.run_chunk(x)[1].layer_states[0])
 
 
@@ -153,7 +159,10 @@ class TestOneCall:
                     state = plan.init_state(batch) if batch % 2 else None
                     del c_calls[:]
                     _, state = plan.run_chunk(np.ones((4, batch, 8)), state)
-                    assert c_calls == ["repro_plan_i8_chunk"]
+                    # the first chunk at a width also asks the C its arena's size
+                    assert c_calls in (
+                        ["repro_plan_i8_chunk"], ["repro_plan_i8_arena", "repro_plan_i8_chunk"]
+                    )
                     del c_calls[:]
                     plan.forward_batch(np.ones((3, batch, 8)))
                     assert c_calls == ["repro_plan_i8_chunk"]
@@ -186,6 +195,37 @@ class TestOneCall:
             assert got == stream(plan, [wide], None, lowered=False)
             assert stream(plan, [x[:9]], None) == stream(plan, [x[:9]], None, lowered=False)
 
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("steps", [1, 7, 25])
+    def test_a_chunk_writes_nothing_past_the_arena_the_c_asks_for(
+        self, plans, monkeypatch, batch, steps
+    ):
+        # The C lays the arena out and says how many bytes it takes
+        # (repro_plan_i8_arena): a buffer of exactly that size, followed by
+        # guard bytes, keeps its guard through chunks of every tile shape.
+        guard, fresh = 4096, []
+        aligned = compiled._aligned
+
+        def guarded(size):
+            raw = aligned(size + guard)
+            raw[size:] = 0xA5
+            fresh.append((raw, size))
+            return raw[:size]
+
+        monkeypatch.setattr(compiled, "_aligned", guarded)
+        x = new_rng(batch + steps).standard_normal((steps, batch, 8))
+        with kernels.use_backend(None):
+            for plan in plans.values():
+                plan.program.arena = np.empty(0, dtype=np.uint8)  # taken afresh
+                state = plan.init_state(batch)
+                for _ in range(2):  # from the zero carry, then from a carry
+                    _, state = plan.run_chunk(x, state)
+                at = plan.program.arena.ctypes.data
+                sizes = [size for raw, size in fresh if raw.ctypes.data == at]
+                assert sizes == [plan.program.arena_size(batch)]
+        # the arenas', and any work buffer grown meanwhile
+        assert all((raw[size:] == 0xA5).all() for raw, size in fresh)
+
     def test_results_never_alias_the_arena_or_each_other(self, plans, rng):
         plan = plans["bare"]  # its logits are copied out of the arena itself
         with kernels.use_backend(None):
@@ -193,7 +233,7 @@ class TestOneCall:
             logits, state = plan.run_chunk(x)
             kept = [logits.copy()] + [layer.copy() for layer in state.layer_states]
             assert plan.program.arena.size
-            plan.program.arena[:] = np.nan
+            plan.program.arena[:] = 0xFF  # a NaN in every float
             again, again_state = plan.run_chunk(x)  # ... and running again
             results = [logits] + state.layer_states
             for got, want in zip(results, kept):

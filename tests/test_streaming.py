@@ -30,6 +30,8 @@ from repro.speech.features import (
 from repro.speech.metrics import collapse_frames
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.phones import SILENCE_ID
+from repro.utils.rng import new_rng
+from test_int8_routing import run_chunk as run_plan_chunk
 
 # The chunk-exactness sweep runs under every registered backend —
 # "compiled" joins the matrix automatically on hosts with a C toolchain.
@@ -280,6 +282,85 @@ class TestOneArrayCarry:
         ):
             assert after.dtype == layer.dtype and after is not before
             np.testing.assert_array_equal(after, before.astype(layer.dtype))
+
+
+    @pytest.mark.parametrize("scheme", ["int8", "fp16"])
+    @pytest.mark.parametrize("backend", (None,) + BACKENDS)
+    def test_a_float64_carry_runs_as_its_adapted_state(self, scheme, backend, rng):
+        # a float32 plan handed a float64 carry narrows it by adapt_state's
+        # rule (astype) before the chunk: the same bytes out, a float32 carry
+        with kernels.use_backend(None):
+            plan = self.make_plan(scheme, "bspc")
+        x = rng.standard_normal((5, 3, 8))
+        wide = engine.PlanState(
+            [rng.standard_normal((3, layer.hidden_size)) for layer in plan.layers]
+        )
+        with kernels.use_backend(backend):
+            got, carry = plan.run_chunk(x, wide)
+            want, want_carry = plan.run_chunk(x, plan.adapt_state(wide))
+        assert got.tobytes() == want.tobytes()
+        for layer, a, b in zip(plan.layers, carry.layer_states, want_carry.layer_states):
+            assert a.dtype == b.dtype == layer.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+
+#: Same-architecture plans of one model under every scheme, BSPC-packed
+#: (so int8 lowers to the one-call program where there is a compiler).
+@pytest.fixture(scope="module")
+def swap_plans():
+    config = engine.EngineConfig(sparse_format="bspc", num_row_strips=4, num_col_blocks=4)
+    with kernels.use_backend(None):
+        return {
+            scheme: engine.compile_model(tiny_model(), scheme=scheme, config=config)
+            for scheme in (None, "fp16", "int8")
+        }
+
+
+@st.composite
+def scheme_swaps(draw):
+    """An utterance's frame count, the plans it runs on in order (int8 to
+    float and back, or int8 and fp16 back and forth) and where it swaps."""
+    order = draw(
+        st.sampled_from(
+            [("int8", None, "int8"), ("int8", "fp16", "int8"), ("fp16", "int8", "fp16")]
+        )
+    )
+    frames = draw(st.integers(3, 30))
+    cuts = sorted(draw(st.lists(st.integers(1, frames - 1), min_size=2, max_size=2)))
+    return order, frames, cuts, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=20, deadline=4000)
+@given(case=scheme_swaps())
+def test_a_swap_across_schemes_is_the_defined_bytes(swap_plans, case):
+    # The defined bytes: each segment through the generic loop, from the
+    # carry before it cast to its plan by adapt_state.  As served, each
+    # plan — int8 through its program — takes the carry as the plan before
+    # left it (float32 out of int8 and fp16, float64 out of a float plan)
+    # and casts it by that rule itself.
+    order, frames, cuts, seed = case
+    features = new_rng(seed).standard_normal((frames, 1, 8))
+    segments = np.split(features, cuts)
+
+    def stream(served):
+        state, logits = None, []
+        for scheme, chunk in zip(order, segments):
+            plan = swap_plans[scheme]
+            if state is not None and not served:
+                state = plan.adapt_state(state)
+            out, state = run_plan_chunk(plan, chunk, state, lowered=served)
+            logits.append(out)
+        return np.concatenate(logits), state
+
+    with kernels.use_backend(None):
+        want, want_state = stream(served=False)
+        got, state = stream(served=True)
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip(state.layer_states, want_state.layer_states):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert decode_utterance(got[:, 0], min_duration=2) == decode_utterance(
+        want[:, 0], min_duration=2
+    )
 
 
 # ---------------------------------------------------------------------------
