@@ -125,7 +125,9 @@ WINDOW = 16
 #     integer arithmetic: int32 inner chunks of at most ACC_CHUNK
 #     products (|sum| <= 127*127*8192 < 2^31) flushed into int64;
 #   * the BSPC kernel walks the same strip-panel structure the numpy
-#     backend executes: gather one strip's activation codes, then run an
+#     backend executes: gather one strip's activation codes (through its
+#     kept columns — 64 at a time by byte permutes where the build has
+#     AVX-512 VBMI, byte by byte elsewhere: the same codes), then run an
 #     integer microkernel over the strip's contiguous int8 codes;
 #   * per-sample results never depend on which other rows/columns share
 #     the call — the property the streaming engine's chunk-exactness
@@ -152,12 +154,22 @@ typedef uint8_t u8;
  * two to counter PH_x.  They exist only in a -DREPRO_PHASES build
  * (build_library(phases=True)); everywhere else both compile to nothing.
  * Cumulative, process-wide, not atomic; repro_phase_ticks reads and
- * clears them.  Ticks are the time-stamp counter on x86, ns elsewhere. */
+ * clears them.  Ticks are the time-stamp counter on x86, ns elsewhere.
+ * On x86 an lfence on either side of each read serializes it: the phase
+ * before has finished when the counter is read, and the next has not
+ * begun, so no phase's tail is counted in the next one's interval. */
 enum { PH_QUANTIZE, PH_GATHER, PH_MAC, PH_EPILOGUE, PH_GATES, PH_CHUNK, PH_COUNT };
 #ifdef REPRO_PHASES
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
-#define REPRO_TICKS() __rdtsc()
+static inline uint64_t repro_tsc(void)
+{
+    _mm_lfence();
+    const uint64_t now = __rdtsc();
+    _mm_lfence();
+    return now;
+}
+#define REPRO_TICKS() repro_tsc()
 #else
 #include <time.h>
 static uint64_t repro_ns(void)
@@ -263,7 +275,10 @@ API void repro_csr_spmm_i8(
 #     VNNI (`vpdpbusd`: unsigned x signed bytes, so activations are
 #     gathered as code + 128 and each accumulator starts at -128 * its
 #     row's code sum, packed in front of the strip's codes) and 2
-#     elsewhere (codes widened to int16 for `pmaddwd`).  Each strip's sums
+#     elsewhere (codes widened to int16 for `pmaddwd`).  The quad form
+#     gathers by byte permutes where the build has AVX-512 VBMI
+#     (gather_permute), through selectors packed after each strip's codes.
+#     Each strip's sums
 #     land right after the kept rows of the strips before it, so a
 #     column's sums are its kept rows' in output-row order (a BSPCMatrix's
 #     strips are row ranges in order, their kept rows increasing), and the
@@ -319,10 +334,22 @@ typedef i16 gath_t;
 #define LANES_PAD $LANES_PAD  /* a multiple of every LANES */
 #define WINDOW $WINDOW  /* output rows per epilogue window: one 16-bit mask */
 
+/* The quad form gathers a strip's activation codes 64 kept columns at a
+ * time by byte permutes where the build has AVX-512 VBMI (gather_permute)
+ * and the operand is narrow enough for byte selectors: its 128-byte blocks
+ * numbered below NO_BLOCK. */
+#if KGROUP == 4 && defined(__AVX512VBMI__)
+#define GATHER_PERMUTE 1
+#define NO_BLOCK 255
+#else
+#define GATHER_PERMUTE 0
+#endif
+
 /* One int8 weight as the product reads it: `rows` output rows of an
  * `n`-wide operand, the panel's sizes, its codes, gather columns and
- * scatter rows, the rows-in-lanes kernel's packed codes and the layout of
- * its sums (null where it does not apply: see repro_bspc_i8_nb), the
+ * scatter rows, the rows-in-lanes kernel's packed codes (with the
+ * selectors of its gather, where it permutes) and the layout of its sums
+ * (null where it does not apply: see repro_bspc_i8_nb), the
  * weight scale.  As an op of a lowered plan also what the op is and adds
  * to the product (a float32 bias) — PLAN_PROJECT: x @ W.T + bias into the
  * gates of the PLAN_GRU after it, whose bias is the candidate gate's;
@@ -349,21 +376,73 @@ static void bspc_epilogue(
 API i64 repro_i8_lanes(void) { return LANES; }
 API i64 repro_i8_kgroup(void) { return LANES ? KGROUP : 0; }
 
+/* Bytes of one packed strip's codes (a multiple of 64: LANES_PAD rows of
+ * 4-byte heads and KGROUP-byte groups), and of the selectors of its gather
+ * that follow them: per block of 64 kept columns 64 bytes of each column's
+ * low 7 bits, then 64 of its 128-byte operand block; after the blocks, a
+ * byte pair per block, the first and last operand block it touches. */
+static i64 pack_codes(i64 mr, i64 mc)
+{
+    const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
+    return (LANES_HEAD + (mc + KGROUP - 1) / KGROUP * KGROUP) * mrp;
+}
+
+static i64 pack_selectors(i64 mc, i64 n)
+{
+#if GATHER_PERMUTE
+    const i64 blocks = (mc + 63) / 64;
+    if (n < 128 * NO_BLOCK) return 128 * blocks + (2 * blocks + 63) / 64 * 64;
+#endif
+    (void)mc, (void)n;
+    return 0;
+}
+
+#if GATHER_PERMUTE
+/* The selectors of one strip's gather columns gc[mc] (pack_selectors); a
+ * lane past mc has block NO_BLOCK, which no permute takes. */
+static void gather_selectors(i64 mc, const i64 *gc, u8 *sel)
+{
+    const i64 blocks = (mc + 63) / 64;
+    u8 *range = sel + 128 * blocks;
+    for (i64 kb = 0; kb < blocks; kb++, sel += 128) {
+        u8 first = NO_BLOCK, last = 0;
+        for (i64 l = 0, k = 64 * kb; l < 64; l++, k++) {
+            if (k >= mc) {
+                sel[64 + l] = NO_BLOCK;
+                continue;
+            }
+            const u8 block = (u8)(gc[k] >> 7);
+            sel[l] = (u8)(gc[k] & 127);
+            sel[64 + l] = block;
+            first = block < first ? block : first;
+            last = block > last ? block : last;
+        }
+        range[2 * kb] = first;
+        range[2 * kb + 1] = last;
+    }
+}
+#endif
+
 /* How many bytes the int8 codes (strips, mr, mc) take packed for the
  * rows-in-lanes kernel — 0: not in this build, or a strip longer than one
  * int32 sum takes — and, given somewhere to put them, the pack: per strip,
  * rows zero-padded to LANES_PAD, LANES_HEAD bytes a row (-GATH_BIAS * its
  * code sum, which cancels the activations' bias), then the codes as
- * [k-group][row][KGROUP], the last group zero-padded. */
-API i64 repro_i8_pack(i64 strips, i64 mr, i64 mc, const i8 *codes, i8 *pack)
+ * [k-group][row][KGROUP], the last group zero-padded, then the selectors
+ * that gather its columns gcols[strip][mc] of an n-wide operand. */
+API i64 repro_i8_pack(
+    i64 strips, i64 mr, i64 mc, i64 n, const i8 *codes, const i64 *gcols, i8 *pack)
 {
     const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
-    const i64 kp = (mc + KGROUP - 1) / KGROUP;
-    const i64 each = LANES && mc <= ACC_CHUNK ? (LANES_HEAD + kp * KGROUP) * mrp : 0;
+    const i64 coded = LANES && mc <= ACC_CHUNK ? pack_codes(mr, mc) : 0;
+    const i64 each = coded ? coded + pack_selectors(mc, n) : 0;
     if (!pack) return strips * each;
     memset(pack, 0, (size_t)(strips * each));
-    for (i64 s = 0; s < strips; s++, pack += each, codes += mr * mc) {
+    for (i64 s = 0; s < strips; s++, pack += each, codes += mr * mc, gcols += mc) {
         i8 *to = pack + LANES_HEAD * mrp;
+#if GATHER_PERMUTE
+        if (each > coded) gather_selectors(mc, gcols, (u8 *)pack + coded);
+#endif
         for (i64 i = 0; i < mr; i++) {
             i32 start = 0;
             for (i64 k = 0; k < mc; k++) start -= GATH_BIAS * codes[i * mc + k];
@@ -548,6 +627,48 @@ static void bspc_lanes_strip(
 }
 #endif
 
+#if GATHER_PERMUTE
+/* The first `count` of 64 byte lanes (none for count <= 0). */
+static inline __mmask64 first_lanes(i64 count)
+{
+    return count >= 64 ? ~(__mmask64)0 : count <= 0 ? 0 : ((__mmask64)1 << count) - 1;
+}
+
+/* One strip's activation codes, 64 kept columns at a time: for each
+ * 128-byte block b of an operand row that the columns touch, one vpermi2b
+ * of its two halves picks the columns whose block is b (their low 7 bits
+ * index the pair), and the picks are OR'd.  Then + GATH_BIAS on the kept
+ * lanes, so the padding of the last k-group stays 0, and ld bytes a row
+ * stored.  Loads past the row's n bytes and stores past its ld are masked
+ * off: nothing outside either is touched.  The same codes in the same
+ * places as the byte-by-byte loop. */
+static void gather_permute(
+    i64 batch, i64 n, i64 mc, i64 ld, const u8 *sel, const i8 *xq, gath_t *xl)
+{
+    const i64 blocks = (mc + 63) / 64;
+    const u8 *range = sel + 128 * blocks;
+    const __m512i bias = _mm512_set1_epi8((char)GATH_BIAS);
+    for (i64 kb = 0; kb < blocks; kb++) {
+        const __m512i low = _mm512_loadu_si512(sel + 128 * kb);
+        const __m512i block = _mm512_loadu_si512(sel + 128 * kb + 64);
+        const __mmask64 kept = first_lanes(mc - 64 * kb), stored = first_lanes(ld - 64 * kb);
+        for (i64 j = 0; j < batch; j++) {
+            const i8 *row = xq + j * n;
+            __m512i v = _mm512_setzero_si512();
+            for (i64 b = range[2 * kb]; b <= range[2 * kb + 1]; b++) {
+                const i64 at = 128 * b;
+                const __mmask64 in = _mm512_cmpeq_epi8_mask(block, _mm512_set1_epi8((char)b));
+                const __m512i a = _mm512_maskz_loadu_epi8(first_lanes(n - at), row + at);
+                const __m512i c = _mm512_maskz_loadu_epi8(first_lanes(n - at - 64), row + at + 64);
+                v = _mm512_or_si512(v, _mm512_maskz_permutex2var_epi8(in, a, low, c));
+            }
+            _mm512_mask_storeu_epi8(xl + j * ld + 64 * kb, stored,
+                                    _mm512_mask_add_epi8(v, kept, v, bias));
+        }
+    }
+}
+#endif
+
 /* R rows x NB columns of one strip; R and NB are literals at every call
  * site, so the accumulators are registers and the k loop vectorizes. */
 static inline __attribute__((always_inline)) void bspc_nb_block(
@@ -604,7 +725,8 @@ static i64 bspc_lda(const plan_op *p)
  * the transpose of its result.  `bias` (null: none) is added to every row
  * of every column.  p->lanes is
  * the packed strips of the rows-in-lanes kernel (each its sums'
- * LANES_HEAD, then its codes), null where the caller found it does not
+ * LANES_HEAD, then its codes, then the selectors of its gather where the
+ * build permutes: repro_i8_pack), null where the caller found it does not
  * apply, and p->layout where its sums go: per strip the offset of its
  * first sum in a column's (the kept rows of the strips before it), then
  * the epilogue's windows (see bspc_epilogue).  `work` is scratch: batch
@@ -630,7 +752,14 @@ static void repro_bspc_i8_nb(
         if (wide) {
             const i64 kp = (mc + KGROUP - 1) / KGROUP, ld = kp * KGROUP;
             const i64 mrp = (mr + LANES_PAD - 1) / LANES_PAD * LANES_PAD;
+            const i64 coded = pack_codes(mr, mc), selectors = pack_selectors(mc, n);
+            const i8 *strip = p->lanes + s * (coded + selectors);
             gath_t *xl = (gath_t *)xg;
+#if GATHER_PERMUTE
+            if (selectors)
+                gather_permute(batch, n, mc, ld, (const u8 *)strip + coded, xq, xl);
+            else
+#endif
             for (i64 j = 0; j < batch; j++) {
                 for (i64 k = 0; k < mc; k++)
                     xl[j * ld + k] = (gath_t)(xq[j * n + gc[k]] + GATH_BIAS);
@@ -640,9 +769,8 @@ static void repro_bspc_i8_nb(
             TIC(mac);
             /* from the strip before's first padding lane on */
             for (i64 jb = 0; jb < batch; jb += 8)
-                bspc_lanes_strip(batch - jb, kp, mrp,
-                                 p->lanes + s * (LANES_HEAD + ld) * mrp,
-                                 xl + jb * ld, lda, work + jb * lda + layout[s]);
+                bspc_lanes_strip(batch - jb, kp, mrp, strip, xl + jb * ld, lda,
+                                 work + jb * lda + layout[s]);
             TOC(mac, PH_MAC);
             continue;
         }
@@ -1211,7 +1339,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
         "repro_i8_lanes": (),
         "repro_i8_kgroup": (),
-        "repro_i8_pack": (i64, i64, i64, ptr, ptr),
+        "repro_i8_pack": (i64, i64, i64, i64, ptr, ptr, ptr),
         "repro_phase_ticks": (ptr,),
         "repro_bspc_i8_rows": (ptr, i64, ptr, ptr, ptr, ptr),
         "repro_plan_i8_arena": (ptr, i64, i64),
@@ -1400,8 +1528,14 @@ class _Panel:
     sums go: each strip's first sum comes right after the kept rows of the
     strips before it, and per :data:`WINDOW` output rows one
     ``offset << 16 | mask`` says which of them are kept and where the
-    first kept one's sum sits.  The scatter rows' kept entries (those
-    below ``shape[0]``) must increase strip after strip — what a
+    first kept one's sum sits.  Where the library gathers by byte permutes
+    (AVX-512 VBMI beside VNNI), the selectors of each strip's gather live in
+    that pack too, right after the strip's codes — per 64 kept columns each
+    column's low 7 bits and 128-byte operand block, and the first and last
+    block they touch — built from ``gather_cols`` and the operand width
+    ``shape[1]`` by the same call: Python neither sees nor sizes them.
+    The scatter rows' kept entries (those below ``shape[0]``) must
+    increase strip after strip — what a
     ``BSPCMatrix`` guarantees, and a dense weight's identity — so that
     compact order is output-row order.  ``acc`` is the int32 sums that
     kernel keeps per column of the product (0: not packed), ``lda`` the
@@ -1414,14 +1548,15 @@ class _Panel:
         lib: Optional[ctypes.CDLL] = None,
     ) -> None:
         codes = _i8(codes)  # C reads them by address, twice over
+        gather_cols = np.ascontiguousarray(gather_cols, dtype=np.int64)  # ... and these
         strips, mr, mc = self.sizes = codes.shape
         self.shape, self.scale, self.acc = shape, scale, 0
         lib = _library() if lib is None else lib
         packed = layout = None
-        size = lib.repro_i8_pack(strips, mr, mc, None, None)
+        size = lib.repro_i8_pack(strips, mr, mc, shape[1], None, None, None)
         if size:
             packed = _aligned(size)
-            lib.repro_i8_pack(strips, mr, mc, _p(codes), _p(packed))
+            lib.repro_i8_pack(strips, mr, mc, shape[1], _p(codes), _p(gather_cols), _p(packed))
             rows = shape[0]
             kept = scatter_rows < rows
             counts = kept.sum(axis=1)

@@ -43,14 +43,30 @@ requires_vnni = pytest.mark.skipif(
 )
 
 
-def host_contracts_fma():
-    """Whether ``-march=native`` lets this host's compiler emit FMAs."""
-    if platform.machine().lower() in ("aarch64", "arm64"):
-        return True
+def host_has(flag):
+    """Whether this host's CPU lists ``flag`` (``/proc/cpuinfo``)."""
     try:
-        return " fma " in Path("/proc/cpuinfo").read_text()
+        return f" {flag} " in Path("/proc/cpuinfo").read_text()
     except OSError:
         return False
+
+
+def host_contracts_fma():
+    """Whether ``-march=native`` lets this host's compiler emit FMAs."""
+    return platform.machine().lower() in ("aarch64", "arm64") or host_has("fma")
+
+
+#: The quad form's gather permutes where the build has AVX-512 VBMI.
+requires_vbmi = pytest.mark.skipif(
+    compiled.kgroup() != 4 or not host_has("avx512vbmi"),
+    reason="C library built without the permuted gather (AVX-512 VNNI and VBMI)",
+)
+
+
+def packed_bytes():
+    """Bytes the loaded library packs a 16 x 64 strip of a 64-wide operand
+    in: its codes, and the selectors of its gather where it permutes."""
+    return compiled._library().repro_i8_pack(1, 16, 64, 64, None, None, None)
 
 
 def load_second_build(tmp_path, monkeypatch, edit=None, flags=None, probe=True):
@@ -222,9 +238,47 @@ def test_dropping_the_offset_initialiser_changes_the_product(tmp_path, monkeypat
     assert not np.array_equal(got, kernels.spmv_int8(matrix, x[:, 0], backend="reference"))
 
 
+@requires_vbmi
+def test_comparing_against_the_wrong_operand_block_fails_the_layout_property(
+    tmp_path, monkeypatch
+):
+    # each permute of the gather takes the columns whose 128-byte block is
+    # the one it loaded; picking the neighbouring block's columns gathers
+    # the wrong codes (or none)
+    from test_int8_routing import test_random_bspc_layouts_are_the_reference_bytes as layouts
+
+    pick = "_mm512_set1_epi8((char)b)"
+    assert compiled._C_SOURCE.count(pick) == 1
+    layouts()
+    load_wrong_build(
+        tmp_path, monkeypatch, lambda c: c.replace(pick, "_mm512_set1_epi8((char)(b ^ 1))")
+    )
+    with pytest.raises(AssertionError):
+        layouts()
+
+
 # ---------------------------------------------------------------------------
 # The builds this host's own skips: the same bytes, the golden digest
 # ---------------------------------------------------------------------------
+@requires_vbmi
+def test_the_build_without_vbmi_streams_the_same_bytes(tmp_path, monkeypatch):
+    # the byte-by-byte gather of the quad form, which this host's own
+    # build replaces with permutes; its packs hold no selectors
+    native, permuted = streamed_auto_plan(), packed_bytes()
+    load_second_build(tmp_path, monkeypatch, flags=("-march=native", "-mno-avx512vbmi"))
+    assert (compiled.lanes(), compiled.kgroup()) == (16, 4)
+    assert packed_bytes() < permuted
+    assert streamed_auto_plan() == native
+    assert lowered_golden() == GOLDEN
+    for batch in (1, 2, 8, 9, 16):
+        x = new_rng(batch).standard_normal((300, batch))
+        for matrix in (bsp_matrix(), bsp_matrix(shape=(48, 300))):
+            np.testing.assert_array_equal(
+                kernels.spmm_int8(matrix, x[: matrix.grid.cols], backend="compiled"),
+                kernels.spmm_int8(matrix, x[: matrix.grid.cols], backend="reference"),
+            )
+
+
 @requires_vnni
 def test_the_build_without_vnni_streams_the_same_bytes(tmp_path, monkeypatch):
     # the pair / pmaddwd form of the same microkernel, which this host's

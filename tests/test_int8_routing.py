@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import engine, kernels
@@ -69,11 +69,11 @@ def full_matrix(weight, strips=1):
     return BSPCMatrix.from_dense(weight, grid_for(weight, strips, 1))
 
 
-def bsp_int8_plan(hidden=24, seed=0, sparse_format="bspc", col_rate=4):
+def bsp_int8_plan(hidden=24, seed=0, sparse_format="bspc", col_rate=4, input_dim=8):
     """``sparse_format="auto"`` leaves the unpruned layer-0 input weight
     dense (the bench workloads' shape); ``"bspc"`` packs all four slots.
     Pruned ``col_rate`` x 2."""
-    config = AcousticModelConfig(input_dim=8, hidden_size=hidden, num_layers=2)
+    config = AcousticModelConfig(input_dim=input_dim, hidden_size=hidden, num_layers=2)
     model = GRUAcousticModel(config, rng=seed).eval()
     masks = bsp_project_masks(
         model.prunable_weights(),
@@ -1149,47 +1149,90 @@ def wide_matrix():
     return full_matrix(np.ones((5, compiled.ACC_CHUNK + 1)))
 
 
+class Weight:
+    """A BSPC weight under the recipe that made it, which is all a case of
+    the property below prints (the matrix's own repr is its arrays)."""
+
+    def __init__(self, recipe, matrix):
+        self.recipe, self.matrix = recipe, matrix
+
+    def __repr__(self):
+        return self.recipe
+
+
 @st.composite
 def bspc_layouts(draw):
-    """A BSPC weight of any layout the epilogue's windows must cover: rows
-    off the 16-row windows, strip bounds anywhere, strips of 1, 3, 5 rows
-    and longer, whole strips and blocks pruned;
-    ``(matrix, batch, biased, seed)``."""
-    rows, cols = draw(st.integers(1, 70)), draw(st.integers(1, 24))
+    """A BSPC weight of any layout the epilogue's windows and the gather
+    must cover: rows off the 16-row windows, strip bounds anywhere, strips
+    of 1, 3, 5 rows and longer, whole strips and blocks pruned, operands of
+    one to three 128-byte blocks whose width is mostly off a multiple of
+    64, kept columns on both sides of 64 and 128;
+    ``(Weight, batch, biased, seed)``."""
+    rows, cols = draw(st.integers(1, 70)), draw(st.integers(1, 300))
     grid = BlockGrid(
         rows, cols, draw(st.integers(1, min(rows, 24))), draw(st.integers(1, min(cols, 3)))
     )
-    row_density, col_density, strip_density = (
+    densities = row_density, col_density, strip_density = tuple(
         draw(st.sampled_from([0.2, 0.6, 1.0])) for _ in range(3)
     )
     seed = draw(st.integers(0, 2**16))
     rng = new_rng(seed)
-    weight = rng.standard_normal((rows, cols))
-    weight[rng.uniform(size=rows) >= row_density] = 0.0
+    dense = rng.standard_normal((rows, cols))
+    dense[rng.uniform(size=rows) >= row_density] = 0.0
     for r0, r1 in grid.row_bounds():
         if rng.uniform() >= strip_density:
-            weight[r0:r1] = 0.0
+            dense[r0:r1] = 0.0
         for c0, c1 in grid.col_bounds():
-            weight[r0:r1, c0:c1][:, rng.uniform(size=c1 - c0) >= col_density] = 0.0
-    matrix = BSPCMatrix.from_dense(weight, grid)
-    return matrix, draw(st.integers(1, 17)), draw(st.booleans()), seed
+            dense[r0:r1, c0:c1][:, rng.uniform(size=c1 - c0) >= col_density] = 0.0
+    recipe = f"layout({grid}, densities={densities}, seed={seed})"
+    weight = Weight(recipe, BSPCMatrix.from_dense(dense, grid))
+    return weight, draw(st.integers(1, 17)), draw(st.booleans()), seed
 
 
-@requires_compiler
+def sparse_columns(cols, kept):
+    """Four rows of a ``cols``-wide weight, ``kept`` columns nonzero: few
+    kept columns spread over a wide operand."""
+    rng = new_rng(cols)
+    weight = np.zeros((4, cols))
+    weight[:, rng.choice(cols, kept, replace=False)] = rng.standard_normal((4, kept))
+    weight[:, cols - 1] = 1.0  # the last 128-byte block, however short
+    return Weight(f"sparse_columns({cols}, {kept})", full_matrix(weight))
+
+
+def layout_examples(test):
+    """Every case of the permuted gather the property must run whatever it
+    draws."""
+    # mc on both sides of 64 and 128 over operands of one, two and three
+    # 128-byte blocks; a few kept columns spread over the widest operand
+    # byte selectors take (its last block is 254) and the narrowest they
+    # do not (the byte-by-byte loop's).
+    for cols in (63, 64, 65, 127, 128, 129, 255, 256, 257, 300):
+        weight = Weight(f"dense 20 x {cols}", full_matrix(new_rng(cols).standard_normal((20, cols))))
+        for batch in (1, 8):
+            test = example(case=(weight, batch, True, cols + batch))(test)
+    for cols in (128 * 255 - 1, 128 * 255):
+        test = example(case=(sparse_columns(cols, 150), 3, False, cols))(test)
+    return test
+
+
 @settings(max_examples=30, deadline=2000)
 @given(case=bspc_layouts())
+@layout_examples
 def test_random_bspc_layouts_are_the_reference_bytes(case):
-    matrix, batch, biased, seed = case
+    weight, batch, biased, seed = case
+    matrix = weight.matrix
     rows, cols = matrix.grid.shape
     rng = new_rng(seed + 1)
     x = rng.standard_normal((cols, batch))
     x[:, 0] *= 1e-3  # scales differ per column
     want = kernels.spmm_int8(matrix, x, backend="reference")
-    assert kernels.spmm_int8(matrix, x, backend="compiled").tobytes() == want.tobytes()
-    assert (
-        kernels.spmv_int8(matrix, x[:, 0], backend="compiled").tobytes()
-        == kernels.spmv_int8(matrix, x[:, 0], backend="reference").tobytes()
-    )
+    vector = kernels.spmv_int8(matrix, x[:, 0], backend="reference")
+    for backend in kernels.backends():
+        assert kernels.spmm_int8(matrix, x, backend=backend).tobytes() == want.tobytes(), backend
+        assert kernels.spmv_int8(matrix, x[:, 0], backend=backend).tobytes() == vector.tobytes()
+    if not compiled.available() or not int8_bspc_plan(matrix).base.panels.size:
+        return
+    assert takes_lanes(matrix) == has_lanes()  # every drawn strip fits one int32 sum
     bias = rng.standard_normal(rows).astype(np.float32) if biased else None
     out = np.empty((batch, rows), dtype=np.float32)
     panel = compiled._plan_panel(int8_bspc_plan(matrix))

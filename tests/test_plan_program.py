@@ -59,6 +59,16 @@ def plans():
     return make_plans()
 
 
+@pytest.fixture(scope="module")
+def wide_plan():
+    """Operands 5 and 100 wide, neither a multiple of 64, the 100-wide one
+    gathered from one short 128-byte block; the neediest product, the dense
+    5-column projection, stores its gathered codes up to the end of its
+    scratch."""
+    with kernels.use_backend(None):
+        return bsp_int8_plan(hidden=100, sparse_format="auto", input_dim=5)
+
+
 def stream(plan, chunks, state, lowered=True):
     """Per-chunk logits and the final carry, as bytes.  ``lowered=False``
     withholds the program from every chunk (:func:`run_chunk`): the
@@ -198,11 +208,14 @@ class TestOneCall:
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("steps", [1, 7, 25])
     def test_a_chunk_writes_nothing_past_the_arena_the_c_asks_for(
-        self, plans, monkeypatch, batch, steps
+        self, plans, wide_plan, monkeypatch, batch, steps
     ):
         # The C lays the arena out and says how many bytes it takes
-        # (repro_plan_i8_arena): a buffer of exactly that size, followed by
-        # guard bytes, keeps its guard through chunks of every tile shape.
+        # (repro_plan_i8_arena), and a product's work scratch is 8 *
+        # program._work int32 (lane sums, then the gathered codes, which
+        # the gather stores ld bytes a row of): buffers of exactly those
+        # sizes, followed by guard bytes, keep their guard through chunks
+        # of every tile shape.
         guard, fresh = 4096, []
         aligned = compiled._aligned
 
@@ -213,17 +226,17 @@ class TestOneCall:
             return raw[:size]
 
         monkeypatch.setattr(compiled, "_aligned", guarded)
-        x = new_rng(batch + steps).standard_normal((steps, batch, 8))
         with kernels.use_backend(None):
-            for plan in plans.values():
+            for plan in (*plans.values(), wide_plan):
+                x = new_rng(batch + steps).standard_normal((steps, batch, plan.input_dim))
                 plan.program.arena = np.empty(0, dtype=np.uint8)  # taken afresh
+                monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # ... and so is this
                 state = plan.init_state(batch)
                 for _ in range(2):  # from the zero carry, then from a carry
                     _, state = plan.run_chunk(x, state)
-                at = plan.program.arena.ctypes.data
-                sizes = [size for raw, size in fresh if raw.ctypes.data == at]
-                assert sizes == [plan.program.arena_size(batch)]
-        # the arenas', and any work buffer grown meanwhile
+                sizes = {raw.ctypes.data: size for raw, size in fresh}
+                assert sizes[plan.program.arena.ctypes.data] == plan.program.arena_size(batch)
+                assert sizes[compiled._SCRATCH.work[1]] == 4 * 8 * plan.program._work
         assert all((raw[size:] == 0xA5).all() for raw, size in fresh)
 
     def test_results_never_alias_the_arena_or_each_other(self, plans, rng):
