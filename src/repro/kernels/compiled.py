@@ -942,16 +942,17 @@ static inline f32x16 clamp16(f32x16 x)
     return (f32x16)((m & (i32x16)F32X16(EXP_HI)) | (~m & (i32x16)x));
 }
 
-/* exp32: clamp, k = round(x log2 e) by the 1.5 * 2^23 sum, r = x - k ln 2
- * (Cody–Waite), the polynomial, times 2^k made from the sum's low bits. */
+/* exp32: clamp, t = x log2 e, k = round(t) by the 1.5 * 2^23 sum, f = t - k
+ * (exact, |f| <= 1/2), 2^f by the degree-5 polynomial in Estrin form (its
+ * three binomials independent: six operations from f to 2^f), times 2^k
+ * made from the sum's low bits. */
 static inline f32x16 exp16(f32x16 x)
 {
-    x = clamp16(x);
-    const f32x16 s = x * LOG2E + ROUND;
-    const f32x16 k = s - ROUND;
-    const f32x16 r = (x - k * LN2_HI) - k * LN2_LO;
-    const f32x16 q = (((P6 * r + P5) * r + P4) * r + P3) * r + P2;
-    const f32x16 p = (q * (r * r) + r) + 1.0f;
+    const f32x16 t = clamp16(x) * LOG2E;
+    const f32x16 s = t + ROUND;
+    const f32x16 f = t - (s - ROUND);
+    const f32x16 f2 = f * f;
+    const f32x16 p = (C1 * f + 1.0f) + f2 * ((C3 * f + C2) + f2 * (C5 * f + C4));
     return p * (f32x16)(((u32x16)s << 23) + 0x3F800000u);
 }
 
@@ -1189,7 +1190,7 @@ def _expand8() -> str:
 def _exp_defines() -> str:
     """The constants of :func:`repro.kernels._math.exp32` as C defines of
     the very same float32 values (hex literals: no decimal rounding)."""
-    names = ("EXP_LO", "EXP_HI", "LOG2E", "ROUND", "LN2_HI", "LN2_LO", "P2", "P3", "P4", "P5", "P6")
+    names = ("EXP_LO", "EXP_HI", "LOG2E", "ROUND", "C1", "C2", "C3", "C4", "C5")
     return "\n".join(f"#define {name} {float(getattr(_math, name)).hex()}f" for name in names)
 
 
