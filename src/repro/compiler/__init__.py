@@ -32,7 +32,6 @@ from repro.compiler.ir import (
     WeightSlot,
     graph_from_arrays,
     graph_to_arrays,
-    resolve_slot_scheme,
 )
 from repro.compiler.load_elim import elimination_ratio, naive_loads, tiled_loads
 from repro.compiler.passes import (
@@ -68,7 +67,6 @@ __all__ = [
     "LayerGraph",
     "graph_to_arrays",
     "graph_from_arrays",
-    "resolve_slot_scheme",
     # frontends + lowering
     "CompileOptions",
     "lower_matrix",

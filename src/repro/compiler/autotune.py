@@ -297,11 +297,10 @@ def tune_plan(
        runner-up formats are tried one at a time, keeping any change that
        measures faster.
 
-    ``schemes`` beyond the first change numerics (``"fp16"``/``"int8"``
-    round weights and activations; ``"mixed"`` quantizes the projections
-    and keeps float recurrences); include them only when the deployment
-    tolerates quantization — the accuracy contracts are the engine's
-    usual per-scheme guarantees.
+    ``schemes`` are plan schemes, ``None`` (float64) and ``"int8"``;
+    ``"int8"`` rounds weights and activations, so include it only when the
+    deployment tolerates quantization — the accuracy contracts are the
+    engine's usual per-scheme guarantees.
 
     Returns a :class:`PlanTuningResult` whose ``plan`` is the winning
     compiled :class:`~repro.engine.plan.ModelPlan` and whose ``graph``

@@ -189,35 +189,19 @@ WEIGHT_OPS = (OP_LINEAR, OP_RECURRENT_MATVEC)
 NODE_KINDS = ("gru_cell", "linear", "output")
 
 GRAPH_FORMATS = ("dense", "csr", "bspc")
-#: Graph-level scheme *requests*.  ``"mixed"`` is the canonical per-layer
-#: mix: int8 input/output projections (``linear`` ops, amortized over the
-#: whole chunk) with full-precision recurrences (``recurrent_matvec``,
-#: where per-step quantization error would compound).
-GRAPH_SCHEMES = (None, "fp16", "int8", "mixed")
-#: Per-slot scheme decisions.  ``None`` means undecided (the pass pipeline
-#: resolves it from the graph scheme); ``"float"`` is an *explicit*
-#: unquantized decision, kept distinct from ``None`` so serialized slots
-#: are unambiguous.
-SLOT_SCHEMES = (None, "float", "fp16", "int8")
+#: Graph-level schemes: ``None`` (float64) or ``"int8"``.
+GRAPH_SCHEMES = (None, "int8")
+#: Per-slot scheme records.  ``None`` means not yet recorded (the pass
+#: pipeline records the graph's scheme); ``"float"`` is the explicit
+#: record of a float graph's slot, kept distinct from ``None`` so
+#: serialized slots are unambiguous.
+SLOT_SCHEMES = (None, "float", "int8")
 FORMAT_REQUESTS = (None, "auto", "dense", "csr", "bspc")
 
 
-def resolve_slot_scheme(graph_scheme: Optional[str], op: str) -> str:
-    """Map a graph-level scheme request to one slot's decision.
-
-    Uniform schemes broadcast; ``"mixed"`` quantizes the batched
-    projections (``linear``) to int8 and keeps the per-step recurrent
-    matvecs in float.
-    """
-    if graph_scheme is None:
-        return "float"
-    if graph_scheme == "mixed":
-        return "int8" if op == OP_LINEAR else "float"
-    if graph_scheme in ("fp16", "int8"):
-        return graph_scheme
-    raise CompilationError(
-        f"scheme must be one of {GRAPH_SCHEMES}, got {graph_scheme!r}"
-    )
+def slot_scheme(graph_scheme: Optional[str]) -> str:
+    """The scheme every slot of a ``graph_scheme`` graph records."""
+    return "int8" if graph_scheme == "int8" else "float"
 
 
 @dataclass(frozen=True)
@@ -263,10 +247,10 @@ class WeightSlot:
 
     ``format`` and ``scheme`` start ``None`` (undecided); the
     format-selection pass fills both, and a tuner or a loaded artifact may
-    *pin* either beforehand — pinned slots pass through the pipeline
-    untouched.  ``scheme`` is the per-slot quantization decision (one of
-    :data:`SLOT_SCHEMES`); a ``"mixed"`` graph resolves to int8
-    projections over float recurrences.  The reorder and load-elimination
+    *pin* the format beforehand — a pinned format passes through the
+    pipeline untouched.  ``scheme`` records the graph's scheme on the slot
+    (one of :data:`SLOT_SCHEMES`); a slot that records another scheme than
+    its graph's is a :class:`CompilationError`.  The reorder and load-elimination
     passes attach the analytic annotations; the kernel selection pass
     names the registry kernel the op lowers to.
 
@@ -278,7 +262,7 @@ class WeightSlot:
     op: str
     array: np.ndarray
     format: Optional[str] = None  # "dense" | "csr" | "bspc" once decided
-    scheme: Optional[str] = None  # "float" | "fp16" | "int8" once decided
+    scheme: Optional[str] = None  # "float" | "int8" once recorded
     grid: Tuple[int, int] = (8, 8)  # (num_row_strips, num_col_blocks)
     kernel: Optional[str] = None  # registry op chosen by kernel selection
     tile: TileConfig = field(default_factory=TileConfig)
@@ -365,6 +349,18 @@ class LayerGraph:
             raise CompilationError(
                 f"scheme must be one of {GRAPH_SCHEMES}, got {self.scheme!r}"
             )
+        self.check_slot_schemes()
+
+    def check_slot_schemes(self) -> None:
+        """A :class:`CompilationError` unless every slot records this
+        graph's scheme or none yet."""
+        expected = slot_scheme(self.scheme)
+        for _, _, slot in self.slots():
+            if slot.scheme not in (None, expected):
+                raise CompilationError(
+                    f"slot {slot.name!r} records scheme {slot.scheme!r}, "
+                    f"its graph {expected!r}"
+                )
 
     def slots(self) -> Iterator[Tuple[GraphNode, str, WeightSlot]]:
         """Iterate ``(node, slot_key, slot)`` in execution order."""
@@ -484,8 +480,8 @@ def graph_from_arrays(meta: Dict, arrays) -> LayerGraph:
                 op=slot_meta["op"],
                 array=np.asarray(arrays[f"n{i}.w.{key}"]),
                 format=slot_meta["format"],
-                # Older artifacts predate per-slot schemes; ``None`` lets
-                # the lowering fall back to the graph-level scheme.
+                # Older artifacts predate per-slot records; ``None`` is
+                # filled from the graph's scheme by the pass pipeline.
                 scheme=slot_meta.get("scheme"),
                 grid=tuple(slot_meta["grid"]),  # type: ignore[arg-type]
                 kernel=slot_meta.get("kernel"),

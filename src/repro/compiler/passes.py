@@ -11,14 +11,12 @@ lowering it:
 2. :func:`load_elim_pass` — redundant-load-elimination analysis
    (Section IV-B(b)); annotates per-step input-load counts.
 3. :func:`select_formats_pass` — resolve each weight's storage format
-   (dense / CSR / BSPC) *and* its per-slot quantization scheme from the
-   graph's requests, and mark the quantize boundaries those decisions
-   introduce.  Slots whose format or scheme was *pinned* beforehand (by
-   the measured auto-tuner or a loaded artifact) pass through untouched.
-   A ``"mixed"`` graph scheme resolves to int8 projections over float
-   recurrences.
+   (dense / CSR / BSPC) from the graph's request, record the graph's
+   scheme on each slot, and mark the quantize boundaries an int8 graph
+   introduces.  Slots whose format was *pinned* beforehand (by the
+   measured auto-tuner or a loaded artifact) pass through untouched.
 4. :func:`select_kernels_pass` — name the registry kernel each op lowers
-   to under the decided format and the slot's own scheme.
+   to under the decided format and the graph's scheme.
 
 ``analytic=True`` annotates every slot (the simulator prices dense
 layers too); the default annotates only sparse candidates, so compiling
@@ -35,7 +33,7 @@ from repro.compiler.ir import (
     LayerGraph,
     QuantBoundary,
     WeightSlot,
-    resolve_slot_scheme,
+    slot_scheme,
 )
 from repro.compiler.load_elim import naive_loads, tiled_loads
 from repro.compiler.reorder import identity_groups, reorder_rows
@@ -119,9 +117,8 @@ def _decide_format(slot: WeightSlot, options: GraphOptions) -> str:
 
 def _mark_boundaries(graph: LayerGraph) -> None:
     boundaries: List[QuantBoundary] = []
-    for _, _, slot in graph.slots():
-        scheme = slot.scheme or resolve_slot_scheme(graph.scheme, slot.op)
-        if scheme == "int8":
+    if graph.scheme == "int8":
+        for _, _, slot in graph.slots():
             if slot.op == OP_LINEAR:
                 # Activations quantized with one scale per frame, integer
                 # accumulate, one dequant — the chunk-exact int8 contract.
@@ -132,20 +129,17 @@ def _mark_boundaries(graph: LayerGraph) -> None:
                 boundaries.append(
                     QuantBoundary(slot=slot.name, policy="int8-weights-dequantized")
                 )
-        elif scheme == "fp16":
-            boundaries.append(
-                QuantBoundary(slot=slot.name, policy="fp16-round-weights")
-            )
     graph.boundaries = boundaries
 
 
 def select_formats_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
-    """Resolve undecided slot formats/schemes and mark quantize boundaries."""
+    """Resolve undecided slot formats, record the graph's scheme on each
+    slot, and mark quantize boundaries."""
     for _, _, slot in graph.slots():
         if slot.format is None:
             slot.format = _decide_format(slot, graph.options)
         if slot.scheme is None:
-            slot.scheme = resolve_slot_scheme(graph.scheme, slot.op)
+            slot.scheme = slot_scheme(graph.scheme)
     _mark_boundaries(graph)
     return graph
 
@@ -157,16 +151,15 @@ def kernel_for(op: str, fmt: str, scheme) -> str:
         return f"{fmt}_spmm_int8" if scheme == "int8" else f"{fmt}_spmm"
     if scheme == "int8" and op == OP_LINEAR:
         return "linear_int8_rowwise"
-    # Dense float64/fp16 projections and dense (possibly dequantized
-    # int8) recurrent steps run as plain BLAS matmuls, not registry ops.
+    # Dense float64 projections and dense (possibly dequantized int8)
+    # recurrent steps run as plain BLAS matmuls, not registry ops.
     return "blas_matmul"
 
 
 def select_kernels_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
-    """Name the kernel each weight op lowers to (format + slot scheme)."""
+    """Name the kernel each weight op lowers to (format + graph scheme)."""
     for _, _, slot in graph.slots():
-        scheme = slot.scheme or resolve_slot_scheme(graph.scheme, slot.op)
-        slot.kernel = kernel_for(slot.op, slot.format or "dense", scheme)
+        slot.kernel = kernel_for(slot.op, slot.format or "dense", graph.scheme)
     return graph
 
 

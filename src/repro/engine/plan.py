@@ -11,8 +11,8 @@ decisions, freezing everything the forward pass needs into flat arrays —
 gate matrices pre-transposed, biases pre-folded the way the fused kernels
 fold them, sparse weights pre-packed into :class:`~repro.sparse.csr.CSRMatrix`
 / :class:`~repro.sparse.bspc.BSPCMatrix` objects with their kernel plans
-built eagerly, and (optionally) weights quantized to fp16 storage or int8
-codes.  No format/scheme decision is made in this module; it executes
+built eagerly, and (optionally) weights quantized to int8 codes.  No
+format/scheme decision is made in this module; it executes
 what the graph says.  The resulting :class:`ModelPlan` runs whole padded
 batches on raw ndarrays: no ``Tensor`` tape, no per-layer ``Module``
 dispatch, work buffers reused across calls; its ``graph`` attribute
@@ -20,14 +20,11 @@ retains the lowered IR for artifact serialization
 (:mod:`repro.engine.artifact`) and a tuned ``backend`` pins the kernel
 registry backend its kernels dispatch to.
 
-Numerics by scheme:
+Numerics by scheme (there are two):
 
 * ``scheme=None`` (packing only) — float64 throughout, and **bit-exact**
   with the eval-mode ``model.forward`` fused-kernel path: the plan
   replays the same numpy ops in the same order.
-* ``scheme="fp16"`` — weights and biases are rounded through IEEE half
-  precision; compute runs in float32 (half the memory traffic of the
-  float64 path: "16-bit storage, wider accumulate").
 * ``scheme="int8"`` — projections and sparse recurrences run through the
   registry's ``linear_int8_rowwise`` / ``*_spmm_int8`` kernels (integer
   accumulation, one activation scale *per frame*, one dequant, to float32:
@@ -42,18 +39,10 @@ Numerics by scheme:
   shared the call.  An int8 GRU plan whose sparse slots bound the compiled
   BSPC kernel is lowered once more, to ``ModelPlan.program``: one C call a
   chunk, in place of the generic per-layer loop.
-* ``scheme="mixed"`` — the scheme is decided *per slot* by the pass
-  pipeline: int8 input/output projections (batched, chunk-exact) with
-  full-precision float recurrences (where per-step quantization error
-  would compound), which widen the float32 projection once.  Every slot
-  executes exactly as it would under its own uniform scheme, so mixed
-  plans inherit the int8 slots' bitwise chunk-exactness while keeping
-  float recurrent dynamics.
 
-Schemes are carried per :class:`~repro.compiler.ir.WeightSlot`; the
-graph-level scheme is only the *request* the pass pipeline resolves, and
-lowering reads the slot decisions (falling back to the graph scheme for
-artifacts that predate per-slot schemes).
+Lowering reads the graph's scheme; each
+:class:`~repro.compiler.ir.WeightSlot` records the same scheme, and a
+slot that records another is a :class:`~repro.errors.CompilationError`.
 
 Streaming: :meth:`ModelPlan.run_chunk` threads explicit hidden state
 through the same layer code, so a session can feed a chunk at a time —
@@ -75,7 +64,7 @@ from repro.compiler.ir import (
     GraphOptions,
     LayerGraph,
     WeightSlot,
-    resolve_slot_scheme,
+    slot_scheme,
 )
 from repro.compiler.passes import kernel_for, run_passes, slot_grid
 from repro.compiler.pipeline import build_layer_graph, rnn_graph_from_weights
@@ -83,23 +72,11 @@ from repro.errors import ConfigError, ShapeError
 from repro.kernels import compiled as _compiled
 from repro.kernels import _math
 from repro.kernels.quantized import int8_bspc_plan, int8_codes, int8_csr_plan
-from repro.nn.quantize import quantize_fp16
 from repro.sparse.bspc import BSPCMatrix
 from repro.sparse.csr import CSRMatrix
 
-SCHEMES = (None, "fp16", "int8", "mixed")
+SCHEMES = (None, "int8")
 SPARSE_FORMATS = (None, "auto", "csr", "bspc")
-
-
-def _slot_scheme(slot: WeightSlot, graph_scheme: Optional[str]) -> Optional[str]:
-    """A slot's *compute* scheme: ``None`` (float64), ``"fp16"``, ``"int8"``.
-
-    Reads the pass-decided per-slot scheme; slots from artifacts that
-    predate per-slot schemes carry ``None`` and fall back to the graph
-    scheme (resolved exactly as the pass pipeline would).
-    """
-    resolved = slot.scheme or resolve_slot_scheme(graph_scheme, slot.op)
-    return None if resolved == "float" else resolved
 
 
 @dataclass(frozen=True)
@@ -167,7 +144,7 @@ class _Workspace:
 # ---------------------------------------------------------------------------
 # Weight packing
 # ---------------------------------------------------------------------------
-_VALUE_BYTES = {None: 8, "fp16": 2, "int8": 1}
+_VALUE_BYTES = {None: 8, "int8": 1}
 
 
 class _PackedWeight:
@@ -178,7 +155,7 @@ class _PackedWeight:
     pass pipeline (format, scheme) and is fixed here, once, rather than
     re-derived per call:
 
-    * dense float / fp16 weights, and int8 *recurrent* weights
+    * dense float weights, and int8 *recurrent* weights
       (dequantized once — the per-step ``(B, H)`` GEMMs are too small for
       an integer pipeline to beat float BLAS — and multiplied in float64),
       are one BLAS ``matmul`` into a workspace buffer of ``out_dtype``.  A
@@ -222,9 +199,6 @@ class _PackedWeight:
                 if state_dtype is None
                 else np.ascontiguousarray(weight.T)
             )
-        elif scheme == "fp16":
-            storage = np.clip(weight, -65504.0, 65504.0).astype(np.float16)
-            self.weight_t = np.ascontiguousarray(storage.astype(np.float32).T)
         else:
             self.codes, self.scale = int8_codes(weight)
             self.weight_t = np.ascontiguousarray(
@@ -250,13 +224,8 @@ class _PackedWeight:
             return
         # The kernel gets the matrix, not a frozen plan: its cached plan
         # follows the matrix's invalidation rules.
-        matrix, dtype = self.matrix, self.out_dtype
-        if self.scheme == "int8" or dtype == np.float64:  # the kernel's own dtype
-            self.apply = lambda x2d, ws, key: kernel(matrix, x2d.T).T
-        else:  # the float sparse kernels are float64-only
-            self.apply = lambda x2d, ws, key: kernel(
-                matrix, x2d.astype(np.float64).T
-            ).T.astype(dtype)
+        matrix = self.matrix
+        self.apply = lambda x2d, ws, key: kernel(matrix, x2d.T).T
 
     def dense_panel(self):
         """This dense int8 slot as the compiled kernels read it, packed once."""
@@ -283,16 +252,10 @@ def _pack_sparse(slot: WeightSlot, weight: np.ndarray, scheme: Optional[str]):
     (:func:`repro.compiler.passes.select_formats_pass`); this function
     only executes them.
     """
-    prebuilt = slot.prebuilt
-    if scheme == "fp16":
-        # fp16 sparse: values rounded through half precision, float
-        # sparse kernels do the compute (they are float64-only).
-        weight = quantize_fp16(weight)
-        prebuilt = None  # built from unrounded values; cannot reuse
     if slot.format == "bspc":
         matrix = (
-            prebuilt
-            if prebuilt is not None
+            slot.prebuilt
+            if slot.prebuilt is not None
             else BSPCMatrix.from_dense(weight, slot_grid(slot))
         )
         plan_builder = int8_bspc_plan if scheme == "int8" else kernels.bspc_plan
@@ -305,8 +268,6 @@ def _pack_sparse(slot: WeightSlot, weight: np.ndarray, scheme: Optional[str]):
 
 def _round_bias(bias: np.ndarray, scheme: Optional[str], dtype) -> np.ndarray:
     """Biases follow the scheme's value grid (matching ``quantize_model``)."""
-    if scheme == "fp16":
-        return quantize_fp16(bias).astype(dtype)
     if scheme == "int8":
         codes, scale = int8_codes(bias)
         return (codes.astype(np.float64) * scale).astype(dtype)
@@ -325,8 +286,8 @@ class GRULayerPlan:
     ``w_hh.T`` contiguation hoisted from per-call to compile time.
 
     ``dtype`` is what the layer computes and carries in, gates included:
-    float32 where the recurrent slot is int8 (its products dequantize to
-    float32) or both slots are fp16, else float64.  Float32 gates take
+    float32 in an int8 plan (its products dequantize to float32), else
+    float64.  Float32 gates take
     their sigmoid and tanh from :func:`~repro.kernels._math.exp32`, the
     rule the compiled program's gate sweep runs too.
     """
@@ -334,47 +295,40 @@ class GRULayerPlan:
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
         ih_slot, hh_slot = node.weights["ih"], node.weights["hh"]
         self.scheme = scheme
-        ih_scheme = _slot_scheme(ih_slot, scheme)
-        hh_scheme = _slot_scheme(hh_slot, scheme)
-        self.slot_schemes = (ih_scheme, hh_scheme)
+        recorded = slot_scheme(scheme)
         self.slot_config = (
-            (ih_scheme or "float", ih_slot.format or "dense"),
-            (hh_scheme or "float", hh_slot.format or "dense"),
+            (recorded, ih_slot.format or "dense"),
+            (recorded, hh_slot.format or "dense"),
         )
         self.hidden_size = hh_slot.shape[1]
         self.input_size = ih_slot.shape[1]
-        self.dtype = np.dtype(
-            np.float32
-            if hh_scheme == "int8" or ih_scheme == hh_scheme == "fp16"
-            else np.float64
-        )
-        self.input_proj = _PackedWeight(ih_slot, ih_scheme)
-        self.recurrent = _PackedWeight(hh_slot, hh_scheme, state_dtype=self.dtype)
+        self.fold_bias = scheme == "int8"
+        self.dtype = np.dtype(np.float32 if self.fold_bias else np.float64)
+        self.input_proj = _PackedWeight(ih_slot, scheme)
+        self.recurrent = _PackedWeight(hh_slot, scheme, state_dtype=self.dtype)
         bias_ih = node.params["bias_ih"]
         bias_hh = node.params["bias_hh"]
         h = self.hidden_size
-        self.fold_bias = not (ih_scheme is None and hh_scheme is None)
         if not self.fold_bias:
             self.bias_ih = bias_ih.copy()
             self.bias_hh_zr = bias_hh[: 2 * h].copy()
             self.bias_hh_h = bias_hh[2 * h :].copy()
+            self.biases = (self.bias_ih, self.bias_hh_zr, self.bias_hh_h)
         else:
             # Folded once at compile time; the kernel folds per call.
-            # Each bias follows its own slot's value grid (exact copy for
-            # a float slot in a mixed plan).
-            folded = _round_bias(bias_ih, ih_scheme, np.float64)
-            rounded_hh = _round_bias(bias_hh, hh_scheme, np.float64)
+            folded = _round_bias(bias_ih, scheme, np.float64)
+            rounded_hh = _round_bias(bias_hh, scheme, np.float64)
             folded[: 2 * h] += rounded_hh[: 2 * h]
             self.bias_folded = folded.astype(self.dtype)
             self.bias_hh_h = rounded_hh[2 * h :].astype(self.dtype)
+            self.biases = (self.bias_folded, self.bias_hh_h)
 
     def bind(self, backend: Optional[str]) -> None:
         self.input_proj.bind(backend)
         self.recurrent.bind(backend)
 
     def nbytes(self) -> int:
-        quantized = any(s is not None for s in self.slot_schemes)
-        bias_bytes = 2 * 3 * self.hidden_size * (2 if quantized else 8)  # b_ih, b_hh
+        bias_bytes = sum(bias.nbytes for bias in self.biases)
         return self.input_proj.nbytes() + self.recurrent.nbytes() + bias_bytes
 
     def zero_state(self, batch: int) -> np.ndarray:
@@ -391,7 +345,6 @@ class GRULayerPlan:
         h = self.hidden_size
         flat = x.reshape(seq_len * batch, self.input_size)
         gates_x = self.input_proj.apply(flat, ws, f"gx{index}")
-        # a mixed layer's float64 bias widens its int8 projection's sums
         if not self.fold_bias:
             gates_x = gates_x + self.bias_ih
         else:
@@ -448,9 +401,7 @@ class OutputPlan:
         return logits.reshape(seq_len, batch, self.num_classes)
 
     def nbytes(self) -> int:
-        bias_bytes = 0 if self.bias is None else self.num_classes * (
-            2 if self.scheme else 8
-        )
+        bias_bytes = 0 if self.bias is None else self.bias.nbytes
         return self.weight.nbytes() + bias_bytes
 
 
@@ -614,7 +565,7 @@ class ModelPlan:
                 self.program = self._lower_program()
             if self.program is not None:
                 return self.program.run(features, layer_states)
-        x = features.astype(np.float32) if self.scheme == "fp16" else features
+        x = features
         new_states: List[np.ndarray] = []
         for index, layer in enumerate(self.layers):
             carry = None if layer_states is None else layer_states[index]
@@ -652,11 +603,10 @@ class ModelPlan:
         Two plans with equal signatures accept each other's
         :class:`PlanState` *numerically*: per-layer shapes match, **and**
         every weight slot was lowered under the same (scheme, format)
-        decision.  With per-layer scheme mixing a
-        shape-only fingerprint is not enough — a mixed-scheme candidate
-        would accept an incumbent's state whose trajectory was produced
-        on a different quantization grid, silently degrading every
-        carried session.  The tuned kernel *backend* is deliberately
+        decision.  A shape-only fingerprint is not enough — an int8
+        candidate would accept a float incumbent's state whose trajectory
+        was produced on a different quantization grid, silently degrading
+        every carried session.  The tuned kernel *backend* is deliberately
         excluded (backends are bit-compatible by the equivalence suite);
         the hot-swap paths (:meth:`StreamScheduler.swap_plan
         <repro.engine.streaming.StreamScheduler.swap_plan>`,
@@ -722,7 +672,7 @@ class ModelPlan:
         replays the per-timestep recurrence of :meth:`forward_batch`
         exactly; the only ops whose shape depends on the split are the
         hoisted input/output projections, whose BLAS reduction order may
-        differ — so float/fp16 logits agree to reduction-order rounding
+        differ — so float logits agree to reduction-order rounding
         (~1e-12 relative for float64) and int8 logits are **bit-exact**
         (per-frame activation scales, order-exact integer accumulation).
         Decoded phone sequences are identical in either case; see
@@ -811,17 +761,15 @@ def lower_graph(
     _validate_scheme(graph.scheme)
     if graph.undecided():
         run_passes(graph)
+    graph.check_slot_schemes()
     layers: List[GRULayerPlan] = []
     output = None
     for node in graph.nodes:
         if node.kind == "gru_cell":
             layers.append(GRULayerPlan(node, graph.scheme))
         elif node.kind == "output":
-            out_slot = node.weights["w"]
             output = OutputPlan(
-                out_slot,
-                node.params.get("bias"),
-                _slot_scheme(out_slot, graph.scheme),
+                node.weights["w"], node.params.get("bias"), graph.scheme
             )
         else:
             raise ConfigError(

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.engine.artifact import load_plan, save_plan
 from repro.engine.plan import ModelPlan
-from repro.errors import RegistryError
+from repro.errors import ArtifactError, RegistryError
 from repro.utils.atomic_write import atomic_write_json
 
 ARTIFACT_FILE = "plan.npz"
@@ -287,11 +287,15 @@ class PlanRegistry:
         The artifact's bytes are re-hashed against the SHA-256 recorded
         at publish before :func:`load_plan` runs, so silent corruption
         of the registry directory raises a typed
-        :class:`~repro.errors.RegistryError`.
+        :class:`~repro.errors.RegistryError` — as does an intact artifact
+        :func:`load_plan` refuses (a removed scheme, say).
         """
         entry = self.resolve(name, version)
         self.verify(entry)
-        return load_plan(entry.artifact_path)
+        try:
+            return load_plan(entry.artifact_path)
+        except ArtifactError as exc:
+            raise RegistryError(f"{entry.name}/{entry.version}: {exc}") from exc
 
     def verify(self, entry: RegistryEntry) -> None:
         """Check the artifact file against its published SHA-256."""

@@ -210,8 +210,6 @@ def _run_tune(args) -> None:
         None if name in ("none", "") else name
         for name in args.schemes.split(",")
     )
-    if args.mixed and "mixed" not in schemes:
-        schemes = schemes + ("mixed",)
     config = TuneConfig(
         hidden_size=args.hidden_size,
         num_layers=args.layers,
@@ -325,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     pst.add_argument("--min-duration", type=int, default=2)
     pst.add_argument("--repeats", type=int, default=3)
     pst.add_argument("--seed", type=int, default=0)
-    pst.add_argument("--scheme", choices=["none", "fp16", "int8"],
+    pst.add_argument("--scheme", choices=["none", "int8"],
                      default="none", help="engine quantization scheme")
     pst.add_argument("--workers", type=int, default=0,
                      help="also serve through a multi-process fabric with "
@@ -392,10 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--row-rate", type=float, default=2.0)
     pt.add_argument("--schemes", default="none",
                     help="comma list of quantization schemes to search "
-                    "(none,fp16,int8,mixed); schemes change numerics")
-    pt.add_argument("--mixed", action="store_true",
-                    help="add the per-slot 'mixed' scheme (int8 "
-                    "projections, float recurrences) to the search")
+                    "(none,int8); schemes change numerics")
     pt.add_argument("--backends", default=None,
                     help="comma list of kernel backends to search "
                     "(default: registry default only)")

@@ -5,7 +5,7 @@ every execution path — the packed engine's bit-exactness contract with
 the fused kernels depends on them computing gate values the same way.
 
 Float64 gates use numpy's ``exp`` / ``tanh``.  Float32 gates — every GRU
-layer whose ``dtype`` is float32, the int8 and fp16 ones — use
+layer whose ``dtype`` is float32, i.e. every int8 one — use
 :func:`exp32` and the two functions built on it, which the compiled
 program's gate sweep
 (``gru_row`` in :mod:`repro.kernels.compiled`) runs statement for

@@ -17,7 +17,7 @@ from repro.errors import ConfigError
 from repro.pruning.bsp import BSPConfig
 
 #: Quantization schemes a cell's plan can compile under.
-SCHEMES = (None, "fp16", "int8")
+SCHEMES = (None, "int8")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Compiled-artifact round-trip tests (repro.engine.artifact).
 
 The deployment contract: ``save_plan`` → ``load_plan`` reproduces
-**bit-identical logits** for every scheme × sparse-format combination,
+**bit-identical logits** for both schemes × every sparse format,
 and the reloaded plan carries streaming state (``run_chunk``) exactly
 like the original — including the int8 bitwise chunk-exactness.
 """
@@ -22,7 +22,7 @@ from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.atomic_write import content_checksum
 from repro.utils.rng import new_rng
 
-SCHEMES = (None, "fp16", "int8", "mixed")
+SCHEMES = (None, "int8")
 FORMATS = (None, "csr", "bspc")
 
 
@@ -214,6 +214,60 @@ class TestLegacyArtifacts:
         )
         with pytest.raises(ArtifactError, match="'lstm_cell'"):
             engine.load_plan(path)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_header_records_the_scheme_older_versions_wrote(self, scheme, fmt, tmp_path):
+        # "float" or "int8" on the graph's every slot, int8 boundaries on an
+        # int8 graph only: the records older artifacts carry, so they load
+        plan = compile_case([24, 24], scheme, fmt, True, fmt is not None, 0)
+        path = engine.save_plan(tmp_path / "plan.npz", plan)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta.json"]).decode("utf-8"))["graph"]
+        assert meta["scheme"] == scheme
+        slots = [slot for node in meta["nodes"] for slot in node["weights"].values()]
+        assert [slot["scheme"] for slot in slots] == [scheme or "float"] * 5
+        policies = {b["policy"] for b in meta["boundaries"]}
+        assert policies == (
+            {"int8-activations-per-frame", "int8-weights-dequantized"}
+            if scheme == "int8" else set()
+        )
+
+    @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_removed_scheme_artifact_is_a_typed_error(self, scheme, fmt, tmp_path):
+        plan = compile_case([24, 24], None, fmt, True, fmt is not None, 0)
+        path = write_artifact(
+            tmp_path / f"{scheme}.npz", *with_removed_scheme(plan.graph, scheme)
+        )
+        with pytest.raises(ArtifactError, match=f"'{scheme}'"):
+            engine.load_plan(path)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_slot_recording_another_scheme_is_a_typed_error(self, scheme, tmp_path):
+        plan = engine.compile_model(laptop_model(), scheme=scheme)
+        meta, arrays = graph_to_arrays(plan.graph)
+        other = "float" if scheme == "int8" else "int8"
+        meta["nodes"][-1]["weights"]["w"]["scheme"] = other
+        path = write_artifact(tmp_path / "disagrees.npz", meta, arrays)
+        with pytest.raises(ArtifactError, match=f"records scheme '{other}'"):
+            engine.load_plan(path)
+
+
+def with_removed_scheme(graph, scheme):
+    """The header and arrays of ``graph`` (a float plan's) as an artifact
+    of a removed scheme records them: ``"fp16"`` on the graph and every
+    slot, or ``"mixed"`` on the graph with int8 projections over float
+    recurrences."""
+    meta, arrays = graph_to_arrays(graph)
+    meta["scheme"] = scheme
+    for node in meta["nodes"]:
+        for slot in node["weights"].values():
+            if scheme == "fp16":
+                slot["scheme"] = "fp16"
+            else:
+                slot["scheme"] = "int8" if slot["op"] == "linear" else "float"
+    return meta, arrays
 
 
 class TestStreamingStateCarry:

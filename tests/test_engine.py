@@ -279,16 +279,6 @@ class TestPlanCacheInvalidation:
 
 
 class TestQuantizedPlans:
-    def test_fp16_close_to_simulated_eager(self, rng):
-        model = laptop_model()
-        x = rng.standard_normal((12, 3, 8))
-        plan = engine.compile_model(model, scheme="fp16")
-        simulated = laptop_model()
-        quantize_model(simulated, "fp16")
-        expected = simulated(Tensor(x)).data
-        # Engine computes in float32 over the same fp16-rounded weights.
-        np.testing.assert_allclose(plan.forward_batch(x), expected, atol=1e-3)
-
     def test_int8_close_to_simulated_eager(self, rng):
         model = laptop_model()
         x = rng.standard_normal((12, 3, 8))
@@ -303,13 +293,39 @@ class TestQuantizedPlans:
     def test_quantized_smaller_than_packed(self):
         model = laptop_model()
         packed = engine.compile_model(model).nbytes()
-        fp16 = engine.compile_model(model, scheme="fp16").nbytes()
         int8 = engine.compile_model(model, scheme="int8").nbytes()
-        assert int8 < fp16 < packed
+        assert int8 < packed
+
+    @pytest.mark.parametrize(
+        "scheme, values_per_unit, itemsize",
+        [
+            (None, 6, 8),  # b_ih and b_hh as given, float64
+            ("int8", 4, 4),  # the folded bias (3H) and the candidate's b_hh (H)
+        ],
+    )
+    @pytest.mark.parametrize("fmt", [None, "csr", "bspc"])
+    def test_nbytes_counts_each_bias_at_its_held_itemsize(
+        self, scheme, values_per_unit, itemsize, fmt
+    ):
+        config = engine.EngineConfig(sparse_format=fmt)
+        plan = engine.compile_model(laptop_model(), scheme=scheme, config=config)
+        weights = [w for layer in plan.layers for w in (layer.input_proj, layer.recurrent)]
+        weights.append(plan.output.weight)
+        units = sum(layer.hidden_size for layer in plan.layers)
+        biases = (values_per_unit * units + plan.output.num_classes) * itemsize
+        assert plan.nbytes() == sum(w.nbytes() for w in weights) + biases
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
             engine.compile_model(laptop_model(), scheme="int4")
+
+    @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
+    def test_a_removed_scheme_is_a_config_error(self, scheme):
+        model = laptop_model()
+        with pytest.raises(ConfigError, match=f"'{scheme}'"):
+            engine.compile_model(model, scheme=scheme)
+        with pytest.raises(ConfigError, match=f"'{scheme}'"):
+            engine.compile_rnn(model.prunable_weights(), scheme=scheme)
 
     def test_quantized_per_matches_simulated_within_tolerance(self):
         # The acceptance-criterion check: a trained model's PER under the
@@ -320,7 +336,7 @@ class TestQuantizedPlans:
         trainer = Trainer(model, train, test, TrainerConfig(batch_size=4, seed=0))
         trainer.train_dense(3)
         model.eval()
-        for scheme in ("fp16", "int8"):
+        for scheme in ("int8",):
             simulated = GRUAcousticModel(rng=0)
             simulated.load_state_dict(model.state_dict())
             quantize_model(simulated, scheme)

@@ -98,6 +98,18 @@ class TestCLI:
             args = parser.parse_args([command] if command != "all" else ["all"])
             assert args.command == command
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream-bench", "--scheme", "fp16"],
+            ["stream-bench", "--scheme", "mixed"],
+            ["tune", "--mixed"],
+        ],
+    )
+    def test_a_removed_scheme_is_no_cli_option(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

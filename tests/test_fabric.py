@@ -30,10 +30,9 @@ from repro.errors import (
 from repro.speech.decoder import decode_utterance
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 
-SCHEMES = (None, "fp16", "int8")
-#: The swap-crash and canary suites run on the float plan and on int8, the
-#: paper's path, whose carries are float32.
-RECOVERY_SCHEMES = (None, "int8")
+#: Both plan schemes: the float plan and int8, the paper's path, whose
+#: carries are float32.
+SCHEMES = (None, "int8")
 
 STREAM = StreamConfig(max_batch_size=4, max_wait_frames=8, min_duration=2)
 
@@ -607,7 +606,7 @@ class TestFleetHotSwap:
             assert fabric.stats().plan_swaps == 0
         assert outs == offline_phones(plan, utterances)
 
-    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_crash_on_swap_recovers_byte_identical(self, scheme, tmp_path):
         # The deployment-time crash: worker 0 dies on receipt of the
         # swap command.  Recovery replays its sessions and the swap is
@@ -635,7 +634,7 @@ class TestFleetHotSwap:
         assert fleet.restarts >= 1
         assert fleet.sessions_rehomed >= 1
 
-    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_crash_on_swap_divergent_candidate_replays_per_segment(
         self, scheme, tmp_path
     ):
@@ -741,7 +740,7 @@ class TestCanaryRollout:
             for sid in sids:
                 fabric.finish(sid)
 
-    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_divergent_candidate_rolls_back(self, scheme, tmp_path):
         incumbent = small_plan(scheme)
         registry = make_registry(tmp_path, incumbent, small_plan(scheme, seed=1))
@@ -775,7 +774,7 @@ class TestCanaryRollout:
         history = registry.resolve("am", "v2").meta["history"]
         assert history[-1]["decision"] == "rollback"
 
-    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_clean_candidate_promotes_and_swaps(self, scheme, tmp_path):
         incumbent = small_plan(scheme)
         registry = make_registry(tmp_path, incumbent, small_plan(scheme))
@@ -801,7 +800,7 @@ class TestCanaryRollout:
         assert registry.resolve("am", "v2").status == "serving"
         assert registry.resolve("am", "v1").status == "superseded"
 
-    @pytest.mark.parametrize("scheme", RECOVERY_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_crash_during_canary_recovers_and_rolls_back(self, scheme, tmp_path):
         incumbent = small_plan(scheme)
         registry = make_registry(tmp_path, incumbent, small_plan(scheme, seed=1))

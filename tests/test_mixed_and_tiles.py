@@ -1,10 +1,10 @@
-"""Per-slot scheme mixing, tile serialization and the joint autotune.
+"""Slot scheme records, tile serialization and the joint autotune.
 
-* ``scheme`` is a per-slot IR attribute — ``"mixed"`` quantizes the
-  input/output projections to int8 and keeps the recurrences in float,
-  decided slot-by-slot by the pass pipeline and carried through
+* A plan has one of two schemes, float (``None``) or ``"int8"``; the pass
+  pipeline records it on every weight slot, the record is carried through
   ``graph_to_arrays`` → ``graph_from_arrays`` bit-exactly, tiles
-  included (and tile dicts of older artifacts still load);
+  included (and tile dicts of older artifacts still load), and a slot
+  that records another scheme than its graph's is a typed error;
 * BSPC plans pack one panel per whole strip, however short the strips
   are, and tile annotations never change what a lowered plan computes;
 * ``tune_plan`` searches scheme × format jointly and is never slower
@@ -22,15 +22,15 @@ from repro import engine, kernels
 from repro.compiler.autotune import tune_execution_config, tune_plan
 from repro.compiler.codegen import CompileOptions
 from repro.compiler.ir import (
-    OP_LINEAR,
+    LayerGraph,
     TileConfig,
+    WeightSlot,
     graph_from_arrays,
     graph_to_arrays,
-    resolve_slot_scheme,
 )
 from repro.compiler.passes import run_passes
 from repro.compiler.pipeline import build_layer_graph
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ConfigError
 from repro.hw.profiles import ADRENO_640, KRYO_485
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import grid_for
@@ -86,66 +86,85 @@ def with_legacy_panel_rows(meta, rows):
     return meta
 
 
-class TestResolveSlotScheme:
-    def test_none_means_explicit_float(self):
-        assert resolve_slot_scheme(None, OP_LINEAR) == "float"
-        assert resolve_slot_scheme(None, "recurrent_matvec") == "float"
+def passed_graph(scheme, fmt=None):
+    """``small_model``'s graph under ``scheme`` and format request ``fmt``,
+    through the pass pipeline."""
+    options = engine.EngineConfig(sparse_format=fmt).graph_options()
+    return run_passes(build_layer_graph(small_model(), scheme=scheme, options=options))
 
-    def test_mixed_quantizes_projections_only(self):
-        assert resolve_slot_scheme("mixed", OP_LINEAR) == "int8"
-        assert resolve_slot_scheme("mixed", "recurrent_matvec") == "float"
 
-    def test_uniform_schemes_broadcast(self):
-        for scheme in ("fp16", "int8"):
-            assert resolve_slot_scheme(scheme, OP_LINEAR) == scheme
-            assert resolve_slot_scheme(scheme, "recurrent_matvec") == scheme
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(CompilationError):
-            resolve_slot_scheme("int4", OP_LINEAR)
+#: The kernel each (scheme, format) names, for a projection and a recurrence.
+KERNELS = {
+    (None, None): ("blas_matmul", "blas_matmul"),
+    (None, "csr"): ("csr_spmm", "csr_spmm"),
+    (None, "bspc"): ("bspc_spmm", "bspc_spmm"),
+    ("int8", None): ("linear_int8_rowwise", "blas_matmul"),
+    ("int8", "csr"): ("csr_spmm_int8", "csr_spmm_int8"),
+    ("int8", "bspc"): ("bspc_spmm_int8", "bspc_spmm_int8"),
+}
 
 
 class TestPerSlotScheme:
-    def test_passes_fill_slot_schemes_for_mixed(self):
-        graph = build_layer_graph(small_model(), scheme="mixed")
-        run_passes(graph)
-        schemes = {slot.name: slot.scheme for _, _, slot in graph.slots()}
-        assert schemes  # the graph has tunable slots
-        for _, _, slot in graph.slots():
-            expected = "int8" if slot.op == OP_LINEAR else "float"
-            assert slot.scheme == expected, slot.name
+    @pytest.mark.parametrize("scheme, recorded", [(None, "float"), ("int8", "int8")])
+    @pytest.mark.parametrize("fmt", [None, "csr", "bspc"])
+    def test_passes_record_the_graph_scheme_on_every_slot(self, scheme, recorded, fmt):
+        graph = passed_graph(scheme, fmt)
+        assert [slot.scheme for _, _, slot in graph.slots()] == [recorded] * 5
 
-    def test_mixed_is_a_distinct_operating_point(self, rng):
-        model = small_model()
-        x = rng.standard_normal((9, 2, 8))
-        logits = {
-            scheme: engine.compile_model(model, scheme=scheme).forward_batch(x)
-            for scheme in (None, "int8", "mixed")
-        }
-        assert not np.array_equal(logits["mixed"], logits[None])
-        assert not np.array_equal(logits["mixed"], logits["int8"])
+    @pytest.mark.parametrize("scheme, fmt", list(KERNELS))
+    def test_kernels_follow_the_graph_scheme(self, scheme, fmt):
+        for _, _, slot in passed_graph(scheme, fmt).slots():
+            # the output projection is packed dense under any request
+            dense = slot.name == "output.weight"
+            projection, recurrence = KERNELS[scheme, None if dense else fmt]
+            want = projection if slot.op == "linear" else recurrence
+            assert slot.kernel == want, slot.name
+
+    @pytest.mark.parametrize("scheme", [None, "int8"])
+    def test_only_an_int8_graph_marks_quantize_boundaries(self, scheme):
+        graph = passed_graph(scheme)
+        want = [
+            (slot.name, "int8-activations-per-frame" if slot.op == "linear"
+             else "int8-weights-dequantized")
+            for _, _, slot in graph.slots()
+        ]
+        got = [(b.slot, b.policy) for b in graph.boundaries]
+        assert got == (want if scheme == "int8" else [])
+
+    @pytest.mark.parametrize("scheme", [None, "int8"])
+    @pytest.mark.parametrize(
+        "slot", ["cell0.weight_ih", "cell1.weight_hh", "output.weight"]
+    )
+    def test_a_slot_recording_another_scheme_is_a_compilation_error(self, scheme, slot):
+        other = "float" if scheme == "int8" else "int8"
+        graph = build_layer_graph(small_model(), scheme=scheme)
+        graph.slot(slot).scheme = other  # recorded before the passes
+        with pytest.raises(CompilationError, match=f"records scheme '{other}'"):
+            engine.lower_graph(graph)
+        graph = run_passes(build_layer_graph(small_model(), scheme=scheme))
+        graph.slot(slot).scheme = other  # ... after them
+        with pytest.raises(CompilationError, match=repr(slot)):
+            engine.lower_graph(graph)
+        meta, arrays = graph_to_arrays(graph)
+        with pytest.raises(CompilationError, match=repr(slot)):
+            graph_from_arrays(meta, arrays)
+
+    @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
+    def test_a_removed_scheme_is_no_graph_or_slot_scheme(self, scheme):
+        with pytest.raises(CompilationError, match=f"'{scheme}'"):
+            build_layer_graph(small_model(), scheme=scheme)
+        with pytest.raises(CompilationError, match=f"'{scheme}'"):
+            WeightSlot("w", "linear", np.zeros((2, 2)), scheme=scheme)
 
     def test_signatures_distinguish_slot_schemes(self):
         model = small_model()
         signatures = {
             scheme: engine.compile_model(model, scheme=scheme).signature()
-            for scheme in (None, "int8", "mixed")
+            for scheme in (None, "int8")
         }
-        assert len(set(signatures.values())) == 3
+        assert len(set(signatures.values())) == 2
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_chunked_equals_offline_bitwise(self, backend, rng_factory):
-        graph = build_layer_graph(small_model(), scheme="mixed", backend=backend)
-        plan = engine.lower_graph(graph)
-        x = rng_factory(5).standard_normal((12, 2, 8))
-        offline = plan.forward_batch(x)
-        state, chunks = None, []
-        for chunk in (x[:5], x[5:6], x[6:]):
-            logits, state = plan.run_chunk(chunk, state)
-            chunks.append(logits)
-        np.testing.assert_array_equal(np.concatenate(chunks, axis=0), offline)
-
-    @pytest.mark.parametrize("scheme", ["mixed", "int8"])
+    @pytest.mark.parametrize("scheme", [None, "int8"])
     @pytest.mark.parametrize("legacy_panel_rows", [None, 4])
     def test_slot_scheme_and_tile_survive_serialization(
         self, scheme, legacy_panel_rows, rng
@@ -175,10 +194,10 @@ class TestPerSlotScheme:
 
     def test_legacy_graph_without_slot_schemes_falls_back(self, rng):
         # Artifacts written before the per-slot attribute carry
-        # slot.scheme=None; lowering must resolve them from the graph
-        # scheme to the identical computation.
+        # slot.scheme=None; lowering reads the graph scheme, to the
+        # identical computation.
         model = small_model()
-        graph = build_layer_graph(model, scheme="mixed")
+        graph = build_layer_graph(model, scheme="int8")
         run_passes(graph)
         reference = engine.lower_graph(graph)
         for _, _, slot in graph.slots():
@@ -279,7 +298,7 @@ class TestTileAnnotationsLeaveExecutionAlone:
     """Tiles price the simulator; the executed plan packs whole strips
     whatever tile a slot carries."""
 
-    @pytest.mark.parametrize("scheme", [None, "int8", "mixed"])
+    @pytest.mark.parametrize("scheme", [None, "int8"])
     def test_tiled_plan_matches_the_default_plan(self, scheme, rng):
         model = small_model()
         config = engine.EngineConfig(sparse_format="bspc")
@@ -299,16 +318,21 @@ class TestJointTune:
 
     def test_joint_scheme_format_search_never_slower(self):
         result = tune_plan(
-            small_model(), self.sample(), schemes=(None, "mixed"), repeats=1,
+            small_model(), self.sample(), schemes=(None, "int8"), repeats=1,
         )
         assert result.speedup >= 1.0
-        assert any(c.scheme == "mixed" for c in result.trace)
+        assert any(c.scheme == "int8" for c in result.trace)
         # A configuration is never measured twice.
         seen = set()
         for c in result.trace:
             key = (c.scheme, c.backend, tuple(sorted(c.formats.items())))
             assert key not in seen, f"duplicate measurement: {c.label}"
             seen.add(key)
+
+    @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
+    def test_a_removed_scheme_is_a_config_error(self, scheme):
+        with pytest.raises(ConfigError, match=f"'{scheme}'"):
+            tune_plan(small_model(), self.sample(), schemes=(scheme,), repeats=1)
 
     @pytest.mark.parametrize("device", [None, ADRENO_640, KRYO_485])
     def test_prefilter_prices_on_the_given_device(self, device, monkeypatch):

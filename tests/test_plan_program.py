@@ -291,9 +291,9 @@ def test_the_narrow_kernel_refuses_more_columns_than_it_keeps_scales_for():
 
 def other_plans():
     model = GRUAcousticModel(AcousticModelConfig(input_dim=8, hidden_size=24), rng=0).eval()
-    for scheme in (None, "fp16", "mixed"):
-        config = engine.EngineConfig(sparse_format="bspc")
-        yield str(scheme), engine.compile_model(model, scheme=scheme, config=config)
+    yield "None", engine.compile_model(
+        model, config=engine.EngineConfig(sparse_format="bspc")
+    )
     yield "csr", engine.compile_model(
         model, scheme="int8", config=engine.EngineConfig(sparse_format="csr")
     )

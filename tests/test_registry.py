@@ -10,6 +10,7 @@ atomic metadata rewrite.  Every failure is a typed
 subclass), never a bare ``OSError``/``KeyError``/json traceback.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.engine.registry import (
 )
 from repro.errors import ArtifactError, RegistryError
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
+from test_artifact import with_removed_scheme, write_artifact
 
 
 def small_plan(scheme=None, seed=0, hidden=16):
@@ -72,9 +74,9 @@ class TestPublishResolve:
         )
 
     def test_metadata_records_plan_facts(self, registry):
-        entry = registry.publish("am", small_plan(scheme="fp16"))
+        entry = registry.publish("am", small_plan(scheme="int8"))
         meta = registry.resolve("am").meta
-        assert meta["scheme"] == "fp16"
+        assert meta["scheme"] == "int8"
         assert meta["hidden_size"] == 16
         assert meta["num_layers"] == 2
         assert meta["nbytes"] > 0
@@ -146,6 +148,21 @@ class TestIntegrity:
         blob[len(blob) // 2] ^= 0xFF
         entry.artifact_path.write_bytes(bytes(blob))
         with pytest.raises(RegistryError, match="integrity"):
+            registry.load("am")
+
+    @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
+    def test_a_removed_scheme_version_is_a_registry_error(self, registry, scheme):
+        # a version published under a scheme that no longer exists: its
+        # artifact and metadata as that publish wrote them, checksums intact
+        plan = small_plan()
+        entry = registry.publish("am", plan)
+        write_artifact(entry.artifact_path, *with_removed_scheme(plan.graph, scheme))
+        meta_path = entry.path / METADATA_FILE
+        meta = json.loads(meta_path.read_text())
+        meta["scheme"] = scheme
+        meta["artifact_sha256"] = hashlib.sha256(entry.artifact_path.read_bytes()).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(RegistryError, match=f"'{scheme}'"):
             registry.load("am")
 
     def test_deleted_artifact_surfaces_typed(self, registry):

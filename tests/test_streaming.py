@@ -3,10 +3,10 @@
 The central contract — the *chunk-exactness sweep* — is that a streaming
 session fed an utterance in arbitrary chunk splits produces byte-identical
 phone sequences to the offline ``decode_utterance`` path, across kernel
-backends and quantization schemes (``None``/``fp16``/``int8``/``mixed``).
-Logits are asserted too, as far as each scheme permits: **bit-exact** for
-int8 (per-frame activation scales + order-exact integer accumulation) and
-to BLAS-reduction-order tolerance for float64/fp16.
+backends and both plan schemes (``None`` and ``int8``).  Logits are
+asserted too, as far as each scheme permits: **bit-exact** for int8
+(per-frame activation scales + order-exact integer accumulation) and to
+BLAS-reduction-order tolerance for float64.
 
 Around the sweep: the streaming feature frontend's bit-exactness with the
 offline featurizer, the incremental decoder's equivalence with
@@ -36,7 +36,7 @@ from test_int8_routing import run_chunk as run_plan_chunk
 # The chunk-exactness sweep runs under every registered backend —
 # "compiled" joins the matrix automatically on hosts with a C toolchain.
 BACKENDS = tuple(kernels.backends())
-SCHEMES = (None, "fp16", "int8", "mixed")
+SCHEMES = (None, "int8")
 CHUNK_SIZES = (1, 7, 25, None)  # None = the whole utterance in one chunk
 # Carry widths: 24 is not a multiple of 16, so the int8 gate sweep's
 # padded tail runs as well as its whole 16-wide rows.
@@ -86,9 +86,8 @@ class TestChunkExactnessSweep:
                     if scheme == "int8":
                         np.testing.assert_array_equal(chunked, offline_logits)
                     else:
-                        atol = 1e-4 if scheme == "fp16" else 1e-9
                         np.testing.assert_allclose(
-                            chunked, offline_logits, atol=atol
+                            chunked, offline_logits, atol=1e-9
                         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -271,7 +270,7 @@ class TestOneArrayCarry:
             plan.run_chunk(rng.standard_normal((3, 2, 8)), bad)
 
     @pytest.mark.parametrize(
-        "source, target", [(None, "fp16"), ("fp16", None), ("fp16", "int8")]
+        "source, target", [(None, None), (None, "int8"), ("int8", None), ("int8", "int8")]
     )
     def test_adapt_state_recasts_each_layer_to_its_dtype(self, source, target, rng):
         incumbent, candidate = self.make_plan(source), self.make_plan(target)
@@ -284,7 +283,7 @@ class TestOneArrayCarry:
             np.testing.assert_array_equal(after, before.astype(layer.dtype))
 
 
-    @pytest.mark.parametrize("scheme", ["int8", "fp16"])
+    @pytest.mark.parametrize("scheme", ["int8"])
     @pytest.mark.parametrize("backend", (None,) + BACKENDS)
     def test_a_float64_carry_runs_as_its_adapted_state(self, scheme, backend, rng):
         # a float32 plan handed a float64 carry narrows it by adapt_state's
@@ -304,7 +303,7 @@ class TestOneArrayCarry:
             assert a.tobytes() == b.tobytes()
 
 
-#: Same-architecture plans of one model under every scheme, BSPC-packed
+#: Same-architecture plans of one model under both schemes, BSPC-packed
 #: (so int8 lowers to the one-call program where there is a compiler).
 @pytest.fixture(scope="module")
 def swap_plans():
@@ -312,19 +311,15 @@ def swap_plans():
     with kernels.use_backend(None):
         return {
             scheme: engine.compile_model(tiny_model(), scheme=scheme, config=config)
-            for scheme in (None, "fp16", "int8")
+            for scheme in (None, "int8")
         }
 
 
 @st.composite
 def scheme_swaps(draw):
     """An utterance's frame count, the plans it runs on in order (int8 to
-    float and back, or int8 and fp16 back and forth) and where it swaps."""
-    order = draw(
-        st.sampled_from(
-            [("int8", None, "int8"), ("int8", "fp16", "int8"), ("fp16", "int8", "fp16")]
-        )
-    )
+    float and back, or float to int8 and back) and where it swaps."""
+    order = draw(st.sampled_from([("int8", None, "int8"), (None, "int8", None)]))
     frames = draw(st.integers(3, 30))
     cuts = sorted(draw(st.lists(st.integers(1, frames - 1), min_size=2, max_size=2)))
     return order, frames, cuts, draw(st.integers(0, 2**16))
@@ -336,7 +331,7 @@ def test_a_swap_across_schemes_is_the_defined_bytes(swap_plans, case):
     # The defined bytes: each segment through the generic loop, from the
     # carry before it cast to its plan by adapt_state.  As served, each
     # plan — int8 through its program — takes the carry as the plan before
-    # left it (float32 out of int8 and fp16, float64 out of a float plan)
+    # left it (float32 out of int8, float64 out of a float plan)
     # and casts it by that rule itself.
     order, frames, cuts, seed = case
     features = new_rng(seed).standard_normal((frames, 1, 8))
@@ -1013,7 +1008,7 @@ class TestHotSwap:
 
     @pytest.mark.parametrize(
         "incumbent_scheme,candidate_scheme",
-        [("fp16", None), (None, "int8"), ("mixed", None), ("int8", "mixed")],
+        [(None, "int8"), ("int8", None)],
     )
     def test_swap_across_schemes_rejected(
         self, incumbent_scheme, candidate_scheme, rng_factory

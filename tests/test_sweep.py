@@ -53,6 +53,16 @@ class TestGrid:
         with pytest.raises(ConfigError):
             SweepCell(2.0, 1.25, None, num_row_strips=0)
 
+    @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
+    def test_a_removed_scheme_is_a_config_error(self, scheme):
+        with pytest.raises(ConfigError, match=f"'{scheme}'"):
+            SweepCell(col_rate=2.0, row_rate=1.25, scheme=scheme)
+
+    @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
+    def test_a_grid_with_a_removed_scheme_is_a_config_error(self, tmp_path, scheme):
+        with pytest.raises(ConfigError, match=f"'{scheme}'"):
+            _config(tmp_path, schemes=(None, scheme)).grid()
+
     def test_build_grid_deterministic_order(self):
         grid = build_grid(
             rates=((2.0, 1.25), (4.0, 1.25)),
@@ -93,8 +103,8 @@ class TestSweepRobustness:
     def test_chaos_resume_bit_exact_across_schemes(self, tmp_path):
         """The acceptance property: a sweep whose every cell is crashed
         mid-training and resumed must be bit-identical to a clean sweep,
-        for each scheme in {None, fp16, int8}."""
-        schemes = (None, "fp16", "int8")
+        for each scheme in {None, int8}."""
+        schemes = (None, "int8")
         clean = run_sweep(_config(tmp_path, "clean", schemes=schemes))
 
         chaos_config = _config(
