@@ -32,8 +32,9 @@ Numerics by scheme (there are two):
   recurrent GEMM uses dequantized int8 weights in float64, too small to pay
   for a per-step quantization, rounded to float32.  Everything from the
   int32 sums to the next quantize is float32 — gate rows, biases, gates,
-  the carried states — and the logits are widened to float64 once, at the
-  end.  Per-frame scales plus
+  the carried states, the logits too; the public entries (``run_chunk``,
+  ``forward_batch``, ``forward_utterance``) widen those to float64 once,
+  and a streaming session decodes the float32 logits.  Per-frame scales plus
   order-exact integer accumulation make int8 plans **bitwise
   chunk-exact**: a frame's logits do not depend on which other frames
   shared the call.  An int8 GRU plan whose sparse slots bound the compiled
@@ -414,9 +415,7 @@ class PlanState:
     One ``(B, H)`` hidden-state array per layer.  States are value
     objects: the plan never mutates a state it was handed, and the state
     it returns never aliases its internal work buffers, so a state can be
-    held across arbitrary other plan calls.  ``stack``/``split`` convert between per-session
-    states and one batched state — how the stream scheduler fuses
-    concurrent sessions into a single ``run_chunk`` call.
+    held across arbitrary other plan calls.
     """
 
     def __init__(self, layer_states: List[np.ndarray]) -> None:
@@ -425,25 +424,6 @@ class PlanState:
     @property
     def batch_size(self) -> int:
         return int(self.layer_states[0].shape[0])
-
-    @staticmethod
-    def stack(states: List["PlanState"]) -> "PlanState":
-        """Concatenate per-session states along the batch axis."""
-        if not states:
-            raise ShapeError("cannot stack an empty list of states")
-        return PlanState(
-            [
-                np.concatenate(parts, axis=0)
-                for parts in zip(*(s.layer_states for s in states))
-            ]
-        )
-
-    def split(self) -> List["PlanState"]:
-        """One single-row state per batch entry (copies, no aliasing)."""
-        return [
-            PlanState([layer[b : b + 1].copy() for layer in self.layer_states])
-            for b in range(self.batch_size)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +535,15 @@ class ModelPlan:
     def _run(
         self, features: np.ndarray, layer_states: Optional[List[np.ndarray]]
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Logits and carries of one checked ``(T, B, D)`` chunk: one call into
-        the program where the plan lowered to one, else layer by layer.
-        Either way float32 logits are widened to float64 once, at the end."""
+        """Logits and carries of one checked ``(T, B, D)`` float64 chunk,
+        from per-layer carries already in the layers' dtypes (``None``:
+        zeros): one call into the program where the plan lowered to one,
+        else layer by layer.  The logits are in the dtype the layers made
+        them (float32 in an int8 plan) and never alias a work buffer.
+
+        The engine's one internal entry: the public entries and the
+        streaming sessions, which check a chunk once where it enters, run
+        it here; only the public entries widen the logits to float64."""
         self._bind_kernels()
         seq_len, batch, _ = features.shape
         if self.program is not None and seq_len and batch:
@@ -573,9 +559,7 @@ class ModelPlan:
             new_states.append(carry)
         if self.output is not None:
             x = self.output.project(x, self._workspace)
-        if x.dtype != np.float64:
-            x = x.astype(np.float64)
-        elif self.output is None:
+        else:
             x = x.copy()  # never hand out an internal work buffer
         return x, new_states
 
@@ -589,7 +573,8 @@ class ModelPlan:
         slices each one's frames out (as
         :func:`repro.speech.decoder.decode_batch` does).
         """
-        return self._run(self._checked(features, "forward_batch"), None)[0]
+        logits, _ = self._run(self._checked(features, "forward_batch"), None)
+        return _widened(logits)
 
     def init_state(self, batch: int) -> PlanState:
         """The all-zero carry state for ``batch`` concurrent streams."""
@@ -692,7 +677,7 @@ class ModelPlan:
             state = self.init_state(batch)
         self._check_state(state, batch)
         logits, new_states = self._run(features, self._carries(state))
-        return logits, PlanState(new_states)
+        return _widened(logits), PlanState(new_states)
 
     def forward_utterance(self, features: np.ndarray) -> np.ndarray:
         """Single utterance ``(T, D)`` → logits ``(T, C)``."""
@@ -709,6 +694,12 @@ class ModelPlan:
         if self.output is not None:
             total += self.output.nbytes()
         return total
+
+
+def _widened(logits: np.ndarray) -> np.ndarray:
+    """What the public entries return: float64 logits (float32 widened
+    once: exact, and it moves no argmax)."""
+    return logits if logits.dtype == np.float64 else logits.astype(np.float64)
 
 
 def check_features(features, axes: str, width: int, entry: str) -> np.ndarray:

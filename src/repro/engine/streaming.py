@@ -8,18 +8,19 @@ a stream of one chunk.
 * :class:`StreamingSession` — one client stream.  Feed feature chunks
   (or raw audio through a :class:`~repro.speech.features.StreamingFrontend`)
   and receive incrementally committed phones.  The recurrent carry is
-  threaded through :meth:`ModelPlan.run_chunk`, so an utterance fed in
+  threaded from chunk to chunk through the plan, so an utterance fed in
   *any* chunk split decodes to exactly the phone sequence the offline
   ``decode_utterance`` path produces (see ``docs/serving.md`` for the
   precise exactness guarantee per scheme).
 * :class:`StreamScheduler` — many concurrent sessions multiplexed onto
   one plan.  Queued chunks are grouped **by chunk length** (equal-length
-  chunks stack into one padded-free ``(T, B, D)`` batch; padding a
+  chunks stack into one padding-free ``(T, B, D)`` batch; padding a
   state-carrying chunk would corrupt the shorter sessions' state, so
   unequal lengths never share a batch) and a group runs as soon as it
   fills ``max_batch_size`` — or as soon as its oldest chunk has waited
   ``max_wait_frames`` frames of other traffic, the deadline that bounds
-  tail latency under light load.
+  tail latency under light load.  Each session's carry is one row of a
+  per-layer slab, gathered for the batch and written back after it.
 * :class:`StreamStats` — what the scheduler did: batch sizes, per-chunk
   wall-clock latency percentiles (p50/p95), and frames of deadline wait.
 
@@ -42,9 +43,14 @@ from typing import Deque, Dict, List, Optional
 #: chunks only (128 KiB of floats at the cap).
 LATENCY_WINDOW = 16384
 
+#: A scheduler's carry slabs start with this many rows and grow by
+#: ``SLAB_GROWTH`` when every row holds a live session.
+SLAB_ROWS = 8
+SLAB_GROWTH = 2
+
 import numpy as np
 
-from repro.errors import ConfigError, StreamError, SwapError
+from repro.errors import ConfigError, ShapeError, StreamError, SwapError
 from repro.engine.plan import ModelPlan, PlanState, check_features
 from repro.speech.decoder import IncrementalDecoder
 from repro.speech.features import StreamingFrontend
@@ -132,7 +138,7 @@ class StreamingSession:
     them bit-exactly with the offline ``log_mel_spectrogram``.
 
     For many concurrent sessions, use :class:`StreamScheduler`, which
-    fuses chunks across sessions into batched ``run_chunk`` calls.
+    fuses chunks across sessions into batched chunks.
     """
 
     def __init__(
@@ -143,7 +149,8 @@ class StreamingSession:
     ) -> None:
         self.plan = plan
         self.frontend = frontend
-        self._state: Optional[PlanState] = None
+        #: per-layer ``(1, H)`` carries in the layers' dtypes (``None``: zeros)
+        self._carries: Optional[List[np.ndarray]] = None
         self._decoder = IncrementalDecoder(min_duration)
         self._phones: List[int] = []
         self._frames = 0
@@ -172,9 +179,8 @@ class StreamingSession:
         features = check_features(features, "t", self.plan.input_dim, "feed")
         if len(features) == 0:
             return []
-        logits, self._state = self.plan.run_chunk(
-            features[:, None, :], self._state
-        )
+        # checked once, above: the plan's internal entry checks nothing again
+        logits, self._carries = self.plan._run(features[:, None, :], self._carries)
         self._frames += len(features)
         committed = self._decoder.push(logits[:, 0, :].argmax(axis=1))
         self._phones.extend(committed)
@@ -212,10 +218,11 @@ class _Pending:
 
 
 class _Entry:
-    """Scheduler-side per-session record."""
+    """Scheduler-side per-session record; its carry is row ``row`` of the
+    scheduler's slabs."""
 
-    def __init__(self, min_duration: int) -> None:
-        self.state: Optional[PlanState] = None
+    def __init__(self, min_duration: int, row: int) -> None:
+        self.row = row
         self.decoder = IncrementalDecoder(min_duration)
         self.queue: Deque[_Pending] = deque()
         self.committed: List[int] = []  # drained by poll()
@@ -241,6 +248,13 @@ class StreamScheduler:
     waited ``max_wait_frames`` frames of subsequently arriving traffic.
     ``flush()``/``finish()`` run everything still queued.
 
+    A chunk is checked once, where :meth:`feed` takes it.  Each live
+    session's carry is one row of a ``(capacity, H)`` slab per layer, in
+    that layer's dtype: a row is claimed (zeroed) at :meth:`open` /
+    :meth:`adopt` and released at :meth:`finish`, and the slabs grow by
+    :data:`SLAB_GROWTH` when every row is taken.  A batch gathers its
+    sessions' rows, runs, and writes the fresh carries back.
+
     Every session's chunk occupies its own batch rows, so co-batched
     traffic can only reach a session through BLAS reduction order in the
     shared per-step recurrent GEMM — a float-epsilon effect (~1e-16)
@@ -260,6 +274,11 @@ class StreamScheduler:
         self.config = config
         self.stats = StreamStats()
         self._entries: Dict[int, _Entry] = {}
+        #: sessions with a queued head chunk, as an insertion-ordered set
+        self._ready: Dict[int, None] = {}
+        #: per layer, every session's carry as one row
+        self._slabs = plan.init_state(SLAB_ROWS).layer_states
+        self._free = list(range(SLAB_ROWS - 1, -1, -1))  # pop() takes the lowest
         self._next_id = 0
         self._clock = 0  # total frames fed, all sessions
         #: Optional chunk journal (any object with ``open(sid)``,
@@ -272,15 +291,38 @@ class StreamScheduler:
         #: this hook.
         self.journal = journal
 
-    def open(self) -> int:
-        """Open a new session; returns its id."""
+    @property
+    def capacity(self) -> int:
+        """Rows in each carry slab: live sessions plus free rows."""
+        return len(self._slabs[0])
+
+    def _claim(self) -> int:
+        """A free slab row, zeroed; the slabs grow when none is left."""
+        if not self._free:
+            capacity = self.capacity
+            grown = SLAB_GROWTH * capacity
+            self._slabs = [
+                np.concatenate([slab, np.zeros((grown - capacity, slab.shape[1]), slab.dtype)])
+                for slab in self._slabs
+            ]
+            self._free = list(range(grown - 1, capacity - 1, -1))
+        row = self._free.pop()
+        for slab in self._slabs:
+            slab[row] = 0
+        return row
+
+    def _install(self, entry: _Entry) -> int:
         sid = self._next_id
         self._next_id += 1
-        self._entries[sid] = _Entry(self.config.min_duration)
+        self._entries[sid] = entry
         self.stats.sessions_opened += 1
         if self.journal is not None:
             self.journal.open(sid)
         return sid
+
+    def open(self) -> int:
+        """Open a new session; returns its id."""
+        return self._install(_Entry(self.config.min_duration, self._claim()))
 
     def adopt(
         self,
@@ -297,33 +339,34 @@ class StreamScheduler:
         session continues live from exactly where the replay left it.
         The state is adapted to this scheduler's plan (dtype cast for a
         scheme change; :class:`~repro.errors.ShapeError` on architecture
-        mismatch).  ``committed`` seeds the un-polled phone buffer —
-        re-homing callers that already delivered the replayed phones
-        pass none.  Adopted sessions start a fresh journal entry; the
-        caller owns the history that produced the state.
+        mismatch, or unless it holds exactly one row).  ``committed``
+        seeds the un-polled phone buffer — re-homing callers that already
+        delivered the replayed phones pass none.  Adopted sessions start
+        a fresh journal entry; the caller owns the history that produced
+        the state.
         """
-        sid = self._next_id
-        self._next_id += 1
-        entry = _Entry(self.config.min_duration)
+        carries = None if state is None else self.plan.adapt_state(state).layer_states
+        if carries is not None and len(carries[0]) != 1:
+            raise ShapeError(
+                f"adopt takes one session's state, got {len(carries[0])} rows"
+            )
+        entry = _Entry(self.config.min_duration, self._claim())
+        if carries is not None:
+            for slab, carry in zip(self._slabs, carries):
+                slab[entry.row] = carry[0]
         if decoder is not None:
             entry.decoder = decoder
-        if state is not None:
-            entry.state = self.plan.adapt_state(state)
         entry.committed = list(committed) if committed else []
         entry.frames = frames
-        self._entries[sid] = entry
-        self.stats.sessions_opened += 1
-        if self.journal is not None:
-            self.journal.open(sid)
-        return sid
+        return self._install(entry)
 
     def swap_plan(self, plan: ModelPlan) -> ModelPlan:
         """Hot-swap every live session onto ``plan``; returns the old plan.
 
         The swap is a barrier: all queued chunks are flushed through the
         incumbent plan first, so no in-flight batch ever mixes plans.
-        Then every live session's carry state is adapted to the new
-        plan's compute dtypes (:meth:`ModelPlan.adapt_state
+        Then the carry slabs are adapted to the new plan's compute dtypes
+        (:meth:`ModelPlan.adapt_state
         <repro.engine.plan.ModelPlan.adapt_state>`) — ``PlanState``
         shapes are stable across same-architecture plans, so sessions
         continue mid-utterance without dropping a frame.
@@ -342,9 +385,7 @@ class StreamScheduler:
         self.flush()
         old = self.plan
         if plan is not old:
-            for entry in self._entries.values():
-                if entry.state is not None:
-                    entry.state = plan.adapt_state(entry.state)
+            self._slabs = plan.adapt_state(PlanState(self._slabs)).layer_states
             self.plan = plan
         self.stats.plan_swaps += 1
         return old
@@ -362,7 +403,8 @@ class StreamScheduler:
         entry = self._entry(sid)
         # a copy: the chunk waits in the queue, and the caller may refill
         # its buffer before the batch runs.  Checked before the journal
-        # sees it: a rejected chunk is neither queued nor recorded.
+        # sees it: a rejected chunk is neither queued nor recorded.  The
+        # one check a chunk gets: the batch it joins runs unchecked.
         features = check_features(
             np.array(features, dtype=np.float64), "t", self.plan.input_dim, "feed"
         )
@@ -377,6 +419,7 @@ class StreamScheduler:
         entry.queue.append(
             _Pending(features, time.perf_counter(), self._clock)
         )
+        self._ready[sid] = None
         self.stats.chunks += 1
         self.stats.frames += len(features)
         self._pump()
@@ -389,11 +432,11 @@ class StreamScheduler:
 
     def pending(self) -> int:
         """Chunks queued but not yet run."""
-        return sum(len(entry.queue) for entry in self._entries.values())
+        return sum(len(self._entries[sid].queue) for sid in self._ready)
 
     def flush(self) -> None:
         """Run every queued chunk (deadline disregarded)."""
-        while self.pending():
+        while self._ready:
             self._run_ready(force=True)
 
     def finish(self, sid: int) -> List[int]:
@@ -405,6 +448,7 @@ class StreamScheduler:
             self._run_ready(force=True, only_sid=sid)
         entry.committed.extend(entry.decoder.finish())
         del self._entries[sid]
+        self._free.append(entry.row)
         self.stats.sessions_finished += 1
         if self.journal is not None:
             self.journal.mark_finished(sid)
@@ -412,13 +456,10 @@ class StreamScheduler:
 
     # -- batching core ----------------------------------------------------
     def _groups(self, only_sid: Optional[int] = None) -> Dict[int, List[int]]:
-        """Eligible head chunks grouped by exact chunk length."""
+        """Ready sessions' head chunks grouped by exact chunk length."""
         groups: Dict[int, List[int]] = {}
-        for sid, entry in self._entries.items():
-            if only_sid is not None and sid != only_sid:
-                continue
-            if entry.queue:
-                groups.setdefault(len(entry.queue[0].features), []).append(sid)
+        for sid in (self._ready if only_sid is None else (only_sid,)):
+            groups.setdefault(len(self._entries[sid].queue[0].features), []).append(sid)
         return groups
 
     def _pump(self) -> None:
@@ -446,14 +487,19 @@ class StreamScheduler:
         )[: self.config.max_batch_size]
         entries = [self._entries[sid] for sid in sids]
         pendings = [entry.queue.popleft() for entry in entries]
-        batch = np.stack([p.features for p in pendings], axis=1)
-        states = PlanState.stack(
-            [
-                entry.state if entry.state is not None else self.plan.init_state(1)
-                for entry in entries
-            ]
-        )
-        logits, new_state = self.plan.run_chunk(batch, states)
+        for sid, entry in zip(sids, entries):
+            if not entry.queue:
+                del self._ready[sid]
+        # (T, B * D) with row t the sessions' frames t side by side: (T, B, D)
+        batch = np.concatenate([p.features for p in pendings], axis=1)
+        batch = batch.reshape(len(batch), len(pendings), self.plan.input_dim)
+        rows = np.array([entry.row for entry in entries])
+        # every chunk was checked in feed: the plan's internal entry, no
+        # second check; logits in the layers' dtype (argmax-exact)
+        carries = [slab.take(rows, axis=0) for slab in self._slabs]
+        logits, fresh = self.plan._run(batch, carries)
+        for slab, carry in zip(self._slabs, fresh):
+            slab[rows] = carry
         labels = logits.argmax(axis=2)  # (T, B)
         for b, (entry, pending) in enumerate(zip(entries, pendings)):
             entry.committed.extend(entry.decoder.push(labels[:, b]))
@@ -464,7 +510,5 @@ class StreamScheduler:
                 time.perf_counter() - pending.submit_perf
             )
             self.stats.wait_frames += self._clock - pending.submit_clock
-        for entry, split in zip(entries, new_state.split()):
-            entry.state = split
         self.stats.batches += 1
         self.stats.batched_chunks += len(entries)

@@ -1464,7 +1464,13 @@ def _reset_for_tests() -> None:
 # ctypes helpers
 # ---------------------------------------------------------------------------
 def _p(array: np.ndarray) -> int:
-    return array.ctypes.data
+    """``array``'s data address: through the buffer protocol where the
+    array is writable and C-contiguous (a quarter of ``.ctypes.data``'s
+    cost, which builds an object per call), else ``.ctypes.data``."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):  # read-only, strided or empty
+        return array.ctypes.data
 
 
 def _f64(array: np.ndarray) -> np.ndarray:
@@ -1821,33 +1827,40 @@ class PlanProgram:
 
     def run(self, x: np.ndarray, carry) -> Tuple[np.ndarray, list]:
         """``x (T, B, D)`` and per-layer float32 ``(B, H)`` carries
-        (``None``: zeros) → fresh logits (the C's float32, widened to
-        float64 once, here) and a list of fresh float32 carries; ``T > 0``,
-        ``B > 0``.  Shapes are the caller's to have checked.  The chunk runs
-        in tiles of ``ceil(8 / B)`` steps, every op of a tile before the
-        next, and each hidden state is quantized once, where it is made;
-        the arena (:meth:`arena_size`) grows only with ``B``, never with
-        ``T``, and its address is taken again when it does.  Nothing
+        (``None``: zeros) → fresh float32 logits, as the C made them, and a
+        list of fresh float32 carries; ``T > 0``, ``B > 0``.  Shapes are
+        the caller's to have checked.  The fresh carries and the logits are
+        views of one new array, whose address is taken once.  The chunk
+        runs in tiles of ``ceil(8 / B)`` steps, every op of a tile before
+        the next, and each hidden state is quantized once, where it is
+        made; the arena (:meth:`arena_size`) grows only with ``B``, never
+        with ``T``, and its address is taken again when it does.  Nothing
         returned aliases it."""
         seq_len, batch, _ = x.shape
         x = _f64(x)
-        states = [
-            np.zeros((batch, width), dtype=np.float32) if carry is None else _f32(carry[i])
-            for i, width in enumerate(self.hidden)
-        ]
-        fresh = [np.empty((batch, width), dtype=np.float32) for width in self.hidden]
-        logits = np.empty((seq_len, batch, self.width), dtype=np.float32)
+        sizes = [batch * width for width in self.hidden]
+        out = np.empty(sum(sizes) + seq_len * batch * self.width, dtype=np.float32)
+        at, fresh, fresh_at = _p(out), [], []
+        start = 0
+        for size, width in zip(sizes, self.hidden):
+            fresh.append(out[start : start + size].reshape(batch, width))
+            fresh_at.append(at + 4 * start)
+            start += size
+        if carry is None:  # the C only reads a carry in: one zero block serves all
+            states = [np.zeros(max(sizes), dtype=np.float32)] * len(sizes)
+        else:
+            states = [_f32(state) for state in carry]
         need = self.arena_size(batch)
         if self.arena.size < need:
             self.arena = _aligned(need)
             self._arena_at = _p(self.arena)
         self._lib.repro_plan_i8_chunk(
             self._ops, len(self._ops), seq_len, batch, _p(x),
-            (ctypes.c_void_p * (2 * len(fresh)))(*map(_p, states + fresh)), _p(logits),
+            (ctypes.c_void_p * (2 * len(sizes)))(*map(_p, states), *fresh_at), at + 4 * start,
             self._arena_at,
             _scratch(8 * self._work),  # a product's block is <= 8 rows
         )
-        return logits.astype(np.float64), fresh
+        return out[start:].reshape(seq_len, batch, self.width), fresh
 
 
 #: op name → compiled implementation: the ops where C beats numpy on every

@@ -237,6 +237,23 @@ class TestBackendValidation:
             )
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: np.zeros((3, 4)), id="contiguous"),
+        pytest.param(lambda: np.zeros((5, 4), np.float32)[2:], id="offset-view"),
+        pytest.param(lambda: np.asfortranarray(np.zeros((3, 4))), id="fortran"),
+        pytest.param(lambda: np.zeros((3, 8), np.int8)[:, ::2], id="strided"),
+        pytest.param(lambda: np.zeros(0), id="empty"),
+        pytest.param(lambda: np.broadcast_to(np.zeros(4), (4,)), id="read-only"),
+    ],
+)
+def test_an_address_is_the_arrays_data_pointer(make):
+    # the buffer-protocol address where it applies, .ctypes.data elsewhere
+    array = make()
+    assert compiled._p(array) == array.ctypes.data
+
+
 # ---------------------------------------------------------------------------
 # int8 BSPC microkernel dispatch (one kernel family, every batch width)
 # ---------------------------------------------------------------------------

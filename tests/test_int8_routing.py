@@ -317,19 +317,23 @@ def run_chunk(plan, chunk, state=None, lowered=True):
 def run_traffic(plan, route, utterances, chunks, groupings, lowered=True):
     """Stream ``utterances`` under ``route``: chunk ``k`` co-batches the
     sessions of each of ``groupings[k]``'s groups into one ``run_chunk``
-    (:func:`run_chunk` with ``lowered``).  Returns every session's logits,
-    chunk by chunk, and final carry state."""
-    states = plan.init_state(len(utterances)).split()
+    (:func:`run_chunk` with ``lowered``): its carry is the group's rows,
+    concatenated, and each session takes its row back as a slice.  Returns
+    every session's logits, chunk by chunk, and final carry state."""
+    zero = plan.init_state(1).layer_states
+    states = [engine.PlanState(zero) for _ in utterances]
     pieces = [[] for _ in utterances]
     with kernels.use_backend(route):
         for (start, stop), groups in zip(chunks, groupings):
             for group in groups:
                 chunk = utterances[group, start:stop].transpose(1, 0, 2)
-                logits, carry = run_chunk(
-                    plan, chunk, engine.PlanState.stack([states[s] for s in group]), lowered
-                )
-                for column, (session, state) in enumerate(zip(group, carry.split())):
-                    states[session] = state
+                rows = zip(*(states[s].layer_states for s in group))
+                carry = engine.PlanState([np.concatenate(layer) for layer in rows])
+                logits, carry = run_chunk(plan, chunk, carry, lowered)
+                for column, session in enumerate(group):
+                    states[session] = engine.PlanState(
+                        [layer[column : column + 1] for layer in carry.layer_states]
+                    )
                     pieces[session].append(logits[:, column])
     return pieces, states
 
@@ -528,7 +532,9 @@ class TestFusedStepOperands:
         logits, (carry,) = compiled.PlanProgram([project, recur]).run(x, None)
         with kernels.use_backend("reference"):
             want, state = plan.run_chunk(x)
-        assert logits.tobytes() == want.tobytes()
+        # the program's logits are the C's float32; run_chunk widens them once
+        assert logits.dtype == np.float32 and want.dtype == np.float64
+        assert logits.astype(np.float64).tobytes() == want.tobytes()
         assert carry.tobytes() == state.layer_states[0].tobytes()
         f32 = np.float32
         for ops in (

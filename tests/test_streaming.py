@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import engine, kernels
+from repro.engine.streaming import SLAB_GROWTH, SLAB_ROWS
 from repro.errors import ConfigError, ShapeError, StreamError
 from repro.speech.decoder import IncrementalDecoder, decode_utterance, smooth_labels
 from repro.speech.features import (
@@ -168,16 +169,23 @@ class TestRunChunkAPI:
         logits, _ = plan.run_chunk(x)
         np.testing.assert_array_equal(logits, plan.forward_batch(x))
 
-    def test_plan_state_stack_split_roundtrip(self, rng):
+    def test_concatenated_carries_continue_each_stream(self, rng):
+        # a batched carry is the sessions' rows, concatenated; row b of
+        # what it returns is session b's carry, as a row slice
         plan = self.make_plan()
         _, s1 = plan.run_chunk(rng.standard_normal((4, 1, 8)))
         _, s2 = plan.run_chunk(rng.standard_normal((6, 1, 8)))
-        stacked = engine.PlanState.stack([s1, s2])
+        stacked = engine.PlanState(
+            [np.concatenate(rows) for rows in zip(s1.layer_states, s2.layer_states)]
+        )
         assert stacked.batch_size == 2
-        parts = stacked.split()
-        for original, part in zip((s1, s2), parts):
-            for a, b in zip(original.layer_states, part.layer_states):
-                np.testing.assert_array_equal(a, b)
+        x = rng.standard_normal((3, 2, 8))
+        logits, carry = plan.run_chunk(x, stacked)
+        for b, solo in enumerate((s1, s2)):
+            want, want_carry = plan.run_chunk(x[:, b : b + 1], solo)
+            np.testing.assert_allclose(logits[:, b], want[:, 0], atol=1e-12)
+            for got, row in zip(carry.layer_states, want_carry.layer_states):
+                np.testing.assert_allclose(got[b : b + 1], row, atol=1e-12)
 
     def test_batched_sessions_independent_of_cobatching(self, rng):
         # Row b of a batched run_chunk carries session b's stream as if
@@ -205,8 +213,8 @@ class TestRunChunkAPI:
 
 class TestOneArrayCarry:
     """A layer's carry is one ``(B, H)`` array in the layer's dtype, for
-    every scheme and weight format; ``stack``/``split`` and
-    ``adapt_state`` move those arrays and reject any other shape."""
+    every scheme and weight format; ``adapt_state`` moves those arrays
+    and rejects any other shape."""
 
     @staticmethod
     def make_plan(scheme=None, fmt=None):
@@ -233,22 +241,30 @@ class TestOneArrayCarry:
             assert np.any(hidden) and np.abs(hidden).max() <= 1.0
 
     @pytest.mark.parametrize("batches", [(1,), (1, 2), (3, 1, 2)])
-    def test_stack_then_split_moves_rows_unchanged(self, batches, rng):
+    def test_a_concatenated_carry_runs_each_row_as_its_own(self, batches, rng):
+        # int8 rows are bitwise independent: a carry concatenated from
+        # sessions' rows runs each row to the bytes it runs to alone, and
+        # the plan writes into none of the rows it was handed
         plan = self.make_plan("int8")
         states = [
             plan.run_chunk(rng.standard_normal((4, b, 8)))[1] for b in batches
         ]
-        stacked = engine.PlanState.stack(states)
+        stacked = engine.PlanState(
+            [np.concatenate(rows) for rows in zip(*(s.layer_states for s in states))]
+        )
         assert stacked.batch_size == sum(batches)
-        rows = [row for state in states for row in state.split()]
-        parts = stacked.split()
-        assert len(parts) == len(rows) == sum(batches)
-        for part, row in zip(parts, rows):
-            for layer, a, b in zip(plan.layers, part.layer_states, row.layer_states):
-                assert a.shape == (1, layer.hidden_size) and a.dtype == b.dtype
-                assert a.tobytes() == b.tobytes()
-        parts[0].layer_states[0][...] = 7.0  # split copies
-        assert not np.any(stacked.layer_states[0] == 7.0)
+        kept = [layer.copy() for layer in stacked.layer_states]
+        x = rng.standard_normal((3, sum(batches), 8))
+        logits, carry = plan.run_chunk(x, stacked)
+        for b in range(sum(batches)):
+            row = engine.PlanState([layer[b : b + 1] for layer in stacked.layer_states])
+            want, want_carry = plan.run_chunk(x[:, b : b + 1], row)
+            assert logits[:, b : b + 1].tobytes() == want.tobytes()
+            for layer, got, one in zip(plan.layers, carry.layer_states, want_carry.layer_states):
+                assert got.dtype == one.dtype == layer.dtype
+                assert got[b : b + 1].tobytes() == one.tobytes()
+        for layer, want in zip(stacked.layer_states, kept):
+            assert layer.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "mangle",
@@ -870,6 +886,159 @@ def test_whole_utterances_through_the_scheduler_decode_offline(
 
 
 # ---------------------------------------------------------------------------
+# Carry slabs: rows claimed, released, reused; the slabs grow and stay bounded
+# ---------------------------------------------------------------------------
+@st.composite
+def slab_traffic(draw):
+    """More sessions live at once than a slab's first rows, then sessions
+    opened while earlier ones finish: per session an utterance length and
+    chunk size, and an interleaving of every session's open, chunks and
+    finish: the first ``SLAB_ROWS + 1`` or more open before any finishes,
+    the rest only once one has."""
+    first = draw(st.integers(SLAB_ROWS + 1, SLAB_ROWS + 4))
+    later = draw(st.integers(1, 6))
+    sessions = [
+        (draw(st.integers(1, 12)), draw(st.integers(1, 5))) for _ in range(first + later)
+    ]
+    picks = draw(st.lists(st.integers(0, 2**16), min_size=200, max_size=200))
+    config = (draw(st.integers(1, 8)), draw(st.sampled_from([0, 3, 40])))
+    return first, sessions, picks, config, draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
+@settings(max_examples=8, deadline=None)
+@given(case=slab_traffic())
+def test_interleaved_sessions_reuse_rows_and_decode_offline(scheme_plans, scheme, case):
+    first, sessions, picks, (max_batch_size, max_wait), seed = case
+    plan, rng = scheme_plans[scheme], np.random.default_rng(seed)
+    utterances = [rng.standard_normal((t, 8)) for t, _ in sessions]
+    scheduler = engine.StreamScheduler(
+        plan,
+        engine.StreamConfig(
+            max_batch_size=max_batch_size, max_wait_frames=max_wait, min_duration=2
+        ),
+    )
+    # per session: the events still to come, as offsets into its utterance
+    # (``None``: finish); a later session is opened when first picked
+    todo = [list(range(0, t, size)) + [None] for t, size in sessions]
+    sids = {i: scheduler.open() for i in range(first)}
+    hyps = {i: [] for i in range(len(sessions))}
+    assert scheduler.capacity > SLAB_ROWS
+    live, waiting = list(range(first)), list(range(first, len(sessions)))
+    released, reused = set(), 0
+    picks = iter(picks * 8)
+    while live or waiting:
+        choices = live + waiting[:1] if released else live
+        i = choices[next(picks) % len(choices)]
+        if i not in sids:
+            sids[i] = scheduler.open()
+            row = scheduler._entries[sids[i]].row
+            reused += row in released
+            assert not any(slab[row].any() for slab in scheduler._slabs)
+            live.append(waiting.pop(0))
+            continue
+        offset = todo[i].pop(0)
+        if offset is None:
+            row = scheduler._entries[sids[i]].row
+            hyps[i] += scheduler.finish(sids[i])
+            # released as the session left it: the zeros above are the claim's
+            assert any(slab[row].any() for slab in scheduler._slabs)
+            released.add(row)
+            live.remove(i)
+        else:
+            scheduler.feed(sids[i], utterances[i][offset : offset + sessions[i][1]])
+            hyps[i] += scheduler.poll(sids[i])
+    assert scheduler.pending() == 0
+    assert [hyps[i] for i in range(len(sessions))] == [
+        decode_utterance(plan.forward_utterance(u), 2) for u in utterances
+    ]
+    assert reused  # a later session opened into a released row
+
+
+@pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
+@pytest.mark.parametrize("window", [1, SLAB_ROWS + 3])
+def test_slab_capacity_is_bounded_by_the_peak_of_live_sessions(
+    scheme_plans, scheme, window, rng
+):
+    # 2000 sessions, at most ``window`` live at a time: each opened, fed
+    # and finished in turn, the oldest first
+    plan = scheme_plans[scheme]
+    scheduler = engine.StreamScheduler(
+        plan, engine.StreamConfig(max_batch_size=4, max_wait_frames=6)
+    )
+    features = rng.standard_normal((2, 8))
+    live, peak = [], 0
+    for _ in range(2000):
+        sid = scheduler.open()
+        scheduler.feed(sid, features)
+        live.append(sid)
+        peak = max(peak, len(live))
+        if len(live) == window:
+            scheduler.finish(live.pop(0))
+    for sid in live:
+        scheduler.finish(sid)
+    assert peak == window
+    assert scheduler.capacity <= max(SLAB_ROWS, SLAB_GROWTH * peak)
+    assert scheduler.stats.sessions_finished == 2000
+
+
+class _RecordingDecoder(IncrementalDecoder):
+    """An incremental decoder that keeps every label it is pushed."""
+
+    def __init__(self, min_duration: int) -> None:
+        super().__init__(min_duration)
+        self.labels = []
+
+    def push(self, labels):
+        self.labels += np.asarray(labels).tolist()
+        return super().push(labels)
+
+
+@pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
+def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
+    # odd classes repeat the even class before them, weights and bias: every
+    # logit has a twin, and the label must be the first of the two, however
+    # the chunk's logits were made (float32 in an int8 plan) and decoded
+    model = tiny_model()
+    for param in (model.output.weight.data, model.output.bias.data):
+        pairs = len(param) // 2
+        param[1 : 2 * pairs : 2] = param[0 : 2 * pairs : 2]
+    config = engine.EngineConfig(sparse_format="bspc", num_row_strips=4, num_col_blocks=4)
+    with kernels.use_backend(None):
+        plan = engine.compile_model(model, scheme=scheme, config=config)
+        utterances = [rng.standard_normal((t, 8)) for t in (13, 13, 7)]
+        want = [plan.run_chunk(u[:, None, :])[0][:, 0] for u in utterances]
+        for logits in want:
+            labels = logits.argmax(-1)
+            assert (labels % 2 == 0).all()
+            assert (logits[np.arange(len(labels)), labels + 1] == logits.max(-1)).all()
+        want = [logits.argmax(-1).tolist() for logits in want]
+
+        got = []
+        for utterance in utterances:
+            session = engine.StreamingSession(plan, min_duration=2)
+            session._decoder = _RecordingDecoder(2)
+            for start in range(0, len(utterance), 4):
+                session.feed(utterance[start : start + 4])
+            got.append(session._decoder.labels)
+        assert got == want
+
+        scheduler = engine.StreamScheduler(
+            plan, engine.StreamConfig(max_batch_size=3, max_wait_frames=100)
+        )
+        decoders = [_RecordingDecoder(1) for _ in utterances]
+        sids = [scheduler.adopt(None, decoder) for decoder in decoders]
+        for start in range(0, 13, 4):
+            for sid, utterance in zip(sids, utterances):
+                if start < len(utterance):
+                    scheduler.feed(sid, utterance[start : start + 4])
+        for sid in sids:
+            scheduler.finish(sid)
+        assert [decoder.labels for decoder in decoders] == want
+        assert scheduler.stats.mean_batch_size > 1.0
+
+
+# ---------------------------------------------------------------------------
 # Non-finite features: refused at every way in
 # ---------------------------------------------------------------------------
 class TestNonFiniteFeatures:
@@ -1105,6 +1274,16 @@ class TestHotSwap:
             plan.forward_utterance(utterance), min_duration=2
         )
         assert phones == offline
+
+    def test_adopt_takes_one_sessions_state(self):
+        # a carry slab row holds one session: a batched state is refused
+        # before any row is claimed
+        plan = engine.compile_model(tiny_model(), scheme="int8")
+        scheduler = engine.StreamScheduler(plan)
+        with pytest.raises(ShapeError):
+            scheduler.adopt(plan.init_state(2))
+        assert scheduler.stats.sessions_opened == 0
+        assert len(scheduler._free) == scheduler.capacity
 
     def test_plan_signature_and_adapt_state(self):
         from repro.errors import ShapeError
