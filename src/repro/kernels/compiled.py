@@ -56,8 +56,9 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   exact, so their codes and scales are those of the same values as
   doubles.  A whole plan lowered to one call per chunk *calls* that entry
   and the projection op by op, a tile of steps at a time, every row on its
-  own, so it is the same bytes again; its logits are float32, widened to
-  float64 once, in :meth:`PlanProgram.run`.
+  own, so it is the same bytes again — on one core or with its rows in two
+  halves on two; its logits are float32, widened to float64 once, in
+  :meth:`PlanProgram.run`.
 
 Every op registered here wins on some recorded shape.  The ops where C
 never beat numpy + BLAS — the float sparse products, the per-call-scale
@@ -113,6 +114,17 @@ LANES_PAD = 16
 #: Output rows per window of that kernel's epilogue: one 16-bit mask each.
 WINDOW = 16
 
+#: A chunk of two or more batch rows runs on two cores once its estimated
+#: serial work reaches this many ns: below it, making and joining the
+#: helper thread costs more than its half saves (docs/kernels.md, "Two
+#: cores per chunk").
+SPLIT_NS = 200_000
+
+#: The estimate: ns per frame for each code of an op's panel, and for each
+#: of its output rows, fitted to the one-core program at B = 2..8.
+FRAME_NS_PER_CODE = 0.005
+FRAME_NS_PER_ROW = 0.5
+
 # ---------------------------------------------------------------------------
 # Generated C source
 # ---------------------------------------------------------------------------
@@ -133,6 +145,7 @@ WINDOW = 16
 #     the call — the property the streaming engine's chunk-exactness
 #     rests on.
 _C_COMMON = r"""
+#define _GNU_SOURCE  /* sched_getcpu and the affinity calls of the two-core chunk */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -153,8 +166,10 @@ typedef uint8_t u8;
 /* Phase tick counters: TIC(v) ... TOC(v, PH_x) adds the ticks between the
  * two to counter PH_x.  They exist only in a -DREPRO_PHASES build
  * (build_library(phases=True)); everywhere else both compile to nothing.
- * Cumulative, process-wide, not atomic; repro_phase_ticks reads and
- * clears them.  Ticks are the time-stamp counter on x86, ns elsewhere.
+ * Cumulative and per thread: a chunk's helper thread adds its own into
+ * its caller's at the join (repro_plan_i8_chunk), and repro_phase_ticks
+ * reads and clears the calling thread's.  Ticks are the time-stamp counter
+ * on x86, ns elsewhere.
  * On x86 an lfence on either side of each read serializes it: the phase
  * before has finished when the counter is read, and the next has not
  * begun, so no phase's tail is counted in the next one's interval. */
@@ -180,7 +195,7 @@ static uint64_t repro_ns(void)
 }
 #define REPRO_TICKS() repro_ns()
 #endif
-static uint64_t repro_phases[PH_COUNT];
+static __thread uint64_t repro_phases[PH_COUNT];
 #define TIC(v) const uint64_t v = REPRO_TICKS()
 #define TOC(v, phase) (repro_phases[phase] += REPRO_TICKS() - (v))
 #else
@@ -1054,34 +1069,46 @@ static i64 carve(i64 *end, i64 size)
     return at;
 }
 
-/* The arena of repro_plan_i8_chunk at `batch` rows a step, laid out from B
- * and the widths alone (not T), for tiles of `rows` = ceil(8 / B) * B rows:
- * the tile's float32 gate rows (3H of the widest H), gh (B rows), the
- * scales and codes of a tile of x, then per GRU two halves — tiles
- * alternate between them, so the one a tile writes is not the one the tile
- * before it wrote — each `rows` scales, states and codes.  Every piece
- * starts on a cache line; the arena ends where the last one does.  Returns
- * its bytes; given the arena `base`, also where the tile's pieces are (io:
- * gates, gh, x's scales, x's codes) and each GRU's two halves, in order. */
+/* int32 of product scratch an op takes per operand row: its sums
+ * (bspc_lda), then its gathered codes, int16 at their widest. */
+static i64 op_work(const plan_op *p)
+{
+    return bspc_lda(p) + (p->mc + 1) / 2;
+}
+
+/* The arena of one run of a chunk's rows (run_rows) at `batch` rows a
+ * step, laid out from B and the widths alone (not T), for tiles of `rows`
+ * = ceil(8 / B) * B rows: the tile's float32 gate rows (3H of the widest
+ * H), gh (B rows), the scales and codes of a tile of x, the tile's float32
+ * logits where an output op makes them (a half of a split chunk stages them
+ * there), per GRU two halves — tiles alternate between them, so the one a
+ * tile writes is not the one the tile before it wrote — each `rows` scales,
+ * states and codes, and last the product's scratch at 8 rows (the neediest
+ * op's), so a product that outgrew it would write past the arena's end.
+ * Every piece starts on a cache line; the arena ends where the last one
+ * does.  Returns its bytes; given the arena `base`, also where the tile's
+ * pieces are (io) and each GRU's two halves, in order. */
 typedef struct {
-    float *gates, *gh;
+    float *gates, *gh, *out;
     double *xs;
     i8 *xq;
+    i32 *work;
 } tile_io;
 
-static i64 arena_layout(
+static i64 rows_layout(
     const plan_op *ops, i64 count, i64 batch, char *base, tile_io *io, tile_rows *halves)
 {
     const i64 rows = (8 + batch - 1) / batch * batch, d = ops[0].n;
-    i64 h = 0, end = 0;
-    for (i64 i = 0; i < count; i++)
+    const i64 width = ops[count - 1].kind == PLAN_OUTPUT ? ops[count - 1].rows : 0;
+    i64 h = 0, work = 0, end = 0;
+    for (i64 i = 0; i < count; i++) {
         if (ops[i].kind == PLAN_GRU && ops[i].n > h) h = ops[i].n;
+        if (op_work(ops + i) > work) work = op_work(ops + i);
+    }
     const i64 gates = carve(&end, rows * 3 * h * (i64)sizeof(float));
     const i64 gh = carve(&end, batch * 3 * h * (i64)sizeof(float));
     const i64 xs = carve(&end, rows * (i64)sizeof(double)), xq = carve(&end, rows * d);
-    if (base)
-        *io = (tile_io){(float *)(base + gates), (float *)(base + gh), (double *)(base + xs),
-                        (i8 *)(base + xq)};
+    const i64 out = carve(&end, rows * width * (i64)sizeof(float));
     for (i64 i = 0; i < count; i++) {
         if (ops[i].kind != PLAN_GRU) continue;
         for (int k = 0; k < 2; k++) {
@@ -1093,83 +1120,228 @@ static i64 arena_layout(
                                         (i8 *)(base + code)};
         }
     }
+    const i64 scratch = carve(&end, 8 * work * (i64)sizeof(i32));
+    if (base)
+        *io = (tile_io){(float *)(base + gates), (float *)(base + gh), (float *)(base + out),
+                        (double *)(base + xs), (i8 *)(base + xq), (i32 *)(base + scratch)};
     return end;
 }
 
-/* Bytes of arena repro_plan_i8_chunk takes for `batch` rows a step. */
-API i64 repro_plan_i8_arena(const plan_op *ops, i64 count, i64 batch)
+/* Where the second half of a split chunk's arena starts: on the cache line
+ * after the first half's, which is laid out for its ceil(B / 2) rows. */
+static i64 second_half(const plan_op *ops, i64 count, i64 batch)
 {
-    return arena_layout(ops, count, batch, NULL, NULL, NULL);
+    i64 end = rows_layout(ops, count, (batch + 1) / 2, NULL, NULL, NULL);
+    return carve(&end, 0);
 }
 
-/* One chunk of a whole plan: x (T, B, ops[0].n) through the ops — per
- * layer a PLAN_PROJECT and a PLAN_GRU, then at most one PLAN_OUTPUT — into
- * the float32 logits (T, B, the last op's width).  The chunk is walked in
- * tiles of ceil(8 / B) steps, the fewest whole steps that fill the
- * product's 8-row block, and a tile runs every op before the next tile
- * starts, so its gate rows, states and gh stay in cache.  A tile's frames
- * of x are quantized once, for the first projection; every hidden state
- * once, in the gate sweep that makes it (repro_gru_i8_chunk), for the
- * layer's next step and the next op; each carry in once, for tile 0.
- * `carry` holds, GRU by GRU, the float32 (B, H) states in and then the
- * (B, H) arrays the states out are copied to.  `arena` is
- * repro_plan_i8_arena(ops, count, B) bytes (arena_layout), `work` the
- * neediest op's product scratch at 8 rows.  B > 0, T > 0. */
-API void repro_plan_i8_chunk(
-    const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
-    float *const *carry, float *logits, char *arena, i32 *work)
+/* Bytes of arena repro_plan_i8_chunk takes for `batch` rows a step: room
+ * for the whole batch's rows and, where B >= 2, for the two halves of a
+ * split chunk side by side. */
+API i64 repro_plan_i8_arena(const plan_op *ops, i64 count, i64 batch)
 {
-    TIC(chunk);
-    const i64 tile = (8 + batch - 1) / batch, rows = tile * batch, d = ops[0].n;
-    const i64 last = rows - batch;  /* the first row of a whole tile's last step */
+    const i64 whole = rows_layout(ops, count, batch, NULL, NULL, NULL);
+    if (batch < 2) return whole;
+    const i64 split = second_half(ops, count, batch) +
+                      rows_layout(ops, count, batch / 2, NULL, NULL, NULL);
+    return whole > split ? whole : split;
+}
+
+/* Rows [b0, b0 + nb) of a chunk of `batch` rows a step: all of them, or
+ * one half of a split chunk.  x, the carries and the logits are the whole
+ * chunk's, read and written at those rows only; `arena` is the run's own
+ * (rows_layout at nb).  `ticks`: a helper thread's phase counters, copied
+ * there as it ends. */
+typedef struct {
+    const plan_op *ops;
+    i64 count, steps, batch, b0, nb;
+    const double *x;
+    float *const *carry;
+    float *logits;
+    char *arena;
+    uint64_t ticks[PH_COUNT];
+} chunk_rows;
+
+/* A tile's `span` steps of the run's rows, `width` floats each, from
+ * `from` (span x nb rows) into the chunk's logits. */
+static void put_rows(const chunk_rows *c, i64 t0, i64 span, i64 width, const float *from)
+{
+    for (i64 t = 0; t < span; t++)
+        memcpy(c->logits + ((t0 + t) * c->batch + c->b0) * width, from + t * c->nb * width,
+               (size_t)(c->nb * width) * sizeof(float));
+}
+
+/* The run's rows of the chunk, in tiles of ceil(8 / nb) steps, the fewest
+ * whole steps that fill the product's 8-row block; a tile runs every op
+ * before the next tile starts, so its gate rows, states and gh stay in
+ * cache.  A tile's frames of x are quantized once, for the first
+ * projection; every hidden state once, in the gate sweep that makes it
+ * (repro_gru_i8_chunk), for the layer's next step and the next op; each
+ * carry in once, for tile 0.  Every row is computed on its own, so the
+ * bytes of a row do not depend on which rows share the run. */
+static void run_rows(const chunk_rows *c)
+{
+    const plan_op *ops = c->ops;
+    const i64 count = c->count, steps = c->steps, batch = c->batch, b0 = c->b0, nb = c->nb;
+    const i64 tile = (8 + nb - 1) / nb, rows = tile * nb, d = ops[0].n;
+    const i64 last = rows - nb;  /* the first row of a whole tile's last step */
     i64 grus = 0;
     for (i64 i = 0; i < count; i++) grus += ops[i].kind == PLAN_GRU;
     tile_io io;
     tile_rows halves[2 * grus];
-    arena_layout(ops, count, batch, arena, &io, halves);
+    rows_layout(ops, count, nb, c->arena, &io, halves);
     /* each carry in, where tile 0 reads the step before it */
     for (i64 i = 0, g = 0; i < count; i++) {
         if (ops[i].kind != PLAN_GRU) continue;
         const i64 hg = ops[i].n;
         const tile_rows in = halves[2 * g + 1];
         float *state = in.state + last * hg;
-        memcpy(state, carry[g++], (size_t)(batch * hg) * sizeof(float));
+        memcpy(state, c->carry[g++] + b0 * hg, (size_t)(nb * hg) * sizeof(float));
         TIC(quantize);
-        for (i64 b = 0; b < batch; b++)
+        for (i64 b = 0; b < nb; b++)
             in.scale[last + b] = bspc_quant_f32(hg, state + b * hg, in.code + (last + b) * hg);
         TOC(quantize, PH_QUANTIZE);
     }
     for (i64 t0 = 0, k = 0; t0 < steps; t0 += tile, k++) {
-        const i64 span = steps - t0 < tile ? steps - t0 : tile, frames = span * batch;
+        const i64 span = steps - t0 < tile ? steps - t0 : tile, frames = span * nb;
         const i8 *q = io.xq;  /* the next op's operand: x's codes, then a layer's */
         const double *s = io.xs;
         TIC(quantize);
-        for (i64 r = 0; r < frames; r++)
-            io.xs[r] = bspc_quant_i8(d, x + (t0 * batch + r) * d, io.xq + r * d);
+        for (i64 t = 0, r = 0; t < span; t++)
+            for (i64 b = 0; b < nb; b++, r++)
+                io.xs[r] = bspc_quant_i8(d, c->x + ((t0 + t) * batch + b0 + b) * d, io.xq + r * d);
         TOC(quantize, PH_QUANTIZE);
         for (i64 i = 0, g = 0; i < count; i++) {
             const plan_op *op = ops + i;
             if (op->kind != PLAN_GRU) {
-                bspc_i8_coded(op, frames, q, s, op->bias, work,
-                              op->kind == PLAN_OUTPUT ? logits + t0 * batch * op->rows : io.gates);
+                /* a whole chunk's logits are its tiles' rows in order */
+                float *out = op->kind != PLAN_OUTPUT ? io.gates
+                             : nb == batch           ? c->logits + t0 * batch * op->rows
+                                                     : io.out;
+                bspc_i8_coded(op, frames, q, s, op->bias, io.work, out);
+                if (out == io.out) put_rows(c, t0, span, op->rows, out);
                 continue;
             }
             const i64 hg = op->n;
             const tile_rows was = halves[2 * g + (k + 1) % 2], now = halves[2 * g + k % 2];
             /* the step before the tile: the last of the tile before, or the carry */
             const tile_rows before = {was.state + last * hg, was.scale + last, was.code + last * hg};
-            repro_gru_i8_chunk(op, batch, span, before, io.gates, now, io.gh, work);
+            repro_gru_i8_chunk(op, nb, span, before, io.gates, now, io.gh, io.work);
             q = now.code;
             s = now.scale;
             if (t0 + span == steps)
-                memcpy(carry[grus + g], now.state + (frames - batch) * hg,
-                       (size_t)(batch * hg) * sizeof(float));
+                memcpy(c->carry[grus + g] + b0 * hg, now.state + (frames - nb) * hg,
+                       (size_t)(nb * hg) * sizeof(float));
             if (i == count - 1)  /* no output op: the last layer's states are the logits */
-                memcpy(logits + t0 * batch * hg, now.state, (size_t)(frames * hg) * sizeof(float));
+                put_rows(c, t0, span, hg, now.state);
             g++;
         }
     }
+}
+
+#define SPLIT_NS $SPLIT_NS  /* estimated work from which a chunk runs on two cores */
+#define FRAME_NS_PER_CODE $FRAME_NS_PER_CODE
+#define FRAME_NS_PER_ROW $FRAME_NS_PER_ROW
+
+/* Estimated ns one frame (a step of one batch row) takes the chunk's ops
+ * on one core: per op FRAME_NS_PER_CODE for each of its panel's codes and
+ * FRAME_NS_PER_ROW for each output row (quantize, gather, epilogue and
+ * gates scale with these), as fitted to the measured program. */
+API i64 repro_plan_i8_frame_ns(const plan_op *ops, i64 count)
+{
+    double ns = 0.0;
+    for (i64 i = 0; i < count; i++)
+        ns += FRAME_NS_PER_CODE * (double)(ops[i].strips * ops[i].mr * ops[i].mc) +
+              FRAME_NS_PER_ROW * (double)ops[i].rows;
+    return (i64)ns;
+}
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+
+static void *helper_main(void *arg)
+{
+    chunk_rows *half = arg;
+    TIC(chunk);
+    run_rows(half);
     TOC(chunk, PH_CHUNK);
+#ifdef REPRO_PHASES
+    memcpy(half->ticks, repro_phases, sizeof repro_phases);
+#endif
+    return NULL;
+}
+
+/* Starts the thread that runs `half`, pinned to the next CPU of the
+ * process's mask after the one the caller is on, wrapping round (callers on
+ * different CPUs pin their helpers to different ones): unpinned, the
+ * scheduler may queue it behind its caller.  0: no such CPU, or the thread
+ * could not be made. */
+static int start_helper(pthread_t *thread, chunk_rows *half)
+{
+    cpu_set_t allowed, one;
+    if (sched_getaffinity(0, sizeof allowed, &allowed)) return 0;
+    const int here = sched_getcpu(), from = here < 0 ? 0 : here;
+    int cpu = -1;
+    for (int i = 1; i <= CPU_SETSIZE && cpu < 0; i++) {
+        const int next = (from + i) % CPU_SETSIZE;
+        if (next != here && CPU_ISSET(next, &allowed)) cpu = next;
+    }
+    if (cpu < 0) return 0;
+    pthread_attr_t attr;
+    if (pthread_attr_init(&attr)) return 0;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    const int started = !pthread_attr_setaffinity_np(&attr, sizeof one, &one) &&
+                        !pthread_create(thread, &attr, helper_main, half);
+    pthread_attr_destroy(&attr);
+    return started;
+}
+#endif
+
+/* One chunk of a whole plan: x (T, B, ops[0].n) through the ops — per
+ * layer a PLAN_PROJECT and a PLAN_GRU, then at most one PLAN_OUTPUT — into
+ * the float32 logits (T, B, the last op's width).  `carry` holds, GRU by
+ * GRU, the float32 (B, H) states in and then the (B, H) arrays the states
+ * out are copied to.  `arena` is repro_plan_i8_arena(ops, count, B) bytes.
+ * B > 0, T > 0.  A chunk of B >= 2 rows whose estimated work
+ * (repro_plan_i8_frame_ns x T x B) reaches SPLIT_NS runs on two cores:
+ * rows [0, ceil(B / 2)) here, the others on a helper thread (start_helper)
+ * with an arena half of its own, joined before the call returns; with one
+ * CPU allowed, where the thread cannot be made, and off Linux the chunk
+ * runs here whole.  The bytes are the same either way.  Returns how many
+ * threads ran it. */
+API i64 repro_plan_i8_chunk(
+    const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
+    float *const *carry, float *logits, char *arena)
+{
+    TIC(chunk);
+    chunk_rows mine = {ops, count, steps, batch, 0, batch, x, carry, logits, arena, {0}};
+    i64 threads = 1;
+#ifdef __linux__
+    pthread_t thread;
+    chunk_rows theirs = mine;
+    if (batch > 1 && steps * batch * repro_plan_i8_frame_ns(ops, count) >= SPLIT_NS) {
+        theirs.b0 = mine.nb = (batch + 1) / 2;
+        theirs.nb = batch - mine.nb;
+        theirs.arena = arena + second_half(ops, count, batch);
+        if (start_helper(&thread, &theirs))
+            threads = 2;
+        else
+            mine.nb = batch;
+    }
+#endif
+    run_rows(&mine);
+#ifdef __linux__
+    if (threads == 2) {
+        pthread_join(thread, NULL);
+#ifdef REPRO_PHASES
+        for (int i = 0; i < PH_COUNT; i++) repro_phases[i] += theirs.ticks[i];
+#endif
+    }
+#endif
+    TOC(chunk, PH_CHUNK);
+    return threads;
 }
 """
 
@@ -1197,7 +1369,11 @@ def _exp_defines() -> str:
 _C_SOURCE = (
     _C_COMMON.replace("$ACC_CHUNK", str(ACC_CHUNK))
     + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD)).replace("$WINDOW", str(WINDOW))
-    + _C_GRU_CHUNK.replace("$EXPAND8", _expand8()).replace("$EXP_DEFINES", _exp_defines())
+    + _C_GRU_CHUNK.replace("$EXPAND8", _expand8())
+    .replace("$EXP_DEFINES", _exp_defines())
+    .replace("$SPLIT_NS", str(SPLIT_NS))
+    .replace("$FRAME_NS_PER_CODE", repr(FRAME_NS_PER_CODE))
+    .replace("$FRAME_NS_PER_ROW", repr(FRAME_NS_PER_ROW))
 )
 
 
@@ -1344,7 +1520,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_phase_ticks": (ptr,),
         "repro_bspc_i8_rows": (ptr, i64, ptr, ptr, ptr, ptr),
         "repro_plan_i8_arena": (ptr, i64, i64),
-        "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr),
+        "repro_plan_i8_frame_ns": (ptr, i64),
+        "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, ptr, ptr, ptr),
     }
     try:
         for name, argtypes in signatures.items():
@@ -1353,7 +1530,8 @@ def _declare(lib: ctypes.CDLL) -> None:
             fn.argtypes = argtypes
         for query in (
             lib.repro_i8_lanes, lib.repro_i8_kgroup, lib.repro_i8_pack,
-            lib.repro_phase_ticks, lib.repro_plan_i8_arena,
+            lib.repro_phase_ticks, lib.repro_plan_i8_arena, lib.repro_plan_i8_frame_ns,
+            lib.repro_plan_i8_chunk,
         ):
             query.restype = i64
     except AttributeError as exc:
@@ -1494,20 +1672,31 @@ def _aligned(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-#: One reused work buffer per thread (ctypes calls release the GIL, so two
-#: threads can be inside a kernel at once), grown on demand.  Fresh
-#: `np.empty` calls above numpy's mmap threshold page-fault on every
-#: touch, which costs more than the kernels themselves at bench sizes.
+#: Reused buffers per Python thread, each grown on demand: ``work``, the
+#: product scratch of the registry kernels, and ``arena``, a program
+#: chunk's (:meth:`PlanProgram.run`).  ctypes calls release the GIL, so two
+#: threads can be inside a kernel at once, each on its own buffers; a chunk
+#: that runs on two cores is still one call, both halves in that thread's
+#: arena.  Fresh `np.empty` calls above numpy's mmap threshold page-fault
+#: on every touch, which costs more than the kernels themselves at bench
+#: sizes.
 _SCRATCH = threading.local()
+
+
+def _buffer(name: str, size: int) -> int:
+    """Address of this thread's ``name`` buffer of >= ``size`` bytes, held
+    as ``_SCRATCH.<name> = (array, address)``."""
+    held = getattr(_SCRATCH, name, None)
+    if held is None or held[0].size < size:
+        array = _aligned(size)
+        held = (array, _p(array))
+        setattr(_SCRATCH, name, held)
+    return held[1]
 
 
 def _scratch(size: int) -> int:
     """Address of this thread's work buffer of >= ``size`` int32."""
-    held = getattr(_SCRATCH, "work", None)
-    if held is None or held[0].size < 4 * size:
-        array = _aligned(4 * size)
-        held = _SCRATCH.work = (array, _p(array))
-    return held[1]
+    return _buffer("work", 4 * size)
 
 
 PLAN_PROJECT, PLAN_GRU, PLAN_OUTPUT = range(3)
@@ -1779,7 +1968,7 @@ class PlanProgram:
             raise ShapeError(f"ops must be (project, gru) per layer, then an output: {kinds}")
         self._plans, self._held, records = [], [], []
         self.hidden = []  # H of each GRU, in order
-        width = self._work = 0
+        width = 0
         for kind, weight, bias in ops:
             panel = weight
             if not isinstance(weight, _Panel):
@@ -1797,23 +1986,20 @@ class PlanProgram:
             if not fits:
                 raise ShapeError(f"op {len(records)} is {panel.shape} after {width} wide rows")
             width = n if kind == PLAN_GRU else rows
-            # int32 of scratch per operand row, the product's: its sums,
-            # gathered codes (the operand's codes are in the arena)
-            self._work = max(self._work, panel.lda + (panel.sizes[2] + 1) // 2)
             record = _PlanOp.from_buffer_copy(panel.op)
             record.kind, record.bias = kind, None if bias is None else _p(bias)
             records.append(record)
             self._held.append((panel, bias))
         self._ops = (_PlanOp * len(records))(*records)
         self.width = width  # of a row of logits
-        self.arena = np.empty(0, dtype=np.uint8)
-        self._arena_at = 0
         self._arena_sizes: dict = {}
 
     def arena_size(self, batch: int) -> int:
         """Bytes of arena ``repro_plan_i8_chunk`` takes for a chunk of
         ``batch`` rows a step — the C lays it out, and says how much
-        (``repro_plan_i8_arena``).  Not a function of ``T``."""
+        (``repro_plan_i8_arena``): the tiles' buffers and product scratch,
+        for the whole batch and for the two halves of a chunk it splits
+        across two cores.  Not a function of ``T``."""
         size = self._arena_sizes.get(batch)
         if size is None:
             size = self._lib.repro_plan_i8_arena(self._ops, len(self._ops), batch)
@@ -1833,9 +2019,11 @@ class PlanProgram:
         views of one new array, whose address is taken once.  The chunk
         runs in tiles of ``ceil(8 / B)`` steps, every op of a tile before
         the next, and each hidden state is quantized once, where it is
-        made; the arena (:meth:`arena_size`) grows only with ``B``, never
-        with ``T``, and its address is taken again when it does.  Nothing
-        returned aliases it."""
+        made; a chunk with enough work runs its rows in two halves, the
+        second on a helper thread the call makes and joins.  The arena
+        (:meth:`arena_size`) is the calling thread's (``_SCRATCH.arena``)
+        and grows only with ``B``, never with ``T``.  Nothing returned
+        aliases it."""
         seq_len, batch, _ = x.shape
         x = _f64(x)
         sizes = [batch * width for width in self.hidden]
@@ -1850,15 +2038,10 @@ class PlanProgram:
             states = [np.zeros(max(sizes), dtype=np.float32)] * len(sizes)
         else:
             states = [_f32(state) for state in carry]
-        need = self.arena_size(batch)
-        if self.arena.size < need:
-            self.arena = _aligned(need)
-            self._arena_at = _p(self.arena)
         self._lib.repro_plan_i8_chunk(
             self._ops, len(self._ops), seq_len, batch, _p(x),
             (ctypes.c_void_p * (2 * len(sizes)))(*map(_p, states), *fresh_at), at + 4 * start,
-            self._arena_at,
-            _scratch(8 * self._work),  # a product's block is <= 8 rows
+            _buffer("arena", self.arena_size(batch)),
         )
         return out[start:].reshape(seq_len, batch, self.width), fresh
 

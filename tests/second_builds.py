@@ -11,7 +11,9 @@ The ``compiled-backend-smoke`` CI job does, next to its own per-ISA
 rebuilds, so every exactness claim made here stays pinned in CI.
 """
 
+import os
 import platform
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,30 @@ def test_comparing_against_the_wrong_operand_block_fails_the_layout_property(
         layouts()
 
 
+@requires_compiler
+def test_scratch_sized_for_the_last_op_writes_past_the_arena(tmp_path, monkeypatch):
+    # the product's scratch is the arena's last piece: carved for the output
+    # op (the least needy) instead of the neediest, the wider products write
+    # into the guard bytes past the size the C asks for, and the scratch the
+    # layout gives falls short of what test_plan_program pins it to
+    from test_plan_program import guard_arenas, neediest_scratch, scratch_bytes
+
+    load_second_build(
+        tmp_path, monkeypatch,
+        edit=lambda source: source.replace(
+            "if (op_work(ops + i) > work) work = op_work(ops + i);",
+            "if (i == count - 1) work = op_work(ops + i);",
+        ),
+    )
+    fresh = guard_arenas(monkeypatch, guard=1 << 16)
+    monkeypatch.setattr(compiled, "_SCRATCH", threading.local())
+    with kernels.use_backend(None):
+        plan = bsp_int8_plan()
+        plan.run_chunk(new_rng(1).standard_normal((8, 1, 8)))
+        assert scratch_bytes(plan.program, 1) < neediest_scratch(plan)
+    assert any((raw[size:] != 0xA5).any() for raw, size in fresh)
+
+
 # ---------------------------------------------------------------------------
 # The builds this host's own skips: the same bytes, the golden digest
 # ---------------------------------------------------------------------------
@@ -335,6 +361,25 @@ def test_a_plain_o3_build_lowers_a_program_too(tmp_path, monkeypatch):
         assert streamed_bytes(plan) == native
 
 
+@requires_compiler
+def test_a_plain_o3_build_splits_chunks_to_the_same_bytes(tmp_path, monkeypatch):
+    # the two halves of a split chunk on the portable register block
+    from test_plan_program import cores, split_bytes, split_steps
+
+    with kernels.use_backend(None):
+        plan = bsp_int8_plan(sparse_format="auto")
+        native = split_bytes(plan, 8, split_steps(plan, 8), 3)
+        load_second_build(tmp_path, monkeypatch, flags=())
+        lib = compiled._library()
+        entry, threads = lib.repro_plan_i8_chunk, []
+        monkeypatch.setattr(
+            lib, "repro_plan_i8_chunk", lambda *args: threads.append(entry(*args)) or threads[-1]
+        )
+        plan = bsp_int8_plan(sparse_format="auto")
+        assert split_bytes(plan, 8, split_steps(plan, 8), 3) == native
+    assert threads[0] == cores()
+
+
 @requires_lanes
 def test_the_eight_row_build_streams_the_same_bytes(tmp_path, monkeypatch):
     # the same microkernel source at the AVX2 width, on a host whose own
@@ -373,4 +418,51 @@ def test_phase_counters_are_each_positive_and_nest_inside_the_chunk(tmp_path, mo
     chunk = ticks.pop("chunk")
     assert all(count > 0 for count in ticks.values()), ticks
     assert sum(ticks.values()) <= chunk
+    assert not any(compiled.phase_ticks().values())
+
+
+@requires_compiler
+def test_phase_counters_are_per_thread_and_a_split_chunk_counts_both_halves(
+    tmp_path, monkeypatch
+):
+    # the helper of a split chunk adds its counters, `chunk` too, into its
+    # caller's at the join: the five phases still nest inside `chunk`, and
+    # they count the CPU ticks of both halves, about what the same chunk
+    # takes on one core; a Python thread reads and clears its own counters
+    from test_plan_program import cores, split_steps
+
+    monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path, phases=True))
+    with kernels.use_backend(None):
+        plan = bsp_int8_plan()
+        x = np.ones((split_steps(plan, 8), 8, 8))
+
+        def phases(runs=5):
+            compiled.phase_ticks()
+            sums = []
+            for _ in range(runs):
+                plan.run_chunk(x)
+                ticks = compiled.phase_ticks()
+                chunk = ticks.pop("chunk")
+                assert all(count > 0 for count in ticks.values()), ticks
+                assert sum(ticks.values()) <= chunk
+                sums.append(sum(ticks.values()))
+            return np.median(sums)
+
+        split = phases()
+        if cores() == 2:
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(allowed)})  # this thread: the chunk runs whole
+            try:
+                whole = phases()
+            finally:
+                os.sched_setaffinity(0, allowed)
+            assert split > 0.75 * whole, (split, whole)
+
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: (plan.run_chunk(x), theirs.append(compiled.phase_ticks()))
+        )
+        worker.start()
+        worker.join(timeout=60)
+    assert theirs and all(count > 0 for count in theirs[0].values())
     assert not any(compiled.phase_ticks().values())

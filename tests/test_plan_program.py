@@ -7,8 +7,14 @@ C entries, so everything here is an exactness test again: the generic loop
 are ground truth for logits and carry states, byte for byte.
 """
 
+import ast
+import os
 import re
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from repro.sparse.blocks import BlockGrid
 from repro.sparse.bspc import BSPCBlock, BSPCStrip
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
+from repro.utils.supervise import Child
 from test_int8_routing import bsp_int8_plan, bsp_matrix, requires_compiler, run_chunk
 
 
@@ -148,6 +155,78 @@ def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
     assert not float32_valued(float_plan.run_chunk(x)[1].layer_states[0])
 
 
+def cores():
+    """How many threads a split chunk runs on here: 2 where the process
+    may run on another CPU, else 1."""
+    return min(len(os.sched_getaffinity(0)), 2) if hasattr(os, "sched_getaffinity") else 1
+
+
+def split_steps(plan, batch):
+    """The fewest steps at which a chunk of ``batch`` rows of ``plan``'s
+    program is estimated to have the work of a split (``SPLIT_NS``), as
+    lowered under the backend in force (an empty chunk binds the plan)."""
+    plan.run_chunk(np.zeros((0, batch, plan.input_dim)))
+    program = plan.program
+    frame_ns = program._lib.repro_plan_i8_frame_ns(program._ops, len(program._ops))
+    return -(-compiled.SPLIT_NS // (frame_ns * batch))
+
+
+@pytest.fixture()
+def chunk_threads(monkeypatch):
+    """How many threads ran each program chunk while the test runs."""
+    lib, seen = compiled._library(), []
+    entry = lib.repro_plan_i8_chunk
+    monkeypatch.setattr(
+        lib, "repro_plan_i8_chunk", lambda *args: seen.append(entry(*args)) or seen[-1]
+    )
+    return seen
+
+
+def guard_arenas(monkeypatch, guard=4096):
+    """Every aligned buffer the kernels take from now on, as (raw, size):
+    ``size`` bytes handed out, followed by ``guard`` bytes of 0xA5."""
+    fresh, aligned = [], compiled._aligned
+
+    def guarded(size):
+        raw = aligned(size + guard)
+        raw[size:] = 0xA5
+        fresh.append((raw, size))
+        return raw[:size]
+
+    monkeypatch.setattr(compiled, "_aligned", guarded)
+    return fresh
+
+
+def scratch_bytes(program, batch):
+    """Bytes of the product's scratch, the last piece of the arena the C
+    lays out for ``batch`` rows: the arena's size less the pieces before
+    it, laid out here as ``rows_layout`` does — per tile of ``R`` rows the
+    gate rows, gh, x's scales and codes and the staged logits, then per GRU
+    two halves of scales, states and codes — each on a cache line."""
+    ops, line = list(program._ops), 64
+    rows = -(-8 // batch) * batch
+    grus = [op.n for op in ops if op.kind == compiled.PLAN_GRU]
+    width = ops[-1].rows if ops[-1].kind == compiled.PLAN_OUTPUT else 0
+    pieces = [rows * 3 * max(grus) * 4, batch * 3 * max(grus) * 4, rows * 8, rows * ops[0].n]
+    pieces += [rows * width * 4] + [size for n in grus for _ in range(2) for size in (rows * 8, rows * n * 4, rows * n)]
+    end = 0
+    for size in pieces:
+        end = -(-end // line) * line + size
+    return program.arena_size(batch) - -(-end // line) * line
+
+
+def neediest_scratch(plan):
+    """Bytes of scratch the neediest of a BSPC plan's layer products takes
+    at 8 rows: lane sums and gathered codes, int32 (the output op, 40 rows
+    of 24 columns, needs less than any of them)."""
+    needs = []
+    for layer in plan.layers:
+        for weight in (layer.input_proj, layer.recurrent):
+            panel = compiled._plan_panel(kernels.int8_bspc_plan(weight.matrix))
+            needs.append(4 * 8 * (panel.acc + (panel.sizes[2] + 1) // 2))
+    return max(needs)
+
+
 @pytest.fixture()
 def c_calls(monkeypatch):
     """Every call into the C library, by entry name, while the test runs."""
@@ -187,56 +266,56 @@ class TestOneCall:
                 assert [layer.shape for layer in after.layer_states] == widths
                 assert "repro_plan_i8_chunk" not in c_calls
 
-    def test_the_arena_is_sized_by_the_batch_not_the_chunk(self, rng):
+    def test_the_arena_is_sized_by_the_batch_not_the_chunk(self, rng, monkeypatch):
         # tiles of ceil(8 / B) steps: what a chunk needs does not grow with T
+        # (2000 steps of 3 rows: a chunk split across two cores, too)
+        monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # nothing held yet
         with kernels.use_backend(None):
-            plan = bare_rnn_plan()  # a fresh program: nothing held yet
+            plan = bare_rnn_plan()
             x = rng.standard_normal((2000, 3, 8))
             plan.run_chunk(x[:1])
-            made = plan.program.arena
+            made = compiled._SCRATCH.arena[0]
             assert made.size == plan.program.arena_size(3)
             got = stream(plan, [x], None)
-            assert plan.program.arena is made
+            assert compiled._SCRATCH.arena[0] is made
             assert got == stream(plan, [x], None, lowered=False)
             wide = rng.standard_normal((6, 40, 8))
             got = stream(plan, [wide], None)
-            assert plan.program.arena.size > made.size
-            assert plan.program._arena_at == plan.program.arena.ctypes.data
+            arena, at = compiled._SCRATCH.arena
+            assert arena.size > made.size and at == arena.ctypes.data
             assert got == stream(plan, [wide], None, lowered=False)
             assert stream(plan, [x[:9]], None) == stream(plan, [x[:9]], None, lowered=False)
 
-    @pytest.mark.parametrize("batch", [1, 3, 8])
-    @pytest.mark.parametrize("steps", [1, 7, 25])
+    @pytest.mark.parametrize(
+        "steps, batch",
+        [(t, b) for t in (1, 7, 25) for b in (1, 3, 8)]
+        # split across two cores: one-row halves, an odd B, both halves > 8
+        + [("split", 2), ("split", 3), ("split", 5), ("split", 40)],
+    )
     def test_a_chunk_writes_nothing_past_the_arena_the_c_asks_for(
-        self, plans, wide_plan, monkeypatch, batch, steps
+        self, plans, wide_plan, monkeypatch, chunk_threads, batch, steps
     ):
         # The C lays the arena out and says how many bytes it takes
-        # (repro_plan_i8_arena), and a product's work scratch is 8 *
-        # program._work int32 (lane sums, then the gathered codes, which
-        # the gather stores ld bytes a row of): buffers of exactly those
-        # sizes, followed by guard bytes, keep their guard through chunks
-        # of every tile shape.
-        guard, fresh = 4096, []
-        aligned = compiled._aligned
-
-        def guarded(size):
-            raw = aligned(size + guard)
-            raw[size:] = 0xA5
-            fresh.append((raw, size))
-            return raw[:size]
-
-        monkeypatch.setattr(compiled, "_aligned", guarded)
+        # (repro_plan_i8_arena): the tiles' buffers and, last, a product's
+        # work scratch at 8 rows (lane sums, then the gathered codes, which
+        # the gather stores ld bytes a row of), for the whole batch and for
+        # each half of a split chunk.  An arena of exactly that size,
+        # followed by guard bytes, keeps its guard through chunks of every
+        # tile shape, and the program takes no other scratch.
+        fresh = guard_arenas(monkeypatch)
         with kernels.use_backend(None):
             for plan in (*plans.values(), wide_plan):
-                x = new_rng(batch + steps).standard_normal((steps, batch, plan.input_dim))
-                plan.program.arena = np.empty(0, dtype=np.uint8)  # taken afresh
-                monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # ... and so is this
+                t = split_steps(plan, batch) if steps == "split" else steps
+                x = new_rng(batch + t).standard_normal((t, batch, plan.input_dim))
+                monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # taken afresh
                 state = plan.init_state(batch)
                 for _ in range(2):  # from the zero carry, then from a carry
                     _, state = plan.run_chunk(x, state)
                 sizes = {raw.ctypes.data: size for raw, size in fresh}
-                assert sizes[plan.program.arena.ctypes.data] == plan.program.arena_size(batch)
-                assert sizes[compiled._SCRATCH.work[1]] == 4 * 8 * plan.program._work
+                assert sizes[compiled._SCRATCH.arena[1]] == plan.program.arena_size(batch)
+                assert not hasattr(compiled._SCRATCH, "work")
+                if steps == "split":
+                    assert chunk_threads[-2:] == [cores()] * 2
         assert all((raw[size:] == 0xA5).all() for raw, size in fresh)
 
     def test_results_never_alias_the_arena_or_each_other(self, plans, rng):
@@ -245,8 +324,9 @@ class TestOneCall:
             x = rng.standard_normal((5, 3, 8))
             logits, state = plan.run_chunk(x)
             kept = [logits.copy()] + [layer.copy() for layer in state.layer_states]
-            assert plan.program.arena.size
-            plan.program.arena[:] = 0xFF  # a NaN in every float
+            arena = compiled._SCRATCH.arena[0]
+            assert arena.size
+            arena[:] = 0xFF  # a NaN in every float
             again, again_state = plan.run_chunk(x)  # ... and running again
             results = [logits] + state.layer_states
             for got, want in zip(results, kept):
@@ -254,7 +334,7 @@ class TestOneCall:
             assert again.tobytes() == logits.tobytes() and again is not logits
             for a, b in zip(again_state.layer_states, state.layer_states):
                 assert not np.shares_memory(a, b)
-            assert not any(np.shares_memory(r, plan.program.arena) for r in results)
+            assert not any(np.shares_memory(r, arena) for r in results)
 
     def test_scratch_is_sized_for_the_neediest_op_not_the_last(self, plans, rng):
         # the output op (40 rows of 24 columns) needs the least scratch of
@@ -263,19 +343,159 @@ class TestOneCall:
         plan, x = plans["bspc"], rng.standard_normal((9, 15, 8))
         with kernels.use_backend(None):
             want, got = plan.run_chunk(x)[0].tobytes(), []
-            worker = threading.Thread(  # a fresh thread: a fresh, empty scratch
+            worker = threading.Thread(  # a fresh thread: a fresh, empty arena
                 target=lambda: got.append(plan.run_chunk(x)[0].tobytes())
             )
             worker.start()
             worker.join(timeout=60)
         assert got == [want]
 
-        # what the product takes at 8 rows: lane sums and gathered codes (the
-        # operand's codes are quantized into the arena, not the scratch)
-        for layer in plan.layers:
-            for weight in (layer.input_proj, layer.recurrent):
-                panel = compiled._plan_panel(kernels.int8_bspc_plan(weight.matrix))
-                assert plan.program._work >= panel.acc + (panel.sizes[2] + 1) // 2
+        # the arena's scratch holds what the neediest product takes at 8
+        # rows, exactly
+        assert scratch_bytes(plan.program, 1) == neediest_scratch(plan)
+
+
+def split_bytes(plan, batch, steps, seed):
+    """A chunk of ``steps`` x ``batch`` seeded frames from a seeded carry,
+    then two more steps from its carry out, as bytes."""
+    rng = new_rng(seed)
+    state = engine.PlanState(
+        [rng.standard_normal((batch, layer.hidden_size)) for layer in plan.layers]
+    )
+    x = rng.standard_normal((steps + 2, batch, plan.input_dim))
+    return stream(plan, [x[:steps], x[steps:]], state)
+
+
+#: (B, steps past the fewest at which a chunk splits): one-row halves at,
+#: below and above the threshold, odd B, halves wider than a product's
+#: eight rows, and B = 40.
+SPLITS = [(2, -1), (2, 0), (2, 1), (3, 0), (13, 0), (40, 1)]
+
+
+@requires_compiler
+class TestTwoCores:
+    """A chunk with the work of a split runs its rows in two halves, the
+    second on a helper thread the call makes, pins and joins: the same
+    bytes as one core, the generic loop and ``reference``."""
+
+    @pytest.mark.parametrize("name", ["bspc", "auto", "bare", "narrowing", "wide"])
+    def test_split_chunks_are_the_bytes_of_the_generic_loop_and_reference(
+        self, plans, wide_plan, chunk_threads, name
+    ):
+        plan = wide_plan if name == "wide" else plans[name]
+        for batch, past in SPLITS:
+            with kernels.use_backend(None):
+                steps = split_steps(plan, batch) + past
+                rng = new_rng(steps)
+                x = rng.standard_normal((steps, batch, plan.input_dim))
+                carried = None if past else engine.PlanState(
+                    [rng.standard_normal((batch, layer.hidden_size)) for layer in plan.layers]
+                )
+                del chunk_threads[:]
+                got = stream(plan, [x], carried)
+                assert chunk_threads == [cores() if past >= 0 else 1]
+                assert got == stream(plan, [x], carried, lowered=False)
+            if not past:  # the generic loop is reference's bytes on every chunk
+                with kernels.use_backend("reference"):
+                    assert got == stream(plan, [x], carried)
+
+    def test_a_split_chunk_is_one_call_and_no_os_thread_outlives_it(
+        self, plans, c_calls, chunk_threads
+    ):
+        status = "/proc/self/status"
+        if not os.path.exists(status):
+            pytest.skip("no /proc: OS threads cannot be counted here")
+
+        def threads():
+            with open(status) as lines:
+                return next(int(line.split()[1]) for line in lines if line.startswith("Threads:"))
+
+        before = threads()
+        with kernels.use_backend(None):
+            for plan in plans.values():
+                for batch in (2, 17, 40):
+                    x = np.ones((split_steps(plan, batch), batch, 8))
+                    plan.program.arena_size(batch)  # asked once per B
+                    del c_calls[:], chunk_threads[:]
+                    plan.run_chunk(x)
+                    assert c_calls == ["repro_plan_i8_chunk"]
+                    assert chunk_threads == [cores()]
+                    assert threads() == before
+
+    def test_two_python_threads_on_one_plan_give_the_sequential_bytes(self, plans):
+        # each thread runs in an arena of its own (one arena per program
+        # gave a few wrong chunks in every 300)
+        plan, x = plans["bspc"], new_rng(4).standard_normal((25, 4, 8))
+        with kernels.use_backend(None):
+            want = plan.run_chunk(x)[0].tobytes()
+            got = [[], []]
+
+            def run(out):
+                for _ in range(150):
+                    out.append(plan.run_chunk(x)[0].tobytes())
+
+            workers = [threading.Thread(target=run, args=(out,)) for out in got]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [[want] * 150] * 2
+
+    def test_one_allowed_cpu_runs_every_chunk_whole_to_the_same_bytes(self, plans):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        cpu = min(os.sched_getaffinity(0))
+        script = (
+            "import os, sys\n"
+            f"os.sched_setaffinity(0, {{{cpu}}})\n"
+            "from repro import kernels\n"
+            "from repro.kernels import compiled\n"
+            "from test_plan_program import make_plans, split_bytes, split_steps\n"
+            "lib, threads = compiled._library(), []\n"
+            "entry = lib.repro_plan_i8_chunk\n"
+            "lib.repro_plan_i8_chunk = lambda *args: threads.append(entry(*args))\n"
+            "plan = make_plans()['narrowing']\n"
+            "with kernels.use_backend(None):\n"
+            "    got = split_bytes(plan, 5, split_steps(plan, 5), 2)\n"
+            "sys.stdout.write(repr((got, threads)))\n"
+        )
+        here = Path(__file__).parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        got, threads = ast.literal_eval(done.stdout)
+        assert threads == [1, 1]  # the split-sized chunk and the short one after it
+        plan = plans["narrowing"]
+        with kernels.use_backend(None):
+            assert got == split_bytes(plan, 5, split_steps(plan, 5), 2)
+
+    def test_a_child_forked_after_split_chunks_splits_its_own(self, plans, chunk_threads):
+        plan = plans["auto"]
+        with kernels.use_backend(None):
+            want = split_bytes(plan, 8, split_steps(plan, 8), 3)
+            assert chunk_threads[0] == cores()
+            child = Child(0, 0, _forked_split, (plan,))
+            try:
+                assert child.recv(time.monotonic() + 120) == (want, cores())
+            finally:
+                child.close()
+
+
+def _forked_split(conn, index, fault, plan):
+    lib = compiled._library()
+    entry, threads = lib.repro_plan_i8_chunk, []
+    lib.repro_plan_i8_chunk = lambda *args: threads.append(entry(*args)) or threads[-1]
+    with kernels.use_backend(None):
+        got = split_bytes(plan, 8, split_steps(plan, 8), 3)
+    conn.send((got, threads[0]))
 
 
 @requires_compiler
