@@ -211,14 +211,16 @@ class FleetStats:
 
 
 class _Session:
-    __slots__ = ("worker", "version", "committed", "delivered", "finished")
+    """A live session's parent-side record; :meth:`ServingFabric.finish`
+    drops it."""
+
+    __slots__ = ("worker", "version", "committed", "delivered")
 
     def __init__(self, worker: int, version: str) -> None:
         self.worker = worker
         self.version = version  # artifact path the session decodes under
         self.committed: List[int] = []
         self.delivered = 0
-        self.finished = False
 
 
 class ServingFabric:
@@ -262,7 +264,10 @@ class ServingFabric:
         )
         self._ring = HashRing(range(config.num_workers), config.ring_replicas)
         self._journal = SessionJournal()
+        #: the live sessions only (ids below ``_next_sid`` not here have
+        #: finished), and how many of them each worker holds
         self._sessions: Dict[int, _Session] = {}
+        self._live = [0] * config.num_workers
         self._next_sid = 0
         self._closed = False
         self.sessions_opened = 0
@@ -342,20 +347,13 @@ class ServingFabric:
     def _session(self, sid: int) -> _Session:
         session = self._sessions.get(sid)
         if session is None:
+            if 0 <= sid < self._next_sid:
+                raise StreamError(f"session {sid} already finished")
             raise StreamError(f"unknown session id {sid}")
-        if session.finished:
-            raise StreamError(f"session {sid} already finished")
         return session
 
     def _handle(self, session: _Session) -> WorkerHandle:
         return self._supervisor.children[session.worker]
-
-    def _live_sessions_on(self, worker: int) -> int:
-        return sum(
-            1
-            for session in self._sessions.values()
-            if session.worker == worker and not session.finished
-        )
 
     def open(self) -> int:
         """Open a new session; returns its fabric-wide id.
@@ -366,7 +364,7 @@ class ServingFabric:
         """
         sid = self._next_sid
         target = self._ring.assign(sid, self._alive_or_raise())
-        if self._live_sessions_on(target) >= self.config.max_sessions_per_worker:
+        if self._live[target] >= self.config.max_sessions_per_worker:
             self.sessions_shed += 1
             raise OverloadError(
                 f"worker {target} is at session capacity "
@@ -381,6 +379,7 @@ class ServingFabric:
         self._journal.open(sid, version)
         session = _Session(worker=target, version=version)
         self._sessions[sid] = session
+        self._live[target] += 1
         self.sessions_opened += 1
         try:
             self._handle(session).send(("open", sid, version))
@@ -394,10 +393,10 @@ class ServingFabric:
         With ``block=False`` (the default) the call never waits on the
         worker: past the backlog bound it raises :class:`OverloadError`
         — and does *not* journal the chunk, so retrying the same chunk
-        later is safe.  With ``block=True`` the call waits (up to
-        ``rpc_timeout_s``) for the worker to drain enough in-flight work
-        to admit the chunk — backpressure instead of shedding, for
-        clients that must not lose audio.
+        later is safe.  With ``block=True`` the call waits on the worker's
+        pipe (up to ``rpc_timeout_s``) for the acks that free enough
+        in-flight room to admit the chunk — backpressure instead of
+        shedding, for clients that must not lose audio.
         """
         session = self._session(sid)
         features = check_features(features, "t", self._plan.input_dim, "feed")
@@ -438,7 +437,7 @@ class ServingFabric:
                     "to keep the max_wait_frames="
                     f"{self.config.stream.max_wait_frames} deadline"
                 )
-            time.sleep(0.001)
+            handle.wait(deadline)
         self._journal.record(sid, features)
         try:
             handle.feed(sid, features)
@@ -471,7 +470,8 @@ class ServingFabric:
             session.committed.extend(phones)
         except WorkerFailure as failure:
             self._recover(failure)  # replay re-ran the finish
-        session.finished = True
+        del self._sessions[sid]
+        self._live[session.worker] -= 1
         self.sessions_finished += 1
         undelivered = self._deliver(session)
         # Shadow-score a finished canary session (needs the journal, so
@@ -489,10 +489,7 @@ class ServingFabric:
         """The plan version (artifact path) ``sid`` decodes under — the
         candidate during a canary, else the serving version (updated in
         place when a hot-swap carries the session across)."""
-        session = self._sessions.get(sid)
-        if session is None:
-            raise StreamError(f"unknown session id {sid}")
-        return session.version
+        return self._session(sid).version
 
     def _deliver(self, session: _Session) -> List[int]:
         undelivered = session.committed[session.delivered :]
@@ -554,7 +551,7 @@ class ServingFabric:
             orphans = [
                 sid
                 for sid, session in sorted(self._sessions.items())
-                if session.worker == current.index and not session.finished
+                if session.worker == current.index
             ]
             if handle is None:
                 # Permanently dead: the ring spreads its slice over the
@@ -562,9 +559,10 @@ class ServingFabric:
                 if orphans:
                     alive = self._alive_or_raise()
                     for sid in orphans:
-                        self._sessions[sid].worker = self._ring.assign(
-                            sid, alive
-                        )
+                        session = self._sessions[sid]
+                        self._live[session.worker] -= 1
+                        session.worker = self._ring.assign(sid, alive)
+                        self._live[session.worker] += 1
             failed_now: set = set()
             for sid in orphans:
                 target = self._sessions[sid].worker
@@ -686,8 +684,7 @@ class ServingFabric:
             stale = {
                 session.worker
                 for session in self._sessions.values()
-                if not session.finished
-                and session.version != path
+                if session.version != path
                 and session.worker not in self._supervisor.dead
             }
             if rounds == 0:
@@ -716,11 +713,7 @@ class ServingFabric:
                 # serves is now on the new plan — mark the journals so
                 # later replays decode each chunk under the right plan.
                 for sid, session in self._sessions.items():
-                    if (
-                        session.worker == index
-                        and not session.finished
-                        and session.version != path
-                    ):
+                    if session.worker == index and session.version != path:
                         self._journal.mark_swap(sid, path)
                         session.version = path
 

@@ -306,6 +306,17 @@ class WorkerHandle(Child):
         except (EOFError, OSError):
             pass  # the liveness check below reports the death
 
+    def wait(self, deadline: float) -> None:
+        """Wait on the pipe for the worker's next message, and dispatch it,
+        until ``deadline`` (``time.monotonic()``) at most: how a blocked
+        feed waits for the ack that frees room.  A torn pipe returns at
+        once; :meth:`check_alive` reports the death."""
+        try:
+            if self.conn.poll(max(deadline - time.monotonic(), 0.0)):
+                self._dispatch(self.conn.recv())
+        except (EOFError, OSError):
+            pass
+
     def check_alive(self) -> None:
         """Raise :class:`WorkerFailure` if the process is gone."""
         self.drain()

@@ -532,25 +532,63 @@ class ModelPlan:
         except ShapeError:  # a weight re-packed to another shape: the layers say so
             return None
 
+    def _program(self) -> Optional[_compiled.PlanProgram]:
+        """The program a non-empty chunk runs now, or ``None`` (the generic
+        loop): the kernels are bound for the backend in force first, and the
+        program is lowered again if a weight's int8 plan was invalidated."""
+        self._bind_kernels()
+        if self.program is not None and self.program.stale():
+            self.program = self._lower_program()
+        return self.program
+
     def _run(
         self, features: np.ndarray, layer_states: Optional[List[np.ndarray]]
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Logits and carries of one checked ``(T, B, D)`` float64 chunk,
         from per-layer carries already in the layers' dtypes (``None``:
-        zeros): one call into the program where the plan lowered to one,
-        else layer by layer.  The logits are in the dtype the layers made
-        them (float32 in an int8 plan) and never alias a work buffer.
+        zeros): one call into the program where the plan lowered to one
+        (row ``b`` at ``b·D``, steps ``B·D`` apart; fresh carries out), else
+        layer by layer.  The logits are in the dtype the layers made them
+        (float32 in an int8 plan) and never alias a work buffer.
 
-        The engine's one internal entry: the public entries and the
-        streaming sessions, which check a chunk once where it enters, run
-        it here; only the public entries widen the logits to float64."""
-        self._bind_kernels()
+        What the public entries run, once they checked a chunk; only they
+        widen the logits to float64.  Sessions and the scheduler run
+        :meth:`_serve`."""
         seq_len, batch, _ = features.shape
-        if self.program is not None and seq_len and batch:
-            if self.program.stale():  # a weight's int8 plan was invalidated
-                self.program = self._lower_program()
-            if self.program is not None:
-                return self.program.run(features, layer_states)
+        program = self._program()
+        if program is None or not (seq_len and batch):
+            return self._loop(features, layer_states)
+        return program.run(features, layer_states)
+
+    def _serve(
+        self, chunks: List[np.ndarray], slabs: List[np.ndarray], rows: List[int]
+    ) -> np.ndarray:
+        """Frame labels ``(T, B)`` of ``B`` checked, equally long ``(T, D)``
+        float64 chunks, one per batch row, whose carries are rows ``rows``
+        (distinct) of per-layer ``(capacity, H)`` slabs in the layers'
+        dtypes; the carries out are written back to those rows in place.  A
+        label is its frame's argmax, the first maximum on a tie.
+
+        The engine's one serving entry (:class:`StreamingSession`,
+        :class:`StreamScheduler` and so the fabric's workers): on a program,
+        one C call that reads each chunk and slab row where it sits and
+        writes each frame's label next to its logits; on the generic loop,
+        the chunks stacked to ``(T, B, D)``, the carries gathered, run and
+        written back, and the logits' argmax."""
+        program = self._program()
+        if program is not None:
+            return program.serve(chunks, self.input_dim, rows, slabs)
+        batch = np.concatenate(chunks, axis=1)
+        batch = batch.reshape(len(batch), len(chunks), self.input_dim)
+        logits, fresh = self._loop(batch, [slab.take(rows, axis=0) for slab in slabs])
+        for slab, carry in zip(slabs, fresh):
+            slab[rows] = carry
+        return logits.argmax(axis=2)
+
+    def _loop(
+        self, features: np.ndarray, layer_states: Optional[List[np.ndarray]]
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """:meth:`_run` layer by layer: the generic loop."""
         x = features
         new_states: List[np.ndarray] = []
         for index, layer in enumerate(self.layers):

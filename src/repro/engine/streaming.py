@@ -14,13 +14,13 @@ a stream of one chunk.
   precise exactness guarantee per scheme).
 * :class:`StreamScheduler` — many concurrent sessions multiplexed onto
   one plan.  Queued chunks are grouped **by chunk length** (equal-length
-  chunks stack into one padding-free ``(T, B, D)`` batch; padding a
+  chunks run as one padding-free batch of ``B`` rows; padding a
   state-carrying chunk would corrupt the shorter sessions' state, so
   unequal lengths never share a batch) and a group runs as soon as it
   fills ``max_batch_size`` — or as soon as its oldest chunk has waited
   ``max_wait_frames`` frames of other traffic, the deadline that bounds
   tail latency under light load.  Each session's carry is one row of a
-  per-layer slab, gathered for the batch and written back after it.
+  per-layer slab, which a batch reads and writes in place.
 * :class:`StreamStats` — what the scheduler did: batch sizes, per-chunk
   wall-clock latency percentiles (p50/p95), and frames of deadline wait.
 
@@ -34,9 +34,10 @@ pins this, including the int8 bitwise guarantee).
 from __future__ import annotations
 
 import time
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 #: Sliding window for the latency distribution: long-lived schedulers
 #: must not grow state per chunk, so percentiles cover the most recent
@@ -62,10 +63,10 @@ class StreamConfig:
     """Scheduler knobs.
 
     ``max_batch_size`` bounds how many sessions' chunks fuse into one
-    ``run_chunk`` call; ``max_wait_frames`` is the batching deadline — a
-    queued chunk never waits for more than this many frames of *other*
-    sessions' traffic before its group runs, so latency stays bounded
-    even when traffic is too light to fill batches.  ``min_duration`` is
+    batch (one call of the plan's serving entry); ``max_wait_frames`` is
+    the batching deadline — a queued chunk never waits for more than this
+    many frames of *other* sessions' traffic before its group runs, so
+    latency stays bounded even when traffic is too light to fill batches.  ``min_duration`` is
     forwarded to each session's incremental decoder.
     """
 
@@ -149,8 +150,8 @@ class StreamingSession:
     ) -> None:
         self.plan = plan
         self.frontend = frontend
-        #: per-layer ``(1, H)`` carries in the layers' dtypes (``None``: zeros)
-        self._carries: Optional[List[np.ndarray]] = None
+        #: per layer, the carry as a one-row slab in the layer's dtype
+        self._slabs = plan.init_state(1).layer_states
         self._decoder = IncrementalDecoder(min_duration)
         self._phones: List[int] = []
         self._frames = 0
@@ -179,10 +180,10 @@ class StreamingSession:
         features = check_features(features, "t", self.plan.input_dim, "feed")
         if len(features) == 0:
             return []
-        # checked once, above: the plan's internal entry checks nothing again
-        logits, self._carries = self.plan._run(features[:, None, :], self._carries)
+        # checked once, above: the plan's serving entry checks nothing again
+        labels = self.plan._serve([np.ascontiguousarray(features)], self._slabs, [0])
         self._frames += len(features)
-        committed = self._decoder.push(logits[:, 0, :].argmax(axis=1))
+        committed = self._decoder.push(labels[:, 0])
         self._phones.extend(committed)
         return committed
 
@@ -252,16 +253,20 @@ class StreamScheduler:
     session's carry is one row of a ``(capacity, H)`` slab per layer, in
     that layer's dtype: a row is claimed (zeroed) at :meth:`open` /
     :meth:`adopt` and released at :meth:`finish`, and the slabs grow by
-    :data:`SLAB_GROWTH` when every row is taken.  A batch gathers its
-    sessions' rows, runs, and writes the fresh carries back.
+    :data:`SLAB_GROWTH` when every row is taken.  A batch hands its queued
+    chunks and its sessions' rows to the plan's serving entry, which
+    updates the rows in place and returns each frame's label.  The ready
+    head chunks are kept grouped by length as they arrive and leave, each
+    group in submit order, so a feed does not regroup the sessions.
 
-    Every session's chunk occupies its own batch rows, so co-batched
-    traffic can only reach a session through BLAS reduction order in the
-    shared per-step recurrent GEMM — a float-epsilon effect (~1e-16)
-    that never moves an argmax in practice: a scheduled session's phone
+    Every session's chunk occupies its own batch rows.  In an int8 plan
+    every row is computed on its own, so a session's bytes do not depend on
+    which others share its batch.  In a float plan co-batched traffic can
+    reach a session only through BLAS reduction order in the shared
+    per-step recurrent GEMM — a float-epsilon effect (~1e-16) that never
+    moves an argmax in practice.  Either way a scheduled session's phone
     hypothesis equals the offline ``decode_utterance`` result exactly,
-    like an unbatched :class:`StreamingSession` (whose chunk splits are
-    bitwise-exact for int8 plans; see ``docs/serving.md``).
+    like an unbatched :class:`StreamingSession` (see ``docs/serving.md``).
     """
 
     def __init__(
@@ -274,8 +279,9 @@ class StreamScheduler:
         self.config = config
         self.stats = StreamStats()
         self._entries: Dict[int, _Entry] = {}
-        #: sessions with a queued head chunk, as an insertion-ordered set
-        self._ready: Dict[int, None] = {}
+        #: the ready sessions by the length of their head chunk, each group
+        #: as ``(submit_clock, sid)`` in submit order (clocks are unique)
+        self._groups: Dict[int, List[Tuple[int, int]]] = {}
         #: per layer, every session's carry as one row
         self._slabs = plan.init_state(SLAB_ROWS).layer_states
         self._free = list(range(SLAB_ROWS - 1, -1, -1))  # pop() takes the lowest
@@ -419,7 +425,8 @@ class StreamScheduler:
         entry.queue.append(
             _Pending(features, time.perf_counter(), self._clock)
         )
-        self._ready[sid] = None
+        if len(entry.queue) == 1:  # the newest clock: last in its group
+            self._groups.setdefault(len(features), []).append((self._clock, sid))
         self.stats.chunks += 1
         self.stats.frames += len(features)
         self._pump()
@@ -432,11 +439,15 @@ class StreamScheduler:
 
     def pending(self) -> int:
         """Chunks queued but not yet run."""
-        return sum(len(self._entries[sid].queue) for sid in self._ready)
+        return sum(
+            len(self._entries[sid].queue)
+            for group in self._groups.values()
+            for _, sid in group
+        )
 
     def flush(self) -> None:
         """Run every queued chunk (deadline disregarded)."""
-        while self._ready:
+        while self._groups:
             self._run_ready(force=True)
 
     def finish(self, sid: int) -> List[int]:
@@ -444,8 +455,14 @@ class StreamScheduler:
         phones not yet polled (earlier ``poll`` results are not repeated).
         """
         entry = self._entry(sid)
+        if entry.queue:  # its chunks run alone, in order: out of the groups
+            head = entry.queue[0]
+            group = self._groups[len(head.features)]
+            group.remove((head.submit_clock, sid))
+            if not group:
+                del self._groups[len(head.features)]
         while entry.queue:
-            self._run_ready(force=True, only_sid=sid)
+            self._run_batch([sid], regroup=False)
         entry.committed.extend(entry.decoder.finish())
         del self._entries[sid]
         self._free.append(entry.row)
@@ -455,52 +472,45 @@ class StreamScheduler:
         return entry.committed
 
     # -- batching core ----------------------------------------------------
-    def _groups(self, only_sid: Optional[int] = None) -> Dict[int, List[int]]:
-        """Ready sessions' head chunks grouped by exact chunk length."""
-        groups: Dict[int, List[int]] = {}
-        for sid in (self._ready if only_sid is None else (only_sid,)):
-            groups.setdefault(len(self._entries[sid].queue[0].features), []).append(sid)
-        return groups
-
     def _pump(self) -> None:
         """Run groups that are full or past their deadline."""
         while self._run_ready(force=False):
             pass
 
-    def _run_ready(self, force: bool, only_sid: Optional[int] = None) -> bool:
-        for length, sids in sorted(self._groups(only_sid).items()):
-            full = len(sids) >= self.config.max_batch_size
-            expired = any(
-                self._clock - self._entries[sid].queue[0].submit_clock
-                >= self.config.max_wait_frames
-                for sid in sids
-            )
-            if force or full or expired:
-                self._run_group(sids)
+    def _run_ready(self, force: bool) -> bool:
+        """Run the shortest-length group that is full or whose oldest
+        head chunk has waited ``max_wait_frames`` (any group, with
+        ``force``): its oldest ``max_batch_size`` sessions."""
+        limit, wait = self.config.max_batch_size, self.config.max_wait_frames
+        for length in sorted(self._groups):
+            group = self._groups[length]
+            if force or len(group) >= limit or self._clock - group[0][0] >= wait:
+                batch = group[:limit]
+                del group[:limit]
+                if not group:
+                    del self._groups[length]
+                self._run_batch([sid for _, sid in batch])
                 return True
         return False
 
-    def _run_group(self, sids: List[int]) -> None:
-        # Oldest submissions first when the group overfills the batch.
-        sids = sorted(
-            sids, key=lambda sid: self._entries[sid].queue[0].submit_clock
-        )[: self.config.max_batch_size]
+    def _run_batch(self, sids: List[int], regroup: bool = True) -> None:
+        """Run the head chunks of ``sids``, in that row order; with
+        ``regroup``, each session's next chunk joins its length's group."""
         entries = [self._entries[sid] for sid in sids]
         pendings = [entry.queue.popleft() for entry in entries]
-        for sid, entry in zip(sids, entries):
-            if not entry.queue:
-                del self._ready[sid]
-        # (T, B * D) with row t the sessions' frames t side by side: (T, B, D)
-        batch = np.concatenate([p.features for p in pendings], axis=1)
-        batch = batch.reshape(len(batch), len(pendings), self.plan.input_dim)
-        rows = np.array([entry.row for entry in entries])
-        # every chunk was checked in feed: the plan's internal entry, no
-        # second check; logits in the layers' dtype (argmax-exact)
-        carries = [slab.take(rows, axis=0) for slab in self._slabs]
-        logits, fresh = self.plan._run(batch, carries)
-        for slab, carry in zip(self._slabs, fresh):
-            slab[rows] = carry
-        labels = logits.argmax(axis=2)  # (T, B)
+        if regroup:
+            for sid, entry in zip(sids, entries):
+                if entry.queue:
+                    head = entry.queue[0]
+                    insort(
+                        self._groups.setdefault(len(head.features), []),
+                        (head.submit_clock, sid),
+                    )
+        # every chunk was checked in feed: the plan's serving entry, no
+        # second check; each session's carry stays in its slab row
+        labels = self.plan._serve(
+            [p.features for p in pendings], self._slabs, [entry.row for entry in entries]
+        )
         for b, (entry, pending) in enumerate(zip(entries, pendings)):
             entry.committed.extend(entry.decoder.push(labels[:, b]))
             entry.frames += len(pending.features)

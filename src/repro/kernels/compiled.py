@@ -57,8 +57,8 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   doubles.  A whole plan lowered to one call per chunk *calls* that entry
   and the projection op by op, a tile of steps at a time, every row on its
   own, so it is the same bytes again — on one core or with its rows in two
-  halves on two; its logits are float32, widened to float64 once, in
-  :meth:`PlanProgram.run`.
+  halves on two; its logits are float32, widened to float64 once by the
+  engine's public entries.
 
 Every op registered here wins on some recorded shape.  The ops where C
 never beat numpy + BLAS — the float sparse products, the per-call-scale
@@ -1080,8 +1080,8 @@ static i64 op_work(const plan_op *p)
  * step, laid out from B and the widths alone (not T), for tiles of `rows`
  * = ceil(8 / B) * B rows: the tile's float32 gate rows (3H of the widest
  * H), gh (B rows), the scales and codes of a tile of x, the tile's float32
- * logits where an output op makes them (a half of a split chunk stages them
- * there), per GRU two halves — tiles alternate between them, so the one a
+ * logits where an output op makes them (a half of a split chunk, and a
+ * chunk that keeps no logits, stages them there), per GRU two halves — tiles alternate between them, so the one a
  * tile writes is not the one the tile before it wrote — each `rows` scales,
  * states and codes, and last the product's scratch at 8 rows (the neediest
  * op's), so a product that outgrew it would write past the arena's end.
@@ -1148,19 +1148,31 @@ API i64 repro_plan_i8_arena(const plan_op *ops, i64 count, i64 batch)
 }
 
 /* Rows [b0, b0 + nb) of a chunk of `batch` rows a step: all of them, or
- * one half of a split chunk.  x, the carries and the logits are the whole
- * chunk's, read and written at those rows only; `arena` is the run's own
- * (rows_layout at nb).  `ticks`: a helper thread's phase counters, copied
- * there as it ends. */
+ * one half of a split chunk.  x, rows, the slabs, the logits and the
+ * labels are the whole chunk's, read and written at those rows only;
+ * `arena` is the run's own (rows_layout at nb).  `ticks`: a helper
+ * thread's phase counters, copied there as it ends. */
 typedef struct {
     const plan_op *ops;
-    i64 count, steps, batch, b0, nb;
-    const double *x;
-    float *const *carry;
+    i64 count, steps, batch, b0, nb, stride;
+    const double *const *x;
+    const i64 *rows;
+    float *const *slabs;
     float *logits;
+    i64 *labels;
     char *arena;
     uint64_t ticks[PH_COUNT];
 } chunk_rows;
+
+/* The first of the n floats of `row` that no other exceeds, or its first
+ * NaN: numpy's argmax. */
+static i64 first_max(const float *row, i64 n)
+{
+    i64 at = 0;
+    for (i64 i = 1; i < n && row[at] == row[at]; i++)
+        if (row[i] > row[at] || row[i] != row[i]) at = i;
+    return at;
+}
 
 /* A tile's `span` steps of the run's rows, `width` floats each, from
  * `from` (span x nb rows) into the chunk's logits. */
@@ -1177,8 +1189,12 @@ static void put_rows(const chunk_rows *c, i64 t0, i64 span, i64 width, const flo
  * cache.  A tile's frames of x are quantized once, for the first
  * projection; every hidden state once, in the gate sweep that makes it
  * (repro_gru_i8_chunk), for the layer's next step and the next op; each
- * carry in once, for tile 0.  Every row is computed on its own, so the
- * bytes of a row do not depend on which rows share the run. */
+ * carry in once, for tile 0, from its slab row, and out once, to that row,
+ * after the last tile; each frame's label as its tile's logits are done,
+ * from the tile's rows where the chunk keeps no logits (staged in the
+ * arena, as a half's are).
+ * Every row is computed on its own, so the bytes of a row do not depend on
+ * which rows share the run. */
 static void run_rows(const chunk_rows *c)
 {
     const plan_op *ops = c->ops;
@@ -1195,8 +1211,13 @@ static void run_rows(const chunk_rows *c)
         if (ops[i].kind != PLAN_GRU) continue;
         const i64 hg = ops[i].n;
         const tile_rows in = halves[2 * g + 1];
+        const float *slab = c->slabs[g++];
         float *state = in.state + last * hg;
-        memcpy(state, c->carry[g++] + b0 * hg, (size_t)(nb * hg) * sizeof(float));
+        for (i64 b = 0; b < nb; b++)
+            if (slab)
+                memcpy(state + b * hg, slab + c->rows[b0 + b] * hg, (size_t)hg * sizeof(float));
+            else
+                memset(state + b * hg, 0, (size_t)hg * sizeof(float));
         TIC(quantize);
         for (i64 b = 0; b < nb; b++)
             in.scale[last + b] = bspc_quant_f32(hg, state + b * hg, in.code + (last + b) * hg);
@@ -1209,17 +1230,24 @@ static void run_rows(const chunk_rows *c)
         TIC(quantize);
         for (i64 t = 0, r = 0; t < span; t++)
             for (i64 b = 0; b < nb; b++, r++)
-                io.xs[r] = bspc_quant_i8(d, c->x + ((t0 + t) * batch + b0 + b) * d, io.xq + r * d);
+                io.xs[r] = bspc_quant_i8(d, c->x[b0 + b] + (t0 + t) * c->stride, io.xq + r * d);
         TOC(quantize, PH_QUANTIZE);
+        /* the tile's logits: frame (t0 + t, b0 + b) at row t * pitch + b */
+        const float *tile_logits = NULL;
+        i64 pitch = nb;
         for (i64 i = 0, g = 0; i < count; i++) {
             const plan_op *op = ops + i;
             if (op->kind != PLAN_GRU) {
                 /* a whole chunk's logits are its tiles' rows in order */
-                float *out = op->kind != PLAN_OUTPUT ? io.gates
-                             : nb == batch           ? c->logits + t0 * batch * op->rows
-                                                     : io.out;
+                float *out = op->kind != PLAN_OUTPUT         ? io.gates
+                             : nb == batch && c->logits ? c->logits + t0 * batch * op->rows
+                                                        : io.out;
                 bspc_i8_coded(op, frames, q, s, op->bias, io.work, out);
-                if (out == io.out) put_rows(c, t0, span, op->rows, out);
+                if (out == io.out && c->logits) put_rows(c, t0, span, op->rows, out);
+                if (op->kind == PLAN_OUTPUT) {
+                    tile_logits = out;
+                    pitch = out == io.out ? nb : batch;
+                }
                 continue;
             }
             const i64 hg = op->n;
@@ -1230,12 +1258,21 @@ static void run_rows(const chunk_rows *c)
             q = now.code;
             s = now.scale;
             if (t0 + span == steps)
-                memcpy(c->carry[grus + g] + b0 * hg, now.state + (frames - nb) * hg,
-                       (size_t)(nb * hg) * sizeof(float));
-            if (i == count - 1)  /* no output op: the last layer's states are the logits */
-                put_rows(c, t0, span, hg, now.state);
+                for (i64 b = 0; b < nb; b++)
+                    memcpy(c->slabs[grus + g] + c->rows[b0 + b] * hg,
+                           now.state + (frames - nb + b) * hg, (size_t)hg * sizeof(float));
+            if (i == count - 1) {  /* no output op: the last layer's states are the logits */
+                if (c->logits) put_rows(c, t0, span, hg, now.state);
+                tile_logits = now.state;
+            }
             g++;
         }
+        if (!c->labels) continue;
+        const i64 width = ops[count - 1].kind == PLAN_OUTPUT ? ops[count - 1].rows : ops[count - 1].n;
+        for (i64 t = 0; t < span; t++)
+            for (i64 b = 0; b < nb; b++)
+                c->labels[(t0 + t) * batch + b0 + b] =
+                    first_max(tile_logits + (t * pitch + b) * width, width);
     }
 }
 
@@ -1299,12 +1336,18 @@ static int start_helper(pthread_t *thread, chunk_rows *half)
 }
 #endif
 
-/* One chunk of a whole plan: x (T, B, ops[0].n) through the ops — per
- * layer a PLAN_PROJECT and a PLAN_GRU, then at most one PLAN_OUTPUT — into
- * the float32 logits (T, B, the last op's width).  `carry` holds, GRU by
- * GRU, the float32 (B, H) states in and then the (B, H) arrays the states
- * out are copied to.  `arena` is repro_plan_i8_arena(ops, count, B) bytes.
- * B > 0, T > 0.  A chunk of B >= 2 rows whose estimated work
+/* One chunk of a whole plan: T steps of B rows through the ops — per layer
+ * a PLAN_PROJECT and a PLAN_GRU, then at most one PLAN_OUTPUT — into the
+ * float32 logits (T, B, the last op's width) — unless `logits` is NULL —
+ * and, unless `labels` is NULL, each frame's label (T, B): the first maximum
+ * of its logits.  Batch row b
+ * reads its frame t, ops[0].n doubles, at x[b] + t * stride, and its
+ * carries from row rows[b] of float32 (capacity, H) slabs: `slabs` holds,
+ * GRU by GRU, the slabs the states in are read from (NULL: zeros), then
+ * the slabs the states out are written to — the same ones, for a carry
+ * updated in place, as rows are distinct.  `arena` is
+ * repro_plan_i8_arena(ops, count, B) bytes.  B > 0, T > 0.  A chunk of
+ * B >= 2 rows whose estimated work
  * (repro_plan_i8_frame_ns x T x B) reaches SPLIT_NS runs on two cores:
  * rows [0, ceil(B / 2)) here, the others on a helper thread (start_helper)
  * with an arena half of its own, joined before the call returns; with one
@@ -1312,11 +1355,12 @@ static int start_helper(pthread_t *thread, chunk_rows *half)
  * runs here whole.  The bytes are the same either way.  Returns how many
  * threads ran it. */
 API i64 repro_plan_i8_chunk(
-    const plan_op *ops, i64 count, i64 steps, i64 batch, const double *x,
-    float *const *carry, float *logits, char *arena)
+    const plan_op *ops, i64 count, i64 steps, i64 batch, const double *const *x, i64 stride,
+    const i64 *rows, float *const *slabs, float *logits, i64 *labels, char *arena)
 {
     TIC(chunk);
-    chunk_rows mine = {ops, count, steps, batch, 0, batch, x, carry, logits, arena, {0}};
+    chunk_rows mine = {ops, count, steps, batch, 0, batch, stride, x, rows, slabs, logits,
+                       labels, arena, {0}};
     i64 threads = 1;
 #ifdef __linux__
     pthread_t thread;
@@ -1521,7 +1565,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_bspc_i8_rows": (ptr, i64, ptr, ptr, ptr, ptr),
         "repro_plan_i8_arena": (ptr, i64, i64),
         "repro_plan_i8_frame_ns": (ptr, i64),
-        "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, ptr, ptr, ptr),
+        "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr),
     }
     try:
         for name, argtypes in signatures.items():
@@ -2011,39 +2055,64 @@ class PlanProgram:
         this program was lowered from."""
         return any(int8_bspc_plan(matrix) is not plan for matrix, plan in self._plans)
 
+    def _chunk(self, xs, stride, steps, rows, ins, outs, logits, labels) -> None:
+        """``repro_plan_i8_chunk`` on one chunk of ``steps`` frames in each
+        of ``B = len(rows)`` batch rows, all given by address: row ``b``
+        reads its frame ``t`` (float64, ``D`` wide) at ``xs[b] + 8 * t *
+        stride``, its carries from row ``rows[b]`` of the GRUs' float32
+        ``(capacity, H)`` slabs at ``ins`` (0: zeros) and writes them to
+        that row of the slabs at ``outs``; the float32 logits ``(T, B, W)``
+        go to ``logits`` and each frame's int64 label ``(T, B)`` — the first
+        maximum of its logits row, as ``argmax`` picks it — to ``labels``,
+        each unless it is ``None``.  The chunk runs in tiles of
+        ``ceil(8 / B)`` steps, every op of a tile before the next, and each
+        hidden state is quantized once, where it is made; a chunk with
+        enough work runs its rows in two halves, the second on a helper
+        thread the call makes and joins.  The arena (:meth:`arena_size`)
+        is the calling thread's (``_SCRATCH.arena``) and grows only with
+        ``B``, never with ``T``."""
+        batch = len(rows)
+        at = np.array([*xs, *rows, *ins, *outs], dtype=np.int64)
+        base = _p(at)
+        self._lib.repro_plan_i8_chunk(
+            self._ops, len(self._ops), steps, batch, base, stride, base + 8 * batch,
+            base + 16 * batch, logits, labels, _buffer("arena", self.arena_size(batch)),
+        )
+
     def run(self, x: np.ndarray, carry) -> Tuple[np.ndarray, list]:
-        """``x (T, B, D)`` and per-layer float32 ``(B, H)`` carries
+        """``x (T, B, D)`` float64 and per-layer float32 ``(B, H)`` carries
         (``None``: zeros) → fresh float32 logits, as the C made them, and a
         list of fresh float32 carries; ``T > 0``, ``B > 0``.  Shapes are
-        the caller's to have checked.  The fresh carries and the logits are
-        views of one new array, whose address is taken once.  The chunk
-        runs in tiles of ``ceil(8 / B)`` steps, every op of a tile before
-        the next, and each hidden state is quantized once, where it is
-        made; a chunk with enough work runs its rows in two halves, the
-        second on a helper thread the call makes and joins.  The arena
-        (:meth:`arena_size`) is the calling thread's (``_SCRATCH.arena``)
-        and grows only with ``B``, never with ``T``.  Nothing returned
-        aliases it."""
-        seq_len, batch, _ = x.shape
+        the caller's to have checked; row ``b`` is read at ``b·D``, its
+        steps ``B·D`` apart.  Nothing returned aliases the arena."""
+        seq_len, batch, dim = x.shape
         x = _f64(x)
-        sizes = [batch * width for width in self.hidden]
-        out = np.empty(sum(sizes) + seq_len * batch * self.width, dtype=np.float32)
-        at, fresh, fresh_at = _p(out), [], []
-        start = 0
-        for size, width in zip(sizes, self.hidden):
-            fresh.append(out[start : start + size].reshape(batch, width))
-            fresh_at.append(at + 4 * start)
-            start += size
-        if carry is None:  # the C only reads a carry in: one zero block serves all
-            states = [np.zeros(max(sizes), dtype=np.float32)] * len(sizes)
-        else:
-            states = [_f32(state) for state in carry]
-        self._lib.repro_plan_i8_chunk(
-            self._ops, len(self._ops), seq_len, batch, _p(x),
-            (ctypes.c_void_p * (2 * len(sizes)))(*map(_p, states), *fresh_at), at + 4 * start,
-            _buffer("arena", self.arena_size(batch)),
+        base = _p(x)
+        logits = np.empty((seq_len, batch, self.width), dtype=np.float32)
+        fresh = [np.empty((batch, h), dtype=np.float32) for h in self.hidden]
+        states = [] if carry is None else [_f32(state) for state in carry]  # held for the call
+        self._chunk(
+            range(base, base + 8 * dim * batch, 8 * dim), dim * batch, seq_len, range(batch),
+            map(_p, states) if states else [0] * len(fresh), map(_p, fresh), _p(logits), None,
         )
-        return out[start:].reshape(seq_len, batch, self.width), fresh
+        return logits, fresh
+
+    def serve(self, chunks, stride: int, rows, slabs) -> np.ndarray:
+        """Frame labels ``(T, B)``, int64, of ``B`` equally long float64
+        chunks, one per batch row, each ``stride`` doubles a step (``D``
+        for C-contiguous ``(T, D)`` chunks), whose carries are rows
+        ``rows`` (distinct) of the GRUs' float32 C-contiguous ``(capacity,
+        H)`` ``slabs``: read there and written back in place.  No logits
+        leave the C: each tile's stay in the arena, where its labels are
+        taken."""
+        steps, batch = len(chunks[0]), len(rows)
+        slabs_at = [_p(slab) for slab in slabs]
+        labels = np.empty((steps, batch), dtype=np.int64)
+        self._chunk(
+            [_p(chunk) for chunk in chunks], stride, steps, rows, slabs_at, slabs_at,
+            None, _p(labels),
+        )
+        return labels
 
 
 #: op name → compiled implementation: the ops where C beats numpy on every

@@ -69,8 +69,10 @@ def offline_phones(plan, utterances):
     ]
 
 
-def stream_all(fabric, utterances, chunk=13):
-    """Feed every utterance through the fabric; returns phones per sid."""
+def stream_all(fabric, utterances, chunk=13, homes=None):
+    """Feed every utterance through the fabric; returns phones per sid.
+    ``homes``, a dict, gets each session's worker as it was just before
+    its finish (a finished session leaves the fabric's table)."""
     sids = [fabric.open() for _ in utterances]
     outs = {sid: [] for sid in sids}
     for utterance, sid in zip(utterances, sids):
@@ -78,6 +80,8 @@ def stream_all(fabric, utterances, chunk=13):
             fabric.feed(sid, utterance[start : start + chunk], block=True)
         outs[sid].extend(fabric.poll(sid))
     for sid in sids:
+        if homes is not None:
+            homes[sid] = fabric._sessions[sid].worker
         outs[sid].extend(fabric.finish(sid))
     return [outs[sid] for sid in sids]
 
@@ -122,10 +126,38 @@ class TestFabricBasics:
                 fabric.poll(9)
             sid = fabric.open()
             fabric.finish(sid)
-            with pytest.raises(
-                StreamError, match=f"session {sid} already finished"
+            for entry in (
+                lambda: fabric.feed(sid, np.zeros((4, 8))),
+                lambda: fabric.poll(sid),
+                lambda: fabric.finish(sid),
+                lambda: fabric.session_version(sid),
             ):
-                fabric.feed(sid, np.zeros((4, 8)))
+                with pytest.raises(
+                    StreamError, match=f"session {sid} already finished"
+                ):
+                    entry()
+            with pytest.raises(StreamError, match=f"unknown session id {sid + 1}"):
+                fabric.session_version(sid + 1)
+
+    def test_the_session_table_holds_only_live_sessions(self):
+        """A finished session leaves the parent's table, so ``open``'s
+        capacity check counts live sessions, not every session ever
+        opened: after 2000 sessions only the live ones are held."""
+        plan = small_plan()
+        config = fabric_config(max_sessions_per_worker=8)
+        with ServingFabric.from_plan(plan, config) as fabric:
+            live = []
+            for _ in range(2000):
+                live.append(fabric.open())
+                if len(live) > 5:
+                    fabric.finish(live.pop(0))
+            assert sorted(fabric._sessions) == live
+            homes = [fabric._sessions[sid].worker for sid in live]
+            assert fabric._live == [homes.count(w) for w in range(2)]
+            for sid in live:
+                fabric.finish(sid)
+            assert not fabric._sessions and fabric._live == [0, 0]
+            assert fabric.stats().sessions_finished == 2000
 
     def test_feed_validates_feature_shape(self):
         plan = small_plan()
@@ -257,17 +289,15 @@ class TestCrashRecovery:
                 crash_after_chunks=1, target_worker=0, repeat=True
             ),
         )
+        homes = {}
         with ServingFabric.from_plan(plan, config) as fabric:
-            streamed = stream_all(fabric, utterances)
+            streamed = stream_all(fabric, utterances, homes=homes)
             fleet = fabric.stats()
             dead_rows = [w for w in fleet.workers if not w.alive]
-            homes = {
-                session.worker for session in fabric._sessions.values()
-            }
         assert streamed == offline_phones(plan, utterances)
         assert len(dead_rows) == 1 and dead_rows[0].index == 0
         assert dead_rows[0].restarts == 2
-        assert homes == {1}
+        assert set(homes.values()) == {1}
 
     def test_backoff_schedule_is_exponential_and_capped(self):
         plan = small_plan()
@@ -428,6 +458,34 @@ class TestOverload:
         with ServingFabric.from_plan(plan, config) as fabric:
             streamed = stream_all(fabric, utterances, chunk=8)
         assert streamed == offline_phones(plan, utterances)
+
+    def test_a_blocked_feed_waits_on_the_pipe_for_the_ack(self, monkeypatch):
+        """A feed blocked on a full backlog is admitted when the worker's
+        ack arrives, read off the pipe: it never sleeps."""
+        plan = small_plan()
+        utterance = make_utterances(1)[0]
+        config = fabric_config(
+            num_workers=1,
+            max_pending_chunks=1,
+            faults=FaultConfig(delay_response_s=0.2),  # every ack 0.2 s late
+        )
+        with ServingFabric.from_plan(plan, config) as fabric:
+            sid = fabric.open()
+            handle = fabric._supervisor.children[0]
+            waits = []
+            wait = handle.wait
+            monkeypatch.setattr(handle, "wait", lambda d: waits.append(d) or wait(d))
+
+            def no_sleep(seconds):
+                raise AssertionError(f"a blocked feed slept {seconds} s")
+
+            monkeypatch.setattr("time.sleep", no_sleep)
+            fabric.feed(sid, utterance[:10], block=True)  # idle: admitted at once
+            fabric.feed(sid, utterance[10:20], block=True)  # waits out the first ack
+            assert waits and handle.inflight_chunks == 1 and fabric.chunks_shed == 0
+            monkeypatch.undo()
+            phones = fabric.poll(sid) + fabric.finish(sid)
+        assert phones == offline_phones(plan, [utterance[:20]])[0]
 
 
 class TestHashRing:

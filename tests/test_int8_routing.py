@@ -31,6 +31,7 @@ from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import BlockGrid, grid_for
 from repro.sparse.bspc import BSPCMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.speech.decoder import IncrementalDecoder
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
 
@@ -254,10 +255,25 @@ def run_without_a_compiler(tmp_path, body):
     )
 
 
+class LabelLog(IncrementalDecoder):
+    """An incremental decoder that keeps every frame label it is pushed."""
+
+    def __init__(self, min_duration: int = 1) -> None:
+        super().__init__(min_duration)
+        self.labels = []
+
+    def push(self, labels):
+        self.labels += np.asarray(labels).tolist()
+        return super().push(labels)
+
+
 def streamed_bytes(plan):
     """Logits and carry state of the probe frames fed in three chunks, then
     of one session's twenty frames in one chunk (three tiles of a program
-    at B = 1)."""
+    at B = 1), then a scheduler's pass over the probe frames, three
+    sessions fed in those chunks, last first: each session's frame labels
+    and the carry slabs after it (batches of two rows and one, slab rows
+    out of order)."""
     state, parts = None, []
     for chunk in np.array_split(probe_features(), [1, 5]):
         logits, state = plan.run_chunk(chunk, state)
@@ -265,6 +281,16 @@ def streamed_bytes(plan):
     parts += state.layer_states
     logits, state = plan.run_chunk(new_rng(12).standard_normal((20, 1, 8)))
     parts += [logits] + state.layer_states
+    scheduler = engine.StreamScheduler(
+        plan, engine.StreamConfig(max_batch_size=2, max_wait_frames=4)
+    )
+    logs = [LabelLog() for _ in range(3)]
+    sids = [scheduler.adopt(None, log) for log in logs]
+    for chunk in np.array_split(probe_features(), [1, 5]):
+        for b in (2, 1, 0):
+            scheduler.feed(sids[b], chunk[:, b])
+    scheduler.flush()
+    parts += [np.array(log.labels, dtype=np.int64) for log in logs] + scheduler._slabs
     return b"".join(part.tobytes() for part in parts)
 
 

@@ -266,6 +266,27 @@ class TestOneCall:
                 assert [layer.shape for layer in after.layer_states] == widths
                 assert "repro_plan_i8_chunk" not in c_calls
 
+    def test_a_session_chunk_and_a_scheduler_batch_are_one_call_each(self, plans, c_calls, rng):
+        # the serving entry reads the queued chunks and the slab rows where
+        # they sit: nothing but the one chunk entry (and the arena's size,
+        # asked once per B) crosses into C
+        with kernels.use_backend(None):
+            for plan in plans.values():
+                session = engine.StreamingSession(plan)
+                scheduler = engine.StreamScheduler(
+                    plan, engine.StreamConfig(max_batch_size=3, max_wait_frames=100)
+                )
+                sids = [scheduler.open() for _ in range(3)]
+                for round in (1, 2):
+                    del c_calls[:]
+                    session.feed(rng.standard_normal((5, 8)))
+                    for sid in sids:  # the third fills the batch
+                        scheduler.feed(sid, rng.standard_normal((4, 8)))
+                    assert [c for c in c_calls if c != "repro_plan_i8_arena"] == [
+                        "repro_plan_i8_chunk"
+                    ] * 2
+                    assert scheduler.stats.batches == round
+
     def test_the_arena_is_sized_by_the_batch_not_the_chunk(self, rng, monkeypatch):
         # tiles of ceil(8 / B) steps: what a chunk needs does not grow with T
         # (2000 steps of 3 rows: a chunk split across two cores, too)
@@ -311,6 +332,9 @@ class TestOneCall:
                 state = plan.init_state(batch)
                 for _ in range(2):  # from the zero carry, then from a carry
                     _, state = plan.run_chunk(x, state)
+                # the serving entry keeps no logits: each tile's stay in the arena
+                chunks = [np.ascontiguousarray(x[:, b]) for b in range(batch)]
+                plan._serve(chunks, state.layer_states, list(range(batch)))
                 sizes = {raw.ctypes.data: size for raw, size in fresh}
                 assert sizes[compiled._SCRATCH.arena[1]] == plan.program.arena_size(batch)
                 assert not hasattr(compiled._SCRATCH, "work")
@@ -421,6 +445,43 @@ class TestTwoCores:
                     assert c_calls == ["repro_plan_i8_chunk"]
                     assert chunk_threads == [cores()]
                     assert threads() == before
+
+    @pytest.mark.parametrize("name", ["bspc", "narrowing"])
+    def test_a_batch_writes_its_own_slab_rows_and_no_other(self, plans, chunk_threads, name):
+        # x rows from separate arrays, carries from slab rows out of order:
+        # labels and carries are run_chunk's on the stacked chunk (and the
+        # generic loop's), and the free rows keep their poisoned bytes
+        plan = plans[name]
+        for batch, past in SPLITS:
+            with kernels.use_backend(None):
+                steps = split_steps(plan, batch) + past
+                rng = new_rng(batch + steps)
+                chunks = [rng.standard_normal((steps, 8)) for _ in range(batch)]
+                capacity = 2 * batch + 3
+                rows = [int(r) for r in rng.permutation(capacity)[:batch]]
+                slabs = []
+                for layer in plan.layers:
+                    slab = np.full((capacity, layer.hidden_size), np.nan, np.float32)
+                    slab[rows] = rng.standard_normal((batch, layer.hidden_size))
+                    slabs.append(slab)
+                kept = [slab.copy() for slab in slabs]
+                logits, state = plan.run_chunk(
+                    np.stack(chunks, axis=1), engine.PlanState([slab[rows] for slab in slabs])
+                )
+                looped = [slab.copy() for slab in slabs]
+                del chunk_threads[:]
+                labels = plan._serve(chunks, slabs, rows)
+                assert chunk_threads == [cores() if past >= 0 else 1]
+                plan.program, program = None, plan.program  # the generic loop's
+                try:
+                    assert plan._serve(chunks, looped, rows).tobytes() == labels.tobytes()
+                finally:
+                    plan.program = program
+            assert labels.tobytes() == logits.argmax(axis=2).tobytes()
+            free = np.setdiff1d(np.arange(capacity), rows)
+            for slab, loop, was, carry in zip(slabs, looped, kept, state.layer_states):
+                assert slab[rows].tobytes() == carry.tobytes() == loop[rows].tobytes()
+                assert slab[free].tobytes() == was[free].tobytes() == loop[free].tobytes()
 
     def test_two_python_threads_on_one_plan_give_the_sequential_bytes(self, plans):
         # each thread runs in an arena of its own (one arena per program

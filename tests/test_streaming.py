@@ -14,9 +14,11 @@ offline featurizer, the incremental decoder's equivalence with
 API, and the deadline-batching stream scheduler.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import engine, kernels
@@ -32,7 +34,7 @@ from repro.speech.metrics import collapse_frames
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.phones import SILENCE_ID
 from repro.utils.rng import new_rng
-from test_int8_routing import run_chunk as run_plan_chunk
+from test_int8_routing import LabelLog, run_chunk as run_plan_chunk
 
 # The chunk-exactness sweep runs under every registered backend —
 # "compiled" joins the matrix automatically on hosts with a C toolchain.
@@ -982,30 +984,25 @@ def test_slab_capacity_is_bounded_by_the_peak_of_live_sessions(
     assert scheduler.stats.sessions_finished == 2000
 
 
-class _RecordingDecoder(IncrementalDecoder):
-    """An incremental decoder that keeps every label it is pushed."""
-
-    def __init__(self, min_duration: int) -> None:
-        super().__init__(min_duration)
-        self.labels = []
-
-    def push(self, labels):
-        self.labels += np.asarray(labels).tolist()
-        return super().push(labels)
-
-
-@pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
-def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
-    # odd classes repeat the even class before them, weights and bias: every
-    # logit has a twin, and the label must be the first of the two, however
-    # the chunk's logits were made (float32 in an int8 plan) and decoded
+def tied_plan(scheme):
+    """A BSPC plan whose odd classes repeat the even class before them,
+    weights and bias: every logit has a twin, the first of which is the
+    label."""
     model = tiny_model()
     for param in (model.output.weight.data, model.output.bias.data):
         pairs = len(param) // 2
         param[1 : 2 * pairs : 2] = param[0 : 2 * pairs : 2]
     config = engine.EngineConfig(sparse_format="bspc", num_row_strips=4, num_col_blocks=4)
+    return engine.compile_model(model, scheme=scheme, config=config)
+
+
+@pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
+def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
+    # every logit has a twin, and the label must be the first of the two,
+    # however the chunk's logits were made (float32 in an int8 plan) and
+    # decoded
     with kernels.use_backend(None):
-        plan = engine.compile_model(model, scheme=scheme, config=config)
+        plan = tied_plan(scheme)
         utterances = [rng.standard_normal((t, 8)) for t in (13, 13, 7)]
         want = [plan.run_chunk(u[:, None, :])[0][:, 0] for u in utterances]
         for logits in want:
@@ -1017,7 +1014,7 @@ def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
         got = []
         for utterance in utterances:
             session = engine.StreamingSession(plan, min_duration=2)
-            session._decoder = _RecordingDecoder(2)
+            session._decoder = LabelLog(2)
             for start in range(0, len(utterance), 4):
                 session.feed(utterance[start : start + 4])
             got.append(session._decoder.labels)
@@ -1026,7 +1023,7 @@ def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
         scheduler = engine.StreamScheduler(
             plan, engine.StreamConfig(max_batch_size=3, max_wait_frames=100)
         )
-        decoders = [_RecordingDecoder(1) for _ in utterances]
+        decoders = [LabelLog(1) for _ in utterances]
         sids = [scheduler.adopt(None, decoder) for decoder in decoders]
         for start in range(0, 13, 4):
             for sid, utterance in zip(sids, utterances):
@@ -1036,6 +1033,150 @@ def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
             scheduler.finish(sid)
         assert [decoder.labels for decoder in decoders] == want
         assert scheduler.stats.mean_batch_size > 1.0
+
+
+@pytest.mark.parametrize("backend", [None, *BACKENDS])
+@pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
+def test_serving_labels_are_the_logits_argmax_on_every_backend(scheme, backend, rng):
+    # the serving entry's labels (the program's own, on a program) are
+    # argmax of the logits run_chunk makes from the same carries, the first
+    # of two tied maxima included; the carries land in the slab rows named
+    plan = tied_plan(scheme)
+    with kernels.use_backend(backend):
+        chunks = [rng.standard_normal((9, 8)) for _ in range(3)]
+        slabs = [
+            rng.standard_normal((5, layer.hidden_size)).astype(layer.dtype)
+            for layer in plan.layers
+        ]
+        rows = [3, 0, 4]
+        carries = engine.PlanState([slab[rows] for slab in slabs])
+        logits, state = plan.run_chunk(np.stack(chunks, axis=1), carries)
+        labels = plan._serve(chunks, slabs, rows)
+    want = logits.argmax(axis=2)
+    assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+    assert (labels % 2 == 0).all()
+    for slab, carry in zip(slabs, state.layer_states):
+        assert slab[rows].tobytes() == carry.tobytes()
+
+
+class _ParentPump:
+    """The oracle of the scheduler's batching: its policy as it stood when
+    the pump rebuilt its length groups from every ready session on each
+    run (``_groups``), over chunk lengths, submit clocks and tags alone.
+    ``batches`` lists each batch's chunk tags in row order."""
+
+    def __init__(self, max_batch_size: int, max_wait_frames: int) -> None:
+        self.limit, self.wait = max_batch_size, max_wait_frames
+        self.queues = {}  # sid -> deque of (length, submit clock, tag)
+        self.ready = {}  # sessions with a queued chunk, insertion-ordered
+        self.clock = 0
+        self.batches = []
+
+    def feed(self, sid, length, tag):
+        self.clock += length
+        self.queues.setdefault(sid, deque()).append((length, self.clock, tag))
+        self.ready[sid] = None
+        while self.run_ready(force=False):
+            pass
+
+    def finish(self, sid):
+        while self.queues.get(sid):
+            self.run_ready(force=True, only_sid=sid)
+
+    def flush(self):
+        while self.ready:
+            self.run_ready(force=True)
+
+    def groups(self, only_sid=None):
+        groups = {}
+        for sid in self.ready if only_sid is None else (only_sid,):
+            groups.setdefault(self.queues[sid][0][0], []).append(sid)
+        return groups
+
+    def run_ready(self, force, only_sid=None):
+        for _, sids in sorted(self.groups(only_sid).items()):
+            full = len(sids) >= self.limit
+            expired = any(self.clock - self.queues[sid][0][1] >= self.wait for sid in sids)
+            if force or full or expired:
+                sids = sorted(sids, key=lambda sid: self.queues[sid][0][1])[: self.limit]
+                self.batches.append([self.queues[sid].popleft()[2] for sid in sids])
+                for sid in sids:
+                    if not self.queues[sid]:
+                        del self.ready[sid]
+                return True
+        return False
+
+
+class _BatchLog:
+    """Stands in for a plan: records each batch's chunk tags (a chunk's
+    first feature) in row order, then serves it."""
+
+    def __init__(self, plan) -> None:
+        self._plan = plan
+        self.batches = []
+
+    def _serve(self, chunks, slabs, rows):
+        self.batches.append([int(chunk[0, 0]) for chunk in chunks])
+        return self._plan._serve(chunks, slabs, rows)
+
+    def __getattr__(self, name):
+        return getattr(self._plan, name)
+
+
+@st.composite
+def pump_traffic(draw):
+    """Interleaved feeds (session, length), finishes and flushes over up
+    to six sessions, so that sessions queue several chunks, and the
+    scheduler's two batching knobs."""
+    events = st.one_of(
+        st.tuples(st.just("feed"), st.integers(0, 5), st.integers(1, 4)),
+        st.tuples(st.sampled_from(["finish", "flush"]), st.integers(0, 5), st.just(0)),
+    )
+    return (
+        draw(st.lists(events, min_size=1, max_size=80)),
+        draw(st.integers(1, 6)),
+        draw(st.one_of(st.integers(0, 12), st.integers(13, 200))),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=pump_traffic())
+# session 0's second chunk joins the 5-frame group after session 1's, older
+@example(case=([("feed", 0, 3), ("feed", 0, 5), ("feed", 1, 5), ("flush", 0, 0)], 4, 100, 0))
+def test_the_pump_forms_the_batches_of_the_regrouping_policy(scheme_plans, case):
+    events, max_batch_size, max_wait, seed = case
+    log = _BatchLog(scheme_plans[None])
+    scheduler = engine.StreamScheduler(
+        log, engine.StreamConfig(max_batch_size=max_batch_size, max_wait_frames=max_wait)
+    )
+    oracle = _ParentPump(max_batch_size, max_wait)
+    rng, sids, tag = np.random.default_rng(seed), {}, 0
+    for kind, session, length in events:
+        if kind == "flush":
+            scheduler.flush()
+            oracle.flush()
+        elif kind == "finish":
+            if session in sids:
+                scheduler.finish(sids[session])
+                oracle.finish(sids.pop(session))
+        else:
+            sid = sids.setdefault(session, None)
+            if sid is None:
+                sid = sids[session] = scheduler.open()
+            chunk = rng.standard_normal((length, 8))
+            chunk[0, 0] = tag
+            scheduler.feed(sid, chunk)
+            oracle.feed(sid, length, tag)
+            tag += 1
+        assert log.batches == oracle.batches
+        assert scheduler.pending() == sum(len(q) for q in oracle.queues.values())
+    for session in sorted(sids):
+        scheduler.finish(sids[session])
+        oracle.finish(sids[session])
+    assert log.batches == oracle.batches
+    assert scheduler.stats.batches == len(oracle.batches)
+    assert sorted(t for batch in log.batches for t in batch) == list(range(tag))
 
 
 # ---------------------------------------------------------------------------
