@@ -14,7 +14,9 @@ lowering it:
    (dense / CSR / BSPC) from the graph's request, record the graph's
    scheme on each slot, and mark the quantize boundaries an int8 graph
    introduces.  Slots whose format was *pinned* beforehand (by the
-   measured auto-tuner or a loaded artifact) pass through untouched.
+   measured auto-tuner or a loaded artifact) pass through untouched, but
+   for one rule: int8 has one sparse format, so an int8 slot's CSR is
+   BSPC (:func:`int8_sparse_as_bspc`).
 4. :func:`select_kernels_pass` — name the registry kernel each op lowers
    to under the decided format and the graph's scheme.
 
@@ -25,10 +27,7 @@ a dense model for execution stays cheap.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.compiler.ir import (
-    OP_LINEAR,
     GraphOptions,
     LayerGraph,
     QuantBoundary,
@@ -116,20 +115,28 @@ def _decide_format(slot: WeightSlot, options: GraphOptions) -> str:
 
 
 def _mark_boundaries(graph: LayerGraph) -> None:
-    boundaries: List[QuantBoundary] = []
+    # Every int8 product quantizes its operand with one scale per frame
+    # (per batch row of a recurrence's state), accumulates in integers and
+    # dequantizes once — the chunk-exact int8 contract.
+    slots = graph.slots() if graph.scheme == "int8" else ()
+    graph.boundaries = [
+        QuantBoundary(slot=slot.name, policy="int8-activations-per-frame")
+        for _, _, slot in slots
+    ]
+
+
+def int8_sparse_as_bspc(graph: LayerGraph) -> None:
+    """Int8 has one sparse format: every ``"csr"`` slot of an int8 graph —
+    the request, ``"auto"``'s fallback for an irregular pattern, a tuner's
+    pin or an artifact saved when int8 had a CSR kernel — becomes
+    ``"bspc"`` on the slot's own grid.  The codes and scale are the same
+    (the peak of the same nonzeros) and integer sums are exact, so the
+    products are the same bytes."""
     if graph.scheme == "int8":
         for _, _, slot in graph.slots():
-            if slot.op == OP_LINEAR:
-                # Activations quantized with one scale per frame, integer
-                # accumulate, one dequant — the chunk-exact int8 contract.
-                boundaries.append(
-                    QuantBoundary(slot=slot.name, policy="int8-activations-per-frame")
-                )
-            else:
-                boundaries.append(
-                    QuantBoundary(slot=slot.name, policy="int8-weights-dequantized")
-                )
-    graph.boundaries = boundaries
+            if slot.format == "csr":
+                slot.format = "bspc"
+                slot.kernel = kernel_for(slot.op, "bspc", graph.scheme)
 
 
 def select_formats_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
@@ -140,6 +147,7 @@ def select_formats_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph
             slot.format = _decide_format(slot, graph.options)
         if slot.scheme is None:
             slot.scheme = slot_scheme(graph.scheme)
+    int8_sparse_as_bspc(graph)
     _mark_boundaries(graph)
     return graph
 
@@ -148,11 +156,11 @@ def kernel_for(op: str, fmt: str, scheme) -> str:
     """The kernel a weight op lowers to; ``"blas_matmul"`` is no registry
     op (the engine binds exactly this name at lowering)."""
     if fmt in ("csr", "bspc"):
-        return f"{fmt}_spmm_int8" if scheme == "int8" else f"{fmt}_spmm"
-    if scheme == "int8" and op == OP_LINEAR:
+        return "bspc_spmm_int8" if scheme == "int8" else f"{fmt}_spmm"
+    if scheme == "int8":
         return "linear_int8_rowwise"
-    # Dense float64 projections and dense (possibly dequantized int8)
-    # recurrent steps run as plain BLAS matmuls, not registry ops.
+    # Dense float64 projections and recurrent steps run as plain BLAS
+    # matmuls, not registry ops.
     return "blas_matmul"
 
 
@@ -186,6 +194,7 @@ __all__ = [
     "load_elim_pass",
     "select_formats_pass",
     "select_kernels_pass",
+    "int8_sparse_as_bspc",
     "run_passes",
     "PASS_PIPELINE",
 ]

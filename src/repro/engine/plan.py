@@ -25,21 +25,22 @@ Numerics by scheme (there are two):
 * ``scheme=None`` (packing only) — float64 throughout, and **bit-exact**
   with the eval-mode ``model.forward`` fused-kernel path: the plan
   replays the same numpy ops in the same order.
-* ``scheme="int8"`` — projections and sparse recurrences run through the
-  registry's ``linear_int8_rowwise`` / ``*_spmm_int8`` kernels (integer
-  accumulation, one activation scale *per frame*, one dequant, to float32:
-  :func:`~repro.kernels.quantized.dequantize`); a dense per-timestep
-  recurrent GEMM uses dequantized int8 weights in float64, too small to pay
-  for a per-step quantization, rounded to float32.  Everything from the
+* ``scheme="int8"`` — every product, projection or recurrence, runs
+  through the registry's ``linear_int8_rowwise`` (dense) or
+  ``bspc_spmm_int8`` (sparse, whatever its pattern: int8 packs no CSR)
+  kernel: integer accumulation, one activation scale *per frame* — per
+  batch row of a hidden state — and one dequant, to float32
+  (:func:`~repro.kernels.quantized.dequantize`).  Everything from the
   int32 sums to the next quantize is float32 — gate rows, biases, gates,
   the carried states, the logits too; the public entries (``run_chunk``,
   ``forward_batch``, ``forward_utterance``) widen those to float64 once,
   and a streaming session decodes the float32 logits.  Per-frame scales plus
   order-exact integer accumulation make int8 plans **bitwise
   chunk-exact**: a frame's logits do not depend on which other frames
-  shared the call.  An int8 GRU plan whose sparse slots bound the compiled
-  BSPC kernel is lowered once more, to ``ModelPlan.program``: one C call a
-  chunk, in place of the generic per-layer loop.
+  shared the call.  Where the backend in force runs ``bspc_spmm_int8`` on
+  the compiled C, every int8 plan is lowered once more, to
+  ``ModelPlan.program``: one C call a chunk, in place of the generic
+  per-layer loop (the same bytes).
 
 Lowering reads the graph's scheme; each
 :class:`~repro.compiler.ir.WeightSlot` records the same scheme, and a
@@ -67,12 +68,12 @@ from repro.compiler.ir import (
     WeightSlot,
     slot_scheme,
 )
-from repro.compiler.passes import kernel_for, run_passes, slot_grid
+from repro.compiler.passes import int8_sparse_as_bspc, kernel_for, run_passes, slot_grid
 from repro.compiler.pipeline import build_layer_graph, rnn_graph_from_weights
 from repro.errors import ConfigError, ShapeError
 from repro.kernels import compiled as _compiled
 from repro.kernels import _math
-from repro.kernels.quantized import int8_bspc_plan, int8_codes, int8_csr_plan
+from repro.kernels.quantized import int8_bspc_plan, int8_codes
 from repro.sparse.bspc import BSPCMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -90,6 +91,7 @@ class EngineConfig:
     ``"auto"`` packs any matrix whose density is at or below
     ``sparsity_threshold`` — as BSPC when the panels stay mostly full
     (``fill >= 0.5``, i.e. the pattern is BSP-shaped), as CSR otherwise.
+    An int8 plan has one sparse format: its ``"csr"`` is BSPC.
     """
 
     sparse_format: Optional[str] = None
@@ -156,17 +158,16 @@ class _PackedWeight:
     pass pipeline (format, scheme) and is fixed here, once, rather than
     re-derived per call:
 
-    * dense float weights, and int8 *recurrent* weights
-      (dequantized once — the per-step ``(B, H)`` GEMMs are too small for
-      an integer pipeline to beat float BLAS — and multiplied in float64),
-      are one BLAS ``matmul`` into a workspace buffer of ``out_dtype``.  A
-      float projection multiplies by the ``weight.T`` view and a float
-      recurrence by a contiguous transpose, exactly the operands the fused
-      kernels use (bit-exact);
-    * dense int8 projections run the registry's ``linear_int8_rowwise``
-      — where that is the compiled kernel, on a one-strip panel packed
-      here once (``panel``) and straight into a workspace buffer;
-    * CSR/BSPC weights run the registry's ``*_spmm`` / ``*_spmm_int8``
+    * dense float weights are one BLAS ``matmul`` into a workspace buffer
+      of ``out_dtype``.  A float projection multiplies by the ``weight.T``
+      view and a float recurrence by a contiguous transpose, exactly the
+      operands the fused kernels use (bit-exact);
+    * dense int8 weights, projections and recurrences alike, run the
+      registry's ``linear_int8_rowwise`` (one scale per row: per frame,
+      or per batch row of a state) — where that is the compiled kernel,
+      on a one-strip panel packed here once (``panel``) and straight into
+      a workspace buffer;
+    * CSR/BSPC weights run the registry's ``*_spmm`` / ``bspc_spmm_int8``
       on the transpose *view* of the row-major activations, and hand back
       the transpose view of the kernel's result (see the activation
       layout contract in ``docs/kernels.md``).
@@ -191,19 +192,14 @@ class _PackedWeight:
         )
         if slot.format not in (None, "dense"):
             self.matrix = _pack_sparse(slot, weight, scheme)
-        elif self.op == "linear_int8_rowwise":
+        elif scheme == "int8":
             self.codes, self.scale = int8_codes(weight)
             self.codes_f = self.codes.astype(np.float32)  # what the numpy kernel takes
-        elif scheme is None:
+        else:
             self.weight_t = (
                 weight.copy().T
                 if state_dtype is None
                 else np.ascontiguousarray(weight.T)
-            )
-        else:
-            self.codes, self.scale = int8_codes(weight)
-            self.weight_t = np.ascontiguousarray(
-                (self.codes.astype(np.float64) * self.scale).T
             )
 
     def bind(self, backend: Optional[str]) -> None:
@@ -247,7 +243,8 @@ class _PackedWeight:
 
 def _pack_sparse(slot: WeightSlot, weight: np.ndarray, scheme: Optional[str]):
     """Pack a slot as its pass-decided CSR/BSPC format, with the kernel
-    plan its scheme executes built eagerly.
+    plan its scheme executes built eagerly (an int8 slot is BSPC by then:
+    :func:`~repro.compiler.passes.int8_sparse_as_bspc`).
 
     All format *decisions* happen in the compiler's format-selection pass
     (:func:`repro.compiler.passes.select_formats_pass`); this function
@@ -262,7 +259,7 @@ def _pack_sparse(slot: WeightSlot, weight: np.ndarray, scheme: Optional[str]):
         plan_builder = int8_bspc_plan if scheme == "int8" else kernels.bspc_plan
     else:
         matrix = CSRMatrix.from_dense(weight)
-        plan_builder = int8_csr_plan if scheme == "int8" else kernels.csr_plan
+        plan_builder = kernels.csr_plan
     plan_builder(matrix)  # build the cached execution plan now
     return matrix
 
@@ -504,24 +501,21 @@ class ModelPlan:
             self.program = self._lower_program()
 
     def _lower_program(self) -> Optional[_compiled.PlanProgram]:
-        """The whole plan as one compiled call per chunk (``docs/engine.md``),
-        read off the bound kernels: GRU layers whose recurrences run the
-        compiled BSPC int8 kernel, every projection and the output on that
-        kernel too or a dense ``linear_int8_rowwise`` slot.  ``None`` for
-        any other plan, and the generic loop runs it."""
-        narrow, slots = _compiled.bspc_spmm_int8, []
+        """The whole plan as one compiled call per chunk (``docs/engine.md``):
+        every int8 plan, where the backend in force runs ``bspc_spmm_int8``
+        on the compiled C — each weight a BSPC matrix or a dense one-strip
+        panel.  ``None`` for a float plan or another backend (``numpy``,
+        ``reference``, no compiler), and the generic loop runs it."""
+        if self.scheme != "int8" or kernels.registry.get(
+            "bspc_spmm_int8", self._bound_backend
+        ) is not _compiled.bspc_spmm_int8:
+            return None
+        slots = []
         for layer in self.layers:
-            if layer.recurrent.kernel is not narrow:
-                return None
             slots.append((_compiled.PLAN_PROJECT, layer.input_proj, layer.bias_folded))
             slots.append((_compiled.PLAN_GRU, layer.recurrent, layer.bias_hh_h))
         if self.output is not None:
             slots.append((_compiled.PLAN_OUTPUT, self.output.weight, self.output.bias))
-        if any(
-            weight.kernel is not narrow and weight.op != "linear_int8_rowwise"
-            for _, weight, _ in slots
-        ):
-            return None
         try:
             return _compiled.PlanProgram(
                 [
@@ -790,6 +784,7 @@ def lower_graph(
     _validate_scheme(graph.scheme)
     if graph.undecided():
         run_passes(graph)
+    int8_sparse_as_bspc(graph)  # a decided graph too: an older artifact's
     graph.check_slot_schemes()
     layers: List[GRULayerPlan] = []
     output = None

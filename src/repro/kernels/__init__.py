@@ -19,6 +19,9 @@ With none of these (and no ``REPRO_KERNEL_BACKEND``), each op dispatches
 to the backend recorded as winning it: the compiled C kernels for the
 sparse int8 ops where a compiler exists (and for ``linear_int8_rowwise``
 where it builds their rows-in-lanes kernel), numpy + BLAS for the rest.
+Int8 has one sparse format, BSPC: there is no int8 CSR op
+(``spmv_int8`` of a ``CSRMatrix`` is a :class:`~repro.errors.KernelError`),
+and an int8 engine plan packs every sparse weight as BSPC panels.
 
 See ``docs/kernels.md`` for the plan/registry design and how to add a
 backend.
@@ -42,11 +45,9 @@ from repro.kernels.plans import (
 )
 from repro.kernels.quantized import (
     Int8BSPCPlan,
-    Int8CSRPlan,
     int8_bspc_plan,
     int8_codes,
     int8_codes_axis,
-    int8_csr_plan,
 )
 from repro.kernels.registry import (
     KernelRegistry,
@@ -69,9 +70,7 @@ __all__ = [
     "BSPCPlan",
     "csr_plan",
     "bspc_plan",
-    "Int8CSRPlan",
     "Int8BSPCPlan",
-    "int8_csr_plan",
     "int8_bspc_plan",
     "int8_codes",
     "int8_codes_axis",

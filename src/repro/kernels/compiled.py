@@ -1,8 +1,8 @@
 """Compiled C backend: generated kernels built with the system compiler.
 
-This is the paper's deployment story applied to the host: the sparse hot
-loops (int8 CSR and BSPC spmv/spmm) are emitted as
-specialized C, compiled once with ``cc -O3 -march=native -shared -fPIC``,
+This is the paper's deployment story applied to the host: the int8 hot
+loops (the BSPC panel product, which dense int8 weights run as one strip,
+and the whole GRU plan built on it) are emitted as specialized C, compiled once with ``cc -O3 -march=native -shared -fPIC``,
 and bound via ``ctypes`` with zero-copy views of the very same packed plan arrays
 the numpy backend executes (:mod:`repro.kernels.plans` /
 :mod:`repro.kernels.quantized`).  No third-party toolchain is needed —
@@ -29,12 +29,10 @@ keeps running on the numpy backend.
 Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
 
 * int8 kernels are **bitwise identical** to the reference/numpy
-  backends.  CSR activations quantize through the *same*
-  :func:`~repro.kernels.quantized.int8_codes` /
-  :func:`~repro.kernels.quantized.int8_codes_axis` helpers; the BSPC
-  kernels quantize in C to the codes and scales of those helpers
-  (comparison max, one correctly rounded quotient, round-half-even,
-  clip), matching numpy bit for bit for finite activations.
+  backends.  The BSPC kernels quantize in C to the codes and scales of
+  :func:`~repro.kernels.quantized.int8_codes_axis` (comparison max, one
+  correctly rounded quotient, round-half-even, clip), matching numpy bit
+  for bit for finite activations.
   Products accumulate exactly — integer arithmetic throughout, int32
   sums that cannot wrap — and the one dequant is
   :func:`~repro.kernels.quantized.dequantize`'s, in float32: each sum
@@ -58,7 +56,9 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   and the projection op by op, a tile of steps at a time, every row on its
   own, so it is the same bytes again — on one core or with its rows in two
   halves on two; its logits are float32, widened to float64 once by the
-  engine's public entries.
+  engine's public entries.  Every int8 GRU plan lowers to one: its sparse
+  weights are BSPC panels and its dense ones one-strip panels
+  (:func:`dense_int8_panel`), recurrences included.
 
 Every op registered here wins on some recorded shape.  The ops where C
 never beat numpy + BLAS — the float sparse products, the per-call-scale
@@ -89,12 +89,7 @@ import numpy as np
 
 from repro.errors import CompileBackendError, ShapeError
 from repro.kernels import _math
-from repro.kernels.quantized import (
-    int8_bspc_plan,
-    int8_codes,
-    int8_codes_axis,
-    int8_csr_plan,
-)
+from repro.kernels.quantized import int8_bspc_plan
 from repro.kernels.registry import KernelRegistry, registry
 
 #: Name this backend registers under.
@@ -131,11 +126,6 @@ FRAME_NS_PER_ROW = 0.5
 # Conventions shared by every kernel:
 #   * all sizes/indices are int64 (matching the plans' int64 arrays);
 #   * matrices are C-contiguous row-major, exactly as numpy stores them;
-#   * CSR int8 kernels take pre-quantized activations (the Python wrapper
-#     quantizes with the shared int8_codes helpers so codes and scales
-#     are bitwise identical across backends) and accumulate in exact
-#     integer arithmetic: int32 inner chunks of at most ACC_CHUNK
-#     products (|sum| <= 127*127*8192 < 2^31) flushed into int64;
 #   * the BSPC kernel walks the same strip-panel structure the numpy
 #     backend executes: gather one strip's activation codes (through its
 #     kept columns — 64 at a time by byte permutes where the build has
@@ -215,62 +205,6 @@ API i64 repro_phase_ticks(uint64_t *out)
     (void)out;
     return 0;
 #endif
-}
-
-/* ------------------------------------------------------------------ CSR */
-
-/* Every int8 product dequantizes its integer sums the one way
- * quantized.dequantize does: (float)acc * (float)(scale * xs), the sum
- * converted to float32 round-to-nearest (above 2^24 that rounds). */
-API void repro_csr_spmv_i8(
-    i64 rows, const i8 *codes, const i64 *cols, const i64 *row_ptr,
-    const i8 *xq, double fused, float *out)
-{
-    const float f = (float)fused;
-    for (i64 r = 0; r < rows; r++) {
-        i64 acc = 0;
-        i64 p = row_ptr[r];
-        const i64 stop = row_ptr[r + 1];
-        while (p < stop) {
-            i64 chunk = stop - p;
-            if (chunk > ACC_CHUNK) chunk = ACC_CHUNK;
-            i32 acc32 = 0;
-            for (i64 q = 0; q < chunk; q++)
-                acc32 += (i32)codes[p + q] * (i32)xq[cols[p + q]];
-            acc += acc32;
-            p += chunk;
-        }
-        out[r] = (float)acc * f;
-    }
-}
-
-API void repro_csr_spmm_i8(
-    i64 rows, i64 batch, const i8 *codes, const i64 *cols,
-    const i64 *row_ptr, const i8 *xq, const double *xs, double scale,
-    float *out, i64 *acc, i32 *acc32)
-{
-    for (i64 r = 0; r < rows; r++) {
-        memset(acc, 0, (size_t)batch * sizeof(i64));
-        i64 p = row_ptr[r];
-        const i64 stop = row_ptr[r + 1];
-        while (p < stop) {
-            i64 chunk = stop - p;
-            if (chunk > ACC_CHUNK) chunk = ACC_CHUNK;
-            memset(acc32, 0, (size_t)batch * sizeof(i32));
-            for (i64 q = 0; q < chunk; q++) {
-                const i32 c = (i32)codes[p + q];
-                const i8 *xr = xq + cols[p + q] * batch;
-                for (i64 j = 0; j < batch; j++)
-                    acc32[j] += c * (i32)xr[j];
-            }
-            for (i64 j = 0; j < batch; j++)
-                acc[j] += acc32[j];
-            p += chunk;
-        }
-        float *orow = out + r * batch;
-        for (i64 j = 0; j < batch; j++)
-            orow[j] = (float)acc[j] * (float)(scale * xs[j]);
-    }
 }
 """
 
@@ -1554,10 +1488,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     """Declare restype/argtypes (sizes int64, everything else raw pointers)."""
     i64 = ctypes.c_longlong
     ptr = ctypes.c_void_p
-    dbl = ctypes.c_double
     signatures = {
-        "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, ptr),
-        "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
         "repro_i8_lanes": (),
         "repro_i8_kgroup": (),
         "repro_i8_pack": (i64, i64, i64, i64, ptr, ptr, ptr),
@@ -1857,47 +1788,6 @@ def _check_operand(cols: int, n: int) -> None:
         raise ShapeError(f"operand has {n} rows, matrix has {cols} columns")
 
 
-def csr_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
-    _check_operand(matrix.shape[1], x.shape[0])
-    plan = int8_csr_plan(matrix)
-    out = np.zeros(matrix.shape[0], dtype=np.float32)
-    if plan.nonempty_rows.size:
-        xq, xs = int8_codes(x)
-        xq = _i8(xq)
-        _library().repro_csr_spmv_i8(
-            matrix.shape[0],
-            _p(plan.codes), _p(matrix.col_indices), _p(matrix.row_ptr),
-            _p(xq), plan.scale * xs, _p(out),
-        )
-    return out
-
-
-def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
-    _check_operand(matrix.shape[1], x.shape[0])
-    plan = int8_csr_plan(matrix)
-    batch = x.shape[1]
-    out = np.zeros((matrix.shape[0], batch), dtype=np.float32)
-    if plan.nonempty_rows.size and batch:
-        xq, xs = int8_codes_axis(x, axis=0)
-        xq = _i8(xq)
-        xs = np.ascontiguousarray(xs.reshape(-1), dtype=np.float64)
-        if batch == 1:  # the register-accumulator loop, not a 1-wide tile
-            _library().repro_csr_spmv_i8(
-                matrix.shape[0],
-                _p(plan.codes), _p(matrix.col_indices), _p(matrix.row_ptr),
-                _p(xq), plan.scale * xs[0], _p(out),
-            )
-            return out
-        acc = np.empty(batch, dtype=np.int64)
-        acc32 = np.empty(batch, dtype=np.int32)
-        _library().repro_csr_spmm_i8(
-            matrix.shape[0], batch,
-            _p(plan.codes), _p(matrix.col_indices), _p(matrix.row_ptr),
-            _p(xq), _p(xs), plan.scale, _p(out), _p(acc), _p(acc32),
-        )
-    return out
-
-
 def _narrow_call(panel: _Panel, n: int, batch: int) -> int:
     """This thread's scratch for ``repro_bspc_i8_rows`` on ``batch`` rows of
     an ``n``-wide operand (in int32 units: the product's sums, the
@@ -2120,8 +2010,6 @@ class PlanProgram:
 #: default routing sends its op.  Any other op asked of this backend is
 #: numpy's (:meth:`KernelRegistry.get`).
 _KERNELS = {
-    "csr_spmv_int8": csr_spmv_int8,
-    "csr_spmm_int8": csr_spmm_int8,
     "bspc_spmv_int8": bspc_spmv_int8,
     "bspc_spmm_int8": bspc_spmm_int8,
 }

@@ -2,26 +2,24 @@
 
 The paper's deployment story is that compressed weights are cheap to
 *move*; this module makes them cheap to *compute with* as well.  Weights
-are stored as symmetric int8 codes plus one per-tensor scale, activations
-are quantized on the fly — per call for the ``spmv`` paths, per column /
-per row (one scale per frame) for the batched ``spmm`` /
+are stored as symmetric int8 codes plus one per-tensor scale, in one of
+two layouts: BSPC panels (:class:`Int8BSPCPlan`, every sparse int8
+weight, whatever pattern it has) or dense codes (``linear_int8*``).
+Activations are quantized on the fly — per call for the ``spmv`` path,
+per column / per row (one scale per frame) for the batched ``spmm`` /
 ``linear_int8_rowwise`` paths, which makes each frame's result
 independent of the rest of the batch (the streaming engine's
 chunk-exactness rests on this) — and every kernel accumulates products
 in integer arithmetic, dequantizing exactly once, at the very end, to
 float32 (:func:`dequantize`, the one rule of every int8 product on every
-backend, the compiled C included).  That
-turns the float64 gather/multiply/reduce pipelines of the numpy backend
-into 1-byte gathers and 4-byte accumulations, so int8 is measurably
-faster than float on the memory-bound sparse ops, not just smaller.
+backend, the compiled C included).
 
-Accumulation is exact: the ``reduceat`` paths use int32 (a row of 1024
-products of magnitude ``127 * 127`` stays far below ``2**31``), and the
-GEMM paths run float32 BLAS over integer-valued operands, which is
-lossless while partial sums stay below ``2**24`` — guaranteed by chunking
-the inner dimension at :data:`F32_EXACT_INNER`.  The ``reference``
-implementations accumulate in int64 and must agree *exactly* with the
-``numpy`` ones (see ``tests/test_kernels_equivalence.py``).
+Accumulation is exact: the GEMM paths run float32 BLAS over
+integer-valued operands, which is lossless while partial sums stay below
+``2**24`` — guaranteed by chunking the inner dimension at
+:data:`F32_EXACT_INNER`.  The ``reference`` implementations accumulate in
+int64 and must agree *exactly* with the ``numpy`` ones (see
+``tests/test_kernels_equivalence.py``).
 
 Like the float plans, int8 plans are cached on the matrix object (under
 ``matrix._int8_kernel_plan``) and dropped by the same invalidation rules
@@ -35,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.kernels.plans import BSPCPlan, INT8_PLAN_ATTR, bspc_plan, csr_plan
+from repro.kernels.plans import BSPCPlan, INT8_PLAN_ATTR, bspc_plan
 from repro.kernels.registry import registry
 
 #: Largest inner dimension for which int8 products accumulate exactly in a
@@ -104,25 +102,6 @@ def int8_codes(array: np.ndarray) -> Tuple[np.ndarray, float]:
 # Int8 plans (cached alongside the float plans)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class Int8CSRPlan:
-    """CSR values as int8 codes plus the float plan's segment layout.
-
-    ``gather_scratch``/``product_scratch`` are preallocated per-nnz work
-    buffers the numpy kernel reuses across calls (their *contents* are
-    scratch; the plan itself stays immutable).  Products are exact in
-    int16 (``127 * 127 < 2**15``) and row sums accumulate in int32.
-    """
-
-    shape: Tuple[int, int]
-    codes: np.ndarray  # (nnz,) int8
-    scale: float
-    nonempty_rows: np.ndarray
-    segment_starts: np.ndarray
-    gather_scratch: np.ndarray  # (nnz,) int8
-    product_scratch: np.ndarray  # (nnz,) int16
-
-
-@dataclass(frozen=True)
 class Int8BSPCPlan:
     """BSPC panels as int8 codes plus a GEMM-ready float copy.
 
@@ -138,21 +117,6 @@ class Int8BSPCPlan:
     scale: float
 
 
-def build_int8_csr_plan(matrix) -> Int8CSRPlan:
-    """Quantize a :class:`CSRMatrix`'s values onto its cached float plan."""
-    base = csr_plan(matrix)
-    codes, scale = int8_codes(matrix.values)
-    return Int8CSRPlan(
-        shape=base.shape,
-        codes=codes,
-        scale=scale,
-        nonempty_rows=base.nonempty_rows,
-        segment_starts=base.segment_starts,
-        gather_scratch=np.empty(codes.shape, dtype=np.int8),
-        product_scratch=np.empty(codes.shape, dtype=np.int16),
-    )
-
-
 def build_int8_bspc_plan(matrix) -> Int8BSPCPlan:
     """Quantize a :class:`BSPCMatrix`'s packed panels (padding stays 0)."""
     base = bspc_plan(matrix)
@@ -165,15 +129,6 @@ def build_int8_bspc_plan(matrix) -> Int8BSPCPlan:
     )
 
 
-def int8_csr_plan(matrix) -> Int8CSRPlan:
-    """Cached :class:`Int8CSRPlan` for ``matrix`` (built on first use)."""
-    plan = getattr(matrix, INT8_PLAN_ATTR, None)
-    if plan is None:
-        plan = build_int8_csr_plan(matrix)
-        setattr(matrix, INT8_PLAN_ATTR, plan)
-    return plan
-
-
 def int8_bspc_plan(matrix) -> Int8BSPCPlan:
     """Cached :class:`Int8BSPCPlan` for ``matrix`` (built on first use)."""
     plan = getattr(matrix, INT8_PLAN_ATTR, None)
@@ -181,60 +136,6 @@ def int8_bspc_plan(matrix) -> Int8BSPCPlan:
         plan = build_int8_bspc_plan(matrix)
         setattr(matrix, INT8_PLAN_ATTR, plan)
     return plan
-
-
-# ---------------------------------------------------------------------------
-# CSR — numpy backend
-# ---------------------------------------------------------------------------
-@registry.register("csr_spmv_int8", "numpy")
-def csr_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
-    """Int8 row-segment sums: 1-byte gather, int16 products, int32 sums.
-
-    Every array the hot loop touches is 1-8x smaller than the float64
-    path's, which is where the speedup comes from — the gather reads a
-    1-byte table, the product vector is int16 into a reused scratch
-    buffer, and ``reduceat`` accumulates in int32.  One dequant at the
-    end maps the exact integer result back to float32.
-    """
-    plan = int8_csr_plan(matrix)
-    acc = np.zeros(matrix.shape[0], dtype=np.int32)
-    if not plan.nonempty_rows.size:
-        return acc.astype(np.float32)
-    xq, xs = int8_codes(x)
-    np.take(xq, matrix.col_indices, out=plan.gather_scratch)
-    np.multiply(
-        plan.codes, plan.gather_scratch,
-        out=plan.product_scratch, dtype=np.int16,
-    )
-    acc[plan.nonempty_rows] = np.add.reduceat(
-        plan.product_scratch, plan.segment_starts, dtype=np.int32
-    )
-    return dequantize(acc, plan.scale, xs)
-
-
-@registry.register("csr_spmm_int8", "numpy")
-def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
-    """Batched :func:`csr_spmv_int8` with **per-column** activation scales:
-    each input column is quantized independently (one scale per column),
-    then runs the 1-D int16/int32 reduceat fast path.  Per-column scaling
-    makes every output column independent of which other columns share
-    the call — the chunk-invariance the streaming engine relies on — and
-    is at least as accurate as one scale across the whole batch."""
-    plan = int8_csr_plan(matrix)
-    acc = np.zeros((matrix.shape[0], x.shape[1]), dtype=np.int32)
-    if not plan.nonempty_rows.size:
-        return acc.astype(np.float32)
-    xq, xs = int8_codes_axis(x, axis=0)
-    for j in range(x.shape[1]):
-        np.take(xq[:, j], matrix.col_indices, out=plan.gather_scratch)
-        np.multiply(
-            plan.codes, plan.gather_scratch,
-            out=plan.product_scratch, dtype=np.int16,
-        )
-        acc[plan.nonempty_rows, j] = np.add.reduceat(
-            plan.product_scratch, plan.segment_starts, dtype=np.int32
-        )
-    return dequantize(acc, plan.scale, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +166,7 @@ def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
 def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     """Batched :func:`bspc_spmv_int8` over the columns of ``x``, with
     **per-column** activation scales (column results are independent of
-    the rest of the batch; see :func:`csr_spmm_int8`)."""
+    the rest of the batch)."""
     plan = int8_bspc_plan(matrix)
     base = plan.base
     rows = base.shape[0]
@@ -338,34 +239,6 @@ def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 # Reference backend — plan-free int64 accumulation, exact ground truth
 # ---------------------------------------------------------------------------
-@registry.register("csr_spmv_int8", "reference")
-def csr_spmv_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
-    """Row-by-row int64 dot products over freshly quantized operands."""
-    codes, scale = int8_codes(matrix.values)
-    xq, xs = int8_codes(x)
-    acc = np.zeros(matrix.shape[0], dtype=np.int64)
-    for r in range(matrix.shape[0]):
-        start, stop = matrix.row_ptr[r], matrix.row_ptr[r + 1]
-        acc[r] = codes[start:stop].astype(np.int64) @ xq[
-            matrix.col_indices[start:stop]
-        ].astype(np.int64)
-    return dequantize(acc, scale, xs)
-
-
-@registry.register("csr_spmm_int8", "reference")
-def csr_spmm_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
-    """Row-by-row int64 accumulation with per-column activation scales."""
-    codes, scale = int8_codes(matrix.values)
-    xq, xs = int8_codes_axis(x, axis=0)
-    acc = np.zeros((matrix.shape[0], x.shape[1]), dtype=np.int64)
-    for r in range(matrix.shape[0]):
-        start, stop = matrix.row_ptr[r], matrix.row_ptr[r + 1]
-        acc[r] = codes[start:stop].astype(np.int64) @ xq[
-            matrix.col_indices[start:stop], :
-        ].astype(np.int64)
-    return dequantize(acc, scale, xs)
-
-
 def _bspc_panel_scale(matrix) -> float:
     """The per-tensor scale over all stored panel values (0-padding free)."""
     peak = 0.0

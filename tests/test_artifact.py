@@ -6,6 +6,7 @@ and the reloaded plan carries streaming state (``run_chunk``) exactly
 like the original — including the int8 bitwise chunk-exactness.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import engine
+from repro import engine, kernels
+from repro.kernels import compiled
 from repro.compiler.ir import graph_from_arrays, graph_to_arrays
 from repro.engine.plan import SPARSE_FORMATS
 from repro.errors import ArtifactError, ConfigError
@@ -170,6 +172,42 @@ def test_any_plan_round_trips_through_its_arrays_and_its_artifact(property_dir, 
         assert copy.forward_batch(x).tobytes() == want
 
 
+@pytest.mark.skipif(not compiled.available(), reason="no working C compiler on this host")
+@settings(max_examples=30, deadline=None)
+@given(case=plan_cases())
+def test_every_int8_plan_lowers(case):
+    # every sparse format, pruned or not, with the output layer or without:
+    # one program where the backend in force runs the compiled int8 kernel
+    widths, _, sparse_format, output, pruned, seed = case
+    with kernels.use_backend(None):
+        plan = compile_case(widths, "int8", sparse_format, output, pruned, seed)
+        assert plan.program is not None
+
+
+def masked_model(masking):
+    """``laptop_model`` with a BSP pattern on a 4 x 4 grid, or a random
+    one keeping a quarter of each prunable weight (irregular panels)."""
+    if masking == "bsp":
+        return prune_model(laptop_model())
+    model, rng = laptop_model(), new_rng(4)
+    for param in model.prunable_parameters().values():
+        param.data[...] *= rng.uniform(size=param.data.shape) < 0.25
+    return model
+
+
+def streamed_digest(plan):
+    """sha256 of the logits of seeded frames fed as a 4- and a 5-frame
+    chunk, then of the carries."""
+    x, state = new_rng(7).standard_normal((9, 3, 8)), None
+    digest = hashlib.sha256()
+    for chunk in (x[:4], x[4:]):
+        logits, state = plan.run_chunk(chunk, state)
+        digest.update(logits.tobytes())
+    for layer in state.layer_states:
+        digest.update(layer.tobytes())
+    return digest.hexdigest()
+
+
 class TestLegacyArtifacts:
     """Headers written before the GRU became the only cell: each carries
     a ``"cell_type"`` key, and the key is not read."""
@@ -228,10 +266,38 @@ class TestLegacyArtifacts:
         slots = [slot for node in meta["nodes"] for slot in node["weights"].values()]
         assert [slot["scheme"] for slot in slots] == [scheme or "float"] * 5
         policies = {b["policy"] for b in meta["boundaries"]}
-        assert policies == (
-            {"int8-activations-per-frame", "int8-weights-dequantized"}
-            if scheme == "int8" else set()
-        )
+        assert policies == ({"int8-activations-per-frame"} if scheme == "int8" else set())
+
+    #: :func:`streamed_digest` of the artifact of an int8 ``"csr"`` plan of
+    #: :func:`masked_model`, saved and loaded when int8 CSR had kernels of its
+    #: own: what the same artifact loads to now, packed as BSPC.
+    INT8_CSR = {
+        "bsp": "c997f6160c5675e1f88bcc5d28e91ef285c8111bbc7c275ebb2484a95032235e",
+        "random": "b33ec960e3412cb6d1715f5e32b6ba44e6072a6d39f15738fde5df56c7b7025b",
+    }
+
+    @pytest.mark.parametrize("masking", sorted(INT8_CSR))
+    def test_an_int8_csr_artifact_loads_as_bspc_to_the_same_bytes(self, masking, tmp_path):
+        config = engine.EngineConfig(sparse_format="csr", num_row_strips=4, num_col_blocks=4)
+        plan = engine.compile_model(masked_model(masking), scheme="int8", config=config)
+        meta, arrays = graph_to_arrays(plan.graph)
+        # the header as it was written: CSR slots and kernels, and a
+        # recurrence's boundary as the dequantized-weights policy
+        for node in meta["nodes"]:
+            for slot in node["weights"].values():
+                if slot["format"] == "bspc":
+                    slot["format"], slot["kernel"] = "csr", "csr_spmm_int8"
+        for boundary in meta["boundaries"]:
+            if boundary["slot"].endswith("weight_hh"):
+                boundary["policy"] = "int8-weights-dequantized"
+        legacy = engine.load_plan(write_artifact(tmp_path / "csr.npz", meta, arrays))
+        # re-packed as BSPC on the slot's grid, and recorded so
+        assert [slot.format for _, _, slot in legacy.graph.slots()] == ["bspc"] * 4 + ["dense"]
+        assert legacy.signature() == plan.signature()
+        with kernels.use_backend(None):
+            assert streamed_digest(legacy) == self.INT8_CSR[masking]
+        with kernels.use_backend("reference"):
+            assert streamed_digest(legacy) == self.INT8_CSR[masking]
 
     @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
     @pytest.mark.parametrize("fmt", FORMATS)

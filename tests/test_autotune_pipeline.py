@@ -238,6 +238,19 @@ class TestMeasuredTunePlan:
         assert result.best.label == "default"
         assert result.speedup == 1.0
 
+    def test_an_int8_csr_pin_is_its_bspc_twin_and_timed_once(self):
+        # int8 packs a CSR pin as BSPC: a CSR and a BSPC pin are one plan
+        model, sample = self.make_workload()
+        result = tune_plan(
+            model, sample, schemes=("int8",), formats=("csr", "bspc"), repeats=1
+        )
+        seen = set()
+        for cand in result.trace:
+            assert "csr" not in cand.formats.values(), cand.label
+            key = (cand.scheme, cand.backend, tuple(sorted(cand.formats.items())))
+            assert key not in seen, f"duplicate measurement: {cand.label}"
+            seen.add(key)
+
     def test_scheme_and_backend_sweep_recorded(self):
         model, sample = self.make_workload(pruned=False)
         result = tune_plan(

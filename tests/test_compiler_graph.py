@@ -216,7 +216,9 @@ class TestKernelSelectionAndBoundaries:
         )
         run_passes(graph)
         kernels = {slot.name: slot.kernel for _, _, slot in graph.slots()}
-        assert kernels["cell0.weight_hh"] == "csr_spmm_int8"
+        # int8 has one sparse format: a "csr" request is BSPC
+        assert graph.slot("cell0.weight_hh").format == "bspc"
+        assert kernels["cell0.weight_hh"] == "bspc_spmm_int8"
         assert kernels["output.weight"] == "linear_int8_rowwise"
 
     def test_float_kernels(self, rng):
@@ -234,7 +236,7 @@ class TestKernelSelectionAndBoundaries:
         run_passes(graph)
         policies = {b.slot: b.policy for b in graph.boundaries}
         assert policies["cell0.weight_ih"] == "int8-activations-per-frame"
-        assert policies["cell0.weight_hh"] == "int8-weights-dequantized"
+        assert policies["cell0.weight_hh"] == "int8-activations-per-frame"
         assert all(b.op == "quantize" for b in graph.boundaries)
 
     def test_no_boundaries_without_scheme(self):

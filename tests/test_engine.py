@@ -18,6 +18,7 @@ from repro.errors import ConfigError, ShapeError
 from repro.nn.quantize import quantize_model
 from repro.nn.tensor import Tensor
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
+from repro.sparse.bspc import BSPCBlock, BSPCMatrix, BSPCStrip
 from repro.speech.decoder import decode_utterance
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.synth import make_corpus
@@ -179,12 +180,16 @@ class TestPlanCacheInvalidation:
                 param.data[...] *= 2.0
 
     def test_csr_int8_plan_rebuilt_after_inplace_mutation(self, rng):
+        # int8 has one sparse format: a "csr" request packs BSPC panels
         model, plan, config = self.sparse_plan("csr", scheme="int8")
         x = rng.standard_normal((6, 2, 8))
         baseline = self.forward(plan, x)
         matrix = plan.layers[0].input_proj.matrix
+        assert isinstance(matrix, BSPCMatrix)
         stale = matrix._int8_kernel_plan  # built eagerly at compile time
-        matrix.values *= 2.0  # in-place mutation: invisible to the cache
+        for strip in matrix.strips:  # in-place mutation: invisible to the cache
+            for block in strip.blocks:
+                block.panel *= 2.0
         matrix.invalidate_plan()
         after = self.forward(plan, x)
         assert matrix._int8_kernel_plan is not stale  # rebuilt, not reused
@@ -218,7 +223,10 @@ class TestPlanCacheInvalidation:
         self.forward(plan, x)
         matrix = plan.layers[0].input_proj.matrix
         assert hasattr(matrix, "_int8_kernel_plan")
-        matrix.values = matrix.values * 2.0  # reassignment → auto-drop
+        matrix.strips = [  # reassignment → auto-drop
+            BSPCStrip(s.kept_rows, [BSPCBlock(b.kept_cols, 2.0 * b.panel) for b in s.blocks])
+            for s in matrix.strips
+        ]
         assert not hasattr(matrix, "_kernel_plan")
         assert not hasattr(matrix, "_int8_kernel_plan")
         self.double_layer0_input_weight(model)

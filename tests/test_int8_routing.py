@@ -30,7 +30,6 @@ from repro.kernels.registry import KernelRegistry
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import BlockGrid, grid_for
 from repro.sparse.bspc import BSPCMatrix
-from repro.sparse.csr import CSRMatrix
 from repro.speech.decoder import IncrementalDecoder
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
@@ -41,7 +40,7 @@ requires_compiler = pytest.mark.skipif(
 
 #: ``None`` is "no backend chosen": the per-op routing default callers get.
 ROUTES = (None,) + tuple(kernels.backends())
-SPARSE_INT8_OPS = ("csr_spmv_int8", "csr_spmm_int8", "bspc_spmv_int8", "bspc_spmm_int8")
+SPARSE_INT8_OPS = ("bspc_spmv_int8", "bspc_spmm_int8")  # int8 has no CSR op
 
 
 def has_lanes():
@@ -89,6 +88,30 @@ def bsp_int8_plan(hidden=24, seed=0, sparse_format="bspc", col_rate=4, input_dim
             sparse_format=sparse_format, num_row_strips=grid, num_col_blocks=grid
         ),
     )
+
+
+def int8_plan(kind, hidden=24, seed=0):
+    """An int8 plan of each format the program takes: ``"bspc"`` and
+    ``"auto"`` (:func:`bsp_int8_plan`), ``None`` (BSP-pruned, every weight
+    packed dense), ``"csr"`` (BSP-pruned, packed as BSPC on the request's
+    grid), ``"dense"`` (unpruned, ``EngineConfig()``: every recurrence a
+    dense one-strip panel) and ``"unstructured"`` (a random mask keeping a
+    quarter of each prunable weight under ``"auto"``: irregular panels)."""
+    if kind not in ("dense", "unstructured"):
+        return bsp_int8_plan(hidden, seed, sparse_format=kind)
+    config = AcousticModelConfig(input_dim=8, hidden_size=hidden, num_layers=2)
+    model = GRUAcousticModel(config, rng=seed).eval()
+    if kind == "dense":
+        return engine.compile_model(model, scheme="int8")
+    rng = new_rng(seed + 1)
+    for param in model.prunable_parameters().values():
+        param.data[...] *= rng.uniform(size=param.data.shape) < 0.25
+    config = engine.EngineConfig(sparse_format="auto", num_row_strips=4, num_col_blocks=4)
+    return engine.compile_model(model, scheme="int8", config=config)
+
+
+#: The kinds of :func:`int8_plan`.
+INT8_KINDS = ["bspc", "auto", None, "dense", "csr", "unstructured"]
 
 
 def sparse_weights(plan):
@@ -268,6 +291,16 @@ class LabelLog(IncrementalDecoder):
 
 
 def streamed_bytes(plan):
+    """:func:`stream_once` of ``plan``, then of a dense int8 plan
+    (``int8_plan("dense")``: every recurrence a one-strip panel), compiled
+    here, under the library and routing in force, and lowered to a program
+    exactly where ``plan`` was."""
+    dense = int8_plan("dense")
+    assert (dense.program is None) == (plan.program is None)
+    return stream_once(plan) + stream_once(dense)
+
+
+def stream_once(plan):
     """Logits and carry state of the probe frames fed in three chunks, then
     of one session's twenty frames in one chunk (three tiles of a program
     at B = 1), then a scheduler's pass over the probe frames, three
@@ -409,23 +442,31 @@ def assert_states_equal(got, want):
         np.testing.assert_array_equal(a, b)
 
 
-def test_lowering_leaves_a_program_only_where_it_applies(rng):
+def test_lowering_leaves_a_program_only_where_it_applies(fused_plans, rng):
     lowers = compiled.available()
     features = rng.standard_normal((3, 2, 8))
     with kernels.use_backend(None):
-        plan, auto = bsp_int8_plan(), bsp_int8_plan(sparse_format="auto")
-        # a dense layer-0 projection and output feed the program as well,
+        plan, dense = fused_plans["bspc"], fused_plans["dense"]
+        # dense slots, recurrences included, feed the program as well,
         # whichever backend the registry routed their op to
-        assert auto.layers[0].input_proj.op == "linear_int8_rowwise"
-        assert auto.layers[0].input_proj.kernel is dense_int8_winner()
-        assert [(p.program is not None) for p in (plan, auto)] == [lowers, lowers]
+        assert dense.layers[1].recurrent.op == "linear_int8_rowwise"
+        assert dense.layers[1].recurrent.kernel is dense_int8_winner()
+        for kind, each in fused_plans.items():
+            assert (each.program is not None) == lowers, kind
+            # ... and the generic loop over the kernels the route bound is
+            # the same bytes
+            want, want_state = run_chunk(each, features)
+            got, state = run_chunk(each, features, lowered=False)
+            assert got.tobytes() == want.tobytes(), kind
+            assert_states_equal(state, want_state)
         for backend in ("numpy", "reference"):  # explicit choices keep the loop
             with kernels.use_backend(backend):
                 plan.run_chunk(features)
                 assert plan.program is None
         plan.run_chunk(features)
         assert (plan.program is not None) == lowers
-    # float and CSR plans: test_plan_program.py
+    # float plans: test_plan_program.py; every int8 format:
+    # test_artifact.py::test_every_int8_plan_lowers
 
 
 @st.composite
@@ -456,18 +497,18 @@ def boundary_traffic(draw):
 @pytest.fixture(scope="module")
 def fused_plans():
     with kernels.use_backend(None):
-        return {fmt: bsp_int8_plan(sparse_format=fmt) for fmt in ("bspc", "auto")}
+        return {kind: int8_plan(kind) for kind in INT8_KINDS}
 
 
 @pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("sparse_format", ["bspc", "auto"])
+@pytest.mark.parametrize("kind", INT8_KINDS)
 @settings(max_examples=12, deadline=None)
 @given(case=boundary_traffic())
 def test_every_cobatch_width_is_bitwise_the_reference_inside_an_utterance(
-    fused_plans, route, sparse_format, case
+    fused_plans, route, kind, case
 ):
     sessions, frames, chunks, groupings, seed = case
-    plan = fused_plans[sparse_format]
+    plan = fused_plans[kind]
     utterances = new_rng(seed).standard_normal((sessions, frames, 8))
     pieces, states = run_traffic(plan, route, utterances, chunks, groupings)
     for session, (logits, state) in enumerate(reference_run(plan, utterances)):
@@ -844,40 +885,17 @@ def test_c_and_f_ordered_activations_are_bit_identical(route, batch):
         )
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_csr_int8_products_equal_reference_at_every_width(route):
-    # one column runs the compiled spmv loop with the spmm dequant order
-    from repro.sparse.csr import CSRMatrix
-
-    matrix = CSRMatrix.from_dense(bsp_matrix().to_dense())
-    for batch in (1, 2, 5, 16):
-        x = new_rng(batch).standard_normal((64, batch))
-        x[:, 0] *= 1e-3  # scales differ per column
-        with kernels.use_backend(route):
-            np.testing.assert_array_equal(
-                kernels.spmm_int8(matrix, x),
-                kernels.spmm_int8(matrix, x, backend="reference"),
-            )
-            np.testing.assert_array_equal(
-                kernels.spmv_int8(matrix, x[:, 0]),
-                kernels.spmv_int8(matrix, x[:, 0], backend="reference"),
-            )
-
-
 @requires_compiler
 def test_compiled_int8_ops_reject_a_mis_sized_operand():
     # numpy's gathers raise on a short operand; the C loops would read
     # past it, and default routing sends every caller to them.
-    from repro.sparse.csr import CSRMatrix
-
-    bspc = bsp_matrix()
-    for matrix in (bspc, CSRMatrix.from_dense(bspc.to_dense())):
-        for rows in (63, 65):
+    matrix = bsp_matrix()
+    for rows in (63, 65):
+        with pytest.raises(ShapeError):
+            kernels.spmv_int8(matrix, np.ones(rows), backend="compiled")
+        for batch in (1, 3, 16):
             with pytest.raises(ShapeError):
-                kernels.spmv_int8(matrix, np.ones(rows), backend="compiled")
-            for batch in (1, 3, 16):
-                with pytest.raises(ShapeError):
-                    kernels.spmm_int8(matrix, np.ones((rows, batch)), backend="compiled")
+                kernels.spmm_int8(matrix, np.ones((rows, batch)), backend="compiled")
 
 
 @requires_compiler
@@ -1353,7 +1371,7 @@ class TestSumsPastFloat32:
         # a constant operand of 127s: codes 127, activation scale 1
         weight, want = self.rows(), self.expected()
         x = np.full((weight.shape[1], 3), 127.0)
-        for matrix in (full_matrix(weight), CSRMatrix.from_dense(weight)):
+        for matrix in (full_matrix(weight), full_matrix(weight, strips=8)):  # 1-row strips too
             for backend in kernels.backends():
                 got = kernels.spmm_int8(matrix, x, backend=backend)
                 assert got.dtype == np.float32
@@ -1570,8 +1588,7 @@ class TestLanesKernel:
                 compiled.panel_linear_int8(panel, bad_x, bias, out)
 
     def test_a_plan_freezes_its_dense_weights_at_lowering(self, rng):
-        # dense slots have no invalidation API: like the dequantized
-        # ``weight_t`` of an int8 recurrence, what was bound is what runs
+        # dense slots have no invalidation API: what was bound is what runs
         features = rng.standard_normal((4, 2, 8))
         with kernels.use_backend(None):
             plan = bsp_int8_plan(sparse_format="auto")

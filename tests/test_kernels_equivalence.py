@@ -242,28 +242,6 @@ class TestInt8Kernels:
     integer sums, same dequant multiply order), and closely with the
     float result."""
 
-    def test_csr_spmv_int8_exact_vs_reference(self, cases, backend):
-        rng = new_rng(21)
-        for name, w, _ in cases:
-            csr = CSRMatrix.from_dense(w)
-            x = rng.standard_normal(w.shape[1])
-            expected = kernels.spmv_int8(csr, x, backend="reference")
-            np.testing.assert_array_equal(
-                kernels.spmv_int8(csr, x, backend=backend), expected, err_msg=name
-            )
-
-    def test_csr_spmm_int8_exact_vs_reference(self, cases, backend):
-        rng = new_rng(22)
-        for name, w, _ in cases:
-            csr = CSRMatrix.from_dense(w)
-            for batch in (1, 4):
-                x = rng.standard_normal((w.shape[1], batch))
-                expected = kernels.spmm_int8(csr, x, backend="reference")
-                np.testing.assert_array_equal(
-                    kernels.spmm_int8(csr, x, backend=backend), expected,
-                    err_msg=name,
-                )
-
     def test_bspc_spmv_int8_exact_vs_reference(self, cases, backend):
         rng = new_rng(23)
         for name, w, grid in cases:
@@ -305,11 +283,11 @@ class TestInt8Helpers:
     def test_int8_close_to_float(self, cases):
         # The whole point: quantized results track the float ones.
         rng = new_rng(25)
-        for name, w, _ in cases:
-            csr = CSRMatrix.from_dense(w)
+        for name, w, grid in cases:
+            bspc = BSPCMatrix.from_dense(w, grid)
             x = rng.standard_normal(w.shape[1])
             expected = w @ x
-            got = kernels.spmv_int8(csr, x)
+            got = kernels.spmv_int8(bspc, x)
             scale = np.abs(expected).max() or 1.0
             assert np.abs(got - expected).max() <= 0.05 * scale + 1e-12, name
 
@@ -327,21 +305,30 @@ class TestInt8Helpers:
     def test_int8_plan_cached_and_invalidated(self, rng):
         # Exercises the numpy plan cache specifically (the reference
         # kernels are plan-free), so the backend is pinned per call.
-        w, _ = bsp_pruned(rng)
-        csr = CSRMatrix.from_dense(w)
+        w, grid = bsp_pruned(rng)
+        bspc = BSPCMatrix.from_dense(w, grid)
         x = rng.standard_normal(w.shape[1])
-        kernels.spmv_int8(csr, x, backend="numpy")
-        plan = csr._int8_kernel_plan
-        kernels.spmv_int8(csr, x, backend="numpy")
-        assert csr._int8_kernel_plan is plan
-        csr.values = csr.values * 2.0  # structural reassignment drops both
-        assert not hasattr(csr, "_int8_kernel_plan")
-        assert not hasattr(csr, "_kernel_plan")
-        csr.invalidate_plan()  # idempotent, also clears after in-place edits
+        kernels.spmv_int8(bspc, x, backend="numpy")
+        plan = bspc._int8_kernel_plan
+        kernels.spmv_int8(bspc, x, backend="numpy")
+        assert bspc._int8_kernel_plan is plan
+        bspc.strips = list(bspc.strips)  # structural reassignment drops both
+        assert not hasattr(bspc, "_int8_kernel_plan")
+        assert not hasattr(bspc, "_kernel_plan")
+        bspc.invalidate_plan()  # idempotent, also clears after in-place edits
         np.testing.assert_array_equal(
-            kernels.spmv_int8(csr, x, backend="numpy"),
-            kernels.spmv_int8(csr, x, backend="reference"),
+            kernels.spmv_int8(bspc, x, backend="numpy"),
+            kernels.spmv_int8(bspc, x, backend="reference"),
         )
+
+    def test_int8_has_no_csr_op(self, rng):
+        # int8 has one sparse format: a CSR matrix has no int8 product
+        csr = CSRMatrix.from_dense(bsp_pruned(rng)[0])
+        for entry, x in ((kernels.spmv_int8, np.ones(csr.shape[1])),
+                         (kernels.spmm_int8, np.ones((csr.shape[1], 2)))):
+            for backend in kernels.backends():
+                with pytest.raises(KernelError, match="unknown kernel op"):
+                    entry(csr, x, backend=backend)
 
 
 class TestPlanCaching:

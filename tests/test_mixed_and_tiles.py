@@ -98,8 +98,8 @@ KERNELS = {
     (None, None): ("blas_matmul", "blas_matmul"),
     (None, "csr"): ("csr_spmm", "csr_spmm"),
     (None, "bspc"): ("bspc_spmm", "bspc_spmm"),
-    ("int8", None): ("linear_int8_rowwise", "blas_matmul"),
-    ("int8", "csr"): ("csr_spmm_int8", "csr_spmm_int8"),
+    ("int8", None): ("linear_int8_rowwise", "linear_int8_rowwise"),
+    ("int8", "csr"): ("bspc_spmm_int8", "bspc_spmm_int8"),  # int8 packs no CSR
     ("int8", "bspc"): ("bspc_spmm_int8", "bspc_spmm_int8"),
 }
 
@@ -123,11 +123,7 @@ class TestPerSlotScheme:
     @pytest.mark.parametrize("scheme", [None, "int8"])
     def test_only_an_int8_graph_marks_quantize_boundaries(self, scheme):
         graph = passed_graph(scheme)
-        want = [
-            (slot.name, "int8-activations-per-frame" if slot.op == "linear"
-             else "int8-weights-dequantized")
-            for _, _, slot in graph.slots()
-        ]
+        want = [(slot.name, "int8-activations-per-frame") for _, _, slot in graph.slots()]
         got = [(b.slot, b.policy) for b in graph.boundaries]
         assert got == (want if scheme == "int8" else [])
 
