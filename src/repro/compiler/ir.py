@@ -26,6 +26,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import CompilationError
+from repro.kernels.quantized import int8_codes
 
 
 @dataclass(frozen=True)
@@ -406,6 +407,73 @@ def _tile_from_dict(data: Dict) -> TileConfig:
     )
 
 
+#: What a nonzero weight whose int8 code is 0 comes back as: the least
+#: positive float, which is nonzero (the slot's packing keeps its place)
+#: and quantizes to code 0 under any normal scale.
+_ZERO_CODE = float(np.nextafter(0.0, 1.0))
+
+
+def _scale_round_trips(scale: float) -> bool:
+    """Whether a slot stored as ``codes`` (one at ±127) and ``scale``
+    rebuilds to an array that re-quantizes to both exactly: its peak is
+    ``127.0 * scale``, so :func:`~repro.kernels.quantized.int8_codes`
+    derives the scale ``(127.0 * scale) / 127.0``, and a normal
+    ``scale`` maps each ``c * scale`` (and :data:`_ZERO_CODE`) back to
+    ``c``."""
+    return bool(
+        np.finfo(np.float64).tiny <= scale < np.inf
+        and (127.0 * scale) / 127.0 == scale
+    )
+
+
+def _encode_int8(array: np.ndarray, prefix: str, arrays: Dict[str, np.ndarray]) -> bool:
+    """Store an int8 slot as what its lowering runs: its nonzero pattern
+    (``np.packbits``, row-major), the int8 codes of those nonzeros and the
+    float64 scale.  False (nothing stored) when the scale does not
+    round-trip (:func:`_scale_round_trips`): the slot keeps its array."""
+    mask = array != 0.0
+    codes, scale = int8_codes(array[mask])  # zeros change no peak, so no code
+    if not _scale_round_trips(scale):
+        return False
+    arrays[f"{prefix}.pattern"] = np.packbits(mask, axis=None)
+    arrays[f"{prefix}.codes"] = codes
+    arrays[f"{prefix}.scale"] = np.array(scale, dtype=np.float64)
+    return True
+
+
+def _decode_int8(shape, prefix: str, arrays) -> np.ndarray:
+    """Rebuild an :func:`_encode_int8` slot as ``codes × scale`` on its
+    pattern (a code of 0 as :data:`_ZERO_CODE`); a
+    :class:`CompilationError` unless that re-quantizes to the same
+    pattern, codes and scale."""
+    pattern = np.asarray(arrays[f"{prefix}.pattern"])
+    codes = np.asarray(arrays[f"{prefix}.codes"])
+    scale = np.asarray(arrays[f"{prefix}.scale"])
+    rows, cols = (int(n) for n in shape)
+    if (
+        pattern.dtype != np.uint8
+        or pattern.shape != (-(-rows * cols // 8),)
+        or codes.dtype != np.int8
+        or codes.ndim != 1
+        or scale.dtype != np.float64
+        or scale.shape != ()
+    ):
+        raise CompilationError(f"{prefix}: malformed int8 arrays")
+    mask = np.unpackbits(pattern, count=rows * cols).view(bool).reshape(rows, cols)
+    if int(np.count_nonzero(mask)) != codes.size:
+        raise CompilationError(
+            f"{prefix}: its pattern sets {np.count_nonzero(mask)} entries "
+            f"for {codes.size} codes"
+        )
+    if codes.size and np.abs(codes.astype(np.int16)).max() != 127:
+        raise CompilationError(f"{prefix}: its codes do not peak at 127")
+    if not _scale_round_trips(float(scale)):
+        raise CompilationError(f"{prefix}: scale {float(scale)!r} does not round-trip")
+    array = np.zeros((rows, cols))
+    array[mask] = np.where(codes != 0, codes * float(scale), _ZERO_CODE)
+    return array
+
+
 def graph_to_arrays(graph: LayerGraph) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Split a graph into a JSON-able header and a dict of ndarrays.
 
@@ -413,13 +481,16 @@ def graph_to_arrays(graph: LayerGraph) -> Tuple[Dict, Dict[str, np.ndarray]]:
     *not* serialized — they are recomputable and irrelevant to execution;
     what round-trips exactly is everything the executable lowering reads:
     weight/param arrays, decided formats, scheme, backend, grids, tiles.
+    A weight of an int8 graph is stored as its int8 codes
+    (:func:`_encode_int8`, ``"encoding": "int8"``); every other array in
+    float64.
     """
     nodes_meta: List[Dict] = []
     arrays: Dict[str, np.ndarray] = {}
     for i, node in enumerate(graph.nodes):
         weights_meta: Dict[str, Dict] = {}
         for key, slot in node.weights.items():
-            arrays[f"n{i}.w.{key}"] = np.ascontiguousarray(slot.array)
+            prefix = f"n{i}.w.{key}"
             weights_meta[key] = {
                 "name": slot.name,
                 "op": slot.op,
@@ -429,6 +500,11 @@ def graph_to_arrays(graph: LayerGraph) -> Tuple[Dict, Dict[str, np.ndarray]]:
                 "kernel": slot.kernel,
                 "tile": _tile_to_dict(slot.tile),
             }
+            if graph.scheme == "int8" and _encode_int8(slot.array, prefix, arrays):
+                weights_meta[key]["encoding"] = "int8"
+                weights_meta[key]["shape"] = list(slot.shape)
+            else:
+                arrays[prefix] = np.ascontiguousarray(slot.array)
         for key, param in node.params.items():
             arrays[f"n{i}.p.{key}"] = np.ascontiguousarray(param)
         nodes_meta.append(
@@ -440,7 +516,7 @@ def graph_to_arrays(graph: LayerGraph) -> Tuple[Dict, Dict[str, np.ndarray]]:
             }
         )
     meta = {
-        "version": 1,
+        "version": 2,
         "scheme": graph.scheme,
         "backend": graph.backend,
         "options": {
@@ -469,16 +545,24 @@ def graph_from_arrays(meta: Dict, arrays) -> LayerGraph:
     decisions instead of re-deciding them.
     """
     version = meta.get("version")
-    if version != 1:
+    if version not in (1, 2):
         raise CompilationError(f"unsupported layer-graph version {version!r}")
     nodes: List[GraphNode] = []
     for i, node_meta in enumerate(meta["nodes"]):
         weights: Dict[str, WeightSlot] = {}
         for key, slot_meta in node_meta["weights"].items():
+            prefix = f"n{i}.w.{key}"
+            encoding = slot_meta.get("encoding")
+            if encoding is None:
+                array = np.asarray(arrays[prefix])
+            elif encoding == "int8":
+                array = _decode_int8(slot_meta["shape"], prefix, arrays)
+            else:
+                raise CompilationError(f"{prefix}: unknown encoding {encoding!r}")
             weights[key] = WeightSlot(
                 name=slot_meta["name"],
                 op=slot_meta["op"],
-                array=np.asarray(arrays[f"n{i}.w.{key}"]),
+                array=array,
                 format=slot_meta["format"],
                 # Older artifacts predate per-slot records; ``None`` is
                 # filled from the graph's scheme by the pass pipeline.

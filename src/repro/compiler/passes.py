@@ -1,10 +1,7 @@
 """The shared pass pipeline over the layer graph (Figure 3, unified).
 
-Both compiler backends — the analytic mobile cost model
-(:func:`repro.compiler.pipeline.compile_for_simulation`) and the
-execution engine (:func:`repro.engine.compile_model`) — run the same
-four passes over a :class:`~repro.compiler.ir.LayerGraph` before
-lowering it:
+Two analyses and two decisions run over a
+:class:`~repro.compiler.ir.LayerGraph`:
 
 1. :func:`reorder_pass` — group rows by nonzero pattern (Section
    IV-B(a)); annotates the permutation and thread row-groups.
@@ -20,9 +17,14 @@ lowering it:
 4. :func:`select_kernels_pass` — name the registry kernel each op lowers
    to under the decided format and the graph's scheme.
 
-``analytic=True`` annotates every slot (the simulator prices dense
-layers too); the default annotates only sparse candidates, so compiling
-a dense model for execution stays cheap.
+The analyses annotate every slot, and only the analytic mobile cost
+model reads what they annotate, so only it runs them
+(``run_passes(graph, analytic=True)``:
+:func:`repro.compiler.pipeline.compile_for_simulation`, codegen's
+:func:`~repro.compiler.codegen.lower_matrix`, the tuner's analytic
+probe).  The execution engine (:func:`repro.engine.compile_model`) runs
+the two decisions alone (``run_passes(graph)``): the executed path does
+not reorder rows (its threads split batch rows, not weight rows).
 """
 
 from __future__ import annotations
@@ -49,25 +51,10 @@ def slot_grid(slot: WeightSlot) -> BlockGrid:
     return grid_for(slot.array, min(slot.grid[0], rows), min(slot.grid[1], cols))
 
 
-def _sparse_candidate(slot: WeightSlot, options: GraphOptions) -> bool:
-    """Whether this slot can end up sparse under the graph's request."""
-    if slot.format in ("csr", "bspc"):
-        return True
-    if slot.format == "dense":
-        return False
-    request = options.sparse_format
-    if request in ("csr", "bspc"):
-        return True
-    if request == "auto":
-        return slot.density <= options.sparsity_threshold
-    return False
-
-
-def reorder_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
-    """Annotate row permutation + pattern groups (matrix reorder)."""
+def reorder_pass(graph: LayerGraph) -> LayerGraph:
+    """Annotate row permutation + pattern groups (matrix reorder) on
+    every slot."""
     for _, _, slot in graph.slots():
-        if not (analytic or _sparse_candidate(slot, graph.options)):
-            continue
         mask = slot.array != 0.0
         if graph.options.enable_reorder:
             permutation, groups = reorder_rows(mask, slot_grid(slot))
@@ -80,7 +67,7 @@ def reorder_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
     return graph
 
 
-def load_elim_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
+def load_elim_pass(graph: LayerGraph) -> LayerGraph:
     """Annotate input loads per step, naive vs. after tile-level reuse."""
     for _, _, slot in graph.slots():
         if slot.row_permutation is None:
@@ -94,7 +81,7 @@ def load_elim_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
     return graph
 
 
-def _decide_format(slot: WeightSlot, options: GraphOptions) -> str:
+def _decide_format(slot: WeightSlot, options: GraphOptions, scheme) -> str:
     request = options.sparse_format
     if request in (None, "dense"):
         return "dense"
@@ -104,14 +91,15 @@ def _decide_format(slot: WeightSlot, options: GraphOptions) -> str:
     if request in ("csr", "bspc"):
         return request
     # "auto": density gate, then the BSPC fill probe — BSP-shaped
-    # patterns pack as mostly-full panels, irregular ones go CSR.
+    # patterns pack as mostly-full panels, irregular float ones go CSR.
+    # Int8 packs every sparse slot as BSPC, so the probe is its matrix.
     if slot.density > options.sparsity_threshold:
         return "dense"
     bspc = BSPCMatrix.from_dense(slot.array, slot_grid(slot))
-    if bspc.fill() >= 0.5:
-        slot.prebuilt = bspc
-        return "bspc"
-    return "csr"
+    if bspc.fill() < 0.5 and scheme != "int8":
+        return "csr"
+    slot.prebuilt = bspc
+    return "bspc"
 
 
 def _mark_boundaries(graph: LayerGraph) -> None:
@@ -127,8 +115,8 @@ def _mark_boundaries(graph: LayerGraph) -> None:
 
 def int8_sparse_as_bspc(graph: LayerGraph) -> None:
     """Int8 has one sparse format: every ``"csr"`` slot of an int8 graph —
-    the request, ``"auto"``'s fallback for an irregular pattern, a tuner's
-    pin or an artifact saved when int8 had a CSR kernel — becomes
+    the request, a tuner's pin or an artifact saved when int8 had a CSR
+    kernel — becomes
     ``"bspc"`` on the slot's own grid.  The codes and scale are the same
     (the peak of the same nonzeros) and integer sums are exact, so the
     products are the same bytes."""
@@ -139,12 +127,12 @@ def int8_sparse_as_bspc(graph: LayerGraph) -> None:
                 slot.kernel = kernel_for(slot.op, "bspc", graph.scheme)
 
 
-def select_formats_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
+def select_formats_pass(graph: LayerGraph) -> LayerGraph:
     """Resolve undecided slot formats, record the graph's scheme on each
     slot, and mark quantize boundaries."""
     for _, _, slot in graph.slots():
         if slot.format is None:
-            slot.format = _decide_format(slot, graph.options)
+            slot.format = _decide_format(slot, graph.options, graph.scheme)
         if slot.scheme is None:
             slot.scheme = slot_scheme(graph.scheme)
     int8_sparse_as_bspc(graph)
@@ -164,27 +152,25 @@ def kernel_for(op: str, fmt: str, scheme) -> str:
     return "blas_matmul"
 
 
-def select_kernels_pass(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
+def select_kernels_pass(graph: LayerGraph) -> LayerGraph:
     """Name the kernel each weight op lowers to (format + graph scheme)."""
     for _, _, slot in graph.slots():
         slot.kernel = kernel_for(slot.op, slot.format or "dense", graph.scheme)
     return graph
 
 
-#: The pipeline, in order.  Reorder and load elimination are analyses
-#: (they annotate), format and kernel selection are decisions.
-PASS_PIPELINE = (
-    reorder_pass,
-    load_elim_pass,
-    select_formats_pass,
-    select_kernels_pass,
-)
+#: The analyses (they annotate, for the cost model) and the decisions
+#: (format and kernel selection), each in order.
+ANALYSIS_PASSES = (reorder_pass, load_elim_pass)
+DECISION_PASSES = (select_formats_pass, select_kernels_pass)
+PASS_PIPELINE = ANALYSIS_PASSES + DECISION_PASSES
 
 
 def run_passes(graph: LayerGraph, analytic: bool = False) -> LayerGraph:
-    """Run the full pass pipeline over ``graph`` in place and return it."""
-    for pass_fn in PASS_PIPELINE:
-        pass_fn(graph, analytic=analytic)
+    """Run the decisions over ``graph`` in place and return it; with
+    ``analytic``, the analyses first (the full :data:`PASS_PIPELINE`)."""
+    for pass_fn in PASS_PIPELINE if analytic else DECISION_PASSES:
+        pass_fn(graph)
     return graph
 
 
@@ -196,5 +182,7 @@ __all__ = [
     "select_kernels_pass",
     "int8_sparse_as_bspc",
     "run_passes",
+    "ANALYSIS_PASSES",
+    "DECISION_PASSES",
     "PASS_PIPELINE",
 ]

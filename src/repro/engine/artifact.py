@@ -2,9 +2,12 @@
 
 The deployment story of the unified compiler: once a model is compiled
 (and optionally tuned with :func:`repro.compiler.autotune.tune_plan`),
-:func:`save_plan` writes the plan's layer graph — weight/bias arrays in
-full float64 plus every pass decision (per-slot sparse format, scheme,
-kernel backend, grids, tiles) — into a single ``.npz`` file.
+:func:`save_plan` writes the plan's layer graph — its arrays plus every
+pass decision (per-slot sparse format, scheme, kernel backend, grids,
+tiles) — into a single ``.npz`` file.  An int8 plan's weights are stored
+as what it runs, each one's nonzero pattern, int8 codes and scale
+(:func:`repro.compiler.ir.graph_to_arrays`); a float plan's weights and
+every bias in full float64.
 :func:`load_plan` rebuilds the graph with those decisions *pinned* and
 lowers it through the same deterministic
 :func:`~repro.engine.plan.lower_graph`, so the reloaded plan produces
@@ -25,7 +28,8 @@ traceback) on truncated, corrupted, or foreign files.
 
 Format: an ``npz`` archive with one ``meta.json`` entry (the graph
 header from :func:`repro.compiler.ir.graph_to_arrays` wrapped with the
-checksum, UTF-8 JSON) and one entry per weight/param array.
+checksum, UTF-8 JSON) and one entry per param array and float weight,
+three per int8 weight (``.pattern``, ``.codes``, ``.scale``).
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ def load_plan(path: Union[str, Path]) -> ModelPlan:
         graph = graph_from_arrays(meta, arrays)
     except Exception as exc:
         raise ArtifactError(
-            f"{path} carries a malformed layer-graph header: {exc}"
+            f"{path} carries a malformed layer graph: {exc}"
         ) from exc
     return lower_graph(graph)
 

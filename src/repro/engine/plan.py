@@ -774,8 +774,9 @@ def lower_graph(
     This is the execution engine's backend of the unified compiler: the
     graph's pass-decided per-slot formats, scheme, and kernel backend are
     executed verbatim.  Slots whose format is still undecided are sent
-    through the shared pass pipeline first, so a freshly built frontend
-    graph and a tuned/deserialized one lower through the same code.
+    through the pipeline's decision passes first, so a freshly built
+    frontend graph and a tuned/deserialized one lower through the same
+    code.
 
     Lowering is deterministic: the same graph (same arrays, same
     annotations) always produces a plan with bit-identical outputs —
@@ -821,7 +822,7 @@ def compile_model(
 
     The module tree is walked exactly once into the shared layer-graph IR
     (:func:`repro.compiler.pipeline.build_layer_graph`), the compiler's
-    pass pipeline decides every format/kernel, and :func:`lower_graph`
+    decision passes pick every format/kernel, and :func:`lower_graph`
     executes those decisions.  The graph holds copies of the weights, so
     later training does not silently change compiled results.
     """

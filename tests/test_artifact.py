@@ -8,6 +8,7 @@ like the original — including the int8 bitwise chunk-exactness.
 
 import hashlib
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ from hypothesis import strategies as st
 
 from repro import engine, kernels
 from repro.kernels import compiled
-from repro.compiler.ir import graph_from_arrays, graph_to_arrays
+from repro.compiler.ir import (
+    _ZERO_CODE,
+    _scale_round_trips,
+    graph_from_arrays,
+    graph_to_arrays,
+)
 from repro.engine.plan import SPARSE_FORMATS
 from repro.errors import ArtifactError, ConfigError
+from repro.kernels.quantized import int8_codes
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.atomic_write import content_checksum
@@ -299,6 +306,26 @@ class TestLegacyArtifacts:
         with kernels.use_backend("reference"):
             assert streamed_digest(legacy) == self.INT8_CSR[masking]
 
+    #: :func:`streamed_digest` of an int8 ``"auto"`` plan of
+    #: :func:`masked_model`, saved with every weight a float64 array (header
+    #: version 1) and loaded, when artifacts were written so.  The same
+    #: digests as :attr:`INT8_CSR`: the requests pack the same panels.
+    INT8_FLOAT64 = {
+        "bsp": "c997f6160c5675e1f88bcc5d28e91ef285c8111bbc7c275ebb2484a95032235e",
+        "random": "b33ec960e3412cb6d1715f5e32b6ba44e6072a6d39f15738fde5df56c7b7025b",
+    }
+
+    @pytest.mark.parametrize("masking", sorted(INT8_FLOAT64))
+    def test_a_float64_int8_artifact_loads_to_the_same_bytes(self, masking, tmp_path):
+        config = engine.EngineConfig(sparse_format="auto", num_row_strips=4, num_col_blocks=4)
+        plan = engine.compile_model(masked_model(masking), scheme="int8", config=config)
+        legacy = engine.load_plan(write_artifact(tmp_path / "v1.npz", *version_1(plan.graph)))
+        current = engine.load_plan(engine.save_plan(tmp_path / "v2.npz", plan))
+        for backend in (None, "reference"):
+            with kernels.use_backend(backend):
+                assert streamed_digest(legacy) == self.INT8_FLOAT64[masking]
+                assert streamed_digest(current) == self.INT8_FLOAT64[masking]
+
     @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_a_removed_scheme_artifact_is_a_typed_error(self, scheme, fmt, tmp_path):
@@ -318,6 +345,22 @@ class TestLegacyArtifacts:
         path = write_artifact(tmp_path / "disagrees.npz", meta, arrays)
         with pytest.raises(ArtifactError, match=f"records scheme '{other}'"):
             engine.load_plan(path)
+
+
+def version_1(graph):
+    """The header and arrays of ``graph`` as header version 1 stored them:
+    every weight a float64 array, an int8 graph's too."""
+    meta, arrays = graph_to_arrays(graph)
+    meta["version"] = 1
+    for i, node in enumerate(graph.nodes):
+        for key, slot in node.weights.items():
+            slot_meta = meta["nodes"][i]["weights"][key]
+            if slot_meta.pop("encoding", None):
+                del slot_meta["shape"]
+                for part in ("pattern", "codes", "scale"):
+                    del arrays[f"n{i}.w.{key}.{part}"]
+            arrays[f"n{i}.w.{key}"] = slot.array
+    return meta, arrays
 
 
 def with_removed_scheme(graph, scheme):
@@ -467,3 +510,125 @@ class TestCrashSafety:
         )
         # No temp files left behind by either save.
         assert [p.name for p in tmp_path.iterdir()] == ["plan.npz"]
+
+
+def int8_artifact_parts():
+    """The header and arrays of a BSP-pruned int8 ``"auto"`` plan."""
+    config = engine.EngineConfig(sparse_format="auto", num_row_strips=4, num_col_blocks=4)
+    plan = engine.compile_model(prune_model(laptop_model()), scheme="int8", config=config)
+    return graph_to_arrays(plan.graph)
+
+
+def members(path):
+    """Every member of an ``.npz`` archive, by name, as stored bytes."""
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+class TestInt8Codes:
+    """An int8 artifact stores each weight as what its lowering runs: the
+    nonzero pattern of its codes, the nonzero int8 codes and the scale.
+    Forged or truncated parts are typed errors, never another plan."""
+
+    def test_an_int8_artifact_holds_no_float64_weight(self, tmp_path):
+        path = engine.save_plan(
+            tmp_path / "plan.npz", engine.compile_model(laptop_model(), scheme="int8")
+        )
+        with np.load(path) as data:
+            kinds = {key: data[key].dtype for key in data.files if ".w." in key}
+        assert sorted({key.rsplit(".", 1)[1] for key in kinds}) == ["codes", "pattern", "scale"]
+        assert all(kind != np.float64 for key, kind in kinds.items() if not key.endswith("scale"))
+
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path):
+        config = engine.EngineConfig(sparse_format="auto", num_row_strips=4, num_col_blocks=4)
+        plan = engine.compile_model(masked_model("random"), scheme="int8", config=config)
+        first = engine.save_plan(tmp_path / "first.npz", plan)
+        second = engine.save_plan(tmp_path / "second.npz", engine.load_plan(first))
+        assert members(second) == members(first)
+
+    def test_a_pattern_whose_popcount_is_not_its_codes_is_a_typed_error(self, tmp_path):
+        meta, arrays = int8_artifact_parts()
+        pattern = arrays["n1.w.hh.pattern"].copy()
+        unset = np.flatnonzero(np.unpackbits(pattern) == 0)[0]
+        pattern[unset // 8] |= 0x80 >> (unset % 8)  # one more entry, no more codes
+        arrays["n1.w.hh.pattern"] = pattern
+        path = write_artifact(tmp_path / "forged.npz", meta, arrays)
+        with pytest.raises(ArtifactError, match="pattern sets"):
+            engine.load_plan(path)
+
+    def test_a_scale_that_does_not_round_trip_is_a_typed_error(self, tmp_path):
+        meta, arrays = int8_artifact_parts()
+        arrays["n1.w.hh.scale"] = np.array(1.1756209101917684e-09)
+        path = write_artifact(tmp_path / "forged.npz", meta, arrays)
+        with pytest.raises(ArtifactError, match="does not round-trip"):
+            engine.load_plan(path)
+
+    @pytest.mark.parametrize("forge", ["-128", "halved"])
+    def test_codes_that_do_not_peak_at_127_are_a_typed_error(self, forge, tmp_path):
+        meta, arrays = int8_artifact_parts()
+        codes = arrays["n1.w.hh.codes"].copy()
+        if forge == "-128":
+            codes[0] = -128
+        else:
+            codes //= 2
+        arrays["n1.w.hh.codes"] = codes
+        path = write_artifact(tmp_path / "forged.npz", meta, arrays)
+        with pytest.raises(ArtifactError, match="peak at 127"):
+            engine.load_plan(path)
+
+    @pytest.mark.parametrize("part", ["pattern", "codes", "scale"])
+    def test_a_truncated_part_is_a_typed_error(self, part, tmp_path):
+        # checksummed after the cut, so the arrays' own checks fire
+        meta, arrays = int8_artifact_parts()
+        key = f"n1.w.hh.{part}"
+        arrays[key] = arrays[key].reshape(-1)[:-1]
+        path = write_artifact(tmp_path / "truncated.npz", meta, arrays)
+        with pytest.raises(ArtifactError, match=r"n1\.w\.hh: (malformed|its pattern)"):
+            engine.load_plan(path)
+
+    @pytest.mark.parametrize("part", ["pattern", "codes", "scale"])
+    def test_a_flipped_byte_is_a_typed_error(self, part, tmp_path):
+        meta, arrays = int8_artifact_parts()
+        header = {"graph": meta, "__checksum__": content_checksum(meta, arrays)}
+        key = f"n1.w.hh.{part}"
+        flipped = bytearray(arrays[key].tobytes())
+        flipped[len(flipped) // 2] ^= 0x10
+        arrays[key] = np.frombuffer(bytes(flipped), arrays[key].dtype).reshape(arrays[key].shape)
+        payload = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(tmp_path / "flipped.npz", **arrays, **{"meta.json": payload})
+        with pytest.raises(ArtifactError, match="checksum"):
+            engine.load_plan(tmp_path / "flipped.npz")
+
+    def test_a_scale_that_would_not_round_trip_keeps_its_array(self):
+        # the float64 peak: 127 x (peak / 127) overflows, so the slot ships
+        # its float64 array, and loads to it
+        graph = engine.compile_model(laptop_model(), scheme="int8").graph
+        slot = graph.slot("cell0.weight_ih")
+        slot.array = slot.array / np.abs(slot.array).max() * np.finfo(np.float64).max
+        meta, arrays = graph_to_arrays(graph)
+        assert "encoding" not in meta["nodes"][0]["weights"]["ih"]
+        assert "encoding" in meta["nodes"][0]["weights"]["hh"]
+        restored = graph_from_arrays(meta, arrays).slot("cell0.weight_ih").array
+        assert restored.tobytes() == slot.array.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    peak=st.floats(
+        min_value=127 * np.finfo(np.float64).tiny,
+        max_value=np.nextafter(np.finfo(np.float64).max, 0),
+    ),
+    codes=st.lists(st.integers(-127, 127), max_size=40),
+    sign=st.sampled_from([-127, 127]),
+)
+def test_any_scale_of_a_peak_round_trips_its_codes(peak, codes, sign):
+    # s = peak / 127 passes the O(1) check, and the codes rebuilt on s (a
+    # code of 0 as the least positive float) quantize back to (codes, s):
+    # the condition under which an int8 slot ships its codes
+    scale = peak / 127.0
+    assert _scale_round_trips(scale)
+    codes = np.array([sign, *codes], dtype=np.int8)
+    rebuilt = np.where(codes != 0, codes * scale, _ZERO_CODE)
+    got_codes, got_scale = int8_codes(rebuilt)
+    assert got_scale == scale
+    np.testing.assert_array_equal(got_codes, codes)

@@ -29,8 +29,11 @@ from repro.compiler.passes import (
 from repro.compiler.pipeline import build_layer_graph, rnn_graph_from_weights
 from repro.errors import CompilationError, ConfigError
 from repro.hw.executor import NumericExecutor
+from repro.kernels.quantized import int8_codes
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
+from repro.sparse.bspc import BSPCMatrix
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
+from repro.utils.rng import new_rng
 
 
 def laptop_model(hidden=24, seed=0):
@@ -148,6 +151,26 @@ class TestFormatSelection:
         select_formats_pass(graph)
         assert slot.format == "csr"
 
+    def test_an_irregular_int8_slot_packs_its_probe(self, monkeypatch):
+        # int8 packs an irregular slot as BSPC too, so "auto"'s fill probe
+        # is the matrix it runs: one BSPC build per sparse slot
+        model, rng = laptop_model(), new_rng(1)
+        for param in model.prunable_parameters().values():
+            param.data[...] *= rng.uniform(size=param.data.shape) < 0.25
+        builds = []
+        from_dense = BSPCMatrix.from_dense.__func__
+        monkeypatch.setattr(
+            BSPCMatrix,
+            "from_dense",
+            classmethod(lambda cls, *args: builds.append(1) or from_dense(cls, *args)),
+        )
+        config = engine.EngineConfig(sparse_format="auto", num_row_strips=4, num_col_blocks=4)
+        plan = engine.compile_model(model, "int8", config)
+        sparse = [slot for _, _, slot in plan.graph.slots() if slot.format == "bspc"]
+        assert len(sparse) == 3
+        assert len(builds) == len(sparse)
+        assert all(slot.prebuilt.fill() < 0.5 for slot in sparse)  # irregular
+
     def test_pinned_format_survives_passes(self, rng):
         graph, slot = single_slot_graph(
             rng.standard_normal((16, 16)),
@@ -172,22 +195,21 @@ class TestFormatSelection:
 
 
 class TestAnalysisPasses:
-    def test_reorder_annotates_sparse_candidates_only(self, rng):
-        model = prune_model(laptop_model())
-        graph = build_layer_graph(
-            model, options=GraphOptions(sparse_format="auto", num_row_strips=4,
-                                        num_col_blocks=4)
-        )
-        reorder_pass(graph)
-        annotated = [s.name for _, _, s in graph.slots()
-                     if s.row_permutation is not None]
-        assert "cell1.weight_hh" in annotated  # pruned → candidate
-        assert "output.weight" not in annotated  # pinned dense
+    @pytest.mark.parametrize("scheme", [None, "int8"])
+    def test_the_engine_compile_runs_no_analysis(self, scheme):
+        # the annotations are the cost model's: compiling for execution
+        # decides formats and kernels and annotates no slot, sparse or dense
+        config = engine.EngineConfig(sparse_format="auto", num_row_strips=4, num_col_blocks=4)
+        plan = engine.compile_model(prune_model(laptop_model()), scheme, config)
+        assert plan.graph.slot("cell1.weight_hh").format == "bspc"
+        for _, _, slot in plan.graph.slots():
+            assert slot.kernel is not None
+            assert slot.row_permutation is None and slot.act_loads_naive is None
 
     def test_analytic_mode_annotates_everything(self, rng):
         graph = build_layer_graph(laptop_model())
-        reorder_pass(graph, analytic=True)
-        load_elim_pass(graph, analytic=True)
+        reorder_pass(graph)
+        load_elim_pass(graph)
         for _, _, slot in graph.slots():
             assert slot.row_permutation is not None
             assert slot.act_loads_per_step <= slot.act_loads_naive
@@ -200,8 +222,8 @@ class TestAnalysisPasses:
                                  enable_load_elimination=False,
                                  num_row_strips=4, num_col_blocks=4),
         )
-        reorder_pass(graph, analytic=True)
-        load_elim_pass(graph, analytic=True)
+        reorder_pass(graph)
+        load_elim_pass(graph)
         for _, _, slot in graph.slots():
             assert slot.act_loads_per_step == slot.act_loads_naive
 
@@ -328,7 +350,13 @@ class TestGraphSerialization:
         assert restored.formats() == graph.formats()
         assert not restored.undecided()
         for (_, _, a), (_, _, b) in zip(graph.slots(), restored.slots()):
-            np.testing.assert_array_equal(a.array, b.array)
+            # an int8 slot travels as its codes: it comes back with the same
+            # nonzeros, which quantize to the same codes and scale
+            codes, scale = int8_codes(a.array)
+            np.testing.assert_array_equal(b.array != 0, a.array != 0)
+            restored_codes, restored_scale = int8_codes(b.array)
+            np.testing.assert_array_equal(restored_codes, codes)
+            assert restored_scale == scale
             assert a.grid == tuple(b.grid)
 
     def test_unknown_version_rejected(self):
