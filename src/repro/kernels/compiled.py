@@ -54,9 +54,10 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   exact, so their codes and scales are those of the same values as
   doubles.  A whole plan lowered to one call per chunk *calls* that entry
   and the projection op by op, a tile of steps at a time, every row on its
-  own, so it is the same bytes again — on one core or with its rows in two
-  halves on two; its logits are float32, widened to float64 once by the
-  engine's public entries.  Every int8 GRU plan lowers to one: its sparse
+  own, so it is the same bytes again — on one core, or on two with its
+  rows in two halves or, one row, its layers as a wavefront; its logits
+  are float32, widened to float64 once by the engine's public entries.
+  Every int8 GRU plan lowers to one: its sparse
   weights are BSPC panels and its dense ones one-strip panels
   (:func:`dense_int8_panel`), recurrences included.
 
@@ -109,16 +110,26 @@ LANES_PAD = 16
 #: Output rows per window of that kernel's epilogue: one 16-bit mask each.
 WINDOW = 16
 
-#: A chunk of two or more batch rows runs on two cores once its estimated
-#: serial work reaches this many ns: below it, making and joining the
-#: helper thread costs more than its half saves (docs/kernels.md, "Two
-#: cores per chunk").
-SPLIT_NS = 200_000
+#: A chunk runs on two cores once its estimated serial work reaches this
+#: many ns — its rows in two halves at B >= 2, its layers as a wavefront at
+#: B = 1: below it, waking the helper thread and handing it work costs more
+#: than its share saves (docs/kernels.md, "Two cores per chunk").
+SPLIT_NS = 60_000
 
 #: The estimate: ns per frame for each code of an op's panel, and for each
 #: of its output rows, fitted to the one-core program at B = 2..8.
 FRAME_NS_PER_CODE = 0.005
 FRAME_NS_PER_ROW = 0.5
+
+#: The helper thread of two-core chunks exits after this many ns without a
+#: chunk, so an idle process is back to one OS thread.
+HELPER_IDLE_NS = 500_000_000
+
+#: Steps a block of a one-row chunk's wavefront, and the most steps of a
+#: chunk that runs as one: its first GRU's two halves of the arena, eight
+#: rows each, hold every block, so the caller never waits for a free one.
+WAVE_BLOCK = 2
+WAVE_STEPS = 16
 
 # ---------------------------------------------------------------------------
 # Generated C source
@@ -137,6 +148,7 @@ FRAME_NS_PER_ROW = 0.5
 _C_COMMON = r"""
 #define _GNU_SOURCE  /* sched_getcpu and the affinity calls of the two-core chunk */
 #include <math.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -156,8 +168,9 @@ typedef uint8_t u8;
 /* Phase tick counters: TIC(v) ... TOC(v, PH_x) adds the ticks between the
  * two to counter PH_x.  They exist only in a -DREPRO_PHASES build
  * (build_library(phases=True)); everywhere else both compile to nothing.
- * Cumulative and per thread: a chunk's helper thread adds its own into
- * its caller's at the join (repro_plan_i8_chunk), and repro_phase_ticks
+ * Cumulative and per thread: the helper thread counts a two-core chunk's
+ * second run from zero and its caller adds them into its own at the join
+ * (repro_plan_i8_chunk), and repro_phase_ticks
  * reads and clears the calling thread's.  Ticks are the time-stamp counter
  * on x86, ns elsewhere.
  * On x86 an lfence on either side of each read serializes it: the phase
@@ -1061,8 +1074,9 @@ static i64 rows_layout(
     return end;
 }
 
-/* Where the second half of a split chunk's arena starts: on the cache line
- * after the first half's, which is laid out for its ceil(B / 2) rows. */
+/* Where the second of a chunk's two runs lays its arena out: on the cache
+ * line after the first's, which is laid out for its ceil(B / 2) rows (the
+ * first half of a split chunk, or at B = 1 the wavefront's first stage). */
 static i64 second_half(const plan_op *ops, i64 count, i64 batch)
 {
     i64 end = rows_layout(ops, count, (batch + 1) / 2, NULL, NULL, NULL);
@@ -1070,22 +1084,36 @@ static i64 second_half(const plan_op *ops, i64 count, i64 batch)
 }
 
 /* Bytes of arena repro_plan_i8_chunk takes for `batch` rows a step: room
- * for the whole batch's rows and, where B >= 2, for the two halves of a
- * split chunk side by side. */
+ * for the whole batch's rows and for a chunk's two runs on two cores side
+ * by side (a split chunk's two halves; at B = 1, the wavefront's two
+ * stages, each laid out for the one row). */
 API i64 repro_plan_i8_arena(const plan_op *ops, i64 count, i64 batch)
 {
     const i64 whole = rows_layout(ops, count, batch, NULL, NULL, NULL);
-    if (batch < 2) return whole;
-    const i64 split = second_half(ops, count, batch) +
-                      rows_layout(ops, count, batch / 2, NULL, NULL, NULL);
-    return whole > split ? whole : split;
+    const i64 two = second_half(ops, count, batch) +
+                    rows_layout(ops, count, batch < 2 ? 1 : batch / 2, NULL, NULL, NULL);
+    return whole > two ? whole : two;
 }
 
-/* Rows [b0, b0 + nb) of a chunk of `batch` rows a step: all of them, or
- * one half of a split chunk.  x, rows, the slabs, the logits and the
- * labels are the whole chunk's, read and written at those rows only;
- * `arena` is the run's own (rows_layout at nb).  `ticks`: a helper
- * thread's phase counters, copied there as it ends. */
+/* A count one thread raises and another waits to see reach a value: the
+ * blocks a wavefront's first stage has made, the helper's chunks posted
+ * and finished (count_wait). */
+typedef struct {
+    _Atomic uint32_t value, sleepers;
+} count_t;
+
+static void count_raise(count_t *c, uint32_t value);
+static void count_wait(count_t *c, uint32_t want);
+
+/* Rows [b0, b0 + nb) of a chunk of `batch` rows a step, through ops
+ * [first, end): all the rows and ops; one half of a split chunk's rows; or,
+ * at B = 1, one stage of a wavefront.  x, rows, the slabs, the logits and
+ * the labels are the whole chunk's, read and written at those rows only;
+ * `arena` is the run's own (rows_layout at nb), and `tile` its steps a
+ * tile (0: ceil(8 / nb)).  A wavefront's second stage (first > 0) reads
+ * its operand from the first stage's arena, `feed`, as the first stage
+ * raises `made`.  `ticks`: the helper's phase counters, copied there as it
+ * ends. */
 typedef struct {
     const plan_op *ops;
     i64 count, steps, batch, b0, nb, stride;
@@ -1095,6 +1123,9 @@ typedef struct {
     float *logits;
     i64 *labels;
     char *arena;
+    i64 first, end, tile;
+    count_t *made;
+    char *feed;
     uint64_t ticks[PH_COUNT];
 } chunk_rows;
 
@@ -1117,34 +1148,58 @@ static void put_rows(const chunk_rows *c, i64 t0, i64 span, i64 width, const flo
                (size_t)(c->nb * width) * sizeof(float));
 }
 
-/* The run's rows of the chunk, in tiles of ceil(8 / nb) steps, the fewest
- * whole steps that fill the product's 8-row block; a tile runs every op
- * before the next tile starts, so its gate rows, states and gh stay in
- * cache.  A tile's frames of x are quantized once, for the first
- * projection; every hidden state once, in the gate sweep that makes it
- * (repro_gru_i8_chunk), for the layer's next step and the next op; each
- * carry in once, for tile 0, from its slab row, and out once, to that row,
- * after the last tile; each frame's label as its tile's logits are done,
- * from the tile's rows where the chunk keeps no logits (staged in the
- * arena, as a half's are).
+/* The run's rows of the chunk, in tiles of `tile` steps: ceil(8 / nb), the
+ * fewest whole steps that fill the product's 8-row block, or a wavefront's
+ * block (WAVE_BLOCK); a tile runs every op of the run before the next tile
+ * starts, so its gate rows, states and gh stay in cache.  A tile's frames
+ * of x are quantized once, for the first projection; every hidden state
+ * once, in the gate sweep that makes it (repro_gru_i8_chunk), for the
+ * layer's next step and the next op; each carry in once, for tile 0, from
+ * its slab row, and out once, to that row, after the last tile; each
+ * frame's label as its tile's logits are done, from the tile's rows where
+ * the chunk keeps no logits (staged in the arena, as a half's are).
+ * A GRU's states go to its two halves `per` tiles a half (slot).  A
+ * wavefront's first stage runs the ops up to the first GRU and raises
+ * `made` after each block; its chunk is at most WAVE_STEPS steps, so that
+ * GRU's two halves hold every block's states, codes and scales, and it
+ * never waits for the second stage.  The second stage waits for each
+ * block, runs the next projection on the block's codes, then the rest.
  * Every row is computed on its own, so the bytes of a row do not depend on
- * which rows share the run. */
+ * which rows share the run, nor on the tiles. */
+/* Where tile k of a run (k >= 0) keeps a GRU's states, codes and scales
+ * in its two halves `pair`: `per` tiles of `size` rows a half, the halves
+ * taking turns every `per` tiles, so the tile a run writes is never the
+ * one that holds the step before it (tile k - 1; the carry in is tile -1,
+ * at 2 per - 1). */
+static tile_rows slot(const tile_rows *pair, i64 k, i64 per, i64 size, i64 h)
+{
+    const tile_rows half = pair[k / per % 2];
+    const i64 at = k % per * size;
+    return (tile_rows){half.state + at * h, half.scale + at, half.code + at * h};
+}
+
 static void run_rows(const chunk_rows *c)
 {
     const plan_op *ops = c->ops;
     const i64 count = c->count, steps = c->steps, batch = c->batch, b0 = c->b0, nb = c->nb;
-    const i64 tile = (8 + nb - 1) / nb, rows = tile * nb, d = ops[0].n;
-    const i64 last = rows - nb;  /* the first row of a whole tile's last step */
-    i64 grus = 0;
-    for (i64 i = 0; i < count; i++) grus += ops[i].kind == PLAN_GRU;
+    const i64 first = c->first, end = c->end, d = ops[0].n;
+    const i64 tile = c->tile ? c->tile : (8 + nb - 1) / nb, size = tile * nb;
+    const i64 per = (8 + nb - 1) / nb * nb / size;  /* tiles a half of a GRU's states holds */
+    const i64 last = (tile - 1) * nb;  /* the first row of a whole tile's last step */
+    i64 grus = 0, g0 = 0;  /* the plan's GRUs, and those before this run's ops */
+    for (i64 i = 0; i < count; i++) {
+        grus += ops[i].kind == PLAN_GRU;
+        g0 += i < first && ops[i].kind == PLAN_GRU;
+    }
     tile_io io;
-    tile_rows halves[2 * grus];
+    tile_rows halves[2 * grus], fed[2 * grus];
     rows_layout(ops, count, nb, c->arena, &io, halves);
+    if (first) rows_layout(ops, count, nb, c->feed, &(tile_io){0}, fed);
     /* each carry in, where tile 0 reads the step before it */
-    for (i64 i = 0, g = 0; i < count; i++) {
+    for (i64 i = first, g = g0; i < end; i++) {
         if (ops[i].kind != PLAN_GRU) continue;
         const i64 hg = ops[i].n;
-        const tile_rows in = halves[2 * g + 1];
+        const tile_rows in = slot(halves + 2 * g, 2 * per - 1, per, size, hg);
         const float *slab = c->slabs[g++];
         float *state = in.state + last * hg;
         for (i64 b = 0; b < nb; b++)
@@ -1161,15 +1216,22 @@ static void run_rows(const chunk_rows *c)
         const i64 span = steps - t0 < tile ? steps - t0 : tile, frames = span * nb;
         const i8 *q = io.xq;  /* the next op's operand: x's codes, then a layer's */
         const double *s = io.xs;
-        TIC(quantize);
-        for (i64 t = 0, r = 0; t < span; t++)
-            for (i64 b = 0; b < nb; b++, r++)
-                io.xs[r] = bspc_quant_i8(d, c->x[b0 + b] + (t0 + t) * c->stride, io.xq + r * d);
-        TOC(quantize, PH_QUANTIZE);
+        if (first) {  /* the block the first stage made, in the slot it wrote */
+            const tile_rows ready = slot(fed + 2 * (g0 - 1), k, per, size, ops[first].n);
+            count_wait(c->made, (uint32_t)k + 1);
+            q = ready.code;
+            s = ready.scale;
+        } else {
+            TIC(quantize);
+            for (i64 t = 0, r = 0; t < span; t++)
+                for (i64 b = 0; b < nb; b++, r++)
+                    io.xs[r] = bspc_quant_i8(d, c->x[b0 + b] + (t0 + t) * c->stride, io.xq + r * d);
+            TOC(quantize, PH_QUANTIZE);
+        }
         /* the tile's logits: frame (t0 + t, b0 + b) at row t * pitch + b */
         const float *tile_logits = NULL;
         i64 pitch = nb;
-        for (i64 i = 0, g = 0; i < count; i++) {
+        for (i64 i = first, g = g0; i < end; i++) {
             const plan_op *op = ops + i;
             if (op->kind != PLAN_GRU) {
                 /* a whole chunk's logits are its tiles' rows in order */
@@ -1185,7 +1247,8 @@ static void run_rows(const chunk_rows *c)
                 continue;
             }
             const i64 hg = op->n;
-            const tile_rows was = halves[2 * g + (k + 1) % 2], now = halves[2 * g + k % 2];
+            const tile_rows was = slot(halves + 2 * g, k + 2 * per - 1, per, size, hg);
+            const tile_rows now = slot(halves + 2 * g, k, per, size, hg);
             /* the step before the tile: the last of the tile before, or the carry */
             const tile_rows before = {was.state + last * hg, was.scale + last, was.code + last * hg};
             repro_gru_i8_chunk(op, nb, span, before, io.gates, now, io.gh, io.work);
@@ -1201,6 +1264,10 @@ static void run_rows(const chunk_rows *c)
             }
             g++;
         }
+        if (end < count) {
+            count_raise(c->made, (uint32_t)k + 1);
+            continue;
+        }
         if (!c->labels) continue;
         const i64 width = ops[count - 1].kind == PLAN_OUTPUT ? ops[count - 1].rows : ops[count - 1].n;
         for (i64 t = 0; t < span; t++)
@@ -1213,6 +1280,13 @@ static void run_rows(const chunk_rows *c)
 #define SPLIT_NS $SPLIT_NS  /* estimated work from which a chunk runs on two cores */
 #define FRAME_NS_PER_CODE $FRAME_NS_PER_CODE
 #define FRAME_NS_PER_ROW $FRAME_NS_PER_ROW
+#define HELPER_IDLE_NS $HELPER_IDLE_NS  /* a helper parked this long without a chunk exits */
+#define WAVE_BLOCK $WAVE_BLOCK  /* steps a block of a one-row chunk's wavefront */
+/* the most steps of a wavefront: the first GRU's two halves, ceil(8 / 1)
+ * rows each, hold them all */
+#define WAVE_STEPS $WAVE_STEPS
+_Static_assert(WAVE_STEPS <= 2 * 8 && 8 % WAVE_BLOCK == 0, "a wavefront outgrows its ring");
+#define SPIN_NS 1000000  /* a wait spins this long before it sleeps */
 
 /* Estimated ns one frame (a step of one batch row) takes the chunk's ops
  * on one core: per op FRAME_NS_PER_CODE for each of its panel's codes and
@@ -1228,46 +1302,232 @@ API i64 repro_plan_i8_frame_ns(const plan_op *ops, i64 count)
 }
 
 #ifdef __linux__
+#include <errno.h>
+#include <limits.h>
+#include <linux/futex.h>
 #include <pthread.h>
 #include <sched.h>
+#include <signal.h>
+#include <sys/syscall.h>
+#include <time.h>
+#include <unistd.h>
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define SPIN_PAUSE() _mm_pause()
+#else
+#define SPIN_PAUSE() __asm__ __volatile__("" ::: "memory")
+#endif
+
+static i64 now_ns(void)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return (i64)now.tv_sec * 1000000000 + now.tv_nsec;
+}
+
+static int reached(count_t *c, uint32_t want)
+{
+    return (int32_t)(atomic_load(&c->value) - want) >= 0;  /* counts wrap */
+}
+
+/* c's value is `value` from now on: a store that releases what came before
+ * it, and a futex wake only where a waiter sleeps. */
+static void count_raise(count_t *c, uint32_t value)
+{
+    atomic_store(&c->value, value);
+    if (atomic_load(&c->sleepers))
+        syscall(SYS_futex, &c->value, FUTEX_WAKE_PRIVATE, INT_MAX, NULL, NULL, 0);
+}
+
+/* Sleeps on c's futex until it reaches `want`, for at most `limit_ns` (0:
+ * no limit); returns whether it did.  The sleeper count is raised before
+ * the value is read again and count_raise stores before it reads that
+ * count, both sequentially consistent: a raise either is seen here or
+ * sees this sleeper and wakes it. */
+static int count_sleep(count_t *c, uint32_t want, i64 limit_ns)
+{
+    const struct timespec limit = {limit_ns / 1000000000, limit_ns % 1000000000};
+    for (;;) {
+        atomic_fetch_add(&c->sleepers, 1);
+        const uint32_t seen = atomic_load(&c->value);
+        long slept = 0;
+        if ((int32_t)(seen - want) < 0)
+            slept = syscall(SYS_futex, &c->value, FUTEX_WAIT_PRIVATE, seen,
+                            limit_ns ? &limit : NULL, NULL, 0);
+        atomic_fetch_sub(&c->sleepers, 1);
+        if (reached(c, want)) return 1;
+        if (slept && errno == ETIMEDOUT) return 0;
+    }
+}
+
+/* Waits until c reaches `want`: spins for SPIN_NS, yielding the CPU every
+ * few microseconds to any thread waiting for it (a fabric worker's), then
+ * sleeps, so a peer that lost its CPU for long costs this thread none.  A
+ * hand-off within a chunk comes in microseconds, and a vCPU that sleeps
+ * takes 10-200 us to wake. */
+static void count_wait(count_t *c, uint32_t want)
+{
+    const i64 until = now_ns() + SPIN_NS;
+    for (int round = 1; !reached(c, want); round++) {
+        for (int i = 0; i < 32; i++) SPIN_PAUSE();
+        if (round % 8 == 0) sched_yield();
+        if (now_ns() > until) {
+            count_sleep(c, want, 0);
+            return;
+        }
+    }
+}
+
+/* The helper: one thread per process, which runs the second run of a
+ * chunk on two cores — a split chunk's second half, or a wavefront's
+ * second stage.  The first such chunk makes it; between chunks it sleeps
+ * on `posted`, and after HELPER_IDLE_NS without a chunk it exits, so an
+ * idle process is back to one thread.  `busy` is held by the caller whose
+ * chunk it runs, taken with a trylock: a second caller meanwhile runs its
+ * chunk on one core.  `life` orders a post against the helper's exit:
+ * `alive`, `thread` and `cpu` change under it, and a chunk is posted under
+ * it, so the helper exits only where it has seen every chunk posted.  A
+ * forked child has no helper (helper_forget). */
+static struct {
+    pthread_mutex_t busy, life;
+    pthread_t thread;
+    int alive, cpu;
+    chunk_rows *job;
+    count_t posted, finished;
+    _Atomic uint32_t taken;  /* the last chunk the helper or its caller took */
+} helper = {.busy = PTHREAD_MUTEX_INITIALIZER, .life = PTHREAD_MUTEX_INITIALIZER};
+
+/* Whether the caller of chunk `seq` (posted) or the helper takes its
+ * second run: the first to try. */
+static int take(uint32_t seq)
+{
+    uint32_t was = seq - 1;
+    return atomic_compare_exchange_strong(&helper.taken, &was, seq);
+}
 
 static void *helper_main(void *arg)
 {
-    chunk_rows *half = arg;
-    TIC(chunk);
-    run_rows(half);
-    TOC(chunk, PH_CHUNK);
+    uint32_t done = (uint32_t)(uintptr_t)arg;  /* the chunks posted before it was made */
+    for (;;) {
+        if (!count_sleep(&helper.posted, done + 1, HELPER_IDLE_NS)) {
+            pthread_mutex_lock(&helper.life);
+            const int idle = !reached(&helper.posted, done + 1);
+            if (idle) helper.alive = 0;
+            pthread_mutex_unlock(&helper.life);
+            if (idle) return NULL;
+        }
+        done = atomic_load(&helper.posted.value);
+        if (!take(done)) continue;  /* its caller took it back */
+        chunk_rows *job = helper.job;
 #ifdef REPRO_PHASES
-    memcpy(half->ticks, repro_phases, sizeof repro_phases);
+        memset(repro_phases, 0, sizeof repro_phases);
 #endif
-    return NULL;
+        TIC(chunk);
+        run_rows(job);
+        TOC(chunk, PH_CHUNK);
+#ifdef REPRO_PHASES
+        memcpy(job->ticks, repro_phases, sizeof repro_phases);
+#endif
+        count_raise(&helper.finished, done);
+    }
 }
 
-/* Starts the thread that runs `half`, pinned to the next CPU of the
- * process's mask after the one the caller is on, wrapping round (callers on
- * different CPUs pin their helpers to different ones): unpinned, the
- * scheduler may queue it behind its caller.  0: no such CPU, or the thread
- * could not be made. */
-static int start_helper(pthread_t *thread, chunk_rows *half)
+/* In a child forked while the parent had a helper (or while a thread of
+ * the parent held it): the child has only the forking thread, so no
+ * helper, and both locks are free. */
+static void helper_forget(void)
+{
+    pthread_mutex_init(&helper.busy, NULL);
+    pthread_mutex_init(&helper.life, NULL);
+    helper.alive = 0;
+    atomic_store(&helper.posted.value, 0);
+    atomic_store(&helper.posted.sleepers, 0);
+    atomic_store(&helper.finished.value, 0);
+    atomic_store(&helper.finished.sleepers, 0);
+    atomic_store(&helper.taken, 0);
+}
+
+static pthread_once_t helper_once = PTHREAD_ONCE_INIT;
+
+static void helper_at_fork(void)
+{
+    pthread_atfork(NULL, NULL, helper_forget);
+}
+
+/* Whether the helper is there (made, if it was not) and pinned to a CPU
+ * of the caller's mask other than the one the caller is on: the next
+ * after it, wrapping round, so callers on different CPUs (the fabric's
+ * workers) pin theirs to different ones; unpinned, the scheduler may
+ * queue it behind its caller.  A helper the caller has moved onto, or
+ * whose CPU the mask no longer allows, is pinned anew.  Under `life`. */
+static int helper_ready(void)
 {
     cpu_set_t allowed, one;
     if (sched_getaffinity(0, sizeof allowed, &allowed)) return 0;
     const int here = sched_getcpu(), from = here < 0 ? 0 : here;
+    if (helper.alive && helper.cpu != here && CPU_ISSET(helper.cpu, &allowed)) return 1;
     int cpu = -1;
     for (int i = 1; i <= CPU_SETSIZE && cpu < 0; i++) {
         const int next = (from + i) % CPU_SETSIZE;
         if (next != here && CPU_ISSET(next, &allowed)) cpu = next;
     }
     if (cpu < 0) return 0;
-    pthread_attr_t attr;
-    if (pthread_attr_init(&attr)) return 0;
     CPU_ZERO(&one);
     CPU_SET(cpu, &one);
-    const int started = !pthread_attr_setaffinity_np(&attr, sizeof one, &one) &&
-                        !pthread_create(thread, &attr, helper_main, half);
-    pthread_attr_destroy(&attr);
-    return started;
+    if (helper.alive) {
+        if (pthread_setaffinity_np(helper.thread, sizeof one, &one)) return 0;
+    } else {
+        pthread_attr_t attr;
+        if (pthread_attr_init(&attr)) return 0;
+        sigset_t all, was;  /* made with every signal blocked: they go to Python's threads */
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &was);
+        helper.alive = !pthread_attr_setaffinity_np(&attr, sizeof one, &one) &&
+                       !pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED) &&
+                       !pthread_create(&helper.thread, &attr, helper_main,
+                                       (void *)(uintptr_t)atomic_load(&helper.posted.value));
+        pthread_sigmask(SIG_SETMASK, &was, NULL);
+        pthread_attr_destroy(&attr);
+        if (!helper.alive) return 0;
+    }
+    helper.cpu = cpu;
+    return 1;
 }
+
+/* Hands `job` to the helper as chunk *seq: 0 where another caller has
+ * it, the mask allows no other CPU, or it could not be made or pinned —
+ * the chunk then runs on one core.  Else helper_join, after the caller's
+ * own run. */
+static int helper_start(chunk_rows *job, uint32_t *seq)
+{
+    pthread_once(&helper_once, helper_at_fork);
+    if (pthread_mutex_trylock(&helper.busy)) return 0;
+    pthread_mutex_lock(&helper.life);
+    const int ready = helper_ready();
+    if (ready) {
+        helper.job = job;
+        *seq = atomic_load(&helper.posted.value) + 1;
+        count_raise(&helper.posted, *seq);
+    }
+    pthread_mutex_unlock(&helper.life);
+    if (!ready) pthread_mutex_unlock(&helper.busy);
+    return ready;
+}
+
+/* Once the caller's own run is done: returns 1 once the helper has run
+ * chunk `seq`'s job, or 0 where the helper has not taken it yet — the
+ * caller takes it back and runs it itself, so a helper whose CPU the host
+ * has not given it costs the chunk no wait.  Lets the helper go. */
+static int helper_join(uint32_t seq)
+{
+    const int theirs = !take(seq);
+    if (theirs) count_wait(&helper.finished, seq);
+    pthread_mutex_unlock(&helper.busy);
+    return theirs;
+}
+#else
+static void count_raise(count_t *c, uint32_t value) { (void)c, (void)value; }
+static void count_wait(count_t *c, uint32_t want) { (void)c, (void)want; }
 #endif
 
 /* One chunk of a whole plan: T steps of B rows through the ops — per layer
@@ -1280,43 +1540,61 @@ static int start_helper(pthread_t *thread, chunk_rows *half)
  * GRU by GRU, the slabs the states in are read from (NULL: zeros), then
  * the slabs the states out are written to — the same ones, for a carry
  * updated in place, as rows are distinct.  `arena` is
- * repro_plan_i8_arena(ops, count, B) bytes.  B > 0, T > 0.  A chunk of
- * B >= 2 rows whose estimated work
- * (repro_plan_i8_frame_ns x T x B) reaches SPLIT_NS runs on two cores:
- * rows [0, ceil(B / 2)) here, the others on a helper thread (start_helper)
- * with an arena half of its own, joined before the call returns; with one
- * CPU allowed, where the thread cannot be made, and off Linux the chunk
- * runs here whole.  The bytes are the same either way.  Returns how many
- * threads ran it. */
+ * repro_plan_i8_arena(ops, count, B) bytes.  B > 0, T > 0.  A chunk whose
+ * estimated work (repro_plan_i8_frame_ns x T x B) reaches SPLIT_NS runs on
+ * two cores, its second run handed to the helper (helper_start), with an
+ * arena layout of its own, and joined before the call returns: at B >= 2
+ * rows [0, ceil(B / 2)) here and the others there; at B = 1, for a plan of
+ * two or more layers and more than one block (WAVE_BLOCK) but at most
+ * WAVE_STEPS steps, as a wavefront — the first layer here, block by block,
+ * and the rest there, a block behind.  A second run the helper has not taken by the time this one is
+ * done is taken back and run here.  With one CPU allowed, where the helper
+ * is busy or cannot be made, and off Linux the chunk runs here whole.  The
+ * bytes are the same either way.  Returns how many threads the chunk was
+ * laid out for: 2 where its second run was handed to the helper, else 1. */
 API i64 repro_plan_i8_chunk(
     const plan_op *ops, i64 count, i64 steps, i64 batch, const double *const *x, i64 stride,
     const i64 *rows, float *const *slabs, float *logits, i64 *labels, char *arena)
 {
     TIC(chunk);
+    /* one row runs in the arena's second layout, the wavefront's helper in
+     * its first: the scratch of a run on one core still ends the arena */
+    char *own = batch == 1 ? arena + second_half(ops, count, 1) : arena;
     chunk_rows mine = {ops, count, steps, batch, 0, batch, stride, x, rows, slabs, logits,
-                       labels, arena, {0}};
+                       labels, own, 0, count, 0, NULL, NULL, {0}};
     i64 threads = 1;
 #ifdef __linux__
-    pthread_t thread;
     chunk_rows theirs = mine;
-    if (batch > 1 && steps * batch * repro_plan_i8_frame_ns(ops, count) >= SPLIT_NS) {
-        theirs.b0 = mine.nb = (batch + 1) / 2;
-        theirs.nb = batch - mine.nb;
-        theirs.arena = arena + second_half(ops, count, batch);
-        if (start_helper(&thread, &theirs))
+    count_t made = {0};
+    uint32_t seq = 0;
+    if (steps * batch * repro_plan_i8_frame_ns(ops, count) >= SPLIT_NS &&
+        (batch > 1 || (count >= 4 && steps > WAVE_BLOCK && steps <= WAVE_STEPS))) {
+        if (batch > 1) {
+            theirs.arena = arena + second_half(ops, count, batch);
+            theirs.b0 = (batch + 1) / 2;
+            theirs.nb = batch - theirs.b0;
+        } else {  /* here ops [0, 2), the first projection and GRU */
+            theirs.arena = arena;
+            theirs.first = 2;
+            theirs.tile = WAVE_BLOCK;
+            theirs.made = &made;
+            theirs.feed = own;
+        }
+        if (helper_start(&theirs, &seq)) {
+            mine.nb -= theirs.nb * (batch > 1);
+            mine.end = theirs.first ? theirs.first : count;
+            mine.tile = theirs.tile;
+            mine.made = theirs.made;
             threads = 2;
-        else
-            mine.nb = batch;
+        }
     }
 #endif
     run_rows(&mine);
 #ifdef __linux__
-    if (threads == 2) {
-        pthread_join(thread, NULL);
+    if (threads == 2 && !helper_join(seq)) run_rows(&theirs);
 #ifdef REPRO_PHASES
-        for (int i = 0; i < PH_COUNT; i++) repro_phases[i] += theirs.ticks[i];
+    for (int i = 0; i < PH_COUNT; i++) repro_phases[i] += theirs.ticks[i];
 #endif
-    }
 #endif
     TOC(chunk, PH_CHUNK);
     return threads;
@@ -1352,6 +1630,9 @@ _C_SOURCE = (
     .replace("$SPLIT_NS", str(SPLIT_NS))
     .replace("$FRAME_NS_PER_CODE", repr(FRAME_NS_PER_CODE))
     .replace("$FRAME_NS_PER_ROW", repr(FRAME_NS_PER_ROW))
+    .replace("$HELPER_IDLE_NS", str(HELPER_IDLE_NS))
+    .replace("$WAVE_BLOCK", str(WAVE_BLOCK))
+    .replace("$WAVE_STEPS", str(WAVE_STEPS))
 )
 
 
@@ -1651,8 +1932,8 @@ def _aligned(size: int) -> np.ndarray:
 #: product scratch of the registry kernels, and ``arena``, a program
 #: chunk's (:meth:`PlanProgram.run`).  ctypes calls release the GIL, so two
 #: threads can be inside a kernel at once, each on its own buffers; a chunk
-#: that runs on two cores is still one call, both halves in that thread's
-#: arena.  Fresh `np.empty` calls above numpy's mmap threshold page-fault
+#: that runs on two cores is still one call, both its runs in that
+#: thread's arena.  Fresh `np.empty` calls above numpy's mmap threshold page-fault
 #: on every touch, which costs more than the kernels themselves at bench
 #: sizes.
 _SCRATCH = threading.local()
@@ -1932,8 +2213,9 @@ class PlanProgram:
         """Bytes of arena ``repro_plan_i8_chunk`` takes for a chunk of
         ``batch`` rows a step — the C lays it out, and says how much
         (``repro_plan_i8_arena``): the tiles' buffers and product scratch,
-        for the whole batch and for the two halves of a chunk it splits
-        across two cores.  Not a function of ``T``."""
+        for the whole batch and for a chunk's two runs on two cores side by
+        side (a split's halves, a one-row wavefront's stages).  Not a
+        function of ``T``."""
         size = self._arena_sizes.get(batch)
         if size is None:
             size = self._lib.repro_plan_i8_arena(self._ops, len(self._ops), batch)
@@ -1957,8 +2239,9 @@ class PlanProgram:
         each unless it is ``None``.  The chunk runs in tiles of
         ``ceil(8 / B)`` steps, every op of a tile before the next, and each
         hidden state is quantized once, where it is made; a chunk with
-        enough work runs its rows in two halves, the second on a helper
-        thread the call makes and joins.  The arena (:meth:`arena_size`)
+        enough work runs on two cores, its rows in two halves or, one row,
+        its layers as a wavefront, the second run on the process's helper
+        thread, joined before the call returns.  The arena (:meth:`arena_size`)
         is the calling thread's (``_SCRATCH.arena``) and grows only with
         ``B``, never with ``T``."""
         batch = len(rows)

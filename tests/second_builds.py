@@ -279,7 +279,7 @@ def test_scratch_sized_for_the_last_op_writes_past_the_arena(tmp_path, monkeypat
     with kernels.use_backend(None):
         plan = bsp_int8_plan()
         plan.run_chunk(new_rng(1).standard_normal((8, 1, 8)))
-        assert scratch_bytes(plan.program, 1) < neediest_scratch(plan)
+        assert scratch_bytes(plan.program) < neediest_scratch(plan)
     assert any((raw[size:] != 0xA5).any() for raw, size in fresh)
 
 

@@ -14,11 +14,12 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import engine, kernels
@@ -33,7 +34,7 @@ from repro.utils.supervise import Child
 from test_int8_routing import bsp_int8_plan, bsp_matrix, requires_compiler, run_chunk
 
 
-def bare_rnn_plan(hidden=(24, 24)):
+def bare_rnn_plan(hidden=(24, 24), col_rate=4):
     """BSP-pruned GRU layers of these widths and no output layer: logits
     are states."""
     rng, widths = new_rng(5), (8, *hidden)
@@ -42,7 +43,7 @@ def bare_rnn_plan(hidden=(24, 24)):
         for i, h in enumerate(hidden) for side in ("ih", "hh")
     }
     masks = bsp_project_masks(
-        weights, BSPConfig(col_rate=4, row_rate=2, num_row_strips=4, num_col_blocks=4)
+        weights, BSPConfig(col_rate=col_rate, row_rate=2, num_row_strips=4, num_col_blocks=4)
     )
     pruned = {name: masks[name].apply_to_array(w) for name, w in weights.items()}
     config = engine.EngineConfig(sparse_format="bspc", num_row_strips=4, num_col_blocks=4)
@@ -66,14 +67,39 @@ def plans():
     return make_plans()
 
 
-@pytest.fixture(scope="module")
-def wide_plan():
+def make_wide_plan():
     """Operands 5 and 100 wide, neither a multiple of 64, the 100-wide one
     gathered from one short 128-byte block; the neediest product, the dense
     5-column projection, stores its gathered codes up to the end of its
     scratch."""
     with kernels.use_backend(None):
         return bsp_int8_plan(hidden=100, sparse_format="auto", input_dim=5)
+
+
+@pytest.fixture(scope="module")
+def wide_plan():
+    return make_wide_plan()
+
+
+def make_wave_plans():
+    """The five plan shapes wide enough for a one-row wavefront: H=512 (a
+    narrowing 512 → 384, and a 500-wide one on a 5-wide input), pruned 2x
+    by rows alone, so that a chunk of 6 to 8 steps has the estimated work
+    of a two-core chunk and still fits the wavefront's ring
+    (``compiled.WAVE_STEPS``)."""
+    with kernels.use_backend(None):
+        return {
+            "bspc": bsp_int8_plan(hidden=512, col_rate=1),
+            "auto": bsp_int8_plan(hidden=512, col_rate=1, sparse_format="auto"),
+            "bare": bare_rnn_plan((512, 512), col_rate=1),
+            "narrowing": bare_rnn_plan((512, 384), col_rate=1),
+            "wide": bsp_int8_plan(hidden=500, col_rate=1, sparse_format="auto", input_dim=5),
+        }
+
+
+@pytest.fixture(scope="module")
+def wave_plans():
+    return make_wave_plans()
 
 
 def stream(plan, chunks, state, lowered=True):
@@ -171,15 +197,21 @@ def split_steps(plan, batch):
     return -(-compiled.SPLIT_NS // (frame_ns * batch))
 
 
-@pytest.fixture()
-def chunk_threads(monkeypatch):
-    """How many threads ran each program chunk while the test runs."""
+@contextmanager
+def counted_threads():
+    """How many threads each program chunk was run on inside the block."""
     lib, seen = compiled._library(), []
     entry = lib.repro_plan_i8_chunk
-    monkeypatch.setattr(
-        lib, "repro_plan_i8_chunk", lambda *args: seen.append(entry(*args)) or seen[-1]
-    )
-    return seen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lib, "repro_plan_i8_chunk", lambda *args: seen.append(entry(*args)) or seen[-1])
+        yield seen
+
+
+@pytest.fixture()
+def chunk_threads():
+    """How many threads each program chunk was run on while the test runs."""
+    with counted_threads() as seen:
+        yield seen
 
 
 def guard_arenas(monkeypatch, guard=4096):
@@ -197,22 +229,26 @@ def guard_arenas(monkeypatch, guard=4096):
     return fresh
 
 
-def scratch_bytes(program, batch):
-    """Bytes of the product's scratch, the last piece of the arena the C
-    lays out for ``batch`` rows: the arena's size less the pieces before
-    it, laid out here as ``rows_layout`` does — per tile of ``R`` rows the
-    gate rows, gh, x's scales and codes and the staged logits, then per GRU
-    two halves of scales, states and codes — each on a cache line."""
-    ops, line = list(program._ops), 64
-    rows = -(-8 // batch) * batch
+def scratch_bytes(program):
+    """Bytes of the product's scratch, the last piece of each of the two
+    one-row layouts the C lays side by side in a one-row arena (the
+    wavefront helper's, then the one a row runs in on the caller, on the
+    cache line after the first's): the arena's size is ``2 W + pad``, each
+    layout ``W`` bytes — per tile of ``R`` rows the gate rows, gh, x's
+    scales and codes and the staged logits, then per GRU two halves of
+    scales, states and codes, each on a cache line, then the scratch — and
+    ``pad`` rounds the first up to a line."""
+    ops, line, rows = list(program._ops), 64, 8
     grus = [op.n for op in ops if op.kind == compiled.PLAN_GRU]
     width = ops[-1].rows if ops[-1].kind == compiled.PLAN_OUTPUT else 0
-    pieces = [rows * 3 * max(grus) * 4, batch * 3 * max(grus) * 4, rows * 8, rows * ops[0].n]
+    pieces = [rows * 3 * max(grus) * 4, 3 * max(grus) * 4, rows * 8, rows * ops[0].n]
     pieces += [rows * width * 4] + [size for n in grus for _ in range(2) for size in (rows * 8, rows * n * 4, rows * n)]
     end = 0
     for size in pieces:
         end = -(-end // line) * line + size
-    return program.arena_size(batch) - -(-end // line) * line
+    total = program.arena_size(1)
+    (layout,) = [w for w in range(total // 2 - line, total // 2 + 1) if -(-w // line) * line + w == total]
+    return layout - -(-end // line) * line
 
 
 def neediest_scratch(plan):
@@ -311,21 +347,26 @@ class TestOneCall:
         "steps, batch",
         [(t, b) for t in (1, 7, 25) for b in (1, 3, 8)]
         # split across two cores: one-row halves, an odd B, both halves > 8
-        + [("split", 2), ("split", 3), ("split", 5), ("split", 40)],
+        + [("split", 2), ("split", 3), ("split", 5), ("split", 40)]
+        # a one-row wavefront, its ring full
+        + [(compiled.WAVE_STEPS, "wave")],
     )
     def test_a_chunk_writes_nothing_past_the_arena_the_c_asks_for(
-        self, plans, wide_plan, monkeypatch, chunk_threads, batch, steps
+        self, plans, wide_plan, wave_plans, monkeypatch, chunk_threads, batch, steps
     ):
         # The C lays the arena out and says how many bytes it takes
         # (repro_plan_i8_arena): the tiles' buffers and, last, a product's
         # work scratch at 8 rows (lane sums, then the gathered codes, which
-        # the gather stores ld bytes a row of), for the whole batch and for
-        # each half of a split chunk.  An arena of exactly that size,
-        # followed by guard bytes, keeps its guard through chunks of every
-        # tile shape, and the program takes no other scratch.
+        # the gather stores ld bytes a row of), for the whole batch, for
+        # each half of a split chunk and for each stage of a wavefront.  An
+        # arena of exactly that size, followed by guard bytes, keeps its
+        # guard through chunks of every tile shape, and the program takes no
+        # other scratch.
         fresh = guard_arenas(monkeypatch)
+        two = batch == "wave" or steps == "split"
+        batch = 1 if batch == "wave" else batch
         with kernels.use_backend(None):
-            for plan in (*plans.values(), wide_plan):
+            for plan in wave_plans.values() if two and batch == 1 else (*plans.values(), wide_plan):
                 t = split_steps(plan, batch) if steps == "split" else steps
                 x = new_rng(batch + t).standard_normal((t, batch, plan.input_dim))
                 monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # taken afresh
@@ -338,7 +379,7 @@ class TestOneCall:
                 sizes = {raw.ctypes.data: size for raw, size in fresh}
                 assert sizes[compiled._SCRATCH.arena[1]] == plan.program.arena_size(batch)
                 assert not hasattr(compiled._SCRATCH, "work")
-                if steps == "split":
+                if two:
                     assert chunk_threads[-2:] == [cores()] * 2
         assert all((raw[size:] == 0xA5).all() for raw, size in fresh)
 
@@ -376,7 +417,7 @@ class TestOneCall:
 
         # the arena's scratch holds what the neediest product takes at 8
         # rows, exactly
-        assert scratch_bytes(plan.program, 1) == neediest_scratch(plan)
+        assert scratch_bytes(plan.program) == neediest_scratch(plan)
 
 
 def split_bytes(plan, batch, steps, seed):
@@ -396,11 +437,53 @@ def split_bytes(plan, batch, steps, seed):
 SPLITS = [(2, -1), (2, 0), (2, 1), (3, 0), (13, 0), (40, 1)]
 
 
+def served(plan, x, carry, row, lowered=True):
+    """``plan._serve`` of one ``(T, D)`` chunk whose carries sit in row
+    ``row`` of slabs of four rows, the others NaN: the labels, then each
+    slab, as bytes.  The labels are the argmax of ``run_chunk``'s logits,
+    and the row its carries."""
+    capacity = 4
+    slabs = []
+    for layer, state in zip(plan.layers, carry):
+        slab = np.full((capacity, layer.hidden_size), np.nan, np.float32)
+        slab[row] = state
+        slabs.append(slab)
+    program = plan.program
+    if not lowered:
+        plan.program = None
+    try:
+        labels = plan._serve([x], slabs, [row])
+    finally:
+        plan.program = program
+    logits, state = plan.run_chunk(x[:, None], engine.PlanState([c[None] for c in carry]))
+    assert labels.tobytes() == logits.argmax(axis=2).tobytes()
+    for slab, out in zip(slabs, state.layer_states):
+        assert slab[row].tobytes() == out[0].tobytes()
+        assert np.isnan(np.delete(slab, row, axis=0)).all()  # the free rows
+    return [labels.tobytes()] + [slab.tobytes() for slab in slabs]
+
+
+@st.composite
+def wavefronts(draw):
+    # a one-row chunk of 1 to WAVE_STEPS + 1 steps: below the work of a
+    # two-core chunk, a wavefront of two or more blocks (an odd T ends on a
+    # short one), and one step past what the ring holds
+    return (
+        draw(st.sampled_from(["bspc", "auto", "bare", "narrowing", "wide"])),
+        draw(st.integers(1, compiled.WAVE_STEPS + 1)),
+        draw(st.booleans()),  # a carried state, or zeros
+        draw(st.sampled_from(["run", "serve"])),
+        draw(st.integers(0, 2**16)),
+    )
+
+
 @requires_compiler
 class TestTwoCores:
-    """A chunk with the work of a split runs its rows in two halves, the
-    second on a helper thread the call makes, pins and joins: the same
-    bytes as one core, the generic loop and ``reference``."""
+    """A chunk with the work of a split runs on two cores — its rows in two
+    halves at B >= 2, its layers as a wavefront at B = 1 — the second run
+    on the process's one helper thread, pinned to another CPU and joined
+    before the call returns: the same bytes as one core, the generic loop
+    and ``reference``."""
 
     @pytest.mark.parametrize("name", ["bspc", "auto", "bare", "narrowing", "wide"])
     def test_split_chunks_are_the_bytes_of_the_generic_loop_and_reference(
@@ -423,9 +506,55 @@ class TestTwoCores:
                 with kernels.use_backend("reference"):
                     assert got == stream(plan, [x], carried)
 
-    def test_a_split_chunk_is_one_call_and_no_os_thread_outlives_it(
-        self, plans, c_calls, chunk_threads
+    @settings(max_examples=10, deadline=20000)
+    @given(case=wavefronts())
+    # the enumerated one-row cases: a step short of a two-core chunk (6 to
+    # 8 steps here), at it and past it, the ring full, a step past it
+    @example(case=("bspc", 5, True, "run", 0))
+    @example(case=("bspc", 6, False, "run", 1))
+    @example(case=("auto", 7, True, "serve", 2))
+    @example(case=("bare", 16, True, "serve", 3))
+    @example(case=("narrowing", 9, False, "run", 4))
+    @example(case=("wide", 17, True, "run", 5))
+    @example(case=("wide", 1, False, "serve", 6))
+    def test_one_row_wavefronts_are_the_bytes_of_the_generic_loop_and_reference(
+        self, wave_plans, case
     ):
+        # the layers of a one-row chunk run as a wavefront, a block behind
+        # each other: logits, carries and labels are the generic loop's and
+        # reference's, and a serving call writes its own slab row, out of
+        # order, and no other
+        name, steps, carried, route, seed = case
+        plan, row = wave_plans[name], seed % 4
+        with kernels.use_backend(None), counted_threads() as threads:
+            two = split_steps(plan, 1) <= steps <= compiled.WAVE_STEPS
+            rng = new_rng(seed)
+            x = rng.standard_normal((steps, plan.input_dim))
+            carry = [
+                (rng.standard_normal(layer.hidden_size) if carried else np.zeros(layer.hidden_size))
+                .astype(np.float32)
+                for layer in plan.layers
+            ]
+            if route == "run":
+                state = engine.PlanState([c[None] for c in carry])
+                got = stream(plan, [x[:, None]], state)
+                assert got == stream(plan, [x[:, None]], state, lowered=False)
+            else:
+                got = served(plan, x, carry, row)
+                assert got == served(plan, x, carry, row, lowered=False)
+            assert set(threads) == {cores() if two else 1}
+        with kernels.use_backend("reference"):
+            if route == "run":
+                assert got == stream(plan, [x[:, None]], state)
+            else:
+                assert got == served(plan, x, carry, row)
+
+    def test_one_resident_helper_runs_every_two_core_chunk_and_exits_when_idle(
+        self, plans, wave_plans, c_calls, chunk_threads
+    ):
+        # one C call a chunk, and at most one OS thread besides the caller's
+        # while two-core chunks keep coming: the helper the first one made.
+        # Once chunks stop it exits, within the idle period and a margin.
         status = "/proc/self/status"
         if not os.path.exists(status):
             pytest.skip("no /proc: OS threads cannot be counted here")
@@ -434,17 +563,29 @@ class TestTwoCores:
             with open(status) as lines:
                 return next(int(line.split()[1]) for line in lines if line.startswith("Threads:"))
 
-        before = threads()
+        def settled(count):
+            deadline = time.monotonic() + compiled.HELPER_IDLE_NS / 1e9 + 10
+            while threads() != count and time.monotonic() < deadline:
+                time.sleep(0.02)
+            return threads()
+
         with kernels.use_backend(None):
-            for plan in plans.values():
-                for batch in (2, 17, 40):
-                    x = np.ones((split_steps(plan, batch), batch, 8))
-                    plan.program.arena_size(batch)  # asked once per B
-                    del c_calls[:], chunk_threads[:]
-                    plan.run_chunk(x)
-                    assert c_calls == ["repro_plan_i8_chunk"]
-                    assert chunk_threads == [cores()]
-                    assert threads() == before
+            chunks = [  # wavefronts, then splits
+                (plan, compiled.WAVE_STEPS, 1) for plan in wave_plans.values()
+            ] + [(plan, None, batch) for plan in plans.values() for batch in (2, 17, 40)]
+            plan, steps, batch = chunks[0]
+            plan.run_chunk(np.ones((steps, batch, plan.input_dim)))  # the helper is there now
+            alone = threads() - (cores() - 1)
+            for plan, steps, batch in chunks:
+                x = np.ones((steps or split_steps(plan, batch), batch, plan.input_dim))
+                plan.run_chunk(x[:0])  # bound here, so lowered now
+                plan.program.arena_size(batch)  # asked once per B
+                del c_calls[:], chunk_threads[:]
+                plan.run_chunk(x)
+                assert c_calls == ["repro_plan_i8_chunk"]
+                assert chunk_threads == [cores()]
+                assert threads() == alone + cores() - 1
+        assert settled(alone) == alone
 
     @pytest.mark.parametrize("name", ["bspc", "narrowing"])
     def test_a_batch_writes_its_own_slab_rows_and_no_other(self, plans, chunk_threads, name):
@@ -538,25 +679,30 @@ class TestTwoCores:
         with kernels.use_backend(None):
             assert got == split_bytes(plan, 5, split_steps(plan, 5), 2)
 
-    def test_a_child_forked_after_split_chunks_splits_its_own(self, plans, chunk_threads):
-        plan = plans["auto"]
+    def test_a_child_forked_beside_a_live_helper_runs_two_core_chunks_of_its_own(
+        self, plans, wave_plans, chunk_threads
+    ):
+        # the parent's helper is alive (it ran the chunks just now) when the
+        # child is forked; the child has no helper of its own until its first
+        # two-core chunk makes one: a one-row wavefront and a split batch
+        cases = [(wave_plans["auto"], 1, compiled.WAVE_STEPS), (plans["auto"], 8, None)]
         with kernels.use_backend(None):
-            want = split_bytes(plan, 8, split_steps(plan, 8), 3)
-            assert chunk_threads[0] == cores()
-            child = Child(0, 0, _forked_split, (plan,))
+            want = [split_bytes(plan, batch, steps or split_steps(plan, batch), 3) for plan, batch, steps in cases]
+            assert chunk_threads[::2] == [cores()] * 2
+            child = Child(0, 0, _forked_two_cores, (cases,))
             try:
-                assert child.recv(time.monotonic() + 120) == (want, cores())
+                assert child.recv(time.monotonic() + 120) == (want, [cores()] * 2)
             finally:
                 child.close()
 
 
-def _forked_split(conn, index, fault, plan):
+def _forked_two_cores(conn, index, fault, cases):
     lib = compiled._library()
     entry, threads = lib.repro_plan_i8_chunk, []
     lib.repro_plan_i8_chunk = lambda *args: threads.append(entry(*args)) or threads[-1]
     with kernels.use_backend(None):
-        got = split_bytes(plan, 8, split_steps(plan, 8), 3)
-    conn.send((got, threads[0]))
+        got = [split_bytes(plan, batch, steps or split_steps(plan, batch), 3) for plan, batch, steps in cases]
+    conn.send((got, threads[::2]))
 
 
 @requires_compiler
