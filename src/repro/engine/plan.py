@@ -18,17 +18,17 @@ batches on raw ndarrays: no ``Tensor`` tape, no per-layer ``Module``
 dispatch, work buffers reused across calls; its ``graph`` attribute
 retains the lowered IR for artifact serialization
 (:mod:`repro.engine.artifact`) and a tuned ``backend`` pins the kernel
-registry backend its kernels dispatch to.
+registry backend its generic loop dispatches to.
 
 Numerics by scheme (there are two):
 
 * ``scheme=None`` (packing only) — float64 throughout, and **bit-exact**
   with the eval-mode ``model.forward`` fused-kernel path: the plan
   replays the same numpy ops in the same order.
-* ``scheme="int8"`` — every product, projection or recurrence, runs
-  through the registry's ``linear_int8_rowwise`` (dense) or
-  ``bspc_spmm_int8`` (sparse, whatever its pattern: int8 packs no CSR)
-  kernel: integer accumulation, one activation scale *per frame* — per
+* ``scheme="int8"`` — every product, projection or recurrence, is the
+  registry's ``linear_int8_rowwise`` (dense) or ``bspc_spmm_int8``
+  (sparse, whatever its pattern: int8 packs no CSR): integer
+  accumulation, one activation scale *per frame* — per
   batch row of a hidden state — and one dequant, to float32
   (:func:`~repro.kernels.quantized.dequantize`).  Everything from the
   int32 sums to the next quantize is float32 — gate rows, biases, gates,
@@ -37,9 +37,10 @@ Numerics by scheme (there are two):
   and a streaming session decodes the float32 logits.  Per-frame scales plus
   order-exact integer accumulation make int8 plans **bitwise
   chunk-exact**: a frame's logits do not depend on which other frames
-  shared the call.  Where the backend in force runs ``bspc_spmm_int8`` on
-  the compiled C, every int8 plan is lowered once more, to
-  ``ModelPlan.program``: one C call a chunk, in place of the generic
+  shared the call.  Wherever the compiled C library is available
+  (:func:`repro.kernels.compiled.available`) and no backend is in force
+  (chosen, or the plan's tuned one), every int8 plan is lowered once more,
+  to ``ModelPlan.program``: one C call a chunk, in place of the generic
   per-layer loop (the same bytes).
 
 Lowering reads the graph's scheme; each
@@ -164,9 +165,7 @@ class _PackedWeight:
       operands the fused kernels use (bit-exact);
     * dense int8 weights, projections and recurrences alike, run the
       registry's ``linear_int8_rowwise`` (one scale per row: per frame,
-      or per batch row of a state) — where that is the compiled kernel,
-      on a one-strip panel packed here once (``panel``) and straight into
-      a workspace buffer;
+      or per batch row of a state);
     * CSR/BSPC weights run the registry's ``*_spmm`` / ``bspc_spmm_int8``
       on the transpose *view* of the row-major activations, and hand back
       the transpose view of the kernel's result (see the activation
@@ -175,7 +174,8 @@ class _PackedWeight:
     Every int8 kernel returns float32, as an int8 slot's ``out_dtype``
     is.  ``state_dtype`` marks a recurrent slot and names the dtype of the
     state it multiplies.  :meth:`bind` resolves the registry kernel and
-    leaves it inspectable as ``kernel``.
+    leaves it inspectable as ``kernel``.  That is the generic loop's way;
+    the program reads a dense int8 slot as :meth:`dense_panel`.
     """
 
     def __init__(
@@ -204,17 +204,11 @@ class _PackedWeight:
 
     def bind(self, backend: Optional[str]) -> None:
         """Resolve ``apply`` under ``backend`` (``None``: the registry's
-        per-op default routing), so running a step does no dispatch."""
+        default), so running a step does no dispatch."""
         if self.op == "blas_matmul":
             self.kernel, self.apply = np.matmul, self._matmul
             return
         kernel = self.kernel = kernels.registry.get(self.op, backend)
-        if kernel is _compiled.linear_int8_rowwise:
-            panel = self.dense_panel()
-            self.apply = lambda x2d, ws, key: _compiled.panel_linear_int8(
-                panel, x2d, None, ws.take(key, (len(x2d), panel.shape[0]), np.float32)
-            )
-            return
         if self.matrix is None:
             codes_f, scale = self.codes_f, self.scale
             self.apply = lambda x2d, ws, key: kernel(codes_f, scale, x2d)
@@ -225,7 +219,7 @@ class _PackedWeight:
         self.apply = lambda x2d, ws, key: kernel(matrix, x2d.T).T
 
     def dense_panel(self):
-        """This dense int8 slot as the compiled kernels read it, packed once."""
+        """This dense int8 slot as the program reads it, packed once."""
         if self.panel is None:
             self.panel = _compiled.dense_int8_panel(self.codes, self.scale)
         return self.panel
@@ -465,20 +459,21 @@ class ModelPlan:
         """Bind every weight's kernel for the backend in force: this
         plan's tuned ``backend``, else an explicitly chosen registry
         backend (``use_backend`` / ``set_default_backend`` /
-        ``REPRO_KERNEL_BACKEND``), else the registry's per-op routing.
+        ``REPRO_KERNEL_BACKEND``), else none (numpy's kernels).
 
         Runs at lowering; every later entry re-resolves only if that
         choice has changed since (a handful of dictionary lookups), and
-        lowers :attr:`program` again from what it bound.
+        lowers :attr:`program` again.
 
-        A plan tuned on another host may name a backend this process
-        could not register (an artifact tuned for ``"compiled"`` loaded
-        where no C compiler exists).  Backends are bit-compatible (int8)
-        or tolerance-compatible (float) by the equivalence suite, so
-        that is a performance regression, not a correctness problem:
-        warn once and run on the session default instead of crashing.
+        An artifact tuned for ``"compiled"`` — the registry backend the
+        program replaced — is a plan tuned for no backend: it lowers to
+        the program.  Any other name this process does not have (a
+        backend of another build) is a performance regression, not a
+        correctness problem — backends are bit-compatible (int8) or
+        tolerance-compatible (float) by the equivalence suite: warn once
+        and run on the session default instead of crashing.
         """
-        backend = self.backend or None
+        backend = self.backend if self.backend != "compiled" else None
         if backend is not None and backend not in kernels.backends():
             if not self._warned_missing_backend:
                 self._warned_missing_backend = True
@@ -502,13 +497,12 @@ class ModelPlan:
 
     def _lower_program(self) -> Optional[_compiled.PlanProgram]:
         """The whole plan as one compiled call per chunk (``docs/engine.md``):
-        every int8 plan, where the backend in force runs ``bspc_spmm_int8``
-        on the compiled C — each weight a BSPC matrix or a dense one-strip
-        panel.  ``None`` for a float plan or another backend (``numpy``,
-        ``reference``, no compiler), and the generic loop runs it."""
-        if self.scheme != "int8" or kernels.registry.get(
-            "bspc_spmm_int8", self._bound_backend
-        ) is not _compiled.bspc_spmm_int8:
+        every int8 plan, where no backend is in force and the C library is
+        available (the first lowering builds or loads it) — each weight a
+        BSPC matrix or a dense one-strip panel.  ``None`` for a float plan,
+        an explicit ``numpy`` or ``reference`` backend, or no compiler, and
+        the generic loop runs it."""
+        if self.scheme != "int8" or self._bound_backend or not _compiled.available():
             return None
         slots = []
         for layer in self.layers:

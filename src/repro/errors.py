@@ -41,12 +41,12 @@ class KernelError(ReproError, RuntimeError):
 
 
 class CompileBackendError(KernelError):
-    """The compiled C kernel backend could not be built or loaded.
+    """The compiled C kernel library could not be built or loaded.
 
     Raised (and recorded once) when no C compiler is available, the build
     fails, or the built library does not pass the load-time sanity probe.
-    The backend is then simply absent from ``kernels.backends()`` and
-    everything keeps running on the numpy backend.
+    No int8 plan then lowers to the compiled program: each runs the
+    engine's generic loop on the numpy backend.
     """
 
 

@@ -274,9 +274,10 @@ def _add_kernel_backend_arg(parser: argparse.ArgumentParser, top_level: bool) ->
     parser.add_argument(
         "--kernel-backend",
         default=None if top_level else argparse.SUPPRESS,
-        help="execution backend for all kernel dispatches, one of: "
-        f"{', '.join(kernels.registry.backends())} "
-        f"(default: {kernels.get_default_backend()})",
+        help="kernel backend of the generic loop, one of: "
+        f"{', '.join(kernels.registry.backends())}; choosing one keeps int8 "
+        "plans off the compiled program (default: none chosen — numpy, and "
+        "the program for int8 plans where a C compiler exists)",
     )
 
 
@@ -392,8 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of quantization schemes to search "
                     "(none,int8); schemes change numerics")
     pt.add_argument("--backends", default=None,
-                    help="comma list of kernel backends to search "
-                    "(default: registry default only)")
+                    help="comma list of generic-loop kernel backends to "
+                    "search (numpy, reference; default: none chosen — the "
+                    "compiled program for int8 plans where a C compiler "
+                    "exists)")
     pt.add_argument("--repeats", type=int, default=3)
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--save", type=Path,

@@ -15,13 +15,16 @@ Backend selection::
     with kernels.use_backend("reference"): ...   # lexical
     kernels.spmv(matrix, x, backend="numpy")     # per call
 
-With none of these (and no ``REPRO_KERNEL_BACKEND``), each op dispatches
-to the backend recorded as winning it: the compiled C kernels for the
-sparse int8 ops where a compiler exists (and for ``linear_int8_rowwise``
-where it builds their rows-in-lanes kernel), numpy + BLAS for the rest.
-Int8 has one sparse format, BSPC: there is no int8 CSR op
-(``spmv_int8`` of a ``CSRMatrix`` is a :class:`~repro.errors.KernelError`),
-and an int8 engine plan packs every sparse weight as BSPC panels.
+With none of these (and no ``REPRO_KERNEL_BACKEND``), every op dispatches
+to numpy + BLAS.  The backends are ``numpy`` and ``reference``; the
+compiled C (:mod:`repro.kernels.compiled`) is not one of them: an int8
+engine plan lowers to it, one program per chunk, wherever a compiler exists
+and no backend was chosen, and the choice of a backend is the choice of
+the generic loop's (``docs/engine.md``).  Importing this package builds and
+loads nothing; the first int8 lowering does.  Int8 has one sparse format,
+BSPC: there is no int8 CSR op (``spmv_int8`` of a ``CSRMatrix`` is a
+:class:`~repro.errors.KernelError`), and an int8 engine plan packs every
+sparse weight as BSPC panels.
 
 See ``docs/kernels.md`` for the plan/registry design and how to add a
 backend.
@@ -36,7 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigError, KernelError
 from repro.kernels import numpy_backend, quantized, reference  # noqa: F401  (register backends)
-from repro.kernels import compiled  # noqa: F401  (registers conditionally below)
+from repro.kernels import compiled  # noqa: F401  (registers nothing; builds nothing yet)
 from repro.kernels.plans import (
     BSPCPlan,
     CSRPlan,
@@ -87,7 +90,8 @@ __all__ = [
 
 def backends() -> Tuple[str, ...]:
     """The registered backend names (what a tuned plan's ``backend``
-    attribute or the CLI ``--kernel-backend`` flag may name)."""
+    attribute or the CLI ``--kernel-backend`` flag may name): the generic
+    loop's, ``("numpy", "reference")``."""
     return tuple(registry.backends())
 
 
@@ -136,9 +140,9 @@ def linear_int8_rowwise(
 ) -> np.ndarray:
     """Dense int8 projection with one activation scale per *row* of ``x``
     (per frame) — each row's result is independent of the rest of the
-    batch, so compiled int8 plans stay bitwise chunk-exact under
-    streaming execution.  This is the op the engine uses for quantized
-    sequence/output projections."""
+    batch, so int8 plans stay bitwise chunk-exact under streaming
+    execution.  This is the op the engine's generic loop uses for dense
+    int8 weights."""
     return registry.get("linear_int8_rowwise", backend)(codes, scale, x)
 
 
@@ -192,17 +196,10 @@ def resolve_backend(name: str, source: str = "backend") -> str:
     return name
 
 
-# The compiled C backend registers only when a working compiler (and a
-# loadable, probe-passing .so) is actually present; otherwise the typed
-# CompileBackendError is recorded once (kernels.compiled.load_error())
-# and everything stays on the numpy backend.
-compiled.register_compiled_backend()
-
 # The REPRO_KERNEL_BACKEND environment variable selects the process-wide
 # default backend at import time — how CI runs the whole test suite under
 # each backend without touching test code.  An unknown name fails fast
-# with a typed ConfigError listing what is registered (on a host without
-# a C compiler, asking for "compiled" lands here too).
+# with a typed ConfigError listing what is registered.
 _env_backend = os.environ.get("REPRO_KERNEL_BACKEND")
 if _env_backend:
     set_default_backend(resolve_backend(_env_backend, "REPRO_KERNEL_BACKEND"))

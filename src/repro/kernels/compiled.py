@@ -1,13 +1,14 @@
-"""Compiled C backend: generated kernels built with the system compiler.
+"""Compiled C: the int8 engine's program, built with the system compiler.
 
 This is the paper's deployment story applied to the host: the int8 hot
 loops (the BSPC panel product, which dense int8 weights run as one strip,
-and the whole GRU plan built on it) are emitted as specialized C, compiled once with ``cc -O3 -march=native -shared -fPIC``,
-and bound via ``ctypes`` with zero-copy views of the very same packed plan arrays
-the numpy backend executes (:mod:`repro.kernels.plans` /
-:mod:`repro.kernels.quantized`).  No third-party toolchain is needed —
-just a C compiler — so the backend registers itself only when one is
-actually present.
+and the whole GRU plan built on it) are emitted as specialized C, compiled
+once with ``cc -O3 -march=native -shared -fPIC``, and bound via ``ctypes``
+with zero-copy views of the very same packed plan arrays the numpy backend
+executes (:mod:`repro.kernels.plans` / :mod:`repro.kernels.quantized`).  No
+third-party toolchain is needed — just a C compiler.  Nothing is built or
+loaded at import: the first int8 lowering asks :func:`available`, which
+builds (or finds) the library and probes it.
 
 Build artifacts are cached twice: an in-process handle (one ``CDLL`` per
 process) and an on-disk ``.so`` keyed by a SHA-256 content hash of the C
@@ -22,14 +23,19 @@ changes or the cache moved to another kind of host.  Environment hooks:
 
 Failure is graceful and typed: any problem (no compiler, a failed build,
 a library that fails the load-time sanity probe) raises
-:class:`~repro.errors.CompileBackendError`, which is recorded once —
-the backend is then absent from ``kernels.backends()`` and every caller
-keeps running on the numpy backend.
+:class:`~repro.errors.CompileBackendError`, which is recorded once
+(:func:`load_error`) — every int8 plan then runs the engine's generic
+loop on the numpy backend.
 
-Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
+The library is no registry backend: it is reached through
+:class:`PlanProgram` — a lowered int8 plan, one call per chunk — and through
+:func:`product`, the one panel product by itself, the seam the probe and the
+product-level tests use.
 
-* int8 kernels are **bitwise identical** to the reference/numpy
-  backends.  The BSPC kernels quantize in C to the codes and scales of
+Exactness contract (asserted by ``tests/test_int8_routing.py``):
+
+* the int8 product is **bitwise identical** to the reference/numpy
+  backends' int8 ops.  The BSPC kernels quantize in C to the codes and scales of
   :func:`~repro.kernels.quantized.int8_codes_axis` (comparison max, one
   correctly rounded quotient, round-half-even, clip), matching numpy bit
   for bit for finite activations.
@@ -39,8 +45,8 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   converted round-to-nearest (``cvtdq2ps``, 16 lanes a window), times the
   float32 of ``scale * xs``, then ``+ bias`` in float32 where the op has
   one.
-* the fused GRU int8 layer-chunk (``repro_gru_i8_chunk``: no registry op,
-  reached only through a lowered :class:`PlanProgram`) is **bitwise
+* the fused GRU int8 layer-chunk (``repro_gru_i8_chunk``, reached only
+  through a lowered :class:`PlanProgram`) is **bitwise
   identical** to the engine's generic per-timestep loop: the recurrent
   product is the batch-major projection itself, on the codes and scales
   the quantizer gives each state where the gate sweep makes it, and
@@ -60,16 +66,6 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   Every int8 GRU plan lowers to one: its sparse
   weights are BSPC panels and its dense ones one-strip panels
   (:func:`dense_int8_panel`), recurrences included.
-
-Every op registered here wins on some recorded shape.  The ops where C
-never beat numpy + BLAS — the float sparse products, the per-call-scale
-dense int8 projection, the fused GRU sequence forward, the BPTT
-``*_grad`` ops — are not registered at all: the registry serves an op its
-chosen backend lacks from numpy (:meth:`KernelRegistry.get`), so a plan
-pinned to ``"compiled"`` still dispatches every op.  The per-row-scale
-dense projection ``linear_int8_rowwise`` is a one-strip panel of the
-narrow BSPC kernel, registered where the library was built with that
-kernel's rows-in-lanes microkernel (:func:`lanes`).
 """
 
 from __future__ import annotations
@@ -91,10 +87,6 @@ import numpy as np
 from repro.errors import CompileBackendError, ShapeError
 from repro.kernels import _math
 from repro.kernels.quantized import int8_bspc_plan
-from repro.kernels.registry import KernelRegistry, registry
-
-#: Name this backend registers under.
-BACKEND = "compiled"
 
 #: Bump to invalidate cached ``.so`` files when the ABI (not just the C
 #: text) changes in a way the source hash cannot see.
@@ -1654,7 +1646,7 @@ def compiler_command() -> str:
             return found
     raise CompileBackendError(
         "no C compiler found (set REPRO_CC, or install cc/gcc); "
-        "the 'compiled' kernel backend is unavailable"
+        "int8 plans run the generic loop"
     )
 
 
@@ -1807,7 +1799,7 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
             raise CompileBackendError(
                 f"compiled kernel sanity probe produced {got.ravel()[wrong].tolist()} "
                 f"at {wrong.tolist()} of {got.shape}, expected "
-                f"{want.ravel()[wrong].tolist()}; refusing to register the backend"
+                f"{want.ravel()[wrong].tolist()}; refusing to load the library"
             )
 
     # 70 x 7: row groups that four does not divide, a short last k-group;
@@ -1819,9 +1811,7 @@ def _sanity_probe(lib: ctypes.CDLL) -> None:
     gather, scatter = (np.arange(size, dtype=np.int64)[None] for size in (n, rows))
     panel = _Panel(codes.shape, codes[None], gather, scatter, 1.0, lib=lib)
     for batch in (1, 2):
-        out = np.empty((batch, rows), dtype=np.float32)
-        lib.repro_bspc_i8_rows(panel.at, batch, _p(x), None, _narrow_call(panel, n, batch), _p(out))
-        check(out, (x[:batch] @ codes.T.astype(np.float64)).astype(np.float32))
+        check(product(panel, x[:batch]), (x[:batch] @ codes.T.astype(np.float64)).astype(np.float32))
 
 
 def _library() -> ctypes.CDLL:
@@ -1840,7 +1830,8 @@ def _library() -> ctypes.CDLL:
 
 
 def available() -> bool:
-    """Whether the compiled backend can be (or has been) built and loaded."""
+    """Whether the library can be (or has been) built and loaded: the
+    first call builds or loads it, and records a failure once."""
     try:
         _library()
     except CompileBackendError:
@@ -1883,7 +1874,8 @@ def phase_ticks() -> Optional[dict]:
 
 
 def load_error() -> Optional[CompileBackendError]:
-    """The recorded build/load failure, if the backend is unavailable."""
+    """The recorded build/load failure, if the library is unavailable
+    (``None`` too before anything asked for it)."""
     return _LOAD_ERROR
 
 
@@ -1929,7 +1921,7 @@ def _aligned(size: int) -> np.ndarray:
 
 
 #: Reused buffers per Python thread, each grown on demand: ``work``, the
-#: product scratch of the registry kernels, and ``arena``, a program
+#: scratch of :func:`product`, and ``arena``, a program
 #: chunk's (:meth:`PlanProgram.run`).  ctypes calls release the GIL, so two
 #: threads can be inside a kernel at once, each on its own buffers; a chunk
 #: that runs on two cores is still one call, both its runs in that
@@ -1986,6 +1978,7 @@ class _Panel:
     column's low 7 bits and 128-byte operand block, and the first and last
     block they touch — built from ``gather_cols`` and the operand width
     ``shape[1]`` by the same call: Python neither sees nor sizes them.
+    ``lib`` is kept: the panel's products run on the library that packed it.
     The scatter rows' kept entries (those below ``shape[0]``) must
     increase strip after strip — what a
     ``BSPCMatrix`` guarantees, and a dense weight's identity — so that
@@ -2003,7 +1996,7 @@ class _Panel:
         gather_cols = np.ascontiguousarray(gather_cols, dtype=np.int64)  # ... and these
         strips, mr, mc = self.sizes = codes.shape
         self.shape, self.scale, self.acc = shape, scale, 0
-        lib = _library() if lib is None else lib
+        lib = self.lib = _library() if lib is None else lib
         packed = layout = None
         size = lib.repro_i8_pack(strips, mr, mc, shape[1], None, None, None)
         if size:
@@ -2060,63 +2053,20 @@ def dense_int8_panel(codes: np.ndarray, scale: float) -> _Panel:
 
 
 # ---------------------------------------------------------------------------
-# Kernel wrappers (registered under the "compiled" backend)
+# The panel product by itself
 # ---------------------------------------------------------------------------
-def _check_operand(cols: int, n: int) -> None:
-    """The C loops index the operand by stored column unchecked, and
-    default routing sends every caller's int8 operands here."""
-    if n != cols:
-        raise ShapeError(f"operand has {n} rows, matrix has {cols} columns")
-
-
 def _narrow_call(panel: _Panel, n: int, batch: int) -> int:
     """This thread's scratch for ``repro_bspc_i8_rows`` on ``batch`` rows of
     an ``n``-wide operand (in int32 units: the product's sums, the
     gathered codes — int16 at their widest — and the operand's int8
     codes).  The entry quantizes eight rows at a time, keeping their scales
     on its stack: ``batch`` is a block's, ``min(rows, 8)``."""
-    _check_operand(panel.shape[1], n)
+    if n != panel.shape[1]:  # the C indexes the operand by stored column unchecked
+        raise ShapeError(f"operand has {n} columns, matrix has {panel.shape[1]}")
     if batch > 8:
         raise ShapeError(f"the narrow kernel takes at most 8 columns, got {batch}")
     mc = panel.sizes[2]
     return _scratch(batch * (panel.lda + (mc + 1) // 2) + (batch * n + 3) // 4)
-
-
-def _panel_rows(
-    panel: _Panel, x: np.ndarray, bias: Optional[int], out: np.ndarray
-) -> np.ndarray:
-    """``repro_bspc_i8_rows`` on operands already checked: C-contiguous
-    float64 ``x (N, n)`` and float32 ``out (N, rows)``, ``bias`` the
-    address of a float32 row."""
-    count, n = x.shape
-    work = _narrow_call(panel, n, min(count, 8))
-    _library().repro_bspc_i8_rows(panel.at, count, _p(x), bias, work, _p(out))
-    return out
-
-
-def _rows_out(count: int, rows: int) -> np.ndarray:
-    return np.empty((count, rows), dtype=np.float32)
-
-
-def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
-    plan = int8_bspc_plan(matrix)
-    rows = plan.base.shape[0]
-    if not plan.base.panels.size:
-        return np.zeros(rows, dtype=np.float32)
-    x = _f64(x).reshape(1, -1)
-    return _panel_rows(_plan_panel(plan), x, None, _rows_out(1, rows))[0]
-
-
-def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
-    """``(n, B)`` activations in either memory order.  The product runs
-    batch-major, so an F-ordered ``x`` (the transpose view of a row-major
-    ``(B, n)`` state) is read in place, and the result is the transpose
-    view of a fresh row-major ``(B, rows)`` array."""
-    plan = int8_bspc_plan(matrix)
-    rows, batch = plan.base.shape[0], x.shape[1]
-    if not plan.base.panels.size or not batch:
-        return np.zeros((rows, batch), dtype=np.float32)
-    return _panel_rows(_plan_panel(plan), _f64(x.T), None, _rows_out(batch, rows)).T
 
 
 def _check_buffers(*arrays: np.ndarray) -> None:
@@ -2128,34 +2078,35 @@ def _check_buffers(*arrays: np.ndarray) -> None:
             )
 
 
-def panel_linear_int8(
-    panel: _Panel, x: np.ndarray, bias: Optional[np.ndarray], out: np.ndarray
+def product(
+    weight, x: np.ndarray, bias: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Batch-major int8 projection: row-major ``x (N, n)`` → ``x @ W.T``
-    (``+ bias``, unless ``None``; float32) written into the C-contiguous
-    float32 ``out (N, rows)``, each row quantized on its own exactly as a column
-    of ``bspc_spmm_int8`` / a row of ``linear_int8_rowwise``.  ``panel``
-    is a :func:`dense_int8_panel`: what a dense compiled slot's ``apply``
-    is on the engine's generic loop."""
+    """``x @ W.T`` (``+ bias``, unless ``None``) by ``repro_bspc_i8_rows``,
+    the product each op of a :class:`PlanProgram` runs, by itself: ``x (N,
+    n)`` activations in any memory order, each row quantized on its own to
+    the codes and scale of :func:`~repro.kernels.quantized.int8_codes_axis`,
+    into float32 ``(N, rows)`` — ``out`` (C-contiguous float32) where given,
+    else a fresh array.  ``weight`` is a BSPC matrix (its cached int8 plan's
+    panel) or a :func:`dense_int8_panel`.  No registry op: the bytes of the
+    numpy and reference backends' ``linear_int8_rowwise`` of ``x`` and
+    ``bspc_spmm_int8`` of ``x.T`` (transposed), then ``+ bias`` in float32."""
+    panel = weight if isinstance(weight, _Panel) else _plan_panel(int8_bspc_plan(weight))
     rows = panel.shape[0]
-    given = () if bias is None else (bias,)
-    if x.ndim != 2 or out.shape != (len(x), rows) or any(
-        b.shape != (rows,) for b in given
-    ):
-        shapes = [a.shape for a in (x, out, *given)]
-        raise ShapeError(f"projection onto {rows} rows of {shapes}")
-    _check_buffers(out, *given)
-    return _panel_rows(panel, _f64(x), None if bias is None else _p(bias), out)
-
-
-def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
-    """The registry op: a fresh ``(N, M)`` array, the panel packed per
-    call (so an edit of ``codes`` between calls is seen).  Callers that
-    keep the weight pack it once and call :func:`panel_linear_int8`."""
-    panel = dense_int8_panel(codes, scale)
     x = np.asarray(x)
-    out = _rows_out(x.shape[0] if x.ndim == 2 else 0, panel.shape[0])
-    return panel_linear_int8(panel, x, None, out)
+    if out is None:
+        out = np.empty((len(x) if x.ndim == 2 else 0, rows), dtype=np.float32)
+    given = () if bias is None else (bias,)
+    if x.ndim != 2 or out.shape != (len(x), rows) or any(b.shape != (rows,) for b in given):
+        shapes = [a.shape for a in (x, out, *given)]
+        raise ShapeError(f"product onto {rows} rows of {shapes}")
+    _check_buffers(out, *given)
+    work = _narrow_call(panel, x.shape[1], min(len(x), 8))
+    x = _f64(x)
+    panel.lib.repro_bspc_i8_rows(
+        panel.at, len(x), _p(x), None if bias is None else _p(bias), work, _p(out)
+    )
+    return out
 
 
 class PlanProgram:
@@ -2286,37 +2237,3 @@ class PlanProgram:
             None, _p(labels),
         )
         return labels
-
-
-#: op name → compiled implementation: the ops where C beats numpy on every
-#: recorded shape *and* is bitwise identical to it, so each is also where
-#: default routing sends its op.  Any other op asked of this backend is
-#: numpy's (:meth:`KernelRegistry.get`).
-_KERNELS = {
-    "bspc_spmv_int8": bspc_spmv_int8,
-    "bspc_spmm_int8": bspc_spmm_int8,
-}
-
-
-def register_compiled_backend(
-    target: Optional[KernelRegistry] = None,
-) -> bool:
-    """Probe the build, then register and route every op it wins.
-
-    Returns ``True`` when the backend registered, ``False`` (after
-    recording the :class:`CompileBackendError` once — see
-    :func:`load_error`) when no working compiler/library is available.
-    Safe to call repeatedly; re-registration is idempotent.
-    """
-    target = target if target is not None else registry
-    try:
-        _library()
-    except CompileBackendError:
-        return False
-    won = dict(_KERNELS)
-    if lanes():  # only that kernel wins the dense projection
-        won["linear_int8_rowwise"] = linear_int8_rowwise
-    for op, fn in won.items():
-        target.register(op, BACKEND, fn, override=True)
-        target.route(op, BACKEND)
-    return True

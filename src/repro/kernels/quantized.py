@@ -227,7 +227,7 @@ def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.nd
     (one frame) is quantized with its own scale, so row ``i`` of the
     result depends only on ``x[i]`` — bit-identical whether the frame is
     projected alone, inside a chunk, or inside the whole utterance.  This
-    is the op the compiled engine uses for quantized projections, making
+    is the op the engine's generic loop uses for dense int8 weights, making
     int8 plans bitwise chunk-exact under streaming execution.
     """
     codes = np.asarray(codes)

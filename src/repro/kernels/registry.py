@@ -2,22 +2,20 @@
 
 The registry is the single dispatch seam between *what* the library wants
 to compute (``spmv``, ``spmm``, ``gru_sequence``, …) and *how* it is
-computed.  Three backends ship today:
+computed.  Two backends ship, and each registers every op:
 
 * ``"reference"`` — the original straight-line Python loops.  Slow, but
   obviously correct; the equivalence suite treats them as ground truth.
 * ``"numpy"`` — vectorized plan-then-execute implementations.
-* ``"compiled"`` — generated C (:mod:`repro.kernels.compiled`), present
-  only on hosts with a working C compiler.
 
 A backend can be chosen explicitly — globally
 (:func:`set_default_backend`, ``REPRO_KERNEL_BACKEND``), lexically
 (:func:`use_backend`), or per call (the ``backend=`` argument accepted by
-every dispatching entry point in :mod:`repro.kernels`) — and then serves
-every op it registered.  When none was chosen, dispatch is **per op**:
-each op goes to the backend recorded as winning it
-(:meth:`KernelRegistry.route`).  Either way an op its backend did not
-register goes to ``"numpy"``.
+every dispatching entry point in :mod:`repro.kernels`); with none chosen,
+every op dispatches to ``"numpy"``.  The compiled C of
+:mod:`repro.kernels.compiled` is no backend here: an int8 engine plan runs
+it as one program per chunk wherever no backend was chosen
+(``docs/engine.md``).
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ class KernelRegistry:
     def __init__(self, default_backend: str = "numpy") -> None:
         self._impls: Dict[str, Dict[str, Callable]] = {}
         self._fallback = default_backend
-        #: The explicitly chosen backend; ``None`` means per-op routing.
+        #: The explicitly chosen backend; ``None``: none was.
         self._chosen: Optional[str] = None
-        self._routes: Dict[str, str] = {}
 
     # -- registration -----------------------------------------------------
     def register(
@@ -62,33 +59,18 @@ class KernelRegistry:
 
         return _register(fn) if fn is not None else _register
 
-    def route(self, op: str, backend: str) -> None:
-        """Record ``backend`` as the one that wins ``op`` on measured
-        shapes: where no backend was chosen explicitly, ``op`` dispatches
-        there — provided that backend registered it on this host."""
-        self._routes[op] = backend
-
     # -- lookup -----------------------------------------------------------
     def get(self, op: str, backend: Optional[str] = None) -> Callable:
         """Resolve ``op`` for ``backend``, else the explicitly chosen
-        backend, else the op's routed backend — and, where that backend
-        exists but did not register ``op``, for the fallback: a backend
-        registers the ops it implements, not a second name for numpy's."""
+        backend, else the default one."""
         table = self._impls.get(op)
         if table is None:
             raise KernelError(f"unknown kernel op {op!r}; known: {self.ops()}")
-        backend = backend or self._chosen
-        if backend is None:
-            backend = self._routes.get(op)
-        elif backend not in table and backend not in self.backends():
-            raise KernelError(
-                f"unknown backend {backend!r} for kernel {op!r}; "
-                f"available: {self.backends()}"
-            )
-        fn = table.get(backend) or table.get(self._fallback)
+        backend = backend or self.default_backend
+        fn = table.get(backend)
         if fn is None:
             raise KernelError(
-                f"kernel {op!r} has no {backend!r} backend; "
+                f"unknown backend {backend!r} for kernel {op!r}; "
                 f"available: {sorted(table)}"
             )
         return fn
@@ -109,17 +91,17 @@ class KernelRegistry:
     # -- backend selection ------------------------------------------------
     @property
     def chosen_backend(self) -> Optional[str]:
-        """The explicitly chosen backend, ``None`` under per-op routing."""
+        """The explicitly chosen backend, ``None`` where none was."""
         return self._chosen
 
     @property
     def default_backend(self) -> str:
-        """The backend unrouted ops dispatch to."""
+        """The backend ops dispatch to without a per-call one."""
         return self._chosen or self._fallback
 
     def set_default_backend(self, backend: Optional[str]) -> None:
         """Make ``backend`` the explicit choice for all dispatches;
-        ``None`` withdraws any choice (back to per-op routing)."""
+        ``None`` withdraws any choice."""
         if backend is not None and backend not in self.backends():
             raise KernelError(
                 f"unknown backend {backend!r}; available: {self.backends()}"
@@ -129,7 +111,7 @@ class KernelRegistry:
     @contextmanager
     def use_backend(self, backend: Optional[str]) -> Iterator[None]:
         """Temporarily choose ``backend`` for every op — or, with
-        ``None``, no backend: per-op routing (context manager)."""
+        ``None``, no backend (context manager)."""
         previous = self._chosen
         self.set_default_backend(backend)
         try:
@@ -149,11 +131,11 @@ def set_default_backend(backend: Optional[str]) -> None:
 
 def get_default_backend() -> str:
     """Name of the current process-wide default backend (the explicit
-    choice, or ``"numpy"`` — with per-op routing on top — when none)."""
+    choice, or ``"numpy"`` when none)."""
     return registry.default_backend
 
 
 def use_backend(backend: Optional[str]):
     """Context manager temporarily switching the default backend
-    (``None``: no explicit backend, per-op routing)."""
+    (``None``: no explicit backend)."""
     return registry.use_backend(backend)

@@ -21,8 +21,7 @@ import pytest
 
 from repro import kernels
 from repro.errors import CompileBackendError
-from repro.kernels import compiled, quantized
-from repro.kernels.registry import KernelRegistry
+from repro.kernels import compiled
 from repro.sparse.bspc import BSPCMatrix
 from repro.utils.rng import new_rng
 from test_int8_routing import (
@@ -32,7 +31,10 @@ from test_int8_routing import (
     bsp_matrix,
     golden_digest,
     golden_plan,
+    linear_int8_rowwise,
     requires_compiler,
+    spmm_int8,
+    spmv_int8,
     streamed_bytes,
     wide_matrix,
 )
@@ -90,6 +92,9 @@ def load_second_build(tmp_path, monkeypatch, edit=None, flags=None, probe=True):
     if not probe:
         monkeypatch.setattr(compiled, "_sanity_probe", lambda lib: None)
     monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path))
+    # a panel is packed by, and runs on, one library: the matrices made
+    # before are packed afresh for this one
+    monkeypatch.setattr(compiled, "_PANELS", {})
 
 
 def load_wrong_build(tmp_path, monkeypatch, edit):
@@ -174,13 +179,13 @@ def test_dropping_the_quantizers_divide_guard_changes_codes(tmp_path, monkeypatc
     want = kernels.spmm_int8(matrix, x, backend="reference")
     assert np.isfinite(want).all() and np.abs(want[want != 0]).min() > 1e-30
     assert want[:, 1].any()
-    np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    np.testing.assert_array_equal(spmm_int8(matrix, x, "compiled"), want)
     guard = "#define MARKSTEIN_MIN 1e-250"
     assert guard in compiled._C_SOURCE
     load_second_build(
         tmp_path, monkeypatch, lambda c: c.replace(guard, "#define MARKSTEIN_MIN 0.0")
     )
-    got = kernels.spmm_int8(matrix, x, backend="compiled")
+    got = spmm_int8(matrix, x, "compiled")
     assert not np.array_equal(got[:, 1], want[:, 1])
     np.testing.assert_array_equal(got[:, [0, 2, 3]], want[:, [0, 2, 3]])
 
@@ -205,15 +210,15 @@ def test_swapping_the_group_interleave_changes_the_product(tmp_path, monkeypatch
         ),
     )
     for batch in (1, 3):
-        got = kernels.spmm_int8(matrix, x[:, :batch], backend="compiled")
+        got = spmm_int8(matrix, x[:, :batch], "compiled")
         assert not np.array_equal(got, want[:, :batch])
-    assert not np.array_equal(compiled.linear_int8_rowwise(codes, scale, rows), want_dense)
+    assert not np.array_equal(linear_int8_rowwise(codes, scale, rows, "compiled"), want_dense)
     # a strip past one int32 sum takes the register block, which reads the
     # plain codes
     wide = wide_matrix()
     signs = np.sign(new_rng(8).standard_normal((compiled.ACC_CHUNK + 1, 3)))
     np.testing.assert_array_equal(
-        kernels.spmm_int8(wide, signs, backend="compiled"),
+        spmm_int8(wide, signs, "compiled"),
         kernels.spmm_int8(wide, signs, backend="reference"),
     )
 
@@ -227,16 +232,16 @@ def test_dropping_the_offset_initialiser_changes_the_product(tmp_path, monkeypat
     matrix = bsp_matrix()
     x = new_rng(5).standard_normal((64, 8))
     want = kernels.spmm_int8(matrix, x, backend="reference")
-    np.testing.assert_array_equal(kernels.spmm_int8(matrix, x, backend="compiled"), want)
+    np.testing.assert_array_equal(spmm_int8(matrix, x, "compiled"), want)
     load_wrong_build(
         tmp_path,
         monkeypatch,
         lambda c: c.replace(start, "#define LANES_INIT(p) _mm512_setzero_si512()"),
     )
     for batch in (1, 8):
-        got = kernels.spmm_int8(matrix, x[:, :batch], backend="compiled")
+        got = spmm_int8(matrix, x[:, :batch], "compiled")
         assert not np.array_equal(got, want[:, :batch])
-    got = kernels.spmv_int8(matrix, x[:, 0], backend="compiled")
+    got = spmv_int8(matrix, x[:, 0], "compiled")
     assert not np.array_equal(got, kernels.spmv_int8(matrix, x[:, 0], backend="reference"))
 
 
@@ -300,7 +305,7 @@ def test_the_build_without_vbmi_streams_the_same_bytes(tmp_path, monkeypatch):
         x = new_rng(batch).standard_normal((300, batch))
         for matrix in (bsp_matrix(), bsp_matrix(shape=(48, 300))):
             np.testing.assert_array_equal(
-                kernels.spmm_int8(matrix, x[: matrix.grid.cols], backend="compiled"),
+                spmm_int8(matrix, x[: matrix.grid.cols], "compiled"),
                 kernels.spmm_int8(matrix, x[: matrix.grid.cols], backend="reference"),
             )
 
@@ -317,7 +322,7 @@ def test_the_build_without_vnni_streams_the_same_bytes(tmp_path, monkeypatch):
     for batch in (1, 2, 8, 9, 16):
         x = new_rng(batch).standard_normal((64, batch))
         np.testing.assert_array_equal(
-            kernels.spmm_int8(bsp_matrix(), x, backend="compiled"),
+            spmm_int8(bsp_matrix(), x, "compiled"),
             kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
         )
 
@@ -333,32 +338,18 @@ def test_a_plain_o3_build_streams_the_same_bytes(tmp_path, monkeypatch):
     assert (compiled.lanes(), compiled.kgroup()) == (0, 0)
     assert streamed_auto_plan() == native
     assert lowered_golden() == GOLDEN
-    # registering from such a build leaves the dense op on numpy
-    target = KernelRegistry()
-    target.register("linear_int8_rowwise", "numpy", quantized.linear_int8_rowwise)
-    assert compiled.register_compiled_backend(target)
-    assert target.get("linear_int8_rowwise") is quantized.linear_int8_rowwise
-    assert target.get("linear_int8_rowwise", "compiled") is quantized.linear_int8_rowwise
-    assert target.get("bspc_spmm_int8", "compiled") is compiled.bspc_spmm_int8
-
-
-@requires_compiler
-def test_a_plain_o3_build_lowers_a_program_too(tmp_path, monkeypatch):
-    # no rows-in-lanes kernel: the registry leaves the dense op on numpy,
-    # and the program runs those slots on panels it packs for itself
-    with kernels.use_backend(None):
-        native = streamed_bytes(bsp_int8_plan(sparse_format="auto"))
-        load_second_build(tmp_path, monkeypatch, flags=())
-        if compiled.lanes():
-            pytest.skip("REPRO_CC names a vector ISA of its own: no plain build here")
-        numpy_dense = kernels.registry.get("linear_int8_rowwise", "numpy")
-        # as that build's own registration routes it
-        monkeypatch.setitem(kernels.registry._routes, "linear_int8_rowwise", "numpy")
-        plan = bsp_int8_plan(sparse_format="auto")
-        assert plan.output.weight.kernel is numpy_dense
-        assert plan.layers[0].input_proj.kernel is numpy_dense
-        assert plan.program is not None
-        assert streamed_bytes(plan) == native
+    # ... and the product by itself, dense and sparse
+    codes, scale = kernels.int8_codes(new_rng(6).standard_normal((20, 9)))
+    rows = new_rng(7).standard_normal((4, 9))
+    np.testing.assert_array_equal(
+        linear_int8_rowwise(codes, scale, rows, "compiled"),
+        kernels.linear_int8_rowwise(codes, scale, rows, backend="reference"),
+    )
+    x = new_rng(8).standard_normal((64, 3))
+    np.testing.assert_array_equal(
+        spmm_int8(bsp_matrix(), x, "compiled"),
+        kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+    )
 
 
 @requires_compiler
@@ -394,7 +385,7 @@ def test_the_eight_row_build_streams_the_same_bytes(tmp_path, monkeypatch):
     for batch in (1, 2, 8, 9):
         x = new_rng(batch).standard_normal((64, batch))
         np.testing.assert_array_equal(
-            kernels.spmm_int8(bsp_matrix(), x, backend="compiled"),
+            spmm_int8(bsp_matrix(), x, "compiled"),
             kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
         )
 

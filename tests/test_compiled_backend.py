@@ -1,20 +1,23 @@
-"""The compiled C backend's build/cache machinery and failure modes.
+"""The compiled C library's build/cache machinery and failure modes.
 
-Numerical agreement lives in ``test_kernels_equivalence.py`` (the
-three-backend matrix); this file covers everything around it: content-
-hash caching of the built ``.so``, the typed
+Numerical agreement lives in ``test_int8_routing.py`` and
+``test_plan_program.py``; this file covers everything around it: content-
+hash caching of the built ``.so``, the lazy first load, the typed
 :class:`~repro.errors.CompileBackendError` degradation path when no
-working compiler exists, registry exclusion + numpy fallback, artifacts
-tuned for ``"compiled"`` loading on hosts without it, and the shared
-backend-name validation (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``
-/ ``tune_plan``).
+working compiler exists, artifacts tuned for a backend this process does
+not have (or for ``"compiled"``, the program's old registry name), and the
+shared backend-name validation (``REPRO_KERNEL_BACKEND`` /
+``--kernel-backend`` / ``tune_plan``).
 """
 
 import ctypes
 import os
 import re
 import subprocess
+import sys
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ import pytest
 from repro import engine, kernels
 from repro.errors import CompileBackendError, ConfigError
 from repro.kernels import compiled
-from repro.kernels.registry import KernelRegistry
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 
 requires_compiler = pytest.mark.skipif(
@@ -33,7 +35,7 @@ requires_compiler = pytest.mark.skipif(
 @pytest.fixture
 def fresh_state():
     """Run a test against pristine module state, then restore the
-    process-wide handle (other tests rely on the registered backend)."""
+    process-wide handle (other tests rely on the loaded library)."""
     lib, err = compiled._LIB, compiled._LOAD_ERROR
     compiled._reset_for_tests()
     try:
@@ -159,34 +161,68 @@ class TestDegradation:
         with pytest.raises(CompileBackendError, match="synthetic failure"):
             compiled.build_library()
 
-    def test_backend_absent_from_registry_without_compiler(self, fresh_state,
-                                                           tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CC", str(tmp_path / "no-such-cc"))
-        target = KernelRegistry()
-        target.register("csr_spmv", "numpy", lambda m, x: m @ x)
-        assert compiled.register_compiled_backend(target) is False
-        assert "compiled" not in target.backends()
-        # and the numpy fallback keeps dispatching
-        assert target.get("csr_spmv")(np.eye(2), np.ones(2)) is not None
-
-    def test_registration_succeeds_with_compiler(self, fresh_state):
-        if not compiled.available():
-            pytest.skip("no working C compiler on this host")
-        target = KernelRegistry()
-        assert compiled.register_compiled_backend(target) is True
-        assert "compiled" in target.backends()
-
-    def test_artifact_tuned_for_missing_backend_warns_and_falls_back(
-        self, rng, monkeypatch
+    def test_import_builds_nothing_and_the_first_int8_lowering_records_why(
+        self, tmp_path
     ):
-        # A plan artifact tuned for "compiled" on another host must load
-        # and run (on the default backend) when the backend is absent
-        # here — with a warning, not a crash.
-        plan = engine.compile_model(tiny_model())
-        plan.backend = "compiled"
-        monkeypatch.setattr(
-            kernels, "backends", lambda: ("numpy", "reference")
+        # A failing compiler and an empty cache: importing the library
+        # neither builds nor loads the C, the first int8 lowering tries, and
+        # the plan runs the generic loop with the typed error recorded.
+        failing = tmp_path / "failing-cc"
+        failing.write_text("#!/bin/sh\necho 'synthetic failure' >&2\nexit 1\n")
+        failing.chmod(0o755)
+        cache = tmp_path / "cache"
+        script = (
+            "import repro\n"
+            "from repro import engine\n"
+            "from repro.errors import CompileBackendError\n"
+            "from repro.kernels import compiled\n"
+            "from repro.speech.model import AcousticModelConfig, GRUAcousticModel\n"
+            "assert compiled.load_error() is None and compiled._LIB is None\n"
+            "model = GRUAcousticModel(AcousticModelConfig(input_dim=8, hidden_size=12,"
+            " num_layers=1), rng=0).eval()\n"
+            "engine.compile_model(model)  # a float plan asks for nothing\n"
+            "assert compiled.load_error() is None\n"
+            "plan = engine.compile_model(model, scheme='int8')\n"
+            "assert plan.program is None\n"
+            "assert isinstance(compiled.load_error(), CompileBackendError)\n"
+            "assert 'synthetic failure' in str(compiled.load_error())\n"
         )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL_BACKEND"}
+        src = Path(engine.__file__).resolve().parents[2]
+        env.update(
+            REPRO_CC=str(failing), REPRO_COMPILED_CACHE=str(cache),
+            PYTHONPATH=os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")])),
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert not done.stderr, done.stderr
+        assert not list(cache.glob("*.so"))
+
+    def test_artifact_tuned_for_compiled_lowers_to_the_program(self, tmp_path):
+        # "compiled" was the program's registry backend: a plan tuned for
+        # it loads as a plan tuned for no backend, silently, and streams
+        # the bytes of one that never named it.
+        from test_int8_routing import bsp_int8_plan, stream_once
+
+        with kernels.use_backend(None):
+            plan = bsp_int8_plan()
+            plan.graph.backend = "compiled"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = engine.load_plan(engine.save_plan(tmp_path / "old.plan.npz", plan))
+                assert loaded.backend == "compiled"
+                assert (loaded.program is not None) == compiled.available()
+                assert stream_once(loaded) == stream_once(bsp_int8_plan())
+
+    def test_artifact_tuned_for_missing_backend_warns_and_falls_back(self, rng):
+        # A plan artifact tuned for a backend this process does not have
+        # must load and run (on the default backend) — with a warning,
+        # not a crash.
+        plan = engine.compile_model(tiny_model())
+        plan.backend = "cuda"
         features = rng.standard_normal((5, 2, 8))
         with pytest.warns(RuntimeWarning, match="tuned for kernel backend"):
             out = plan.forward_batch(features)
@@ -294,29 +330,32 @@ class TestAccumulatorStamps:
             del calls[:]
             for batch in (16, 17, 15, 1):
                 np.testing.assert_array_equal(
-                    kernels.spmm_int8(m, x[:, :batch], backend="compiled"),
+                    compiled.product(m, x[:, :batch].T).T,
                     kernels.spmm_int8(m, x[:, :batch], backend="reference"),
                 )
             np.testing.assert_array_equal(
-                kernels.spmv_int8(m, x[:, 0], backend="compiled"),
+                compiled.product(m, x[None, :, 0])[0],
                 kernels.spmv_int8(m, x[:, 0], backend="reference"),
             )
             assert calls == [(8, lanes)] * 3 + [(1, lanes)] * 2
 
 
 # ---------------------------------------------------------------------------
-# tune_plan with the compiled candidate (the ISSUE acceptance invariant)
+# tune_plan between the program and a generic loop
 # ---------------------------------------------------------------------------
 @requires_compiler
-def test_tune_plan_with_compiled_candidate_keeps_speedup_invariant(rng):
+def test_tune_plan_with_the_program_and_a_generic_loop_keeps_speedup_invariant(rng):
     from repro.compiler.autotune import tune_plan
 
-    result = tune_plan(
-        tiny_model(),
-        rng.standard_normal((12, 2, 8)),
-        backends=(None, "compiled"),
-        repeats=1,
-    )
-    # the tuned winner can never be slower than the measured baseline
-    assert result.speedup >= 1.0
-    assert any(c.backend == "compiled" for c in result.trace)
+    with kernels.use_backend(None):
+        result = tune_plan(
+            tiny_model(),
+            rng.standard_normal((12, 2, 8)),
+            schemes=("int8",),
+            backends=(None, "numpy"),
+            repeats=1,
+        )
+        # the tuned winner can never be slower than the measured baseline
+        assert result.speedup >= 1.0
+        assert {c.backend for c in result.trace} >= {None, "numpy"}
+        assert (result.plan.program is None) == (result.plan.backend == "numpy")

@@ -11,26 +11,27 @@ import pytest
 
 from repro import kernels
 from repro.errors import KernelError
+from repro.kernels import compiled
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import BlockGrid, grid_for
 from repro.sparse.bspc import BSPCMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import new_rng
+from test_int8_routing import spmm_int8, spmv_int8
 
-# Everything registered beyond the ground-truth loops: "numpy" always,
-# "compiled" only on hosts where the C toolchain built and probed clean —
-# the whole matrix below widens automatically when it is present.
+# Everything registered beyond the ground-truth loops: "numpy".
 FAST_BACKENDS = [b for b in kernels.registry.backends() if b != "reference"]
+# ... and, in the int8 matrix, the compiled C product (compiled.product) on
+# hosts where the C toolchain built and probed clean.
+INT8_PRODUCTS = FAST_BACKENDS + (["compiled"] if compiled.available() else [])
 
 
 def test_compiled_backend_present_or_skipped():
-    """Surface (as a skip, not silence) hosts where the compiled backend
-    did not build; everywhere else it must be in the tested matrix."""
-    from repro.kernels import compiled
-
+    """Surface (as a skip, not silence) hosts where the C library did not
+    build; everywhere else its product must be in the int8 matrix."""
     if not compiled.available():
-        pytest.skip(f"compiled backend unavailable: {compiled.load_error()}")
-    assert "compiled" in FAST_BACKENDS
+        pytest.skip(f"compiled library unavailable: {compiled.load_error()}")
+    assert "compiled" in INT8_PRODUCTS
 
 
 def random_sparse(rng, shape, density):
@@ -235,23 +236,22 @@ class TestModuleFastPath:
         assert x.grad is not None  # fell back to the differentiable path
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
 class TestInt8Kernels:
-    """The int8 numpy and compiled-C kernels must agree *exactly* with
-    the int64-accumulating reference implementations (same codes, same
-    integer sums, same dequant multiply order), and closely with the
-    float result."""
+    """The int8 numpy kernels and the compiled C product must agree
+    *exactly* with the int64-accumulating reference implementations (same
+    codes, same integer sums, same dequant multiply order), and closely
+    with the float result."""
 
+    @pytest.mark.parametrize("backend", INT8_PRODUCTS)
     def test_bspc_spmv_int8_exact_vs_reference(self, cases, backend):
         rng = new_rng(23)
         for name, w, grid in cases:
             bspc = BSPCMatrix.from_dense(w, grid)
             x = rng.standard_normal(w.shape[1])
             expected = kernels.spmv_int8(bspc, x, backend="reference")
-            np.testing.assert_array_equal(
-                kernels.spmv_int8(bspc, x, backend=backend), expected, err_msg=name
-            )
+            np.testing.assert_array_equal(spmv_int8(bspc, x, backend), expected, err_msg=name)
 
+    @pytest.mark.parametrize("backend", INT8_PRODUCTS)
     def test_bspc_spmm_int8_exact_vs_reference(self, cases, backend):
         rng = new_rng(24)
         for name, w, grid in cases:
@@ -260,10 +260,10 @@ class TestInt8Kernels:
                 x = rng.standard_normal((w.shape[1], batch))
                 expected = kernels.spmm_int8(bspc, x, backend="reference")
                 np.testing.assert_array_equal(
-                    kernels.spmm_int8(bspc, x, backend=backend), expected,
-                    err_msg=name,
+                    spmm_int8(bspc, x, backend), expected, err_msg=name
                 )
 
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_linear_int8_exact_vs_reference(self, rng, backend):
         for m, k in [(5, 7), (3, 1), (8, 3000)]:  # 3000 forces chunking
             codes, scale = kernels.int8_codes(rng.standard_normal((m, k)) * 2)

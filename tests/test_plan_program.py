@@ -781,13 +781,17 @@ class TestStaleness:
             assert self.check(plan, x, state) != before
 
     def test_a_weight_repacked_to_another_shape_leaves_no_program(self, plan, rng):
+        # the chain of widths no longer fits the program; the generic loop,
+        # which reads kept columns only, runs the plan as the reference does
         x = rng.standard_normal((3, 2, 8))
         matrix = plan.layers[1].input_proj.matrix
         matrix.grid = BlockGrid(72, 32, 4, 4)  # eight columns nothing reads
         with kernels.use_backend(None):
-            with pytest.raises(ShapeError):
-                plan.run_chunk(x)
+            got, _ = plan.run_chunk(x)
             assert plan.program is None
+        with kernels.use_backend("reference"):
+            want, _ = plan.run_chunk(x)
+        assert got.tobytes() == want.tobytes()
 
     def test_rebinding_to_another_backend_drops_the_descriptor(self, plan, rng):
         x = rng.standard_normal((3, 2, 8))

@@ -36,9 +36,9 @@ from repro.speech.phones import SILENCE_ID
 from repro.utils.rng import new_rng
 from test_int8_routing import LabelLog, run_chunk as run_plan_chunk
 
-# The chunk-exactness sweep runs under every registered backend —
-# "compiled" joins the matrix automatically on hosts with a C toolchain.
-BACKENDS = tuple(kernels.backends())
+# The chunk-exactness sweep runs under every registered backend and under
+# none (None): an int8 plan's program, on hosts with a C toolchain.
+BACKENDS = (None,) + tuple(kernels.backends())
 SCHEMES = (None, "int8")
 CHUNK_SIZES = (1, 7, 25, None)  # None = the whole utterance in one chunk
 # Carry widths: 24 is not a multiple of 16, so the int8 gate sweep's
@@ -98,8 +98,8 @@ class TestChunkExactnessSweep:
     def test_int8_sparse_plans_bitwise_chunk_exact(self, fmt, backend, rng_factory):
         # Per-column activation scales make even the sparse int8 spmm
         # paths bit-exact under chunking — and the integer accumulation
-        # is reduction-order-free, so every backend (the compiled C one
-        # included) must reproduce the *reference* offline logits bit for
+        # is reduction-order-free, so every backend (and the program)
+        # must reproduce the *reference* offline logits bit for
         # bit under every chunk split.
         from repro.pruning.bsp import BSPConfig, bsp_project_masks
 
@@ -302,7 +302,7 @@ class TestOneArrayCarry:
 
 
     @pytest.mark.parametrize("scheme", ["int8"])
-    @pytest.mark.parametrize("backend", (None,) + BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_float64_carry_runs_as_its_adapted_state(self, scheme, backend, rng):
         # a float32 plan handed a float64 carry narrows it by adapt_state's
         # rule (astype) before the chunk: the same bytes out, a float32 carry
@@ -1035,7 +1035,7 @@ def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
         assert scheduler.stats.mean_batch_size > 1.0
 
 
-@pytest.mark.parametrize("backend", [None, *BACKENDS])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
 def test_serving_labels_are_the_logits_argmax_on_every_backend(scheme, backend, rng):
     # the serving entry's labels (the program's own, on a program) are
