@@ -29,9 +29,8 @@ from repro.errors import KernelError
 class KernelRegistry:
     """Maps ``(op, backend)`` pairs to callables."""
 
-    def __init__(self, default_backend: str = "numpy") -> None:
+    def __init__(self) -> None:
         self._impls: Dict[str, Dict[str, Callable]] = {}
-        self._fallback = default_backend
         #: The explicitly chosen backend; ``None``: none was.
         self._chosen: Optional[str] = None
 
@@ -79,14 +78,9 @@ class KernelRegistry:
         """Sorted names of all registered ops."""
         return sorted(self._impls)
 
-    def backends(self, op: Optional[str] = None) -> List[str]:
-        """Backends available for ``op`` (or across all ops)."""
-        if op is not None:
-            if op not in self._impls:
-                raise KernelError(f"unknown kernel op {op!r}; known: {self.ops()}")
-            return sorted(self._impls[op])
-        names = {b for table in self._impls.values() for b in table}
-        return sorted(names)
+    def backends(self) -> List[str]:
+        """Backends registered across all ops."""
+        return sorted({b for table in self._impls.values() for b in table})
 
     # -- backend selection ------------------------------------------------
     @property
@@ -96,8 +90,9 @@ class KernelRegistry:
 
     @property
     def default_backend(self) -> str:
-        """The backend ops dispatch to without a per-call one."""
-        return self._chosen or self._fallback
+        """The backend ops dispatch to without a per-call one: the chosen
+        one, else ``"numpy"``."""
+        return self._chosen or "numpy"
 
     def set_default_backend(self, backend: Optional[str]) -> None:
         """Make ``backend`` the explicit choice for all dispatches;
