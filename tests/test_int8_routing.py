@@ -41,10 +41,11 @@ requires_compiler = pytest.mark.skipif(
 #: ``None`` is "no backend chosen": the program, where a compiler exists.
 ROUTES = (None,) + tuple(kernels.backends())
 
-#: Who computes an int8 product by itself: each registry backend, and
-#: ``"compiled"`` — :func:`repro.kernels.compiled.product` — where the C
-#: library loads.
-PRODUCTS = tuple(kernels.backends()) + (("compiled",) if compiled.available() else ())
+#: Who computes an int8 product by itself: the registry with no backend
+#: named (``None``: the process's choice, else numpy — what the generic
+#: loop binds), each registry backend, and ``"compiled"`` —
+#: :func:`repro.kernels.compiled.product` — where the C library loads.
+PRODUCTS = ROUTES + (("compiled",) if compiled.available() else ())
 
 
 def spmm_int8(matrix, x, by):
@@ -407,6 +408,45 @@ def test_lowering_leaves_a_program_only_where_it_applies(fused_plans, rng):
         assert (plan.program is not None) == lowers
     # float plans: test_plan_program.py; every int8 format:
     # test_artifact.py::test_every_int8_plan_lowers
+
+
+#: Backends an artifact may record as tuned: none, ``"compiled"`` (the
+#: program's registry backend, before the program was the int8 backend),
+#: each generic-loop backend, and one no build of this project has had.
+TUNED = (None, "compiled", "numpy", "reference", "cuda")
+
+
+@pytest.fixture(scope="module")
+def reference_streams():
+    """Per int8 kind, :func:`stream_once` of a fresh plan on ``reference``."""
+    with kernels.use_backend("reference"):
+        return {kind: stream_once(int8_plan(kind)) for kind in INT8_KINDS}
+
+
+@pytest.mark.parametrize("in_force", ROUTES)
+@pytest.mark.parametrize("tuned", TUNED)
+@pytest.mark.parametrize("kind", INT8_KINDS)
+def test_an_artifact_lowers_to_the_program_unless_a_generic_loop_is_named(
+    reference_streams, tmp_path, kind, tuned, in_force
+):
+    # The lowering rule: the program, wherever the C library loads, unless
+    # numpy or reference is named — by the artifact's tuned backend first,
+    # else by the backend in force.  "compiled" names no generic loop, and
+    # an unknown name warns once and defers to the backend in force.  Every
+    # route streams the reference bytes.
+    plan = int8_plan(kind)
+    plan.graph.backend = tuned
+    path = engine.save_plan(tmp_path / "tuned.plan.npz", plan)
+    loop = tuned if tuned in ("numpy", "reference") else in_force
+    with kernels.use_backend(in_force), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = engine.load_plan(path)
+        got = stream_once(loaded)
+        assert (loaded.program is not None) == (loop is None and compiled.available())
+    assert got == reference_streams[kind]
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == (tuned == "cuda"), messages  # once, not once per call
+    assert all("tuned for kernel backend 'cuda'" in m for m in messages)
 
 
 @st.composite
