@@ -20,8 +20,10 @@ to numpy + BLAS.  The backends are ``numpy`` and ``reference``; the
 compiled C (:mod:`repro.kernels.compiled`) is not one of them: an int8
 engine plan lowers to it, one program per chunk, wherever a compiler exists
 and no backend was chosen, and the choice of a backend is the choice of
-the generic loop's (``docs/engine.md``).  Importing this package builds and
-loads nothing; the first int8 lowering does.  Int8 has one sparse format,
+the generic loop's (``docs/engine.md``); by the same rule
+:func:`gru_sequence_grad` runs its two time loops in it
+(``docs/training.md``).  Importing this package builds and loads nothing;
+the first int8 lowering or training step does.  Int8 has one sparse format,
 BSPC: there is no int8 CSR op (``spmv_int8`` of a ``CSRMatrix`` is a
 :class:`~repro.errors.KernelError`), and an int8 engine plan packs every
 sparse weight as BSPC panels.
@@ -174,8 +176,15 @@ def gru_sequence_grad(
     ``backward(grad_out, grad_h_T=None)`` yields
     ``(dx, dw_ih, dw_hh, db_ih, db_hh, dh0)``.  The ``reference`` backend
     runs the autograd tape (ground truth); ``numpy`` is the fused
-    stash-and-batch BPTT used by ``GRU.forward`` in training mode.
+    stash-and-batch BPTT used by ``GRU.forward`` in training mode.  With no
+    backend in force (none per call, none chosen) and the C library
+    available, the same fused BPTT runs its two time loops in C — the int8
+    lowering's rule; otherwise numpy's loops run them.
     """
+    if backend is None and registry.chosen_backend is None and compiled.available():
+        return numpy_backend.gru_sequence_grad(
+            x, w_ih, w_hh, b_ih, b_hh, h0, compiled_loops=True
+        )
     return registry.get("gru_sequence_grad", backend)(x, w_ih, w_hh, b_ih, b_hh, h0)
 
 

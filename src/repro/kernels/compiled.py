@@ -1,4 +1,5 @@
-"""Compiled C: the int8 engine's program, built with the system compiler.
+"""Compiled C: the int8 engine's program and the float64 GRU training
+step's time loops, built with the system compiler.
 
 This is the paper's deployment story applied to the host: the int8 hot
 loops (the BSPC panel product, which dense int8 weights run as one strip,
@@ -25,12 +26,16 @@ Failure is graceful and typed: any problem (no compiler, a failed build,
 a library that fails the load-time sanity probe) raises
 :class:`~repro.errors.CompileBackendError`, which is recorded once
 (:func:`load_error`) — every int8 plan then runs the engine's generic
-loop on the numpy backend.
+loop on the numpy backend, and the fused BPTT numpy's time loops.
 
 The library is no registry backend: it is reached through
-:class:`PlanProgram` — a lowered int8 plan, one call per chunk — and through
+:class:`PlanProgram` — a lowered int8 plan, one call per chunk — through
 :func:`product`, the one panel product by itself, the seam the probe and the
-product-level tests use.
+product-level tests use, and through :func:`gru_f64_forward` /
+:func:`gru_f64_backward`, the time loops that
+:func:`repro.kernels.gru_sequence_grad` runs where no backend is in force
+(float64; deterministic, within 1e-6 of the autograd tape — no exactness
+claim below covers them).
 
 Exactness contract (asserted by ``tests/test_int8_routing.py``):
 
@@ -743,6 +748,236 @@ static void repro_bspc_i8_nb(
     bspc_epilogue(rows, batch, wide ? layout + strips : NULL, work, lda, p->scale, xs, bias,
                   out);
     TOC(epilogue, PH_EPILOGUE);
+}
+"""
+
+
+# The float64 GRU training step: the two time loops of the fused BPTT
+# (kernels/numpy_backend.py's gru_sequence_grad), whose hoisted input
+# projection and whole-sequence gradient GEMMs stay in numpy's BLAS.  Per
+# forward step, a register-blocked product of the states with W_hh.T, then
+# one sweep per batch row; per backward step, one sweep per batch row, then
+# the product of its gate gradients with W_hh.  Float64 in GNU vector types
+# of F64_VL doubles, the widest register the build names; this section
+# comes before the contraction guard, so a build with FMA fuses `a * b +
+# c`.  Its results are the build's own — deterministic, within 1e-6 of the
+# autograd tape, not the numpy loop's bits.
+_C_GRU_F64 = r"""
+#if defined(__AVX512F__)
+#define F64_VL 8
+#define F64_NV 3  /* vectors of columns per register block: 24 of 32 registers */
+#elif defined(__AVX__)
+#define F64_VL 4
+#define F64_NV 1
+#else
+#define F64_VL 2
+#define F64_NV 1
+#endif
+typedef double f64v __attribute__((vector_size(8 * F64_VL)));
+typedef double f64vu __attribute__((vector_size(8 * F64_VL), aligned(8), may_alias));
+typedef i64 i64v __attribute__((vector_size(8 * F64_VL)));
+typedef uint64_t u64v __attribute__((vector_size(8 * F64_VL)));
+#define F64(p) (*(f64vu *)(p))
+#define F64C(c) ((f64v){0} + (c))
+
+/* c (m, n; rows ldc apart) = a (m, k; rows lda apart) . b (k, n), added to
+ * what c holds where `add`: eight rows of a at a time (then the last m % 8
+ * one at a time), each block of F64_NV vectors of columns summed in
+ * registers, the last n % F64_VL columns one at a time.  The block sizes
+ * are constants, so the sums stay in registers.  Every element sums its k
+ * products in order. */
+static inline __attribute__((always_inline)) void f64_block(
+    i64 rows, i64 nv, i64 k, const double *a, i64 lda, const double *b, i64 n,
+    double *c, i64 ldc, int add)
+{
+    f64v acc[8][F64_NV];
+    for (i64 i = 0; i < rows; i++)
+        for (i64 v = 0; v < nv; v++)
+            acc[i][v] = add ? (f64v)F64(c + i * ldc + v * F64_VL) : F64C(0.0);
+    for (i64 kk = 0; kk < k; kk++, b += n) {
+        f64v w[F64_NV];
+        for (i64 v = 0; v < nv; v++) w[v] = F64(b + v * F64_VL);
+        for (i64 i = 0; i < rows; i++) {
+            const double ai = a[i * lda + kk];
+            for (i64 v = 0; v < nv; v++) acc[i][v] += w[v] * ai;
+        }
+    }
+    for (i64 i = 0; i < rows; i++)
+        for (i64 v = 0; v < nv; v++) F64(c + i * ldc + v * F64_VL) = acc[i][v];
+}
+
+static void f64_gemm(
+    i64 m, i64 n, i64 k, const double *a, i64 lda, const double *b, double *c, i64 ldc,
+    int add)
+{
+    const i64 step = F64_NV * F64_VL, whole = n / F64_VL * F64_VL;
+    for (i64 i = 0, rows; i < m; i += rows, a += rows * lda, c += rows * ldc) {
+        rows = m - i < 8 ? 1 : 8;
+        i64 j = 0;
+        if (rows == 8) {
+            for (; j + step <= n; j += step) f64_block(8, F64_NV, k, a, lda, b + j, n, c + j, ldc, add);
+            for (; j < whole; j += F64_VL) f64_block(8, 1, k, a, lda, b + j, n, c + j, ldc, add);
+        } else {
+            for (; j + step <= n; j += step) f64_block(1, F64_NV, k, a, lda, b + j, n, c + j, ldc, add);
+            for (; j < whole; j += F64_VL) f64_block(1, 1, k, a, lda, b + j, n, c + j, ldc, add);
+        }
+        for (; j < n; j++)
+            for (i64 r = 0; r < rows; r++) {
+                double sum = add ? c[r * ldc + j] : 0.0;
+                for (i64 kk = 0; kk < k; kk++) sum += a[r * lda + kk] * b[kk * n + j];
+                c[r * ldc + j] = sum;
+            }
+    }
+}
+
+static inline f64v select64(i64v m, f64v a, f64v b)
+{
+    return (f64v)((m & (i64v)a) | (~m & (i64v)b));
+}
+
+/* exp, within an ulp or two: x clamped to [-708, 708] (2^k stays normal;
+ * the sigmoid and tanh below only ever add it to 1), k = round(x log2 e)
+ * by the 1.5 * 2^52 sum, f = x - k ln 2 in two pieces (|f| <= ln 2 / 2),
+ * e^f by its Taylor polynomial to degree 12, times 2^k made from the
+ * sum's low bits. */
+static inline f64v exp64(f64v x)
+{
+    x = select64((i64v)(x < -708.0), F64C(-708.0), x);
+    x = select64((i64v)(x > 708.0), F64C(708.0), x);
+    const f64v s = x * 0x1.71547652b82fep+0 + 0x1.8p52;
+    const f64v k = s - 0x1.8p52;
+    const f64v f = (x - k * 0x1.62e42feep-1) - k * 0x1.a39ef35793c76p-33;
+    f64v p = F64C(1.0 / 479001600.0);
+    p = p * f + 1.0 / 39916800.0;
+    p = p * f + 1.0 / 3628800.0;
+    p = p * f + 1.0 / 362880.0;
+    p = p * f + 1.0 / 40320.0;
+    p = p * f + 1.0 / 5040.0;
+    p = p * f + 1.0 / 720.0;
+    p = p * f + 1.0 / 120.0;
+    p = p * f + 1.0 / 24.0;
+    p = p * f + 1.0 / 6.0;
+    p = p * f + 0.5;
+    p = p * f + 1.0;
+    p = p * f + 1.0;
+    return (f64v)((u64v)p + ((u64v)s << 52));
+}
+
+/* F64_VL units of one batch row's forward step, `h` apart per gate: st
+ * holds the row's gh = h_prev W_hh.T (z, r, candidate) and gets its stash
+ * (z, r, h~, gh_h + b_hh_h), gx its hoisted gate sums (the z/r recurrent
+ * biases folded in), b the candidate's recurrent bias; the new state into
+ * next.  sigmoid(v) = 1 / (exp(-v) + 1), tanh(v) = 2 sigmoid(2 v) - 1. */
+static inline __attribute__((always_inline)) void f64_forward_units(
+    i64 h, const double *gx, const double *b, const double *prev, double *st, double *next)
+{
+    const f64v z = 1.0 / (exp64(-(F64(gx) + F64(st))) + 1.0);
+    const f64v r = 1.0 / (exp64(-(F64(gx + h) + F64(st + h))) + 1.0);
+    const f64v ghh = F64(st + 2 * h) + F64(b);
+    const f64v cand = 2.0 / (exp64(-2.0 * (F64(gx + 2 * h) + r * ghh)) + 1.0) - 1.0;
+    const f64v hp = F64(prev);
+    F64(st) = z;
+    F64(st + h) = r;
+    F64(st + 2 * h) = cand;
+    F64(st + 3 * h) = ghh;
+    F64(next) = hp + z * (cand - hp);
+}
+
+/* ... and of its backward step: dh = grad_out + carry (the gradient the
+ * step after sent back); the gate gradients into g, slots [h_in | z | r |
+ * h_rec] `h` apart, and dh (1 - z), the direct part of the next carry. */
+static inline __attribute__((always_inline)) void f64_backward_units(
+    i64 h, const double *go, const double *st, const double *prev, double *g, double *carry)
+{
+    const f64v dh = F64(go) + F64(carry);
+    const f64v z = F64(st), r = F64(st + h), cand = F64(st + 2 * h);
+    const f64v da_h = dh * z * (1.0 - cand * cand);
+    F64(g) = da_h;
+    F64(g + h) = dh * (cand - F64(prev)) * z * (1.0 - z);
+    F64(g + 2 * h) = da_h * F64(st + 3 * h) * r * (1.0 - r);
+    F64(g + 3 * h) = da_h * r;
+    F64(carry) = dh * (1.0 - z);
+}
+
+/* One batch row of either step: whole vectors in place, the last h % F64_VL
+ * units through zero-padded copies of theirs, F64_VL apart. */
+static void f64_forward_row(
+    i64 h, const double *gx, const double *b, const double *prev, double *st, double *next)
+{
+    const i64 whole = h / F64_VL * F64_VL, n = h - whole;
+    const size_t bytes = (size_t)n * sizeof(double);
+    for (i64 j = 0; j < whole; j += F64_VL)
+        f64_forward_units(h, gx + j, b + j, prev + j, st + j, next + j);
+    if (!n) return;
+    double x[3 * F64_VL] = {0}, s[4 * F64_VL] = {0}, bias[F64_VL] = {0}, p[F64_VL] = {0};
+    double out[F64_VL];
+    for (int g = 0; g < 3; g++) {
+        memcpy(x + g * F64_VL, gx + g * h + whole, bytes);
+        memcpy(s + g * F64_VL, st + g * h + whole, bytes);
+    }
+    memcpy(bias, b + whole, bytes);
+    memcpy(p, prev + whole, bytes);
+    f64_forward_units(F64_VL, x, bias, p, s, out);
+    for (int g = 0; g < 4; g++) memcpy(st + g * h + whole, s + g * F64_VL, bytes);
+    memcpy(next + whole, out, bytes);
+}
+
+static void f64_backward_row(
+    i64 h, const double *go, const double *st, const double *prev, double *g, double *carry)
+{
+    const i64 whole = h / F64_VL * F64_VL, n = h - whole;
+    const size_t bytes = (size_t)n * sizeof(double);
+    for (i64 j = 0; j < whole; j += F64_VL)
+        f64_backward_units(h, go + j, st + j, prev + j, g + j, carry + j);
+    if (!n) return;
+    double o[F64_VL] = {0}, s[4 * F64_VL] = {0}, p[F64_VL] = {0}, c[F64_VL] = {0};
+    double out[4 * F64_VL];
+    memcpy(o, go + whole, bytes);
+    for (int k = 0; k < 4; k++) memcpy(s + k * F64_VL, st + k * h + whole, bytes);
+    memcpy(p, prev + whole, bytes);
+    memcpy(c, carry + whole, bytes);
+    f64_backward_units(F64_VL, o, s, p, out, c);
+    for (int k = 0; k < 4; k++) memcpy(g + k * h + whole, out + k * F64_VL, bytes);
+    memcpy(carry + whole, c, bytes);
+}
+
+/* The forward recurrence over `steps` steps of `batch` rows of h units:
+ * gx (steps, batch, 3h) the hoisted gate sums, w_hh_t (h, 3h) = W_hh.T,
+ * b_hh_h the candidate's recurrent bias; hs (steps + 1, batch, h) holds
+ * h0 and gets every state after it, stash (steps, batch, 4h) each row's
+ * z, r, h~ and gh_h + b_hh_h — the step's product lands there first. */
+API void repro_gru_f64_forward(
+    i64 steps, i64 batch, i64 h, const double *gx, const double *w_hh_t,
+    const double *b_hh_h, double *hs, double *stash)
+{
+    for (i64 t = 0; t < steps; t++, gx += batch * 3 * h, stash += batch * 4 * h) {
+        const double *prev = hs + t * batch * h;
+        double *next = hs + (t + 1) * batch * h;
+        f64_gemm(batch, 3 * h, h, prev, h, w_hh_t, stash, 4 * h, 0);
+        for (i64 i = 0; i < batch; i++)
+            f64_forward_row(h, gx + i * 3 * h, b_hh_h, prev + i * h, stash + i * 4 * h,
+                            next + i * h);
+    }
+}
+
+/* BPTT over that forward's stash and states: grad_out (steps, batch, h)
+ * the gradients of the outputs, w_hh (3h, h); gates (steps, batch, 4h)
+ * gets each step's gate gradients, slots [h_in | z | r | h_rec]; carry
+ * (batch, h) holds the gradient of h_T and ends as that of h0.  Per step
+ * from the last, each row's gates from the stash, then carry = dh (1 - z)
+ * + [z | r | h_rec] . W_hh — the slots W_hh's rows are in. */
+API void repro_gru_f64_backward(
+    i64 steps, i64 batch, i64 h, const double *grad_out, const double *w_hh,
+    const double *hs, const double *stash, double *gates, double *carry)
+{
+    for (i64 t = steps - 1; t >= 0; t--) {
+        const i64 at = t * batch;
+        double *g = gates + at * 4 * h;
+        for (i64 i = 0; i < batch; i++)
+            f64_backward_row(h, grad_out + (at + i) * h, stash + (at + i) * 4 * h,
+                             hs + (at + i) * h, g + i * 4 * h, carry + i * h);
+        f64_gemm(batch, h, 3 * h, g + h, 4 * h, w_hh, carry, h, 1);
+    }
 }
 """
 
@@ -1617,6 +1852,7 @@ def _exp_defines() -> str:
 _C_SOURCE = (
     _C_COMMON.replace("$ACC_CHUNK", str(ACC_CHUNK))
     + _C_BSPC_NARROW.replace("$LANES_PAD", str(LANES_PAD)).replace("$WINDOW", str(WINDOW))
+    + _C_GRU_F64
     + _C_GRU_CHUNK.replace("$EXPAND8", _expand8())
     .replace("$EXP_DEFINES", _exp_defines())
     .replace("$SPLIT_NS", str(SPLIT_NS))
@@ -1770,6 +2006,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_plan_i8_arena": (ptr, i64, i64),
         "repro_plan_i8_frame_ns": (ptr, i64),
         "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr),
+        "repro_gru_f64_forward": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr),
+        "repro_gru_f64_backward": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr),
     }
     try:
         for name, argtypes in signatures.items():
@@ -2069,12 +2307,12 @@ def _narrow_call(panel: _Panel, n: int, batch: int) -> int:
     return _scratch(batch * (panel.lda + (mc + 1) // 2) + (batch * n + 3) // 4)
 
 
-def _check_buffers(*arrays: np.ndarray) -> None:
+def _check_buffers(*arrays: np.ndarray, dtype=np.float32) -> None:
     """C reads and writes these through raw pointers."""
     for array in arrays:
-        if array.dtype != np.float32 or not array.flags.c_contiguous:
+        if array.dtype != dtype or not array.flags.c_contiguous:
             raise ShapeError(
-                f"need C-contiguous float32, got {array.dtype} {array.strides}"
+                f"need C-contiguous {np.dtype(dtype)}, got {array.dtype} {array.strides}"
             )
 
 
@@ -2107,6 +2345,56 @@ def product(
         panel.at, len(x), _p(x), None if bias is None else _p(bias), work, _p(out)
     )
     return out
+
+
+def gru_f64_forward(
+    gates_x: np.ndarray, w_hh: np.ndarray, b_hh_h: np.ndarray, hs: np.ndarray
+) -> np.ndarray:
+    """The forward loop of the fused GRU training step
+    (``repro_gru_f64_forward``): ``gates_x (T, B, 3H)`` the hoisted input
+    projection with the z/r recurrent biases folded in, ``w_hh (3H, H)``,
+    ``b_hh_h`` the candidate's recurrent bias; ``hs (T + 1, B, H)``,
+    C-contiguous float64, holds ``h0`` and is filled with every state.
+    Returns the stash, ``(T, B, 4H)``: per row ``z``, ``r``, ``h̃`` and
+    ``U_h h + b_hh_h``."""
+    steps, batch, hidden = hs.shape[0] - 1, hs.shape[1], hs.shape[2]
+    if (gates_x.shape, w_hh.shape, b_hh_h.shape) != (
+        (steps, batch, 3 * hidden), (3 * hidden, hidden), (hidden,)
+    ):
+        shapes = [a.shape for a in (gates_x, w_hh, b_hh_h)]
+        raise ShapeError(f"GRU step of {hs.shape} states onto {shapes}")
+    _check_buffers(hs, dtype=np.float64)
+    gates_x, w_hh_t, b_hh_h = _f64(gates_x), _f64(w_hh.T), _f64(b_hh_h)
+    stash = np.empty((steps, batch, 4 * hidden))
+    _library().repro_gru_f64_forward(
+        steps, batch, hidden, _p(gates_x), _p(w_hh_t), _p(b_hh_h), _p(hs), _p(stash)
+    )
+    return stash
+
+
+def gru_f64_backward(
+    grad_out: np.ndarray, w_hh: np.ndarray, hs: np.ndarray, stash: np.ndarray,
+    carry: np.ndarray,
+) -> np.ndarray:
+    """The BPTT loop over :func:`gru_f64_forward`'s ``hs`` and stash
+    (``repro_gru_f64_backward``): ``grad_out (T, B, H)``; ``carry (B, H)``,
+    C-contiguous float64, holds the gradient of ``h_T`` and ends as that of
+    ``h0``.  Returns the gate gradients ``(T, B, 4H)``, slots ``[h_in | z |
+    r | h_rec]``."""
+    steps, batch, hidden = grad_out.shape
+    if (w_hh.shape, hs.shape, stash.shape, carry.shape) != (
+        (3 * hidden, hidden), (steps + 1, batch, hidden), (steps, batch, 4 * hidden),
+        (batch, hidden),
+    ):
+        shapes = [a.shape for a in (w_hh, hs, stash, carry)]
+        raise ShapeError(f"BPTT of {grad_out.shape} gradients onto {shapes}")
+    _check_buffers(hs, stash, carry, dtype=np.float64)
+    grad_out, w_hh = _f64(grad_out), _f64(w_hh)
+    gates = np.empty((steps, batch, 4 * hidden))
+    _library().repro_gru_f64_backward(
+        steps, batch, hidden, _p(grad_out), _p(w_hh), _p(hs), _p(stash), _p(gates), _p(carry)
+    )
+    return gates
 
 
 class PlanProgram:

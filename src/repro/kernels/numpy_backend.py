@@ -5,7 +5,9 @@ all per-block/per-row Python iteration happens once at plan-build time,
 after which ``spmv``/``spmm`` are a gather, one batched GEMM (BSPC) or a
 ``reduceat`` (CSR), and a scatter.  The recurrent kernels hoist the
 input-side projection out of the time loop and run the recurrence on raw
-ndarrays with a preallocated output buffer.
+ndarrays with a preallocated output buffer; the fused training step's two
+time loops run in C instead where :func:`repro.kernels.gru_sequence_grad`
+finds the library and no backend in force.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.kernels import compiled as _compiled
 from repro.kernels._math import sigmoid as _sigmoid
 from repro.kernels.plans import bspc_plan, csr_plan
 from repro.kernels.registry import registry
@@ -138,24 +141,32 @@ def gru_sequence_grad(
     b_ih: np.ndarray,
     b_hh: np.ndarray,
     h0: np.ndarray,
+    compiled_loops: bool = False,
 ):
     """Fused trainable GRU layer: forward with stashed activations plus a
-    single vectorized BPTT backward.
+    single BPTT backward whose gradient GEMMs batch over the sequence.
 
     The forward hoists the whole sequence's input projection into one
-    ``(T·B, D) @ (D, 3H)`` GEMM and stashes the gate activations the
-    backward needs (``z``, ``r``, ``h̃``, the recurrent candidate
-    pre-product ``U_h h_{t-1} + b_h`` and every hidden state).
+    ``(T·B, D) @ (D, 3H)`` GEMM; the time loop carries only the recurrence
+    and stashes the gate activations the backward needs (``z``, ``r``,
+    ``h̃``, the recurrent candidate pre-product ``U_h h_{t-1} + b_h`` and
+    every hidden state).  The backward's time loop turns each step's
+    incoming hidden gradient ``dh_t`` into the four gate gradients, slot
+    order ``[h_in | z | r | h_rec]`` (the candidate's on the input side,
+    then the three that ``W_hh``'s rows are in), and carries ``dh_t (1 - z) +
+    [z | r | h_rec] @ W_hh`` back a step.  The weight/bias/input gradients
+    batch at the end, each GEMM over its live slots only: ``dW_ih`` and
+    ``dx`` over ``[h_in | z | r]`` (``(3H, T·B) @ (T·B, D)`` and
+    ``(T·B, 3H) @ (3H, D)``, rows rotated back into ``W_ih``'s order),
+    ``dW_hh`` over ``[z | r | h_rec]`` (``(3H, T·B) @ (T·B, H)``).
 
-    The backward exploits that every gate gradient at step ``t`` is the
-    incoming hidden gradient ``dh_t`` times a coefficient built purely
-    from stashed activations: those coefficients batch over *all*
-    timesteps before the loop, so the sequential part is only the
-    recurrent accumulation — per step, one broadcast multiply per gate
-    block and one ``(B, 3H) @ (3H, H)`` GEMM.  The weight/bias/input
-    gradients batch at the end: ``dW_ih``/``dW_hh`` are single
-    ``(3H, T·B) @ (T·B, ·)`` GEMMs and ``dx`` is one
-    ``(T·B, 3H) @ (3H, D)`` GEMM.
+    Which time loops run: ``compiled_loops`` — what
+    :func:`repro.kernels.gru_sequence_grad` passes where the C library is
+    available and no backend is in force — runs both in C
+    (:func:`repro.kernels.compiled.gru_f64_forward` / ``gru_f64_backward``,
+    float64, deterministic, within 1e-6 of the tape, not this loop's bits);
+    otherwise, and always as the registered ``numpy`` op, numpy's loops
+    below, which are also what the tests hold the C against.
 
     Returns ``(outputs, h_T, backward)``; ``backward(grad_out, grad_h_T=None)``
     yields ``(dx, dw_ih, dw_hh, db_ih, db_hh, dh0)``.
@@ -163,19 +174,62 @@ def gru_sequence_grad(
     x = np.asarray(x, dtype=np.float64)
     seq_len, batch, _ = x.shape
     hidden = h0.shape[1]
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + b_ih).reshape(
-        seq_len, batch, 3 * hidden
-    )
-    # Fold the constant z/r recurrent biases into the hoisted projection
-    # (the candidate's recurrent bias must stay inside the r-product),
-    # then pre-negate the z/r part so the loop's sigmoid starts directly
-    # from exp((-gx) - gh) — IEEE negation distributes exactly.
-    gates_x[:, :, : 2 * hidden] += b_hh[: 2 * hidden]
-    neg_gx_zr = -gates_x[:, :, : 2 * hidden]
+    # Fold the constant z/r recurrent biases into the hoisted projection's
+    # (the candidate's recurrent bias must stay inside the r-product).
+    bias = np.concatenate((b_ih[: 2 * hidden] + b_hh[: 2 * hidden], b_ih[2 * hidden :]))
+    gates_x = x.reshape(seq_len * batch, -1) @ w_ih.T
+    gates_x += bias
+    gates_x = gates_x.reshape(seq_len, batch, 3 * hidden)
     b_hh_h = b_hh[2 * hidden :]
-    w_hh_t = np.ascontiguousarray(w_hh.T)
     hs = np.empty((seq_len + 1, batch, hidden))
     hs[0] = h0
+    if compiled_loops:
+        stash = _compiled.gru_f64_forward(gates_x, w_hh, b_hh_h, hs)
+
+        def bptt(grad_out: np.ndarray, carry: np.ndarray) -> np.ndarray:
+            return _compiled.gru_f64_backward(grad_out, w_hh, hs, stash, carry)
+
+    else:
+        bptt = _numpy_loops(gates_x, w_hh, b_hh_h, hs)
+
+    def backward(grad_out: np.ndarray, grad_h_T=None, need_dx: bool = True):
+        """Single-use BPTT closure (it consumes the stashed activations).
+
+        ``need_dx=False`` skips the input-gradient GEMM — the layer-0
+        input of an acoustic model is a plain feature tensor, so its
+        (T·B, 3H) @ (3H, D) gradient would be computed only to be
+        discarded."""
+        grad_out = np.asarray(grad_out, dtype=np.float64)
+        carry = np.zeros((batch, hidden))
+        if grad_h_T is not None:
+            carry += grad_h_T
+        flat = bptt(grad_out, carry).reshape(seq_len * batch, 4 * hidden)
+        h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
+        full_ih = flat[:, :h3].T @ x.reshape(seq_len * batch, -1)
+        dw_ih = np.concatenate((full_ih[h1:], full_ih[:h1]))
+        dw_hh = flat[:, h1:].T @ hs[:-1].reshape(seq_len * batch, hidden)
+        sums = flat.sum(axis=0)
+        db_ih = np.concatenate((sums[h1:h3], sums[:h1]))
+        db_hh = sums[h1:]
+        dx = None
+        if need_dx:
+            w_ih_slots = np.concatenate((w_ih[h2:], w_ih[:h2]))  # [h | z | r]
+            dx = (flat[:, :h3] @ w_ih_slots).reshape(x.shape)
+        return dx, dw_ih, dw_hh, db_ih, db_hh, carry
+
+    return hs[1:], hs[seq_len], backward
+
+
+def _numpy_loops(gates_x, w_hh, b_hh_h, hs):
+    """Numpy's time loops of :func:`gru_sequence_grad`: runs the forward
+    into ``hs`` and returns the backward loop, ``bptt(grad_out, carry)`` →
+    the gate gradients ``(T, B, 4H)`` (a view), ``carry`` updated in place
+    from the gradient of ``h_T`` to that of ``h0``."""
+    seq_len, batch, hidden = hs.shape[0] - 1, hs.shape[1], hs.shape[2]
+    # Pre-negate the z/r part so the loop's sigmoid starts directly from
+    # exp((-gx) - gh) — IEEE negation distributes exactly.
+    neg_gx_zr = -gates_x[:, :, : 2 * hidden]
+    w_hh_t = np.ascontiguousarray(w_hh.T)
     # Stash buffers; the time loop writes every activation in place so a
     # step costs one GEMM plus a fixed handful of allocation-free ufuncs.
     # Per-timestep views and the ufuncs themselves are hoisted out of the
@@ -216,27 +270,8 @@ def gru_sequence_grad(
         sub(cand, h, out=h_next)
         h_next *= z_t[t]
         h_next += h
-    out = hs[1:]
 
-    # Augmented weights let the backward handle the *four* distinct gate
-    # gradients (da_z, da_r, da_h on the input side; da_h·r on the
-    # recurrent side) as one contiguous (…, 4H) block per step: slot
-    # order [z | r | h_input | h_recurrent], with a zero block where a
-    # slot does not feed the given matrix.
-    w_hh_aug = np.zeros((4 * hidden, hidden))
-    w_hh_aug[: 2 * hidden] = w_hh[: 2 * hidden]
-    w_hh_aug[3 * hidden :] = w_hh[2 * hidden :]
-    w_ih_aug = np.zeros((4 * hidden, x.shape[2]))
-    w_ih_aug[: 3 * hidden] = w_ih
-
-    def backward(grad_out: np.ndarray, grad_h_T=None, need_dx: bool = True):
-        """Single-use BPTT closure (it consumes the stashed activations).
-
-        ``need_dx=False`` skips the input-gradient GEMM — the layer-0
-        input of an acoustic model is a plain feature tensor, so its
-        (T·B, 4H) @ (4H, D) gradient would be computed only to be
-        discarded."""
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+    def bptt(grad_out: np.ndarray, carry: np.ndarray) -> np.ndarray:
         z = zr_all[:, :, :hidden]
         r = zr_all[:, :, hidden:]
         # Per-gate coefficients: gate grad at step t = dh_t * coeff[t].
@@ -248,9 +283,9 @@ def gru_sequence_grad(
         # the coefficients with the actual gate gradients — no second
         # (T, B, 4H) array and half the loop's memory traffic.
         coeff = np.empty((seq_len, batch, 5, hidden))
-        c_z = coeff[:, :, 0]
-        c_r = coeff[:, :, 1]
-        c_h = coeff[:, :, 2]
+        c_h = coeff[:, :, 0]
+        c_z = coeff[:, :, 1]
+        c_r = coeff[:, :, 2]
         omz = coeff[:, :, 4]
         np.multiply(cand_all, cand_all, out=c_h)  # h̃²
         np.subtract(1.0, c_h, out=c_h)
@@ -267,34 +302,19 @@ def gru_sequence_grad(
         # Views of the first four slots; the (T·B, 4H) flattening stays a
         # view (row stride 5H), which BLAS consumes directly as lda.
         gates4 = coeff[:, :, :4].reshape(seq_len, batch, 4 * hidden)
-        carry = np.zeros((batch, hidden))
-        if grad_h_T is not None:
-            carry = carry + grad_h_T
         dh = np.empty((batch, hidden))
         dh3 = dh.reshape(batch, 1, hidden)
         gemm = np.empty((batch, hidden))
         go_t = list(grad_out)
         co_t = list(coeff)
         omz_t = [v[:, 4] for v in co_t]
-        g4_t = list(gates4)
+        rec_t = [v[:, hidden:] for v in gates4]  # [z | r | h_rec]: W_hh's rows
         dot, add, mul = np.dot, np.add, np.multiply
         for t in range(seq_len - 1, -1, -1):
             add(go_t[t], carry, out=dh)
             mul(co_t[t], dh3, out=co_t[t])  # four gate grads + dh·(1-z)
-            dot(g4_t[t], w_hh_aug, out=gemm)
+            dot(rec_t[t], w_hh, out=gemm)
             add(omz_t[t], gemm, out=carry)
-        flat = gates4.reshape(seq_len * batch, 4 * hidden)
-        # dW_ih rows [0:3H] of flat.T @ x are exactly [da_z; da_r; da_h];
-        # dW_hh takes the z/r rows plus the recurrent-candidate slot.
-        full_ih = flat.T @ x.reshape(seq_len * batch, -1)
-        dw_ih = full_ih[: 3 * hidden]
-        full_hh = flat.T @ hs[:-1].reshape(seq_len * batch, hidden)
-        dw_hh = np.concatenate((full_hh[: 2 * hidden], full_hh[3 * hidden :]))
-        sums = flat.sum(axis=0)
-        db_ih = sums[: 3 * hidden]
-        db_hh = np.concatenate((sums[: 2 * hidden], sums[3 * hidden :]))
-        dx = (flat @ w_ih_aug).reshape(x.shape) if need_dx else None
-        return dx, dw_ih, dw_hh, db_ih, db_hh, carry
+        return gates4
 
-    return out, hs[seq_len], backward
-
+    return bptt

@@ -73,10 +73,13 @@ def dequantize(acc: np.ndarray, scale: float, xs) -> np.ndarray:
     ``2**24`` that rounds, the same on every route (``cvtdq2ps`` in the C).
     ``scale * xs`` — the weight scale times the activation scale(s),
     broadcast against ``acc`` — is multiplied in float64 and rounded to
-    float32 once, so one float32 multiply per sum follows.
+    float32 once, so one float32 multiply per sum follows.  A product past
+    float32's range is ``inf`` (and ``0 * inf`` NaN), silently: the bytes
+    the C's ``(float)`` conversion gives on finite frames.
     """
-    fused = (scale * np.asarray(xs, dtype=np.float64)).astype(np.float32)
-    return np.asarray(acc).astype(np.float32) * fused
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = (scale * np.asarray(xs, dtype=np.float64)).astype(np.float32)
+        return np.asarray(acc).astype(np.float32) * fused
 
 
 def int8_codes(array: np.ndarray) -> Tuple[np.ndarray, float]:

@@ -15,7 +15,8 @@ every dispatching entry point in :mod:`repro.kernels`); with none chosen,
 every op dispatches to ``"numpy"``.  The compiled C of
 :mod:`repro.kernels.compiled` is no backend here: an int8 engine plan runs
 it as one program per chunk wherever no backend was chosen
-(``docs/engine.md``).
+(``docs/engine.md``), and ``gru_sequence_grad`` its two time loops
+(``docs/training.md``).
 """
 
 from __future__ import annotations

@@ -253,13 +253,16 @@ def scratch_bytes(program):
 
 def neediest_scratch(plan):
     """Bytes of scratch the neediest of a BSPC plan's layer products takes
-    at 8 rows: lane sums and gathered codes, int32 (the output op, 40 rows
-    of 24 columns, needs less than any of them)."""
+    at 8 rows: its sums, then its gathered codes, int32 (the output op, 40
+    rows of 24 columns, needs less than any of them).  The sums take
+    ``bspc_lda``'s room, ``panel.lda``: the lanes kernel's sums where the
+    weight is packed for it, else a double per output row — every product
+    on a build with ``compiled.lanes() == 0``."""
     needs = []
     for layer in plan.layers:
         for weight in (layer.input_proj, layer.recurrent):
             panel = compiled._plan_panel(kernels.int8_bspc_plan(weight.matrix))
-            needs.append(4 * 8 * (panel.acc + (panel.sizes[2] + 1) // 2))
+            needs.append(4 * 8 * (panel.lda + (panel.sizes[2] + 1) // 2))
     return max(needs)
 
 
