@@ -168,24 +168,30 @@ def gru_sequence_grad(
     b_ih: np.ndarray,
     b_hh: np.ndarray,
     h0: np.ndarray,
+    batch_sizes: Optional[np.ndarray] = None,
     backend: Optional[str] = None,
 ):
     """Trainable GRU layer: full-sequence forward plus a BPTT closure.
 
-    Returns ``(outputs, h_T, backward)`` where
-    ``backward(grad_out, grad_h_T=None)`` yields
-    ``(dx, dw_ih, dw_hh, db_ih, db_hh, dh0)``.  The ``reference`` backend
-    runs the autograd tape (ground truth); ``numpy`` is the fused
-    stash-and-batch BPTT used by ``GRU.forward`` in training mode.  With no
-    backend in force (none per call, none chosen) and the C library
-    available, the same fused BPTT runs its two time loops in C — the int8
-    lowering's rule; otherwise numpy's loops run them.
+    ``x`` is a packed batch, ``(N, D)`` frames with ``batch_sizes`` the
+    live rows of each step (:mod:`repro.kernels.packed`), or with
+    ``batch_sizes=None`` an equal-length ``(T, B, D)``.  Returns
+    ``(outputs, h_T, backward)`` — outputs shaped like ``x``, ``h_T`` each
+    row's state at its last step — where ``backward(grad_out,
+    grad_h_T=None)`` yields ``(dx, dw_ih, dw_hh, db_ih, db_hh, dh0)``.  The
+    ``reference`` backend runs the autograd tape (ground truth); ``numpy``
+    is the fused stash-and-batch BPTT used by ``GRU.forward`` in training
+    mode.  With no backend in force (none per call, none chosen) and the C
+    library available, the same fused BPTT runs its two time loops in C —
+    the int8 lowering's rule; otherwise numpy's loops run them.
     """
     if backend is None and registry.chosen_backend is None and compiled.available():
         return numpy_backend.gru_sequence_grad(
-            x, w_ih, w_hh, b_ih, b_hh, h0, compiled_loops=True
+            x, w_ih, w_hh, b_ih, b_hh, h0, batch_sizes, compiled_loops=True
         )
-    return registry.get("gru_sequence_grad", backend)(x, w_ih, w_hh, b_ih, b_hh, h0)
+    return registry.get("gru_sequence_grad", backend)(
+        x, w_ih, w_hh, b_ih, b_hh, h0, batch_sizes
+    )
 
 
 def resolve_backend(name: str, source: str = "backend") -> str:

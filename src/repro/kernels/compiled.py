@@ -90,7 +90,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import CompileBackendError, ShapeError
-from repro.kernels import _math
+from repro.kernels import _math, packed
 from repro.kernels.quantized import int8_bspc_plan
 
 #: Bump to invalidate cached ``.so`` files when the ABI (not just the C
@@ -779,47 +779,69 @@ typedef i64 i64v __attribute__((vector_size(8 * F64_VL)));
 typedef uint64_t u64v __attribute__((vector_size(8 * F64_VL)));
 #define F64(p) (*(f64vu *)(p))
 #define F64C(c) ((f64v){0} + (c))
+/* The training loops' code goes after all of the int8 program's, so its
+ * size moves none of the program's hot loops (the linker places a .text.*
+ * section after .text). */
+#define F64_TEXT __attribute__((section(".text.repro_f64")))
 
 /* c (m, n; rows ldc apart) = a (m, k; rows lda apart) . b (k, n), added to
- * what c holds where `add`: eight rows of a at a time (then the last m % 8
- * one at a time), each block of F64_NV vectors of columns summed in
- * registers, the last n % F64_VL columns one at a time.  The block sizes
- * are constants, so the sums stay in registers.  Every element sums its k
- * products in order. */
-static inline __attribute__((always_inline)) void f64_block(
+ * what c holds where `add`: rows of a in blocks of eight, then one block
+ * each of four, two and one for the last m % 8, a block of r rows over
+ * 8 / r times as many vectors of columns (F64_NV at eight rows) — every
+ * block keeps 8 * F64_NV sums in registers — then halving widths for the
+ * columns a block leaves, one vector last, and the last n % F64_VL columns
+ * one at a time.  The block sizes are constants, so the sums stay in
+ * registers.  Every element sums its k products in order, whichever block
+ * it falls in. */
+static inline __attribute__((always_inline)) F64_TEXT void f64_block(
     i64 rows, i64 nv, i64 k, const double *a, i64 lda, const double *b, i64 n,
     double *c, i64 ldc, int add)
 {
-    f64v acc[8][F64_NV];
+    f64v acc[8 * F64_NV];
     for (i64 i = 0; i < rows; i++)
         for (i64 v = 0; v < nv; v++)
-            acc[i][v] = add ? (f64v)F64(c + i * ldc + v * F64_VL) : F64C(0.0);
+            acc[i * nv + v] = add ? (f64v)F64(c + i * ldc + v * F64_VL) : F64C(0.0);
     for (i64 kk = 0; kk < k; kk++, b += n) {
-        f64v w[F64_NV];
+        f64v w[8 * F64_NV];
         for (i64 v = 0; v < nv; v++) w[v] = F64(b + v * F64_VL);
         for (i64 i = 0; i < rows; i++) {
             const double ai = a[i * lda + kk];
-            for (i64 v = 0; v < nv; v++) acc[i][v] += w[v] * ai;
+            for (i64 v = 0; v < nv; v++) acc[i * nv + v] += w[v] * ai;
         }
     }
     for (i64 i = 0; i < rows; i++)
-        for (i64 v = 0; v < nv; v++) F64(c + i * ldc + v * F64_VL) = acc[i][v];
+        for (i64 v = 0; v < nv; v++) F64(c + i * ldc + v * F64_VL) = acc[i * nv + v];
 }
 
-static void f64_gemm(
+#define F64_COLS(rows, nv)                                     \
+    for (; j + (nv) * F64_VL <= n; j += (nv) * F64_VL)          \
+        f64_block(rows, nv, k, a, lda, b + j, n, c + j, ldc, add)
+
+static F64_TEXT void f64_gemm(
     i64 m, i64 n, i64 k, const double *a, i64 lda, const double *b, double *c, i64 ldc,
     int add)
 {
-    const i64 step = F64_NV * F64_VL, whole = n / F64_VL * F64_VL;
     for (i64 i = 0, rows; i < m; i += rows, a += rows * lda, c += rows * ldc) {
-        rows = m - i < 8 ? 1 : 8;
+        rows = m - i >= 8 ? 8 : m - i >= 4 ? 4 : m - i >= 2 ? 2 : 1;
         i64 j = 0;
         if (rows == 8) {
-            for (; j + step <= n; j += step) f64_block(8, F64_NV, k, a, lda, b + j, n, c + j, ldc, add);
-            for (; j < whole; j += F64_VL) f64_block(8, 1, k, a, lda, b + j, n, c + j, ldc, add);
+            F64_COLS(8, F64_NV);
+            F64_COLS(8, 1);
+        } else if (rows == 4) {
+            F64_COLS(4, 2 * F64_NV);
+            F64_COLS(4, F64_NV);
+            F64_COLS(4, 1);
+        } else if (rows == 2) {
+            F64_COLS(2, 4 * F64_NV);
+            F64_COLS(2, 2 * F64_NV);
+            F64_COLS(2, F64_NV);
+            F64_COLS(2, 1);
         } else {
-            for (; j + step <= n; j += step) f64_block(1, F64_NV, k, a, lda, b + j, n, c + j, ldc, add);
-            for (; j < whole; j += F64_VL) f64_block(1, 1, k, a, lda, b + j, n, c + j, ldc, add);
+            F64_COLS(1, 8 * F64_NV);
+            F64_COLS(1, 4 * F64_NV);
+            F64_COLS(1, 2 * F64_NV);
+            F64_COLS(1, F64_NV);
+            F64_COLS(1, 1);
         }
         for (; j < n; j++)
             for (i64 r = 0; r < rows; r++) {
@@ -830,7 +852,7 @@ static void f64_gemm(
     }
 }
 
-static inline f64v select64(i64v m, f64v a, f64v b)
+static inline F64_TEXT f64v select64(i64v m, f64v a, f64v b)
 {
     return (f64v)((m & (i64v)a) | (~m & (i64v)b));
 }
@@ -840,7 +862,7 @@ static inline f64v select64(i64v m, f64v a, f64v b)
  * by the 1.5 * 2^52 sum, f = x - k ln 2 in two pieces (|f| <= ln 2 / 2),
  * e^f by its Taylor polynomial to degree 12, times 2^k made from the
  * sum's low bits. */
-static inline f64v exp64(f64v x)
+static inline F64_TEXT f64v exp64(f64v x)
 {
     x = select64((i64v)(x < -708.0), F64C(-708.0), x);
     x = select64((i64v)(x > 708.0), F64C(708.0), x);
@@ -868,7 +890,7 @@ static inline f64v exp64(f64v x)
  * (z, r, h~, gh_h + b_hh_h), gx its hoisted gate sums (the z/r recurrent
  * biases folded in), b the candidate's recurrent bias; the new state into
  * next.  sigmoid(v) = 1 / (exp(-v) + 1), tanh(v) = 2 sigmoid(2 v) - 1. */
-static inline __attribute__((always_inline)) void f64_forward_units(
+static inline __attribute__((always_inline)) F64_TEXT void f64_forward_units(
     i64 h, const double *gx, const double *b, const double *prev, double *st, double *next)
 {
     const f64v z = 1.0 / (exp64(-(F64(gx) + F64(st))) + 1.0);
@@ -886,7 +908,7 @@ static inline __attribute__((always_inline)) void f64_forward_units(
 /* ... and of its backward step: dh = grad_out + carry (the gradient the
  * step after sent back); the gate gradients into g, slots [h_in | z | r |
  * h_rec] `h` apart, and dh (1 - z), the direct part of the next carry. */
-static inline __attribute__((always_inline)) void f64_backward_units(
+static inline __attribute__((always_inline)) F64_TEXT void f64_backward_units(
     i64 h, const double *go, const double *st, const double *prev, double *g, double *carry)
 {
     const f64v dh = F64(go) + F64(carry);
@@ -901,7 +923,7 @@ static inline __attribute__((always_inline)) void f64_backward_units(
 
 /* One batch row of either step: whole vectors in place, the last h % F64_VL
  * units through zero-padded copies of theirs, F64_VL apart. */
-static void f64_forward_row(
+static F64_TEXT void f64_forward_row(
     i64 h, const double *gx, const double *b, const double *prev, double *st, double *next)
 {
     const i64 whole = h / F64_VL * F64_VL, n = h - whole;
@@ -922,7 +944,7 @@ static void f64_forward_row(
     memcpy(next + whole, out, bytes);
 }
 
-static void f64_backward_row(
+static F64_TEXT void f64_backward_row(
     i64 h, const double *go, const double *st, const double *prev, double *g, double *carry)
 {
     const i64 whole = h / F64_VL * F64_VL, n = h - whole;
@@ -941,42 +963,54 @@ static void f64_backward_row(
     memcpy(carry + whole, c, bytes);
 }
 
-/* The forward recurrence over `steps` steps of `batch` rows of h units:
- * gx (steps, batch, 3h) the hoisted gate sums, w_hh_t (h, 3h) = W_hh.T,
- * b_hh_h the candidate's recurrent bias; hs (steps + 1, batch, h) holds
- * h0 and gets every state after it, stash (steps, batch, 4h) each row's
- * z, r, h~ and gh_h + b_hh_h — the step's product lands there first. */
-API void repro_gru_f64_forward(
-    i64 steps, i64 batch, i64 h, const double *gx, const double *w_hh_t,
+/* The forward recurrence over a packed batch of `steps` steps: step t
+ * runs its bs[t] live rows (bs non-increasing, bs[0] = batch; a row
+ * that has ended keeps its state) — frame after frame, its rows a prefix
+ * of the step before's.  gx (frames, 3h) the hoisted gate sums, w_hh_t
+ * (h, 3h) = W_hh.T, b_hh_h the candidate's recurrent bias; hs (batch +
+ * frames, h) holds h0 and gets each frame's new state after it, so a
+ * row's state before step t is its row in the block before (h0 at t = 0);
+ * stash (frames, 4h) each frame's z, r, h~ and gh_h + b_hh_h — the step's
+ * product lands there first. */
+API F64_TEXT void repro_gru_f64_forward(
+    i64 steps, i64 batch, i64 h, const i64 *bs, const double *gx, const double *w_hh_t,
     const double *b_hh_h, double *hs, double *stash)
 {
-    for (i64 t = 0; t < steps; t++, gx += batch * 3 * h, stash += batch * 4 * h) {
-        const double *prev = hs + t * batch * h;
-        double *next = hs + (t + 1) * batch * h;
-        f64_gemm(batch, 3 * h, h, prev, h, w_hh_t, stash, 4 * h, 0);
-        for (i64 i = 0; i < batch; i++)
+    const double *prev = hs;
+    double *next = hs + batch * h;
+    for (i64 t = 0; t < steps; t++) {
+        const i64 rows = bs[t];
+        f64_gemm(rows, 3 * h, h, prev, h, w_hh_t, stash, 4 * h, 0);
+        for (i64 i = 0; i < rows; i++)
             f64_forward_row(h, gx + i * 3 * h, b_hh_h, prev + i * h, stash + i * 4 * h,
                             next + i * h);
+        prev = next;
+        next += rows * h, gx += rows * 3 * h, stash += rows * 4 * h;
     }
 }
 
-/* BPTT over that forward's stash and states: grad_out (steps, batch, h)
- * the gradients of the outputs, w_hh (3h, h); gates (steps, batch, 4h)
- * gets each step's gate gradients, slots [h_in | z | r | h_rec]; carry
- * (batch, h) holds the gradient of h_T and ends as that of h0.  Per step
- * from the last, each row's gates from the stash, then carry = dh (1 - z)
- * + [z | r | h_rec] . W_hh — the slots W_hh's rows are in. */
-API void repro_gru_f64_backward(
-    i64 steps, i64 batch, i64 h, const double *grad_out, const double *w_hh,
+/* BPTT over that forward's stash and states: grad_out (frames, h) the
+ * gradients of the outputs, w_hh (3h, h); gates (frames, 4h) gets each
+ * frame's gate gradients, slots [h_in | z | r | h_rec]; carry (batch, h)
+ * holds the gradient of each row's last state and ends as that of h0.
+ * Per step from the last, each live row's gates from the stash, then
+ * carry = dh (1 - z) + [z | r | h_rec] . W_hh — the slots W_hh's rows are
+ * in; the carry of a row not live yet stays its seed. */
+API F64_TEXT void repro_gru_f64_backward(
+    i64 steps, i64 batch, i64 h, const i64 *bs, const double *grad_out, const double *w_hh,
     const double *hs, const double *stash, double *gates, double *carry)
 {
+    i64 at = 0;
+    for (i64 t = 0; t < steps; t++) at += bs[t];
     for (i64 t = steps - 1; t >= 0; t--) {
-        const i64 at = t * batch;
+        at -= bs[t];
+        const i64 live = bs[t];
+        const double *prev = t ? hs + (batch + at - bs[t - 1]) * h : hs;
         double *g = gates + at * 4 * h;
-        for (i64 i = 0; i < batch; i++)
+        for (i64 i = 0; i < live; i++)
             f64_backward_row(h, grad_out + (at + i) * h, stash + (at + i) * 4 * h,
-                             hs + (at + i) * h, g + i * 4 * h, carry + i * h);
-        f64_gemm(batch, h, 3 * h, g + h, 4 * h, w_hh, carry, h, 1);
+                             prev + i * h, g + i * 4 * h, carry + i * h);
+        f64_gemm(live, h, 3 * h, g + h, 4 * h, w_hh, carry, h, 1);
     }
 }
 """
@@ -2006,8 +2040,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_plan_i8_arena": (ptr, i64, i64),
         "repro_plan_i8_frame_ns": (ptr, i64),
         "repro_plan_i8_chunk": (ptr, i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr),
-        "repro_gru_f64_forward": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr),
-        "repro_gru_f64_backward": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr),
+        "repro_gru_f64_forward": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr),
+        "repro_gru_f64_backward": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr),
     }
     try:
         for name, argtypes in signatures.items():
@@ -2348,53 +2382,57 @@ def product(
 
 
 def gru_f64_forward(
-    gates_x: np.ndarray, w_hh: np.ndarray, b_hh_h: np.ndarray, hs: np.ndarray
-) -> np.ndarray:
+    batch_sizes: np.ndarray, gates_x: np.ndarray, w_hh: np.ndarray, b_hh_h: np.ndarray,
+    hs: np.ndarray, stash: np.ndarray,
+) -> None:
     """The forward loop of the fused GRU training step
-    (``repro_gru_f64_forward``): ``gates_x (T, B, 3H)`` the hoisted input
-    projection with the z/r recurrent biases folded in, ``w_hh (3H, H)``,
-    ``b_hh_h`` the candidate's recurrent bias; ``hs (T + 1, B, H)``,
-    C-contiguous float64, holds ``h0`` and is filled with every state.
-    Returns the stash, ``(T, B, 4H)``: per row ``z``, ``r``, ``h̃`` and
-    ``U_h h + b_hh_h``."""
-    steps, batch, hidden = hs.shape[0] - 1, hs.shape[1], hs.shape[2]
-    if (gates_x.shape, w_hh.shape, b_hh_h.shape) != (
-        (steps, batch, 3 * hidden), (3 * hidden, hidden), (hidden,)
+    (``repro_gru_f64_forward``) over a packed batch: ``batch_sizes (T,)``
+    the live rows of each step (:mod:`repro.kernels.packed`), ``gates_x (N, 3H)``
+    the hoisted input projection with the z/r recurrent biases folded in,
+    ``w_hh (3H, H)``, ``b_hh_h`` the candidate's recurrent bias.  Fills,
+    both C-contiguous float64, ``hs (B + N, H)`` after the ``h0`` its first
+    ``B`` rows hold with every frame's state, and ``stash (N, 4H)`` with
+    each frame's ``z``, ``r``, ``h̃`` and ``U_h h + b_hh_h``."""
+    frames, hidden = len(stash), hs.shape[-1]
+    batch = len(hs) - frames
+    if hs.ndim != 2 or (gates_x.shape, w_hh.shape, b_hh_h.shape, stash.shape) != (
+        (frames, 3 * hidden), (3 * hidden, hidden), (hidden,), (frames, 4 * hidden)
     ):
-        shapes = [a.shape for a in (gates_x, w_hh, b_hh_h)]
+        shapes = [a.shape for a in (gates_x, w_hh, b_hh_h, stash)]
         raise ShapeError(f"GRU step of {hs.shape} states onto {shapes}")
-    _check_buffers(hs, dtype=np.float64)
+    sizes = packed.steps(batch_sizes, frames, batch)
+    _check_buffers(hs, stash, dtype=np.float64)
     gates_x, w_hh_t, b_hh_h = _f64(gates_x), _f64(w_hh.T), _f64(b_hh_h)
-    stash = np.empty((steps, batch, 4 * hidden))
     _library().repro_gru_f64_forward(
-        steps, batch, hidden, _p(gates_x), _p(w_hh_t), _p(b_hh_h), _p(hs), _p(stash)
+        len(sizes), batch, hidden, _p(sizes), _p(gates_x), _p(w_hh_t), _p(b_hh_h), _p(hs),
+        _p(stash),
     )
-    return stash
 
 
 def gru_f64_backward(
-    grad_out: np.ndarray, w_hh: np.ndarray, hs: np.ndarray, stash: np.ndarray,
-    carry: np.ndarray,
-) -> np.ndarray:
+    batch_sizes: np.ndarray, grad_out: np.ndarray, w_hh: np.ndarray, hs: np.ndarray,
+    stash: np.ndarray, carry: np.ndarray, gates: np.ndarray,
+) -> None:
     """The BPTT loop over :func:`gru_f64_forward`'s ``hs`` and stash
-    (``repro_gru_f64_backward``): ``grad_out (T, B, H)``; ``carry (B, H)``,
-    C-contiguous float64, holds the gradient of ``h_T`` and ends as that of
-    ``h0``.  Returns the gate gradients ``(T, B, 4H)``, slots ``[h_in | z |
-    r | h_rec]``."""
-    steps, batch, hidden = grad_out.shape
-    if (w_hh.shape, hs.shape, stash.shape, carry.shape) != (
-        (3 * hidden, hidden), (steps + 1, batch, hidden), (steps, batch, 4 * hidden),
-        (batch, hidden),
+    (``repro_gru_f64_backward``): ``grad_out (N, H)``; ``carry (B, H)``
+    holds the gradient of each row's last state and ends as that of
+    ``h0``; ``gates (N, 4H)`` gets the gate gradients, slots ``[h_in | z |
+    r | h_rec]`` — carry and gates C-contiguous float64."""
+    frames, hidden = len(grad_out), grad_out.shape[-1]
+    batch = len(carry)
+    if grad_out.ndim != 2 or (w_hh.shape, hs.shape, stash.shape, carry.shape, gates.shape) != (
+        (3 * hidden, hidden), (batch + frames, hidden), (frames, 4 * hidden),
+        (batch, hidden), (frames, 4 * hidden),
     ):
-        shapes = [a.shape for a in (w_hh, hs, stash, carry)]
+        shapes = [a.shape for a in (w_hh, hs, stash, carry, gates)]
         raise ShapeError(f"BPTT of {grad_out.shape} gradients onto {shapes}")
-    _check_buffers(hs, stash, carry, dtype=np.float64)
+    sizes = packed.steps(batch_sizes, frames, batch)
+    _check_buffers(hs, stash, carry, gates, dtype=np.float64)
     grad_out, w_hh = _f64(grad_out), _f64(w_hh)
-    gates = np.empty((steps, batch, 4 * hidden))
     _library().repro_gru_f64_backward(
-        steps, batch, hidden, _p(grad_out), _p(w_hh), _p(hs), _p(stash), _p(gates), _p(carry)
+        len(sizes), batch, hidden, _p(sizes), _p(grad_out), _p(w_hh), _p(hs), _p(stash),
+        _p(gates), _p(carry),
     )
-    return gates
 
 
 class PlanProgram:

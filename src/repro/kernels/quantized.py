@@ -65,6 +65,11 @@ def int8_codes_axis(array: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarra
     return codes, scales
 
 
+#: Largest ``|scale * xs|`` that reaches float32, and times any sum of int8
+#: products (below 2**64 in magnitude) stays inside float32's range.
+_QUIET_SCALE = 2.0**62
+
+
 def dequantize(acc: np.ndarray, scale: float, xs) -> np.ndarray:
     """Integer sums → float32: ``float32(acc) * float32(scale * xs)``.
 
@@ -75,11 +80,17 @@ def dequantize(acc: np.ndarray, scale: float, xs) -> np.ndarray:
     broadcast against ``acc`` — is multiplied in float64 and rounded to
     float32 once, so one float32 multiply per sum follows.  A product past
     float32's range is ``inf`` (and ``0 * inf`` NaN), silently: the bytes
-    the C's ``(float)`` conversion gives on finite frames.
+    the C's ``(float)`` conversion gives on finite frames.  Up to 16
+    scales are checked against :data:`_QUIET_SCALE` in Python first, which
+    is cheaper than the ``np.errstate`` that silences the rest.
     """
+    fused = scale * np.asarray(xs, dtype=np.float64)
+    few = fused.ravel().tolist() if fused.size <= 16 else ()
+    # min/max skip a NaN after the first element, and a NaN raises nothing
+    if few and -_QUIET_SCALE <= min(few) and max(few) <= _QUIET_SCALE:
+        return np.asarray(acc).astype(np.float32) * fused.astype(np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        fused = (scale * np.asarray(xs, dtype=np.float64)).astype(np.float32)
-        return np.asarray(acc).astype(np.float32) * fused
+        return np.asarray(acc).astype(np.float32) * fused.astype(np.float32)
 
 
 def int8_codes(array: np.ndarray) -> Tuple[np.ndarray, float]:

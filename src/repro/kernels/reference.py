@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.kernels import packed
 from repro.kernels._math import sigmoid as _sigmoid
 from repro.kernels.registry import registry
 
@@ -116,45 +117,59 @@ def gru_sequence_grad(
     b_ih: np.ndarray,
     b_hh: np.ndarray,
     h0: np.ndarray,
+    batch_sizes=None,
 ):
     """Trainable GRU layer backed by the autograd tape (ground truth).
 
     Runs the exact per-timestep ``GRUCell`` math through
     :class:`repro.nn.tensor.Tensor`, so the returned backward closure is the
-    tape's own BPTT.  Returns ``(outputs, h_T, backward)`` where
-    ``backward(grad_out, grad_h_T=None)`` yields
+    tape's own BPTT — over an equal-length ``(T, B, D)`` ``x``, or a packed
+    ``(N, D)`` one whose step ``t`` runs its ``batch_sizes[t]`` live rows
+    (a row past its end keeps its state).  Returns ``(outputs, h_T,
+    backward)`` where ``backward(grad_out, grad_h_T=None)`` yields
     ``(dx, dw_ih, dw_hh, db_ih, db_hh, dh0)``.
     """
-    from repro.nn.tensor import Tensor, stack
+    from repro.nn.tensor import Tensor, concatenate
 
     hidden = h0.shape[1]
-    xt = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
+    x = np.asarray(x, dtype=np.float64)
+    xt = Tensor(x, requires_grad=True)
     wih = Tensor(np.asarray(w_ih, dtype=np.float64), requires_grad=True)
     whh = Tensor(np.asarray(w_hh, dtype=np.float64), requires_grad=True)
     bih = Tensor(np.asarray(b_ih, dtype=np.float64), requires_grad=True)
     bhh = Tensor(np.asarray(b_hh, dtype=np.float64), requires_grad=True)
     h0t = Tensor(np.asarray(h0, dtype=np.float64), requires_grad=True)
+    frames = xt.reshape(-1, x.shape[-1])
+    if batch_sizes is None:
+        batch_sizes = np.full(x.shape[0], len(h0))
+    sizes = packed.steps(batch_sizes, frames.shape[0], len(h0))
     h = h0t
     outputs = []
-    for t in range(x.shape[0]):
-        gx = xt[t].matmul(wih.T) + bih
+    ended = []  # the rows that end at each shrink, last rows first
+    for start, rows in zip(packed.starts(sizes), sizes):
+        if rows < h.shape[0]:
+            ended.append(h[rows:])
+            h = h[:rows]
+        gx = frames[start : start + rows].matmul(wih.T) + bih
         gh = h.matmul(whh.T) + bhh
         z = (gx[:, :hidden] + gh[:, :hidden]).sigmoid()
         r = (gx[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden]).sigmoid()
         h_tilde = (gx[:, 2 * hidden :] + r * gh[:, 2 * hidden :]).tanh()
         h = (1.0 - z) * h + z * h_tilde
         outputs.append(h)
-    out = stack(outputs, axis=0)
+    out = concatenate(outputs).reshape(*x.shape[:-1], hidden)
+    h_T = concatenate([h] + ended[::-1]).data
+    last = packed.last_frames(sizes)
     leaves = (xt, wih, whh, bih, bhh, h0t)
 
     def backward(grad_out: np.ndarray, grad_h_T=None, need_dx: bool = True):
         seed = np.array(grad_out, dtype=np.float64, copy=True)
         if grad_h_T is not None:
-            seed[-1] += grad_h_T
+            seed.reshape(-1, hidden)[last] += grad_h_T
         out.backward(seed)
         return tuple(
             leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
             for leaf in leaves
         )
 
-    return out.data, out.data[-1], backward
+    return out.data, h_T, backward

@@ -1,8 +1,9 @@
 """Dataset/DataLoader abstractions for variable-length sequence batches.
 
-Speech utterances have different lengths, so batching pads features and
-labels to the batch maximum and returns a 0/1 frame mask that downstream
-loss code uses to ignore padded frames.
+Speech utterances have different lengths.  :func:`collate` pads features
+and labels to the batch maximum and returns a 0/1 frame mask that
+downstream code uses to ignore padded frames (evaluation); :func:`pack`
+keeps only the real frames, step-major and longest first (training).
 """
 
 from __future__ import annotations
@@ -68,14 +69,19 @@ class Batch:
         return int(self.lengths.sum())
 
 
-def collate(examples: Sequence[SequenceExample]) -> Batch:
-    """Pad a list of :class:`SequenceExample` into a time-major :class:`Batch`."""
+def _feature_dim(examples: Sequence[SequenceExample], caller: str) -> int:
+    """The one feature width of a non-empty batch of examples."""
     if not examples:
-        raise ValueError("collate() needs at least one example")
+        raise ValueError(f"{caller}() needs at least one example")
     dims = {ex.features.shape[1] for ex in examples}
     if len(dims) != 1:
         raise ShapeError(f"inconsistent feature dims in batch: {sorted(dims)}")
-    dim = dims.pop()
+    return dims.pop()
+
+
+def collate(examples: Sequence[SequenceExample]) -> Batch:
+    """Pad a list of :class:`SequenceExample` into a time-major :class:`Batch`."""
+    dim = _feature_dim(examples, "collate")
     lengths = np.array([len(ex) for ex in examples], dtype=np.int64)
     t_max = int(lengths.max())
     batch = len(examples)
@@ -88,6 +94,41 @@ def collate(examples: Sequence[SequenceExample]) -> Batch:
         labels[:t, b] = example.labels
         mask[:t, b] = 1.0
     return Batch(features=features, labels=labels, mask=mask, lengths=lengths)
+
+
+@dataclass
+class PackedBatch:
+    """A minibatch of utterances packed step-major, longest first
+    (:mod:`repro.kernels.packed`): only real frames, no mask.
+
+    Attributes
+    ----------
+    features:    ``(N, D)`` the frames of every step, live rows in order.
+    labels:      ``(N,)`` their labels.
+    batch_sizes: ``(T,)`` rows live at each step, non-increasing.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    batch_sizes: np.ndarray
+
+
+def pack(examples: Sequence[SequenceExample]) -> PackedBatch:
+    """Sort ``examples`` longest-first (stably) and pack their frames
+    step-major into a :class:`PackedBatch`; an equal-length batch packs to
+    its padded ``(T, B)`` frames in the same order."""
+    _feature_dim(examples, "pack")
+    lengths = np.array([len(ex) for ex in examples], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    # (t, b) of each real frame in step-major order, and where it sits in
+    # the utterances laid end to end
+    steps, rows = np.nonzero(np.arange(lengths[0])[:, None] < lengths[None, :])
+    source = (np.cumsum(lengths) - lengths)[rows] + steps
+    features = np.concatenate([examples[i].features for i in order])[source]
+    labels = np.concatenate([examples[i].labels for i in order])[source]
+    batch_sizes = np.bincount(steps, minlength=lengths[0])
+    return PackedBatch(features, labels, batch_sizes)
 
 
 class Dataset:

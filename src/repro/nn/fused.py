@@ -26,17 +26,21 @@ def fused_gru_layer(
     b_ih: Tensor,
     b_hh: Tensor,
     h0: Tensor,
+    batch_sizes: Optional[np.ndarray] = None,
     backend: Optional[str] = None,
 ) -> Tensor:
-    """One GRU layer over ``(T, B, D)`` as a single autograd node.
+    """One GRU layer over an equal-length ``(T, B, D)`` or a packed
+    ``(N, D)`` batch (``batch_sizes``, see :mod:`repro.kernels.packed`) as
+    a single autograd node.
 
-    Returns the ``(T, B, H)`` hidden sequence; the final state is its last
-    timestep (slice the result to keep gradient connectivity).
+    Returns the hidden sequence shaped like ``x``; a row's final state is
+    its last frame (index the result to keep gradient connectivity).
     """
     from repro import kernels
 
     out_data, _, kernel_backward = kernels.gru_sequence_grad(
-        x.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data, h0.data, backend=backend
+        x.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data, h0.data,
+        batch_sizes=batch_sizes, backend=backend,
     )
     parents = (x, w_ih, w_hh, b_ih, b_hh, h0)
 
@@ -48,4 +52,3 @@ def fused_gru_layer(
                 parent._accumulate(d)
 
     return x._make_child(out_data, parents, backward)
-

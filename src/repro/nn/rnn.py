@@ -23,9 +23,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.kernels import packed
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, concatenate
 from repro.utils.rng import RngLike, new_rng, spawn_rngs
 
 
@@ -124,24 +125,40 @@ class GRU(Module):
         return [getattr(self, f"cell{i}") for i in range(self.num_layers)]
 
     def forward(
-        self, x: Tensor, h0: Optional[List[Tensor]] = None
+        self,
+        x: Tensor,
+        h0: Optional[List[Tensor]] = None,
+        batch_sizes: Optional[np.ndarray] = None,
     ) -> Tuple[Tensor, List[Tensor]]:
         """Run the full sequence; returns ``(outputs, final_hiddens)``.
 
-        In eval mode (and with no grad-requiring inputs) each layer runs as
-        one fused :func:`repro.kernels.gru_sequence` call.  Training mode
-        records gradients: on vectorized backends each layer is a single
-        fused-BPTT autograd node (:func:`repro.nn.fused.fused_gru_layer`);
-        under the ``reference`` backend the cells unroll per timestep so
-        the tape sees every op.
+        ``x`` is ``(T, B, D)``, or with ``batch_sizes`` a packed ``(N, D)``
+        batch (:mod:`repro.kernels.packed`: step ``t`` runs its
+        ``batch_sizes[t]`` live rows, a row past its end keeps its state);
+        the outputs are shaped like ``x`` and each final hidden is every
+        row's state at its last step.
+
+        In eval mode (and with no grad-requiring inputs) each layer of a
+        ``(T, B, D)`` batch runs as one fused :func:`repro.kernels.gru_sequence`
+        call.  Otherwise gradients are recorded: on vectorized backends
+        each layer is a single fused-BPTT autograd node
+        (:func:`repro.nn.fused.fused_gru_layer`); under the ``reference``
+        backend the cells unroll per timestep so the tape sees every op.
         """
-        if x.ndim != 3:
-            raise ShapeError(f"GRU expects (T, B, D) input, got {x.shape}")
+        want = 2 if batch_sizes is not None else 3
+        if x.ndim != want:
+            layout = "packed (N, D)" if want == 2 else "(T, B, D)"
+            raise ShapeError(f"GRU expects {layout} input, got {x.shape}")
         if x.shape[-1] != self.input_size:
             raise ShapeError(
                 f"GRU expected input size {self.input_size}, got {x.shape}"
             )
-        seq_len, batch, _ = x.shape
+        if batch_sizes is None:
+            seq_len, batch = x.shape[0], x.shape[1]
+        else:
+            batch = int(batch_sizes[0]) if len(batch_sizes) else 0
+            batch_sizes = packed.steps(batch_sizes, x.shape[0], batch)
+            seq_len = len(batch_sizes)
         hiddens = (
             [cell.init_hidden(batch) for cell in self.cells] if h0 is None else list(h0)
         )
@@ -149,7 +166,7 @@ class GRU(Module):
             raise ShapeError(
                 f"h0 must have {self.num_layers} layer states, got {len(hiddens)}"
             )
-        if _use_fused_kernels(self, x, *hiddens):
+        if batch_sizes is None and _use_fused_kernels(self, x, *hiddens):
             from repro import kernels
 
             layer_input = x.data
@@ -168,6 +185,7 @@ class GRU(Module):
         if _use_fused_grad():
             from repro.nn.fused import fused_gru_layer
 
+            last = seq_len - 1 if batch_sizes is None else packed.last_frames(batch_sizes)
             layer_out = x
             fused_finals: List[Tensor] = []
             for cell, h_init in zip(self.cells, hiddens):
@@ -178,15 +196,23 @@ class GRU(Module):
                     cell.bias_ih,
                     cell.bias_hh,
                     h_init,
+                    batch_sizes,
                 )
-                fused_finals.append(layer_out[seq_len - 1])
+                fused_finals.append(layer_out[last])
             return layer_out, fused_finals
+        frames = x.reshape(-1, x.shape[-1])
+        sizes = np.full(seq_len, batch) if batch_sizes is None else batch_sizes
         outputs: List[Tensor] = []
-        for t in range(seq_len):
-            layer_input = x[t]
+        ended: List[List[Tensor]] = [[] for _ in self.cells]  # last rows first
+        for start, rows in zip(packed.starts(sizes), sizes):
+            layer_input = frames[start : start + rows]
             for layer_index, cell in enumerate(self.cells):
-                hiddens[layer_index] = cell(layer_input, hiddens[layer_index])
+                h = hiddens[layer_index]
+                if rows < h.shape[0]:
+                    ended[layer_index].append(h[rows:])
+                    h = h[:rows]
+                hiddens[layer_index] = cell(layer_input, h)
                 layer_input = hiddens[layer_index]
             outputs.append(layer_input)
-        return stack(outputs, axis=0), hiddens
-
+        out = concatenate(outputs).reshape(*x.shape[:-1], self.hidden_size)
+        return out, [concatenate([h] + rows[::-1]) for h, rows in zip(hiddens, ended)]

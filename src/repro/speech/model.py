@@ -56,13 +56,14 @@ class GRUAcousticModel(Module):
         )
         self.output = Linear(config.hidden_size, config.num_classes, rng=rng_out)
 
-    def forward(self, features: Tensor) -> Tensor:
-        """Features ``(T, B, D)`` → logits ``(T, B, C)``."""
-        hidden, _ = self.gru(features)
-        t, b, h = hidden.shape
-        flat = hidden.reshape(t * b, h)
+    def forward(self, features: Tensor, batch_sizes=None) -> Tensor:
+        """Features ``(T, B, D)`` → logits ``(T, B, C)``; a packed ``(N, D)``
+        batch with its ``batch_sizes`` (:mod:`repro.kernels.packed`) →
+        ``(N, C)``, one row per real frame."""
+        hidden, _ = self.gru(features, batch_sizes=batch_sizes)
+        flat = hidden.reshape(-1, hidden.shape[-1])
         logits = self.output(flat)
-        return logits.reshape(t, b, self.config.num_classes)
+        return logits.reshape(*hidden.shape[:-1], self.config.num_classes)
 
     # -- pruning surface ----------------------------------------------------
     def prunable_parameters(

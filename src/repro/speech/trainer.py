@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.nn import functional as F
-from repro.nn.data import Batch, DataLoader, Dataset, collate
+from repro.nn.data import DataLoader, Dataset, pack
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.pruning.base import PruningMethod
@@ -97,15 +97,6 @@ class Trainer:
         self._epoch = int(value)
 
     # -- single steps ---------------------------------------------------------
-    def _batch_loss(self, batch: Batch) -> Tensor:
-        logits = self.model(Tensor(batch.features))
-        t, b, c = logits.shape
-        return F.cross_entropy(
-            logits.reshape(t * b, c),
-            batch.labels.reshape(-1),
-            weight_mask=batch.mask.reshape(-1),
-        )
-
     def _clip_gradients(self) -> None:
         limit = self.config.grad_clip
         params = [p for p in self.model.parameters() if p.grad is not None]
@@ -135,9 +126,11 @@ class Trainer:
         return (n + self.config.batch_size - 1) // self.config.batch_size
 
     def _backward_on_batch(self, indices: np.ndarray) -> float:
-        """Forward/backward one minibatch; leaves gradients on the model."""
-        batch = collate([self.train_set[int(i)] for i in indices])
-        loss = self._batch_loss(batch)
+        """Forward/backward one minibatch, packed (longest first, real
+        frames only); leaves gradients on the model."""
+        batch = pack([self.train_set[int(i)] for i in indices])
+        logits = self.model(Tensor(batch.features), batch.batch_sizes)
+        loss = F.cross_entropy(logits, batch.labels)
         loss.backward()
         return float(loss.data)
 
@@ -151,11 +144,13 @@ class Trainer:
     ) -> float:
         """One pass over the training set; returns the mean batch loss.
 
-        On vectorized kernel backends (the default) every batch runs
-        through the fused training fast path: each recurrent layer is one
-        ``gru_sequence_grad`` forward + single-BPTT-backward kernel call
-        (see ``docs/training.md``), so dense training and every
-        ADMM/prune→retrain phase share the same accelerated loop.  Under
+        Every batch is packed (longest first, real frames only; see
+        :func:`~repro.nn.data.pack`).  On vectorized kernel backends (the
+        default) it runs through the fused training fast path: each
+        recurrent layer is one ``gru_sequence_grad`` forward +
+        single-BPTT-backward kernel call (see ``docs/training.md``), so
+        dense training and every ADMM/prune→retrain phase share the same
+        accelerated loop.  Under
         ``kernels.use_backend("reference")`` the per-timestep autograd
         tape is used instead.
 

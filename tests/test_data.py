@@ -10,6 +10,7 @@ from repro.nn.data import (
     Dataset,
     SequenceExample,
     collate,
+    pack,
     train_test_split,
 )
 
@@ -75,6 +76,32 @@ class TestCollate:
     def test_rejects_mixed_dims(self):
         with pytest.raises(ShapeError):
             collate([example(3, dim=3), example(3, dim=4)])
+
+
+class TestPack:
+    def test_rows_sorted_longest_first_stably_and_packed_step_major(self):
+        exs = [example(3, seed=1), example(5, seed=2), example(3, seed=3), example(5, seed=4)]
+        batch = pack(exs)
+        np.testing.assert_array_equal(batch.batch_sizes, [4, 4, 4, 2, 2])
+        order = [1, 3, 0, 2]  # longest first, ties in the order given
+        want = [exs[b].features[t] for t in range(5) for b in order if t < len(exs[b])]
+        np.testing.assert_array_equal(batch.features, want)
+        np.testing.assert_array_equal(
+            batch.labels, [exs[b].labels[t] for t in range(5) for b in order if t < len(exs[b])]
+        )
+
+    def test_equal_lengths_pack_to_the_padded_frames(self):
+        exs = [example(4, seed=s) for s in range(3)]
+        padded = collate(exs)
+        batch = pack(exs)
+        np.testing.assert_array_equal(batch.features, padded.features.reshape(12, 3))
+        np.testing.assert_array_equal(batch.batch_sizes, [3] * 4)
+
+    def test_rejects_empty_and_mixed_dims(self):
+        with pytest.raises(ValueError):
+            pack([])
+        with pytest.raises(ShapeError):
+            pack([example(3, dim=3), example(3, dim=4)])
 
 
 class TestDataLoader:

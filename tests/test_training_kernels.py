@@ -3,22 +3,28 @@
 The autograd tape (the ``reference`` backend of ``gru_sequence_grad``,
 and the per-timestep cell path of ``GRU.forward`` under
 ``use_backend("reference")``) is ground truth; the fused BPTT must
-reproduce its gradients to tighter than 1e-6 across ragged lengths,
-single-frame utterances, row-block tails and pruned (masked) weights —
-and a short training run must produce the same loss curve — with each of
-its two pairs of time loops: the C step (no backend in force) and numpy's
-(``backend="numpy"``).
+reproduce its gradients to tighter than 1e-6 across packed ragged
+batches, single-frame utterances, row-block tails and pruned (masked)
+weights — and a short training run must produce the same loss curve —
+with each of its two pairs of time loops: the C step (no backend in
+force) and numpy's (``backend="numpy"``).  A packed batch must give the
+loss and gradients of the same batch padded and masked, on every path.
 """
 
+import hashlib
+import os
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
-from repro.errors import ShapeError
-from repro.kernels import compiled
+from repro.errors import KernelError, ShapeError
+from repro.kernels import compiled, numpy_backend
 from repro.nn import functional as F
+from repro.nn.data import Dataset, SequenceExample, collate, pack
 from repro.nn.fused import fused_gru_layer
 from repro.nn.rnn import GRU
 from repro.nn.tensor import Tensor
@@ -41,11 +47,14 @@ SHAPES = [(1, 1, 3, 4), (7, 2, 5, 6), (23, 4, 8, 16), (6, 9, 5, 13), (3, 17, 4, 
 #: in force where the library is available, and numpy's.
 LOOPS = [pytest.param("c", marks=requires_compiler), "numpy"]
 
+#: The time loops, and the tape: each runs a packed batch.
+PATHS = LOOPS + ["reference"]
+
 
 def in_loop(loop):
     """The routing under which ``loop`` runs: no backend in force, or
-    ``numpy`` chosen."""
-    return kernels.use_backend(None if loop == "c" else "numpy")
+    ``numpy`` (or the tape, ``reference``) chosen."""
+    return kernels.use_backend(None if loop == "c" else loop)
 
 
 def fused_grad(loop, *args):
@@ -133,62 +142,225 @@ class TestGRUSequenceGrad:
     def test_c_step_refuses_buffers_it_cannot_address(self):
         seq_len, batch, _, hidden = SHAPES[2]
         _, w_ih, w_hh, _, b_hh, _ = gru_inputs(new_rng(2), *SHAPES[2])
-        gates_x = np.zeros((seq_len, batch, 3 * hidden))
-        hs = np.zeros((seq_len + 1, batch, hidden))
+        frames = seq_len * batch
+        sizes = np.full(seq_len, batch)
+        gates_x = np.zeros((frames, 3 * hidden))
+        hs = np.zeros((batch + frames, hidden))
+        stash = np.empty((frames, 4 * hidden))
         with pytest.raises(ShapeError):  # states strided over their units
-            compiled.gru_f64_forward(gates_x, w_hh, b_hh[:hidden], hs[:, :, ::-1])
+            compiled.gru_f64_forward(sizes, gates_x, w_hh, b_hh[:hidden], hs[:, ::-1], stash)
         with pytest.raises(ShapeError):  # the input projection's weight
-            compiled.gru_f64_forward(gates_x, w_ih, b_hh[:hidden], hs)
-        stash = compiled.gru_f64_forward(gates_x, w_hh, b_hh[:hidden], hs)
-        grad_out = np.ones((seq_len, batch, hidden))
+            compiled.gru_f64_forward(sizes, gates_x, w_ih, b_hh[:hidden], hs, stash)
+        for wrong in (sizes[1:], sizes + 1, [batch - 1] + [batch] * (seq_len - 1), sizes[::-1] * 0):
+            with pytest.raises(ShapeError):  # steps that do not pack these frames
+                compiled.gru_f64_forward(wrong, gates_x, w_hh, b_hh[:hidden], hs, stash)
+        with pytest.raises(ShapeError):  # a row that comes back to life
+            grown = np.array([batch, 1] + [2] * (seq_len - 2))
+            compiled.gru_f64_forward(
+                grown, gates_x[: grown.sum()], w_hh, b_hh[:hidden],
+                hs[: batch + grown.sum()], stash[: grown.sum()],
+            )
+        compiled.gru_f64_forward(sizes, gates_x, w_hh, b_hh[:hidden], hs, stash)
+        grad_out = np.ones((frames, hidden))
+        gates = np.empty((frames, 4 * hidden))
         with pytest.raises(ShapeError):  # one batch row short
-            compiled.gru_f64_backward(grad_out, w_hh, hs, stash, np.zeros((batch - 1, hidden)))
+            compiled.gru_f64_backward(
+                sizes, grad_out, w_hh, hs, stash, np.zeros((batch - 1, hidden)), gates
+            )
         with pytest.raises(ShapeError):  # a float32 carry
             compiled.gru_f64_backward(
-                grad_out, w_hh, hs, stash, np.zeros((batch, hidden), np.float32)
+                sizes, grad_out, w_hh, hs, stash, np.zeros((batch, hidden), np.float32), gates
             )
+
+    def test_backward_runs_once_per_forward(self):
+        args = gru_inputs(new_rng(8), 4, 3, 2, 5)
+        _, _, bwd = kernels.gru_sequence_grad(*args, backend="numpy")
+        bwd(np.ones((4, 3, 5)))
+        with pytest.raises(KernelError):
+            bwd(np.ones((4, 3, 5)))
+
+
+def packed_inputs(rng, lengths, in_dim, hidden):
+    """A packed ``(N, D)`` batch of rows of ``lengths`` (longest first),
+    its steps, and weights, ``h0`` and gradients for it."""
+    lengths = np.sort(np.asarray(lengths))[::-1]
+    sizes = (np.arange(lengths[0])[:, None] < lengths[None, :]).sum(axis=1)
+    _, w_ih, w_hh, b_ih, b_hh, h0 = gru_inputs(rng, 0, len(lengths), in_dim, hidden)
+    x = rng.standard_normal((int(sizes.sum()), in_dim))
+    grad_out = rng.standard_normal((len(x), hidden))
+    grad_h_T = rng.standard_normal(h0.shape)
+    return (x, w_ih, w_hh, b_ih, b_hh, h0, sizes), grad_out, grad_h_T
+
+
+def packed_run(loop, args, grad_out, grad_h_T):
+    """Outputs, ``h_T`` and every gradient of one packed step on ``loop``."""
+    with in_loop(loop):
+        out, h_T, bwd = kernels.gru_sequence_grad(*args)
+        return [out, h_T, *bwd(grad_out, grad_h_T)]
+
+
+@pytest.mark.parametrize("loop", PATHS)
+def test_packed_step_is_the_padded_step_at_its_real_frames(loop):
+    # a row past its end keeps its state: h_T is each row's state at its
+    # last step, and dh0 takes grad_h_T in at that step
+    rng = new_rng(41)
+    lengths = np.array([9, 6, 6, 3, 1])
+    args, grad_out, grad_h_T = packed_inputs(rng, lengths, 4, 7)
+    x, *weights, h0, sizes = args
+    real = np.arange(9)[:, None] < lengths[None, :]
+    padded = np.zeros((9, 5, 4))
+    padded[real] = x
+    padded_grad = np.zeros((9, 5, 7))
+    padded_grad[real] = grad_out
+    padded_grad[lengths - 1, np.arange(5)] += grad_h_T
+    out, h_T, bwd = kernels.gru_sequence_grad(padded, *weights, h0, backend="reference")
+    dx, *grads = bwd(padded_grad)
+    got = packed_run(loop, args, grad_out, grad_h_T)
+    want = [out[real], out[lengths - 1, np.arange(5)], dx[real], *grads]
+    for name, a, b in zip(("out", "h_T") + GRU_GRAD_NAMES, got, want):
+        np.testing.assert_allclose(a, b, err_msg=name, **TOL)
+
+
+class TestRowCounts:
+    """Every row count the C product blocks (eight, four, two, one) and
+    packed steps whose live rows shrink: the C loops within ``TOL`` of
+    numpy's, and their own bits on a second call."""
+
+    @requires_compiler
+    @pytest.mark.parametrize("batch", range(1, 18))
+    def test_c_loops_match_numpy_at_every_batch_size(self, batch):
+        rng = new_rng(100 + batch)
+        args = gru_inputs(rng, 5, batch, 3, 11)
+        grad_out = rng.standard_normal((5, batch, 11))
+        grad_h_T = rng.standard_normal((batch, 11))
+        runs = []
+        for loop in ("c", "c", "numpy"):
+            with in_loop(loop):
+                out, h_T, bwd = kernels.gru_sequence_grad(*args)
+                runs.append([out, h_T, *bwd(grad_out, grad_h_T)])
+        for name, first, again, numpy_run in zip(("out", "h_T") + GRU_GRAD_NAMES, *runs):
+            assert first.tobytes() == again.tobytes(), name
+            np.testing.assert_allclose(first, numpy_run, err_msg=name, **TOL)
+
+    @requires_compiler
+    @pytest.mark.parametrize("seed", range(6))
+    def test_c_loops_match_numpy_on_random_batch_sizes(self, seed):
+        rng = new_rng(200 + seed)
+        lengths = rng.integers(1, 14, size=rng.integers(1, 18))
+        args, grad_out, grad_h_T = packed_inputs(rng, lengths, 4, 9)
+        first, again, numpy_run = (
+            packed_run(loop, args, grad_out, grad_h_T) for loop in ("c", "c", "numpy")
+        )
+        for name, a, b, want in zip(("out", "h_T") + GRU_GRAD_NAMES, first, again, numpy_run):
+            assert a.tobytes() == b.tobytes(), name
+            np.testing.assert_allclose(a, want, err_msg=name, **TOL)
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_interleaved_steps_get_their_own_workspaces(self, loop):
+        # forward A, forward B, backward B, backward A on one (B, H, D):
+        # each the gradients of a run by itself, and nothing either returns
+        # in the pool's buffers of the calls after it
+        rng = new_rng(31)
+        (xa, *weights, h0, sizes), go_a, gt_a = packed_inputs(rng, [9, 7, 7, 2], 5, 6)
+        xb = rng.standard_normal(xa.shape)
+        go_b, gt_b = rng.standard_normal(go_a.shape), rng.standard_normal(gt_a.shape)
+        alone_a = packed_run(loop, (xa, *weights, h0, sizes), go_a, gt_a)
+        alone_b = packed_run(loop, (xb, *weights, h0, sizes), go_b, gt_b)
+        with in_loop(loop):
+            out_a, h_a, bwd_a = kernels.gru_sequence_grad(xa, *weights, h0, sizes)
+            out_b, h_b, bwd_b = kernels.gru_sequence_grad(xb, *weights, h0, sizes)
+            got_b = [out_b, h_b, *bwd_b(go_b, gt_b)]
+            got_a = [out_a, h_a, *bwd_a(go_a, gt_a)]
+            kept = [a.copy() for a in got_a + got_b]
+            later = [kernels.gru_sequence_grad(xb, *weights, h0, sizes) for _ in range(2)]
+            for _, _, bwd in later:
+                bwd(go_a, gt_a)
+        for name, got, alone in zip(("out", "h_T") + GRU_GRAD_NAMES, got_a + got_b, alone_a + alone_b):
+            assert got.tobytes() == alone.tobytes(), name
+        free, scratch = numpy_backend._thread_pool()
+        pooled = [
+            buffer
+            for ws in [scratch, *free]
+            for buffer in ws.buffers.values()
+        ]
+        assert pooled
+        for name, got, before in zip(("out", "h_T") + GRU_GRAD_NAMES, got_a + got_b, kept):
+            assert got.tobytes() == before.tobytes(), name
+            assert not any(np.shares_memory(got, buffer) for buffer in pooled), name
 
 
 def masked_sequence_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray):
-    """The trainer's masked cross-entropy over a padded (T, B, C) batch."""
+    """Masked cross-entropy over a padded (T, B, C) batch."""
     t, b, c = logits.shape
     return F.cross_entropy(
         logits.reshape(t * b, c), labels.reshape(-1), weight_mask=mask.reshape(-1)
     )
 
 
-def ragged_batch(rng, seq_len, batch, in_dim, num_classes):
-    """Padded features/labels/mask with ragged true lengths (incl. length 1)."""
-    lengths = np.sort(rng.integers(1, seq_len + 1, size=batch))
-    lengths[-1] = seq_len  # keep the pad width meaningful
-    features = rng.standard_normal((seq_len, batch, in_dim))
-    labels = rng.integers(0, num_classes, size=(seq_len, batch))
-    mask = np.zeros((seq_len, batch))
-    for b, length in enumerate(lengths):
-        mask[:length, b] = 1.0
-    return features, labels, mask
+def loss_and_grads(config, rng, routing, loss_of):
+    """The loss ``loss_of(model)`` of a fresh model and every parameter's
+    gradient of it, taken under ``routing`` (a ``use_backend`` context)."""
+    model = GRUAcousticModel(config, rng=rng).train()
+    with routing:
+        loss = loss_of(model)
+        loss.backward()
+    return float(loss.data), {name: p.grad.copy() for name, p in model.named_parameters()}
 
 
 def model_grads(config, features, labels, mask, rng, routing):
-    """Every parameter's gradient of a fresh model's masked loss, taken
-    under ``routing`` (a ``use_backend`` context)."""
-    model = GRUAcousticModel(config, rng=rng).train()
-    with routing:
-        loss = masked_sequence_loss(model(Tensor(features)), labels, mask)
-        loss.backward()
-    return {name: p.grad.copy() for name, p in model.named_parameters()}
+    """The masked loss over a padded batch and its gradients."""
+    return loss_and_grads(
+        config, rng, routing,
+        lambda model: masked_sequence_loss(model(Tensor(features)), labels, mask),
+    )
+
+
+def packed_grads(config, batch, rng, routing):
+    """The loss over a packed batch (no mask) and its gradients."""
+    return loss_and_grads(
+        config, rng, routing,
+        lambda model: F.cross_entropy(
+            model(Tensor(batch.features), batch.batch_sizes), batch.labels
+        ),
+    )
+
+
+def utterances(rng, lengths, in_dim, num_classes):
+    return [
+        SequenceExample(rng.standard_normal((n, in_dim)), rng.integers(0, num_classes, n))
+        for n in lengths
+    ]
+
+
+RAGGED_CONFIG = AcousticModelConfig(input_dim=5, hidden_size=8, num_layers=2)
 
 
 class TestModuleGradEquivalence:
     """End-to-end: model grads under the fused path == tape path."""
 
-    @pytest.mark.parametrize("loop", LOOPS)
-    def test_model_grads_match_across_ragged_batch(self, loop):
-        rng = new_rng(3)
-        config = AcousticModelConfig(input_dim=5, hidden_size=8, num_layers=2)
-        batch = ragged_batch(rng, 12, 4, 5, config.num_classes)
-        want = model_grads(config, *batch, 0, kernels.use_backend("reference"))
-        got = model_grads(config, *batch, 0, in_loop(loop))
+    @pytest.mark.parametrize("loop", PATHS)
+    @settings(max_examples=12, deadline=5000)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=10),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lengths=[2, 3, 3, 12], seed=3)  # the ragged batch of the padded trainer
+    @example(lengths=[1], seed=0)
+    @example(lengths=[5, 5, 5], seed=1)
+    @example(lengths=[12, 1, 2, 1, 1], seed=2)
+    def test_model_grads_match_across_ragged_batch(self, loop, lengths, seed):
+        """Property: a packed batch on ``loop`` — rows sorted longest
+        first, real frames only — gives the loss and every parameter
+        gradient of the same batch padded and masked, on the tape."""
+        rng = new_rng(seed)
+        examples = utterances(rng, lengths, 5, RAGGED_CONFIG.num_classes)
+        padded = collate(examples)
+        want_loss, want = model_grads(
+            RAGGED_CONFIG, padded.features, padded.labels, padded.mask, 0,
+            kernels.use_backend("reference"),
+        )
+        loss, got = packed_grads(RAGGED_CONFIG, pack(examples), 0, in_loop(loop))
+        np.testing.assert_allclose(loss, want_loss, **TOL)
         assert want.keys() == got.keys()
         for name, g_ref in want.items():
             np.testing.assert_allclose(got[name], g_ref, err_msg=name, **TOL)
@@ -198,8 +370,8 @@ class TestModuleGradEquivalence:
         rng = new_rng(4)
         config = AcousticModelConfig(input_dim=4, hidden_size=6, num_layers=2)
         batch = (rng.standard_normal((1, 1, 4)), np.array([[2]]), np.ones((1, 1)))
-        want = model_grads(config, *batch, 1, kernels.use_backend("reference"))
-        got = model_grads(config, *batch, 1, in_loop(loop))
+        _, want = model_grads(config, *batch, 1, kernels.use_backend("reference"))
+        _, got = model_grads(config, *batch, 1, in_loop(loop))
         for name, g_ref in want.items():
             np.testing.assert_allclose(got[name], g_ref, err_msg=name, **TOL)
 
@@ -272,3 +444,74 @@ class TestLossCurveParity:
         """))
         assert done.returncode == 0, done.stderr.decode()
         assert done.stdout.decode().split() == ["trained", "on", "numpy's", "loops"]
+
+
+def equal_length_run(loop):
+    """sha256 (16 hex digits) of the weights after two epochs of a short
+    run on eight utterances of one length, on ``loop``'s time loops."""
+    rng = new_rng(5)
+    train = Dataset(
+        [SequenceExample(rng.standard_normal((6, 8)), rng.integers(0, 40, 6)) for _ in range(8)]
+    )
+    model = GRUAcousticModel(
+        AcousticModelConfig(input_dim=8, hidden_size=12, num_layers=2), rng=0
+    )
+    trainer = Trainer(model, train, train, TrainerConfig(batch_size=4, seed=0))
+    with in_loop(loop):
+        for _ in range(2):
+            trainer.train_epoch()
+    digest = hashlib.sha256()
+    for _, param in model.named_parameters():
+        digest.update(param.data.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def float_environment(loop):
+    """What the bits of a float64 training run rest on besides this
+    code: numpy's ufuncs and BLAS (a digest of both on a fixed input) and,
+    for the C loops, the host's ISA and any ``REPRO_CC`` build."""
+    rng = new_rng(0)
+    a, b = rng.standard_normal((24, 12)), rng.standard_normal((12, 36))
+    probe = hashlib.sha256()
+    for value in (a @ b, np.exp(a), np.tanh(a), np.log(np.abs(a)), np.reciprocal(a)):
+        probe.update(value.tobytes())
+    if loop == "c":
+        probe.update((compiled._host_isa() + os.environ.get("REPRO_CC", "")).encode())
+    return probe.hexdigest()[:16]
+
+
+#: :func:`equal_length_run` with the padded trainer, before training
+#: packed its batches: ``(loop, float_environment(loop))`` → digest
+#: (a 2-vCPU AVX-512 Xeon, gcc 12.2, numpy 2.4 with OpenBLAS 0.3.31).
+EQUAL_LENGTH_DIGESTS = {
+    ("c", "77e89347e4f2eb9d"): "49eca1b376a6df7c",
+    ("numpy", "28246a3680c3336d"): "d7b3abba58cf8d89",
+}
+
+
+class TestEqualLengthBatches:
+    """An equal-length batch packs to its padded layout: the same memory
+    and the same bits."""
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_packed_step_is_the_padded_step_bit_for_bit(self, loop):
+        rng = new_rng(12)
+        examples = utterances(rng, [7] * 5, 5, RAGGED_CONFIG.num_classes)
+        padded = collate(examples)
+        ones = model_grads(
+            RAGGED_CONFIG, padded.features, padded.labels, padded.mask, 0, in_loop(loop)
+        )
+        batch = pack(examples)
+        assert batch.features.tobytes() == padded.features.tobytes()
+        assert batch.labels.tobytes() == padded.labels.tobytes()
+        got = packed_grads(RAGGED_CONFIG, batch, 0, in_loop(loop))
+        assert got[0] == ones[0]
+        for name, grad in ones[1].items():
+            assert got[1][name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_short_run_keeps_the_weight_digest_of_the_padded_trainer(self, loop):
+        want = EQUAL_LENGTH_DIGESTS.get((loop, float_environment(loop)))
+        if want is None:
+            pytest.skip("digest recorded under another numpy, BLAS or C build")
+        assert equal_length_run(loop) == want
