@@ -404,16 +404,15 @@ class ServingFabric:
             return
         deadline = time.monotonic() + self.config.rpc_timeout_s
         while True:
-            # Health of the current home first: a dead worker re-homes
-            # the session (replaying its journal) before admission.
-            while True:
-                handle = self._handle(session)
-                try:
-                    handle.drain()
-                    handle.check_alive()
-                    break
-                except WorkerFailure as failure:
-                    self._recover(failure)
+            # Health of the current home first — the feed's one liveness
+            # check: a dead worker re-homes the session (replaying its
+            # journal) before admission.
+            handle = self._handle(session)
+            try:
+                handle.check_alive()
+            except WorkerFailure as failure:
+                self._recover(failure)
+                continue
             # Admission: bounded per-worker in-flight queue, in frames
             # and chunks.  An idle worker always accepts one chunk
             # (progress guarantee); past the bound the chunk is shed —
@@ -590,10 +589,8 @@ class ServingFabric:
         silent divergence would mean the exactness contract broke.
         """
         session = self._sessions[sid]
-        handle = self._handle(session)
-        handle.check_alive()
         phones = list(
-            handle.request(
+            self._handle(session).request(
                 "rehome",
                 self.config.rpc_timeout_s,
                 sid,

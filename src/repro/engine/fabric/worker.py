@@ -10,8 +10,10 @@ candidate version), so everything the single-process runtime guarantees
 (deadline batching, chunk-exact decode) holds *within* a worker
 unchanged — and chunks of different plan versions never share a batch.
 
-Transport is one duplex pipe per worker carrying small picklable
-tuples.  The protocol is deliberately asymmetric:
+Transport is one duplex pipe per worker.  A feed travels as its raw
+float64 frames behind a fixed header (:data:`_FEED`); every other
+message, in either direction, is a pickled tuple.  The protocol is
+deliberately asymmetric:
 
 * ``open``/``feed`` are **fire-and-forget** — the router never blocks on
   the data path.  Each processed feed is acknowledged with a
@@ -42,13 +44,37 @@ into restart + re-home.
 
 from __future__ import annotations
 
+import pickle
+import struct
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.utils.faults import FaultConfig, FaultInjector
 from repro.utils.supervise import Child, WorkerFailure
 from repro.engine.streaming import StreamConfig, StreamScheduler
 from repro.errors import FabricError
+
+
+#: A feed on the wire: a tag byte no pickle starts with (a pickle's first
+#: byte is its protocol opcode, ``\x80``), padding that keeps the frames
+#: 8-byte aligned, then ``sid``, ``seq`` and ``t``; the chunk's ``t x D``
+#: float64 frames follow, row-major.  One ``send_bytes`` message each.
+_FEED = struct.Struct("<c7xqqq")
+_FEED_TAG = b"F"
+
+
+def _read(conn):
+    """The next message off ``conn``: a feed as ``("feed", sid, frames,
+    seq)``, its frames read in place; anything else unpickled."""
+    data = conn.recv_bytes()
+    if data[:1] != _FEED_TAG:
+        return pickle.loads(data)
+    _, sid, seq, frames = _FEED.unpack_from(data)
+    features = np.frombuffer(data, np.float64, offset=_FEED.size)
+    return ("feed", sid, features.reshape(frames, -1), seq)
 
 
 def _stats_snapshot(
@@ -145,7 +171,7 @@ def worker_main(
     scheduler_for(primary)
     while True:
         try:
-            message = conn.recv()
+            message = _read(conn)
         except (EOFError, OSError):
             break
         kind = message[0]
@@ -264,9 +290,11 @@ class WorkerHandle(Child):
         super().__init__(*args)
         self._next_seq = 0
         self._next_rid = 0
-        #: feed seq -> frames, not yet acknowledged (insertion-ordered,
-        #: so a cumulative ack drains a prefix).
-        self._pending: Dict[int, int] = {}
+        #: ``(seq, frames)`` of each feed not yet acknowledged, oldest
+        #: first, so a cumulative ack pops a prefix
+        self._pending: Deque[Tuple[int, int]] = deque()
+        #: their frames, a running total
+        self.inflight_frames = 0
         self._replies: Dict[int, object] = {}
         self._errors: List[str] = []
         self._fatal: Optional[str] = None
@@ -274,14 +302,9 @@ class WorkerHandle(Child):
     def alive(self) -> bool:
         return self._fatal is None and self.process.is_alive()
 
-    # -- backpressure accounting ------------------------------------------
     @property
     def inflight_chunks(self) -> int:
         return len(self._pending)
-
-    @property
-    def inflight_frames(self) -> int:
-        return sum(self._pending.values())
 
     # -- transport ---------------------------------------------------------
     def _dispatch(self, message) -> None:
@@ -289,8 +312,9 @@ class WorkerHandle(Child):
         if kind == "ack":
             # Cumulative: everything at or below the acked seq is done.
             seq = message[1]
-            for pending_seq in [s for s in self._pending if s <= seq]:
-                del self._pending[pending_seq]
+            pending = self._pending
+            while pending and pending[0][0] <= seq:
+                self.inflight_frames -= pending.popleft()[1]
         elif kind in ("phones", "stats", "pong"):
             self._replies[message[1]] = message[2] if len(message) > 2 else True
         elif kind == "error":
@@ -298,30 +322,37 @@ class WorkerHandle(Child):
         elif kind == "fatal":
             self._fatal = message[1]
 
-    def drain(self) -> None:
-        """Consume every message already in the pipe (non-blocking)."""
+    def drain(self) -> bool:
+        """Dispatch every message already in the pipe (non-blocking);
+        ``False`` once the pipe is torn."""
         try:
-            while self.conn.poll(0):
+            while self.readable():
                 self._dispatch(self.conn.recv())
         except (EOFError, OSError):
-            pass  # the liveness check below reports the death
+            return False
+        return True
 
     def wait(self, deadline: float) -> None:
         """Wait on the pipe for the worker's next message, and dispatch it,
         until ``deadline`` (``time.monotonic()``) at most: how a blocked
         feed waits for the ack that frees room.  A torn pipe returns at
         once; :meth:`check_alive` reports the death."""
-        try:
-            if self.conn.poll(max(deadline - time.monotonic(), 0.0)):
+        if self.readable(deadline - time.monotonic()):
+            try:
                 self._dispatch(self.conn.recv())
-        except (EOFError, OSError):
-            pass
+            except (EOFError, OSError):
+                pass
 
     def check_alive(self) -> None:
-        """Raise :class:`WorkerFailure` if the process is gone."""
-        self.drain()
+        """The one liveness check of a touchpoint: dispatch what the pipe
+        holds, then raise :class:`WorkerFailure` (``"crash"``) if the
+        worker reported a fatal error, its pipe is torn or its process
+        has exited."""
+        intact = self.drain()
         if self._fatal is not None:
             raise WorkerFailure(self.index, "crash", self._fatal)
+        if not intact:
+            raise WorkerFailure(self.index, "crash", "pipe closed")
         if not self.process.is_alive():
             raise WorkerFailure(
                 self.index,
@@ -329,25 +360,30 @@ class WorkerHandle(Child):
                 f"process exited with code {self.process.exitcode}",
             )
 
-    def send(self, message) -> None:
-        """Fire-and-forget send (``open``/``feed``/``close``)."""
-        self.check_alive()
+    def _write(self, data: bytes) -> None:
         try:
-            self.conn.send(message)
+            self.conn.send_bytes(data)
         except OSError as exc:
-            raise WorkerFailure(self.index, "crash", f"pipe send failed: {exc}")
+            raise WorkerFailure(
+                self.index, "crash", f"pipe send failed: {exc}"
+            ) from None
 
-    def feed(self, sid: int, features) -> int:
-        """Send one chunk; returns its seq after recording it in-flight."""
+    def send(self, message) -> None:
+        """Fire-and-forget send of a pickled message (``open``, an RPC's
+        request), after :meth:`check_alive`."""
+        self.check_alive()
+        self._write(pickle.dumps(message))
+
+    def feed(self, sid: int, features: np.ndarray) -> int:
+        """Send one float64 ``(t, D)`` chunk as a raw frame; returns its
+        seq after recording it in flight.  The caller has just run
+        :meth:`check_alive` for its admission test, so a feed writes
+        without checking again."""
         seq = self._next_seq
         self._next_seq += 1
-        self._pending[seq] = len(features)
-        try:
-            self.send(("feed", sid, features, seq))
-        except WorkerFailure:
-            # The chunk never reached the worker; replay will re-send it.
-            del self._pending[seq]
-            raise
+        self._write(_FEED.pack(_FEED_TAG, sid, seq, len(features)) + features.tobytes())
+        self._pending.append((seq, len(features)))
+        self.inflight_frames += len(features)
         return seq
 
     def request(self, kind: str, timeout: float, *args):

@@ -408,11 +408,16 @@ class StreamScheduler:
         """Queue a ``(t, D)`` chunk for ``sid``; may run ready batches."""
         entry = self._entry(sid)
         # a copy: the chunk waits in the queue, and the caller may refill
-        # its buffer before the batch runs.  Checked before the journal
-        # sees it: a rejected chunk is neither queued nor recorded.  The
-        # one check a chunk gets: the batch it joins runs unchecked.
+        # its buffer before the batch runs.  Row-major, whatever the
+        # caller's layout: a program reads each chunk where it sits.
+        # Checked before the journal sees it: a rejected chunk is neither
+        # queued nor recorded.  The one check a chunk gets: the batch it
+        # joins runs unchecked.
         features = check_features(
-            np.array(features, dtype=np.float64), "t", self.plan.input_dim, "feed"
+            np.array(features, dtype=np.float64, order="C"),
+            "t",
+            self.plan.input_dim,
+            "feed",
         )
         if len(features) == 0:
             return

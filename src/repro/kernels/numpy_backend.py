@@ -157,9 +157,10 @@ def gru_sequence(
     fewer, wider ops matter more than saved FLOPs."""
     seq_len, batch, _ = x.shape
     hidden = h0.shape[1]
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + b_ih).reshape(
-        seq_len, batch, 3 * hidden
-    )
+    (gates_x,) = _thread_pool()[1].carve((seq_len * batch, 3 * hidden))
+    np.matmul(x.reshape(seq_len * batch, -1), w_ih.T, out=gates_x)
+    gates_x += b_ih
+    gates_x = gates_x.reshape(seq_len, batch, 3 * hidden)
     gates_x[:, :, : 2 * hidden] += b_hh[: 2 * hidden]
     gx_zr = gates_x[:, :, : 2 * hidden]
     gx_h = gates_x[:, :, 2 * hidden :]

@@ -25,6 +25,7 @@ serve (a model and dataset, a loaded artifact path) without pickling it.
 from __future__ import annotations
 
 import multiprocessing
+import select
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -60,7 +61,12 @@ class RestartEvent:
 
 
 class Child:
-    """One forked process and the parent end of its duplex pipe."""
+    """One forked process and the parent end of its duplex pipe.
+
+    The pipe's readiness is one ``select.poll`` registered for the
+    child's life (:meth:`readable`); a hang-up or error counts as
+    readable, so the receive that follows reports a torn pipe.
+    """
 
     def __init__(
         self,
@@ -91,6 +97,13 @@ class Child:
             raise
         finally:
             child_conn.close()
+        self._poller = select.poll()
+        self._poller.register(self.conn, select.POLLIN)
+
+    def readable(self, timeout_s: float = 0.0) -> bool:
+        """Is a message (or a hang-up) waiting on the pipe?  Waits up to
+        ``timeout_s`` (no less than 0) for one."""
+        return bool(self._poller.poll(max(timeout_s, 0.0) * 1e3))
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -110,14 +123,14 @@ class Child:
         """
         while True:
             remaining = deadline - time.monotonic()
-            try:
-                if self.conn.poll(min(max(remaining, 0.0), _POLL_SLICE_S)):
+            if self.readable(min(remaining, _POLL_SLICE_S)):
+                try:
                     return self.conn.recv()
-            except (EOFError, OSError):
-                raise WorkerFailure(
-                    self.index, "crash", f"pipe closed while waiting for {what}"
-                ) from None
-            if not self.process.is_alive() and not self.conn.poll(0):
+                except (EOFError, OSError):
+                    raise WorkerFailure(
+                        self.index, "crash", f"pipe closed while waiting for {what}"
+                    ) from None
+            if not self.process.is_alive() and not self.readable():
                 raise WorkerFailure(
                     self.index,
                     "crash",

@@ -8,8 +8,14 @@ admitted sessions keep decoding exactly, and every fault is injected
 deterministically so each scenario replays identically.
 """
 
+import collections
+import os
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     FabricConfig,
@@ -17,6 +23,7 @@ from repro.engine import (
     ServingFabric,
     SessionJournal,
     StreamConfig,
+    StreamScheduler,
     compile_model,
 )
 from repro.engine.fabric import HashRing, WorkerFailure
@@ -486,6 +493,149 @@ class TestOverload:
             monkeypatch.undo()
             phones = fabric.poll(sid) + fabric.finish(sid)
         assert phones == offline_phones(plan, [utterance[:20]])[0]
+
+
+def chunk_layout(piece, layout):
+    """``piece`` as a chunk of one memory layout the wire must flatten."""
+    if layout == "F":
+        return np.asfortranarray(piece)
+    if layout == "strided":
+        backing = np.zeros((2 * len(piece), 3 * piece.shape[1]))
+        view = backing[::2, 1::3]
+        view[...] = piece
+        return view
+    if layout == "float32":
+        return piece.astype(np.float32)
+    return np.ascontiguousarray(piece)
+
+
+@st.composite
+def laid_out_chunks(draw):
+    """One utterance cut at random points, each chunk in a random layout."""
+    frames = draw(st.integers(1, 60))
+    cuts = draw(st.sets(st.integers(1, max(frames - 1, 1)), max_size=8))
+    bounds = [0, *sorted(c for c in cuts if c < frames), frames]
+    layouts = draw(
+        st.lists(
+            st.sampled_from(("C", "F", "strided", "float32")),
+            min_size=len(bounds) - 1,
+            max_size=len(bounds) - 1,
+        )
+    )
+    utterance = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(
+        (frames, 8)
+    )
+    return [
+        chunk_layout(utterance[a:b], layout)
+        for a, b, layout in zip(bounds, bounds[1:], layouts)
+    ]
+
+
+class TestTransport:
+    def test_a_feed_costs_one_readiness_check_one_liveness_check_one_write(
+        self, monkeypatch
+    ):
+        plan = small_plan()
+        utterance = make_utterances(1)[0]
+        with ServingFabric.from_plan(plan, fabric_config(num_workers=1)) as fabric:
+            sid = fabric.open()
+            fabric.feed(sid, utterance[:10])
+            fabric.poll(sid)  # the feed's ack arrives before the reply
+            handle = fabric._supervisor.children[0]
+            counts = collections.Counter()
+
+            def count(owner, name, as_what):
+                method = getattr(owner, name)
+
+                def counted(*args, **kwargs):
+                    counts[as_what] += 1
+                    return method(*args, **kwargs)
+
+                monkeypatch.setattr(owner, name, counted)
+
+            count(handle, "readable", "readiness")
+            count(handle.conn, "poll", "readiness")
+            count(handle.process, "is_alive", "liveness")
+            count(handle.conn, "send", "write")
+            count(handle.conn, "send_bytes", "write")
+            fabric.feed(sid, utterance[10:20])
+            assert counts == {"readiness": 1, "liveness": 1, "write": 1}
+            monkeypatch.undo()
+            phones = fabric.poll(sid) + fabric.finish(sid)
+        assert phones == offline_phones(plan, [utterance[:20]])[0]
+
+    @pytest.mark.parametrize("touchpoint", ["feed", "poll", "finish"])
+    def test_a_sigkilled_worker_is_a_crash_at_the_next_touchpoint(
+        self, touchpoint, monkeypatch
+    ):
+        """SIGKILL leaves no fatal report, only a hung-up pipe: the next
+        touchpoint's readiness check sees it, after dispatching the ack
+        the worker sent before it died."""
+        plan = small_plan()
+        utterance = make_utterances(1)[0]
+        with ServingFabric.from_plan(plan, fabric_config(num_workers=1)) as fabric:
+            failures = []
+            recover = fabric._recover
+            monkeypatch.setattr(
+                fabric, "_recover", lambda f: failures.append(f) or recover(f)
+            )
+            sid = fabric.open()
+            fabric.feed(sid, utterance[:10])
+            phones = fabric.poll(sid)
+            fabric.feed(sid, utterance[10:20])
+            handle = fabric._supervisor.children[0]
+            assert handle.readable(10.0)  # the second feed's ack
+            os.kill(handle.process.pid, signal.SIGKILL)
+            handle.process.join(10.0)
+            assert handle.inflight_chunks == 1 and not failures
+            if touchpoint == "feed":
+                fabric.feed(sid, utterance[20:30])
+                fed = 30
+            else:
+                fed = 20
+            if touchpoint != "finish":
+                phones += fabric.poll(sid)
+            phones += fabric.finish(sid)
+            fleet = fabric.stats()
+        assert [(f.index, f.reason, f.detail) for f in failures] == [
+            (0, "crash", "pipe closed")
+        ]
+        assert handle.inflight_chunks == 0  # the ack, dispatched first
+        assert fleet.crashes_detected == 1 and fleet.sessions_rehomed == 1
+        assert phones == offline_phones(plan, [utterance[:fed]])[0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_raw_frame_feeds_decode_like_the_scheduler_and_the_utterance(
+        self, scheme
+    ):
+        """Any chunk split, any chunk layout: a one-worker fabric decodes
+        what ``StreamScheduler`` and ``decode_utterance`` decode."""
+        plan = small_plan(scheme=scheme)
+        four_layouts = [
+            chunk_layout(piece, layout)
+            for piece, layout in zip(
+                np.split(make_utterances(1, base_frames=24)[0], [5, 11, 18]),
+                ("C", "F", "strided", "float32"),
+            )
+        ]
+        with ServingFabric.from_plan(plan, fabric_config(num_workers=1)) as fabric:
+
+            @settings(max_examples=12, deadline=None)
+            @given(chunks=laid_out_chunks())
+            @example(chunks=four_layouts)
+            def decodes_alike(chunks):
+                sid = fabric.open()
+                scheduler = StreamScheduler(plan, STREAM)
+                local = scheduler.open()
+                for chunk in chunks:
+                    fabric.feed(sid, chunk, block=True)
+                    scheduler.feed(local, chunk)
+                streamed = fabric.poll(sid) + fabric.finish(sid)
+                scheduled = scheduler.poll(local) + scheduler.finish(local)
+                whole = np.concatenate([np.asarray(c, np.float64) for c in chunks])
+                assert streamed == scheduled == offline_phones(plan, [whole])[0]
+
+            decodes_alike()
 
 
 class TestHashRing:

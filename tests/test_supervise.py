@@ -3,6 +3,8 @@ users: a sweep interrupted mid-flight and a cell that dies of an untyped
 exception."""
 
 import multiprocessing
+import os
+import signal
 import time
 import types
 
@@ -23,6 +25,11 @@ def _silent(conn, index, fault):
     conn.recv()  # until the parent's goodbye
 
 
+def _say_then_wait(conn, index, fault):
+    conn.send(("hello", index))
+    conn.recv()
+
+
 class TestChild:
     def test_messages_before_death_arrive_then_crash(self):
         child = Child(0, 0, _say_then_exit)
@@ -32,6 +39,20 @@ class TestChild:
             with pytest.raises(WorkerFailure) as failure:
                 child.recv(deadline)
             assert failure.value.reason == "crash"
+        finally:
+            child.kill()
+
+    def test_a_sigkilled_child_delivers_what_it_sent_then_is_a_crash(self):
+        child = Child(2, 0, _say_then_wait)
+        try:
+            assert child.readable(10.0)
+            os.kill(child.process.pid, signal.SIGKILL)
+            child.process.join(10.0)
+            assert child.readable()  # the message, then the hang-up
+            deadline = time.monotonic() + 10.0
+            assert child.recv(deadline) == ("hello", 2)
+            with pytest.raises(WorkerFailure, match="worker 2 crash"):
+                child.recv(deadline)
         finally:
             child.kill()
 
