@@ -6,8 +6,9 @@ Layered public API:
 * :mod:`repro.nn` — numpy autograd + GRU training substrate,
 * :mod:`repro.pruning` — BSP (ADMM block pruning) and every baseline,
 * :mod:`repro.sparse` — CSR/BSPC storage formats,
-* :mod:`repro.kernels` — vectorized execution backends behind a pluggable
-  registry (the compute seam for sparse ops and fused RNN sequences),
+* :mod:`repro.kernels` — vectorized kernels, their straight-line oracle
+  and the compiled C (the compute seam for sparse ops and fused RNN
+  sequences),
 * :mod:`repro.compiler` — the unified compiler: one layer-graph IR and
   pass pipeline (reorder / load elimination / format + kernel selection)
   with simulated *and* measured auto-tuning,

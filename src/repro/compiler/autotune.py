@@ -12,7 +12,7 @@ Two tiers:
   puts it.
 * **Measured**: :func:`tune_plan` tunes the *executable* engine — it
   evaluates candidate per-layer configurations (dense vs CSR vs BSPC,
-  quantization scheme, kernel backend) by timing the real
+  quantization scheme) by timing the real
   :class:`~repro.engine.plan.ModelPlan` on a calibration batch, using
   the analytic simulator as a pre-filter that prunes each layer's format
   choices before anything is measured.  The default configuration is
@@ -196,7 +196,6 @@ class MeasuredCandidate:
 
     label: str
     scheme: Optional[str]
-    backend: Optional[str]
     formats: Dict[str, str]  # slot name → decided/pinned format
     measured_s: float
 
@@ -270,7 +269,6 @@ def tune_plan(
     model,
     sample_batch: np.ndarray,
     schemes: Sequence[Optional[str]] = (None,),
-    backends: Sequence[Optional[str]] = (None,),
     formats: Sequence[str] = ("dense", "csr", "bspc"),
     config=None,
     device: Optional[DeviceSpec] = None,
@@ -291,8 +289,7 @@ def tune_plan(
        cost model on ``device`` and only the best ``prefilter_top``
        formats survive into measurement (the simulator prunes the
        combinatorial per-layer space before any wall clock is spent).
-    3. **Measured greedy refinement** — per ``scheme`` × ``backend``
-       combination, a candidate graph pins every slot to its
+    3. **Measured greedy refinement** — per ``scheme``, a candidate graph pins every slot to its
        simulator-best surviving format and is timed; then each slot's
        runner-up formats are tried one at a time, keeping any change that
        measures faster.
@@ -313,7 +310,6 @@ def tune_plan(
     from repro.engine.plan import compile_model as engine_compile
     from repro.compiler.pipeline import build_layer_graph
     from repro.hw.profiles import ADRENO_640
-    from repro import kernels
 
     if not schemes:
         raise ConfigError("schemes must not be empty")
@@ -322,9 +318,6 @@ def tune_plan(
     for fmt in formats:
         if fmt not in ("dense", "csr", "bspc"):
             raise ConfigError(f"unknown tuning format {fmt!r}")
-    for backend in backends:
-        if backend is not None:  # None = the session default, always valid
-            kernels.resolve_backend(backend, "tune_plan backends")
     config = config or EngineConfig()
     device = device or ADRENO_640
     repeats = max(1, repeats)
@@ -337,10 +330,8 @@ def tune_plan(
     def measure(plan) -> float:
         return _median_seconds(lambda: plan.forward_batch(sample_batch), repeats)
 
-    def compile_pinned(scheme, backend, pins: Dict[str, str]):
-        graph = build_layer_graph(
-            model, scheme=scheme, options=config.graph_options(), backend=backend
-        )
+    def compile_pinned(scheme, pins: Dict[str, str]):
+        graph = build_layer_graph(model, scheme=scheme, options=config.graph_options())
         for _, _, slot in graph.slots():
             if slot.format is None and slot.name in pins:
                 slot.format = pins[slot.name]
@@ -353,7 +344,6 @@ def tune_plan(
     baseline = MeasuredCandidate(
         label="default",
         scheme=schemes[0],
-        backend=None,
         formats={
             name: fmt or "dense"
             for name, fmt in baseline_plan.graph.formats().items()
@@ -373,37 +363,34 @@ def tune_plan(
         ranked = sorted(formats, key=lambda f: _simulated_slot_us(slot, f, device))
         slot_choices[slot.name] = list(ranked[: max(1, prefilter_top)])
 
-    # Stage 3: measured search per scheme × backend.  A configuration is
+    # Stage 3: measured search per scheme.  A configuration is
     # never measured twice: re-timing an identical plan only resamples
     # noise, and a noisy duplicate of the baseline must not be reported
     # as a tuning "speedup" (the measured dict also seeds the greedy
     # comparisons for skipped repeats).
-    def config_key(scheme, backend, pins: Dict[str, str]):
+    def config_key(scheme, pins: Dict[str, str]):
         if scheme == "int8":  # an int8 CSR pin packs as BSPC: the same plan
             pins = {name: "bspc" if fmt == "csr" else fmt for name, fmt in pins.items()}
-        return (scheme, backend, tuple(sorted(pins.items())))
+        return (scheme, tuple(sorted(pins.items())))
 
     measured: Dict[tuple, float] = {
         config_key(
-            schemes[0],
-            None,
-            {name: baseline.formats[name] for name in slot_choices},
+            schemes[0], {name: baseline.formats[name] for name in slot_choices}
         ): baseline_s
     }
 
-    def try_candidate(label, scheme, backend, pins):
+    def try_candidate(label, scheme, pins):
         """Measure one pinned configuration (or return its known time)."""
         nonlocal best, best_plan, best_graph
-        key = config_key(scheme, backend, pins)
+        key = config_key(scheme, pins)
         if key in measured:
             return measured[key]
-        plan, graph = compile_pinned(scheme, backend, pins)
+        plan, graph = compile_pinned(scheme, pins)
         elapsed = measure(plan)
         measured[key] = elapsed
         candidate = MeasuredCandidate(
             label=label,
             scheme=scheme,
-            backend=backend,
             formats={n: f or "dense" for n, f in graph.formats().items()},
             measured_s=elapsed,
         )
@@ -413,19 +400,16 @@ def tune_plan(
         return elapsed
 
     for scheme in schemes:
-        for backend in backends:
-            current = {name: choices[0] for name, choices in slot_choices.items()}
-            tag = f"{scheme or 'none'}/{backend or 'default'}"
-            incumbent_s = try_candidate(f"sim-best[{tag}]", scheme, backend, current)
-            for name, choices in slot_choices.items():
-                for fmt in choices[1:]:
-                    variant = dict(current)
-                    variant[name] = fmt
-                    elapsed = try_candidate(
-                        f"{name}->{fmt}[{tag}]", scheme, backend, variant
-                    )
-                    if elapsed < incumbent_s:
-                        current, incumbent_s = variant, elapsed
+        current = {name: choices[0] for name, choices in slot_choices.items()}
+        tag = scheme or "none"
+        incumbent_s = try_candidate(f"sim-best[{tag}]", scheme, current)
+        for name, choices in slot_choices.items():
+            for fmt in choices[1:]:
+                variant = dict(current)
+                variant[name] = fmt
+                elapsed = try_candidate(f"{name}->{fmt}[{tag}]", scheme, variant)
+                if elapsed < incumbent_s:
+                    current, incumbent_s = variant, elapsed
 
     return PlanTuningResult(
         best=best,

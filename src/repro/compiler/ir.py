@@ -339,7 +339,6 @@ class LayerGraph:
 
     nodes: List[GraphNode]
     scheme: Optional[str] = None
-    backend: Optional[str] = None  # kernel-registry backend, None = default
     options: GraphOptions = field(default_factory=GraphOptions)
     boundaries: List[QuantBoundary] = field(default_factory=list)
 
@@ -480,7 +479,7 @@ def graph_to_arrays(graph: LayerGraph) -> Tuple[Dict, Dict[str, np.ndarray]]:
     Analytic annotations (row groups, load counts) and probe matrices are
     *not* serialized — they are recomputable and irrelevant to execution;
     what round-trips exactly is everything the executable lowering reads:
-    weight/param arrays, decided formats, scheme, backend, grids, tiles.
+    weight/param arrays, decided formats, scheme, grids, tiles.
     A weight of an int8 graph is stored as its int8 codes
     (:func:`_encode_int8`, ``"encoding": "int8"``); every other array in
     float64.
@@ -518,7 +517,6 @@ def graph_to_arrays(graph: LayerGraph) -> Tuple[Dict, Dict[str, np.ndarray]]:
     meta = {
         "version": 2,
         "scheme": graph.scheme,
-        "backend": graph.backend,
         "options": {
             "sparse_format": graph.options.sparse_format,
             "sparsity_threshold": graph.options.sparsity_threshold,
@@ -542,7 +540,9 @@ def graph_from_arrays(meta: Dict, arrays) -> LayerGraph:
 
     Formats recorded in ``meta`` come back *pinned*, so re-running the
     pass pipeline (or lowering directly) reproduces the recorded
-    decisions instead of re-deciding them.
+    decisions instead of re-deciding them.  The ``"backend"`` key an older
+    header carries (a kernel backend the artifact was tuned for, whatever
+    its value) is ignored: every plan runs the same kernels.
     """
     version = meta.get("version")
     if version not in (1, 2):
@@ -587,7 +587,6 @@ def graph_from_arrays(meta: Dict, arrays) -> LayerGraph:
     return LayerGraph(
         nodes=nodes,
         scheme=meta["scheme"],
-        backend=meta["backend"],
         options=GraphOptions(**options_meta),
         boundaries=[
             QuantBoundary(slot=b["slot"], policy=b["policy"])

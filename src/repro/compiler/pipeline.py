@@ -111,7 +111,6 @@ def build_layer_graph(
     model,
     scheme: Optional[str] = None,
     options: Optional[GraphOptions] = None,
-    backend: Optional[str] = None,
 ) -> LayerGraph:
     """The module-tree frontend: walk a
     :class:`~repro.speech.model.GRUAcousticModel` (or a bare ``GRU``
@@ -163,14 +162,13 @@ def build_layer_graph(
                 params=params,
             )
         )
-    return LayerGraph(nodes=nodes, scheme=scheme, backend=backend, options=options)
+    return LayerGraph(nodes=nodes, scheme=scheme, options=options)
 
 
 def rnn_graph_from_weights(
     weights: Dict[str, np.ndarray],
     scheme: Optional[str] = None,
     options: Optional[GraphOptions] = None,
-    backend: Optional[str] = None,
 ) -> LayerGraph:
     """The weight-dict frontend: ``gru.cell{i}.weight_ih/_hh`` keys (the
     Table II sweep naming) become GRU cell nodes with zero biases."""
@@ -197,7 +195,7 @@ def rnn_graph_from_weights(
                 options,
             )
         )
-    return LayerGraph(nodes=nodes, scheme=scheme, backend=backend, options=options)
+    return LayerGraph(nodes=nodes, scheme=scheme, options=options)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The deployment story of the unified compiler: once a model is compiled
 (and optionally tuned with :func:`repro.compiler.autotune.tune_plan`),
 :func:`save_plan` writes the plan's layer graph — its arrays plus every
-pass decision (per-slot sparse format, scheme, kernel backend, grids,
+pass decision (per-slot sparse format, scheme, grids,
 tiles) — into a single ``.npz`` file.  An int8 plan's weights are stored
 as what it runs, each one's nonzero pattern, int8 codes and scale
 (:func:`repro.compiler.ir.graph_to_arrays`); a float plan's weights and
@@ -88,7 +88,7 @@ def save_plan(path: Union[str, Path], plan: ModelPlan) -> Path:
 def load_plan(path: Union[str, Path]) -> ModelPlan:
     """Reload a compiled artifact into a ready-to-run :class:`ModelPlan`.
 
-    The recorded format/scheme/backend decisions are pinned, so no pass
+    The recorded format/scheme decisions are pinned, so no pass
     re-decides anything: lowering replays the saved compilation exactly
     and the returned plan's logits are bit-identical to the saved plan's.
 

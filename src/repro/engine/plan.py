@@ -17,16 +17,15 @@ what the graph says.  The resulting :class:`ModelPlan` runs whole padded
 batches on raw ndarrays: no ``Tensor`` tape, no per-layer ``Module``
 dispatch, work buffers reused across calls; its ``graph`` attribute
 retains the lowered IR for artifact serialization
-(:mod:`repro.engine.artifact`) and a tuned ``backend`` pins the kernel
-registry backend its generic loop dispatches to.
+(:mod:`repro.engine.artifact`).
 
 Numerics by scheme (there are two):
 
 * ``scheme=None`` (packing only) — float64 throughout, and **bit-exact**
   with the eval-mode ``model.forward`` fused-kernel path: the plan
   replays the same numpy ops in the same order.
-* ``scheme="int8"`` — every product, projection or recurrence, is the
-  registry's ``linear_int8_rowwise`` (dense) or ``bspc_spmm_int8``
+* ``scheme="int8"`` — every product, projection or recurrence, is
+  ``linear_int8_rowwise`` (dense) or ``bspc_spmm_int8``
   (sparse, whatever its pattern: int8 packs no CSR): integer
   accumulation, one activation scale *per frame* — per
   batch row of a hidden state — and one dequant, to float32
@@ -38,10 +37,9 @@ Numerics by scheme (there are two):
   order-exact integer accumulation make int8 plans **bitwise
   chunk-exact**: a frame's logits do not depend on which other frames
   shared the call.  Wherever the compiled C library is available
-  (:func:`repro.kernels.compiled.available`) and no backend is in force
-  (chosen, or the plan's tuned one), every int8 plan is lowered once more,
-  to ``ModelPlan.program``: one C call a chunk, in place of the generic
-  per-layer loop (the same bytes).
+  (:func:`repro.kernels.compiled.available`), every int8 plan is lowered
+  once more, to ``ModelPlan.program``: one C call a chunk, in place of the
+  generic per-layer loop (the same bytes).
 
 Lowering reads the graph's scheme; each
 :class:`~repro.compiler.ir.WeightSlot` records the same scheme, and a
@@ -55,7 +53,6 @@ see :mod:`repro.engine.streaming` and ``docs/serving.md``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -163,19 +160,20 @@ class _PackedWeight:
       of ``out_dtype``.  A float projection multiplies by the ``weight.T``
       view and a float recurrence by a contiguous transpose, exactly the
       operands the fused kernels use (bit-exact);
-    * dense int8 weights, projections and recurrences alike, run the
-      registry's ``linear_int8_rowwise`` (one scale per row: per frame,
-      or per batch row of a state);
-    * CSR/BSPC weights run the registry's ``*_spmm`` / ``bspc_spmm_int8``
+    * dense int8 weights, projections and recurrences alike, run
+      ``linear_int8_rowwise`` (one scale per row: per frame, or per batch
+      row of a state);
+    * CSR/BSPC weights run ``*_spmm`` / ``bspc_spmm_int8``
       on the transpose *view* of the row-major activations, and hand back
       the transpose view of the kernel's result (see the activation
       layout contract in ``docs/kernels.md``).
 
     Every int8 kernel returns float32, as an int8 slot's ``out_dtype``
     is.  ``state_dtype`` marks a recurrent slot and names the dtype of the
-    state it multiplies.  :meth:`bind` resolves the registry kernel and
-    leaves it inspectable as ``kernel``.  That is the generic loop's way;
-    the program reads a dense int8 slot as :meth:`dense_panel`.
+    state it multiplies.  The kernel is :data:`repro.kernels.OPS`'s entry
+    for the slot's op, looked up once here and left inspectable as
+    ``kernel``.  That is the generic loop's way; the program reads a dense
+    int8 slot as :meth:`dense_panel`.
     """
 
     def __init__(
@@ -185,7 +183,7 @@ class _PackedWeight:
         self.scheme = scheme
         self.shape = weight.shape
         self.matrix = self.panel = None
-        #: The registry op the kernel-selection pass names for this slot.
+        #: The op the kernel-selection pass names for this slot.
         self.op = kernel_for(slot.op, slot.format or "dense", scheme)
         self.out_dtype = np.dtype(
             state_dtype or (np.float64 if scheme is None else np.float32)
@@ -201,14 +199,10 @@ class _PackedWeight:
                 if state_dtype is None
                 else np.ascontiguousarray(weight.T)
             )
-
-    def bind(self, backend: Optional[str]) -> None:
-        """Resolve ``apply`` under ``backend`` (``None``: the registry's
-        default), so running a step does no dispatch."""
         if self.op == "blas_matmul":
             self.kernel, self.apply = np.matmul, self._matmul
             return
-        kernel = self.kernel = kernels.registry.get(self.op, backend)
+        kernel = self.kernel = kernels.OPS[self.op]
         if self.matrix is None:
             codes_f, scale = self.codes_f, self.scale
             self.apply = lambda x2d, ws, key: kernel(codes_f, scale, x2d)
@@ -314,10 +308,6 @@ class GRULayerPlan:
             self.bias_folded = folded.astype(self.dtype)
             self.bias_hh_h = rounded_hh[2 * h :].astype(self.dtype)
             self.biases = (self.bias_folded, self.bias_hh_h)
-
-    def bind(self, backend: Optional[str]) -> None:
-        self.input_proj.bind(backend)
-        self.recurrent.bind(backend)
 
     def nbytes(self) -> int:
         bias_bytes = sum(bias.nbytes for bias in self.biases)
@@ -435,14 +425,12 @@ class ModelPlan:
         output: Optional[OutputPlan],
         scheme: Optional[str],
         config: EngineConfig,
-        backend: Optional[str] = None,
         graph: Optional[LayerGraph] = None,
     ) -> None:
         self.layers = layers
         self.output = output
         self.scheme = scheme
         self.config = config
-        self.backend = backend
         self.graph = graph
         self.input_dim = layers[0].input_size
         self.hidden_size = layers[0].hidden_size
@@ -452,57 +440,15 @@ class ModelPlan:
         ]
         if output is not None:
             self._weights.append(output.weight)
-        self._warned_missing_backend = False
-        self._bind_kernels(rebind=True)
-
-    def _bind_kernels(self, rebind: bool = False) -> None:
-        """Bind every weight's kernel for the backend in force: this
-        plan's tuned ``backend``, else an explicitly chosen registry
-        backend (``use_backend`` / ``set_default_backend`` /
-        ``REPRO_KERNEL_BACKEND``), else none (numpy's kernels).
-
-        Runs at lowering; every later entry re-resolves only if that
-        choice has changed since (a handful of dictionary lookups), and
-        lowers :attr:`program` again.
-
-        An artifact tuned for ``"compiled"`` — the registry backend the
-        program replaced — is a plan tuned for no backend: it lowers to
-        the program.  Any other name this process does not have (a
-        backend of another build) is a performance regression, not a
-        correctness problem — backends are bit-compatible (int8) or
-        tolerance-compatible (float) by the equivalence suite: warn once
-        and run on the session default instead of crashing.
-        """
-        backend = self.backend if self.backend != "compiled" else None
-        if backend is not None and backend not in kernels.backends():
-            if not self._warned_missing_backend:
-                self._warned_missing_backend = True
-                warnings.warn(
-                    f"plan was tuned for kernel backend {backend!r}, "
-                    f"which is not available in this process "
-                    f"(have: {', '.join(kernels.backends())}); "
-                    "falling back to the default backend",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            backend = None
-        backend = backend or kernels.registry.chosen_backend
-        if rebind or backend != self._bound_backend:
-            for layer in self.layers:
-                layer.bind(backend)
-            if self.output is not None:
-                self.output.weight.bind(backend)
-            self._bound_backend = backend
-            self.program = self._lower_program()
+        self.program = self._lower_program()
 
     def _lower_program(self) -> Optional[_compiled.PlanProgram]:
         """The whole plan as one compiled call per chunk (``docs/engine.md``):
-        every int8 plan, where no backend is in force and the C library is
-        available (the first lowering builds or loads it) — each weight a
-        BSPC matrix or a dense one-strip panel.  ``None`` for a float plan,
-        an explicit ``numpy`` or ``reference`` backend, or no compiler, and
-        the generic loop runs it."""
-        if self.scheme != "int8" or self._bound_backend or not _compiled.available():
+        every int8 plan, where the C library is available (the first
+        lowering builds or loads it) — each weight a BSPC matrix or a dense
+        one-strip panel.  ``None`` for a float plan or without a compiler,
+        and the generic loop runs it."""
+        if self.scheme != "int8" or not _compiled.available():
             return None
         slots = []
         for layer in self.layers:
@@ -522,9 +468,7 @@ class ModelPlan:
 
     def _program(self) -> Optional[_compiled.PlanProgram]:
         """The program a non-empty chunk runs now, or ``None`` (the generic
-        loop): the kernels are bound for the backend in force first, and the
-        program is lowered again if a weight's int8 plan was invalidated."""
-        self._bind_kernels()
+        loop): lowered again if a weight's int8 plan was invalidated."""
         if self.program is not None and self.program.stale():
             self.program = self._lower_program()
         return self.program
@@ -617,9 +561,8 @@ class ModelPlan:
         decision.  A shape-only fingerprint is not enough — an int8
         candidate would accept a float incumbent's state whose trajectory
         was produced on a different quantization grid, silently degrading
-        every carried session.  The tuned kernel *backend* is deliberately
-        excluded (backends are bit-compatible by the equivalence suite);
-        the hot-swap paths (:meth:`StreamScheduler.swap_plan
+        every carried session.  The
+        hot-swap paths (:meth:`StreamScheduler.swap_plan
         <repro.engine.streaming.StreamScheduler.swap_plan>`,
         ``fabric.swap``/``start_canary``) reject signature mismatches
         with a typed ``SwapError``.
@@ -732,7 +675,8 @@ def check_features(features, axes: str, width: int, entry: str) -> np.ndarray:
     """``features`` as float64: the axes ``axes`` names, the last ``width``
     wide, every value finite.  Anything else is a :class:`ShapeError`
     naming ``entry`` — a NaN or Inf frame would quantize differently on
-    each kernel backend, so no backend gets one."""
+    each route (the program, the generic loop, the oracle), so none gets
+    one."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != axes.count(",") + 2 or features.shape[-1] != width:
         raise ShapeError(
@@ -766,8 +710,8 @@ def lower_graph(
     """Lower a layer graph to an executable :class:`ModelPlan`.
 
     This is the execution engine's backend of the unified compiler: the
-    graph's pass-decided per-slot formats, scheme, and kernel backend are
-    executed verbatim.  Slots whose format is still undecided are sent
+    graph's pass-decided per-slot formats and scheme are executed
+    verbatim.  Slots whose format is still undecided are sent
     through the pipeline's decision passes first, so a freshly built
     frontend graph and a tuned/deserialized one lower through the same
     code.
@@ -801,7 +745,6 @@ def lower_graph(
         output,
         graph.scheme,
         config or _config_from_graph(graph),
-        backend=graph.backend,
         graph=graph,
     )
 

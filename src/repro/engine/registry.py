@@ -11,7 +11,7 @@ Layout — one directory per published version::
 
     <root>/<name>/v<N>/
         plan.npz     the checksummed compiled artifact (save_plan format)
-        meta.json    metadata: scheme, slot formats, tuned backend,
+        meta.json    metadata: scheme, slot formats,
                      tune_plan trace summary, parent-version lineage,
                      artifact SHA-256, status + decision history
 
@@ -90,7 +90,6 @@ def summarize_tuning(result) -> Dict:
         "num_evaluated": int(result.num_evaluated),
         "best_label": best.label,
         "best_formats": best.describe_formats(),
-        "best_backend": best.backend,
     }
 
 
@@ -171,7 +170,6 @@ class PlanRegistry:
             "version": version,
             "created_unix": time.time(),
             "scheme": plan.scheme,
-            "backend": plan.backend,
             "input_dim": int(plan.input_dim),
             "hidden_size": int(plan.hidden_size),
             "num_layers": len(plan.layers),

@@ -24,8 +24,8 @@ a stream of one chunk.
 * :class:`StreamStats` — what the scheduler did: batch sizes, per-chunk
   wall-clock latency percentiles (p50/p95), and frames of deadline wait.
 
-Plans compiled through the unified pipeline carry their layer graph and
-any tuned kernel-backend choice with them, so a session driven by an
+Plans compiled through the unified pipeline carry their layer graph
+with them, so a session driven by an
 artifact reloaded via :func:`repro.engine.load_plan` streams chunk-exact
 logits identical to the plan that was saved (``tests/test_artifact.py``
 pins this, including the int8 bitwise guarantee).

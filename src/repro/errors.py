@@ -37,7 +37,7 @@ class SimulationError(ReproError, RuntimeError):
 
 
 class KernelError(ReproError, RuntimeError):
-    """A kernel op/backend lookup failed or a kernel was misused."""
+    """A kernel was misused (a matrix no kernel takes, a mis-sized operand)."""
 
 
 class CompileBackendError(KernelError):
@@ -46,7 +46,7 @@ class CompileBackendError(KernelError):
     Raised (and recorded once) when no C compiler is available, the build
     fails, or the built library does not pass the load-time sanity probe.
     No int8 plan then lowers to the compiled program: each runs the
-    engine's generic loop on the numpy backend.
+    engine's generic loop on numpy's kernels.
     """
 
 

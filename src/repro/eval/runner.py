@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro import kernels
 from repro.eval.export import to_csv, to_json
 from repro.eval.figure4 import figure4_from_table2, render_figure4
 from repro.eval.table1 import Table1Config, render_table1, run_table1
@@ -219,8 +218,6 @@ def _run_tune(args) -> None:
         col_rate=args.col_rate,
         row_rate=args.row_rate,
         schemes=schemes,
-        backends=(None,) if args.backends is None
-        else tuple(args.backends.split(",")),
         repeats=args.repeats,
         seed=args.seed,
     )
@@ -259,34 +256,11 @@ def _run_all(args) -> None:
     print(f"\nall artifacts in {out}/ ({time.time() - start:.0f}s)")
 
 
-def _add_kernel_backend_arg(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    """Register --kernel-backend on a parser.
-
-    The flag lives on the top-level parser *and* every subparser so both
-    argument orders work.  The subparser copies default to SUPPRESS so an
-    absent post-subcommand flag does not clobber a pre-subcommand value
-    in the shared namespace.
-    """
-    # No argparse choices= here: validation goes through
-    # kernels.resolve_backend so an unknown name raises the same typed
-    # ConfigError (listing what is registered) as REPRO_KERNEL_BACKEND
-    # and tune_plan, instead of argparse's exit-2 with a stale list.
-    parser.add_argument(
-        "--kernel-backend",
-        default=None if top_level else argparse.SUPPRESS,
-        help="kernel backend of the generic loop, one of: "
-        f"{', '.join(kernels.registry.backends())}; choosing one keeps int8 "
-        "plans off the compiled program (default: none chosen — numpy, and "
-        "the program for int8 plans where a C compiler exists)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the RTMobile paper's tables and figures.",
     )
-    _add_kernel_backend_arg(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("table1", help="compression vs. PER (trains models)")
@@ -392,11 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--schemes", default="none",
                     help="comma list of quantization schemes to search "
                     "(none,int8); schemes change numerics")
-    pt.add_argument("--backends", default=None,
-                    help="comma list of generic-loop kernel backends to "
-                    "search (numpy, reference; default: none chosen — the "
-                    "compiled program for int8 plans where a C compiler "
-                    "exists)")
     pt.add_argument("--repeats", type=int, default=3)
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--save", type=Path,
@@ -409,17 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--out", type=Path, default=Path("results"))
     pa.add_argument("--fast", action="store_true")
     pa.set_defaults(func=_run_all)
-    for sub_parser in (p1, p2, p4, pst, psw, pt, pa):
-        _add_kernel_backend_arg(sub_parser, top_level=False)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernel_backend:
-        kernels.set_default_backend(
-            kernels.resolve_backend(args.kernel_backend, "--kernel-backend")
-        )
     args.func(args)
     return 0
 

@@ -35,7 +35,6 @@ class TuneConfig:
     col_rate: float = 4.0
     row_rate: float = 2.0
     schemes: Tuple[Optional[str], ...] = (None,)
-    backends: Tuple[Optional[str], ...] = (None,)
     repeats: int = 3
     seed: int = 0
 
@@ -82,7 +81,6 @@ class TuneOutcome:
                 {
                     "label": cand.label,
                     "scheme": cand.scheme or "none",
-                    "backend": cand.backend or "default",
                     "formats": cand.describe_formats(),
                     "measured_ms": cand.measured_s * 1e3,
                     "vs_default": self.result.baseline_s / cand.measured_s,
@@ -98,7 +96,6 @@ def run_tune(config: TuneConfig) -> TuneOutcome:
         model,
         sample,
         schemes=config.schemes,
-        backends=config.backends,
         repeats=config.repeats,
     )
     return TuneOutcome(config=config, result=result)
@@ -120,7 +117,6 @@ def render_tune(outcome: TuneOutcome) -> str:
         (
             ("*" if row["best"] else " ") + row["label"],
             row["scheme"],
-            row["backend"],
             row["formats"],
             f"{row['measured_ms']:.2f}",
             f"{row['vs_default']:.2f}x",
@@ -128,7 +124,7 @@ def render_tune(outcome: TuneOutcome) -> str:
         for row in outcome.to_rows()
     ]
     table = format_table(
-        ["candidate", "scheme", "backend", "formats", "ms", "vs default"],
+        ["candidate", "scheme", "formats", "ms", "vs default"],
         rows,
     )
     footer = (

@@ -25,7 +25,7 @@ The returned :class:`SimulationResult` carries the Table II quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -143,9 +143,8 @@ class NumericExecutor:
     kernels be"; this executor answers "what do they compute".  Each pruned
     weight matrix is encoded *once* into its storage format (BSPC for
     block-structured weights, CSR when requested, dense otherwise) and every
-    :meth:`matvec`/:meth:`matmat` afterwards dispatches through the
-    :mod:`repro.kernels` registry — the same seam the sparse formats,
-    RNN layers, and benchmarks use.
+    :meth:`matvec`/:meth:`matmat` afterwards runs :mod:`repro.kernels` —
+    the same seam the sparse formats, RNN layers, and benchmarks use.
     """
 
     def __init__(
@@ -154,11 +153,9 @@ class NumericExecutor:
         format_name: str = "bspc",
         num_row_strips: int = 4,
         num_col_blocks: int = 8,
-        backend: Optional[str] = None,
     ) -> None:
         if format_name not in ("bspc", "csr", "dense"):
             raise SimulationError(f"unknown format {format_name!r}")
-        self.backend = backend
         self._matrices: Dict[str, Union[np.ndarray, CSRMatrix, BSPCMatrix]] = {}
         for name, weight in weights.items():
             weight = np.asarray(weight, dtype=np.float64)
@@ -171,7 +168,7 @@ class NumericExecutor:
                 self._matrices[name] = BSPCMatrix.from_dense(weight, grid)
 
     @classmethod
-    def from_graph(cls, graph, backend: Optional[str] = None) -> "NumericExecutor":
+    def from_graph(cls, graph) -> "NumericExecutor":
         """Build an executor straight from a pass-decided layer graph.
 
         Each weight slot is encoded in the format the shared pipeline's
@@ -183,7 +180,7 @@ class NumericExecutor:
 
         if graph.undecided():
             run_passes(graph)
-        executor = cls({}, backend=backend or graph.backend)
+        executor = cls({})
         for _, _, slot in graph.slots():
             weight = np.asarray(slot.array, dtype=np.float64)
             if slot.format == "csr":
@@ -208,18 +205,18 @@ class NumericExecutor:
         return self._matrices[name]
 
     def matvec(self, name: str, x: np.ndarray) -> np.ndarray:
-        """Layer ``name`` × vector through the kernel registry."""
+        """Layer ``name`` × vector through :mod:`repro.kernels`."""
         matrix = self._layer(name)
         if isinstance(matrix, np.ndarray):
             return matrix @ np.asarray(x)
-        return matrix.spmv(np.asarray(x), backend=self.backend)
+        return matrix.spmv(np.asarray(x))
 
     def matmat(self, name: str, x: np.ndarray) -> np.ndarray:
         """Layer ``name`` × dense matrix (batched inputs as columns)."""
         matrix = self._layer(name)
         if isinstance(matrix, np.ndarray):
             return matrix @ np.asarray(x)
-        return matrix.spmm(np.asarray(x), backend=self.backend)
+        return matrix.spmm(np.asarray(x))
 
 
 def simulate(plan: KernelPlan, device: DeviceSpec) -> SimulationResult:

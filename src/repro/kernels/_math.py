@@ -1,4 +1,4 @@
-"""Tiny numeric helpers shared by the kernel backends and the engine.
+"""Tiny numeric helpers shared by the kernels and the engine.
 
 One definition keeps numerically sensitive primitives identical across
 every execution path — the packed engine's bit-exactness contract with

@@ -5,8 +5,8 @@ This is the paper's deployment story applied to the host: the int8 hot
 loops (the BSPC panel product, which dense int8 weights run as one strip,
 and the whole GRU plan built on it) are emitted as specialized C, compiled
 once with ``cc -O3 -march=native -shared -fPIC``, and bound via ``ctypes``
-with zero-copy views of the very same packed plan arrays the numpy backend
-executes (:mod:`repro.kernels.plans` / :mod:`repro.kernels.quantized`).  No
+with zero-copy views of the very same packed plan arrays numpy's kernels
+execute (:mod:`repro.kernels.plans` / :mod:`repro.kernels.quantized`).  No
 third-party toolchain is needed — just a C compiler.  Nothing is built or
 loaded at import: the first int8 lowering asks :func:`available`, which
 builds (or finds) the library and probes it.
@@ -26,21 +26,22 @@ Failure is graceful and typed: any problem (no compiler, a failed build,
 a library that fails the load-time sanity probe) raises
 :class:`~repro.errors.CompileBackendError`, which is recorded once
 (:func:`load_error`) — every int8 plan then runs the engine's generic
-loop on the numpy backend, and the fused BPTT numpy's time loops.
+loop on numpy's kernels, and the fused BPTT numpy's time loops.
 
-The library is no registry backend: it is reached through
+The library is reached through
 :class:`PlanProgram` — a lowered int8 plan, one call per chunk — through
 :func:`product`, the one panel product by itself, the seam the probe and the
 product-level tests use, and through :func:`gru_f64_forward` /
 :func:`gru_f64_backward`, the time loops that
-:func:`repro.kernels.gru_sequence_grad` runs where no backend is in force
+:func:`repro.kernels.gru_sequence_grad` runs wherever the library loads
 (float64; deterministic, within 1e-6 of the autograd tape — no exactness
 claim below covers them).
 
 Exactness contract (asserted by ``tests/test_int8_routing.py``):
 
-* the int8 product is **bitwise identical** to the reference/numpy
-  backends' int8 ops.  The BSPC kernels quantize in C to the codes and scales of
+* the int8 product is **bitwise identical** to numpy's int8 ops and
+  their oracles in :mod:`repro.kernels.reference`.  The BSPC kernels
+  quantize in C to the codes and scales of
   :func:`~repro.kernels.quantized.int8_codes_axis` (comparison max, one
   correctly rounded quotient, round-half-even, clip), matching numpy bit
   for bit for finite activations.
@@ -56,7 +57,7 @@ Exactness contract (asserted by ``tests/test_int8_routing.py``):
   product is the batch-major projection itself, on the codes and scales
   the quantizer gives each state where the gate sweep makes it, and
   everything from its int32 sums to the next quantize is float32, as in
-  the generic loop for an int8 GRU layer on every backend — the gate rows,
+  the generic loop for an int8 GRU layer on every route — the gate rows,
   biases and carried states float32 arrays, every elementwise statement
   one IEEE float32 operation in that loop's order, compiled with
   floating-point contraction off, ``exp`` (and the sigmoid and tanh built
@@ -134,8 +135,8 @@ WAVE_STEPS = 16
 # Conventions shared by every kernel:
 #   * all sizes/indices are int64 (matching the plans' int64 arrays);
 #   * matrices are C-contiguous row-major, exactly as numpy stores them;
-#   * the BSPC kernel walks the same strip-panel structure the numpy
-#     backend executes: gather one strip's activation codes (through its
+#   * the BSPC kernel walks the same strip-panel structure numpy's
+#     kernel executes: gather one strip's activation codes (through its
 #     kept columns — 64 at a time by byte permutes where the build has
 #     AVX-512 VBMI, byte by byte elsewhere: the same codes), then run an
 #     integer microkernel over the strip's contiguous int8 codes;
@@ -2360,8 +2361,8 @@ def product(
     the codes and scale of :func:`~repro.kernels.quantized.int8_codes_axis`,
     into float32 ``(N, rows)`` — ``out`` (C-contiguous float32) where given,
     else a fresh array.  ``weight`` is a BSPC matrix (its cached int8 plan's
-    panel) or a :func:`dense_int8_panel`.  No registry op: the bytes of the
-    numpy and reference backends' ``linear_int8_rowwise`` of ``x`` and
+    panel) or a :func:`dense_int8_panel`.  No op of the generic loop: the
+    bytes of numpy's and the oracle's ``linear_int8_rowwise`` of ``x`` and
     ``bspc_spmm_int8`` of ``x.T`` (transposed), then ``+ bias`` in float32."""
     panel = weight if isinstance(weight, _Panel) else _plan_panel(int8_bspc_plan(weight))
     rows = panel.shape[0]

@@ -1,4 +1,4 @@
-"""Numpy backend: vectorized plan-then-execute kernels (the default).
+"""Numpy's kernels: vectorized plan-then-execute, the generic loop's ops.
 
 Sparse ops run on the execution plans of :mod:`repro.kernels.plans` —
 all per-block/per-row Python iteration happens once at plan-build time,
@@ -7,7 +7,7 @@ after which ``spmv``/``spmm`` are a gather, one batched GEMM (BSPC) or a
 input-side projection out of the time loop and run the recurrence on raw
 ndarrays with a preallocated output buffer; the fused training step's two
 time loops run in C instead where :func:`repro.kernels.gru_sequence_grad`
-finds the library and no backend in force.
+finds the library.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from repro.kernels import compiled as _compiled
 from repro.kernels import packed
 from repro.kernels._math import sigmoid as _sigmoid
 from repro.kernels.plans import bspc_plan, csr_plan
-from repro.kernels.registry import registry
 
 
 # ---------------------------------------------------------------------------
 # CSR
 # ---------------------------------------------------------------------------
-@registry.register("csr_spmv", "numpy")
 def csr_spmv(matrix, x: np.ndarray) -> np.ndarray:
     """Row-segment sums via ``np.add.reduceat`` over ``row_ptr``."""
     plan = csr_plan(matrix)
@@ -40,7 +38,6 @@ def csr_spmv(matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@registry.register("csr_spmm", "numpy")
 def csr_spmm(matrix, x: np.ndarray) -> np.ndarray:
     """Batched :func:`csr_spmv`, one input column at a time.
 
@@ -62,7 +59,6 @@ def csr_spmm(matrix, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # BSPC
 # ---------------------------------------------------------------------------
-@registry.register("bspc_spmv", "numpy")
 def bspc_spmv(matrix, x: np.ndarray) -> np.ndarray:
     """Gather → one batched panel GEMM → scatter (plus a dropped sink row)."""
     plan = bspc_plan(matrix)
@@ -77,7 +73,6 @@ def bspc_spmv(matrix, x: np.ndarray) -> np.ndarray:
     return out[:rows]
 
 
-@registry.register("bspc_spmm", "numpy")
 def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
     """Batched :func:`bspc_spmv` over the columns of ``x``."""
     plan = bspc_plan(matrix)
@@ -137,7 +132,6 @@ def _thread_pool():
         return _POOL.free, _POOL.scratch
 
 
-@registry.register("gru_sequence", "numpy")
 def gru_sequence(
     x: np.ndarray,
     w_ih: np.ndarray,
@@ -179,7 +173,6 @@ def gru_sequence(
     return out, h
 
 
-@registry.register("gru_sequence_grad", "numpy")
 def gru_sequence_grad(
     x: np.ndarray,
     w_ih: np.ndarray,
@@ -226,11 +219,11 @@ def gru_sequence_grad(
 
     Which time loops run: ``compiled_loops`` — what
     :func:`repro.kernels.gru_sequence_grad` passes where the C library is
-    available and no backend is in force — runs both in C
+    available — runs both in C
     (:func:`repro.kernels.compiled.gru_f64_forward` / ``gru_f64_backward``,
     float64, deterministic, within 1e-6 of the tape, not this loop's bits);
-    otherwise, and always as the registered ``numpy`` op, numpy's loops
-    below, which are also what the tests hold the C against.
+    otherwise numpy's loops below, which are also what the tests hold the
+    C against.
 
     Returns ``(outputs, h_T, backward)``; ``backward(grad_out, grad_h_T=None)``
     yields ``(dx, dw_ih, dw_hh, db_ih, db_hh, dh0)``.

@@ -4,22 +4,20 @@ The paper's deployment story is that compressed weights are cheap to
 *move*; this module makes them cheap to *compute with* as well.  Weights
 are stored as symmetric int8 codes plus one per-tensor scale, in one of
 two layouts: BSPC panels (:class:`Int8BSPCPlan`, every sparse int8
-weight, whatever pattern it has) or dense codes (``linear_int8*``).
-Activations are quantized on the fly — per call for the ``spmv`` path,
-per column / per row (one scale per frame) for the batched ``spmm`` /
-``linear_int8_rowwise`` paths, which makes each frame's result
-independent of the rest of the batch (the streaming engine's
-chunk-exactness rests on this) — and every kernel accumulates products
-in integer arithmetic, dequantizing exactly once, at the very end, to
-float32 (:func:`dequantize`, the one rule of every int8 product on every
-backend, the compiled C included).
+weight, whatever pattern it has, :func:`bspc_spmm_int8`) or dense codes
+(:func:`linear_int8_rowwise`).  Activations are quantized on the fly, one
+scale per frame — per column of the ``spmm``'s ``x``, per row of the
+dense op's — which makes each frame's result independent of the rest of
+the batch (the streaming engine's chunk-exactness rests on this) — and
+both ops accumulate products in integer arithmetic, dequantizing exactly
+once, at the very end, to float32 (:func:`dequantize`, the one rule of
+every int8 product on every route, the compiled C included).
 
-Accumulation is exact: the GEMM paths run float32 BLAS over
-integer-valued operands, which is lossless while partial sums stay below
-``2**24`` — guaranteed by chunking the inner dimension at
-:data:`F32_EXACT_INNER`.  The ``reference`` implementations accumulate in
-int64 and must agree *exactly* with the ``numpy`` ones (see
-``tests/test_kernels_equivalence.py``).
+Accumulation is exact: the GEMMs run float32 BLAS over integer-valued
+operands, which is lossless while partial sums stay below ``2**24`` —
+guaranteed by chunking the inner dimension at :data:`F32_EXACT_INNER`.
+Their oracles in :mod:`repro.kernels.reference` accumulate in int64 and
+must agree *exactly* (see ``tests/test_kernels_equivalence.py``).
 
 Like the float plans, int8 plans are cached on the matrix object (under
 ``matrix._int8_kernel_plan``) and dropped by the same invalidation rules
@@ -34,7 +32,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.kernels.plans import BSPCPlan, INT8_PLAN_ATTR, bspc_plan
-from repro.kernels.registry import registry
 
 #: Largest inner dimension for which int8 products accumulate exactly in a
 #: single float32 GEMM (``127 * 127 * k < 2**24``); wider reductions are
@@ -153,34 +150,17 @@ def int8_bspc_plan(matrix) -> Int8BSPCPlan:
 
 
 # ---------------------------------------------------------------------------
-# BSPC — numpy backend
+# The generic loop's int8 ops
 # ---------------------------------------------------------------------------
-@registry.register("bspc_spmv_int8", "numpy")
-def bspc_spmv_int8(matrix, x: np.ndarray) -> np.ndarray:
-    """Int8 gather → exact-integer batched GEMM → scatter → one dequant.
+def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
+    """Int8 gather → exact-integer batched GEMM → scatter → one dequant,
+    with **per-column** activation scales (column results are independent
+    of the rest of the batch).
 
     Padded panel entries quantize to code 0, so the padding gather of
     ``x[0]`` contributes nothing — no masking needed (and integer codes
     cannot be non-finite).
     """
-    plan = int8_bspc_plan(matrix)
-    base = plan.base
-    rows = base.shape[0]
-    if not base.panels.size:
-        return np.zeros(rows, dtype=np.float32)
-    acc = np.zeros(rows + 1)  # exact integers
-    xq, xs = int8_codes(x)
-    gathered = xq[base.gather_cols].astype(plan.codes_f.dtype)
-    partial = np.matmul(plan.codes_f, gathered[:, :, None])[:, :, 0]
-    acc[base.flat_rows] += partial.reshape(-1)
-    return dequantize(acc[:rows], plan.scale, xs)
-
-
-@registry.register("bspc_spmm_int8", "numpy")
-def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
-    """Batched :func:`bspc_spmv_int8` over the columns of ``x``, with
-    **per-column** activation scales (column results are independent of
-    the rest of the batch)."""
     plan = int8_bspc_plan(matrix)
     base = plan.base
     rows = base.shape[0]
@@ -193,26 +173,6 @@ def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     partial = np.matmul(plan.codes_f, gathered)
     acc[base.flat_rows] += partial.reshape(-1, batch)
     return dequantize(acc[:rows], plan.scale, xs)
-
-
-# ---------------------------------------------------------------------------
-# Dense input projection — numpy backend
-# ---------------------------------------------------------------------------
-@registry.register("linear_int8", "numpy")
-def linear_int8(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
-    """Dense ``x @ codes.T * scales`` with integer accumulation.
-
-    ``x`` is ``(N, K)`` float, ``codes`` the ``(M, K)`` int8 weight codes
-    — or a float32 copy holding the same integer values (compiled plans
-    pre-cast once so repeated calls skip the conversion).  Activations
-    are quantized per call; the GEMM runs in float32 (exact for inner
-    chunks of :data:`F32_EXACT_INNER`, partial sums combined in float64)
-    and the single dequant maps the integer result back to float32.
-    """
-    codes = np.asarray(codes)
-    weights = codes if codes.dtype == np.float32 else codes.astype(np.float32)
-    xq, xs = int8_codes(x)
-    return dequantize(_int_gemm(xq.astype(np.float32), weights), scale, xs)
 
 
 def _int_gemm(xqf: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -233,90 +193,23 @@ def _int_gemm(xqf: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return acc
 
 
-@registry.register("linear_int8_rowwise", "numpy")
 def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
-    """Dense int8 projection with **per-row** activation scales.
+    """Dense ``x @ codes.T * scales`` with integer accumulation and
+    **per-row** activation scales.
 
-    Same integer pipeline as :func:`linear_int8`, but each row of ``x``
-    (one frame) is quantized with its own scale, so row ``i`` of the
+    ``x`` is ``(N, K)`` float, ``codes`` the ``(M, K)`` int8 weight codes
+    — or a float32 copy holding the same integer values (compiled plans
+    pre-cast once so repeated calls skip the conversion).  Each row of
+    ``x`` (one frame) is quantized with its own scale, so row ``i`` of the
     result depends only on ``x[i]`` — bit-identical whether the frame is
-    projected alone, inside a chunk, or inside the whole utterance.  This
-    is the op the engine's generic loop uses for dense int8 weights, making
-    int8 plans bitwise chunk-exact under streaming execution.
+    projected alone, inside a chunk, or inside the whole utterance.  The
+    GEMM runs in float32 (exact for inner chunks of
+    :data:`F32_EXACT_INNER`, partial sums combined in float64) and the
+    single dequant maps the integer result back to float32.  This is the
+    op the engine's generic loop uses for dense int8 weights, making int8
+    plans bitwise chunk-exact under streaming execution.
     """
     codes = np.asarray(codes)
     weights = codes if codes.dtype == np.float32 else codes.astype(np.float32)
     xq, xs = int8_codes_axis(x, axis=1)
     return dequantize(_int_gemm(xq.astype(np.float32), weights), scale, xs)
-
-
-# ---------------------------------------------------------------------------
-# Reference backend — plan-free int64 accumulation, exact ground truth
-# ---------------------------------------------------------------------------
-def _bspc_panel_scale(matrix) -> float:
-    """The per-tensor scale over all stored panel values (0-padding free)."""
-    peak = 0.0
-    for strip in matrix.strips:
-        for block in strip.blocks:
-            if block.panel.size:
-                peak = max(peak, float(np.max(np.abs(block.panel))))
-    return peak / 127.0 if peak else 1.0
-
-
-@registry.register("bspc_spmv_int8", "reference")
-def bspc_spmv_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
-    """Strip/block loops with int64 accumulation and a single dequant."""
-    scale = _bspc_panel_scale(matrix)
-    xq, xs = int8_codes(x)
-    acc = np.zeros(matrix.grid.rows, dtype=np.int64)
-    for strip in matrix.strips:
-        if not strip.kept_rows.size:
-            continue
-        strip_acc = np.zeros(len(strip.kept_rows), dtype=np.int64)
-        for block in strip.blocks:
-            if block.kept_cols.size:
-                codes = np.clip(np.round(block.panel / scale), -127, 127)
-                strip_acc += codes.astype(np.int64) @ xq[block.kept_cols].astype(
-                    np.int64
-                )
-        acc[strip.kept_rows] += strip_acc
-    return dequantize(acc, scale, xs)
-
-
-@registry.register("bspc_spmm_int8", "reference")
-def bspc_spmm_int8_ref(matrix, x: np.ndarray) -> np.ndarray:
-    """Batched variant of :func:`bspc_spmv_int8_ref` with per-column
-    activation scales (matching the numpy backend exactly)."""
-    scale = _bspc_panel_scale(matrix)
-    xq, xs = int8_codes_axis(x, axis=0)
-    acc = np.zeros((matrix.grid.rows, x.shape[1]), dtype=np.int64)
-    for strip in matrix.strips:
-        if not strip.kept_rows.size:
-            continue
-        strip_acc = np.zeros((len(strip.kept_rows), x.shape[1]), dtype=np.int64)
-        for block in strip.blocks:
-            if block.kept_cols.size:
-                codes = np.clip(np.round(block.panel / scale), -127, 127)
-                strip_acc += codes.astype(np.int64) @ xq[
-                    block.kept_cols, :
-                ].astype(np.int64)
-        acc[strip.kept_rows] += strip_acc
-    return dequantize(acc, scale, xs)
-
-
-@registry.register("linear_int8", "reference")
-def linear_int8_ref(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
-    """One int64 matmul over the full codes — slow, exact ground truth."""
-    codes64 = np.asarray(codes).astype(np.int64)
-    xq, xs = int8_codes(x)
-    return dequantize(xq.astype(np.int64) @ codes64.T, scale, xs)
-
-
-@registry.register("linear_int8_rowwise", "reference")
-def linear_int8_rowwise_ref(
-    codes: np.ndarray, scale: float, x: np.ndarray
-) -> np.ndarray:
-    """Int64 matmul with per-row activation scales — exact ground truth."""
-    codes64 = np.asarray(codes).astype(np.int64)
-    xq, xs = int8_codes_axis(x, axis=1)
-    return dequantize(xq.astype(np.int64) @ codes64.T, scale, xs)

@@ -1,11 +1,14 @@
-"""Reference backend: the original straight-line Python-loop kernels.
+"""The oracle: straight-line Python-loop kernels.
 
-These are the seed implementations of the library, moved verbatim behind
-the registry.  They iterate row-by-row (CSR) or strip-by-strip/block-by-
-block (BSPC) and re-project the RNN input at every timestep — slow, but
-each line maps directly onto the math, which is why the equivalence suite
-(``tests/test_kernels_equivalence.py``) treats them as ground truth for
-every faster backend.
+These are the seed implementations of the library.  They iterate
+row-by-row (CSR) or strip-by-strip/block-by-block (BSPC), accumulate int8
+products in int64, and re-project the RNN input at every timestep — slow,
+but each line maps directly onto the math, which is why the tests
+(``tests/test_kernels_equivalence.py`` and every exactness suite) hold
+numpy's kernels, the generic loop and the compiled program against them.
+No product path calls them.  :data:`OPS` has the keys of
+:data:`repro.kernels.OPS`: a plan lowered with those swapped for these
+runs its generic loop on the oracle.
 """
 
 from __future__ import annotations
@@ -16,23 +19,12 @@ import numpy as np
 
 from repro.kernels import packed
 from repro.kernels._math import sigmoid as _sigmoid
-from repro.kernels.registry import registry
+from repro.kernels.quantized import dequantize, int8_codes_axis
 
 
 # ---------------------------------------------------------------------------
 # CSR
 # ---------------------------------------------------------------------------
-@registry.register("csr_spmv", "reference")
-def csr_spmv(matrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix × dense vector, one dot product per row."""
-    out = np.zeros(matrix.shape[0])
-    for r in range(matrix.shape[0]):
-        start, stop = matrix.row_ptr[r], matrix.row_ptr[r + 1]
-        out[r] = matrix.values[start:stop] @ x[matrix.col_indices[start:stop]]
-    return out
-
-
-@registry.register("csr_spmm", "reference")
 def csr_spmm(matrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix × dense matrix, one row at a time."""
     out = np.zeros((matrix.shape[0], x.shape[1]))
@@ -45,25 +37,9 @@ def csr_spmm(matrix, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # BSPC
 # ---------------------------------------------------------------------------
-@registry.register("bspc_spmv", "reference")
-def bspc_spmv(matrix, x: np.ndarray) -> np.ndarray:
-    """Gather → dense panel multiply → scatter, per strip and block."""
-    out = np.zeros(matrix.grid.rows)
-    for strip in matrix.strips:
-        if not strip.kept_rows.size:
-            continue
-        acc = np.zeros(len(strip.kept_rows))
-        for block in strip.blocks:
-            if block.kept_cols.size:
-                acc += block.panel @ x[block.kept_cols]
-        out[strip.kept_rows] += acc
-    return out
-
-
-@registry.register("bspc_spmm", "reference")
 def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
-    """Batched variant of :func:`bspc_spmv`; columns of ``x`` are
-    independent input vectors."""
+    """Gather → dense panel multiply → scatter, per strip and block;
+    columns of ``x`` are independent input vectors."""
     out = np.zeros((matrix.grid.rows, x.shape[1]))
     for strip in matrix.strips:
         if not strip.kept_rows.size:
@@ -77,9 +53,48 @@ def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Int8: plan-free int64 accumulation, exact
+# ---------------------------------------------------------------------------
+def _bspc_panel_scale(matrix) -> float:
+    """The per-tensor scale over all stored panel values (0-padding free)."""
+    peak = 0.0
+    for strip in matrix.strips:
+        for block in strip.blocks:
+            if block.panel.size:
+                peak = max(peak, float(np.max(np.abs(block.panel))))
+    return peak / 127.0 if peak else 1.0
+
+
+def bspc_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
+    """Strip/block loops with int64 accumulation, per-column activation
+    scales and a single dequant."""
+    scale = _bspc_panel_scale(matrix)
+    xq, xs = int8_codes_axis(x, axis=0)
+    acc = np.zeros((matrix.grid.rows, x.shape[1]), dtype=np.int64)
+    for strip in matrix.strips:
+        if not strip.kept_rows.size:
+            continue
+        strip_acc = np.zeros((len(strip.kept_rows), x.shape[1]), dtype=np.int64)
+        for block in strip.blocks:
+            if block.kept_cols.size:
+                codes = np.clip(np.round(block.panel / scale), -127, 127)
+                strip_acc += codes.astype(np.int64) @ xq[
+                    block.kept_cols, :
+                ].astype(np.int64)
+        acc[strip.kept_rows] += strip_acc
+    return dequantize(acc, scale, xs)
+
+
+def linear_int8_rowwise(codes: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
+    """Int64 matmul with per-row activation scales."""
+    codes64 = np.asarray(codes).astype(np.int64)
+    xq, xs = int8_codes_axis(x, axis=1)
+    return dequantize(xq.astype(np.int64) @ codes64.T, scale, xs)
+
+
+# ---------------------------------------------------------------------------
 # Recurrent sequence kernels
 # ---------------------------------------------------------------------------
-@registry.register("gru_sequence", "reference")
 def gru_sequence(
     x: np.ndarray,
     w_ih: np.ndarray,
@@ -109,7 +124,6 @@ def gru_sequence(
     return np.stack(outputs, axis=0), h
 
 
-@registry.register("gru_sequence_grad", "reference")
 def gru_sequence_grad(
     x: np.ndarray,
     w_ih: np.ndarray,
@@ -173,3 +187,12 @@ def gru_sequence_grad(
         )
 
     return out.data, h_T, backward
+
+
+#: The oracle of each of :data:`repro.kernels.OPS`, by the same names.
+OPS = {
+    "csr_spmm": csr_spmm,
+    "bspc_spmm": bspc_spmm,
+    "bspc_spmm_int8": bspc_spmm_int8,
+    "linear_int8_rowwise": linear_int8_rowwise,
+}

@@ -1,9 +1,10 @@
 """Custom autograd nodes for the fused training fast path.
 
 Training-mode ``GRU.forward`` routes each layer through these helpers
-instead of unrolling per-timestep ``Tensor`` ops.  A helper calls the
-``gru_sequence_grad`` kernel (dispatched through :mod:`repro.kernels`, so
-the backend decides *how* the BPTT runs), then records a **single** tape
+instead of unrolling per-timestep ``Tensor`` ops.  A helper calls
+:func:`repro.kernels.gru_sequence_grad` (looked up at call time, so a test
+can put the autograd tape of :mod:`repro.kernels.reference` in its
+place), then records a **single** tape
 node whose backward is the kernel's fused BPTT closure.  The tape
 therefore sees one op per layer instead of ``O(T)`` ops per layer, while
 gradients still accumulate into exactly the same leaf tensors (input,
@@ -27,7 +28,6 @@ def fused_gru_layer(
     b_hh: Tensor,
     h0: Tensor,
     batch_sizes: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
 ) -> Tensor:
     """One GRU layer over an equal-length ``(T, B, D)`` or a packed
     ``(N, D)`` batch (``batch_sizes``, see :mod:`repro.kernels.packed`) as
@@ -40,7 +40,7 @@ def fused_gru_layer(
 
     out_data, _, kernel_backward = kernels.gru_sequence_grad(
         x.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data, h0.data,
-        batch_sizes=batch_sizes, backend=backend,
+        batch_sizes=batch_sizes,
     )
     parents = (x, w_ih, w_hh, b_ih, b_hh, h0)
 

@@ -26,7 +26,7 @@ from repro.errors import ShapeError
 from repro.kernels import packed
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, concatenate
+from repro.nn.tensor import Tensor
 from repro.utils.rng import RngLike, new_rng, spawn_rngs
 
 
@@ -35,24 +35,10 @@ def _use_fused_kernels(module: Module, *tensors: Tensor) -> bool:
 
     In eval mode no gradient tape is needed, so the whole sequence runs
     through :mod:`repro.kernels` on raw ndarrays.  Training mode — or any
-    input that itself requires grad — keeps a gradient-recording path:
-    the fused BPTT node on vectorized backends, the per-timestep Tensor
-    tape on the reference backend.
+    input that itself requires grad — records gradients through the
+    fused BPTT node instead.
     """
     return not module.training and not any(t.requires_grad for t in tensors)
-
-
-def _use_fused_grad() -> bool:
-    """True when a grad-recording forward should use the fused BPTT node.
-
-    The per-timestep tape is retained as ground truth under the
-    ``reference`` kernel backend; every other backend routes each layer
-    through one ``gru_sequence_grad`` kernel call
-    recorded as a single autograd node (see :mod:`repro.nn.fused`).
-    """
-    from repro import kernels
-
-    return kernels.get_default_backend() != "reference"
 
 
 class GRUCell(Module):
@@ -140,10 +126,8 @@ class GRU(Module):
 
         In eval mode (and with no grad-requiring inputs) each layer of a
         ``(T, B, D)`` batch runs as one fused :func:`repro.kernels.gru_sequence`
-        call.  Otherwise gradients are recorded: on vectorized backends
-        each layer is a single fused-BPTT autograd node
-        (:func:`repro.nn.fused.fused_gru_layer`); under the ``reference``
-        backend the cells unroll per timestep so the tape sees every op.
+        call.  Otherwise gradients are recorded: each layer is a single
+        fused-BPTT autograd node (:func:`repro.nn.fused.fused_gru_layer`).
         """
         want = 2 if batch_sizes is not None else 3
         if x.ndim != want:
@@ -182,37 +166,20 @@ class GRU(Module):
                 )
                 finals.append(Tensor(h_final))
             return Tensor(layer_input), finals
-        if _use_fused_grad():
-            from repro.nn.fused import fused_gru_layer
+        from repro.nn.fused import fused_gru_layer
 
-            last = seq_len - 1 if batch_sizes is None else packed.last_frames(batch_sizes)
-            layer_out = x
-            fused_finals: List[Tensor] = []
-            for cell, h_init in zip(self.cells, hiddens):
-                layer_out = fused_gru_layer(
-                    layer_out,
-                    cell.weight_ih,
-                    cell.weight_hh,
-                    cell.bias_ih,
-                    cell.bias_hh,
-                    h_init,
-                    batch_sizes,
-                )
-                fused_finals.append(layer_out[last])
-            return layer_out, fused_finals
-        frames = x.reshape(-1, x.shape[-1])
-        sizes = np.full(seq_len, batch) if batch_sizes is None else batch_sizes
-        outputs: List[Tensor] = []
-        ended: List[List[Tensor]] = [[] for _ in self.cells]  # last rows first
-        for start, rows in zip(packed.starts(sizes), sizes):
-            layer_input = frames[start : start + rows]
-            for layer_index, cell in enumerate(self.cells):
-                h = hiddens[layer_index]
-                if rows < h.shape[0]:
-                    ended[layer_index].append(h[rows:])
-                    h = h[:rows]
-                hiddens[layer_index] = cell(layer_input, h)
-                layer_input = hiddens[layer_index]
-            outputs.append(layer_input)
-        out = concatenate(outputs).reshape(*x.shape[:-1], self.hidden_size)
-        return out, [concatenate([h] + rows[::-1]) for h, rows in zip(hiddens, ended)]
+        last = seq_len - 1 if batch_sizes is None else packed.last_frames(batch_sizes)
+        layer_out = x
+        fused_finals: List[Tensor] = []
+        for cell, h_init in zip(self.cells, hiddens):
+            layer_out = fused_gru_layer(
+                layer_out,
+                cell.weight_ih,
+                cell.weight_hh,
+                cell.bias_ih,
+                cell.bias_hh,
+                h_init,
+                batch_sizes,
+            )
+            fused_finals.append(layer_out[last])
+        return layer_out, fused_finals

@@ -16,7 +16,7 @@ for alleviating the memory-bound regime of RNN inference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class BSPCMatrix(PlanCacheMixin):
     grid: BlockGrid
     strips: List[BSPCStrip]
 
-    #: Registry op prefix used by :func:`repro.kernels.spmv`/``spmm``.
+    #: Op-name prefix :func:`repro.kernels.spmv`/``spmm`` read.
     kernel_prefix = "bspc"
 
     _STRUCTURAL_FIELDS = frozenset({"grid", "strips"})
@@ -174,23 +174,23 @@ class BSPCMatrix(PlanCacheMixin):
         return np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
 
     # -- compute ---------------------------------------------------------
-    def spmv(self, x: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+    def spmv(self, x: np.ndarray) -> np.ndarray:
         """Matrix × vector using only the stored panels.
 
         This is the computation pattern the mobile kernels execute: gather
         the input elements a block needs, multiply the dense panel,
-        scatter-accumulate into surviving output rows.  Dispatches through
-        :mod:`repro.kernels`; the default backend packs all panels into one
-        batched GEMM at plan-build time.
+        scatter-accumulate into surviving output rows.  Runs
+        :func:`repro.kernels.spmv`, which packs all panels into one batched
+        GEMM at plan-build time.
         """
         from repro import kernels
 
         x = np.asarray(x)
         if x.shape != (self.grid.cols,):
             raise SparsityError(f"x must be ({self.grid.cols},), got {x.shape}")
-        return kernels.spmv(self, x, backend=backend)
+        return kernels.spmv(self, x)
 
-    def spmm(self, x: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+    def spmm(self, x: np.ndarray) -> np.ndarray:
         """Matrix × dense matrix; columns of ``x`` are independent inputs.
 
         The batched counterpart of :meth:`spmv` (one gather + batched panel
@@ -203,7 +203,7 @@ class BSPCMatrix(PlanCacheMixin):
             raise SparsityError(
                 f"inner dimensions disagree: {self.grid.shape} @ {x.shape}"
             )
-        return kernels.spmm(self, x, backend=backend)
+        return kernels.spmm(self, x)
 
     # -- storage model ----------------------------------------------------
     def nbytes(self, value_bytes: int = 2, index_bytes: int = 2) -> int:

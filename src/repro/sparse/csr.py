@@ -10,7 +10,7 @@ the overhead Section III-A criticizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from repro.utils.validation import check_2d
 class CSRMatrix(PlanCacheMixin):
     """CSR representation of a 2-D matrix.
 
-    Compute (``spmv``/``spmm``) dispatches through :mod:`repro.kernels`;
-    the vectorized default backend caches an execution plan on the
-    instance.  Reassigning a storage field drops the cached plan; after
+    Compute (``spmv``/``spmm``) runs :mod:`repro.kernels`, which caches
+    an execution plan on the instance.  Reassigning a storage field drops the cached plan; after
     mutating a stored array *in place*, call :meth:`invalidate_plan`.
     """
 
@@ -34,7 +33,7 @@ class CSRMatrix(PlanCacheMixin):
     col_indices: np.ndarray
     row_ptr: np.ndarray
 
-    #: Registry op prefix used by :func:`repro.kernels.spmv`/``spmm``.
+    #: Op-name prefix :func:`repro.kernels.spmv`/``spmm`` read.
     kernel_prefix = "csr"
 
     _STRUCTURAL_FIELDS = frozenset({"shape", "values", "col_indices", "row_ptr"})
@@ -104,16 +103,16 @@ class CSRMatrix(PlanCacheMixin):
         return self.nnz / float(rows * cols)
 
     # -- compute ---------------------------------------------------------
-    def spmv(self, x: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
-        """Sparse matrix × dense vector (dispatched through the registry)."""
+    def spmv(self, x: np.ndarray) -> np.ndarray:
+        """Sparse matrix × dense vector (:func:`repro.kernels.spmv`)."""
         from repro import kernels
 
         x = np.asarray(x)
         if x.shape != (self.shape[1],):
             raise SparsityError(f"x must be ({self.shape[1]},), got {x.shape}")
-        return kernels.spmv(self, x, backend=backend)
+        return kernels.spmv(self, x)
 
-    def spmm(self, x: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+    def spmm(self, x: np.ndarray) -> np.ndarray:
         """Sparse matrix × dense matrix (columns are independent vectors)."""
         from repro import kernels
 
@@ -122,7 +121,7 @@ class CSRMatrix(PlanCacheMixin):
             raise SparsityError(
                 f"inner dimensions disagree: {self.shape} @ {x.shape}"
             )
-        return kernels.spmm(self, x, backend=backend)
+        return kernels.spmm(self, x)
 
     # -- storage model ----------------------------------------------------
     def nbytes(self, value_bytes: int = 2, index_bytes: int = 2) -> int:

@@ -145,14 +145,11 @@ class Trainer:
         """One pass over the training set; returns the mean batch loss.
 
         Every batch is packed (longest first, real frames only; see
-        :func:`~repro.nn.data.pack`).  On vectorized kernel backends (the
-        default) it runs through the fused training fast path: each
-        recurrent layer is one ``gru_sequence_grad`` forward +
-        single-BPTT-backward kernel call (see ``docs/training.md``), so
-        dense training and every ADMM/prune→retrain phase share the same
-        accelerated loop.  Under
-        ``kernels.use_backend("reference")`` the per-timestep autograd
-        tape is used instead.
+        :func:`~repro.nn.data.pack`).  It runs through the fused training
+        fast path: each recurrent layer is one ``gru_sequence_grad``
+        forward + single-BPTT-backward kernel call (see
+        ``docs/training.md``), so dense training and every
+        ADMM/prune→retrain phase share the same accelerated loop.
 
         Step-granular resume: ``start_step`` skips that many leading
         batches (already trained before a checkpoint), ``prior_losses``

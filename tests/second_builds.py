@@ -21,9 +21,10 @@ import pytest
 
 from repro import kernels
 from repro.errors import CompileBackendError
-from repro.kernels import compiled
+from repro.kernels import compiled, reference
 from repro.sparse.bspc import BSPCMatrix
 from repro.utils.rng import new_rng
+from routes import on_route
 from test_int8_routing import (
     GOLDEN,
     assert_states_equal,
@@ -32,6 +33,7 @@ from test_int8_routing import (
     golden_digest,
     golden_plan,
     linear_int8_rowwise,
+    ref_column,
     requires_compiler,
     spmm_int8,
     spmv_int8,
@@ -107,18 +109,16 @@ def load_wrong_build(tmp_path, monkeypatch, edit):
 
 def streamed_auto_plan():
     """Logits and states of a freshly lowered plan with a dense layer 0."""
-    with kernels.use_backend(None):
-        plan = bsp_int8_plan(sparse_format="auto")
-        assert plan.program is not None
-        return streamed_bytes(plan)
+    plan = bsp_int8_plan(sparse_format="auto")
+    assert plan.program is not None
+    return streamed_bytes(plan)
 
 
 def lowered_golden():
     """The golden digest through a freshly lowered program."""
-    with kernels.use_backend(None):
-        plan = golden_plan()
-        assert plan.program is not None
-        return golden_digest(plan)
+    plan = golden_plan()
+    assert plan.program is not None
+    return golden_digest(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +137,17 @@ def test_contracting_the_gate_math_changes_bits(tmp_path, monkeypatch):
     chunks = new_rng(3).standard_normal((4, 6, 5, 8))
 
     def stream():
-        with kernels.use_backend(None):
-            plan, state, logits = bsp_int8_plan(), None, []
-            assert plan.program is not None
-            for chunk in chunks:
-                out, state = plan.run_chunk(chunk, state)
-                logits.append(out)
+        plan, state, logits = bsp_int8_plan(), None, []
+        assert plan.program is not None
+        for chunk in chunks:
+            out, state = plan.run_chunk(chunk, state)
+            logits.append(out)
         return np.concatenate(logits), state
 
-    with kernels.use_backend("reference"):
-        plan, want_state, want = bsp_int8_plan(), None, []
-        for chunk in chunks:
-            out, want_state = plan.run_chunk(chunk, want_state)
-            want.append(out)
+    plan, want_state, want = on_route(bsp_int8_plan(), "reference"), None, []
+    for chunk in chunks:
+        out, want_state = plan.run_chunk(chunk, want_state)
+        want.append(out)
     guarded_logits, guarded_state = stream()
     np.testing.assert_array_equal(guarded_logits, np.concatenate(want))
     assert_states_equal(guarded_state, want_state)
@@ -176,7 +174,7 @@ def test_dropping_the_quantizers_divide_guard_changes_codes(tmp_path, monkeypatc
     matrix = BSPCMatrix.from_dense(1e290 * matrix.to_dense(), matrix.grid)
     x = new_rng(2).uniform(-1.0, 1.0, (64, 4)) * 1e-280
     x[:, 1] *= 1e-30
-    want = kernels.spmm_int8(matrix, x, backend="reference")
+    want = reference.bspc_spmm_int8(matrix, x)
     assert np.isfinite(want).all() and np.abs(want[want != 0]).min() > 1e-30
     assert want[:, 1].any()
     np.testing.assert_array_equal(spmm_int8(matrix, x, "compiled"), want)
@@ -200,8 +198,8 @@ def test_swapping_the_group_interleave_changes_the_product(tmp_path, monkeypatch
     x = new_rng(5).standard_normal((64, 3))
     codes, scale = kernels.int8_codes(new_rng(6).standard_normal((20, 9)))
     rows = new_rng(7).standard_normal((4, 9))
-    want = kernels.spmm_int8(matrix, x, backend="reference")
-    want_dense = kernels.linear_int8_rowwise(codes, scale, rows, backend="reference")
+    want = reference.bspc_spmm_int8(matrix, x)
+    want_dense = reference.linear_int8_rowwise(codes, scale, rows)
     load_wrong_build(
         tmp_path,
         monkeypatch,
@@ -219,7 +217,7 @@ def test_swapping_the_group_interleave_changes_the_product(tmp_path, monkeypatch
     signs = np.sign(new_rng(8).standard_normal((compiled.ACC_CHUNK + 1, 3)))
     np.testing.assert_array_equal(
         spmm_int8(wide, signs, "compiled"),
-        kernels.spmm_int8(wide, signs, backend="reference"),
+        reference.bspc_spmm_int8(wide, signs),
     )
 
 
@@ -231,7 +229,7 @@ def test_dropping_the_offset_initialiser_changes_the_product(tmp_path, monkeypat
     assert compiled._C_SOURCE.count(start) == 1
     matrix = bsp_matrix()
     x = new_rng(5).standard_normal((64, 8))
-    want = kernels.spmm_int8(matrix, x, backend="reference")
+    want = reference.bspc_spmm_int8(matrix, x)
     np.testing.assert_array_equal(spmm_int8(matrix, x, "compiled"), want)
     load_wrong_build(
         tmp_path,
@@ -242,7 +240,7 @@ def test_dropping_the_offset_initialiser_changes_the_product(tmp_path, monkeypat
         got = spmm_int8(matrix, x[:, :batch], "compiled")
         assert not np.array_equal(got, want[:, :batch])
     got = spmv_int8(matrix, x[:, 0], "compiled")
-    assert not np.array_equal(got, kernels.spmv_int8(matrix, x[:, 0], backend="reference"))
+    assert not np.array_equal(got, ref_column(matrix, x[:, 0]))
 
 
 @requires_vbmi
@@ -281,10 +279,9 @@ def test_scratch_sized_for_the_last_op_writes_past_the_arena(tmp_path, monkeypat
     )
     fresh = guard_arenas(monkeypatch, guard=1 << 16)
     monkeypatch.setattr(compiled, "_SCRATCH", threading.local())
-    with kernels.use_backend(None):
-        plan = bsp_int8_plan()
-        plan.run_chunk(new_rng(1).standard_normal((8, 1, 8)))
-        assert scratch_bytes(plan.program) < neediest_scratch(plan)
+    plan = bsp_int8_plan()
+    plan.run_chunk(new_rng(1).standard_normal((8, 1, 8)))
+    assert scratch_bytes(plan.program) < neediest_scratch(plan)
     assert any((raw[size:] != 0xA5).any() for raw, size in fresh)
 
 
@@ -306,7 +303,7 @@ def test_the_build_without_vbmi_streams_the_same_bytes(tmp_path, monkeypatch):
         for matrix in (bsp_matrix(), bsp_matrix(shape=(48, 300))):
             np.testing.assert_array_equal(
                 spmm_int8(matrix, x[: matrix.grid.cols], "compiled"),
-                kernels.spmm_int8(matrix, x[: matrix.grid.cols], backend="reference"),
+                reference.bspc_spmm_int8(matrix, x[: matrix.grid.cols]),
             )
 
 
@@ -323,7 +320,7 @@ def test_the_build_without_vnni_streams_the_same_bytes(tmp_path, monkeypatch):
         x = new_rng(batch).standard_normal((64, batch))
         np.testing.assert_array_equal(
             spmm_int8(bsp_matrix(), x, "compiled"),
-            kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+            reference.bspc_spmm_int8(bsp_matrix(), x),
         )
 
 
@@ -343,12 +340,12 @@ def test_a_plain_o3_build_streams_the_same_bytes(tmp_path, monkeypatch):
     rows = new_rng(7).standard_normal((4, 9))
     np.testing.assert_array_equal(
         linear_int8_rowwise(codes, scale, rows, "compiled"),
-        kernels.linear_int8_rowwise(codes, scale, rows, backend="reference"),
+        reference.linear_int8_rowwise(codes, scale, rows),
     )
     x = new_rng(8).standard_normal((64, 3))
     np.testing.assert_array_equal(
         spmm_int8(bsp_matrix(), x, "compiled"),
-        kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+        reference.bspc_spmm_int8(bsp_matrix(), x),
     )
 
 
@@ -357,17 +354,16 @@ def test_a_plain_o3_build_splits_chunks_to_the_same_bytes(tmp_path, monkeypatch)
     # the two halves of a split chunk on the portable register block
     from test_plan_program import cores, split_bytes, split_steps
 
-    with kernels.use_backend(None):
-        plan = bsp_int8_plan(sparse_format="auto")
-        native = split_bytes(plan, 8, split_steps(plan, 8), 3)
-        load_second_build(tmp_path, monkeypatch, flags=())
-        lib = compiled._library()
-        entry, threads = lib.repro_plan_i8_chunk, []
-        monkeypatch.setattr(
-            lib, "repro_plan_i8_chunk", lambda *args: threads.append(entry(*args)) or threads[-1]
-        )
-        plan = bsp_int8_plan(sparse_format="auto")
-        assert split_bytes(plan, 8, split_steps(plan, 8), 3) == native
+    plan = bsp_int8_plan(sparse_format="auto")
+    native = split_bytes(plan, 8, split_steps(plan, 8), 3)
+    load_second_build(tmp_path, monkeypatch, flags=())
+    lib = compiled._library()
+    entry, threads = lib.repro_plan_i8_chunk, []
+    monkeypatch.setattr(
+        lib, "repro_plan_i8_chunk", lambda *args: threads.append(entry(*args)) or threads[-1]
+    )
+    plan = bsp_int8_plan(sparse_format="auto")
+    assert split_bytes(plan, 8, split_steps(plan, 8), 3) == native
     assert threads[0] == cores()
 
 
@@ -386,7 +382,7 @@ def test_the_eight_row_build_streams_the_same_bytes(tmp_path, monkeypatch):
         x = new_rng(batch).standard_normal((64, batch))
         np.testing.assert_array_equal(
             spmm_int8(bsp_matrix(), x, "compiled"),
-            kernels.spmm_int8(bsp_matrix(), x, backend="reference"),
+            reference.bspc_spmm_int8(bsp_matrix(), x),
         )
 
 
@@ -399,12 +395,11 @@ def test_phase_counters_are_each_positive_and_nest_inside_the_chunk(tmp_path, mo
     # dequant and bias are one pass over the output rows
     assert compiled.PHASES == ("quantize", "gather", "mac", "epilogue", "gates", "chunk")
     monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path, phases=True))
-    with kernels.use_backend(None):
-        plan = bsp_int8_plan()
-        assert plan.program is not None
-        compiled.phase_ticks()  # read: cleared
-        plan.run_chunk(np.ones((4, 3, 8)))
-        ticks = compiled.phase_ticks()
+    plan = bsp_int8_plan()
+    assert plan.program is not None
+    compiled.phase_ticks()  # read: cleared
+    plan.run_chunk(np.ones((4, 3, 8)))
+    ticks = compiled.phase_ticks()
     assert set(ticks) == set(compiled.PHASES)
     chunk = ticks.pop("chunk")
     assert all(count > 0 for count in ticks.values()), ticks
@@ -423,37 +418,36 @@ def test_phase_counters_are_per_thread_and_a_split_chunk_counts_both_halves(
     from test_plan_program import cores, split_steps
 
     monkeypatch.setattr(compiled, "_LIB", compiled.build_library(cache=tmp_path, phases=True))
-    with kernels.use_backend(None):
-        plan = bsp_int8_plan()
-        x = np.ones((split_steps(plan, 8), 8, 8))
+    plan = bsp_int8_plan()
+    x = np.ones((split_steps(plan, 8), 8, 8))
 
-        def phases(runs=5):
-            compiled.phase_ticks()
-            sums = []
-            for _ in range(runs):
-                plan.run_chunk(x)
-                ticks = compiled.phase_ticks()
-                chunk = ticks.pop("chunk")
-                assert all(count > 0 for count in ticks.values()), ticks
-                assert sum(ticks.values()) <= chunk
-                sums.append(sum(ticks.values()))
-            return np.median(sums)
+    def phases(runs=5):
+        compiled.phase_ticks()
+        sums = []
+        for _ in range(runs):
+            plan.run_chunk(x)
+            ticks = compiled.phase_ticks()
+            chunk = ticks.pop("chunk")
+            assert all(count > 0 for count in ticks.values()), ticks
+            assert sum(ticks.values()) <= chunk
+            sums.append(sum(ticks.values()))
+        return np.median(sums)
 
-        split = phases()
-        if cores() == 2:
-            allowed = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {min(allowed)})  # this thread: the chunk runs whole
-            try:
-                whole = phases()
-            finally:
-                os.sched_setaffinity(0, allowed)
-            assert split > 0.75 * whole, (split, whole)
+    split = phases()
+    if cores() == 2:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})  # this thread: the chunk runs whole
+        try:
+            whole = phases()
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert split > 0.75 * whole, (split, whole)
 
-        theirs = []
-        worker = threading.Thread(
-            target=lambda: (plan.run_chunk(x), theirs.append(compiled.phase_ticks()))
-        )
-        worker.start()
-        worker.join(timeout=60)
+    theirs = []
+    worker = threading.Thread(
+        target=lambda: (plan.run_chunk(x), theirs.append(compiled.phase_ticks()))
+    )
+    worker.start()
+    worker.join(timeout=60)
     assert theirs and all(count > 0 for count in theirs[0].values())
     assert not any(compiled.phase_ticks().values())

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import engine, kernels
+from repro import engine
 from repro.kernels import compiled
 from repro.compiler.ir import (
     _ZERO_CODE,
@@ -30,6 +30,7 @@ from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.atomic_write import content_checksum
 from repro.utils.rng import new_rng
+from routes import on_route
 
 SCHEMES = (None, "int8")
 FORMATS = (None, "csr", "bspc")
@@ -105,15 +106,6 @@ class TestRoundTrip:
             plan.forward_batch(x),
         )
 
-    def test_tuned_backend_survives(self, tmp_path, rng):
-        from repro.compiler.pipeline import build_layer_graph
-
-        graph = build_layer_graph(laptop_model(), backend="reference")
-        plan = engine.lower_graph(graph)
-        engine.save_plan(tmp_path / "b.npz", plan)
-        reloaded = engine.load_plan(tmp_path / "b.npz")
-        assert reloaded.backend == "reference"
-
 
 @st.composite
 def plan_cases(draw):
@@ -184,11 +176,10 @@ def test_any_plan_round_trips_through_its_arrays_and_its_artifact(property_dir, 
 @given(case=plan_cases())
 def test_every_int8_plan_lowers(case):
     # every sparse format, pruned or not, with the output layer or without:
-    # one program where the backend in force runs the compiled int8 kernel
+    # one program wherever the C library loads
     widths, _, sparse_format, output, pruned, seed = case
-    with kernels.use_backend(None):
-        plan = compile_case(widths, "int8", sparse_format, output, pruned, seed)
-        assert plan.program is not None
+    plan = compile_case(widths, "int8", sparse_format, output, pruned, seed)
+    assert plan.program is not None
 
 
 def masked_model(masking):
@@ -301,10 +292,8 @@ class TestLegacyArtifacts:
         # re-packed as BSPC on the slot's grid, and recorded so
         assert [slot.format for _, _, slot in legacy.graph.slots()] == ["bspc"] * 4 + ["dense"]
         assert legacy.signature() == plan.signature()
-        with kernels.use_backend(None):
-            assert streamed_digest(legacy) == self.INT8_CSR[masking]
-        with kernels.use_backend("reference"):
-            assert streamed_digest(legacy) == self.INT8_CSR[masking]
+        assert streamed_digest(legacy) == self.INT8_CSR[masking]
+        assert streamed_digest(on_route(legacy, "reference")) == self.INT8_CSR[masking]
 
     #: :func:`streamed_digest` of an int8 ``"auto"`` plan of
     #: :func:`masked_model`, saved with every weight a float64 array (header
@@ -321,10 +310,9 @@ class TestLegacyArtifacts:
         plan = engine.compile_model(masked_model(masking), scheme="int8", config=config)
         legacy = engine.load_plan(write_artifact(tmp_path / "v1.npz", *version_1(plan.graph)))
         current = engine.load_plan(engine.save_plan(tmp_path / "v2.npz", plan))
-        for backend in (None, "reference"):
-            with kernels.use_backend(backend):
-                assert streamed_digest(legacy) == self.INT8_FLOAT64[masking]
-                assert streamed_digest(current) == self.INT8_FLOAT64[masking]
+        for route in ("program", "reference"):
+            assert streamed_digest(on_route(legacy, route)) == self.INT8_FLOAT64[masking]
+            assert streamed_digest(on_route(current, route)) == self.INT8_FLOAT64[masking]
 
     @pytest.mark.parametrize("scheme", ["fp16", "mixed"])
     @pytest.mark.parametrize("fmt", FORMATS)

@@ -4,10 +4,7 @@ Numerical agreement lives in ``test_int8_routing.py`` and
 ``test_plan_program.py``; this file covers everything around it: content-
 hash caching of the built ``.so``, the lazy first load, the typed
 :class:`~repro.errors.CompileBackendError` degradation path when no
-working compiler exists, artifacts tuned for a backend this process does
-not have (or for ``"compiled"``, the program's old registry name), and the
-shared backend-name validation (``REPRO_KERNEL_BACKEND`` /
-``--kernel-backend`` / ``tune_plan``).
+working compiler exists, and the measured tuner on the program.
 """
 
 import ctypes
@@ -16,16 +13,16 @@ import re
 import subprocess
 import sys
 import types
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import engine, kernels
-from repro.errors import CompileBackendError, ConfigError
-from repro.kernels import compiled
+from repro import engine
+from repro.errors import CompileBackendError
+from repro.kernels import compiled, reference
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
+from test_int8_routing import ref_column
 
 requires_compiler = pytest.mark.skipif(
     not compiled.available(), reason="no working C compiler on this host"
@@ -187,7 +184,7 @@ class TestDegradation:
             "assert isinstance(compiled.load_error(), CompileBackendError)\n"
             "assert 'synthetic failure' in str(compiled.load_error())\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL_BACKEND"}
+        env = dict(os.environ)
         src = Path(engine.__file__).resolve().parents[2]
         env.update(
             REPRO_CC=str(failing), REPRO_COMPILED_CACHE=str(cache),
@@ -200,77 +197,6 @@ class TestDegradation:
         assert done.returncode == 0, done.stderr
         assert not done.stderr, done.stderr
         assert not list(cache.glob("*.so"))
-
-    def test_artifact_tuned_for_compiled_lowers_to_the_program(self, tmp_path):
-        # "compiled" was the program's registry backend: a plan tuned for
-        # it loads as a plan tuned for no backend, silently, and streams
-        # the bytes of one that never named it.
-        from test_int8_routing import bsp_int8_plan, stream_once
-
-        with kernels.use_backend(None):
-            plan = bsp_int8_plan()
-            plan.graph.backend = "compiled"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                loaded = engine.load_plan(engine.save_plan(tmp_path / "old.plan.npz", plan))
-                assert loaded.backend == "compiled"
-                assert (loaded.program is not None) == compiled.available()
-                assert stream_once(loaded) == stream_once(bsp_int8_plan())
-
-    def test_artifact_tuned_for_missing_backend_warns_and_falls_back(self, rng):
-        # A plan artifact tuned for a backend this process does not have
-        # must load and run (on the default backend) — with a warning,
-        # not a crash.
-        plan = engine.compile_model(tiny_model())
-        plan.backend = "cuda"
-        features = rng.standard_normal((5, 2, 8))
-        with pytest.warns(RuntimeWarning, match="tuned for kernel backend"):
-            out = plan.forward_batch(features)
-        assert out.shape[0] == 5
-        # warned once, not once per call
-        with kernels.use_backend("numpy"):
-            plan.forward_batch(features)
-
-    def test_plan_with_registered_backend_does_not_warn(self, rng):
-        plan = engine.compile_model(tiny_model())
-        plan.backend = "numpy"
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            plan.forward_batch(rng.standard_normal((3, 1, 8)))
-
-
-# ---------------------------------------------------------------------------
-# Backend-name validation (the shared resolve_backend seam)
-# ---------------------------------------------------------------------------
-class TestBackendValidation:
-    def test_resolve_backend_accepts_registered(self):
-        for name in kernels.backends():
-            assert kernels.resolve_backend(name) == name
-
-    def test_resolve_backend_rejects_unknown_with_listing(self):
-        with pytest.raises(ConfigError, match="numpy"):
-            kernels.resolve_backend("cuda")
-        with pytest.raises(ConfigError, match="REPRO_KERNEL_BACKEND"):
-            kernels.resolve_backend("cuda", "REPRO_KERNEL_BACKEND")
-
-    def test_cli_rejects_unknown_backend(self):
-        from repro.eval.runner import main
-
-        # validation runs before the subcommand, so table1 never starts
-        with pytest.raises(ConfigError, match="--kernel-backend"):
-            main(["--kernel-backend", "cuda", "table1"])
-
-    def test_tune_plan_rejects_unknown_backend(self, rng):
-        from repro.compiler.autotune import tune_plan
-
-        with pytest.raises(ConfigError, match="tune_plan backends"):
-            tune_plan(
-                tiny_model(),
-                rng.standard_normal((4, 2, 8)),
-                backends=(None, "cuda"),
-            )
 
 
 @pytest.mark.parametrize(
@@ -299,7 +225,7 @@ class TestAccumulatorStamps:
     integer kernel, whose int32 sums must stay exact — the rows-in-lanes
     microkernel while a strip's extent fits one accumulator
     (``mc <= ACC_CHUNK``), the chunk-flushing register block past it — and
-    bitwise equal to the reference backend either way."""
+    bitwise equal to the oracle either way."""
 
     def test_stamp_selection(self, monkeypatch):
         # Which path a shape takes, and that it is exact there: 16 columns
@@ -331,31 +257,28 @@ class TestAccumulatorStamps:
             for batch in (16, 17, 15, 1):
                 np.testing.assert_array_equal(
                     compiled.product(m, x[:, :batch].T).T,
-                    kernels.spmm_int8(m, x[:, :batch], backend="reference"),
+                    reference.bspc_spmm_int8(m, x[:, :batch]),
                 )
             np.testing.assert_array_equal(
                 compiled.product(m, x[None, :, 0])[0],
-                kernels.spmv_int8(m, x[:, 0], backend="reference"),
+                ref_column(m, x[:, 0]),
             )
             assert calls == [(8, lanes)] * 3 + [(1, lanes)] * 2
 
 
 # ---------------------------------------------------------------------------
-# tune_plan between the program and a generic loop
+# tune_plan on the program
 # ---------------------------------------------------------------------------
 @requires_compiler
-def test_tune_plan_with_the_program_and_a_generic_loop_keeps_speedup_invariant(rng):
+def test_tune_plan_on_the_program_keeps_speedup_invariant(rng):
     from repro.compiler.autotune import tune_plan
 
-    with kernels.use_backend(None):
-        result = tune_plan(
-            tiny_model(),
-            rng.standard_normal((12, 2, 8)),
-            schemes=("int8",),
-            backends=(None, "numpy"),
-            repeats=1,
-        )
-        # the tuned winner can never be slower than the measured baseline
-        assert result.speedup >= 1.0
-        assert {c.backend for c in result.trace} >= {None, "numpy"}
-        assert (result.plan.program is None) == (result.plan.backend == "numpy")
+    result = tune_plan(
+        tiny_model(),
+        rng.standard_normal((12, 2, 8)),
+        schemes=("int8",),
+        repeats=1,
+    )
+    # the tuned winner can never be slower than the measured baseline
+    assert result.speedup >= 1.0
+    assert result.plan.program is not None

@@ -306,18 +306,6 @@ class TestUnifiedLowering:
             rng.standard_normal((3, 1, 8))
         ).shape == (3, 1, num_classes)
 
-    def test_backend_pinning_round_trips(self, rng):
-        graph = build_layer_graph(laptop_model(), backend="reference")
-        plan = engine.lower_graph(graph)
-        assert plan.backend == "reference"
-        x = rng.standard_normal((5, 2, 8))
-        default = engine.compile_model(laptop_model())
-        # Dense packing-only plans never dispatch through the registry,
-        # so the pinned backend must not change the numbers.
-        np.testing.assert_array_equal(
-            plan.forward_batch(x), default.forward_batch(x)
-        )
-
     def test_numeric_executor_from_graph(self, rng):
         model = prune_model(laptop_model())
         graph = build_layer_graph(
@@ -340,13 +328,12 @@ class TestGraphSerialization:
             model, scheme="int8",
             options=GraphOptions(sparse_format="auto", num_row_strips=4,
                                  num_col_blocks=4),
-            backend="numpy",
         )
         run_passes(graph)
         meta, arrays = graph_to_arrays(graph)
         restored = graph_from_arrays(meta, arrays)
         assert restored.scheme == "int8"
-        assert restored.backend == "numpy"
+        assert "backend" not in meta
         assert restored.formats() == graph.formats()
         assert not restored.undecided()
         for (_, _, a), (_, _, b) in zip(graph.slots(), restored.slots()):

@@ -13,7 +13,7 @@ Covers the three contracts the subsystem makes:
 import numpy as np
 import pytest
 
-from repro import engine, kernels
+from repro import engine
 from repro.errors import ConfigError, ShapeError
 from repro.nn.quantize import quantize_model
 from repro.nn.tensor import Tensor
@@ -48,15 +48,12 @@ def prune_model(model, col_rate=4, row_rate=2, strips=4, blocks=4):
 
 class TestPackingOnlyEquivalence:
     # The packing-only guarantee is defined against the *fused-kernel*
-    # (numpy backend) eval path — the plan replays exactly those ops —
-    # so the eager side pins that backend: under a reference-backend
-    # test run the eager op order differs at float epsilon.
+    # eval path: the plan replays exactly those ops.
     def test_gru_bit_exact(self, rng):
         model = laptop_model()
         x = rng.standard_normal((13, 3, 8))
         plan = engine.compile_model(model)
-        with kernels.use_backend("numpy"):
-            expected = model(Tensor(x)).data
+        expected = model(Tensor(x)).data
         np.testing.assert_array_equal(plan.forward_batch(x), expected)
 
     def test_repeated_and_shrinking_batches_reuse_buffers(self, rng):
@@ -66,8 +63,7 @@ class TestPackingOnlyEquivalence:
         plan = engine.compile_model(model)
         for shape in [(20, 4, 8), (5, 2, 8), (20, 4, 8), (1, 1, 8)]:
             x = rng.standard_normal(shape)
-            with kernels.use_backend("numpy"):
-                expected = model(Tensor(x)).data
+            expected = model(Tensor(x)).data
             np.testing.assert_array_equal(plan.forward_batch(x), expected)
 
     def test_forward_utterance_matches_batch(self, rng):
@@ -152,9 +148,9 @@ class TestPlanCacheInvalidation:
     reassignment (automatic) both force a rebuild, and the rebuilt plan
     reflects the mutated weights — not the snapshot the stale plan held.
 
-    These tests exercise the *numpy* plan cache specifically (the
-    reference kernels are plan-free and re-read values every call), so
-    the forwards pin that backend.
+    These tests exercise numpy's plan cache specifically (the oracle's
+    kernels are plan-free and re-read values every call), so the forwards
+    run the generic loop.
     """
 
     def sparse_plan(self, fmt, scheme=None):
@@ -165,8 +161,11 @@ class TestPlanCacheInvalidation:
         return model, engine.compile_model(model, scheme=scheme, config=config), config
 
     def forward(self, plan, x):
-        with kernels.use_backend("numpy"):
+        program, plan.program = plan.program, None
+        try:
             return plan.forward_batch(x)
+        finally:
+            plan.program = program
 
     def recompiled(self, model, scheme, config, x):
         """Forward through a fresh compile of the (mutated) model."""
@@ -236,7 +235,6 @@ class TestPlanCacheInvalidation:
             atol=1e-10,
         )
 
-
     @pytest.mark.parametrize("batch", [2, 8, 1])
     @pytest.mark.parametrize("how", ["invalidate_plan", "reassign_strips"])
     def test_bspc_int8_plans_rebuilt_under_default_routing(self, rng, how, batch):
@@ -251,36 +249,35 @@ class TestPlanCacheInvalidation:
 
         model, plan, config = self.sparse_plan("bspc", scheme="int8")
         x = rng.standard_normal((2, 6, batch, 8))
-        with kernels.use_backend(None):
-            _, state = plan.run_chunk(x[0])
-            baseline, _ = plan.run_chunk(x[1], state)
-            slots = {
-                "gru.cell0.weight_hh": plan.layers[0].recurrent.matrix,
-                "gru.cell1.weight_ih": plan.layers[1].input_proj.matrix,
-            }
-            for matrix in slots.values():
-                stale = matrix._int8_kernel_plan
-                for strip in matrix.strips:
-                    for block in strip.blocks:
-                        block.panel *= -2.0
-                if how == "invalidate_plan":
-                    matrix.invalidate_plan()
-                else:
-                    matrix.strips = list(matrix.strips)  # reassignment → auto-drop
-                assert not hasattr(matrix, "_int8_kernel_plan")
-                del stale
-            gc.collect()  # the old plans' arrays are gone
-            _, state = plan.run_chunk(x[0])
-            after, after_state = plan.run_chunk(x[1], state)
-            for matrix in slots.values():
-                assert hasattr(matrix, "_int8_kernel_plan")  # rebuilt
-            assert np.abs(after - baseline).max() > 0.0
-            for name, param in model.named_parameters():
-                if name in slots:
-                    param.data[...] *= -2.0
-            fresh = engine.compile_model(model, scheme="int8", config=config)
-            _, state = fresh.run_chunk(x[0])
-            want, want_state = fresh.run_chunk(x[1], state)
+        _, state = plan.run_chunk(x[0])
+        baseline, _ = plan.run_chunk(x[1], state)
+        slots = {
+            "gru.cell0.weight_hh": plan.layers[0].recurrent.matrix,
+            "gru.cell1.weight_ih": plan.layers[1].input_proj.matrix,
+        }
+        for matrix in slots.values():
+            stale = matrix._int8_kernel_plan
+            for strip in matrix.strips:
+                for block in strip.blocks:
+                    block.panel *= -2.0
+            if how == "invalidate_plan":
+                matrix.invalidate_plan()
+            else:
+                matrix.strips = list(matrix.strips)  # reassignment → auto-drop
+            assert not hasattr(matrix, "_int8_kernel_plan")
+            del stale
+        gc.collect()  # the old plans' arrays are gone
+        _, state = plan.run_chunk(x[0])
+        after, after_state = plan.run_chunk(x[1], state)
+        for matrix in slots.values():
+            assert hasattr(matrix, "_int8_kernel_plan")  # rebuilt
+        assert np.abs(after - baseline).max() > 0.0
+        for name, param in model.named_parameters():
+            if name in slots:
+                param.data[...] *= -2.0
+        fresh = engine.compile_model(model, scheme="int8", config=config)
+        _, state = fresh.run_chunk(x[0])
+        want, want_state = fresh.run_chunk(x[1], state)
         np.testing.assert_array_equal(after, want)
         for got, expected in zip(after_state.layer_states, want_state.layer_states):
             np.testing.assert_array_equal(got, expected)

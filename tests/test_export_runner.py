@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.eval.export import load_json, result_rows, to_csv, to_json
 from repro.eval.figure4 import Figure4Point, Figure4Result
 from repro.eval.runner import build_parser, main
@@ -152,9 +151,8 @@ class TestCLI:
             (["stream-bench", "--sessions", "2", "--repeats", "1", "--chaos"], {},
              "chaos requires workers >= 1"),
             (["stream-bench", "--repeats", "0"], {}, "repeats must be >= 1, got 0"),
-            (["tune", "--hidden-size", "16", "--backends", "nope"], {},
-             "tune_plan backends names unknown kernel backend 'nope'; "
-             f"available: {', '.join(kernels.backends())}"),
+            (["tune", "--hidden-size", "16", "--schemes", "fp16"], {},
+             "scheme must be one of (None, 'int8'), got 'fp16'"),
         ],
     )
     def test_typed_error_is_one_line_and_exit_2(self, argv, env, message):

@@ -1,16 +1,17 @@
 """Int8 routes and the narrow-batch integer BSPC product.
 
-With no backend chosen explicitly, an int8 plan lowers to the compiled
-program (on hosts with a compiler); an explicit ``numpy`` or ``reference``
-backend runs the engine's generic loop on that backend's kernels.  The
-compiled product is also called by itself (:func:`compiled.product`).  None
-of it may change a result bit, so everything here is an *exactness* test:
-the ``reference`` backend is ground truth and every route, product,
+An int8 plan lowers to the compiled program (on hosts with a compiler);
+without one, or with its program taken away, the engine's generic loop
+runs it on numpy's kernels (:mod:`routes`).  The compiled product is also
+called by itself (:func:`compiled.product`).  None of it may change a
+result bit, so everything here is an *exactness* test: the oracle
+(:mod:`repro.kernels.reference`) is ground truth and every route, product,
 activation layout, batch width, chunk split and numeric edge must
 reproduce its int8 results bit for bit.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -24,8 +25,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import engine, kernels
+from repro.compiler import ir
+from repro.engine import artifact
 from repro.errors import ShapeError
-from repro.kernels import _math, compiled, quantized
+from repro.kernels import _math, compiled, quantized, reference
 from repro.kernels.quantized import F32_EXACT_INNER, int8_bspc_plan
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import BlockGrid, grid_for
@@ -33,42 +36,42 @@ from repro.sparse.bspc import BSPCMatrix
 from repro.speech.decoder import IncrementalDecoder
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
+from routes import ROUTES, generic_loop, on_route
 
 requires_compiler = pytest.mark.skipif(
     not compiled.available(), reason="no working C compiler on this host"
 )
 
-#: ``None`` is "no backend chosen": the program, where a compiler exists.
-ROUTES = (None,) + tuple(kernels.backends())
-
-#: Who computes an int8 product by itself: the registry with no backend
-#: named (``None``: the process's choice, else numpy — what the generic
-#: loop binds), each registry backend, and ``"compiled"`` —
+#: Who computes an int8 product by itself: ``"numpy"`` — the op the
+#: generic loop binds — and ``"compiled"`` —
 #: :func:`repro.kernels.compiled.product` — where the C library loads.
-PRODUCTS = ROUTES + (("compiled",) if compiled.available() else ())
+PRODUCTS = ("numpy",) + (("compiled",) if compiled.available() else ())
 
 
 def spmm_int8(matrix, x, by):
-    """``kernels.spmm_int8`` of ``x (n, B)`` on backend ``by``, or the C
+    """``kernels.spmm_int8`` of ``x (n, B)`` (``by="numpy"``), or the C
     product's (``by="compiled"``)."""
     if by == "compiled":
         return compiled.product(matrix, x.T).T
-    return kernels.spmm_int8(matrix, x, backend=by)
+    return kernels.spmm_int8(matrix, x)
 
 
 def spmv_int8(matrix, x, by):
-    """:func:`spmm_int8` of one column ``x (n,)``."""
-    if by == "compiled":
-        return compiled.product(matrix, x[None])[0]
-    return kernels.spmv_int8(matrix, x, backend=by)
+    """:func:`spmm_int8` of one column ``x (n,)``: B = 1."""
+    return spmm_int8(matrix, x[:, None], by)[:, 0]
+
+
+def ref_column(matrix, x):
+    """The oracle's product of one column ``x (n,)``."""
+    return reference.bspc_spmm_int8(matrix, x[:, None])[:, 0]
 
 
 def linear_int8_rowwise(codes, scale, x, by):
-    """``kernels.linear_int8_rowwise`` of ``x (N, K)`` on backend ``by``,
+    """``kernels.linear_int8_rowwise`` of ``x (N, K)`` (``by="numpy"``),
     or the C product's on a panel packed per call."""
     if by == "compiled":
         return compiled.product(compiled.dense_int8_panel(codes, scale), x)
-    return kernels.linear_int8_rowwise(codes, scale, x, backend=by)
+    return kernels.linear_int8_rowwise(codes, scale, x)
 
 
 def has_lanes():
@@ -146,41 +149,35 @@ def sparse_weights(plan):
 # ---------------------------------------------------------------------------
 class TestBoundPlan:
     def test_default_lowering_binds_numpys_kernels_under_the_program(self):
-        with kernels.use_backend(None):
-            plan = bsp_int8_plan()
-            sparse = sparse_weights(plan)
-            assert sparse
-            for weight in sparse:
-                assert weight.op == "bspc_spmm_int8"
-                assert weight.kernel is quantized.bspc_spmm_int8
-            assert plan.output.weight.kernel is quantized.linear_int8_rowwise
-            assert (plan.program is not None) == compiled.available()
-
-    def test_explicit_backend_rebinds_and_the_default_returns(self, rng):
-        features = rng.standard_normal((6, 3, 8))
-        with kernels.use_backend(None):
-            plan = bsp_int8_plan()
-            program = plan.program
-            expected = plan.forward_batch(features)
-            for backend in kernels.backends():
-                with kernels.use_backend(backend):
-                    np.testing.assert_array_equal(plan.forward_batch(features), expected)
-                    assert plan.program is None
-                    for weight in sparse_weights(plan):
-                        assert weight.kernel is kernels.registry.get(weight.op, backend)
-            plan.forward_batch(features)
-            assert [w.kernel for w in sparse_weights(plan)] == [quantized.bspc_spmm_int8] * 4
-            assert (plan.program is not None) == (program is not None)
-
-    def test_tuned_plan_backend_wins_over_the_ambient_choice(self, rng):
         plan = bsp_int8_plan()
-        plan.backend = "reference"
-        for ambient in (None, "numpy"):
-            with kernels.use_backend(ambient):
-                plan.forward_batch(rng.standard_normal((2, 1, 8)))
-            assert plan.program is None
-            for weight in sparse_weights(plan):
-                assert weight.kernel is kernels.registry.get(weight.op, "reference")
+        sparse = sparse_weights(plan)
+        assert sparse
+        for weight in sparse:
+            assert weight.op == "bspc_spmm_int8"
+            assert weight.kernel is quantized.bspc_spmm_int8
+        assert plan.output.weight.kernel is quantized.linear_int8_rowwise
+        assert (plan.program is not None) == compiled.available()
+
+    def test_a_plan_lowered_on_the_oracle_binds_its_ops_and_the_same_bytes(self, rng):
+        features = rng.standard_normal((6, 3, 8))
+        plan = bsp_int8_plan()
+        expected = plan.forward_batch(features)
+        oracle = on_route(plan, "reference")
+        assert oracle.program is None
+        for weight in sparse_weights(oracle):
+            assert weight.kernel is reference.bspc_spmm_int8
+        assert oracle.output.weight.kernel is reference.linear_int8_rowwise
+        np.testing.assert_array_equal(oracle.forward_batch(features), expected)
+        # the op table is the product's again outside the lowering
+        assert on_route(plan, "numpy").output.weight.kernel is quantized.linear_int8_rowwise
+
+    def test_without_a_compiler_the_plan_runs_the_generic_loop(self, monkeypatch, rng):
+        features = rng.standard_normal((6, 3, 8))
+        expected = bsp_int8_plan().forward_batch(features)
+        monkeypatch.setattr(compiled, "available", lambda: False)
+        plan = bsp_int8_plan()
+        assert plan.program is None
+        np.testing.assert_array_equal(plan.forward_batch(features), expected)
 
     def test_compiler_hidden_host_is_bit_identical_and_silent(self, tmp_path):
         # The same plan lowered in a process that cannot build the C
@@ -192,8 +189,7 @@ class TestBoundPlan:
         )
         assert done.returncode == 0, done.stderr.decode()
         assert not done.stderr, done.stderr.decode()
-        with kernels.use_backend(None):
-            expected = bsp_int8_plan().forward_batch(probe_features())
+        expected = bsp_int8_plan().forward_batch(probe_features())
         assert done.stdout == expected.tobytes()
 
     def test_compiler_hidden_host_streams_the_same_logits_and_states(self, tmp_path):
@@ -204,10 +200,9 @@ class TestBoundPlan:
         )
         assert done.returncode == 0, done.stderr.decode()
         assert not done.stderr, done.stderr.decode()
-        with kernels.use_backend(None):
-            plan = bsp_int8_plan()
-            assert (plan.program is not None) == compiled.available()
-            assert done.stdout == streamed_bytes(plan)
+        plan = bsp_int8_plan()
+        assert (plan.program is not None) == compiled.available()
+        assert done.stdout == streamed_bytes(plan)
 
 
 def run_without_a_compiler(tmp_path, body):
@@ -216,12 +211,10 @@ def run_without_a_compiler(tmp_path, body):
         "import sys, numpy as np\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from test_int8_routing import bsp_int8_plan, probe_features, streamed_bytes\n"
-        "from repro import kernels\n"
         "from repro.kernels import compiled\n"
-        "assert kernels.backends() == ('numpy', 'reference'), kernels.backends()\n"
         "assert not compiled.available()\n"
     ) + body
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL_BACKEND"}
+    env = dict(os.environ)
     env["REPRO_CC"] = "/nonexistent"
     env["REPRO_COMPILED_CACHE"] = str(tmp_path / "cold")
     src = Path(engine.__file__).resolve().parents[2]
@@ -317,11 +310,9 @@ def traffic(draw):
 
 def run_chunk(plan, chunk, state=None, lowered=True):
     """``plan.run_chunk``.  ``lowered=False`` withholds the plan's program
-    from the call, once the plan is bound to the backend in force (binding
-    lowers it again): the generic loop over the bound kernels."""
+    from the call: the generic loop over the plan's kernels."""
     if lowered:
         return plan.run_chunk(chunk, state)
-    plan.run_chunk(chunk[:0], state)
     program, plan.program = plan.program, None
     try:
         return plan.run_chunk(chunk, state)
@@ -329,8 +320,8 @@ def run_chunk(plan, chunk, state=None, lowered=True):
         plan.program = program
 
 
-def run_traffic(plan, route, utterances, chunks, groupings):
-    """Stream ``utterances`` under ``route``: chunk ``k`` co-batches the
+def run_traffic(plan, utterances, chunks, groupings):
+    """Stream ``utterances`` through ``plan``: chunk ``k`` co-batches the
     sessions of each of ``groupings[k]``'s groups into one ``run_chunk``:
     its carry is the group's rows, concatenated, and each session takes
     its row back as a slice.  Returns every session's logits, chunk by
@@ -338,36 +329,35 @@ def run_traffic(plan, route, utterances, chunks, groupings):
     zero = plan.init_state(1).layer_states
     states = [engine.PlanState(zero) for _ in utterances]
     pieces = [[] for _ in utterances]
-    with kernels.use_backend(route):
-        for (start, stop), groups in zip(chunks, groupings):
-            for group in groups:
-                chunk = utterances[group, start:stop].transpose(1, 0, 2)
-                rows = zip(*(states[s].layer_states for s in group))
-                carry = engine.PlanState([np.concatenate(layer) for layer in rows])
-                logits, carry = plan.run_chunk(chunk, carry)
-                for column, session in enumerate(group):
-                    states[session] = engine.PlanState(
-                        [layer[column : column + 1] for layer in carry.layer_states]
-                    )
-                    pieces[session].append(logits[:, column])
+    for (start, stop), groups in zip(chunks, groupings):
+        for group in groups:
+            chunk = utterances[group, start:stop].transpose(1, 0, 2)
+            rows = zip(*(states[s].layer_states for s in group))
+            carry = engine.PlanState([np.concatenate(layer) for layer in rows])
+            logits, carry = plan.run_chunk(chunk, carry)
+            for column, session in enumerate(group):
+                states[session] = engine.PlanState(
+                    [layer[column : column + 1] for layer in carry.layer_states]
+                )
+                pieces[session].append(logits[:, column])
     return pieces, states
 
 
 @pytest.fixture(scope="module")
-def property_plan():
-    return bsp_int8_plan()
+def property_plans():
+    """One BSP int8 plan on each route."""
+    plan = bsp_int8_plan()
+    return {route: on_route(plan, route) for route in ROUTES}
 
 
-@pytest.mark.parametrize("route", ROUTES)  # None: the program; else that generic loop
+@pytest.mark.parametrize("route", ROUTES)
 @settings(max_examples=12, deadline=None)
 @given(case=traffic())
-def test_any_split_and_cobatching_equals_reference_offline(property_plan, route, case):
+def test_any_split_and_cobatching_equals_reference_offline(property_plans, route, case):
     sessions, frames, chunks, groupings, seed = case
-    plan = property_plan
     utterances = new_rng(seed).standard_normal((sessions, frames, 8))
-    with kernels.use_backend("reference"):
-        offline = [plan.forward_utterance(u) for u in utterances]
-    pieces, _ = run_traffic(plan, route, utterances, chunks, groupings)
+    offline = [property_plans["reference"].forward_utterance(u) for u in utterances]
+    pieces, _ = run_traffic(property_plans[route], utterances, chunks, groupings)
     for session in range(sessions):
         np.testing.assert_array_equal(np.concatenate(pieces[session]), offline[session])
 
@@ -375,12 +365,6 @@ def test_any_split_and_cobatching_equals_reference_offline(property_plan, route,
 # ---------------------------------------------------------------------------
 # The lowered program (decided at lowering, taken by every non-empty chunk)
 # ---------------------------------------------------------------------------
-def reference_run(plan, utterances):
-    """Per session: whole-utterance reference logits and carry state."""
-    with kernels.use_backend("reference"):
-        return [plan.run_chunk(u[:, None, :]) for u in utterances]
-
-
 def assert_states_equal(got, want):
     for a, b in zip(got.layer_states, want.layer_states):
         np.testing.assert_array_equal(a, b)
@@ -389,72 +373,62 @@ def assert_states_equal(got, want):
 def test_lowering_leaves_a_program_only_where_it_applies(fused_plans, rng):
     lowers = compiled.available()
     features = rng.standard_normal((3, 2, 8))
-    with kernels.use_backend(None):
-        plan, dense = fused_plans["bspc"], fused_plans["dense"]
-        # dense slots, recurrences included, feed the program as well
-        assert dense.layers[1].recurrent.op == "linear_int8_rowwise"
-        for kind, each in fused_plans.items():
-            assert (each.program is not None) == lowers, kind
-            # ... and the generic loop over numpy's kernels is the same bytes
-            want, want_state = run_chunk(each, features)
-            got, state = run_chunk(each, features, lowered=False)
-            assert got.tobytes() == want.tobytes(), kind
-            assert_states_equal(state, want_state)
-        for backend in ("numpy", "reference"):  # explicit choices keep the loop
-            with kernels.use_backend(backend):
-                plan.run_chunk(features)
-                assert plan.program is None
-        plan.run_chunk(features)
-        assert (plan.program is not None) == lowers
+    dense = fused_plans["dense", "program"]
+    # dense slots, recurrences included, feed the program as well
+    assert dense.layers[1].recurrent.op == "linear_int8_rowwise"
+    for kind in INT8_KINDS:
+        each = fused_plans[kind, "program"]
+        assert (each.program is not None) == lowers, kind
+        # ... and the generic loop over numpy's kernels is the same bytes
+        want, want_state = run_chunk(each, features)
+        got, state = run_chunk(each, features, lowered=False)
+        assert got.tobytes() == want.tobytes(), kind
+        assert_states_equal(state, want_state)
+        # a plan whose program was taken away keeps the loop
+        assert fused_plans[kind, "numpy"].program is None
+        fused_plans[kind, "numpy"].run_chunk(features)
+        assert fused_plans[kind, "numpy"].program is None
     # float plans: test_plan_program.py; every int8 format:
     # test_artifact.py::test_every_int8_plan_lowers
 
 
-#: Backends an artifact may record as tuned: none, ``"compiled"`` (the
-#: program's registry backend, before the program was the int8 backend),
-#: each generic-loop backend, and one no build of this project has had.
-TUNED = (None, "compiled", "numpy", "reference", "cuda")
+#: What the header of an older artifact may name as the kernel backend it
+#: was tuned for: none, ``"compiled"`` (the program's name before it was the
+#: int8 backend), the two generic-loop backends, one no build has had.
+OLD_BACKENDS = (None, "compiled", "numpy", "reference", "cuda")
 
 
-@pytest.fixture(scope="module")
-def reference_streams():
-    """Per int8 kind, :func:`stream_once` of a fresh plan on ``reference``."""
-    with kernels.use_backend("reference"):
-        return {kind: stream_once(int8_plan(kind)) for kind in INT8_KINDS}
-
-
-@pytest.mark.parametrize("in_force", ROUTES)
-@pytest.mark.parametrize("tuned", TUNED)
-@pytest.mark.parametrize("kind", INT8_KINDS)
-def test_an_artifact_lowers_to_the_program_unless_a_generic_loop_is_named(
-    reference_streams, tmp_path, kind, tuned, in_force
+@pytest.mark.parametrize("named", OLD_BACKENDS)
+def test_an_old_artifact_naming_a_backend_loads_to_the_program_silently(
+    tmp_path, monkeypatch, named
 ):
-    # The lowering rule: the program, wherever the C library loads, unless
-    # numpy or reference is named — by the artifact's tuned backend first,
-    # else by the backend in force.  "compiled" names no generic loop, and
-    # an unknown name warns once and defers to the backend in force.  Every
-    # route streams the reference bytes.
-    plan = int8_plan(kind)
-    plan.graph.backend = tuned
-    path = engine.save_plan(tmp_path / "tuned.plan.npz", plan)
-    loop = tuned if tuned in ("numpy", "reference") else in_force
-    with kernels.use_backend(in_force), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    plan = golden_plan()
+    path = engine.save_plan(tmp_path / "now.plan.npz", plan)
+    with np.load(path) as data:
+        header = json.loads(bytes(data["meta.json"]).decode("utf-8"))
+    assert "backend" not in header["graph"]  # a plan saved now names none
+
+    def old_header(graph):
+        meta, arrays = ir.graph_to_arrays(graph)
+        return {**meta, "backend": named}, arrays
+
+    monkeypatch.setattr(artifact, "graph_to_arrays", old_header)
+    path = engine.save_plan(tmp_path / "old.plan.npz", plan)
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         loaded = engine.load_plan(path)
-        got = stream_once(loaded)
-        assert (loaded.program is not None) == (loop is None and compiled.available())
-    assert got == reference_streams[kind]
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == (tuned == "cuda"), messages  # once, not once per call
-    assert all("tuned for kernel backend 'cuda'" in m for m in messages)
+        assert (loaded.program is not None) == compiled.available()
+        assert golden_digest(loaded) == GOLDEN
+        assert stream_once(loaded) == stream_once(plan)
 
 
 @st.composite
 def boundary_traffic(draw):
-    """17 sessions whose per-chunk co-batch sizes sit on both sides of the
-    products' 8-row blocks, in the recurrence (``B``) and in the
-    projections (``T * B`` of 7/8/9, 15/16/17, ...), in chunks that favour
-    ``T = 1``."""
+    """A route, and 17 sessions whose per-chunk co-batch sizes sit on both
+    sides of the products' 8-row blocks, in the recurrence (``B``) and in
+    the projections (``T * B`` of 7/8/9, 15/16/17, ...), in chunks that
+    favour ``T = 1``."""
     sessions = 17
     frames = draw(st.integers(1, 9))
     chunks, at = [], 0
@@ -471,27 +445,43 @@ def boundary_traffic(draw):
             groups.append(list(order[at : at + size]))
             at += size
         groupings.append(groups)
-    return sessions, frames, chunks, groupings, draw(st.integers(0, 2**16))
+    route = draw(st.sampled_from(ROUTES))
+    return sessions, frames, chunks, groupings, draw(st.integers(0, 2**16)), route
+
+
+def boundary_example(route):
+    """A fixed :func:`boundary_traffic` case on ``route``: a one-frame chunk
+    of eight and nine co-batched sessions, then a two-frame chunk of
+    seventeen."""
+    groupings = [[list(range(8)), list(range(8, 17))], [list(range(17))]]
+    return 17, 3, [(0, 1), (1, 3)], groupings, 0, route
 
 
 @pytest.fixture(scope="module")
 def fused_plans():
-    with kernels.use_backend(None):
-        return {kind: int8_plan(kind) for kind in INT8_KINDS}
+    """Each int8 kind's plan on each route, by ``(kind, route)``."""
+    plans = {}
+    for kind in INT8_KINDS:
+        plan = int8_plan(kind)
+        plans.update({(kind, route): on_route(plan, route) for route in ROUTES})
+    return plans
 
 
-@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("kind", INT8_KINDS)
 @settings(max_examples=12, deadline=None)
 @given(case=boundary_traffic())
+@example(case=boundary_example("program"))
+@example(case=boundary_example("numpy"))
+@example(case=boundary_example("reference"))
 def test_every_cobatch_width_is_bitwise_the_reference_inside_an_utterance(
-    fused_plans, route, kind, case
+    fused_plans, kind, case
 ):
-    sessions, frames, chunks, groupings, seed = case
-    plan = fused_plans[kind]
+    sessions, frames, chunks, groupings, seed, route = case
     utterances = new_rng(seed).standard_normal((sessions, frames, 8))
-    pieces, states = run_traffic(plan, route, utterances, chunks, groupings)
-    for session, (logits, state) in enumerate(reference_run(plan, utterances)):
+    pieces, states = run_traffic(fused_plans[kind, route], utterances, chunks, groupings)
+    oracle = fused_plans[kind, "reference"]
+    for session, utterance in enumerate(utterances):
+        logits, state = oracle.run_chunk(utterance[:, None, :])
         np.testing.assert_array_equal(np.concatenate(pieces[session]), logits[:, 0])
         assert_states_equal(states[session], state)
 
@@ -502,12 +492,10 @@ class TestFusedStepOperands:
 
     @pytest.fixture()
     def plan(self):
-        with kernels.use_backend(None):
-            return bsp_int8_plan()
+        return bsp_int8_plan()
 
     def run(self, plan, features, state=None):
-        with kernels.use_backend(None):
-            return plan.run_chunk(features, state)
+        return plan.run_chunk(features, state)
 
     def carried(self, plan, rng, batch=3):
         """A chunk, and a nonzero carry state to run it from."""
@@ -566,19 +554,17 @@ class TestFusedStepOperands:
             "gru.cell0.weight_hh": bsp_matrix(2, (72, 24)).to_dense(),
         }
         config = engine.EngineConfig(sparse_format="bspc", num_row_strips=4, num_col_blocks=4)
-        with kernels.use_backend(None):
-            plan = engine.compile_rnn(weights, scheme="int8", config=config)
-            assert plan.program is not None
-            for bad in (np.zeros((2, 3, 7)), np.zeros((2, 3, 9)), np.zeros((3, 8))):
-                with pytest.raises(ShapeError):
-                    plan.run_chunk(bad)
+        plan = engine.compile_rnn(weights, scheme="int8", config=config)
+        assert plan.program is not None
+        for bad in (np.zeros((2, 3, 7)), np.zeros((2, 3, 9)), np.zeros((3, 8))):
+            with pytest.raises(ShapeError):
+                plan.run_chunk(bad)
         layer = plan.layers[0]
         project = (compiled.PLAN_PROJECT, layer.input_proj.matrix, layer.bias_folded)
         recur = (compiled.PLAN_GRU, layer.recurrent.matrix, layer.bias_hh_h)
         x = rng.standard_normal((2, 3, 8))
         logits, (carry,) = compiled.PlanProgram([project, recur]).run(x, None)
-        with kernels.use_backend("reference"):
-            want, state = plan.run_chunk(x)
+        want, state = on_route(plan, "reference").run_chunk(x)
         # the program's logits are the C's float32; run_chunk widens them once
         assert logits.dtype == np.float32 and want.dtype == np.float64
         assert logits.astype(np.float64).tobytes() == want.tobytes()
@@ -605,7 +591,7 @@ def test_batch_major_projection_equals_spmm_plus_bias(count):
     x = new_rng(count).standard_normal((count, 2 * 64))[:, ::2]
     x[0] *= 1e-3  # scales differ per row
     bias = new_rng(1).standard_normal(48).astype(np.float32)
-    want = kernels.spmm_int8(matrix, x.T, backend="reference").T + bias
+    want = reference.bspc_spmm_int8(matrix, x.T).T + bias
     out = np.full((count, 48), np.nan, dtype=np.float32)
     assert compiled.product(matrix, x, bias, out) is out
     np.testing.assert_array_equal(out, want)
@@ -615,8 +601,8 @@ def test_batch_major_projection_equals_spmm_plus_bias(count):
 # The float32 gate math: one rule, in _math.py and in the program's sweep
 # ---------------------------------------------------------------------------
 #: sha256 of :func:`golden_digest` on :func:`golden_plan`: the same on every
-#: route — the program, the generic loop on every backend, every build of
-#: the C library and no compiler at all.
+#: route — the program, the generic loop on numpy's kernels and on the
+#: oracle's, every build of the C library and no compiler at all.
 GOLDEN = "34b1357e14348480dab3079fb0ac98cdd004bee08f808f6e813e157cf3faf008"
 
 
@@ -644,20 +630,17 @@ def golden_digest(plan, lowered=True):
 
 class TestGateMath:
     def test_golden_bytes_through_the_program_and_the_generic_loop(self):
-        with kernels.use_backend(None):
-            plan = golden_plan()
-            assert (plan.program is not None) == compiled.available()
-            assert golden_digest(plan) == GOLDEN
-            assert golden_digest(plan, lowered=False) == GOLDEN
-        assert golden_digest(plan) == GOLDEN  # the route this run was given
+        plan = golden_plan()
+        assert (plan.program is not None) == compiled.available()
+        assert golden_digest(plan) == GOLDEN
+        assert golden_digest(plan, lowered=False) == GOLDEN
 
     def test_no_numpy_transcendental_under_the_program_or_the_generic_loop(self, monkeypatch):
-        with kernels.use_backend(None):
-            plan = golden_plan()
-            monkeypatch.setattr(np, "exp", None)
-            monkeypatch.setattr(np, "tanh", None)
-            assert golden_digest(plan) == GOLDEN
-            assert golden_digest(plan, lowered=False) == GOLDEN
+        plan = golden_plan()
+        monkeypatch.setattr(np, "exp", None)
+        monkeypatch.setattr(np, "tanh", None)
+        assert golden_digest(plan) == GOLDEN
+        assert golden_digest(plan, lowered=False) == GOLDEN
 
     @staticmethod
     def sweep():
@@ -769,42 +752,37 @@ class TestGateMath:
         # exp32 and with the float64 exp of the clamped argument rounded to
         # float32 in its place
         frames = new_rng(1).standard_normal((745, 1, 40))
-        with kernels.use_backend("numpy"):
-            plan = bsp_int8_plan(128, 3, "auto", col_rate=8, input_dim=40, grid=8)
-            assert plan.program is None
-            got, _ = plan.run_chunk(frames)
+        plan = generic_loop(bsp_int8_plan(128, 3, "auto", col_rate=8, input_dim=40, grid=8))
+        got, _ = plan.run_chunk(frames)
 
-            def exact(x, work):
-                x[...] = np.exp(np.clip(x, _math.EXP_LO, _math.EXP_HI).astype(np.float64))
-                return x
+        def exact(x, work):
+            x[...] = np.exp(np.clip(x, _math.EXP_LO, _math.EXP_HI).astype(np.float64))
+            return x
 
-            monkeypatch.setattr(_math, "_exp32_", exact)
-            want, _ = plan.run_chunk(frames)
+        monkeypatch.setattr(_math, "_exp32_", exact)
+        want, _ = plan.run_chunk(frames)
         assert (got.argmax(-1) == want.argmax(-1)).all()
         assert np.abs(got - want).max() <= self.LOGIT_BOUND
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_golden_bytes_on_every_route(self, route):
-        with kernels.use_backend(None):
-            plan = golden_plan()
-        with kernels.use_backend(route):
-            assert golden_digest(plan) == GOLDEN
-            assert golden_digest(plan, lowered=False) == GOLDEN
+        plan = on_route(golden_plan(), route)
+        assert golden_digest(plan) == GOLDEN
+        assert golden_digest(plan, lowered=False) == GOLDEN
 
     @pytest.mark.parametrize("batch", [1, 3, 8, 17])
     def test_every_split_and_route_is_one_set_of_bytes(self, batch):
         # tiles are ceil(8 / B) steps: the splits cut inside and across them
-        with kernels.use_backend(None):
-            plan = golden_plan()
+        golden = golden_plan()
         features = new_rng(100 + batch).standard_normal((20, batch, 8))
         runs = set()
         for route in ROUTES:
+            plan = on_route(golden, route)
             for cuts in ((), (7,), (1, 2, 9, 19)):
-                with kernels.use_backend(route):
-                    state, logits = None, []
-                    for chunk in np.split(features, cuts):
-                        out, state = plan.run_chunk(chunk, state)
-                        logits.append(out)
+                state, logits = None, []
+                for chunk in np.split(features, cuts):
+                    out, state = plan.run_chunk(chunk, state)
+                    logits.append(out)
                 carries = b"".join(layer.tobytes() for layer in state.layer_states)
                 runs.add(np.concatenate(logits).tobytes() + carries)
         assert len(runs) == 1
@@ -813,14 +791,11 @@ class TestGateMath:
         # pre-activations far past the clamp on both sides: no overflow and
         # no warning on any route, and the sigmoid's and tanh's ends
         features = 4000.0 * probe_features()
-        with kernels.use_backend(None):
-            plan = bsp_int8_plan()
+        plan = bsp_int8_plan()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with kernels.use_backend("reference"):
-                want, want_state = plan.run_chunk(features)
-            with kernels.use_backend(None):
-                got, state = plan.run_chunk(features)
+            want, want_state = on_route(plan, "reference").run_chunk(features)
+            got, state = plan.run_chunk(features)
         assert got.tobytes() == want.tobytes()
         assert_states_equal(state, want_state)
         assert np.isin(np.abs(state.layer_states[0]), [0.0, 1.0]).any()
@@ -828,18 +803,16 @@ class TestGateMath:
     @requires_compiler
     @pytest.mark.parametrize("frames", [1, 2, 25])
     def test_chunk_entry_equals_the_generic_loop(self, frames):
-        with kernels.use_backend(None):
-            plan = bsp_int8_plan()
+        plan = bsp_int8_plan()
+        loop = on_route(plan, "numpy")
         for batch in (1, 2, 7, 8, 15, 16):
             rng = new_rng(16 * frames + batch)
             warm, features = rng.standard_normal((2, frames, batch, 8))
-            with kernels.use_backend("numpy"):  # an explicit choice: the loop
-                _, carry = plan.run_chunk(warm)
-                assert plan.program is None
-                want, want_state = plan.run_chunk(features, carry)
-            with kernels.use_backend(None):
-                got, state = plan.run_chunk(features, carry)
-                assert plan.program is not None
+            _, carry = loop.run_chunk(warm)
+            want, want_state = loop.run_chunk(features, carry)
+            assert loop.program is None
+            got, state = plan.run_chunk(features, carry)
+            assert plan.program is not None
             np.testing.assert_array_equal(got, want)
             assert_states_equal(state, want_state)
 
@@ -852,14 +825,14 @@ class TestGateMath:
 def test_c_and_f_ordered_activations_are_bit_identical(by, batch):
     matrix = bsp_matrix()
     x = new_rng(batch).standard_normal((64, batch))
-    expected = kernels.spmm_int8(matrix, x, backend="reference")
+    expected = reference.bspc_spmm_int8(matrix, x)
     for operand in (x, np.asfortranarray(x), x[::1, ::-1][:, ::-1]):
         np.testing.assert_array_equal(spmm_int8(matrix, operand, by), expected)
     # a strided slice of a wider batch is neither order
     wide = new_rng(batch).standard_normal((64, 2 * batch))
     np.testing.assert_array_equal(
         spmm_int8(matrix, wide[:, ::2], by),
-        kernels.spmm_int8(matrix, wide[:, ::2].copy(), backend="reference"),
+        reference.bspc_spmm_int8(matrix, wide[:, ::2].copy()),
     )
 
 
@@ -875,14 +848,14 @@ def test_compiled_int8_ops_reject_a_mis_sized_operand():
 
 
 # ---------------------------------------------------------------------------
-# Numeric edges (every backend, bitwise against the reference loops)
+# Numeric edges (every product, bitwise against the oracle)
 # ---------------------------------------------------------------------------
 def assert_int8_products_equal_reference(matrix, x):
     """``x`` is ``(n, B)``: spmm on all of it, spmv on each column."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # reference on non-finite
-        expected = kernels.spmm_int8(matrix, x, backend="reference")
-        columns = [kernels.spmv_int8(matrix, c, backend="reference") for c in x.T]
+        expected = reference.bspc_spmm_int8(matrix, x)
+        columns = [ref_column(matrix, c) for c in x.T]
         for by in PRODUCTS:
             np.testing.assert_array_equal(spmm_int8(matrix, x, by), expected)
             for column, want in zip(x.T, columns):
@@ -947,8 +920,8 @@ class TestNumericEdges:
             x[3, position] = bad
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                want = kernels.spmm_int8(matrix, x, backend="reference")
-                want_column = kernels.spmv_int8(matrix, x[:, position], backend="reference")
+                want = reference.bspc_spmm_int8(matrix, x)
+                want_column = ref_column(matrix, x[:, position])
                 assert np.isnan(want[:, position]).all()
                 for by in PRODUCTS:
                     assert spmm_int8(matrix, x, by).tobytes() == want.tobytes()
@@ -983,9 +956,9 @@ class TestNumericEdges:
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_a_bad_session_leaves_cobatched_sessions_bit_unchanged(self, route):
-        plan = bsp_int8_plan()
+        plan = on_route(bsp_int8_plan(), route)
         features = new_rng(5).standard_normal((6, 4, 8))
-        with kernels.use_backend(route), warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             clean, clean_state = plan.run_chunk(features)
             for bad in (np.nan, np.inf, 0.0, 1e-310):
@@ -1000,7 +973,6 @@ class TestNumericEdges:
                 for got, want in zip(state.layer_states, clean_state.layer_states):
                     np.testing.assert_array_equal(got[[0, 2, 3]], want[[0, 2, 3]])
 
-
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("sparse_format", ["bspc", "auto"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 5e-324, 1e-310, 1e-300])
@@ -1009,14 +981,15 @@ class TestNumericEdges:
     ):
         # B = 3 is the program wherever one lowered; T * B = 15 crosses
         # the projection's 8-row blocks with the bad frame in the second.
-        plan = bsp_int8_plan(sparse_format=sparse_format)
+        built = bsp_int8_plan(sparse_format=sparse_format)
+        plan = on_route(built, route)
         features = new_rng(6).standard_normal((5, 3, 8))
         dirty = features.copy()
         dirty[3, 1] = bad
-        with kernels.use_backend(route), warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             clean, clean_state = plan.run_chunk(features)
-            if not np.isfinite(bad):  # no backend gets to quantize it
+            if not np.isfinite(bad):  # no route gets to quantize it
                 with pytest.raises(ShapeError, match="non-finite"):
                     plan.run_chunk(dirty)
                 return
@@ -1025,8 +998,8 @@ class TestNumericEdges:
             np.testing.assert_array_equal(out[:3, 1], clean[:3, 1])  # the frames before
             for got, want in zip(state.layer_states, clean_state.layer_states):
                 np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
-            with kernels.use_backend("reference"):  # a silent frame is an ordinary frame
-                want, want_state = plan.run_chunk(dirty)
+            # a silent frame is an ordinary frame
+            want, want_state = on_route(built, "reference").run_chunk(dirty)
             np.testing.assert_array_equal(out, want)
             assert_states_equal(state, want_state)
 
@@ -1061,8 +1034,8 @@ class TestScratch:
         wide = full_matrix(new_rng(1).standard_normal((6, compiled.ACC_CHUNK + 8)))
         xn = new_rng(2).standard_normal((64, 16))
         xw = new_rng(3).standard_normal((compiled.ACC_CHUNK + 8, 16))
-        want_n = kernels.spmm_int8(narrow, xn, backend="reference")
-        want_w = kernels.spmm_int8(wide, xw, backend="reference")
+        want_n = reference.bspc_spmm_int8(narrow, xn)
+        want_w = reference.bspc_spmm_int8(wide, xw)
         spmm_int8(narrow, xn, "compiled")
         spmm_int8(wide, xw, "compiled")
         held = compiled._SCRATCH.work[1]
@@ -1084,7 +1057,7 @@ class TestScratch:
         matrices = [bsp_matrix(seed, (96, 128)) for seed in range(count)]
         inputs = [new_rng(seed).standard_normal((128, batch)) for seed in range(count)]
         wanted = [
-            kernels.spmm_int8(m, x, backend="reference") for m, x in zip(matrices, inputs)
+            reference.bspc_spmm_int8(m, x) for m, x in zip(matrices, inputs)
         ]
         finished, failures = [], []
         start = threading.Barrier(count)
@@ -1123,7 +1096,7 @@ class TestScratch:
         try:
             for round_ in range(10):
                 matrix = bsp_matrix(round_, (96, 128))
-                want = kernels.spmm_int8(matrix, x, backend="reference")
+                want = reference.bspc_spmm_int8(matrix, x)
                 kernels.int8_bspc_plan(matrix)
                 start = threading.Barrier(count)
 
@@ -1148,15 +1121,14 @@ class TestScratch:
         # The program's buffers are each plan's own (or the thread's):
         # more threads than cores, every one streaming its own plan.
         count = 2 * (os.cpu_count() or 2)
-        with kernels.use_backend(None):
-            plans = [bsp_int8_plan(hidden=16 + 8 * (i % 3), seed=i) for i in range(count)]
+        plans = [bsp_int8_plan(hidden=16 + 8 * (i % 3), seed=i) for i in range(count)]
         assert all(p.program is not None for p in plans)
         inputs = [new_rng(seed).standard_normal((2, 7, 3, 8)) for seed in range(count)]
         wanted = []
-        with kernels.use_backend("reference"):
-            for plan, (first, second) in zip(plans, inputs):
-                logits, state = plan.run_chunk(first)
-                wanted.append((logits, *plan.run_chunk(second, state)))
+        for plan, (first, second) in zip(plans, inputs):
+            oracle = on_route(plan, "reference")
+            logits, state = oracle.run_chunk(first)
+            wanted.append((logits, *oracle.run_chunk(second, state)))
         finished, failures = [], []
         start = threading.Barrier(count)
 
@@ -1179,12 +1151,10 @@ class TestScratch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            # the backend choice is process-wide: made once, out here
-            with kernels.use_backend(None):
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -1280,8 +1250,8 @@ def test_random_bspc_layouts_are_the_reference_bytes(case):
     rng = new_rng(seed + 1)
     x = rng.standard_normal((cols, batch))
     x[:, 0] *= 1e-3  # scales differ per column
-    want = kernels.spmm_int8(matrix, x, backend="reference")
-    vector = kernels.spmv_int8(matrix, x[:, 0], backend="reference")
+    want = reference.bspc_spmm_int8(matrix, x)
+    vector = ref_column(matrix, x[:, 0])
     for by in PRODUCTS:
         assert spmm_int8(matrix, x, by).tobytes() == want.tobytes(), by
         assert spmv_int8(matrix, x[:, 0], by).tobytes() == vector.tobytes(), by
@@ -1337,6 +1307,8 @@ class TestSumsPastFloat32:
                 assert got.T.tobytes() == np.tile(want, (3, 1)).tobytes(), by
                 vector = spmv_int8(matrix, x[:, 0], by)
                 assert vector.tobytes() == want.tobytes(), by
+            oracle = reference.bspc_spmm_int8(matrix, x)
+            assert oracle.T.tobytes() == np.tile(want, (3, 1)).tobytes()
 
     def test_the_program_and_every_generic_loop_round_to_nearest(self):
         # One saturated GRU layer: every state is exactly 1.0, so the
@@ -1355,18 +1327,16 @@ class TestSumsPastFloat32:
             if "bias" in name:
                 param.data[...] = 0.0
         config = engine.EngineConfig(sparse_format="bspc")
-        with kernels.use_backend(None):
-            plan = engine.compile_model(model, scheme="int8", config=config)
-            assert plan.program is not None or not compiled.available()
+        plan = engine.compile_model(model, scheme="int8", config=config)
+        assert plan.program is not None or not compiled.available()
         x = np.full((3, 2, 8), 3.0)
         want = quantized.dequantize(self.expected(), 1.0, 1.0 / 127)
         want = np.broadcast_to(want.astype(np.float64), (3, 2, 8)).tobytes()
         for route in ROUTES:
-            with kernels.use_backend(route):
-                for lowered in (True, False):
-                    logits, state = run_chunk(plan, x, None, lowered)
-                    assert (state.layer_states[0] == 1.0).all()
-                    assert logits.tobytes() == want, (route, lowered)
+            for lowered in (True, False):
+                logits, state = run_chunk(on_route(plan, route), x, None, lowered)
+                assert (state.layer_states[0] == 1.0).all()
+                assert logits.tobytes() == want, (route, lowered)
 
 
 class TestLanesKernel:
@@ -1381,7 +1351,7 @@ class TestLanesKernel:
         for count in (1, 7, 8, 9, 17, 200):
             x = new_rng(count).standard_normal((count, cols))
             x[0] *= 1e-3  # scales differ per row
-            want = kernels.linear_int8_rowwise(codes, scale, x, backend="reference")
+            want = reference.linear_int8_rowwise(codes, scale, x)
             for weight in (codes, codes.astype(np.float32)):
                 got = linear_int8_rowwise(weight, scale, x, by)
                 np.testing.assert_array_equal(got, want)
@@ -1399,7 +1369,7 @@ class TestLanesKernel:
         for weight, weight_scale in ((codes, scale), (np.zeros((19, 33), dtype=np.int8), 1.0)):
             np.testing.assert_array_equal(
                 linear_int8_rowwise(weight, weight_scale, x, by),
-                kernels.linear_int8_rowwise(weight, weight_scale, x, backend="reference"),
+                reference.linear_int8_rowwise(weight, weight_scale, x),
             )
 
     @pytest.mark.parametrize("by", PRODUCTS)
@@ -1415,7 +1385,7 @@ class TestLanesKernel:
         ties[0] = 127.0
         x[:3] = ties * np.array([[1.0], [2.0**-40], [2.0**40]])
         eye = np.eye(size, dtype=np.int8)
-        want = kernels.linear_int8_rowwise(eye, 1.0, x, backend="reference")
+        want = reference.linear_int8_rowwise(eye, 1.0, x)
         assert np.array_equal(want[0, 1:5], [-16.0, -14.0, -14.0, -12.0])
         np.testing.assert_array_equal(linear_int8_rowwise(eye, 1.0, x, by), want)
 
@@ -1433,7 +1403,7 @@ class TestLanesKernel:
             x = new_rng(batch).standard_normal((matrix.grid.cols, batch))
             if matrix is wide:
                 x = np.sign(x)  # every product at its extreme
-            want = kernels.spmm_int8(matrix, x, backend="reference")
+            want = reference.bspc_spmm_int8(matrix, x)
             np.testing.assert_array_equal(spmm_int8(matrix, x, by), want)
 
     @pytest.mark.parametrize("by", PRODUCTS)
@@ -1448,11 +1418,11 @@ class TestLanesKernel:
         for batch in (1, 2, 3, 8, 9, 17):
             x = new_rng(strip_rows + batch).standard_normal((64, batch))
             x[:, 0] *= 1e-3  # scales differ per column
-            want = kernels.spmm_int8(matrix, x, backend="reference")
+            want = reference.bspc_spmm_int8(matrix, x)
             np.testing.assert_array_equal(spmm_int8(matrix, x, by), want)
             np.testing.assert_array_equal(
                 spmv_int8(matrix, x[:, 0], by),
-                kernels.spmv_int8(matrix, x[:, 0], backend="reference"),
+                ref_column(matrix, x[:, 0]),
             )
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33])
@@ -1472,7 +1442,7 @@ class TestLanesKernel:
             x = np.sign(rng.standard_normal((cols, batch)))
             x[:, 0] = 1.0
             x[:, -1] = -1.0
-            want = kernels.spmm_int8(matrix, x, backend="reference")
+            want = reference.bspc_spmm_int8(matrix, x)
             assert abs(want).max() == cols  # 127 * 127 * cols, dequantized
             for by in PRODUCTS:
                 for operand in (x, np.asfortranarray(x)):
@@ -1489,11 +1459,11 @@ class TestLanesKernel:
             matrix = full_matrix(weights[: 2 * rows], strips=2)  # mr = rows
             for batch in (1, 2, 3, 4, 8, 9):
                 x = new_rng(rows + batch).standard_normal((cols, batch))
-                want = kernels.spmm_int8(matrix, x, backend="reference")
+                want = reference.bspc_spmm_int8(matrix, x)
                 np.testing.assert_array_equal(spmm_int8(matrix, x, by), want)
                 np.testing.assert_array_equal(
                     spmv_int8(matrix, x[:, 0], by),
-                    kernels.spmv_int8(matrix, x[:, 0], backend="reference"),
+                    ref_column(matrix, x[:, 0]),
                 )
 
     @requires_compiler
@@ -1502,7 +1472,7 @@ class TestLanesKernel:
         panel = compiled.dense_int8_panel(codes, scale)
         x = new_rng(1).standard_normal((5, 9))
         bias = new_rng(2).standard_normal(17).astype(np.float32)
-        want = kernels.linear_int8_rowwise(codes, scale, x, backend="reference")
+        want = reference.linear_int8_rowwise(codes, scale, x)
         first, again = compiled.product(panel, x), compiled.product(panel, x)
         assert not np.shares_memory(first, again)  # fresh where no out is given
         np.testing.assert_array_equal(first, want)
@@ -1528,12 +1498,11 @@ class TestLanesKernel:
     def test_a_plan_freezes_its_dense_weights_at_lowering(self, rng):
         # dense slots have no invalidation API: what was bound is what runs
         features = rng.standard_normal((4, 2, 8))
-        with kernels.use_backend(None):
-            plan = bsp_int8_plan(sparse_format="auto")
-            want = plan.forward_batch(features)
-            for weight in (plan.layers[0].input_proj, plan.output.weight):
-                weight.codes[...] = 0
-            np.testing.assert_array_equal(plan.forward_batch(features), want)
+        plan = bsp_int8_plan(sparse_format="auto")
+        want = plan.forward_batch(features)
+        for weight in (plan.layers[0].input_proj, plan.output.weight):
+            weight.codes[...] = 0
+        np.testing.assert_array_equal(plan.forward_batch(features), want)
 
     def test_compiler_hidden_host_streams_a_dense_layer_to_the_same_bytes(self, tmp_path):
         done = run_without_a_compiler(
@@ -1544,5 +1513,4 @@ class TestLanesKernel:
         )
         assert done.returncode == 0, done.stderr.decode()
         assert not done.stderr, done.stderr.decode()
-        with kernels.use_backend(None):
-            assert done.stdout == streamed_bytes(bsp_int8_plan(sparse_format="auto"))
+        assert done.stdout == streamed_bytes(bsp_int8_plan(sparse_format="auto"))

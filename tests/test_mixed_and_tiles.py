@@ -32,13 +32,15 @@ from repro.compiler.passes import run_passes
 from repro.compiler.pipeline import build_layer_graph
 from repro.errors import CompilationError, ConfigError
 from repro.hw.profiles import ADRENO_640, KRYO_485
+from repro.kernels import reference
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.sparse.blocks import grid_for
 from repro.sparse.bspc import BSPCMatrix
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
-from test_int8_routing import PRODUCTS, spmm_int8, spmv_int8
+from test_int8_routing import PRODUCTS, ref_column, spmm_int8, spmv_int8
 
-BACKENDS = list(kernels.backends())
+#: The float sparse ops, numpy's and the oracle's.
+FLOAT_OPS = {"numpy": kernels.OPS, "reference": reference.OPS}
 
 
 def small_model(seed=0, pruned=True):
@@ -239,7 +241,7 @@ class TestLegacyTileDicts:
 
 class TestWholeStripPacking:
     """A BSPC plan is one panel per surviving strip; its products equal
-    the dense weight's on every backend, whatever the strip height."""
+    the dense weight's on every route, whatever the strip height."""
 
     @pytest.mark.parametrize("strip_rows", STRIP_ROWS)
     def test_one_panel_per_surviving_strip(self, strip_rows, rng_factory):
@@ -258,33 +260,32 @@ class TestWholeStripPacking:
             np.testing.assert_array_equal(scatter[:n], strip.kept_rows)
             assert (scatter[n:] == rows).all()  # padding lands in the sink
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("by", FLOAT_OPS)
     @pytest.mark.parametrize("strip_rows", STRIP_ROWS)
-    def test_float_products_match_dense(self, backend, strip_rows, rng_factory):
+    def test_float_products_match_dense(self, by, strip_rows, rng_factory):
         matrix = bsp_matrix(rng_factory(strip_rows), strip_rows)
         dense = matrix.to_dense()
         x = rng_factory(100 + strip_rows).standard_normal((48, 3))
+        spmm = FLOAT_OPS[by]["bspc_spmm"]
+        np.testing.assert_allclose(spmm(matrix, x), dense @ x, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(
-            kernels.spmm(matrix, x, backend=backend), dense @ x,
-            rtol=1e-12, atol=1e-12,
+            spmm(matrix, x[:, :1])[:, 0], dense @ x[:, 0], rtol=1e-12, atol=1e-12,
         )
         np.testing.assert_allclose(
-            kernels.spmv(matrix, x[:, 0], backend=backend), dense @ x[:, 0],
-            rtol=1e-12, atol=1e-12,
+            kernels.spmv(matrix, x[:, 0]), dense @ x[:, 0], rtol=1e-12, atol=1e-12,
         )
 
-    @pytest.mark.parametrize("backend", PRODUCTS)
+    @pytest.mark.parametrize("by", PRODUCTS)
     @pytest.mark.parametrize("strip_rows", STRIP_ROWS)
-    def test_int8_products_are_the_reference_bytes(self, backend, strip_rows,
-                                                   rng_factory):
+    def test_int8_products_are_the_reference_bytes(self, by, strip_rows, rng_factory):
         matrix = bsp_matrix(rng_factory(strip_rows), strip_rows)
         x = rng_factory(200 + strip_rows).standard_normal((48, 3))
         x[:, 0] *= 1e-3  # scales differ per column
-        want = kernels.spmm_int8(matrix, x, backend="reference")
-        np.testing.assert_array_equal(spmm_int8(matrix, x, backend), want)
+        want = reference.bspc_spmm_int8(matrix, x)
+        np.testing.assert_array_equal(spmm_int8(matrix, x, by), want)
         np.testing.assert_array_equal(
-            spmv_int8(matrix, x[:, 1], backend),
-            kernels.spmv_int8(matrix, x[:, 1], backend="reference"),
+            spmv_int8(matrix, x[:, 1], by),
+            ref_column(matrix, x[:, 1]),
         )
         # ... and the reference is the float product up to int8 rounding
         exact = matrix.to_dense() @ x
@@ -322,7 +323,7 @@ class TestJointTune:
         # A configuration is never measured twice.
         seen = set()
         for c in result.trace:
-            key = (c.scheme, c.backend, tuple(sorted(c.formats.items())))
+            key = (c.scheme, tuple(sorted(c.formats.items())))
             assert key not in seen, f"duplicate measurement: {c.label}"
             seen.add(key)
 

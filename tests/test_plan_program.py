@@ -3,8 +3,9 @@
 ``ModelPlan.program`` is the plan's ops as one flat descriptor that
 ``repro_plan_i8_chunk`` walks by *calling* the projection and layer-chunk
 C entries, so everything here is an exactness test again: the generic loop
-(the same plan with its program taken away) and the ``reference`` backend
-are ground truth for logits and carry states, byte for byte.
+(the same plan with its program taken away) and the oracle (the generic
+loop on :mod:`repro.kernels.reference`'s ops, :mod:`routes`) are ground
+truth for logits and carry states, byte for byte.
 """
 
 import ast
@@ -31,6 +32,7 @@ from repro.sparse.bspc import BSPCBlock, BSPCStrip
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
 from repro.utils.supervise import Child
+from routes import ROUTES, on_route, oracle, rebound_to_the_oracle
 from test_int8_routing import bsp_int8_plan, bsp_matrix, requires_compiler, run_chunk
 
 
@@ -51,15 +53,14 @@ def bare_rnn_plan(hidden=(24, 24), col_rate=4):
 
 
 def make_plans():
-    """The plans the properties below run, by name, lowered under routing."""
-    with kernels.use_backend(None):
-        return {
-            "bspc": bsp_int8_plan(),
-            "auto": bsp_int8_plan(sparse_format="auto"),
-            "bare": bare_rnn_plan(),
-            # layers of unequal widths: each layer's buffers at its own H
-            "narrowing": bare_rnn_plan((24, 16)),
-        }
+    """The plans the properties below run, by name."""
+    return {
+        "bspc": bsp_int8_plan(),
+        "auto": bsp_int8_plan(sparse_format="auto"),
+        "bare": bare_rnn_plan(),
+        # layers of unequal widths: each layer's buffers at its own H
+        "narrowing": bare_rnn_plan((24, 16)),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,7 @@ def make_wide_plan():
     gathered from one short 128-byte block; the neediest product, the dense
     5-column projection, stores its gathered codes up to the end of its
     scratch."""
-    with kernels.use_backend(None):
-        return bsp_int8_plan(hidden=100, sparse_format="auto", input_dim=5)
+    return bsp_int8_plan(hidden=100, sparse_format="auto", input_dim=5)
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +87,13 @@ def make_wave_plans():
     by rows alone, so that a chunk of 6 to 8 steps has the estimated work
     of a two-core chunk and still fits the wavefront's ring
     (``compiled.WAVE_STEPS``)."""
-    with kernels.use_backend(None):
-        return {
-            "bspc": bsp_int8_plan(hidden=512, col_rate=1),
-            "auto": bsp_int8_plan(hidden=512, col_rate=1, sparse_format="auto"),
-            "bare": bare_rnn_plan((512, 512), col_rate=1),
-            "narrowing": bare_rnn_plan((512, 384), col_rate=1),
-            "wide": bsp_int8_plan(hidden=500, col_rate=1, sparse_format="auto", input_dim=5),
-        }
+    return {
+        "bspc": bsp_int8_plan(hidden=512, col_rate=1),
+        "auto": bsp_int8_plan(hidden=512, col_rate=1, sparse_format="auto"),
+        "bare": bare_rnn_plan((512, 512), col_rate=1),
+        "narrowing": bare_rnn_plan((512, 384), col_rate=1),
+        "wide": bsp_int8_plan(hidden=500, col_rate=1, sparse_format="auto", input_dim=5),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -138,14 +137,10 @@ def test_any_split_equals_the_generic_loop_and_reference(plans, case):
         state = engine.PlanState(
             [rng.standard_normal((batch, layer.hidden_size)) for layer in plan.layers]
         )
-    with kernels.use_backend(None):
-        got = stream(plan, chunks, state)
-        if compiled.available():
-            assert plan.program is not None  # re-bound, so lowered again
-        assert got == stream(plan, chunks, state, lowered=False)
-    with kernels.use_backend("reference"):
-        assert got == stream(plan, chunks, state)
-        assert plan.program is None  # an explicit choice re-binds, and drops it
+    got = stream(plan, chunks, state)
+    assert (plan.program is not None) == compiled.available()
+    assert got == stream(plan, chunks, state, lowered=False)
+    assert got == stream(oracle(plan), chunks, state)
 
 
 def float32_valued(array):
@@ -154,13 +149,14 @@ def float32_valued(array):
     )
 
 
-@pytest.mark.parametrize("backend", [None, "numpy", "reference"])
-def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
+@pytest.mark.parametrize("route", ROUTES)
+def test_int8_gru_states_are_float32_values_on_every_route(plans, route, rng):
     # an int8 GRU layer computes and carries float32: init_state and
     # run_chunk's carries are float32 (B, H) arrays, and the logits are the
     # float32 sums widened once
     x = rng.standard_normal((3, 5, 8))
-    for plan in plans.values():
+    for built in plans.values():
+        plan = on_route(built, route)
         assert all(layer.dtype == np.float32 for layer in plan.layers)
         assert all(
             layer.dtype == np.float32 and layer.shape == (5, h.hidden_size)
@@ -169,8 +165,7 @@ def test_int8_gru_states_are_float32_values_on_every_route(plans, backend, rng):
         carry = engine.PlanState(
             [rng.standard_normal((5, layer.hidden_size)) for layer in plan.layers]
         )
-        with kernels.use_backend(backend):
-            logits, state = plan.run_chunk(x, carry)
+        logits, state = plan.run_chunk(x, carry)
         for layer, h in zip(state.layer_states, plan.layers):
             assert layer.dtype == np.float32 and layer.shape == (5, h.hidden_size)
         assert float32_valued(logits)
@@ -189,9 +184,7 @@ def cores():
 
 def split_steps(plan, batch):
     """The fewest steps at which a chunk of ``batch`` rows of ``plan``'s
-    program is estimated to have the work of a split (``SPLIT_NS``), as
-    lowered under the backend in force (an empty chunk binds the plan)."""
-    plan.run_chunk(np.zeros((0, batch, plan.input_dim)))
+    program is estimated to have the work of a split (``SPLIT_NS``)."""
     program = plan.program
     frame_ns = program._lib.repro_plan_i8_frame_ns(program._ops, len(program._ops))
     return -(-compiled.SPLIT_NS // (frame_ns * batch))
@@ -281,70 +274,67 @@ def c_calls(monkeypatch):
 @requires_compiler
 class TestOneCall:
     def test_a_non_empty_chunk_is_exactly_one_call_and_an_empty_one_none(self, plans, c_calls):
-        with kernels.use_backend(None):
-            for plan in plans.values():
-                for batch in (1, 8, 15, 16, 17, 40):
-                    state = plan.init_state(batch) if batch % 2 else None
-                    del c_calls[:]
-                    _, state = plan.run_chunk(np.ones((4, batch, 8)), state)
-                    # the first chunk at a width also asks the C its arena's size
-                    assert c_calls in (
-                        ["repro_plan_i8_chunk"], ["repro_plan_i8_arena", "repro_plan_i8_chunk"]
-                    )
-                    del c_calls[:]
-                    plan.forward_batch(np.ones((3, batch, 8)))
-                    assert c_calls == ["repro_plan_i8_chunk"]
-                del c_calls[:]  # T = 0, B = 0: the state passes through
-                logits, after = plan.run_chunk(np.zeros((0, 40, 8)), state)
-                assert logits.shape[:2] == (0, 40)
-                for a, b in zip(after.layer_states, state.layer_states):
-                    assert a.tobytes() == b.tobytes()
-                logits, after = plan.run_chunk(np.zeros((5, 0, 8)))
-                assert logits.shape[:2] == (5, 0)
-                widths = [(0, layer.hidden_size) for layer in plan.layers]
-                assert [layer.shape for layer in after.layer_states] == widths
-                assert "repro_plan_i8_chunk" not in c_calls
+        for plan in plans.values():
+            for batch in (1, 8, 15, 16, 17, 40):
+                state = plan.init_state(batch) if batch % 2 else None
+                del c_calls[:]
+                _, state = plan.run_chunk(np.ones((4, batch, 8)), state)
+                # the first chunk at a width also asks the C its arena's size
+                assert c_calls in (
+                    ["repro_plan_i8_chunk"], ["repro_plan_i8_arena", "repro_plan_i8_chunk"]
+                )
+                del c_calls[:]
+                plan.forward_batch(np.ones((3, batch, 8)))
+                assert c_calls == ["repro_plan_i8_chunk"]
+            del c_calls[:]  # T = 0, B = 0: the state passes through
+            logits, after = plan.run_chunk(np.zeros((0, 40, 8)), state)
+            assert logits.shape[:2] == (0, 40)
+            for a, b in zip(after.layer_states, state.layer_states):
+                assert a.tobytes() == b.tobytes()
+            logits, after = plan.run_chunk(np.zeros((5, 0, 8)))
+            assert logits.shape[:2] == (5, 0)
+            widths = [(0, layer.hidden_size) for layer in plan.layers]
+            assert [layer.shape for layer in after.layer_states] == widths
+            assert "repro_plan_i8_chunk" not in c_calls
 
     def test_a_session_chunk_and_a_scheduler_batch_are_one_call_each(self, plans, c_calls, rng):
         # the serving entry reads the queued chunks and the slab rows where
         # they sit: nothing but the one chunk entry (and the arena's size,
         # asked once per B) crosses into C
-        with kernels.use_backend(None):
-            for plan in plans.values():
-                session = engine.StreamingSession(plan)
-                scheduler = engine.StreamScheduler(
-                    plan, engine.StreamConfig(max_batch_size=3, max_wait_frames=100)
-                )
-                sids = [scheduler.open() for _ in range(3)]
-                for round in (1, 2):
-                    del c_calls[:]
-                    session.feed(rng.standard_normal((5, 8)))
-                    for sid in sids:  # the third fills the batch
-                        scheduler.feed(sid, rng.standard_normal((4, 8)))
-                    assert [c for c in c_calls if c != "repro_plan_i8_arena"] == [
-                        "repro_plan_i8_chunk"
-                    ] * 2
-                    assert scheduler.stats.batches == round
+        for plan in plans.values():
+            session = engine.StreamingSession(plan)
+            scheduler = engine.StreamScheduler(
+                plan, engine.StreamConfig(max_batch_size=3, max_wait_frames=100)
+            )
+            sids = [scheduler.open() for _ in range(3)]
+            for round in (1, 2):
+                del c_calls[:]
+                session.feed(rng.standard_normal((5, 8)))
+                for sid in sids:  # the third fills the batch
+                    scheduler.feed(sid, rng.standard_normal((4, 8)))
+                assert [c for c in c_calls if c != "repro_plan_i8_arena"] == [
+                    "repro_plan_i8_chunk"
+                ] * 2
+                assert scheduler.stats.batches == round
 
     def test_the_arena_is_sized_by_the_batch_not_the_chunk(self, rng, monkeypatch):
         # tiles of ceil(8 / B) steps: what a chunk needs does not grow with T
         # (2000 steps of 3 rows: a chunk split across two cores, too)
         monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # nothing held yet
-        with kernels.use_backend(None):
-            plan = bare_rnn_plan()
-            x = rng.standard_normal((2000, 3, 8))
-            plan.run_chunk(x[:1])
-            made = compiled._SCRATCH.arena[0]
-            assert made.size == plan.program.arena_size(3)
-            got = stream(plan, [x], None)
-            assert compiled._SCRATCH.arena[0] is made
-            assert got == stream(plan, [x], None, lowered=False)
-            wide = rng.standard_normal((6, 40, 8))
-            got = stream(plan, [wide], None)
-            arena, at = compiled._SCRATCH.arena
-            assert arena.size > made.size and at == arena.ctypes.data
-            assert got == stream(plan, [wide], None, lowered=False)
-            assert stream(plan, [x[:9]], None) == stream(plan, [x[:9]], None, lowered=False)
+        plan = bare_rnn_plan()
+        x = rng.standard_normal((2000, 3, 8))
+        plan.run_chunk(x[:1])
+        made = compiled._SCRATCH.arena[0]
+        assert made.size == plan.program.arena_size(3)
+        got = stream(plan, [x], None)
+        assert compiled._SCRATCH.arena[0] is made
+        assert got == stream(plan, [x], None, lowered=False)
+        wide = rng.standard_normal((6, 40, 8))
+        got = stream(plan, [wide], None)
+        arena, at = compiled._SCRATCH.arena
+        assert arena.size > made.size and at == arena.ctypes.data
+        assert got == stream(plan, [wide], None, lowered=False)
+        assert stream(plan, [x[:9]], None) == stream(plan, [x[:9]], None, lowered=False)
 
     @pytest.mark.parametrize(
         "steps, batch",
@@ -368,54 +358,51 @@ class TestOneCall:
         fresh = guard_arenas(monkeypatch)
         two = batch == "wave" or steps == "split"
         batch = 1 if batch == "wave" else batch
-        with kernels.use_backend(None):
-            for plan in wave_plans.values() if two and batch == 1 else (*plans.values(), wide_plan):
-                t = split_steps(plan, batch) if steps == "split" else steps
-                x = new_rng(batch + t).standard_normal((t, batch, plan.input_dim))
-                monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # taken afresh
-                state = plan.init_state(batch)
-                for _ in range(2):  # from the zero carry, then from a carry
-                    _, state = plan.run_chunk(x, state)
-                # the serving entry keeps no logits: each tile's stay in the arena
-                chunks = [np.ascontiguousarray(x[:, b]) for b in range(batch)]
-                plan._serve(chunks, state.layer_states, list(range(batch)))
-                sizes = {raw.ctypes.data: size for raw, size in fresh}
-                assert sizes[compiled._SCRATCH.arena[1]] == plan.program.arena_size(batch)
-                assert not hasattr(compiled._SCRATCH, "work")
-                if two:
-                    assert chunk_threads[-2:] == [cores()] * 2
+        for plan in wave_plans.values() if two and batch == 1 else (*plans.values(), wide_plan):
+            t = split_steps(plan, batch) if steps == "split" else steps
+            x = new_rng(batch + t).standard_normal((t, batch, plan.input_dim))
+            monkeypatch.setattr(compiled, "_SCRATCH", threading.local())  # taken afresh
+            state = plan.init_state(batch)
+            for _ in range(2):  # from the zero carry, then from a carry
+                _, state = plan.run_chunk(x, state)
+            # the serving entry keeps no logits: each tile's stay in the arena
+            chunks = [np.ascontiguousarray(x[:, b]) for b in range(batch)]
+            plan._serve(chunks, state.layer_states, list(range(batch)))
+            sizes = {raw.ctypes.data: size for raw, size in fresh}
+            assert sizes[compiled._SCRATCH.arena[1]] == plan.program.arena_size(batch)
+            assert not hasattr(compiled._SCRATCH, "work")
+            if two:
+                assert chunk_threads[-2:] == [cores()] * 2
         assert all((raw[size:] == 0xA5).all() for raw, size in fresh)
 
     def test_results_never_alias_the_arena_or_each_other(self, plans, rng):
         plan = plans["bare"]  # its logits are copied out of the arena itself
-        with kernels.use_backend(None):
-            x = rng.standard_normal((5, 3, 8))
-            logits, state = plan.run_chunk(x)
-            kept = [logits.copy()] + [layer.copy() for layer in state.layer_states]
-            arena = compiled._SCRATCH.arena[0]
-            assert arena.size
-            arena[:] = 0xFF  # a NaN in every float
-            again, again_state = plan.run_chunk(x)  # ... and running again
-            results = [logits] + state.layer_states
-            for got, want in zip(results, kept):
-                assert got.tobytes() == want.tobytes()
-            assert again.tobytes() == logits.tobytes() and again is not logits
-            for a, b in zip(again_state.layer_states, state.layer_states):
-                assert not np.shares_memory(a, b)
-            assert not any(np.shares_memory(r, arena) for r in results)
+        x = rng.standard_normal((5, 3, 8))
+        logits, state = plan.run_chunk(x)
+        kept = [logits.copy()] + [layer.copy() for layer in state.layer_states]
+        arena = compiled._SCRATCH.arena[0]
+        assert arena.size
+        arena[:] = 0xFF  # a NaN in every float
+        again, again_state = plan.run_chunk(x)  # ... and running again
+        results = [logits] + state.layer_states
+        for got, want in zip(results, kept):
+            assert got.tobytes() == want.tobytes()
+        assert again.tobytes() == logits.tobytes() and again is not logits
+        for a, b in zip(again_state.layer_states, state.layer_states):
+            assert not np.shares_memory(a, b)
+        assert not any(np.shares_memory(r, arena) for r in results)
 
     def test_scratch_is_sized_for_the_neediest_op_not_the_last(self, plans, rng):
         # the output op (40 rows of 24 columns) needs the least scratch of
         # the five; a thread that has only ever run this plan must still
         # have room for its widest projection and recurrence
         plan, x = plans["bspc"], rng.standard_normal((9, 15, 8))
-        with kernels.use_backend(None):
-            want, got = plan.run_chunk(x)[0].tobytes(), []
-            worker = threading.Thread(  # a fresh thread: a fresh, empty arena
-                target=lambda: got.append(plan.run_chunk(x)[0].tobytes())
-            )
-            worker.start()
-            worker.join(timeout=60)
+        want, got = plan.run_chunk(x)[0].tobytes(), []
+        worker = threading.Thread(  # a fresh thread: a fresh, empty arena
+            target=lambda: got.append(plan.run_chunk(x)[0].tobytes())
+        )
+        worker.start()
+        worker.join(timeout=60)
         assert got == [want]
 
         # the arena's scratch holds what the neediest product takes at 8
@@ -494,20 +481,18 @@ class TestTwoCores:
     ):
         plan = wide_plan if name == "wide" else plans[name]
         for batch, past in SPLITS:
-            with kernels.use_backend(None):
-                steps = split_steps(plan, batch) + past
-                rng = new_rng(steps)
-                x = rng.standard_normal((steps, batch, plan.input_dim))
-                carried = None if past else engine.PlanState(
-                    [rng.standard_normal((batch, layer.hidden_size)) for layer in plan.layers]
-                )
-                del chunk_threads[:]
-                got = stream(plan, [x], carried)
-                assert chunk_threads == [cores() if past >= 0 else 1]
-                assert got == stream(plan, [x], carried, lowered=False)
-            if not past:  # the generic loop is reference's bytes on every chunk
-                with kernels.use_backend("reference"):
-                    assert got == stream(plan, [x], carried)
+            steps = split_steps(plan, batch) + past
+            rng = new_rng(steps)
+            x = rng.standard_normal((steps, batch, plan.input_dim))
+            carried = None if past else engine.PlanState(
+                [rng.standard_normal((batch, layer.hidden_size)) for layer in plan.layers]
+            )
+            del chunk_threads[:]
+            got = stream(plan, [x], carried)
+            assert chunk_threads == [cores() if past >= 0 else 1]
+            assert got == stream(plan, [x], carried, lowered=False)
+            if not past:  # the generic loop is the oracle's bytes on every chunk
+                assert got == stream(oracle(plan), [x], carried)
 
     @settings(max_examples=10, deadline=20000)
     @given(case=wavefronts())
@@ -529,7 +514,7 @@ class TestTwoCores:
         # order, and no other
         name, steps, carried, route, seed = case
         plan, row = wave_plans[name], seed % 4
-        with kernels.use_backend(None), counted_threads() as threads:
+        with counted_threads() as threads:
             two = split_steps(plan, 1) <= steps <= compiled.WAVE_STEPS
             rng = new_rng(seed)
             x = rng.standard_normal((steps, plan.input_dim))
@@ -546,11 +531,10 @@ class TestTwoCores:
                 got = served(plan, x, carry, row)
                 assert got == served(plan, x, carry, row, lowered=False)
             assert set(threads) == {cores() if two else 1}
-        with kernels.use_backend("reference"):
-            if route == "run":
-                assert got == stream(plan, [x[:, None]], state)
-            else:
-                assert got == served(plan, x, carry, row)
+        if route == "run":
+            assert got == stream(oracle(plan), [x[:, None]], state)
+        else:
+            assert got == served(oracle(plan), x, carry, row)
 
     def test_one_resident_helper_runs_every_two_core_chunk_and_exits_when_idle(
         self, plans, wave_plans, c_calls, chunk_threads
@@ -572,22 +556,21 @@ class TestTwoCores:
                 time.sleep(0.02)
             return threads()
 
-        with kernels.use_backend(None):
-            chunks = [  # wavefronts, then splits
-                (plan, compiled.WAVE_STEPS, 1) for plan in wave_plans.values()
-            ] + [(plan, None, batch) for plan in plans.values() for batch in (2, 17, 40)]
-            plan, steps, batch = chunks[0]
-            plan.run_chunk(np.ones((steps, batch, plan.input_dim)))  # the helper is there now
-            alone = threads() - (cores() - 1)
-            for plan, steps, batch in chunks:
-                x = np.ones((steps or split_steps(plan, batch), batch, plan.input_dim))
-                plan.run_chunk(x[:0])  # bound here, so lowered now
-                plan.program.arena_size(batch)  # asked once per B
-                del c_calls[:], chunk_threads[:]
-                plan.run_chunk(x)
-                assert c_calls == ["repro_plan_i8_chunk"]
-                assert chunk_threads == [cores()]
-                assert threads() == alone + cores() - 1
+        chunks = [  # wavefronts, then splits
+            (plan, compiled.WAVE_STEPS, 1) for plan in wave_plans.values()
+        ] + [(plan, None, batch) for plan in plans.values() for batch in (2, 17, 40)]
+        plan, steps, batch = chunks[0]
+        plan.run_chunk(np.ones((steps, batch, plan.input_dim)))  # the helper is there now
+        alone = threads() - (cores() - 1)
+        for plan, steps, batch in chunks:
+            x = np.ones((steps or split_steps(plan, batch), batch, plan.input_dim))
+            plan.run_chunk(x[:0])  # bound here, so lowered now
+            plan.program.arena_size(batch)  # asked once per B
+            del c_calls[:], chunk_threads[:]
+            plan.run_chunk(x)
+            assert c_calls == ["repro_plan_i8_chunk"]
+            assert chunk_threads == [cores()]
+            assert threads() == alone + cores() - 1
         assert settled(alone) == alone
 
     @pytest.mark.parametrize("name", ["bspc", "narrowing"])
@@ -597,30 +580,29 @@ class TestTwoCores:
         # generic loop's), and the free rows keep their poisoned bytes
         plan = plans[name]
         for batch, past in SPLITS:
-            with kernels.use_backend(None):
-                steps = split_steps(plan, batch) + past
-                rng = new_rng(batch + steps)
-                chunks = [rng.standard_normal((steps, 8)) for _ in range(batch)]
-                capacity = 2 * batch + 3
-                rows = [int(r) for r in rng.permutation(capacity)[:batch]]
-                slabs = []
-                for layer in plan.layers:
-                    slab = np.full((capacity, layer.hidden_size), np.nan, np.float32)
-                    slab[rows] = rng.standard_normal((batch, layer.hidden_size))
-                    slabs.append(slab)
-                kept = [slab.copy() for slab in slabs]
-                logits, state = plan.run_chunk(
-                    np.stack(chunks, axis=1), engine.PlanState([slab[rows] for slab in slabs])
-                )
-                looped = [slab.copy() for slab in slabs]
-                del chunk_threads[:]
-                labels = plan._serve(chunks, slabs, rows)
-                assert chunk_threads == [cores() if past >= 0 else 1]
-                plan.program, program = None, plan.program  # the generic loop's
-                try:
-                    assert plan._serve(chunks, looped, rows).tobytes() == labels.tobytes()
-                finally:
-                    plan.program = program
+            steps = split_steps(plan, batch) + past
+            rng = new_rng(batch + steps)
+            chunks = [rng.standard_normal((steps, 8)) for _ in range(batch)]
+            capacity = 2 * batch + 3
+            rows = [int(r) for r in rng.permutation(capacity)[:batch]]
+            slabs = []
+            for layer in plan.layers:
+                slab = np.full((capacity, layer.hidden_size), np.nan, np.float32)
+                slab[rows] = rng.standard_normal((batch, layer.hidden_size))
+                slabs.append(slab)
+            kept = [slab.copy() for slab in slabs]
+            logits, state = plan.run_chunk(
+                np.stack(chunks, axis=1), engine.PlanState([slab[rows] for slab in slabs])
+            )
+            looped = [slab.copy() for slab in slabs]
+            del chunk_threads[:]
+            labels = plan._serve(chunks, slabs, rows)
+            assert chunk_threads == [cores() if past >= 0 else 1]
+            plan.program, program = None, plan.program  # the generic loop's
+            try:
+                assert plan._serve(chunks, looped, rows).tobytes() == labels.tobytes()
+            finally:
+                plan.program = program
             assert labels.tobytes() == logits.argmax(axis=2).tobytes()
             free = np.setdiff1d(np.arange(capacity), rows)
             for slab, loop, was, carry in zip(slabs, looped, kept, state.layer_states):
@@ -631,24 +613,23 @@ class TestTwoCores:
         # each thread runs in an arena of its own (one arena per program
         # gave a few wrong chunks in every 300)
         plan, x = plans["bspc"], new_rng(4).standard_normal((25, 4, 8))
-        with kernels.use_backend(None):
-            want = plan.run_chunk(x)[0].tobytes()
-            got = [[], []]
+        want = plan.run_chunk(x)[0].tobytes()
+        got = [[], []]
 
-            def run(out):
-                for _ in range(150):
-                    out.append(plan.run_chunk(x)[0].tobytes())
+        def run(out):
+            for _ in range(150):
+                out.append(plan.run_chunk(x)[0].tobytes())
 
-            workers = [threading.Thread(target=run, args=(out,)) for out in got]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join(timeout=120)
-            finally:
-                sys.setswitchinterval(interval)
+        workers = [threading.Thread(target=run, args=(out,)) for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert got == [[want] * 150] * 2
 
@@ -659,15 +640,13 @@ class TestTwoCores:
         script = (
             "import os, sys\n"
             f"os.sched_setaffinity(0, {{{cpu}}})\n"
-            "from repro import kernels\n"
             "from repro.kernels import compiled\n"
             "from test_plan_program import make_plans, split_bytes, split_steps\n"
             "lib, threads = compiled._library(), []\n"
             "entry = lib.repro_plan_i8_chunk\n"
             "lib.repro_plan_i8_chunk = lambda *args: threads.append(entry(*args))\n"
             "plan = make_plans()['narrowing']\n"
-            "with kernels.use_backend(None):\n"
-            "    got = split_bytes(plan, 5, split_steps(plan, 5), 2)\n"
+            "got = split_bytes(plan, 5, split_steps(plan, 5), 2)\n"
             "sys.stdout.write(repr((got, threads)))\n"
         )
         here = Path(__file__).parent
@@ -679,8 +658,7 @@ class TestTwoCores:
         got, threads = ast.literal_eval(done.stdout)
         assert threads == [1, 1]  # the split-sized chunk and the short one after it
         plan = plans["narrowing"]
-        with kernels.use_backend(None):
-            assert got == split_bytes(plan, 5, split_steps(plan, 5), 2)
+        assert got == split_bytes(plan, 5, split_steps(plan, 5), 2)
 
     def test_a_child_forked_beside_a_live_helper_runs_two_core_chunks_of_its_own(
         self, plans, wave_plans, chunk_threads
@@ -689,22 +667,20 @@ class TestTwoCores:
         # child is forked; the child has no helper of its own until its first
         # two-core chunk makes one: a one-row wavefront and a split batch
         cases = [(wave_plans["auto"], 1, compiled.WAVE_STEPS), (plans["auto"], 8, None)]
-        with kernels.use_backend(None):
-            want = [split_bytes(plan, batch, steps or split_steps(plan, batch), 3) for plan, batch, steps in cases]
-            assert chunk_threads[::2] == [cores()] * 2
-            child = Child(0, 0, _forked_two_cores, (cases,))
-            try:
-                assert child.recv(time.monotonic() + 120) == (want, [cores()] * 2)
-            finally:
-                child.close()
+        want = [split_bytes(plan, batch, steps or split_steps(plan, batch), 3) for plan, batch, steps in cases]
+        assert chunk_threads[::2] == [cores()] * 2
+        child = Child(0, 0, _forked_two_cores, (cases,))
+        try:
+            assert child.recv(time.monotonic() + 120) == (want, [cores()] * 2)
+        finally:
+            child.close()
 
 
 def _forked_two_cores(conn, index, fault, cases):
     lib = compiled._library()
     entry, threads = lib.repro_plan_i8_chunk, []
     lib.repro_plan_i8_chunk = lambda *args: threads.append(entry(*args)) or threads[-1]
-    with kernels.use_backend(None):
-        got = [split_bytes(plan, batch, steps or split_steps(plan, batch), 3) for plan, batch, steps in cases]
+    got = [split_bytes(plan, batch, steps or split_steps(plan, batch), 3) for plan, batch, steps in cases]
     conn.send((got, threads[::2]))
 
 
@@ -729,59 +705,55 @@ def other_plans():
 
 def test_plans_without_a_descriptor_run_the_generic_loop(rng):
     x = rng.standard_normal((4, 3, 8))
-    with kernels.use_backend(None):
-        for name, plan in other_plans():
-            assert plan.program is None, name
-            first, state = plan.run_chunk(x[:1])
-            rest, _ = plan.run_chunk(x[1:], state)
-            whole = plan.forward_batch(x)
-            np.testing.assert_allclose(np.concatenate([first, rest]), whole, rtol=1e-5)
+    for name, plan in other_plans():
+        assert plan.program is None, name
+        first, state = plan.run_chunk(x[:1])
+        rest, _ = plan.run_chunk(x[1:], state)
+        whole = plan.forward_batch(x)
+        np.testing.assert_allclose(np.concatenate([first, rest]), whole, rtol=1e-5)
 
 
 @requires_compiler
 class TestStaleness:
     """The descriptor holds addresses into a weight's int8 plan: a plan
-    invalidated between chunks is re-lowered, as the registry kernels
-    re-resolve it per call."""
+    invalidated between chunks is re-lowered, as the generic loop's
+    kernels re-resolve it per call."""
 
     @pytest.fixture()
     def plan(self):
-        with kernels.use_backend(None):
-            return bsp_int8_plan()
+        return bsp_int8_plan()
 
     def check(self, plan, x, state):
-        with kernels.use_backend("reference"):
-            want = stream(plan, [x], state)
-        with kernels.use_backend(None):
-            assert stream(plan, [x], state) == want
+        """The program's bytes, the generic loop's on the same weights."""
+        want = stream(plan, [x], state, lowered=False)
+        assert stream(plan, [x], state) == want
         return want
 
     def test_invalidate_plan_between_chunks_is_observed(self, plan, rng):
         x = rng.standard_normal((3, 2, 8))
-        with kernels.use_backend(None):
-            _, state = plan.run_chunk(x)
-            lowered = plan.program
-            before = stream(plan, [x], state)
-            assert plan.program is lowered  # nothing changed: nothing rebuilt
-            matrix = plan.layers[1].recurrent.matrix
-            matrix.strips[0].blocks[0].panel *= -0.5  # in place: unseen until ...
-            assert stream(plan, [x], state) == before
-            matrix.invalidate_plan()
-            assert stream(plan, [x], state) != before
-            assert plan.program is not None and plan.program is not lowered
-            self.check(plan, x, state)
+        _, state = plan.run_chunk(x)
+        lowered = plan.program
+        before = stream(plan, [x], state)
+        assert plan.program is lowered  # nothing changed: nothing rebuilt
+        matrix = plan.layers[1].recurrent.matrix
+        matrix.strips[0].blocks[0].panel *= -0.5  # in place: unseen until ...
+        assert stream(plan, [x], state) == before
+        matrix.invalidate_plan()
+        assert stream(plan, [x], state) != before
+        assert plan.program is not None and plan.program is not lowered
+        want = self.check(plan, x, state)
+        assert stream(rebound_to_the_oracle(plan), [x], state) == want
 
     def test_strips_reassignment_between_chunks_is_observed(self, plan, rng):
         x = rng.standard_normal((3, 2, 8))
-        with kernels.use_backend(None):
-            _, state = plan.run_chunk(x)
-            before = self.check(plan, x, state)
-            matrix = plan.layers[0].input_proj.matrix
-            matrix.strips = [
-                BSPCStrip(s.kept_rows, [BSPCBlock(b.kept_cols, 0.25 * b.panel) for b in s.blocks])
-                for s in matrix.strips
-            ]
-            assert self.check(plan, x, state) != before
+        _, state = plan.run_chunk(x)
+        before = self.check(plan, x, state)
+        matrix = plan.layers[0].input_proj.matrix
+        matrix.strips = [
+            BSPCStrip(s.kept_rows, [BSPCBlock(b.kept_cols, 0.25 * b.panel) for b in s.blocks])
+            for s in matrix.strips
+        ]
+        assert self.check(plan, x, state) != before
 
     def test_a_weight_repacked_to_another_shape_leaves_no_program(self, plan, rng):
         # the chain of widths no longer fits the program; the generic loop,
@@ -789,21 +761,7 @@ class TestStaleness:
         x = rng.standard_normal((3, 2, 8))
         matrix = plan.layers[1].input_proj.matrix
         matrix.grid = BlockGrid(72, 32, 4, 4)  # eight columns nothing reads
-        with kernels.use_backend(None):
-            got, _ = plan.run_chunk(x)
-            assert plan.program is None
-        with kernels.use_backend("reference"):
-            want, _ = plan.run_chunk(x)
+        got, _ = plan.run_chunk(x)
+        assert plan.program is None
+        want, _ = rebound_to_the_oracle(plan).run_chunk(x)
         assert got.tobytes() == want.tobytes()
-
-    def test_rebinding_to_another_backend_drops_the_descriptor(self, plan, rng):
-        x = rng.standard_normal((3, 2, 8))
-        with kernels.use_backend(None):
-            lowered, want = plan.program, stream(plan, [x], None)
-        for backend in ("numpy", "reference"):
-            with kernels.use_backend(backend):
-                assert stream(plan, [x], None) == want
-                assert plan.program is None
-        with kernels.use_backend(None):
-            assert stream(plan, [x], None) == want
-            assert plan.program is not None and plan.program is not lowered

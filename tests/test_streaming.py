@@ -2,8 +2,9 @@
 
 The central contract — the *chunk-exactness sweep* — is that a streaming
 session fed an utterance in arbitrary chunk splits produces byte-identical
-phone sequences to the offline ``decode_utterance`` path, across kernel
-backends and both plan schemes (``None`` and ``int8``).  Logits are
+phone sequences to the offline ``decode_utterance`` path, on every route
+(:mod:`routes`: the program, the generic loop, the oracle) and both plan
+schemes (``None`` and ``int8``).  Logits are
 asserted too, as far as each scheme permits: **bit-exact** for int8
 (per-frame activation scales + order-exact integer accumulation) and to
 BLAS-reduction-order tolerance for float64.
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import engine, kernels
+from repro import engine
 from repro.engine.streaming import SLAB_GROWTH, SLAB_ROWS
 from repro.errors import ConfigError, ShapeError, StreamError
 from repro.speech.decoder import IncrementalDecoder, decode_utterance, smooth_labels
@@ -34,11 +35,9 @@ from repro.speech.metrics import collapse_frames
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.phones import SILENCE_ID
 from repro.utils.rng import new_rng
+from routes import ROUTES, on_route
 from test_int8_routing import LabelLog, run_chunk as run_plan_chunk
 
-# The chunk-exactness sweep runs under every registered backend and under
-# none (None): an int8 plan's program, on hosts with a C toolchain.
-BACKENDS = (None,) + tuple(kernels.backends())
 SCHEMES = (None, "int8")
 CHUNK_SIZES = (1, 7, 25, None)  # None = the whole utterance in one chunk
 # Carry widths: 24 is not a multiple of 16, so the int8 gate sweep's
@@ -59,47 +58,47 @@ def chunk_starts(total, size):
 # The chunk-exactness property sweep (the acceptance criterion)
 # ---------------------------------------------------------------------------
 class TestChunkExactnessSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
-    def test_streaming_equals_offline(self, backend, scheme, hidden, rng_factory):
+    def test_streaming_equals_offline(self, route, scheme, hidden, rng_factory):
         plan = engine.compile_model(tiny_model(hidden=hidden), scheme=scheme)
-        with kernels.use_backend(backend):
-            for utt_index in range(2):
-                rng = rng_factory(1000 * utt_index + 17)
-                total = int(rng.integers(40, 70))
-                utterance = rng.standard_normal((total, 8))
-                offline_logits = plan.forward_utterance(utterance)
-                offline = decode_utterance(offline_logits, min_duration=2)
-                for size in CHUNK_SIZES:
-                    size = total if size is None else size
-                    session = engine.StreamingSession(plan, min_duration=2)
-                    state, phones, pieces = None, [], []
-                    for start in chunk_starts(total, size):
-                        chunk = utterance[start : start + size]
-                        phones += session.feed(chunk)
-                        logits, state = plan.run_chunk(chunk[:, None, :], state)
-                        pieces.append(logits[:, 0])
-                    phones += session.finish()
-                    # Labels: byte-identical with the offline decode.
-                    assert phones == offline, (backend, scheme, hidden, size)
-                    assert session.phones == offline
-                    # Logits: as exact as the scheme permits.
-                    chunked = np.concatenate(pieces)
-                    if scheme == "int8":
-                        np.testing.assert_array_equal(chunked, offline_logits)
-                    else:
-                        np.testing.assert_allclose(
-                            chunked, offline_logits, atol=1e-9
-                        )
+        plan = on_route(plan, route)
+        for utt_index in range(2):
+            rng = rng_factory(1000 * utt_index + 17)
+            total = int(rng.integers(40, 70))
+            utterance = rng.standard_normal((total, 8))
+            offline_logits = plan.forward_utterance(utterance)
+            offline = decode_utterance(offline_logits, min_duration=2)
+            for size in CHUNK_SIZES:
+                size = total if size is None else size
+                session = engine.StreamingSession(plan, min_duration=2)
+                state, phones, pieces = None, [], []
+                for start in chunk_starts(total, size):
+                    chunk = utterance[start : start + size]
+                    phones += session.feed(chunk)
+                    logits, state = plan.run_chunk(chunk[:, None, :], state)
+                    pieces.append(logits[:, 0])
+                phones += session.finish()
+                # Labels: byte-identical with the offline decode.
+                assert phones == offline, (route, scheme, hidden, size)
+                assert session.phones == offline
+                # Logits: as exact as the scheme permits.
+                chunked = np.concatenate(pieces)
+                if scheme == "int8":
+                    np.testing.assert_array_equal(chunked, offline_logits)
+                else:
+                    np.testing.assert_allclose(
+                        chunked, offline_logits, atol=1e-9
+                    )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("fmt", ["csr", "bspc"])
-    def test_int8_sparse_plans_bitwise_chunk_exact(self, fmt, backend, rng_factory):
+    def test_int8_sparse_plans_bitwise_chunk_exact(self, fmt, route, rng_factory):
         # Per-column activation scales make even the sparse int8 spmm
         # paths bit-exact under chunking — and the integer accumulation
-        # is reduction-order-free, so every backend (and the program)
-        # must reproduce the *reference* offline logits bit for
+        # is reduction-order-free, so every route must reproduce the
+        # oracle's offline logits bit for
         # bit under every chunk split.
         from repro.pruning.bsp import BSPConfig, bsp_project_masks
 
@@ -119,19 +118,18 @@ class TestChunkExactnessSweep:
         )
         rng = rng_factory(5)
         utterance = rng.standard_normal((41, 8))
-        with kernels.use_backend("reference"):
-            offline_logits = plan.forward_utterance(utterance)
-        with kernels.use_backend(backend):
-            for size in (1, 7, 41):
-                state, pieces = None, []
-                for start in chunk_starts(41, size):
-                    logits, state = plan.run_chunk(
-                        utterance[start : start + size][:, None, :], state
-                    )
-                    pieces.append(logits[:, 0])
-                np.testing.assert_array_equal(
-                    np.concatenate(pieces), offline_logits
+        offline_logits = on_route(plan, "reference").forward_utterance(utterance)
+        plan = on_route(plan, route)
+        for size in (1, 7, 41):
+            state, pieces = None, []
+            for start in chunk_starts(41, size):
+                logits, state = plan.run_chunk(
+                    utterance[start : start + size][:, None, :], state
                 )
+                pieces.append(logits[:, 0])
+            np.testing.assert_array_equal(
+                np.concatenate(pieces), offline_logits
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +298,18 @@ class TestOneArrayCarry:
             assert after.dtype == layer.dtype and after is not before
             np.testing.assert_array_equal(after, before.astype(layer.dtype))
 
-
     @pytest.mark.parametrize("scheme", ["int8"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_float64_carry_runs_as_its_adapted_state(self, scheme, backend, rng):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_a_float64_carry_runs_as_its_adapted_state(self, scheme, route, rng):
         # a float32 plan handed a float64 carry narrows it by adapt_state's
         # rule (astype) before the chunk: the same bytes out, a float32 carry
-        with kernels.use_backend(None):
-            plan = self.make_plan(scheme, "bspc")
+        plan = on_route(self.make_plan(scheme, "bspc"), route)
         x = rng.standard_normal((5, 3, 8))
         wide = engine.PlanState(
             [rng.standard_normal((3, layer.hidden_size)) for layer in plan.layers]
         )
-        with kernels.use_backend(backend):
-            got, carry = plan.run_chunk(x, wide)
-            want, want_carry = plan.run_chunk(x, plan.adapt_state(wide))
+        got, carry = plan.run_chunk(x, wide)
+        want, want_carry = plan.run_chunk(x, plan.adapt_state(wide))
         assert got.tobytes() == want.tobytes()
         for layer, a, b in zip(plan.layers, carry.layer_states, want_carry.layer_states):
             assert a.dtype == b.dtype == layer.dtype == np.float32
@@ -326,11 +321,10 @@ class TestOneArrayCarry:
 @pytest.fixture(scope="module")
 def swap_plans():
     config = engine.EngineConfig(sparse_format="bspc", num_row_strips=4, num_col_blocks=4)
-    with kernels.use_backend(None):
-        return {
-            scheme: engine.compile_model(tiny_model(), scheme=scheme, config=config)
-            for scheme in (None, "int8")
-        }
+    return {
+        scheme: engine.compile_model(tiny_model(), scheme=scheme, config=config)
+        for scheme in (None, "int8")
+    }
 
 
 @st.composite
@@ -365,9 +359,8 @@ def test_a_swap_across_schemes_is_the_defined_bytes(swap_plans, case):
             logits.append(out)
         return np.concatenate(logits), state
 
-    with kernels.use_backend(None):
-        want, want_state = stream(served=False)
-        got, state = stream(served=True)
+    want, want_state = stream(served=False)
+    got, state = stream(served=True)
     assert got.tobytes() == want.tobytes()
     for a, b in zip(state.layer_states, want_state.layer_states):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -1001,57 +994,55 @@ def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
     # every logit has a twin, and the label must be the first of the two,
     # however the chunk's logits were made (float32 in an int8 plan) and
     # decoded
-    with kernels.use_backend(None):
-        plan = tied_plan(scheme)
-        utterances = [rng.standard_normal((t, 8)) for t in (13, 13, 7)]
-        want = [plan.run_chunk(u[:, None, :])[0][:, 0] for u in utterances]
-        for logits in want:
-            labels = logits.argmax(-1)
-            assert (labels % 2 == 0).all()
-            assert (logits[np.arange(len(labels)), labels + 1] == logits.max(-1)).all()
-        want = [logits.argmax(-1).tolist() for logits in want]
+    plan = tied_plan(scheme)
+    utterances = [rng.standard_normal((t, 8)) for t in (13, 13, 7)]
+    want = [plan.run_chunk(u[:, None, :])[0][:, 0] for u in utterances]
+    for logits in want:
+        labels = logits.argmax(-1)
+        assert (labels % 2 == 0).all()
+        assert (logits[np.arange(len(labels)), labels + 1] == logits.max(-1)).all()
+    want = [logits.argmax(-1).tolist() for logits in want]
 
-        got = []
-        for utterance in utterances:
-            session = engine.StreamingSession(plan, min_duration=2)
-            session._decoder = LabelLog(2)
-            for start in range(0, len(utterance), 4):
-                session.feed(utterance[start : start + 4])
-            got.append(session._decoder.labels)
-        assert got == want
+    got = []
+    for utterance in utterances:
+        session = engine.StreamingSession(plan, min_duration=2)
+        session._decoder = LabelLog(2)
+        for start in range(0, len(utterance), 4):
+            session.feed(utterance[start : start + 4])
+        got.append(session._decoder.labels)
+    assert got == want
 
-        scheduler = engine.StreamScheduler(
-            plan, engine.StreamConfig(max_batch_size=3, max_wait_frames=100)
-        )
-        decoders = [LabelLog(1) for _ in utterances]
-        sids = [scheduler.adopt(None, decoder) for decoder in decoders]
-        for start in range(0, 13, 4):
-            for sid, utterance in zip(sids, utterances):
-                if start < len(utterance):
-                    scheduler.feed(sid, utterance[start : start + 4])
-        for sid in sids:
-            scheduler.finish(sid)
-        assert [decoder.labels for decoder in decoders] == want
-        assert scheduler.stats.mean_batch_size > 1.0
+    scheduler = engine.StreamScheduler(
+        plan, engine.StreamConfig(max_batch_size=3, max_wait_frames=100)
+    )
+    decoders = [LabelLog(1) for _ in utterances]
+    sids = [scheduler.adopt(None, decoder) for decoder in decoders]
+    for start in range(0, 13, 4):
+        for sid, utterance in zip(sids, utterances):
+            if start < len(utterance):
+                scheduler.feed(sid, utterance[start : start + 4])
+    for sid in sids:
+        scheduler.finish(sid)
+    assert [decoder.labels for decoder in decoders] == want
+    assert scheduler.stats.mean_batch_size > 1.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
-def test_serving_labels_are_the_logits_argmax_on_every_backend(scheme, backend, rng):
+def test_serving_labels_are_the_logits_argmax_on_every_route(scheme, route, rng):
     # the serving entry's labels (the program's own, on a program) are
     # argmax of the logits run_chunk makes from the same carries, the first
     # of two tied maxima included; the carries land in the slab rows named
-    plan = tied_plan(scheme)
-    with kernels.use_backend(backend):
-        chunks = [rng.standard_normal((9, 8)) for _ in range(3)]
-        slabs = [
-            rng.standard_normal((5, layer.hidden_size)).astype(layer.dtype)
-            for layer in plan.layers
-        ]
-        rows = [3, 0, 4]
-        carries = engine.PlanState([slab[rows] for slab in slabs])
-        logits, state = plan.run_chunk(np.stack(chunks, axis=1), carries)
-        labels = plan._serve(chunks, slabs, rows)
+    plan = on_route(tied_plan(scheme), route)
+    chunks = [rng.standard_normal((9, 8)) for _ in range(3)]
+    slabs = [
+        rng.standard_normal((5, layer.hidden_size)).astype(layer.dtype)
+        for layer in plan.layers
+    ]
+    rows = [3, 0, 4]
+    carries = engine.PlanState([slab[rows] for slab in slabs])
+    logits, state = plan.run_chunk(np.stack(chunks, axis=1), carries)
+    labels = plan._serve(chunks, slabs, rows)
     want = logits.argmax(axis=2)
     assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
     assert (labels % 2 == 0).all()
@@ -1184,25 +1175,24 @@ def test_the_pump_forms_the_batches_of_the_regrouping_policy(scheme_plans, case)
 # ---------------------------------------------------------------------------
 class TestNonFiniteFeatures:
     """A NaN or Inf feature would quantize to different int8 codes on each
-    kernel backend, so it is a typed error at every entry — plan, session,
+    route, so it is a typed error at every entry — plan, session,
     scheduler — before anything runs, queues or is journaled."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_plan_and_session_entries_refuse_it(self, backend, bad):
-        plan = engine.compile_model(tiny_model(), scheme="int8")
+    def test_plan_and_session_entries_refuse_it(self, route, bad):
+        plan = on_route(engine.compile_model(tiny_model(), scheme="int8"), route)
         features = np.zeros((4, 2, 8))
         features[2, 1, 3] = bad
         session = engine.StreamingSession(plan)
-        with kernels.use_backend(backend):
-            for call in (plan.run_chunk, plan.forward_batch):
-                with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 1, 3\)"):
-                    call(features)
-            with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 3\)"):
-                session.feed(features[:, 1])
-            assert session.frames_fed == 0
-            session.feed(features[:, 0])  # the session goes on
-            assert session.frames_fed == 4
+        for call in (plan.run_chunk, plan.forward_batch):
+            with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 1, 3\)"):
+                call(features)
+        with pytest.raises(ShapeError, match=r"non-finite feature at \(2, 3\)"):
+            session.feed(features[:, 1])
+        assert session.frames_fed == 0
+        session.feed(features[:, 0])  # the session goes on
+        assert session.frames_fed == 4
 
     def test_one_bad_chunk_is_not_journaled_and_leaves_the_batch_alone(self, rng):
         from repro.engine.fabric import SessionJournal

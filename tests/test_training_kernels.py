@@ -1,19 +1,20 @@
 """Gradient-equivalence suite for the fused training fast path.
 
-The autograd tape (the ``reference`` backend of ``gru_sequence_grad``,
-and the per-timestep cell path of ``GRU.forward`` under
-``use_backend("reference")``) is ground truth; the fused BPTT must
-reproduce its gradients to tighter than 1e-6 across packed ragged
-batches, single-frame utterances, row-block tails and pruned (masked)
-weights — and a short training run must produce the same loss curve —
-with each of its two pairs of time loops: the C step (no backend in
-force) and numpy's (``backend="numpy"``).  A packed batch must give the
-loss and gradients of the same batch padded and masked, on every path.
+The autograd tape (:func:`repro.kernels.reference.gru_sequence_grad`, in
+place of ``kernels.gru_sequence_grad`` for a whole model) is ground truth;
+the fused BPTT must reproduce its gradients to tighter than 1e-6 across
+packed ragged batches, single-frame utterances, row-block tails and pruned
+(masked) weights — and a short training run must produce the same loss
+curve — with each of its two pairs of time loops: the C step (what
+``kernels.gru_sequence_grad`` runs where the library loads) and numpy's
+(``numpy_backend.gru_sequence_grad``).  A packed batch must give the loss
+and gradients of the same batch padded and masked, on every path.
 """
 
 import hashlib
 import os
 import textwrap
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.errors import KernelError, ShapeError
-from repro.kernels import compiled, numpy_backend
+from repro.kernels import compiled, numpy_backend, reference
 from repro.nn import functional as F
 from repro.nn.data import Dataset, SequenceExample, collate, pack
 from repro.nn.fused import fused_gru_layer
@@ -43,18 +44,28 @@ GRU_GRAD_NAMES = ("dx", "dw_ih", "dw_hh", "db_ih", "db_hh", "dh0")
 # blocks with units past a whole vector (H not a multiple of 8).
 SHAPES = [(1, 1, 3, 4), (7, 2, 5, 6), (23, 4, 8, 16), (6, 9, 5, 13), (3, 17, 4, 21)]
 
-#: The time loops of the fused BPTT: the C step, which runs with no backend
-#: in force where the library is available, and numpy's.
+#: The time loops of the fused BPTT: the C step, which
+#: ``kernels.gru_sequence_grad`` runs where the library is available, and
+#: numpy's.
 LOOPS = [pytest.param("c", marks=requires_compiler), "numpy"]
 
 #: The time loops, and the tape: each runs a packed batch.
 PATHS = LOOPS + ["reference"]
 
 
+#: The training steps a test puts in place of ``kernels.gru_sequence_grad``.
+STEPS = {"numpy": numpy_backend.gru_sequence_grad, "reference": reference.gru_sequence_grad}
+
+
+@contextmanager
 def in_loop(loop):
-    """The routing under which ``loop`` runs: no backend in force, or
-    ``numpy`` (or the tape, ``reference``) chosen."""
-    return kernels.use_backend(None if loop == "c" else loop)
+    """Every training step inside runs on ``loop``: ``"c"``,
+    ``kernels.gru_sequence_grad`` as it is; ``"numpy"`` (numpy's time
+    loops) or ``"reference"`` (the tape) in its place."""
+    with pytest.MonkeyPatch.context() as patch:
+        if loop != "c":
+            patch.setattr(kernels, "gru_sequence_grad", STEPS[loop])
+        yield
 
 
 def fused_grad(loop, *args):
@@ -84,7 +95,7 @@ class TestGRUSequenceGrad:
         seq_len, batch, _, hidden = shape
         args = gru_inputs(rng, *shape)
         grad_out = rng.standard_normal((seq_len, batch, hidden))
-        out_ref, h_ref, bwd_ref = kernels.gru_sequence_grad(*args, backend="reference")
+        out_ref, h_ref, bwd_ref = reference.gru_sequence_grad(*args)
         out, h, bwd = fused_grad(loop, *args)
         np.testing.assert_allclose(out, out_ref, **TOL)
         np.testing.assert_allclose(h, h_ref, **TOL)
@@ -96,7 +107,7 @@ class TestGRUSequenceGrad:
         rng = new_rng(11)
         args = gru_inputs(rng, 9, 3, 6, 8, prune=0.8)
         grad_out = rng.standard_normal((9, 3, 8))
-        _, _, bwd_ref = kernels.gru_sequence_grad(*args, backend="reference")
+        _, _, bwd_ref = reference.gru_sequence_grad(*args)
         _, _, bwd = fused_grad(loop, *args)
         for name, g_ref, g in zip(GRU_GRAD_NAMES, bwd_ref(grad_out), bwd(grad_out)):
             np.testing.assert_allclose(g, g_ref, err_msg=name, **TOL)
@@ -108,7 +119,7 @@ class TestGRUSequenceGrad:
         args = gru_inputs(rng, 6, 2, 4, 5)
         grad_out = rng.standard_normal((6, 2, 5))
         grad_h_T = rng.standard_normal((2, 5))
-        _, _, bwd_ref = kernels.gru_sequence_grad(*args, backend="reference")
+        _, _, bwd_ref = reference.gru_sequence_grad(*args)
         _, _, bwd = fused_grad(loop, *args)
         for name, g_ref, g in zip(
             GRU_GRAD_NAMES, bwd_ref(grad_out, grad_h_T), bwd(grad_out, grad_h_T)
@@ -116,7 +127,7 @@ class TestGRUSequenceGrad:
             np.testing.assert_allclose(g, g_ref, err_msg=name, **TOL)
 
     @requires_compiler
-    def test_c_step_runs_with_no_backend_in_force_and_repeats_its_bits(self, monkeypatch):
+    def test_c_step_runs_where_the_library_loads_and_repeats_its_bits(self, monkeypatch):
         # the widest shape: every row block, vector and scalar tail of the C
         calls = []
         forward = compiled.gru_f64_forward
@@ -174,7 +185,7 @@ class TestGRUSequenceGrad:
 
     def test_backward_runs_once_per_forward(self):
         args = gru_inputs(new_rng(8), 4, 3, 2, 5)
-        _, _, bwd = kernels.gru_sequence_grad(*args, backend="numpy")
+        _, _, bwd = numpy_backend.gru_sequence_grad(*args)
         bwd(np.ones((4, 3, 5)))
         with pytest.raises(KernelError):
             bwd(np.ones((4, 3, 5)))
@@ -213,7 +224,7 @@ def test_packed_step_is_the_padded_step_at_its_real_frames(loop):
     padded_grad = np.zeros((9, 5, 7))
     padded_grad[real] = grad_out
     padded_grad[lengths - 1, np.arange(5)] += grad_h_T
-    out, h_T, bwd = kernels.gru_sequence_grad(padded, *weights, h0, backend="reference")
+    out, h_T, bwd = reference.gru_sequence_grad(padded, *weights, h0)
     dx, *grads = bwd(padded_grad)
     got = packed_run(loop, args, grad_out, grad_h_T)
     want = [out[real], out[lengths - 1, np.arange(5)], dx[real], *grads]
@@ -299,7 +310,7 @@ def masked_sequence_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray):
 
 def loss_and_grads(config, rng, routing, loss_of):
     """The loss ``loss_of(model)`` of a fresh model and every parameter's
-    gradient of it, taken under ``routing`` (a ``use_backend`` context)."""
+    gradient of it, taken under ``routing`` (an :func:`in_loop` context)."""
     model = GRUAcousticModel(config, rng=rng).train()
     with routing:
         loss = loss_of(model)
@@ -357,7 +368,7 @@ class TestModuleGradEquivalence:
         padded = collate(examples)
         want_loss, want = model_grads(
             RAGGED_CONFIG, padded.features, padded.labels, padded.mask, 0,
-            kernels.use_backend("reference"),
+            in_loop("reference"),
         )
         loss, got = packed_grads(RAGGED_CONFIG, pack(examples), 0, in_loop(loop))
         np.testing.assert_allclose(loss, want_loss, **TOL)
@@ -370,7 +381,7 @@ class TestModuleGradEquivalence:
         rng = new_rng(4)
         config = AcousticModelConfig(input_dim=4, hidden_size=6, num_layers=2)
         batch = (rng.standard_normal((1, 1, 4)), np.array([[2]]), np.ones((1, 1)))
-        _, want = model_grads(config, *batch, 1, kernels.use_backend("reference"))
+        _, want = model_grads(config, *batch, 1, in_loop("reference"))
         _, got = model_grads(config, *batch, 1, in_loop(loop))
         for name, g_ref in want.items():
             np.testing.assert_allclose(got[name], g_ref, err_msg=name, **TOL)
@@ -418,7 +429,7 @@ def loss_curve(routing):
 
 class TestLossCurveParity:
     @pytest.mark.parametrize("loop", LOOPS)
-    def test_short_training_run_matches_across_backends(self, loop):
+    def test_short_training_run_matches_the_tape(self, loop):
         """One short run on the tape and one on ``loop``: same loss curve.
 
         The fused path reorders floating-point accumulations (whole-
@@ -426,7 +437,7 @@ class TestLossCurveParity:
         far below any behavioral difference — rather than bit-exactly.
         """
         np.testing.assert_allclose(
-            loss_curve(in_loop(loop)), loss_curve(kernels.use_backend("reference")),
+            loss_curve(in_loop(loop)), loss_curve(in_loop("reference")),
             rtol=1e-6, atol=1e-8,
         )
 
@@ -434,10 +445,10 @@ class TestLossCurveParity:
         done = run_without_a_compiler(tmp_path, textwrap.dedent("""
             from repro.errors import CompileBackendError
             from repro.kernels import numpy_backend
-            from test_training_kernels import loss_curve
+            from test_training_kernels import in_loop, loss_curve
             runs, numpy_loops = [], numpy_backend._numpy_loops
             numpy_backend._numpy_loops = lambda *a: runs.append(1) or numpy_loops(*a)
-            assert np.isfinite(loss_curve(kernels.use_backend(None))).all()
+            assert np.isfinite(loss_curve(in_loop("c"))).all()
             assert runs
             assert isinstance(compiled.load_error(), CompileBackendError)
             print("trained on numpy's loops")
