@@ -253,7 +253,7 @@ class WeightSlot:
     (one of :data:`SLOT_SCHEMES`); a slot that records another scheme than
     its graph's is a :class:`CompilationError`.  The reorder and load-elimination
     passes attach the analytic annotations; the kernel selection pass
-    names the registry kernel the op lowers to.
+    names the kernel the op lowers to.
 
     The slot holds a *reference* to ``array``; frontends that promise
     snapshot semantics (the execution engine) pass in copies.
@@ -265,7 +265,7 @@ class WeightSlot:
     format: Optional[str] = None  # "dense" | "csr" | "bspc" once decided
     scheme: Optional[str] = None  # "float" | "int8" once recorded
     grid: Tuple[int, int] = (8, 8)  # (num_row_strips, num_col_blocks)
-    kernel: Optional[str] = None  # registry op chosen by kernel selection
+    kernel: Optional[str] = None  # op chosen by kernel selection
     tile: TileConfig = field(default_factory=TileConfig)
     # Analytic annotations (reorder / load-elimination passes).
     row_permutation: Optional[np.ndarray] = None

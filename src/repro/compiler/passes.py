@@ -14,7 +14,7 @@ Two analyses and two decisions run over a
    measured auto-tuner or a loaded artifact) pass through untouched, but
    for one rule: int8 has one sparse format, so an int8 slot's CSR is
    BSPC (:func:`int8_sparse_as_bspc`).
-4. :func:`select_kernels_pass` — name the registry kernel each op lowers
+4. :func:`select_kernels_pass` — name the kernel each op lowers
    to under the decided format and the graph's scheme.
 
 The analyses annotate every slot, and only the analytic mobile cost
@@ -141,14 +141,15 @@ def select_formats_pass(graph: LayerGraph) -> LayerGraph:
 
 
 def kernel_for(op: str, fmt: str, scheme) -> str:
-    """The kernel a weight op lowers to; ``"blas_matmul"`` is no registry
-    op (the engine binds exactly this name at lowering)."""
+    """The kernel a weight op lowers to: a key of
+    :data:`repro.kernels.OPS`, or ``"blas_matmul"`` (the engine binds
+    ``np.matmul`` for exactly this name at lowering)."""
     if fmt in ("csr", "bspc"):
         return "bspc_spmm_int8" if scheme == "int8" else f"{fmt}_spmm"
     if scheme == "int8":
         return "linear_int8_rowwise"
     # Dense float64 projections and recurrent steps run as plain BLAS
-    # matmuls, not registry ops.
+    # matmuls.
     return "blas_matmul"
 
 
