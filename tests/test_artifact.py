@@ -1,8 +1,9 @@
 """Compiled-artifact round-trip tests (repro.engine.artifact).
 
 The deployment contract: ``save_plan`` → ``load_plan`` reproduces
-**bit-identical logits** for both schemes × every sparse format,
-and the reloaded plan carries streaming state (``run_chunk``) exactly
+**bit-identical logits** for both schemes × every sparse format on
+every route (:mod:`routes`: the program, the generic loop, the oracle's
+loop), and the reloaded plan carries streaming state (``run_chunk``) exactly
 like the original — including the int8 bitwise chunk-exactness.
 """
 
@@ -30,7 +31,7 @@ from repro.pruning.bsp import BSPConfig, bsp_project_masks
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.atomic_write import content_checksum
 from repro.utils.rng import new_rng
-from routes import on_route
+from routes import ROUTES, on_route
 
 SCHEMES = (None, "int8")
 FORMATS = (None, "csr", "bspc")
@@ -64,11 +65,13 @@ def write_artifact(path, meta, arrays):
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_bit_identical_logits(self, scheme, fmt, tmp_path, rng_factory):
+    def test_bit_identical_logits(self, scheme, fmt, route, tmp_path, rng_factory):
         # dense (None) stays unpruned; forced formats get a pruned model
-        # so the sparse packings actually hold sparse patterns.
+        # so the sparse packings actually hold sparse patterns.  The plan
+        # and its reload run the same route.
         model = laptop_model()
         if fmt is not None:
             prune_model(model)
@@ -77,12 +80,12 @@ class TestRoundTrip:
         )
         plan = engine.compile_model(model, scheme=scheme, config=config)
         x = rng_factory(7).standard_normal((13, 3, 8))
-        expected = plan.forward_batch(x)
+        expected = on_route(plan, route).forward_batch(x)
 
         path = tmp_path / "plan.npz"
         engine.save_plan(path, plan)
         reloaded = engine.load_plan(path)
-        np.testing.assert_array_equal(reloaded.forward_batch(x), expected)
+        np.testing.assert_array_equal(on_route(reloaded, route).forward_batch(x), expected)
         # The reloaded plan advertises the same compilation decisions.
         assert reloaded.scheme == plan.scheme
         assert reloaded.graph.formats() == plan.graph.formats()
@@ -217,9 +220,10 @@ class TestLegacyArtifacts:
         meta["cell_type"] = cell_type
         return meta
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_a_cell_type_key_loads_to_the_same_bytes(self, scheme, fmt, tmp_path, rng):
+    def test_a_cell_type_key_loads_to_the_same_bytes(self, scheme, fmt, route, tmp_path, rng):
         config = engine.EngineConfig(sparse_format=fmt, num_row_strips=4, num_col_blocks=4)
         plan = engine.compile_model(prune_model(laptop_model()), scheme=scheme, config=config)
         current = engine.save_plan(tmp_path / "current.npz", plan)
@@ -230,6 +234,7 @@ class TestLegacyArtifacts:
         x = rng.standard_normal((9, 3, 8))
         old, new = engine.load_plan(legacy), engine.load_plan(current)
         assert old.signature() == new.signature()
+        old, new = on_route(old, route), on_route(new, route)
         assert old.forward_batch(x).tobytes() == new.forward_batch(x).tobytes()
 
     def test_an_lstm_artifact_is_a_typed_error(self, tmp_path):
@@ -368,15 +373,17 @@ def with_removed_scheme(graph, scheme):
 
 
 class TestStreamingStateCarry:
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_run_chunk_carry_matches_original(self, scheme, tmp_path, rng_factory):
+    def test_run_chunk_carry_matches_original(self, scheme, route, tmp_path, rng_factory):
         model = prune_model(laptop_model())
         config = engine.EngineConfig(
             sparse_format="auto", num_row_strips=4, num_col_blocks=4
         )
         plan = engine.compile_model(model, scheme=scheme, config=config)
         engine.save_plan(tmp_path / "s.npz", plan)
-        reloaded = engine.load_plan(tmp_path / "s.npz")
+        reloaded = on_route(engine.load_plan(tmp_path / "s.npz"), route)
+        plan = on_route(plan, route)
 
         x = rng_factory(11).standard_normal((20, 2, 8))
         state_a, state_b = None, None

@@ -24,6 +24,7 @@ from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.synth import make_corpus
 from repro.speech.trainer import Trainer, TrainerConfig
 from repro.utils.rng import new_rng
+from routes import ROUTES, on_route
 
 
 def laptop_model(seed=0, hidden=24):
@@ -100,9 +101,34 @@ class TestPackingOnlyEquivalence:
         assert logits.shape[0] == 0 and logits.shape[1] == 2
 
 
+class TestInt8PlanOnEveryRoute:
+    """The packing-only guarantees an int8 plan keeps on each route
+    (:mod:`routes`): its reused buffers and its weights are its own."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_growing_and_shrinking_batches_leave_no_stale_rows(self, route, rng):
+        model = laptop_model()
+        plan = on_route(engine.compile_model(model, scheme="int8"), route)
+        for shape in [(20, 4, 8), (5, 2, 8), (20, 4, 8), (1, 1, 8)]:
+            x = rng.standard_normal(shape)
+            fresh = on_route(engine.compile_model(model, scheme="int8"), route)
+            assert plan.forward_batch(x).tobytes() == fresh.forward_batch(x).tobytes()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_plan_snapshots_weights(self, route, rng):
+        model = laptop_model()
+        x = rng.standard_normal((4, 2, 8))
+        plan = on_route(engine.compile_model(model, scheme="int8"), route)
+        before = plan.forward_batch(x)
+        for param in model.parameters():
+            param.data[...] += 1.0
+        assert plan.forward_batch(x).tobytes() == before.tobytes()
+
+
 class TestSparsePacking:
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("fmt", ["auto", "csr", "bspc"])
-    def test_pruned_model_matches_dense_plan(self, fmt, rng):
+    def test_pruned_model_matches_dense_plan(self, fmt, route, rng):
         model = prune_model(laptop_model())
         x = rng.standard_normal((10, 3, 8))
         eager = model(Tensor(x)).data
@@ -112,7 +138,7 @@ class TestSparsePacking:
                 sparse_format=fmt, num_row_strips=4, num_col_blocks=4
             ),
         )
-        np.testing.assert_allclose(plan.forward_batch(x), eager, atol=1e-10)
+        np.testing.assert_allclose(on_route(plan, route).forward_batch(x), eager, atol=1e-10)
 
     def test_compile_rnn_from_weight_dict(self, rng):
         model = prune_model(laptop_model())

@@ -43,16 +43,19 @@ requires_compiler = pytest.mark.skipif(
 )
 
 #: Who computes an int8 product by itself: ``"numpy"`` — the op the
-#: generic loop binds — and ``"compiled"`` —
+#: generic loop binds —, ``"reference"`` — the oracle's op, held to the
+#: same edges —, and ``"compiled"`` —
 #: :func:`repro.kernels.compiled.product` — where the C library loads.
-PRODUCTS = ("numpy",) + (("compiled",) if compiled.available() else ())
+PRODUCTS = ("numpy", "reference") + (("compiled",) if compiled.available() else ())
 
 
 def spmm_int8(matrix, x, by):
-    """``kernels.spmm_int8`` of ``x (n, B)`` (``by="numpy"``), or the C
-    product's (``by="compiled"``)."""
+    """``kernels.spmm_int8`` of ``x (n, B)`` (``by="numpy"``), the
+    oracle's (``by="reference"``), or the C product's (``by="compiled"``)."""
     if by == "compiled":
         return compiled.product(matrix, x.T).T
+    if by == "reference":
+        return reference.bspc_spmm_int8(matrix, x)
     return kernels.spmm_int8(matrix, x)
 
 
@@ -68,9 +71,12 @@ def ref_column(matrix, x):
 
 def linear_int8_rowwise(codes, scale, x, by):
     """``kernels.linear_int8_rowwise`` of ``x (N, K)`` (``by="numpy"``),
-    or the C product's on a panel packed per call."""
+    the oracle's (``by="reference"``), or the C product's on a panel
+    packed per call."""
     if by == "compiled":
         return compiled.product(compiled.dense_int8_panel(codes, scale), x)
+    if by == "reference":
+        return reference.linear_int8_rowwise(codes, scale, x)
     return kernels.linear_int8_rowwise(codes, scale, x)
 
 
@@ -421,6 +427,45 @@ def test_an_old_artifact_naming_a_backend_loads_to_the_program_silently(
         assert (loaded.program is not None) == compiled.available()
         assert golden_digest(loaded) == GOLDEN
         assert stream_once(loaded) == stream_once(plan)
+
+
+@pytest.fixture(scope="module")
+def oracle_streams():
+    """Per int8 kind, :func:`stream_once` of its plan on the oracle."""
+    return {kind: stream_once(on_route(int8_plan(kind), "reference")) for kind in INT8_KINDS}
+
+
+#: How a loaded plan runs: a route of :mod:`routes`, or lowered where no
+#: compiler is (``compiled.available`` false: the generic loop).
+LOADED_ROUTES = ROUTES + ("no compiler",)
+
+
+@pytest.mark.parametrize("route", LOADED_ROUTES)
+@pytest.mark.parametrize("named", OLD_BACKENDS)
+@pytest.mark.parametrize("kind", INT8_KINDS)
+def test_an_old_artifact_of_every_kind_streams_the_oracle_bytes_on_every_route(
+    oracle_streams, tmp_path, monkeypatch, kind, named, route
+):
+    # whatever backend an older header names, every int8 kind loads
+    # silently to the program where a compiler exists, to the generic
+    # loop where none does, and every route over it streams the oracle's
+    # bytes
+    def old_header(graph):
+        meta, arrays = ir.graph_to_arrays(graph)
+        return {**meta, "backend": named}, arrays
+
+    monkeypatch.setattr(artifact, "graph_to_arrays", old_header)
+    path = engine.save_plan(tmp_path / "old.plan.npz", int8_plan(kind))
+    monkeypatch.undo()
+    if route == "no compiler":
+        monkeypatch.setattr(compiled, "available", lambda: False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = engine.load_plan(path)
+        lowers = route != "no compiler" and compiled.available()
+        assert (loaded.program is not None) == lowers
+        got = stream_once(loaded if route == "no compiler" else on_route(loaded, route))
+    assert got == oracle_streams[kind]
 
 
 @st.composite

@@ -346,22 +346,14 @@ def route_plans(kind):
 PLAN_KINDS = INT8_KINDS + [("float", fmt) for fmt in FLOAT_FORMATS]
 
 
-@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+@settings(max_examples=4, deadline=None)
 @given(
-    kind=st.sampled_from(PLAN_KINDS),
     frames=st.integers(1, 12),
     batch=st.sampled_from([1, 2, 3, 8, 9]),
     seed=st.integers(0, 2**16),
 )
-@example(kind="bspc", frames=9, batch=3, seed=0)
-@example(kind="auto", frames=9, batch=3, seed=0)
-@example(kind=None, frames=9, batch=3, seed=0)
-@example(kind="dense", frames=9, batch=3, seed=0)
-@example(kind="csr", frames=9, batch=3, seed=0)
-@example(kind="unstructured", frames=9, batch=3, seed=0)
-@example(kind=("float", None), frames=9, batch=3, seed=0)
-@example(kind=("float", "csr"), frames=9, batch=3, seed=0)
-@example(kind=("float", "bspc"), frames=9, batch=3, seed=0)
+@example(frames=9, batch=3, seed=0)
 def test_every_route_of_a_plan_runs_the_same_chunk(kind, frames, batch, seed):
     plans = route_plans(kind)
     features = new_rng(seed).standard_normal((frames, batch, 8))

@@ -187,14 +187,15 @@ class TestRunChunkAPI:
             for got, row in zip(carry.layer_states, want_carry.layer_states):
                 np.testing.assert_allclose(got[b : b + 1], row, atol=1e-12)
 
-    def test_batched_sessions_independent_of_cobatching(self, rng):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_batched_sessions_independent_of_cobatching(self, route, rng):
         # Row b of a batched run_chunk carries session b's stream as if
         # it ran alone.  The per-step recurrent GEMM's row count is the
         # batch size, so co-batching can shift its BLAS reduction order
         # by float epsilon — logits agree to ~1e-12 and labels exactly
         # (chunk *splits* at fixed batch are bitwise for int8; see the
         # sweep above).
-        plan = engine.compile_model(tiny_model(), scheme="int8")
+        plan = on_route(engine.compile_model(tiny_model(), scheme="int8"), route)
         utterances = [rng.standard_normal((20, 8)) for _ in range(3)]
         solo = [plan.forward_utterance(u) for u in utterances]
         carry = None
@@ -223,10 +224,11 @@ class TestOneArrayCarry:
         )
         return engine.compile_model(tiny_model(), scheme=scheme, config=config)
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("fmt", [None, "csr", "bspc"])
-    def test_every_carry_is_one_array_per_layer(self, scheme, fmt, rng):
-        plan = self.make_plan(scheme, fmt)
+    def test_every_carry_is_one_array_per_layer(self, scheme, fmt, route, rng):
+        plan = on_route(self.make_plan(scheme, fmt), route)
         zero = plan.init_state(3)
         _, carry = plan.run_chunk(rng.standard_normal((6, 3, 8)), zero)
         for state in (zero, carry):
@@ -240,12 +242,13 @@ class TestOneArrayCarry:
         for hidden in carry.layer_states:
             assert np.any(hidden) and np.abs(hidden).max() <= 1.0
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("batches", [(1,), (1, 2), (3, 1, 2)])
-    def test_a_concatenated_carry_runs_each_row_as_its_own(self, batches, rng):
+    def test_a_concatenated_carry_runs_each_row_as_its_own(self, batches, route, rng):
         # int8 rows are bitwise independent: a carry concatenated from
         # sessions' rows runs each row to the bytes it runs to alone, and
         # the plan writes into none of the rows it was handed
-        plan = self.make_plan("int8")
+        plan = on_route(self.make_plan("int8"), route)
         states = [
             plan.run_chunk(rng.standard_normal((4, b, 8)))[1] for b in batches
         ]
@@ -510,8 +513,8 @@ class TestStreamingSession:
 # Stream scheduler (deadline batching)
 # ---------------------------------------------------------------------------
 class TestStreamScheduler:
-    def make(self, scheme=None, **config):
-        plan = engine.compile_model(tiny_model(), scheme=scheme)
+    def make(self, scheme=None, route="program", **config):
+        plan = on_route(engine.compile_model(tiny_model(), scheme=scheme), route)
         defaults = dict(max_batch_size=4, max_wait_frames=1000, min_duration=2)
         defaults.update(config)
         return plan, engine.StreamScheduler(plan, engine.StreamConfig(**defaults))
@@ -808,11 +811,12 @@ class TestStreamScheduler:
         expected = decode_utterance(plan.forward_utterance(good), min_duration=2)
         assert scheduler.finish(first) == scheduler.finish(second) == expected
 
-    def test_int8_scheduler_bitwise_matches_solo_session(self, rng_factory):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_int8_scheduler_bitwise_matches_solo_session(self, route, rng_factory):
         # Batched scheduling must not perturb a session's hypothesis:
         # with int8 plans the logits are bitwise identical, so this holds
         # by construction — assert it end to end.
-        plan, scheduler = self.make(scheme="int8", max_batch_size=3)
+        plan, scheduler = self.make(scheme="int8", route=route, max_batch_size=3)
         rng = rng_factory(7)
         utterances = [rng.standard_normal((30, 8)) for _ in range(3)]
         solo = []
@@ -989,12 +993,13 @@ def tied_plan(scheme):
     return engine.compile_model(model, scheme=scheme, config=config)
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("scheme", engine.plan.SCHEMES)
-def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, rng):
+def test_tied_logits_decode_to_the_first_maximum_on_every_entry(scheme, route, rng):
     # every logit has a twin, and the label must be the first of the two,
-    # however the chunk's logits were made (float32 in an int8 plan) and
-    # decoded
-    plan = tied_plan(scheme)
+    # however the chunk's logits were made (float32 in an int8 plan, on
+    # any route) and decoded
+    plan = on_route(tied_plan(scheme), route)
     utterances = [rng.standard_normal((t, 8)) for t in (13, 13, 7)]
     want = [plan.run_chunk(u[:, None, :])[0][:, 0] for u in utterances]
     for logits in want:
@@ -1263,10 +1268,14 @@ class TestHotSwap:
             scheduler.feed(sid, utterance[swap_at:])
         return [scheduler.finish(sid) for sid in sids], scheduler
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
-    def test_mid_utterance_swap_decodes_identically(self, scheme, hidden, rng_factory):
+    def test_mid_utterance_swap_decodes_identically(self, scheme, hidden, route, rng_factory):
+        # the candidate runs ``route``: a swap between routes of the same
+        # weights is no swap at all
         incumbent, candidate = self.compile_pair(scheme, hidden=hidden)
+        candidate = on_route(candidate, route)
         rng = rng_factory(99)
         utterances = [rng.standard_normal((44, 8)) for _ in range(3)]
         uninterrupted = [
