@@ -171,9 +171,9 @@ class _PackedWeight:
     Every int8 kernel returns float32, as an int8 slot's ``out_dtype``
     is.  ``state_dtype`` marks a recurrent slot and names the dtype of the
     state it multiplies.  The kernel is :data:`repro.kernels.OPS`'s entry
-    for the slot's op, looked up once here and left inspectable as
-    ``kernel``.  That is the generic loop's way; the program reads a dense
-    int8 slot as :meth:`dense_panel`.
+    for the slot's op, looked up once here as ``kernel``, the attribute
+    ``apply`` calls.  That is the generic loop's way; the program reads a
+    dense int8 slot as :meth:`dense_panel`.
     """
 
     def __init__(
@@ -202,15 +202,8 @@ class _PackedWeight:
         if self.op == "blas_matmul":
             self.kernel, self.apply = np.matmul, self._matmul
             return
-        kernel = self.kernel = kernels.OPS[self.op]
-        if self.matrix is None:
-            codes_f, scale = self.codes_f, self.scale
-            self.apply = lambda x2d, ws, key: kernel(codes_f, scale, x2d)
-            return
-        # The kernel gets the matrix, not a frozen plan: its cached plan
-        # follows the matrix's invalidation rules.
-        matrix = self.matrix
-        self.apply = lambda x2d, ws, key: kernel(matrix, x2d.T).T
+        self.kernel = kernels.OPS[self.op]
+        self.apply = self._dense_int8 if self.matrix is None else self._sparse
 
     def dense_panel(self):
         """This dense int8 slot as the program reads it, packed once."""
@@ -221,6 +214,14 @@ class _PackedWeight:
     def _matmul(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
         out = ws.take(key, (x2d.shape[0], self.shape[0]), self.out_dtype)
         return np.matmul(x2d, self.weight_t, out=out)
+
+    def _dense_int8(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
+        return self.kernel(self.codes_f, self.scale, x2d)
+
+    def _sparse(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
+        # The kernel gets the matrix, not a frozen plan: its cached plan
+        # follows the matrix's invalidation rules.
+        return self.kernel(self.matrix, x2d.T).T
 
     def nbytes(self) -> int:
         value_bytes = _VALUE_BYTES[self.scheme]

@@ -12,7 +12,6 @@ Not a test module: the suites import it.
 """
 
 from contextlib import contextmanager
-from functools import partial
 
 from repro import engine, kernels
 from repro.kernels import reference
@@ -62,25 +61,18 @@ def oracle(plan):
     return held[1]
 
 
-def rebound_to_the_oracle(plan):
-    """``plan`` itself, its program taken away and each packed weight
-    bound to the oracle's op in place, as a lowering inside
-    :func:`reference_ops` binds it: the oracle over the very matrices the
-    plan holds, for a plan whose weights changed after lowering."""
-    for weight in plan._weights:
-        if weight.op not in reference.OPS:
-            continue  # np.matmul: a float plan's dense weights
-        kernel = weight.kernel = reference.OPS[weight.op]
-        if weight.matrix is None:
-            weight.apply = partial(_dense, kernel, weight.codes_f, weight.scale)
-        else:
-            weight.apply = partial(_sparse, kernel, weight.matrix)
-    return generic_loop(plan)
-
-
-def _dense(kernel, codes, scale, x2d, ws, key):
-    return kernel(codes, scale, x2d)
-
-
-def _sparse(kernel, matrix, x2d, ws, key):
-    return kernel(matrix, x2d.T).T
+@contextmanager
+def bound_to_the_oracle(plan):
+    """``plan`` with each packed weight's kernel the oracle's op inside, as
+    a lowering inside :func:`reference_ops` binds it: the generic loop on
+    the oracle over the very matrices the plan holds, for a plan whose
+    weights changed after lowering.  The program is left as it is."""
+    weights = [w for w in plan._weights if w.op in reference.OPS]  # not np.matmul
+    saved = [w.kernel for w in weights]
+    for weight in weights:
+        weight.kernel = reference.OPS[weight.op]
+    try:
+        yield plan
+    finally:
+        for weight, kernel in zip(weights, saved):
+            weight.kernel = kernel

@@ -32,7 +32,7 @@ from repro.sparse.bspc import BSPCBlock, BSPCStrip
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.utils.rng import new_rng
 from repro.utils.supervise import Child
-from routes import ROUTES, on_route, oracle, rebound_to_the_oracle
+from routes import ROUTES, bound_to_the_oracle, on_route, oracle
 from test_int8_routing import bsp_int8_plan, bsp_matrix, requires_compiler, run_chunk
 
 
@@ -724,8 +724,11 @@ class TestStaleness:
         return bsp_int8_plan()
 
     def check(self, plan, x, state):
-        """The program's bytes, the generic loop's on the same weights."""
-        want = stream(plan, [x], state, lowered=False)
+        """The program's bytes: the oracle's on the same weights, and the
+        generic loop's."""
+        with bound_to_the_oracle(plan):
+            want = stream(plan, [x], state, lowered=False)
+        assert stream(plan, [x], state, lowered=False) == want
         assert stream(plan, [x], state) == want
         return want
 
@@ -741,8 +744,7 @@ class TestStaleness:
         matrix.invalidate_plan()
         assert stream(plan, [x], state) != before
         assert plan.program is not None and plan.program is not lowered
-        want = self.check(plan, x, state)
-        assert stream(rebound_to_the_oracle(plan), [x], state) == want
+        self.check(plan, x, state)
 
     def test_strips_reassignment_between_chunks_is_observed(self, plan, rng):
         x = rng.standard_normal((3, 2, 8))
@@ -763,5 +765,6 @@ class TestStaleness:
         matrix.grid = BlockGrid(72, 32, 4, 4)  # eight columns nothing reads
         got, _ = plan.run_chunk(x)
         assert plan.program is None
-        want, _ = rebound_to_the_oracle(plan).run_chunk(x)
+        with bound_to_the_oracle(plan):
+            want, _ = plan.run_chunk(x)
         assert got.tobytes() == want.tobytes()
